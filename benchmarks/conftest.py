@@ -1,9 +1,11 @@
 """Shared helpers for the benchmark suite.
 
-Every ``test_bench_*`` module drives one paper table/figure through the
-experiment drivers in :mod:`repro.bench.experiments`, asserts the
-paper's qualitative claims on the measured payload, and persists the
-payload under ``benchmarks/results/`` for EXPERIMENTS.md.
+Every ``test_bench_*`` module drives one paper table/figure -- the
+engine grids through their run table under ``benchmarks/matrices/``
+and its reducer, the rest through their ``experiment_*`` driver in
+:mod:`repro.bench.experiments` -- asserts the paper's qualitative
+claims on the measured payload, and persists the payload under
+``benchmarks/results/`` for EXPERIMENTS.md.
 
 Run with ``pytest benchmarks/ --benchmark-only``.
 """

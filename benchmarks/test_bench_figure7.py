@@ -6,14 +6,14 @@ the largest batch it does not exceed GB-Reset; at small batches the
 reduction is large.
 """
 
-from repro.bench.experiments import experiment_figure7
+from repro.bench.experiments import reduce_figure7
+from repro.bench.matrix import load_table, run_matrix
 from repro.bench.reporting import save_results
 
 
 def test_figure7_batch_size_sweep(run_experiment):
-    payload = run_experiment(
-        experiment_figure7, algorithms=["PR", "LP", "BP"]
-    )
+    payload = reduce_figure7(
+        run_experiment(run_matrix, load_table("figure7")))
     save_results("figure7", payload)
 
     for algo, series in payload["series"].items():

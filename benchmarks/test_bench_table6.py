@@ -9,13 +9,13 @@ makespan, documented in DESIGN.md) and reports the vector's
 load-imbalance factor.
 """
 
-from repro.bench.matrix import run_driver
+from repro.bench.experiments import experiment_table6
 from repro.bench.reporting import save_results
 
 
 def test_table6_core_scaling(run_experiment):
     payload = run_experiment(
-        run_driver, "table6", algorithms=["PR", "LP", "BP"]
+        experiment_table6, algorithms=["PR", "LP", "BP"]
     )
     save_results("table6", payload)
 

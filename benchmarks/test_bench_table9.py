@@ -7,12 +7,12 @@ aggregation values) and TC (retains the pre-mutation structure,
 approaching 2x).
 """
 
-from repro.bench.matrix import run_driver
+from repro.bench.experiments import experiment_table9
 from repro.bench.reporting import save_results
 
 
 def test_table9_memory_overhead(run_experiment):
-    payload = run_experiment(run_driver, "table9", graphs=("WK", "TW", "FT"))
+    payload = run_experiment(experiment_table9, graphs=("WK", "TW", "FT"))
     save_results("table9", payload)
 
     detail = payload["detail"]

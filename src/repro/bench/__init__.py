@@ -1,9 +1,10 @@
 """Benchmark harness: workloads, streaming runners, reporting.
 
-One experiment driver per paper table/figure lives in
-:mod:`repro.bench.experiments`; ``benchmarks/bench_*.py`` are the
-pytest-benchmark entry points, and ``python -m repro.bench`` regenerates
-every experiment's data for EXPERIMENTS.md.
+Engine grids are YAML run tables executed by :mod:`repro.bench.matrix`
+(``python -m repro experiment``); :mod:`repro.bench.experiments` holds
+their reducers and the bespoke drivers for everything that is not an
+engine run (``python -m repro.bench``).  ``benchmarks/test_bench_*.py``
+are the pytest-benchmark entry points.
 """
 
 from repro.bench.harness import (

@@ -1,9 +1,11 @@
-"""Regenerate every experiment: ``python -m repro.bench [names...]``.
+"""Regenerate the bespoke experiments: ``python -m repro.bench [names...]``.
 
-Runs each experiment driver, prints its paper-style table, and stores
-the JSON payload under ``benchmarks/results/`` (consumed when updating
-EXPERIMENTS.md).  With no arguments all experiments run; otherwise pass
-experiment names (e.g. ``table5 figure8``).
+Runs each ``experiment_*`` driver, prints its paper-style table, and
+stores the JSON payload under ``benchmarks/results/`` (consumed when
+updating EXPERIMENTS.md).  With no arguments all of them run; otherwise
+pass experiment names (e.g. ``table6 figure8``).  The engine grids --
+Table 5 + Figure 6, Tables 7/8, Figure 7 -- are run tables instead:
+``python -m repro experiment --matrix table5``.
 """
 
 from __future__ import annotations
@@ -18,11 +20,7 @@ from repro.obs.registry import get_registry
 EXPERIMENTS = {
     "table1": exp.experiment_table1,
     "figure4": exp.experiment_figure4,
-    "table5": exp.experiment_table5,
     "table6": exp.experiment_table6,
-    "table7": exp.experiment_table7,
-    "figure7": exp.experiment_figure7,
-    "table8": exp.experiment_table8,
     "figure8": exp.experiment_figure8,
     "figure9": exp.experiment_figure9,
     "table9": exp.experiment_table9,

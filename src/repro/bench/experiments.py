@@ -1,10 +1,17 @@
-"""One experiment driver per paper table/figure.
+"""Paper tables and figures: matrix reducers and bespoke drivers.
 
-Each ``experiment_*`` function runs a scaled version of the paper's
-measurement (scaling documented in DESIGN.md section 1), returns a
-JSON-serialisable payload, and can render itself as a paper-style text
-table.  The pytest-benchmark entry points in ``benchmarks/`` call these
-drivers, assert the paper's qualitative claims, and persist payloads to
+The engine x algorithm x graph x batch grids -- Table 5 + Figure 6,
+Table 7, Table 8, Figure 7 -- are YAML run tables under
+``benchmarks/matrices/`` executed by :mod:`repro.bench.matrix`; each
+has a pure ``reduce_*`` function here (looked up by payload ``area`` in
+:data:`REDUCERS`) that turns the ``BENCH_<area>.json`` payload into the
+paper's rows.  The measurements that are not engine runs (error counts,
+memory, makespan projection, other systems, TC) keep an
+``experiment_*`` driver that runs a scaled version of the paper's
+measurement (scaling documented in DESIGN.md section 1).  Both return a
+JSON-serialisable payload that renders as a paper-style text table; the
+pytest-benchmark entry points in ``benchmarks/`` call them, assert the
+paper's qualitative claims, and persist payloads to
 ``benchmarks/results/`` for EXPERIMENTS.md.
 
 Algorithm configurations used by the benchmarks (tolerances and seed
@@ -33,14 +40,14 @@ from repro.algorithms import (
     triangle_counts,
 )
 from repro.bench.harness import (
-    DeltaRunner,
+    ENGINES,
+    TABLE5_ENGINES,
     GraphBoltRunner,
     LigraRunner,
-    StreamingRunner,
     run_stream,
 )
 from repro.bench.reporting import format_table
-from repro.bench.workloads import targeted_batch, uniform_batch
+from repro.bench.workloads import uniform_batch
 from repro.core.engine import GraphBoltEngine
 from repro.core.pruning import PruningPolicy
 from repro.dataflow.graph_programs import DifferentialPageRank, DifferentialSSSP
@@ -57,15 +64,16 @@ from repro.runtime.validation import count_exceeding
 
 __all__ = [
     "BENCH_ALGORITHMS",
-    "BENCH_BATCH_SIZES",
     "BENCH_GRAPHS",
+    "REDUCERS",
+    "reduce_table5",
+    "reduce_table7",
+    "reduce_table8",
+    "reduce_figure7",
+    "triangle_cell",
     "experiment_table1",
     "experiment_figure4",
-    "experiment_table5",
     "experiment_table6",
-    "experiment_table7",
-    "experiment_figure7",
-    "experiment_table8",
     "experiment_figure8",
     "experiment_figure9",
     "experiment_table9",
@@ -90,10 +98,6 @@ BENCH_ALGORITHMS: Dict[str, Callable] = {
 
 #: Graphs of Table 2, scaled (DESIGN.md section 1).
 BENCH_GRAPHS: Tuple[str, ...] = ("WK", "UK", "TW", "TT", "FT")
-
-#: Mutations per batch -- the paper's 1K/10K/100K scaled by the ~1000x
-#: edge-count reduction of the stand-in graphs.
-BENCH_BATCH_SIZES: Tuple[int, ...] = (10, 100, 1000)
 
 #: Iteration count (the paper's default; 5 on YH, handled per driver).
 BENCH_ITERATIONS = 10
@@ -195,19 +199,11 @@ def _density_bar(value: float, height: int = 5) -> str:
 
 
 # ----------------------------------------------------------------------
-# Table 5 + Figure 6 -- engine comparison and edge computations
+# Table 5 -- the TC column (not an engine run, so not a matrix cell)
 # ----------------------------------------------------------------------
-def _standard_runners(factory, num_iterations):
-    return [
-        LigraRunner(factory, num_iterations),
-        DeltaRunner(factory, num_iterations),
-        GraphBoltRunner(factory, num_iterations),
-    ]
-
-
-def _triangle_cell(graph: CSRGraph, batches) -> Dict[str, Dict]:
-    """TC column: recompute baseline (Ligra == GB-Reset, single
-    iteration) versus incremental maintenance."""
+def triangle_cell(graph: CSRGraph, batches) -> Dict[str, Dict]:
+    """One Table 5 cell for TC: recompute baseline (Ligra == GB-Reset,
+    single iteration) versus incremental maintenance."""
     cell = {}
     restart_metrics = EngineMetrics()
     restart_seconds = 0.0
@@ -247,52 +243,47 @@ def _triangle_cell(graph: CSRGraph, batches) -> Dict[str, Dict]:
     return cell
 
 
-def experiment_table5(
-    algorithms: Optional[Sequence[str]] = None,
-    graphs: Sequence[str] = BENCH_GRAPHS,
-    batch_sizes: Sequence[int] = BENCH_BATCH_SIZES,
-    num_batches: int = 2,
-    seed: int = 5,
-    validate: bool = True,
-) -> Dict:
+# ----------------------------------------------------------------------
+# Matrix reducers -- BENCH payload -> the paper's rows
+# ----------------------------------------------------------------------
+def _axis(payload: Dict, key: str) -> List:
+    """The values one config key takes across a payload, in run order."""
+    return list(dict.fromkeys(
+        run["config"][key] for run in payload["runs"]
+    ))
+
+
+def _by_config(payload: Dict, *keys: str) -> Dict[Tuple, Dict]:
+    """``(seconds, edges)`` of every run, keyed by the given config
+    keys.  Both cover the mutation stream only (initial run and
+    structure adjustment excluded), as in the paper."""
+    return {
+        tuple(run["config"][key] for key in keys): {
+            "seconds": run["timing"]["compute_seconds"],
+            "edges": run["work"]["stream_edge_computations"],
+        }
+        for run in payload["runs"]
+    }
+
+
+def reduce_table5(payload: Dict) -> Dict:
     """Execution times for Ligra / GB-Reset / GraphBolt (paper Table 5)
     and the edge-computation ratios of Figure 6."""
-    if algorithms is None:
-        algorithms = list(BENCH_ALGORITHMS) + ["TC"]
+    runs = _by_config(payload, "algorithm", "scale", "batch_size",
+                      "engine")
     cells = {}
     rows = []
-    for algo in algorithms:
+    graphs = _axis(payload, "scale")
+    batch_sizes = _axis(payload, "batch_size")
+    for algo in _axis(payload, "algorithm"):
         for graph_name in graphs:
-            graph = paper_graph(graph_name, weighted=True)
             for batch_size in batch_sizes:
-                batches = [
-                    uniform_batch(graph, batch_size, seed=seed + i)
-                    for i in range(num_batches)
-                ]
-                if algo == "TC":
-                    cell = _triangle_cell(graph, batches)
-                else:
-                    factory = BENCH_ALGORITHMS[algo]
-                    cell = {}
-                    values = {}
-                    for runner in _standard_runners(factory,
-                                                    BENCH_ITERATIONS):
-                        result = run_stream(runner, graph, batches)
-                        cell[runner.name] = {
-                            "seconds": result.total_apply_seconds,
-                            "edges": result.total_edge_computations,
-                        }
-                        values[runner.name] = result.final_values
-                    if validate:
-                        worst = np.abs(
-                            values["GraphBolt"] - values["Ligra"]
-                        ).max()
-                        if worst > 0.05:
-                            raise AssertionError(
-                                f"{algo}/{graph_name}: GraphBolt diverged "
-                                f"from ground truth by {worst}"
-                            )
-                cells[(algo, graph_name, batch_size)] = cell
+                cell = {
+                    ENGINES[engine].name:
+                        runs[(algo, graph_name, batch_size, engine)]
+                    for engine in TABLE5_ENGINES
+                }
+                cells[f"{algo}|{graph_name}|{batch_size}"] = cell
                 ligra = cell["Ligra"]
                 reset = cell["GB-Reset"]
                 bolt = cell["GraphBolt"]
@@ -315,51 +306,29 @@ def experiment_table5(
         "headers": ["Algo", "Graph", "Batch", "Ligra", "GB-Reset",
                     "GraphBolt", "xLigra", "xGB-Reset", "EdgeRatio"],
         "rows": rows,
-        "cells": {
-            f"{algo}|{graph}|{batch}": cell
-            for (algo, graph, batch), cell in cells.items()
-        },
+        "cells": cells,
     }
 
 
-# ----------------------------------------------------------------------
-# Tables 6 and 7 -- YH-scale runs and core scaling
-# ----------------------------------------------------------------------
-def experiment_table7(
-    algorithms: Optional[Sequence[str]] = None,
-    batch_sizes: Sequence[int] = BENCH_BATCH_SIZES,
-    num_batches: int = 1,
-    seed: int = 77,
-) -> Dict:
-    """Edge computations on the YH stand-in (paper Table 7); YH runs 5
-    iterations, as in the paper."""
-    if algorithms is None:
-        algorithms = list(BENCH_ALGORITHMS)
-    graph = paper_graph("YH", weighted=True)
+def reduce_table7(payload: Dict) -> Dict:
+    """Edge computations on the YH stand-in (paper Table 7)."""
+    runs = _by_config(payload, "algorithm", "batch_size", "engine")
+    batch_sizes = _axis(payload, "batch_size")
     rows = []
     detail = {}
-    for algo in algorithms:
-        factory = BENCH_ALGORITHMS[algo]
+    for algo in _axis(payload, "algorithm"):
         row = [algo]
         for batch_size in batch_sizes:
-            batches = [
-                uniform_batch(graph, batch_size, seed=seed + i)
-                for i in range(num_batches)
-            ]
-            reset = run_stream(DeltaRunner(factory, 5), graph, batches)
-            bolt = run_stream(GraphBoltRunner(factory, 5), graph, batches)
-            percent = 100.0 * bolt.total_edge_computations / max(
-                reset.total_edge_computations, 1
-            )
-            row.append(
-                f"{bolt.total_edge_computations} ({percent:.2f}%)"
-            )
+            reset = runs[(algo, batch_size, "gbreset")]
+            bolt = runs[(algo, batch_size, "graphbolt")]
+            percent = 100.0 * bolt["edges"] / max(reset["edges"], 1)
+            row.append(f"{bolt['edges']} ({percent:.2f}%)")
             detail[f"{algo}|{batch_size}"] = {
-                "graphbolt_edges": bolt.total_edge_computations,
-                "gbreset_edges": reset.total_edge_computations,
+                "graphbolt_edges": bolt["edges"],
+                "gbreset_edges": reset["edges"],
                 "percent": percent,
-                "graphbolt_seconds": bolt.total_apply_seconds,
-                "gbreset_seconds": reset.total_apply_seconds,
+                "graphbolt_seconds": bolt["seconds"],
+                "gbreset_seconds": reset["seconds"],
             }
         rows.append(row)
     return {
@@ -374,6 +343,85 @@ def experiment_table7(
     }
 
 
+def reduce_figure7(payload: Dict) -> Dict:
+    """GB-Reset vs GraphBolt across batch sizes (paper Figure 7;
+    1..1M scaled to 1..10K)."""
+    runs = _by_config(payload, "algorithm", "engine", "batch_size")
+    batch_sizes = _axis(payload, "batch_size")
+    (graph_name,) = _axis(payload, "scale")
+    rows = []
+    series = {}
+    for algo in _axis(payload, "algorithm"):
+        series[algo] = {}
+        for engine in _axis(payload, "engine"):
+            name = ENGINES[engine].name
+            sweep = [runs[(algo, engine, b)] for b in batch_sizes]
+            series[algo][name] = [run["seconds"] for run in sweep]
+            series[algo][f"{name}-edges"] = [run["edges"] for run in sweep]
+            rows.append([algo, name] + [
+                round(seconds, 4) for seconds in series[algo][name]
+            ])
+    return {
+        "experiment": "figure7",
+        "title": (
+            f"Figure 7: execution seconds vs batch size on {graph_name} "
+            "(paper sweeps 1..1M; scaled to 1..10K)"
+        ),
+        "headers": ["Algo", "Engine"] + [str(b) for b in batch_sizes],
+        "rows": rows,
+        "series": series,
+        "batch_sizes": batch_sizes,
+    }
+
+
+def reduce_table8(payload: Dict) -> Dict:
+    """GraphBolt under high/low-degree-targeted mutations (paper
+    Table 8)."""
+    runs = _by_config(payload, "scale", "algorithm", "scenario")
+    algorithms = _axis(payload, "algorithm")
+    (batch_size,) = _axis(payload, "batch_size")
+    rows = []
+    detail = {}
+    for graph_name in _axis(payload, "scale"):
+        row = [graph_name]
+        for algo in algorithms:
+            lo = runs[(graph_name, algo, "lo")]
+            hi = runs[(graph_name, algo, "hi")]
+            row.extend([round(lo["seconds"], 4), round(hi["seconds"], 4)])
+            detail[f"{graph_name}|{algo}"] = {
+                "lo": lo["seconds"],
+                "hi": hi["seconds"],
+                "lo_edges": lo["edges"],
+                "hi_edges": hi["edges"],
+            }
+        rows.append(row)
+    headers = ["Graph"]
+    for algo in algorithms:
+        headers.extend([f"{algo} Lo", f"{algo} Hi"])
+    return {
+        "experiment": "table8",
+        "title": (
+            "Table 8: GraphBolt seconds under low/high-degree mutation "
+            f"workloads ({batch_size} mutations)"
+        ),
+        "headers": headers,
+        "rows": rows,
+        "detail": detail,
+    }
+
+
+#: Matrix ``area`` -> reducer; areas not listed are not paper tables.
+REDUCERS: Dict[str, Callable[[Dict], Dict]] = {
+    "table5": reduce_table5,
+    "table7": reduce_table7,
+    "table8": reduce_table8,
+    "figure7": reduce_figure7,
+}
+
+
+# ----------------------------------------------------------------------
+# Table 6 -- core scaling on YH
+# ----------------------------------------------------------------------
 def experiment_table6(
     algorithms: Optional[Sequence[str]] = None,
     batch_size: int = 100,
@@ -409,7 +457,8 @@ def experiment_table6(
         batches = [uniform_batch(graph, batch_size, seed=seed)]
         measured = {}
         with use_backend(backend):
-            for runner in _standard_runners(factory, 5):
+            for engine in TABLE5_ENGINES:
+                runner = ENGINES[engine](factory, 5)
                 result = run_stream(runner, graph, batches)
                 measured[runner.name] = (
                     result.total_apply_seconds,
@@ -461,110 +510,6 @@ def experiment_table6(
         "rows": rows,
         "detail": detail,
         "num_shards": num_shards,
-    }
-
-
-# ----------------------------------------------------------------------
-# Figure 7 -- varying mutation batch size
-# ----------------------------------------------------------------------
-def experiment_figure7(
-    algorithms: Optional[Sequence[str]] = None,
-    graph_name: str = "TT",
-    batch_sizes: Sequence[int] = (1, 10, 100, 1000, 10000),
-    seed: int = 17,
-) -> Dict:
-    """GB-Reset vs GraphBolt across batch sizes (paper Figure 7;
-    1..1M scaled to 1..10K)."""
-    if algorithms is None:
-        algorithms = list(BENCH_ALGORITHMS)
-    graph = paper_graph(graph_name, weighted=True)
-    rows = []
-    series = {}
-    for algo in algorithms:
-        factory = BENCH_ALGORITHMS[algo]
-        reset_times, bolt_times = [], []
-        reset_edges, bolt_edges = [], []
-        for batch_size in batch_sizes:
-            batch = uniform_batch(graph, batch_size, seed=seed)
-            reset = run_stream(DeltaRunner(factory, BENCH_ITERATIONS),
-                               graph, [batch])
-            bolt = run_stream(GraphBoltRunner(factory, BENCH_ITERATIONS),
-                              graph, [batch])
-            reset_times.append(reset.total_apply_seconds)
-            bolt_times.append(bolt.total_apply_seconds)
-            reset_edges.append(reset.total_edge_computations)
-            bolt_edges.append(bolt.total_edge_computations)
-        rows.append([algo, "GB-Reset"] + [round(t, 4) for t in reset_times])
-        rows.append([algo, "GraphBolt"] + [round(t, 4) for t in bolt_times])
-        series[algo] = {
-            "GB-Reset": reset_times,
-            "GraphBolt": bolt_times,
-            "GB-Reset-edges": reset_edges,
-            "GraphBolt-edges": bolt_edges,
-        }
-    return {
-        "experiment": "figure7",
-        "title": (
-            f"Figure 7: execution seconds vs batch size on {graph_name} "
-            "(paper sweeps 1..1M; scaled to 1..10K)"
-        ),
-        "headers": ["Algo", "Engine"] + [str(b) for b in batch_sizes],
-        "rows": rows,
-        "series": series,
-        "batch_sizes": list(batch_sizes),
-    }
-
-
-# ----------------------------------------------------------------------
-# Table 8 -- Hi/Lo mutation workloads
-# ----------------------------------------------------------------------
-def experiment_table8(
-    algorithms: Optional[Sequence[str]] = None,
-    graphs: Sequence[str] = ("TT", "FT"),
-    batch_size: int = 100,
-    seed: int = 88,
-) -> Dict:
-    """GraphBolt under high/low-degree-targeted mutations (paper
-    Table 8)."""
-    if algorithms is None:
-        algorithms = list(BENCH_ALGORITHMS)
-    rows = []
-    detail = {}
-    for graph_name in graphs:
-        graph = paper_graph(graph_name, weighted=True)
-        row = [graph_name]
-        for algo in algorithms:
-            factory = BENCH_ALGORITHMS[algo]
-            times = {}
-            edges = {}
-            for workload in ("lo", "hi"):
-                batch = targeted_batch(graph, batch_size, workload,
-                                       seed=seed)
-                result = run_stream(
-                    GraphBoltRunner(factory, BENCH_ITERATIONS),
-                    graph, [batch],
-                )
-                times[workload] = result.total_apply_seconds
-                edges[workload] = result.total_edge_computations
-            row.extend([round(times["lo"], 4), round(times["hi"], 4)])
-            detail[f"{graph_name}|{algo}"] = {
-                **times,
-                "lo_edges": edges["lo"],
-                "hi_edges": edges["hi"],
-            }
-        rows.append(row)
-    headers = ["Graph"]
-    for algo in algorithms:
-        headers.extend([f"{algo} Lo", f"{algo} Hi"])
-    return {
-        "experiment": "table8",
-        "title": (
-            "Table 8: GraphBolt seconds under low/high-degree mutation "
-            f"workloads ({batch_size} mutations)"
-        ),
-        "headers": headers,
-        "rows": rows,
-        "detail": detail,
     }
 
 

@@ -1,17 +1,27 @@
-"""Streaming runners: one per engine column of the paper's tables.
+"""Streaming runners: one per engine family, behind one registry.
 
 Each runner exposes the same minimal protocol -- ``setup(graph)`` then
-``apply(batch) -> values`` -- so experiments can time the three systems
-of Table 5 (and the comparators of section 5.4) over identical mutation
-streams:
+``apply(batch) -> values`` with an :class:`EngineMetrics` attached -- so
+experiments, the CLI and the equivalence oracle all drive identical
+mutation streams through :data:`ENGINES`, the only engine-key -> runner
+map in the package:
 
-- :class:`LigraRunner` -- restarts full synchronous recomputation on
-  every mutation (the "Ligra" column);
-- :class:`DeltaRunner` -- restarts delta/selective-scheduling execution
-  on every mutation (the "GB-Reset" column);
-- :class:`GraphBoltRunner` -- dependency-driven incremental processing
-  (the "GraphBolt" column), optionally in retract/propagate mode
-  ("GraphBolt-RP" of Figure 8).
+==============  =====================================================
+``ligra``       :class:`LigraRunner` -- full synchronous recomputation
+                per snapshot (the "Ligra" column; the oracle's truth)
+``gbreset``     :class:`DeltaRunner` -- delta/selective-scheduling
+                restart per snapshot (the "GB-Reset" column)
+``graphbolt``   :class:`GraphBoltRunner` -- dependency-driven
+                refinement (the "GraphBolt" column), optionally in
+                retract/propagate mode ("GraphBolt-RP" of Figure 8)
+``naive``       :class:`NaiveRunner` -- GraphBolt with
+                ``strategy="naive"`` (deliberately incorrect; used by
+                the plant-a-bug self-test only)
+``kickstarter`` :class:`KickStarterRunner` -- trim-and-propagate trees
+                (monotonic path algorithms)
+``dataflow``    :class:`DataflowRunner` -- mini differential dataflow
+                (SSSP only, small graphs)
+==============  =====================================================
 
 To mirror the paper's methodology ("each algorithm version had the same
 number of pending edge mutations to be processed"), every runner is fed
@@ -22,16 +32,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
 from repro.core.engine import GraphBoltEngine
 from repro.core.model import IncrementalAlgorithm
 from repro.core.pruning import PruningPolicy
+from repro.dataflow.graph_programs import DifferentialSSSP
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
+from repro.kickstarter.engine import KickStarterEngine
 from repro.ligra.delta import DeltaEngine
 from repro.ligra.engine import LigraEngine
 from repro.obs.registry import get_registry, ingest_engine_metrics
@@ -47,6 +59,11 @@ __all__ = [
     "LigraRunner",
     "DeltaRunner",
     "GraphBoltRunner",
+    "NaiveRunner",
+    "KickStarterRunner",
+    "DataflowRunner",
+    "ENGINES",
+    "TABLE5_ENGINES",
     "BatchResult",
     "StreamResult",
     "run_stream",
@@ -131,10 +148,25 @@ class DeltaRunner(_RestartRunner):
         )
 
 
-class GraphBoltRunner(StreamingRunner):
+class _IncrementalRunner(StreamingRunner):
+    """Shared logic for engines that carry state across batches:
+    ``setup`` builds ``self.engine``, which owns the graph."""
+
+    engine = None
+
+    def apply(self, batch: MutationBatch) -> np.ndarray:
+        return self.engine.apply_mutations(batch)
+
+    @property
+    def graph(self) -> CSRGraph:
+        return self.engine.graph
+
+
+class GraphBoltRunner(_IncrementalRunner):
     """Dependency-driven incremental processing."""
 
     name = "GraphBolt"
+    strategy = "refine"
 
     def __init__(self, algorithm_factory: AlgorithmFactory,
                  num_iterations: Optional[int] = None,
@@ -148,7 +180,6 @@ class GraphBoltRunner(StreamingRunner):
         self.mode = mode
         if mode == "retract_propagate":
             self.name = "GraphBolt-RP"
-        self.engine: Optional[GraphBoltEngine] = None
 
     def setup(self, graph: CSRGraph) -> np.ndarray:
         self.engine = GraphBoltEngine(
@@ -157,17 +188,72 @@ class GraphBoltRunner(StreamingRunner):
             until_convergence=self.until_convergence,
             pruning=self.pruning,
             mode=self.mode,
+            strategy=self.strategy,
             metrics=self.metrics,
             backend=self.backend,
         )
         return self.engine.run(graph)
 
-    def apply(self, batch: MutationBatch) -> np.ndarray:
-        return self.engine.apply_mutations(batch)
 
-    @property
-    def graph(self) -> CSRGraph:
-        return self.engine.graph
+class NaiveRunner(GraphBoltRunner):
+    """GraphBolt with refinement disabled -- the known-wrong baseline of
+    the paper's Figure 2 / Table 1, kept for harness self-tests."""
+
+    name = "GraphBolt-naive"
+    strategy = "naive"
+
+
+class KickStarterRunner(_IncrementalRunner):
+    """Adapter for :class:`KickStarterEngine` (builds on ``setup``)."""
+
+    name = "KickStarter"
+
+    def __init__(self, algorithm_factory: AlgorithmFactory,
+                 num_iterations: Optional[int] = None,
+                 until_convergence: bool = False,
+                 unit_weights: bool = False,
+                 backend: Optional[ExecutionBackend] = None) -> None:
+        super().__init__(algorithm_factory, num_iterations,
+                         until_convergence, backend)
+        self.unit_weights = unit_weights
+
+    def setup(self, graph: CSRGraph) -> np.ndarray:
+        self.engine = KickStarterEngine(
+            graph, source=0, unit_weights=self.unit_weights,
+            metrics=self.metrics, backend=self.backend,
+        )
+        return self.engine.values
+
+
+class DataflowRunner(_IncrementalRunner):
+    """Adapter for the mini differential-dataflow SSSP program."""
+
+    name = "DifferentialDataflow"
+
+    def setup(self, graph: CSRGraph) -> np.ndarray:
+        self.engine = DifferentialSSSP(
+            graph, source=0,
+            num_stages=graph.num_vertices + 4,
+            metrics=self.metrics,
+            backend=self.backend,
+        )
+        return self.engine.values
+
+
+#: The one engine-key -> runner-class registry (see module docstring).
+ENGINES: Dict[str, Type[StreamingRunner]] = {
+    "ligra": LigraRunner,
+    "gbreset": DeltaRunner,
+    "graphbolt": GraphBoltRunner,
+    "naive": NaiveRunner,
+    "kickstarter": KickStarterRunner,
+    "dataflow": DataflowRunner,
+}
+
+#: The engine columns of Table 5, reference (from-scratch truth) first:
+#: the only engines that run any algorithm, hence the only ones the
+#: CLI and the experiment matrix accept.
+TABLE5_ENGINES = ("ligra", "gbreset", "graphbolt")
 
 
 # ----------------------------------------------------------------------

@@ -20,10 +20,10 @@ muBench's 180-run experiment definition and stack_route_sim's
   the test suite enforces and the regression gate (:mod:`gate`)
   compares against committed baselines.
 
-Run tables for the legacy paper drivers (Tables 5/6/9) carry a
-``driver:`` key instead of being executed generically; the benchmark
-suite routes their previously hand-built configs through
-:func:`driver_kwargs` / :func:`run_driver` so the grid lives in YAML.
+The paper's engine x algorithm x graph x batch grids (Table 5 +
+Figure 6, Tables 7/8, Figure 7) are ordinary run tables; a pure reducer
+per area in :mod:`repro.bench.experiments` turns their payloads into
+the paper's rows.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.bench.harness import ENGINES, TABLE5_ENGINES, run_stream
+from repro.bench.workloads import SCENARIOS
 from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.graph.mutation import MutationBatch
-from repro.graph.stream import hotspot_storm
 from repro.obs.registry import peak_rss_bytes, scoped_registry
 from repro.runtime.exec import (
     ExecutionBackend,
@@ -66,8 +67,6 @@ __all__ = [
     "canonical_payload",
     "validate_payload",
     "matrices_dir",
-    "driver_kwargs",
-    "run_driver",
     "payload_filename",
 ]
 
@@ -104,9 +103,7 @@ DEFAULTS: Dict[str, object] = {
 }
 
 TOPOLOGIES = ("rmat", "rmat_xl", "ws", "er", "paper")
-ENGINES = ("ligra", "gbreset", "graphbolt")
 STORAGES = ("heap", "mmap")
-SCENARIOS = ("uniform", "hi", "lo", "hotspot_storm")
 ADMISSIONS = ("none", "block", "shed-oldest", "coalesce")
 REPLICATIONS = ("off", "2-replica", "2-replica+lag-fault")
 
@@ -145,8 +142,6 @@ class RunTable:
     fixed: Dict[str, object] = field(default_factory=dict)
     exclude: List[Dict[str, object]] = field(default_factory=list)
     gate: Dict[str, object] = field(default_factory=dict)
-    driver: Optional[str] = None
-    driver_fixed: Dict[str, object] = field(default_factory=dict)
 
     def runs(self) -> List[RunSpec]:
         return expand(self)
@@ -196,16 +191,7 @@ def load_table(name_or_path: str) -> RunTable:
         fixed=dict(raw.get("fixed") or {}),
         exclude=[dict(rule) for rule in (raw.get("exclude") or [])],
         gate=dict(raw.get("gate") or {}),
-        driver=raw.get("driver"),
-        driver_fixed=dict(raw.get("driver_fixed") or {}),
     )
-    if table.driver is not None:
-        if table.driver not in DRIVER_TABLES:
-            raise MatrixError(
-                f"{path}: unknown driver {table.driver!r} "
-                f"(choose from {sorted(DRIVER_TABLES)})"
-            )
-        return table
     _validate_axes(table)
     # Expansion performs the per-run semantic checks (engine/serving
     # compatibility), so a bad table fails at load time, not run time.
@@ -242,15 +228,16 @@ def _check_value(table_path: str, key: str, value: object) -> None:
     if key == "topology" and value not in TOPOLOGIES:
         raise MatrixError(
             f"{table_path}: topology {value!r} not in {TOPOLOGIES}")
-    if key == "engine" and value not in ENGINES:
+    if key == "engine" and value not in TABLE5_ENGINES:
         raise MatrixError(
-            f"{table_path}: engine {value!r} not in {ENGINES}")
+            f"{table_path}: engine {value!r} not in {TABLE5_ENGINES}")
     if key == "storage" and value not in STORAGES:
         raise MatrixError(
             f"{table_path}: storage {value!r} not in {STORAGES}")
     if key == "scenario" and value not in SCENARIOS:
         raise MatrixError(
-            f"{table_path}: scenario {value!r} not in {SCENARIOS}")
+            f"{table_path}: scenario {value!r} not in "
+            f"{tuple(SCENARIOS)}")
     if key == "admission" and value not in ADMISSIONS:
         raise MatrixError(
             f"{table_path}: admission {value!r} not in {ADMISSIONS}")
@@ -326,11 +313,6 @@ def _is_serving(config: Dict) -> bool:
 
 def expand(table: RunTable) -> List[RunSpec]:
     """Cartesian-expand the axes into deterministic run specs."""
-    if table.driver is not None:
-        raise MatrixError(
-            f"{table.path}: driver tables are not expanded; use "
-            f"run_driver({table.driver!r})"
-        )
     axis_names = [key for key in AXIS_ORDER if key in table.axes]
     extra = [key for key in table.axes if key not in AXIS_ORDER]
     if extra:
@@ -470,29 +452,10 @@ def _values_crc32(values) -> int:
 
 
 def _build_batches(config: Dict, graph: CSRGraph) -> List[MutationBatch]:
-    from repro.bench.workloads import targeted_batch, uniform_batch
-
-    scenario = config["scenario"]
-    seed = config["seed"]
-    count = config["num_batches"]
-    size = config["batch_size"]
-    if scenario == "hotspot_storm":
-        return hotspot_storm(graph, count, size,
-                             delete_fraction=config["delete_fraction"],
-                             seed=seed)
-    if scenario in ("hi", "lo"):
-        return [
-            targeted_batch(graph, size, scenario,
-                           delete_fraction=config["delete_fraction"],
-                           seed=seed + index)
-            for index in range(count)
-        ]
-    return [
-        uniform_batch(graph, size,
-                      delete_fraction=config["delete_fraction"],
-                      seed=seed + index)
-        for index in range(count)
-    ]
+    return SCENARIOS[config["scenario"]](
+        graph, config["num_batches"], config["batch_size"],
+        delete_fraction=config["delete_fraction"], seed=config["seed"],
+    )
 
 
 def _wall_summary(per_batch: Sequence[float],
@@ -517,21 +480,10 @@ def _execute_engine_run(config: Dict, graph: CSRGraph,
                         batches: List[MutationBatch]) -> Tuple[Dict, Dict]:
     """One engine-mode run; returns ``(work, timing)``."""
     from repro.bench.experiments import BENCH_ALGORITHMS
-    from repro.bench.harness import (
-        DeltaRunner,
-        GraphBoltRunner,
-        LigraRunner,
-        run_stream,
-    )
     from repro.runtime.exec import use_backend
 
-    runner_cls = {
-        "ligra": LigraRunner,
-        "gbreset": DeltaRunner,
-        "graphbolt": GraphBoltRunner,
-    }[config["engine"]]
-    factory = BENCH_ALGORITHMS[config["algorithm"]]
-    runner = runner_cls(factory, config["iterations"])
+    runner = ENGINES[config["engine"]](
+        BENCH_ALGORITHMS[config["algorithm"]], config["iterations"])
     backend = _parse_backend(str(config["backend"]))
     with use_backend(backend), scoped_registry() as registry:
         result = run_stream(runner, graph, batches)
@@ -539,6 +491,10 @@ def _execute_engine_run(config: Dict, graph: CSRGraph,
         histogram = registry.histogram(f"{runner.name}.batch_seconds")
         work = {
             "edge_computations": int(metrics.edge_computations),
+            # The mutation stream alone (initial run excluded): the
+            # quantity the paper's Figure 6 / Table 7 ratios compare.
+            "stream_edge_computations": int(
+                result.total_edge_computations),
             "vertex_computations": int(metrics.vertex_computations),
             "iterations": int(metrics.iterations),
             "refinement_iterations": int(metrics.refinement_iterations),
@@ -871,50 +827,3 @@ def validate_payload(payload: Dict) -> None:
                 )
     # The canonical form must round-trip: json-serialisable throughout.
     canonical_payload(payload)
-
-
-# ----------------------------------------------------------------------
-# Driver tables: the legacy Table 5/6/9 grids, now declarative
-# ----------------------------------------------------------------------
-#: axis-name -> driver-kwarg translation per legacy driver.
-DRIVER_TABLES: Dict[str, Dict[str, str]] = {
-    "table5": {"algorithm": "algorithms", "graph": "graphs",
-               "batch_size": "batch_sizes"},
-    "table6": {"algorithm": "algorithms", "cores": "cores"},
-    "table9": {"algorithm": "algorithms", "graph": "graphs"},
-}
-
-
-def driver_kwargs(name_or_path: str) -> Dict[str, object]:
-    """Resolve a driver run table into the driver's keyword arguments."""
-    table = load_table(name_or_path)
-    if table.driver is None:
-        raise MatrixError(f"{table.path}: not a driver table")
-    mapping = DRIVER_TABLES[table.driver]
-    kwargs: Dict[str, object] = {}
-    for axis, values in table.axes.items():
-        if axis not in mapping:
-            raise MatrixError(
-                f"{table.path}: driver {table.driver!r} does not take "
-                f"axis {axis!r} (choose from {sorted(mapping)})"
-            )
-        kwargs[mapping[axis]] = list(values)
-    kwargs.update(table.driver_fixed)
-    return kwargs
-
-
-def run_driver(name_or_path: str, **overrides) -> Dict:
-    """Run a legacy paper driver with its YAML-declared grid."""
-    from repro.bench import experiments as exp
-
-    table = load_table(name_or_path)
-    if table.driver is None:
-        raise MatrixError(f"{table.path}: not a driver table")
-    kwargs = driver_kwargs(name_or_path)
-    kwargs.update(overrides)
-    driver_fn = {
-        "table5": exp.experiment_table5,
-        "table6": exp.experiment_table6,
-        "table9": exp.experiment_table9,
-    }[table.driver]
-    return driver_fn(**kwargs)

@@ -7,14 +7,16 @@ edges were treated as edge additions that were streamed in.  Edges to be
 deleted were selected from the loaded graph and deletion requests were
 mixed with addition requests in the update stream."
 
-Also provides the Table 8 Hi/Lo workloads: batches whose mutations
+Also provides the Table 8 Hi/Lo workloads -- batches whose mutations
 target high- or low-out-degree vertices so the blast radius of changes
-is maximised or minimised.
+is maximised or minimised -- the community-confined ``hotspot_storm``
+regime, and :data:`SCENARIOS`, the named seeded streams the experiment
+matrix's ``scenario`` axis selects from.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -27,6 +29,9 @@ __all__ = [
     "mixed_stream",
     "uniform_batch",
     "targeted_batch",
+    "hotspot_community",
+    "hotspot_storm",
+    "SCENARIOS",
 ]
 
 
@@ -172,3 +177,105 @@ def targeted_batch(graph: CSRGraph, batch_size: int, workload: str,
     weights = (rng.random(len(adds)) + 0.5).tolist()
     return MutationBatch.from_edges(additions=adds, deletions=deletes,
                                     add_weights=weights)
+
+
+def hotspot_community(num_vertices: int, fraction: float = 0.0625,
+                      seed: int = 0) -> Tuple[int, int]:
+    """Pick one RMAT community as a half-open vertex-id range.
+
+    RMAT's recursive quadrant construction makes communities contiguous
+    id blocks whose boundaries are power-of-two prefixes, so a community
+    of relative size ``fraction`` is an aligned block of
+    ``~fraction * num_vertices`` ids.  Returns ``(lo, hi)``.
+    """
+    if num_vertices < 1:
+        raise ValueError("num_vertices must be >= 1")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("fraction must be in (0, 1]")
+    block = max(1, int(num_vertices * fraction))
+    num_blocks = max(1, num_vertices // block)
+    rng = np.random.default_rng(seed)
+    index = int(rng.integers(0, num_blocks))
+    lo = index * block
+    return lo, min(lo + block, num_vertices)
+
+
+def hotspot_storm(
+    graph: CSRGraph,
+    num_batches: int,
+    batch_size: int,
+    fraction: float = 0.0625,
+    delete_fraction: float = 0.3,
+    seed: int = 0,
+) -> List[MutationBatch]:
+    """A hot-spot storm: every mutation lands in one RMAT community.
+
+    The adversarial regime for dependency-driven refinement (ROADMAP
+    item 5): instead of spreading mutations uniformly, all additions
+    connect vertices *within* a single community block and all deletions
+    remove live edges whose endpoints both lie inside it, so the blast
+    radius of consecutive batches overlaps maximally.  Deletions are
+    sampled from the evolving edge set (an edge added by an earlier
+    batch can be deleted by a later one).  Deterministic given ``seed``.
+    """
+    lo, hi = hotspot_community(graph.num_vertices, fraction, seed)
+    rng = np.random.default_rng(seed + 1)
+    src, dst, _ = graph.all_edges()
+    inside = (src >= lo) & (src < hi) & (dst >= lo) & (dst < hi)
+    live = {
+        (int(u), int(v))
+        for u, v in zip(src[inside].tolist(), dst[inside].tolist())
+    }
+    batches: List[MutationBatch] = []
+    for _ in range(num_batches):
+        num_deletes = int(batch_size * delete_fraction)
+        num_adds = batch_size - num_deletes
+        adds = list(
+            zip(
+                rng.integers(lo, hi, size=num_adds).tolist(),
+                rng.integers(lo, hi, size=num_adds).tolist(),
+            )
+        )
+        candidates = sorted(live)
+        num_deletes = min(num_deletes, len(candidates))
+        deletes = [
+            candidates[i]
+            for i in rng.choice(len(candidates), size=num_deletes,
+                                replace=False)
+        ] if num_deletes else []
+        weights = (rng.random(len(adds)) + 0.5).tolist()
+        for edge in adds:
+            if edge[0] != edge[1]:
+                live.add(edge)
+        for edge in deletes:
+            live.discard(edge)
+        batches.append(
+            MutationBatch.from_edges(additions=adds, deletions=deletes,
+                                     add_weights=weights)
+        )
+    return batches
+
+
+def _per_batch(generate: Callable[..., MutationBatch],
+               **fixed) -> Callable[..., List[MutationBatch]]:
+    """A stream of independent batches against the *initial* graph,
+    batch ``i`` seeded ``seed + i`` (the paper benches' convention)."""
+    def stream(graph: CSRGraph, num_batches: int, batch_size: int,
+               delete_fraction: float = 0.3,
+               seed: int = 0) -> List[MutationBatch]:
+        return [
+            generate(graph, batch_size, delete_fraction=delete_fraction,
+                     seed=seed + index, **fixed)
+            for index in range(num_batches)
+        ]
+    return stream
+
+
+#: Named mutation regimes: ``name -> stream(graph, num_batches,
+#: batch_size, delete_fraction=..., seed=...) -> batches``.
+SCENARIOS: Dict[str, Callable[..., List[MutationBatch]]] = {
+    "uniform": _per_batch(uniform_batch),
+    "hi": _per_batch(targeted_batch, workload="hi"),
+    "lo": _per_batch(targeted_batch, workload="lo"),
+    "hotspot_storm": hotspot_storm,
+}

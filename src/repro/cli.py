@@ -10,13 +10,13 @@ Commands
            span tree (see ``docs/observability.md``).
 ``trace``  replay a workload under the tracer and render a per-batch
            phase-time breakdown.
-``bench``  alias for ``python -m repro.bench`` (paper experiments).
 ``experiment``  declarative experiment matrix: expand a YAML run table
            (topology x scale x engine x backend x scenario x admission
            x fault plan) into deterministic runs, emit the
            schema-versioned ``BENCH_<area>.json`` payload plus a
-           paper-style table, and gate it against the committed
-           baseline (``--gate report|enforce|off``; see
+           paper-style table (the paper's own rows for the
+           table5/table7/table8/figure7 grids), and gate it against
+           the committed baseline (``--gate report|enforce|off``; see
            ``docs/testing.md`` "Experiment matrix").
 ``fuzz``   differential fuzzing: drive seeded adversarial workloads
            through every engine and cross-check per-batch
@@ -107,7 +107,7 @@ from repro.algorithms import (
     SSWP,
     WeightedPageRank,
 )
-from repro.bench.harness import DeltaRunner, GraphBoltRunner, LigraRunner
+from repro.bench.harness import ENGINES, TABLE5_ENGINES
 from repro.bench.reporting import format_table
 from repro.bench.workloads import uniform_batch
 from repro.graph import generators, io
@@ -135,13 +135,6 @@ ALGORITHMS: Dict[str, Callable] = {
     "bfs": lambda: BFS(source=0),
     "connected-components": lambda: ConnectedComponents(),
 }
-
-ENGINES = {
-    "graphbolt": GraphBoltRunner,
-    "gbreset": DeltaRunner,
-    "ligra": LigraRunner,
-}
-
 
 def parse_graph(spec: str, weighted: bool = True) -> CSRGraph:
     """Build a graph from a command-line spec (see module docstring)."""
@@ -324,18 +317,13 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench.__main__ import main as bench_main
-
-    return bench_main(["repro.bench"] + args.experiments)
-
-
 def _cmd_experiment(args) -> int:
     import json as _json
     import os
 
     from repro.bench import gate as gate_mod
     from repro.bench import matrix as matrix_mod
+    from repro.bench.experiments import REDUCERS, render_table
     from repro.bench.reporting import results_dir
     from repro.graph.storage import ENV_SNAPSHOT_STORE
 
@@ -350,22 +338,12 @@ def _cmd_experiment(args) -> int:
         print("experiment needs --matrix PATH (or --list)")
         return 2
     table = matrix_mod.load_table(args.matrix)
-    if table.driver is not None:
-        payload = matrix_mod.run_driver(args.matrix)
-        from repro.bench.experiments import render_table
-        print(render_table(payload))
-        path = os.path.join(results_dir(),
-                            matrix_mod.payload_filename(table.area))
-        with open(path, "w") as handle:
-            _json.dump(payload, handle, indent=2, sort_keys=True,
-                       default=str)
-        print(f"[driver payload -> {path}]")
-        return 0
     payload = matrix_mod.run_matrix(
         table, progress=lambda run_id: print(f"  run {run_id}"))
     matrix_mod.validate_payload(payload)
-    print(format_table(payload["headers"], payload["rows"],
-                       title=payload["title"]))
+    print(render_table(payload))
+    if payload["area"] in REDUCERS:
+        print(render_table(REDUCERS[payload["area"]](payload)))
     out_dir = args.out_dir or results_dir()
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir,
@@ -948,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="graph spec (overrides --graph)")
         parser.add_argument("--algorithm", choices=sorted(ALGORITHMS),
                             default="pagerank")
-        parser.add_argument("--engine", choices=sorted(ENGINES),
+        parser.add_argument("--engine", choices=sorted(TABLE5_ENGINES),
                             default="graphbolt")
         parser.add_argument("--graph", default=default_graph,
                             help="graph spec")
@@ -985,11 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_stream_options(trace_cmd, default_graph="rmat:10")
     trace_cmd.set_defaults(handler=_cmd_trace)
-
-    bench = sub.add_parser("bench", help="paper experiment drivers")
-    bench.add_argument("experiments", nargs="*",
-                       help="experiment names (default: all)")
-    bench.set_defaults(handler=_cmd_bench)
 
     experiment = sub.add_parser(
         "experiment",

@@ -11,19 +11,11 @@ has fallen behind, all buffered batches coalesced into one.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import Deque, Iterable, Iterator, List, Optional
 
 from repro.graph.mutation import MutationBatch
 
-__all__ = [
-    "MutationStream",
-    "coalesce_batches",
-    "hotspot_community",
-    "hotspot_storm",
-    "hotspot_storm_stream",
-]
+__all__ = ["MutationStream", "coalesce_batches"]
 
 
 def coalesce_batches(batches: Iterable[MutationBatch]) -> MutationBatch:
@@ -105,105 +97,3 @@ class MutationStream:
             if batch is None:
                 return
             yield batch
-
-
-def hotspot_community(num_vertices: int, fraction: float = 0.0625,
-                      seed: int = 0) -> Tuple[int, int]:
-    """Pick one RMAT community as a half-open vertex-id range.
-
-    RMAT's recursive quadrant construction makes communities contiguous
-    id blocks whose boundaries are power-of-two prefixes, so a community
-    of relative size ``fraction`` is an aligned block of
-    ``~fraction * num_vertices`` ids.  Returns ``(lo, hi)``.
-    """
-    if num_vertices < 1:
-        raise ValueError("num_vertices must be >= 1")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    block = max(1, int(num_vertices * fraction))
-    num_blocks = max(1, num_vertices // block)
-    rng = np.random.default_rng(seed)
-    index = int(rng.integers(0, num_blocks))
-    lo = index * block
-    return lo, min(lo + block, num_vertices)
-
-
-def hotspot_storm(
-    graph,
-    num_batches: int,
-    batch_size: int,
-    fraction: float = 0.0625,
-    delete_fraction: float = 0.3,
-    seed: int = 0,
-) -> List[MutationBatch]:
-    """A hot-spot storm: every mutation lands in one RMAT community.
-
-    The adversarial regime for dependency-driven refinement (ROADMAP
-    item 5): instead of spreading mutations uniformly, all additions
-    connect vertices *within* a single community block and all deletions
-    remove live edges whose endpoints both lie inside it, so the blast
-    radius of consecutive batches overlaps maximally.  Deletions are
-    sampled from the evolving edge set (an edge added by an earlier
-    batch can be deleted by a later one).  Deterministic given ``seed``.
-    """
-    lo, hi = hotspot_community(graph.num_vertices, fraction, seed)
-    rng = np.random.default_rng(seed + 1)
-    src, dst, _ = graph.all_edges()
-    inside = (src >= lo) & (src < hi) & (dst >= lo) & (dst < hi)
-    live = {
-        (int(u), int(v))
-        for u, v in zip(src[inside].tolist(), dst[inside].tolist())
-    }
-    batches: List[MutationBatch] = []
-    for _ in range(num_batches):
-        num_deletes = int(batch_size * delete_fraction)
-        num_adds = batch_size - num_deletes
-        adds = list(
-            zip(
-                rng.integers(lo, hi, size=num_adds).tolist(),
-                rng.integers(lo, hi, size=num_adds).tolist(),
-            )
-        )
-        candidates = sorted(live)
-        num_deletes = min(num_deletes, len(candidates))
-        deletes = [
-            candidates[i]
-            for i in rng.choice(len(candidates), size=num_deletes,
-                                replace=False)
-        ] if num_deletes else []
-        weights = (rng.random(len(adds)) + 0.5).tolist()
-        for edge in adds:
-            if edge[0] != edge[1]:
-                live.add(edge)
-        for edge in deletes:
-            live.discard(edge)
-        batches.append(
-            MutationBatch.from_edges(additions=adds, deletions=deletes,
-                                     add_weights=weights)
-        )
-    return batches
-
-
-def hotspot_storm_stream(graph, num_batches: int, batch_size: int,
-                         **kwargs) -> MutationStream:
-    """:func:`hotspot_storm` wrapped as a :class:`MutationStream`."""
-    return MutationStream(
-        hotspot_storm(graph, num_batches, batch_size, **kwargs)
-    )
-
-
-def random_stream(
-    graph_edges: np.ndarray,
-    num_batches: int,
-    batch_size: int,
-    seed: int = 0,
-) -> MutationStream:
-    """Convenience: a stream of random deletion-free batches (testing)."""
-    rng = np.random.default_rng(seed)
-    stream = MutationStream()
-    num_vertices = int(graph_edges.max()) + 1 if graph_edges.size else 1
-    for _ in range(num_batches):
-        src = rng.integers(0, num_vertices, size=batch_size)
-        dst = rng.integers(0, num_vertices, size=batch_size)
-        stream.push(MutationBatch(add_src=src, add_dst=dst))
-    return stream

@@ -14,7 +14,6 @@ from repro.runtime.exec import (
 from repro.runtime.metrics import EngineMetrics, MemoryReport, Timer
 from repro.runtime.parallel import (
     MakespanModel,
-    ParallelModel,
     lpt_makespan,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "ExecutionBackend",
     "MakespanModel",
     "MemoryReport",
-    "ParallelModel",
     "PartitionedCSR",
     "SerialBackend",
     "ShardedBackend",

@@ -1,4 +1,4 @@
-"""Work/span parallel cost model.
+"""Measured-makespan parallel cost model.
 
 The paper's Table 6 runs the same experiments on 32 and 96 cores and makes
 one architectural point: GraphBolt's speedup over GB-Reset *shrinks* as
@@ -8,14 +8,14 @@ bounded by its span (the iteration-by-iteration dependency chain).
 
 Python's GIL makes real shared-memory parallel vertex processing
 counterproductive (this is the ``repro_why`` gate for this paper), so we
-reproduce the *effect* with Brent's theorem: given measured work ``W``
-(edge + vertex computations) and span ``S`` (critical-path work: the
-per-iteration sequential overhead times the number of iterations), the
-projected time on ``p`` cores is::
+reproduce the *effect* by scheduling the per-shard load vector each
+engine *measured* under :class:`~repro.runtime.exec.ShardedBackend` onto
+``p`` cores (LPT list scheduling) and charging the per-iteration BSP
+barrier span on top::
 
-    T_p = (W - S) / p + S
+    T_p = (LPT-makespan(shard loads, p) + S) * unit_cost
 
-scaled by a per-unit cost calibrated from the measured single-threaded
+with the per-unit cost calibrated from the measured single-threaded
 wall clock.  This is a *simulation substitute*, clearly labelled as such
 in DESIGN.md; it is used only by the Table 6 scaling benchmark.
 """
@@ -31,89 +31,12 @@ import numpy as np
 from repro.runtime.metrics import EngineMetrics
 
 __all__ = [
-    "CostBreakdown",
     "MakespanBreakdown",
     "MakespanModel",
-    "ParallelModel",
     "lpt_makespan",
 ]
 
 
-@dataclass
-class CostBreakdown:
-    """Work/span decomposition of one measured engine run."""
-
-    work_units: float
-    span_units: float
-    measured_seconds: float
-
-    @property
-    def unit_cost(self) -> float:
-        """Seconds per work unit implied by the sequential measurement."""
-        if self.work_units <= 0:
-            return 0.0
-        return self.measured_seconds / self.work_units
-
-
-class ParallelModel:
-    """Projects sequential measurements onto a core count.
-
-    Parameters
-    ----------
-    per_iteration_span:
-        Work units on the critical path of one iteration (barrier + frontier
-        bookkeeping).  The BSP barrier makes each iteration inherently
-        sequential with respect to the next, so span grows with iterations,
-        not with edges.
-    """
-
-    def __init__(self, per_iteration_span: float = 2048.0) -> None:
-        if per_iteration_span <= 0:
-            raise ValueError("span per iteration must be positive")
-        self.per_iteration_span = per_iteration_span
-
-    def breakdown(
-        self, metrics: EngineMetrics, measured_seconds: float
-    ) -> CostBreakdown:
-        work = float(metrics.edge_computations + metrics.vertex_computations)
-        # ``iterations`` already counts hybrid delta steps; refinement
-        # iterations are tracked separately and add to the span.
-        iterations = max(metrics.iterations + metrics.refinement_iterations, 1)
-        span = iterations * self.per_iteration_span
-        # Span can never exceed total work plus the fixed barrier cost.
-        work = max(work, span)
-        return CostBreakdown(work, span, measured_seconds)
-
-    def project(
-        self,
-        metrics: EngineMetrics,
-        measured_seconds: float,
-        cores: int,
-    ) -> float:
-        """Projected wall-clock on ``cores`` cores (Brent's bound)."""
-        if cores < 1:
-            raise ValueError("core count must be >= 1")
-        cost = self.breakdown(metrics, measured_seconds)
-        if cost.work_units <= 0:
-            return measured_seconds
-        parallel_units = (cost.work_units - cost.span_units) / cores
-        return (parallel_units + cost.span_units) * cost.unit_cost
-
-    def speedup(
-        self,
-        metrics: EngineMetrics,
-        measured_seconds: float,
-        cores: int,
-    ) -> float:
-        projected = self.project(metrics, measured_seconds, cores)
-        if projected <= 0:
-            return float("inf")
-        return measured_seconds / projected
-
-
-# ----------------------------------------------------------------------
-# Measured-makespan model over per-shard load vectors
-# ----------------------------------------------------------------------
 def lpt_makespan(loads: Sequence[float], cores: int) -> float:
     """Makespan of scheduling ``loads`` onto ``cores`` with LPT greedy.
 
@@ -171,10 +94,10 @@ class MakespanBreakdown:
 class MakespanModel:
     """Projects measured per-shard load vectors onto a core count.
 
-    Where :class:`ParallelModel` divides one aggregate work number by
-    ``p`` (Brent's ``(W - S)/p + S``, which assumes work splits
-    perfectly), this model schedules the *measured* shard loads recorded
-    by :class:`~repro.runtime.exec.ShardedBackend` onto ``p`` cores and
+    Where Brent's ``(W - S)/p + S`` divides one aggregate work number
+    by ``p`` (assuming work splits perfectly), this model schedules the
+    *measured* shard loads recorded by
+    :class:`~repro.runtime.exec.ShardedBackend` onto ``p`` cores and
     takes the resulting makespan -- so skew that concentrates work in a
     few shards is visible as a scaling floor, exactly the partition
     effect GBBS and the distributed-systems literature identify.  The

@@ -35,15 +35,13 @@ from repro.testing.faults import (
 )
 from repro.testing.fuzz import FuzzOutcome, parse_budget, run_fuzz
 from repro.testing.oracle import (
+    REFERENCE_ENGINE,
     Divergence,
     WorkloadReport,
-    check_workload,
-    compare_snapshots,
-)
-from repro.testing.runners import (
-    REFERENCE_ENGINE,
     available_engines,
     build_runner,
+    check_workload,
+    compare_snapshots,
 )
 from repro.testing.shrinker import ShrinkResult, shrink, to_pytest
 from repro.testing.workloads import (

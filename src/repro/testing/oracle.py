@@ -15,6 +15,11 @@ refinement must never perform *more* edge computations than the restart
 baseline, which recomputes everything.  A refinement engine that does
 redundant work on a no-op batch has lost the paper's central property
 even if its answers are right.
+
+Engines come from the one registry, :data:`repro.bench.harness.ENGINES`;
+:func:`available_engines` / :func:`build_runner` add only what the
+registry cannot know -- which engines one workload's algorithm profile
+admits, and how the profile parameterises them.
 """
 
 from __future__ import annotations
@@ -24,21 +29,64 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.bench.harness import ENGINES, TABLE5_ENGINES, StreamingRunner
 from repro.runtime.exec import ExecutionBackend
 from repro.runtime.validation import relative_errors
-from repro.testing.runners import (
-    REFERENCE_ENGINE,
-    available_engines,
-    build_runner,
-)
-from repro.testing.workloads import Workload
+from repro.testing.workloads import AlgorithmProfile, Workload
 
 __all__ = [
+    "REFERENCE_ENGINE",
     "Divergence",
     "WorkloadReport",
+    "available_engines",
+    "build_runner",
     "check_workload",
     "compare_snapshots",
 ]
+
+#: The engine whose output is the oracle's ground truth: a from-scratch
+#: synchronous run on each mutated snapshot (paper section 5.1).
+REFERENCE_ENGINE = "ligra"
+
+#: Differential dataflow unrolls one stage per possible hop, so gate it
+#: to graphs where that stays affordable.
+DATAFLOW_MAX_VERTICES = 40
+
+
+def available_engines(profile: AlgorithmProfile,
+                      num_vertices: int,
+                      include_naive: bool = False) -> List[str]:
+    """Engine keys applicable to one workload, reference first."""
+    engines = list(TABLE5_ENGINES)
+    if include_naive:
+        engines.append("naive")
+    if profile.kickstarter is not None:
+        engines.append("kickstarter")
+    if profile.dataflow == "sssp" and num_vertices <= DATAFLOW_MAX_VERTICES:
+        engines.append("dataflow")
+    return engines
+
+
+def build_runner(engine: str, profile: AlgorithmProfile,
+                 backend: Optional[ExecutionBackend] = None
+                 ) -> StreamingRunner:
+    """Instantiate one registered engine for one workload's algorithm
+    profile."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    extra = {}
+    if engine == "kickstarter":
+        if profile.kickstarter is None:
+            raise ValueError(
+                f"{profile.key} has no KickStarter formulation"
+            )
+        extra["unit_weights"] = profile.kickstarter == "unit"
+    if engine == "dataflow" and profile.dataflow != "sssp":
+        raise ValueError(f"{profile.key} has no dataflow program")
+    return ENGINES[engine](
+        profile.factory, profile.num_iterations,
+        profile.until_convergence, backend=backend, **extra,
+    )
 
 
 @dataclass

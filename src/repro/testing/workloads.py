@@ -270,7 +270,7 @@ def _gen_empty(rng, shadow: _Shadow) -> MutationBatch:
 
 def _gen_hotspot_storm(rng, shadow: _Shadow) -> MutationBatch:
     """All mutations inside one community block (see
-    :func:`repro.graph.stream.hotspot_community`): additions connect
+    :func:`repro.bench.workloads.hotspot_community`): additions connect
     block-internal pairs, deletions remove block-internal live edges."""
     n = shadow.num_vertices
     block = max(2, n // 4)

@@ -1,8 +1,10 @@
-"""Smoke tests for the experiment drivers (tiny configurations).
+"""Smoke tests for the experiment drivers (tiny configurations) and
+unit tests for the matrix reducers (hand-built payloads).
 
 The full-scale runs live in ``benchmarks/``; here each driver is
 exercised end-to-end with minimal parameters so that payload schema,
-table rendering, and the CLI wrapper stay correct.
+table rendering, and the ``python -m repro.bench`` wrapper stay
+correct, and each reducer is checked as the pure function it is.
 """
 
 import json
@@ -12,6 +14,19 @@ import pytest
 from repro.bench import experiments as exp
 from repro.bench.__main__ import EXPERIMENTS
 from repro.bench.__main__ import main as bench_main
+from repro.bench.workloads import uniform_batch
+from repro.graph.generators import paper_graph
+
+
+def bench_payload(*runs):
+    """A hand-built ``BENCH_*`` payload: each run is ``(config,
+    stream_edges, seconds)``; only what the reducers read is filled."""
+    return {"runs": [
+        {"config": config,
+         "work": {"stream_edge_computations": edges},
+         "timing": {"compute_seconds": seconds}}
+        for config, edges, seconds in runs
+    ]}
 
 
 class TestDrivers:
@@ -25,36 +40,12 @@ class TestDrivers:
         payload = exp.experiment_figure4(num_iterations=5)
         assert len(payload["density_per_iteration"]) == 5
 
-    def test_table5_payload(self):
-        payload = exp.experiment_table5(
-            algorithms=["PR"], graphs=("WK",), batch_sizes=(10,),
-            num_batches=1,
-        )
-        assert "PR|WK|10" in payload["cells"]
-        cell = payload["cells"]["PR|WK|10"]
-        assert set(cell) == {"Ligra", "GB-Reset", "GraphBolt"}
-
     def test_table5_triangle_cell(self):
-        payload = exp.experiment_table5(
-            algorithms=["TC"], graphs=("WK",), batch_sizes=(10,),
-            num_batches=1,
-        )
-        cell = payload["cells"]["TC|WK|10"]
+        graph = paper_graph("WK", weighted=True)
+        cell = exp.triangle_cell(graph, [uniform_batch(graph, 10, seed=5)])
+        assert set(cell) == {"Ligra", "GB-Reset", "GraphBolt"}
         assert cell["Ligra"]["edges"] == cell["GB-Reset"]["edges"]
         assert cell["GraphBolt"]["edges"] < cell["Ligra"]["edges"]
-
-    def test_figure7_payload(self):
-        payload = exp.experiment_figure7(
-            algorithms=["LP"], graph_name="WK", batch_sizes=(1, 10),
-        )
-        assert payload["series"]["LP"]["GraphBolt-edges"][0] > 0
-
-    def test_table8_payload(self):
-        payload = exp.experiment_table8(
-            algorithms=["LP"], graphs=("WK",), batch_size=20,
-        )
-        cell = payload["detail"]["WK|LP"]
-        assert {"lo", "hi", "lo_edges", "hi_edges"} <= set(cell)
 
     def test_table9_payload(self):
         payload = exp.experiment_table9(algorithms=["PR"], graphs=("WK",))
@@ -78,6 +69,90 @@ class TestDrivers:
         text = exp.render_table(payload)
         assert "Figure 4" in text
         assert "changed" in text
+
+
+class TestReducers:
+    def test_registry_covers_the_paper_grids(self):
+        assert set(exp.REDUCERS) == {"table5", "table7", "table8",
+                                     "figure7"}
+
+    def test_table5_cells_and_figure6_ratio(self):
+        def run(engine, batch, edges, seconds):
+            return ({"algorithm": "PR", "scale": "WK", "engine": engine,
+                     "batch_size": batch}, edges, seconds)
+
+        reduced = exp.reduce_table5(bench_payload(
+            run("ligra", 10, 4000, 0.8), run("gbreset", 10, 2000, 0.4),
+            run("graphbolt", 10, 500, 0.1),
+            run("ligra", 100, 4000, 0.8), run("gbreset", 100, 2000, 0.4),
+            run("graphbolt", 100, 1500, 0.2),
+        ))
+        assert reduced["cells"]["PR|WK|10"] == {
+            "Ligra": {"seconds": 0.8, "edges": 4000},
+            "GB-Reset": {"seconds": 0.4, "edges": 2000},
+            "GraphBolt": {"seconds": 0.1, "edges": 500},
+        }
+        # Algo, Graph, Batch, 3 x seconds, xLigra, xGB-Reset, EdgeRatio
+        assert reduced["rows"] == [
+            ["PR", "WK", 10, 0.8, 0.4, 0.1, 8.0, 4.0, 0.25],
+            ["PR", "WK", 100, 0.8, 0.4, 0.2, 4.0, 2.0, 0.75],
+        ]
+        assert "EdgeRatio" in exp.render_table(reduced)
+
+    def test_table7_percent_of_gbreset(self):
+        def run(engine, batch, edges):
+            return ({"algorithm": "LP", "engine": engine,
+                     "batch_size": batch}, edges, 0.5)
+
+        reduced = exp.reduce_table7(bench_payload(
+            run("gbreset", 10, 8000), run("graphbolt", 10, 1000),
+            run("gbreset", 100, 8000), run("graphbolt", 100, 6000),
+        ))
+        assert reduced["headers"] == ["Algo", "10", "100"]
+        assert reduced["rows"] == [
+            ["LP", "1000 (12.50%)", "6000 (75.00%)"]]
+        assert reduced["detail"]["LP|10"] == {
+            "graphbolt_edges": 1000, "gbreset_edges": 8000,
+            "percent": 12.5,
+            "graphbolt_seconds": 0.5, "gbreset_seconds": 0.5,
+        }
+
+    def test_table8_lo_hi_columns(self):
+        def run(graph, scenario, edges, seconds):
+            return ({"scale": graph, "algorithm": "BP",
+                     "scenario": scenario, "batch_size": 100},
+                    edges, seconds)
+
+        reduced = exp.reduce_table8(bench_payload(
+            run("TT", "lo", 300, 0.01), run("TT", "hi", 9000, 0.09),
+            run("FT", "lo", 500, 0.02), run("FT", "hi", 7000, 0.07),
+        ))
+        assert reduced["headers"] == ["Graph", "BP Lo", "BP Hi"]
+        assert reduced["rows"] == [["TT", 0.01, 0.09], ["FT", 0.02, 0.07]]
+        assert reduced["detail"]["FT|BP"] == {
+            "lo": 0.02, "hi": 0.07, "lo_edges": 500, "hi_edges": 7000,
+        }
+        assert "(100 mutations)" in reduced["title"]
+
+    def test_figure7_series_follow_batch_order(self):
+        def run(engine, batch, edges, seconds):
+            return ({"algorithm": "PR", "scale": "TT", "engine": engine,
+                     "batch_size": batch}, edges, seconds)
+
+        reduced = exp.reduce_figure7(bench_payload(
+            run("gbreset", 1, 900, 0.3), run("gbreset", 10, 900, 0.3),
+            run("graphbolt", 1, 20, 0.01), run("graphbolt", 10, 200, 0.05),
+        ))
+        assert reduced["batch_sizes"] == [1, 10]
+        assert reduced["series"]["PR"] == {
+            "GB-Reset": [0.3, 0.3], "GB-Reset-edges": [900, 900],
+            "GraphBolt": [0.01, 0.05], "GraphBolt-edges": [20, 200],
+        }
+        assert reduced["rows"] == [
+            ["PR", "GB-Reset", 0.3, 0.3],
+            ["PR", "GraphBolt", 0.01, 0.05],
+        ]
+        assert "on TT" in reduced["title"]
 
 
 class TestBenchMain:

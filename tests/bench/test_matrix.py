@@ -2,34 +2,34 @@
 
 Covers the YAML loader/expander validation surface, the schema checks
 on emitted ``BENCH_*`` payloads, the determinism pin (same YAML + seed
-produces a byte-identical payload modulo timings), the hotspot_storm
-mutation regime, and the equivalence pins for the legacy Table 5/6/9
-drivers now routed through the run-table loader.
+produces a byte-identical payload modulo timings), the scenario lookup
+and the hotspot_storm mutation regime.
 """
 
 import copy
 
 import pytest
 
-from repro.bench.experiments import (
-    experiment_table5,
-    experiment_table9,
-)
 from repro.bench.matrix import (
     DEFAULTS,
     MatrixError,
     SCHEMA_VERSION,
+    _build_batches,
     canonical_payload,
-    driver_kwargs,
     expand,
     load_table,
     payload_filename,
-    run_driver,
     run_matrix,
     validate_payload,
 )
+from repro.bench.workloads import (
+    SCENARIOS,
+    hotspot_community,
+    hotspot_storm,
+    targeted_batch,
+    uniform_batch,
+)
 from repro.graph.generators import rmat
-from repro.graph.stream import hotspot_community, hotspot_storm
 from repro.testing.workloads import BATCH_KINDS
 
 
@@ -269,53 +269,39 @@ class TestHotspotStorm:
         assert "hotspot_storm" in BATCH_KINDS
 
 
-class TestDriverEquivalence:
-    def test_table5_kwargs_match_legacy_defaults(self):
-        assert driver_kwargs("table5") == {
-            "algorithms": ["PR", "BP", "CF", "CoEM", "LP", "TC"],
-            "graphs": ["WK", "UK", "TW", "TT", "FT"],
-            "batch_sizes": [10, 100, 1000],
-            "num_batches": 2,
-            "seed": 5,
-        }
+class TestScenarioLookup:
+    """``_build_batches`` is a lookup in ``SCENARIOS``; every regime
+    must draw exactly what a direct generator call draws for the same
+    seed (batch ``i`` of the per-batch regimes is seeded ``seed + i``)."""
 
-    def test_table6_kwargs_match_legacy_defaults(self):
-        assert driver_kwargs("table6") == {
-            "algorithms": ["PR", "BP", "CF", "CoEM", "LP"],
-            "cores": [32, 96],
-            "batch_size": 100,
-            "seed": 66,
-        }
+    EXPECTED = {
+        "uniform": lambda graph: [
+            uniform_batch(graph, 12, delete_fraction=0.25, seed=40 + i)
+            for i in range(3)],
+        "hi": lambda graph: [
+            targeted_batch(graph, 12, "hi", delete_fraction=0.25,
+                           seed=40 + i) for i in range(3)],
+        "lo": lambda graph: [
+            targeted_batch(graph, 12, "lo", delete_fraction=0.25,
+                           seed=40 + i) for i in range(3)],
+        "hotspot_storm": lambda graph: hotspot_storm(
+            graph, 3, 12, delete_fraction=0.25, seed=40),
+    }
 
-    def test_table9_kwargs_match_legacy_defaults(self):
-        assert driver_kwargs("table9") == {
-            "algorithms": ["PR", "BP", "CF", "CoEM", "LP"],
-            "graphs": ["WK", "UK", "TW", "TT", "FT", "YH"],
-        }
+    def test_every_scenario_is_pinned(self):
+        assert set(SCENARIOS) == set(self.EXPECTED)
 
-    def test_table9_payload_preserved(self):
-        via_matrix = run_driver("table9", algorithms=["PR"],
-                                graphs=["WK"])
-        direct = experiment_table9(algorithms=["PR"], graphs=["WK"])
-        # Table 9 measures memory, not time: payloads are fully
-        # deterministic and must match exactly.
-        assert via_matrix == direct
+    @pytest.mark.parametrize("scenario", sorted(EXPECTED))
+    def test_draws_match_direct_calls(self, scenario):
+        graph = rmat(scale=7, edge_factor=6, seed=21, weighted=True)
+        config = dict(DEFAULTS, scenario=scenario, num_batches=3,
+                      batch_size=12, delete_fraction=0.25, seed=40)
 
-    def test_table5_payload_preserved_modulo_timings(self):
-        kwargs = dict(algorithms=["PR"], graphs=["WK"],
-                      batch_sizes=[10], num_batches=1)
-        via_matrix = run_driver("table5", **kwargs)
-        direct = experiment_table5(**kwargs)
-        assert via_matrix["headers"] == direct["headers"]
-        assert set(via_matrix["cells"]) == set(direct["cells"])
-        for key, cell in via_matrix["cells"].items():
-            for engine, stats in cell.items():
-                assert stats["edges"] == (
-                    direct["cells"][key][engine]["edges"]), (key, engine)
+        def fingerprint(batch):
+            return (list(batch.additions()), list(batch.deletions()))
 
-    def test_run_driver_rejects_generic_table(self):
-        with pytest.raises(MatrixError, match="not a driver table"):
-            run_driver("smoke")
+        assert list(map(fingerprint, _build_batches(config, graph))) == (
+            list(map(fingerprint, self.EXPECTED[scenario](graph))))
 
 
 class TestSLOAxis:

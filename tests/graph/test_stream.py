@@ -114,17 +114,3 @@ class TestCoalesce:
             MutationBatch(grow_to=7),
         ])
         assert merged.grow_to == 9
-
-
-class TestRandomStream:
-    def test_generates_requested_batches(self):
-        import numpy as np
-
-        from repro.graph.stream import random_stream
-
-        edges = np.array([[0, 1], [1, 2]]).T
-        stream = random_stream(edges.reshape(-1), num_batches=3,
-                               batch_size=5, seed=1)
-        batches = list(stream)
-        assert len(batches) == 3
-        assert all(b.num_additions <= 5 for b in batches)

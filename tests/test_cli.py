@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import ALGORITHMS, ENGINES, main, parse_graph
+from repro.bench.harness import TABLE5_ENGINES
+from repro.bench.matrix import expand, load_table, matrices_dir
+from repro.cli import ALGORITHMS, main, parse_graph
 from repro.obs import read_journal
 from repro.obs.render import build_tree
 
@@ -54,7 +56,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "vertices" in out and "128" in out
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("engine", TABLE5_ENGINES)
     def test_run_engines(self, engine, capsys):
         code = main([
             "run", "--engine", engine, "--graph", "rmat:7:4",
@@ -63,6 +65,15 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "edge_computations" in out
+
+    @pytest.mark.parametrize("engine", ["naive", "kickstarter",
+                                        "dataflow"])
+    def test_run_rejects_oracle_only_engines(self, engine, capsys):
+        """The registry knows six engines; only the Table-5 three run
+        an arbitrary algorithm, so only they are CLI choices."""
+        with pytest.raises(SystemExit):
+            main(["run", "--engine", engine, "--graph", "rmat:6:4"])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_run_with_validation(self, capsys):
         code = main([
@@ -103,6 +114,94 @@ class TestCommands:
         ])
         assert code == 0
         assert "rmat:7:4" in capsys.readouterr().out
+
+
+def bundled_matrices():
+    """Every name ``repro experiment --list`` prints."""
+    import os
+
+    return sorted(name[:-len(".yaml")]
+                  for name in os.listdir(matrices_dir())
+                  if name.endswith(".yaml"))
+
+
+class TestExperimentCommand:
+    """Every bundled run table is one dialect with one write path.
+
+    Regression: ``--matrix table5`` used to take a ``driver:`` branch
+    that ignored ``--out-dir`` / ``--gate`` / ``--update-baseline`` and
+    dropped an unschema'd ``BENCH_table5.json`` into
+    ``benchmarks/results/``.  The grids themselves are not run here:
+    ``execute_run`` is replaced by a stub cell.
+    """
+
+    @pytest.fixture
+    def stub_runs(self, monkeypatch, tmp_path):
+        from repro.bench import matrix
+
+        def execute_run(spec):
+            wall = dict.fromkeys(
+                ("p50", "p90", "p99", "mean", "max", "total"), 0.001)
+            return {
+                "id": spec.run_id, "mode": "engine",
+                "config": dict(spec.config), "config_hash": spec.hash,
+                "work": {"edge_computations": 7,
+                         "stream_edge_computations": 3,
+                         "vertex_computations": 5},
+                "timing": {"wall_seconds": wall, "peak_rss_bytes": 0,
+                           "compute_seconds": 0.001},
+            }
+
+        monkeypatch.setattr(matrix, "execute_run", execute_run)
+        default_results = tmp_path / "default-results"
+        default_results.mkdir()
+        monkeypatch.setattr("repro.bench.reporting.results_dir",
+                            lambda: str(default_results))
+        return default_results
+
+    def test_list_prints_every_table(self, capsys):
+        assert main(["experiment", "--list"]) == 0
+        assert capsys.readouterr().out.split() == bundled_matrices()
+
+    @pytest.mark.parametrize("name", bundled_matrices())
+    def test_table_loads_expands_and_honours_out_dir(
+            self, name, stub_runs, tmp_path, capsys):
+        table = load_table(name)
+        specs = expand(table)
+        out_dir = tmp_path / "out"
+        baselines = tmp_path / "baselines"
+        common = ["experiment", "--matrix", name,
+                  "--out-dir", str(out_dir),
+                  "--baseline-dir", str(baselines)]
+
+        assert main(common + ["--update-baseline"]) == 0
+        written = out_dir / f"BENCH_{table.area}.json"
+        payload = json.loads(written.read_text())
+        assert payload["num_runs"] == len(specs)
+        assert (baselines / written.name).exists()
+        assert not list(stub_runs.iterdir())
+
+        assert main(common + ["--gate", "enforce"]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+
+    def test_enforce_fails_on_planted_work_regression(
+            self, stub_runs, tmp_path, capsys):
+        baselines = tmp_path / "baselines"
+        common = ["experiment", "--matrix", "table8",
+                  "--out-dir", str(tmp_path / "out"),
+                  "--baseline-dir", str(baselines)]
+        assert main(common + ["--update-baseline"]) == 0
+        path = baselines / "BENCH_table8.json"
+        baseline = json.loads(path.read_text())
+        baseline["runs"][0]["work"]["stream_edge_computations"] = 1
+        path.write_text(json.dumps(baseline))
+        assert main(common + ["--gate", "enforce"]) == 1
+        assert "REGRESSED" in capsys.readouterr().out
+
+    def test_bench_is_not_a_verb(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "figure4"])
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestObservabilityCommands:
@@ -234,25 +333,6 @@ class TestRecoveryCommands:
 
     def test_plant_fault_requires_crash(self, capsys):
         assert main(["fuzz", "--plant-fault"]) == 2
-
-
-class TestBenchSubcommand:
-    def test_bench_delegates(self, capsys, monkeypatch, tmp_path):
-        from repro.bench import experiments as exp
-        from repro.bench.__main__ import EXPERIMENTS
-
-        monkeypatch.setattr(
-            "repro.bench.reporting.results_dir", lambda: str(tmp_path)
-        )
-        monkeypatch.setitem(
-            EXPERIMENTS, "figure4",
-            lambda: exp.experiment_figure4(num_iterations=3),
-        )
-        assert main(["bench", "figure4"]) == 0
-        assert "Figure 4" in capsys.readouterr().out
-
-    def test_bench_unknown_experiment(self, capsys):
-        assert main(["bench", "bogus"]) == 2
 
 
 class TestResilientServe:

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.graph.mutation import MutationBatch
-from repro.testing.oracle import check_workload, compare_snapshots
-from repro.testing.runners import available_engines, build_runner
+from repro.testing.oracle import (
+    available_engines,
+    build_runner,
+    check_workload,
+    compare_snapshots,
+)
 from repro.testing.workloads import (
     FUZZ_ALGORITHMS,
     Workload,

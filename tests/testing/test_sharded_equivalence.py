@@ -18,7 +18,7 @@ from repro.algorithms import PageRank
 from repro.core.tagreset import TagResetEngine
 from repro.graph.mutation import MutationBatch
 from repro.runtime.exec import SerialBackend, ShardedBackend
-from repro.testing.runners import available_engines, build_runner
+from repro.testing.oracle import available_engines, build_runner
 from repro.testing.workloads import Workload, generate_workload
 
 SHARD_COUNTS = (1, 2, 7)

@@ -21,7 +21,7 @@ import pytest
 from repro.graph.mutation import MutationBatch
 from repro.graph.storage import MmapStore
 from repro.runtime.exec import SerialBackend, ShardedBackend
-from repro.testing.runners import available_engines, build_runner
+from repro.testing.oracle import available_engines, build_runner
 from repro.testing.workloads import Workload, generate_workload
 
 #: Seeds chosen to cover sparse and dense frontiers, deletions, and
