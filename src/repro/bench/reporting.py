@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-__all__ = ["format_table", "speedup", "save_results", "load_results",
-           "results_dir"]
+__all__ = ["format_table", "save_results", "results_dir"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence],
@@ -44,13 +43,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def speedup(baseline_seconds: float, seconds: float) -> float:
-    """``baseline / measured``, the paper's x-factor convention."""
-    if seconds <= 0:
-        return float("inf")
-    return baseline_seconds / seconds
-
-
 def results_dir() -> str:
     """Directory where benchmark drivers drop their JSON results."""
     here = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -67,11 +59,3 @@ def save_results(name: str, payload: Dict) -> str:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, default=str)
     return path
-
-
-def load_results(name: str) -> Optional[Dict]:
-    path = os.path.join(results_dir(), f"{name}.json")
-    if not os.path.exists(path):
-        return None
-    with open(path) as handle:
-        return json.load(handle)

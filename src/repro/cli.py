@@ -25,15 +25,14 @@ Commands
            ``--crash`` switches to the crash-recovery fuzzer: kill a
            durable server at a seeded failpoint, recover from
            checkpoint + WAL, and assert bit-for-bit equivalence (see
-           ``docs/operations.md``).  ``--crash --replicated`` sweeps
-           the replication scenarios (writer-kill, replica-kill,
-           segment-drop, stale-writer-fence) and asserts every replica
-           converges bit-for-bit with fenced segments in the ledger.
-           ``--crash --chaos`` wraps every replication link in a
-           seeded lossy transport (drop, duplicate, corrupt, reorder,
-           delay -- all five at ``--chaos-rate``) and asserts
-           bit-for-bit convergence across ``--chaos-seeds`` seeds plus
-           dead-letter (never hang) behaviour on a black-hole link.
+           ``docs/operations.md``).  ``--crash --sweep NAME`` runs
+           one acceptance sweep of the scenario table instead of the
+           random campaign: ``durable`` / ``resilient`` (a kill at
+           every server / admission failpoint), ``replicated``
+           (writer-kill, replica-kill, segment-drop,
+           stale-writer-fence), ``chaos`` (five seeds of a lossy
+           transport plus a black-hole link that must dead-letter,
+           never hang) or ``storage`` (torn snapshot segments).
 ``serve``  run a durable streaming deployment: ingest seeded batches
            with a write-ahead log and periodic atomic checkpoints
            (``--wal DIR --checkpoint-every N``).  ``--admission`` adds
@@ -802,90 +801,34 @@ def _cmd_scrub(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    import json as _json
-    import os as _os
-
     from repro.testing import parse_budget, run_fuzz
 
-    if args.plant_fault and not args.crash:
-        print("--plant-fault requires --crash")
-        return 2
-    if args.replicated and not args.crash:
-        print("--replicated requires --crash")
-        return 2
-    if args.storage and not args.crash:
-        print("--storage requires --crash")
-        return 2
-    if args.chaos and not args.crash:
-        print("--chaos requires --crash")
+    if (args.plant_fault or args.sweep) and not args.crash:
+        print("--plant-fault and --sweep require --crash")
         return 2
     if args.crash:
         from repro.testing.crash import (
-            chaos_convergence_sweep,
-            chaos_dead_letter_round,
-            replicated_scenario_sweep,
             run_crash_fuzz,
             run_plant_fault,
-            storage_site_sweep,
+            sweep,
         )
 
         if args.plant_fault:
             return 0 if run_plant_fault(seed=args.seed) else 1
-        if args.chaos:
-            rounds = chaos_convergence_sweep(
-                seeds=range(args.seed, args.seed + args.chaos_seeds),
-                rate=args.chaos_rate,
-                state_root=args.artifacts_dir,
-                emit=print,
+        if args.sweep:
+            rounds = sweep(args.sweep, seed=args.seed,
+                           state_root=args.artifacts_dir, emit=print)
+        else:
+            rounds = run_crash_fuzz(
+                seed=args.seed,
+                rounds=args.rounds,
+                algorithms=args.algorithms or None,
+                max_vertices=min(args.max_vertices, 48),
+                max_batches=args.max_batches,
+                checkpoint_every=args.checkpoint_every,
+                artifacts_dir=args.artifacts_dir,
             )
-            dead = chaos_dead_letter_round(
-                seed=args.seed + 1009,
-                state_root=(
-                    _os.path.join(args.artifacts_dir, "dead_letter")
-                    if args.artifacts_dir else None
-                ),
-            )
-            print(dead.summary())
-            rounds.append(dead)
-            if args.artifacts_dir:
-                _os.makedirs(args.artifacts_dir, exist_ok=True)
-                for round_ in rounds:
-                    path = _os.path.join(
-                        args.artifacts_dir,
-                        f"chaos-schedule-seed{round_.seed}.json",
-                    )
-                    with open(path, "w", encoding="utf-8") as stream:
-                        _json.dump(
-                            {"seed": round_.seed, "rate": round_.rate,
-                             "faults": round_.faults,
-                             "dead_letters": round_.dead_letters,
-                             "ok": round_.ok, "detail": round_.detail,
-                             "schedule": round_.schedule},
-                            stream, indent=1, sort_keys=True,
-                        )
-            return 0 if all(round_.ok for round_ in rounds) else 1
-        if args.storage:
-            rounds = storage_site_sweep(
-                state_root=args.artifacts_dir, seed=args.seed,
-                emit=print,
-            )
-            return 0 if all(round_.ok for round_ in rounds) else 1
-        if args.replicated:
-            rounds = replicated_scenario_sweep(
-                seed=args.seed, state_root=args.artifacts_dir,
-                emit=print,
-            )
-            return 0 if all(round_.ok for round_ in rounds) else 1
-        outcome = run_crash_fuzz(
-            seed=args.seed,
-            rounds=args.rounds,
-            algorithms=args.algorithms or None,
-            max_vertices=min(args.max_vertices, 48),
-            max_batches=args.max_batches,
-            checkpoint_every=args.checkpoint_every,
-            artifacts_dir=args.artifacts_dir,
-        )
-        return 0 if outcome.ok else 1
+        return 0 if all(round_.ok for round_ in rounds) else 1
     outcome = run_fuzz(
         seed=args.seed,
         workloads=args.workloads,
@@ -1175,30 +1118,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="self-test (--crash): arm a transient fault "
                            "and succeed only if the failpoint registry "
                            "fires and retry absorbs it")
-    fuzz.add_argument("--replicated", action="store_true",
-                      help="with --crash: sweep the replication "
-                           "scenarios (writer-kill, replica-kill, "
-                           "segment-drop, stale-writer-fence); every "
-                           "replica must converge bit-for-bit and "
-                           "fenced segments must land in the ledger")
-    fuzz.add_argument("--storage", action="store_true",
-                      help="with --crash: kill the mmap snapshot store "
-                           "at every segment position of a generation "
-                           "write (storage.segment_write); the torn "
-                           "write must leave the previous manifest "
-                           "readable and a retry must converge")
-    fuzz.add_argument("--chaos", action="store_true",
-                      help="with --crash: wrap every replication link "
-                           "in a seeded lossy transport (drop, "
-                           "duplicate, corrupt, reorder, delay) and "
-                           "assert bit-for-bit convergence plus "
-                           "dead-letter behaviour on a black-hole link")
-    fuzz.add_argument("--chaos-rate", type=float, default=0.1,
-                      help="per-fault-kind injection probability for "
-                           "--chaos (default 0.1)")
-    fuzz.add_argument("--chaos-seeds", type=int, default=5,
-                      help="number of chaos seeds to sweep, starting "
-                           "at --seed (default 5)")
+    fuzz.add_argument("--sweep", default=None, metavar="NAME",
+                      help="with --crash: run one acceptance sweep of "
+                           "the kill-and-recover scenario table -- "
+                           "durable, resilient, replicated, chaos or "
+                           "storage (repro.testing.crash.SWEEPS); "
+                           "every row must recover bit-for-bit")
     fuzz.set_defaults(handler=_cmd_fuzz)
 
     repl_status = sub.add_parser(

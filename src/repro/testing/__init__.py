@@ -19,61 +19,15 @@ discipline.  This package mechanises the check as a subsystem:
   and transient-fault injection at named sites across the serving and
   recovery stack);
 - :mod:`repro.testing.crash` -- the ``repro fuzz --crash`` kill-and-
-  recover fuzzer.  Imported lazily (``from repro.testing import
-  crash``), *not* re-exported here: it imports the serving stack, which
-  itself imports :mod:`repro.testing.faults`.
+  recover fuzzer: one scenario table, one driver.  Imported lazily
+  (``from repro.testing import crash``), *not* re-exported here: it
+  imports the serving stack, which itself imports
+  :mod:`repro.testing.faults`.
+
+Import from the submodules; only the campaign entry points the CLI
+dispatches to are re-exported here.
 """
 
-from repro.testing.faults import (
-    KNOWN_SITES,
-    FailpointRegistry,
-    InjectedCrash,
-    InjectedFault,
-    get_failpoints,
-    scoped_failpoints,
-    set_failpoints,
-)
-from repro.testing.fuzz import FuzzOutcome, parse_budget, run_fuzz
-from repro.testing.oracle import (
-    REFERENCE_ENGINE,
-    Divergence,
-    WorkloadReport,
-    available_engines,
-    build_runner,
-    check_workload,
-    compare_snapshots,
-)
-from repro.testing.shrinker import ShrinkResult, shrink, to_pytest
-from repro.testing.workloads import (
-    FUZZ_ALGORITHMS,
-    AlgorithmProfile,
-    Workload,
-    generate_workload,
-)
+from repro.testing.fuzz import parse_budget, run_fuzz
 
-__all__ = [
-    "AlgorithmProfile",
-    "Divergence",
-    "FUZZ_ALGORITHMS",
-    "FailpointRegistry",
-    "FuzzOutcome",
-    "InjectedCrash",
-    "InjectedFault",
-    "KNOWN_SITES",
-    "REFERENCE_ENGINE",
-    "ShrinkResult",
-    "Workload",
-    "WorkloadReport",
-    "available_engines",
-    "build_runner",
-    "check_workload",
-    "compare_snapshots",
-    "generate_workload",
-    "get_failpoints",
-    "parse_budget",
-    "run_fuzz",
-    "scoped_failpoints",
-    "set_failpoints",
-    "shrink",
-    "to_pytest",
-]
+__all__ = ["parse_budget", "run_fuzz"]

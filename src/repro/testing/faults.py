@@ -43,15 +43,11 @@ from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "CORRUPT_SITES",
-    "DURABLE_SITES",
     "FailpointRegistry",
     "FiredFailpoint",
     "InjectedCrash",
     "InjectedFault",
     "KNOWN_SITES",
-    "REPLICATION_SITES",
-    "RESILIENCE_SITES",
-    "STORAGE_SITES",
     "flip_byte",
     "get_failpoints",
     "hit",
@@ -60,9 +56,10 @@ __all__ = [
     "set_failpoints",
 ]
 
-#: Every instrumented site in the codebase.  The crash fuzzer draws its
-#: kill sites from this tuple, and the recovery test suite proves
-#: checkpoint+WAL equivalence for each one.
+#: Every instrumented site in the codebase.  The crash fuzzer's scenario
+#: table (``repro.testing.crash.SWEEPS``) arms them, and the recovery
+#: test suite fails while a site has neither a row there nor a written
+#: reason to have none.
 #:
 #: ``wal.append``        before a WAL record reaches the stream (the
 #:                       record is lost entirely);
@@ -125,27 +122,6 @@ KNOWN_SITES = (
     "storage.segment_write",
     "wal.segment_read",
 )
-
-#: The sites exercised by a plain durable server (no admission layer).
-#: ``deterministic_site_sweep`` iterates these; the resilient sweep
-#: (``resilient_site_sweep``) covers the admission-layer sites and the
-#: replicated sweep (``replicated_scenario_sweep``) the shipping path.
-DURABLE_SITES = KNOWN_SITES[:6]
-
-#: The sites only a resilient server (admission + breaker + deadline
-#: queries) passes through.
-RESILIENCE_SITES = KNOWN_SITES[6:9]
-
-#: The sites only the replication layer (writer shipping, replica
-#: apply, replica-served queries) passes through.
-REPLICATION_SITES = KNOWN_SITES[9:13]
-
-#: The sites only the snapshot-storage layer passes through (segment
-#: persistence under ``MmapStore``); ``storage_site_sweep`` in the
-#: crash fuzzer kills here and proves the previous manifest survives.
-#: ``wal.segment_read`` is deliberately excluded -- it sits on a read
-#: path the crash sweeps never need to kill.
-STORAGE_SITES = KNOWN_SITES[13:14]
 
 #: The sites that know how to corrupt a payload in place (they call
 #: :func:`hit_corruptible`); ``arm(kind="corrupt")`` is only legal

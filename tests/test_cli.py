@@ -334,6 +334,40 @@ class TestRecoveryCommands:
     def test_plant_fault_requires_crash(self, capsys):
         assert main(["fuzz", "--plant-fault"]) == 2
 
+    def test_sweep_requires_crash(self, capsys):
+        assert main(["fuzz", "--sweep", "replicated"]) == 2
+        assert "--crash" in capsys.readouterr().out
+
+    def test_storage_sweep_smoke(self, tmp_path, capsys):
+        code = main(["fuzz", "--crash", "--sweep", "storage",
+                     "--artifacts-dir", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("crash@storage.segment_write") == 6
+        assert "MISMATCH" not in out
+
+    def test_failing_sweep_row_exits_nonzero_and_keeps_a_repro(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.testing import crash
+
+        truth = crash._uninterrupted_values
+        monkeypatch.setattr(crash, "_uninterrupted_values",
+                            lambda workload: truth(workload) + 1e-9)
+        code = main(["fuzz", "--crash", "--sweep", "resilient",
+                     "--artifacts-dir", str(tmp_path)])
+        assert code == 1
+        assert "MISMATCH (server diverged" in capsys.readouterr().out
+        repro = (tmp_path / "breaker.probe.repro.txt").read_text()
+        assert "repro fuzz --crash --sweep resilient --seed 0" in repro
+
+    @pytest.mark.parametrize("flag", [
+        "--replicated", "--storage", "--chaos", "--chaos-rate=0.1",
+        "--chaos-seeds=5",
+    ])
+    def test_flag_per_sweep_options_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            main(["fuzz", "--crash", flag])
+
 
 class TestResilientServe:
     SERVE = ["serve", "rmat:6:4", "--batches", "6", "--batch-size", "8",
@@ -540,10 +574,6 @@ class TestReplicatedServe:
                                   "--replicas", "2",
                                   "--kill-replica", "nope"]) == 2
         assert "I:AT" in capsys.readouterr().out
-
-    def test_fuzz_replicated_requires_crash(self, capsys):
-        assert main(["fuzz", "--replicated"]) == 2
-        assert "--crash" in capsys.readouterr().out
 
     def test_replicated_soak_with_kill_and_restart(self, tmp_path,
                                                    capsys):

@@ -98,52 +98,20 @@ class TestProcessWide:
 
 
 class TestSiteRoster:
-    def test_resilience_sites_registered(self):
-        from repro.testing.faults import DURABLE_SITES, RESILIENCE_SITES
+    # Which crash-sweep row arms which site (and on which topology) is
+    # pinned next to the table, in tests/recovery/test_crash_equivalence.
+    @pytest.mark.parametrize("site", [
+        "admission.enqueue", "query.deadline", "breaker.probe",
+        "replication.ship", "replication.reorder", "replication.receive",
+        "replica.query", "storage.segment_write", "wal.segment_read",
+    ])
+    def test_layer_sites_registered(self, site):
+        assert site in KNOWN_SITES
 
-        for site in ("admission.enqueue", "query.deadline",
-                     "breaker.probe"):
-            assert site in KNOWN_SITES
-            assert site in RESILIENCE_SITES
-            assert site not in DURABLE_SITES
+    def test_read_path_site_is_corrupt_only_material(self):
+        from repro.testing.faults import CORRUPT_SITES
 
-    def test_split_partitions_the_roster(self):
-        from repro.testing.faults import (
-            CORRUPT_SITES,
-            DURABLE_SITES,
-            REPLICATION_SITES,
-            RESILIENCE_SITES,
-            STORAGE_SITES,
-        )
-
-        rosters = (DURABLE_SITES, RESILIENCE_SITES, REPLICATION_SITES,
-                   STORAGE_SITES)
-        # The crash-sweep rosters partition everything except
-        # wal.segment_read, which exists for planted bit-rot on the
-        # shipping read path (a corrupt site, not a kill site).
-        assert (sum((tuple(r) for r in rosters), ())
-                == tuple(KNOWN_SITES[:-1]))
-        assert KNOWN_SITES[-1] == "wal.segment_read"
         assert "wal.segment_read" in CORRUPT_SITES
-        for index, left in enumerate(rosters):
-            for right in rosters[index + 1:]:
-                assert not set(left) & set(right)
-
-    def test_storage_sites_registered(self):
-        from repro.testing.faults import DURABLE_SITES, STORAGE_SITES
-
-        assert "storage.segment_write" in KNOWN_SITES
-        assert "storage.segment_write" in STORAGE_SITES
-        assert "storage.segment_write" not in DURABLE_SITES
-
-    def test_replication_sites_registered(self):
-        from repro.testing.faults import DURABLE_SITES, REPLICATION_SITES
-
-        for site in ("replication.ship", "replication.reorder",
-                     "replication.receive", "replica.query"):
-            assert site in KNOWN_SITES
-            assert site in REPLICATION_SITES
-            assert site not in DURABLE_SITES
 
     def test_new_sites_armable(self):
         registry = FailpointRegistry()
