@@ -88,7 +88,7 @@ class DependencyHistory:
     def record(self, g_idx: np.ndarray, g_values: np.ndarray,
                c_idx: np.ndarray, c_values: np.ndarray) -> None:
         """Append one iteration's sparse changes (values are copied)."""
-        self.records.append(
+        self.append(
             IterationRecord(
                 g_idx=np.asarray(g_idx, dtype=np.int64).copy(),
                 g_values=np.asarray(g_values, dtype=np.float64).copy(),
@@ -96,6 +96,12 @@ class DependencyHistory:
                 c_values=np.asarray(c_values, dtype=np.float64).copy(),
             )
         )
+
+    def append(self, record: IterationRecord) -> None:
+        """Append one iteration's record, taking ownership of its arrays
+        (int64 ids, float64 values): for a caller whose arrays are
+        already private copies, such as the result of a fancy gather."""
+        self.records.append(record)
 
     def changed_frontier(self, iteration: int) -> np.ndarray:
         """Vertices whose value changed in ``iteration`` (1-based)."""

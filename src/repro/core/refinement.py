@@ -34,11 +34,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.history import DependencyHistory
+from repro.core.history import DependencyHistory, IterationRecord
 from repro.core.model import IncrementalAlgorithm
 from repro.core.pruning import PruningPolicy
 from repro.graph.mutable import MutationResult
 from repro.ligra.delta import DeltaState
+from repro.ligra.frontier import union_ids
 from repro.obs import trace
 from repro.runtime.exec import ExecutionBackend, resolve_backend
 from repro.runtime.metrics import EngineMetrics, Timer
@@ -114,8 +115,9 @@ class _Refiner:
             self.new_graph.num_vertices,
             dtype=np.int64,
         )
-        self.apply_params = np.union1d(
-            algorithm.apply_params_changed(mutation), new_ids
+        self.apply_params = union_ids(
+            self.new_graph.num_vertices,
+            algorithm.apply_params_changed(mutation), new_ids,
         )
         self.added_mask = mutation.added_edge_mask()
 
@@ -132,6 +134,9 @@ class _Refiner:
         # run's at the latest completed iteration (transitive impact).
         diverged = np.empty(0, dtype=np.int64)
 
+        # A dense apply's id argument (never used to gather).
+        all_vertices = np.arange(num_vertices, dtype=np.int64)
+
         for index in range(self.history.horizon):
             with trace.span("iteration", index=index + 1) as span:
                 self.old_roll.advance()
@@ -139,7 +144,8 @@ class _Refiner:
 
                 g_before = g_cur               # g^T_{i-1}
                 c_before = c_cur               # c^T_{i-1}
-                sources = np.union1d(diverged, self.contrib_params)
+                sources = union_ids(num_vertices, diverged,
+                                    self.contrib_params)
                 if self._dense_preferred(sources):
                     span.tag(mode="dense")
                     g_cur, touched_candidates = self._refine_dense(c_before)
@@ -155,35 +161,49 @@ class _Refiner:
                     )
 
                 if touched_candidates is None:
-                    touched = np.arange(num_vertices, dtype=np.int64)
+                    # Every vertex re-applies: whole arrays, no gathers.
+                    num_touched = num_vertices
+                    self.backend.count_vertices(self.new_graph,
+                                                num_vertices, self.metrics)
+                    c_new = np.asarray(algorithm.apply(
+                        self.new_graph, g_cur, all_vertices,
+                        c_before if algorithm.uses_previous_value else None,
+                    ), dtype=np.float64)
+                    if (np.may_share_memory(c_new, g_cur)
+                            or np.may_share_memory(c_new, c_before)):
+                        # An apply that hands back one of its inputs.
+                        c_new = c_new.copy()
+                    diverged = np.flatnonzero(
+                        algorithm.values_changed(self.old_roll.c, c_new)
+                    )
                 else:
-                    touched = np.union1d(touched_candidates,
-                                         self.apply_params)
-                    if algorithm.uses_previous_value:
-                        # Self-dependent applies (e.g. SSSP's self-min)
-                        # must re-run wherever the vertex's own value
-                        # diverged.
-                        touched = np.union1d(touched, diverged)
-
-                c_new = self.old_roll.c.copy()
-                if touched.size:
-                    self.backend.count_vertices(self.new_graph, touched,
-                                                self.metrics)
-                    previous = (
-                        c_before[touched] if algorithm.uses_previous_value
-                        else None
+                    # Self-dependent applies (e.g. SSSP's self-min) must
+                    # also re-run wherever the vertex's own value
+                    # diverged.
+                    touched = union_ids(
+                        num_vertices, touched_candidates, self.apply_params,
+                        *([diverged] if algorithm.uses_previous_value
+                          else []),
                     )
-                    c_new[touched] = algorithm.apply(
-                        self.new_graph, g_cur[touched], touched, previous
-                    )
-                    moved = algorithm.values_changed(
-                        self.old_roll.c[touched], c_new[touched]
-                    )
-                    diverged = touched[moved]
-                else:
-                    diverged = np.empty(0, dtype=np.int64)
-                span.tag(touched=int(touched.size),
-                         diverged=int(diverged.size))
+                    num_touched = int(touched.size)
+                    c_new = self.old_roll.c.copy()
+                    if touched.size:
+                        self.backend.count_vertices(self.new_graph, touched,
+                                                    self.metrics)
+                        previous = (
+                            c_before[touched]
+                            if algorithm.uses_previous_value else None
+                        )
+                        c_new[touched] = algorithm.apply(
+                            self.new_graph, g_cur[touched], touched, previous
+                        )
+                        moved = algorithm.values_changed(
+                            self.old_roll.c[touched], c_new[touched]
+                        )
+                        diverged = touched[moved]
+                    else:
+                        diverged = np.empty(0, dtype=np.int64)
+                span.tag(touched=num_touched, diverged=int(diverged.size))
 
                 self._record(new_history, g_before, g_cur, c_before, c_new,
                              num_vertices)
@@ -298,9 +318,8 @@ class _Refiner:
                     self.backend.scatter(self.new_graph, agg, g_new, dsts,
                                          new_contribs, self.metrics)
 
-        touched = np.unique(
-            np.concatenate([mutation.add_dst, mutation.del_dst, dsts])
-        )
+        touched = union_ids(self.new_graph.num_vertices,
+                            mutation.add_dst, mutation.del_dst, dsts)
         return g_new, touched
 
     def _refine_by_reevaluation(self, sources, c_prev):
@@ -313,9 +332,8 @@ class _Refiner:
         dsts = np.empty(0, dtype=np.int64)
         if sources.size:
             _, dsts, _ = self.new_graph.out_edges_of(sources)
-        touched = np.unique(
-            np.concatenate([mutation.add_dst, mutation.del_dst, dsts])
-        )
+        touched = union_ids(self.new_graph.num_vertices,
+                            mutation.add_dst, mutation.del_dst, dsts)
         if touched.size:
             g_new[touched] = algorithm.aggregation.identity_value()
             in_src, in_dst, in_weight = self.backend.gather_in(
@@ -338,7 +356,10 @@ class _Refiner:
         else:
             g_idx = np.arange(num_vertices, dtype=np.int64)
             c_idx = g_idx
-        new_history.record(g_idx, g_cur[g_idx], c_idx, c_cur[c_idx])
+        # The gathers are already private copies.
+        new_history.append(
+            IterationRecord(g_idx, g_cur[g_idx], c_idx, c_cur[c_idx])
+        )
 
 
 def _exact_changed_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:

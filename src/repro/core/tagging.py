@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import MutationResult
+from repro.ligra.frontier import union_ids
 
 __all__ = ["downstream_tagged", "tagged_fraction"]
 
@@ -38,13 +39,14 @@ def downstream_tagged(
     (inclusive), following out-edges -- the set a tag-based corrector
     resets.  ``None`` means unbounded (full downstream closure)."""
     tagged = np.zeros(graph.num_vertices, dtype=bool)
-    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
-    frontier = frontier[frontier < graph.num_vertices]
+    seeds = np.asarray(seeds, dtype=np.int64)
+    frontier = union_ids(graph.num_vertices,
+                         seeds[seeds < graph.num_vertices])
     tagged[frontier] = True
     hops = 0
     while frontier.size and (max_hops is None or hops < max_hops):
         _, dst, _ = graph.out_edges_of(frontier)
-        fresh = np.unique(dst)
+        fresh = union_ids(graph.num_vertices, dst)
         fresh = fresh[~tagged[fresh]]
         tagged[fresh] = True
         frontier = fresh

@@ -36,6 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph, _ranges
+from repro.graph.mutable import changed_vertices
 from repro.graph.mutation import MutationBatch
 
 __all__ = ["DynamicGraph", "DynamicStreamingGraph", "FrozenGraphParams"]
@@ -603,16 +604,14 @@ class DynamicMutationResult:
         return self.new_graph.num_vertices > self._old_num_vertices
 
     def out_changed_vertices(self) -> np.ndarray:
-        new_ids = np.arange(self._old_num_vertices,
-                            self.new_graph.num_vertices, dtype=np.int64)
-        return np.unique(np.concatenate([self.add_src, self.del_src,
-                                         new_ids]))
+        return changed_vertices(self._old_num_vertices,
+                                self.new_graph.num_vertices,
+                                self.add_src, self.del_src)
 
     def in_changed_vertices(self) -> np.ndarray:
-        new_ids = np.arange(self._old_num_vertices,
-                            self.new_graph.num_vertices, dtype=np.int64)
-        return np.unique(np.concatenate([self.add_dst, self.del_dst,
-                                         new_ids]))
+        return changed_vertices(self._old_num_vertices,
+                                self.new_graph.num_vertices,
+                                self.add_dst, self.del_dst)
 
     def added_edge_mask(self) -> np.ndarray:
         mask = np.zeros(self.new_graph.out_targets.size, dtype=bool)

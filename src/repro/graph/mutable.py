@@ -20,7 +20,18 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.mutation import MutationBatch
 
-__all__ = ["MutationResult", "StreamingGraph"]
+__all__ = ["MutationResult", "StreamingGraph", "changed_vertices"]
+
+
+def changed_vertices(old_num_vertices: int, new_num_vertices: int,
+                     added: np.ndarray, deleted: np.ndarray) -> np.ndarray:
+    """Sorted unique endpoints of a batch's applied edges on one side,
+    plus the brand-new vertices of the grown id range."""
+    # Imported here: repro.ligra's engines import this module.
+    from repro.ligra.frontier import union_ids
+
+    new_ids = np.arange(old_num_vertices, new_num_vertices, dtype=np.int64)
+    return union_ids(new_num_vertices, added, deleted, new_ids)
 
 
 @dataclass
@@ -45,6 +56,7 @@ class MutationResult:
     skipped_deletions: int = 0
     _out_changed: Optional[np.ndarray] = field(default=None, repr=False)
     _in_changed: Optional[np.ndarray] = field(default=None, repr=False)
+    _added_mask: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def num_applied(self) -> int:
@@ -58,20 +70,18 @@ class MutationResult:
         vertices in the grown id range.
         """
         if self._out_changed is None:
-            old_v = self.old_graph.num_vertices
-            new_ids = np.arange(old_v, self.new_graph.num_vertices, dtype=np.int64)
-            self._out_changed = np.unique(
-                np.concatenate([self.add_src, self.del_src, new_ids])
+            self._out_changed = changed_vertices(
+                self.old_graph.num_vertices, self.new_graph.num_vertices,
+                self.add_src, self.del_src,
             )
         return self._out_changed
 
     def in_changed_vertices(self) -> np.ndarray:
         """Vertices whose in-edge set changed (sorted, unique)."""
         if self._in_changed is None:
-            old_v = self.old_graph.num_vertices
-            new_ids = np.arange(old_v, self.new_graph.num_vertices, dtype=np.int64)
-            self._in_changed = np.unique(
-                np.concatenate([self.add_dst, self.del_dst, new_ids])
+            self._in_changed = changed_vertices(
+                self.old_graph.num_vertices, self.new_graph.num_vertices,
+                self.add_dst, self.del_dst,
             )
         return self._in_changed
 
@@ -87,7 +97,7 @@ class MutationResult:
         to retract; their whole contribution was already added by the
         direct-impact ⊎ pass).
         """
-        if not hasattr(self, "_added_mask"):
+        if self._added_mask is None:
             mask = np.zeros(self.new_graph.num_edges, dtype=bool)
             if self.add_src.size:
                 positions = StreamingGraph._edge_positions(

@@ -28,6 +28,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.mutable import MutationResult, StreamingGraph
 from repro.graph.mutation import MutationBatch
 from repro.kickstarter.trees import NO_PARENT, DependencyTree, segmented_argmin
+from repro.ligra.frontier import union_ids
 from repro.obs import trace
 from repro.obs.registry import get_registry
 from repro.runtime.exec import ExecutionBackend, resolve_backend
@@ -126,7 +127,7 @@ class KickStarterEngine:
             )
             with trace.span("propagate"), Timer(self.metrics, "propagate"):
                 seeds = self._relax_additions(graph, mutation)
-                frontier = np.union1d(trimmed, seeds)
+                frontier = union_ids(graph.num_vertices, trimmed, seeds)
                 self._propagate(graph, frontier)
         return self.values
 

@@ -16,6 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.ligra.frontier import union_ids
 
 __all__ = ["DependencyTree", "segmented_argmin"]
 
@@ -67,13 +68,13 @@ class DependencyTree:
         if vertices.size == 0:
             return vertices
         src, dst, _ = graph.out_edges_of(vertices)
-        return np.unique(dst[self.parents[dst] == src])
+        return union_ids(self.num_vertices, dst[self.parents[dst] == src])
 
     def subtree_of(self, graph: CSRGraph, roots: np.ndarray) -> np.ndarray:
         """All vertices in the dependency subtrees rooted at ``roots``
         (inclusive), found by level-order traversal."""
         tagged = np.zeros(self.num_vertices, dtype=bool)
-        frontier = np.unique(np.asarray(roots, dtype=np.int64))
+        frontier = union_ids(self.num_vertices, roots)
         frontier = frontier[~tagged[frontier]]
         tagged[frontier] = True
         while frontier.size:

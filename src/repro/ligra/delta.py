@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.csr import CSRGraph
-from repro.ligra.frontier import VertexSubset
+from repro.ligra.frontier import VertexSubset, member_mask, union_ids
 from repro.ligra.interface import edge_map, edge_map_all, pull_edges
 from repro.obs import trace
 from repro.runtime.exec import ExecutionBackend, resolve_backend
@@ -202,7 +202,7 @@ class DeltaEngine:
 
         src, dst, weight = edge_map(graph, frontier, metrics=self.metrics,
                                     backend=self.backend)
-        touched = np.unique(dst)
+        touched = union_ids(graph.num_vertices, dst)
         g_old_at_touched = state.aggregate[touched].copy()
         if src.size:
             old_contribs = algorithm.contributions(
@@ -237,7 +237,7 @@ class DeltaEngine:
         else:
             _, dst, _ = edge_map(graph, frontier, metrics=self.metrics,
                                  backend=self.backend)
-            targets = np.unique(dst)
+            targets = union_ids(graph.num_vertices, dst)
         g_old_at_targets = state.aggregate[targets].copy()
         self._reevaluate(graph, state.values, state.aggregate, targets)
         return targets, g_old_at_targets
@@ -260,10 +260,11 @@ class DeltaEngine:
                            record_changes):
         algorithm = self.algorithm
         if algorithm.uses_previous_value and state.frontier.size:
-            extended = np.union1d(touched, state.frontier)
+            extended = union_ids(graph.num_vertices, touched,
+                                 state.frontier)
             if extended.size != touched.size:
                 # Recompute the old-g slice for the extended touched set.
-                mask = np.isin(extended, touched)
+                mask = member_mask(graph.num_vertices, extended, touched)
                 g_old = np.empty(
                     (extended.size, *g_old_at_touched.shape[1:]),
                     dtype=np.float64,

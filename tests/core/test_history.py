@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.history import DependencyHistory
+from repro.core.history import DependencyHistory, IterationRecord
 
 
 def make_history():
@@ -68,6 +68,13 @@ class TestRollingReplay:
         assert roll.g.tolist() == [5.0, 3.0, 7.0]
         assert roll.c.tolist() == [2.0, 4.0, 1.0]
         assert roll.c_prev.tolist() == [2.0, 1.0, 1.0]
+
+    def test_append_takes_ownership(self):
+        history = DependencyHistory(np.ones(2), np.zeros(2))
+        values = np.array([9.0])
+        history.append(IterationRecord(np.array([0]), values,
+                                       np.array([0]), values))
+        assert history.records[0].g_values is values
 
     def test_advance_past_horizon_raises(self):
         roll = make_history().rolling()

@@ -23,8 +23,12 @@ from repro.algorithms import (
 from repro.core.engine import GraphBoltEngine
 from repro.core.pruning import PruningPolicy
 from repro.graph.generators import bipartite_graph, rmat
+from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
+from repro.ligra.delta import DeltaEngine
 from repro.ligra.engine import LigraEngine
+from repro.obs import trace
+from repro.obs.trace import Tracer
 from repro.runtime.validation import assert_same_results
 from tests.conftest import make_random_batch
 
@@ -222,3 +226,87 @@ class TestRefinementWorkReduction:
             )
             results.append(engine.values)
         assert_same_results(results[0], results[1], tolerance=1e-8)
+
+    def test_dense_apply_result_is_coerced_and_private(self, rng):
+        # A dense iteration keeps apply's whole-array result as the new
+        # values: a narrower dtype or an input handed back must not leak
+        # into the engine state or the history.
+        class Float32PageRank(PageRank):
+            def apply(self, graph, aggregate_values, vertices,
+                      previous_values=None):
+                return super().apply(graph, aggregate_values, vertices,
+                                     previous_values).astype(np.float32)
+
+        class IdentityApply(PageRank):
+            def apply(self, graph, aggregate_values, vertices,
+                      previous_values=None):
+                return aggregate_values
+
+        for factory in (Float32PageRank, IdentityApply):
+            engine = GraphBoltEngine(factory(), num_iterations=4,
+                                     dense_refine_fraction=0.0)
+            engine.run(rmat(scale=6, edge_factor=4, seed=2, weighted=True))
+            engine.apply_mutations(
+                make_random_batch(engine.graph, rng, num_adds=2, num_dels=1)
+            )
+            assert engine.values.dtype == np.float64
+            assert all(record.c_values.dtype == np.float64
+                       for record in engine.history.records)
+            restart = DeltaEngine(factory()).run(engine.graph, 4)
+            assert_same_results(engine.values, restart, tolerance=1e-4)
+
+
+class TestNoNumpySetRoutines:
+    """The incremental path and a GB-Reset restart do their vertex-id
+    algebra in ``repro.ligra.frontier``: numpy >= 2.3 hashes inside
+    ``unique`` and everything built on it, which costs more than the
+    frontiers being merged.  Runs under whichever exec backend the
+    tier-1 matrix selected."""
+
+    FORBIDDEN = ("unique", "union1d", "intersect1d", "setdiff1d", "isin")
+
+    # SSSP's short refinement window only goes dense at a low fraction.
+    @pytest.mark.parametrize("factory,iterations,dense_fraction", [
+        pytest.param(lambda: PageRank(), 10, None, id="pagerank"),
+        pytest.param(lambda: LabelPropagation(num_labels=4), 10, None,
+                     id="label_propagation"),
+        pytest.param(lambda: SSSP(source=0), 40, 0.05, id="sssp"),
+        pytest.param(lambda: CoEM(), 10, None, id="coem"),
+    ])
+    def test_streaming_and_restart(self, factory, iterations,
+                                   dense_fraction, rng, monkeypatch):
+        graph = rmat(scale=7, edge_factor=4, seed=3, weighted=True)
+        # Generators and batch construction may still use numpy's set
+        # routines, so the stream is drawn before they are forbidden.
+        dry_run = StreamingGraph(graph)
+        batches = []
+        for _ in range(3):
+            batches.append(make_random_batch(dry_run.graph, rng,
+                                             num_adds=10, num_dels=10))
+            dry_run.apply_batch(batches[-1])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy set routine on the engine path")
+
+        for name in self.FORBIDDEN:
+            monkeypatch.setattr(np, name, forbidden)
+
+        tracer = Tracer()
+        with trace.activated(tracer):
+            engine = GraphBoltEngine(factory(), num_iterations=iterations,
+                                     dense_refine_fraction=dense_fraction)
+            engine.run(graph)
+            for batch in batches:
+                engine.apply_mutations(batch)
+        restart = DeltaEngine(factory()).run(engine.graph, iterations)
+
+        modes = {
+            event["tags"]["mode"] for event in tracer.events()
+            if event["name"] == "iteration" and "mode" in event["tags"]
+        }
+        assert "dense" in modes
+        assert modes - {"dense"}
+        assert_same_results(np.where(np.isinf(engine.values), -1.0,
+                                     engine.values),
+                            np.where(np.isinf(restart), -1.0, restart),
+                            tolerance=1e-6)

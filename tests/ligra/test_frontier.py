@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.graph.csr import CSRGraph
-from repro.ligra.frontier import VertexSubset
+from repro.ligra.frontier import (
+    SORT_MERGE_RATIO,
+    VertexSubset,
+    member_mask,
+    union_ids,
+)
 
 
 class TestConstruction:
@@ -83,6 +88,84 @@ class TestSetAlgebra:
     def test_universe_mismatch(self):
         with pytest.raises(ValueError):
             VertexSubset.from_ids(4, [0]).union(VertexSubset.from_ids(5, [0]))
+
+
+def _random_ids(rng, num_vertices, size):
+    """Unsorted ids with duplicates; sometimes empty, sometimes forced
+    to include the last vertex."""
+    ids = rng.integers(0, num_vertices, size=size)
+    if size and rng.random() < 0.5:
+        ids[rng.integers(size)] = num_vertices - 1
+    return ids
+
+
+# Operand sizes on both sides of the sort-merge / bitmap switch.
+REGIMES = [
+    pytest.param(64 * SORT_MERGE_RATIO, 8, id="sort-merge"),
+    pytest.param(256, 40, id="bitmap"),
+]
+
+
+@pytest.mark.parametrize("num_vertices,max_size", REGIMES)
+class TestIdAlgebraMatchesNumpy:
+    """numpy's set routines are the oracle: same values, int64, sorted,
+    unique -- over empty, duplicated and unsorted operands."""
+
+    def test_union_of_k_operands(self, num_vertices, max_size):
+        rng = np.random.default_rng(20260926)
+        for _ in range(200):
+            k = int(rng.integers(1, 5))
+            arrays = [
+                _random_ids(rng, num_vertices,
+                            int(rng.integers(0, max_size + 1)))
+                for _ in range(k)
+            ]
+            result = union_ids(num_vertices, *arrays)
+            expected = np.unique(np.concatenate(arrays))
+            assert result.dtype == np.int64
+            assert result.tolist() == expected.tolist()
+            if k == 2:
+                assert result.tolist() == np.union1d(*arrays).tolist()
+
+    def test_membership_intersection_difference(self, num_vertices,
+                                                max_size):
+        rng = np.random.default_rng(20260927)
+        for _ in range(200):
+            a = _random_ids(rng, num_vertices,
+                            int(rng.integers(0, max_size + 1)))
+            b = _random_ids(rng, num_vertices,
+                            int(rng.integers(0, max_size + 1)))
+            mask = member_mask(num_vertices, a, b)
+            assert mask.dtype == bool
+            assert mask.tolist() == np.isin(a, b).tolist()
+            left = VertexSubset.from_ids(num_vertices, a)
+            right = VertexSubset.from_ids(num_vertices, b)
+            for ours, oracle in (
+                (left.union(right), np.union1d(a, b)),
+                (left.intersect(right), np.intersect1d(a, b)),
+                (left.difference(right), np.setdiff1d(a, b)),
+            ):
+                assert ours.ids.dtype == np.int64
+                assert ours.ids.tolist() == oracle.tolist()
+
+    def test_result_is_a_new_array(self, num_vertices, max_size):
+        ids = np.arange(max_size, dtype=np.int64)
+        result = union_ids(num_vertices, ids)
+        result[0] = 7
+        assert ids[0] == 0
+
+    @pytest.mark.parametrize("bad", [-1, "num_vertices"])
+    def test_out_of_range_ids_raise(self, num_vertices, max_size, bad):
+        bad = num_vertices if bad == "num_vertices" else bad
+        good = np.arange(max_size, dtype=np.int64)
+        with pytest.raises(ValueError):
+            union_ids(num_vertices, good, [bad])
+        with pytest.raises(ValueError):
+            member_mask(num_vertices, [bad], good)
+        with pytest.raises(ValueError):
+            member_mask(num_vertices, good, [bad])
+        with pytest.raises(ValueError):
+            VertexSubset.from_ids(num_vertices, [bad])
 
 
 class TestDensityHeuristic:
