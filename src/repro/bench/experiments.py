@@ -920,13 +920,14 @@ def experiment_ablation_structure(
     num_batches: int = 20,
     seed: int = 31,
 ) -> Dict:
-    """Structure adjustment: CSR rebuild versus STINGER-style blocks.
+    """Structure adjustment: CSR splice versus STINGER-style blocks.
 
     The paper (section 4.1) reports its two-pass CSR adjustment takes
     ~850ms for 10K mutations on a 1B-edge graph and notes faster dynamic
     structures (STINGER) could be incorporated.  This ablation measures
-    our two backends: full CSR rebuild per batch versus in-place
-    slack-block updates with amortised repacking.
+    our two backends: a fresh CSR snapshot spliced per batch
+    (:mod:`repro.graph.splice`) versus in-place slack-block updates
+    with amortised repacking.
     """
     from repro.graph.dynamic import DynamicStreamingGraph
     from repro.graph.mutable import StreamingGraph
@@ -941,7 +942,7 @@ def experiment_ablation_structure(
         ]
         timings = {}
         edge_sets = {}
-        for name, factory in (("csr_rebuild", StreamingGraph),
+        for name, factory in (("csr_splice", StreamingGraph),
                               ("dynamic_blocks", DynamicStreamingGraph)):
             stream = factory(graph)
             start = time.perf_counter()
@@ -952,13 +953,13 @@ def experiment_ablation_structure(
             edge_sets[name] = (
                 final.edge_set() if hasattr(final, "edge_set") else None
             )
-        if edge_sets["csr_rebuild"] != edge_sets["dynamic_blocks"]:
+        if edge_sets["csr_splice"] != edge_sets["dynamic_blocks"]:
             raise AssertionError("backends diverged structurally")
-        ratio = timings["csr_rebuild"] / max(timings["dynamic_blocks"],
+        ratio = timings["csr_splice"] / max(timings["dynamic_blocks"],
                                              1e-12)
         rows.append([
             batch_size,
-            round(timings["csr_rebuild"] * 1000, 3),
+            round(timings["csr_splice"] * 1000, 3),
             round(timings["dynamic_blocks"] * 1000, 3),
             round(ratio, 2),
         ])
@@ -967,7 +968,7 @@ def experiment_ablation_structure(
         "experiment": "ablation_structure",
         "title": (
             f"Ablation: structure adjustment ms/batch on {graph_name} "
-            "(CSR rebuild vs STINGER-style slack blocks)"
+            "(CSR splice vs STINGER-style slack blocks)"
         ),
         "headers": ["Batch", "CSR ms", "Dynamic ms", "Speedup"],
         "rows": rows,

@@ -203,20 +203,6 @@ class CSRGraph:
             np.arange(self._num_vertices, dtype=np.int64), self.in_degrees()
         )
 
-    def edge_keys(self) -> np.ndarray:
-        """Scalar key ``src * V + dst`` per edge in CSR order (cached).
-
-        The CSR lexsort by ``(src, dst)`` makes this array globally
-        sorted, so edge membership/position queries are a single
-        ``searchsorted`` over it (see
-        :meth:`repro.graph.mutable.StreamingGraph._edge_positions`).
-        """
-        if not hasattr(self, "_edge_keys"):
-            src, dst, _ = self.all_edges()
-            stride = np.int64(max(self._num_vertices, 1))
-            self._edge_keys = src * stride + dst
-        return self._edge_keys
-
     # ------------------------------------------------------------------
     # Neighbourhood access
     # ------------------------------------------------------------------
@@ -313,14 +299,24 @@ class CSRGraph:
             raise ValueError("cannot shrink a graph")
         if num_vertices == self._num_vertices:
             return self
-        if self.store is not None and self.store.kind == "mmap":
+        if self.store is not None:
+            # Out of core: an empty batch through the store's splice.
             empty = np.empty(0, dtype=np.int64)
             return self.store.adjust(
                 self, num_vertices, empty, empty,
                 np.empty(0, dtype=np.float64), empty, empty,
-            )
-        src, dst, weight = self.all_edges()
-        grown = CSRGraph(num_vertices, src, dst, weight)
+            )[0]
+        # Empty rows only pad the offsets; snapshots are immutable, so
+        # the grown one shares the four edge arrays.
+        pad = np.full(num_vertices - self._num_vertices, self.num_edges,
+                      dtype=np.int64)
+        grown = CSRGraph.from_canonical(
+            num_vertices,
+            np.concatenate([self._out_offsets, pad]), self._out_targets,
+            self._out_weights,
+            np.concatenate([self._in_offsets, pad]), self._in_sources,
+            self._in_weights,
+        )
         cache = getattr(self, "_shard_cache", None)
         if cache:
             # Growth extends the last shard of every cached partition

@@ -19,6 +19,8 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.mutation import MutationBatch
+from repro.graph.splice import locate
+from repro.graph.storage import HeapStore
 
 __all__ = ["MutationResult", "StreamingGraph", "changed_vertices"]
 
@@ -41,7 +43,8 @@ class MutationResult:
     The ``add_*``/``del_*`` arrays contain only mutations that actually
     changed the structure: additions of already-present edges and deletions
     of absent edges are dropped (and reported via ``skipped_additions`` /
-    ``skipped_deletions``).
+    ``skipped_deletions``).  ``added_slots`` holds the CSR slot of each
+    applied addition in ``new_graph``, aligned with ``add_src``.
     """
 
     old_graph: CSRGraph
@@ -52,6 +55,7 @@ class MutationResult:
     del_src: np.ndarray
     del_dst: np.ndarray
     del_weight: np.ndarray
+    added_slots: np.ndarray
     skipped_additions: int = 0
     skipped_deletions: int = 0
     _out_changed: Optional[np.ndarray] = field(default=None, repr=False)
@@ -99,11 +103,7 @@ class MutationResult:
         """
         if self._added_mask is None:
             mask = np.zeros(self.new_graph.num_edges, dtype=bool)
-            if self.add_src.size:
-                positions = StreamingGraph._edge_positions(
-                    self.new_graph, self.add_src, self.add_dst
-                )
-                mask[positions] = True
+            mask[self.added_slots] = True
             self._added_mask = mask
         return self._added_mask
 
@@ -156,7 +156,9 @@ class StreamingGraph:
             del_src, del_dst,
         )
 
-        new_graph = self._rebuild(
+        # One splice per direction, written through the snapshot's own
+        # store (see SnapshotStore.adjust); plain graphs live on heap.
+        new_graph, added_slots = (old.store or HeapStore()).adjust(
             old, num_vertices, add_src, add_dst, add_weight, del_src, del_dst
         )
 
@@ -178,6 +180,7 @@ class StreamingGraph:
             del_src=del_src,
             del_dst=del_dst,
             del_weight=del_weight,
+            added_slots=added_slots,
             skipped_additions=skipped_add,
             skipped_deletions=skipped_del,
         )
@@ -189,47 +192,22 @@ class StreamingGraph:
     ) -> np.ndarray:
         """CSR slot of each (src, dst) pair, or -1 where the edge is absent.
 
-        One batched ``searchsorted`` over the graph's sorted scalar edge
-        keys (``src * V + dst``) replaces the per-edge binary-search
-        loop.  Pairs with either endpoint outside the vertex range are
-        reported absent up front -- an out-of-range ``dst`` would
-        otherwise collide with the key of a different in-range pair.
+        One vectorised binary search per queried row (heap arrays and
+        memmaps alike; see :func:`repro.graph.splice.row_search`).
+        Pairs with either endpoint outside the vertex range are
+        reported absent up front.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         positions = np.full(src.size, -1, dtype=np.int64)
-        if src.size == 0 or graph.num_edges == 0:
-            return positions
         num_vertices = graph.num_vertices
-        valid = (
+        valid = np.flatnonzero(
             (src >= 0) & (src < num_vertices)
             & (dst >= 0) & (dst < num_vertices)
         )
-        if not valid.any():
-            return positions
-        store = getattr(graph, "store", None)
-        if store is not None and store.kind == "mmap":
-            # Out-of-core snapshot: ``edge_keys`` would materialize
-            # two O(E) heap arrays; per-row binary search over the
-            # memmapped CSR rows touches only the queried rows.
-            offsets = graph.out_offsets
-            targets = graph.out_targets
-            for index in np.flatnonzero(valid):
-                lo = int(offsets[src[index]])
-                hi = int(offsets[src[index] + 1])
-                row = targets[lo:hi]
-                slot = int(np.searchsorted(row, dst[index]))
-                if slot < row.size and row[slot] == dst[index]:
-                    positions[index] = lo + slot
-            return positions
-        keys = graph.edge_keys()
-        stride = np.int64(max(num_vertices, 1))
-        probe = src[valid] * stride + dst[valid]
-        slots = np.searchsorted(keys, probe)
-        # A probe beyond every key clips to the last slot, which then
-        # fails the equality check (probe > keys[-1] by construction).
-        found = keys[np.minimum(slots, keys.size - 1)] == probe
-        positions[valid] = np.where(found, slots, -1)
+        positions[valid] = locate(
+            graph.out_offsets, graph.out_targets, src[valid], dst[valid]
+        )
         return positions
 
     def _resolve_deletions(self, old, del_src, del_dst):
@@ -247,41 +225,17 @@ class StreamingGraph:
         # weight; MutationBatch already cancelled exact add/delete pairs, so
         # here "present and also deleted" means replace (delete then add).
         if del_src.size:
-            deleted = set(zip(del_src.tolist(), del_dst.tolist()))
-            replaced = np.array(
-                [
-                    (s, d) in deleted
-                    for s, d in zip(add_src.tolist(), add_dst.tolist())
-                ],
-                dtype=bool,
-            )
-            absent = absent | replaced
+            # Scalar keys are exact for pairs inside the old vertex range;
+            # an addition outside it is absent already, so a key collision
+            # there changes nothing.
+            stride = np.int64(old.num_vertices)
+            deleted = np.sort(del_src * stride + del_dst)
+            probe = add_src * stride + add_dst
+            slots = np.minimum(np.searchsorted(deleted, probe),
+                               deleted.size - 1)
+            absent = absent | (deleted[slots] == probe)
         skipped = int((~absent).sum())
         return add_src[absent], add_dst[absent], add_weight[absent], skipped
-
-    @staticmethod
-    def _rebuild(old, num_vertices, add_src, add_dst, add_weight,
-                 del_src, del_dst):
-        store = getattr(old, "store", None)
-        if store is not None and store.kind == "mmap":
-            # Segment-wise out-of-core adjustment: only dirty vertex
-            # ranges are rebuilt in heap, clean ranges are block
-            # copied file-to-file (see MmapStore.adjust).
-            return store.adjust(
-                old, num_vertices, add_src, add_dst, add_weight,
-                del_src, del_dst,
-            )
-        src, dst, weight = old.all_edges()
-        if del_src.size:
-            positions = StreamingGraph._edge_positions(old, del_src, del_dst)
-            keep = np.ones(src.size, dtype=bool)
-            keep[positions] = False
-            src, dst, weight = src[keep], dst[keep], weight[keep]
-        if add_src.size:
-            src = np.concatenate([src, add_src])
-            dst = np.concatenate([dst, add_dst])
-            weight = np.concatenate([weight, add_weight])
-        return CSRGraph(num_vertices, src, dst, weight)
 
     def __repr__(self) -> str:
         return (

@@ -22,10 +22,10 @@ On-disk layout of an :class:`MmapStore` root::
 Each ``.seg`` file is a 64-byte header (magic+version, dtype code,
 element count, CRC32 of the payload) followed by the raw little-endian
 array payload.  Segment files are immutable once published: a new
-snapshot generation writes fresh files (clean vertex ranges are block
-copied file-to-file in bounded chunks; dirty ranges are rebuilt in
-heap), renames them into place, and then atomically replaces the
-manifest.  A crash between those steps leaves at worst a torn temp
+snapshot generation writes fresh files (the runs a batch leaves
+untouched are block copied file-to-file in bounded chunks, with the
+batch's additions spliced in between), renames them into place, and
+then atomically replaces the manifest.  A crash between those steps leaves at worst a torn temp
 file and an orphaned segment -- the previous manifest always stays
 readable, which is what the ``storage.segment_write`` failpoint and
 the crash fuzzer's storage sweep pin down.
@@ -55,6 +55,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.graph.splice import splice
 
 __all__ = [
     "ARRAY_NAMES",
@@ -94,16 +95,11 @@ _HEADER = struct.Struct("<8s8sQI")  # magic, dtype code, count, crc32
 _MANIFEST_VERSION = 1
 _MANIFEST_NAME = "manifest.json"
 
-#: Copy granularity (elements) for file-to-file block copies of clean
-#: vertex ranges: 2 MiB of int64/float64 per chunk, so a clean-range
-#: copy never holds more than one chunk in heap.
+#: Copy granularity (elements) for file-to-file block copies of the
+#: runs a batch leaves untouched: 2 MiB of int64/float64 per chunk.
+#: This is what bounds heap use during :meth:`SnapshotStore.adjust` on
+#: the mmap store -- one chunk, plus O(V) offsets and the batch itself.
 _COPY_CHUNK = 1 << 18
-
-#: Upper bound (edges) on the heap working set of one dirty vertex
-#: range during :meth:`MmapStore.adjust`.  Segment boundaries are
-#: chosen by edge budget, not vertex count, so a power-law hub cannot
-#: blow the bound past a single row.
-_SEGMENT_EDGE_BUDGET = 1 << 20
 
 
 class StoreError(ValueError):
@@ -133,6 +129,47 @@ class SnapshotStore:
     def release(self, graph: CSRGraph) -> None:
         """Drop the live reference a graph holds on its snapshot."""
 
+    def adjust(
+        self,
+        old: CSRGraph,
+        num_vertices: int,
+        add_src: np.ndarray,
+        add_dst: np.ndarray,
+        add_weight: np.ndarray,
+        del_src: np.ndarray,
+        del_dst: np.ndarray,
+    ) -> Tuple[CSRGraph, np.ndarray]:
+        """Build the post-batch snapshot and return it with the CSR
+        slot of every added edge in it.
+
+        One :func:`~repro.graph.splice.splice` per direction through
+        this store's :meth:`writer`: the runs the batch leaves alone
+        are copied from ``old`` (file-to-file in bounded chunks out of
+        core), so no full edge list, mask or key array is ever built
+        and the arrays come out exactly as the :class:`CSRGraph`
+        constructor would order ``survivors ++ additions``.
+        """
+        writer = self.writer()
+        try:
+            added_slots = splice(
+                writer, ("out_offsets", "out_targets", "out_weights"),
+                num_vertices,
+                old.out_offsets, old.out_targets, old.out_weights,
+                add_src, add_dst, add_weight, del_src, del_dst,
+            )
+            _evict_pages(old.out_targets, old.out_weights)
+            splice(
+                writer, ("in_offsets", "in_sources", "in_weights"),
+                num_vertices,
+                old.in_offsets, old.in_sources, old.in_weights,
+                add_dst, add_src, add_weight, del_dst, del_src,
+            )
+            _evict_pages(old.in_sources, old.in_weights)
+        except Exception:
+            writer.abort()
+            raise
+        return writer.commit(num_vertices), added_slots
+
     def describe(self) -> str:
         return self.kind
 
@@ -152,6 +189,12 @@ class HeapStore(SnapshotStore):
 class _SnapshotWriter:
     def append(self, name: str, chunk: np.ndarray) -> None:
         raise NotImplementedError
+
+    def append_raw(self, name: str, other: np.ndarray,
+                   start: int, stop: int) -> None:
+        """Append ``other[start:stop]``, an untouched run of an older
+        snapshot's array."""
+        self.append(name, other[start:stop])
 
     def commit(self, num_vertices: int) -> CSRGraph:
         raise NotImplementedError
@@ -267,7 +310,7 @@ def _evict_pages(*arrays) -> None:
 
     ``MADV_DONTNEED`` on a read-only file mapping discards clean pages;
     the data refetches from the segment file on the next touch, so this
-    only trades latency for RSS.  :meth:`MmapStore.adjust` evicts each
+    only trades latency for RSS.  :meth:`SnapshotStore.adjust` evicts each
     old-generation direction after block-copying it forward -- without
     this, the copy drags the whole previous generation resident and
     the out-of-core tier's peak-RSS advantage evaporates.  No-op for
@@ -704,187 +747,6 @@ class MmapStore(SnapshotStore):
 
     def describe(self) -> str:
         return f"mmap:{self.root}"
-
-    # ------------------------------------------------------------------
-    # Segment-wise structure adjustment
-    # ------------------------------------------------------------------
-    def adjust(
-        self,
-        old: CSRGraph,
-        num_vertices: int,
-        add_src: np.ndarray,
-        add_dst: np.ndarray,
-        add_weight: np.ndarray,
-        del_src: np.ndarray,
-        del_dst: np.ndarray,
-    ) -> CSRGraph:
-        """Build the post-batch snapshot without materializing the
-        full edge set in heap.
-
-        Vertex ranges untouched by the batch are block-copied from the
-        old generation's files; dirty ranges (bounded by an edge
-        budget) are merged in heap.  The result is bit-for-bit
-        identical to the heap rebuild path: stable ordering puts
-        surviving old edges before same-key additions, exactly like
-        the stable lexsort in the :class:`CSRGraph` constructor.
-        """
-        writer = self.writer()
-        try:
-            self._adjust_direction(
-                writer, old, num_vertices,
-                offsets=old.out_offsets, others=old.out_targets,
-                weights=old.out_weights,
-                add_key=add_src, add_other=add_dst, add_weight=add_weight,
-                del_key=del_src, del_other=del_dst,
-                names=("out_offsets", "out_targets", "out_weights"),
-            )
-            _evict_pages(old.out_targets, old.out_weights)
-            self._adjust_direction(
-                writer, old, num_vertices,
-                offsets=old.in_offsets, others=old.in_sources,
-                weights=old.in_weights,
-                add_key=add_dst, add_other=add_src, add_weight=add_weight,
-                del_key=del_dst, del_other=del_src,
-                names=("in_offsets", "in_sources", "in_weights"),
-            )
-            _evict_pages(old.in_sources, old.in_weights)
-        except Exception:
-            writer.abort()
-            raise
-        return writer.commit(num_vertices)
-
-    def _adjust_direction(
-        self, writer: _MmapWriter, old: CSRGraph, num_vertices: int,
-        offsets: np.ndarray, others: np.ndarray, weights: np.ndarray,
-        add_key: np.ndarray, add_other: np.ndarray,
-        add_weight: np.ndarray,
-        del_key: np.ndarray, del_other: np.ndarray,
-        names: Tuple[str, str, str],
-    ) -> None:
-        offsets_name, others_name, weights_name = names
-        old_v = old.num_vertices
-        old_degrees = np.zeros(num_vertices, dtype=np.int64)
-        old_degrees[:old_v] = np.diff(offsets)
-
-        add_counts = np.bincount(add_key, minlength=num_vertices) \
-            if add_key.size else np.zeros(num_vertices, dtype=np.int64)
-        del_counts = np.bincount(del_key, minlength=num_vertices) \
-            if del_key.size else np.zeros(num_vertices, dtype=np.int64)
-        new_degrees = old_degrees + add_counts - del_counts
-        new_offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(new_degrees, out=new_offsets[1:])
-        writer.append(offsets_name, new_offsets)
-
-        # Deletions resolved to slots in this direction's edge arrays
-        # (row-wise binary search, no O(E) key materialization).
-        del_slots = _row_positions(offsets, others, del_key, del_other)
-        del_slots.sort()
-
-        # Additions in this direction's key order, stable so
-        # duplicate pairs keep batch order (bit-for-bit contract).
-        if add_key.size:
-            order = np.lexsort((add_other, add_key))
-            add_key = add_key[order]
-            add_other = add_other[order]
-            add_weight = add_weight[order]
-
-        dirty = np.zeros(num_vertices, dtype=bool)
-        if add_key.size:
-            dirty[add_key] = True
-        if del_key.size:
-            dirty[del_key] = True
-
-        start = 0
-        while start < num_vertices:
-            stop = self._segment_stop(offsets, old_v, num_vertices, start)
-            if not dirty[start:stop].any():
-                lo = int(offsets[min(start, old_v)])
-                hi = int(offsets[min(stop, old_v)])
-                writer.append_raw(others_name, others, lo, hi)
-                writer.append_raw(weights_name, weights, lo, hi)
-            else:
-                seg_other, seg_weight = self._merge_segment(
-                    start, stop, old_v, offsets, others, weights,
-                    old_degrees, del_slots,
-                    add_key, add_other, add_weight,
-                )
-                writer.append(others_name, seg_other)
-                writer.append(weights_name, seg_weight)
-            start = stop
-
-    @staticmethod
-    def _segment_stop(offsets: np.ndarray, old_v: int,
-                      num_vertices: int, start: int) -> int:
-        """Largest ``stop`` whose old edge span fits the budget (always
-        advancing by at least one vertex)."""
-        if start >= old_v:
-            return num_vertices
-        budget_end = int(offsets[start]) + _SEGMENT_EDGE_BUDGET
-        stop = int(np.searchsorted(offsets, budget_end, side="right")) - 1
-        stop = max(stop, start + 1)
-        if stop >= old_v:
-            return num_vertices
-        return stop
-
-    @staticmethod
-    def _merge_segment(
-        start: int, stop: int, old_v: int,
-        offsets: np.ndarray, others: np.ndarray, weights: np.ndarray,
-        old_degrees: np.ndarray, del_slots: np.ndarray,
-        add_key: np.ndarray, add_other: np.ndarray,
-        add_weight: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        read_stop = min(stop, old_v)
-        lo = int(offsets[min(start, old_v)])
-        hi = int(offsets[read_stop])
-        seg_other = np.asarray(others[lo:hi])
-        seg_weight = np.asarray(weights[lo:hi])
-        seg_key = np.repeat(
-            np.arange(start, read_stop, dtype=np.int64),
-            old_degrees[start:read_stop],
-        )
-        if del_slots.size:
-            first = int(np.searchsorted(del_slots, lo))
-            last = int(np.searchsorted(del_slots, hi))
-            if last > first:
-                keep = np.ones(hi - lo, dtype=bool)
-                keep[del_slots[first:last] - lo] = False
-                seg_key = seg_key[keep]
-                seg_other = seg_other[keep]
-                seg_weight = seg_weight[keep]
-        if add_key.size:
-            first = int(np.searchsorted(add_key, start))
-            last = int(np.searchsorted(add_key, stop))
-        else:
-            first = last = 0
-        if last > first:
-            seg_key = np.concatenate([seg_key, add_key[first:last]])
-            seg_other = np.concatenate([seg_other, add_other[first:last]])
-            seg_weight = np.concatenate([seg_weight,
-                                         add_weight[first:last]])
-            order = np.lexsort((seg_other, seg_key))
-            seg_other = seg_other[order]
-            seg_weight = seg_weight[order]
-        return seg_other, seg_weight
-
-
-def _row_positions(offsets: np.ndarray, others: np.ndarray,
-                   keys: np.ndarray, other_values: np.ndarray) -> np.ndarray:
-    """Edge-array slot of each (key, other) pair via per-row binary
-    search; pairs must be present (callers resolve absence first)."""
-    positions = np.empty(keys.size, dtype=np.int64)
-    for index in range(keys.size):
-        lo = int(offsets[keys[index]])
-        hi = int(offsets[keys[index] + 1])
-        row = others[lo:hi]
-        slot = int(np.searchsorted(row, other_values[index]))
-        if slot >= row.size or row[slot] != other_values[index]:
-            raise StoreError(
-                f"edge ({keys[index]}, {other_values[index]}) vanished "
-                "between resolution and adjustment"
-            )
-        positions[index] = lo + slot
-    return positions
 
 
 # ----------------------------------------------------------------------
