@@ -47,7 +47,7 @@ Commands
            plants a deterministic latency fault, and
            ``--metrics-out`` / ``--serve-metrics PORT`` export the
            registry in Prometheus text format.  ``--replicas N`` ships
-           sealed WAL segments + checkpoints to N read replicas
+           the WAL tail + checkpoints to N read replicas
            (``--replica-transport``, ``--kill-replica I:AT[:RESTART]``
            for the replication-soak; exit 1 if a live replica never
            converges).

@@ -33,7 +33,10 @@ the crash fuzzer's storage sweep pin down.
 Generations no longer referenced by a live graph, the manifest's
 ``current`` pointer, or a checkpoint pin are *tombstoned*;
 :meth:`MmapStore.compact` (run opportunistically after each release)
-deletes their files.  POSIX keeps open ``np.memmap`` views valid even
+deletes their files -- those no surviving entry still names: an
+*alias* entry (:meth:`MmapStore.alias_snapshot`, a checkpoint's
+snapshot id bound to a generation the spool already holds) shares its
+generation's files.  POSIX keeps open ``np.memmap`` views valid even
 after the backing file is unlinked, so compaction never races a
 reader.
 
@@ -63,6 +66,7 @@ __all__ = [
     "MmapStore",
     "SnapshotStore",
     "StoreError",
+    "atomic_write",
     "open_snapshot_reference",
     "store_from_env",
     "store_from_spec",
@@ -104,6 +108,28 @@ _COPY_CHUNK = 1 << 18
 
 class StoreError(ValueError):
     """A snapshot store's on-disk state failed validation."""
+
+
+def atomic_write(path: str, data, fsync: bool = False) -> None:
+    """Replace ``path`` with ``data`` (``bytes``, or ``str`` as UTF-8)
+    through a temp file in its directory + ``os.replace``: a reader
+    sees the old content or the new, never a torn write, and a failed
+    write leaves no temp file behind."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as stream:
+            stream.write(data)
+            if fsync:
+                stream.flush()
+                os.fsync(stream.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +481,9 @@ class MmapStore(SnapshotStore):
         Prefix for snapshot ids and file names minted by *this* store.
         Replicas use their own label so snapshots adopted from a
         writer's checkpoint manifest never collide with the replica's
-        own generations in the same root.
+        own generations in the same root.  A spool keeps the label it
+        was first written under (the manifest records it), so a
+        reopened or promoted spool goes on minting under its own name.
     """
 
     kind = "mmap"
@@ -465,9 +493,9 @@ class MmapStore(SnapshotStore):
         os.makedirs(self.root, exist_ok=True)
         if not label or any(ch in label for ch in "/\\ \t\n"):
             raise ValueError(f"invalid store label {label!r}")
-        self.label = label
         self._live: Dict[str, int] = {}
         self._manifest = self._read_manifest()
+        self.label = self._manifest.setdefault("label", label)
 
     # -- manifest ------------------------------------------------------
     @property
@@ -498,20 +526,11 @@ class MmapStore(SnapshotStore):
         return manifest
 
     def _write_manifest(self) -> None:
-        fd, tmp = tempfile.mkstemp(prefix=".manifest-", suffix=".tmp",
-                                   dir=self.root)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as stream:
-                json.dump(self._manifest, stream, indent=1, sort_keys=True)
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp, self._manifest_path)
-        except Exception:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(
+            self._manifest_path,
+            json.dumps(self._manifest, indent=1, sort_keys=True),
+            fsync=True,
+        )
 
     # -- snapshot ids --------------------------------------------------
     def _mint_snapshot_id(self) -> str:
@@ -560,7 +579,8 @@ class MmapStore(SnapshotStore):
 
     def _open_array(self, meta: dict, verify: bool = False) -> np.ndarray:
         path = os.path.join(self.root, meta["file"])
-        dtype, count, crc = _read_header(path)
+        dtype, count, crc = (verify_segment_file if verify
+                             else _read_header)(path)
         if dtype != meta["dtype"] or count != int(meta["count"]):
             raise StoreError(
                 f"segment {path} header disagrees with manifest "
@@ -568,17 +588,6 @@ class MmapStore(SnapshotStore):
             )
         if crc != int(meta["crc32"]):
             raise StoreError(f"segment {path} CRC header/manifest mismatch")
-        if verify:
-            actual = 0
-            with open(path, "rb") as stream:
-                stream.seek(_HEADER_SIZE)
-                while True:
-                    block = stream.read(1 << 20)
-                    if not block:
-                        break
-                    actual = zlib.crc32(block, actual)
-            if actual & 0xFFFFFFFF != crc:
-                raise StoreError(f"segment {path} payload CRC mismatch")
         if count == 0:
             return np.empty(0, dtype=np.dtype(dtype))
         return np.memmap(path, dtype=np.dtype(dtype), mode="r",
@@ -659,27 +668,30 @@ class MmapStore(SnapshotStore):
         keep = self._retained()
         doomed = [sid for sid in self._manifest["snapshots"]
                   if sid not in keep]
-        doomed_files = []
+        doomed_files = set()
         if doomed:
             for snapshot_id in doomed:
                 entry = self._manifest["snapshots"].pop(snapshot_id)
                 self._manifest["pins"].pop(snapshot_id, None)
-                doomed_files.extend(meta["file"]
+                doomed_files.update(meta["file"]
                                     for meta in entry["arrays"].values())
             stale_pins = [sid for sid in self._manifest["pins"]
                           if sid not in self._manifest["snapshots"]]
             for snapshot_id in stale_pins:
                 del self._manifest["pins"][snapshot_id]
             self._write_manifest()
-        for name in doomed_files:
-            try:
-                os.unlink(os.path.join(self.root, name))
-            except OSError:
-                pass
+        # Files are reference-counted across entries: an alias keeps
+        # the files of the generation it was bound to alive after that
+        # generation's own entry is gone.
         referenced = set()
         for entry in self._manifest["snapshots"].values():
             for meta in entry["arrays"].values():
                 referenced.add(meta["file"])
+        for name in doomed_files - referenced:
+            try:
+                os.unlink(os.path.join(self.root, name))
+            except OSError:
+                pass
         # Sweep only files *this* store minted: foreign-label segments
         # may be mid-bootstrap shipments whose adopting checkpoint has
         # not arrived yet, so they are never reaped by name.
@@ -739,6 +751,40 @@ class MmapStore(SnapshotStore):
             self._manifest["current"] = snapshot_id
         self._write_manifest()
         return snapshot_id
+
+    def alias_snapshot(self, reference: dict, held: str,
+                       owner: str) -> None:
+        """Bind the snapshot a checkpoint's manifest reference names to
+        generation ``held``, which this store already holds under its
+        own id -- instead of receiving six files it can derive.
+
+        A replica that replayed its way to the checkpoint's position
+        holds the checkpoint's graph; the binding is made only after
+        every array's ``dtype``, ``count`` and payload ``crc32`` in the
+        reference equal the held generation's (:class:`StoreError`
+        otherwise, nothing written).  The alias is an ordinary manifest
+        entry over the held files, pinned by ``owner`` (the checkpoint
+        path) like any checkpointed snapshot.
+        """
+        entry = self._manifest["snapshots"][held]
+        for name in ARRAY_NAMES:
+            theirs, ours = reference["arrays"][name], entry["arrays"][name]
+            for key in ("dtype", "count", "crc32"):
+                if theirs[key] != ours[key]:
+                    raise StoreError(
+                        f"snapshot {reference['snapshot']!r} is not "
+                        f"generation {held!r}: {name} {key} "
+                        f"{theirs[key]!r} != {ours[key]!r}"
+                    )
+        self._manifest["snapshots"][reference["snapshot"]] = {
+            "num_vertices": int(entry["num_vertices"]),
+            "arrays": {name: dict(meta)
+                       for name, meta in entry["arrays"].items()},
+        }
+        self._manifest["pins"][reference["snapshot"]] = [
+            os.path.abspath(owner)
+        ]
+        self._write_manifest()
 
     def segment_files(self, snapshot_id: str) -> List[str]:
         """File names (relative to root) backing one snapshot."""

@@ -37,7 +37,7 @@ from repro.recovery.scrub import (
     scrub_state_dir,
 )
 from repro.recovery.wal import (
-    SealedSegment,
+    SegmentView,
     WALCorruptionError,
     WriteAheadLog,
     batch_to_payload,
@@ -50,8 +50,8 @@ __all__ = [
     "RecoveryManager",
     "ScrubFinding",
     "ScrubReport",
-    "SealedSegment",
     "SegmentGapError",
+    "SegmentView",
     "WALCorruptionError",
     "WriteAheadLog",
     "batch_to_payload",

@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 import time
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -46,9 +45,10 @@ import numpy as np
 from repro.core.engine import GraphBoltEngine
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.mutation import MutationBatch
+from repro.graph.storage import atomic_write
 from repro.obs import trace
 from repro.obs.registry import get_registry
-from repro.recovery.wal import SealedSegment, WriteAheadLog
+from repro.recovery.wal import SegmentView, WriteAheadLog
 from repro.runtime.checkpoint import (
     load_engine,
     read_checkpoint_extra,
@@ -72,9 +72,9 @@ class RecoveryError(RuntimeError):
 
 
 class SegmentGapError(RecoveryError):
-    """The sealed-segment sequence has a hole or is reordered.
+    """The WAL segment sequence has a hole or is reordered.
 
-    Raised by :meth:`RecoveryManager.sealed_segments` instead of
+    Raised by :meth:`RecoveryManager.segment_views` instead of
     letting a shipper (or replayer) silently walk past missing
     records: a gap means some segment was lost, deleted out-of-band,
     or delivered out of order, and continuing would fork the state.
@@ -96,16 +96,7 @@ def default_poison_check(values: np.ndarray) -> Optional[str]:
 
 
 def _atomic_write_json(path: str, payload) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".json.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, indent=2, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
-        raise
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 class RecoveryManager:
@@ -293,10 +284,11 @@ class RecoveryManager:
         return added
 
     # ------------------------------------------------------------------
-    # Sealed segments (the shipping surface of replication)
+    # Segment views (the shipping surface of replication)
     # ------------------------------------------------------------------
-    def sealed_segments(self) -> List[SealedSegment]:
-        """Sealed WAL segments, oldest first, gap-checked.
+    def segment_views(self) -> List[SegmentView]:
+        """Every WAL segment's durable records, oldest first, the open
+        tail included, gap-checked.
 
         The contract shipping relies on: consecutive entries are
         sequence-contiguous (``prev.end_seq == next.first_seq``) and
@@ -305,29 +297,25 @@ class RecoveryManager:
         silently skips it -- because replaying or shipping past a hole
         would fork replica state from the writer's.
         """
-        sealed = self.wal.sealed_segments()
-        previous: Optional[SealedSegment] = None
-        for segment in sealed:
+        views = self.wal.segment_views()
+        previous: Optional[SegmentView] = None
+        for segment in views:
             if not os.path.exists(segment.path):
                 raise SegmentGapError(
-                    f"sealed segment {segment.path} (records "
+                    f"WAL segment {segment.path} (records "
                     f"[{segment.first_seq}, {segment.end_seq})) vanished "
                     f"from disk; refusing to ship/replay past the gap"
                 )
             if previous is not None and segment.first_seq != previous.end_seq:
                 raise SegmentGapError(
-                    f"sealed segments are not contiguous: "
+                    f"WAL segments are not contiguous: "
                     f"{previous.path} ends at seq {previous.end_seq} but "
                     f"{segment.path} starts at seq {segment.first_seq}; "
                     f"records [{previous.end_seq}, {segment.first_seq}) "
                     f"are missing or reordered"
                 )
             previous = segment
-        return sealed
-
-    def seal_active_segment(self) -> bool:
-        """Force the WAL's open tail sealed so it becomes shippable."""
-        return self.wal.seal_active()
+        return views
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -343,7 +331,7 @@ class RecoveryManager:
         found.sort()
         return found
 
-    def _checkpoint_path(self, seq: int) -> str:
+    def checkpoint_path(self, seq: int) -> str:
         return os.path.join(self._checkpoint_dir, f"ckpt-{seq:020d}.npz")
 
     def checkpoint(self, engine: GraphBoltEngine, seq: int) -> str:
@@ -352,7 +340,7 @@ class RecoveryManager:
             path = self._with_retries(
                 "checkpoint.write",
                 lambda: save_engine(
-                    engine, self._checkpoint_path(seq),
+                    engine, self.checkpoint_path(seq),
                     extra={"recovery_seq": np.int64(seq)},
                 ),
             )
@@ -372,19 +360,10 @@ class RecoveryManager:
         rotation and WAL GC apply unchanged.  Re-adopting an existing
         generation is an idempotent no-op.
         """
-        path = self._checkpoint_path(seq)
+        path = self.checkpoint_path(seq)
         if os.path.exists(path):
             return path
-        fd, tmp_path = tempfile.mkstemp(dir=self._checkpoint_dir,
-                                        suffix=".npz.tmp")
-        try:
-            with os.fdopen(fd, "wb") as stream:
-                stream.write(blob)
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.remove(tmp_path)
-            raise
+        atomic_write(path, blob)
         registry = get_registry()
         registry.counter("recovery.checkpoints_adopted").inc()
         registry.gauge("recovery.last_checkpoint_seq").set(seq)

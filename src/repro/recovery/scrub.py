@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -52,6 +51,7 @@ from repro.graph.storage import (
     ARRAY_DTYPES,
     ARRAY_NAMES,
     StoreError,
+    atomic_write,
     verify_segment_file,
     _HEADER_SIZE,
     _pack_header,
@@ -186,19 +186,7 @@ def _segment_bytes(array: np.ndarray, dtype: str) -> Tuple[bytes, int]:
 
 def _write_segment(path: str, dtype: str, count: int,
                    crc: int, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as stream:
-            stream.write(_pack_header(dtype, count, crc))
-            stream.write(data)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    atomic_write(path, _pack_header(dtype, count, crc) + data, fsync=True)
 
 
 def _open_clean_array(path: str, dtype: str, count: int) -> np.ndarray:
@@ -545,17 +533,10 @@ class IntegrityScrubber:
             if manifest.get("current") == group.snapshot:
                 remaining = sorted(manifest.get("snapshots", {}))
                 manifest["current"] = remaining[-1] if remaining else None
-            fd, tmp = tempfile.mkstemp(dir=group.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as stream:
-                    json.dump(manifest, stream, indent=1, sort_keys=True)
-                    stream.flush()
-                    os.fsync(stream.fileno())
-                os.replace(tmp, manifest_path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-                raise
+            atomic_write(
+                manifest_path,
+                json.dumps(manifest, indent=1, sort_keys=True), fsync=True,
+            )
         get_registry().counter("scrub.quarantined").inc()
         return (
             f"quarantined generation {group.snapshot} "
@@ -626,16 +607,8 @@ class IntegrityScrubber:
     def write_report(self, report: ScrubReport) -> str:
         path = os.path.join(self.state_dir, _REPORT_NAME)
         os.makedirs(self.state_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.state_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as stream:
-                json.dump(report.to_json(), stream, indent=1,
-                          sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+        atomic_write(path, json.dumps(report.to_json(), indent=1,
+                                      sort_keys=True))
         return path
 
 

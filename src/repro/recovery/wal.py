@@ -8,7 +8,10 @@ the engine applies it.  Recovery replays the tail (see
 
 Layout: append-only JSONL segments under one directory, each named for
 the sequence number of its first record (``00000000000000000000.jsonl``)
-and rotated every ``segment_records`` appends.  One record per line::
+and rotated every ``segment_records`` appends.  Every append is flushed
+and ``fsync``ed before it returns: **acknowledged means durable**, which
+is what lets replication ship a record the moment its append returned
+(:meth:`WriteAheadLog.segment_views`).  One record per line::
 
     {"seq": 17, "crc": 2893571305, "batch": {"add_src": [...], ...}}
 
@@ -29,8 +32,8 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.graph.mutation import MutationBatch
 from repro.obs.registry import get_registry
@@ -38,7 +41,7 @@ from repro.testing import faults
 from repro.testing.faults import InjectedCrash
 
 __all__ = [
-    "SealedSegment",
+    "SegmentView",
     "WALCorruptionError",
     "WriteAheadLog",
     "batch_to_payload",
@@ -106,32 +109,51 @@ def _segment_name(first_seq: int) -> str:
 class _Segment:
     path: str
     first_seq: int
-    records: int
+    #: Byte offset just past each record: ``ends[i]`` closes record
+    #: ``first_seq + i`` (records are contiguous, one per line).
+    ends: List[int]
+
+    @property
+    def records(self) -> int:
+        return len(self.ends)
 
 
 @dataclass(frozen=True)
-class SealedSegment:
-    """Shipping view of one sealed (immutable) segment.
+class SegmentView:
+    """Shipping view of the records ``[first_seq, end_seq)`` one segment
+    held when the view was taken -- the open segment included, cut at
+    its last *returned* append.
 
-    ``first_seq`` / ``end_seq`` bound the records as ``[first, end)``;
-    ``lines`` are the raw encoded records, CRC intact, so a replica can
-    verify them end-to-end with the same :func:`_decode_record` the WAL
-    itself uses.
+    Records never change once appended, so the view stays valid while
+    the segment grows.  ``lines`` are the raw encoded records, CRC
+    intact, so a replica can verify them end-to-end with the same
+    :func:`_decode_record` the WAL itself uses; they are selected by
+    position (record ``i`` of a segment is ``first_seq + i``), so a
+    read costs the records asked for, not the segment.
     """
 
     path: str
     first_seq: int
     end_seq: int
+    ends: Sequence[int] = field(default=(), repr=False, compare=False)
 
     @property
     def records(self) -> int:
         return self.end_seq - self.first_seq
 
-    def lines(self) -> List[str]:
-        from repro.testing import faults
-
+    def lines(self, start_seq: Optional[int] = None,
+              end_seq: Optional[int] = None) -> List[str]:
+        """Raw lines of records ``[start_seq, end_seq)`` (default: all)."""
+        first = self.first_seq
+        lo = 0 if start_seq is None else max(0, start_seq - first)
+        hi = self.records if end_seq is None else min(self.records,
+                                                      end_seq - first)
+        if hi <= lo:
+            return []
+        begin = self.ends[lo - 1] if lo else 0
         with open(self.path, "rb") as stream:
-            raw = stream.read()
+            stream.seek(begin)
+            raw = stream.read(self.ends[hi - 1] - begin)
         if faults.hit_corruptible("wal.segment_read"):
             raw = faults.flip_byte(raw)
         text = raw.decode("utf-8", errors="surrogateescape")
@@ -184,23 +206,23 @@ class WriteAheadLog:
                     f"segment {path} starts at seq {first_seq}, "
                     f"expected {expected_seq}"
                 )
-            records = self._verify_segment(path, first_seq,
-                                           truncate_tail=is_last)
-            if records == 0 and is_last and segments:
+            ends = self._verify_segment(path, first_seq,
+                                        truncate_tail=is_last)
+            if not ends and is_last and segments:
                 # The crash happened before the rotated segment received
                 # its first complete record; drop the empty file.
                 os.remove(path)
                 break
             segments.append(_Segment(path=path, first_seq=first_seq,
-                                     records=records))
-            expected_seq = first_seq + records
+                                     ends=ends))
+            expected_seq = first_seq + len(ends)
         return segments
 
     def _verify_segment(self, path: str, first_seq: int,
-                        truncate_tail: bool) -> int:
-        """Count valid records; handle (or reject) a bad tail."""
-        good_offset = 0
-        records = 0
+                        truncate_tail: bool) -> List[int]:
+        """End offset of every valid record; handle (or reject) a bad
+        tail."""
+        ends: List[int] = []
         bad: Optional[str] = None
         with open(path, "rb") as stream:
             offset = 0
@@ -212,34 +234,33 @@ class WriteAheadLog:
                     if not complete:
                         raise ValueError("partial final record")
                     seq, _ = _decode_record(line)
-                    if seq != first_seq + records:
+                    if seq != first_seq + len(ends):
                         raise ValueError(
                             f"sequence gap: record says {seq}, "
-                            f"expected {first_seq + records}"
+                            f"expected {first_seq + len(ends)}"
                         )
                 except ValueError as exc:
                     bad = str(exc)
                     break
-                records += 1
-                good_offset = offset
+                ends.append(offset)
             else:
-                return records
+                return ends
             if stream.read(1):
                 # Valid records follow the bad one: this is not a torn
                 # tail, it is corruption in the middle of the log.
                 raise WALCorruptionError(
                     f"corrupt record mid-segment in {path} "
-                    f"(after {records} good records): {bad}"
+                    f"(after {len(ends)} good records): {bad}"
                 )
         if not truncate_tail:
             raise WALCorruptionError(
                 f"corrupt tail in non-final segment {path}: {bad}"
             )
         with open(path, "r+b") as stream:
-            stream.truncate(good_offset)
+            stream.truncate(ends[-1] if ends else 0)
         self.torn_records_truncated += 1
         get_registry().counter("wal.torn_records_truncated").inc()
-        return records
+        return ends
 
     # ------------------------------------------------------------------
     # Appending
@@ -261,8 +282,10 @@ class WriteAheadLog:
             raise
         stream.write(line)
         stream.flush()
+        os.fsync(stream.fileno())  # acknowledged => durable
         self.next_seq = seq + 1
-        self._open_segment.records += 1
+        ends = self._open_segment.ends
+        ends.append((ends[-1] if ends else 0) + len(line))  # ASCII
         registry = get_registry()
         registry.counter("wal.records_appended").inc()
         registry.gauge("wal.next_seq").set(self.next_seq)
@@ -292,7 +315,7 @@ class WriteAheadLog:
         else:
             segment = _Segment(
                 path=os.path.join(self.directory, _segment_name(first_seq)),
-                first_seq=first_seq, records=0,
+                first_seq=first_seq, ends=[],
             )
             self._segments.append(segment)
             get_registry().counter("wal.segments_created").inc()
@@ -338,40 +361,31 @@ class WriteAheadLog:
         return removed
 
     # ------------------------------------------------------------------
-    # Sealing / shipping
+    # Shipping / sealing
     # ------------------------------------------------------------------
-    def _is_sealed(self, segment: _Segment, is_last: bool) -> bool:
-        if not is_last:
-            return True
-        return (segment.records >= self.segment_records
-                or segment.path in self._force_sealed)
+    def segment_views(self) -> List[SegmentView]:
+        """A :class:`SegmentView` of every non-empty segment, oldest
+        first, the open one included.
 
-    def sealed_segments(self) -> List[SealedSegment]:
-        """Every *sealed* segment, oldest first.
-
-        A segment is sealed when it is full (``segment_records``
-        appends), when :meth:`seal_active` forced it closed, or when a
-        later segment exists -- only the final, still-growing segment
-        is excluded.  Sealed segments never gain records, which is what
-        makes them safe units of shipment for replication.
+        Each view ends at its segment's last returned append, so a
+        record is shippable exactly when it is durable; a torn partial
+        line past that point (a crash mid-append) is never part of a
+        view.
         """
-        out: List[SealedSegment] = []
-        for position, segment in enumerate(self._segments):
-            is_last = position == len(self._segments) - 1
-            if segment.records and self._is_sealed(segment, is_last):
-                out.append(SealedSegment(
-                    path=segment.path, first_seq=segment.first_seq,
-                    end_seq=segment.first_seq + segment.records,
-                ))
-        return out
+        return [
+            SegmentView(path=segment.path, first_seq=segment.first_seq,
+                        end_seq=segment.first_seq + segment.records,
+                        ends=segment.ends)
+            for segment in self._segments if segment.records
+        ]
 
     def seal_active(self) -> bool:
         """Force the open partial segment sealed (flush + close).
 
         The next append rolls a fresh segment.  Returns ``True`` if a
         partial segment was actually sealed; a full or absent tail is a
-        no-op.  Used by the replication writer to ship the WAL tail on
-        demand (promotion, orderly shutdown, final sync).
+        no-op.  Used by a replica resetting its mirror under an adopted
+        checkpoint: once sealed, the superseded tail can be collected.
         """
         if not self._segments:
             return False

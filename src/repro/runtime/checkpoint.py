@@ -223,9 +223,11 @@ def _checkpoint_data(path: str):
         ) from exc
 
 
-def verify_checkpoint_blob(blob: bytes, context: str = "<blob>") -> None:
+def verify_checkpoint_blob(blob: bytes,
+                           context: str = "<blob>") -> Optional[dict]:
     """Run the full payload verification on checkpoint bytes *before*
-    they land anywhere.
+    they land anywhere; returns the store manifest reference the
+    payload records (``None`` for an inline graph).
 
     The end-to-end integrity gate for replication: a checkpoint blob
     corrupted in transit must be rejected at receive time, never
@@ -236,7 +238,7 @@ def verify_checkpoint_blob(blob: bytes, context: str = "<blob>") -> None:
     """
     try:
         with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-            _verify_payload(data, context)
+            return _verify_payload(data, context)
     except ValueError:
         raise
     except (zipfile.BadZipFile, zlib.error, EOFError, KeyError,
@@ -299,8 +301,10 @@ def _parse_store_manifest(text: str) -> dict:
     return reference
 
 
-def _verify_payload(data, path: str) -> None:
-    """Checksum plus structural validation, before interpretation."""
+def _verify_payload(data, path: str) -> Optional[dict]:
+    """Checksum plus structural validation, before interpretation;
+    returns the store manifest reference of a manifest-mode payload."""
+    reference = None
     version = int(data["format_version"])
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
@@ -360,16 +364,18 @@ def _verify_payload(data, path: str) -> None:
         _require(data[f"rec_{index}_c_values"].shape[0] == c_idx.size,
                  f"history record {index} vertex values do not "
                  f"match indices")
+    return reference
 
 
-def _restore_graph(data, store_root: Optional[str]) -> CSRGraph:
+def _restore_graph(data, reference: Optional[dict],
+                   store_root: Optional[str],
+                   store_label: Optional[str]) -> CSRGraph:
     """Rebuild the snapshot from either payload mode, with zero sorts."""
-    num_vertices = int(data["num_vertices"])
-    if str(data["graph_mode"]) == "manifest":
-        reference = _parse_store_manifest(str(data["store_manifest"]))
-        return open_snapshot_reference(reference, store_root=store_root)
+    if reference is not None:
+        return open_snapshot_reference(reference, store_root=store_root,
+                                       label=store_label)
     return CSRGraph.from_canonical(
-        num_vertices,
+        int(data["num_vertices"]),
         *(np.ascontiguousarray(data[name]) for name in _GRAPH_ARRAYS),
     )
 
@@ -379,6 +385,7 @@ def load_engine(
     algorithm: IncrementalAlgorithm,
     pruning: Optional[PruningPolicy] = None,
     store_root: Optional[str] = None,
+    store_label: Optional[str] = None,
     **engine_kwargs,
 ) -> GraphBoltEngine:
     """Reconstruct an engine from a checkpoint.
@@ -391,10 +398,11 @@ def load_engine(
 
     ``store_root`` only matters for manifest-mode checkpoints: it
     overrides the snapshot-store root recorded at save time (replicas
-    restore from their own spool directory, not the writer's).
+    restore from their own spool directory, not the writer's), and
+    ``store_label`` names that spool when this restore creates it.
     """
     with _checkpoint_data(path) as data:
-        _verify_payload(data, path)
+        reference = _verify_payload(data, path)
         stored = str(data["fingerprint"])
         actual = _fingerprint(algorithm)
         if stored != actual:
@@ -402,7 +410,7 @@ def load_engine(
                 f"algorithm mismatch: checkpoint was {stored!r}, "
                 f"got {actual!r}"
             )
-        graph = _restore_graph(data, store_root)
+        graph = _restore_graph(data, reference, store_root, store_label)
         engine = GraphBoltEngine(
             algorithm,
             num_iterations=int(data["num_iterations"]),
@@ -438,10 +446,7 @@ def read_store_manifest(path: str) -> Optional[dict]:
     files a manifest-mode checkpoint depends on, so they can be
     shipped to replicas ahead of the checkpoint itself."""
     with _checkpoint_data(path) as data:
-        _verify_payload(data, path)
-        if str(data["graph_mode"]) != "manifest":
-            return None
-        return _parse_store_manifest(str(data["store_manifest"]))
+        return _verify_payload(data, path)
 
 
 def read_checkpoint_extra(path: str) -> Dict[str, np.ndarray]:

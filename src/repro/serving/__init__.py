@@ -17,34 +17,27 @@ degradation circuit breaker over the recovery path.
 :mod:`repro.serving.observe` attaches the observability layer: a
 :class:`~repro.serving.observe.ServingObserver` turns every applied
 batch and served query into a wide event and an SLO evaluator tick.
-:mod:`repro.serving.replication` ships the durable writer's sealed WAL
-segments and checkpoints to read replicas (with epoch fencing and
-promotion), and :mod:`repro.serving.router` routes deadline-budgeted
+:mod:`repro.serving.replication` ships the durable writer's WAL tail
+and checkpoints to read replicas (with epoch fencing and promotion)
+over the links of :mod:`repro.serving.transport`, and
+:mod:`repro.serving.router` routes deadline-budgeted
 queries across them with lag-aware candidate selection and
 deadline-preserving failover.  :mod:`repro.serving.chaos` turns the
 transport hostile on demand -- seeded drop/duplicate/reorder/delay/
 corrupt fault plans -- which the bounded
-:class:`~repro.serving.replication.RetryPolicy`, CRC NACKs, and the
+:class:`~repro.serving.transport.RetryPolicy`, CRC NACKs, and the
 durable dead-letter ledger are proven against.
 """
 
 from repro.serving.chaos import ChaosConfig, ChaosTransport, wrap_cluster
 from repro.serving.observe import PlantedLatency, ServingObserver
 from repro.serving.replication import (
-    DeadLetterLedger,
-    DirectoryTransport,
-    EpochAuthority,
-    InProcessTransport,
     ReadReplica,
     ReplicaUnavailableError,
     ReplicationCluster,
-    ReplicationError,
     ReplicationGapError,
     ReplicationWriter,
-    RetryPolicy,
-    Shipment,
     ShipmentIntegrityError,
-    corrupt_shipment,
     replication_status,
 )
 from repro.serving.resilience import (
@@ -62,6 +55,16 @@ from repro.serving.router import (
 )
 from repro.serving.server import QueryResult, StreamingAnalyticsServer
 from repro.serving.suite import AnalyticsSuite, SuiteRecovery
+from repro.serving.transport import (
+    DeadLetterLedger,
+    DirectoryTransport,
+    EpochAuthority,
+    InProcessTransport,
+    ReplicationError,
+    RetryPolicy,
+    Shipment,
+    corrupt_shipment,
+)
 
 __all__ = [
     "ADMISSION_POLICIES",

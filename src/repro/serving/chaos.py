@@ -1,7 +1,7 @@
 """A hostile network for replication: seeded, deterministic chaos.
 
 :class:`ChaosTransport` wraps any
-:class:`~repro.serving.replication.ReplicationTransport` and applies a
+:class:`~repro.serving.transport.ReplicationTransport` and applies a
 seed-scheduled fault plan to every shipment that passes through it:
 
 - **drop** -- the shipment is swallowed at send time (the writer
@@ -10,7 +10,7 @@ seed-scheduled fault plan to every shipment that passes through it:
   sequence deduplication and idempotent store-segment copies must make
   the second delivery a no-op);
 - **corrupt** -- one payload byte is flipped in transit
-  (:func:`~repro.serving.replication.corrupt_shipment`), which the
+  (:func:`~repro.serving.transport.corrupt_shipment`), which the
   replica's end-to-end CRC re-verification must reject with a NACK;
 - **reorder** -- the shipment is held back so the next one is
   delivered first (surfacing as a gap the cluster heals by resync);
@@ -28,7 +28,7 @@ after run.  The applied schedule is recorded on
 None of these faults require new recovery machinery -- they exercise
 the paths the replication layer already guarantees: at-least-once
 delivery with exactly-once effects, gap detection + resync, CRC NACK +
-re-ship, and the bounded :class:`~repro.serving.replication.RetryPolicy`
+re-ship, and the bounded :class:`~repro.serving.transport.RetryPolicy`
 with its dead-letter ledger.
 """
 
@@ -41,8 +41,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.obs.registry import get_registry
-from repro.serving.replication import (
-    ReplicationCluster,
+from repro.serving.replication import ReplicationCluster
+from repro.serving.transport import (
     ReplicationTransport,
     Shipment,
     corrupt_shipment,

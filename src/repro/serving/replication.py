@@ -1,24 +1,31 @@
 """WAL-shipped read replicas with epoch fencing.
 
 One **writer** owns ingestion: it applies batches durably through the
-PR-3 recovery stack (segmented WAL + atomic checkpoints) and ships two
-kinds of immutable artifacts to N **read replicas** over a transport
-abstraction:
+PR-3 recovery stack (segmented WAL + atomic checkpoints) and ships
+three kinds of immutable artifacts to N **read replicas** over a
+transport abstraction (:mod:`repro.serving.transport`):
 
-- **sealed WAL segments** -- once a segment is full (or force-sealed
-  for a final sync) it never gains records, so a segment is shipped as
-  its raw CRC-guarded lines and the replica re-verifies every record
-  end-to-end with the WAL's own decoder;
-- **checkpoints** -- the writer's atomic ``ckpt-<seq>.npz`` archives,
-  adopted byte-for-byte, which is both how a fresh replica bootstraps
-  and how a lagging replica heals past garbage-collected history;
-- **store segments** -- when the writer's graph lives in an mmap
-  :class:`~repro.graph.storage.MmapStore`, its checkpoints record a
-  *manifest reference* instead of inlining the edge arrays, so before
-  such a checkpoint ships, the CRC-guarded segment files it references
-  are shipped through the same transport and copied into the replica's
-  own store spool.  Replica bootstrap is then a file copy plus a WAL
-  *tail* replay -- never a replay of the full history.
+- **the WAL tail, every round** -- the records ``[shipped, stable)`` of
+  every segment, the open one included, as raw CRC-guarded lines the
+  replica re-verifies end-to-end with the WAL's own decoder.  A record
+  is shippable once its append returned (it is fsynced by then), so
+  freshness follows the batch, not the checkpoint interval;
+- **checkpoints, on the writer's cadence** -- its atomic
+  ``ckpt-<seq>.npz`` archives, adopted byte-for-byte.  Records below a
+  checkpoint ship before it, so a caught-up replica adopts it in place
+  (no reload); it is also how a fresh replica bootstraps and how a
+  lagging one heals past garbage-collected history;
+- **store segments, to links that lack them** -- when the writer's
+  graph lives in an mmap :class:`~repro.graph.storage.MmapStore`, its
+  checkpoints record a *manifest reference* instead of inlining the
+  edge arrays.  A bootstrapping, lagging or NACKed link gets the
+  CRC-guarded segment files that reference names ahead of the
+  checkpoint, copied into the replica's own store spool -- bootstrap is
+  a file copy plus a WAL *tail* replay, never a replay of the full
+  history.  A caught-up replica is sent none: it derived the same
+  snapshot by replaying, and binds the reference to its own generation
+  after checking every array's dtype, count and CRC32
+  (:meth:`~repro.graph.storage.MmapStore.alias_snapshot`).
 
 Each replica replays into its own state directory (a WAL *mirror* plus
 adopted checkpoints) that is structurally identical to a writer's --
@@ -29,7 +36,7 @@ writer from a replica directory with the ordinary
 Replica replay is sequence-driven and idempotent: records below the
 replica's position are deduplicated, a record *above* it raises
 :class:`ReplicationGapError` (never silently skipped -- see
-:meth:`~repro.recovery.manager.RecoveryManager.sealed_segments`), and
+:meth:`~repro.recovery.manager.RecoveryManager.segment_views`), and
 the cluster heals a gap by asking the writer to **resync** from the
 replica's position (re-shipping segments, or the newest checkpoint when
 the history was GC'd).
@@ -71,20 +78,21 @@ this converges.
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import shutil
-import tempfile
 import time
-from collections import deque
-from dataclasses import dataclass, field, replace as dc_replace
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.graph.mutation import MutationBatch
-from repro.graph.storage import StoreError, verify_segment_blob
+from repro.graph.storage import (
+    StoreError,
+    atomic_write,
+    verify_segment_blob,
+)
 from repro.obs import trace
 from repro.obs.registry import get_registry
 from repro.recovery.manager import (
@@ -92,7 +100,7 @@ from repro.recovery.manager import (
     RecoveryManager,
     SegmentGapError,
 )
-from repro.recovery.wal import SealedSegment, payload_to_batch
+from repro.recovery.wal import SegmentView, payload_to_batch
 from repro.recovery.wal import _decode_record  # CRC-checked end-to-end
 from repro.runtime.checkpoint import (
     read_store_manifest,
@@ -101,34 +109,35 @@ from repro.runtime.checkpoint import (
 from repro.runtime.deadline import Deadline
 from repro.serving.resilience import ResilientAnalyticsServer
 from repro.serving.server import QueryResult, StreamingAnalyticsServer
+from repro.serving.transport import (
+    DeadLetterLedger,
+    DirectoryTransport,
+    EpochAuthority,
+    InProcessTransport,
+    ReplicationError,
+    ReplicationTransport,
+    RetryPolicy,
+    Shipment,
+    corrupt_shipment,
+    read_json_int,
+    read_jsonl,
+)
 from repro.testing import faults
 from repro.testing.faults import InjectedFault
 
 __all__ = [
-    "DeadLetterLedger",
-    "DirectoryTransport",
-    "EpochAuthority",
-    "InProcessTransport",
     "ReadReplica",
     "ReplicaUnavailableError",
     "ReplicationCluster",
-    "ReplicationError",
     "ReplicationGapError",
     "ReplicationWriter",
-    "RetryPolicy",
-    "Shipment",
     "ShipmentIntegrityError",
-    "corrupt_shipment",
     "replication_status",
 ]
 
 #: Replicas never self-checkpoint -- they adopt the writer's -- so
 #: their manager cadence is effectively "never".
 _REPLICA_CHECKPOINT_EVERY = 10 ** 9
-
-
-class ReplicationError(RuntimeError):
-    """A replication-protocol violation (not a transport fault)."""
 
 
 class ReplicationGapError(ReplicationError):
@@ -151,379 +160,6 @@ class ReplicaUnavailableError(ConnectionError):
 
 
 # ----------------------------------------------------------------------
-# The wire format
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Shipment:
-    """One immutable unit shipped writer -> replica.
-
-    ``kind`` is ``"segment"`` (raw encoded WAL lines for records
-    ``[first_seq, end_seq)`` plus the writer's skip-mark ledger),
-    ``"checkpoint"`` (the atomic archive covering ``[0, first_seq)``,
-    byte-for-byte in ``blob``), or ``"store"`` (one snapshot-store
-    segment file a manifest-mode checkpoint references, byte-for-byte
-    in ``blob``, with its snapshot id and file name in ``meta``).
-    ``epoch`` fences deposed writers; ``index`` is the per-link send
-    counter, which makes ``(epoch, index)`` a unique delivery id
-    replicas use to deduplicate ledger entries on redelivery.
-    """
-
-    kind: str
-    epoch: int
-    index: int
-    first_seq: int
-    end_seq: int
-    lines: Tuple[str, ...] = ()
-    blob: bytes = b""
-    skip: Mapping[int, str] = field(default_factory=dict)
-    meta: Mapping[str, str] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind,
-            "epoch": self.epoch,
-            "index": self.index,
-            "first_seq": self.first_seq,
-            "end_seq": self.end_seq,
-            "lines": list(self.lines),
-            "blob_b64": base64.b64encode(self.blob).decode("ascii"),
-            "skip": {str(seq): reason
-                     for seq, reason in self.skip.items()},
-            "meta": dict(self.meta),
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Shipment":
-        payload = json.loads(text)
-        return cls(
-            kind=payload["kind"],
-            epoch=payload["epoch"],
-            index=payload["index"],
-            first_seq=payload["first_seq"],
-            end_seq=payload["end_seq"],
-            lines=tuple(payload["lines"]),
-            blob=base64.b64decode(payload["blob_b64"]),
-            skip={int(seq): reason
-                  for seq, reason in payload["skip"].items()},
-            meta=dict(payload.get("meta", {})),
-        )
-
-
-def corrupt_shipment(shipment: Shipment) -> Shipment:
-    """``shipment`` with one payload byte flipped -- transit bit-rot.
-
-    The flip lands *inside* the CRC-guarded payload (the middle WAL
-    line, or the blob), never in the JSON envelope: a corrupt shipment
-    still parses and routes, and only the replica's end-to-end CRC
-    re-verification can catch it.  WAL lines are ASCII, and XOR 0x01
-    keeps ASCII ASCII, so the flipped line survives JSON transport
-    intact.  A shipment with no payload is returned unchanged.
-    """
-    if shipment.lines:
-        lines = list(shipment.lines)
-        middle = len(lines) // 2
-        raw = lines[middle].encode("utf-8")
-        lines[middle] = faults.flip_byte(raw).decode(
-            "utf-8", errors="surrogateescape"
-        )
-        return dc_replace(shipment, lines=tuple(lines))
-    if shipment.blob:
-        return dc_replace(shipment, blob=faults.flip_byte(shipment.blob))
-    return shipment
-
-
-# ----------------------------------------------------------------------
-# Transports (one point-to-point link per replica)
-# ----------------------------------------------------------------------
-class ReplicationTransport:
-    """A single-consumer, in-order shipment channel.
-
-    Consumption is two-phase (``peek`` then ``ack``) so a replica that
-    dies mid-apply leaves the in-flight shipment queued: redelivery
-    plus sequence-deduplication gives at-least-once semantics with
-    exactly-once effects.
-    """
-
-    def send(self, shipment: Shipment) -> None:
-        raise NotImplementedError
-
-    def peek(self) -> Optional[Shipment]:
-        raise NotImplementedError
-
-    def ack(self) -> None:
-        raise NotImplementedError
-
-    def pending(self) -> int:
-        raise NotImplementedError
-
-    def _reorder_gate(self, shipment: Shipment,
-                      enqueue: Callable[[Shipment], None]) -> None:
-        """Shared send path: the ``replication.reorder`` fault holds a
-        shipment back so the next one is delivered first."""
-        try:
-            faults.hit("replication.reorder")
-        except InjectedFault:
-            self._held = shipment
-            get_registry().counter("replication.reorders_planted").inc()
-            return
-        enqueue(shipment)
-        held = getattr(self, "_held", None)
-        if held is not None:
-            self._held = None
-            enqueue(held)
-
-
-class InProcessTransport(ReplicationTransport):
-    """A deque link for single-process clusters and tests.
-
-    The queue belongs to the *link*, not the replica object, so killed
-    replicas can be restarted against the same inbox with unacked
-    shipments intact -- exactly like a mailbox on a surviving broker.
-    """
-
-    def __init__(self) -> None:
-        self._queue: Deque[Shipment] = deque()
-        self._held: Optional[Shipment] = None
-
-    def send(self, shipment: Shipment) -> None:
-        self._reorder_gate(shipment, self._queue.append)
-
-    def peek(self) -> Optional[Shipment]:
-        return self._queue[0] if self._queue else None
-
-    def ack(self) -> None:
-        self._queue.popleft()
-
-    def pending(self) -> int:
-        return len(self._queue)
-
-
-class DirectoryTransport(ReplicationTransport):
-    """A spool-directory link (``ship-<n>.json``) for cross-process use.
-
-    Files are written atomically (temp + ``os.replace``); the consumer
-    cursor is persisted (``cursor.json``) so a restarted replica resumes
-    at its first unacked shipment.
-    """
-
-    #: Consecutive failed decodes of the same spool file before it is
-    #: sidelined (renamed to ``*.torn``) instead of retried forever.
-    TORN_RETRIES = 3
-
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-        self._held: Optional[Shipment] = None
-        self._cursor_path = os.path.join(directory, "cursor.json")
-        self._cursor = self._load_cursor()
-        self._send_count = len(self._spool())
-        self._torn_name: Optional[str] = None
-        self._torn_streak = 0
-
-    def _load_cursor(self) -> int:
-        if not os.path.exists(self._cursor_path):
-            return 0
-        with open(self._cursor_path, encoding="utf-8") as stream:
-            return int(json.load(stream)["acked"])
-
-    def _spool(self) -> List[str]:
-        names = [name for name in os.listdir(self.directory)
-                 if name.startswith("ship-") and name.endswith(".json")]
-        names.sort(key=lambda name: int(name[5:-5]))
-        return names
-
-    def send(self, shipment: Shipment) -> None:
-        self._reorder_gate(shipment, self._write)
-
-    def _write(self, shipment: Shipment) -> None:
-        name = f"ship-{self._send_count:012d}.json"
-        self._send_count += 1
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as stream:
-                stream.write(shipment.to_json())
-            os.replace(tmp, os.path.join(self.directory, name))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
-
-    def peek(self) -> Optional[Shipment]:
-        for name in self._spool():
-            if int(name[5:-5]) < self._cursor:
-                continue
-            path = os.path.join(self.directory, name)
-            try:
-                with open(path, encoding="utf-8") as stream:
-                    shipment = Shipment.from_json(stream.read())
-            except (OSError, ValueError, KeyError, TypeError):
-                # A torn or partially-written spool file (a producer
-                # without our atomic temp+replace discipline, or a
-                # filesystem that tore the write).  Skip-and-retry: the
-                # poll loop sees an empty inbox this round and comes
-                # back; after TORN_RETRIES consecutive failures the
-                # file is sidelined as ``*.torn`` so later shipments
-                # can flow (the resulting gap heals via resync).
-                if name == self._torn_name:
-                    self._torn_streak += 1
-                else:
-                    self._torn_name, self._torn_streak = name, 1
-                get_registry().counter(
-                    "replication.torn_spool_skips").inc()
-                if self._torn_streak >= self.TORN_RETRIES:
-                    os.replace(path, path + ".torn")
-                    self._torn_name, self._torn_streak = None, 0
-                    get_registry().counter(
-                        "replication.torn_spool_dropped").inc()
-                    continue
-                return None
-            self._torn_name, self._torn_streak = None, 0
-            return shipment
-        return None
-
-    def ack(self) -> None:
-        spool = [name for name in self._spool()
-                 if int(name[5:-5]) >= self._cursor]
-        if not spool:
-            raise ReplicationError("ack with no pending shipment")
-        acked = os.path.join(self.directory, spool[0])
-        self._cursor = int(spool[0][5:-5]) + 1
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as stream:
-                json.dump({"acked": self._cursor}, stream)
-            os.replace(tmp, self._cursor_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
-        os.remove(acked)
-
-    def pending(self) -> int:
-        return len([name for name in self._spool()
-                    if int(name[5:-5]) >= self._cursor])
-
-
-# ----------------------------------------------------------------------
-# Epochs
-# ----------------------------------------------------------------------
-class EpochAuthority:
-    """The cluster's monotonic epoch counter (the fencing token source).
-
-    With a ``path`` the epoch survives process restarts
-    (``epoch.json``); without one it is in-memory, which is what the
-    single-process fuzzer scenarios use.
-    """
-
-    def __init__(self, path: Optional[str] = None) -> None:
-        self._path = path
-        self._epoch = 1
-        if path is not None and os.path.exists(path):
-            with open(path, encoding="utf-8") as stream:
-                self._epoch = int(json.load(stream)["epoch"])
-        elif path is not None:
-            self._persist()
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
-    def advance(self) -> int:
-        self._epoch += 1
-        self._persist()
-        get_registry().gauge("replication.epoch").set(self._epoch)
-        return self._epoch
-
-    def _persist(self) -> None:
-        if self._path is None:
-            return
-        directory = os.path.dirname(os.path.abspath(self._path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as stream:
-                json.dump({"epoch": self._epoch}, stream)
-            os.replace(tmp, self._path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
-
-
-# ----------------------------------------------------------------------
-# Retry budget + dead letters
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retransmission budget for one replica link.
-
-    The cluster's :meth:`ReplicationCluster.sync` treats a delivery
-    round in which a lagging link made no progress as one consumed
-    attempt -- the deterministic stand-in for an ack timeout (real time
-    never enters the decision, so fuzz runs replay bit-for-bit).  The
-    backoff between attempts is real wall-clock sleep, exponential with
-    deterministic jitter: ``jitter_seed`` fully determines the
-    schedule, so two runs of the same seed back off identically.
-    """
-
-    max_attempts: int = 8
-    backoff_base: float = 0.001
-    backoff_factor: float = 2.0
-    backoff_cap: float = 0.05
-    jitter_seed: int = 0
-
-    def backoff(self, attempt: int) -> float:
-        """Sleep budget (seconds) before retry ``attempt`` (1-based)."""
-        if attempt <= 1:
-            return 0.0
-        raw = self.backoff_base * self.backoff_factor ** (attempt - 2)
-        rng = np.random.default_rng((self.jitter_seed, attempt))
-        return min(raw, self.backoff_cap) * (0.5 + 0.5 * rng.random())
-
-
-class DeadLetterLedger:
-    """Durable JSONL record of deliveries that exhausted their budget.
-
-    One entry per abandoned range: the link name, the undelivered
-    ``[first_seq, end_seq)`` span, why it was given up on, and how many
-    attempts were burned.  The ledger is append-only and survives
-    restarts -- ``repro replication-status`` surfaces its size so an
-    operator can triage (see docs/operations.md, "Chaos, retry, and
-    repair").
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._count = len(self.entries())
-
-    def record(self, link: str, first_seq: int, end_seq: int,
-               reason: str, attempts: int) -> None:
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as stream:
-            stream.write(json.dumps({
-                "link": link,
-                "first_seq": first_seq,
-                "end_seq": end_seq,
-                "reason": reason,
-                "attempts": attempts,
-            }, sort_keys=True) + "\n")
-            stream.flush()
-            os.fsync(stream.fileno())
-        self._count += 1
-        get_registry().counter("replication.dead_letters").inc()
-
-    def entries(self) -> List[Dict]:
-        if not os.path.exists(self.path):
-            return []
-        with open(self.path, encoding="utf-8") as stream:
-            return [json.loads(line) for line in stream if line.strip()]
-
-    def __len__(self) -> int:
-        return self._count
-
-
-# ----------------------------------------------------------------------
 # The writer role
 # ----------------------------------------------------------------------
 @dataclass
@@ -540,7 +176,7 @@ class _Link:
 
 
 class ReplicationWriter:
-    """Ships a durable writer's sealed segments + checkpoints to links.
+    """Ships a durable writer's WAL tail + checkpoints to links.
 
     Wraps a :class:`ResilientAnalyticsServer` whose server holds a
     :class:`RecoveryManager` -- the writer role *is* the PR-5 resilient
@@ -571,16 +207,15 @@ class ReplicationWriter:
         return sorted(self._links)
 
     def attach(self, name: str, transport: ReplicationTransport,
-               start_seq: int = 0) -> None:
-        """Register one replica link, shipping from ``start_seq``."""
+               start_seq: int = 0, checkpoint_seq: int = -1) -> None:
+        """Register one replica link, shipping from ``start_seq`` to a
+        replica that holds the checkpoint at ``checkpoint_seq`` (``-1``:
+        none -- it bootstraps from one first)."""
         if name in self._links:
             raise ReplicationError(f"link {name!r} already attached")
         self._links[name] = _Link(name=name, transport=transport,
-                                  next_to_ship=start_seq)
-
-    def seal_tail(self) -> bool:
-        """Force-seal the open WAL segment so the tail ships too."""
-        return self.manager.seal_active_segment()
+                                  next_to_ship=start_seq,
+                                  checkpoint_shipped=checkpoint_seq)
 
     def shipped_through(self, name: str) -> int:
         """The seq this link's replica has been shipped up to."""
@@ -616,7 +251,7 @@ class ReplicationWriter:
     # ------------------------------------------------------------------
     def _ship_link(self, link: _Link) -> int:
         manager = self.manager
-        sealed = manager.sealed_segments()  # gap-checked
+        segments = manager.segment_views()  # gap-checked, open tail too
         generations = manager.checkpoints()
         newest = generations[-1] if generations else None
         # Records at/above the stable boundary are still queued on the
@@ -635,45 +270,54 @@ class ReplicationWriter:
             base = behind[-1] if behind else newest
             sent += self._ship_checkpoint(link, base[0], base[1])
             link.next_to_ship = max(link.next_to_ship, base[0])
-        earliest = (sealed[0].first_seq if sealed
+        earliest = (segments[0].first_seq if segments
                     else (newest[0] if newest else 0))
         if (newest is not None and earliest > link.next_to_ship
                 and newest[0] > link.checkpoint_shipped):
-            # The history below the earliest sealed segment was GC'd:
-            # the replica can only heal by adopting a checkpoint.
+            # The history below the earliest segment was GC'd: the
+            # replica can only heal by adopting a checkpoint.
             sent += self._ship_checkpoint(link, newest[0], newest[1])
             link.next_to_ship = max(link.next_to_ship, newest[0])
-        for segment in sealed:
+        if newest is not None and newest[0] > link.checkpoint_shipped:
+            # A periodic checkpoint fell due.  Records below it go
+            # first, so the replica stands at its seq with a live
+            # engine when the blob lands: it adopts in place (its own
+            # restart never replays the whole history) and is sent no
+            # store file for a snapshot it has just derived itself.
+            sent += self._ship_records(link, segments,
+                                       min(newest[0], stable))
+            if newest[0] <= link.next_to_ship:
+                sent += self._ship_checkpoint(link, newest[0], newest[1],
+                                              store_files=False)
+        return sent + self._ship_records(link, segments, stable)
+
+    def _ship_records(self, link: _Link, segments: List[SegmentView],
+                      end_seq: int) -> int:
+        """Ship records ``[link.next_to_ship, end_seq)``, one shipment
+        per WAL segment touched."""
+        sent = 0
+        for segment in segments:
             if segment.end_seq <= link.next_to_ship:
                 continue
-            if segment.first_seq >= stable:
+            first = max(segment.first_seq, link.next_to_ship)
+            if first >= end_seq:
                 break
-            end = min(segment.end_seq, stable)
-            sent += self._ship_segment(link, segment, end)
-            link.next_to_ship = max(link.next_to_ship, end)
-        if (newest is not None and newest[0] > link.checkpoint_shipped
-                and newest[0] <= link.next_to_ship):
-            # Periodic checkpoint the replica adopts in place, so its
-            # own restart never replays the whole history.
-            sent += self._ship_checkpoint(link, newest[0], newest[1])
+            end = min(segment.end_seq, end_seq)
+            shipment = Shipment(
+                kind="segment", epoch=self.epoch, index=link.sent,
+                first_seq=first, end_seq=end,
+                lines=tuple(segment.lines(first, end)),
+                skip=self.manager.quarantine_reasons(),
+            )
+            sent += self._send(link, shipment,
+                               "replication.segments_shipped")
+            link.next_to_ship = end
         return sent
 
-    def _ship_segment(self, link: _Link, segment: SealedSegment,
-                      end_seq: int) -> int:
-        lines = tuple(
-            line for line in segment.lines()
-            if json.loads(line)["seq"] < end_seq
-        )
-        shipment = Shipment(
-            kind="segment", epoch=self.epoch, index=link.sent,
-            first_seq=segment.first_seq, end_seq=end_seq,
-            lines=lines,
-            skip=self.manager.quarantine_reasons(),
-        )
-        return self._send(link, shipment, "replication.segments_shipped")
-
-    def _ship_checkpoint(self, link: _Link, seq: int, path: str) -> int:
-        sent = self._ship_store_segments(link, seq, path)
+    def _ship_checkpoint(self, link: _Link, seq: int, path: str,
+                         store_files: bool = True) -> int:
+        sent = (self._ship_store_segments(link, seq, path)
+                if store_files else 0)
         with open(path, "rb") as stream:
             blob = stream.read()
         shipment = Shipment(
@@ -798,7 +442,7 @@ class ReadReplica:
         self.store_root = os.path.join(directory, "store")
         self._fence_path = os.path.join(directory, "fence.json")
         self._ledger_path = os.path.join(directory, "fence_ledger.jsonl")
-        self.fence_epoch = self._load_fence()
+        self.fence_epoch = read_json_int(self._fence_path, "epoch")
         self._ledger_seen = {
             (entry["epoch"], entry["index"])
             for entry in self.fence_ledger()
@@ -817,44 +461,30 @@ class ReadReplica:
         base = generations[-1][0] if generations else 0
         return max(self.manager.wal.next_seq, base)
 
+    @property
+    def checkpoint_seq(self) -> int:
+        """The newest checkpoint this replica restored an engine under
+        (``-1``: none yet, it must bootstrap)."""
+        generations = self.manager.checkpoints()
+        return (generations[-1][0]
+                if generations and self.server is not None else -1)
+
     def lag_behind(self, writer_next_seq: int) -> int:
         return max(0, writer_next_seq - self.next_seq)
 
     # ------------------------------------------------------------------
     # Fencing
     # ------------------------------------------------------------------
-    def _load_fence(self) -> int:
-        if not os.path.exists(self._fence_path):
-            return 0
-        with open(self._fence_path, encoding="utf-8") as stream:
-            return int(json.load(stream)["epoch"])
-
     def fence(self, epoch: int) -> None:
         """Raise the fence: shipments below ``epoch`` are now rejected."""
         if epoch <= self.fence_epoch:
             return
         self.fence_epoch = epoch
-        directory = os.path.dirname(os.path.abspath(self._fence_path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as stream:
-                json.dump({"epoch": epoch}, stream)
-            os.replace(tmp, self._fence_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+        atomic_write(self._fence_path, json.dumps({"epoch": epoch}))
 
     def fence_ledger(self) -> List[Dict]:
         """Every durably rejected stale-epoch shipment."""
-        if not os.path.exists(self._ledger_path):
-            return []
-        entries = []
-        with open(self._ledger_path, encoding="utf-8") as stream:
-            for line in stream:
-                if line.strip():
-                    entries.append(json.loads(line))
-        return entries
+        return read_jsonl(self._ledger_path)
 
     @property
     def fence_rejections(self) -> int:
@@ -945,15 +575,8 @@ class ReadReplica:
                 f"{file_name!r}: {exc}"
             ) from exc
         os.makedirs(self.store_root, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.store_root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as stream:
-                stream.write(shipment.blob)
-            os.replace(tmp, os.path.join(self.store_root, file_name))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+        atomic_write(os.path.join(self.store_root, file_name),
+                     shipment.blob)
         get_registry().counter(
             "replication.store_segments_received").inc()
 
@@ -965,7 +588,7 @@ class ReadReplica:
         # fall back past it and regress the engine while the WAL
         # position stayed forward.
         try:
-            verify_checkpoint_blob(
+            reference = verify_checkpoint_blob(
                 shipment.blob, context=f"checkpoint seq {seq}"
             )
         except ValueError as exc:
@@ -973,6 +596,10 @@ class ReadReplica:
                 f"replica {self.name!r} rejected checkpoint at seq "
                 f"{seq}: {exc}"
             ) from exc
+        if reference is not None and not all(
+                os.path.exists(os.path.join(self.store_root, meta["file"]))
+                for meta in reference["arrays"].values()):
+            self._bind_own_generation(seq, reference)
         reload_needed = self.server is None or seq > self.next_seq
         self.manager.adopt_checkpoint(seq, shipment.blob)
         if reload_needed:
@@ -995,6 +622,35 @@ class ReadReplica:
                     f"replica {self.name!r} adopted checkpoint at seq "
                     f"{seq} but cannot restore from it: {exc}"
                 ) from exc
+
+    def _bind_own_generation(self, seq: int, reference: dict) -> None:
+        """A manifest-mode checkpoint came without its store files (the
+        writer sends none to a link that holds every record below
+        ``seq``): bind the reference to this replica's current
+        generation, checked array by array *before* the blob lands.  A
+        replica not standing at ``seq`` with a live mmap-backed engine
+        reports a gap instead, and the resync ships the files.
+        """
+        path = self.manager.checkpoint_path(seq)
+        if os.path.exists(path):
+            return  # redelivery of a checkpoint already adopted
+        graph = None if self.server is None else self.server.graph
+        store = getattr(graph, "store", None)
+        if (seq != self.next_seq or store is None
+                or store.kind != "mmap" or graph.snapshot_id is None):
+            raise ReplicationGapError(
+                f"replica {self.name!r} at seq {self.next_seq} holds "
+                f"neither the store segments of the checkpoint at seq "
+                f"{seq} nor the generation to derive them from"
+            )
+        try:
+            store.alias_snapshot(reference, graph.snapshot_id, owner=path)
+        except StoreError as exc:
+            raise ShipmentIntegrityError(
+                f"replica {self.name!r} rejected checkpoint at seq "
+                f"{seq}: {exc}"
+            ) from exc
+        get_registry().counter("replication.snapshots_aliased").inc()
 
     def _apply_segment(self, shipment: Shipment) -> None:
         if self.server is None:
@@ -1044,6 +700,7 @@ class ReadReplica:
     def _load_from_disk(self) -> None:
         engine, seq = self.manager.restore_engine(
             self.algorithm_factory, store_root=self.store_root,
+            store_label=self.name,
         )
         self.server = StreamingAnalyticsServer.from_engine(
             engine, self.algorithm_factory,
@@ -1078,14 +735,12 @@ class ReadReplica:
         )
 
     # ------------------------------------------------------------------
-    def kill(self) -> None:
-        """Simulate process death (state stays on disk, inbox queues)."""
-        self.alive = False
-        self.manager.close()
-
     def close(self) -> None:
         self.alive = False
         self.manager.close()
+
+    #: Simulated process death: state stays on disk, the inbox queues.
+    kill = close
 
     def __repr__(self) -> str:
         return (
@@ -1171,17 +826,31 @@ class ReplicationCluster:
             )
         return InProcessTransport()
 
-    def _add_replica(self, name: str) -> ReadReplica:
-        inbox = self._make_inbox(name)
+    def _spawn(self, name: str,
+               inbox: ReplicationTransport) -> ReadReplica:
+        """(Re)start replica ``name`` over ``inbox`` from whatever its
+        directory holds, fenced at the cluster epoch or its own durable
+        fence, whichever is higher."""
         replica = ReadReplica(
             name, self._replica_dir(name), self.algorithm_factory,
             inbox, **self._replica_kwargs,
         )
         replica.fence(self.authority.epoch)
         self.replicas[name] = replica
-        self.writer_node.attach(name, inbox,
-                                start_seq=replica.next_seq)
         return replica
+
+    def _add_replica(self, name: str) -> ReadReplica:
+        replica = self._spawn(name, self._make_inbox(name))
+        self._handshake(replica)
+        return replica
+
+    def _handshake(self, replica: ReadReplica) -> None:
+        """Attach ``replica``'s link at its durable position: the next
+        record it needs and the checkpoint it already holds, so a new
+        writer incarnation re-ships neither."""
+        self.writer_node.attach(replica.name, replica.inbox,
+                                start_seq=replica.next_seq,
+                                checkpoint_seq=replica.checkpoint_seq)
 
     # ------------------------------------------------------------------
     @property
@@ -1194,21 +863,16 @@ class ReplicationCluster:
         self.writer.submit(batch, pump=pump)
         return self.writer_node.next_seq
 
-    def replicate(self, final: bool = False) -> None:
-        """Ship everything new and deliver it to live replicas.
-
-        ``final=True`` force-seals the WAL tail first so replicas
-        converge to the writer's exact position (promotion, shutdown,
-        end-of-soak).
-        """
-        if final:
-            self.writer_node.seal_tail()
+    def replicate(self) -> None:
+        """Ship everything new -- the WAL tail up to the stable
+        boundary, plus any checkpoint that fell due -- and deliver it
+        to live replicas."""
         self.writer_node.ship()
         self.deliver()
         self.publish_gauges()
 
     def sync(self) -> bool:
-        """Final sync: seal, ship, deliver, then retransmit under the
+        """Final sync: ship, deliver, then retransmit under the
         cluster's :class:`RetryPolicy` until no live replica lags.
 
         A delivery round in which a lagging link made no progress
@@ -1223,7 +887,7 @@ class ReplicationCluster:
         undeliverable replica.  Returns ``True`` when every live
         replica converged.
         """
-        self.replicate(final=True)
+        self.replicate()
         policy = self.retry_policy
         attempts: Dict[str, int] = {}
         abandoned: set = set()
@@ -1332,13 +996,9 @@ class ReplicationCluster:
         old = self.replicas[name]
         if old.alive:
             old.close()
-        replica = ReadReplica(
-            name, old.directory, self.algorithm_factory, old.inbox,
-            **self._replica_kwargs,
-        )
-        replica.fence(max(self.authority.epoch, old.fence_epoch))
-        self.replicas[name] = replica
-        return replica
+        if self._delivering == name:
+            self._delivering = None  # the casualty is being replaced
+        return self._spawn(name, old.inbox)
 
     def restart_writer(self, **resilient_kwargs) -> ResilientAnalyticsServer:
         """Rebuild the writer from its state directory after a crash.
@@ -1348,28 +1008,32 @@ class ReplicationCluster:
         replicas' positions did not.
         """
         manager = self.writer_node.manager
-        directory = manager.directory
-        settings = dict(
-            checkpoint_every=manager.checkpoint_every,
-            retain=manager.retain,
-            segment_records=manager.wal.segment_records,
-        )
         try:
             manager.close()
         except OSError:
             pass
-        fresh = RecoveryManager(directory, **settings)
+        return self._recover_writer(manager.directory, resilient_kwargs)
+
+    def _recover_writer(self, directory: str, resilient_kwargs: Dict
+                        ) -> ResilientAnalyticsServer:
+        """Recover a writer from ``directory`` under the outgoing
+        writer's durability settings, at the current epoch, and
+        re-handshake every link."""
+        old = self.writer_node.manager
+        manager = RecoveryManager(
+            directory, checkpoint_every=old.checkpoint_every,
+            retain=old.retain, segment_records=old.wal.segment_records,
+        )
         for key, value in self._replica_kwargs.items():
             resilient_kwargs.setdefault(key, value)
         resilient = ResilientAnalyticsServer.recover(
-            fresh, self.algorithm_factory, **resilient_kwargs
+            manager, self.algorithm_factory, **resilient_kwargs
         )
         self.writer_node = ReplicationWriter(
             resilient, epoch=self.authority.epoch
         )
-        for name, replica in self.replicas.items():
-            self.writer_node.attach(name, replica.inbox,
-                                    start_seq=replica.next_seq)
+        for replica in self.replicas.values():
+            self._handshake(replica)
         return resilient
 
     def promote(self, name: str, **resilient_kwargs
@@ -1394,28 +1058,14 @@ class ReplicationCluster:
             if survivor.alive:
                 survivor.fence(epoch)
         replica.close()
-        manager = RecoveryManager(
-            replica.directory,
-            checkpoint_every=self.writer_node.manager.checkpoint_every,
-            retain=self.writer_node.manager.retain,
-            segment_records=(
-                self.writer_node.manager.wal.segment_records
-            ),
-        )
-        for key, value in self._replica_kwargs.items():
-            resilient_kwargs.setdefault(key, value)
         # Manifest-mode checkpoints record the old writer's store root;
-        # the promoted node owns copies in its own spool, shipped ahead
-        # of the checkpoints it adopted.
+        # the promoted node holds every snapshot they name in its own
+        # spool (shipped ahead of them, or bound to its own files).
         resilient_kwargs.setdefault("store_root", replica.store_root)
-        resilient = ResilientAnalyticsServer.recover(
-            manager, self.algorithm_factory, **resilient_kwargs
-        )
-        self.deposed.append(self.writer_node)
-        self.writer_node = ReplicationWriter(resilient, epoch=epoch)
-        for other_name, other in self.replicas.items():
-            self.writer_node.attach(other_name, other.inbox,
-                                    start_seq=other.next_seq)
+        deposed = self.writer_node
+        resilient = self._recover_writer(replica.directory,
+                                         resilient_kwargs)
+        self.deposed.append(deposed)
         get_registry().counter("replication.promotions").inc()
         return resilient
 
@@ -1539,12 +1189,7 @@ class ReplicationCluster:
                 break
             inbox.ack()
         shutil.rmtree(old.directory, ignore_errors=True)
-        replica = ReadReplica(
-            name, old.directory, self.algorithm_factory, inbox,
-            **self._replica_kwargs,
-        )
-        replica.fence(self.authority.epoch)
-        self.replicas[name] = replica
+        replica = self._spawn(name, inbox)
         self.writer_node.resync(name, 0)
         self.deliver()
         get_registry().counter("replication.replicas_rebuilt").inc()
@@ -1566,9 +1211,10 @@ class ReplicationCluster:
         """Worst shipped-but-unapplied backlog, in WAL records.
 
         A healthy replica drains every shipment at the next delivery
-        round, so this sits at zero in steady state regardless of the
-        seal/checkpoint cadence -- unlike :meth:`max_lag`, whose
-        sawtooth tracks the shipping pipeline itself.  It grows only
+        round, so this sits at zero in steady state however far the
+        stable boundary holds shipping back -- unlike :meth:`max_lag`,
+        which also counts records the writer may not ship yet (queued
+        behind an open breaker).  It grows only
         when a replica stops applying what it was sent (dead, wedged,
         or planted-lag) or a shipment was lost in transit, which is
         exactly what the ``replica_staleness`` SLO should page on.
@@ -1631,21 +1277,14 @@ class ReplicationCluster:
 
     def observe_replicas(self, emitter) -> None:
         """One wide event per replica (kind ``replica``) per call."""
-        writer_next = self.writer_node.next_seq
-        for name, replica in sorted(self.replicas.items()):
+        summary = self.status()
+        for name, info in summary["replicas"].items():
             emitter.emit(
-                "replica",
-                name=name,
-                alive=replica.alive,
-                applied_seq=replica.next_seq,
-                lag_batches=replica.lag_behind(writer_next),
-                fence_epoch=replica.fence_epoch,
-                fence_rejections=replica.fence_rejections,
-                inbox_pending=replica.inbox.pending(),
-                epoch=self.authority.epoch,
-                dead_letters=len(self.dead_letters),
-                shipments_rejected=self.integrity_rejections,
-                quarantined=name in self.integrity_quarantine,
+                "replica", name=name, applied_seq=info.pop("next_seq"),
+                epoch=summary["epoch"],
+                dead_letters=summary["dead_letters"],
+                shipments_rejected=summary["integrity_rejections"],
+                **info,
             )
 
     def close(self) -> None:
@@ -1695,12 +1334,6 @@ def replication_status(root: str) -> Dict:
             "newest_checkpoint": newest,
         }
 
-    def jsonl_count(path: str) -> int:
-        if not os.path.exists(path):
-            return 0
-        with open(path, encoding="utf-8") as stream:
-            return sum(1 for line in stream if line.strip())
-
     def scrub_summary(directory: str) -> Optional[Dict]:
         path = os.path.join(directory, "scrub-report.json")
         if not os.path.exists(path):
@@ -1716,11 +1349,7 @@ def replication_status(root: str) -> Dict:
             "findings": len(data.get("findings", [])),
         }
 
-    epoch_path = os.path.join(root, "epoch.json")
-    epoch = None
-    if os.path.exists(epoch_path):
-        with open(epoch_path, encoding="utf-8") as stream:
-            epoch = int(json.load(stream)["epoch"])
+    epoch = read_json_int(os.path.join(root, "epoch.json"), "epoch", None)
     writer = position(root)
     writer["scrub"] = scrub_summary(root)
     replicas = {}
@@ -1731,15 +1360,10 @@ def replication_status(root: str) -> Dict:
             if not os.path.isdir(directory):
                 continue
             info = position(directory)
-            fence_path = os.path.join(directory, "fence.json")
-            if os.path.exists(fence_path):
-                with open(fence_path, encoding="utf-8") as stream:
-                    info["fence_epoch"] = int(json.load(stream)["epoch"])
-            else:
-                info["fence_epoch"] = 0
-            info["fence_rejections"] = jsonl_count(
-                os.path.join(directory, "fence_ledger.jsonl")
-            )
+            info["fence_epoch"] = read_json_int(
+                os.path.join(directory, "fence.json"), "epoch")
+            info["fence_rejections"] = len(read_jsonl(
+                os.path.join(directory, "fence_ledger.jsonl")))
             info["lag_batches"] = max(
                 0, writer["next_seq"] - info["next_seq"]
             )
@@ -1747,6 +1371,5 @@ def replication_status(root: str) -> Dict:
             replicas[name] = info
     return {"root": root, "epoch": epoch, "writer": writer,
             "replicas": replicas,
-            "dead_letters": jsonl_count(
-                os.path.join(root, "dead_letter.jsonl")
-            )}
+            "dead_letters": len(read_jsonl(
+                os.path.join(root, "dead_letter.jsonl")))}

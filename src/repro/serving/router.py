@@ -33,8 +33,9 @@ from typing import Dict, List, Optional
 from repro.obs import trace
 from repro.obs.registry import get_registry
 from repro.runtime.deadline import Deadline, WallClockDeadline
-from repro.serving.replication import ReplicationCluster, ReplicationError
+from repro.serving.replication import ReplicationCluster
 from repro.serving.server import QueryResult
+from repro.serving.transport import ReplicationError
 
 __all__ = [
     "NoReplicaAvailableError",

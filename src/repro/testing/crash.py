@@ -38,9 +38,10 @@ from repro.obs.registry import scoped_registry
 from repro.recovery.manager import RecoveryManager
 from repro.runtime.deadline import StepDeadline
 from repro.serving.chaos import ChaosConfig, ChaosTransport, wrap_cluster
-from repro.serving.replication import ReplicationCluster, RetryPolicy
+from repro.serving.replication import ReplicationCluster
 from repro.serving.resilience import BreakerConfig, ResilientAnalyticsServer
 from repro.serving.server import StreamingAnalyticsServer
+from repro.serving.transport import RetryPolicy
 from repro.testing.faults import InjectedCrash, scoped_failpoints
 from repro.testing.oracle import compare_snapshots
 from repro.testing.workloads import Workload, generate_workload
@@ -99,6 +100,8 @@ class Scenario:
     #: violated extra invariant, ``""`` when it holds.
     invariant: Optional[Callable[["_Run"], str]] = None
     replicas: int = 2
+    #: Snapshot store under the writer's graph: ``heap`` | ``mmap``.
+    store: str = "heap"
     #: Added to the sweep seed, so one sweep can carry several seeds.
     seed_offset: int = 0
     #: A row whose planted failure never fires proved nothing; only
@@ -218,8 +221,12 @@ class _Run:
         if manager.checkpoints():
             server = manager.recover(factory)
         else:
+            graph = self.workload.build_graph()
+            if self.scenario.store == "mmap":
+                graph = MmapStore(
+                    os.path.join(self.state_dir, "store")).publish(graph)
             server = StreamingAnalyticsServer(
-                factory, self.workload.build_graph(),
+                factory, graph,
                 approx_iterations=APPROX_ITERATIONS, recovery=manager,
             )
         if topology == "durable":
@@ -323,7 +330,7 @@ class _ResilientRun(_Run):
 
 
 class _ClusterRun(_Run):
-    """A writer shipping WAL segments + checkpoints to read replicas;
+    """A writer shipping its WAL tail + checkpoints to read replicas;
     a kill restarts whichever process died, in place."""
 
     #: Whether the final sync converged every live replica.
@@ -344,8 +351,11 @@ class _ClusterRun(_Run):
         self.converged = self.node.sync()
 
     def restart(self, crash: InjectedCrash) -> None:
-        if crash.site == "replication.receive":
-            casualty = self.node.delivering
+        # A kill inside a replica's apply takes that replica down --
+        # unless it is the writer's ship site, reached through a resync
+        # in the middle of a delivery.
+        casualty = self.node.delivering
+        if casualty is not None and crash.site != "replication.ship":
             self.node.kill_replica(casualty)
             self.node.restart_replica(casualty)
         else:
@@ -444,7 +454,6 @@ def _stale_writer(run: _ClusterRun) -> None:
         cluster.submit(batch)
     cluster.promote("r0", **run.admission)
     deposed = cluster.deposed[-1]
-    deposed.seal_tail()
     deposed.ship()
     cluster.deliver()
     # The promoted writer recovered every *replicated* batch; the
@@ -465,6 +474,66 @@ def _late_shipments_fenced(run: _ClusterRun) -> str:
     if any(entry["epoch"] >= epoch for entry in ledger):
         return f"fence ledger holds a non-stale epoch (>= {epoch})"
     return ""
+
+
+def _no_resyncs(run: _ClusterRun) -> str:
+    resyncs = run.node.gap_resyncs + run.node.writer_node.resyncs
+    return f"{resyncs} resync(s) on a lossless link" if resyncs else ""
+
+
+def _kill_past_checkpoint(run: _ClusterRun) -> None:
+    """Kill the writer right after a tail shipment and before its next
+    checkpoint: the replicas hold a record the writer's newest
+    checkpoint does not cover, so the recovered writer must re-handshake
+    at *their* positions (its own WAL tail covers the difference)."""
+    cluster = run.node
+    cluster.submit(run.schedule[0])
+    cluster.replicate()
+    newest = cluster.writer_node.manager.checkpoints()[-1][0]
+    run.round.fired = all(replica.next_seq > newest
+                          for replica in cluster.replicas.values())
+    run.round.crashes += 1
+    cluster.restart_writer(**run.admission)
+    run.drive()
+
+
+def _blob_only_restart(run: _ClusterRun) -> None:
+    """Over an mmap writer: replicas adopt a checkpoint that came
+    without its store files (bound to their own generation), then r0 is
+    killed, restarted from its own directory, and promoted."""
+    cluster = run.node
+    for batch in run.schedule[:run.checkpoint_every]:
+        cluster.submit(batch)
+        cluster.replicate()
+    replica = cluster.replicas["r0"]
+    store = replica.server.graph.store
+    # Fired = r0 holds the checkpoint's snapshot over files it minted.
+    run.round.fired = any(
+        not snapshot.startswith(store.label) and all(
+            name.startswith(store.label)
+            for name in store.segment_files(snapshot))
+        for snapshot in store.snapshot_ids()
+    )
+    cluster.kill_replica("r0")
+    run.round.crashes += 1
+    cluster.restart_replica("r0")
+    cluster.promote("r0", **run.admission)
+    run.drive()
+
+
+def _stores_verify(run: _ClusterRun) -> str:
+    """Every snapshot the promoted writer's spool lists -- aliases
+    included -- passes a full payload-CRC check, and the scrub is
+    clean cluster-wide."""
+    store = run.node.writer.server.graph.store
+    try:
+        for snapshot in store.snapshot_ids():
+            store.verify(snapshot)
+    except StoreError as exc:
+        return f"promoted writer's store failed verify: {exc}"
+    dirty = [name for name, report in run.node.scrub().items()
+             if not report.ok]
+    return f"scrub found damage on {dirty}" if dirty else ""
 
 
 def _drive_over(run: _ClusterRun,
@@ -677,6 +746,18 @@ SWEEPS: Dict[str, Tuple[Scenario, ...]] = {
         Scenario("stale-writer-fence", "cluster",
                  choreography=_stale_writer,
                  invariant=_late_shipments_fenced),
+        # Replicas ahead of the writer's newest checkpoint.
+        Scenario("writer-kill-past-checkpoint", "cluster",
+                 choreography=_kill_past_checkpoint,
+                 invariant=_no_resyncs),
+        # The writer's second append (each replica's mirror passes the
+        # site once per record in between): the torn record was never
+        # acknowledged, so never shipped.
+        Scenario("torn-append", "cluster",
+                 ("wal.append.torn", "crash", 4), invariant=_no_resyncs),
+        Scenario("blob-only-restart", "cluster",
+                 choreography=_blob_only_restart,
+                 invariant=_stores_verify, store="mmap"),
     ),
     "chaos": tuple(
         Scenario(f"lossy-links+{offset}", "cluster",

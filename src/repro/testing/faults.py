@@ -101,7 +101,7 @@ __all__ = [
 #:                       corrupt = one payload byte is flipped after
 #:                       the CRC was computed -- planted bit-rot the
 #:                       scrubber must find);
-#: ``wal.segment_read``  when a sealed WAL segment's raw lines are read
+#: ``wal.segment_read``  when a WAL segment's raw lines are read
 #:                       for shipping or scrubbing (corrupt = one byte
 #:                       of the read buffer is flipped, so the record
 #:                       CRC check downstream must reject it).

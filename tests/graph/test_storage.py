@@ -174,6 +174,92 @@ class TestLifecycle:
         assert pinned_id not in store.snapshot_ids()
 
 
+class TestAlias:
+    """A checkpoint reference bound to a generation the store already
+    holds: same bytes, no second copy, files outlive the generation's
+    own entry for exactly as long as the pinning checkpoint exists."""
+
+    def _writer_reference(self, tmp_path, graph):
+        writer = MmapStore(str(tmp_path / "writer"))
+        published = writer.publish(graph)
+        return writer.manifest_entry(published.snapshot_id)
+
+    def _replica(self, tmp_path, graph):
+        store = MmapStore(str(tmp_path / "replica"), label="r0")
+        return store, store.publish(graph)
+
+    def test_alias_opens_the_held_generation_bit_for_bit(self, tmp_path):
+        graph = small_graph()
+        reference = self._writer_reference(tmp_path, graph)
+        store, held = self._replica(tmp_path, graph)
+        owner = tmp_path / "ckpt.npz"
+        owner.write_text("")
+        store.alias_snapshot(reference, held.snapshot_id, str(owner))
+        assert reference["snapshot"] in store.snapshot_ids()
+        assert (store.segment_files(reference["snapshot"])
+                == store.segment_files(held.snapshot_id))
+        store.verify(reference["snapshot"])
+        # A fresh store object (a restarted replica) adopts the
+        # reference as already present and serves the held files.
+        reopened = MmapStore(str(tmp_path / "replica"))
+        assert reopened.adopt_snapshot(reference) == reference["snapshot"]
+        assert_graphs_equal(
+            reopened.open_snapshot(reference["snapshot"]), graph)
+
+    @pytest.mark.parametrize("key", ["dtype", "count", "crc32"])
+    def test_a_disagreeing_array_is_refused_and_nothing_written(
+            self, tmp_path, key):
+        graph = small_graph()
+        reference = self._writer_reference(tmp_path, graph)
+        store, held = self._replica(tmp_path, graph)
+        meta = reference["arrays"]["in_sources"]
+        meta[key] = "<f8" if key == "dtype" else meta[key] + 1
+        with pytest.raises(StoreError, match="in_sources " + key):
+            store.alias_snapshot(reference, held.snapshot_id, "owner")
+        assert store.snapshot_ids() == [held.snapshot_id]
+        assert MmapStore(str(tmp_path / "replica")).snapshot_ids() == [
+            held.snapshot_id]
+
+    def test_compact_keeps_aliased_files_until_the_pin_expires(
+            self, tmp_path):
+        graph = small_graph()
+        reference = self._writer_reference(tmp_path, graph)
+        store, held = self._replica(tmp_path, graph)
+        owner = tmp_path / "ckpt.npz"
+        owner.write_text("")
+        store.alias_snapshot(reference, held.snapshot_id, str(owner))
+        held_id = held.snapshot_id
+        files = store.segment_files(held_id)
+        streaming = StreamingGraph(held)
+        del held
+        for step in range(3):
+            streaming.apply_batch(MutationBatch.from_edges(
+                additions=[(step, step + 9)], deletions=[]))
+        # The generation's own entry is tombstoned; the alias still
+        # references its files, so none was unlinked.
+        assert held_id not in store.snapshot_ids()
+        assert reference["snapshot"] in store.snapshot_ids()
+        assert all(os.path.exists(tmp_path / "replica" / name)
+                   for name in files)
+        store.verify(reference["snapshot"])
+        owner.unlink()  # the pinning checkpoint rotates out
+        assert reference["snapshot"] in store.compact()
+        assert not any(os.path.exists(tmp_path / "replica" / name)
+                       for name in files)
+
+    def test_a_spool_keeps_the_label_it_was_created_under(self, tmp_path):
+        store, held = self._replica(tmp_path, small_graph())
+        assert held.snapshot_id.startswith("r0-g")
+        # Reopened under the default label (a promoted replica's
+        # recovery does this), the spool goes on minting under its own.
+        reopened = MmapStore(str(tmp_path / "replica"))
+        assert reopened.label == "r0"
+        streaming = StreamingGraph(reopened.open_snapshot())
+        streaming.apply_batch(MutationBatch.from_edges(
+            additions=[(1, 2)], deletions=[]))
+        assert streaming.graph.snapshot_id.startswith("r0-g")
+
+
 class TestSelection:
     def test_spec_heap(self):
         assert isinstance(store_from_spec("heap"), HeapStore)

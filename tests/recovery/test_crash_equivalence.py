@@ -85,12 +85,16 @@ class TestScenarioTable:
 
     def test_same_coverage_as_the_five_hand_rolled_sweeps(self):
         assert {name: len(rows) for name, rows in SWEEPS.items()} == {
-            "durable": 6, "resilient": 3, "replicated": 4,
+            "durable": 6, "resilient": 3, "replicated": 4 + 3,
             "chaos": 5 + 1, "storage": 6,
         }
         assert [row.name for row in SWEEPS["replicated"]] == [
             "writer-kill", "replica-kill", "segment-drop",
             "stale-writer-fence",
+            # tail shipping: replicas ahead of the newest checkpoint, a
+            # torn append under the cluster, a blob-only adoption
+            "writer-kill-past-checkpoint", "torn-append",
+            "blob-only-restart",
         ]
 
     def test_every_failpoint_has_a_row_on_the_topology_that_passes_it(
@@ -109,8 +113,10 @@ class TestScenarioTable:
                 "corrupt-only, on a read path: planted bit-rot for "
                 "the scrubber (test_scrub), nothing to kill",
         }
-        armed = {row.arm[0]: row.topology
-                 for _, row in ROWS if row.arm is not None}
+        armed = {}
+        for _, row in ROWS:  # the first topology that arms a site
+            if row.arm is not None:
+                armed.setdefault(row.arm[0], row.topology)
         assert set(armed) == set(KNOWN_SITES) - set(no_row)
         assert armed == {
             "wal.append": "durable",

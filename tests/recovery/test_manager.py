@@ -237,8 +237,8 @@ class TestDirectoryGuards:
 
 
 class TestShippingSurface:
-    """The contracts replication ships over: gap-checked sealed
-    segments, adopted checkpoints, and the merged skip ledger."""
+    """The contracts replication ships over: gap-checked segment
+    views, adopted checkpoints, and the merged skip ledger."""
 
     def logged(self, tmp_path, graph, rng, count=5):
         manager = RecoveryManager(str(tmp_path), checkpoint_every=100,
@@ -247,13 +247,14 @@ class TestShippingSurface:
             manager.log_batch(make_random_batch(graph, rng, 4, 4))
         return manager
 
-    def test_sealed_segments_are_contiguous(self, tmp_path, graph, rng):
+    def test_segment_views_are_contiguous_to_the_open_tail(
+            self, tmp_path, graph, rng):
         manager = self.logged(tmp_path, graph, rng)
-        sealed = manager.sealed_segments()
-        assert [(s.first_seq, s.end_seq) for s in sealed] == [
-            (0, 2), (2, 4)]
-        assert manager.seal_active_segment() is True
-        assert manager.sealed_segments()[-1].end_seq == 5
+        views = manager.segment_views()
+        assert [(v.first_seq, v.end_seq) for v in views] == [
+            (0, 2), (2, 4), (4, 5)]
+        manager.log_batch(make_random_batch(graph, rng, 4, 4))
+        assert manager.segment_views()[-1].end_seq == 6
         manager.close()
 
     def test_vanished_segment_raises_instead_of_skipping(
@@ -261,12 +262,12 @@ class TestShippingSurface:
         from repro.recovery import SegmentGapError
 
         manager = self.logged(tmp_path, graph, rng)
-        victim = manager.sealed_segments()[0]
+        victim = manager.segment_views()[0]
         os.remove(victim.path)
         # Shipping or replaying past the hole would fork replica state
         # from the writer's: the gap check names the missing range.
         with pytest.raises(SegmentGapError, match="vanished"):
-            manager.sealed_segments()
+            manager.segment_views()
         manager.close()
 
     def test_adopt_checkpoint_installs_the_writer_blob(

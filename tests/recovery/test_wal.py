@@ -192,30 +192,80 @@ class TestGC:
         assert wal.next_seq == 1  # the crashed append never committed
 
 
-class TestSealedSegments:
-    def test_full_segments_are_sealed_open_tail_is_not(self, tmp_path):
+class TestSegmentViews:
+    def test_views_cover_full_segments_and_the_open_tail(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path), segment_records=2)
         for batch in make_batches(5):
             wal.append(batch)
-        sealed = wal.sealed_segments()
-        # Two full segments; the 1-record tail is still growing.
-        assert [(s.first_seq, s.end_seq) for s in sealed] == [
-            (0, 2), (2, 4)]
-        assert all(os.path.exists(s.path) for s in sealed)
-        # A sealed segment's raw lines decode to its exact records.
-        assert [json.loads(line)["seq"] for line in sealed[0].lines()
+        views = wal.segment_views()
+        # Two full segments plus the 1-record tail that is still
+        # growing: a record is shippable once its append returned.
+        assert [(v.first_seq, v.end_seq) for v in views] == [
+            (0, 2), (2, 4), (4, 5)]
+        assert all(os.path.exists(v.path) for v in views)
+        # A view's raw lines decode to its exact records.
+        assert [json.loads(line)["seq"] for line in views[0].lines()
                 ] == [0, 1]
         wal.close()
 
+    def test_lines_are_selected_by_position(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path), segment_records=8)
+        for batch in make_batches(5):
+            wal.append(batch)
+        (view,) = wal.segment_views()
+        picked = view.lines(2, 4)
+        assert [json.loads(line)["seq"] for line in picked] == [2, 3]
+        assert view.lines(5, 5) == [] and view.lines(4, 2) == []
+        # The view is a snapshot: a later append does not leak into it,
+        # and a fresh view of the grown segment reads on from there.
+        wal.append(make_batches(1, seed=9)[0])
+        assert len(view.lines()) == 5
+        (grown,) = wal.segment_views()
+        assert [json.loads(line)["seq"] for line in grown.lines(5)
+                ] == [5]
+        wal.close()
+        # Offsets are rebuilt by the open-time scan.
+        (reopened,) = WriteAheadLog(str(tmp_path),
+                                    segment_records=8).segment_views()
+        assert reopened.lines(2, 4) == picked
+
+    def test_a_torn_tail_is_never_part_of_a_view(self, tmp_path):
+        with scoped_failpoints() as registry:
+            registry.arm("wal.append.torn", hit=3)
+            wal = WriteAheadLog(str(tmp_path), segment_records=8)
+            batches = make_batches(3)
+            wal.append(batches[0])
+            wal.append(batches[1])
+            with pytest.raises(InjectedCrash):
+                wal.append(batches[2])
+            # Half of record 2 is on disk; the view stops at record 1.
+            (view,) = wal.segment_views()
+            assert (view.first_seq, view.end_seq) == (0, 2)
+            assert [json.loads(line)["seq"] for line in view.lines()
+                    ] == [0, 1]
+            wal.close()
+
+    def test_append_fsyncs_once_per_record(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
+        wal = WriteAheadLog(str(tmp_path), segment_records=2)
+        for batch in make_batches(3):
+            wal.append(batch)
+        assert len(synced) == 3  # acknowledged => durable
+        wal.close()
+
+
+class TestSealedSegments:
     def test_seal_active_makes_the_tail_shippable(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path), segment_records=4)
         batches = make_batches(3)
         for batch in batches:
             wal.append(batch)
-        assert wal.sealed_segments() == []
         assert wal.seal_active() is True
         assert wal.seal_active() is False  # idempotent no-op
-        (tail,) = wal.sealed_segments()
+        (tail,) = wal.segment_views()
         assert (tail.first_seq, tail.end_seq) == (0, 3)
         # The next append rolls a fresh segment at the frozen boundary.
         assert wal.append(make_batches(1, seed=9)[0]) == 3

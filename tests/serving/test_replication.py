@@ -14,7 +14,10 @@ The property stack, bottom up:
   survivors' durable fence ledgers, never in their state;
 - the writer's durable skip-marks (shed/coalesce/poison) ship with
   every segment, so replica replay skips exactly what the writer
-  skipped.
+  skipped;
+- the WAL tail ships every round (exactly the records appended since
+  the last one), and a caught-up replica of an mmap writer is sent
+  checkpoints without the store files it can derive.
 """
 
 import json
@@ -53,6 +56,8 @@ def plain_server(graph, **kwargs):
 def build_cluster(graph, root, *, transport="inproc", replicas=2,
                   checkpoint_every=2, segment_records=2,
                   admission="block", queue_capacity=64):
+    # The writer's state lives at the cluster root, replicas under
+    # ``replicas/<name>`` (the layout ``repro serve --replicas`` uses).
     manager = RecoveryManager(str(root),
                               checkpoint_every=checkpoint_every,
                               retain=2, segment_records=segment_records)
@@ -208,19 +213,26 @@ class TestKillRestart:
 # ----------------------------------------------------------------------
 class TestStalenessSignal:
     def test_pipeline_lag_is_not_staleness(self, graph, rng, tmp_path):
-        """max_lag sawtooths with the shipping cadence; staleness does
-        not -- a healthy replica owes nothing it was never shipped."""
+        """max_lag counts records the writer may not ship yet;
+        staleness does not -- a healthy replica owes nothing it was
+        never shipped."""
         cluster = build_cluster(graph, tmp_path, checkpoint_every=8,
                                 segment_records=256)
         for _ in range(3):
-            cluster.submit(make_random_batch(graph, rng, 4, 4))
+            cluster.submit(make_random_batch(graph, rng, 4, 4),
+                           pump=False)
             cluster.replicate()
-        # Nothing sealed, no checkpoint crossed: replicas trail the
-        # writer's position but have applied everything delivered.
+        # Logged but still queued: every record sits at or above the
+        # stable boundary, so replicas trail the writer's position but
+        # have applied everything delivered.
         assert cluster.max_lag() == 3
         assert cluster.staleness() == 0
-        cluster.sync()
+        cluster.writer.drain()
+        cluster.replicate()
+        # Resolved records ship with the next round -- no seal, no
+        # checkpoint, no final sync needed.
         assert cluster.max_lag() == 0
+        assert cluster.staleness() == 0
         cluster.close()
 
     def test_shipped_through_tracks_links(self, graph, rng, tmp_path):
@@ -231,6 +243,70 @@ class TestStalenessSignal:
             cluster.submit(make_random_batch(graph, rng, 4, 4))
             cluster.replicate()
         assert cluster.writer_node.shipped_through("r0") > 0
+        cluster.close()
+
+
+# ----------------------------------------------------------------------
+# Tail shipping
+# ----------------------------------------------------------------------
+class TestTailShipping:
+    def test_a_round_ships_exactly_the_records_appended_since_the_last(
+            self, graph, rng, tmp_path, monkeypatch):
+        """Guard: the open segment is neither re-sent nor re-parsed --
+        a round's lines are selected by position and cost what they
+        ship, however long the segment has grown."""
+        cluster = build_cluster(graph, tmp_path, checkpoint_every=64,
+                                segment_records=256)
+        cluster.replicate()  # bootstrap from checkpoint 0
+        shipped = []
+        for replica in cluster.replicas.values():
+            send = replica.inbox.send
+            replica.inbox.send = (
+                lambda shipment, send=send:
+                (shipped.append(shipment), send(shipment)))
+        parsed = []
+        real_loads = json.loads
+        appended = 0
+        for burst in (1, 1, 3, 1):
+            for _ in range(burst):
+                cluster.submit(make_random_batch(graph, rng, 4, 4))
+            del shipped[:]
+            monkeypatch.setattr(
+                json, "loads",
+                lambda *a, **k: (parsed.append(1), real_loads(*a, **k))[1])
+            cluster.writer_node.ship()
+            monkeypatch.setattr(json, "loads", real_loads)
+            assert [(s.kind, s.first_seq, s.end_seq, len(s.lines))
+                    for s in shipped] == [
+                ("segment", appended, appended + burst, burst)] * 2
+            assert [real_loads(line)["seq"] for line in shipped[0].lines
+                    ] == list(range(appended, appended + burst))
+            appended += burst
+            cluster.deliver()
+            assert cluster.max_lag() == 0
+        assert parsed == []  # the writer never decodes what it ships
+        assert len(cluster.writer_node.manager.wal.segments()) == 1
+        cluster.close()
+
+    def test_records_below_a_checkpoint_ship_before_it(self, graph, rng,
+                                                       tmp_path):
+        cluster = build_cluster(graph, tmp_path, checkpoint_every=2,
+                                segment_records=256)
+        cluster.replicate()
+        order = []
+        inbox = cluster.replicas["r0"].inbox
+        send = inbox.send
+        inbox.send = lambda shipment: (
+            order.append((shipment.kind, shipment.first_seq,
+                          shipment.end_seq)), send(shipment))
+        for _ in range(3):   # the writer runs ahead un-replicated
+            cluster.submit(make_random_batch(graph, rng, 4, 4))
+        cluster.replicate()
+        # records < ckpt -> checkpoint -> records >= ckpt: the replica
+        # stands exactly at the checkpoint's seq when the blob lands.
+        assert order == [("segment", 0, 2), ("checkpoint", 2, 2),
+                         ("segment", 2, 3)]
+        assert cluster.max_lag() == 0
         cluster.close()
 
 
@@ -259,7 +335,6 @@ class TestFencing:
         # The deposed writer's late tail arrives with a stale epoch:
         # rejected onto the survivor's durable ledger, never applied.
         deposed = cluster.deposed[-1]
-        deposed.seal_tail()
         deposed.ship()
         cluster.deliver()
         survivor = cluster.replicas["r1"]
@@ -428,6 +503,139 @@ class TestStoreSegmentShipping:
                     f"replica {name} has no shipped store segments"
                 )
             cluster.close()
+
+    def _store_shipped(self, registry):
+        return registry.counter(
+            "replication.store_segments_shipped").value
+
+    def test_caught_up_links_are_shipped_no_store_files(self, rng,
+                                                        tmp_path):
+        """Across three checkpoints the store-file count stays at its
+        bootstrap value; a link made to lag past a checkpoint gets the
+        files again (the post-gap path is the bootstrap path)."""
+        from repro.obs.registry import scoped_registry
+        from repro.testing.faults import scoped_failpoints
+
+        with scoped_registry() as registry:
+            graph, cluster = self._mmap_cluster(tmp_path)
+            cluster.replicate()
+            bootstrap = self._store_shipped(registry)
+            assert bootstrap == 2 * 6  # two links, six arrays each
+            batches = [make_random_batch(graph, rng, 8, 8)
+                       for _ in range(9)]
+            for batch in batches[:6]:
+                cluster.submit(batch)
+                cluster.replicate()
+            checkpoints = registry.counter(
+                "replication.checkpoints_shipped").value
+            assert checkpoints >= 2 * (1 + 3)
+            assert self._store_shipped(registry) == bootstrap
+            assert registry.counter(
+                "replication.snapshots_aliased").value == 2 * 3
+            assert cluster.gap_resyncs == 0
+            for replica in cluster.replicas.values():
+                assert replica.checkpoint_seq == 6
+            # r0's tail shipment is lost: it is not standing at seq 8
+            # when that checkpoint's blob arrives, reports a gap, and
+            # the resync ships the files a lagging link needs.
+            with scoped_failpoints() as failpoints:
+                failpoints.arm("replication.ship", kind="fault", hit=1)
+                cluster.submit(batches[6])
+                cluster.replicate()
+            cluster.submit(batches[7])
+            cluster.replicate()
+            # (once per out-of-order shipment that was already queued)
+            assert cluster.gap_resyncs >= 1
+            assert (self._store_shipped(registry)
+                    == bootstrap + 6 * cluster.gap_resyncs)
+            cluster.submit(batches[8])
+            assert cluster.sync()
+            expected = shadow_values(graph, batches)
+            for name, replica in cluster.replicas.items():
+                assert np.array_equal(replica.approximate_values,
+                                      expected), name
+            assert all(report.ok for report in cluster.scrub().values())
+            cluster.close()
+
+    def test_a_disagreeing_alias_nacks_and_heals_by_resync(self, rng,
+                                                            tmp_path):
+        from repro.obs.registry import scoped_registry
+
+        with scoped_registry() as registry:
+            graph, cluster = self._mmap_cluster(tmp_path)
+            batches = [make_random_batch(graph, rng, 8, 8)
+                       for _ in range(4)]
+            cluster.submit(batches[0])
+            cluster.replicate()
+            cluster.submit(batches[1])   # checkpoint 2 falls due
+            cluster.writer_node.ship()
+            # Before r0 applies record 1 and reaches the checkpoint,
+            # make the generation it will derive disagree with the
+            # writer's: its manifest will record a different CRC.
+            replica = cluster.replicas["r0"]
+            store = replica.server.graph.store
+            publish = store._publish_generation
+
+            def rotten(num_vertices, segments):
+                segments["out_targets"].crc ^= 1
+                return publish(num_vertices, segments)
+
+            store._publish_generation = rotten
+            before = self._store_shipped(registry)
+            try:
+                cluster.deliver()
+            finally:
+                store._publish_generation = publish
+            assert cluster.integrity_rejections == 1
+            assert registry.counter(
+                "replication.shipments_rejected").value == 1
+            # The NACK's resync shipped the files; the checkpoint is
+            # adopted over them, not over the disagreeing generation.
+            assert self._store_shipped(registry) == before + 6
+            assert replica.checkpoint_seq == 2
+            spooled = os.listdir(replica.store_root)
+            assert any(name.startswith("snap-") for name in spooled)
+            assert cluster.replicas["r1"].checkpoint_seq == 2
+            for batch in batches[2:]:
+                cluster.submit(batch)
+                cluster.replicate()
+            assert cluster.sync()
+            assert np.array_equal(replica.approximate_values,
+                                  shadow_values(graph, batches))
+            cluster.close()
+
+    def test_compaction_honours_what_an_alias_pins(self, rng, tmp_path):
+        graph, cluster = self._mmap_cluster(tmp_path)
+        batches = [make_random_batch(graph, rng, 8, 8)
+                   for _ in range(8)]
+        for batch in batches[:2]:
+            cluster.submit(batch)
+            cluster.replicate()
+        replica = cluster.replicas["r0"]
+        store = replica.server.graph.store
+        (alias,) = [sid for sid in store.snapshot_ids()
+                    if not sid.startswith("r0-")
+                    and store.segment_files(sid)[0].startswith("r0-")]
+        pinned = [os.path.join(replica.store_root, name)
+                  for name in store.segment_files(alias)]
+        cluster.submit(batches[2])
+        cluster.replicate()
+        cluster.submit(batches[3])
+        cluster.replicate()
+        # Two generations on, the aliased generation's own entry is
+        # gone; its files are not -- checkpoint 2 still pins the alias.
+        assert alias in store.snapshot_ids()
+        assert all(os.path.exists(path) for path in pinned)
+        store.verify(alias)
+        for batch in batches[4:]:
+            cluster.submit(batch)
+            cluster.replicate()
+        # retain=2: checkpoint 2 has rotated out (6 and 8 remain), the
+        # pin expired with it, and compaction reclaimed the files.
+        assert [seq for seq, _ in replica.manager.checkpoints()] == [6, 8]
+        assert alias not in store.snapshot_ids()
+        assert not any(os.path.exists(path) for path in pinned)
+        cluster.close()
 
     def test_replica_restart_bootstraps_from_local_spool(
             self, rng, tmp_path):

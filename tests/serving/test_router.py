@@ -31,9 +31,11 @@ def graph():
     return rmat(scale=6, edge_factor=5, seed=23, weighted=True)
 
 
-def build_cluster(graph, root, **server_kwargs):
-    manager = RecoveryManager(str(root), checkpoint_every=2, retain=2,
-                              segment_records=2)
+def build_cluster(graph, root, checkpoint_every=2, segment_records=2,
+                  **server_kwargs):
+    manager = RecoveryManager(str(root),
+                              checkpoint_every=checkpoint_every, retain=2,
+                              segment_records=segment_records)
     server = StreamingAnalyticsServer(
         lambda: PageRank(), graph, approx_iterations=3,
         exact_iterations=10, recovery=manager, **server_kwargs,
@@ -166,6 +168,26 @@ class TestConsistencyKnobs:
         assert routed.served_by in ("r0", "r1")
         served = cluster.replicas[routed.served_by]
         assert served.next_seq >= token
+        cluster.close()
+
+    def test_read_your_writes_is_served_by_a_replica_every_batch(
+            self, graph, rng, tmp_path):
+        """Default 256-record segments, checkpoints far apart: nothing
+        seals and no checkpoint falls due, yet a read-your-writes query
+        issued right after ``submit`` + ``replicate`` never falls back
+        to the writer -- the tail ships every round."""
+        cluster = build_cluster(graph, tmp_path, checkpoint_every=64,
+                                segment_records=256)
+        router = QueryRouter(cluster)
+        for _ in range(5):
+            token = cluster.submit(make_random_batch(graph, rng, 4, 4))
+            cluster.replicate()
+            routed = router.query(deadline=StepDeadline(1000),
+                                  min_applied_batch=token)
+            assert routed.served_by in ("r0", "r1")
+            assert routed.staleness_batches == 0
+        assert router.writer_fallbacks == 0
+        assert len(cluster.writer_node.manager.wal.segments()) == 1
         cluster.close()
 
     def test_staleness_error_when_the_token_is_unreachable(self, graph,
