@@ -11,7 +11,6 @@
 from repro.bench.experiments import (
     experiment_ablation_dense_mode,
     experiment_ablation_pruning,
-    experiment_ablation_structure,
 )
 from repro.bench.reporting import save_results
 
@@ -29,18 +28,6 @@ def test_ablation_pruning_horizon(run_experiment):
     assert first[0] == 0 and first[2] == 0 and first[4] == 0
     # Full horizon leaves nothing for hybrid execution.
     assert rows[-1][5] == 0
-
-
-def test_ablation_structure_adjustment(run_experiment):
-    """Paper section 4.1: splicing a fresh CSR/CSC snapshot per batch
-    must cost about what an in-place STINGER-style structure does.
-    ``speedup`` is splice time / slack-block time; a snapshot rebuilt
-    per batch (two lexsorts over E) reads 2.7-12.6 here."""
-    payload = run_experiment(experiment_ablation_structure)
-    save_results("ablation_structure", payload)
-
-    for cell in payload["detail"].values():
-        assert cell["speedup"] < 2.0, payload["detail"]
 
 
 def test_ablation_dense_refinement_threshold(run_experiment):

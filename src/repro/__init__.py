@@ -49,8 +49,6 @@ from repro.core.aggregation import (
 )
 from repro.graph import (
     CSRGraph,
-    DynamicGraph,
-    DynamicStreamingGraph,
     MutationBatch,
     MutationStream,
     SlidingWindowStream,
@@ -80,8 +78,6 @@ __all__ = [
     "ConnectedComponents",
     "DeltaEngine",
     "DependencyHistory",
-    "DynamicGraph",
-    "DynamicStreamingGraph",
     "EngineMetrics",
     "GraphBoltEngine",
     "IncrementalAlgorithm",

@@ -85,9 +85,8 @@ class WeightedPageRank(IncrementalAlgorithm):
         return np.ones(graph.num_vertices, dtype=np.float64)
 
     def contributions(self, graph, src_values, src, dst, weight) -> np.ndarray:
-        # Sources of real edges always have a positive out-weight sum.
-        # Each graph class caches this appropriately for its mutability
-        # (immutable snapshots memoise; dynamic structures invalidate).
+        # Sources of real edges always have a positive out-weight sum;
+        # the immutable snapshot memoises the per-vertex sums.
         return src_values * weight / graph.out_weight_sums()[src]
 
     def apply(self, graph, aggregate_values, vertices,

@@ -27,7 +27,6 @@ EXPERIMENTS = {
     "motivation_tagging": exp.experiment_motivation_tagging,
     "ablation_pruning": exp.experiment_ablation_pruning,
     "ablation_dense_mode": exp.experiment_ablation_dense_mode,
-    "ablation_structure": exp.experiment_ablation_structure,
     "ablation_tagreset": exp.experiment_ablation_tagreset,
 }
 

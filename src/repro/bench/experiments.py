@@ -80,7 +80,6 @@ __all__ = [
     "experiment_motivation_tagging",
     "experiment_ablation_pruning",
     "experiment_ablation_dense_mode",
-    "experiment_ablation_structure",
     "experiment_ablation_tagreset",
     "render_table",
 ]
@@ -909,68 +908,6 @@ def experiment_ablation_tagreset(
         ),
         "headers": ["Batch", "Tagged", "TagReset edges", "GraphBolt edges",
                     "Ratio", "TagReset s", "GraphBolt s"],
-        "rows": rows,
-        "detail": detail,
-    }
-
-
-def experiment_ablation_structure(
-    graph_name: str = "FT",
-    batch_sizes: Sequence[int] = (10, 100, 1000),
-    num_batches: int = 20,
-    seed: int = 31,
-) -> Dict:
-    """Structure adjustment: CSR splice versus STINGER-style blocks.
-
-    The paper (section 4.1) reports its two-pass CSR adjustment takes
-    ~850ms for 10K mutations on a 1B-edge graph and notes faster dynamic
-    structures (STINGER) could be incorporated.  This ablation measures
-    our two backends: a fresh CSR snapshot spliced per batch
-    (:mod:`repro.graph.splice`) versus in-place slack-block updates
-    with amortised repacking.
-    """
-    from repro.graph.dynamic import DynamicStreamingGraph
-    from repro.graph.mutable import StreamingGraph
-
-    graph = paper_graph(graph_name, weighted=True)
-    rows = []
-    detail = {}
-    for batch_size in batch_sizes:
-        batches = [
-            uniform_batch(graph, batch_size, seed=seed + i)
-            for i in range(num_batches)
-        ]
-        timings = {}
-        edge_sets = {}
-        for name, factory in (("csr_splice", StreamingGraph),
-                              ("dynamic_blocks", DynamicStreamingGraph)):
-            stream = factory(graph)
-            start = time.perf_counter()
-            for batch in batches:
-                stream.apply_batch(batch)
-            timings[name] = (time.perf_counter() - start) / num_batches
-            final = stream.graph
-            edge_sets[name] = (
-                final.edge_set() if hasattr(final, "edge_set") else None
-            )
-        if edge_sets["csr_splice"] != edge_sets["dynamic_blocks"]:
-            raise AssertionError("backends diverged structurally")
-        ratio = timings["csr_splice"] / max(timings["dynamic_blocks"],
-                                             1e-12)
-        rows.append([
-            batch_size,
-            round(timings["csr_splice"] * 1000, 3),
-            round(timings["dynamic_blocks"] * 1000, 3),
-            round(ratio, 2),
-        ])
-        detail[str(batch_size)] = {**timings, "speedup": ratio}
-    return {
-        "experiment": "ablation_structure",
-        "title": (
-            f"Ablation: structure adjustment ms/batch on {graph_name} "
-            "(CSR splice vs STINGER-style slack blocks)"
-        ),
-        "headers": ["Batch", "CSR ms", "Dynamic ms", "Speedup"],
         "rows": rows,
         "detail": detail,
     }

@@ -8,16 +8,14 @@ renders a precise per-cell report:
 - **work metrics** (edge/vertex computations) are deterministic given
   the same config, so any growth beyond ``work_threshold`` is a real
   regression of the hot path, not noise;
-- **wall-clock** (``wall_seconds.total``) is hardware- and
-  load-dependent, so it is gated with the much looser
-  ``time_threshold`` and, in ``report`` mode (the default and the CI
-  posture while the trajectory is young), never fails the build;
+- wall clock is not gated here: payloads still record it under
+  ``timing``, but ``benchmarks/e2e`` owns every wall-clock verdict;
 - runs whose ``config_hash`` changed are flagged ``changed`` and
   excluded from pass/fail -- a renamed or re-parameterised cell resets
   its own trajectory instead of tripping the gate.
 
-``enforce`` mode turns any surviving regression into a non-zero exit,
-the CI contract of ROADMAP item 4.
+``report`` mode (the default) never fails the build; ``enforce`` mode
+turns any surviving regression into a non-zero exit.
 """
 
 from __future__ import annotations
@@ -52,27 +50,17 @@ GATE_MODES = ("off", "report", "enforce")
 WORK_METRICS = ("edge_computations", "stream_edge_computations",
                 "vertex_computations")
 
-#: The wall-clock metric gated per run (noisy; loose threshold).
-TIME_METRIC = "wall_seconds.total"
-
 
 @dataclass(frozen=True)
 class GateThresholds:
-    """Relative slowdown tolerated before a cell regresses.
-
-    ``work`` applies to deterministic work counters (tight), ``time``
-    to wall-clock (loose -- CI machines are noisy).
-    """
+    """Relative growth of a deterministic work counter tolerated
+    before a cell regresses."""
 
     work: float = 0.05
-    time: float = 0.50
 
     @classmethod
     def from_table(cls, gate_config: Dict) -> "GateThresholds":
-        return cls(
-            work=float(gate_config.get("work_threshold", cls.work)),
-            time=float(gate_config.get("time_threshold", cls.time)),
-        )
+        return cls(work=float(gate_config.get("work_threshold", cls.work)))
 
 
 @dataclass(frozen=True)
@@ -130,8 +118,7 @@ class GateReport:
     def format(self) -> str:
         title = (
             f"perf gate [{self.area}] mode={self.mode} "
-            f"(work>{self.thresholds.work:+.0%}, "
-            f"time>{self.thresholds.time:+.0%} regress)"
+            f"(work>{self.thresholds.work:+.0%} regress)"
         )
         rows = [cell.row() for cell in self.cells]
         table = format_table(
@@ -177,18 +164,10 @@ def save_baseline(payload: Dict,
     return path
 
 
-def _lookup(dotted: str, run: Dict) -> Optional[float]:
-    """A gated metric from a run: a ``work`` key, or a dotted path into
-    ``timing`` (e.g. ``wall_seconds.total``)."""
-    if dotted in run["work"]:
-        value = run["work"][dotted]
-        return float(value) if isinstance(value, (int, float)) else None
-    node = run["timing"]
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return float(node) if isinstance(node, (int, float)) else None
+def _lookup(metric: str, run: Dict) -> Optional[float]:
+    """A gated ``work`` counter of a run, or None where it is absent."""
+    value = run["work"].get(metric)
+    return float(value) if isinstance(value, (int, float)) else None
 
 
 def _ratio(baseline: float, current: float) -> float:
@@ -223,17 +202,15 @@ def compare_payloads(baseline: Dict, current: Dict,
             report.cells.append(CellVerdict(run_id, "config", nan, nan,
                                             nan, "changed"))
             continue
-        for metric, threshold in (
-                [(name, thresholds.work) for name in WORK_METRICS]
-                + [(TIME_METRIC, thresholds.time)]):
+        for metric in WORK_METRICS:
             base_value = _lookup(metric, base)
             new_value = _lookup(metric, run)
             if base_value is None or new_value is None:
                 continue
             ratio = _ratio(base_value, new_value)
-            if ratio > 1.0 + threshold:
+            if ratio > 1.0 + thresholds.work:
                 status = "regressed"
-            elif ratio < 1.0 - threshold:
+            elif ratio < 1.0 - thresholds.work:
                 status = "improved"
             else:
                 status = "ok"

@@ -299,19 +299,6 @@ class StreamResult:
     def total_edge_computations(self) -> int:
         return sum(batch.edge_computations for batch in self.batches)
 
-    def as_dict(self) -> Dict:
-        return {
-            "runner": self.runner,
-            "setup_seconds": self.setup_seconds,
-            "total_apply_seconds": self.total_apply_seconds,
-            "mean_apply_seconds": self.mean_apply_seconds,
-            "total_edge_computations": self.total_edge_computations,
-            "per_batch_seconds": [batch.seconds for batch in self.batches],
-            "per_batch_edges": [
-                batch.edge_computations for batch in self.batches
-            ],
-        }
-
 
 def run_stream(runner: StreamingRunner, graph: CSRGraph,
                batches: Sequence[MutationBatch]) -> StreamResult:

@@ -358,8 +358,7 @@ def _cmd_experiment(args) -> int:
         return 0
     thresholds = None
     if args.threshold is not None:
-        thresholds = gate_mod.GateThresholds(work=args.threshold,
-                                             time=args.threshold)
+        thresholds = gate_mod.GateThresholds(work=args.threshold)
     report = gate_mod.run_gate(payload, mode=args.gate,
                                thresholds=thresholds,
                                baseline_directory=args.baseline_dir)
@@ -930,8 +929,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "exits 0; enforce exits 1 on any "
                                  "regression beyond threshold")
     experiment.add_argument("--threshold", type=float, default=None,
-                            help="override both gate thresholds with "
-                                 "one relative slowdown bound")
+                            help="override the matrix's work-counter "
+                                 "threshold (relative growth bound)")
     experiment.add_argument("--update-baseline", action="store_true",
                             help="write this payload as the new "
                                  "committed baseline instead of gating")

@@ -66,7 +66,6 @@ class GraphBoltEngine:
         strategy: str = "refine",
         metrics: Optional[EngineMetrics] = None,
         dense_refine_fraction: Optional[float] = None,
-        streaming_factory=StreamingGraph,
         backend: Optional[ExecutionBackend] = None,
     ) -> None:
         if strategy not in ("refine", "naive"):
@@ -87,10 +86,6 @@ class GraphBoltEngine:
             else dense_refine_fraction
         )
         self.metrics = metrics if metrics is not None else EngineMetrics()
-        #: Builds the streaming structure in :meth:`run`; swap in
-        #: :class:`repro.graph.dynamic.DynamicStreamingGraph` for
-        #: STINGER-style in-place structure adjustment.
-        self.streaming_factory = streaming_factory
         self.backend = resolve_backend(backend)
         self._delta = DeltaEngine(algorithm, self.metrics, mode=mode,
                                   backend=self.backend)
@@ -142,7 +137,7 @@ class GraphBoltEngine:
             self._streaming = streaming
             graph = streaming.graph
         else:
-            self._streaming = self.streaming_factory(graph)
+            self._streaming = StreamingGraph(graph)
         with trace.span("initial_run", engine=self.name,
                         algorithm=self.algorithm.name,
                         vertices=graph.num_vertices,

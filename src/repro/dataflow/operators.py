@@ -272,10 +272,20 @@ class _Node:
         self.pending.append((port, time, diffs))
 
     def drain(self) -> None:
+        # One ``process`` per (port, time), not per message: a diamond
+        # upstream delivers the same change along both arms, and
+        # answering each arrival separately doubles the message count
+        # at every stage of an unrolled program.
         while self.pending:
-            port, time, diffs = self.pending.popleft()
-            self.dataflow.records_processed += len(diffs)
-            self.process(port, time, diffs)
+            merged: Dict[Tuple[int, Timestamp], Batch] = {}
+            while self.pending:
+                port, time, diffs = self.pending.popleft()
+                merged.setdefault((port, time), []).extend(diffs)
+            for (port, time), diffs in merged.items():
+                diffs = _consolidate(diffs)
+                if diffs:
+                    self.dataflow.records_processed += len(diffs)
+                    self.process(port, time, diffs)
 
     def process(self, port: int, time: Timestamp, diffs: Batch) -> None:
         raise NotImplementedError

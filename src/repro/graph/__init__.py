@@ -5,9 +5,11 @@ This subpackage provides the graph structures GraphBolt computes over:
 - :class:`~repro.graph.csr.CSRGraph` -- an immutable compressed sparse
   row/column snapshot with NumPy-backed adjacency.
 - :class:`~repro.graph.mutable.StreamingGraph` -- a dynamic graph that
-  applies :class:`~repro.graph.mutation.MutationBatch` objects using the
-  paper's two-pass structure adjustment, retaining the previous snapshot
-  so old contribution functions can still be evaluated during refinement.
+  applies :class:`~repro.graph.mutation.MutationBatch` objects with one
+  range splice per direction (:mod:`~repro.graph.splice`, standing in for
+  the paper's two-pass structure adjustment), retaining the previous
+  snapshot so old contribution functions can still be evaluated during
+  refinement.
 - :class:`~repro.graph.stream.MutationStream` -- a buffered source of
   mutation batches.
 - :mod:`~repro.graph.generators` -- synthetic graph generators (RMAT,
@@ -15,7 +17,6 @@ This subpackage provides the graph structures GraphBolt computes over:
 """
 
 from repro.graph.csr import CSRGraph
-from repro.graph.dynamic import DynamicGraph, DynamicStreamingGraph
 from repro.graph.mutable import MutationResult, StreamingGraph
 from repro.graph.mutation import MutationBatch
 from repro.graph.stream import MutationStream
@@ -33,8 +34,6 @@ from repro.graph.storage import (  # noqa: E402
 
 __all__ = [
     "CSRGraph",
-    "DynamicGraph",
-    "DynamicStreamingGraph",
     "HeapStore",
     "MmapStore",
     "MutationBatch",

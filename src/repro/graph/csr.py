@@ -61,6 +61,11 @@ class CSRGraph:
                 raise ValueError(
                     f"edge endpoint {hi} out of range for {num_vertices} vertices"
                 )
+            lo = min(int(src.min()), int(dst.min()))
+            if lo < 0:
+                raise ValueError(
+                    f"vertex ids must be non-negative, got {lo}"
+                )
         if src.size and num_vertices <= 0:
             raise ValueError("graph with edges must have vertices")
         if weight is None:

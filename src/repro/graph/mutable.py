@@ -2,10 +2,12 @@
 
 :class:`StreamingGraph` owns the current :class:`~repro.graph.csr.CSRGraph`
 snapshot and applies :class:`~repro.graph.mutation.MutationBatch` objects,
-mirroring the paper's structure-adjustment scheme (section 4.1): one pass
-over vertices computing offset adjustments, one pass over edges shifting
-and inserting/deleting them.  After each batch both the previous and the
-new snapshot are available, because dependency-driven refinement must
+standing in for the paper's structure-adjustment scheme (section 4.1)
+with one range splice per direction (:mod:`repro.graph.splice`): the
+batch's deletions and additions are located by per-row binary search and
+the next snapshot is emitted in one pass that copies the untouched runs
+between them.  After each batch both the previous and the new snapshot
+are available, because dependency-driven refinement must
 evaluate *old* contribution functions (old values, old degrees) against
 the old structure and new contributions against the new one.
 """
@@ -22,18 +24,7 @@ from repro.graph.mutation import MutationBatch
 from repro.graph.splice import locate
 from repro.graph.storage import HeapStore
 
-__all__ = ["MutationResult", "StreamingGraph", "changed_vertices"]
-
-
-def changed_vertices(old_num_vertices: int, new_num_vertices: int,
-                     added: np.ndarray, deleted: np.ndarray) -> np.ndarray:
-    """Sorted unique endpoints of a batch's applied edges on one side,
-    plus the brand-new vertices of the grown id range."""
-    # Imported here: repro.ligra's engines import this module.
-    from repro.ligra.frontier import union_ids
-
-    new_ids = np.arange(old_num_vertices, new_num_vertices, dtype=np.int64)
-    return union_ids(new_num_vertices, added, deleted, new_ids)
+__all__ = ["MutationResult", "StreamingGraph"]
 
 
 @dataclass
@@ -74,20 +65,24 @@ class MutationResult:
         vertices in the grown id range.
         """
         if self._out_changed is None:
-            self._out_changed = changed_vertices(
-                self.old_graph.num_vertices, self.new_graph.num_vertices,
-                self.add_src, self.del_src,
-            )
+            self._out_changed = self._changed(self.add_src, self.del_src)
         return self._out_changed
 
     def in_changed_vertices(self) -> np.ndarray:
         """Vertices whose in-edge set changed (sorted, unique)."""
         if self._in_changed is None:
-            self._in_changed = changed_vertices(
-                self.old_graph.num_vertices, self.new_graph.num_vertices,
-                self.add_dst, self.del_dst,
-            )
+            self._in_changed = self._changed(self.add_dst, self.del_dst)
         return self._in_changed
+
+    def _changed(self, added: np.ndarray, deleted: np.ndarray) -> np.ndarray:
+        """Sorted unique endpoints of the applied edges on one side, plus
+        the brand-new vertices of the grown id range."""
+        # Imported here: repro.ligra's engines import this module.
+        from repro.ligra.frontier import union_ids
+
+        new_ids = np.arange(self.old_graph.num_vertices,
+                            self.new_graph.num_vertices, dtype=np.int64)
+        return union_ids(self.new_graph.num_vertices, added, deleted, new_ids)
 
     def grew(self) -> bool:
         return self.new_graph.num_vertices > self.old_graph.num_vertices
@@ -138,12 +133,11 @@ class StreamingGraph:
     def apply_batch(self, batch: MutationBatch) -> MutationResult:
         """Apply one mutation batch and return the applied delta.
 
-        Follows the paper's two-pass adjustment: the first pass computes
-        per-vertex edge-count adjustments (offsets), the second shifts the
-        edge array and splices additions in.  Deletion of an absent edge or
-        re-addition of a present edge is skipped, not an error, matching
-        the stream semantics of real systems where update feeds can carry
-        stale operations.
+        The batch is resolved against the current snapshot, then one
+        splice per direction emits the next one.  Deletion of an absent
+        edge or re-addition of a present edge is skipped, not an error,
+        matching the stream semantics of real systems where update feeds
+        can carry stale operations.
         """
         old = self._graph
         num_vertices = max(old.num_vertices, batch.max_vertex() + 1)
@@ -166,7 +160,7 @@ class StreamingGraph:
         self._previous = old
         self._graph = new_graph
         self.batches_applied += 1
-        if retired is not None and getattr(retired, "store", None) is not None:
+        if retired is not None and retired.store is not None:
             # The snapshot two batches back has no consumer left;
             # dropping its live reference lets the store tombstone and
             # compact its generation (open memmap views stay valid).

@@ -201,8 +201,6 @@ class VertexSubset:
         ids = self.ids
         if not ids.size:
             return 0
-        # Degree-based (not offset-difference) so slack-bearing dynamic
-        # structures report true edge counts, not capacities.
         return int(graph.out_degrees()[ids].sum())
 
     def is_dense_preferred(self, graph: CSRGraph) -> bool:

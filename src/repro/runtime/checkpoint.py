@@ -64,6 +64,7 @@ from repro.core.history import DependencyHistory
 from repro.core.model import IncrementalAlgorithm
 from repro.core.pruning import PruningPolicy
 from repro.graph.csr import CSRGraph
+from repro.graph.mutable import StreamingGraph
 from repro.graph.storage import open_snapshot_reference
 from repro.ligra.delta import DeltaState
 from repro.testing import faults
@@ -122,12 +123,10 @@ def save_engine(engine: GraphBoltEngine, path: str,
     """
     engine._require_run()
     graph = engine.graph
-    if not isinstance(graph, CSRGraph):
-        graph = graph.to_csr()
     state = engine._state
     history = engine._history
 
-    store = getattr(graph, "store", None)
+    store = graph.store
     store_backed = (
         store is not None
         and store.kind == "mmap"
@@ -418,7 +417,7 @@ def load_engine(
             pruning=pruning,
             **engine_kwargs,
         )
-        engine._streaming = engine.streaming_factory(graph)
+        engine._streaming = StreamingGraph(graph)
         engine._state = DeltaState(
             values=data["values"].copy(),
             prev_values=data["prev_values"].copy(),

@@ -106,10 +106,7 @@ class PartitionedCSR:
         num_vertices = graph.num_vertices
         if num_vertices == 0:
             return cls(np.zeros(num_shards + 1, dtype=np.int64))
-        if hasattr(graph, "out_degrees"):
-            loads = graph.out_degrees().astype(np.int64) + 1
-        else:
-            loads = np.ones(num_vertices, dtype=np.int64)
+        loads = graph.out_degrees().astype(np.int64) + 1
         cumulative = np.cumsum(loads)
         total = int(cumulative[-1])
         targets = total * np.arange(1, num_shards, dtype=np.float64)
@@ -135,11 +132,7 @@ class PartitionedCSR:
         """
         cache = getattr(graph, "_shard_cache", None)
         if cache is None:
-            cache = {}
-            try:
-                graph._shard_cache = cache
-            except AttributeError:
-                pass
+            cache = graph._shard_cache = {}
         partition = cache.get(num_shards)
         if (partition is None
                 or partition.num_vertices != graph.num_vertices):
@@ -428,21 +421,12 @@ class ShardedBackend(ExecutionBackend):
 
     def gather_all(self, graph, metrics, count=True):
         partition = self.partition(graph)
-        if hasattr(graph, "out_offsets"):
-            # CSR rows are in vertex order, so each shard's edge block
-            # is the contiguous slice between its boundary offsets;
-            # concatenation in shard order *is* the serial edge order.
-            offsets = graph.out_offsets
-            edge_cuts = offsets[partition.boundaries]
-            src, dst, weight = graph.all_edges()
-            counts = np.diff(edge_cuts)
-            self._record_loads(metrics, counts)
-        else:
-            # Dynamic (slack-block) structures compact edges in their
-            # own order; keep it and attribute loads by source owner.
-            src, dst, weight = graph.all_edges()
-            self._record_loads(metrics,
-                               self._loads_by_owner(partition, src))
+        # CSR rows are in vertex order, so each shard's edge block is
+        # the contiguous slice between its boundary offsets;
+        # concatenation in shard order *is* the serial edge order.
+        edge_cuts = graph.out_offsets[partition.boundaries]
+        src, dst, weight = graph.all_edges()
+        self._record_loads(metrics, np.diff(edge_cuts))
         if metrics is not None and count:
             metrics.count_edges(src.size)
         return src, dst, weight

@@ -58,12 +58,6 @@ class TestDrivers:
         )
         assert 0.0 < payload["detail"]["WK|1"] <= 1.0
 
-    def test_ablation_structure_payload(self):
-        payload = exp.experiment_ablation_structure(
-            graph_name="WK", batch_sizes=(10,), num_batches=3,
-        )
-        assert payload["detail"]["10"]["speedup"] > 0
-
     def test_render_table(self):
         payload = exp.experiment_figure4(num_iterations=3)
         text = exp.render_table(payload)

@@ -41,22 +41,19 @@ fixed:
   seed: 4
 gate:
   work_threshold: 0.05
-  time_threshold: 0.5
 """)
     return run_matrix(load_table(str(path)))
 
 
-THRESHOLDS = GateThresholds(work=0.05, time=0.5)
+THRESHOLDS = GateThresholds(work=0.05)
 
 
 def planted(payload, metric, factor, run_index=0):
-    """A copy of ``payload`` with one cell's metric scaled by ``factor``."""
+    """A copy of ``payload`` with one cell's work counter scaled by
+    ``factor``."""
     slow = copy.deepcopy(payload)
     run = slow["runs"][run_index]
-    if metric == "wall_seconds.total":
-        run["timing"]["wall_seconds"]["total"] *= factor
-    else:
-        run["work"][metric] = int(run["work"][metric] * factor)
+    run["work"][metric] = int(run["work"][metric] * factor)
     return slow
 
 
@@ -70,17 +67,18 @@ class TestPlantARegression:
             "edge_computations"]
         assert report.regressions[0].ratio == pytest.approx(1.25)
 
-    def test_time_regression_trips_enforce(self, payload):
-        slow = planted(payload, "wall_seconds.total", 3.0)
+    def test_wall_clock_is_not_gated(self, payload):
+        slow = copy.deepcopy(payload)
+        slow["runs"][0]["timing"]["wall_seconds"]["total"] *= 100.0
         report = compare_payloads(payload, slow, THRESHOLDS,
                                   mode="enforce")
-        assert not report.ok
-        assert report.regressions[0].metric == "wall_seconds.total"
+        assert report.ok
+        assert all(cell.status == "ok" for cell in report.cells)
 
     def test_noise_within_threshold_stays_quiet(self, payload):
-        # +3% work and +40% wall-clock are both inside the thresholds.
+        # +3% work is inside the threshold.
         noisy = planted(payload, "edge_computations", 1.03)
-        noisy = planted(noisy, "wall_seconds.total", 1.4, run_index=1)
+        noisy = planted(noisy, "vertex_computations", 1.03, run_index=1)
         report = compare_payloads(payload, noisy, THRESHOLDS,
                                   mode="enforce")
         assert report.ok

@@ -66,15 +66,6 @@ class TestMeasurement:
             b.edge_computations for b in result.batches
         )
 
-    def test_as_dict_is_json_ready(self, graph, batches):
-        import json
-
-        result = run_stream(LigraRunner(lambda: PageRank(), 8),
-                            graph, batches)
-        payload = result.as_dict()
-        json.dumps(payload)
-        assert payload["runner"] == "Ligra"
-
     def test_structure_adjustment_excluded_from_compute(self, graph):
         batch = uniform_batch(graph, 10, seed=11)
         result = run_stream(LigraRunner(lambda: PageRank(), 8),

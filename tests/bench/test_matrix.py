@@ -59,7 +59,6 @@ exclude:
     scenario: hotspot_storm
 gate:
   work_threshold: 0.05
-  time_threshold: 1.0
 """
 
 SERVING_TABLE = """

@@ -87,6 +87,39 @@ class TestDifferentialSSSP:
         assert np.isinf(dd.values[9])
 
 
+class TestDiamondFanOut:
+    """Every unrolled stage is a diamond (``dists`` feeds the join and
+    the concat), so an operator that answers each queued message on its
+    own doubles the message count per stage.  Fuzz workload seed 33
+    (SSSP, V = 40) is the case the fuzz-smoke campaign met: its batch 3
+    took 9.2 M records before ``drain`` merged arrivals per
+    ``(port, time)``."""
+
+    def test_fuzz_workload_33_passes_the_oracle(self):
+        from repro.testing.oracle import check_workload
+        from repro.testing.workloads import generate_workload
+
+        workload = generate_workload(33)
+        assert workload.algorithm == "sssp"
+        report = check_workload(workload)
+        assert "dataflow" in report.engines
+        assert report.ok, report.first_divergence()
+
+    def test_fuzz_workload_33_work_is_bounded(self):
+        from repro.testing.oracle import build_runner
+        from repro.testing.workloads import generate_workload
+
+        workload = generate_workload(33)
+        runner = build_runner("dataflow", workload.profile)
+        runner.setup(workload.build_graph())
+        for batch in workload.schedule[:3]:
+            runner.apply(batch)
+        dataflow = runner.engine.dataflow
+        before = dataflow.records_processed
+        runner.apply(workload.schedule[3])
+        assert dataflow.records_processed - before <= 200_000
+
+
 class TestDifferentialWCC:
     def test_matches_engine_on_symmetrised_graph(self, graph, rng):
         from repro.algorithms import ConnectedComponents

@@ -38,6 +38,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             CSRGraph(2, np.array([0]), np.array([5]))
 
+    def test_rejects_negative_endpoint(self):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            CSRGraph(3, [-1], [0])
+
     def test_rejects_mismatched_arrays(self):
         with pytest.raises(ValueError, match="same shape"):
             CSRGraph(3, np.array([0, 1]), np.array([1]))

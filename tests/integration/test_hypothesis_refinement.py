@@ -102,34 +102,6 @@ class TestTheorem41:
         run_and_check(lambda: SSSP(source=0), data, iterations=30)
 
 
-class TestTheorem41DynamicBackend:
-    """The invariant must hold identically on the STINGER-style
-    structure, whose refinement sees FrozenGraphParams instead of a
-    retained old snapshot."""
-
-    @given(scenario())
-    @settings(max_examples=40, deadline=None)
-    def test_pagerank_on_dynamic_structure(self, data):
-        from repro.graph.dynamic import DynamicStreamingGraph
-
-        num_vertices, edges, weights, batches, horizon = data
-        graph = CSRGraph.from_edges(edges, num_vertices=num_vertices,
-                                    weights=weights)
-        pruning = (
-            PruningPolicy(horizon=horizon) if horizon is not None
-            else PruningPolicy.track_everything()
-        )
-        engine = GraphBoltEngine(
-            PageRank(), num_iterations=8, pruning=pruning,
-            streaming_factory=DynamicStreamingGraph,
-        )
-        engine.run(graph)
-        for batch in batches:
-            values = engine.apply_mutations(batch)
-            truth = LigraEngine(PageRank()).run(engine.graph.to_csr(), 8)
-            assert np.abs(values - truth).max() <= 1e-6
-
-
 class TestTheorem41MoreAlgorithmClasses:
     """Extend the property net to the remaining algebra corners:
     apply-parameter algorithms (CoEM), log-product aggregation (BP),

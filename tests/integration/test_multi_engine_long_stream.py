@@ -1,8 +1,8 @@
 """Long-stream soak test: 20 batches, every engine family at once.
 
 The most end-to-end check in the suite: a single mutation stream driven
-simultaneously through GraphBolt (CSR and dynamic backends, pruned and
-unpruned, delta and RP modes) with per-batch cross-validation, finishing
+simultaneously through GraphBolt (pruned and unpruned, delta and RP
+modes) with per-batch cross-validation, finishing
 with a checkpoint/restore and continued processing.
 """
 
@@ -12,7 +12,6 @@ import pytest
 from repro.algorithms import LabelPropagation
 from repro.core.engine import GraphBoltEngine
 from repro.core.pruning import PruningPolicy
-from repro.graph.dynamic import DynamicStreamingGraph
 from repro.graph.generators import rmat
 from repro.ligra.engine import LigraEngine
 from repro.runtime.checkpoint import load_engine, save_engine
@@ -29,7 +28,6 @@ def factory():
     ("plain", {}),
     ("pruned", {"pruning": PruningPolicy(horizon=3)}),
     ("rp", {"mode": "retract_propagate"}),
-    ("dynamic", {"streaming_factory": DynamicStreamingGraph}),
     ("adaptive", {"pruning": PruningPolicy(adaptive_fraction=0.3)}),
 ])
 def test_twenty_batch_soak(label, kwargs, rng):
@@ -41,10 +39,7 @@ def test_twenty_batch_soak(label, kwargs, rng):
         batch = make_random_batch(engine.graph, rng, 8, 8)
         values = engine.apply_mutations(batch)
         if index % 5 == 4:
-            snapshot = engine.graph
-            if hasattr(snapshot, "to_csr"):
-                snapshot = snapshot.to_csr()
-            truth = LigraEngine(factory()).run(snapshot, ITERATIONS)
+            truth = LigraEngine(factory()).run(engine.graph, ITERATIONS)
             assert np.allclose(values, truth, atol=1e-6), (label, index)
 
 

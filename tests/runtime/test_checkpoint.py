@@ -86,22 +86,6 @@ class TestGuards:
         with pytest.raises(RuntimeError):
             save_engine(engine, str(tmp_path / "x.npz"))
 
-    def test_dynamic_backend_checkpoints_via_csr(self, tmp_path, graph,
-                                                 rng):
-        from repro.graph.dynamic import DynamicStreamingGraph
-
-        engine = GraphBoltEngine(
-            PageRank(), num_iterations=6,
-            streaming_factory=DynamicStreamingGraph,
-        )
-        engine.run(graph)
-        engine.apply_mutations(make_random_batch(engine.graph, rng, 5, 5))
-        path = str(tmp_path / "engine.npz")
-        save_engine(engine, path)
-        restored = load_engine(path, PageRank())
-        assert restored.graph.edge_set() == engine.graph.edge_set()
-        assert np.array_equal(restored.values, engine.values)
-
 
 class TestAtomicWrite:
     def test_returns_real_path_when_suffix_missing(self, tmp_path, graph):
