@@ -21,24 +21,44 @@ On-disk layout of an :class:`MmapStore` root::
 
 Each ``.seg`` file is a 64-byte header (magic+version, dtype code,
 element count, CRC32 of the payload) followed by the raw little-endian
-array payload.  Segment files are immutable once published: a new
+array payload.  Segment files are immutable once written: a new
 snapshot generation writes fresh files (the runs a batch leaves
-untouched are block copied file-to-file in bounded chunks, with the
-batch's additions spliced in between), renames them into place, and
-then atomically replaces the manifest.  A crash between those steps leaves at worst a torn temp
-file and an orphaned segment -- the previous manifest always stays
-readable, which is what the ``storage.segment_write`` failpoint and
-the crash fuzzer's storage sweep pin down.
+untouched are copied file-to-file by the kernel, with the batch's
+additions spliced in between) and renames them into place.
 
-Generations no longer referenced by a live graph, the manifest's
-``current`` pointer, or a checkpoint pin are *tombstoned*;
-:meth:`MmapStore.compact` (run opportunistically after each release)
-deletes their files -- those no surviving entry still names: an
-*alias* entry (:meth:`MmapStore.alias_snapshot`, a checkpoint's
-snapshot id bound to a generation the spool already holds) shares its
-generation's files.  POSIX keeps open ``np.memmap`` views valid even
-after the backing file is unlinked, so compaction never races a
-reader.
+A generation starts **volatile**: its files are in place and mapped and
+the in-memory table lists it (``open_snapshot``, ``segment_files``,
+live counts and compaction see no difference), but nothing was
+fsynced, its entry has *no* ``crc32`` key (code that forgets to seal
+fails loudly) and ``manifest.json`` does not name it.
+:meth:`MmapStore.seal` makes it **sealed** -- payload read back for its
+CRC, header patched, files then directory fsynced, manifest replaced
+with the entry in it, directory fsynced again -- exactly when
+something durable or remote is about to name it: ``publish``
+(bootstrap graphs), ``manifest_entry`` (*before* the checkpoint that
+embeds it is written), ``pin``, ``alias_snapshot`` (the replica's CRC
+then witnesses the bytes its own replay produced) and ``verify``.
+Durability of an acknowledged batch is the WAL's fsync; a restart
+opens the generation its newest checkpoint pins and replays the tail,
+so a crash can only ever lose volatile generations, whose unnamed
+files the next ``compact()`` reaps: *pinned => sealed => survives power
+loss*.  A kill inside a generation write (``storage.segment_write``)
+or a seal (``storage.seal``) leaves the previous on-disk manifest
+readable -- the storage crash sweep's rows.
+
+Generations no longer referenced by a live graph, the ``current``
+pointer (the newest generation; null on disk while that is volatile)
+or a checkpoint pin are *tombstoned*; :meth:`MmapStore.compact` (run
+opportunistically after each release) deletes their files -- those no
+surviving entry still names: an *alias* entry
+(:meth:`MmapStore.alias_snapshot`, a checkpoint's snapshot id bound to
+a generation the spool already holds) shares its generation's files --
+and rewrites the manifest only when a sealed entry went.  POSIX keeps
+open ``np.memmap`` views valid even after the backing file is unlinked,
+so compaction never races a reader; for the same reason run copies read
+an old generation through the file object it was mapped from, never a
+reopened path: a second :class:`MmapStore` on the root (every
+checkpoint restore makes one) may already have unlinked it.
 
 Store selection is wired through ``REPRO_SNAPSHOT_STORE=heap`` or
 ``mmap[:dir]`` (see :func:`store_from_env`) plus ``--snapshot-store``
@@ -53,12 +73,14 @@ import os
 import struct
 import tempfile
 import zlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.splice import splice
+from repro.obs import trace
+from repro.obs.registry import get_registry
 
 __all__ = [
     "ARRAY_NAMES",
@@ -99,26 +121,36 @@ _HEADER = struct.Struct("<8s8sQI")  # magic, dtype code, count, crc32
 _MANIFEST_VERSION = 1
 _MANIFEST_NAME = "manifest.json"
 
-#: Copy granularity (elements) for file-to-file block copies of the
-#: runs a batch leaves untouched: 2 MiB of int64/float64 per chunk.
-#: This is what bounds heap use during :meth:`SnapshotStore.adjust` on
-#: the mmap store -- one chunk, plus O(V) offsets and the batch itself.
-_COPY_CHUNK = 1 << 18
-
 
 class StoreError(ValueError):
     """A snapshot store's on-disk state failed validation."""
+
+
+def _is_sealed(entry: dict) -> bool:
+    """A table entry carries CRCs iff its generation was sealed."""
+    return all("crc32" in meta for meta in entry["arrays"].values())
+
+
+def _fsync_directory(path: str) -> None:
+    """Make the renames and creations inside ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def atomic_write(path: str, data, fsync: bool = False) -> None:
     """Replace ``path`` with ``data`` (``bytes``, or ``str`` as UTF-8)
     through a temp file in its directory + ``os.replace``: a reader
     sees the old content or the new, never a torn write, and a failed
-    write leaves no temp file behind."""
+    write leaves no temp file behind.  ``fsync`` syncs the file before
+    the rename and the directory after it, so the new name survives
+    power loss too."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as stream:
             stream.write(data)
@@ -130,6 +162,8 @@ def atomic_write(path: str, data, fsync: bool = False) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+    if fsync:
+        _fsync_directory(directory)
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +204,7 @@ class SnapshotStore:
 
         One :func:`~repro.graph.splice.splice` per direction through
         this store's :meth:`writer`: the runs the batch leaves alone
-        are copied from ``old`` (file-to-file in bounded chunks out of
+        are copied from ``old`` (file-to-file by the kernel out of
         core), so no full edge list, mask or key array is ever built
         and the arrays come out exactly as the :class:`CSRGraph`
         constructor would order ``survivors ++ additions``.
@@ -289,6 +323,17 @@ def _read_header(path: str) -> Tuple[str, int, int]:
     return dtype, int(count), int(crc)
 
 
+def _payload_crc32(stream) -> int:
+    """CRC32 of everything after the header of an open segment file."""
+    stream.seek(_HEADER_SIZE)
+    crc = 0
+    while True:
+        block = stream.read(1 << 20)
+        if not block:
+            return crc & 0xFFFFFFFF
+        crc = zlib.crc32(block, crc)
+
+
 def verify_segment_file(path: str) -> Tuple[str, int, int]:
     """Header + full payload-CRC check of one ``.seg`` file.
 
@@ -298,16 +343,9 @@ def verify_segment_file(path: str) -> Tuple[str, int, int]:
     path share with :meth:`MmapStore.verify`.
     """
     dtype, count, crc = _read_header(path)
-    actual = 0
     with open(path, "rb") as stream:
-        stream.seek(_HEADER_SIZE)
-        while True:
-            block = stream.read(1 << 20)
-            if not block:
-                break
-            actual = zlib.crc32(block, actual)
-    if actual & 0xFFFFFFFF != crc:
-        raise StoreError(f"segment {path} payload CRC mismatch")
+        if _payload_crc32(stream) != crc:
+            raise StoreError(f"segment {path} payload CRC mismatch")
     return dtype, count, crc
 
 
@@ -353,7 +391,12 @@ def _evict_pages(*arrays) -> None:
 
 
 class _SegmentFile:
-    """One array's segment file under incremental construction."""
+    """One array's segment file under incremental construction.
+
+    Unbuffered and written at explicit offsets (the payload position
+    is ``count``), so kernel-side run copies and Python-side appends
+    interleave with no user-space buffer to keep in step.
+    """
 
     def __init__(self, root: str, name: str) -> None:
         self.name = name
@@ -361,17 +404,44 @@ class _SegmentFile:
         fd, self.tmp_path = tempfile.mkstemp(
             prefix=f".{name}-", suffix=".tmp", dir=root
         )
-        self._stream = os.fdopen(fd, "wb")
-        self._stream.write(b"\0" * _HEADER_SIZE)
+        self._stream = os.fdopen(fd, "wb", buffering=0)
         self.count = 0
-        self.crc = 0
+
+    def _position(self) -> int:
+        return _HEADER_SIZE + self.count * self.dtype.itemsize
+
+    def _write(self, data, position: int) -> None:
+        view = memoryview(data)
+        while view:
+            written = os.pwrite(self._stream.fileno(), view, position)
+            view, position = view[written:], position + written
 
     def append(self, chunk: np.ndarray) -> None:
         chunk = np.ascontiguousarray(chunk, dtype=self.dtype)
-        data = chunk.tobytes()
-        self.crc = zlib.crc32(data, self.crc)
-        self.count += int(chunk.size)
-        self._stream.write(data)
+        if chunk.size:
+            self._write(chunk.reshape(-1).view(np.uint8), self._position())
+            self.count += int(chunk.size)
+
+    def copy_range(self, source_fd: int, start: int, stop: int) -> bool:
+        """Append elements ``[start, stop)`` of the open segment file
+        ``source_fd`` without the bytes entering this process.
+        ``False`` (nothing appended) where the platform or the
+        filesystem has no ``copy_file_range``."""
+        itemsize = self.dtype.itemsize
+        source = _HEADER_SIZE + start * itemsize
+        target, left = self._position(), (stop - start) * itemsize
+        try:
+            while left:
+                copied = os.copy_file_range(
+                    source_fd, self._stream.fileno(), left, source, target)
+                if not copied:  # the source ends before its header says
+                    return False
+                source, target, left = (source + copied, target + copied,
+                                        left - copied)
+        except (AttributeError, OSError):
+            return False
+        self.count += stop - start
+        return True
 
     def finalize(self, final_path: str) -> None:
         # Imported here, not at module top: the graph layer sits below
@@ -380,24 +450,12 @@ class _SegmentFile:
         from repro.testing import faults
 
         # The failpoint sits after the payload but before the header
-        # backpatch + rename: an injected crash here leaves a torn
-        # temp file (payload without a valid header, never renamed),
-        # which is exactly the artifact a real mid-write kill leaves.
-        # A corrupt plan flips one payload byte *after* the streaming
-        # CRC was computed -- planted bit-rot the header cannot see,
-        # which only a payload re-read (scrub/verify) can detect.
-        if faults.hit_corruptible("storage.segment_write") and self.count:
-            self._stream.flush()
-            offset = _HEADER_SIZE + (self.count * self.dtype.itemsize) // 2
-            fd = self._stream.fileno()
-            byte = os.pread(fd, 1, offset)
-            os.pwrite(fd, bytes([byte[0] ^ 0x01]), offset)
-        self._stream.flush()
-        self._stream.seek(0)
-        self._stream.write(_pack_header(str(self.dtype.str), self.count,
-                                        self.crc))
-        self._stream.flush()
-        os.fsync(self._stream.fileno())
+        # + rename: an injected crash here leaves a torn temp file
+        # (payload without a valid header, never renamed), which is
+        # exactly the artifact a real mid-write kill leaves.  No CRC,
+        # no fsync: the generation is volatile until sealed.
+        faults.hit("storage.segment_write")
+        self._write(_pack_header(str(self.dtype.str), self.count, 0), 0)
         self._stream.close()
         os.replace(self.tmp_path, final_path)
 
@@ -427,12 +485,16 @@ class _MmapWriter(_SnapshotWriter):
 
     def append_raw(self, name: str, other: np.ndarray,
                    start: int, stop: int) -> None:
-        """Block-copy ``other[start:stop]`` (typically an old
-        generation's memmap) in bounded chunks."""
+        """Copy ``other[start:stop]``: file-to-file in the kernel when
+        ``other`` is a whole array a store mapped (an old generation),
+        else straight out of its buffer (no heap copy either way, so
+        adjust holds the O(V) offsets and the batch, never a run)."""
         segment = self._segments[name]
-        for lo in range(start, stop, _COPY_CHUNK):
-            hi = min(lo + _COPY_CHUNK, stop)
-            segment.append(other[lo:hi])
+        source = getattr(other, "_source", None)  # see _open_array
+        if not (source is not None and not source.closed
+                and other.dtype == segment.dtype
+                and segment.copy_range(source.fileno(), start, stop)):
+            segment.append(other[start:stop])
 
     def commit(self, num_vertices: int) -> CSRGraph:
         if self._done:
@@ -526,9 +588,17 @@ class MmapStore(SnapshotStore):
         return manifest
 
     def _write_manifest(self) -> None:
+        """Persist the sealed part of the table: the on-disk manifest
+        never names a file that was not fsynced first."""
+        sealed = {snapshot_id: entry for snapshot_id, entry
+                  in self._manifest["snapshots"].items()
+                  if _is_sealed(entry)}
+        current = self.current_snapshot
         atomic_write(
             self._manifest_path,
-            json.dumps(self._manifest, indent=1, sort_keys=True),
+            json.dumps({**self._manifest, "snapshots": sealed,
+                        "current": current if current in sealed else None},
+                       indent=1, sort_keys=True),
             fsync=True,
         )
 
@@ -539,6 +609,8 @@ class MmapStore(SnapshotStore):
         return f"{self.label}-g{generation:06d}"
 
     def snapshot_ids(self) -> List[str]:
+        """Every generation in the in-memory table, volatile ones
+        included (``manifest.json`` lists the sealed subset)."""
         return sorted(self._manifest["snapshots"])
 
     @property
@@ -550,16 +622,21 @@ class MmapStore(SnapshotStore):
         return _MmapWriter(self)
 
     def publish(self, graph: CSRGraph) -> CSRGraph:
-        if getattr(graph, "store", None) is self:
-            return graph
-        writer = self.writer()
-        for name in ARRAY_NAMES:
-            writer.append_raw(name, getattr(graph, name),
-                              0, getattr(graph, name).size)
-        return writer.commit(graph.num_vertices)
+        """Persist ``graph`` (unless this store already holds it) and
+        seal it: durable, and what a fresh store reopens as current."""
+        if getattr(graph, "store", None) is not self:
+            writer = self.writer()
+            for name in ARRAY_NAMES:
+                writer.append_raw(name, getattr(graph, name),
+                                  0, getattr(graph, name).size)
+            graph = writer.commit(graph.num_vertices)
+        self.seal(graph.snapshot_id)
+        return graph
 
     def _publish_generation(self, num_vertices: int,
                             segments: Dict[str, _SegmentFile]) -> CSRGraph:
+        """Register a *volatile* generation: files renamed into place,
+        entry in the in-memory table only, nothing synced."""
         snapshot_id = self._mint_snapshot_id()
         entry: dict = {"num_vertices": int(num_vertices), "arrays": {}}
         for name in ARRAY_NAMES:
@@ -570,12 +647,50 @@ class MmapStore(SnapshotStore):
                 "file": file_name,
                 "dtype": str(segment.dtype.str),
                 "count": segment.count,
-                "crc32": segment.crc & 0xFFFFFFFF,
             }
         self._manifest["snapshots"][snapshot_id] = entry
         self._manifest["current"] = snapshot_id
-        self._write_manifest()
         return self.open_snapshot(snapshot_id)
+
+    def seal(self, snapshot_id: str) -> None:
+        """Make a volatile generation durable and CRC-guarded (no-op on
+        a sealed one), before anything durable or remote names it."""
+        entry = self._manifest["snapshots"][snapshot_id]
+        if _is_sealed(entry):
+            return
+        from repro.testing import faults  # see _SegmentFile.finalize
+
+        crcs, bytes_read = {}, 0
+        with trace.span("store.seal", snapshot=snapshot_id) as span:
+            for name in ARRAY_NAMES:
+                meta = entry["arrays"][name]
+                size = meta["count"] * np.dtype(meta["dtype"]).itemsize
+                faults.hit("storage.seal")
+                with open(os.path.join(self.root, meta["file"]),
+                          "r+b") as stream:
+                    fd = stream.fileno()
+                    crcs[name] = _payload_crc32(stream)
+                    # A corrupt plan flips one payload byte *after*
+                    # the CRC was computed -- planted bit-rot the
+                    # header cannot see, which only a payload re-read
+                    # (scrub/verify) can detect.
+                    if (faults.hit_corruptible("storage.segment_write")
+                            and size):
+                        offset = _HEADER_SIZE + size // 2
+                        byte = os.pread(fd, 1, offset)
+                        os.pwrite(fd, bytes([byte[0] ^ 0x01]), offset)
+                    os.pwrite(fd, _pack_header(
+                        meta["dtype"], meta["count"], crcs[name]), 0)
+                    os.fsync(fd)
+                bytes_read += size
+            _fsync_directory(self.root)
+            # A kill here leaves six sealed files no manifest names.
+            faults.hit("storage.seal")
+            for name, crc in crcs.items():
+                entry["arrays"][name]["crc32"] = crc
+            self._write_manifest()
+            span.tag(bytes_read=bytes_read, fsyncs=len(ARRAY_NAMES) + 3)
+        get_registry().counter("store.generations_sealed").inc()
 
     def _open_array(self, meta: dict, verify: bool = False) -> np.ndarray:
         path = os.path.join(self.root, meta["file"])
@@ -586,12 +701,19 @@ class MmapStore(SnapshotStore):
                 f"segment {path} header disagrees with manifest "
                 f"({dtype},{count}) != ({meta['dtype']},{meta['count']})"
             )
-        if crc != int(meta["crc32"]):
+        # A volatile entry has no CRC to compare (and a zero header).
+        if "crc32" in meta and crc != int(meta["crc32"]):
             raise StoreError(f"segment {path} CRC header/manifest mismatch")
         if count == 0:
             return np.empty(0, dtype=np.dtype(dtype))
-        return np.memmap(path, dtype=np.dtype(dtype), mode="r",
-                         offset=_HEADER_SIZE, shape=(count,))
+        source = open(path, "rb")
+        array = np.memmap(source, dtype=np.dtype(dtype), mode="r",
+                          offset=_HEADER_SIZE, shape=(count,))
+        # Run copies read through the file the map came from (module
+        # docstring); views do not inherit the attribute, so only the
+        # whole array is ever a kernel-copy source.  release() closes.
+        array._source = source
+        return array
 
     def open_snapshot(self, snapshot_id: Optional[str] = None,
                       verify: bool = False) -> CSRGraph:
@@ -605,6 +727,8 @@ class MmapStore(SnapshotStore):
             raise StoreError(
                 f"unknown snapshot {snapshot_id!r} in store {self.root}"
             ) from None
+        if verify:
+            self.seal(snapshot_id)
         arrays = {
             name: self._open_array(entry["arrays"][name], verify=verify)
             for name in ARRAY_NAMES
@@ -618,10 +742,12 @@ class MmapStore(SnapshotStore):
 
     def verify(self, snapshot_id: Optional[str] = None) -> None:
         """Full payload-CRC verification of one snapshot (default:
-        current).  Raises :class:`StoreError` on any mismatch."""
+        current), sealing it first if it was volatile.  Raises
+        :class:`StoreError` on any mismatch."""
         snapshot_id = snapshot_id or self.current_snapshot
         if snapshot_id is None:
             raise StoreError(f"store {self.root} holds no snapshots")
+        self.seal(snapshot_id)
         entry = self._manifest["snapshots"][snapshot_id]
         for name in ARRAY_NAMES:
             self._open_array(entry["arrays"][name], verify=True)
@@ -636,12 +762,17 @@ class MmapStore(SnapshotStore):
             self._live.pop(snapshot_id, None)
         else:
             self._live[snapshot_id] = count - 1
+        for name in ARRAY_NAMES:
+            source = getattr(getattr(graph, name), "_source", None)
+            if source is not None:
+                source.close()
         self.compact()
 
     def pin(self, snapshot_id: str, owner: str) -> None:
         """Keep ``snapshot_id``'s files for as long as the file at
         ``owner`` (a checkpoint path) exists; self-expiring, so
         checkpoint rotation needs no store hook."""
+        self.seal(snapshot_id)
         owners = self._manifest["pins"].setdefault(snapshot_id, [])
         owner = os.path.abspath(owner)
         if owner not in owners:
@@ -662,24 +793,29 @@ class MmapStore(SnapshotStore):
 
         A generation is tombstoned when no live graph references it,
         it is not the manifest's ``current``, and no pin with a
-        still-existing owner file protects it.  Returns the deleted
-        snapshot ids.
+        still-existing owner file protects it.  Dropping a volatile
+        generation only unlinks its files; the manifest is rewritten
+        when a sealed one goes.  Returns the deleted snapshot ids.
         """
         keep = self._retained()
         doomed = [sid for sid in self._manifest["snapshots"]
                   if sid not in keep]
         doomed_files = set()
-        if doomed:
-            for snapshot_id in doomed:
-                entry = self._manifest["snapshots"].pop(snapshot_id)
-                self._manifest["pins"].pop(snapshot_id, None)
-                doomed_files.update(meta["file"]
-                                    for meta in entry["arrays"].values())
+        sealed = 0
+        for snapshot_id in doomed:
+            entry = self._manifest["snapshots"].pop(snapshot_id)
+            self._manifest["pins"].pop(snapshot_id, None)
+            doomed_files.update(meta["file"]
+                                for meta in entry["arrays"].values())
+            sealed += _is_sealed(entry)
+        if sealed:
             stale_pins = [sid for sid in self._manifest["pins"]
                           if sid not in self._manifest["snapshots"]]
             for snapshot_id in stale_pins:
                 del self._manifest["pins"][snapshot_id]
             self._write_manifest()
+        get_registry().counter("store.generations_volatile_released").inc(
+            len(doomed) - sealed)
         # Files are reference-counted across entries: an alias keeps
         # the files of the generation it was bound to alive after that
         # generation's own entry is gone.
@@ -714,7 +850,10 @@ class MmapStore(SnapshotStore):
     # -- checkpoint manifest references --------------------------------
     def manifest_entry(self, snapshot_id: str) -> dict:
         """A self-contained JSON reference for checkpoints: enough to
-        reopen the snapshot from this root (or a replica's copy)."""
+        reopen the snapshot from this root (or a replica's copy).
+        Sealed first: the checkpoint about to embed the reference needs
+        the CRCs and must never name unsynced files."""
+        self.seal(snapshot_id)
         entry = self._manifest["snapshots"][snapshot_id]
         return {
             "kind": self.kind,
@@ -762,10 +901,13 @@ class MmapStore(SnapshotStore):
         holds the checkpoint's graph; the binding is made only after
         every array's ``dtype``, ``count`` and payload ``crc32`` in the
         reference equal the held generation's (:class:`StoreError`
-        otherwise, nothing written).  The alias is an ordinary manifest
-        entry over the held files, pinned by ``owner`` (the checkpoint
-        path) like any checkpointed snapshot.
+        otherwise, no alias written); ``held`` is sealed first, so its
+        CRCs are those of the bytes this store's own replay produced.
+        The alias is an ordinary manifest entry over the held files,
+        pinned by ``owner`` (the checkpoint path) like any checkpointed
+        snapshot.
         """
+        self.seal(held)
         entry = self._manifest["snapshots"][held]
         for name in ARRAY_NAMES:
             theirs, ours = reference["arrays"][name], entry["arrays"][name]

@@ -89,6 +89,7 @@ import numpy as np
 
 from repro.graph.mutation import MutationBatch
 from repro.graph.storage import (
+    ARRAY_NAMES,
     StoreError,
     atomic_write,
     verify_segment_blob,
@@ -350,10 +351,17 @@ class ReplicationWriter:
         if snapshot in link.store_shipped:
             return 0
         sent = 0
-        root = reference["root"]
+        # Read from this node's own spool, under the names its own
+        # table gives the snapshot -- not the root and files the
+        # checkpoint recorded: after a promotion the retained
+        # checkpoints still name the dead writer's directory, and a
+        # snapshot the promoted node bound to files it minted itself
+        # (an alias) has no file of the recorded name.
+        store = self.resilient.server.graph.store
+        held = dict(zip(ARRAY_NAMES, store.segment_files(snapshot)))
         for name in sorted(reference["arrays"]):
             file_name = reference["arrays"][name]["file"]
-            with open(os.path.join(root, file_name), "rb") as stream:
+            with open(os.path.join(store.root, held[name]), "rb") as stream:
                 blob = stream.read()
             shipment = Shipment(
                 kind="store", epoch=self.epoch, index=link.sent,
@@ -646,6 +654,11 @@ class ReadReplica:
         try:
             store.alias_snapshot(reference, graph.snapshot_id, owner=path)
         except StoreError as exc:
+            # The generation this replica derived is not the writer's,
+            # so its live engine stands on bytes that failed the
+            # comparison: drop it, and the resync's checkpoint (shipped
+            # with its files) reloads instead of adopting in place.
+            self.server = None
             raise ShipmentIntegrityError(
                 f"replica {self.name!r} rejected checkpoint at seq "
                 f"{seq}: {exc}"

@@ -20,6 +20,7 @@ A failing round keeps its state directory plus a replay command.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import tempfile
@@ -27,15 +28,19 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 
+from repro.algorithms import PageRank
+from repro.core.engine import GraphBoltEngine
 from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
 from repro.graph.storage import ARRAY_NAMES, MmapStore, StoreError
 from repro.obs.registry import scoped_registry
 from repro.recovery.manager import RecoveryManager
+from repro.runtime.checkpoint import load_engine, save_engine
 from repro.runtime.deadline import StepDeadline
 from repro.serving.chaos import ChaosConfig, ChaosTransport, wrap_cluster
 from repro.serving.replication import ReplicationCluster
@@ -104,6 +109,8 @@ class Scenario:
     store: str = "heap"
     #: Added to the sweep seed, so one sweep can carry several seeds.
     seed_offset: int = 0
+    #: The writer's checkpoint cadence, in batches.
+    checkpoint_every: int = 2
     #: A row whose planted failure never fires proved nothing; only
     #: the random campaign, whose hits may lie beyond the schedule,
     #: clears this.
@@ -521,6 +528,59 @@ def _blob_only_restart(run: _ClusterRun) -> None:
     run.drive()
 
 
+def _power_loss(run: _ClusterRun) -> None:
+    """Cut the power to every node at once, three batches past a
+    mid-stream checkpoint.  What that may do to data never fsynced is
+    planted by hand: every file under a store root that the *on-disk*
+    manifest does not name (volatile generations, temps) is truncated
+    to zero length and every WAL segment cut to the size its last
+    fsync covered.  Recovery may rely on nothing else."""
+    cluster = run.node
+    synced: Dict[Tuple[int, int], int] = {}
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        real_fsync(fd)
+        status = os.fstat(fd)
+        synced[status.st_dev, status.st_ino] = status.st_size
+
+    with mock.patch.object(os, "fsync", recording_fsync):
+        cluster.submit(run.schedule[0])
+        manager = cluster.writer_node.manager
+        manager.checkpoint(cluster.writer.server.engine,
+                           manager.wal.next_seq)
+        cluster.replicate()
+        for batch in run.schedule[1:4]:
+            cluster.submit(batch)
+            cluster.replicate()
+    nodes = [(manager, cluster.writer.server.graph.store.root)]
+    nodes += [(replica.manager, replica.store_root)
+              for replica in cluster.replicas.values()]
+    for name in cluster.replicas:
+        cluster.kill_replica(name)
+    for node_manager, store_root in nodes:
+        with open(os.path.join(store_root, "manifest.json"),
+                  encoding="utf-8") as stream:
+            snapshots = json.load(stream)["snapshots"].values()
+        durable = {"manifest.json"} | {
+            meta["file"] for entry in snapshots
+            for meta in entry["arrays"].values()}
+        for name in set(os.listdir(store_root)) - durable:
+            os.truncate(os.path.join(store_root, name), 0)
+            run.round.fired = True  # there was unsynced state to lose
+        wal_directory = node_manager.wal.directory
+        for name in os.listdir(wal_directory):
+            path = os.path.join(wal_directory, name)
+            status = os.stat(path)
+            os.truncate(path,
+                        synced.get((status.st_dev, status.st_ino), 0))
+    run.round.crashes += 1
+    for name in cluster.replicas:
+        cluster.restart_replica(name)
+    cluster.restart_writer(**run.admission)
+    run.drive()
+
+
 def _stores_verify(run: _ClusterRun) -> str:
     """Every snapshot the promoted writer's spool lists -- aliases
     included -- passes a full payload-CRC check, and the scrub is
@@ -614,42 +674,63 @@ def _storage_round_batch(num_vertices: int, base_graph) -> MutationBatch:
     )
 
 
+def _checkpoint_graph(graph, path: str) -> None:
+    """A real checkpoint of an engine run over ``graph``: for an mmap
+    graph, ``manifest_entry`` (the seal) -> the file -> the pin."""
+    engine = GraphBoltEngine(PageRank(), num_iterations=APPROX_ITERATIONS)
+    engine.run(graph)
+    save_engine(engine, path)
+
+
 def storage_crash_round(scenario: Scenario, root: str,
                         seed: int = 7) -> CrashRound:
-    """Kill the armed segment finalize of a generation write and prove
-    the previous snapshot manifest survives the torn write.
+    """Kill the armed segment finalize of a generation write -- or,
+    in the ``storage.seal`` rows, the seal a checkpoint of that
+    generation starts -- and prove the previous on-disk manifest
+    survives.
 
     The sequence mirrors a real process death: publish generation 0,
-    apply a mutation batch whose :meth:`MmapStore.adjust` is killed
-    mid-persist (leaving finalized orphans and a torn temp file on
-    disk), then "restart" by opening a *fresh* store over the same
-    root.  The round checks that
+    apply a mutation batch whose :meth:`MmapStore.adjust` (or whose
+    checkpoint) is killed mid-persist, leaving finalized orphans and a
+    torn temp file (or sealed files no manifest names) on disk, then
+    "restart" by opening a *fresh* store over the same root.  The
+    round checks that
 
-    1. the reopened store still points at generation 0, verifies its
-       payload CRCs, and reads it bit-for-bit;
+    1. the reopened store lists only the generation sealed before and
+       still points at it, verifies its payload CRCs, and reads it
+       bit-for-bit; no checkpoint file names the lost generation;
     2. :meth:`MmapStore.compact` sweeps every torn temp and orphaned
        segment the crash left behind;
     3. retrying the same batch converges to exactly the state a heap
-       :class:`StreamingGraph` reaches -- the equivalence oracle.
+       :class:`StreamingGraph` reaches -- the equivalence oracle -- and
+       the retried checkpoint restores exactly that.
     """
     site, kind, hit = scenario.arm
     round_ = CrashRound(seed=seed, scenario=scenario.name,
                         workload=f"rmat(6, 4, seed={seed}) + one batch",
                         arm=scenario.arm)
-    os.makedirs(root, exist_ok=True)
+    store_root = os.path.join(root, "store")
+    checkpoint = os.path.join(root, "checkpoint.npz")
+    os.makedirs(store_root, exist_ok=True)
     heap_graph = rmat(6, 4, seed=seed, weighted=True)
-    store = MmapStore(root)
+    store = MmapStore(store_root)
     base = store.publish(heap_graph)
     batch = _storage_round_batch(base.num_vertices, base)
     pre_crash = {name: np.asarray(getattr(base, name)).copy()
                  for name in ARRAY_NAMES}
     current_before = store.current_snapshot
+    sealed_before = store.snapshot_ids()
 
     streaming = StreamingGraph(base)
     with scoped_failpoints() as registry:
+        if site == "storage.seal":
+            streaming.apply_batch(batch)
         registry.arm(site, kind=kind, hit=hit)
         try:
-            streaming.apply_batch(batch)
+            if site == "storage.seal":
+                _checkpoint_graph(streaming.graph, checkpoint)
+            else:
+                streaming.apply_batch(batch)
         except InjectedCrash:
             round_.crashes += 1
         round_.fired = bool(registry.fired)
@@ -658,16 +739,19 @@ def storage_crash_round(scenario: Scenario, root: str,
         return round_
     del streaming, base, store  # the "process" died; drop its maps
 
-    # A torn temp and/or finalized-but-unpublished segments must be on
+    # A torn temp and/or finalized-but-unnamed segments must be on
     # disk -- otherwise the kill site proved nothing.
     round_.debris_files = sum(
         name.endswith(".tmp")
         or (name.endswith(".seg") and "-g000001-" in name)
-        for name in os.listdir(root)
+        for name in os.listdir(store_root)
     )
 
-    reopened_store = MmapStore(root)
+    reopened_store = MmapStore(store_root)
     try:
+        if reopened_store.snapshot_ids() != sealed_before:
+            round_.detail = "reopened store lists an unsealed generation"
+            return round_
         if reopened_store.current_snapshot != current_before:
             round_.detail = "manifest moved off the previous generation"
             return round_
@@ -675,6 +759,9 @@ def storage_crash_round(scenario: Scenario, root: str,
         reopened = reopened_store.open_snapshot()
     except StoreError as exc:
         round_.detail = f"reopen failed: {exc}"
+        return round_
+    if os.path.exists(checkpoint):
+        round_.detail = "a checkpoint names the generation the kill lost"
         return round_
     for name in ARRAY_NAMES:
         if not np.array_equal(pre_crash[name],
@@ -686,7 +773,7 @@ def storage_crash_round(scenario: Scenario, root: str,
     referenced = set()
     for snapshot_id in reopened_store.snapshot_ids():
         referenced.update(reopened_store.segment_files(snapshot_id))
-    leftovers = [name for name in os.listdir(root)
+    leftovers = [name for name in os.listdir(store_root)
                  if name.endswith(".tmp")
                  or (name.endswith(".seg") and name not in referenced)]
     if leftovers:
@@ -695,12 +782,14 @@ def storage_crash_round(scenario: Scenario, root: str,
 
     retry = StreamingGraph(reopened)
     retry.apply_batch(batch)
+    _checkpoint_graph(retry.graph, checkpoint)
+    restored = load_engine(checkpoint, PageRank()).graph
     oracle = StreamingGraph(heap_graph)
     oracle.apply_batch(batch)
     round_.ok = all(
-        np.array_equal(np.asarray(getattr(retry.graph, name)),
+        np.array_equal(np.asarray(getattr(graph, name)),
                        np.asarray(getattr(oracle.graph, name)))
-        for name in ARRAY_NAMES
+        for name in ARRAY_NAMES for graph in (retry.graph, restored)
     )
     if not round_.ok:
         round_.detail = "retry diverged from heap oracle"
@@ -758,6 +847,11 @@ SWEEPS: Dict[str, Tuple[Scenario, ...]] = {
         Scenario("blob-only-restart", "cluster",
                  choreography=_blob_only_restart,
                  invariant=_stores_verify, store="mmap"),
+        # A cadence the four batches before the cut never reach: only
+        # the checkpoint the choreography forces falls before it.
+        Scenario("power-loss", "cluster", choreography=_power_loss,
+                 invariant=_stores_verify, store="mmap",
+                 checkpoint_every=5),
     ),
     "chaos": tuple(
         Scenario(f"lossy-links+{offset}", "cluster",
@@ -768,11 +862,15 @@ SWEEPS: Dict[str, Tuple[Scenario, ...]] = {
         Scenario("black-hole", "cluster", choreography=_black_hole,
                  invariant=_dead_lettered, seed_offset=1009),
     ),
-    # One kill per segment of a generation write.
+    # One kill per segment of a generation write, then one per file of
+    # the seal a checkpoint starts and one before its manifest replace.
     "storage": tuple(
         Scenario(f"segment-{hit}", "storage",
                  ("storage.segment_write", "crash", hit))
         for hit in range(1, len(ARRAY_NAMES) + 1)
+    ) + tuple(
+        Scenario(f"seal-{hit}", "storage", ("storage.seal", "crash", hit))
+        for hit in range(1, len(ARRAY_NAMES) + 2)
     ),
 }
 
@@ -802,7 +900,8 @@ def run_row(scenario: Scenario, seed: int, state_dir: str) -> CrashRound:
     if scenario.topology == "storage":
         return storage_crash_round(scenario, state_dir, seed)
     workload = _workload_with_batches(seed, minimum=4)
-    return run_scenario(scenario, workload, state_dir, seed=seed)
+    return run_scenario(scenario, workload, state_dir, seed=seed,
+                        checkpoint_every=scenario.checkpoint_every)
 
 
 def _run_all(jobs, state_root: Optional[str], prefix: str,

@@ -97,10 +97,15 @@ __all__ = [
 #: ``storage.segment_write`` before a snapshot-store segment temp file
 #:                       is renamed into place (crash = the process
 #:                       dies with a torn segment on disk; the
-#:                       previous manifest must stay readable;
-#:                       corrupt = one payload byte is flipped after
+#:                       previous manifest must stay readable), and
+#:                       where a seal fixes that segment's CRC
+#:                       (corrupt = one payload byte is flipped after
 #:                       the CRC was computed -- planted bit-rot the
 #:                       scrubber must find);
+#: ``storage.seal``      before each per-file CRC + fsync of sealing a
+#:                       store generation and before the manifest
+#:                       replace that names it (crash = sealed files
+#:                       the readable on-disk manifest does not list);
 #: ``wal.segment_read``  when a WAL segment's raw lines are read
 #:                       for shipping or scrubbing (corrupt = one byte
 #:                       of the read buffer is flipped, so the record
@@ -120,6 +125,7 @@ KNOWN_SITES = (
     "replication.receive",
     "replica.query",
     "storage.segment_write",
+    "storage.seal",
     "wal.segment_read",
 )
 
@@ -234,17 +240,22 @@ class FailpointRegistry:
         self.hits.clear()
         self.fired.clear()
 
-    def _advance(self, site: str) -> Optional[str]:
+    def _advance(self, site: str, corruptible: bool) -> Optional[str]:
         """Bump ``site``'s counter; fire any due plan.
 
         Crash and fault plans raise (exactly like they always have);
         a corrupt plan returns ``"corrupt"`` so the caller can mutate
-        its payload in place.  Returns ``None`` when nothing fired.
+        its payload in place -- on the first ``corruptible`` pass at or
+        after its hit: ``storage.segment_write`` is also passed where
+        there is no CRC to rot yet.  Returns ``None`` when nothing
+        fired.
         """
         count = self.hits.get(site, 0) + 1
         self.hits[site] = count
         plan = self._plans.get(site)
         if plan is None or count < plan.hit:
+            return None
+        if plan.kind == "corrupt" and not corruptible:
             return None
         if plan.once:
             del self._plans[site]
@@ -261,7 +272,7 @@ class FailpointRegistry:
 
     def hit(self, site: str) -> None:
         """Record one pass through ``site``; raise if a plan says so."""
-        self._advance(site)
+        self._advance(site, corruptible=False)
 
     def hit_corruptible(self, site: str) -> bool:
         """Like :meth:`hit`, but reports corrupt-plan firings.
@@ -271,7 +282,7 @@ class FailpointRegistry:
         :func:`flip_byte`).  Crash and fault plans raise exactly as
         they do from :meth:`hit`.
         """
-        return self._advance(site) == "corrupt"
+        return self._advance(site, corruptible=True) == "corrupt"
 
 
 # ----------------------------------------------------------------------

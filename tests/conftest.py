@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,13 @@ def make_random_batch(graph: CSRGraph, rng: np.random.Generator,
     )
     return MutationBatch.from_edges(additions=adds, deletions=dels,
                                     add_weights=weights)
+
+
+def on_disk_snapshots(store_root) -> list:
+    """The snapshot ids an ``MmapStore``'s ``manifest.json`` names right
+    now -- the sealed generations, as a restarted process would see."""
+    with open(os.path.join(str(store_root), "manifest.json")) as stream:
+        return sorted(json.load(stream)["snapshots"])
 
 
 @pytest.fixture

@@ -3,12 +3,15 @@
 The contract under test: :class:`MmapStore` is a drop-in behind the
 unchanged :class:`CSRGraph` slice API -- every array it serves is
 bit-for-bit equal to the heap build it was published from, torn or
-corrupted segments are detected by CRC/header checks, and generation
+corrupted segments are detected by CRC/header checks, generation
 lifecycle (live refs, pins, compaction) never deletes a reachable
-snapshot.
+snapshot, and a generation is volatile (no fsync, no CRC, not in
+``manifest.json``) until something durable names it.
 """
 
+import errno
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -17,19 +20,45 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat, rmat_streamed, rmat_xl
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
+from repro.graph import storage
 from repro.graph.storage import (
     ARRAY_NAMES,
     ENV_SNAPSHOT_STORE,
     HeapStore,
     MmapStore,
     StoreError,
+    atomic_write,
     store_from_env,
     store_from_spec,
 )
+from repro.testing.faults import scoped_failpoints
+from tests.conftest import on_disk_snapshots
 
 
 def small_graph(seed=3):
     return rmat(6, 4, seed=seed, weighted=True)
+
+
+def mutate(streaming, step):
+    streaming.apply_batch(MutationBatch.from_edges(
+        additions=[(step % 5, (step + 7) % 11)], deletions=[]))
+
+
+class FsyncCounter:
+    """Counts ``os.fsync`` calls by what the descriptor refers to."""
+
+    def __init__(self, monkeypatch):
+        self.files = self.directories = 0
+        real = os.fsync
+
+        def counting(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                self.directories += 1
+            else:
+                self.files += 1
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
 
 
 def assert_graphs_equal(left, right):
@@ -135,21 +164,17 @@ class TestIntegrity:
 
 
 class TestLifecycle:
-    def _mutate(self, streaming, step):
-        batch = MutationBatch.from_edges(
-            additions=[(step % 5, (step + 7) % 11)],
-            deletions=[],
-        )
-        streaming.apply_batch(batch)
-
     def test_retired_generations_are_compacted(self, tmp_path):
         store = MmapStore(str(tmp_path))
         streaming = StreamingGraph(store.publish(small_graph()))
         for step in range(4):
-            self._mutate(streaming, step)
+            mutate(streaming, step)
         # StreamingGraph holds current + previous; everything older is
-        # released and must be gone from manifest and disk.
+        # released and must be gone from the in-memory table and from
+        # disk.  The on-disk manifest lost the published generation
+        # with it and never listed the adjusted (volatile) ones.
         assert len(store.snapshot_ids()) <= 2
+        assert on_disk_snapshots(tmp_path) == []
         on_disk = [f for f in os.listdir(str(tmp_path))
                    if f.endswith(".seg")]
         referenced = set()
@@ -167,11 +192,15 @@ class TestLifecycle:
         store.pin(pinned_id, str(owner))
         streaming = StreamingGraph(published)
         for step in range(4):
-            self._mutate(streaming, step)
+            mutate(streaming, step)
+        # In memory next to the two live volatile generations; alone
+        # in the on-disk manifest.
         assert pinned_id in store.snapshot_ids()
+        assert on_disk_snapshots(root) == [pinned_id]
         owner.unlink()
         store.compact()
         assert pinned_id not in store.snapshot_ids()
+        assert on_disk_snapshots(root) == []
 
 
 class TestAlias:
@@ -216,6 +245,8 @@ class TestAlias:
         meta[key] = "<f8" if key == "dtype" else meta[key] + 1
         with pytest.raises(StoreError, match="in_sources " + key):
             store.alias_snapshot(reference, held.snapshot_id, "owner")
+        # Neither the in-memory table nor the on-disk manifest (which
+        # a fresh store object reads) gained the alias.
         assert store.snapshot_ids() == [held.snapshot_id]
         assert MmapStore(str(tmp_path / "replica")).snapshot_ids() == [
             held.snapshot_id]
@@ -237,13 +268,18 @@ class TestAlias:
                 additions=[(step, step + 9)], deletions=[]))
         # The generation's own entry is tombstoned; the alias still
         # references its files, so none was unlinked.
+        # (in memory and on disk alike: the alias is sealed, the
+        # generations the stream is on are not)
         assert held_id not in store.snapshot_ids()
         assert reference["snapshot"] in store.snapshot_ids()
+        assert on_disk_snapshots(tmp_path / "replica") == [
+            reference["snapshot"]]
         assert all(os.path.exists(tmp_path / "replica" / name)
                    for name in files)
         store.verify(reference["snapshot"])
         owner.unlink()  # the pinning checkpoint rotates out
         assert reference["snapshot"] in store.compact()
+        assert on_disk_snapshots(tmp_path / "replica") == []
         assert not any(os.path.exists(tmp_path / "replica" / name)
                        for name in files)
 
@@ -258,6 +294,277 @@ class TestAlias:
         streaming.apply_batch(MutationBatch.from_edges(
             additions=[(1, 2)], deletions=[]))
         assert streaming.graph.snapshot_id.startswith("r0-g")
+
+
+class TestVolatileUntilPinned:
+    """An adjusted generation costs no fsync and no manifest write; it
+    is sealed -- CRC fixed, files + directory synced, named by
+    ``manifest.json`` -- exactly when something durable names it."""
+
+    def _adjusted(self, tmp_path, steps=1):
+        store = MmapStore(str(tmp_path))
+        streaming = StreamingGraph(store.publish(small_graph()))
+        for step in range(steps):
+            mutate(streaming, step)
+        return store, streaming
+
+    def test_an_adjusted_generation_costs_no_fsync_and_no_manifest_write(
+            self, tmp_path, monkeypatch):
+        # Two batches in, the published (sealed) generation has been
+        # released and has left the on-disk table -- the one manifest
+        # write a stream of adjustments ever causes.
+        store, streaming = self._adjusted(tmp_path, steps=2)
+        assert on_disk_snapshots(tmp_path) == []
+        fsyncs = FsyncCounter(monkeypatch)
+        manifests = []
+        monkeypatch.setattr(
+            storage, "atomic_write",
+            lambda *args, **kwargs: manifests.append(args[0]))
+        before = set(store.snapshot_ids())
+        for step in range(2, 5):  # each writes one, releases one
+            mutate(streaming, step)
+        assert not before & set(store.snapshot_ids())
+        assert len(store.snapshot_ids()) == 2
+        assert (fsyncs.files, fsyncs.directories, manifests) == (0, 0, [])
+
+    def test_a_seal_is_seven_file_fsyncs_and_two_directory_fsyncs(
+            self, tmp_path, monkeypatch):
+        store, streaming = self._adjusted(tmp_path)
+        fsyncs = FsyncCounter(monkeypatch)
+        store.seal(streaming.graph.snapshot_id)
+        # six segments + the manifest; the directory after the
+        # segments and again after the manifest replace
+        assert (fsyncs.files, fsyncs.directories) == (6 + 1, 2)
+        store.seal(streaming.graph.snapshot_id)  # idempotent
+        assert (fsyncs.files, fsyncs.directories) == (6 + 1, 2)
+
+    def test_seals_and_volatile_releases_are_recorded(self, tmp_path):
+        from repro.obs.registry import scoped_registry
+        from repro.obs.trace import Tracer, activated
+
+        with scoped_registry() as registry, activated(Tracer()) as tracer:
+            store, streaming = self._adjusted(tmp_path, steps=4)
+            graph = streaming.graph
+            store.seal(graph.snapshot_id)
+            # the publish and the explicit seal; generations 1 and 2
+            # were released without ever being synced
+            assert registry.counter(
+                "store.generations_sealed").value == 2
+            assert registry.counter(
+                "store.generations_volatile_released").value == 2
+            spans = [event for event in tracer.events()
+                     if event["name"] == "store.seal"]
+        assert [span["tags"]["snapshot"] for span in spans] == [
+            "snap-g000000", graph.snapshot_id]
+        assert spans[-1]["tags"]["fsyncs"] == 6 + 1 + 2
+        assert spans[-1]["tags"]["bytes_read"] == sum(
+            getattr(graph, name).nbytes for name in ARRAY_NAMES)
+
+    def test_volatile_is_absent_from_the_manifest_until_pinned(
+            self, tmp_path):
+        store, streaming = self._adjusted(tmp_path / "store")
+        published, adjusted = sorted(store.snapshot_ids())
+        assert adjusted == streaming.graph.snapshot_id
+        assert on_disk_snapshots(store.root) == [published]
+        owner = tmp_path / "checkpoint.npz"
+        owner.write_text("")
+        store.pin(adjusted, str(owner))
+        assert on_disk_snapshots(store.root) == [published, adjusted]
+        # Sealed means verifiable from disk alone, CRCs in the header.
+        reopened = MmapStore(store.root)
+        assert reopened.current_snapshot == adjusted
+        reopened.verify(adjusted)
+        assert_graphs_equal(reopened.open_snapshot(adjusted),
+                            streaming.graph)
+
+    def test_each_namer_seals(self, tmp_path):
+        for index, name in enumerate(
+                ["manifest_entry", "verify", "publish", "alias"]):
+            store, streaming = self._adjusted(tmp_path / name)
+            graph = streaming.graph
+            assert graph.snapshot_id not in on_disk_snapshots(store.root)
+            if name == "manifest_entry":
+                entry = store.manifest_entry(graph.snapshot_id)
+                assert all("crc32" in meta
+                           for meta in entry["arrays"].values())
+            elif name == "verify":
+                store.verify(graph.snapshot_id)
+            elif name == "publish":
+                assert store.publish(graph) is graph
+            else:
+                writer = MmapStore(str(tmp_path / "alias-writer"))
+                reference = writer.manifest_entry(
+                    writer.publish(graph).snapshot_id)
+                store.alias_snapshot(reference, graph.snapshot_id, "owner")
+            assert graph.snapshot_id in on_disk_snapshots(store.root), name
+
+    def test_a_dropped_store_reopens_to_sealed_generations_only(
+            self, tmp_path):
+        root = tmp_path / "store"
+        owner = tmp_path / "checkpoint.npz"
+        owner.write_text("")
+        store = MmapStore(str(root))
+        published = store.publish(small_graph())
+        store.pin(published.snapshot_id, str(owner))
+        streaming = StreamingGraph(published)
+        for step in range(3):
+            mutate(streaming, step)
+        assert on_disk_snapshots(root) == [published.snapshot_id]
+        volatile = [name for sid in store.snapshot_ids()
+                    if sid != published.snapshot_id
+                    for name in store.segment_files(sid)]
+        assert len(volatile) == 2 * len(ARRAY_NAMES)
+        assert all(os.path.exists(root / name) for name in volatile)
+        sealed = store.segment_files(published.snapshot_id)
+        del store, streaming  # the "crash": the object dies mid-stream
+        reopened = MmapStore(str(root))
+        assert reopened.snapshot_ids() == [published.snapshot_id]
+        reopened.verify(published.snapshot_id)
+        reopened.compact()
+        assert sorted(name for name in os.listdir(root)
+                      if name.endswith(".seg")) == sorted(sealed)
+
+    def test_planted_rot_lands_after_the_crc_and_only_verify_sees_it(
+            self, tmp_path):
+        store, streaming = self._adjusted(tmp_path)
+        graph = streaming.graph
+        with scoped_failpoints() as failpoints:
+            # The six passes of the adjust are behind us (outside this
+            # registry); the seal's second CRC is out_targets'.
+            failpoints.arm("storage.segment_write", kind="corrupt", hit=2)
+            store.seal(graph.snapshot_id)
+            assert failpoints.fired_sites() == ["storage.segment_write"]
+        reopened = MmapStore(str(tmp_path))
+        reopened.open_snapshot(graph.snapshot_id)  # headers agree
+        with pytest.raises(StoreError, match="out_targets.*CRC mismatch"):
+            reopened.verify(graph.snapshot_id)
+
+    def test_a_corrupt_plan_waits_for_the_pass_that_fixes_a_crc(
+            self, tmp_path):
+        store, streaming = self._adjusted(tmp_path, steps=0)
+        with scoped_failpoints() as failpoints:
+            failpoints.arm("storage.segment_write", kind="corrupt", hit=1)
+            mutate(streaming, 0)  # six crash-only passes: nothing to rot
+            assert failpoints.fired == []
+            heap = StreamingGraph(small_graph())
+            mutate(heap, 0)
+            assert_graphs_equal(streaming.graph, heap.graph)
+            store.seal(streaming.graph.snapshot_id)
+            assert [fired.hit_number for fired in failpoints.fired] == [7]
+        with pytest.raises(StoreError, match="out_offsets.*CRC mismatch"):
+            store.verify(streaming.graph.snapshot_id)
+
+
+class TestRunCopies:
+    """Untouched runs of a memmap-backed source never enter Python:
+    one ``copy_file_range`` per run, from the descriptor the store
+    mapped the old generation from."""
+
+    def _spy(self, monkeypatch):
+        calls = []
+        real = os.copy_file_range
+
+        def spying(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(os, "copy_file_range", spying)
+        return calls
+
+    def test_runs_of_an_old_generation_are_copied_by_the_kernel(
+            self, tmp_path, monkeypatch):
+        store = MmapStore(str(tmp_path))
+        base = small_graph()
+        streaming = StreamingGraph(store.publish(base))
+        calls = self._spy(monkeypatch)
+        tobytes = []
+        real_append = storage._SegmentFile.append
+        monkeypatch.setattr(
+            storage._SegmentFile, "append",
+            lambda self, chunk: (tobytes.append(np.asarray(chunk).size),
+                                 real_append(self, chunk))[1])
+        mutate(streaming, 0)
+        assert calls, "no run was copied file-to-file"
+        # Python saw the two offset arrays and the one added edge per
+        # array, never an old generation's edge run.
+        assert sorted(tobytes) == [1, 1, 1, 1,
+                                   base.num_vertices + 1,
+                                   base.num_vertices + 1]
+        heap = StreamingGraph(base)
+        mutate(heap, 0)
+        assert_graphs_equal(streaming.graph, heap.graph)
+
+    def test_publishing_a_heap_graph_takes_the_byte_path(
+            self, tmp_path, monkeypatch):
+        calls = self._spy(monkeypatch)
+        published = MmapStore(str(tmp_path)).publish(small_graph())
+        assert calls == []
+        assert_graphs_equal(published, small_graph())
+
+    def test_copy_survives_a_second_store_unlinking_the_source(
+            self, tmp_path, monkeypatch):
+        store = MmapStore(str(tmp_path))
+        streaming = StreamingGraph(store.publish(small_graph()))
+        mutate(streaming, 0)
+        source = store.segment_files(streaming.graph.snapshot_id)
+        # A checkpoint restore opens its own store object on the root;
+        # its compaction reaps what *it* does not hold live -- here the
+        # volatile generation the first store is standing on.
+        MmapStore(str(tmp_path)).compact()
+        assert not any(os.path.exists(tmp_path / name) for name in source)
+        calls = self._spy(monkeypatch)
+        mutate(streaming, 1)
+        assert calls
+        heap = StreamingGraph(small_graph())
+        mutate(heap, 0)
+        mutate(heap, 1)
+        assert_graphs_equal(streaming.graph, heap.graph)
+
+    def test_without_copy_file_range_the_byte_path_writes_identical_files(
+            self, tmp_path, monkeypatch):
+        def files(root, patch):
+            store = MmapStore(str(root))
+            streaming = StreamingGraph(store.publish(small_graph()))
+            if patch:
+                def unsupported(*args, **kwargs):
+                    raise OSError(errno.ENOSYS, "not implemented")
+                monkeypatch.setattr(os, "copy_file_range", unsupported)
+            for step in range(3):
+                mutate(streaming, step)
+            store.seal(streaming.graph.snapshot_id)
+            monkeypatch.undo()
+            return [(root / name).read_bytes() for name in
+                    store.segment_files(streaming.graph.snapshot_id)]
+
+        assert files(tmp_path / "kernel", False) == files(
+            tmp_path / "bytes", True)
+
+    def test_descriptors_close_when_their_graph_is_released(self, tmp_path):
+        store = MmapStore(str(tmp_path))
+        streaming = StreamingGraph(store.publish(small_graph()))
+        graphs = [streaming.graph]
+        for step in range(3):
+            mutate(streaming, step)
+            graphs.append(streaming.graph)
+        # current + previous stay open; the two behind them are closed
+        # (their maps stay readable: mmap holds its own descriptor).
+        assert [graph.out_targets._source.closed for graph in graphs] == [
+            True, True, False, False]
+        assert_graphs_equal(graphs[0], small_graph())
+        # A slice is not the whole file: never a kernel-copy source.
+        assert not hasattr(streaming.graph.out_targets[1:], "_source")
+
+
+class TestAtomicWrite:
+    def test_fsync_also_syncs_the_parent_directory(self, tmp_path,
+                                                   monkeypatch):
+        fsyncs = FsyncCounter(monkeypatch)
+        atomic_write(str(tmp_path / "plain.json"), "{}")
+        assert (fsyncs.files, fsyncs.directories) == (0, 0)
+        atomic_write(str(tmp_path / "durable.json"), "{}", fsync=True)
+        # the file before the rename, the directory after it
+        assert (fsyncs.files, fsyncs.directories) == (1, 1)
+        assert (tmp_path / "durable.json").read_text() == "{}"
 
 
 class TestSelection:

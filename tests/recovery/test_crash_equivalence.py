@@ -85,8 +85,8 @@ class TestScenarioTable:
 
     def test_same_coverage_as_the_five_hand_rolled_sweeps(self):
         assert {name: len(rows) for name, rows in SWEEPS.items()} == {
-            "durable": 6, "resilient": 3, "replicated": 4 + 3,
-            "chaos": 5 + 1, "storage": 6,
+            "durable": 6, "resilient": 3, "replicated": 4 + 3 + 1,
+            "chaos": 5 + 1, "storage": 6 + 7,
         }
         assert [row.name for row in SWEEPS["replicated"]] == [
             "writer-kill", "replica-kill", "segment-drop",
@@ -95,6 +95,8 @@ class TestScenarioTable:
             # torn append under the cluster, a blob-only adoption
             "writer-kill-past-checkpoint", "torn-append",
             "blob-only-restart",
+            # volatile store generations: only what was fsynced survives
+            "power-loss",
         ]
 
     def test_every_failpoint_has_a_row_on_the_topology_that_passes_it(
@@ -131,6 +133,7 @@ class TestScenarioTable:
             "replication.ship": "cluster",
             "replication.receive": "cluster",
             "storage.segment_write": "storage",
+            "storage.seal": "storage",
         }
 
     @pytest.mark.parametrize("sweep_name,node", [

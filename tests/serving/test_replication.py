@@ -22,6 +22,7 @@ The property stack, bottom up:
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from repro.serving import (
     StreamingAnalyticsServer,
     replication_status,
 )
-from tests.conftest import make_random_batch
+from tests.conftest import make_random_batch, on_disk_snapshots
 
 
 @pytest.fixture
@@ -465,14 +466,14 @@ class TestStoreSegmentShipping:
     a replica bootstrap must open them from its *own* store spool as
     memmaps -- a file copy, not a full-WAL replay."""
 
-    def _mmap_cluster(self, tmp_path):
+    def _mmap_cluster(self, tmp_path, transport="directory"):
         from repro.graph.storage import MmapStore
 
         store = MmapStore(str(tmp_path / "writer-store"))
         graph = store.publish(
             rmat(scale=6, edge_factor=5, seed=17, weighted=True))
         cluster = build_cluster(graph, tmp_path / "cluster",
-                                transport="directory")
+                                transport=transport)
         return graph, cluster
 
     def test_segments_ship_through_directory_transport(
@@ -569,23 +570,32 @@ class TestStoreSegmentShipping:
             cluster.replicate()
             cluster.submit(batches[1])   # checkpoint 2 falls due
             cluster.writer_node.ship()
-            # Before r0 applies record 1 and reaches the checkpoint,
-            # make the generation it will derive disagree with the
-            # writer's: its manifest will record a different CRC.
+            # r0 will apply record 1, then meet the checkpoint.  At that
+            # moment -- its generation derived and still volatile, the
+            # alias about to seal and compare it -- one payload byte of
+            # its out_targets file rots.
             replica = cluster.replicas["r0"]
             store = replica.server.graph.store
-            publish = store._publish_generation
+            alias = store.alias_snapshot
 
-            def rotten(num_vertices, segments):
-                segments["out_targets"].crc ^= 1
-                return publish(num_vertices, segments)
+            def rot_then_alias(reference, held, owner):
+                assert held not in on_disk_snapshots(store.root)
+                path = os.path.join(store.root,
+                                    store.segment_files(held)[1])
+                assert path.endswith("-out_targets.seg")
+                with open(path, "r+b") as stream:
+                    stream.seek(-8, os.SEEK_END)
+                    byte = stream.read(1)
+                    stream.seek(-8, os.SEEK_END)
+                    stream.write(bytes([byte[0] ^ 0x01]))
+                return alias(reference, held, owner)
 
-            store._publish_generation = rotten
+            store.alias_snapshot = rot_then_alias
             before = self._store_shipped(registry)
             try:
                 cluster.deliver()
             finally:
-                store._publish_generation = publish
+                store.alias_snapshot = alias
             assert cluster.integrity_rejections == 1
             assert registry.counter(
                 "replication.shipments_rejected").value == 1
@@ -603,6 +613,40 @@ class TestStoreSegmentShipping:
             assert np.array_equal(replica.approximate_values,
                                   shadow_values(graph, batches))
             cluster.close()
+
+    def test_a_promoted_writer_ships_store_files_from_its_own_spool(
+            self, rng, tmp_path):
+        """The checkpoints a promoted replica retains still record the
+        dead writer's store root (and the dead writer's file names,
+        where the replica bound the snapshot to its own generation):
+        bootstrapping a fresh link must read neither."""
+        # (in-process links: a rebuild wipes the replica's directory,
+        # and a directory transport keeps its spool in there)
+        graph, cluster = self._mmap_cluster(tmp_path, transport="inproc")
+        batches = [make_random_batch(graph, rng, 8, 8) for _ in range(7)]
+        # Checkpoints 2 and 4 are adopted blob-only; retain=2 rotates
+        # the bootstrap checkpoint (whose shipped files r0 has reaped
+        # by now) out of every node.
+        for batch in batches[:5]:
+            cluster.submit(batch)
+            cluster.replicate()
+        cluster.promote("r0")
+        assert [seq for seq, _ in
+                cluster.writer_node.manager.checkpoints()] == [2, 4]
+        shutil.rmtree(tmp_path / "writer-store")  # the old writer's tree
+        # r1 is wiped and re-bootstrapped by the promoted writer.
+        rebuilt = cluster._rebuild_replica("r1")
+        assert rebuilt.checkpoint_seq == 4
+        for batch in batches[5:]:
+            cluster.submit(batch)
+            cluster.replicate()
+        assert cluster.sync()
+        # (the shadow runs over a heap build: the published one is gone)
+        expected = shadow_values(
+            rmat(scale=6, edge_factor=5, seed=17, weighted=True), batches)
+        assert np.array_equal(cluster.writer.approximate_values, expected)
+        assert np.array_equal(rebuilt.approximate_values, expected)
+        cluster.close()
 
     def test_compaction_honours_what_an_alias_pins(self, rng, tmp_path):
         graph, cluster = self._mmap_cluster(tmp_path)

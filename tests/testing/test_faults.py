@@ -103,10 +103,25 @@ class TestSiteRoster:
     @pytest.mark.parametrize("site", [
         "admission.enqueue", "query.deadline", "breaker.probe",
         "replication.ship", "replication.reorder", "replication.receive",
-        "replica.query", "storage.segment_write", "wal.segment_read",
+        "replica.query", "storage.segment_write", "storage.seal",
+        "wal.segment_read",
     ])
     def test_layer_sites_registered(self, site):
         assert site in KNOWN_SITES
+
+    def test_a_corrupt_plan_waits_for_a_pass_that_can_corrupt(self):
+        """``storage.segment_write`` is passed by every segment write
+        (crash-only) and by the seal that fixes a CRC: a corrupt plan
+        is neither fired nor consumed by the former."""
+        registry = FailpointRegistry()
+        registry.arm("storage.segment_write", kind="corrupt", hit=2)
+        for _ in range(3):
+            registry.hit("storage.segment_write")
+        assert registry.fired == []
+        assert registry.armed("storage.segment_write")
+        assert registry.hit_corruptible("storage.segment_write")
+        assert [f.hit_number for f in registry.fired] == [4]
+        assert not registry.hit_corruptible("storage.segment_write")
 
     def test_read_path_site_is_corrupt_only_material(self):
         from repro.testing.faults import CORRUPT_SITES
