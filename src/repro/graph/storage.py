@@ -33,18 +33,19 @@ fsynced, its entry has *no* ``crc32`` key (code that forgets to seal
 fails loudly) and ``manifest.json`` does not name it.
 :meth:`MmapStore.seal` makes it **sealed** -- payload read back for its
 CRC, header patched, files then directory fsynced, manifest replaced
-with the entry in it, directory fsynced again -- exactly when
-something durable or remote is about to name it: ``publish``
-(bootstrap graphs), ``manifest_entry`` (*before* the checkpoint that
-embeds it is written), ``pin``, ``alias_snapshot`` (the replica's CRC
-then witnesses the bytes its own replay produced) and ``verify``.
-Durability of an acknowledged batch is the WAL's fsync; a restart
-opens the generation its newest checkpoint pins and replays the tail,
-so a crash can only ever lose volatile generations, whose unnamed
+once with the entry (and the namer's pin) in it, directory fsynced again
+-- exactly when something durable or remote is about to name it:
+``publish`` (bootstrap graphs), ``manifest_entry`` (*before* the
+checkpoint that embeds it is written), ``alias_snapshot`` (the
+replica's CRC then witnesses the bytes its own replay produced) and
+``verify``.  Durability of an acknowledged batch is the WAL's fsync; a
+restart opens the generation its newest checkpoint pins and replays the
+tail, so a crash can only ever lose volatile generations, whose unnamed
 files the next ``compact()`` reaps: *pinned => sealed => survives power
-loss*.  A kill inside a generation write (``storage.segment_write``)
-or a seal (``storage.seal``) leaves the previous on-disk manifest
-readable -- the storage crash sweep's rows.
+loss*.  A kill inside a generation write (``storage.segment_write``), a
+seal (``storage.seal``) or between a seal and its checkpoint leaves an
+on-disk manifest that names sealed files only -- the storage crash
+sweep's rows.
 
 Generations no longer referenced by a live graph, the ``current``
 pointer (the newest generation; null on disk while that is volatile)
@@ -118,6 +119,9 @@ ARRAY_DTYPES = {
 _MAGIC = b"RSSEG001"
 _HEADER_SIZE = 64
 _HEADER = struct.Struct("<8s8sQI")  # magic, dtype code, count, crc32
+#: What a segment may hold: the snapshot arrays' two, plus raw bytes (a
+#: checkpoint's JSON index is framed as a segment like its arrays).
+_SEGMENT_DTYPES = ("<i8", "<f8", "|u1")
 _MANIFEST_VERSION = 1
 _MANIFEST_NAME = "manifest.json"
 
@@ -141,19 +145,22 @@ def _fsync_directory(path: str) -> None:
 
 
 def atomic_write(path: str, data, fsync: bool = False) -> None:
-    """Replace ``path`` with ``data`` (``bytes``, or ``str`` as UTF-8)
-    through a temp file in its directory + ``os.replace``: a reader
+    """Replace ``path`` with ``data`` -- ``bytes``, ``str`` (as UTF-8),
+    or an iterable of buffers written back to back without being joined
+    -- through a temp file in its directory + ``os.replace``: a reader
     sees the old content or the new, never a torn write, and a failed
     write leaves no temp file behind.  ``fsync`` syncs the file before
     the rename and the directory after it, so the new name survives
     power loss too."""
     if isinstance(data, str):
         data = data.encode("utf-8")
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = (data,)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as stream:
-            stream.write(data)
+            stream.writelines(data)
             if fsync:
                 stream.flush()
                 os.fsync(stream.fileno())
@@ -299,6 +306,27 @@ def _pack_header(dtype: str, count: int, crc: int) -> bytes:
     return header.ljust(_HEADER_SIZE, b"\0")
 
 
+def _parse_header(raw, context: str, size: int) -> Tuple[str, int, int]:
+    """``(dtype, count, crc32)`` of the ``size``-byte segment image that
+    starts with ``raw``, after structural validation."""
+    if len(raw) < _HEADER_SIZE:
+        raise StoreError(f"segment {context} truncated before header end")
+    magic, dtype_raw, count, crc = _HEADER.unpack_from(raw)
+    if magic != _MAGIC:
+        raise StoreError(f"segment {context} has bad magic {magic!r}")
+    dtype = dtype_raw.rstrip(b"\0").decode("ascii", errors="replace")
+    if dtype not in _SEGMENT_DTYPES:
+        raise StoreError(f"segment {context} has unknown dtype {dtype!r}")
+    if raw[:_HEADER_SIZE] != _pack_header(dtype, count, crc):
+        raise StoreError(f"segment {context} has a non-canonical header")
+    expected = _HEADER_SIZE + count * np.dtype(dtype).itemsize
+    if size != expected:
+        raise StoreError(
+            f"segment {context}: size {size} != expected {expected}"
+        )
+    return dtype, int(count), int(crc)
+
+
 def _read_header(path: str) -> Tuple[str, int, int]:
     """Return ``(dtype, count, crc32)`` after structural validation."""
     try:
@@ -306,21 +334,7 @@ def _read_header(path: str) -> Tuple[str, int, int]:
             raw = stream.read(_HEADER_SIZE)
     except OSError as exc:
         raise StoreError(f"unreadable segment {path}: {exc}") from exc
-    if len(raw) < _HEADER_SIZE:
-        raise StoreError(f"segment {path} truncated before header end")
-    magic, dtype_raw, count, crc = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise StoreError(f"segment {path} has bad magic {magic!r}")
-    dtype = dtype_raw.rstrip(b"\0").decode("ascii")
-    if dtype not in ("<i8", "<f8"):
-        raise StoreError(f"segment {path} has unknown dtype {dtype!r}")
-    expected = _HEADER_SIZE + count * np.dtype(dtype).itemsize
-    actual = os.path.getsize(path)
-    if actual != expected:
-        raise StoreError(
-            f"segment {path}: size {actual} != expected {expected}"
-        )
-    return dtype, int(count), int(crc)
+    return _parse_header(raw, path, os.path.getsize(path))
 
 
 def _payload_crc32(stream) -> int:
@@ -349,24 +363,15 @@ def verify_segment_file(path: str) -> Tuple[str, int, int]:
     return dtype, count, crc
 
 
-def verify_segment_blob(blob: bytes, context: str = "<blob>") -> None:
+def verify_segment_blob(blob, context: str = "<blob>"
+                        ) -> Tuple[str, int, int]:
     """Like :func:`verify_segment_file` for an in-memory segment image
-    (a shipped store-segment payload that has not touched disk yet)."""
-    if len(blob) < _HEADER_SIZE:
-        raise StoreError(f"segment {context} truncated before header end")
-    magic, dtype_raw, count, crc = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise StoreError(f"segment {context} has bad magic {magic!r}")
-    dtype = dtype_raw.rstrip(b"\0").decode("ascii", errors="replace")
-    if dtype not in ("<i8", "<f8"):
-        raise StoreError(f"segment {context} has unknown dtype {dtype!r}")
-    expected = _HEADER_SIZE + int(count) * np.dtype(dtype).itemsize
-    if len(blob) != expected:
-        raise StoreError(
-            f"segment {context}: size {len(blob)} != expected {expected}"
-        )
-    if zlib.crc32(blob[_HEADER_SIZE:]) & 0xFFFFFFFF != crc:
+    (a shipped store-segment payload that has not touched disk yet, or
+    one member of a checkpoint: any buffer, sliced without a copy)."""
+    header = _parse_header(blob, context, len(blob))
+    if zlib.crc32(blob[_HEADER_SIZE:]) & 0xFFFFFFFF != header[2]:
         raise StoreError(f"segment {context} payload CRC mismatch")
+    return header
 
 
 def _evict_pages(*arrays) -> None:
@@ -556,6 +561,8 @@ class MmapStore(SnapshotStore):
         if not label or any(ch in label for ch in "/\\ \t\n"):
             raise ValueError(f"invalid store label {label!r}")
         self._live: Dict[str, int] = {}
+        #: Sealed entries or pins the on-disk manifest does not hold yet.
+        self._unwritten = False
         self._manifest = self._read_manifest()
         self.label = self._manifest.setdefault("label", label)
 
@@ -601,6 +608,7 @@ class MmapStore(SnapshotStore):
                        indent=1, sort_keys=True),
             fsync=True,
         )
+        self._unwritten = False
 
     # -- snapshot ids --------------------------------------------------
     def _mint_snapshot_id(self) -> str:
@@ -652,9 +660,32 @@ class MmapStore(SnapshotStore):
         self._manifest["current"] = snapshot_id
         return self.open_snapshot(snapshot_id)
 
-    def seal(self, snapshot_id: str) -> None:
+    def seal(self, snapshot_id: str, owner: Optional[str] = None) -> None:
         """Make a volatile generation durable and CRC-guarded (no-op on
-        a sealed one), before anything durable or remote names it."""
+        a sealed one), before anything durable or remote names it.
+
+        ``owner`` -- the checkpoint path about to name the generation --
+        is recorded as a *pin* by the same manifest replace: the files
+        are kept for as long as the file at ``owner`` exists
+        (self-expiring, so checkpoint rotation needs no store hook).
+        The pin is written before that file exists -- safe, because the
+        generation is live until the checkpoint lands, and a pin whose
+        owner never appears (a kill in between) expires by itself in
+        :meth:`_retained`."""
+        self._seal_files(snapshot_id)
+        if owner is not None:
+            owners = self._manifest["pins"].setdefault(snapshot_id, [])
+            owner = os.path.abspath(owner)
+            if owner not in owners:
+                owners.append(owner)
+                self._unwritten = True
+        if self._unwritten:
+            self._write_manifest()
+
+    def _seal_files(self, snapshot_id: str) -> None:
+        """The file half of a seal: CRCs into the headers and the table
+        entry, files then directory fsynced; the manifest is the
+        caller's to replace."""
         entry = self._manifest["snapshots"][snapshot_id]
         if _is_sealed(entry):
             return
@@ -688,7 +719,7 @@ class MmapStore(SnapshotStore):
             faults.hit("storage.seal")
             for name, crc in crcs.items():
                 entry["arrays"][name]["crc32"] = crc
-            self._write_manifest()
+            self._unwritten = True
             span.tag(bytes_read=bytes_read, fsyncs=len(ARRAY_NAMES) + 3)
         get_registry().counter("store.generations_sealed").inc()
 
@@ -768,17 +799,6 @@ class MmapStore(SnapshotStore):
                 source.close()
         self.compact()
 
-    def pin(self, snapshot_id: str, owner: str) -> None:
-        """Keep ``snapshot_id``'s files for as long as the file at
-        ``owner`` (a checkpoint path) exists; self-expiring, so
-        checkpoint rotation needs no store hook."""
-        self.seal(snapshot_id)
-        owners = self._manifest["pins"].setdefault(snapshot_id, [])
-        owner = os.path.abspath(owner)
-        if owner not in owners:
-            owners.append(owner)
-            self._write_manifest()
-
     def _retained(self) -> set:
         keep = set(self._live)
         if self.current_snapshot is not None:
@@ -833,27 +853,24 @@ class MmapStore(SnapshotStore):
         # not arrived yet, so they are never reaped by name.
         own_prefix = f"{self.label}-g"
         for name in os.listdir(self.root):
-            path = os.path.join(self.root, name)
-            if name.endswith(".tmp"):
+            if name.endswith(".tmp") or (
+                    name.endswith(".seg") and name.startswith(own_prefix)
+                    and name not in referenced):
                 try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            elif (name.endswith(".seg") and name.startswith(own_prefix)
-                  and name not in referenced):
-                try:
-                    os.unlink(path)
+                    os.unlink(os.path.join(self.root, name))
                 except OSError:
                     pass
         return doomed
 
     # -- checkpoint manifest references --------------------------------
-    def manifest_entry(self, snapshot_id: str) -> dict:
+    def manifest_entry(self, snapshot_id: str,
+                       owner: Optional[str] = None) -> dict:
         """A self-contained JSON reference for checkpoints: enough to
         reopen the snapshot from this root (or a replica's copy).
-        Sealed first: the checkpoint about to embed the reference needs
+        Sealed first -- and pinned for ``owner``, the checkpoint about
+        to embed the reference, by the same manifest write: it needs
         the CRCs and must never name unsynced files."""
-        self.seal(snapshot_id)
+        self.seal(snapshot_id, owner)
         entry = self._manifest["snapshots"][snapshot_id]
         return {
             "kind": self.kind,
@@ -865,30 +882,32 @@ class MmapStore(SnapshotStore):
                        for name, meta in entry["arrays"].items()},
         }
 
-    def adopt_snapshot(self, reference: dict) -> str:
+    def adopt_snapshot(self, reference: dict,
+                       owner: Optional[str] = None) -> str:
         """Register a snapshot described by a checkpoint manifest
         reference whose segment files already sit in this root (e.g.
-        shipped there by replication).  Idempotent."""
+        shipped there by replication), pinned for the checkpoint at
+        ``owner`` like one saved here.  Idempotent."""
         snapshot_id = reference["snapshot"]
-        if snapshot_id in self._manifest["snapshots"]:
-            return snapshot_id
-        entry = {
-            "num_vertices": int(reference["num_vertices"]),
-            "arrays": {name: dict(meta)
-                       for name, meta in reference["arrays"].items()},
-        }
-        for name in ARRAY_NAMES:
-            if name not in entry["arrays"]:
-                raise StoreError(
-                    f"manifest reference missing array {name!r}"
-                )
-            # Header check up front: adopting a half-shipped snapshot
-            # must fail loudly, not at first page fault.
-            self._open_array(entry["arrays"][name])
-        self._manifest["snapshots"][snapshot_id] = entry
-        if self._manifest["current"] is None:
-            self._manifest["current"] = snapshot_id
-        self._write_manifest()
+        if snapshot_id not in self._manifest["snapshots"]:
+            entry = {
+                "num_vertices": int(reference["num_vertices"]),
+                "arrays": {name: dict(meta)
+                           for name, meta in reference["arrays"].items()},
+            }
+            for name in ARRAY_NAMES:
+                if name not in entry["arrays"]:
+                    raise StoreError(
+                        f"manifest reference missing array {name!r}"
+                    )
+                # Header check up front: adopting a half-shipped
+                # snapshot must fail loudly, not at first page fault.
+                self._open_array(entry["arrays"][name])
+            self._manifest["snapshots"][snapshot_id] = entry
+            if self._manifest["current"] is None:
+                self._manifest["current"] = snapshot_id
+            self._unwritten = True
+        self.seal(snapshot_id, owner)
         return snapshot_id
 
     def alias_snapshot(self, reference: dict, held: str,
@@ -907,7 +926,7 @@ class MmapStore(SnapshotStore):
         pinned by ``owner`` (the checkpoint path) like any checkpointed
         snapshot.
         """
-        self.seal(held)
+        self._seal_files(held)
         entry = self._manifest["snapshots"][held]
         for name in ARRAY_NAMES:
             theirs, ours = reference["arrays"][name], entry["arrays"][name]
@@ -923,10 +942,8 @@ class MmapStore(SnapshotStore):
             "arrays": {name: dict(meta)
                        for name, meta in entry["arrays"].items()},
         }
-        self._manifest["pins"][reference["snapshot"]] = [
-            os.path.abspath(owner)
-        ]
-        self._write_manifest()
+        self._unwritten = True
+        self.seal(reference["snapshot"], owner)  # the one manifest replace
 
     def segment_files(self, snapshot_id: str) -> List[str]:
         """File names (relative to root) backing one snapshot."""
@@ -942,13 +959,15 @@ class MmapStore(SnapshotStore):
 # ----------------------------------------------------------------------
 def open_snapshot_reference(reference: dict,
                             store_root: Optional[str] = None,
-                            label: Optional[str] = None) -> CSRGraph:
+                            label: Optional[str] = None,
+                            owner: Optional[str] = None) -> CSRGraph:
     """Reopen the snapshot a checkpoint's manifest reference names.
 
     ``store_root`` overrides the recorded root (a replica passes its
     own spool, where the writer's segment files were shipped); the
-    snapshot is adopted into that root's manifest if absent so later
-    structure adjustments and pins work locally.
+    snapshot is adopted into that root's manifest if absent, pinned for
+    the checkpoint file at ``owner``, so later structure adjustments
+    and compaction work locally.
     """
     if reference.get("kind") != "mmap":
         raise StoreError(
@@ -956,8 +975,7 @@ def open_snapshot_reference(reference: dict,
         )
     root = store_root or reference["root"]
     store = MmapStore(root, label=label or reference.get("label", "snap"))
-    snapshot_id = store.adopt_snapshot(reference)
-    return store.open_snapshot(snapshot_id)
+    return store.open_snapshot(store.adopt_snapshot(reference, owner))
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ A :class:`RecoveryManager` owns one on-disk state directory::
       quarantine.json         sequence numbers of poison batches
       wal/                    append-only mutation log (repro.recovery.wal)
       checkpoints/
-        ckpt-<seq>.npz        atomic engine snapshots, newest wins
+        ckpt-<seq>.ckpt       atomic engine snapshots, newest wins
 
 and composes three guarantees:
 
@@ -16,8 +16,8 @@ and composes three guarantees:
    retry-with-backoff over transient I/O faults);
 2. **Periodic atomic checkpoints** -- :meth:`maybe_checkpoint` snapshots
    the engine every ``checkpoint_every`` batches via
-   :func:`repro.runtime.checkpoint.save_engine` (temp file +
-   ``os.replace``, checksum in the payload), rotates retained
+   :func:`repro.runtime.checkpoint.save_engine` (temp file, fsync,
+   ``os.replace``, every byte under a CRC), rotates retained
    generations, and garbage-collects WAL segments the oldest retained
    checkpoint already covers;
 3. **Verified recovery** -- :meth:`recover` restores the newest
@@ -51,7 +51,7 @@ from repro.obs.registry import get_registry
 from repro.recovery.wal import SegmentView, WriteAheadLog
 from repro.runtime.checkpoint import (
     load_engine,
-    read_checkpoint_extra,
+    open_checkpoint,
     save_engine,
 )
 from repro.testing import faults
@@ -62,9 +62,22 @@ __all__ = [
     "RecoveryManager",
     "SegmentGapError",
     "default_poison_check",
+    "list_checkpoints",
 ]
 
-_CKPT_RE = re.compile(r"^ckpt-(\d{20})\.npz$")
+#: The one place that knows how a checkpoint generation is named.
+_CKPT_NAME = "ckpt-{:020d}.ckpt"
+_CKPT_RE = re.compile(r"^ckpt-(\d{20})\.ckpt$")
+
+
+def list_checkpoints(directory: str) -> List[Tuple[int, str]]:
+    """``(seq, path)`` of every checkpoint generation in a
+    ``checkpoints/`` directory, oldest first (none if it is absent)."""
+    if not os.path.isdir(directory):
+        return []
+    return sorted(
+        (int(match.group(1)), os.path.join(directory, match.string))
+        for match in map(_CKPT_RE.match, os.listdir(directory)) if match)
 
 
 class RecoveryError(RuntimeError):
@@ -191,6 +204,9 @@ class RecoveryManager:
     def _mark_skipped(self, seq: int, reason: str) -> None:
         """Durably record that replay must skip WAL record ``seq``."""
         self._quarantined[int(seq)] = reason
+        self._persist_skip_marks()
+
+    def _persist_skip_marks(self) -> None:
         _atomic_write_json(
             self._quarantine_path,
             {str(seq): reason for seq, reason in self._quarantined.items()},
@@ -273,14 +289,7 @@ class RecoveryManager:
                 self._quarantined[seq] = str(reason)
                 added += 1
         if added:
-            _atomic_write_json(
-                self._quarantine_path,
-                {str(seq): reason
-                 for seq, reason in self._quarantined.items()},
-            )
-            get_registry().gauge("recovery.quarantine_size").set(
-                len(self._quarantined)
-            )
+            self._persist_skip_marks()
         return added
 
     # ------------------------------------------------------------------
@@ -322,17 +331,10 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     def checkpoints(self) -> List[Tuple[int, str]]:
         """``(seq, path)`` of every retained generation, oldest first."""
-        found = []
-        for name in os.listdir(self._checkpoint_dir):
-            match = _CKPT_RE.match(name)
-            if match:
-                found.append((int(match.group(1)),
-                              os.path.join(self._checkpoint_dir, name)))
-        found.sort()
-        return found
+        return list_checkpoints(self._checkpoint_dir)
 
     def checkpoint_path(self, seq: int) -> str:
-        return os.path.join(self._checkpoint_dir, f"ckpt-{seq:020d}.npz")
+        return os.path.join(self._checkpoint_dir, _CKPT_NAME.format(seq))
 
     def checkpoint(self, engine: GraphBoltEngine, seq: int) -> str:
         """Snapshot ``engine`` as covering WAL records ``[0, seq)``."""
@@ -356,14 +358,14 @@ class RecoveryManager:
         Replicas never snapshot their own engine -- they adopt the
         writer's atomic checkpoints byte-for-byte, so a promoted
         replica's directory is structurally identical to a writer's.
-        Written via temp file + ``os.replace`` like a local checkpoint;
-        rotation and WAL GC apply unchanged.  Re-adopting an existing
-        generation is an idempotent no-op.
+        Written via temp file, fsync and ``os.replace`` like a local
+        checkpoint; rotation and WAL GC apply unchanged.  Re-adopting an
+        existing generation is an idempotent no-op.
         """
         path = self.checkpoint_path(seq)
         if os.path.exists(path):
             return path
-        atomic_write(path, blob)
+        atomic_write(path, blob, fsync=True)
         registry = get_registry()
         registry.counter("recovery.checkpoints_adopted").inc()
         registry.gauge("recovery.last_checkpoint_seq").set(seq)
@@ -437,15 +439,17 @@ class RecoveryManager:
         registry = get_registry()
         for seq, path in reversed(generations):
             try:
-                engine = load_engine(path, algorithm_factory(),
-                                     **load_kwargs)
-                extra = read_checkpoint_extra(path)
-                stored_seq = int(extra.get("recovery_seq", seq))
+                # One verified open serves the seq check and the engine.
+                opened = open_checkpoint(path)
+                stored_seq = int(opened.index["extra"].get(
+                    "recovery_seq", seq))
                 if stored_seq != seq:
                     raise ValueError(
                         f"checkpoint {path} claims seq {stored_seq}, "
                         f"filename says {seq}"
                     )
+                engine = load_engine(opened, algorithm_factory(),
+                                     **load_kwargs)
             except (ValueError, OSError, KeyError) as exc:
                 # A corrupt generation is skipped, not fatal: fall back
                 # to the previous one and re-cover the gap from the WAL.

@@ -28,7 +28,7 @@ state directory *proactively*, re-verifying every CRC it can find, and
   the covered prefix (recovery never replays it); damage *above* the
   checkpoint is unrepairable standalone and is reported as such.
 
-- **Checkpoints.**  A checkpoint whose payload checksum fails is
+- **Checkpoints.**  A checkpoint that fails any of its CRCs is
   sidelined; recovery already skips unloadable generations, so
   sidelining only makes the skip explicit and durable.
 
@@ -57,8 +57,9 @@ from repro.graph.storage import (
     _pack_header,
 )
 from repro.obs.registry import get_registry
+from repro.recovery.manager import list_checkpoints
 from repro.recovery.wal import _decode_record
-from repro.runtime.checkpoint import read_store_manifest
+from repro.runtime.checkpoint import open_checkpoint, read_store_manifest
 
 __all__ = [
     "IntegrityScrubber",
@@ -291,24 +292,12 @@ class IntegrityScrubber:
                 ))
         report.checked["wal_records"] = records
 
-    def _checkpoints(self) -> List[Tuple[int, str]]:
-        if not os.path.isdir(self.ckpt_dir):
-            return []
-        entries = []
-        for name in os.listdir(self.ckpt_dir):
-            if name.startswith("ckpt-") and name.endswith(".npz"):
-                stem = name[5:-4]
-                if stem.isdigit():
-                    entries.append((int(stem),
-                                    os.path.join(self.ckpt_dir, name)))
-        return sorted(entries)
-
     def _scan_checkpoints(self, report: ScrubReport) -> None:
-        checkpoints = self._checkpoints()
+        checkpoints = list_checkpoints(self.ckpt_dir)
         report.checked["checkpoints"] = len(checkpoints)
         for seq, path in checkpoints:
             try:
-                read_store_manifest(path)
+                open_checkpoint(path)  # every CRC, every structural rule
             except ValueError as exc:
                 report.findings.append(ScrubFinding(
                     kind="checkpoint", path=path, first_seq=seq,
@@ -323,7 +312,7 @@ class IntegrityScrubber:
         # Manifest-mode checkpoints name the snapshots they depend on;
         # resolve them against store_root when given (replica spools
         # hold *copies* -- the recorded root is the writer's).
-        for _seq, path in self._checkpoints():
+        for _seq, path in list_checkpoints(self.ckpt_dir):
             try:
                 reference = read_store_manifest(path)
             except ValueError:
@@ -436,10 +425,7 @@ class IntegrityScrubber:
         rebuild_out = damaged <= set(_OUT_ARRAYS)
         rebuild_in = damaged <= set(_IN_ARRAYS)
         if not (rebuild_out or rebuild_in):
-            detail = self._quarantine_store_group(group)
-            for finding in findings:
-                finding.repaired = group.source == "manifest"
-                finding.repair = detail
+            self._quarantine_store_group(group, findings)
             return
         clean_names = _IN_ARRAYS if rebuild_out else _OUT_ARRAYS
         clean = {}
@@ -451,12 +437,8 @@ class IntegrityScrubber:
                     meta["dtype"], int(meta["count"]),
                 )
         except OSError as exc:
-            detail = self._quarantine_store_group(group)
-            for finding in findings:
-                finding.repaired = group.source == "manifest"
-                finding.repair = (
-                    f"clean direction unreadable ({exc}); {detail}"
-                )
+            self._quarantine_store_group(
+                group, findings, f"clean direction unreadable ({exc}); ")
             return
         if rebuild_out:
             rebuilt = _rebuild_direction(
@@ -480,13 +462,9 @@ class IntegrityScrubber:
             if (crc != int(meta["crc32"])
                     or len(data) != int(meta["count"])
                     * np.dtype(meta["dtype"]).itemsize):
-                detail = self._quarantine_store_group(group)
-                for other in findings:
-                    other.repaired = group.source == "manifest"
-                    other.repair = (
-                        f"rebuild CRC mismatch on {finding.array}; "
-                        f"{detail}"
-                    )
+                self._quarantine_store_group(
+                    group, findings,
+                    f"rebuild CRC mismatch on {finding.array}; ")
                 return
             staged[finding.array] = (meta, data, crc)
         for name, (meta, data, crc) in staged.items():
@@ -502,8 +480,11 @@ class IntegrityScrubber:
                 f"clean {'in' if rebuild_out else 'out'} direction"
             )
 
-    def _quarantine_store_group(self, group: _StoreGroup) -> str:
-        """Sideline a generation that cannot be rebuilt standalone.
+    def _quarantine_store_group(self, group: _StoreGroup,
+                                findings: List[ScrubFinding],
+                                why: str = "") -> None:
+        """Sideline a generation that cannot be rebuilt standalone, and
+        say so (after ``why``) on each of its findings.
 
         With a store manifest the entry is dropped too, so nothing can
         open the rotten generation again -- that counts as "handled"
@@ -538,10 +519,10 @@ class IntegrityScrubber:
                 json.dumps(manifest, indent=1, sort_keys=True), fsync=True,
             )
         get_registry().counter("scrub.quarantined").inc()
-        return (
-            f"quarantined generation {group.snapshot} "
-            f"({moved} files sidelined to {quarantine_dir})"
-        )
+        for finding in findings:
+            finding.repaired = group.source == "manifest"
+            finding.repair = (f"{why}quarantined generation {group.snapshot} "
+                              f"({moved} files sidelined to {quarantine_dir})")
 
     def _repair_wal(self, report: ScrubReport) -> None:
         wal_findings = sorted(
@@ -551,7 +532,7 @@ class IntegrityScrubber:
         )
         if not wal_findings:
             return
-        checkpoints = self._checkpoints()
+        checkpoints = list_checkpoints(self.ckpt_dir)
         ckpt_seq = checkpoints[-1][0] if checkpoints else None
         segments = self._wal_segments()
         bounds = {}

@@ -5,454 +5,454 @@ history to a crash would force a full re-run on the next mutation.
 :func:`save_engine` persists a :class:`~repro.core.engine.GraphBoltEngine`'s
 complete processing state -- graph snapshot, rolling values/aggregate,
 frontier, and the per-iteration dependency history -- to a single
-``.npz`` file; :func:`load_engine` reconstructs an engine that continues
+file; :func:`load_engine` reconstructs an engine that continues
 exactly where the saved one stopped (same values, same refinement
 behaviour on the next batch).
 
-Durability discipline (see ``docs/operations.md``):
+The file is an index over raw arrays -- the second container built from
+the one array framing :mod:`repro.graph.storage` owns (the first is a
+store generation: one ``RSSEG001`` segment per file)::
 
-- **Atomic publish** -- the payload is written to a temp file in the
-  *same directory* and moved into place with ``os.replace``, so a crash
-  mid-write leaves either the previous checkpoint or none, never a
-  truncated ``.npz``.  ``save_engine`` returns the real on-disk path
-  (``numpy`` appends ``.npz`` to suffix-less names; the returned path
-  always names an existing file).
-- **Checksum in the payload** -- a CRC32 over every array's name,
-  dtype, shape, and bytes is stored under ``payload_crc32`` and
-  verified by :func:`load_engine` before anything is interpreted.
-- **Structural validation on load** -- array shapes, dtypes, and index
-  ranges are checked against ``num_vertices`` so a corrupted (or
-  wrong-file) checkpoint raises a clear ``ValueError`` instead of
-  propagating garbage into the engine.
+    0           RSSEG001 header   dtype |u1, count = len(index), CRC32
+    64          index             JSON, space-padded to 8 bytes: format,
+                                  version, fingerprint, scalars, extra,
+                                  graph mode, store manifest reference,
+                                  per array name/dtype/shape/offset/crc32
+    data start  RSSEG001 header   dtype, count, CRC32  } one per array,
+     + offset   payload           raw little-endian    } back to back
+    EOF         the last payload's end -- nothing follows
 
-Graph payload modes (format version 3):
+Every array is ``<i8`` or ``<f8``, so members stay 8-byte aligned with
+no padding; the history's records are four concatenated arrays plus one
+``(horizon + 1, 2)`` offsets array, not four members per iteration.
 
-- ``inline`` (heap graphs) -- the six canonical CSR+CSC arrays are
-  stored verbatim, so :func:`load_engine` reconstructs the snapshot
-  through :meth:`CSRGraph.from_canonical` with **zero** re-sorts; the
-  pre-v3 format stored raw ``(src, dst, weight)`` triples and paid two
-  O(E log E) lexsorts on every restore.
-- ``manifest`` (mmap-store graphs) -- the payload records a JSON
-  *store manifest reference* (root, snapshot id, per-array segment
-  file + dtype + count + CRC32) instead of inlining gigabytes of edge
-  arrays.  The referenced snapshot is pinned in the store for as long
-  as the checkpoint file exists, and restore reopens the segment
-  files as ``np.memmap`` views (``store_root`` overrides the recorded
-  root -- replicas pass their own spool).
+No compression: at scale 15 with ten iterations (7.1 MB of arrays) the
+deflated ``.npz`` archive this replaced spent 350 of ``save_engine``'s
+360 ms in ``zlib``, verifying it cost 94 ms and loading it 148 ms, while
+CRC + ``write`` + ``fsync`` of the same bytes raw is 10 ms -- so a
+checkpoint is now the size of the state it holds (EXPERIMENTS.md,
+"Checkpoint, byte by byte").
 
-The algorithm itself is *not* serialised (closures and potentials do
-not round-trip safely through arrays); the caller supplies an equally
-configured algorithm instance at load time, and a fingerprint check
+Durability and integrity discipline (see ``docs/operations.md``):
+
+- **Atomic, synced publish** -- temp file in the same directory, fsync,
+  ``os.replace``, directory fsync: a crash leaves the previous
+  checkpoint or none, and a checkpoint that is listed survives power
+  loss.
+- **Every byte under a CRC, checked once per open** -- on save each
+  array is CRC'd once, from its own buffer.  :func:`open_checkpoint`
+  reads the file once and verifies, in one pass and before anything is
+  interpreted: the index segment, then each member's header against
+  the index (canonical byte for byte, padding included) and payload
+  against its CRC32, at offsets that must tile the file exactly; then
+  shapes, dtypes and index ranges against ``num_vertices``.  Damage
+  raises a ``ValueError`` naming the region.
+- **Restore copies what the engine mutates** -- ``values``,
+  ``prev_values``, ``aggregate``, ``frontier`` (and the history's two
+  templates); history records and inline graph arrays are read-only
+  views of the verified bytes.  The file is read, not mapped: later
+  damage to it on disk cannot reach a live engine.
+
+Graph payload modes: ``inline`` (heap graphs) -- the six canonical
+CSR+CSC arrays are members and :meth:`CSRGraph.from_canonical` adopts
+them with zero sorts and zero copies; ``manifest`` (mmap-store graphs)
+-- the index records a *store manifest reference* (root, snapshot id,
+per-array segment file + dtype + count + CRC32) instead of gigabytes of
+edge arrays.  The snapshot is pinned in the store for as long as the
+checkpoint file exists (by the seal's own manifest write, before the
+file lands); restore reopens the segment files as ``np.memmap`` views
+under ``store_root`` (replicas pass their own spool) and pins them there
+the same way.
+
+The algorithm itself is *not* serialised; the caller supplies an
+equally configured instance at load time, and a fingerprint check
 rejects obvious mismatches.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import os
-import tempfile
-import zipfile
+import math
 import zlib
-from contextlib import contextmanager
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
 from repro.core.engine import GraphBoltEngine
-from repro.core.history import DependencyHistory
+from repro.core.history import DependencyHistory, IterationRecord
 from repro.core.model import IncrementalAlgorithm
 from repro.core.pruning import PruningPolicy
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
-from repro.graph.storage import open_snapshot_reference
+from repro.graph.storage import (
+    ARRAY_NAMES,
+    StoreError,
+    _HEADER,
+    _HEADER_SIZE,
+    _pack_header,
+    atomic_write,
+    open_snapshot_reference,
+    verify_segment_blob,
+)
 from repro.ligra.delta import DeltaState
 from repro.testing import faults
 
 __all__ = [
+    "Checkpoint",
     "load_engine",
+    "open_checkpoint",
     "read_checkpoint_extra",
     "read_store_manifest",
     "save_engine",
     "verify_checkpoint_blob",
 ]
 
-_FORMAT_VERSION = 3
-_CRC_KEY = "payload_crc32"
-_EXTRA_PREFIX = "extra_"
-_GRAPH_ARRAYS = (
-    "out_offsets", "out_targets", "out_weights",
-    "in_offsets", "in_sources", "in_weights",
-)
+_FORMAT = "repro-checkpoint"
+_FORMAT_VERSION = 4
+_STATE_ARRAYS = ("values", "prev_values", "aggregate", "frontier",
+                 "hist_initial", "hist_identity", "hist_offsets",
+                 "hist_g_idx", "hist_g_values", "hist_c_idx", "hist_c_values")
+
+
+class Checkpoint(NamedTuple):
+    """A verified, open checkpoint: its index and read-only array views."""
+
+    index: dict
+    arrays: Dict[str, np.ndarray]
+    #: The file it was read from (``None``: opened from bytes).
+    path: Optional[str]
 
 
 def _fingerprint(algorithm: IncrementalAlgorithm) -> str:
-    return (
-        f"{type(algorithm).__name__}|{algorithm.name}|"
-        f"{algorithm.value_shape}|{algorithm.aggregation_shape}|"
-        f"{algorithm.aggregation.name}"
-    )
-
-
-def _payload_crc32(payload: Dict[str, np.ndarray]) -> int:
-    """CRC32 over every entry's name, dtype, shape, and raw bytes."""
-    crc = 0
-    for key in sorted(payload):
-        if key == _CRC_KEY:
-            continue
-        arr = np.asarray(payload[key])
-        for piece in (key, str(arr.dtype), str(arr.shape)):
-            crc = zlib.crc32(piece.encode("utf-8"), crc)
-        crc = zlib.crc32(np.ascontiguousarray(arr).tobytes(), crc)
-    return crc
-
-
-def _normalise_path(path: str) -> str:
-    """The path ``numpy`` will actually write (suffix made explicit)."""
-    return path if path.endswith(".npz") else path + ".npz"
+    return (f"{type(algorithm).__name__}|{algorithm.name}|"
+            f"{algorithm.value_shape}|{algorithm.aggregation_shape}|"
+            f"{algorithm.aggregation.name}")
 
 
 def save_engine(engine: GraphBoltEngine, path: str,
                 extra: Optional[Dict[str, np.ndarray]] = None) -> str:
-    """Atomically persist a run engine's state; returns the on-disk path.
-
-    ``extra`` entries (e.g. a recovery sequence number) are stored under
-    ``extra_``-prefixed keys, covered by the payload checksum, ignored
-    by :func:`load_engine`, and read back with
-    :func:`read_checkpoint_extra`.
-    """
+    """Atomically and durably persist a run engine's state at ``path``
+    (returned for convenience).  ``extra`` entries (e.g. a recovery
+    sequence number) are stored in the index, covered by its checksum,
+    ignored by :func:`load_engine`, and read back with
+    :func:`read_checkpoint_extra`."""
     engine._require_run()
     graph = engine.graph
     state = engine._state
     history = engine._history
-
+    records = history.records
     store = graph.store
-    store_backed = (
-        store is not None
-        and store.kind == "mmap"
-        and graph.snapshot_id is not None
-    )
-    payload = {
-        "format_version": np.int64(_FORMAT_VERSION),
-        "fingerprint": np.array(_fingerprint(engine.algorithm)),
-        "num_vertices": np.int64(graph.num_vertices),
+    reference = None
+    if (store is not None and store.kind == "mmap"
+            and graph.snapshot_id is not None):
+        # Out-of-core snapshot: a reference to the store's segment
+        # files, not the edge arrays.  This seals the generation and
+        # pins it for ``path`` in one manifest write; the pin expires by
+        # itself if the file below never lands.
+        reference = store.manifest_entry(graph.snapshot_id, owner=path)
+    lengths = [(record.g_idx.size, record.c_idx.size) for record in records]
+
+    def joined(field: str, like: np.ndarray) -> np.ndarray:
+        # History rows back to back; ``like`` gives an empty history its
+        # row shape.
+        return np.concatenate(
+            [like[:0]] + [getattr(record, field) for record in records])
+
+    arrays = {
         "values": state.values,
         "prev_values": state.prev_values,
         "aggregate": state.aggregate,
         "frontier": state.frontier,
-        "iteration": np.int64(state.iteration),
-        "num_iterations": np.int64(engine.num_iterations),
-        "until_convergence": np.bool_(engine.until_convergence),
         "hist_initial": history.initial_values,
         "hist_identity": history.identity_aggregate,
-        "hist_len": np.int64(history.horizon),
+        "hist_offsets": np.cumsum([(0, 0)] + lengths, axis=0),
+        "hist_g_idx": joined("g_idx", state.frontier),
+        "hist_g_values": joined("g_values", history.identity_aggregate),
+        "hist_c_idx": joined("c_idx", state.frontier),
+        "hist_c_values": joined("c_values", history.initial_values),
     }
-    if store_backed:
-        # Out-of-core snapshot: record a reference to the store's
-        # published segment files instead of inlining the edge arrays.
-        payload["graph_mode"] = np.array("manifest")
-        payload["store_manifest"] = np.array(
-            json.dumps(store.manifest_entry(graph.snapshot_id),
-                       sort_keys=True)
-        )
-    else:
-        # Heap snapshot: the six canonical arrays round-trip through
-        # CSRGraph.from_canonical without re-sorting on restore.
-        payload["graph_mode"] = np.array("inline")
-        for name in _GRAPH_ARRAYS:
-            payload[name] = getattr(graph, name)
-    for index, record in enumerate(history.records):
-        payload[f"rec_{index}_g_idx"] = record.g_idx
-        payload[f"rec_{index}_g_values"] = record.g_values
-        payload[f"rec_{index}_c_idx"] = record.c_idx
-        payload[f"rec_{index}_c_values"] = record.c_values
-    if extra:
-        for key, value in extra.items():
-            payload[f"{_EXTRA_PREFIX}{key}"] = np.asarray(value)
-    payload[_CRC_KEY] = np.uint32(_payload_crc32(payload))
+    if reference is None:  # heap snapshot: the six arrays travel inline
+        arrays.update((name, getattr(graph, name)) for name in ARRAY_NAMES)
 
-    path = _normalise_path(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    faults.hit("checkpoint.write")
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as stream:
-            np.savez_compressed(stream, **payload)
+    fields = {
+        "format": _FORMAT, "version": _FORMAT_VERSION,
+        "fingerprint": _fingerprint(engine.algorithm),
+        "num_vertices": int(graph.num_vertices),
+        "iteration": int(state.iteration),
+        "num_iterations": int(engine.num_iterations),
+        "until_convergence": bool(engine.until_convergence),
+        "graph_mode": "inline" if reference is None else "manifest",
+        "store_manifest": reference,
+        "extra": {key: np.asarray(value).tolist()
+                  for key, value in (extra or {}).items()},
+    }
+
+    def content():
+        yield from _pack(fields, arrays)
+        # Inside the write, so a kill here takes atomic_write's cleanup:
+        # the previous generation stays, no temp file does.
         faults.hit("checkpoint.replace")
-        os.replace(tmp_path, path)
-    except BaseException:
-        # A failed (or crashed-over) write must not leave the temp file
-        # masquerading as state; the published checkpoint is untouched.
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
-        raise
-    if store_backed:
-        # Pin the referenced snapshot so store compaction keeps its
-        # segment files alive for as long as this checkpoint exists;
-        # the pin self-expires once the owner file is rotated away.
-        store.pin(graph.snapshot_id, owner=path)
+
+    faults.hit("checkpoint.write")
+    atomic_write(path, content(), fsync=True)
     return path
 
 
+def _pack(fields: dict, arrays: Dict[str, np.ndarray]):
+    """The file, piece by piece: the index segment (``fields`` plus one
+    entry per array), then every array's segment.  Each array is CRC'd
+    once from its own buffer and never copied."""
+    members, pieces, offset = [], [], 0
+    for name, array in arrays.items():
+        dtype = "<f8" if np.asarray(array).dtype.kind == "f" else "<i8"
+        array = np.ascontiguousarray(array, dtype=np.dtype(dtype))
+        raw = array.reshape(-1).view(np.uint8)
+        crc = zlib.crc32(raw) & 0xFFFFFFFF
+        members.append({"name": name, "dtype": dtype, "offset": offset,
+                        "shape": list(array.shape), "crc32": crc})
+        pieces += [_pack_header(dtype, array.size, crc), raw]
+        offset += _HEADER_SIZE + raw.size
+    index = json.dumps({**fields, "arrays": members},
+                       sort_keys=True).encode("utf-8")
+    index += b" " * (-len(index) % 8)
+    yield _pack_header("|u1", len(index), zlib.crc32(index))
+    yield index
+    yield from pieces
+
+
 # ----------------------------------------------------------------------
-# Load-time validation
+# Open-time validation
 # ----------------------------------------------------------------------
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(f"corrupt checkpoint: {message}")
 
 
-@contextmanager
-def _checkpoint_data(path: str):
-    """Open an ``.npz`` checkpoint, folding every way a damaged archive
-    can fail (bad zip directory, bad member CRC, truncated deflate
-    stream, missing arrays) into one clear ``ValueError``.
-
-    ``npz`` members decompress lazily, so these errors can surface at
-    any ``data[key]`` access inside the block, not just at open."""
+def _member(view, start: int, nbytes: int, context: str):
+    """The RSSEG001 member with an ``nbytes`` payload at ``start``:
+    ``(header fields, payload view, end)`` after its CRC check.  Slices
+    clamp, so a length that points past EOF is a size mismatch."""
+    end = start + _HEADER_SIZE + nbytes
     try:
-        with np.load(path, allow_pickle=False) as data:
-            yield data
-    except ValueError:
-        raise
-    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError) as exc:
+        header = verify_segment_blob(view[start:end], context)
+    except StoreError as exc:
+        raise ValueError(f"corrupt checkpoint: {exc}") from exc
+    return header, view[start + _HEADER_SIZE:end], end
+
+
+def _read_index(source, context: Optional[str] = None):
+    """``(view, index, data start, path, context)`` with the index
+    segment's CRC and every index-only structural rule checked."""
+    path = None
+    if not isinstance(source, (bytes, bytearray, memoryview)):
+        path = source
+        with open(path, "rb") as stream:
+            source = stream.read()
+    view = memoryview(source)
+    context = context or path or "<blob>"
+    if view[:2] == b"PK":
         raise ValueError(
-            f"corrupt checkpoint: {path} is unreadable "
-            f"({type(exc).__name__}: {exc})"
-        ) from exc
-
-
-def verify_checkpoint_blob(blob: bytes,
-                           context: str = "<blob>") -> Optional[dict]:
-    """Run the full payload verification on checkpoint bytes *before*
-    they land anywhere; returns the store manifest reference the
-    payload records (``None`` for an inline graph).
-
-    The end-to-end integrity gate for replication: a checkpoint blob
-    corrupted in transit must be rejected at receive time, never
-    adopted onto a replica's disk where a later reload would silently
-    fall back past it.  Raises :class:`ValueError` on any damage --
-    bad zip structure, member CRC, payload checksum, or structural
-    violation.
-    """
+            f"unsupported checkpoint format: {context} is a pre-v4 .npz "
+            f"archive (no reader is kept; re-checkpoint from a live engine)")
+    _require(len(view) >= _HEADER_SIZE,
+             f"{context} is truncated before its index header ends")
+    (dtype, _, _), raw, start = _member(
+        view, 0, _HEADER.unpack_from(view)[2], f"{context} index")
     try:
-        with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-            return _verify_payload(data, context)
+        index = json.loads(bytes(raw)) if dtype == "|u1" else None
     except ValueError:
-        raise
-    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError,
-            OSError) as exc:
+        index = None
+    _require(isinstance(index, dict) and index.get("format") == _FORMAT,
+             f"{context} does not start with a checkpoint index")
+    if index.get("version") != _FORMAT_VERSION:
         raise ValueError(
-            f"corrupt checkpoint: {context} is unreadable "
-            f"({type(exc).__name__}: {exc})"
-        ) from exc
+            f"unsupported checkpoint version {index.get('version')!r}")
+    for key in ("fingerprint", "until_convergence", "graph_mode",
+                "store_manifest", "extra", "arrays"):
+        _require(key in index, f"index is missing {key!r}")
+    for key in ("num_vertices", "iteration", "num_iterations"):
+        _require(isinstance(index.get(key), int) and index[key] >= 0,
+                 f"index has no non-negative {key!r}")
+    num_vertices, mode = index["num_vertices"], index["graph_mode"]
+    reference = index["store_manifest"]
+    if mode == "manifest":
+        _require(isinstance(reference, dict),
+                 "manifest payload has no store reference")
+        for key in ("kind", "root", "snapshot", "num_vertices", "arrays"):
+            _require(key in reference, f"store manifest is missing {key!r}")
+        _require(reference["num_vertices"] == num_vertices,
+                 "store manifest vertex count does not match payload")
+    else:
+        _require(mode == "inline" and reference is None,
+                 f"unknown graph payload mode {mode!r}")
+    return view, index, start, path, context
+
+
+def open_checkpoint(source, context: Optional[str] = None) -> Checkpoint:
+    """Verify a checkpoint -- a path, or its bytes before they land
+    anywhere -- in one pass, and hand back its index and array views.
+
+    The one integrity gate: :func:`load_engine`, recovery, the replica's
+    verify-before-adopt rule and ``repro scrub`` all open through here.
+    Raises :class:`ValueError` naming the damaged region: the index, a
+    member's header or payload, its offset, trailing bytes, a shape."""
+    view, index, data_start, path, context = _read_index(source, context)
+    arrays, position = {}, data_start
+    for meta in index["arrays"]:
+        try:
+            name, dtype, shape = meta["name"], meta["dtype"], meta["shape"]
+            count = math.prod(shape)
+            sound = (dtype in ("<i8", "<f8") and isinstance(count, int)
+                     and min(shape, default=0) >= 0
+                     and data_start + meta["offset"] == position)
+        except (KeyError, TypeError):
+            sound = False
+        _require(sound, f"index entry {meta!r} is malformed, overlaps its "
+                        f"neighbour or leaves the file")
+        header, raw, position = _member(
+            view, position, 8 * count, f"{context} array {name!r}")
+        _require(header == (dtype, count, meta.get("crc32")),
+                 f"array {name!r} header disagrees with the index")
+        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    _require(position == len(view),
+             f"{len(view) - position} bytes follow the last array")
+    _verify_structure(index, arrays)
+    return Checkpoint(index, arrays, path)
 
 
 def _check_index_array(name: str, arr: np.ndarray,
                        num_vertices: int) -> None:
-    _require(arr.ndim == 1, f"{name} must be 1-D, got shape {arr.shape}")
-    _require(np.issubdtype(arr.dtype, np.integer),
-             f"{name} must be integer, got dtype {arr.dtype}")
+    _require(arr.ndim == 1 and arr.dtype.kind == "i",
+             f"{name} must be a 1-D integer array, got {arr.dtype} "
+             f"{arr.shape}")
     if arr.size:
         _require(int(arr.min()) >= 0 and int(arr.max()) < num_vertices,
                  f"{name} indexes outside [0, {num_vertices})")
 
 
 def _verify_canonical_arrays(data, num_vertices: int) -> None:
-    """Structural checks on the six inline CSR+CSC arrays.
-
-    ``from_canonical`` trusts its inputs (that is the point -- zero
-    copies, zero sorts), so everything it would otherwise silently
-    mis-index on is rejected here."""
+    """Structural checks on the six inline CSR+CSC arrays:
+    ``from_canonical`` trusts its inputs (zero copies, zero sorts), so
+    everything it would silently mis-index on is rejected here."""
     num_edges = int(data["out_targets"].size)
     for name in ("out_offsets", "in_offsets"):
         arr = data[name]
-        _require(arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer),
-                 f"{name} must be a 1-D integer array")
-        _require(arr.size == num_vertices + 1,
-                 f"{name} length {arr.size} != num_vertices + 1")
+        _require(arr.dtype.kind == "i" and arr.shape == (num_vertices + 1,),
+                 f"{name} is not {num_vertices} + 1 integers")
         _require(int(arr[0]) == 0 and int(arr[-1]) == num_edges,
                  f"{name} endpoints do not span the edge arrays")
-        if arr.size > 1:
-            _require(int(np.diff(arr).min()) >= 0,
-                     f"{name} is not monotone")
-    _check_index_array("out_targets", data["out_targets"], num_vertices)
-    _check_index_array("in_sources", data["in_sources"], num_vertices)
-    _require(int(data["in_sources"].size) == num_edges,
-             "CSC edge count does not match CSR edge count")
-    _require(data["out_weights"].shape == data["out_targets"].shape,
-             "out_weights does not match out_targets")
-    _require(data["in_weights"].shape == data["in_sources"].shape,
-             "in_weights does not match in_sources")
+        _require(int(np.diff(arr).min(initial=0)) >= 0,
+                 f"{name} is not monotone")
+    for ids, weights in (("out_targets", "out_weights"),
+                         ("in_sources", "in_weights")):
+        _check_index_array(ids, data[ids], num_vertices)
+        _require(data[ids].size == num_edges,
+                 "CSC edge count does not match CSR edge count")
+        _require(data[weights].shape == data[ids].shape,
+                 f"{weights} does not match {ids}")
 
 
-def _parse_store_manifest(text: str) -> dict:
-    try:
-        reference = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"corrupt checkpoint: unreadable store manifest ({exc})"
-        ) from exc
-    _require(isinstance(reference, dict),
-             "store manifest is not a JSON object")
-    for key in ("kind", "root", "snapshot", "num_vertices", "arrays"):
-        _require(key in reference, f"store manifest is missing {key!r}")
-    return reference
-
-
-def _verify_payload(data, path: str) -> Optional[dict]:
-    """Checksum plus structural validation, before interpretation;
-    returns the store manifest reference of a manifest-mode payload."""
-    reference = None
-    version = int(data["format_version"])
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    if _CRC_KEY not in data:
-        raise ValueError(f"corrupt checkpoint: {path} has no checksum")
-    payload = {key: data[key] for key in data.files if key != _CRC_KEY}
-    stored = int(np.uint32(data[_CRC_KEY]))
-    actual = _payload_crc32(payload)
-    _require(stored == actual,
-             f"checksum mismatch in {path} "
-             f"(stored {stored}, computed {actual})")
-
-    num_vertices = int(data["num_vertices"])
-    _require(num_vertices >= 0, "negative vertex count")
-    _require("graph_mode" in data, "missing graph payload mode")
-    mode = str(data["graph_mode"])
-    if mode == "inline":
-        for name in _GRAPH_ARRAYS:
-            _require(name in data, f"inline payload is missing {name}")
+def _verify_structure(index: dict, data: Dict[str, np.ndarray]) -> None:
+    """Array-level validation, after the CRCs and before interpretation."""
+    num_vertices, inline = index["num_vertices"], not index["store_manifest"]
+    for name in _STATE_ARRAYS + (ARRAY_NAMES if inline else ()):
+        _require(name in data, f"payload is missing {name}")
+    if inline:
         _verify_canonical_arrays(data, num_vertices)
-    elif mode == "manifest":
-        _require("store_manifest" in data,
-                 "manifest payload has no store reference")
-        reference = _parse_store_manifest(str(data["store_manifest"]))
-        _require(int(reference.get("num_vertices", -1)) == num_vertices,
-                 "store manifest vertex count does not match payload")
-    else:
-        raise ValueError(
-            f"corrupt checkpoint: unknown graph payload mode {mode!r}"
-        )
     values = data["values"]
-    _require(values.shape[0] == num_vertices if values.ndim else False,
+    _require(values.ndim >= 1 and values.shape[0] == num_vertices,
              f"values length {values.shape} != num_vertices "
              f"{num_vertices}")
     _require(data["prev_values"].shape == values.shape,
              "prev_values shape does not match values")
-    _require(data["aggregate"].shape[0] == num_vertices
-             if data["aggregate"].ndim else False,
+    _require(data["aggregate"].ndim >= 1
+             and data["aggregate"].shape[0] == num_vertices,
              "aggregate length != num_vertices")
     _check_index_array("frontier", data["frontier"], num_vertices)
-    _require(int(data["iteration"]) >= 0, "negative iteration")
     _require(data["hist_initial"].shape == values.shape,
              "history initial values shape does not match values")
-    hist_len = int(data["hist_len"])
-    _require(hist_len >= 0, "negative history length")
-    for index in range(hist_len):
-        for part in ("g_idx", "g_values", "c_idx", "c_values"):
-            _require(f"rec_{index}_{part}" in data,
-                     f"history record {index} is missing {part}")
-        g_idx = data[f"rec_{index}_g_idx"]
-        c_idx = data[f"rec_{index}_c_idx"]
-        _check_index_array(f"rec_{index}_g_idx", g_idx, num_vertices)
-        _check_index_array(f"rec_{index}_c_idx", c_idx, num_vertices)
-        _require(data[f"rec_{index}_g_values"].shape[0] == g_idx.size,
-                 f"history record {index} aggregate values do not "
-                 f"match indices")
-        _require(data[f"rec_{index}_c_values"].shape[0] == c_idx.size,
-                 f"history record {index} vertex values do not "
-                 f"match indices")
-    return reference
-
-
-def _restore_graph(data, reference: Optional[dict],
-                   store_root: Optional[str],
-                   store_label: Optional[str]) -> CSRGraph:
-    """Rebuild the snapshot from either payload mode, with zero sorts."""
-    if reference is not None:
-        return open_snapshot_reference(reference, store_root=store_root,
-                                       label=store_label)
-    return CSRGraph.from_canonical(
-        int(data["num_vertices"]),
-        *(np.ascontiguousarray(data[name]) for name in _GRAPH_ARRAYS),
-    )
+    _require(data["hist_identity"].shape == data["aggregate"].shape,
+             "history identity shape does not match aggregate")
+    offsets = data["hist_offsets"]
+    _require(offsets.ndim == 2 and offsets.shape[0] >= 1
+             and offsets.shape[1] == 2 and not offsets[0].any()
+             and int(np.diff(offsets, axis=0).min(initial=0)) >= 0,
+             "history offsets are not two monotone columns from zero")
+    for column, part in enumerate("gc"):
+        idx, rows = data[f"hist_{part}_idx"], data[f"hist_{part}_values"]
+        _check_index_array(f"hist_{part}_idx", idx, num_vertices)
+        _require(idx.size == int(offsets[-1, column]) == rows.shape[0],
+                 f"history {part} rows do not match their offsets")
 
 
 def load_engine(
-    path: str,
+    source,
     algorithm: IncrementalAlgorithm,
     pruning: Optional[PruningPolicy] = None,
     store_root: Optional[str] = None,
     store_label: Optional[str] = None,
     **engine_kwargs,
 ) -> GraphBoltEngine:
-    """Reconstruct an engine from a checkpoint.
+    """Reconstruct an engine from a checkpoint -- a path, or a
+    :class:`Checkpoint` the caller already opened (and so verified).
 
     ``algorithm`` must be configured identically to the one that was
     checkpointed (same class, shapes and aggregation); a fingerprint
-    mismatch raises ``ValueError`` rather than corrupting results.  The
-    payload checksum and array shapes/ranges are verified first, so a
-    corrupted file fails loudly.
-
-    ``store_root`` only matters for manifest-mode checkpoints: it
-    overrides the snapshot-store root recorded at save time (replicas
-    restore from their own spool directory, not the writer's), and
-    ``store_label`` names that spool when this restore creates it.
+    mismatch raises ``ValueError`` rather than corrupting results.
+    ``store_root`` overrides the snapshot-store root a manifest-mode
+    checkpoint recorded (replicas restore from their own spool, not the
+    writer's); ``store_label`` names that spool if this creates it.
     """
-    with _checkpoint_data(path) as data:
-        reference = _verify_payload(data, path)
-        stored = str(data["fingerprint"])
-        actual = _fingerprint(algorithm)
-        if stored != actual:
-            raise ValueError(
-                f"algorithm mismatch: checkpoint was {stored!r}, "
-                f"got {actual!r}"
-            )
-        graph = _restore_graph(data, reference, store_root, store_label)
-        engine = GraphBoltEngine(
-            algorithm,
-            num_iterations=int(data["num_iterations"]),
-            until_convergence=bool(data["until_convergence"]),
-            pruning=pruning,
-            **engine_kwargs,
-        )
-        engine._streaming = StreamingGraph(graph)
-        engine._state = DeltaState(
-            values=data["values"].copy(),
-            prev_values=data["prev_values"].copy(),
-            aggregate=data["aggregate"].copy(),
-            frontier=data["frontier"].copy(),
-            iteration=int(data["iteration"]),
-        )
-        history = DependencyHistory(data["hist_initial"],
-                                    data["hist_identity"])
-        for index in range(int(data["hist_len"])):
-            history.record(
-                data[f"rec_{index}_g_idx"],
-                data[f"rec_{index}_g_values"],
-                data[f"rec_{index}_c_idx"],
-                data[f"rec_{index}_c_values"],
-            )
-        engine._history = history
-        return engine
+    index, data, path = (source if isinstance(source, Checkpoint)
+                         else open_checkpoint(source))
+    stored, actual = index["fingerprint"], _fingerprint(algorithm)
+    if stored != actual:
+        raise ValueError(
+            f"algorithm mismatch: checkpoint was {stored!r}, got {actual!r}")
+    if index["store_manifest"] is not None:
+        graph = open_snapshot_reference(
+            index["store_manifest"], store_root=store_root,
+            label=store_label, owner=path)
+    else:
+        graph = CSRGraph.from_canonical(
+            index["num_vertices"], *(data[name] for name in ARRAY_NAMES))
+    engine = GraphBoltEngine(
+        algorithm, num_iterations=index["num_iterations"],
+        until_convergence=bool(index["until_convergence"]),
+        pruning=pruning, **engine_kwargs)
+    engine._streaming = StreamingGraph(graph)
+    engine._state = DeltaState(
+        iteration=index["iteration"],
+        **{name: data[name].copy()  # all the engine mutates in place
+           for name in ("values", "prev_values", "aggregate", "frontier")})
+    history = DependencyHistory(data["hist_initial"], data["hist_identity"])
+    offsets = data["hist_offsets"]
+    for (g0, c0), (g1, c1) in zip(offsets[:-1], offsets[1:]):
+        history.append(IterationRecord(
+            data["hist_g_idx"][g0:g1], data["hist_g_values"][g0:g1],
+            data["hist_c_idx"][c0:c1], data["hist_c_values"][c0:c1]))
+    engine._history = history
+    return engine
 
 
-def read_store_manifest(path: str) -> Optional[dict]:
-    """The store manifest reference a checkpoint records, or ``None``.
-
-    Replication uses this to discover which snapshot-store segment
-    files a manifest-mode checkpoint depends on, so they can be
-    shipped to replicas ahead of the checkpoint itself."""
-    with _checkpoint_data(path) as data:
-        return _verify_payload(data, path)
+def read_store_manifest(source) -> Optional[dict]:
+    """The store manifest reference a checkpoint (path or bytes)
+    records, or ``None`` -- from the CRC-checked index alone: how
+    replication learns which store files to ship ahead of it."""
+    return _read_index(source)[1]["store_manifest"]
 
 
 def read_checkpoint_extra(path: str) -> Dict[str, np.ndarray]:
-    """Checksum-verified ``extra`` metadata stored by :func:`save_engine`."""
-    with _checkpoint_data(path) as data:
-        _verify_payload(data, path)
-        return {
-            key[len(_EXTRA_PREFIX):]: data[key]
-            for key in data.files if key.startswith(_EXTRA_PREFIX)
-        }
+    """Verified ``extra`` metadata stored by :func:`save_engine`."""
+    return {key: np.asarray(value) for key, value
+            in open_checkpoint(path).index["extra"].items()}
+
+
+def verify_checkpoint_blob(blob: bytes,
+                           context: str = "<blob>") -> Optional[dict]:
+    """Full verification of checkpoint bytes *before* they land
+    anywhere -- the replica's gate: a checkpoint corrupted in transit is
+    NACKed at receive time, never adopted onto disk where a later reload
+    would silently fall back past it.  Returns the store manifest
+    reference (``None`` for an inline graph)."""
+    return open_checkpoint(blob, context).index["store_manifest"]

@@ -11,7 +11,7 @@ transport abstraction (:mod:`repro.serving.transport`):
   is shippable once its append returned (it is fsynced by then), so
   freshness follows the batch, not the checkpoint interval;
 - **checkpoints, on the writer's cadence** -- its atomic
-  ``ckpt-<seq>.npz`` archives, adopted byte-for-byte.  Records below a
+  ``ckpt-<seq>.ckpt`` files, adopted byte-for-byte.  Records below a
   checkpoint ship before it, so a caught-up replica adopts it in place
   (no reload); it is also how a fresh replica bootstraps and how a
   lagging one heals past garbage-collected history;
@@ -100,6 +100,7 @@ from repro.recovery.manager import (
     RecoveryError,
     RecoveryManager,
     SegmentGapError,
+    list_checkpoints,
 )
 from repro.recovery.wal import SegmentView, payload_to_batch
 from repro.recovery.wal import _decode_record  # CRC-checked end-to-end
@@ -139,6 +140,7 @@ __all__ = [
 #: Replicas never self-checkpoint -- they adopt the writer's -- so
 #: their manager cadence is effectively "never".
 _REPLICA_CHECKPOINT_EVERY = 10 ** 9
+_INBOX = "inbox"  # a directory link's spool, inside the replica's directory
 
 
 class ReplicationGapError(ReplicationError):
@@ -317,10 +319,10 @@ class ReplicationWriter:
 
     def _ship_checkpoint(self, link: _Link, seq: int, path: str,
                          store_files: bool = True) -> int:
-        sent = (self._ship_store_segments(link, seq, path)
-                if store_files else 0)
         with open(path, "rb") as stream:
             blob = stream.read()
+        sent = (self._ship_store_segments(link, seq, blob)
+                if store_files else 0)
         shipment = Shipment(
             kind="checkpoint", epoch=self.epoch, index=link.sent,
             first_seq=seq, end_seq=seq, blob=blob,
@@ -331,7 +333,7 @@ class ReplicationWriter:
                                  "replication.checkpoints_shipped")
 
     def _ship_store_segments(self, link: _Link, seq: int,
-                             path: str) -> int:
+                             blob: bytes) -> int:
         """Ship the snapshot-store files a manifest-mode checkpoint
         references, ahead of the checkpoint itself.
 
@@ -342,7 +344,7 @@ class ReplicationWriter:
         batch, so ids never mutate in place).
         """
         try:
-            reference = read_store_manifest(path)
+            reference = read_store_manifest(blob)  # the index alone
         except ValueError:
             return 0  # a corrupt checkpoint is rejected on the replica
         if reference is None:  # inline payload: arrays travel inside
@@ -835,7 +837,7 @@ class ReplicationCluster:
     def _make_inbox(self, name: str) -> ReplicationTransport:
         if self.transport_kind == "directory":
             return DirectoryTransport(
-                os.path.join(self._replica_dir(name), "inbox")
+                os.path.join(self._replica_dir(name), _INBOX)
             )
         return InProcessTransport()
 
@@ -1188,11 +1190,10 @@ class ReplicationCluster:
         writer -- the repair of last resort.
 
         The inbox transport object is retained (spool cursors and any
-        chaos wrapper survive); shipments still queued for the old
-        incarnation are drained first, bounded by ``pending()`` because
-        a chaos delay plan may keep returning ``None`` for a shipment
-        that is still queued.
-        """
+        chaos wrapper survive; the wipe spares a directory link's spool);
+        shipments queued for the old incarnation are drained first,
+        bounded by ``pending()`` because a chaos delay plan may keep
+        returning ``None`` for one that is still queued."""
         old = self.replicas[name]
         inbox = old.inbox
         if old.alive:
@@ -1201,7 +1202,9 @@ class ReplicationCluster:
             if inbox.peek() is None:
                 break
             inbox.ack()
-        shutil.rmtree(old.directory, ignore_errors=True)
+        for entry in set(os.listdir(old.directory)) - {_INBOX}:
+            path = os.path.join(old.directory, entry)
+            (shutil.rmtree if os.path.isdir(path) else os.remove)(path)
         replica = self._spawn(name, inbox)
         self.writer_node.resync(name, 0)
         self.deliver()
@@ -1336,12 +1339,9 @@ def replication_status(root: str) -> Dict:
             log = WriteAheadLog(wal_dir)
             next_seq = log.next_seq
             log.close()
-        ckpt_dir = os.path.join(directory, "checkpoints")
-        newest = -1
-        if os.path.isdir(ckpt_dir):
-            for entry in os.listdir(ckpt_dir):
-                if entry.startswith("ckpt-") and entry.endswith(".npz"):
-                    newest = max(newest, int(entry[5:-4]))
+        generations = list_checkpoints(
+            os.path.join(directory, "checkpoints"))
+        newest = generations[-1][0] if generations else -1
         return {
             "next_seq": max(next_seq, max(newest, 0)),
             "newest_checkpoint": newest,

@@ -13,7 +13,6 @@ seeded fault schedule.
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 from collections import deque
@@ -91,34 +90,25 @@ class Shipment:
     meta: Mapping[str, str] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind,
-            "epoch": self.epoch,
-            "index": self.index,
-            "first_seq": self.first_seq,
-            "end_seq": self.end_seq,
-            "lines": list(self.lines),
-            "blob_b64": base64.b64encode(self.blob).decode("ascii"),
-            "skip": {str(seq): reason
-                     for seq, reason in self.skip.items()},
-            "meta": dict(self.meta),
-        }, sort_keys=True)
+        """The envelope: every field but ``blob``, whose length it
+        records -- the bytes travel raw beside it, never through JSON."""
+        fields = {**self.__dict__, "lines": list(self.lines),
+                  "skip": dict(self.skip), "meta": dict(self.meta),
+                  "blob_len": len(self.blob)}
+        del fields["blob"]
+        return json.dumps(fields, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "Shipment":
-        payload = json.loads(text)
-        return cls(
-            kind=payload["kind"],
-            epoch=payload["epoch"],
-            index=payload["index"],
-            first_seq=payload["first_seq"],
-            end_seq=payload["end_seq"],
-            lines=tuple(payload["lines"]),
-            blob=base64.b64decode(payload["blob_b64"]),
-            skip={int(seq): reason
-                  for seq, reason in payload["skip"].items()},
-            meta=dict(payload.get("meta", {})),
-        )
+    def from_json(cls, text, blob: bytes = b"") -> "Shipment":
+        fields = json.loads(text)
+        if fields.pop("blob_len") != len(blob):
+            raise ValueError(
+                f"shipment envelope does not describe the {len(blob)} blob "
+                f"bytes that came with it")
+        return cls(**{
+            **fields, "blob": blob, "lines": tuple(fields["lines"]),
+            "skip": {int(seq): reason
+                     for seq, reason in fields["skip"].items()}})
 
 
 def corrupt_shipment(shipment: Shipment) -> Shipment:
@@ -213,9 +203,11 @@ class InProcessTransport(ReplicationTransport):
 class DirectoryTransport(ReplicationTransport):
     """A spool-directory link (``ship-<n>.json``) for cross-process use.
 
-    Files are written atomically (temp + ``os.replace``); the consumer
-    cursor is persisted (``cursor.json``) so a restarted replica resumes
-    at its first unacked shipment.
+    A spool file is the shipment's one-line JSON envelope followed by
+    its raw ``blob`` bytes (the envelope says how many), written
+    atomically (temp + ``os.replace``); the consumer cursor is persisted
+    (``cursor.json``) so a restarted replica resumes at its first
+    unacked shipment.
     """
 
     #: Consecutive failed decodes of the same spool file before it is
@@ -245,7 +237,8 @@ class DirectoryTransport(ReplicationTransport):
         name = f"ship-{self._send_count:012d}.json"
         self._send_count += 1
         atomic_write(os.path.join(self.directory, name),
-                     shipment.to_json())
+                     (shipment.to_json().encode("utf-8"), b"\n",
+                      shipment.blob))
 
     def peek(self) -> Optional[Shipment]:
         for name in self._spool():
@@ -253,8 +246,15 @@ class DirectoryTransport(ReplicationTransport):
                 continue
             path = os.path.join(self.directory, name)
             try:
-                with open(path, encoding="utf-8") as stream:
-                    shipment = Shipment.from_json(stream.read())
+                with open(path, "rb") as stream:
+                    envelope = stream.readline()
+                    # The read is sized from the file -- one exact
+                    # allocation -- and from_json checks the envelope's
+                    # claim against it: a length that points past the
+                    # end of a torn file is a ValueError.
+                    rest = os.fstat(stream.fileno()).st_size - len(envelope)
+                    shipment = Shipment.from_json(envelope,
+                                                  stream.read(rest))
             except (OSError, ValueError, KeyError, TypeError):
                 # A torn or partially-written spool file (a producer
                 # without our atomic temp+replace discipline, or a

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import stat
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -533,16 +534,33 @@ def _power_loss(run: _ClusterRun) -> None:
     mid-stream checkpoint.  What that may do to data never fsynced is
     planted by hand: every file under a store root that the *on-disk*
     manifest does not name (volatile generations, temps) is truncated
-    to zero length and every WAL segment cut to the size its last
-    fsync covered.  Recovery may rely on nothing else."""
+    to zero length, every WAL segment and checkpoint cut to the size
+    its last fsync covered, and a checkpoint no fsync of
+    ``checkpoints/`` named is gone.  Recovery may rely on nothing else."""
     cluster = run.node
-    synced: Dict[Tuple[int, int], int] = {}
+    # inode -> what its last fsync covered: a file's size, a
+    # directory's names.
+    synced: Dict[Tuple[int, int], object] = {}
     real_fsync = os.fsync
 
     def recording_fsync(fd):
         real_fsync(fd)
         status = os.fstat(fd)
-        synced[status.st_dev, status.st_ino] = status.st_size
+        synced[status.st_dev, status.st_ino] = (
+            set(os.listdir(fd)) if stat.S_ISDIR(status.st_mode)
+            else status.st_size)
+
+    def cut(directory: str, named: bool) -> None:
+        status = os.stat(directory)
+        names = synced.get((status.st_dev, status.st_ino), ())
+        for name in os.listdir(directory):
+            path = os.path.join(directory, name)
+            status = os.stat(path)
+            if named and name not in names:
+                os.remove(path)
+            else:
+                os.truncate(
+                    path, synced.get((status.st_dev, status.st_ino), 0))
 
     with mock.patch.object(os, "fsync", recording_fsync):
         cluster.submit(run.schedule[0])
@@ -568,12 +586,9 @@ def _power_loss(run: _ClusterRun) -> None:
         for name in set(os.listdir(store_root)) - durable:
             os.truncate(os.path.join(store_root, name), 0)
             run.round.fired = True  # there was unsynced state to lose
-        wal_directory = node_manager.wal.directory
-        for name in os.listdir(wal_directory):
-            path = os.path.join(wal_directory, name)
-            status = os.stat(path)
-            os.truncate(path,
-                        synced.get((status.st_dev, status.st_ino), 0))
+        cut(node_manager.wal.directory, named=False)
+        cut(os.path.join(node_manager.directory, "checkpoints"),
+            named=True)
     run.round.crashes += 1
     for name in cluster.replicas:
         cluster.restart_replica(name)
@@ -684,21 +699,22 @@ def _checkpoint_graph(graph, path: str) -> None:
 
 def storage_crash_round(scenario: Scenario, root: str,
                         seed: int = 7) -> CrashRound:
-    """Kill the armed segment finalize of a generation write -- or,
-    in the ``storage.seal`` rows, the seal a checkpoint of that
-    generation starts -- and prove the previous on-disk manifest
-    survives.
+    """Kill the armed segment finalize of a generation write -- or the
+    seal a checkpoint of that generation starts (``storage.seal`` rows),
+    or that checkpoint once its seal has recorded the pin
+    (``checkpoint.replace``) -- and prove the on-disk manifest names
+    sealed generations only.
 
     The sequence mirrors a real process death: publish generation 0,
     apply a mutation batch whose :meth:`MmapStore.adjust` (or whose
     checkpoint) is killed mid-persist, leaving finalized orphans and a
-    torn temp file (or sealed files no manifest names) on disk, then
-    "restart" by opening a *fresh* store over the same root.  The
-    round checks that
+    torn temp file (or sealed files no manifest names, or a pin whose
+    owner never landed) on disk, then "restart" by opening a *fresh*
+    store over the same root.  The round checks that
 
-    1. the reopened store lists only the generation sealed before and
-       still points at it, verifies its payload CRCs, and reads it
-       bit-for-bit; no checkpoint file names the lost generation;
+    1. the reopened store lists exactly what was sealed before the kill
+       and points at the newest of it, verifies its payload CRCs, and
+       reads it bit-for-bit; no checkpoint names the lost generation;
     2. :meth:`MmapStore.compact` sweeps every torn temp and orphaned
        segment the crash left behind;
     3. retrying the same batch converges to exactly the state a heap
@@ -710,24 +726,30 @@ def storage_crash_round(scenario: Scenario, root: str,
                         workload=f"rmat(6, 4, seed={seed}) + one batch",
                         arm=scenario.arm)
     store_root = os.path.join(root, "store")
-    checkpoint = os.path.join(root, "checkpoint.npz")
+    checkpoint = os.path.join(root, "checkpoint")
     os.makedirs(store_root, exist_ok=True)
     heap_graph = rmat(6, 4, seed=seed, weighted=True)
     store = MmapStore(store_root)
     base = store.publish(heap_graph)
     batch = _storage_round_batch(base.num_vertices, base)
-    pre_crash = {name: np.asarray(getattr(base, name)).copy()
+    oracle = StreamingGraph(heap_graph)
+    oracle.apply_batch(batch)
+    # A kill past the seal loses the checkpoint, not the generation.
+    sealed = site == "checkpoint.replace"
+    survivor = oracle.graph if sealed else base
+    pre_crash = {name: np.asarray(getattr(survivor, name)).copy()
                  for name in ARRAY_NAMES}
-    current_before = store.current_snapshot
-    sealed_before = store.snapshot_ids()
 
     streaming = StreamingGraph(base)
     with scoped_failpoints() as registry:
-        if site == "storage.seal":
+        if site != "storage.segment_write":
             streaming.apply_batch(batch)
+        sealed_before = [base.snapshot_id]
+        if sealed:
+            sealed_before.append(streaming.graph.snapshot_id)
         registry.arm(site, kind=kind, hit=hit)
         try:
-            if site == "storage.seal":
+            if site != "storage.segment_write":
                 _checkpoint_graph(streaming.graph, checkpoint)
             else:
                 streaming.apply_batch(batch)
@@ -747,52 +769,49 @@ def storage_crash_round(scenario: Scenario, root: str,
         for name in os.listdir(store_root)
     )
 
-    reopened_store = MmapStore(store_root)
-    try:
-        if reopened_store.snapshot_ids() != sealed_before:
-            round_.detail = "reopened store lists an unsealed generation"
-            return round_
-        if reopened_store.current_snapshot != current_before:
-            round_.detail = "manifest moved off the previous generation"
-            return round_
-        reopened_store.verify()
-        reopened = reopened_store.open_snapshot()
-    except StoreError as exc:
-        round_.detail = f"reopen failed: {exc}"
-        return round_
-    if os.path.exists(checkpoint):
-        round_.detail = "a checkpoint names the generation the kill lost"
-        return round_
-    for name in ARRAY_NAMES:
-        if not np.array_equal(pre_crash[name],
-                              np.asarray(getattr(reopened, name))):
-            round_.detail = f"{name} diverged after reopen"
-            return round_
+    def restart() -> str:
+        """The detail of the first failed rung, ``""`` when all hold."""
+        reopened_store = MmapStore(store_root)
+        try:
+            if reopened_store.snapshot_ids() != sealed_before:
+                return "reopened store lists an unsealed generation"
+            if reopened_store.current_snapshot != sealed_before[-1]:
+                return "manifest moved off the sealed generation"
+            reopened_store.verify()
+            reopened = reopened_store.open_snapshot()
+        except StoreError as exc:
+            return f"reopen failed: {exc}"
+        if os.path.exists(checkpoint):
+            return "a checkpoint names the generation the kill lost"
+        for name in ARRAY_NAMES:
+            if not np.array_equal(pre_crash[name],
+                                  np.asarray(getattr(reopened, name))):
+                return f"{name} diverged after reopen"
 
-    reopened_store.compact()
-    referenced = set()
-    for snapshot_id in reopened_store.snapshot_ids():
-        referenced.update(reopened_store.segment_files(snapshot_id))
-    leftovers = [name for name in os.listdir(store_root)
-                 if name.endswith(".tmp")
-                 or (name.endswith(".seg") and name not in referenced)]
-    if leftovers:
-        round_.detail = f"debris survived compact: {leftovers}"
-        return round_
+        reopened_store.compact()
+        referenced = set()
+        for snapshot_id in reopened_store.snapshot_ids():
+            referenced.update(reopened_store.segment_files(snapshot_id))
+        leftovers = [name for name in os.listdir(store_root)
+                     if name.endswith(".tmp")
+                     or (name.endswith(".seg") and name not in referenced)]
+        if leftovers:
+            return f"debris survived compact: {leftovers}"
 
-    retry = StreamingGraph(reopened)
-    retry.apply_batch(batch)
-    _checkpoint_graph(retry.graph, checkpoint)
-    restored = load_engine(checkpoint, PageRank()).graph
-    oracle = StreamingGraph(heap_graph)
-    oracle.apply_batch(batch)
-    round_.ok = all(
-        np.array_equal(np.asarray(getattr(graph, name)),
-                       np.asarray(getattr(oracle.graph, name)))
-        for name in ARRAY_NAMES for graph in (retry.graph, restored)
-    )
-    if not round_.ok:
-        round_.detail = "retry diverged from heap oracle"
+        retry = StreamingGraph(reopened)
+        if not sealed:
+            retry.apply_batch(batch)
+        _checkpoint_graph(retry.graph, checkpoint)
+        restored = load_engine(checkpoint, PageRank()).graph
+        if not all(np.array_equal(np.asarray(getattr(graph, name)),
+                                  np.asarray(getattr(oracle.graph, name)))
+                   for name in ARRAY_NAMES
+                   for graph in (retry.graph, restored)):
+            return "retry diverged from heap oracle"
+        return ""
+
+    round_.detail = restart()
+    round_.ok = not round_.detail
     return round_
 
 
@@ -863,7 +882,8 @@ SWEEPS: Dict[str, Tuple[Scenario, ...]] = {
                  invariant=_dead_lettered, seed_offset=1009),
     ),
     # One kill per segment of a generation write, then one per file of
-    # the seal a checkpoint starts and one before its manifest replace.
+    # the seal a checkpoint starts, one before its manifest replace, and
+    # one after it (pin recorded) before the checkpoint's own replace.
     "storage": tuple(
         Scenario(f"segment-{hit}", "storage",
                  ("storage.segment_write", "crash", hit))
@@ -871,6 +891,8 @@ SWEEPS: Dict[str, Tuple[Scenario, ...]] = {
     ) + tuple(
         Scenario(f"seal-{hit}", "storage", ("storage.seal", "crash", hit))
         for hit in range(1, len(ARRAY_NAMES) + 2)
+    ) + (
+        Scenario("seal-pinned", "storage", ("checkpoint.replace", "crash", 1)),
     ),
 }
 

@@ -189,7 +189,7 @@ class TestLifecycle:
         store = MmapStore(str(root))
         published = store.publish(small_graph())
         pinned_id = published.snapshot_id
-        store.pin(pinned_id, str(owner))
+        store.seal(pinned_id, str(owner))
         streaming = StreamingGraph(published)
         for step in range(4):
             mutate(streaming, step)
@@ -221,7 +221,7 @@ class TestAlias:
         graph = small_graph()
         reference = self._writer_reference(tmp_path, graph)
         store, held = self._replica(tmp_path, graph)
-        owner = tmp_path / "ckpt.npz"
+        owner = tmp_path / "ckpt.ckpt"
         owner.write_text("")
         store.alias_snapshot(reference, held.snapshot_id, str(owner))
         assert reference["snapshot"] in store.snapshot_ids()
@@ -256,7 +256,7 @@ class TestAlias:
         graph = small_graph()
         reference = self._writer_reference(tmp_path, graph)
         store, held = self._replica(tmp_path, graph)
-        owner = tmp_path / "ckpt.npz"
+        owner = tmp_path / "ckpt.ckpt"
         owner.write_text("")
         store.alias_snapshot(reference, held.snapshot_id, str(owner))
         held_id = held.snapshot_id
@@ -366,9 +366,9 @@ class TestVolatileUntilPinned:
         published, adjusted = sorted(store.snapshot_ids())
         assert adjusted == streaming.graph.snapshot_id
         assert on_disk_snapshots(store.root) == [published]
-        owner = tmp_path / "checkpoint.npz"
+        owner = tmp_path / "checkpoint.ckpt"
         owner.write_text("")
-        store.pin(adjusted, str(owner))
+        store.seal(adjusted, str(owner))
         assert on_disk_snapshots(store.root) == [published, adjusted]
         # Sealed means verifiable from disk alone, CRCs in the header.
         reopened = MmapStore(store.root)
@@ -398,14 +398,51 @@ class TestVolatileUntilPinned:
                 store.alias_snapshot(reference, graph.snapshot_id, "owner")
             assert graph.snapshot_id in on_disk_snapshots(store.root), name
 
+    def test_a_checkpoint_is_one_manifest_replace(self, tmp_path,
+                                                  monkeypatch):
+        """The pin rides the seal's manifest write; it used to be a
+        second replace (2 of the 11 fsyncs a checkpoint cost a node)."""
+        from repro.algorithms import PageRank
+        from repro.core.engine import GraphBoltEngine
+        from repro.runtime.checkpoint import save_engine
+
+        store, streaming = self._adjusted(tmp_path / "store")
+        writes = []
+        real = MmapStore._write_manifest
+        monkeypatch.setattr(
+            MmapStore, "_write_manifest",
+            lambda self: (writes.append(1), real(self))[1])
+        engine = GraphBoltEngine(PageRank(), num_iterations=2)
+        engine.run(streaming.graph)
+        first = str(tmp_path / "first.ckpt")
+        save_engine(engine, first)  # of an unsealed generation
+        assert len(writes) == 1
+        save_engine(engine, str(tmp_path / "second.ckpt"))  # a sealed one
+        assert len(writes) == 2
+        save_engine(engine, first)  # the same owner again
+        store.seal(engine.graph.snapshot_id, first)
+        assert len(writes) == 2
+        # ... and the alias path: seal of the held generation, alias
+        # entry and pin in one replace.
+        replica = MmapStore(str(tmp_path / "replica"), label="r0")
+        replayed = StreamingGraph(replica.publish(small_graph()))
+        mutate(replayed, 0)
+        reference = store.manifest_entry(engine.graph.snapshot_id)
+        del writes[:]
+        replica.alias_snapshot(reference, replayed.graph.snapshot_id,
+                               str(tmp_path / "adopted.ckpt"))
+        assert len(writes) == 1
+        assert {replayed.graph.snapshot_id, reference["snapshot"]} <= set(
+            on_disk_snapshots(replica.root))
+
     def test_a_dropped_store_reopens_to_sealed_generations_only(
             self, tmp_path):
         root = tmp_path / "store"
-        owner = tmp_path / "checkpoint.npz"
+        owner = tmp_path / "checkpoint.ckpt"
         owner.write_text("")
         store = MmapStore(str(root))
         published = store.publish(small_graph())
-        store.pin(published.snapshot_id, str(owner))
+        store.seal(published.snapshot_id, str(owner))
         streaming = StreamingGraph(published)
         for step in range(3):
             mutate(streaming, step)

@@ -50,7 +50,7 @@ def test_soak_with_mid_stream_checkpoint(tmp_path, rng):
     for _ in range(10):
         engine.apply_mutations(make_random_batch(engine.graph, rng, 8, 8))
 
-    path = str(tmp_path / "soak.npz")
+    path = str(tmp_path / "soak.ckpt")
     save_engine(engine, path)
     restored = load_engine(path, factory())
 

@@ -86,7 +86,7 @@ class TestScenarioTable:
     def test_same_coverage_as_the_five_hand_rolled_sweeps(self):
         assert {name: len(rows) for name, rows in SWEEPS.items()} == {
             "durable": 6, "resilient": 3, "replicated": 4 + 3 + 1,
-            "chaos": 5 + 1, "storage": 6 + 7,
+            "chaos": 5 + 1, "storage": 6 + 7 + 1,
         }
         assert [row.name for row in SWEEPS["replicated"]] == [
             "writer-kill", "replica-kill", "segment-drop",

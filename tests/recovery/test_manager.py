@@ -10,6 +10,8 @@ from repro.core.engine import GraphBoltEngine
 from repro.graph.generators import rmat
 from repro.obs.registry import scoped_registry
 from repro.recovery import RecoveryError, RecoveryManager, default_poison_check
+from repro.recovery import manager as manager_module
+from repro.runtime import checkpoint
 from repro.testing.faults import scoped_failpoints
 from tests.conftest import make_random_batch
 
@@ -103,7 +105,8 @@ class TestCheckpointing:
         assert written == [False, False, True, False, False, True, False]
         manager.close()
 
-    def test_corrupt_newest_falls_back(self, tmp_path, graph, rng):
+    def test_corrupt_newest_falls_back(self, tmp_path, graph, rng,
+                                       monkeypatch):
         live = fresh_engine(graph)
         manager = RecoveryManager(str(tmp_path), checkpoint_every=100,
                                   retain=5)
@@ -120,6 +123,18 @@ class TestCheckpointing:
             stream.write(b"\x00" * 64)
         manager.close()
 
+        # Guard: each candidate is opened (read + verified) exactly
+        # once -- the seq check and the engine share that open.
+        opened = []
+        real_open = checkpoint.open_checkpoint
+
+        def counting_open(source, *args):
+            opened.append(source)
+            return real_open(source, *args)
+
+        monkeypatch.setattr(checkpoint, "open_checkpoint", counting_open)
+        monkeypatch.setattr(manager_module, "open_checkpoint",
+                            counting_open)
         with scoped_registry() as registry:
             restored, seq = RecoveryManager(str(tmp_path)).restore_engine(
                 factory
@@ -129,6 +144,7 @@ class TestCheckpointing:
             ).value == 1
         assert seq == 3
         assert np.array_equal(restored.values, live.values)
+        assert opened == [newest, manager.checkpoints()[0][1]]
 
     def test_no_checkpoint_raises(self, tmp_path):
         manager = RecoveryManager(str(tmp_path))
@@ -140,7 +156,7 @@ class TestCheckpointing:
         manager = RecoveryManager(str(tmp_path))
         manager.ensure_initial_checkpoint(fresh_engine(graph))
         manager.close()
-        stale = os.path.join(str(tmp_path), "checkpoints", "x.npz.tmp")
+        stale = os.path.join(str(tmp_path), "checkpoints", "x.ckpt.tmp")
         open(stale, "w").close()
         RecoveryManager(str(tmp_path)).close()
         assert not os.path.exists(stale)

@@ -38,6 +38,7 @@ from repro.recovery import (
     RecoveryManager,
     scrub_state_dir,
 )
+from repro.recovery.manager import list_checkpoints
 from repro.serving import StreamingAnalyticsServer
 from tests.conftest import make_random_batch
 
@@ -255,8 +256,7 @@ class TestWalScrub:
     def test_corrupt_checkpoint_is_sidelined(self, graph, tmp_path):
         drive_state_dir(graph, tmp_path)
         ckpt_dir = os.path.join(str(tmp_path), "checkpoints")
-        oldest = sorted(name for name in os.listdir(ckpt_dir)
-                        if name.endswith(".npz"))[0]
+        oldest = os.path.basename(list_checkpoints(ckpt_dir)[0][1])
         flip_payload_byte(os.path.join(ckpt_dir, oldest))
         scan = IntegrityScrubber(str(tmp_path)).scan(
             write_report=False)
@@ -274,10 +274,11 @@ class TestWalScrub:
 # Cluster-level scrub: quarantine gating + escalating repair
 # ----------------------------------------------------------------------
 class TestClusterScrub:
-    def build(self, graph, rng, root, batches=7):
+    def build(self, graph, rng, root, batches=7, transport="inproc"):
         from tests.serving.test_replication import build_cluster
 
-        cluster = build_cluster(graph, root, replicas=2)
+        cluster = build_cluster(graph, root, replicas=2,
+                                transport=transport)
         for _ in range(batches):
             cluster.submit(make_random_batch(graph, rng, 6, 6))
             cluster.replicate()
@@ -296,10 +297,8 @@ class TestClusterScrub:
                                                       tmp_path):
         cluster = self.build(graph, rng, tmp_path)
         replica = cluster.replicas["r0"]
-        ckpt_dir = os.path.join(replica.directory, "checkpoints")
-        victim = sorted(name for name in os.listdir(ckpt_dir)
-                        if name.endswith(".npz"))[0]
-        flip_payload_byte(os.path.join(ckpt_dir, victim))
+        flip_payload_byte(list_checkpoints(
+            os.path.join(replica.directory, "checkpoints"))[0][1])
         # Scan-only: the damaged replica is pulled from routing.
         reports = cluster.scrub(repair=False)
         assert not reports["r0"].ok
@@ -312,8 +311,8 @@ class TestClusterScrub:
         cluster.close()
 
     def test_mirror_damage_above_checkpoint_rebuilds_replica(
-            self, graph, rng, tmp_path):
-        cluster = self.build(graph, rng, tmp_path)
+            self, graph, rng, tmp_path, transport="inproc"):
+        cluster = self.build(graph, rng, tmp_path, transport=transport)
         replica = cluster.replicas["r0"]
         tail = sorted(
             name for name in os.listdir(
@@ -341,3 +340,9 @@ class TestClusterScrub:
             rebuilt.directory, store_root=rebuilt.store_root
         ).scan(write_report=False).ok
         cluster.close()
+
+    def test_rebuild_spares_a_directory_links_spool(self, graph, rng,
+                                                    tmp_path):
+        """The spool lives inside the directory the rebuild wipes."""
+        self.test_mirror_damage_above_checkpoint_rebuilds_replica(
+            graph, rng, tmp_path, transport="directory")

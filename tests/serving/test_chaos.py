@@ -205,6 +205,34 @@ class TestTornSpool:
         link.ack()
         assert link.pending() == 0
 
+    @pytest.mark.parametrize("blob_len", [5, 1 << 60])
+    def test_a_blob_shorter_than_its_envelope_promises_is_torn(
+            self, tmp_path, blob_len):
+        """The blob travels raw after the envelope; a file cut inside
+        it -- or whose length field points an exabyte past its end --
+        is a torn file like any other, never an allocation."""
+        spool = str(tmp_path / "inbox")
+        link = DirectoryTransport(spool)
+        whole = Shipment(kind="checkpoint", epoch=1, index=0, first_seq=0,
+                         end_seq=0, blob=b"0123456789")
+        link.send(whole)
+        assert link.peek() == whole
+        (name,) = [n for n in os.listdir(spool) if n.startswith("ship-")]
+        path = os.path.join(spool, name)
+        with open(path, "rb") as stream:
+            envelope, blob = stream.read().split(b"\n", 1)
+        assert blob == whole.blob  # raw: no base64, no JSON escaping
+        with open(path, "wb") as stream:
+            stream.write(envelope.replace(b'"blob_len": 10',
+                                          b'"blob_len": %d' % blob_len)
+                         + b"\n" + blob[:5])
+        if blob_len == 5:  # consistent again: a different, whole file
+            assert link.peek().blob == b"01234"
+            return
+        for _ in range(DirectoryTransport.TORN_RETRIES):
+            assert link.peek() is None
+        assert os.path.exists(path + ".torn")
+
     def test_intact_spool_resets_the_streak(self, tmp_path):
         spool = str(tmp_path / "inbox")
         link = DirectoryTransport(spool)

@@ -87,7 +87,11 @@ class TestShipmentWire:
             lines=("line-a", "line-b"), blob=b"\x00\x01\xff",
             skip={2: "shed: queue over capacity 1"},
         )
-        assert Shipment.from_json(shipment.to_json()) == shipment
+        envelope = shipment.to_json()
+        assert "blob_len" in envelope and "b64" not in envelope
+        assert Shipment.from_json(envelope, shipment.blob) == shipment
+        with pytest.raises(ValueError, match="does not describe the 1 blob"):
+            Shipment.from_json(envelope, b"\x00")
 
 
 class TestTransports:
@@ -123,6 +127,29 @@ class TestTransports:
         reopened.ack()
         with pytest.raises(ReplicationError, match="no pending"):
             reopened.ack()
+
+
+    def test_a_16mb_blob_crosses_a_directory_link_without_being_copied(
+            self, tmp_path):
+        """Guard: the spool file is the envelope plus the raw blob, so
+        sending allocates nothing and receiving exactly one blob (the
+        read), where base64-in-JSON peaked at five."""
+        import tracemalloc
+
+        link = DirectoryTransport(str(tmp_path / "spool"))
+        blob = bytes(16 << 20)
+        shipment = Shipment(kind="store", epoch=1, index=0, first_seq=0,
+                            end_seq=0, blob=blob, meta={"file": "x.seg"})
+        tracemalloc.start()
+        try:
+            link.send(shipment)
+            received = link.peek()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert received == shipment
+        assert peak < 1.5 * len(blob)
+        link.ack()
 
 
 class TestEpochAuthority:
@@ -614,19 +641,17 @@ class TestStoreSegmentShipping:
                                   shadow_values(graph, batches))
             cluster.close()
 
+    @pytest.mark.parametrize("transport", ["inproc", "directory"])
     def test_a_promoted_writer_ships_store_files_from_its_own_spool(
-            self, rng, tmp_path):
+            self, rng, tmp_path, transport):
         """The checkpoints a promoted replica retains still record the
         dead writer's store root (and the dead writer's file names,
         where the replica bound the snapshot to its own generation):
         bootstrapping a fresh link must read neither."""
-        # (in-process links: a rebuild wipes the replica's directory,
-        # and a directory transport keeps its spool in there)
-        graph, cluster = self._mmap_cluster(tmp_path, transport="inproc")
+        graph, cluster = self._mmap_cluster(tmp_path, transport=transport)
         batches = [make_random_batch(graph, rng, 8, 8) for _ in range(7)]
         # Checkpoints 2 and 4 are adopted blob-only; retain=2 rotates
-        # the bootstrap checkpoint (whose shipped files r0 has reaped
-        # by now) out of every node.
+        # the bootstrap checkpoint out of every node.
         for batch in batches[:5]:
             cluster.submit(batch)
             cluster.replicate()
@@ -642,6 +667,71 @@ class TestStoreSegmentShipping:
             cluster.replicate()
         assert cluster.sync()
         # (the shadow runs over a heap build: the published one is gone)
+        expected = shadow_values(
+            rmat(scale=6, edge_factor=5, seed=17, weighted=True), batches)
+        assert np.array_equal(cluster.writer.approximate_values, expected)
+        assert np.array_equal(rebuilt.approximate_values, expected)
+        cluster.close()
+
+    @pytest.mark.parametrize("transport", ["inproc", "directory"])
+    def test_nothing_on_the_serving_path_deflates_or_base64s(
+            self, rng, tmp_path, transport, monkeypatch):
+        """Guard: checkpoint, ship, adopt, kill and recover with every
+        compressor and base64 encoder rigged to raise."""
+        import base64
+        import zlib
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("compression / base64 on the serving path")
+
+        monkeypatch.setattr(zlib, "compressobj", forbidden)
+        monkeypatch.setattr(zlib, "compress", forbidden)
+        monkeypatch.setattr(np, "savez_compressed", forbidden)
+        monkeypatch.setattr(base64, "b64encode", forbidden)
+        graph, cluster = self._mmap_cluster(tmp_path, transport=transport)
+        batches = [make_random_batch(graph, rng, 8, 8) for _ in range(5)]
+        for batch in batches[:3]:  # checkpoints 0 and 2
+            cluster.submit(batch)
+            cluster.replicate()
+        cluster.restart_writer()  # a kill: recovered from checkpoint 2
+        for batch in batches[3:]:
+            cluster.submit(batch)
+            cluster.replicate()
+        assert cluster.sync()
+        expected = shadow_values(graph, batches)
+        assert np.array_equal(cluster.writer.approximate_values, expected)
+        for name, replica in cluster.replicas.items():
+            assert np.array_equal(replica.approximate_values,
+                                  expected), name
+        cluster.close()
+
+    def test_a_replica_pins_the_snapshot_it_adopted_from_shipped_files(
+            self, rng, tmp_path):
+        """The bootstrap checkpoint's snapshot arrived as files, not by
+        replay; while that checkpoint is retained its files must be too,
+        or a promoted node cannot bootstrap a fresh link from it."""
+        graph, cluster = self._mmap_cluster(tmp_path)
+        batches = [make_random_batch(graph, rng, 8, 8) for _ in range(5)]
+        cluster.replicate()  # bootstrap: checkpoint 0 + its six files
+        replica = cluster.replicas["r0"]
+        shipped = replica.server.graph.snapshot_id
+        for batch in batches[:3]:  # checkpoint 2 adopted blob-only
+            cluster.submit(batch)
+            cluster.replicate()
+        assert [seq for seq, _ in replica.manager.checkpoints()] == [0, 2]
+        store = replica.server.graph.store
+        assert replica.server.graph.snapshot_id != shipped
+        assert shipped in store.snapshot_ids()  # replayed past, yet kept
+        cluster.promote("r0")
+        shutil.rmtree(tmp_path / "writer-store")
+        # A resync from seq 0 picks checkpoint 0 -- the one whose files
+        # only the pin kept.
+        rebuilt = cluster._rebuild_replica("r1")
+        assert rebuilt.checkpoint_seq == 2
+        for batch in batches[3:]:
+            cluster.submit(batch)
+            cluster.replicate()
+        assert cluster.sync()
         expected = shadow_values(
             rmat(scale=6, edge_factor=5, seed=17, weighted=True), batches)
         assert np.array_equal(cluster.writer.approximate_values, expected)
