@@ -3,7 +3,9 @@
 These are conventional pytest-benchmark measurements (multiple rounds)
 of the hot paths every experiment sits on: CSR construction, batch
 structure adjustment (the paper's two-pass scheme, section 4.1),
-frontier edge gathering, one delta iteration, and one refinement pass.
+frontier edge gathering, one delta iteration, one refinement pass, and
+the dense sweep every engine shares (``ExecutionBackend.aggregate_all``,
+vector- and scalar-valued; report-only).
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.graph.mutable import StreamingGraph
 from repro.ligra.delta import DeltaEngine
 from repro.ligra.frontier import VertexSubset
 from repro.ligra.interface import edge_map
+from repro.runtime.exec import SerialBackend
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +76,18 @@ def test_micro_refinement_pass(benchmark, graph):
         )
 
     benchmark.pedantic(apply_once, rounds=5, iterations=1)
+
+
+@pytest.mark.parametrize("factory", [
+    pytest.param(LabelPropagation, id="lp-k5"),
+    pytest.param(PageRank, id="pagerank"),
+])
+def test_micro_dense_sweep(benchmark, factory):
+    graph = rmat(scale=13, edge_factor=16, seed=1, weighted=True)
+    algorithm = factory()
+    backend = SerialBackend()
+    values = algorithm.initial_values(graph)
+    aggregate = benchmark(backend.aggregate_all, graph, algorithm, values,
+                          None)
+    assert aggregate.shape == (graph.num_vertices,
+                               *algorithm.aggregation_shape)

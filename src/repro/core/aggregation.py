@@ -25,8 +25,13 @@ neighbours (section 3.3, "Aggregation Properties & Extensions").
 
 All operators are vectorised: ``dst`` is an int64 index array and
 ``contributions`` a parallel array (possibly 2-D for vector-valued
-algorithms); scattering uses NumPy's unbuffered ``ufunc.at``, the
-sequential stand-in for the paper's atomic read-modify-write updates.
+algorithms).  The incremental operators update a *live* aggregate, so
+they scatter with NumPy's unbuffered ``ufunc.at``, the sequential
+stand-in for the paper's atomic read-modify-write updates.  A dense
+sweep rebuilds the aggregate from the identity instead, and
+``aggregate_fresh`` may use that: summing onto zeros in edge order is
+one ``np.bincount`` per component (Ligra's atomics-free dense
+``edgeMap``), bit-identical to the 2-D scatter and about 3x cheaper.
 """
 
 from __future__ import annotations
@@ -70,6 +75,13 @@ class Aggregation(ABC):
                 contributions: np.ndarray) -> None:
         """``aggregate[dst] (+)= contributions`` in place (the ⊎ operator)."""
 
+    def aggregate_fresh(self, aggregate: np.ndarray, dst: np.ndarray,
+                        contributions: np.ndarray) -> None:
+        """:meth:`scatter` onto an ``aggregate`` that still holds the
+        identity everywhere (a dense sweep); same bits, and subclasses
+        may use that nothing has to be read back."""
+        self.scatter(aggregate, dst, contributions)
+
     @abstractmethod
     def scatter_retract(self, aggregate: np.ndarray, dst: np.ndarray,
                         contributions: np.ndarray) -> None:
@@ -111,6 +123,19 @@ class SumAggregation(Aggregation):
 
     def scatter(self, aggregate, dst, contributions) -> None:
         np.add.at(aggregate, dst, contributions)
+
+    def aggregate_fresh(self, aggregate, dst, contributions) -> None:
+        if contributions.ndim == 1:
+            # 1-D ``add.at`` already runs at ``bincount`` speed.
+            return self.scatter(aggregate, dst, contributions)
+        # ``bincount`` adds each weight onto 0.0 in edge order: the sums
+        # ``add.at`` forms on a zeroed aggregate, minus the 2-D scatter.
+        for component in np.ndindex(contributions.shape[1:]):
+            column = (slice(None), *component)
+            aggregate[column] = np.bincount(
+                dst, weights=contributions[column],
+                minlength=aggregate.shape[0],
+            )
 
     def scatter_retract(self, aggregate, dst, contributions) -> None:
         np.subtract.at(aggregate, dst, contributions)
@@ -155,32 +180,16 @@ class ProductAggregation(Aggregation):
         return contributions.prod(axis=axis)
 
 
-class LogProductAggregation(Aggregation):
+class LogProductAggregation(SumAggregation):
     """Product aggregation computed in log space for numerical stability.
 
     Semantically identical to :class:`ProductAggregation` (the aggregate
     stores ``log`` of the product); algorithms using it must exponentiate
     in their ``apply``.  Contributions passed to the operators are the
-    *logs* of the multiplicative contributions, so ⊎ is addition and ⋃–
-    subtraction, exactly mirroring the multiplicative operators.
+    *logs* of the multiplicative contributions, so ⊎ is addition, ⋃–
+    subtraction and the identity 0.0 is ``log 1``: every operator is
+    :class:`SumAggregation`'s.
     """
-
-    decomposable = True
-
-    def identity_value(self) -> float:
-        return 0.0  # log 1
-
-    def scatter(self, aggregate, dst, contributions) -> None:
-        np.add.at(aggregate, dst, contributions)
-
-    def scatter_retract(self, aggregate, dst, contributions) -> None:
-        np.subtract.at(aggregate, dst, contributions)
-
-    def delta(self, new_contributions, old_contributions) -> np.ndarray:
-        return new_contributions - old_contributions
-
-    def reduce(self, contributions, axis: int = 0) -> np.ndarray:
-        return contributions.sum(axis=axis)
 
 
 class _SelectionAggregation(Aggregation):

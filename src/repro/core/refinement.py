@@ -38,7 +38,7 @@ from repro.core.history import DependencyHistory, IterationRecord
 from repro.core.model import IncrementalAlgorithm
 from repro.core.pruning import PruningPolicy
 from repro.graph.mutable import MutationResult
-from repro.ligra.delta import DeltaState
+from repro.ligra.delta import DeltaState, exact_changed_rows
 from repro.ligra.frontier import union_ids
 from repro.obs import trace
 from repro.runtime.exec import ExecutionBackend, resolve_backend
@@ -242,17 +242,8 @@ class _Refiner:
         but a single vectorised sweep; returns ``None`` candidates to
         signal that every vertex must be re-applied.
         """
-        algorithm = self.algorithm
-        g_new = algorithm.identity_aggregate(self.new_graph.num_vertices)
-        src, dst, weight = self.backend.gather_all(self.new_graph,
-                                                   self.metrics)
-        if src.size:
-            contribs = algorithm.contributions(
-                self.new_graph, c_prev[src], src, dst, weight
-            )
-            self.backend.scatter(self.new_graph, algorithm.aggregation,
-                                 g_new, dst, contribs, self.metrics)
-        return g_new, None
+        return self.backend.aggregate_all(self.new_graph, self.algorithm,
+                                          c_prev, self.metrics), None
 
     def _refine_decomposable(self, sources, c_prev):
         """Start from the old aggregate and splice ⊎ / ⋃– / ⋃△ updates."""
@@ -351,22 +342,16 @@ class _Refiner:
     def _record(self, new_history, g_prev, g_cur, c_prev, c_cur,
                 num_vertices):
         if self.pruning.vertical:
-            g_idx = np.flatnonzero(_exact_changed_rows(g_prev, g_cur))
-            c_idx = np.flatnonzero(_exact_changed_rows(c_prev, c_cur))
+            g_idx = np.flatnonzero(exact_changed_rows(g_prev, g_cur))
+            c_idx = np.flatnonzero(exact_changed_rows(c_prev, c_cur))
         else:
             g_idx = np.arange(num_vertices, dtype=np.int64)
             c_idx = g_idx
         # The gathers are already private copies.
         new_history.append(
-            IterationRecord(g_idx, g_cur[g_idx], c_idx, c_cur[c_idx])
+            IterationRecord(g_idx, np.take(g_cur, g_idx, axis=0),
+                            c_idx, np.take(c_cur, c_idx, axis=0))
         )
-
-
-def _exact_changed_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    diff = old != new
-    while diff.ndim > 1:
-        diff = diff.any(axis=-1)
-    return diff
 
 
 def _tolerant_changed(algorithm, old: np.ndarray, new: np.ndarray) -> np.ndarray:

@@ -29,12 +29,12 @@ import numpy as np
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.csr import CSRGraph
 from repro.ligra.frontier import VertexSubset, member_mask, union_ids
-from repro.ligra.interface import edge_map, edge_map_all, pull_edges
+from repro.ligra.interface import edge_map, pull_edges
 from repro.obs import trace
 from repro.runtime.exec import ExecutionBackend, resolve_backend
 from repro.runtime.metrics import EngineMetrics, Timer
 
-__all__ = ["DeltaEngine", "DeltaState", "StepRecord"]
+__all__ = ["DeltaEngine", "DeltaState", "StepRecord", "exact_changed_rows"]
 
 
 @dataclass
@@ -139,7 +139,7 @@ class DeltaEngine:
         """
         algorithm = self.algorithm
         if state.iteration == 0:
-            touched, g_old_at_touched = self._first_aggregate(graph, state)
+            touched, g_old_at_touched = self._dense_aggregate(graph, state)
         elif algorithm.aggregation.decomposable:
             touched, g_old_at_touched = self._delta_aggregate(graph, state)
         else:
@@ -152,32 +152,14 @@ class DeltaEngine:
         self.metrics.iterations += 1
         return record
 
-    def _first_aggregate(self, graph, state):
-        """Full aggregation for the first iteration."""
-        algorithm = self.algorithm
-        new_aggregate = algorithm.identity_aggregate(graph.num_vertices)
-        src, dst, weight = edge_map_all(graph, metrics=self.metrics,
-                                        backend=self.backend)
-        if src.size:
-            contributions = algorithm.contributions(
-                graph, state.values[src], src, dst, weight
-            )
-            expected = (src.size, *algorithm.aggregation_shape)
-            if contributions.shape != expected:
-                # Catch malformed user algorithms at the first iteration
-                # with a readable message instead of a scatter error.
-                raise ValueError(
-                    f"{algorithm.name}.contributions returned shape "
-                    f"{contributions.shape}, expected {expected} "
-                    f"(edges selected x aggregation_shape)"
-                )
-            self.backend.scatter(graph, algorithm.aggregation,
-                                 new_aggregate, dst, contributions,
-                                 self.metrics)
+    def _dense_aggregate(self, graph, state):
+        """Full aggregation: the first iteration and every dense one."""
+        old_aggregate = state.aggregate
+        state.aggregate = self.backend.aggregate_all(
+            graph, self.algorithm, state.values, self.metrics
+        )
         touched = np.arange(graph.num_vertices, dtype=np.int64)
-        g_old_at_touched = state.aggregate
-        state.aggregate = new_aggregate
-        return touched, g_old_at_touched[touched]
+        return touched, old_aggregate[touched]
 
     def _delta_aggregate(self, graph, state):
         """Sparse or dense advance for decomposable aggregations."""
@@ -185,20 +167,7 @@ class DeltaEngine:
         frontier = VertexSubset.from_sorted_ids(graph.num_vertices,
                                                 state.frontier)
         if frontier.is_dense_preferred(graph):
-            old_aggregate = state.aggregate
-            new_aggregate = algorithm.identity_aggregate(graph.num_vertices)
-            src, dst, weight = edge_map_all(graph, metrics=self.metrics,
-                                            backend=self.backend)
-            if src.size:
-                contributions = algorithm.contributions(
-                    graph, state.values[src], src, dst, weight
-                )
-                self.backend.scatter(graph, algorithm.aggregation,
-                                     new_aggregate, dst, contributions,
-                                     self.metrics)
-            touched = np.arange(graph.num_vertices, dtype=np.int64)
-            state.aggregate = new_aggregate
-            return touched, old_aggregate[touched]
+            return self._dense_aggregate(graph, state)
 
         src, dst, weight = edge_map(graph, frontier, metrics=self.metrics,
                                     backend=self.backend)
@@ -286,9 +255,9 @@ class DeltaEngine:
 
         record = None
         if record_changes:
-            g_changed = _exact_changed(g_old_at_touched,
-                                       state.aggregate[touched])
-            c_changed = _exact_changed(old_values_at_touched, applied)
+            g_changed = exact_changed_rows(g_old_at_touched,
+                                           state.aggregate[touched])
+            c_changed = exact_changed_rows(old_values_at_touched, applied)
             record = StepRecord(
                 g_idx=touched[g_changed],
                 g_values=state.aggregate[touched][g_changed],
@@ -336,9 +305,14 @@ class DeltaEngine:
         return state.values
 
 
-def _exact_changed(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+def exact_changed_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Exact per-row inequality (tracking must be drift-free)."""
-    diff = old != new
-    while diff.ndim > 1:
-        diff = diff.any(axis=-1)
-    return diff
+    if old.ndim == 1:
+        return old != new
+    # One 1-D compare per component, OR-ed: ``(old != new).any(axis=-1)``
+    # builds the full boolean matrix and reduces it along the short axis.
+    changed = np.zeros(old.shape[0], dtype=bool)
+    for component in np.ndindex(old.shape[1:]):
+        column = (slice(None), *component)
+        changed |= old[column] != new[column]
+    return changed

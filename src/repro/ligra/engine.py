@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.csr import CSRGraph
-from repro.ligra.interface import edge_map_all
 from repro.obs import trace
 from repro.runtime.exec import ExecutionBackend, resolve_backend
 from repro.runtime.metrics import EngineMetrics, Timer
@@ -70,15 +69,8 @@ class LigraEngine:
     def _iterate(self, graph: CSRGraph, values: np.ndarray,
                  all_vertices: np.ndarray) -> np.ndarray:
         algorithm = self.algorithm
-        aggregate = algorithm.identity_aggregate(graph.num_vertices)
-        src, dst, weight = edge_map_all(graph, metrics=self.metrics,
-                                        backend=self.backend)
-        if src.size:
-            contributions = algorithm.contributions(
-                graph, values[src], src, dst, weight
-            )
-            self.backend.scatter(graph, algorithm.aggregation, aggregate,
-                                 dst, contributions, self.metrics)
+        aggregate = self.backend.aggregate_all(graph, algorithm, values,
+                                               self.metrics)
         self.backend.count_vertices(graph, graph.num_vertices,
                                     self.metrics)
         previous = values if algorithm.uses_previous_value else None

@@ -27,7 +27,7 @@ from repro.ligra.frontier import VertexSubset
 from repro.runtime.exec import ExecutionBackend, resolve_backend
 from repro.runtime.metrics import EngineMetrics
 
-__all__ = ["edge_map", "edge_map_all", "vertex_map", "pull_edges"]
+__all__ = ["edge_map", "vertex_map", "pull_edges"]
 
 EdgeKernel = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
@@ -46,20 +46,6 @@ def edge_map(
     """
     backend = resolve_backend(backend)
     src, dst, weight = backend.gather_out(graph, frontier.ids, metrics)
-    if kernel is not None:
-        kernel(src, dst, weight)
-    return src, dst, weight
-
-
-def edge_map_all(
-    graph: CSRGraph,
-    kernel: Optional[EdgeKernel] = None,
-    metrics: Optional[EngineMetrics] = None,
-    backend: Optional[ExecutionBackend] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense-mode edge map: process every edge in the graph."""
-    backend = resolve_backend(backend)
-    src, dst, weight = backend.gather_all(graph, metrics)
     if kernel is not None:
         kernel(src, dst, weight)
     return src, dst, weight

@@ -206,11 +206,13 @@ def load_imbalance(shard_loads) -> float:
 class ExecutionBackend:
     """Dispatch point for gathers, scatters, and work accounting.
 
-    Engines hold one backend and route every edge gather
-    (:meth:`gather_out` / :meth:`gather_all` / :meth:`gather_in`), every
-    aggregation scatter (:meth:`scatter` / :meth:`scatter_retract` /
-    :meth:`scatter_delta`) and vertex-apply accounting
-    (:meth:`count_vertices`) through it.  Counting semantics are
+    Engines hold one backend and route every dense sweep
+    (:meth:`aggregate_all`), every sparse edge gather
+    (:meth:`gather_out` / :meth:`gather_in`), every aggregation scatter
+    (:meth:`scatter` / :meth:`scatter_retract` / :meth:`scatter_delta`)
+    and vertex-apply accounting (:meth:`count_vertices`) through it;
+    :meth:`gather_all` is the dataflow programs' structural feed.
+    Counting semantics are
     identical across backends: gathers add the gathered edge count to
     ``metrics.edge_computations`` exactly as the pre-backend kernel
     layer did (pass ``count=False`` for structural gathers that were
@@ -240,6 +242,46 @@ class ExecutionBackend:
     def gather_in(self, graph, vertices: np.ndarray,
                   metrics: Optional[EngineMetrics],
                   count: bool = True) -> Tuple[np.ndarray, ...]:
+        raise NotImplementedError
+
+    # -- the dense sweep -----------------------------------------------
+    def aggregate_all(self, graph, algorithm, values: np.ndarray,
+                      metrics: Optional[EngineMetrics]) -> np.ndarray:
+        """One dense iteration's aggregate, rebuilt from the identity:
+        ``(+)`` over every edge ``(u, v)`` of ``contributions(values[u])``.
+
+        The one sweep behind the Ligra baseline, GB-Reset's first and
+        dense iterations and dense-mode refinement.  Edges are visited
+        in CSR order and charged as a :meth:`gather_all` followed by a
+        :meth:`scatter` would charge them; because the result starts
+        from the identity the reduction is
+        :meth:`Aggregation.aggregate_fresh`, not a scatter.
+        """
+        aggregate = algorithm.identity_aggregate(graph.num_vertices)
+        if metrics is not None:
+            metrics.count_edges(graph.num_edges)
+            self._load_dense_sweep(graph, metrics)
+        if graph.num_edges:
+            src, dst, weight = graph.all_edges()
+            contributions = algorithm.contributions(
+                graph, np.take(values, src, axis=0), src, dst, weight
+            )
+            expected = (src.size, *algorithm.aggregation_shape)
+            if contributions.shape != expected:
+                # A malformed user algorithm gets a readable message
+                # instead of an error from inside the reduction.
+                raise ValueError(
+                    f"{algorithm.name}.contributions returned shape "
+                    f"{contributions.shape}, expected {expected} "
+                    f"(edges selected x aggregation_shape)"
+                )
+            algorithm.aggregation.aggregate_fresh(aggregate, dst,
+                                                  contributions)
+        return aggregate
+
+    def _load_dense_sweep(self, graph, metrics: EngineMetrics) -> None:
+        """Per-shard loads of one :meth:`aggregate_all`: every edge once
+        at its source's owner (gather), once at its target's (reduce)."""
         raise NotImplementedError
 
     # -- scatters ------------------------------------------------------
@@ -302,6 +344,9 @@ class SerialBackend(ExecutionBackend):
             metrics.count_edges(src.size)
         self._load(metrics, src.size)
         return src, dst, weight
+
+    def _load_dense_sweep(self, graph, metrics) -> None:
+        self._load(metrics, 2 * graph.num_edges)
 
     def scatter(self, graph, aggregation, aggregate, dst, contributions,
                 metrics) -> None:
@@ -430,6 +475,14 @@ class ShardedBackend(ExecutionBackend):
         if metrics is not None and count:
             metrics.count_edges(src.size)
         return src, dst, weight
+
+    def _load_dense_sweep(self, graph, metrics) -> None:
+        # In-edges are grouped by target, so the shard-local reduce
+        # loads are the in-edge block sizes; a target's contributions
+        # keep their order, so one reduction is the per-shard scatters.
+        boundaries = self.partition(graph).boundaries
+        self._record_loads(metrics, np.diff(graph.out_offsets[boundaries]))
+        self._record_loads(metrics, np.diff(graph.in_offsets[boundaries]))
 
     # -- scatters ------------------------------------------------------
     def _shard_slices(self, partition, dst):

@@ -197,3 +197,25 @@ class TestAlgebraicLaws:
         agg.scatter(aggregate, dst, contribs)
         agg.scatter_retract(aggregate, dst, contribs)
         assert np.allclose(aggregate, 0.0, atol=1e-9)
+
+
+class TestAggregateFresh:
+    """A dense sweep's reduction onto the identity: same bits as the
+    scatter, whatever the operator and the component layout."""
+
+    @pytest.mark.parametrize("agg", [
+        SumAggregation(), CountAggregation(), LogProductAggregation(),
+        ProductAggregation(), MinAggregation(), MaxAggregation(),
+    ], ids=lambda agg: agg.name)
+    @pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)])
+    def test_equals_scatter_onto_identity(self, agg, shape):
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        dst = rng.integers(0, 7, size=60)      # vertices 7, 8 get nothing
+        contribs = rng.normal(size=(60, *shape))
+        contribs[::5] = -0.0
+        expect = agg.identity(9, shape)
+        agg.scatter(expect, dst, contribs)
+        got = agg.identity(9, shape)
+        agg.aggregate_fresh(got, dst, contribs)
+        assert np.array_equal(expect, got)
+        assert np.array_equal(np.signbit(expect), np.signbit(got))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.history import DependencyHistory, IterationRecord
+from repro.ligra.delta import exact_changed_rows
 
 
 def make_history():
@@ -118,3 +119,29 @@ class TestRollingReplay:
         roll.advance()
         assert roll.g[1].tolist() == [1.0, 2.0, 3.0]
         assert roll.c[1].tolist() == [4.0, 5.0, 6.0]
+
+
+class TestExactChangedRows:
+    """What decides a history record's rows: any component differing,
+    bit for bit -- no tolerance, NaN never equal to itself."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)])
+    def test_equals_any_over_components(self, shape):
+        rng = np.random.default_rng(7)
+        old = rng.normal(size=(40, *shape))
+        new = old.copy()
+        moved = np.arange(10, 19)
+        new[moved] = np.nextafter(new[moved], np.inf)   # one ulp
+        new.reshape(40, -1)[3, -1] = np.nan
+        new.reshape(40, -1)[5, 0] = -old.reshape(40, -1)[5, 0]
+        expect = (old != new).reshape(40, -1).any(axis=1)
+        got = exact_changed_rows(old, new)
+        assert expect.sum() == 11
+        assert got.dtype == bool and got.shape == (40,)
+        assert np.array_equal(got, expect)
+
+    def test_zero_signs_are_equal_and_empty_is_empty(self):
+        assert not exact_changed_rows(np.zeros((2, 3)),
+                                      -np.zeros((2, 3))).any()
+        assert exact_changed_rows(np.empty((0, 3)),
+                                  np.empty((0, 3))).shape == (0,)

@@ -112,16 +112,50 @@ class TestParamChangeHooks:
 
 
 class TestMalformedAlgorithms:
+    """Every dense sweep is ``ExecutionBackend.aggregate_all``, so the
+    readable shape error reaches all engines, not only GB-Reset's first
+    iteration."""
+
+    class Broken(Doubler):
+        name = "broken"
+
+        def contributions(self, graph, src_values, src, dst, weight):
+            return np.ones((src.size, 3))  # scalar algorithm!
+
     def test_wrong_contribution_shape_reported_clearly(self):
         from repro.graph.generators import cycle_graph
         from repro.ligra.delta import DeltaEngine
 
-        class Broken(Doubler):
-            name = "broken"
-
-            def contributions(self, graph, src_values, src, dst, weight):
-                return np.ones((src.size, 3))  # scalar algorithm!
-
-        engine = DeltaEngine(Broken())
+        engine = DeltaEngine(self.Broken())
         with pytest.raises(ValueError, match="broken.contributions"):
             engine.run(cycle_graph(4), 2)
+
+    def test_wrong_shape_in_ligra_baseline_reported_clearly(self):
+        from repro.graph.generators import cycle_graph
+        from repro.ligra.engine import LigraEngine
+
+        engine = LigraEngine(self.Broken())
+        with pytest.raises(ValueError, match="broken.contributions"):
+            engine.run(cycle_graph(4), 2)
+
+    def test_wrong_shape_in_dense_refinement_reported_clearly(self):
+        from repro.core.engine import GraphBoltEngine
+        from repro.graph.generators import cycle_graph
+
+        class Flaky(PageRank):
+            name = "flaky"
+            broken = False
+
+            def contributions(self, graph, src_values, src, dst, weight):
+                out = super().contributions(graph, src_values, src, dst,
+                                            weight)
+                return np.stack([out, out], axis=1) if self.broken else out
+
+        engine = GraphBoltEngine(Flaky(), num_iterations=4)
+        engine.run(cycle_graph(6))
+        engine.algorithm.broken = True
+        # Every vertex's out-degree changes: refinement goes dense.
+        batch = MutationBatch.from_edges(
+            additions=[(v, (v + 2) % 6) for v in range(6)])
+        with pytest.raises(ValueError, match="flaky.contributions"):
+            engine.apply_mutations(batch)

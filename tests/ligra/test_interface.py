@@ -5,7 +5,7 @@ import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.ligra.frontier import VertexSubset
-from repro.ligra.interface import edge_map, edge_map_all, pull_edges, vertex_map
+from repro.ligra.interface import edge_map, pull_edges, vertex_map
 from repro.runtime.metrics import EngineMetrics
 
 
@@ -36,12 +36,6 @@ class TestEdgeMap:
             kernel=lambda s, d, w: seen.append((s.tolist(), d.tolist())),
         )
         assert seen == [([3], [0])]
-
-    def test_edge_map_all(self, graph):
-        metrics = EngineMetrics()
-        src, dst, _ = edge_map_all(graph, metrics=metrics)
-        assert src.size == 5
-        assert metrics.edge_computations == 5
 
 
 class TestPullEdges:

@@ -3,9 +3,20 @@ and the measured-makespan scaling model."""
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
+import zlib
+
 import numpy as np
 import pytest
 
+from repro.algorithms import (
+    BeliefPropagation,
+    CollaborativeFiltering,
+    LabelPropagation,
+)
+from repro.core.engine import GraphBoltEngine
 from repro.graph.csr import CSRGraph
 from repro.runtime.exec import (
     DEFAULT_NUM_SHARDS,
@@ -21,6 +32,7 @@ from repro.runtime.exec import (
 )
 from repro.runtime.metrics import EngineMetrics
 from repro.runtime.parallel import MakespanModel, lpt_makespan
+from repro.testing.workloads import FUZZ_ALGORITHMS
 
 
 def _chain_graph(num_vertices=12, fan=3):
@@ -195,6 +207,148 @@ class TestBackendEquivalence:
         sparse = EngineMetrics()
         backend.count_vertices(graph, np.array([0, 11]), sparse)
         assert sparse.vertex_computations == 2
+
+
+# ----------------------------------------------------------------------
+# The dense sweep
+# ----------------------------------------------------------------------
+def _reference_sweep(backend, graph, algorithm, values, metrics):
+    """The sweep as the engines wrote it out before ``aggregate_all``:
+    identity, ``np.repeat`` sources, a fancy row gather and
+    ``Aggregation.scatter`` (per shard on the sharded backend) onto the
+    live aggregate, charged as ``gather_all`` + ``scatter``."""
+    aggregate = algorithm.identity_aggregate(graph.num_vertices)
+    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),
+                    graph.out_degrees())
+    dst, weight = graph.out_targets, graph.out_weights
+    backend.gather_all(graph, metrics)    # for what it charges
+    if src.size:
+        contributions = algorithm.contributions(graph, values[src], src,
+                                                dst, weight)
+        backend.scatter(graph, algorithm.aggregation, aggregate, dst,
+                        contributions, metrics)
+    return aggregate
+
+
+class _ReferenceSweepBackend(SerialBackend):
+    def aggregate_all(self, graph, algorithm, values, metrics):
+        return _reference_sweep(self, graph, algorithm, values, metrics)
+
+
+#: Vertex 0 has no in-edge, 6 no out-edge, 7 neither; (1, 2) is a
+#: parallel edge; 4 has a self-loop.
+_SWEEP_EDGES = [(0, 1), (0, 2), (1, 2), (1, 2), (2, 3), (3, 1), (3, 6),
+                (4, 4), (4, 5), (5, 6), (5, 1), (2, 6)]
+_SWEEP_GRAPHS = {
+    "irregular": CSRGraph.from_edges(
+        _SWEEP_EDGES, num_vertices=8,
+        weights=[0.5 + 0.25 * k for k in range(len(_SWEEP_EDGES))],
+    ),
+    "no-edges": CSRGraph.from_edges([], num_vertices=5),
+    "chain": _chain_graph(),
+}
+
+_SWEEP_ALGORITHMS = {
+    **{key: profile.factory for key, profile in FUZZ_ALGORITHMS.items()},
+    "collaborative-filtering": CollaborativeFiltering,
+    "belief-propagation": BeliefPropagation,
+}
+
+
+class TestAggregateAll:
+    @pytest.mark.parametrize("backend", [SerialBackend(), ShardedBackend(3)],
+                             ids=lambda b: b.describe())
+    @pytest.mark.parametrize("graph_key", sorted(_SWEEP_GRAPHS))
+    @pytest.mark.parametrize("key", sorted(_SWEEP_ALGORITHMS))
+    def test_equals_reference_sweep(self, key, graph_key, backend):
+        graph = _SWEEP_GRAPHS[graph_key]
+        algorithm = _SWEEP_ALGORITHMS[key]()
+        values = algorithm.initial_values(graph)
+        for negative_zero in (False, True):
+            if negative_zero:
+                values = values.copy()
+                values[::2] = -0.0
+            expect_m, got_m = EngineMetrics(), EngineMetrics()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expect = _reference_sweep(backend, graph, algorithm, values,
+                                          expect_m)
+                got = backend.aggregate_all(graph, algorithm, values, got_m)
+            assert np.array_equal(expect, got, equal_nan=True)
+            assert np.array_equal(np.signbit(expect), np.signbit(got))
+            # Every edge gathered and counted once.
+            assert got_m.edge_computations == graph.num_edges
+            assert got_m.edge_computations == expect_m.edge_computations
+            assert got_m.shard_loads == expect_m.shard_loads
+            # The sweep feeds the next iteration; keep going from it.
+            values = np.asarray(algorithm.apply(
+                graph, got, np.arange(graph.num_vertices, dtype=np.int64),
+                values if algorithm.uses_previous_value else None,
+            ), dtype=np.float64)
+
+    def test_metrics_are_optional(self):
+        graph = _SWEEP_GRAPHS["irregular"]
+        algorithm = LabelPropagation()
+        values = algorithm.initial_values(graph)
+        for backend in (SerialBackend(), ShardedBackend(3)):
+            assert np.array_equal(
+                backend.aggregate_all(graph, algorithm, values, None),
+                _reference_sweep(backend, graph, algorithm, values, None),
+            )
+
+    def test_malformed_contributions_are_named(self):
+        class Transposed(LabelPropagation):
+            def contributions(self, graph, src_values, src, dst, weight):
+                return super().contributions(
+                    graph, src_values, src, dst, weight).T
+
+        with pytest.raises(ValueError, match="contributions returned shape"):
+            SerialBackend().aggregate_all(
+                _SWEEP_GRAPHS["irregular"], Transposed(),
+                Transposed().initial_values(_SWEEP_GRAPHS["irregular"]),
+                None,
+            )
+
+
+class TestDenseSweepEndToEnd:
+    """An 8-batch stream ends where it did before the engines shared one
+    sweep.  The literals were recorded at the parent commit (PR 21) with
+    the e2e generator's ``generate(13, 200, 8, seed=5)``."""
+
+    PINS = {
+        "label-propagation": (LabelPropagation, 0x3C05CEDD, 4_212_913,
+                              4_186_320),
+        "collaborative-filtering": (CollaborativeFiltering, 0x88A5BA48,
+                                    4_224_398, 10_178_784),
+    }
+
+    @staticmethod
+    def _stream():
+        path = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                            "benchmarks", "e2e", "inputs.py")
+        spec = importlib.util.spec_from_file_location("_e2e_inputs", path)
+        inputs = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = inputs    # its dataclass looks itself up
+        spec.loader.exec_module(inputs)
+        return inputs.generate(13, 200, 8, seed=5)
+
+    @staticmethod
+    def _run(factory, data, backend=None):
+        engine = GraphBoltEngine(factory(), num_iterations=10,
+                                 backend=backend)
+        engine.run(CSRGraph(data.num_vertices, data.src, data.dst,
+                            data.weight))
+        for batch in data.batches:
+            engine.apply_mutations(batch)
+        return (zlib.crc32(np.ascontiguousarray(engine.values).tobytes()),
+                engine.metrics.edge_computations, engine.history.nbytes)
+
+    @pytest.mark.parametrize("key", sorted(PINS))
+    def test_stream_ends_on_the_parent_commits_state(self, key):
+        factory, crc, edges, history_bytes = self.PINS[key]
+        data = self._stream()
+        got = self._run(factory, data)
+        assert got == self._run(factory, data, _ReferenceSweepBackend())
+        assert got == (crc, edges, history_bytes)
 
 
 class TestSelection:
