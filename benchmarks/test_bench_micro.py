@@ -4,7 +4,7 @@ These are conventional pytest-benchmark measurements (multiple rounds)
 of the hot paths every experiment sits on: CSR construction, batch
 structure adjustment (the paper's two-pass scheme, section 4.1),
 frontier edge gathering, one delta iteration, one refinement pass, and
-the dense sweep every engine shares (``ExecutionBackend.aggregate_all``,
+the dense sweep every engine shares (``repro.runtime.exec.aggregate_all``,
 vector- and scalar-valued; report-only).
 """
 
@@ -19,8 +19,7 @@ from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
 from repro.ligra.delta import DeltaEngine
 from repro.ligra.frontier import VertexSubset
-from repro.ligra.interface import edge_map
-from repro.runtime.exec import SerialBackend
+from repro.runtime.exec import aggregate_all, gather_out
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +48,7 @@ def test_micro_edge_map_gather(benchmark, graph):
         rng.choice(graph.num_vertices, size=graph.num_vertices // 20,
                    replace=False),
     )
-    benchmark(edge_map, graph, frontier)
+    benchmark(gather_out, graph, frontier.ids)
 
 
 def test_micro_delta_iteration(benchmark, graph):
@@ -85,9 +84,7 @@ def test_micro_refinement_pass(benchmark, graph):
 def test_micro_dense_sweep(benchmark, factory):
     graph = rmat(scale=13, edge_factor=16, seed=1, weighted=True)
     algorithm = factory()
-    backend = SerialBackend()
     values = algorithm.initial_values(graph)
-    aggregate = benchmark(backend.aggregate_all, graph, algorithm, values,
-                          None)
+    aggregate = benchmark(aggregate_all, graph, algorithm, values, None)
     assert aggregate.shape == (graph.num_vertices,
                                *algorithm.aggregation_shape)

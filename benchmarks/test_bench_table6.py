@@ -3,14 +3,23 @@
 Paper claim: increasing cores from 32 to 96 reduces everyone's time,
 but GraphBolt's *speedup over GB-Reset shrinks*, because GB-Reset has
 far more parallelisable work while GraphBolt's small refinement is
-span-bound.  Each engine runs on the sharded backend; the projection
-schedules its *measured* per-shard load vector onto p cores (LPT
-makespan, documented in DESIGN.md) and reports the vector's
+span-bound.  Each engine's work is accounted over 96 owner blocks; the
+projection schedules that *measured* per-shard load vector onto p cores
+(LPT makespan, documented in DESIGN.md) and reports the vector's
 load-imbalance factor.
 """
 
+import json
+import zlib
+
 from repro.bench.experiments import experiment_table6
 from repro.bench.reporting import save_results
+
+
+#: CRC of each algorithm's three 96-entry load vectors as the sharded
+#: execution backend measured them at the commit before it was folded
+#: into the owner accounting (PR 22).
+SHARD_LOAD_PINS = {"PR": 0x0E7BEC67, "LP": 0xE1514A84, "BP": 0x72FDC16D}
 
 
 def test_table6_core_scaling(run_experiment):
@@ -24,6 +33,10 @@ def test_table6_core_scaling(run_experiment):
     for algo in ("PR", "LP", "BP"):
         at32 = detail[f"{algo}|32"]
         at96 = detail[f"{algo}|96"]
+        assert at32["shard_loads"] == at96["shard_loads"]
+        assert zlib.crc32(json.dumps(
+            at96["shard_loads"], sort_keys=True,
+        ).encode()) == SHARD_LOAD_PINS[algo], algo
         # More cores help every engine...
         for engine in ("Ligra", "GB-Reset", "GraphBolt"):
             assert at96["projected"][engine] <= at32["projected"][engine]

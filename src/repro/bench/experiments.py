@@ -57,7 +57,6 @@ from repro.graph.mutation import MutationBatch
 from repro.kickstarter.engine import KickStarterEngine
 from repro.ligra.delta import DeltaEngine
 from repro.ligra.engine import LigraEngine
-from repro.runtime.exec import ShardedBackend, use_backend
 from repro.runtime.metrics import EngineMetrics
 from repro.runtime.parallel import MakespanModel
 from repro.runtime.validation import count_exceeding
@@ -430,8 +429,8 @@ def experiment_table6(
 ) -> Dict:
     """Projected core scaling on YH (paper Table 6).
 
-    Every runner executes on the sharded backend, which records the
-    *measured* per-shard load vector of each engine; wall-clock on p
+    Every runner accounts its work over ``num_shards`` owner blocks --
+    the *measured* per-shard load vector of each engine; wall-clock on p
     cores is then the calibrated LPT makespan of scheduling those real
     shard loads onto p cores (:class:`MakespanModel` -- the DESIGN.md
     substitution for real threads, which Python's GIL precludes).
@@ -448,21 +447,19 @@ def experiment_table6(
         num_shards = max(cores)
     graph = paper_graph("YH", weighted=True)
     model = MakespanModel()
-    backend = ShardedBackend(num_shards)
     rows = []
     detail = {}
     for algo in algorithms:
         factory = BENCH_ALGORITHMS[algo]
         batches = [uniform_batch(graph, batch_size, seed=seed)]
         measured = {}
-        with use_backend(backend):
-            for engine in TABLE5_ENGINES:
-                runner = ENGINES[engine](factory, 5)
-                result = run_stream(runner, graph, batches)
-                measured[runner.name] = (
-                    result.total_apply_seconds,
-                    result.final_metrics,
-                )
+        for engine in TABLE5_ENGINES:
+            runner = ENGINES[engine](factory, 5, num_shards=num_shards)
+            result = run_stream(runner, graph, batches)
+            measured[runner.name] = (
+                result.total_apply_seconds,
+                result.final_metrics,
+            )
         imbalance = {
             name: model.imbalance(metrics)
             for name, (_, metrics) in measured.items()

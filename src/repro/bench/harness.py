@@ -47,11 +47,7 @@ from repro.kickstarter.engine import KickStarterEngine
 from repro.ligra.delta import DeltaEngine
 from repro.ligra.engine import LigraEngine
 from repro.obs.registry import get_registry, ingest_engine_metrics
-from repro.runtime.exec import (
-    ExecutionBackend,
-    load_imbalance,
-    resolve_backend,
-)
+from repro.runtime.exec import load_imbalance
 from repro.runtime.metrics import EngineMetrics, Timer
 
 __all__ = [
@@ -73,19 +69,22 @@ AlgorithmFactory = Callable[[], IncrementalAlgorithm]
 
 
 class StreamingRunner:
-    """Base protocol: set up on a snapshot, then apply batches."""
+    """Base protocol: set up on a snapshot, then apply batches.
+
+    ``num_shards`` is how many owner blocks the run's ``shard_loads``
+    are accounted over (see :mod:`repro.runtime.exec`).
+    """
 
     name = "runner"
 
     def __init__(self, algorithm_factory: AlgorithmFactory,
                  num_iterations: Optional[int] = None,
                  until_convergence: bool = False,
-                 backend: Optional[ExecutionBackend] = None) -> None:
+                 num_shards: int = 1) -> None:
         self.algorithm_factory = algorithm_factory
         self.num_iterations = num_iterations
         self.until_convergence = until_convergence
-        self.backend = resolve_backend(backend)
-        self.metrics = EngineMetrics()
+        self.metrics = EngineMetrics(num_shards=num_shards)
 
     def setup(self, graph: CSRGraph) -> np.ndarray:
         raise NotImplementedError
@@ -124,8 +123,7 @@ class LigraRunner(_RestartRunner):
     name = "Ligra"
 
     def _run_snapshot(self) -> np.ndarray:
-        engine = LigraEngine(self.algorithm_factory(), self.metrics,
-                             backend=self.backend)
+        engine = LigraEngine(self.algorithm_factory(), self.metrics)
         return engine.run(
             self._streaming.graph,
             num_iterations=self.num_iterations,
@@ -139,8 +137,7 @@ class DeltaRunner(_RestartRunner):
     name = "GB-Reset"
 
     def _run_snapshot(self) -> np.ndarray:
-        engine = DeltaEngine(self.algorithm_factory(), self.metrics,
-                             backend=self.backend)
+        engine = DeltaEngine(self.algorithm_factory(), self.metrics)
         return engine.run(
             self._streaming.graph,
             num_iterations=self.num_iterations,
@@ -173,9 +170,9 @@ class GraphBoltRunner(_IncrementalRunner):
                  until_convergence: bool = False,
                  pruning: Optional[PruningPolicy] = None,
                  mode: str = "delta",
-                 backend: Optional[ExecutionBackend] = None) -> None:
+                 num_shards: int = 1) -> None:
         super().__init__(algorithm_factory, num_iterations,
-                         until_convergence, backend)
+                         until_convergence, num_shards)
         self.pruning = pruning
         self.mode = mode
         if mode == "retract_propagate":
@@ -190,7 +187,6 @@ class GraphBoltRunner(_IncrementalRunner):
             mode=self.mode,
             strategy=self.strategy,
             metrics=self.metrics,
-            backend=self.backend,
         )
         return self.engine.run(graph)
 
@@ -212,15 +208,15 @@ class KickStarterRunner(_IncrementalRunner):
                  num_iterations: Optional[int] = None,
                  until_convergence: bool = False,
                  unit_weights: bool = False,
-                 backend: Optional[ExecutionBackend] = None) -> None:
+                 num_shards: int = 1) -> None:
         super().__init__(algorithm_factory, num_iterations,
-                         until_convergence, backend)
+                         until_convergence, num_shards)
         self.unit_weights = unit_weights
 
     def setup(self, graph: CSRGraph) -> np.ndarray:
         self.engine = KickStarterEngine(
             graph, source=0, unit_weights=self.unit_weights,
-            metrics=self.metrics, backend=self.backend,
+            metrics=self.metrics,
         )
         return self.engine.values
 
@@ -235,7 +231,6 @@ class DataflowRunner(_IncrementalRunner):
             graph, source=0,
             num_stages=graph.num_vertices + 4,
             metrics=self.metrics,
-            backend=self.backend,
         )
         return self.engine.values
 

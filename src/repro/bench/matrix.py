@@ -47,12 +47,7 @@ from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.graph.mutation import MutationBatch
 from repro.obs.registry import peak_rss_bytes, scoped_registry
-from repro.runtime.exec import (
-    ExecutionBackend,
-    SerialBackend,
-    ShardedBackend,
-    load_imbalance,
-)
+from repro.runtime.exec import load_imbalance
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -245,7 +240,7 @@ def _check_value(table_path: str, key: str, value: object) -> None:
         raise MatrixError(
             f"{table_path}: replication {value!r} not in {REPLICATIONS}")
     if key == "backend":
-        _parse_backend(str(value))
+        _parse_shards(str(value))
     if key == "faults":
         _parse_faults(str(value))
     if key == "slo" and value != "none":
@@ -263,12 +258,14 @@ def _check_value(table_path: str, key: str, value: object) -> None:
                           f"got {value!r}")
 
 
-def _parse_backend(spec: str) -> ExecutionBackend:
+def _parse_shards(spec: str) -> int:
+    """The ``backend`` axis: how many owner blocks the cell's loads are
+    accounted over -- ``serial`` is 1, ``sharded[:P]`` is P (default 4)."""
     name, _, suffix = spec.partition(":")
     if name == "serial":
-        return SerialBackend()
+        return 1
     if name == "sharded":
-        return ShardedBackend(int(suffix) if suffix else 4)
+        return int(suffix) if suffix else 4
     raise MatrixError(f"unknown backend {spec!r}; "
                       f"use 'serial' or 'sharded[:P]'")
 
@@ -480,12 +477,12 @@ def _execute_engine_run(config: Dict, graph: CSRGraph,
                         batches: List[MutationBatch]) -> Tuple[Dict, Dict]:
     """One engine-mode run; returns ``(work, timing)``."""
     from repro.bench.experiments import BENCH_ALGORITHMS
-    from repro.runtime.exec import use_backend
 
+    num_shards = _parse_shards(str(config["backend"]))
     runner = ENGINES[config["engine"]](
-        BENCH_ALGORITHMS[config["algorithm"]], config["iterations"])
-    backend = _parse_backend(str(config["backend"]))
-    with use_backend(backend), scoped_registry() as registry:
+        BENCH_ALGORITHMS[config["algorithm"]], config["iterations"],
+        num_shards=num_shards)
+    with scoped_registry() as registry:
         result = run_stream(runner, graph, batches)
         metrics = result.final_metrics
         histogram = registry.histogram(f"{runner.name}.batch_seconds")
@@ -501,7 +498,7 @@ def _execute_engine_run(config: Dict, graph: CSRGraph,
             "hybrid_iterations": int(metrics.hybrid_iterations),
             "shard_imbalance": round(
                 load_imbalance(metrics.shard_loads), 6),
-            "num_shards": backend.num_shards,
+            "num_shards": num_shards,
             "batches_applied": len(result.batches),
             "values_crc32": _values_crc32(result.final_values),
         }

@@ -40,11 +40,7 @@ from repro.graph.mutation import MutationBatch
 from repro.ligra.delta import DeltaEngine, DeltaState
 from repro.obs import trace
 from repro.obs.registry import get_registry
-from repro.runtime.exec import (
-    ExecutionBackend,
-    load_imbalance,
-    resolve_backend,
-)
+from repro.runtime.exec import load_imbalance
 from repro.runtime.metrics import EngineMetrics, MemoryReport, Timer
 
 __all__ = ["GraphBoltEngine"]
@@ -66,7 +62,6 @@ class GraphBoltEngine:
         strategy: str = "refine",
         metrics: Optional[EngineMetrics] = None,
         dense_refine_fraction: Optional[float] = None,
-        backend: Optional[ExecutionBackend] = None,
     ) -> None:
         if strategy not in ("refine", "naive"):
             raise ValueError("strategy must be 'refine' or 'naive'")
@@ -86,9 +81,7 @@ class GraphBoltEngine:
             else dense_refine_fraction
         )
         self.metrics = metrics if metrics is not None else EngineMetrics()
-        self.backend = resolve_backend(backend)
-        self._delta = DeltaEngine(algorithm, self.metrics, mode=mode,
-                                  backend=self.backend)
+        self._delta = DeltaEngine(algorithm, self.metrics, mode=mode)
         self._streaming: Optional[StreamingGraph] = None
         self._history: Optional[DependencyHistory] = None
         self._state: Optional[DeltaState] = None
@@ -232,7 +225,6 @@ class GraphBoltEngine:
             self.algorithm, mutation, self._history, self.metrics,
             self.pruning, mode=self._delta.mode,
             dense_fraction=self.dense_refine_fraction,
-            backend=self.backend,
         )
         state = hybrid_forward(
             self._delta, graph, state,

@@ -30,7 +30,7 @@ which hybrid execution continues forward.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.graph.mutable import MutationResult
 from repro.ligra.delta import DeltaState, exact_changed_rows
 from repro.ligra.frontier import union_ids
 from repro.obs import trace
-from repro.runtime.exec import ExecutionBackend, resolve_backend
+from repro.runtime import exec as kernels
 from repro.runtime.metrics import EngineMetrics, Timer
 
 __all__ = ["refine"]
@@ -66,7 +66,6 @@ def refine(
     pruning: PruningPolicy,
     mode: str = "delta",
     dense_fraction: float = DENSE_REFINE_FRACTION,
-    backend: Optional[ExecutionBackend] = None,
 ) -> Tuple[DeltaState, DependencyHistory]:
     """Refine tracked values for one mutation; see module docstring.
 
@@ -79,12 +78,12 @@ def refine(
                     deletions=int(mutation.del_src.size)), \
             Timer(metrics, "refine"):
         return _Refiner(algorithm, mutation, history, metrics,
-                        pruning, mode, dense_fraction, backend).run()
+                        pruning, mode, dense_fraction).run()
 
 
 class _Refiner:
     def __init__(self, algorithm, mutation, history, metrics, pruning, mode,
-                 dense_fraction=DENSE_REFINE_FRACTION, backend=None):
+                 dense_fraction=DENSE_REFINE_FRACTION):
         self.algorithm = algorithm
         self.mutation = mutation
         self.history = history
@@ -92,7 +91,6 @@ class _Refiner:
         self.pruning = pruning
         self.mode = mode
         self.dense_fraction = dense_fraction
-        self.backend = resolve_backend(backend)
         self.new_graph = mutation.new_graph
         self.old_graph = mutation.old_graph
 
@@ -163,8 +161,8 @@ class _Refiner:
                 if touched_candidates is None:
                     # Every vertex re-applies: whole arrays, no gathers.
                     num_touched = num_vertices
-                    self.backend.count_vertices(self.new_graph,
-                                                num_vertices, self.metrics)
+                    kernels.count_all_vertices(self.new_graph,
+                                               self.metrics)
                     c_new = np.asarray(algorithm.apply(
                         self.new_graph, g_cur, all_vertices,
                         c_before if algorithm.uses_previous_value else None,
@@ -188,8 +186,8 @@ class _Refiner:
                     num_touched = int(touched.size)
                     c_new = self.old_roll.c.copy()
                     if touched.size:
-                        self.backend.count_vertices(self.new_graph, touched,
-                                                    self.metrics)
+                        kernels.count_vertices(self.new_graph, touched,
+                                               self.metrics)
                         previous = (
                             c_before[touched]
                             if algorithm.uses_previous_value else None
@@ -242,8 +240,8 @@ class _Refiner:
         but a single vectorised sweep; returns ``None`` candidates to
         signal that every vertex must be re-applied.
         """
-        return self.backend.aggregate_all(self.new_graph, self.algorithm,
-                                          c_prev, self.metrics), None
+        return kernels.aggregate_all(self.new_graph, self.algorithm,
+                                     c_prev, self.metrics), None
 
     def _refine_decomposable(self, sources, c_prev):
         """Start from the old aggregate and splice ⊎ / ⋃– / ⋃△ updates."""
@@ -260,8 +258,8 @@ class _Refiner:
                 c_prev[mutation.add_src],
                 mutation.add_src, mutation.add_dst, mutation.add_weight,
             )
-            self.backend.scatter(self.new_graph, agg, g_new,
-                                 mutation.add_dst, contribs, self.metrics)
+            kernels.scatter(self.new_graph, agg, g_new,
+                            mutation.add_dst, contribs, self.metrics)
 
         # ⋃– : old contributions leaving over deleted edges, reproduced
         # on the fly from the old run's values and the old snapshot.
@@ -274,9 +272,9 @@ class _Refiner:
                 self.old_roll.c_prev[mutation.del_src],
                 mutation.del_src, mutation.del_dst, mutation.del_weight,
             )
-            self.backend.scatter_retract(self.new_graph, agg, g_new,
-                                         mutation.del_dst, contribs,
-                                         self.metrics)
+            kernels.scatter_retract(self.new_graph, agg, g_new,
+                                    mutation.del_dst, contribs,
+                                    self.metrics)
 
         # ⋃△ : retained out-edges of changed sources swap old for new.
         dsts = np.empty(0, dtype=np.int64)
@@ -296,18 +294,18 @@ class _Refiner:
                     self.new_graph, c_prev[src_rep], src_rep, dsts, weights,
                 )
                 if self.mode == "delta":
-                    self.backend.scatter_delta(
+                    kernels.scatter_delta(
                         self.new_graph, agg, g_new, dsts,
                         new_contribs, old_contribs, self.metrics,
                     )
                 else:
-                    self.backend.scatter_retract(
+                    kernels.scatter_retract(
                         self.new_graph, agg, g_new, dsts, old_contribs,
                         self.metrics,
                     )
                     self.metrics.count_edges(src_rep.size)
-                    self.backend.scatter(self.new_graph, agg, g_new, dsts,
-                                         new_contribs, self.metrics)
+                    kernels.scatter(self.new_graph, agg, g_new, dsts,
+                                    new_contribs, self.metrics)
 
         touched = union_ids(self.new_graph.num_vertices,
                             mutation.add_dst, mutation.del_dst, dsts)
@@ -327,15 +325,15 @@ class _Refiner:
                             mutation.add_dst, mutation.del_dst, dsts)
         if touched.size:
             g_new[touched] = algorithm.aggregation.identity_value()
-            in_src, in_dst, in_weight = self.backend.gather_in(
+            in_src, in_dst, in_weight = kernels.gather_in(
                 self.new_graph, touched, self.metrics
             )
             if in_src.size:
                 contribs = algorithm.contributions(
                     self.new_graph, c_prev[in_src], in_src, in_dst, in_weight
                 )
-                self.backend.scatter(self.new_graph, algorithm.aggregation,
-                                     g_new, in_dst, contribs, self.metrics)
+                kernels.scatter(self.new_graph, algorithm.aggregation,
+                                g_new, in_dst, contribs, self.metrics)
         return g_new, touched
 
     # ------------------------------------------------------------------

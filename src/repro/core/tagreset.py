@@ -40,7 +40,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
 from repro.ligra.delta import DeltaEngine
-from repro.runtime.exec import ExecutionBackend, resolve_backend
+from repro.runtime.exec import count_vertices, gather_in, scatter
 from repro.runtime.metrics import EngineMetrics, Timer
 
 __all__ = ["TagResetEngine"]
@@ -53,17 +53,14 @@ class TagResetEngine:
 
     def __init__(self, algorithm: IncrementalAlgorithm,
                  num_iterations: Optional[int] = None,
-                 metrics: Optional[EngineMetrics] = None,
-                 backend: Optional[ExecutionBackend] = None) -> None:
+                 metrics: Optional[EngineMetrics] = None) -> None:
         self.algorithm = algorithm
         self.num_iterations = (
             algorithm.default_iterations if num_iterations is None
             else num_iterations
         )
         self.metrics = metrics if metrics is not None else EngineMetrics()
-        self.backend = resolve_backend(backend)
-        self._delta = DeltaEngine(algorithm, self.metrics,
-                                  backend=self.backend)
+        self._delta = DeltaEngine(algorithm, self.metrics)
         self._streaming: Optional[StreamingGraph] = None
         self._history: Optional[DependencyHistory] = None
         self._values: Optional[np.ndarray] = None
@@ -134,9 +131,8 @@ class TagResetEngine:
         uses_prev = algorithm.uses_previous_value
         # One-time structural gather, reused every iteration; the per-
         # iteration edge work is charged inside the loop below.
-        in_src, in_dst, in_weight = self.backend.gather_in(
-            graph, tagged, self.metrics, count=False
-        )
+        in_src, in_dst, in_weight = gather_in(graph, tagged, self.metrics,
+                                              count=False)
         for _ in range(self.num_iterations):
             old_roll.advance()
             self.metrics.refinement_iterations += 1
@@ -145,15 +141,14 @@ class TagResetEngine:
                 # Recompute every tagged vertex from its full in-edge
                 # set -- the wasteful part tag-reset cannot avoid.
                 self.metrics.count_edges(in_src.size)
-                self.backend.count_vertices(graph, tagged, self.metrics)
+                count_vertices(graph, tagged, self.metrics)
                 aggregate = identity.copy()
                 if in_src.size:
                     contribs = algorithm.contributions(
                         graph, c_prev[in_src], in_src, in_dst, in_weight
                     )
-                    self.backend.scatter(graph, algorithm.aggregation,
-                                         aggregate, in_dst, contribs,
-                                         self.metrics)
+                    scatter(graph, algorithm.aggregation, aggregate,
+                            in_dst, contribs, self.metrics)
                 previous = c_prev[tagged] if uses_prev else None
                 c_cur[tagged] = algorithm.apply(
                     graph, aggregate[tagged], tagged, previous

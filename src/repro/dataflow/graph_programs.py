@@ -31,7 +31,7 @@ from repro.dataflow.operators import Dataflow
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
-from repro.runtime.exec import ExecutionBackend, resolve_backend
+from repro.runtime.exec import gather_all
 from repro.runtime.metrics import EngineMetrics, Timer
 
 __all__ = ["DifferentialConnectedComponents", "DifferentialPageRank",
@@ -42,10 +42,8 @@ class _DifferentialGraphProgram:
     """Shared streaming-graph plumbing for dataflow graph programs."""
 
     def __init__(self, graph: CSRGraph,
-                 metrics: Optional[EngineMetrics] = None,
-                 backend: Optional[ExecutionBackend] = None) -> None:
+                 metrics: Optional[EngineMetrics] = None) -> None:
         self.metrics = metrics if metrics is not None else EngineMetrics()
-        self.backend = resolve_backend(backend)
         self._streaming = StreamingGraph(graph)
         self.dataflow = Dataflow()
         self._edges_in = self.dataflow.input()
@@ -54,11 +52,9 @@ class _DifferentialGraphProgram:
             self._edges_in.stream, self._vertices_in.stream
         )
         with Timer(self.metrics, "initial_run"):
-            # Structural feed (never charged as edge computations); the
-            # sharded backend still measures per-shard feed loads.
-            src, dst, weight = self.backend.gather_all(
-                graph, self.metrics, count=False
-            )
+            # Structural feed: never charged as edge computations, but
+            # its per-shard feed loads are.
+            src, dst, weight = gather_all(graph, self.metrics, count=False)
             self._edges_in.send_records(
                 (int(u), (int(v), float(w)))
                 for u, v, w in zip(src, dst, weight)
@@ -111,11 +107,10 @@ class DifferentialPageRank(_DifferentialGraphProgram):
 
     def __init__(self, graph: CSRGraph, num_iterations: int = 10,
                  damping: float = 0.85,
-                 metrics: Optional[EngineMetrics] = None,
-                 backend: Optional[ExecutionBackend] = None) -> None:
+                 metrics: Optional[EngineMetrics] = None) -> None:
         self.num_iterations = num_iterations
         self.damping = damping
-        super().__init__(graph, metrics, backend)
+        super().__init__(graph, metrics)
 
     def _build(self, edges, vertices):
         damping = self.damping
@@ -157,10 +152,9 @@ class DifferentialConnectedComponents(_DifferentialGraphProgram):
     name = "DifferentialDataflow-WCC"
 
     def __init__(self, graph: CSRGraph, num_stages: int = 24,
-                 metrics: Optional[EngineMetrics] = None,
-                 backend: Optional[ExecutionBackend] = None) -> None:
+                 metrics: Optional[EngineMetrics] = None) -> None:
         self.num_stages = num_stages
-        super().__init__(graph, metrics, backend)
+        super().__init__(graph, metrics)
 
     def _build(self, edges, vertices):
         # Symmetrise so label flow matches weak connectivity.
@@ -193,11 +187,10 @@ class DifferentialSSSP(_DifferentialGraphProgram):
 
     def __init__(self, graph: CSRGraph, source: int = 0,
                  num_stages: int = 24,
-                 metrics: Optional[EngineMetrics] = None,
-                 backend: Optional[ExecutionBackend] = None) -> None:
+                 metrics: Optional[EngineMetrics] = None) -> None:
         self.source = source
         self.num_stages = num_stages
-        super().__init__(graph, metrics, backend)
+        super().__init__(graph, metrics)
 
     def _build(self, edges, vertices):
         source = self.source

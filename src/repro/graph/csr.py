@@ -2,7 +2,7 @@
 
 A :class:`CSRGraph` stores a directed, weighted graph in both compressed
 sparse row (out-edges) and compressed sparse column (in-edges) form, the
-layout GraphBolt uses so that both push-style (``edge_map`` over out-edges)
+layout GraphBolt uses so that both push-style (``gather_out`` over out-edges)
 and pull-style (re-evaluation over in-edges) traversals are O(1)-indexable
 (paper section 4.1).
 
@@ -238,7 +238,7 @@ class CSRGraph:
         return float(self.out_neighbor_weights(u)[idx])
 
     # ------------------------------------------------------------------
-    # Vectorised gathers (used by the engines' edge_map kernels)
+    # Vectorised gathers (used by the kernels of repro.runtime.exec)
     # ------------------------------------------------------------------
     def all_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(src, dst, weight)`` arrays for every edge (CSR order)."""

@@ -31,7 +31,7 @@ from repro.kickstarter.trees import NO_PARENT, DependencyTree, segmented_argmin
 from repro.ligra.frontier import union_ids
 from repro.obs import trace
 from repro.obs.registry import get_registry
-from repro.runtime.exec import ExecutionBackend, resolve_backend
+from repro.runtime.exec import gather_in, gather_out
 from repro.runtime.metrics import EngineMetrics, Timer
 
 __all__ = ["KickStarterEngine"]
@@ -44,8 +44,7 @@ class KickStarterEngine:
 
     def __init__(self, graph: CSRGraph, source: int = 0,
                  unit_weights: bool = False,
-                 metrics: Optional[EngineMetrics] = None,
-                 backend: Optional[ExecutionBackend] = None) -> None:
+                 metrics: Optional[EngineMetrics] = None) -> None:
         """``unit_weights`` computes BFS hop counts instead of weighted
         shortest paths."""
         if not 0 <= source < graph.num_vertices:
@@ -53,7 +52,6 @@ class KickStarterEngine:
         self.source = source
         self.unit_weights = unit_weights
         self.metrics = metrics if metrics is not None else EngineMetrics()
-        self.backend = resolve_backend(backend)
         self._streaming = StreamingGraph(graph)
         self.tree = DependencyTree(graph.num_vertices)
         self.batches_applied = 0
@@ -84,8 +82,7 @@ class KickStarterEngine:
         dependency tree for every improved vertex."""
         values, parents = self.tree.values, self.tree.parents
         while frontier.size:
-            src, dst, weight = self.backend.gather_out(graph, frontier,
-                                                       self.metrics)
+            src, dst, weight = gather_out(graph, frontier, self.metrics)
             if not src.size:
                 break
             candidates = values[src] + self._edge_lengths(weight)
@@ -153,8 +150,7 @@ class KickStarterEngine:
         # dependency paths, so the result is a valid upper bound.
         values[tagged] = np.inf
         parents[tagged] = NO_PARENT
-        in_src, in_dst, in_weight = self.backend.gather_in(graph, tagged,
-                                                           self.metrics)
+        in_src, in_dst, in_weight = gather_in(graph, tagged, self.metrics)
         safe = ~tagged_mask[in_src]
         in_src, in_dst = in_src[safe], in_dst[safe]
         candidates = values[in_src] + self._edge_lengths(in_weight[safe])

@@ -2,7 +2,8 @@
 
 GraphBolt is built over Ligra's processing architecture (paper section 4):
 a frontier abstraction (:class:`VertexSubset`) with sparse/dense duality,
-``edge_map`` / ``vertex_map`` primitives, and two baseline engines:
+the gather/scatter kernels of :mod:`repro.runtime.exec` (its ``edgeMap``
+counterparts), and two baseline engines:
 
 - :class:`LigraEngine` -- full synchronous recomputation each iteration,
   restarted from scratch on every mutation (the paper's "Ligra" baseline);

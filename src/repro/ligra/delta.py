@@ -29,9 +29,8 @@ import numpy as np
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.csr import CSRGraph
 from repro.ligra.frontier import VertexSubset, member_mask, union_ids
-from repro.ligra.interface import edge_map, pull_edges
 from repro.obs import trace
-from repro.runtime.exec import ExecutionBackend, resolve_backend
+from repro.runtime import exec as kernels
 from repro.runtime.metrics import EngineMetrics, Timer
 
 __all__ = ["DeltaEngine", "DeltaState", "StepRecord", "exact_changed_rows"]
@@ -102,14 +101,12 @@ class DeltaEngine:
         algorithm: IncrementalAlgorithm,
         metrics: Optional[EngineMetrics] = None,
         mode: str = "delta",
-        backend: Optional[ExecutionBackend] = None,
     ) -> None:
         if mode not in ("delta", "retract_propagate"):
             raise ValueError("mode must be 'delta' or 'retract_propagate'")
         self.algorithm = algorithm
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self.mode = mode
-        self.backend = resolve_backend(backend)
 
     # ------------------------------------------------------------------
     # State construction
@@ -155,7 +152,7 @@ class DeltaEngine:
     def _dense_aggregate(self, graph, state):
         """Full aggregation: the first iteration and every dense one."""
         old_aggregate = state.aggregate
-        state.aggregate = self.backend.aggregate_all(
+        state.aggregate = kernels.aggregate_all(
             graph, self.algorithm, state.values, self.metrics
         )
         touched = np.arange(graph.num_vertices, dtype=np.int64)
@@ -169,8 +166,8 @@ class DeltaEngine:
         if frontier.is_dense_preferred(graph):
             return self._dense_aggregate(graph, state)
 
-        src, dst, weight = edge_map(graph, frontier, metrics=self.metrics,
-                                    backend=self.backend)
+        src, dst, weight = kernels.gather_out(graph, frontier.ids,
+                                              self.metrics)
         touched = union_ids(graph.num_vertices, dst)
         g_old_at_touched = state.aggregate[touched].copy()
         if src.size:
@@ -181,19 +178,19 @@ class DeltaEngine:
                 graph, state.values[src], src, dst, weight
             )
             if self.mode == "delta":
-                self.backend.scatter_delta(
+                kernels.scatter_delta(
                     graph, algorithm.aggregation, state.aggregate, dst,
                     new_contribs, old_contribs, self.metrics,
                 )
             else:
-                self.backend.scatter_retract(
+                kernels.scatter_retract(
                     graph, algorithm.aggregation, state.aggregate, dst,
                     old_contribs, self.metrics,
                 )
                 self.metrics.count_edges(src.size)
-                self.backend.scatter(graph, algorithm.aggregation,
-                                     state.aggregate, dst, new_contribs,
-                                     self.metrics)
+                kernels.scatter(graph, algorithm.aggregation,
+                                state.aggregate, dst, new_contribs,
+                                self.metrics)
         return touched, g_old_at_touched
 
     def _pull_aggregate(self, graph, state):
@@ -204,8 +201,8 @@ class DeltaEngine:
         if frontier.is_dense_preferred(graph):
             targets = np.arange(graph.num_vertices, dtype=np.int64)
         else:
-            _, dst, _ = edge_map(graph, frontier, metrics=self.metrics,
-                                 backend=self.backend)
+            _, dst, _ = kernels.gather_out(graph, frontier.ids,
+                                           self.metrics)
             targets = union_ids(graph.num_vertices, dst)
         g_old_at_targets = state.aggregate[targets].copy()
         self._reevaluate(graph, state.values, state.aggregate, targets)
@@ -215,15 +212,14 @@ class DeltaEngine:
         """Recompute ``aggregate[targets]`` by pulling all in-edges."""
         algorithm = self.algorithm
         aggregate[targets] = algorithm.aggregation.identity_value()
-        in_src, in_dst, in_weight = pull_edges(graph, targets,
-                                               metrics=self.metrics,
-                                               backend=self.backend)
+        in_src, in_dst, in_weight = kernels.gather_in(graph, targets,
+                                                      self.metrics)
         if in_src.size:
             contributions = algorithm.contributions(
                 graph, source_values[in_src], in_src, in_dst, in_weight
             )
-            self.backend.scatter(graph, algorithm.aggregation, aggregate,
-                                 in_dst, contributions, self.metrics)
+            kernels.scatter(graph, algorithm.aggregation, aggregate,
+                            in_dst, contributions, self.metrics)
 
     def _apply_and_advance(self, graph, state, touched, g_old_at_touched,
                            record_changes):
@@ -242,7 +238,7 @@ class DeltaEngine:
                 g_old[~mask] = state.aggregate[extended[~mask]]
                 touched, g_old_at_touched = extended, g_old
 
-        self.backend.count_vertices(graph, touched, self.metrics)
+        kernels.count_vertices(graph, touched, self.metrics)
         previous = (
             state.values[touched] if algorithm.uses_previous_value else None
         )

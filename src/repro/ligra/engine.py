@@ -15,7 +15,7 @@ import numpy as np
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.csr import CSRGraph
 from repro.obs import trace
-from repro.runtime.exec import ExecutionBackend, resolve_backend
+from repro.runtime.exec import aggregate_all, count_all_vertices
 from repro.runtime.metrics import EngineMetrics, Timer
 
 __all__ = ["LigraEngine"]
@@ -27,11 +27,9 @@ class LigraEngine:
     name = "Ligra"
 
     def __init__(self, algorithm: IncrementalAlgorithm,
-                 metrics: Optional[EngineMetrics] = None,
-                 backend: Optional[ExecutionBackend] = None) -> None:
+                 metrics: Optional[EngineMetrics] = None) -> None:
         self.algorithm = algorithm
         self.metrics = metrics if metrics is not None else EngineMetrics()
-        self.backend = resolve_backend(backend)
 
     def run(
         self,
@@ -69,9 +67,7 @@ class LigraEngine:
     def _iterate(self, graph: CSRGraph, values: np.ndarray,
                  all_vertices: np.ndarray) -> np.ndarray:
         algorithm = self.algorithm
-        aggregate = self.backend.aggregate_all(graph, algorithm, values,
-                                               self.metrics)
-        self.backend.count_vertices(graph, graph.num_vertices,
-                                    self.metrics)
+        aggregate = aggregate_all(graph, algorithm, values, self.metrics)
+        count_all_vertices(graph, self.metrics)
         previous = values if algorithm.uses_previous_value else None
         return algorithm.apply(graph, aggregate, all_vertices, previous)

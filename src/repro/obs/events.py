@@ -3,9 +3,9 @@
 A *wide event* is the observability unit favoured by the "observability
 2.0" school: instead of scattering a batch's story across logs,
 counters, and spans, the serving loop emits **one** record per unit of
-work carrying every dimension it knows -- engine, backend, batch kind
-and size, queue depth, breaker state, admission policy, deadline
-budget, shard imbalance, the samples the SLO evaluator saw -- plus a
+work carrying every dimension it knows -- engine, batch kind and size,
+queue depth, breaker state, admission policy, deadline budget, the
+samples the SLO evaluator saw -- plus a
 **trace exemplar**: the span id of the slowest span recorded while the
 batch applied, so a latency spike in a dashboard links straight to its
 trace (:mod:`repro.obs.trace` ids are deterministic, so the link

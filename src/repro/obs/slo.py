@@ -74,7 +74,6 @@ SIGNALS: Dict[str, str] = {
     "degraded_query_ratio": "fraction of served queries that degraded",
     "quarantine_count": "poison batches quarantined so far",
     "breaker_open": "1.0 while the circuit breaker is not CLOSED",
-    "shard_imbalance": "max/mean of the measured per-shard load vector",
     "replica_staleness": "worst replica backlog of shipped-but-"
                          "unapplied WAL records (dead replicas count)",
 }

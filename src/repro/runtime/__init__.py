@@ -1,16 +1,6 @@
-"""Shared runtime services: metrics, execution backends, cost models."""
+"""Shared runtime services: metrics, the kernel layer, cost models."""
 
-from repro.runtime.exec import (
-    ExecutionBackend,
-    PartitionedCSR,
-    SerialBackend,
-    ShardedBackend,
-    get_backend,
-    load_imbalance,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
+from repro.runtime.exec import PartitionedCSR, load_imbalance
 from repro.runtime.metrics import EngineMetrics, MemoryReport, Timer
 from repro.runtime.parallel import (
     MakespanModel,
@@ -19,17 +9,10 @@ from repro.runtime.parallel import (
 
 __all__ = [
     "EngineMetrics",
-    "ExecutionBackend",
     "MakespanModel",
     "MemoryReport",
     "PartitionedCSR",
-    "SerialBackend",
-    "ShardedBackend",
     "Timer",
-    "get_backend",
     "load_imbalance",
     "lpt_makespan",
-    "resolve_backend",
-    "set_backend",
-    "use_backend",
 ]

@@ -6,7 +6,7 @@ The paper reports three machine-facing measurements alongside wall-clock:
   (Figure 6, Table 7).  This is the machine-independent signal that
   dependency-driven refinement eliminates redundant work, and it is the
   primary quantity our counters track.
-- **vertex computations** -- vertex_map/apply invocations.
+- **vertex computations** -- vertex apply invocations.
 - **tracked memory** -- bytes of dependency information GraphBolt keeps
   beyond what GB-Reset keeps (Table 9).
 
@@ -18,7 +18,7 @@ one integer addition per kernel call, not per edge.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Dict, Optional
 
 __all__ = ["EngineMetrics", "MemoryReport", "Timer"]
@@ -34,10 +34,19 @@ class EngineMetrics:
     refinement_iterations: int = 0
     hybrid_iterations: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Measured work per execution shard (keyed by shard index as a
-    #: string), recorded by the backends of :mod:`repro.runtime.exec`;
-    #: the makespan scaling model consumes this vector directly.
+    #: Measured work per owner block (keyed by shard index as a string),
+    #: charged by the kernels of :mod:`repro.runtime.exec`; the makespan
+    #: scaling model consumes this vector directly.
     shard_loads: Dict[str, float] = field(default_factory=dict)
+    #: How many owner blocks ``shard_loads`` is charged over.  A setting
+    #: of the run, not a counter: an ``InitVar`` stays out of ``fields``
+    #: and so out of merge / snapshot / delta arithmetic.
+    num_shards: InitVar[int] = 1
+
+    def __post_init__(self, num_shards: int) -> None:
+        if num_shards < 1:
+            raise ValueError("need at least one shard")
+        self.num_shards = int(num_shards)
 
     def count_edges(self, n: int) -> None:
         self.edge_computations += int(n)

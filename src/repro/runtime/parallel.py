@@ -8,8 +8,8 @@ bounded by its span (the iteration-by-iteration dependency chain).
 
 Python's GIL makes real shared-memory parallel vertex processing
 counterproductive (this is the ``repro_why`` gate for this paper), so we
-reproduce the *effect* by scheduling the per-shard load vector each
-engine *measured* under :class:`~repro.runtime.exec.ShardedBackend` onto
+reproduce the *effect* by scheduling the per-shard load vector the
+kernels of :mod:`repro.runtime.exec` *measured* for each engine onto
 ``p`` cores (LPT list scheduling) and charging the per-iteration BSP
 barrier span on top::
 
@@ -28,6 +28,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.runtime.exec import load_imbalance
 from repro.runtime.metrics import EngineMetrics
 
 __all__ = [
@@ -86,9 +87,7 @@ class MakespanBreakdown:
     @property
     def imbalance(self) -> float:
         """Max-over-mean shard load (1.0 = perfectly balanced)."""
-        if self.shard_loads.size == 0 or self.total_work <= 0:
-            return 1.0
-        return float(self.shard_loads.max() / self.shard_loads.mean())
+        return load_imbalance(self.shard_loads)
 
 
 class MakespanModel:
@@ -96,8 +95,8 @@ class MakespanModel:
 
     Where Brent's ``(W - S)/p + S`` divides one aggregate work number
     by ``p`` (assuming work splits perfectly), this model schedules the
-    *measured* shard loads recorded by
-    :class:`~repro.runtime.exec.ShardedBackend` onto ``p`` cores and
+    *measured* shard loads charged by the kernels of
+    :mod:`repro.runtime.exec` onto ``p`` cores and
     takes the resulting makespan -- so skew that concentrates work in a
     few shards is visible as a scaling floor, exactly the partition
     effect GBBS and the distributed-systems literature identify.  The
@@ -120,7 +119,7 @@ class MakespanModel:
                 dtype=np.float64,
             )
         else:
-            # No backend load vector recorded (serial legacy run): the
+            # No load vector recorded (metrics built by hand): the
             # aggregate work is one undecomposed shard.
             loads = np.array(
                 [float(metrics.edge_computations

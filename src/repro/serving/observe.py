@@ -154,13 +154,11 @@ class ServingObserver:
         if self.evaluator is not None:
             alerts = self.evaluator.tick(samples, index=index)
         if self.emitter is not None:
-            server = resilient.server
             self.emitter.emit(
                 "batch",
                 index=index,
                 peak_rss_bytes=peak_rss,
                 engine="graphbolt",
-                backend=server.engine.backend.name,
                 mutations=len(batch),
                 additions=batch.num_additions,
                 deletions=batch.num_deletions,
@@ -174,7 +172,6 @@ class ServingObserver:
                 admission_policy=resilient._effective_policy(),
                 staleness_batches=int(samples["staleness_batches"]),
                 quarantined=not ok,
-                shard_imbalance=self._shard_imbalance(server),
                 samples={key: round(value, 6)
                          for key, value in samples.items()},
                 alerts=[alert.slo for alert in alerts
@@ -198,12 +195,10 @@ class ServingObserver:
         self._last_query_seconds = result.seconds
         if self.emitter is None:
             return
-        server = resilient.server
         self.emitter.emit(
             "query",
             index=index,
             engine="graphbolt",
-            backend=server.engine.backend.name,
             seconds=round(result.seconds, 6),
             iterations=result.iterations_completed,
             degraded=result.degraded,
@@ -216,11 +211,3 @@ class ServingObserver:
             exemplar_span=self._exemplar(span_mark),
         )
 
-    @staticmethod
-    def _shard_imbalance(server) -> float:
-        from repro.runtime.exec import load_imbalance
-
-        loads = getattr(server.engine.metrics, "shard_loads", None)
-        if not loads:
-            return 1.0
-        return round(load_imbalance(loads), 6)

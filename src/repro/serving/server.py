@@ -88,7 +88,6 @@ class StreamingAnalyticsServer:
         until_convergence: bool = False,
         max_iterations: int = 1000,
         recovery=None,
-        backend=None,
     ) -> None:
         algorithm = algorithm_factory()
         self._configure(
@@ -98,9 +97,8 @@ class StreamingAnalyticsServer:
             until_convergence=until_convergence,
             max_iterations=max_iterations,
         )
-        self.engine = GraphBoltEngine(
-            algorithm, num_iterations=approx_iterations, backend=backend
-        )
+        self.engine = GraphBoltEngine(algorithm,
+                                      num_iterations=approx_iterations)
         self.engine.run(graph)
         self.batches_ingested = 0
         self.queries_served = 0
@@ -286,8 +284,7 @@ class StreamingAnalyticsServer:
             faults.hit("query.deadline")
         start = time.perf_counter()
         metrics = EngineMetrics()
-        branch_engine = DeltaEngine(self.algorithm_factory(), metrics,
-                                    backend=self.engine.backend)
+        branch_engine = DeltaEngine(self.algorithm_factory(), metrics)
         state = self.engine._state.copy()
         with trace.span("query", loop="branch",
                         index=self.queries_served) as span:

@@ -21,9 +21,6 @@ restored engines are re-attached to one shared structure -- so the
 analyses never drift onto different snapshots.  The per-analysis WALs
 advance in lockstep (same batch, same sequence number everywhere),
 which is what makes the cross-engine quarantine a single seq mark.
-
-Execution backends (``repro.runtime.exec``) thread through unchanged:
-``backend=`` is applied to every engine in the bundle.
 """
 
 from __future__ import annotations
@@ -93,7 +90,6 @@ class AnalyticsSuite:
         analyses: Mapping[str, Callable[[], IncrementalAlgorithm]],
         num_iterations: Optional[int] = None,
         include_triangles: bool = False,
-        backend=None,
         recovery: Optional[SuiteRecovery] = None,
         **engine_kwargs,
     ) -> None:
@@ -114,8 +110,7 @@ class AnalyticsSuite:
         self.engines: Dict[str, GraphBoltEngine] = {}
         for name, factory in analyses.items():
             engine = GraphBoltEngine(
-                factory(), num_iterations=num_iterations,
-                backend=backend, **engine_kwargs
+                factory(), num_iterations=num_iterations, **engine_kwargs
             )
             engine.run(streaming=self._streaming)
             self.engines[name] = engine

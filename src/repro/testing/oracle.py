@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bench.harness import ENGINES, TABLE5_ENGINES, StreamingRunner
-from repro.runtime.exec import ExecutionBackend
 from repro.runtime.validation import relative_errors
 from repro.testing.workloads import AlgorithmProfile, Workload
 
@@ -68,10 +67,9 @@ def available_engines(profile: AlgorithmProfile,
 
 
 def build_runner(engine: str, profile: AlgorithmProfile,
-                 backend: Optional[ExecutionBackend] = None
-                 ) -> StreamingRunner:
+                 num_shards: int = 1) -> StreamingRunner:
     """Instantiate one registered engine for one workload's algorithm
-    profile."""
+    profile, its loads accounted over ``num_shards`` owner blocks."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     extra = {}
@@ -85,7 +83,7 @@ def build_runner(engine: str, profile: AlgorithmProfile,
         raise ValueError(f"{profile.key} has no dataflow program")
     return ENGINES[engine](
         profile.factory, profile.num_iterations,
-        profile.until_convergence, backend=backend, **extra,
+        profile.until_convergence, num_shards=num_shards, **extra,
     )
 
 
@@ -187,16 +185,13 @@ def check_workload(
     include_naive: bool = False,
     check_work: bool = True,
     stop_at_first: bool = False,
-    backend: Optional[ExecutionBackend] = None,
 ) -> WorkloadReport:
     """Run one workload through all engines and collect divergences.
 
     ``engines`` overrides the automatic selection (reference engine is
     always added); ``include_naive`` adds the deliberately broken
     strategy for harness self-tests; ``stop_at_first`` returns at the
-    first divergence (the shrinker's fast path); ``backend`` routes
-    every engine through a specific execution backend (the sharded
-    equivalence sweep pins sharded == serial bit for bit).
+    first divergence (the shrinker's fast path).
     """
     profile = workload.profile
     if engines is None:
@@ -212,7 +207,7 @@ def check_workload(
     values: Dict[str, Optional[np.ndarray]] = {}
     dead = set()
     for engine in engines:
-        runners[engine] = build_runner(engine, profile, backend=backend)
+        runners[engine] = build_runner(engine, profile)
         report.edge_work[engine] = []
 
     def step(apply_fn, batch_index: int) -> None:

@@ -10,6 +10,7 @@ import copy
 
 import pytest
 
+from repro.bench import matrix as matrix_module
 from repro.bench.matrix import (
     DEFAULTS,
     MatrixError,
@@ -219,6 +220,50 @@ class TestDeterminismPin:
         changed["runs"][0]["work"]["edge_computations"] = 10 ** 9
         assert canonical_payload(changed) != canonical_payload(
             tiny_payload)
+
+
+class TestBackendAxis:
+    """``backend: sharded:P`` accounts the cell's loads over P owner
+    blocks: the shard count must reach the runner the cell builds, or
+    the cell records ``num_shards: P`` beside a one-shard vector."""
+
+    TABLE = """
+schema: 1
+area: tinyshard
+axes:
+  backend: [serial, "sharded:3"]
+fixed:
+  topology: rmat
+  scale: 5
+  algorithm: PR
+  engine: graphbolt
+  batch_size: 5
+  num_batches: 2
+  iterations: 4
+  seed: 3
+"""
+
+    def test_sharded_cell_records_a_multi_shard_vector(self, tmp_path,
+                                                       monkeypatch):
+        loads = {}
+        real = matrix_module.run_stream
+
+        def spy(runner, graph, batches):
+            result = real(runner, graph, batches)
+            loads[runner.metrics.num_shards] = (
+                result.final_metrics.shard_loads)
+            return result
+
+        monkeypatch.setattr(matrix_module, "run_stream", spy)
+        payload = run_matrix(load_table(write_table(tmp_path, self.TABLE)))
+        assert set(loads[1]) == {"0"} and len(loads[3]) > 1
+        assert sum(loads[3].values()) == loads[1]["0"]
+        serial, sharded = (run["work"] for run in payload["runs"])
+        assert (serial["num_shards"], sharded["num_shards"]) == (1, 3)
+        assert sharded["shard_imbalance"] > 1.0 == serial["shard_imbalance"]
+        # The split is the only thing the axis moves.
+        for key in set(serial) - {"num_shards", "shard_imbalance"}:
+            assert serial[key] == sharded[key], key
 
 
 class TestHotspotStorm:

@@ -112,7 +112,7 @@ class TestParamChangeHooks:
 
 
 class TestMalformedAlgorithms:
-    """Every dense sweep is ``ExecutionBackend.aggregate_all``, so the
+    """Every dense sweep is ``runtime.exec.aggregate_all``, so the
     readable shape error reaches all engines, not only GB-Reset's first
     iteration."""
 

@@ -260,8 +260,7 @@ class TestNoNumpySetRoutines:
     """The incremental path and a GB-Reset restart do their vertex-id
     algebra in ``repro.ligra.frontier``: numpy >= 2.3 hashes inside
     ``unique`` and everything built on it, which costs more than the
-    frontiers being merged.  Runs under whichever exec backend the
-    tier-1 matrix selected."""
+    frontiers being merged."""
 
     FORBIDDEN = ("unique", "union1d", "intersect1d", "setdiff1d", "isin")
 

@@ -1,11 +1,12 @@
-"""Unit tests for edge_map / vertex_map / pull_edges."""
+"""Unit tests for the gather kernels the Ligra-style engines run on
+(``edgeMap``'s push and pull counterparts, ``repro.runtime.exec``)."""
 
 import numpy as np
 import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.ligra.frontier import VertexSubset
-from repro.ligra.interface import edge_map, pull_edges, vertex_map
+from repro.runtime.exec import gather_in, gather_out
 from repro.runtime.metrics import EngineMetrics
 
 
@@ -19,48 +20,21 @@ def graph():
 class TestEdgeMap:
     def test_gathers_frontier_out_edges(self, graph):
         frontier = VertexSubset.from_ids(4, [0, 2])
-        src, dst, _ = edge_map(graph, frontier)
+        src, dst, _ = gather_out(graph, frontier.ids)
         assert sorted(zip(src.tolist(), dst.tolist())) == [
             (0, 1), (0, 2), (2, 3),
         ]
 
     def test_counts_edges(self, graph):
         metrics = EngineMetrics()
-        edge_map(graph, VertexSubset.from_ids(4, [0]), metrics=metrics)
+        gather_out(graph, VertexSubset.from_ids(4, [0]).ids, metrics)
         assert metrics.edge_computations == 2
-
-    def test_kernel_invoked(self, graph):
-        seen = []
-        edge_map(
-            graph, VertexSubset.from_ids(4, [3]),
-            kernel=lambda s, d, w: seen.append((s.tolist(), d.tolist())),
-        )
-        assert seen == [([3], [0])]
 
 
 class TestPullEdges:
     def test_gathers_in_edges(self, graph):
         metrics = EngineMetrics()
-        src, dst, _ = pull_edges(graph, np.array([2]), metrics=metrics)
+        src, dst, _ = gather_in(graph, np.array([2]), metrics)
         assert sorted(src.tolist()) == [0, 1]
         assert dst.tolist() == [2, 2]
         assert metrics.edge_computations == 2
-
-
-class TestVertexMap:
-    def test_returns_flagged_subset(self, graph):
-        frontier = VertexSubset.from_ids(4, [0, 1, 2])
-        result = vertex_map(frontier, lambda ids: ids % 2 == 0)
-        assert result.ids.tolist() == [0, 2]
-
-    def test_counts_vertices(self, graph):
-        metrics = EngineMetrics()
-        vertex_map(VertexSubset.from_ids(4, [0, 1]),
-                   lambda ids: np.ones(ids.size, dtype=bool),
-                   metrics=metrics)
-        assert metrics.vertex_computations == 2
-
-    def test_shape_mismatch_rejected(self, graph):
-        with pytest.raises(ValueError):
-            vertex_map(VertexSubset.from_ids(4, [0, 1]),
-                       lambda ids: np.ones(1, dtype=bool))

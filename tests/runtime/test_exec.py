@@ -1,5 +1,5 @@
-"""Unit tests for the partitioned execution layer (repro.runtime.exec)
-and the measured-makespan scaling model."""
+"""Unit tests for the kernel layer and its owner accounting
+(repro.runtime.exec) and the measured-makespan scaling model."""
 
 from __future__ import annotations
 
@@ -18,18 +18,8 @@ from repro.algorithms import (
 )
 from repro.core.engine import GraphBoltEngine
 from repro.graph.csr import CSRGraph
-from repro.runtime.exec import (
-    DEFAULT_NUM_SHARDS,
-    PartitionedCSR,
-    SerialBackend,
-    ShardedBackend,
-    backend_from_env,
-    get_backend,
-    load_imbalance,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
+from repro.runtime import exec as kernels
+from repro.runtime.exec import PartitionedCSR, load_imbalance
 from repro.runtime.metrics import EngineMetrics
 from repro.runtime.parallel import MakespanModel, lpt_makespan
 from repro.testing.workloads import FUZZ_ALGORITHMS
@@ -76,19 +66,6 @@ class TestPartitionedCSR:
         for k in range(partition.num_shards):
             lo, hi = partition.boundaries[k], partition.boundaries[k + 1]
             assert np.all(owners[lo:hi] == k)
-
-    def test_split_sorted_cuts(self):
-        graph = _chain_graph()
-        partition = PartitionedCSR.compute(graph, 3)
-        ids = np.array([0, 1, 5, 9, 11], dtype=np.int64)
-        cuts = partition.split_sorted(ids)
-        rebuilt = np.concatenate([
-            ids[cuts[k]:cuts[k + 1]] for k in range(3)
-        ])
-        assert np.array_equal(rebuilt, ids)
-        owners = partition.shard_of(ids)
-        for k in range(3):
-            assert np.all(owners[cuts[k]:cuts[k + 1]] == k)
 
     def test_for_graph_caches_on_graph(self):
         graph = _chain_graph()
@@ -141,34 +118,53 @@ class TestPartitionedCSR:
 
 
 # ----------------------------------------------------------------------
-# Backends
+# Owner accounting
 # ----------------------------------------------------------------------
+def _owner_loads(graph, shards, ids):
+    """The load vector charging one unit per id to its owner block."""
+    owners = PartitionedCSR.for_graph(graph, shards).shard_of(ids)
+    return {str(k): float(n)
+            for k, n in enumerate(np.bincount(owners)) if n}
+
+
 class TestBackendEquivalence:
+    """Accounting over P owner blocks changes the load split and
+    nothing else: same arrays, same work counters as over one."""
+
     @pytest.mark.parametrize("shards", [1, 2, 5])
     def test_gathers_identical(self, shards):
         graph = _chain_graph()
-        serial, sharded = SerialBackend(), ShardedBackend(shards)
         vertices = np.array([0, 2, 3, 7, 11], dtype=np.int64)
-        for method in ("gather_out", "gather_in"):
-            expect = getattr(serial, method)(graph, vertices, None)
-            got = getattr(sharded, method)(graph, vertices, None)
+        for gather, expect, owner_axis in (
+            (kernels.gather_out, graph.out_edges_of(vertices), 0),
+            # Pull gathers are owned by the *target*.
+            (kernels.gather_in, graph.in_edges_of(vertices), 1),
+        ):
+            metrics = EngineMetrics(num_shards=shards)
+            got = gather(graph, vertices, metrics)
             for e, g in zip(expect, got):
-                assert np.array_equal(e, g), method
-        for e, g in zip(serial.gather_all(graph, None),
-                        sharded.gather_all(graph, None)):
+                assert np.array_equal(e, g), gather.__name__
+            assert metrics.shard_loads == _owner_loads(
+                graph, shards, expect[owner_axis])
+        metrics = EngineMetrics(num_shards=shards)
+        for e, g in zip(graph.all_edges(),
+                        kernels.gather_all(graph, metrics)):
             assert np.array_equal(e, g)
+        assert metrics.shard_loads == _owner_loads(
+            graph, shards, graph.all_edges()[0])
 
     def test_gather_unsorted_fallback(self):
+        """An unsorted vertex set (none of the engines produce one)
+        keeps its edge order and still charges the owning blocks."""
         graph = _chain_graph()
-        sharded = ShardedBackend(3)
         unsorted = np.array([7, 0, 11, 2], dtype=np.int64)
         expect = graph.out_edges_of(unsorted)
-        metrics = EngineMetrics()
-        got = sharded.gather_out(graph, unsorted, metrics)
+        metrics = EngineMetrics(num_shards=3)
+        got = kernels.gather_out(graph, unsorted, metrics)
         for e, g in zip(expect, got):
             assert np.array_equal(e, g)
         assert metrics.edge_computations == expect[0].size
-        assert sum(metrics.shard_loads.values()) == expect[0].size
+        assert metrics.shard_loads == _owner_loads(graph, 3, expect[0])
 
     def test_scatter_identical_and_shard_local(self):
         from repro.core.aggregation import SumAggregation
@@ -179,60 +175,68 @@ class TestBackendEquivalence:
         expect = np.zeros(graph.num_vertices)
         agg.scatter(expect, dst, contribs)
         got = np.zeros(graph.num_vertices)
-        metrics = EngineMetrics()
-        ShardedBackend(4).scatter(graph, agg, got, dst, contribs, metrics)
+        metrics = EngineMetrics(num_shards=4)
+        kernels.scatter(graph, agg, got, dst, contribs, metrics)
         assert expect.tobytes() == got.tobytes()
-        assert sum(metrics.shard_loads.values()) == dst.size
+        # Each contribution is charged where its destination lives.
+        assert metrics.shard_loads == _owner_loads(graph, 4, dst)
 
     def test_edge_counting_matches_serial(self):
         graph = _chain_graph()
         vertices = np.array([0, 1, 5], dtype=np.int64)
-        serial_m, sharded_m = EngineMetrics(), EngineMetrics()
-        SerialBackend().gather_out(graph, vertices, serial_m)
-        ShardedBackend(3).gather_out(graph, vertices, sharded_m)
+        serial_m, sharded_m = EngineMetrics(), EngineMetrics(num_shards=3)
+        kernels.gather_out(graph, vertices, serial_m)
+        kernels.gather_out(graph, vertices, sharded_m)
         assert serial_m.edge_computations == sharded_m.edge_computations
+        assert serial_m.shard_loads == {
+            "0": sum(sharded_m.shard_loads.values())}
         # count=False charges nothing but still measures loads.
-        quiet = EngineMetrics()
-        ShardedBackend(3).gather_all(graph, quiet, count=False)
+        quiet = EngineMetrics(num_shards=3)
+        kernels.gather_all(graph, quiet, count=False)
         assert quiet.edge_computations == 0
         assert sum(quiet.shard_loads.values()) == graph.num_edges
 
     def test_count_vertices_dense_and_sparse(self):
         graph = _chain_graph()
-        backend = ShardedBackend(3)
-        metrics = EngineMetrics()
-        backend.count_vertices(graph, graph.num_vertices, metrics)
+        metrics = EngineMetrics(num_shards=3)
+        kernels.count_all_vertices(graph, metrics)
         assert metrics.vertex_computations == graph.num_vertices
-        assert sum(metrics.shard_loads.values()) == graph.num_vertices
-        sparse = EngineMetrics()
-        backend.count_vertices(graph, np.array([0, 11]), sparse)
+        assert metrics.shard_loads == _owner_loads(
+            graph, 3, np.arange(graph.num_vertices))
+        sparse = EngineMetrics(num_shards=3)
+        kernels.count_vertices(graph, np.array([0, 11]), sparse)
         assert sparse.vertex_computations == 2
+        assert sparse.shard_loads == {"0": 1.0, "2": 1.0}
+
+    def test_shard_count_is_not_a_counter(self):
+        """``num_shards`` rides outside the ``fields`` arithmetic."""
+        metrics = EngineMetrics(num_shards=3)
+        assert metrics.snapshot() == EngineMetrics()
+        metrics.reset()
+        assert metrics.num_shards == 3
+        with pytest.raises(ValueError):
+            EngineMetrics(num_shards=0)
 
 
 # ----------------------------------------------------------------------
 # The dense sweep
 # ----------------------------------------------------------------------
-def _reference_sweep(backend, graph, algorithm, values, metrics):
+def _reference_sweep(graph, algorithm, values, metrics):
     """The sweep as the engines wrote it out before ``aggregate_all``:
     identity, ``np.repeat`` sources, a fancy row gather and
-    ``Aggregation.scatter`` (per shard on the sharded backend) onto the
-    live aggregate, charged as ``gather_all`` + ``scatter``."""
+    ``Aggregation.scatter`` onto the live aggregate, charged as
+    ``gather_all`` + ``scatter``."""
     aggregate = algorithm.identity_aggregate(graph.num_vertices)
     src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),
                     graph.out_degrees())
     dst, weight = graph.out_targets, graph.out_weights
-    backend.gather_all(graph, metrics)    # for what it charges
+    kernels.gather_all(graph, metrics)    # for what it charges
     if src.size:
         contributions = algorithm.contributions(graph, values[src], src,
                                                 dst, weight)
-        backend.scatter(graph, algorithm.aggregation, aggregate, dst,
+        kernels.scatter(graph, algorithm.aggregation, aggregate, dst,
                         contributions, metrics)
     return aggregate
-
-
-class _ReferenceSweepBackend(SerialBackend):
-    def aggregate_all(self, graph, algorithm, values, metrics):
-        return _reference_sweep(self, graph, algorithm, values, metrics)
 
 
 #: Vertex 0 has no in-edge, 6 no out-edge, 7 neither; (1, 2) is a
@@ -256,11 +260,11 @@ _SWEEP_ALGORITHMS = {
 
 
 class TestAggregateAll:
-    @pytest.mark.parametrize("backend", [SerialBackend(), ShardedBackend(3)],
-                             ids=lambda b: b.describe())
+    @pytest.mark.parametrize("num_shards", [1, 3],
+                             ids=["serial", "sharded:3"])
     @pytest.mark.parametrize("graph_key", sorted(_SWEEP_GRAPHS))
     @pytest.mark.parametrize("key", sorted(_SWEEP_ALGORITHMS))
-    def test_equals_reference_sweep(self, key, graph_key, backend):
+    def test_equals_reference_sweep(self, key, graph_key, num_shards):
         graph = _SWEEP_GRAPHS[graph_key]
         algorithm = _SWEEP_ALGORITHMS[key]()
         values = algorithm.initial_values(graph)
@@ -268,11 +272,11 @@ class TestAggregateAll:
             if negative_zero:
                 values = values.copy()
                 values[::2] = -0.0
-            expect_m, got_m = EngineMetrics(), EngineMetrics()
+            expect_m = EngineMetrics(num_shards=num_shards)
+            got_m = EngineMetrics(num_shards=num_shards)
             with np.errstate(divide="ignore", invalid="ignore"):
-                expect = _reference_sweep(backend, graph, algorithm, values,
-                                          expect_m)
-                got = backend.aggregate_all(graph, algorithm, values, got_m)
+                expect = _reference_sweep(graph, algorithm, values, expect_m)
+                got = kernels.aggregate_all(graph, algorithm, values, got_m)
             assert np.array_equal(expect, got, equal_nan=True)
             assert np.array_equal(np.signbit(expect), np.signbit(got))
             # Every edge gathered and counted once.
@@ -289,11 +293,10 @@ class TestAggregateAll:
         graph = _SWEEP_GRAPHS["irregular"]
         algorithm = LabelPropagation()
         values = algorithm.initial_values(graph)
-        for backend in (SerialBackend(), ShardedBackend(3)):
-            assert np.array_equal(
-                backend.aggregate_all(graph, algorithm, values, None),
-                _reference_sweep(backend, graph, algorithm, values, None),
-            )
+        assert np.array_equal(
+            kernels.aggregate_all(graph, algorithm, values, None),
+            _reference_sweep(graph, algorithm, values, None),
+        )
 
     def test_malformed_contributions_are_named(self):
         class Transposed(LabelPropagation):
@@ -302,7 +305,7 @@ class TestAggregateAll:
                     graph, src_values, src, dst, weight).T
 
         with pytest.raises(ValueError, match="contributions returned shape"):
-            SerialBackend().aggregate_all(
+            kernels.aggregate_all(
                 _SWEEP_GRAPHS["irregular"], Transposed(),
                 Transposed().initial_values(_SWEEP_GRAPHS["irregular"]),
                 None,
@@ -332,9 +335,8 @@ class TestDenseSweepEndToEnd:
         return inputs.generate(13, 200, 8, seed=5)
 
     @staticmethod
-    def _run(factory, data, backend=None):
-        engine = GraphBoltEngine(factory(), num_iterations=10,
-                                 backend=backend)
+    def _run(factory, data):
+        engine = GraphBoltEngine(factory(), num_iterations=10)
         engine.run(CSRGraph(data.num_vertices, data.src, data.dst,
                             data.weight))
         for batch in data.batches:
@@ -346,47 +348,7 @@ class TestDenseSweepEndToEnd:
     def test_stream_ends_on_the_parent_commits_state(self, key):
         factory, crc, edges, history_bytes = self.PINS[key]
         data = self._stream()
-        got = self._run(factory, data)
-        assert got == self._run(factory, data, _ReferenceSweepBackend())
-        assert got == (crc, edges, history_bytes)
-
-
-class TestSelection:
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-        assert isinstance(backend_from_env(), SerialBackend)
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "sharded")
-        backend = backend_from_env()
-        assert isinstance(backend, ShardedBackend)
-        assert backend.num_shards == DEFAULT_NUM_SHARDS
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "sharded:9")
-        assert backend_from_env().num_shards == 9
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "sharded")
-        monkeypatch.setenv("REPRO_EXEC_SHARDS", "6")
-        assert backend_from_env().num_shards == 6
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "quantum")
-        with pytest.raises(ValueError):
-            backend_from_env()
-
-    def test_use_backend_scoping(self):
-        outer = get_backend()
-        inner = ShardedBackend(2)
-        with use_backend(inner):
-            assert get_backend() is inner
-            assert resolve_backend(None) is inner
-        assert get_backend() is outer
-        explicit = SerialBackend()
-        assert resolve_backend(explicit) is explicit
-
-    def test_set_backend_reset(self):
-        previous = get_backend()
-        try:
-            chosen = ShardedBackend(3)
-            set_backend(chosen)
-            assert get_backend() is chosen
-            assert chosen.describe() == "sharded:3"
-        finally:
-            set_backend(previous)
+        assert self._run(factory, data) == (crc, edges, history_bytes)
 
 
 # ----------------------------------------------------------------------

@@ -75,25 +75,6 @@ class TestSuite:
         assert "rank" in repr(suite)
 
 
-class TestBackends:
-    def test_backend_threads_through_every_engine(self, graph, rng):
-        from repro.runtime.exec import ShardedBackend
-
-        backend = ShardedBackend(4)
-        sharded = AnalyticsSuite(graph, ANALYSES, num_iterations=5,
-                                 backend=backend)
-        serial = AnalyticsSuite(graph, ANALYSES, num_iterations=5)
-        assert all(engine.backend is backend
-                   for engine in sharded.engines.values())
-        for _ in range(3):
-            batch = make_random_batch(serial.graph, rng, 10, 10)
-            serial.apply(batch)
-            sharded.apply(batch)
-        for name in ANALYSES:
-            assert np.array_equal(sharded.values(name),
-                                  serial.values(name)), name
-
-
 def growth_poison_check(values):
     """Suite poison rule: these workloads never grow the graph."""
     if values.shape[0] > 128:

@@ -1,15 +1,20 @@
-"""Bit-for-bit equivalence of the sharded and serial backends.
+"""The owner accounting, pinned against the sharded backend it replaced.
 
-The sharded backend's contract (repro.runtime.exec module docstring) is
-that shard-by-shard gathers and shard-local scatters touch every array
-element in the same order the serial backend does, so the float results
-are *exactly* equal -- not merely within tolerance.  This suite pins
-that contract across every engine family at several shard counts,
-including workloads that grow the vertex space mid-stream (which
-re-partitions by extending the last shard).
+The kernels of :mod:`repro.runtime.exec` execute serially and charge
+each gathered edge, scattered contribution and applied vertex to its
+owner block.  Every digest below was recorded at the commit before this
+accounting existed, from the execution backend that ran the same
+workloads shard by shard with ``P`` shards (the serial one for P = 1),
+and covers, per engine, the ``shard_loads`` vector, ``edge_`` /
+``vertex_computations`` and a CRC of every value snapshot -- across all
+engine families, several shard counts and workloads that grow the
+vertex space mid-stream (which extends the last owner block).
 """
 
 from __future__ import annotations
+
+import json
+import zlib
 
 import numpy as np
 import pytest
@@ -17,7 +22,7 @@ import pytest
 from repro.algorithms import PageRank
 from repro.core.tagreset import TagResetEngine
 from repro.graph.mutation import MutationBatch
-from repro.runtime.exec import SerialBackend, ShardedBackend
+from repro.runtime.metrics import EngineMetrics
 from repro.testing.oracle import available_engines, build_runner
 from repro.testing.workloads import Workload, generate_workload
 
@@ -27,48 +32,58 @@ SHARD_COUNTS = (1, 2, 7)
 #: deletions, and empty batches across the fuzz algorithm roster.
 SWEEP_SEEDS = (3, 11, 29, 47)
 
-
-def _snapshots(workload: Workload, engine: str, backend) -> list:
-    """All value snapshots (initial + per batch) for one engine run."""
-    runner = build_runner(engine, workload.profile, backend=backend)
-    graph = workload.build_graph()
-    snaps = [np.array(runner.setup(graph), dtype=np.float64, copy=True)]
-    for batch in workload.schedule:
-        snaps.append(np.array(runner.apply(batch), dtype=np.float64,
-                              copy=True))
-    return snaps
+FUZZ_PINS = {
+    (3, 1): 0x7B0F7904, (3, 2): 0x0B3A4799, (3, 7): 0x751FEA73,
+    (11, 1): 0xB7036093, (11, 2): 0x643737E6, (11, 7): 0x5AF8C94B,
+    (29, 1): 0x3CA6ADE6, (29, 2): 0x79D11B49, (29, 7): 0x522FAAA4,
+    (47, 1): 0x3DB9041F, (47, 2): 0xC800EC1A, (47, 7): 0x24E29376,
+}
+GROWTH_PINS = {1: 0x015197B5, 2: 0x2F3345A5, 7: 0x7561E942}
+TAGRESET_PINS = {1: 0x5936FDF0, 2: 0x8B3545A6, 7: 0xDBA2498F}
 
 
-def _assert_identical(workload: Workload, engine: str,
-                      num_shards: int) -> None:
-    serial = _snapshots(workload, engine, SerialBackend())
-    sharded = _snapshots(workload, engine, ShardedBackend(num_shards))
-    assert len(serial) == len(sharded)
-    for index, (expect, got) in enumerate(zip(serial, sharded)):
-        assert expect.shape == got.shape, (engine, index)
-        # tobytes() compares the exact bit patterns, so even a
-        # least-significant-bit float reordering fails loudly.
-        assert expect.tobytes() == got.tobytes(), (
-            f"{engine} diverged at snapshot {index} with "
-            f"{num_shards} shards on {workload.describe()}"
-        )
+def _crc(values, crc: int = 0) -> int:
+    """Running CRC of value snapshots (exact bit patterns)."""
+    return zlib.crc32(np.array(values, dtype=np.float64).tobytes(), crc)
+
+
+def _account(metrics: EngineMetrics, crc: int) -> dict:
+    return {"loads": dict(metrics.shard_loads),
+            "edges": metrics.edge_computations,
+            "vertices": metrics.vertex_computations, "values_crc": crc}
+
+
+def _digest(report: dict) -> int:
+    return zlib.crc32(json.dumps(report, sort_keys=True).encode())
+
+
+def _run_engines(workload: Workload, num_shards: int) -> dict:
+    """Every applicable engine's account of one workload."""
+    report = {}
+    for engine in available_engines(workload.profile, workload.num_vertices):
+        runner = build_runner(engine, workload.profile,
+                              num_shards=num_shards)
+        crc = _crc(runner.setup(workload.build_graph()))
+        for batch in workload.schedule:
+            crc = _crc(runner.apply(batch), crc)
+        report[engine] = _account(runner.metrics, crc)
+        if num_shards == 1:
+            assert set(runner.metrics.shard_loads) <= {"0"}
+    return report
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
 @pytest.mark.parametrize("seed", SWEEP_SEEDS)
 def test_fuzz_workloads_bit_identical(seed, num_shards):
-    """Every applicable engine agrees bit-for-bit across backends."""
-    workload = generate_workload(seed)
-    engines = available_engines(workload.profile, workload.num_vertices)
-    for engine in engines:
-        _assert_identical(workload, engine, num_shards)
+    report = _run_engines(generate_workload(seed), num_shards)
+    assert _digest(report) == FUZZ_PINS[seed, num_shards], report
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
 def test_vertex_growth_bit_identical(num_shards):
     """Mutation batches that grow the vertex space (forcing the last
-    shard to extend) stay bit-for-bit identical, for the path-style
-    engines (kickstarter/dataflow) as well as the BSP ones."""
+    block to extend), for the path-style engines (kickstarter/dataflow)
+    as well as the BSP ones."""
     workload = Workload(
         seed=0,
         algorithm="sssp",
@@ -86,38 +101,29 @@ def test_vertex_growth_bit_identical(num_shards):
         ],
         kinds=["grow", "uniform", "isolated", "empty"],
     )
-    engines = available_engines(workload.profile, workload.num_vertices)
-    assert "kickstarter" in engines and "dataflow" in engines
-    for engine in engines:
-        _assert_identical(workload, engine, num_shards)
+    report = _run_engines(workload, num_shards)
+    assert "kickstarter" in report and "dataflow" in report
+    assert _digest(report) == GROWTH_PINS[num_shards], report
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
 def test_tagreset_bit_identical(num_shards):
-    """The tag-and-recompute corrector also rides the backend layer."""
+    """The tag-and-recompute corrector also rides the kernel layer."""
     workload = generate_workload(5, algorithms=["pagerank"])
-    batches = list(workload.schedule) or [MutationBatch.empty()]
-
-    def run(backend):
-        engine = TagResetEngine(PageRank(tolerance=1e-9),
-                                num_iterations=6, backend=backend)
-        snaps = [engine.run(workload.build_graph()).copy()]
-        for batch in batches:
-            snaps.append(engine.apply_mutations(batch).copy())
-        return snaps
-
-    serial = run(SerialBackend())
-    sharded = run(ShardedBackend(num_shards))
-    for expect, got in zip(serial, sharded):
-        assert expect.tobytes() == got.tobytes()
+    engine = TagResetEngine(PageRank(tolerance=1e-9), num_iterations=6,
+                            metrics=EngineMetrics(num_shards=num_shards))
+    crc = _crc(engine.run(workload.build_graph()))
+    for batch in list(workload.schedule) or [MutationBatch.empty()]:
+        crc = _crc(engine.apply_mutations(batch), crc)
+    report = _account(engine.metrics, crc)
+    assert _digest(report) == TAGRESET_PINS[num_shards], report
 
 
 def test_sharded_records_shard_loads():
-    """The sharded sweep is measured: multi-shard runs populate a
-    per-shard load vector spanning more than one shard."""
+    """Multi-shard runs populate a load vector spanning more than one
+    shard."""
     workload = generate_workload(3, algorithms=["pagerank"])
-    runner = build_runner("graphbolt", workload.profile,
-                          backend=ShardedBackend(4))
+    runner = build_runner("graphbolt", workload.profile, num_shards=4)
     runner.setup(workload.build_graph())
     for batch in workload.schedule:
         runner.apply(batch)

@@ -5,12 +5,12 @@ The storage contract (repro.graph.storage module docstring) is that
 every engine family -- Ligra-style full recompute, delta/tag-reset,
 GraphBolt refinement, KickStarter, and the mini differential-dataflow
 comparator -- must produce *exactly* the float bit patterns it produces
-over plain heap arrays, for the same workloads the sharded-backend
+over plain heap arrays, for the same workloads the sharded-equivalence
 suite pins, including batches that grow the vertex space (which force
 the segment-wise :meth:`MmapStore.adjust` to extend offsets).  The
-sharded backend's :class:`PartitionedCSR` also builds its shard views
+owner accounting's :class:`PartitionedCSR` also cuts its blocks
 directly over the memmapped arrays, so the cross product
-(storage x backend) is pinned too.
+(storage x shard count) is pinned too, load vector included.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 
 from repro.graph.mutation import MutationBatch
 from repro.graph.storage import MmapStore
-from repro.runtime.exec import SerialBackend, ShardedBackend
+from repro.runtime.exec import PartitionedCSR
 from repro.testing.oracle import available_engines, build_runner
 from repro.testing.workloads import Workload, generate_workload
 
@@ -30,10 +30,10 @@ from repro.testing.workloads import Workload, generate_workload
 SWEEP_SEEDS = (3, 11, 29, 47)
 
 
-def _snapshots(workload: Workload, engine: str, store, backend) -> list:
+def _snapshots(workload: Workload, engine: str, store, num_shards) -> list:
     """All value snapshots (initial + per batch) for one engine run
-    over one snapshot store."""
-    runner = build_runner(engine, workload.profile, backend=backend)
+    over one snapshot store, then the run's shard load vector."""
+    runner = build_runner(engine, workload.profile, num_shards=num_shards)
     graph = workload.build_graph()
     if store is not None:
         graph = store.publish(graph)
@@ -41,15 +41,14 @@ def _snapshots(workload: Workload, engine: str, store, backend) -> list:
     for batch in workload.schedule:
         snaps.append(np.array(runner.apply(batch), dtype=np.float64,
                               copy=True))
-    return snaps
+    return snaps, runner.metrics.shard_loads
 
 
 def _assert_identical(workload: Workload, engine: str, store,
-                      backend=None) -> None:
-    heap = _snapshots(workload, engine, None,
-                      backend or SerialBackend())
-    mmapped = _snapshots(workload, engine, store,
-                         backend or SerialBackend())
+                      num_shards: int = 1) -> None:
+    heap, heap_loads = _snapshots(workload, engine, None, num_shards)
+    mmapped, mmap_loads = _snapshots(workload, engine, store, num_shards)
+    assert heap_loads == mmap_loads and len(heap_loads) <= num_shards
     assert len(heap) == len(mmapped)
     for index, (expect, got) in enumerate(zip(heap, mmapped)):
         assert expect.shape == got.shape, (engine, index)
@@ -103,12 +102,11 @@ def test_vertex_growth_bit_identical_across_stores(tmp_path):
 
 @pytest.mark.parametrize("num_shards", (2, 7))
 def test_partitioned_csr_over_memmapped_arrays(num_shards, tmp_path):
-    """The sharded backend's PartitionedCSR shard views work unchanged
-    over memmapped arrays: sharded-over-mmap equals serial-over-heap."""
+    """PartitionedCSR cuts the same owner blocks over memmapped arrays:
+    values and the load vector over mmap equal those over the heap."""
     workload = generate_workload(11, algorithms=["pagerank"])
     store = MmapStore(str(tmp_path))
-    _assert_identical(workload, "graphbolt", store,
-                      backend=ShardedBackend(num_shards))
+    _assert_identical(workload, "graphbolt", store, num_shards)
 
 
 def test_shard_edge_blocks_alias_memmap_pages(tmp_path):
@@ -119,7 +117,7 @@ def test_shard_edge_blocks_alias_memmap_pages(tmp_path):
     store = MmapStore(str(tmp_path))
     graph = store.publish(workload.build_graph())
     assert isinstance(graph.out_targets, np.memmap)
-    partition = ShardedBackend(3).partition(graph)
+    partition = PartitionedCSR.for_graph(graph, 3)
     offsets = graph.out_offsets
     for shard in range(partition.num_shards):
         lo = int(offsets[partition.boundaries[shard]])
