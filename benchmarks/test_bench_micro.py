@@ -4,14 +4,15 @@ These are conventional pytest-benchmark measurements (multiple rounds)
 of the hot paths every experiment sits on: CSR construction, batch
 structure adjustment (the paper's two-pass scheme, section 4.1),
 frontier edge gathering, one delta iteration, one refinement pass, and
-the dense sweep every engine shares (``repro.runtime.exec.aggregate_all``,
-vector- and scalar-valued; report-only).
+the dense sweep every engine shares (``repro.runtime.exec.aggregate_all``:
+the sparse product of the edge-weighted algorithms and the generic
+edge-order path; report-only).
 """
 
 import numpy as np
 import pytest
 
-from repro.algorithms import LabelPropagation, PageRank
+from repro.algorithms import Adsorption, CoEM, LabelPropagation, PageRank
 from repro.bench.workloads import uniform_batch
 from repro.core.engine import GraphBoltEngine
 from repro.graph.csr import CSRGraph
@@ -78,7 +79,11 @@ def test_micro_refinement_pass(benchmark, graph):
 
 
 @pytest.mark.parametrize("factory", [
+    # edge_weighted: one sparse product, vector- and scalar-valued.
     pytest.param(LabelPropagation, id="lp-k5"),
+    pytest.param(Adsorption, id="adsorption"),
+    pytest.param(CoEM, id="coem"),
+    # The generic take -> contributions -> aggregate_fresh path.
     pytest.param(PageRank, id="pagerank"),
 ])
 def test_micro_dense_sweep(benchmark, factory):

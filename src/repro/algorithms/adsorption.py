@@ -34,6 +34,7 @@ class Adsorption(IncrementalAlgorithm):
 
     name = "adsorption"
     tolerance = 1e-12
+    edge_weighted = True
 
     def __init__(self, num_labels: int = 4, seed_every: int = 8,
                  injection: float = 0.6, abandonment: float = 0.1,
@@ -78,9 +79,6 @@ class Adsorption(IncrementalAlgorithm):
         return np.full(
             (graph.num_vertices, self.num_labels), 1.0 / self.num_labels
         )
-
-    def contributions(self, graph, src_values, src, dst, weight) -> np.ndarray:
-        return src_values * weight[:, None]
 
     def apply(self, graph, aggregate_values, vertices,
               previous_values: Optional[np.ndarray] = None) -> np.ndarray:

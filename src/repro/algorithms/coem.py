@@ -38,6 +38,7 @@ class CoEM(IncrementalAlgorithm):
     name = "coem"
     value_shape = ()
     tolerance = 1e-12
+    edge_weighted = True
 
     def __init__(self, seed_every: int = 10, salt: int = 11,
                  default_score: float = 0.2,
@@ -63,9 +64,6 @@ class CoEM(IncrementalAlgorithm):
         seeds = self.seed_mask(ids)
         values[seeds] = self.seed_scores(ids[seeds])
         return values
-
-    def contributions(self, graph, src_values, src, dst, weight) -> np.ndarray:
-        return src_values * weight
 
     def apply(self, graph, aggregate_values, vertices,
               previous_values: Optional[np.ndarray] = None) -> np.ndarray:

@@ -31,6 +31,7 @@ class LabelPropagation(IncrementalAlgorithm):
 
     name = "label_propagation"
     tolerance = 1e-12
+    edge_weighted = True
 
     def __init__(self, num_labels: int = 5, seed_every: int = 10,
                  salt: int = 7, tolerance: Optional[float] = None) -> None:
@@ -70,9 +71,6 @@ class LabelPropagation(IncrementalAlgorithm):
         seeds = self.seed_mask(ids)
         values[seeds] = self._seed_distributions(ids[seeds])
         return values
-
-    def contributions(self, graph, src_values, src, dst, weight) -> np.ndarray:
-        return src_values * weight[:, None]
 
     def apply(self, graph, aggregate_values, vertices,
               previous_values: Optional[np.ndarray] = None) -> np.ndarray:

@@ -32,6 +32,9 @@ sweep rebuilds the aggregate from the identity instead, and
 ``aggregate_fresh`` may use that: summing onto zeros in edge order is
 one ``np.bincount`` per component (Ligra's atomics-free dense
 ``edgeMap``), bit-identical to the 2-D scatter and about 3x cheaper.
+A plain sum of ``edge_weighted`` contributions (LP, Adsorption, CoEM)
+never gets here: :func:`repro.runtime.exec.aggregate_all` runs it as
+one sparse product over the in-edge arrays, in CSC order.
 """
 
 from __future__ import annotations

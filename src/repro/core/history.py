@@ -136,7 +136,9 @@ class RollingState:
     for the current iteration; :meth:`advance` overlays the next
     iteration's sparse record.  The previous iteration's vertex values
     remain available as :attr:`c_prev`, which is what contribution
-    retraction evaluates against.
+    retraction evaluates against.  ``g`` is overlaid on first read:
+    only sparse refinement iterations look at it, and a run of dense
+    ones would otherwise scatter every record for nothing.
     """
 
     def __init__(self, history: DependencyHistory,
@@ -151,12 +153,23 @@ class RollingState:
             raise ValueError("extended arrays must not shrink the run")
         self.c = base_c.copy()
         self.c_prev = base_c.copy()
-        self.g = base_g.copy()
+        self._g = base_g.copy()
+        self._g_iteration = 0      # records already overlaid on ``_g``
         self.iteration = 0
 
     @property
     def horizon(self) -> int:
         return self._history.horizon
+
+    @property
+    def g(self) -> np.ndarray:
+        """The aggregation values of the current iteration."""
+        pending = self._history.records[self._g_iteration:self.iteration]
+        for record in pending:
+            if record.g_idx.size:
+                self._g[record.g_idx] = record.g_values
+        self._g_iteration = self.iteration
+        return self._g
 
     def advance(self) -> IterationRecord:
         """Move to the next iteration, overlaying its record; returns it."""
@@ -164,8 +177,6 @@ class RollingState:
             raise IndexError("advanced past the tracked horizon")
         record = self._history.records[self.iteration]
         np.copyto(self.c_prev, self.c)
-        if record.g_idx.size:
-            self.g[record.g_idx] = record.g_values
         if record.c_idx.size:
             self.c[record.c_idx] = record.c_values
         self.iteration += 1

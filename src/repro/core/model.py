@@ -66,6 +66,13 @@ class IncrementalAlgorithm(ABC):
     #: own value changed in the previous iteration.
     uses_previous_value: bool = False
 
+    #: Declares that the contribution along an edge is the source's
+    #: value (a scalar or a vector, shaped like the aggregate) times the
+    #: edge's weight.  :meth:`contributions` and the dense sweep -- one
+    #: sparse product in :func:`repro.runtime.exec.aggregate_all` -- are
+    #: both derived from it, so a declaring algorithm overrides neither.
+    edge_weighted: bool = False
+
     def __init__(self, aggregation: Aggregation,
                  tolerance: Optional[float] = None) -> None:
         self.aggregation = aggregation
@@ -92,7 +99,6 @@ class IncrementalAlgorithm(ABC):
         perturbs the initial state.
         """
 
-    @abstractmethod
     def contributions(
         self,
         graph: CSRGraph,
@@ -107,7 +113,17 @@ class IncrementalAlgorithm(ABC):
         use (e.g. out-degrees): during refinement the engine evaluates old
         contributions against the pre-mutation snapshot and new ones
         against the post-mutation snapshot.
+
+        Every algorithm overrides this except an :attr:`edge_weighted`
+        one, for which it is ``src_values * weight`` per component.
         """
+        if not self.edge_weighted:
+            raise NotImplementedError(
+                f"{type(self).__name__} must override contributions() "
+                "or declare edge_weighted = True"
+            )
+        return src_values * weight.reshape(
+            weight.shape + (1,) * (src_values.ndim - 1))
 
     @abstractmethod
     def apply(

@@ -21,6 +21,7 @@ pull-based re-evaluation strategy over incoming edges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -303,12 +304,14 @@ class DeltaEngine:
 
 def exact_changed_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Exact per-row inequality (tracking must be drift-free)."""
-    if old.ndim == 1:
-        return old != new
-    # One 1-D compare per component, OR-ed: ``(old != new).any(axis=-1)``
-    # builds the full boolean matrix and reduces it along the short axis.
+    differs = old != new
+    if differs.ndim == 1:
+        return differs
+    # One contiguous compare, then the boolean columns OR-ed:
+    # ``differs.any(axis=-1)`` reduces along the short axis, and a
+    # compare per component strides through the floats K times.
+    differs = differs.reshape(old.shape[0], math.prod(old.shape[1:]))
     changed = np.zeros(old.shape[0], dtype=bool)
-    for component in np.ndindex(old.shape[1:]):
-        column = (slice(None), *component)
-        changed |= old[column] != new[column]
+    for column in differs.T:
+        changed |= column
     return changed

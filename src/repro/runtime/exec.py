@@ -26,7 +26,9 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
+from repro.core.aggregation import SumAggregation
 from repro.runtime.metrics import EngineMetrics
 
 __all__ = [
@@ -247,18 +249,32 @@ def aggregate_all(graph, algorithm, values: np.ndarray,
     ``(+)`` over every edge ``(u, v)`` of ``contributions(values[u])``.
 
     The one sweep behind the Ligra baseline, GB-Reset's first and dense
-    iterations and dense-mode refinement.  Edges are visited in CSR
-    order and charged as a :func:`gather_all` followed by a
-    :func:`scatter` would charge them -- every edge once at its
-    source's owner (gather), once at its target's (reduce); because the
-    result starts from the identity the reduction is
+    iterations and dense-mode refinement, charged as a
+    :func:`gather_all` followed by a :func:`scatter` would charge it --
+    every edge once at its source's owner (gather), once at its
+    target's (reduce).
+
+    An ``edge_weighted`` algorithm over a plain sum is the product of
+    the snapshot's CSC arrays with ``values``: a target's in-edges are
+    summed onto 0.0 in ascending source order, the order the CSR-order
+    reduction adds them, so the bits are the same and no per-edge array
+    is built.  Every other algorithm visits the edges in CSR order and,
+    starting from the identity, reduces with
     :meth:`Aggregation.aggregate_fresh`, not a scatter.
     """
-    aggregate = algorithm.identity_aggregate(graph.num_vertices)
+    num_vertices = graph.num_vertices
     if metrics is not None:
         metrics.count_edges(graph.num_edges)
         _charge_sweep(graph, metrics, graph.out_offsets)
         _charge_sweep(graph, metrics, graph.in_offsets)
+    if (algorithm.edge_weighted
+            and type(algorithm.aggregation) is SumAggregation):
+        in_edges = csr_array(
+            (graph.in_weights, graph.in_sources, graph.in_offsets),
+            shape=(num_vertices, num_vertices), copy=False,
+        )
+        return in_edges @ values
+    aggregate = algorithm.identity_aggregate(num_vertices)
     if graph.num_edges:
         src, dst, weight = graph.all_edges()
         contributions = algorithm.contributions(

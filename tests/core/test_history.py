@@ -70,6 +70,35 @@ class TestRollingReplay:
         assert roll.c.tolist() == [2.0, 4.0, 1.0]
         assert roll.c_prev.tolist() == [2.0, 1.0, 1.0]
 
+    @pytest.mark.parametrize("sparse", [(), (3,), (1, 2, 6), range(1, 9)],
+                             ids=["never", "once", "interleaved", "always"])
+    def test_lazy_g_equals_an_eager_replay(self, sparse):
+        """``g`` is read by sparse refinement iterations only; whichever
+        iterations read it, it holds every record up to the current one,
+        overlaid in order (later records overwrite earlier rows)."""
+        rng = np.random.default_rng(11)
+        history = DependencyHistory(rng.normal(size=(30, 2)),
+                                    np.zeros((30, 2)))
+        for _ in range(8):
+            g_idx = np.flatnonzero(rng.random(30) < 0.4)
+            c_idx = np.flatnonzero(rng.random(30) < 0.4)
+            history.record(g_idx, rng.normal(size=(g_idx.size, 2)),
+                           c_idx, rng.normal(size=(c_idx.size, 2)))
+        roll = history.rolling()
+        g = history.identity_aggregate.copy()
+        c = history.initial_values.copy()
+        for iteration, record in enumerate(history.records, start=1):
+            c_prev = c.copy()
+            g[record.g_idx] = record.g_values
+            c[record.c_idx] = record.c_values
+            assert roll.advance() is record
+            if iteration in sparse:
+                assert np.array_equal(roll.g, g)
+            assert np.array_equal(roll.c, c)
+            assert np.array_equal(roll.c_prev, c_prev)
+        assert np.array_equal(roll.g, g)
+        assert roll.g is roll.g          # nothing left to overlay
+
     def test_append_takes_ownership(self):
         history = DependencyHistory(np.ones(2), np.zeros(2))
         values = np.array([9.0])
@@ -145,3 +174,6 @@ class TestExactChangedRows:
                                       -np.zeros((2, 3))).any()
         assert exact_changed_rows(np.empty((0, 3)),
                                   np.empty((0, 3))).shape == (0,)
+        # Zero-width rows have no component that could differ.
+        assert exact_changed_rows(np.empty((4, 0)),
+                                  np.empty((4, 0))).tolist() == [False] * 4

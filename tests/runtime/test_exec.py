@@ -12,12 +12,16 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (
+    Adsorption,
     BeliefPropagation,
+    CoEM,
     CollaborativeFiltering,
     LabelPropagation,
 )
+from repro.core.aggregation import MaxAggregation
 from repro.core.engine import GraphBoltEngine
 from repro.graph.csr import CSRGraph
+from repro.graph.storage import MmapStore
 from repro.runtime import exec as kernels
 from repro.runtime.exec import PartitionedCSR, load_imbalance
 from repro.runtime.metrics import EngineMetrics
@@ -254,6 +258,7 @@ _SWEEP_GRAPHS = {
 
 _SWEEP_ALGORITHMS = {
     **{key: profile.factory for key, profile in FUZZ_ALGORITHMS.items()},
+    "adsorption": Adsorption,
     "collaborative-filtering": CollaborativeFiltering,
     "belief-propagation": BeliefPropagation,
 }
@@ -299,7 +304,7 @@ class TestAggregateAll:
         )
 
     def test_malformed_contributions_are_named(self):
-        class Transposed(LabelPropagation):
+        class Transposed(CollaborativeFiltering):
             def contributions(self, graph, src_values, src, dst, weight):
                 return super().contributions(
                     graph, src_values, src, dst, weight).T
@@ -310,6 +315,99 @@ class TestAggregateAll:
                 Transposed().initial_values(_SWEEP_GRAPHS["irregular"]),
                 None,
             )
+
+
+#: Every algorithm that declares ``edge_weighted``.
+_DECLARING = {
+    "label-propagation": LabelPropagation,
+    "adsorption": Adsorption,
+    "coem": CoEM,
+}
+
+
+def _snapshot(graph_key, storage, tmp_path):
+    """``_SWEEP_GRAPHS[graph_key]`` as the engines may hold it."""
+    graph = _SWEEP_GRAPHS[graph_key]
+    if storage == "mmap":
+        return MmapStore(str(tmp_path)).publish(graph)
+    if storage == "grown":
+        return graph.with_num_vertices(graph.num_vertices + 3)
+    return graph
+
+
+class TestEdgeWeightedDeclaration:
+    """``edge_weighted`` derives both ``contributions`` and the dense
+    sweep; each is the hand-written form bit for bit."""
+
+    def test_declared_by(self):
+        declaring = {key for key, factory in _SWEEP_ALGORITHMS.items()
+                     if factory().edge_weighted}
+        assert declaring == set(_DECLARING)
+
+    @pytest.mark.parametrize("storage", ["heap", "mmap", "grown"])
+    @pytest.mark.parametrize("graph_key", sorted(_SWEEP_GRAPHS))
+    @pytest.mark.parametrize("key", sorted(_DECLARING))
+    def test_derived_contributions(self, key, graph_key, storage, tmp_path):
+        graph = _snapshot(graph_key, storage, tmp_path)
+        algorithm = _DECLARING[key]()
+        src, dst, weight = graph.all_edges()
+        src_values = algorithm.initial_values(graph)[src]
+        src_values[::3] = -0.0
+        expect = src_values * (weight if src_values.ndim == 1
+                               else weight[:, None])
+        got = algorithm.contributions(graph, src_values, src, dst, weight)
+        assert got.shape == (src.size, *algorithm.aggregation_shape)
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("storage", ["heap", "mmap", "grown"])
+    @pytest.mark.parametrize("graph_key", sorted(_SWEEP_GRAPHS))
+    @pytest.mark.parametrize("key", sorted(_DECLARING))
+    def test_product_equals_reference_sweep(self, key, graph_key, storage,
+                                            tmp_path):
+        graph = _snapshot(graph_key, storage, tmp_path)
+        algorithm = _DECLARING[key]()
+        values = algorithm.initial_values(graph)
+        values[::2] = -values[::2]
+        # On "irregular": target 2 starts from 0.0 + -0.0, 3 is inf,
+        # 1 is -inf plus finite terms, 6 is inf - inf, 4 and 5 are nan.
+        for row, special in ((0, -0.0), (2, np.inf), (3, -np.inf),
+                             (4, np.nan)):
+            values[row] = special
+        for num_shards in (1, 3):
+            expect_m = EngineMetrics(num_shards=num_shards)
+            got_m = EngineMetrics(num_shards=num_shards)
+            with np.errstate(invalid="ignore"):
+                expect = _reference_sweep(graph, algorithm, values, expect_m)
+                got = kernels.aggregate_all(graph, algorithm, values, got_m)
+            assert got.shape == expect.shape and got.dtype == expect.dtype
+            assert np.array_equal(expect, got, equal_nan=True)
+            finite = ~np.isnan(expect)
+            assert np.array_equal(np.signbit(expect)[finite],
+                                  np.signbit(got)[finite])
+            assert got_m.edge_computations == graph.num_edges
+            assert got_m.edge_computations == expect_m.edge_computations
+            assert got_m.shard_loads == expect_m.shard_loads
+        # The result is the caller's to scatter into.
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert not np.shares_memory(got, values)
+
+    def test_non_sum_aggregation_takes_the_generic_path(self):
+        """The product is a *sum* of products: a declaring algorithm
+        over any other aggregation keeps the edge-order reduction."""
+        class WidestScore(CoEM):
+            def __init__(self):
+                super().__init__()
+                self.aggregation = MaxAggregation()
+
+        graph = _SWEEP_GRAPHS["irregular"]
+        algorithm = WidestScore()
+        values = algorithm.initial_values(graph)
+        got = kernels.aggregate_all(graph, algorithm, values, None)
+        assert np.array_equal(
+            got, _reference_sweep(graph, algorithm, values, None))
+        assert got[0] == -np.inf and got[7] == -np.inf    # no in-edge
+        assert not np.array_equal(
+            got, kernels.aggregate_all(graph, CoEM(), values, None))
 
 
 class TestDenseSweepEndToEnd:
