@@ -93,3 +93,36 @@ def test_micro_dense_sweep(benchmark, factory):
     aggregate = benchmark(aggregate_all, graph, algorithm, values, None)
     assert aggregate.shape == (graph.num_vertices,
                                *algorithm.aggregation_shape)
+
+
+def test_micro_vector_vertex_pass(benchmark):
+    """The per-vertex half of a dense LP iteration: ``apply`` over every
+    vertex and the change predicate against the previous values."""
+    graph = rmat(scale=13, edge_factor=16, seed=1, weighted=True)
+    algorithm = LabelPropagation()
+    values = algorithm.initial_values(graph)
+    aggregate = aggregate_all(graph, algorithm, values, None)
+    vertices = np.arange(graph.num_vertices, dtype=np.int64)
+
+    def vertex_pass():
+        applied = algorithm.apply(graph, aggregate, vertices)
+        return algorithm.values_changed(values, applied)
+
+    assert benchmark(vertex_pass).shape == (graph.num_vertices,)
+
+
+def test_micro_sparse_scatter(benchmark):
+    """A fused ⋃△ over one out-edge frontier of a vector-valued
+    aggregate (LP, K = 5): the 2-D ``scatter_delta``."""
+    graph = rmat(scale=13, edge_factor=16, seed=1, weighted=True)
+    algorithm = LabelPropagation()
+    rng = np.random.default_rng(3)
+    src, dst, weight = gather_out(
+        graph, np.flatnonzero(rng.random(graph.num_vertices) < 0.3))
+    old = algorithm.initial_values(graph)
+    new = old + rng.normal(scale=1e-3, size=old.shape)
+    old_contribs = algorithm.contributions(graph, old[src], src, dst, weight)
+    new_contribs = algorithm.contributions(graph, new[src], src, dst, weight)
+    aggregate = aggregate_all(graph, algorithm, old, None)
+    benchmark(algorithm.aggregation.scatter_delta, aggregate, dst,
+              new_contribs, old_contribs)

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from repro.algorithms._hashing import hash_ids
+from repro.algorithms.label_propagation import normalised_rows
 from repro.core.aggregation import SumAggregation
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.csr import CSRGraph
@@ -82,13 +83,7 @@ class Adsorption(IncrementalAlgorithm):
 
     def apply(self, graph, aggregate_values, vertices,
               previous_values: Optional[np.ndarray] = None) -> np.ndarray:
-        totals = aggregate_values.sum(axis=1, keepdims=True)
-        safe = totals > 1e-9
-        propagated = np.where(
-            safe,
-            aggregate_values / np.where(safe, totals, 1.0),
-            1.0 / self.num_labels,
-        )
+        propagated = normalised_rows(aggregate_values)
         p_inj, p_cont, p_abnd = self._probabilities(vertices)
         uniform = 1.0 / self.num_labels
         return (

@@ -74,18 +74,35 @@ class LabelPropagation(IncrementalAlgorithm):
 
     def apply(self, graph, aggregate_values, vertices,
               previous_values: Optional[np.ndarray] = None) -> np.ndarray:
-        totals = aggregate_values.sum(axis=1, keepdims=True)
-        # Vanishing mass carries no label information: normalising it
-        # would amplify float residue left behind by incremental
-        # retraction (e.g. a vertex whose in-edges were all deleted), so
-        # anything below the threshold falls back to the uniform prior.
-        safe = totals > 1e-9
-        normalised = np.where(
-            safe, aggregate_values / np.where(safe, totals, 1.0),
-            1.0 / self.num_labels,
-        )
+        normalised = normalised_rows(aggregate_values)
         seeds = self.seed_mask(vertices)
         if seeds.any():
-            normalised = normalised.copy()
             normalised[seeds] = self._seed_distributions(vertices[seeds])
         return normalised
+
+
+def row_totals(values: np.ndarray) -> np.ndarray:
+    """``values.sum(axis=1)`` of an ``(n, K)`` array, bit for bit: numpy
+    adds fewer than eight terms left to right onto +0.0, which K column
+    additions reproduce without reducing along the short axis; from
+    eight on it adds in pairs, so the reduction stays."""
+    if values.shape[1] >= 8:
+        return values.sum(axis=1)
+    totals = np.zeros(values.shape[0])
+    for column in values.T:
+        totals += column
+    return totals
+
+
+def normalised_rows(mass: np.ndarray) -> np.ndarray:
+    """Each row of ``(n, K)`` label mass divided by its total, as a new
+    array.  Vanishing mass carries no label information: normalising it
+    would amplify float residue left behind by incremental retraction
+    (e.g. a vertex whose in-edges were all deleted), so a row totalling
+    at most 1e-9 (or NaN) falls back to the uniform prior ``1 / K``."""
+    totals = row_totals(mass)
+    vanishing = ~(totals > 1e-9)
+    totals[vanishing] = 1.0
+    normalised = mass / totals[:, None]
+    normalised[vanishing] = 1.0 / mass.shape[1]
+    return normalised

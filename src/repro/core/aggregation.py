@@ -27,11 +27,11 @@ All operators are vectorised: ``dst`` is an int64 index array and
 ``contributions`` a parallel array (possibly 2-D for vector-valued
 algorithms).  The incremental operators update a *live* aggregate, so
 they scatter with NumPy's unbuffered ``ufunc.at``, the sequential
-stand-in for the paper's atomic read-modify-write updates.  A dense
-sweep rebuilds the aggregate from the identity instead, and
-``aggregate_fresh`` may use that: summing onto zeros in edge order is
-one ``np.bincount`` per component (Ligra's atomics-free dense
-``edgeMap``), bit-identical to the 2-D scatter and about 3x cheaper.
+stand-in for the paper's atomic read-modify-write updates, one 1-D
+call per component column: numpy's fast ``ufunc.at`` path is 1-D only
+(one 2-D call costs ~3x five column calls), and the bits are the same
+up to a NaN's sign.  A dense sweep rebuilds the aggregate from the
+identity through ``aggregate_fresh``, which a subclass may specialise.
 A plain sum of ``edge_weighted`` contributions (LP, Adsorption, CoEM)
 never gets here: :func:`repro.runtime.exec.aggregate_all` runs it as
 one sparse product over the in-edge arrays, in CSC order.
@@ -55,6 +55,18 @@ __all__ = [
 ]
 
 Shape = Union[int, Tuple[int, ...]]
+
+
+def _at(ufunc: np.ufunc, aggregate: np.ndarray, dst: np.ndarray,
+        contributions: np.ndarray) -> None:
+    """``ufunc.at(aggregate, dst, contributions)``, one component column
+    at a time (see the module docstring)."""
+    if contributions.ndim == 1:
+        ufunc.at(aggregate, dst, contributions)
+        return
+    for component in np.ndindex(aggregate.shape[1:]):
+        column = (slice(None), *component)
+        ufunc.at(aggregate[column], dst, contributions[column])
 
 
 class Aggregation(ABC):
@@ -125,23 +137,10 @@ class SumAggregation(Aggregation):
         return 0.0
 
     def scatter(self, aggregate, dst, contributions) -> None:
-        np.add.at(aggregate, dst, contributions)
-
-    def aggregate_fresh(self, aggregate, dst, contributions) -> None:
-        if contributions.ndim == 1:
-            # 1-D ``add.at`` already runs at ``bincount`` speed.
-            return self.scatter(aggregate, dst, contributions)
-        # ``bincount`` adds each weight onto 0.0 in edge order: the sums
-        # ``add.at`` forms on a zeroed aggregate, minus the 2-D scatter.
-        for component in np.ndindex(contributions.shape[1:]):
-            column = (slice(None), *component)
-            aggregate[column] = np.bincount(
-                dst, weights=contributions[column],
-                minlength=aggregate.shape[0],
-            )
+        _at(np.add, aggregate, dst, contributions)
 
     def scatter_retract(self, aggregate, dst, contributions) -> None:
-        np.subtract.at(aggregate, dst, contributions)
+        _at(np.subtract, aggregate, dst, contributions)
 
     def delta(self, new_contributions, old_contributions) -> np.ndarray:
         return new_contributions - old_contributions
@@ -171,10 +170,10 @@ class ProductAggregation(Aggregation):
         return 1.0
 
     def scatter(self, aggregate, dst, contributions) -> None:
-        np.multiply.at(aggregate, dst, contributions)
+        _at(np.multiply, aggregate, dst, contributions)
 
     def scatter_retract(self, aggregate, dst, contributions) -> None:
-        np.divide.at(aggregate, dst, contributions)
+        _at(np.divide, aggregate, dst, contributions)
 
     def delta(self, new_contributions, old_contributions) -> np.ndarray:
         return new_contributions / old_contributions
@@ -220,7 +219,7 @@ class MinAggregation(_SelectionAggregation):
         return np.inf
 
     def scatter(self, aggregate, dst, contributions) -> None:
-        np.minimum.at(aggregate, dst, contributions)
+        _at(np.minimum, aggregate, dst, contributions)
 
     def reduce(self, contributions, axis: int = 0) -> np.ndarray:
         return contributions.min(axis=axis)
@@ -233,7 +232,7 @@ class MaxAggregation(_SelectionAggregation):
         return -np.inf
 
     def scatter(self, aggregate, dst, contributions) -> None:
-        np.maximum.at(aggregate, dst, contributions)
+        _at(np.maximum, aggregate, dst, contributions)
 
     def reduce(self, contributions, axis: int = 0) -> np.ndarray:
         return contributions.max(axis=axis)

@@ -136,9 +136,10 @@ class RollingState:
     for the current iteration; :meth:`advance` overlays the next
     iteration's sparse record.  The previous iteration's vertex values
     remain available as :attr:`c_prev`, which is what contribution
-    retraction evaluates against.  ``g`` is overlaid on first read:
-    only sparse refinement iterations look at it, and a run of dense
-    ones would otherwise scatter every record for nothing.
+    retraction evaluates against.  ``g`` and ``c_prev`` are overlaid on
+    first read: only sparse refinement iterations look at them, and a
+    run of dense ones would otherwise scatter every ``g`` record and copy
+    ``c`` for nothing.
     """
 
     def __init__(self, history: DependencyHistory,
@@ -152,7 +153,8 @@ class RollingState:
         if base_c.shape[0] < history.num_vertices:
             raise ValueError("extended arrays must not shrink the run")
         self.c = base_c.copy()
-        self.c_prev = base_c.copy()
+        self._c_prev = base_c.copy()
+        self._c_prev_iteration = 0  # records already overlaid on ``_c_prev``
         self._g = base_g.copy()
         self._g_iteration = 0      # records already overlaid on ``_g``
         self.iteration = 0
@@ -171,12 +173,22 @@ class RollingState:
         self._g_iteration = self.iteration
         return self._g
 
+    @property
+    def c_prev(self) -> np.ndarray:
+        """The vertex values of the previous iteration."""
+        previous = max(self.iteration - 1, 0)
+        pending = self._history.records[self._c_prev_iteration:previous]
+        for record in pending:
+            if record.c_idx.size:
+                self._c_prev[record.c_idx] = record.c_values
+        self._c_prev_iteration = previous
+        return self._c_prev
+
     def advance(self) -> IterationRecord:
         """Move to the next iteration, overlaying its record; returns it."""
         if self.iteration >= self._history.horizon:
             raise IndexError("advanced past the tracked horizon")
         record = self._history.records[self.iteration]
-        np.copyto(self.c_prev, self.c)
         if record.c_idx.size:
             self.c[record.c_idx] = record.c_values
         self.iteration += 1

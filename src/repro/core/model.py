@@ -30,6 +30,7 @@ are parallel arrays and values are ``(n, *value_shape)`` arrays.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Optional, Tuple
 
@@ -39,7 +40,19 @@ from repro.core.aggregation import Aggregation
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import MutationResult
 
-__all__ = ["IncrementalAlgorithm"]
+__all__ = ["IncrementalAlgorithm", "any_per_row"]
+
+
+def any_per_row(mask: np.ndarray) -> np.ndarray:
+    """Per-row OR of a boolean ``(n, ...)`` mask (1-D: the mask itself),
+    one column at a time -- ``any`` over a short trailing axis is
+    numpy's slow direction.  ``reshape(0, -1)`` cannot infer a width."""
+    if mask.ndim <= 1:
+        return mask
+    rows = np.zeros(mask.shape[0], dtype=bool)
+    for column in mask.reshape(mask.shape[0], math.prod(mask.shape[1:])).T:
+        rows |= column
+    return rows
 
 
 class IncrementalAlgorithm(ABC):
@@ -147,10 +160,10 @@ class IncrementalAlgorithm(ABC):
                        new_values: np.ndarray) -> np.ndarray:
         """Boolean per-vertex mask of meaningful change (selective
         scheduling predicate; paper section 4.2)."""
-        diff = np.abs(new_values - old_values) > self.tolerance
-        while diff.ndim > 1:
-            diff = diff.any(axis=-1)
-        return diff
+        diff = new_values - old_values
+        if diff.ndim <= 1:
+            return np.abs(diff) > self.tolerance
+        return any_per_row(np.abs(diff, out=diff) > self.tolerance)
 
     # ------------------------------------------------------------------
     # Mutation-induced parameter changes

@@ -39,7 +39,7 @@ from repro.core.tagging import downstream_tagged
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
-from repro.ligra.delta import DeltaEngine
+from repro.ligra.delta import DeltaEngine, exact_changed_rows
 from repro.runtime.exec import count_vertices, gather_in, scatter
 from repro.runtime.metrics import EngineMetrics, Timer
 
@@ -153,9 +153,7 @@ class TagResetEngine:
                 c_cur[tagged] = algorithm.apply(
                     graph, aggregate[tagged], tagged, previous
                 )
-            changed = np.flatnonzero(
-                _rows_differ(c_prev, c_cur)
-            )
+            changed = np.flatnonzero(exact_changed_rows(c_prev, c_cur))
             new_history.record(changed, identity[changed],  # g untracked
                                changed, c_cur[changed])
             c_prev = c_cur
@@ -179,10 +177,3 @@ class TagResetEngine:
             f"TagResetEngine(algorithm={self.algorithm.name}, "
             f"last_tagged={self.last_tagged})"
         )
-
-
-def _rows_differ(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    diff = old != new
-    while diff.ndim > 1:
-        diff = diff.any(axis=-1)
-    return diff

@@ -21,13 +21,12 @@ pull-based re-evaluation strategy over incoming edges.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.core.model import IncrementalAlgorithm
+from repro.core.model import IncrementalAlgorithm, any_per_row
 from repro.graph.csr import CSRGraph
 from repro.ligra.frontier import VertexSubset, member_mask, union_ids
 from repro.obs import trace
@@ -303,15 +302,6 @@ class DeltaEngine:
 
 
 def exact_changed_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Exact per-row inequality (tracking must be drift-free)."""
-    differs = old != new
-    if differs.ndim == 1:
-        return differs
-    # One contiguous compare, then the boolean columns OR-ed:
-    # ``differs.any(axis=-1)`` reduces along the short axis, and a
-    # compare per component strides through the floats K times.
-    differs = differs.reshape(old.shape[0], math.prod(old.shape[1:]))
-    changed = np.zeros(old.shape[0], dtype=bool)
-    for column in differs.T:
-        changed |= column
-    return changed
+    """Exact per-row inequality (tracking must be drift-free): one
+    contiguous compare, not one strided compare per component."""
+    return any_per_row(old != new)

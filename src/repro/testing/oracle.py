@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bench.harness import ENGINES, TABLE5_ENGINES, StreamingRunner
+from repro.core.model import any_per_row
 from repro.runtime.validation import relative_errors
 from repro.testing.workloads import AlgorithmProfile, Workload
 
@@ -149,10 +150,7 @@ def compare_snapshots(
     finite_a = np.isfinite(actual)
     finite_e = np.isfinite(expected)
     if not np.array_equal(finite_a, finite_e):
-        mask = finite_a != finite_e
-        while mask.ndim > 1:
-            mask = mask.any(axis=-1)
-        vertex = int(np.argmax(mask))
+        vertex = int(np.argmax(any_per_row(finite_a != finite_e)))
         return (
             "finite-mask",
             f"non-finite values differ at vertex {vertex} "

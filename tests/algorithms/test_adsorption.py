@@ -8,7 +8,7 @@ from repro.core.engine import GraphBoltEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.ligra.engine import LigraEngine
-from tests.conftest import make_random_batch
+from tests.conftest import label_mass, make_random_batch
 
 
 class TestConfiguration:
@@ -58,6 +58,26 @@ class TestSemantics:
         out = algo.apply(graph, np.zeros((1, 2)), np.array([0]))
         # No seeds, no in-mass: continuation + abandonment of uniform.
         assert np.allclose(out, 0.5)
+
+
+@pytest.mark.parametrize("num_labels", [2, 3, 4])
+def test_apply_equals_the_where_formula(num_labels):
+    algo = Adsorption(num_labels=num_labels)
+    mass = label_mass(400, num_labels, seed=31 + num_labels)
+    vertices = np.arange(mass.shape[0], dtype=np.int64)
+    totals = mass.sum(axis=1, keepdims=True)
+    safe = totals > 1e-9
+    before = mass.tobytes()
+    with np.errstate(invalid="ignore"):         # the inf row
+        propagated = np.where(safe, mass / np.where(safe, totals, 1.0),
+                              1.0 / num_labels)
+        got = algo.apply(None, mass, vertices)
+    p_inj, p_cont, p_abnd = algo._probabilities(vertices)
+    expect = (p_inj[:, None] * algo.injected_labels(vertices)
+              + p_cont[:, None] * propagated
+              + p_abnd[:, None] * (1.0 / num_labels))
+    assert got.tobytes() == expect.tobytes()
+    assert mass.tobytes() == before
 
 
 class TestRefinement:

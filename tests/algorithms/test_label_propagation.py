@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.algorithms import LabelPropagation
+from repro.algorithms.label_propagation import row_totals
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.ligra.engine import LigraEngine
+from tests.conftest import label_mass
 
 
 class TestConfiguration:
@@ -83,3 +85,30 @@ class TestSemantics:
         residue = np.array([[-1e-15, 5e-16]])
         out = algo.apply(graph, residue, np.array([0]))
         assert np.allclose(out, 0.5)
+
+
+@pytest.mark.parametrize("num_labels", range(1, 13))
+def test_row_totals_are_the_reduction_bit_for_bit(num_labels):
+    mass = label_mass(500, num_labels, seed=num_labels)
+    expect = mass.sum(axis=1)
+    got = row_totals(mass)
+    assert got.tobytes() == expect.tobytes()
+    assert not np.signbit(got[:2]).any()       # -0.0 rows total +0.0
+
+
+@pytest.mark.parametrize("num_labels", [2, 3, 5, 9])
+def test_apply_equals_the_where_formula(num_labels):
+    algo = LabelPropagation(num_labels=num_labels, seed_every=4)
+    mass = label_mass(400, num_labels, seed=17 + num_labels)
+    vertices = np.arange(mass.shape[0], dtype=np.int64)
+    totals = mass.sum(axis=1, keepdims=True)
+    safe = totals > 1e-9
+    before = mass.tobytes()
+    with np.errstate(invalid="ignore"):         # the inf row
+        expect = np.where(safe, mass / np.where(safe, totals, 1.0),
+                          1.0 / num_labels)
+        got = algo.apply(None, mass, vertices)
+    seeds = algo.seed_mask(vertices)
+    expect[seeds] = algo._seed_distributions(vertices[seeds])
+    assert got.tobytes() == expect.tobytes()
+    assert mass.tobytes() == before

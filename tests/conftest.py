@@ -62,6 +62,21 @@ def make_random_batch(graph: CSRGraph, rng: np.random.Generator,
                                     add_weights=weights)
 
 
+def label_mass(rows, num_labels, seed):
+    """Aggregate-like label mass spanning many magnitudes, with all-zero,
+    all-(-0.0), vanishing, NaN and inf rows planted at the top."""
+    rng = np.random.default_rng(seed)
+    mass = rng.random((rows, num_labels)) * 10.0 ** rng.integers(
+        -12, 6, size=(rows, num_labels))
+    mass[0] = 0.0
+    mass[1] = -0.0
+    mass[2] = 1e-12
+    mass[3, 0] = np.nan
+    mass[4, -1] = np.inf
+    mass[5] = -1e-15
+    return mass
+
+
 def on_disk_snapshots(store_root) -> list:
     """The snapshot ids an ``MmapStore``'s ``manifest.json`` names right
     now -- the sealed generations, as a restarted process would see."""

@@ -199,6 +199,59 @@ class TestAlgebraicLaws:
         assert np.allclose(aggregate, 0.0, atol=1e-9)
 
 
+def _same_bits(expect, got):
+    """Bit-equal, except that a NaN's sign may differ: numpy's 1-D and
+    N-D ``ufunc.at`` loops hand two NaN operands over in different
+    orders, and x86 keeps the first one's sign."""
+    nan = np.isnan(expect)
+    return (np.array_equal(nan, np.isnan(got))
+            and expect[~nan].tobytes() == got[~nan].tobytes())
+
+
+class TestColumnScatter:
+    """Every operator scatters a vector value one component column at a
+    time; it must leave the bits one N-D ``ufunc.at`` call leaves."""
+
+    OPERATORS = [
+        (SumAggregation().scatter, np.add),
+        (SumAggregation().scatter_retract, np.subtract),
+        (ProductAggregation().scatter, np.multiply),
+        (ProductAggregation().scatter_retract, np.divide),
+        (MinAggregation().scatter, np.minimum),
+        (MaxAggregation().scatter, np.maximum),
+    ]
+
+    @pytest.mark.parametrize("operator, ufunc", OPERATORS,
+                             ids=lambda x: getattr(x, "__name__", ""))
+    @pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("edges", [0, 1, 90])
+    def test_equals_one_ufunc_at(self, operator, ufunc, shape, edges):
+        rng = np.random.default_rng(edges + len(shape) + sum(shape))
+        dst = rng.integers(0, 6, size=edges)     # duplicates; 6, 7 untouched
+        contribs = rng.normal(size=(edges, *shape))
+        specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan])
+        contribs.reshape(-1)[::7] = np.resize(specials,
+                                              contribs.reshape(-1)[::7].size)
+        start = rng.normal(size=(8, *shape))
+        start.reshape(-1)[::5] = np.resize(specials,
+                                           start.reshape(-1)[::5].size)
+        expect, got = start.copy(), start.copy()
+        with np.errstate(all="ignore"):
+            ufunc.at(expect, dst, contribs)
+            operator(got, dst, contribs)
+        assert _same_bits(expect, got)
+
+    def test_fused_delta_equals_one_ufunc_at(self):
+        rng = np.random.default_rng(5)
+        dst = rng.integers(0, 4, size=30)
+        new, old = rng.normal(size=(2, 30, 3, 2))
+        expect = rng.normal(size=(4, 3, 2))
+        got = expect.copy()
+        np.add.at(expect, dst, new - old)
+        SumAggregation().scatter_delta(got, dst, new, old)
+        assert expect.tobytes() == got.tobytes()
+
+
 class TestAggregateFresh:
     """A dense sweep's reduction onto the identity: same bits as the
     scatter, whatever the operator and the component layout."""

@@ -59,6 +59,7 @@ class TestRollingReplay:
         roll = make_history().rolling()
         assert roll.iteration == 0
         assert roll.c.tolist() == [1.0, 1.0, 1.0]
+        assert roll.c_prev.tolist() == [1.0, 1.0, 1.0]
 
         roll.advance()
         assert roll.g.tolist() == [5.0, 0.0, 7.0]
@@ -73,9 +74,10 @@ class TestRollingReplay:
     @pytest.mark.parametrize("sparse", [(), (3,), (1, 2, 6), range(1, 9)],
                              ids=["never", "once", "interleaved", "always"])
     def test_lazy_g_equals_an_eager_replay(self, sparse):
-        """``g`` is read by sparse refinement iterations only; whichever
-        iterations read it, it holds every record up to the current one,
-        overlaid in order (later records overwrite earlier rows)."""
+        """``g`` and ``c_prev`` are read by sparse refinement iterations
+        only; whichever iterations read them, they hold every record up
+        to the current (previous) one, overlaid in order (later records
+        overwrite earlier rows)."""
         rng = np.random.default_rng(11)
         history = DependencyHistory(rng.normal(size=(30, 2)),
                                     np.zeros((30, 2)))
@@ -94,10 +96,12 @@ class TestRollingReplay:
             assert roll.advance() is record
             if iteration in sparse:
                 assert np.array_equal(roll.g, g)
+                assert np.array_equal(roll.c_prev, c_prev)
             assert np.array_equal(roll.c, c)
-            assert np.array_equal(roll.c_prev, c_prev)
         assert np.array_equal(roll.g, g)
+        assert np.array_equal(roll.c_prev, c_prev)
         assert roll.g is roll.g          # nothing left to overlay
+        assert roll.c_prev is roll.c_prev
 
     def test_append_takes_ownership(self):
         history = DependencyHistory(np.ones(2), np.zeros(2))

@@ -1,5 +1,7 @@
 """Unit tests for the IncrementalAlgorithm programming model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,52 @@ class TestToleranceAndChange:
         old = np.zeros((2, 2))
         new = np.array([[0.0, 0.5], [0.01, 0.01]])
         assert algo.values_changed(old, new).tolist() == [True, False]
+
+
+def _special_rows(shape):
+    """``(old, new)`` of ``shape`` with NaN, +-inf and -0.0 planted in
+    the first rows and tolerance-sized moves in the rest."""
+    rng = np.random.default_rng(sum(shape) + len(shape))
+    old = rng.normal(size=shape)
+    new = old + rng.choice([0.0, 0.05, 0.2], size=shape)
+    width = math.prod(shape[1:])       # reshape(0, -1) cannot infer it
+    flat_old = old.reshape(shape[0], width)
+    flat_new = new.reshape(shape[0], width)
+    if shape[0] >= 6 and flat_old.shape[1]:
+        flat_new[0, -1] = np.nan                 # nan > tol is False
+        flat_old[1, 0] = flat_new[1, 0] = np.inf  # inf - inf is NaN
+        flat_old[2, 0], flat_new[2, 0] = -np.inf, np.inf
+        flat_old[3, -1], flat_new[3, -1] = 0.0, -0.0
+        flat_old[4] = flat_new[4] = np.nan
+        flat_old[5] = flat_new[5] = -0.0
+    return old, new
+
+
+class TestValuesChangedEqualsTheReduction:
+    """The selective-scheduling predicate ORs the per-component
+    threshold one column at a time; it must equal the reduction over the
+    trailing axes it replaced on every shape and special value."""
+
+    @pytest.mark.parametrize("shape", [
+        (0, 5), (7, 0), (0, 0), (9,), (9, 1), (9, 5), (9, 3, 2), (9, 2, 0),
+    ], ids=str)
+    def test_table(self, shape):
+        algo = Doubler(tolerance=0.1)
+        old, new = _special_rows(shape)
+        with np.errstate(invalid="ignore"):
+            expect = np.abs(new - old) > algo.tolerance
+            while expect.ndim > 1:
+                expect = expect.any(axis=-1)
+            got = algo.values_changed(old, new)
+        assert got.dtype == bool and got.shape == (shape[0],)
+        assert np.array_equal(got, expect)
+
+    def test_inputs_are_not_mutated(self):
+        old, new = _special_rows((9, 5))
+        before = old.tobytes(), new.tobytes()
+        with np.errstate(invalid="ignore"):
+            Doubler().values_changed(old, new)
+        assert (old.tobytes(), new.tobytes()) == before
 
 
 class TestShapes:
