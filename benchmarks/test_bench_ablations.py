@@ -4,14 +4,9 @@
   (more hybrid forward work) for memory; memory must grow monotonically
   with the horizon and horizon 0 must degenerate to pure forward
   execution.
-- Dense-refinement threshold: the computation-aware switch must never
-  lose to either fixed extreme by a large margin.
 """
 
-from repro.bench.experiments import (
-    experiment_ablation_dense_mode,
-    experiment_ablation_pruning,
-)
+from repro.bench.experiments import experiment_ablation_pruning
 from repro.bench.reporting import save_results
 
 
@@ -28,21 +23,6 @@ def test_ablation_pruning_horizon(run_experiment):
     assert first[0] == 0 and first[2] == 0 and first[4] == 0
     # Full horizon leaves nothing for hybrid execution.
     assert rows[-1][5] == 0
-
-
-def test_ablation_dense_refinement_threshold(run_experiment):
-    payload = run_experiment(experiment_ablation_dense_mode)
-    save_results("ablation_dense_mode", payload)
-
-    rows = {row[0]: row for row in payload["rows"]}
-    always_dense = rows[0.0]
-    never_dense = rows[1.01]
-    tuned = rows[0.3]
-    # The adaptive threshold should not do more edge work than the
-    # always-dense extreme, and should beat never-dense when changes
-    # cascade (BP on a social graph saturates mid-window).
-    assert tuned[2] <= always_dense[2] * 1.001
-    assert tuned[1] <= max(always_dense[1], never_dense[1]) * 1.5
 
 
 def test_ablation_tagreset_corrector(run_experiment):

@@ -26,7 +26,6 @@ EXPERIMENTS = {
     "table9": exp.experiment_table9,
     "motivation_tagging": exp.experiment_motivation_tagging,
     "ablation_pruning": exp.experiment_ablation_pruning,
-    "ablation_dense_mode": exp.experiment_ablation_dense_mode,
     "ablation_tagreset": exp.experiment_ablation_tagreset,
 }
 

@@ -78,7 +78,6 @@ __all__ = [
     "experiment_table9",
     "experiment_motivation_tagging",
     "experiment_ablation_pruning",
-    "experiment_ablation_dense_mode",
     "experiment_ablation_tagreset",
     "render_table",
 ]
@@ -907,47 +906,4 @@ def experiment_ablation_tagreset(
                     "Ratio", "TagReset s", "GraphBolt s"],
         "rows": rows,
         "detail": detail,
-    }
-
-
-def experiment_ablation_dense_mode(
-    graph_name: str = "TT",
-    fractions: Sequence[float] = (0.0, 0.1, 0.3, 1.01),
-    batch_size: int = 100,
-    algo: str = "BP",
-    seed: int = 29,
-) -> Dict:
-    """Dense-refinement threshold sweep (computation-aware switching):
-    0.0 always rebuilds densely, >1 never does."""
-    graph = paper_graph(graph_name, weighted=True)
-    factory = BENCH_ALGORITHMS[algo]
-    rows = []
-    for fraction in fractions:
-        metrics = EngineMetrics()
-        engine = GraphBoltEngine(
-            factory(), num_iterations=BENCH_ITERATIONS,
-            dense_refine_fraction=fraction, metrics=metrics,
-        )
-        engine.run(graph)
-        batch = uniform_batch(graph, batch_size, seed=seed)
-        before = metrics.snapshot()
-        start = time.perf_counter()
-        values = engine.apply_mutations(batch)
-        seconds = time.perf_counter() - start
-        delta = metrics.delta_since(before)
-        truth = LigraEngine(factory()).run(engine.graph, BENCH_ITERATIONS)
-        worst = float(np.abs(values - truth).max())
-        if worst > 0.05:
-            raise AssertionError(f"fraction {fraction} diverged by {worst}")
-        rows.append([
-            fraction, round(seconds, 4), delta.edge_computations,
-        ])
-    return {
-        "experiment": "ablation_dense_mode",
-        "title": (
-            f"Ablation: dense-refinement threshold, {algo} on "
-            f"{graph_name} ({batch_size} mutations)"
-        ),
-        "headers": ["DenseFraction", "ApplySeconds", "EdgeComputations"],
-        "rows": rows,
     }

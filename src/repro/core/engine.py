@@ -33,7 +33,7 @@ from repro.core.history import DependencyHistory
 from repro.core.hybrid import hybrid_forward
 from repro.core.model import IncrementalAlgorithm
 from repro.core.pruning import PruningPolicy
-from repro.core.refinement import DENSE_REFINE_FRACTION, refine
+from repro.core.refinement import refine
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
@@ -61,7 +61,6 @@ class GraphBoltEngine:
         mode: str = "delta",
         strategy: str = "refine",
         metrics: Optional[EngineMetrics] = None,
-        dense_refine_fraction: Optional[float] = None,
     ) -> None:
         if strategy not in ("refine", "naive"):
             raise ValueError("strategy must be 'refine' or 'naive'")
@@ -76,10 +75,6 @@ class GraphBoltEngine:
             PruningPolicy.track_everything()
         )
         self.strategy = strategy
-        self.dense_refine_fraction = (
-            DENSE_REFINE_FRACTION if dense_refine_fraction is None
-            else dense_refine_fraction
-        )
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self._delta = DeltaEngine(algorithm, self.metrics, mode=mode)
         self._streaming: Optional[StreamingGraph] = None
@@ -224,7 +219,6 @@ class GraphBoltEngine:
         state, new_history = refine(
             self.algorithm, mutation, self._history, self.metrics,
             self.pruning, mode=self._delta.mode,
-            dense_fraction=self.dense_refine_fraction,
         )
         state = hybrid_forward(
             self._delta, graph, state,

@@ -139,7 +139,9 @@ class RollingState:
     retraction evaluates against.  ``g`` and ``c_prev`` are overlaid on
     first read: only sparse refinement iterations look at them, and a
     run of dense ones would otherwise scatter every ``g`` record and copy
-    ``c`` for nothing.
+    ``c`` for nothing.  Until a record is overlaid they *are* the base
+    arrays, copied by the first overlay, so both are read-only to
+    callers.
     """
 
     def __init__(self, history: DependencyHistory,
@@ -153,9 +155,11 @@ class RollingState:
         if base_c.shape[0] < history.num_vertices:
             raise ValueError("extended arrays must not shrink the run")
         self.c = base_c.copy()
-        self._c_prev = base_c.copy()
+        self._base_c = base_c
+        self._c_prev = base_c
         self._c_prev_iteration = 0  # records already overlaid on ``_c_prev``
-        self._g = base_g.copy()
+        self._base_g = base_g
+        self._g = base_g
         self._g_iteration = 0      # records already overlaid on ``_g``
         self.iteration = 0
 
@@ -169,6 +173,8 @@ class RollingState:
         pending = self._history.records[self._g_iteration:self.iteration]
         for record in pending:
             if record.g_idx.size:
+                if self._g is self._base_g:
+                    self._g = self._g.copy()
                 self._g[record.g_idx] = record.g_values
         self._g_iteration = self.iteration
         return self._g
@@ -180,6 +186,8 @@ class RollingState:
         pending = self._history.records[self._c_prev_iteration:previous]
         for record in pending:
             if record.c_idx.size:
+                if self._c_prev is self._base_c:
+                    self._c_prev = self._c_prev.copy()
                 self._c_prev[record.c_idx] = record.c_values
         self._c_prev_iteration = previous
         return self._c_prev

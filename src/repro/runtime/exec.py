@@ -43,6 +43,7 @@ __all__ = [
     "scatter",
     "scatter_delta",
     "scatter_retract",
+    "sweeps_as_product",
 ]
 
 Edges = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -267,8 +268,7 @@ def aggregate_all(graph, algorithm, values: np.ndarray,
         metrics.count_edges(graph.num_edges)
         _charge_sweep(graph, metrics, graph.out_offsets)
         _charge_sweep(graph, metrics, graph.in_offsets)
-    if (algorithm.edge_weighted
-            and type(algorithm.aggregation) is SumAggregation):
+    if sweeps_as_product(algorithm):
         in_edges = csr_array(
             (graph.in_weights, graph.in_sources, graph.in_offsets),
             shape=(num_vertices, num_vertices), copy=False,
@@ -292,6 +292,12 @@ def aggregate_all(graph, algorithm, values: np.ndarray,
         algorithm.aggregation.aggregate_fresh(aggregate, dst,
                                               contributions)
     return aggregate
+
+
+def sweeps_as_product(algorithm) -> bool:
+    """An ``edge_weighted`` algorithm over a plain sum: one product."""
+    return (algorithm.edge_weighted
+            and type(algorithm.aggregation) is SumAggregation)
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
 
+from repro.core.refinement import _Refiner
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import bipartite_graph, rmat
 from repro.graph.mutation import MutationBatch
@@ -60,6 +62,14 @@ def make_random_batch(graph: CSRGraph, rng: np.random.Generator,
     )
     return MutationBatch.from_edges(additions=adds, deletions=dels,
                                     add_weights=weights)
+
+
+def pin_refine_modes(monkeypatch, *modes: bool) -> None:
+    """Replace refinement's sparse/dense switch with ``modes`` (True:
+    dense), cycled over the refinement iterations that follow."""
+    pattern = itertools.cycle(modes)
+    monkeypatch.setattr(_Refiner, "_dense_preferred",
+                        lambda self, sources: next(pattern))
 
 
 def label_mass(rows, num_labels, seed):

@@ -103,6 +103,22 @@ class TestRollingReplay:
         assert roll.g is roll.g          # nothing left to overlay
         assert roll.c_prev is roll.c_prev
 
+    def test_overlays_copy_the_base_first(self):
+        """``g`` and ``c_prev`` are the base arrays until a record lands
+        on them; the first overlay copies, so the bases never change."""
+        initial = np.array([1.0, 1.0, 1.0, 9.0])
+        identity = np.zeros(4)
+        roll = make_history().rolling(extended_initial=initial,
+                                      extended_identity=identity)
+        assert roll.g is identity and roll.c_prev is initial
+        roll.advance()
+        assert roll.c_prev is initial
+        assert roll.g.tolist() == [5.0, 0.0, 7.0, 0.0]
+        roll.advance()
+        assert roll.c_prev.tolist() == [2.0, 1.0, 1.0, 9.0]
+        assert initial.tolist() == [1.0, 1.0, 1.0, 9.0]
+        assert identity.tolist() == [0.0] * 4
+
     def test_append_takes_ownership(self):
         history = DependencyHistory(np.ones(2), np.zeros(2))
         values = np.array([9.0])

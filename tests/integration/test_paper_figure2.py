@@ -18,6 +18,7 @@ from repro.core.engine import GraphBoltEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.mutation import MutationBatch
 from repro.ligra.engine import LigraEngine
+from tests.conftest import pin_refine_modes
 
 #: Figure 2a: G, with 5 vertices.  Edges read off the figure's arrows
 #: (2 -> 0, 0 -> 1, 2 -> 1, 1 -> 2 absent in G, 3 -> 2, 3 -> 4, 4 -> 3
@@ -72,10 +73,11 @@ class TestFigure2:
                                                      ITERATIONS)
         assert np.allclose(refined, truth, atol=1e-9)
 
-    def test_refinement_reuses_unaffected_work(self, algorithm_factory):
+    def test_refinement_reuses_unaffected_work(self, algorithm_factory,
+                                               monkeypatch):
+        pin_refine_modes(monkeypatch, False)
         engine = GraphBoltEngine(algorithm_factory(),
-                                 num_iterations=ITERATIONS,
-                                 dense_refine_fraction=2.0)
+                                 num_iterations=ITERATIONS)
         engine.run(graph_before())
         before = engine.metrics.snapshot()
         engine.apply_mutations(
