@@ -97,7 +97,7 @@ def test_micro_refinement_pass(benchmark, graph):
     pytest.param(LabelPropagation, id="lp-k5"),
     pytest.param(Adsorption, id="adsorption"),
     pytest.param(CoEM, id="coem"),
-    # The generic take -> contributions -> aggregate_fresh path.
+    # The generic take -> contributions -> scatter path.
     pytest.param(PageRank, id="pagerank"),
 ])
 def test_micro_dense_sweep(benchmark, factory):

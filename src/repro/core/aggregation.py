@@ -31,7 +31,7 @@ stand-in for the paper's atomic read-modify-write updates, one 1-D
 call per component column: numpy's fast ``ufunc.at`` path is 1-D only
 (one 2-D call costs ~3x five column calls), and the bits are the same
 up to a NaN's sign.  A dense sweep rebuilds the aggregate from the
-identity through ``aggregate_fresh``, which a subclass may specialise.
+identity with the same :meth:`Aggregation.scatter`.
 A plain sum of ``edge_weighted`` contributions (LP, Adsorption, CoEM)
 never gets here: :func:`repro.runtime.exec.aggregate_all` runs it as
 one sparse product over the in-edge arrays, in CSC order.
@@ -89,13 +89,6 @@ class Aggregation(ABC):
     def scatter(self, aggregate: np.ndarray, dst: np.ndarray,
                 contributions: np.ndarray) -> None:
         """``aggregate[dst] (+)= contributions`` in place (the ⊎ operator)."""
-
-    def aggregate_fresh(self, aggregate: np.ndarray, dst: np.ndarray,
-                        contributions: np.ndarray) -> None:
-        """:meth:`scatter` onto an ``aggregate`` that still holds the
-        identity everywhere (a dense sweep); same bits, and subclasses
-        may use that nothing has to be read back."""
-        self.scatter(aggregate, dst, contributions)
 
     @abstractmethod
     def scatter_retract(self, aggregate: np.ndarray, dst: np.ndarray,

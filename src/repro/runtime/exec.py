@@ -261,7 +261,7 @@ def aggregate_all(graph, algorithm, values: np.ndarray,
     reduction adds them, so the bits are the same and no per-edge array
     is built.  Every other algorithm visits the edges in CSR order and,
     starting from the identity, reduces with
-    :meth:`Aggregation.aggregate_fresh`, not a scatter.
+    :meth:`Aggregation.scatter`.
     """
     num_vertices = graph.num_vertices
     if metrics is not None:
@@ -289,8 +289,7 @@ def aggregate_all(graph, algorithm, values: np.ndarray,
                 f"{contributions.shape}, expected {expected} "
                 f"(edges selected x aggregation_shape)"
             )
-        algorithm.aggregation.aggregate_fresh(aggregate, dst,
-                                              contributions)
+        algorithm.aggregation.scatter(aggregate, dst, contributions)
     return aggregate
 
 

@@ -13,7 +13,8 @@ Architecture (after Tornado, adapted to GraphBolt's state):
   delta engine, either to a longer fixed window or until convergence.
   The copy means ingestion state is untouched; because BSP iterations
   are a pure function of state + graph, the branch result equals a
-  from-scratch run of the same depth on the current snapshot.
+  from-scratch run of the same depth on the current snapshot.  A
+  completed answer is reused until the state changes.
 
 The branch runs against the snapshot current at query time; batches
 ingested afterwards do not retroactively change an answered query
@@ -34,7 +35,8 @@ propagates to the caller.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,6 +80,10 @@ class QueryResult:
 
 class StreamingAnalyticsServer:
     """Serve approximate results continuously, exact results on demand."""
+
+    #: ``(engine, state, window, answer)`` of the last complete branch;
+    #: engine and state held weakly, so a replaced one is freed.
+    _answer: Optional[tuple] = None
 
     def __init__(
         self,
@@ -267,7 +273,13 @@ class StreamingAnalyticsServer:
         """Branch the current state forward to an exact answer.
 
         Does not perturb the main loop: the rolling state is copied and
-        iterated by a detached delta engine.
+        iterated by a detached delta engine.  A completed answer is
+        reused until the state changes: every path that changes it
+        (ingest, quarantine rollback, checkpoint load, a new server)
+        assigns a new engine or state object and nothing mutates a
+        state in place, so their identity plus the window keys the one
+        remembered answer.  A hit returns a copy of its values and
+        reports ``edge_computations=0``.
 
         ``deadline_s`` bounds the branch to a wall-clock budget (or pass
         any :class:`~repro.runtime.deadline.Deadline` as ``deadline``
@@ -275,6 +287,8 @@ class StreamingAnalyticsServer:
         state is returned with ``degraded=True`` -- never an exception:
         a deadline query always produces a usable BSP state, identical
         to a from-scratch run truncated at ``iterations_completed``.
+        A degraded answer is never remembered, and a hit ignores the
+        deadline: its answer is already the complete window.
         """
         if until_convergence is None:
             until_convergence = self.until_convergence
@@ -283,30 +297,23 @@ class StreamingAnalyticsServer:
         if deadline is not None:
             faults.hit("query.deadline")
         start = time.perf_counter()
-        metrics = EngineMetrics()
-        branch_engine = DeltaEngine(self.algorithm_factory(), metrics)
-        state = self.engine._state.copy()
-        with trace.span("query", loop="branch",
-                        index=self.queries_served) as span:
-            hybrid_forward(
-                branch_engine, self.engine.graph, state,
-                total_iterations=self.exact_iterations,
-                until_convergence=until_convergence,
-                max_iterations=self.max_iterations,
-                deadline=deadline,
-            )
-            # The window is incomplete iff iterations remain *and* the
-            # frontier is non-empty -- an early fixpoint means further
-            # iterations are identity, so the state already equals the
-            # full-window answer and is not degraded.
-            if until_convergence:
-                target = self.max_iterations
+        engine, live = self.engine, self.engine._state
+        window = (until_convergence, self.exact_iterations,
+                  self.max_iterations)
+        memo = self._answer
+        cached = (memo is not None and memo[0]() is engine
+                  and memo[1]() is live and memo[2] == window)
+        with trace.span("query", loop="branch", index=self.queries_served,
+                        cached=cached) as span:
+            if cached:
+                answer = memo[3]
             else:
-                target = self.exact_iterations
-            degraded = bool(
-                state.iteration < target and state.frontier.size > 0
-            )
-            span.tag(iterations=state.iteration, degraded=degraded)
+                answer = self._branch(engine.graph, live,
+                                      until_convergence, deadline)
+                if not answer.degraded:
+                    self._answer = (weakref.ref(engine), weakref.ref(live),
+                                    window, answer)
+            span.tag(iterations=answer.iterations, degraded=answer.degraded)
         self.queries_served += 1
         # One measurement: the recorded histogram and the reported
         # latency must agree.
@@ -314,13 +321,45 @@ class StreamingAnalyticsServer:
         self.last_query_seconds = seconds
         registry = get_registry()
         registry.histogram("serving.query_seconds").observe(seconds)
-        if degraded:
+        if cached:
+            registry.counter("serving.query_cache_hits").inc()
+        if answer.degraded:
             self.queries_degraded += 1
             registry.counter("serving.queries_degraded").inc()
+        return replace(
+            answer, values=answer.values.copy(), seconds=seconds,
+            batches_ingested=self.batches_ingested,
+            edge_computations=0 if cached else answer.edge_computations,
+        )
+
+    def _branch(self, graph, live, until_convergence,
+                deadline) -> QueryResult:
+        """Run one branch loop from a copy of ``live``."""
+        metrics = EngineMetrics()
+        branch_engine = DeltaEngine(self.algorithm_factory(), metrics)
+        state = live.copy()
+        hybrid_forward(
+            branch_engine, graph, state,
+            total_iterations=self.exact_iterations,
+            until_convergence=until_convergence,
+            max_iterations=self.max_iterations,
+            deadline=deadline,
+        )
+        # The window is incomplete iff iterations remain *and* the
+        # frontier is non-empty -- an early fixpoint means further
+        # iterations are identity, so the state already equals the
+        # full-window answer and is not degraded.
+        if until_convergence:
+            target = self.max_iterations
+        else:
+            target = self.exact_iterations
+        degraded = bool(
+            state.iteration < target and state.frontier.size > 0
+        )
         return QueryResult(
             values=state.values,
             iterations=state.iteration,
-            seconds=seconds,
+            seconds=0.0,
             batches_ingested=self.batches_ingested,
             edge_computations=metrics.edge_computations,
             degraded=degraded,

@@ -13,6 +13,9 @@ from repro.core.aggregation import (
     ProductAggregation,
     SumAggregation,
 )
+from repro.core.model import IncrementalAlgorithm
+from repro.graph.csr import CSRGraph
+from repro.runtime.exec import aggregate_all
 
 
 class TestSum:
@@ -252,9 +255,28 @@ class TestColumnScatter:
         assert expect.tobytes() == got.tobytes()
 
 
+class _Passthrough(IncrementalAlgorithm):
+    """A source's value is its contribution, under any aggregation."""
+
+    def __init__(self, aggregation, shape):
+        super().__init__(aggregation)
+        self.value_shape = shape
+
+    def initial_values(self, graph):
+        raise NotImplementedError
+
+    def contributions(self, graph, src_values, src, dst, weight):
+        return src_values
+
+    def apply(self, graph, aggregate_values, vertices,
+              previous_values=None):
+        raise NotImplementedError
+
+
 class TestAggregateFresh:
-    """A dense sweep's reduction onto the identity: same bits as the
-    scatter, whatever the operator and the component layout."""
+    """A dense sweep's reduction onto the identity
+    (:func:`~repro.runtime.exec.aggregate_all`'s generic arm): same bits
+    as the scatter, whatever the operator and the component layout."""
 
     @pytest.mark.parametrize("agg", [
         SumAggregation(), CountAggregation(), LogProductAggregation(),
@@ -263,12 +285,15 @@ class TestAggregateFresh:
     @pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)])
     def test_equals_scatter_onto_identity(self, agg, shape):
         rng = np.random.default_rng(len(shape) + sum(shape))
-        dst = rng.integers(0, 7, size=60)      # vertices 7, 8 get nothing
+        # Source i's one edge is edge i in CSR order; targets 60..66,
+        # so vertices 67, 68 get nothing.
+        dst = 60 + rng.integers(0, 7, size=60)
         contribs = rng.normal(size=(60, *shape))
         contribs[::5] = -0.0
-        expect = agg.identity(9, shape)
+        graph = CSRGraph(69, np.arange(60), dst)
+        values = np.concatenate([contribs, np.ones((9, *shape))])
+        expect = agg.identity(69, shape)
         agg.scatter(expect, dst, contribs)
-        got = agg.identity(9, shape)
-        agg.aggregate_fresh(got, dst, contribs)
+        got = aggregate_all(graph, _Passthrough(agg, shape), values, None)
         assert np.array_equal(expect, got)
         assert np.array_equal(np.signbit(expect), np.signbit(got))
