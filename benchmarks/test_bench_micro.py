@@ -23,6 +23,7 @@ from repro.algorithms import (
     LabelPropagation,
     PageRank,
 )
+from repro.algorithms.registry import REGISTRY
 from repro.bench.workloads import mixed_stream, uniform_batch
 from repro.core.engine import GraphBoltEngine
 from repro.core.refinement import _Refiner, refine
@@ -78,9 +79,7 @@ def test_micro_delta_iteration(benchmark, graph):
 
 
 def test_micro_refinement_pass(benchmark, graph):
-    engine = GraphBoltEngine(LabelPropagation(num_labels=3, seed_every=3,
-                                              tolerance=1e-3),
-                             num_iterations=10)
+    engine = GraphBoltEngine(REGISTRY["LP"].factory(), num_iterations=10)
     engine.run(graph)
     counter = iter(range(10_000))
 

@@ -14,12 +14,9 @@ pytest-benchmark entry points in ``benchmarks/`` call them, assert the
 paper's qualitative claims, and persist payloads to
 ``benchmarks/results/`` for EXPERIMENTS.md.
 
-Algorithm configurations used by the benchmarks (tolerances and seed
-densities) are chosen so the value-stabilisation profile matches the
-paper's Figure 4 -- most vertices stop changing midway through the
-10-iteration window -- while results stay accurate to ~1e-3, validated
-against from-scratch execution for every run, like the paper's own
-methodology (section 5.1).
+Algorithms are built by their paper abbreviation from
+:data:`repro.algorithms.registry.REGISTRY`, which also records why each
+tolerance was chosen.
 """
 
 from __future__ import annotations
@@ -30,15 +27,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms import (
-    BeliefPropagation,
-    CoEM,
-    CollaborativeFiltering,
     IncrementalTriangleCounting,
     LabelPropagation,
-    PageRank,
     SSSP,
     triangle_counts,
 )
+from repro.algorithms.registry import PAPER_ALGORITHMS, REGISTRY
 from repro.bench.harness import (
     ENGINES,
     TABLE5_ENGINES,
@@ -62,7 +56,6 @@ from repro.runtime.parallel import MakespanModel
 from repro.runtime.validation import count_exceeding
 
 __all__ = [
-    "BENCH_ALGORITHMS",
     "BENCH_GRAPHS",
     "REDUCERS",
     "reduce_table5",
@@ -81,17 +74,6 @@ __all__ = [
     "experiment_ablation_tagreset",
     "render_table",
 ]
-
-#: Bench-standard algorithm factories (see module docstring for the
-#: tolerance rationale).  Keys follow the paper's abbreviations.
-BENCH_ALGORITHMS: Dict[str, Callable] = {
-    "PR": lambda: PageRank(tolerance=1e-3),
-    "BP": lambda: BeliefPropagation(num_states=2, tolerance=1e-4),
-    "CF": lambda: CollaborativeFiltering(num_factors=3, tolerance=1e-4),
-    "CoEM": lambda: CoEM(seed_every=3, tolerance=1e-3),
-    "LP": lambda: LabelPropagation(num_labels=3, seed_every=3,
-                                   tolerance=1e-3),
-}
 
 #: Graphs of Table 2, scaled (DESIGN.md section 1).
 BENCH_GRAPHS: Tuple[str, ...] = ("WK", "UK", "TW", "TT", "FT")
@@ -163,7 +145,7 @@ def experiment_figure4(graph_name: str = "WK",
                        num_iterations: int = 10) -> Dict:
     """Per-iteration changed-vertex counts for LP (paper Figure 4)."""
     graph = paper_graph(graph_name, weighted=True)
-    engine = DeltaEngine(BENCH_ALGORITHMS["LP"]())
+    engine = DeltaEngine(REGISTRY["LP"].factory())
     state = engine.initial_state(graph)
     changed = []
     for _ in range(num_iterations):
@@ -441,7 +423,7 @@ def experiment_table6(
     alongside.
     """
     if algorithms is None:
-        algorithms = list(BENCH_ALGORITHMS)
+        algorithms = list(PAPER_ALGORITHMS)
     if num_shards is None:
         num_shards = max(cores)
     graph = paper_graph("YH", weighted=True)
@@ -449,7 +431,7 @@ def experiment_table6(
     rows = []
     detail = {}
     for algo in algorithms:
-        factory = BENCH_ALGORITHMS[algo]
+        factory = REGISTRY[algo].factory
         batches = [uniform_batch(graph, batch_size, seed=seed)]
         measured = {}
         for engine in TABLE5_ENGINES:
@@ -525,7 +507,7 @@ def experiment_figure8(
     array kernels -- which is the comparison's point.
     """
     graph = rmat(scale, edge_factor, seed=seed, weighted=True)
-    factory = BENCH_ALGORITHMS["PR"]
+    factory = REGISTRY["PR"].factory
     iterations = BENCH_ITERATIONS
 
     sweep_rows = []
@@ -706,11 +688,11 @@ def experiment_table9(
     Table 9).  Following the paper, the first iteration's footprint is
     the worst-case estimate; we report the whole tracked window."""
     if algorithms is None:
-        algorithms = list(BENCH_ALGORITHMS)
+        algorithms = list(PAPER_ALGORITHMS)
     rows = []
     detail = {}
     for algo in algorithms:
-        factory = BENCH_ALGORITHMS[algo]
+        factory = REGISTRY[algo].factory
         row = [algo]
         for graph_name in graphs:
             graph = paper_graph(graph_name, weighted=True)
@@ -805,7 +787,7 @@ def experiment_ablation_pruning(
     """Horizontal-pruning horizon sweep: refinement window versus memory
     and apply time (design trade-off of paper section 3.2)."""
     graph = paper_graph(graph_name, weighted=True)
-    factory = BENCH_ALGORITHMS[algo]
+    factory = REGISTRY[algo].factory
     rows = []
     detail = {}
     for horizon in horizons:
@@ -860,7 +842,7 @@ def experiment_ablation_tagreset(
     from repro.core.tagreset import TagResetEngine
 
     graph = paper_graph(graph_name, weighted=True)
-    factory = BENCH_ALGORITHMS[algo]
+    factory = REGISTRY[algo].factory
     rows = []
     detail = {}
     for batch_size in batch_sizes:

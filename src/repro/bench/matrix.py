@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.algorithms.registry import REGISTRY
 from repro.bench.harness import ENGINES, TABLE5_ENGINES, run_stream
 from repro.bench.workloads import SCENARIOS
 from repro.graph import generators
@@ -220,6 +221,10 @@ def _validate_axes(table: RunTable) -> None:
 
 def _check_value(table_path: str, key: str, value: object) -> None:
     """Validate one resolved config value against the vocabulary."""
+    if key == "algorithm" and not (isinstance(value, str)
+                                   and value in REGISTRY):
+        raise MatrixError(
+            f"{table_path}: algorithm {value!r} not in {sorted(REGISTRY)}")
     if key == "topology" and value not in TOPOLOGIES:
         raise MatrixError(
             f"{table_path}: topology {value!r} not in {TOPOLOGIES}")
@@ -476,11 +481,9 @@ def _wall_summary(per_batch: Sequence[float],
 def _execute_engine_run(config: Dict, graph: CSRGraph,
                         batches: List[MutationBatch]) -> Tuple[Dict, Dict]:
     """One engine-mode run; returns ``(work, timing)``."""
-    from repro.bench.experiments import BENCH_ALGORITHMS
-
     num_shards = _parse_shards(str(config["backend"]))
     runner = ENGINES[config["engine"]](
-        BENCH_ALGORITHMS[config["algorithm"]], config["iterations"],
+        REGISTRY[config["algorithm"]].factory, config["iterations"],
         num_shards=num_shards)
     with scoped_registry() as registry:
         result = run_stream(runner, graph, batches)
@@ -517,7 +520,6 @@ def _execute_serving_run(config: Dict, graph: CSRGraph,
                          batches: List[MutationBatch]
                          ) -> Tuple[Dict, Dict]:
     """One serving-mode run (admission control and/or fault plan)."""
-    from repro.bench.experiments import BENCH_ALGORITHMS
     from repro.recovery import RecoveryManager
     from repro.serving.resilience import (
         BreakerConfig,
@@ -544,7 +546,7 @@ def _execute_serving_run(config: Dict, graph: CSRGraph,
             recovery = RecoveryManager(
                 state_dir, checkpoint_every=2 if replicas else 8)
         server = StreamingAnalyticsServer(
-            BENCH_ALGORITHMS[config["algorithm"]], graph,
+            REGISTRY[config["algorithm"]].factory, graph,
             approx_iterations=config["iterations"], recovery=recovery,
         )
         slo_sink = None
@@ -584,7 +586,7 @@ def _execute_serving_run(config: Dict, graph: CSRGraph,
             from repro.serving.replication import ReplicationCluster
 
             cluster = ReplicationCluster(
-                resilient, BENCH_ALGORITHMS[config["algorithm"]],
+                resilient, REGISTRY[config["algorithm"]].factory,
                 state_dir, replicas=replicas,
             )
         chaos_wrappers = []

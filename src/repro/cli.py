@@ -87,25 +87,11 @@ import argparse
 import contextlib
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro.algorithms import (
-    Adsorption,
-    BFS,
-    BeliefPropagation,
-    CoEM,
-    CollaborativeFiltering,
-    ConnectedComponents,
-    KatzCentrality,
-    LabelPropagation,
-    PageRank,
-    PersonalizedPageRank,
-    SSSP,
-    SSWP,
-    WeightedPageRank,
-)
+from repro.algorithms.registry import REGISTRY
 from repro.bench.harness import ENGINES, TABLE5_ENGINES
 from repro.bench.reporting import format_table
 from repro.bench.workloads import uniform_batch
@@ -117,23 +103,6 @@ from repro.obs import JsonlJournal, Tracer, format_trace, trace
 
 __all__ = ["main"]
 
-ALGORITHMS: Dict[str, Callable] = {
-    "pagerank": lambda: PageRank(tolerance=1e-9),
-    "weighted-pagerank": lambda: WeightedPageRank(tolerance=1e-9),
-    "personalized-pagerank": lambda: PersonalizedPageRank(tolerance=1e-9),
-    "katz": lambda: KatzCentrality(tolerance=1e-9),
-    "label-propagation": lambda: LabelPropagation(tolerance=1e-9),
-    "adsorption": lambda: Adsorption(tolerance=1e-9),
-    "coem": lambda: CoEM(tolerance=1e-9),
-    "belief-propagation": lambda: BeliefPropagation(tolerance=1e-9),
-    "collaborative-filtering": lambda: CollaborativeFiltering(
-        tolerance=1e-9
-    ),
-    "sssp": lambda: SSSP(source=0),
-    "sswp": lambda: SSWP(source=0),
-    "bfs": lambda: BFS(source=0),
-    "connected-components": lambda: ConnectedComponents(),
-}
 
 def parse_graph(spec: str, weighted: bool = True) -> CSRGraph:
     """Build a graph from a command-line spec (see module docstring)."""
@@ -209,7 +178,7 @@ def _cmd_run(args) -> int:
     spec = _spec_of(args)
     store = _select_store(args)
     graph = store.publish(parse_graph(spec))
-    factory = ALGORITHMS[args.algorithm]
+    factory = REGISTRY[args.algorithm].factory
     runner = ENGINES[args.engine](factory, args.iterations)
 
     with contextlib.ExitStack() as stack:
@@ -287,7 +256,7 @@ def _cmd_run(args) -> int:
 def _cmd_trace(args) -> int:
     spec = _spec_of(args)
     graph = parse_graph(spec)
-    factory = ALGORITHMS[args.algorithm]
+    factory = REGISTRY[args.algorithm].factory
     runner = ENGINES[args.engine](factory, args.iterations)
 
     with contextlib.ExitStack() as stack:
@@ -437,7 +406,7 @@ def _cmd_serve(args) -> int:
             "seed": args.seed,
         })
     server = StreamingAnalyticsServer(
-        ALGORITHMS[args.algorithm], graph,
+        REGISTRY[args.algorithm].factory, graph,
         approx_iterations=args.iterations, recovery=recovery,
     )
     resilient = None
@@ -458,7 +427,7 @@ def _cmd_serve(args) -> int:
         from repro.serving.replication import ReplicationCluster
 
         cluster = ReplicationCluster(
-            resilient, ALGORITHMS[args.algorithm], args.wal,
+            resilient, REGISTRY[args.algorithm].factory, args.wal,
             replicas=args.replicas, transport=args.replica_transport,
         )
     journal = (JsonlJournal.open(args.health_journal)
@@ -729,7 +698,12 @@ def _cmd_recover(args) -> int:
 
     recovery = RecoveryManager(args.state_dir)
     manifest = recovery.read_manifest()
-    factory = ALGORITHMS[manifest["algorithm"]]
+    if manifest["algorithm"] not in REGISTRY:
+        recovery.close()
+        print(f"{args.state_dir}: algorithm {manifest['algorithm']!r} is "
+              f"not registered (choose from {sorted(REGISTRY)})")
+        return 2
+    factory = REGISTRY[manifest["algorithm"]].factory
     server = recovery.recover(factory)
     values = server.approximate_values
     print(f"recovered {manifest['algorithm']} on {manifest['graph']}: "
@@ -866,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_stream_options(parser, default_graph: str) -> None:
         parser.add_argument("graph_spec", nargs="?", default=None,
                             help="graph spec (overrides --graph)")
-        parser.add_argument("--algorithm", choices=sorted(ALGORITHMS),
+        parser.add_argument("--algorithm", choices=sorted(REGISTRY),
                             default="pagerank")
         parser.add_argument("--engine", choices=sorted(TABLE5_ENGINES),
                             default="graphbolt")

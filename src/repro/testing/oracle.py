@@ -29,10 +29,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.algorithms.registry import AlgorithmSpec
 from repro.bench.harness import ENGINES, TABLE5_ENGINES, StreamingRunner
 from repro.core.model import any_per_row
 from repro.runtime.validation import relative_errors
-from repro.testing.workloads import AlgorithmProfile, Workload
+from repro.testing.workloads import Workload
 
 __all__ = [
     "REFERENCE_ENGINE",
@@ -53,7 +54,7 @@ REFERENCE_ENGINE = "ligra"
 DATAFLOW_MAX_VERTICES = 40
 
 
-def available_engines(profile: AlgorithmProfile,
+def available_engines(profile: AlgorithmSpec,
                       num_vertices: int,
                       include_naive: bool = False) -> List[str]:
     """Engine keys applicable to one workload, reference first."""
@@ -67,7 +68,7 @@ def available_engines(profile: AlgorithmProfile,
     return engines
 
 
-def build_runner(engine: str, profile: AlgorithmProfile,
+def build_runner(engine: str, profile: AlgorithmSpec,
                  num_shards: int = 1) -> StreamingRunner:
     """Instantiate one registered engine for one workload's algorithm
     profile, its loads accounted over ``num_shards`` owner blocks."""
@@ -77,11 +78,11 @@ def build_runner(engine: str, profile: AlgorithmProfile,
     if engine == "kickstarter":
         if profile.kickstarter is None:
             raise ValueError(
-                f"{profile.key} has no KickStarter formulation"
+                f"{profile.name} has no KickStarter formulation"
             )
         extra["unit_weights"] = profile.kickstarter == "unit"
     if engine == "dataflow" and profile.dataflow != "sssp":
-        raise ValueError(f"{profile.key} has no dataflow program")
+        raise ValueError(f"{profile.name} has no dataflow program")
     return ENGINES[engine](
         profile.factory, profile.num_iterations,
         profile.until_convergence, num_shards=num_shards, **extra,

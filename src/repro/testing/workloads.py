@@ -33,20 +33,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms import (
-    BFS,
-    CoEM,
-    ConnectedComponents,
-    LabelPropagation,
-    PageRank,
-    SSSP,
-)
-from repro.core.model import IncrementalAlgorithm
+from repro.algorithms.registry import REGISTRY, AlgorithmSpec
 from repro.graph.csr import CSRGraph
 from repro.graph.mutation import MutationBatch
 
 __all__ = [
-    "AlgorithmProfile",
     "FUZZ_ALGORITHMS",
     "BATCH_KINDS",
     "Workload",
@@ -54,76 +45,12 @@ __all__ = [
 ]
 
 
-# ----------------------------------------------------------------------
-# Algorithm profiles
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class AlgorithmProfile:
-    """How the oracle should run and compare one algorithm.
-
-    ``monotonic`` marks path-style fixpoint algorithms (run until
-    convergence, eligible for KickStarter / differential-dataflow
-    cross-checks); ``vector`` marks multi-component vertex values.
-    ``kickstarter`` selects the KickStarter mode (``"weighted"`` or
-    ``"unit"``) and ``dataflow`` the mini differential-dataflow program
-    (``"sssp"`` or ``"cc"``); ``None`` disables the comparator.
-    """
-
-    key: str
-    factory: Callable[[], IncrementalAlgorithm]
-    monotonic: bool = False
-    vector: bool = False
-    kickstarter: Optional[str] = None
-    dataflow: Optional[str] = None
-    num_iterations: int = 8
-    tolerance: float = 1e-6
-
-    @property
-    def until_convergence(self) -> bool:
-        return self.monotonic
-
-
-FUZZ_ALGORITHMS: Dict[str, AlgorithmProfile] = {
-    profile.key: profile
-    for profile in [
-        AlgorithmProfile(
-            key="pagerank",
-            factory=lambda: PageRank(tolerance=1e-9),
-        ),
-        AlgorithmProfile(
-            key="label-propagation",
-            factory=lambda: LabelPropagation(num_labels=3, seed_every=4,
-                                             tolerance=1e-9),
-            vector=True,
-        ),
-        AlgorithmProfile(
-            key="coem",
-            factory=lambda: CoEM(seed_every=4, tolerance=1e-9),
-        ),
-        AlgorithmProfile(
-            key="sssp",
-            factory=lambda: SSSP(source=0),
-            monotonic=True,
-            kickstarter="weighted",
-            dataflow="sssp",
-            tolerance=1e-9,
-        ),
-        AlgorithmProfile(
-            key="bfs",
-            factory=lambda: BFS(source=0),
-            monotonic=True,
-            kickstarter="unit",
-            tolerance=1e-9,
-        ),
-        AlgorithmProfile(
-            key="connected-components",
-            # Directed min-label propagation; the symmetrising dataflow
-            # WCC computes a different fixpoint, so no dataflow check.
-            factory=lambda: ConnectedComponents(),
-            monotonic=True,
-            tolerance=1e-9,
-        ),
-    ]
+#: The fuzzer's roster: the registry entries that carry oracle fields.
+#: ``generate_workload`` picks by seed from its sorted keys.
+FUZZ_ALGORITHMS: Dict[str, AlgorithmSpec] = {
+    key: REGISTRY[key]
+    for key in ("pagerank", "label-propagation", "coem", "sssp", "bfs",
+                "connected-components")
 }
 
 
@@ -145,7 +72,7 @@ class Workload:
     graph_family: str = "explicit"
 
     @property
-    def profile(self) -> AlgorithmProfile:
+    def profile(self) -> AlgorithmSpec:
         return FUZZ_ALGORITHMS[self.algorithm]
 
     def build_graph(self) -> CSRGraph:

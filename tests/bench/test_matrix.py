@@ -103,14 +103,21 @@ axes:
         with pytest.raises(MatrixError, match="unknown axes key"):
             load_table(path)
 
-    def test_bad_vocabulary_value(self, tmp_path):
-        path = write_table(tmp_path, """
+    @pytest.mark.parametrize("key, values, match", [
+        ("engine", "[turbopascal]", "engine"),
+        # An unknown name after a valid one used to load, run the PR
+        # cell, then die with a KeyError.
+        ("algorithm", "[PR, PageRnak]",
+         r"algorithm 'PageRnak' not in \[.*'LP', 'PR'"),
+    ], ids=["engine", "algorithm"])
+    def test_bad_vocabulary_value(self, tmp_path, key, values, match):
+        path = write_table(tmp_path, f"""
 schema: 1
 area: bad
 axes:
-  engine: [turbopascal]
+  {key}: {values}
 """)
-        with pytest.raises(MatrixError, match="engine"):
+        with pytest.raises(MatrixError, match=match):
             load_table(path)
 
     def test_unsupported_schema(self, tmp_path):

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import REGISTRY
 from repro.bench.harness import TABLE5_ENGINES
 from repro.bench.matrix import expand, load_table, matrices_dir
-from repro.cli import ALGORITHMS, main, parse_graph
+from repro.cli import main, parse_graph
 from repro.obs import read_journal
 from repro.obs.render import build_tree
 
@@ -94,7 +95,7 @@ class TestCommands:
             assert data["values"].shape == (128,)
 
     def test_every_registered_algorithm_runs(self, capsys):
-        for name in ALGORITHMS:
+        for name in REGISTRY:
             graph = "rmat:6:4"
             code = main([
                 "run", "--algorithm", name, "--graph", graph,
@@ -319,6 +320,21 @@ class TestRecoveryCommands:
 
         with pytest.raises(RecoveryError, match="manifest"):
             main(["recover", str(tmp_path / "nothing-here")])
+
+    def test_recover_unregistered_algorithm_fails_cleanly(self, tmp_path,
+                                                          capsys):
+        state = tmp_path / "state"
+        assert main(self.SERVE + ["--wal", str(state),
+                                  "--checkpoint-every", "2"]) == 0
+        capsys.readouterr()
+        manifest_path = state / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["algorithm"] = "page-rnak"
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["recover", str(state)]) == 2
+        out = capsys.readouterr().out
+        assert str(state) in out and "'page-rnak'" in out
+        assert str(sorted(REGISTRY)) in out
 
     def test_crash_fuzz_clean_campaign(self, capsys):
         code = main(["fuzz", "--crash", "--rounds", "2", "--seed", "0",

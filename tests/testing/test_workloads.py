@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import REGISTRY
+from repro.core.model import IncrementalAlgorithm
 from repro.graph.mutation import MutationBatch
 from repro.testing.workloads import (
     BATCH_KINDS,
@@ -84,6 +86,30 @@ class TestGeneration:
             for batch in workload.schedule:
                 for _, _, weight in batch.additions():
                     assert np.isfinite(weight) and weight > 0
+
+
+class TestRegistryContract:
+    """What seeds and the end-to-end benchmark read from the registry."""
+
+    def test_fuzz_roster_is_the_six_keys_in_sorted_order(self):
+        # generate_workload maps a seed to sorted(FUZZ_ALGORITHMS)[i]:
+        # a roster change re-deals every seed's algorithm.
+        assert sorted(FUZZ_ALGORITHMS) == [
+            "bfs", "coem", "connected-components", "label-propagation",
+            "pagerank", "sssp",
+        ]
+        assert all(FUZZ_ALGORITHMS[key] is REGISTRY[key]
+                   for key in FUZZ_ALGORITHMS)
+
+    def test_pagerank_oracle_tolerance(self):
+        # benchmarks/e2e checks Theorem 4.1 at this tolerance.
+        assert FUZZ_ALGORITHMS["pagerank"].tolerance == 1e-6
+
+    def test_every_entry_builds_a_fresh_instance(self):
+        for name, spec in REGISTRY.items():
+            first = spec.factory()
+            assert isinstance(first, IncrementalAlgorithm), name
+            assert spec.factory() is not first, name
 
 
 class TestWorkloadHelpers:
