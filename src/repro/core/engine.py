@@ -136,7 +136,9 @@ class GraphBoltEngine:
 
     def _tracked_run(self, graph: CSRGraph):
         state = self._delta.initial_state(graph)
-        history = DependencyHistory(state.values, state.aggregate)
+        # Copies: the history's bases are read-only, the state is not.
+        history = DependencyHistory(state.values.copy(),
+                                    state.aggregate.copy())
         limit = (
             self.max_iterations if self.until_convergence
             else self.num_iterations

@@ -55,14 +55,19 @@ class IterationRecord:
 
 
 class DependencyHistory:
-    """Aggregation-value dependency information for one tracked run."""
+    """Aggregation-value dependency information for one tracked run.
+
+    The two bases are held, not copied, and read-only by contract like
+    the records: a refined run's history shares its predecessor's while
+    the vertex count holds, so a caller with live arrays passes copies.
+    """
 
     def __init__(self, initial_values: np.ndarray,
                  identity_aggregate: np.ndarray) -> None:
         if initial_values.shape[0] != identity_aggregate.shape[0]:
             raise ValueError("initial values and aggregate must align")
-        self.initial_values = initial_values.copy()
-        self.identity_aggregate = identity_aggregate.copy()
+        self.initial_values = initial_values
+        self.identity_aggregate = identity_aggregate
         self.records: List[IterationRecord] = []
 
     # ------------------------------------------------------------------
@@ -103,10 +108,6 @@ class DependencyHistory:
         already private copies, such as the result of a fancy gather."""
         self.records.append(record)
 
-    def changed_frontier(self, iteration: int) -> np.ndarray:
-        """Vertices whose value changed in ``iteration`` (1-based)."""
-        return self.records[iteration - 1].c_idx
-
     def rolling(self, extended_initial: Optional[np.ndarray] = None,
                 extended_identity: Optional[np.ndarray] = None) -> "RollingState":
         """A replay cursor over this history.
@@ -116,11 +117,6 @@ class DependencyHistory:
         (they did not exist in the recorded run).
         """
         return RollingState(self, extended_initial, extended_identity)
-
-    def stored_entries(self) -> int:
-        """Total number of (vertex, iteration) aggregation entries stored;
-        the quantity vertical pruning minimises."""
-        return sum(int(r.g_idx.size) for r in self.records)
 
     def __repr__(self) -> str:
         return (

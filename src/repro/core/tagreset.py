@@ -80,7 +80,9 @@ class TagResetEngine:
         """Initial run with full-horizon tracking (see module docstring)."""
         self._streaming = StreamingGraph(graph)
         state = self._delta.initial_state(graph)
-        history = DependencyHistory(state.values, state.aggregate)
+        # Copies: the history's bases are read-only, the state is not.
+        history = DependencyHistory(state.values.copy(),
+                                    state.aggregate.copy())
         with Timer(self.metrics, "initial_run"):
             for _ in range(self.num_iterations):
                 record = self._delta.step(graph, state, record_changes=True)

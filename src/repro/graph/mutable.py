@@ -140,7 +140,7 @@ class StreamingGraph:
         can carry stale operations.
         """
         old = self._graph
-        num_vertices = max(old.num_vertices, batch.max_vertex() + 1)
+        num_vertices = batch.num_vertices_after(old.num_vertices)
 
         del_src, del_dst, del_weight, skipped_del = self._resolve_deletions(
             old, batch.del_src, batch.del_dst

@@ -150,6 +150,14 @@ class MutationBatch:
             hi = max(hi, self.grow_to - 1)
         return hi
 
+    def num_vertices_after(self, num_vertices: int) -> int:
+        """Vertex count of a ``num_vertices``-vertex graph after this
+        batch: addition endpoints and ``grow_to`` grow it, a deletion
+        never does (an endpoint outside the graph names no edge)."""
+        ends = [int(arr.max()) + 1 for arr in (self.add_src, self.add_dst)
+                if arr.size]
+        return max([num_vertices, self.grow_to or 0, *ends])
+
     def validate(self, num_vertices: int,
                  max_growth: Optional[int] = None) -> None:
         """Boundary check against a concrete graph (the ingest boundary).

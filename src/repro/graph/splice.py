@@ -9,11 +9,11 @@ section 4.1: one offset pass, one edge-shift pass), in three parts:
   primitive that turns ``(vertex, neighbour)`` pairs into edge slots;
 - a per-direction *plan* -- the sorted slots the batch deletes and, for
   the additions, the slot each is inserted before;
-- an *emit* step that walks the plan and pushes the untouched runs
-  ``old[a:b]`` and the inserted chunks into a snapshot writer
-  (:meth:`~repro.graph.storage.SnapshotStore.writer`), so the same
-  walk ends in one ``np.concatenate`` on heap and in bounded
-  file-to-file block copies out of core.
+- an *emit* step that hands the snapshot writer
+  (:meth:`~repro.graph.storage.SnapshotStore.writer`) each edge array
+  as a few chunks, one ``append`` each: the untouched runs ``old[a:b]``
+  of a window of :data:`CHUNK_ELEMENTS` old slots with the sorted
+  additions between them, joined by one ``np.concatenate``.
 
 **Ordering contract.**  The spliced arrays equal, byte for byte, what
 the :class:`~repro.graph.csr.CSRGraph` constructor builds from
@@ -25,16 +25,22 @@ any run of equal neighbours in its row.
 
 Cost is O(k log d) array steps for the plan (k mutations, d the
 largest probed degree), O(V) for the offsets and one copy of the edge
-arrays for the emit -- no sort over E, no per-edge key or mask.
+arrays for the emit -- no sort over E, no per-edge key or mask, and
+O(k + E / CHUNK_ELEMENTS) Python steps and writer calls.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Tuple
 
 import numpy as np
 
-__all__ = ["locate", "row_search", "splice"]
+__all__ = ["CHUNK_ELEMENTS", "locate", "row_search", "splice"]
+
+#: Old slots per emitted chunk (8 MB of int64): beyond the O(V) offsets,
+#: an adjustment holds one chunk per edge array in heap.
+CHUNK_ELEMENTS = 1 << 20
 
 
 def row_search(offsets: np.ndarray, others: np.ndarray, keys: np.ndarray,
@@ -69,6 +75,26 @@ def locate(offsets: np.ndarray, others: np.ndarray, keys: np.ndarray,
     hit = slots < offsets[keys + 1]
     hit[hit] = others[slots[hit]] == values[hit]
     return np.where(hit, slots, -1)
+
+
+def _drop_resident(array: np.ndarray, start: int, stop: int) -> None:
+    """Drop the resident pages behind ``array[start:stop]`` of a whole
+    ``np.memmap`` (clean pages of a read-only map: a later touch
+    refetches them), so emitting an old generation never drags all of
+    it resident.  Both ends round down: a shared page goes with the
+    later window."""
+    mapping = getattr(array, "_mmap", None)
+    if mapping is None or array.base is not mapping:
+        return
+    first = array.offset % mmap.ALLOCATIONGRANULARITY  # element 0's byte
+    lo = (first + start * array.itemsize) // mmap.PAGESIZE * mmap.PAGESIZE
+    hi = (len(mapping) if stop == array.size else
+          (first + stop * array.itemsize) // mmap.PAGESIZE * mmap.PAGESIZE)
+    if hi > lo:
+        try:
+            mapping.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+        except (AttributeError, ValueError, OSError):
+            pass
 
 
 def splice(writer, names: Tuple[str, str, str], num_vertices: int,
@@ -123,25 +149,38 @@ def splice(writer, names: Tuple[str, str, str], num_vertices: int,
     )
     writer.append(offsets_name, new_offsets)
 
-    # One event per addition (insert before its slot) and per deletion
-    # (skip its slot); at a shared slot the additions land first, in
-    # their sorted order, because the walk order is a stable sort.
-    at = np.concatenate([ins_slots, del_slots])
-    walk = np.lexsort((np.arange(at.size) >= order.size, at))
+    # Cuts through the old arrays, in walk order: one before each
+    # distinct insertion slot (its additions follow the run ending
+    # there), one at each deleted slot, one at every chunk boundary.  At
+    # a shared slot the additions land first; the deletion then skips.
+    slots = ins_slots[np.diff(ins_slots, prepend=-1) > 0]  # sorted already
+    bounds = np.arange(CHUNK_ELEMENTS, num_edges, CHUNK_ELEMENTS)
+    cut = np.concatenate([slots, del_slots, bounds])
+    kind = np.repeat([0, 1, 2], [slots.size, del_slots.size, bounds.size])
+    lo = np.zeros(cut.size, dtype=np.int64)
+    hi = lo.copy()
+    lo[:slots.size] = np.searchsorted(ins_slots, slots, "left")
+    hi[:slots.size] = np.searchsorted(ins_slots, slots, "right")
+    walk = np.lexsort((kind == 1, cut))
+    cut, kind = cut[walk], kind[walk]
+    # Run k is old[starts[k]:stops[k]], then additions[lo[k]:hi[k]]; a
+    # chunk closes with the run that ends at a boundary.
+    starts = np.concatenate([[0], cut + (kind == 1)]).tolist()
+    stops = np.concatenate([cut, [num_edges]]).tolist()
+    lo, hi = lo[walk].tolist(), hi[walk].tolist()
+    ends = (2 * np.flatnonzero(kind == 2) + 1).tolist() + [2 * cut.size + 1]
 
-    # Emit: untouched runs of the old arrays between events.
-    cursor = 0
-    for slot, event in zip(at[walk].tolist(), walk.tolist()):
-        if slot > cursor:
-            writer.append_raw(others_name, others, cursor, slot)
-            writer.append_raw(weights_name, weights, cursor, slot)
-        if event < order.size:
-            writer.append(others_name, add_other[event:event + 1])
-            writer.append(weights_name, add_weight[event:event + 1])
-            cursor = slot
-        else:
-            cursor = slot + 1
-    if num_edges > cursor:
-        writer.append_raw(others_name, others, cursor, num_edges)
-        writer.append_raw(weights_name, weights, cursor, num_edges)
+    # Emit: per array, each chunk's pieces joined and written at once.
+    for name, old, additions in ((others_name, others, add_other),
+                                 (weights_name, weights, add_weight)):
+        source = np.asarray(old)  # a plain view slices faster than a memmap
+        pieces = [None] * (2 * cut.size + 1)
+        pieces[0::2] = [source[a:b] for a, b in zip(starts, stops)]
+        pieces[1::2] = [additions[a:b] for a, b in zip(lo, hi)]
+        begin = 0
+        for chunk, end in enumerate(ends):
+            writer.append(name, np.concatenate(pieces[begin:end]))
+            _drop_resident(old, chunk * CHUNK_ELEMENTS,
+                           min((chunk + 1) * CHUNK_ELEMENTS, num_edges))
+            begin = end
     return added_slots

@@ -22,9 +22,10 @@ On-disk layout of an :class:`MmapStore` root::
 Each ``.seg`` file is a 64-byte header (magic+version, dtype code,
 element count, CRC32 of the payload) followed by the raw little-endian
 array payload.  Segment files are immutable once written: a new
-snapshot generation writes fresh files (the runs a batch leaves
-untouched are copied file-to-file by the kernel, with the batch's
-additions spliced in between) and renames them into place.
+snapshot generation writes fresh files (each edge array as a few
+bounded chunks: the runs a batch leaves untouched, sliced from the old
+mapping, with the batch's additions spliced in between) and renames
+them into place.
 
 A generation starts **volatile**: its files are in place and mapped and
 the in-memory table lists it (``open_snapshot``, ``segment_files``,
@@ -56,10 +57,10 @@ surviving entry still names: an *alias* entry
 a generation the spool already holds) shares its generation's files --
 and rewrites the manifest only when a sealed entry went.  POSIX keeps
 open ``np.memmap`` views valid even after the backing file is unlinked,
-so compaction never races a reader; for the same reason run copies read
-an old generation through the file object it was mapped from, never a
-reopened path: a second :class:`MmapStore` on the root (every
-checkpoint restore makes one) may already have unlinked it.
+so compaction never races a reader -- not even the next adjustment,
+which reads the old generation through its mapping after a second
+:class:`MmapStore` on the root (every checkpoint restore makes one) may
+have unlinked its files.
 
 Store selection is wired through ``REPRO_SNAPSHOT_STORE=heap`` or
 ``mmap[:dir]`` (see :func:`store_from_env`) plus ``--snapshot-store``
@@ -69,7 +70,6 @@ on the ``run`` / ``serve`` / ``experiment`` CLI entry points.
 from __future__ import annotations
 
 import json
-import mmap as _mmap_module
 import os
 import struct
 import tempfile
@@ -210,11 +210,11 @@ class SnapshotStore:
         slot of every added edge in it.
 
         One :func:`~repro.graph.splice.splice` per direction through
-        this store's :meth:`writer`: the runs the batch leaves alone
-        are copied from ``old`` (file-to-file by the kernel out of
-        core), so no full edge list, mask or key array is ever built
-        and the arrays come out exactly as the :class:`CSRGraph`
-        constructor would order ``survivors ++ additions``.
+        this store's :meth:`writer`: each edge array arrives as a few
+        bounded chunks of ``old``'s untouched runs and the additions, so
+        no full edge list, mask or key array is ever built and the
+        arrays come out exactly as the :class:`CSRGraph` constructor
+        would order ``survivors ++ additions``.
         """
         writer = self.writer()
         try:
@@ -224,14 +224,12 @@ class SnapshotStore:
                 old.out_offsets, old.out_targets, old.out_weights,
                 add_src, add_dst, add_weight, del_src, del_dst,
             )
-            _evict_pages(old.out_targets, old.out_weights)
             splice(
                 writer, ("in_offsets", "in_sources", "in_weights"),
                 num_vertices,
                 old.in_offsets, old.in_sources, old.in_weights,
                 add_dst, add_src, add_weight, del_dst, del_src,
             )
-            _evict_pages(old.in_sources, old.in_weights)
         except Exception:
             writer.abort()
             raise
@@ -257,12 +255,6 @@ class _SnapshotWriter:
     def append(self, name: str, chunk: np.ndarray) -> None:
         raise NotImplementedError
 
-    def append_raw(self, name: str, other: np.ndarray,
-                   start: int, stop: int) -> None:
-        """Append ``other[start:stop]``, an untouched run of an older
-        snapshot's array."""
-        self.append(name, other[start:stop])
-
     def commit(self, num_vertices: int) -> CSRGraph:
         raise NotImplementedError
 
@@ -271,22 +263,47 @@ class _SnapshotWriter:
 
 
 class _HeapWriter(_SnapshotWriter):
-    """Accumulate chunks in heap and assemble plain arrays."""
+    """Assemble plain arrays in heap.
+
+    An edge array whose direction's offsets came first, as
+    :func:`~repro.graph.splice.splice` emits them, knows its length: if
+    its first chunk falls short of it, the array is allocated once and
+    every chunk is copied into place, so it is never held twice.  A
+    chunk that is a whole array is kept as is; other chunks are joined
+    at commit.
+    """
 
     def __init__(self) -> None:
         self._chunks: Dict[str, List[np.ndarray]] = {
             name: [] for name in ARRAY_NAMES
         }
+        self._sizes: Dict[str, int] = {}
+        self._filled: Dict[str, Tuple[np.ndarray, int]] = {}
 
     def append(self, name: str, chunk: np.ndarray) -> None:
-        dtype = np.dtype(ARRAY_DTYPES[name])
-        self._chunks[name].append(np.ascontiguousarray(chunk, dtype=dtype))
+        chunk = np.ascontiguousarray(chunk, dtype=ARRAY_DTYPES[name])
+        size = self._sizes.pop(name, chunk.size)
+        if name in self._filled or chunk.size < size:
+            array, count = self._filled.get(
+                name, (np.empty(size, chunk.dtype), 0))
+            array[count:count + chunk.size] = chunk
+            self._filled[name] = array, count + chunk.size
+            return
+        self._chunks[name].append(chunk)
+        if name.endswith("_offsets") and chunk.size:
+            first = ARRAY_NAMES.index(name) + 1
+            for edges in ARRAY_NAMES[first:first + 2]:
+                if not self._chunks[edges]:
+                    self._sizes[edges] = int(chunk[-1])
 
     def commit(self, num_vertices: int) -> CSRGraph:
         arrays = {}
         for name in ARRAY_NAMES:
             chunks = self._chunks[name]
-            if len(chunks) == 1:
+            if name in self._filled:  # a short fill fails from_canonical
+                array, count = self._filled[name]
+                arrays[name] = array[:count]
+            elif len(chunks) == 1:
                 arrays[name] = chunks[0]
             else:
                 arrays[name] = (
@@ -294,6 +311,7 @@ class _HeapWriter(_SnapshotWriter):
                     else np.empty(0, dtype=np.dtype(ARRAY_DTYPES[name]))
                 )
         self._chunks = {name: [] for name in ARRAY_NAMES}
+        self._sizes, self._filled = {}, {}
         return CSRGraph.from_canonical(num_vertices, **arrays)
 
 
@@ -374,33 +392,11 @@ def verify_segment_blob(blob, context: str = "<blob>"
     return header
 
 
-def _evict_pages(*arrays) -> None:
-    """Drop the resident pages behind memmap-backed arrays.
-
-    ``MADV_DONTNEED`` on a read-only file mapping discards clean pages;
-    the data refetches from the segment file on the next touch, so this
-    only trades latency for RSS.  :meth:`SnapshotStore.adjust` evicts each
-    old-generation direction after block-copying it forward -- without
-    this, the copy drags the whole previous generation resident and
-    the out-of-core tier's peak-RSS advantage evaporates.  No-op for
-    heap arrays, sliced views, and platforms without ``madvise``.
-    """
-    for array in arrays:
-        mapping = getattr(array, "_mmap", None)
-        if mapping is None or not hasattr(mapping, "madvise"):
-            continue
-        try:
-            mapping.madvise(_mmap_module.MADV_DONTNEED)
-        except (AttributeError, ValueError, OSError):
-            pass
-
-
 class _SegmentFile:
     """One array's segment file under incremental construction.
 
     Unbuffered and written at explicit offsets (the payload position
-    is ``count``), so kernel-side run copies and Python-side appends
-    interleave with no user-space buffer to keep in step.
+    is ``count``): one ``pwrite`` per appended chunk, then the header.
     """
 
     def __init__(self, root: str, name: str) -> None:
@@ -426,27 +422,6 @@ class _SegmentFile:
         if chunk.size:
             self._write(chunk.reshape(-1).view(np.uint8), self._position())
             self.count += int(chunk.size)
-
-    def copy_range(self, source_fd: int, start: int, stop: int) -> bool:
-        """Append elements ``[start, stop)`` of the open segment file
-        ``source_fd`` without the bytes entering this process.
-        ``False`` (nothing appended) where the platform or the
-        filesystem has no ``copy_file_range``."""
-        itemsize = self.dtype.itemsize
-        source = _HEADER_SIZE + start * itemsize
-        target, left = self._position(), (stop - start) * itemsize
-        try:
-            while left:
-                copied = os.copy_file_range(
-                    source_fd, self._stream.fileno(), left, source, target)
-                if not copied:  # the source ends before its header says
-                    return False
-                source, target, left = (source + copied, target + copied,
-                                        left - copied)
-        except (AttributeError, OSError):
-            return False
-        self.count += stop - start
-        return True
 
     def finalize(self, final_path: str) -> None:
         # Imported here, not at module top: the graph layer sits below
@@ -487,19 +462,6 @@ class _MmapWriter(_SnapshotWriter):
 
     def append(self, name: str, chunk: np.ndarray) -> None:
         self._segments[name].append(chunk)
-
-    def append_raw(self, name: str, other: np.ndarray,
-                   start: int, stop: int) -> None:
-        """Copy ``other[start:stop]``: file-to-file in the kernel when
-        ``other`` is a whole array a store mapped (an old generation),
-        else straight out of its buffer (no heap copy either way, so
-        adjust holds the O(V) offsets and the batch, never a run)."""
-        segment = self._segments[name]
-        source = getattr(other, "_source", None)  # see _open_array
-        if not (source is not None and not source.closed
-                and other.dtype == segment.dtype
-                and segment.copy_range(source.fileno(), start, stop)):
-            segment.append(other[start:stop])
 
     def commit(self, num_vertices: int) -> CSRGraph:
         if self._done:
@@ -635,8 +597,7 @@ class MmapStore(SnapshotStore):
         if getattr(graph, "store", None) is not self:
             writer = self.writer()
             for name in ARRAY_NAMES:
-                writer.append_raw(name, getattr(graph, name),
-                                  0, getattr(graph, name).size)
+                writer.append(name, getattr(graph, name))
             graph = writer.commit(graph.num_vertices)
         self.seal(graph.snapshot_id)
         return graph
@@ -737,14 +698,8 @@ class MmapStore(SnapshotStore):
             raise StoreError(f"segment {path} CRC header/manifest mismatch")
         if count == 0:
             return np.empty(0, dtype=np.dtype(dtype))
-        source = open(path, "rb")
-        array = np.memmap(source, dtype=np.dtype(dtype), mode="r",
-                          offset=_HEADER_SIZE, shape=(count,))
-        # Run copies read through the file the map came from (module
-        # docstring); views do not inherit the attribute, so only the
-        # whole array is ever a kernel-copy source.  release() closes.
-        array._source = source
-        return array
+        return np.memmap(path, dtype=np.dtype(dtype), mode="r",
+                         offset=_HEADER_SIZE, shape=(count,))
 
     def open_snapshot(self, snapshot_id: Optional[str] = None,
                       verify: bool = False) -> CSRGraph:
@@ -793,10 +748,6 @@ class MmapStore(SnapshotStore):
             self._live.pop(snapshot_id, None)
         else:
             self._live[snapshot_id] = count - 1
-        for name in ARRAY_NAMES:
-            source = getattr(getattr(graph, name), "_source", None)
-            if source is not None:
-                source.close()
         self.compact()
 
     def _retained(self) -> set:

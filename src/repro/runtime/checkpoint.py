@@ -425,7 +425,9 @@ def load_engine(
         iteration=index["iteration"],
         **{name: data[name].copy()  # all the engine mutates in place
            for name in ("values", "prev_values", "aggregate", "frontier")})
-    history = DependencyHistory(data["hist_initial"], data["hist_identity"])
+    # Copied: later histories share these bases; a view would pin the file.
+    history = DependencyHistory(data["hist_initial"].copy(),
+                                data["hist_identity"].copy())
     offsets = data["hist_offsets"]
     for (g0, c0), (g1, c1) in zip(offsets[:-1], offsets[1:]):
         history.append(IterationRecord(

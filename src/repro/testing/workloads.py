@@ -123,7 +123,7 @@ class _Shadow:
             self.edges.pop((u, v), None)
         for u, v, w in batch.additions():
             self.edges.setdefault((u, v), w)
-        self.num_vertices = max(self.num_vertices, batch.max_vertex() + 1)
+        self.num_vertices = batch.num_vertices_after(self.num_vertices)
 
 
 def _random_pairs(rng: np.random.Generator, num_vertices: int,

@@ -58,6 +58,33 @@ class TestTracking:
         engine.run(graph)
         assert engine.history.horizon == 6
 
+    @pytest.mark.parametrize("algorithm", [PageRank, LabelPropagation])
+    def test_history_bases_are_only_read(self, graph, rng, algorithm):
+        """A refined history holds its predecessor's bases while the
+        vertex count holds: made read-only, nothing writes them over a
+        stream that also grows the graph."""
+        frozen, plain = (GraphBoltEngine(algorithm(), num_iterations=6)
+                         for _ in range(2))
+        frozen.run(graph)
+        plain.run(graph)
+        top = graph.num_vertices
+        batches = [
+            make_random_batch(graph, rng, 8, 4),
+            make_random_batch(graph, rng, 8, 4),
+            MutationBatch.from_edges(additions=[(0, top + 2), (top, 1)],
+                                     grow_to=top + 4),
+            make_random_batch(graph, rng, 8, 4),
+        ]
+        for batch in batches:
+            before = frozen.history
+            before.initial_values.flags.writeable = False
+            before.identity_aggregate.flags.writeable = False
+            values = frozen.apply_mutations(batch)
+            assert np.array_equal(values, plain.apply_mutations(batch))
+            shared = frozen.history.initial_values is before.initial_values
+            assert shared == (frozen.history.num_vertices
+                              == before.num_vertices)
+
     def test_fixed_horizon_caps_tracking(self, graph):
         engine = GraphBoltEngine(PageRank(), num_iterations=8,
                                  pruning=PruningPolicy(horizon=3))

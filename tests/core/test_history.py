@@ -31,23 +31,12 @@ class TestStorage:
                        np.array([0]), np.array([1.0]))
         assert history.nbytes == 32  # two int64 + two float64
 
-    def test_stored_entries(self):
-        assert make_history().stored_entries() == 3
-
     def test_values_are_copied(self):
-        initial = np.ones(2)
-        history = DependencyHistory(initial, np.zeros(2))
+        history = DependencyHistory(np.ones(2), np.zeros(2))
         g_vals = np.array([9.0])
         history.record(np.array([0]), g_vals, np.array([0]), g_vals)
         g_vals[0] = -1.0
         assert history.records[0].g_values[0] == 9.0
-        initial[0] = -1.0
-        assert history.initial_values[0] == 1.0
-
-    def test_changed_frontier(self):
-        history = make_history()
-        assert history.changed_frontier(1).tolist() == [0]
-        assert history.changed_frontier(2).tolist() == [1]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

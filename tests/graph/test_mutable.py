@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
+from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
 
@@ -152,6 +153,15 @@ class TestApplyBatch:
         )
         assert stream.num_vertices == 7
         assert result.grew()
+
+    def test_skipped_out_of_range_deletion_does_not_grow(self):
+        graph = rmat(6)
+        stream = StreamingGraph(graph)
+        result = stream.apply_batch(MutationBatch(
+            del_src=[0], del_dst=[graph.num_vertices + 100]))
+        assert result.skipped_deletions == 1
+        assert stream.num_vertices == graph.num_vertices == 64
+        assert not result.grew()
 
     def test_vertex_growth_explicit(self):
         stream = StreamingGraph(base_graph())

@@ -134,17 +134,18 @@ class TestStreamEdgeCases:
         assert streaming.graph.num_edges == 3
         assert streaming.graph.num_vertices == 3
 
-    def test_delete_beyond_capacity_skips_but_grows(self):
-        # Stream semantics: any vertex id observed in the feed comes to
-        # exist, even when the edge operation itself is a stale no-op.
+    def test_delete_beyond_capacity_skips_without_growing(self):
+        # A deletion names an edge, and no edge exists at a vertex the
+        # graph does not have: the stale record is skipped and sizes
+        # nothing (additions and grow_to do).
         streaming = self._streaming()
         result = streaming.apply_batch(
             MutationBatch.from_edges(deletions=[(7, 8)])
         )
         assert result.skipped_deletions == 1
-        assert streaming.graph.num_vertices == 9
+        assert streaming.graph.num_vertices == 3
         assert streaming.graph.num_edges == 3
-        assert result.grew()
+        assert not result.grew()
 
     def test_duplicate_insertions_first_weight_wins(self):
         batch = MutationBatch.from_edges(

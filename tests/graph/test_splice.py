@@ -15,6 +15,7 @@ import pytest
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
+from repro.graph import splice
 from repro.graph.splice import locate, row_search
 from repro.graph.storage import ARRAY_NAMES, HeapStore, MmapStore
 
@@ -164,33 +165,43 @@ class TestSpliceEqualsRebuild:
 
 @pytest.mark.parametrize("sink", ["heap", "mmap"])
 @pytest.mark.parametrize("seed", range(6))
-def test_random_streams_match_rebuild(sink, seed, tmp_path):
-    rng = np.random.default_rng(100 + seed)
-    graph = random_multigraph(seed)
-    if sink == "mmap":
-        graph = MmapStore(str(tmp_path)).publish(graph)
-    stream = StreamingGraph(graph)
-    for step in range(5):
-        old = stream.graph
-        src, dst, _ = old.all_edges()
-        top = old.num_vertices + (2 if step % 2 else 0)
-        picks = rng.choice(src.size, size=min(12, src.size), replace=False)
-        result = stream.apply_batch(MutationBatch(
-            add_src=rng.integers(0, top, 15), add_dst=rng.integers(0, top, 15),
-            add_weight=rng.random(15) + 0.5,
-            del_src=src[picks], del_dst=dst[picks],
-        ))
-        assert_bit_equal(stream.graph, rebuilt(
-            old, stream.graph.num_vertices, result.add_src, result.add_dst,
-            result.add_weight, result.del_src, result.del_dst))
-        # The mask names the added copies themselves: beside a surviving
-        # multi-edge twin a lookup by (src, dst) would find the twin.
-        slots = np.flatnonzero(result.added_edge_mask())
-        assert np.array_equal(slots, np.sort(result.added_slots))
-        assert np.array_equal(stream.graph.out_weights[result.added_slots],
-                              result.add_weight)
-    if sink == "mmap":
-        stream.graph.store.verify()
+def test_random_streams_match_rebuild(sink, seed, tmp_path, monkeypatch):
+    # Each stream runs twice: in one chunk per array, then with a chunk
+    # bound of a few slots, so every array is emitted as ~20 chunks and
+    # runs, additions and deletions straddle the chunk boundaries.
+    for bound in (splice.CHUNK_ELEMENTS, 5):
+        monkeypatch.setattr(splice, "CHUNK_ELEMENTS", bound)
+        rng = np.random.default_rng(100 + seed)
+        graph = random_multigraph(seed)
+        if sink == "mmap":
+            graph = MmapStore(str(tmp_path / str(bound))).publish(graph)
+        stream = StreamingGraph(graph)
+        for step in range(5):
+            old = stream.graph
+            src, dst, _ = old.all_edges()
+            top = old.num_vertices + (2 if step % 2 else 0)
+            picks = rng.choice(src.size, size=min(12, src.size),
+                               replace=False)
+            result = stream.apply_batch(MutationBatch(
+                add_src=rng.integers(0, top, 15),
+                add_dst=rng.integers(0, top, 15),
+                add_weight=rng.random(15) + 0.5,
+                del_src=src[picks], del_dst=dst[picks],
+            ))
+            assert_bit_equal(stream.graph, rebuilt(
+                old, stream.graph.num_vertices, result.add_src,
+                result.add_dst, result.add_weight, result.del_src,
+                result.del_dst))
+            # The mask names the added copies themselves: beside a
+            # surviving multi-edge twin a lookup by (src, dst) would
+            # find the twin.
+            slots = np.flatnonzero(result.added_edge_mask())
+            assert np.array_equal(slots, np.sort(result.added_slots))
+            assert np.array_equal(
+                stream.graph.out_weights[result.added_slots],
+                result.add_weight)
+        if sink == "mmap":
+            stream.graph.store.verify()
 
 
 class TestRowSearch:

@@ -9,7 +9,6 @@ snapshot, and a generation is volatile (no fsync, no CRC, not in
 ``manifest.json``) until something durable names it.
 """
 
-import errno
 import os
 import stat
 
@@ -20,7 +19,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat, rmat_streamed, rmat_xl
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
-from repro.graph import storage
+from repro.graph import splice, storage
 from repro.graph.storage import (
     ARRAY_NAMES,
     ENV_SNAPSHOT_STORE,
@@ -493,103 +492,111 @@ class TestVolatileUntilPinned:
 
 
 class TestRunCopies:
-    """Untouched runs of a memmap-backed source never enter Python:
-    one ``copy_file_range`` per run, from the descriptor the store
-    mapped the old generation from."""
+    """The runs a batch leaves untouched reach the new generation in
+    bulk: each edge array is a few chunks of old runs and additions,
+    one writer ``append`` and one ``pwrite`` apiece -- nothing per run,
+    and no file object kept open per mapped array."""
 
-    def _spy(self, monkeypatch):
-        calls = []
-        real = os.copy_file_range
+    @staticmethod
+    def _batch(graph, count=12):
+        src, dst, _ = graph.all_edges()
+        picks = np.linspace(0, src.size - 1, count).astype(np.int64)
+        return MutationBatch(
+            add_src=(src[picks] + 1) % graph.num_vertices,
+            add_dst=(dst[picks] + 3) % graph.num_vertices,
+            del_src=src[picks], del_dst=dst[picks])
 
-        def spying(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(os, "copy_file_range", spying)
-        return calls
-
-    def test_runs_of_an_old_generation_are_copied_by_the_kernel(
-            self, tmp_path, monkeypatch):
+    def test_one_append_per_chunk_per_edge_array(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(splice, "CHUNK_ELEMENTS", 64)
         store = MmapStore(str(tmp_path))
         base = small_graph()
         streaming = StreamingGraph(store.publish(base))
-        calls = self._spy(monkeypatch)
-        tobytes = []
-        real_append = storage._SegmentFile.append
+        appended = []
+        real_append = storage._MmapWriter.append
         monkeypatch.setattr(
-            storage._SegmentFile, "append",
-            lambda self, chunk: (tobytes.append(np.asarray(chunk).size),
-                                 real_append(self, chunk))[1])
-        mutate(streaming, 0)
-        assert calls, "no run was copied file-to-file"
-        # Python saw the two offset arrays and the one added edge per
-        # array, never an old generation's edge run.
-        assert sorted(tobytes) == [1, 1, 1, 1,
-                                   base.num_vertices + 1,
-                                   base.num_vertices + 1]
+            storage._MmapWriter, "append",
+            lambda self, name, chunk: (appended.append(name),
+                                       real_append(self, name, chunk))[1])
+        batch = self._batch(base)
+        streaming.apply_batch(batch)
+        chunks = -(-base.num_edges // 64)
+        assert chunks > 1
+        assert sorted(appended) == sorted(
+            ["out_offsets", "in_offsets"]
+            + chunks * ["out_targets", "out_weights",
+                        "in_sources", "in_weights"])
         heap = StreamingGraph(base)
-        mutate(heap, 0)
+        heap.apply_batch(batch)
         assert_graphs_equal(streaming.graph, heap.graph)
+
+    def test_no_per_run_call(self, tmp_path, monkeypatch):
+        store = MmapStore(str(tmp_path))
+        base = small_graph()
+        streaming = StreamingGraph(store.publish(base))
+        writes, real = [], os.pwrite
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, position: (
+            writes.append(position), real(fd, data, position))[1])
+        streaming.apply_batch(self._batch(base))
+        # ≈ 25 runs per edge array, one payload write per array (at the
+        # first payload byte) and one header write per file.
+        assert sorted(writes) == [0] * 6 + [storage._HEADER_SIZE] * 6
+        assert not hasattr(storage._MmapWriter, "append_raw")
+        assert not hasattr(storage._SegmentFile, "copy_range")
 
     def test_publishing_a_heap_graph_takes_the_byte_path(
             self, tmp_path, monkeypatch):
-        calls = self._spy(monkeypatch)
+        payload, real = [], os.pwrite
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, position: (
+            payload.extend([position] if position else []),
+            real(fd, data, position))[1])
         published = MmapStore(str(tmp_path)).publish(small_graph())
-        assert calls == []
+        # Each array's bytes leave this process's buffer in one write.
+        assert payload == [storage._HEADER_SIZE] * len(ARRAY_NAMES)
         assert_graphs_equal(published, small_graph())
 
     def test_copy_survives_a_second_store_unlinking_the_source(
-            self, tmp_path, monkeypatch):
+            self, tmp_path):
         store = MmapStore(str(tmp_path))
         streaming = StreamingGraph(store.publish(small_graph()))
         mutate(streaming, 0)
         source = store.segment_files(streaming.graph.snapshot_id)
         # A checkpoint restore opens its own store object on the root;
         # its compaction reaps what *it* does not hold live -- here the
-        # volatile generation the first store is standing on.
+        # volatile generation the first store is standing on, which the
+        # next adjustment reads through its mapping alone.
         MmapStore(str(tmp_path)).compact()
         assert not any(os.path.exists(tmp_path / name) for name in source)
-        calls = self._spy(monkeypatch)
         mutate(streaming, 1)
-        assert calls
         heap = StreamingGraph(small_graph())
         mutate(heap, 0)
         mutate(heap, 1)
+        assert_graphs_equal(streaming.previous, heap.previous)
         assert_graphs_equal(streaming.graph, heap.graph)
 
-    def test_without_copy_file_range_the_byte_path_writes_identical_files(
-            self, tmp_path, monkeypatch):
-        def files(root, patch):
-            store = MmapStore(str(root))
-            streaming = StreamingGraph(store.publish(small_graph()))
-            if patch:
-                def unsupported(*args, **kwargs):
-                    raise OSError(errno.ENOSYS, "not implemented")
-                monkeypatch.setattr(os, "copy_file_range", unsupported)
-            for step in range(3):
-                mutate(streaming, step)
-            store.seal(streaming.graph.snapshot_id)
-            monkeypatch.undo()
-            return [(root / name).read_bytes() for name in
-                    store.segment_files(streaming.graph.snapshot_id)]
-
-        assert files(tmp_path / "kernel", False) == files(
-            tmp_path / "bytes", True)
-
-    def test_descriptors_close_when_their_graph_is_released(self, tmp_path):
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_a_mapped_array_holds_no_file_descriptor(self, tmp_path):
         store = MmapStore(str(tmp_path))
         streaming = StreamingGraph(store.publish(small_graph()))
         graphs = [streaming.graph]
         for step in range(3):
             mutate(streaming, step)
             graphs.append(streaming.graph)
-        # current + previous stay open; the two behind them are closed
-        # (their maps stay readable: mmap holds its own descriptor).
-        assert [graph.out_targets._source.closed for graph in graphs] == [
-            True, True, False, False]
+        maps = {id(array._mmap) for graph in graphs for name in ARRAY_NAMES
+                for array in [getattr(graph, name)]
+                if isinstance(array, np.memmap)}
+        # Released generations included: the only descriptors open on
+        # the spool are the mappings' own, one per map.
+        spool = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(f"/proc/self/fd/{fd}")
+            except OSError:  # the listing's own descriptor, closed
+                continue
+            spool += [target] if target.startswith(f"{tmp_path}/") else []
+        assert len(spool) == len(maps) == 4 * len(ARRAY_NAMES)
         assert_graphs_equal(graphs[0], small_graph())
-        # A slice is not the whole file: never a kernel-copy source.
-        assert not hasattr(streaming.graph.out_targets[1:], "_source")
 
 
 class TestAtomicWrite:
