@@ -50,7 +50,6 @@ from repro.core.aggregation import (
 from repro.graph import (
     CSRGraph,
     MutationBatch,
-    MutationStream,
     SlidingWindowStream,
     StreamingGraph,
 )
@@ -58,7 +57,6 @@ from repro.graph.generators import (
     bipartite_graph,
     erdos_renyi,
     paper_graph,
-    preferential_attachment,
     rmat,
 )
 from repro.ligra import DeltaEngine, LigraEngine
@@ -90,7 +88,6 @@ __all__ = [
     "MetricsRegistry",
     "MinAggregation",
     "MutationBatch",
-    "MutationStream",
     "PageRank",
     "PersonalizedPageRank",
     "ProductAggregation",
@@ -106,7 +103,6 @@ __all__ = [
     "erdos_renyi",
     "get_registry",
     "paper_graph",
-    "preferential_attachment",
     "rmat",
     "triangle_counts",
 ]

@@ -35,9 +35,10 @@ Commands
            never hang) or ``storage`` (torn snapshot segments).
 ``serve``  run a durable streaming deployment: ingest seeded batches
            with a write-ahead log and periodic atomic checkpoints
-           (``--wal DIR --checkpoint-every N``).  ``--admission`` adds
-           the overload-resilience layer (bounded queue, pressure
-           policies, circuit breaker); ``--status`` prints the health
+           (``--wal DIR --checkpoint-every N``).  Every batch is
+           submitted through the overload-resilience layer (bounded
+           queue, ``--admission`` pressure policy, circuit breaker);
+           ``--status`` prints the health
            snapshot and ``--health-journal`` appends one per batch;
            ``--poison-every`` + ``--query-every`` form the
            overload-soak used in CI (exit 1 on unserved queries or a
@@ -98,6 +99,7 @@ from repro.bench.workloads import uniform_batch
 from repro.graph import generators, io
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import graph_stats
+from repro.graph.storage import store_from_spec
 from repro.ligra.engine import LigraEngine
 from repro.obs import JsonlJournal, Tracer, format_trace, trace
 
@@ -151,16 +153,6 @@ def _spec_of(args) -> str:
     return args.graph_spec if args.graph_spec else args.graph
 
 
-def _select_store(args, default_root=None):
-    """The snapshot store the command asked for (flag, else env)."""
-    from repro.graph import storage
-
-    spec = getattr(args, "snapshot_store", None)
-    if spec is not None:
-        return storage.store_from_spec(spec, default_root=default_root)
-    return storage.store_from_env(default_root=default_root)
-
-
 def _replay(runner, args):
     """Drive the batch schedule; yields per-batch measurements."""
     for index in range(args.batches):
@@ -176,7 +168,7 @@ def _replay(runner, args):
 
 def _cmd_run(args) -> int:
     spec = _spec_of(args)
-    store = _select_store(args)
+    store = store_from_spec(args.snapshot_store)
     graph = store.publish(parse_graph(spec))
     factory = REGISTRY[args.algorithm].factory
     runner = ENGINES[args.engine](factory, args.iterations)
@@ -293,10 +285,7 @@ def _cmd_experiment(args) -> int:
     from repro.bench import matrix as matrix_mod
     from repro.bench.experiments import REDUCERS, render_table
     from repro.bench.reporting import results_dir
-    from repro.graph.storage import ENV_SNAPSHOT_STORE
 
-    if args.snapshot_store:
-        os.environ[ENV_SNAPSHOT_STORE] = args.snapshot_store
     if args.list:
         for name in sorted(os.listdir(matrix_mod.matrices_dir())):
             if name.endswith(".yaml"):
@@ -356,12 +345,6 @@ def _cmd_serve(args) -> int:
     from repro.serving.server import StreamingAnalyticsServer
     from repro.testing import faults
 
-    resilient_mode = (
-        args.admission is not None or args.query_every
-        or args.poison_every or args.health_journal or args.status
-        or args.slo or args.wide_events or args.plant_latency
-        or args.replicas
-    )
     if args.poison_every and not args.wal:
         print("--poison-every needs --wal: poison batches are "
               "quarantined through the recovery path")
@@ -386,8 +369,8 @@ def _cmd_serve(args) -> int:
     spec = _spec_of(args)
     # An mmap store without an explicit directory spools next to the
     # WAL, so checkpoints' manifest references survive restarts.
-    store = _select_store(
-        args,
+    store = store_from_spec(
+        args.snapshot_store,
         default_root=os.path.join(args.wal, "store") if args.wal
         else None,
     )
@@ -409,19 +392,16 @@ def _cmd_serve(args) -> int:
         REGISTRY[args.algorithm].factory, graph,
         approx_iterations=args.iterations, recovery=recovery,
     )
-    resilient = None
-    if resilient_mode:
-        config = BreakerConfig(
+    resilient = ResilientAnalyticsServer(
+        server,
+        queue_capacity=args.queue_capacity,
+        admission=args.admission,
+        breaker=BreakerConfig(
             quarantine_threshold=args.breaker_quarantine_threshold,
             cooldown_submits=args.breaker_cooldown,
             enabled=not args.no_breaker,
-        )
-        resilient = ResilientAnalyticsServer(
-            server,
-            queue_capacity=args.queue_capacity,
-            admission=args.admission or "block",
-            breaker=config,
-        )
+        ),
+    )
     cluster = None
     if args.replicas:
         from repro.serving.replication import ReplicationCluster
@@ -443,8 +423,7 @@ def _cmd_serve(args) -> int:
             wide_journal = JsonlJournal.open(args.wide_events)
     evaluator = None
     sink = None
-    if resilient is not None and (args.slo or args.wide_events
-                                  or args.plant_latency):
+    if args.slo or args.wide_events or args.plant_latency:
         if args.slo:
             sink = RecordingSink()
             evaluator = SLOEvaluator(
@@ -475,49 +454,42 @@ def _cmd_serve(args) -> int:
         batch = uniform_batch(server.graph, args.batch_size,
                               seed=args.seed + index)
         start = time.perf_counter()
-        if resilient is None:
-            server.ingest(batch)
-        else:
-            if kill_plan is not None:
-                name, kill_at, restart_at = kill_plan
-                if index == kill_at:
-                    cluster.kill_replica(name)
-                if restart_at is not None and index == restart_at:
-                    cluster.restart_replica(name)
-            if (args.poison_every
-                    and (index + 1) % args.poison_every == 0):
-                # Plant-a-fault poison: the next refinement pass fails
-                # with a transient fault, which the durable loop
-                # quarantines -- a flapping poison source.
-                failpoints.arm(
-                    "engine.refine", kind="fault",
-                    hit=failpoints.hit_count("engine.refine") + 1,
-                )
-                poisons_planted += 1
-            pump = (not args.burst
-                    or (index + 1) % args.burst == 0)
-            resilient.submit(batch, pump=pump)
-            if (args.query_every
-                    and (index + 1) % args.query_every == 0):
-                queries_attempted += 1
-                resilient.query(deadline_s=args.deadline)
-                queries_answered += 1
-            if cluster is not None:
-                cluster.replicate()
-                observer = resilient.observer
-                if observer is not None and observer.emitter is not None:
-                    cluster.observe_replicas(observer.emitter)
-            if journal is not None:
-                resilient.record_health(journal)
-        rows.append([index, len(batch),
-                     round(time.perf_counter() - start, 4)])
-    if resilient is not None:
-        resilient.drain()
+        if kill_plan is not None:
+            name, kill_at, restart_at = kill_plan
+            if index == kill_at:
+                cluster.kill_replica(name)
+            if restart_at is not None and index == restart_at:
+                cluster.restart_replica(name)
+        if args.poison_every and (index + 1) % args.poison_every == 0:
+            # Plant-a-fault poison: the next refinement pass fails with
+            # a transient fault, which the durable loop quarantines --
+            # a flapping poison source.
+            failpoints.arm(
+                "engine.refine", kind="fault",
+                hit=failpoints.hit_count("engine.refine") + 1,
+            )
+            poisons_planted += 1
+        resilient.submit(batch, pump=not args.burst
+                         or (index + 1) % args.burst == 0)
+        if args.query_every and (index + 1) % args.query_every == 0:
+            queries_attempted += 1
+            resilient.query(deadline_s=args.deadline)
+            queries_answered += 1
         if cluster is not None:
-            cluster.sync()
+            cluster.replicate()
+            observer = resilient.observer
+            if observer is not None and observer.emitter is not None:
+                cluster.observe_replicas(observer.emitter)
         if journal is not None:
             resilient.record_health(journal)
-            journal.close()
+        rows.append([index, len(batch),
+                     round(time.perf_counter() - start, 4)])
+    resilient.drain()
+    if cluster is not None:
+        cluster.sync()
+    if journal is not None:
+        resilient.record_health(journal)
+        journal.close()
     if wide_journal is not None and wide_journal is not journal:
         wide_journal.close()
     print(format_table(
@@ -532,26 +504,23 @@ def _cmd_serve(args) -> int:
               f"seq {generations[-1][0] if generations else '-'}, "
               f"{len(recovery.quarantined)} quarantined")
     status = 0
-    if resilient is not None:
-        health = resilient.health()
-        if args.status:
-            print(f"health: {health.to_json()}")
-        if queries_attempted and queries_answered < queries_attempted:
-            print(f"SOAK FAIL: {queries_attempted - queries_answered} "
-                  f"of {queries_attempted} queries went unserved")
+    health = resilient.health()
+    if args.status:
+        print(f"health: {health.to_json()}")
+    if queries_attempted and queries_answered < queries_attempted:
+        print(f"SOAK FAIL: {queries_attempted - queries_answered} "
+              f"of {queries_attempted} queries went unserved")
+        status = 1
+    if poisons_planted and not args.no_breaker:
+        budget = resilient.breaker.restore_budget(resilient.submitted)
+        if server.restores > budget:
+            print(f"SOAK FAIL: {server.restores} restores exceed "
+                  f"the breaker budget of {budget}")
             status = 1
-        if poisons_planted and not args.no_breaker:
-            budget = resilient.breaker.restore_budget(
-                resilient.submitted
-            )
-            if server.restores > budget:
-                print(f"SOAK FAIL: {server.restores} restores exceed "
-                      f"the breaker budget of {budget}")
-                status = 1
-        if poisons_planted and health.quarantine_count > poisons_planted:
-            print(f"SOAK FAIL: {health.quarantine_count} quarantines "
-                  f"for {poisons_planted} planted poisons")
-            status = 1
+    if poisons_planted and health.quarantine_count > poisons_planted:
+        print(f"SOAK FAIL: {health.quarantine_count} quarantines "
+              f"for {poisons_planted} planted poisons")
+        status = 1
     if cluster is not None:
         summary = cluster.status()
         parts = []
@@ -850,20 +819,22 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--batches", type=int, default=5)
         parser.add_argument("--batch-size", type=int, default=100)
         parser.add_argument("--seed", type=int, default=0)
-        parser.add_argument("--snapshot-store", default=None,
+        parser.add_argument("--trace-out", default=None,
+                            help="write the span journal to this JSONL "
+                                 "file")
+
+    def add_store_option(parser) -> None:
+        parser.add_argument("--snapshot-store", default="heap",
                             metavar="KIND[:DIR]",
                             help="snapshot storage tier: 'heap' "
                                  "(default) keeps CSR arrays in "
                                  "memory; 'mmap[:dir]' spools them to "
                                  "CRC-guarded segment files reopened "
-                                 "as memmaps (out-of-core).  Defaults "
-                                 "to $REPRO_SNAPSHOT_STORE")
-        parser.add_argument("--trace-out", default=None,
-                            help="write the span journal to this JSONL "
-                                 "file")
+                                 "as memmaps (out-of-core)")
 
     run = sub.add_parser("run", help="stream mutations through an engine")
     add_stream_options(run, default_graph="rmat:12")
+    add_store_option(run)
     run.add_argument("--validate", action="store_true",
                      help="check every batch against from-scratch run")
     run.add_argument("--json", action="store_true",
@@ -908,12 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--update-baseline", action="store_true",
                             help="write this payload as the new "
                                  "committed baseline instead of gating")
-    experiment.add_argument("--snapshot-store", default=None,
-                            metavar="KIND[:DIR]",
-                            help="default snapshot storage tier for "
-                                 "cells whose matrix omits a 'storage' "
-                                 "axis (heap | mmap[:dir]); exported "
-                                 "as REPRO_SNAPSHOT_STORE for the run")
     experiment.set_defaults(handler=_cmd_experiment)
 
     serve = sub.add_parser(
@@ -921,6 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="durable streaming deployment (WAL + checkpoints)",
     )
     add_stream_options(serve, default_graph="rmat:10")
+    add_store_option(serve)
     serve.add_argument("--wal", default=None, metavar="DIR",
                        help="state directory for the write-ahead log "
                             "and checkpoints (omit for an ephemeral "
@@ -944,10 +910,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kill replica I before batch AT (and "
                             "restart it before batch RESTART) -- the "
                             "replication-soak fault plan")
-    serve.add_argument("--admission", default=None,
+    serve.add_argument("--admission", default="block",
                        choices=["block", "shed-oldest", "coalesce"],
-                       help="enable the admission controller with this "
-                            "pressure policy (see docs/operations.md)")
+                       help="admission queue pressure policy (see "
+                            "docs/operations.md)")
     serve.add_argument("--queue-capacity", type=int, default=8,
                        help="admission queue capacity in batches")
     serve.add_argument("--burst", type=int, default=0,

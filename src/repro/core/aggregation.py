@@ -47,7 +47,6 @@ import numpy as np
 __all__ = [
     "Aggregation",
     "SumAggregation",
-    "CountAggregation",
     "ProductAggregation",
     "LogProductAggregation",
     "MinAggregation",
@@ -140,10 +139,6 @@ class SumAggregation(Aggregation):
 
     def reduce(self, contributions, axis: int = 0) -> np.ndarray:
         return contributions.sum(axis=axis)
-
-
-class CountAggregation(SumAggregation):
-    """Counting = summing ones; kept as a named operator for clarity."""
 
 
 class ProductAggregation(Aggregation):

@@ -113,11 +113,10 @@ class GraphBoltEngine:
         """Process the initial snapshot, tracking dependencies.
 
         Pass either a graph (the engine creates its own streaming
-        structure) or an existing ``streaming`` container to share one
-        structure across several engines (see
-        :class:`repro.serving.suite.AnalyticsSuite`); shared-structure
-        callers adjust the structure themselves and feed the engine via
-        :meth:`apply_mutation_result`.
+        structure) or an existing ``streaming`` container the caller owns
+        (the e2e benchmark times structure adjustment apart from
+        refinement this way); such callers adjust the structure
+        themselves and feed the engine via :meth:`apply_mutation_result`.
         """
         if (graph is None) == (streaming is None):
             raise ValueError("provide exactly one of graph or streaming")
@@ -199,8 +198,8 @@ class GraphBoltEngine:
     def apply_mutation_result(self, mutation) -> np.ndarray:
         """Process an already-applied structure change.
 
-        Shared-structure deployments (several analyses over one graph)
-        adjust the structure once and feed every engine the same
+        A caller that owns the structure (``run(streaming=...)``)
+        adjusts it and hands over the
         :class:`~repro.graph.mutable.MutationResult`.
         """
         self._require_run()

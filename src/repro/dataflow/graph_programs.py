@@ -34,8 +34,7 @@ from repro.graph.mutation import MutationBatch
 from repro.runtime.exec import gather_all
 from repro.runtime.metrics import EngineMetrics, Timer
 
-__all__ = ["DifferentialConnectedComponents", "DifferentialPageRank",
-           "DifferentialSSSP"]
+__all__ = ["DifferentialPageRank", "DifferentialSSSP"]
 
 
 class _DifferentialGraphProgram:
@@ -138,46 +137,6 @@ class DifferentialPageRank(_DifferentialGraphProgram):
             if mult > 0:
                 ranks[vertex] = rank
         return ranks
-
-
-class DifferentialConnectedComponents(_DifferentialGraphProgram):
-    """Weakly connected components as unrolled min-label stages.
-
-    Each stage propagates the smallest label seen so far across
-    (symmetrised) edges; ``num_stages`` must cover the component
-    diameter.  Demonstrates label-style fixpoints on the differential
-    substrate alongside the distance-style SSSP.
-    """
-
-    name = "DifferentialDataflow-WCC"
-
-    def __init__(self, graph: CSRGraph, num_stages: int = 24,
-                 metrics: Optional[EngineMetrics] = None) -> None:
-        self.num_stages = num_stages
-        super().__init__(graph, metrics)
-
-    def _build(self, edges, vertices):
-        # Symmetrise so label flow matches weak connectivity.
-        forward = edges.map(lambda rec: (rec[0], rec[1][0]))
-        backward = edges.map(lambda rec: (rec[1][0], rec[0]))
-        sym = forward.concat(backward)
-        labels = vertices.map(lambda rec: (rec[0], rec[0]))
-        for _ in range(self.num_stages):
-            pushed = labels.join(sym).map(
-                # (u, (label, v)) -> (v, label)
-                lambda rec: (rec[1][1], rec[1][0])
-            )
-            labels = pushed.concat(labels).min_by_key()
-        return labels.probe()
-
-    @property
-    def values(self) -> np.ndarray:
-        state = self._probe.state()
-        labels = np.arange(self.graph.num_vertices, dtype=np.float64)
-        for (vertex, label), mult in state.items():
-            if mult > 0:
-                labels[vertex] = label
-        return labels
 
 
 class DifferentialSSSP(_DifferentialGraphProgram):

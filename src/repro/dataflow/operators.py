@@ -7,11 +7,10 @@ A :class:`Dataflow` is a DAG of operator nodes exchanging *batches* of
 accumulated inputs and emit only corrections -- the differential
 property: work is proportional to affected keys, not collection size.
 
-Feedback loops (iterative computations) are driven from outside the
-DAG: a driver feeds an output probe's corrections back into an input,
-bumping the timestamp's inner step (see
-:mod:`repro.dataflow.graph_programs`).  This matches the module-level
-simplification of totally-ordered timestamps.
+There are no feedback edges: iterative computations are unrolled into
+a fixed chain of stages (see :mod:`repro.dataflow.graph_programs`),
+which matches the module-level simplification of totally-ordered
+timestamps.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from repro.dataflow.timestamps import Timestamp
 from repro.obs import trace
 from repro.obs.registry import get_registry
 
-__all__ = ["Dataflow", "Stream", "Probe", "InputSession",
-           "iterate_to_fixpoint"]
+__all__ = ["Dataflow", "Stream", "Probe", "InputSession"]
 
 Record = Tuple
 Diff = Tuple[Record, int]
@@ -59,10 +57,6 @@ class Dataflow:
     # ------------------------------------------------------------------
     def advance_epoch(self) -> Timestamp:
         self.current_time = self.current_time.next_epoch()
-        return self.current_time
-
-    def advance_step(self) -> Timestamp:
-        self.current_time = self.current_time.next_step()
         return self.current_time
 
     def run(self) -> None:
@@ -216,44 +210,6 @@ class Probe:
             if mult != 0
         }
 
-    def changes_since_last_call(self) -> Batch:
-        """Diffs accumulated since the previous call (feedback driver)."""
-        changes = _consolidate(self._node.recent)
-        self._node.recent.clear()
-        return changes
-
-
-def iterate_to_fixpoint(
-    dataflow: Dataflow,
-    probe: Probe,
-    feedback: InputSession,
-    transform: Optional[Callable[[Batch], Batch]] = None,
-    max_steps: int = 10_000,
-) -> int:
-    """Drive a feedback loop until quiescence; returns steps taken.
-
-    Each round takes the probe's accumulated changes, optionally
-    transforms them, advances the inner timestamp, and feeds them back
-    through ``feedback``.  The caller's dataflow must be *contractive*
-    under this feedback (e.g. monotone accumulation behind a
-    ``distinct`` or ``min_by_key``), which holds for within-epoch
-    fixpoints; cross-epoch retractions should instead re-derive through
-    acyclic stages (see :mod:`repro.dataflow.graph_programs`).
-    """
-    probe.changes_since_last_call()  # establish the baseline
-    dataflow.run()
-    for step in range(max_steps):
-        changes = probe.changes_since_last_call()
-        if transform is not None:
-            changes = transform(changes)
-        changes = _consolidate(changes)
-        if not changes:
-            return step
-        dataflow.advance_step()
-        feedback.send(changes)
-        dataflow.run()
-    raise RuntimeError("feedback loop did not reach a fixpoint")
-
 
 # ----------------------------------------------------------------------
 # Nodes
@@ -363,12 +319,10 @@ class _ProbeNode(_Node):
     def __init__(self, dataflow, upstreams):
         super().__init__(dataflow, upstreams)
         self.accumulated: Counter = Counter()
-        self.recent: Batch = []
 
     def process(self, port, time, diffs):
         for record, mult in diffs:
             self.accumulated[record] += mult
-        self.recent.extend(diffs)
 
 
 class _JoinNode(_Node):

@@ -1,9 +1,10 @@
 """Timestamps for the mini differential dataflow.
 
 A :class:`Timestamp` is the pair ``(epoch, step)``: ``epoch`` counts
-input rounds (graph mutation batches), ``step`` counts inner iterations
-of a feedback loop within an epoch.  We order timestamps
-lexicographically -- a *total* order, which is the documented
+input rounds (graph mutation batches), ``step`` is the inner-iteration
+coordinate of Naiad's product lattice (the programs here unroll their
+loops into stages, so they only ever advance the epoch).  We order
+timestamps lexicographically -- a *total* order, which is the documented
 simplification relative to Naiad's partially-ordered product lattice.
 The lattice operations (`join`, `meet`) are still provided and
 well-defined; with a total order they coincide with max and min.
@@ -36,9 +37,6 @@ class Timestamp:
 
     def next_epoch(self) -> "Timestamp":
         return Timestamp(self.epoch + 1, 0)
-
-    def next_step(self) -> "Timestamp":
-        return Timestamp(self.epoch, self.step + 1)
 
     def __repr__(self) -> str:
         return f"({self.epoch}, {self.step})"

@@ -10,8 +10,6 @@ This subpackage provides the graph structures GraphBolt computes over:
   the paper's two-pass structure adjustment), retaining the previous
   snapshot so old contribution functions can still be evaluated during
   refinement.
-- :class:`~repro.graph.stream.MutationStream` -- a buffered source of
-  mutation batches.
 - :mod:`~repro.graph.generators` -- synthetic graph generators (RMAT,
   Erdos-Renyi, ...) standing in for the paper's web/social datasets.
 """
@@ -19,7 +17,6 @@ This subpackage provides the graph structures GraphBolt computes over:
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import MutationResult, StreamingGraph
 from repro.graph.mutation import MutationBatch
-from repro.graph.stream import MutationStream
 from repro.graph.window import SlidingWindowStream
 
 # Imported last: storage pulls in repro.testing (failpoints), whose
@@ -28,7 +25,6 @@ from repro.graph.storage import (  # noqa: E402
     HeapStore,
     MmapStore,
     SnapshotStore,
-    store_from_env,
     store_from_spec,
 )
 
@@ -38,10 +34,8 @@ __all__ = [
     "MmapStore",
     "MutationBatch",
     "MutationResult",
-    "MutationStream",
     "SlidingWindowStream",
     "SnapshotStore",
     "StreamingGraph",
-    "store_from_env",
     "store_from_spec",
 ]

@@ -27,8 +27,6 @@ __all__ = [
     "rmat_streamed",
     "rmat_xl",
     "erdos_renyi",
-    "preferential_attachment",
-    "grid_graph",
     "star_graph",
     "cycle_graph",
     "complete_graph",
@@ -354,39 +352,6 @@ def erdos_renyi(
     return CSRGraph(num_vertices, src_arr, dst_arr, weight)
 
 
-def preferential_attachment(
-    num_vertices: int,
-    out_degree: int = 4,
-    seed: int = 0,
-    weighted: bool = False,
-) -> CSRGraph:
-    """Barabasi-Albert style growth: new vertices attach preferentially.
-
-    Produces a heavily skewed in-degree distribution, useful for the
-    Hi/Lo mutation-workload experiments (paper Table 8).
-    """
-    rng = np.random.default_rng(seed)
-    if num_vertices <= out_degree:
-        raise ValueError("need more vertices than the attachment degree")
-    src_list = []
-    dst_list = []
-    # Repeated-endpoints list implements preferential sampling.
-    endpoints = list(range(out_degree))
-    for v in range(out_degree, num_vertices):
-        chosen = set()
-        while len(chosen) < out_degree:
-            chosen.add(endpoints[rng.integers(0, len(endpoints))])
-        for u in chosen:
-            src_list.append(v)
-            dst_list.append(u)
-            endpoints.append(u)
-        endpoints.append(v)
-    src = np.array(src_list, dtype=np.int64)
-    dst = np.array(dst_list, dtype=np.int64)
-    weight = rng.random(src.size) + 0.5 if weighted else None
-    return CSRGraph(num_vertices, src, dst, weight)
-
-
 def watts_strogatz(
     num_vertices: int,
     neighbors_each_side: int = 4,
@@ -423,19 +388,6 @@ def watts_strogatz(
     src, dst = pairs[:, 0], pairs[:, 1]
     weight = rng.random(src.size) + 0.5 if weighted else None
     return CSRGraph(num_vertices, src, dst, weight)
-
-
-def grid_graph(rows: int, cols: int) -> CSRGraph:
-    """Directed 2D grid: edges right and down (deterministic, unskewed)."""
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return CSRGraph.from_edges(edges, num_vertices=rows * cols)
 
 
 def star_graph(num_leaves: int, outward: bool = True) -> CSRGraph:

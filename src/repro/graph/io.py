@@ -1,6 +1,5 @@
-"""Graph and mutation-stream serialisation.
-
-Two formats:
+"""Graph serialisation: the two formats ``repro``'s ``file:`` graph spec
+reads.
 
 - plain edge-list text (``src dst [weight]`` per line, ``#`` comments),
   interoperable with SNAP/KONECT-style dumps the paper's datasets ship in;
@@ -9,21 +8,17 @@ Two formats:
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.mutation import MutationBatch
 
 __all__ = [
     "load_edge_list",
     "save_edge_list",
     "load_npz",
     "save_npz",
-    "save_mutation_stream",
-    "load_mutation_stream",
 ]
 
 
@@ -89,37 +84,3 @@ def load_npz(path: str) -> CSRGraph:
             int(data["num_vertices"]), data["src"], data["dst"], data["weight"]
         )
 
-
-def save_mutation_stream(batches: Sequence[MutationBatch], path: str) -> None:
-    """Persist a sequence of mutation batches to one ``.npz`` file."""
-    payload = {"num_batches": np.int64(len(batches))}
-    for i, batch in enumerate(batches):
-        payload[f"add_src_{i}"] = batch.add_src
-        payload[f"add_dst_{i}"] = batch.add_dst
-        payload[f"add_weight_{i}"] = batch.add_weight
-        payload[f"del_src_{i}"] = batch.del_src
-        payload[f"del_dst_{i}"] = batch.del_dst
-    np.savez_compressed(path, **payload)
-
-
-def load_mutation_stream(path: str) -> List[MutationBatch]:
-    with np.load(path) as data:
-        count = int(data["num_batches"])
-        batches = []
-        for i in range(count):
-            batches.append(
-                MutationBatch(
-                    add_src=data[f"add_src_{i}"],
-                    add_dst=data[f"add_dst_{i}"],
-                    add_weight=data[f"add_weight_{i}"],
-                    del_src=data[f"del_src_{i}"],
-                    del_dst=data[f"del_dst_{i}"],
-                )
-            )
-        return batches
-
-
-def ensure_dir(path: str) -> str:
-    """Create ``path`` (and parents) if missing; return it."""
-    os.makedirs(path, exist_ok=True)
-    return path

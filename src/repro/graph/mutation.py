@@ -17,7 +17,7 @@ Consecutive batches compose: :meth:`MutationBatch.merge` folds a
 follow-up batch into this one, producing a single batch whose
 application to *any* base graph matches applying the two in sequence
 (the admission controller's ``coalesce`` policy relies on this, and
-:func:`repro.graph.stream.coalesce_batches` is the n-ary fold).
+:func:`coalesce_batches` is the n-ary fold).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["MutationBatch"]
+__all__ = ["MutationBatch", "coalesce_batches"]
 
 
 class MutationBatch:
@@ -211,7 +211,7 @@ class MutationBatch:
         - ``grow_to``               -> the maximum of the two.
 
         The fold is associative, so a queue of batches coalesces left to
-        right (:func:`repro.graph.stream.coalesce_batches`).
+        right (:func:`coalesce_batches`).
         """
         deleted = {}
         pending_add = {}
@@ -275,6 +275,19 @@ class MutationBatch:
             + (f", grow_to={self.grow_to}" if self.grow_to is not None else "")
             + ")"
         )
+
+
+def coalesce_batches(batches: Iterable[MutationBatch]) -> MutationBatch:
+    """Merge consecutive batches into a single equivalent batch.
+
+    The n-ary fold of :meth:`MutationBatch.merge` (which holds the
+    edge-level state machine and its semantics): the result applies to
+    *any* base graph exactly as the sequence would.
+    """
+    merged: Optional[MutationBatch] = None
+    for batch in batches:
+        merged = batch if merged is None else merged.merge(batch)
+    return merged if merged is not None else MutationBatch.empty()
 
 
 def _as_index_array(values: Optional[Sequence[int]]) -> np.ndarray:

@@ -62,9 +62,9 @@ which reads the old generation through its mapping after a second
 :class:`MmapStore` on the root (every checkpoint restore makes one) may
 have unlinked its files.
 
-Store selection is wired through ``REPRO_SNAPSHOT_STORE=heap`` or
-``mmap[:dir]`` (see :func:`store_from_env`) plus ``--snapshot-store``
-on the ``run`` / ``serve`` / ``experiment`` CLI entry points.
+A store is chosen by a ``heap`` / ``mmap[:dir]`` spec
+(:func:`store_from_spec`): ``--snapshot-store`` on ``repro run`` /
+``repro serve``, and the ``storage`` axis of an experiment matrix.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ __all__ = [
     "StoreError",
     "atomic_write",
     "open_snapshot_reference",
-    "store_from_env",
     "store_from_spec",
     "verify_segment_blob",
     "verify_segment_file",
@@ -932,9 +931,6 @@ def open_snapshot_reference(reference: dict,
 # ----------------------------------------------------------------------
 # Selection
 # ----------------------------------------------------------------------
-ENV_SNAPSHOT_STORE = "REPRO_SNAPSHOT_STORE"
-
-
 def store_from_spec(spec: Optional[str],
                     default_root: Optional[str] = None) -> SnapshotStore:
     """Build a store from ``heap`` or ``mmap[:dir]``.
@@ -957,9 +953,3 @@ def store_from_spec(spec: Optional[str],
         f"unknown snapshot store {spec!r} (choose heap or mmap[:dir])"
     )
 
-
-def store_from_env(default: str = "heap",
-                   default_root: Optional[str] = None) -> SnapshotStore:
-    """Store selected by ``REPRO_SNAPSHOT_STORE`` (see module doc)."""
-    return store_from_spec(os.environ.get(ENV_SNAPSHOT_STORE, default),
-                           default_root=default_root)

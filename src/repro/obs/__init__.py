@@ -39,12 +39,11 @@ from repro.obs.registry import (
     ingest_engine_metrics,
     set_registry,
 )
-from repro.obs.render import format_trace, phase_breakdown
+from repro.obs.render import format_trace
 from repro.obs.slo import (
     SLO,
     Alert,
     AlertSink,
-    BreakerAlertSink,
     RecordingSink,
     SLOError,
     SLOEvaluator,
@@ -56,7 +55,6 @@ from repro.obs.trace import NULL_TRACER, Tracer, activated, get_tracer
 __all__ = [
     "Alert",
     "AlertSink",
-    "BreakerAlertSink",
     "JsonlJournal",
     "MetricsHTTPServer",
     "MetricsRegistry",
@@ -74,7 +72,6 @@ __all__ = [
     "ingest_engine_metrics",
     "lint_slo_dir",
     "load_slo_file",
-    "phase_breakdown",
     "read_journal",
     "render_prometheus",
     "set_registry",

@@ -2,9 +2,8 @@
 
 The tracer emits spans post-order as a flat list of dicts with
 ``id``/``parent`` links (:mod:`repro.obs.trace`).  :func:`build_tree`
-reconstructs the forest; :func:`phase_breakdown` aggregates it into
-per-batch phase totals; :func:`format_trace` renders the flame-style
-text view used by ``repro trace``::
+reconstructs the forest; :func:`format_trace` renders the flame-style
+per-batch text view used by ``repro trace``::
 
     batch 2  mutations=100                                 35.1ms
       adjust_structure                   2.1ms     6.0%  #
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-__all__ = ["build_tree", "format_trace", "phase_breakdown"]
+__all__ = ["build_tree", "format_trace"]
 
 _BAR_WIDTH = 24
 
@@ -78,28 +77,6 @@ def _collapse(children: List[Dict]) -> List[Dict]:
         entry["duration"] += child["duration"]
         entry["children"].extend(child["children"])
     return [merged[name] for name in order]
-
-
-def phase_breakdown(events: Iterable[Dict]) -> List[Dict]:
-    """Per-root phase totals: each root span (typically one ``batch``
-    or ``initial_run``) with its collapsed direct phases."""
-    breakdown = []
-    for root in build_tree(events):
-        phases = [
-            {
-                "name": entry["name"],
-                "count": entry["count"],
-                "seconds": entry["duration"],
-            }
-            for entry in _collapse(root["children"])
-        ]
-        breakdown.append({
-            "name": root["name"],
-            "tags": root["tags"],
-            "seconds": root["duration"],
-            "phases": phases,
-        })
-    return breakdown
 
 
 def _format_tags(tags: Dict) -> str:

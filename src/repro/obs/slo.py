@@ -26,10 +26,6 @@ Alerts are first-class records: journaled (``{"type": "alert", ...}``),
 surfaced as registry gauges (``slo.<name>.fast_burn`` / ``slow_burn`` /
 ``firing``) and counters (``slo.alerts_fired`` / ``alerts_resolved``),
 and forwarded to a pluggable :class:`AlertSink`.
-:class:`BreakerAlertSink` bridges alerts into the PR-5 circuit breaker
--- observe-only by default (it counts notifications without acting),
-pinned by tests; pass ``act=True`` for a deployment that wants a page
-to also shed load.
 
 SLO files live under ``benchmarks/slos/`` (YAML; see
 ``docs/observability.md`` for the schema) and are linted in CI via
@@ -54,7 +50,6 @@ __all__ = [
     "Alert",
     "AlertSink",
     "RecordingSink",
-    "BreakerAlertSink",
     "SLOEvaluator",
     "slos_dir",
     "resolve_slo_path",
@@ -211,37 +206,6 @@ class RecordingSink(AlertSink):
 
     def notify(self, alert: Alert) -> None:
         self.alerts.append(alert)
-
-
-class BreakerAlertSink(AlertSink):
-    """Bridge alerts into the PR-5 circuit breaker.
-
-    **Observe-only by default**: notifications are recorded and counted
-    (``slo.breaker_notifications``) but the breaker is not touched, so
-    attaching the sink never changes serving behaviour -- the posture
-    the tests pin.  Pass ``act=True`` to let a firing page-severity
-    alert trip the breaker OPEN (deferred applies, degraded admission;
-    see ``docs/operations.md``).
-    """
-
-    def __init__(self, breaker, act: bool = False,
-                 registry: Optional[MetricsRegistry] = None) -> None:
-        self.breaker = breaker
-        self.act = act
-        self.notified: List[Alert] = []
-        self._registry = registry
-
-    def notify(self, alert: Alert) -> None:
-        self.notified.append(alert)
-        registry = (self._registry if self._registry is not None
-                    else get_registry())
-        registry.counter("slo.breaker_notifications").inc()
-        if (self.act and alert.state == "firing"
-                and alert.severity == "page"):
-            self.breaker.trip(
-                f"slo {alert.slo} burning {alert.fast_burn:.1f}x "
-                f"(fast) / {alert.slow_burn:.1f}x (slow)"
-            )
 
 
 @dataclass

@@ -17,7 +17,6 @@ __all__ = [
     "relative_errors",
     "count_exceeding",
     "assert_same_results",
-    "max_relative_error",
 ]
 
 ArrayLike = Union[np.ndarray, list]
@@ -66,11 +65,6 @@ def count_exceeding(actual: ArrayLike, expected: ArrayLike,
     relative error >= 10% and >= 1%").
     """
     return int((relative_errors(actual, expected) >= threshold).sum())
-
-
-def max_relative_error(actual: ArrayLike, expected: ArrayLike) -> float:
-    err = relative_errors(actual, expected)
-    return float(err.max()) if err.size else 0.0
 
 
 def assert_same_results(actual: ArrayLike, expected: ArrayLike,

@@ -54,7 +54,6 @@ from repro.serving.router import (
     StalenessError,
 )
 from repro.serving.server import QueryResult, StreamingAnalyticsServer
-from repro.serving.suite import AnalyticsSuite, SuiteRecovery
 from repro.serving.transport import (
     DeadLetterLedger,
     DirectoryTransport,
@@ -68,7 +67,6 @@ from repro.serving.transport import (
 
 __all__ = [
     "ADMISSION_POLICIES",
-    "AnalyticsSuite",
     "BreakerConfig",
     "ChaosConfig",
     "ChaosTransport",
@@ -96,7 +94,6 @@ __all__ = [
     "ShipmentIntegrityError",
     "StalenessError",
     "StreamingAnalyticsServer",
-    "SuiteRecovery",
     "corrupt_shipment",
     "wrap_cluster",
 ]

@@ -52,8 +52,7 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.graph.mutation import MutationBatch
-from repro.graph.stream import coalesce_batches
+from repro.graph.mutation import MutationBatch, coalesce_batches
 from repro.obs import trace
 from repro.obs.registry import get_registry
 from repro.runtime.deadline import Deadline

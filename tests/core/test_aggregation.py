@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregation import (
-    CountAggregation,
     LogProductAggregation,
     MaxAggregation,
     MinAggregation,
@@ -68,7 +67,6 @@ class TestSum:
 
     def test_name(self):
         assert self.agg.name == "sum"
-        assert CountAggregation().name == "count"
 
 
 class TestProduct:
@@ -279,7 +277,7 @@ class TestAggregateFresh:
     as the scatter, whatever the operator and the component layout."""
 
     @pytest.mark.parametrize("agg", [
-        SumAggregation(), CountAggregation(), LogProductAggregation(),
+        SumAggregation(), LogProductAggregation(),
         ProductAggregation(), MinAggregation(), MaxAggregation(),
     ], ids=lambda agg: agg.name)
     @pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)])

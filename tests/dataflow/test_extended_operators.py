@@ -1,8 +1,6 @@
-"""Tests for the extended differential operators and the fixpoint driver."""
+"""Tests for the extended differential operators."""
 
-import pytest
-
-from repro.dataflow.operators import Dataflow, iterate_to_fixpoint
+from repro.dataflow.operators import Dataflow
 
 
 class TestSemijoin:
@@ -78,48 +76,3 @@ class TestJoinMap:
         df.run()
         assert probe.state() == {("k", 11): 1}
 
-
-class TestIterateToFixpoint:
-    def build_reachability(self):
-        """reach = distinct(roots ∪ head(reach ⋈ edges)), via feedback."""
-        df = Dataflow()
-        edges = df.input()          # (u, v)
-        feedback = df.input()       # (u,) reachable facts re-entering
-        roots = df.input()          # (u,)
-        reach_in = roots.stream.concat(feedback.stream)
-        hops = reach_in.map(lambda rec: (rec[0], ())).join(
-            edges.stream
-        ).map(lambda rec: (rec[1][1],))
-        reach = reach_in.concat(hops).map(
-            lambda rec: (rec[0], ())
-        ).distinct().map(lambda rec: (rec[0],))
-        return df, edges, feedback, roots, reach.probe()
-
-    def test_transitive_closure(self):
-        df, edges, feedback, roots, probe = self.build_reachability()
-        edges.send_records([(0, 1), (1, 2), (3, 4)])
-        roots.send_records([(0,)])
-        steps = iterate_to_fixpoint(df, probe, feedback)
-        assert steps >= 1
-        assert set(probe.state()) == {(0,), (1,), (2,)}
-
-    def test_incremental_edge_addition_extends_reach(self):
-        df, edges, feedback, roots, probe = self.build_reachability()
-        edges.send_records([(0, 1)])
-        roots.send_records([(0,)])
-        iterate_to_fixpoint(df, probe, feedback)
-        df.advance_epoch()
-        edges.send_records([(1, 5), (5, 6)])
-        iterate_to_fixpoint(df, probe, feedback)
-        assert set(probe.state()) == {(0,), (1,), (5,), (6,)}
-
-    def test_divergent_loop_raises(self):
-        df = Dataflow()
-        feedback = df.input()
-        # A non-contractive loop: every fact produces a new fact.
-        probe = feedback.stream.map(
-            lambda rec: (rec[0] + 1,)
-        ).probe()
-        feedback.send_records([(0,)])
-        with pytest.raises(RuntimeError, match="fixpoint"):
-            iterate_to_fixpoint(df, probe, feedback, max_steps=10)

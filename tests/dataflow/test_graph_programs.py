@@ -118,48 +118,3 @@ class TestDiamondFanOut:
         before = dataflow.records_processed
         runner.apply(workload.schedule[3])
         assert dataflow.records_processed - before <= 200_000
-
-
-class TestDifferentialWCC:
-    def test_matches_engine_on_symmetrised_graph(self, graph, rng):
-        from repro.algorithms import ConnectedComponents
-        from repro.dataflow.graph_programs import (
-            DifferentialConnectedComponents,
-        )
-        from repro.graph.csr import CSRGraph
-
-        dd = DifferentialConnectedComponents(graph, num_stages=24)
-        src, dst, _ = graph.all_edges()
-        sym = CSRGraph(
-            graph.num_vertices,
-            np.concatenate([src, dst]),
-            np.concatenate([dst, src]),
-        )
-        truth = LigraEngine(ConnectedComponents()).run(
-            sym, until_convergence=True, max_iterations=500
-        )
-        assert np.array_equal(dd.values, truth)
-
-    def test_edge_addition_merges_components(self):
-        from repro.dataflow.graph_programs import (
-            DifferentialConnectedComponents,
-        )
-        from repro.graph.csr import CSRGraph
-
-        graph = CSRGraph.from_edges([(0, 1), (2, 3)], num_vertices=4)
-        dd = DifferentialConnectedComponents(graph, num_stages=8)
-        assert dd.values.tolist() == [0.0, 0.0, 2.0, 2.0]
-        dd.apply_mutations(MutationBatch.from_edges(additions=[(1, 2)]))
-        assert dd.values.tolist() == [0.0, 0.0, 0.0, 0.0]
-
-    def test_edge_deletion_splits_components(self):
-        from repro.dataflow.graph_programs import (
-            DifferentialConnectedComponents,
-        )
-        from repro.graph.csr import CSRGraph
-
-        graph = CSRGraph.from_edges([(0, 1), (1, 2)], num_vertices=3)
-        dd = DifferentialConnectedComponents(graph, num_stages=8)
-        assert dd.values.tolist() == [0.0, 0.0, 0.0]
-        dd.apply_mutations(MutationBatch.from_edges(deletions=[(1, 2)]))
-        assert dd.values.tolist() == [0.0, 0.0, 2.0]

@@ -152,16 +152,6 @@ class TestReduce:
 
 
 class TestProbeFeedbackView:
-    def test_changes_since_last_call(self):
-        df = Dataflow()
-        inp = df.input()
-        probe = inp.stream.probe()
-        inp.send_records([("a", 1)])
-        df.run()
-        first = dict(probe.changes_since_last_call())
-        assert first == {("a", 1): 1}
-        assert probe.changes_since_last_call() == []
-
     def test_records_processed_counter(self):
         df = Dataflow()
         inp = df.input()

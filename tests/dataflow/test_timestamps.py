@@ -40,8 +40,5 @@ class TestAdvancement:
     def test_next_epoch_resets_step(self):
         assert Timestamp(3, 7).next_epoch() == Timestamp(4, 0)
 
-    def test_next_step(self):
-        assert Timestamp(3, 7).next_step() == Timestamp(3, 8)
-
     def test_repr(self):
         assert repr(Timestamp(1, 2)) == "(1, 2)"

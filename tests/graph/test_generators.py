@@ -57,26 +57,6 @@ class TestErdosRenyi:
             gen.erdos_renyi(num_vertices=3, num_edges=100)
 
 
-class TestPreferentialAttachment:
-    def test_shape(self):
-        graph = gen.preferential_attachment(num_vertices=100, out_degree=3,
-                                            seed=5)
-        assert graph.num_vertices == 100
-        assert_simple(graph)
-        # Every late vertex attaches to exactly out_degree targets.
-        assert graph.out_degrees()[3:].min() == 3
-
-    def test_skew(self):
-        graph = gen.preferential_attachment(num_vertices=300, out_degree=2,
-                                            seed=6)
-        in_degrees = graph.in_degrees()
-        assert in_degrees.max() > 10 * max(in_degrees.mean(), 1e-9)
-
-    def test_too_few_vertices(self):
-        with pytest.raises(ValueError):
-            gen.preferential_attachment(num_vertices=3, out_degree=3)
-
-
 class TestWattsStrogatz:
     def test_shape_and_simplicity(self):
         graph = gen.watts_strogatz(200, neighbors_each_side=3,
@@ -95,12 +75,6 @@ class TestWattsStrogatz:
 
 
 class TestDeterministicShapes:
-    def test_grid(self):
-        graph = gen.grid_graph(3, 4)
-        assert graph.num_vertices == 12
-        # Right edges: 3 rows x 3, down edges: 2 x 4.
-        assert graph.num_edges == 9 + 8
-
     def test_star_outward(self):
         graph = gen.star_graph(5, outward=True)
         assert graph.out_degree(0) == 5

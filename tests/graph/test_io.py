@@ -1,11 +1,10 @@
-"""Round-trip tests for graph and mutation-stream serialisation."""
+"""Round-trip tests for graph serialisation."""
 
 import numpy as np
 import pytest
 
 from repro.graph import io
 from repro.graph.generators import rmat
-from repro.graph.mutation import MutationBatch
 
 
 @pytest.fixture
@@ -58,25 +57,3 @@ class TestNpz:
         assert loaded.num_vertices == graph.num_vertices
         assert loaded.edge_set() == graph.edge_set()
 
-
-class TestMutationStreams:
-    def test_roundtrip(self, tmp_path):
-        batches = [
-            MutationBatch.from_edges(additions=[(0, 1), (2, 3)],
-                                     add_weights=[0.5, 1.5]),
-            MutationBatch.from_edges(deletions=[(4, 5)]),
-            MutationBatch.empty(),
-        ]
-        path = str(tmp_path / "stream.npz")
-        io.save_mutation_stream(batches, path)
-        loaded = io.load_mutation_stream(path)
-        assert len(loaded) == 3
-        assert list(loaded[0].additions()) == [(0, 1, 0.5), (2, 3, 1.5)]
-        assert list(loaded[1].deletions()) == [(4, 5)]
-        assert len(loaded[2]) == 0
-
-
-def test_ensure_dir(tmp_path):
-    target = str(tmp_path / "a" / "b")
-    assert io.ensure_dir(target) == target
-    assert io.ensure_dir(target) == target  # idempotent

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.mutation import MutationBatch
+from repro.graph.mutation import MutationBatch, coalesce_batches
 
 
 class TestConstruction:
@@ -344,3 +344,60 @@ class TestMerge:
             assert np.array_equal(seq_src, fold_src), trial
             assert np.array_equal(seq_dst, fold_dst), trial
             assert np.array_equal(seq_w, fold_w), trial
+
+
+def batch(additions=(), deletions=(), weights=None):
+    return MutationBatch.from_edges(additions, deletions,
+                                    add_weights=weights)
+
+
+class TestCoalesce:
+    """The n-ary fold of :meth:`MutationBatch.merge` that the admission
+    queue's ``coalesce`` policy applies to a backlog."""
+
+    def test_delete_then_add_then_add_keeps_first_readd(self):
+        merged = coalesce_batches([
+            batch(deletions=[(0, 1)]),
+            batch([(0, 1)], weights=[1.0]),
+            batch([(0, 1)], weights=[5.0]),
+        ])
+        assert dict(
+            ((s, d), w) for s, d, w in merged.additions()
+        )[(0, 1)] == 1.0
+
+    def test_delete_then_add_keeps_both(self):
+        merged = coalesce_batches([
+            batch(deletions=[(0, 1)]),
+            batch([(0, 1)], weights=[2.0]),
+        ])
+        # Expressed against the pre-stream graph: delete old, add new.
+        assert merged.num_deletions == 1
+        assert merged.num_additions == 1
+
+    def test_add_then_delete_becomes_delete(self):
+        merged = coalesce_batches([
+            batch([(5, 6)]),
+            batch(deletions=[(5, 6)]),
+        ])
+        assert merged.num_additions == 0
+        assert merged.num_deletions == 1
+
+    def test_duplicate_adds_keep_first_weight(self):
+        merged = coalesce_batches([
+            batch([(0, 1)], weights=[1.5]),
+            batch([(0, 1)], weights=[9.0]),
+        ])
+        assert list(merged.additions()) == [(0, 1, 1.5)]
+
+    def test_grow_to_takes_max(self):
+        merged = coalesce_batches([
+            MutationBatch(grow_to=5),
+            MutationBatch(grow_to=9),
+            MutationBatch(grow_to=7),
+        ])
+        assert merged.grow_to == 9
+
+    def test_single_batch_passes_through_and_none_is_empty(self):
+        only = batch([(0, 1)])
+        assert coalesce_batches([only]) is only
+        assert not coalesce_batches([])

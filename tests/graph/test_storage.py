@@ -22,12 +22,10 @@ from repro.graph.mutation import MutationBatch
 from repro.graph import splice, storage
 from repro.graph.storage import (
     ARRAY_NAMES,
-    ENV_SNAPSHOT_STORE,
     HeapStore,
     MmapStore,
     StoreError,
     atomic_write,
-    store_from_env,
     store_from_spec,
 )
 from repro.testing.faults import scoped_failpoints
@@ -628,13 +626,6 @@ class TestSelection:
     def test_spec_rejects_heap_with_dir(self):
         with pytest.raises(ValueError, match="takes no directory"):
             store_from_spec("heap:/tmp/x")
-
-    def test_env_selection(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_SNAPSHOT_STORE, f"mmap:{tmp_path}")
-        store = store_from_env()
-        assert isinstance(store, MmapStore)
-        monkeypatch.delenv(ENV_SNAPSHOT_STORE)
-        assert isinstance(store_from_env(), HeapStore)
 
 
 class TestAdjust:

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
-from repro.graph.mutation import MutationBatch
-from repro.graph.stream import coalesce_batches
+from repro.graph.mutation import MutationBatch, coalesce_batches
 
 
 @st.composite

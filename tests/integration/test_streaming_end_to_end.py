@@ -9,7 +9,7 @@ KickStarter and the mini-DD agree on every intermediate snapshot.
 import numpy as np
 import pytest
 
-from repro.algorithms import LabelPropagation, PageRank, SSSP
+from repro.algorithms import PageRank, SSSP
 from repro.bench.harness import (
     DeltaRunner,
     GraphBoltRunner,
@@ -20,7 +20,7 @@ from repro.bench.workloads import mixed_stream
 from repro.core.pruning import PruningPolicy
 from repro.dataflow.graph_programs import DifferentialSSSP
 from repro.graph.generators import rmat
-from repro.graph.stream import MutationStream
+from repro.graph.mutation import coalesce_batches
 from repro.kickstarter.engine import KickStarterEngine
 from repro.ligra.engine import LigraEngine
 
@@ -80,28 +80,6 @@ class TestSSSPAcrossAllEngines:
 
 
 class TestBufferedStreamConsumption:
-    def test_engine_drains_buffered_stream(self):
-        graph = rmat(scale=7, edge_factor=4, seed=53, weighted=True)
-        _, batches = mixed_stream(graph, num_batches=5, batch_size=10,
-                                  seed=53)
-        stream = MutationStream(batches)
-        runner = GraphBoltRunner(lambda: LabelPropagation(num_labels=3), 8)
-        runner.setup(graph)
-        processed = 0
-        while stream:
-            # The refinement window buffers arrivals (paper section 4.1).
-            stream.begin_refinement()
-            assert stream.take() is None
-            stream.end_refinement()
-            batch = stream.take()
-            runner.apply(batch)
-            processed += 1
-        assert processed == 5
-        truth = LigraEngine(LabelPropagation(num_labels=3)).run(
-            runner.graph, 8
-        )
-        assert np.allclose(runner.engine.values, truth, atol=1e-7)
-
     def test_coalesced_catchup_matches_one_by_one(self):
         graph = rmat(scale=7, edge_factor=4, seed=54, weighted=True)
         _, batches = mixed_stream(graph, num_batches=4, batch_size=15,
@@ -114,9 +92,9 @@ class TestBufferedStreamConsumption:
 
         coalesced = GraphBoltRunner(lambda: PageRank(), 8)
         coalesced.setup(graph)
-        stream = MutationStream(batches)
-        merged = stream.take_all()
-        coalesced.apply(merged)
+        # A backlog folded into one batch (the admission queue's
+        # coalesce policy) lands on the same graph and values.
+        coalesced.apply(coalesce_batches(batches))
 
         assert coalesced.graph.edge_set() == one_by_one.graph.edge_set()
         assert np.allclose(coalesced.engine.values,

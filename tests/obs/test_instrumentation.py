@@ -7,7 +7,7 @@ from repro.kickstarter.engine import KickStarterEngine
 from repro.ligra.engine import LigraEngine
 from repro.obs import trace
 from repro.obs.registry import scoped_registry
-from repro.obs.render import build_tree, phase_breakdown
+from repro.obs.render import build_tree
 from repro.obs.trace import Tracer
 
 
@@ -66,13 +66,13 @@ class TestGraphBoltSpans:
             run_graphbolt(Tracer())
         )
 
-    def test_phase_breakdown_covers_batches(self):
+    def test_span_tree_covers_batches(self):
         events = run_graphbolt(Tracer(), batches=2)
-        breakdown = phase_breakdown(events)
-        batch_entries = [b for b in breakdown if b["name"] == "batch"]
-        assert len(batch_entries) == 2
-        for entry in batch_entries:
-            names = {phase["name"] for phase in entry["phases"]}
+        batches = [root for root in build_tree(events)
+                   if root["name"] == "batch"]
+        assert len(batches) == 2
+        for root in batches:
+            names = {child["name"] for child in root["children"]}
             assert {"refine", "forward"} <= names
 
     def test_gauges_published(self):

@@ -1,6 +1,6 @@
 """Unit tests for trace-tree reconstruction and text rendering."""
 
-from repro.obs.render import build_tree, format_trace, phase_breakdown
+from repro.obs.render import build_tree, format_trace
 
 
 def span(id, parent, name, start, duration, **tags):
@@ -47,18 +47,6 @@ class TestBuildTree:
         ]
         roots = build_tree(events)
         assert [root["name"] for root in roots] == ["first", "second"]
-
-
-class TestPhaseBreakdown:
-    def test_collapses_repeated_phases(self):
-        (entry,) = phase_breakdown(batch_events())
-        assert entry["name"] == "batch"
-        assert entry["tags"]["mutations"] == 50
-        phases = {phase["name"]: phase for phase in entry["phases"]}
-        assert phases["refine"]["count"] == 1
-        assert phases["refine"]["seconds"] == 0.5
-        assert phases["forward"]["seconds"] == 0.4
-        assert phases["adjust_structure"]["seconds"] == 0.1
 
 
 class TestFormatTrace:

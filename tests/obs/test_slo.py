@@ -12,8 +12,6 @@ windows fast=4/slow=8, burn fast=5.0/slow=2.5:
   threshold, the alert fires.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.obs.journal import JsonlJournal, read_journal
@@ -21,7 +19,6 @@ from repro.obs.registry import scoped_registry
 from repro.obs.slo import (
     SIGNALS,
     SLO,
-    BreakerAlertSink,
     RecordingSink,
     SLOError,
     SLOEvaluator,
@@ -31,7 +28,6 @@ from repro.obs.slo import (
     resolve_slo_path,
     slos_dir,
 )
-from repro.serving import BreakerConfig, CircuitBreaker
 
 
 def soak_slo(**overrides):
@@ -179,45 +175,6 @@ class TestBurnRateAlerting:
             rows = {row["name"]: row for row in evaluator.status()}
             assert rows["soak-ingest-latency"]["state"] == "ok"
             assert rows["queue-bound"]["last_value"] == 2.0
-
-
-class TestBreakerAlertSink:
-    def firing_alert(self):
-        with scoped_registry():
-            sink = RecordingSink()
-            run_plant(soak_slo(), plant_from=10, total=12, sink=sink)
-            return sink.alerts[0]
-
-    def test_observe_only_by_default(self):
-        """The pinned posture: attaching the sink never sheds load."""
-        with scoped_registry() as registry:
-            breaker = CircuitBreaker(BreakerConfig())
-            sink = BreakerAlertSink(breaker)
-            sink.notify(self.firing_alert())
-            assert breaker.state == "closed"
-            assert breaker.transitions == []
-            assert len(sink.notified) == 1
-            assert registry.counter(
-                "slo.breaker_notifications").value == 1
-
-    def test_act_true_trips_on_firing_page(self):
-        with scoped_registry():
-            breaker = CircuitBreaker(BreakerConfig())
-            BreakerAlertSink(breaker, act=True).notify(
-                self.firing_alert())
-            assert breaker.state == "open"
-            (transition,) = breaker.transitions
-            assert transition.to_state == "open"
-            assert "soak-ingest-latency" in transition.reason
-
-    def test_act_true_ignores_tickets_and_resolves(self):
-        with scoped_registry():
-            breaker = CircuitBreaker(BreakerConfig())
-            sink = BreakerAlertSink(breaker, act=True)
-            alert = self.firing_alert()
-            sink.notify(dataclasses.replace(alert, severity="ticket"))
-            sink.notify(dataclasses.replace(alert, state="resolved"))
-            assert breaker.state == "closed"
 
 
 class TestSLOFiles:

@@ -6,7 +6,6 @@ import pytest
 from repro.runtime.validation import (
     assert_same_results,
     count_exceeding,
-    max_relative_error,
     relative_errors,
 )
 
@@ -57,10 +56,6 @@ class TestCensus:
         expected = [1.0, 1.0, 1.0]
         assert count_exceeding(actual, expected, 0.01) == 2
         assert count_exceeding(actual, expected, 0.10) == 1
-
-    def test_max_relative_error(self):
-        assert max_relative_error([1.5], [1.0]) == pytest.approx(0.5)
-        assert max_relative_error([], []) == 0.0
 
 
 class TestAssertSame:

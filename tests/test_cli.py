@@ -204,6 +204,15 @@ class TestExperimentCommand:
             main(["bench", "figure4"])
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_snapshot_store_is_not_an_experiment_option(self, capsys):
+        # A cell's store is its matrix's ``storage`` axis, so the
+        # command takes no store option.
+        with pytest.raises(SystemExit) as exited:
+            main(["experiment", "--matrix", "smoke",
+                  "--snapshot-store", "mmap"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestObservabilityCommands:
     def test_run_trace_out_journals_span_tree(self, tmp_path, capsys):
@@ -254,7 +263,7 @@ class TestObservabilityCommands:
         batch = [json.loads(l) for l in lines][-1]
         assert batch["max_error"] < 1e-6
 
-    def test_trace_renders_phase_breakdown(self, capsys):
+    def test_trace_renders_phase_tree(self, capsys):
         code = main([
             "trace", "rmat:7:4", "--batches", "2", "--batch-size", "10",
             "--iterations", "4",
@@ -296,6 +305,16 @@ class TestRecoveryCommands:
         assert main(self.SERVE) == 0
         out = capsys.readouterr().out
         assert "serve pagerank" in out and "durable" not in out
+        # Every batch is submitted through the admission queue.  With
+        # no WAL and no latency SLO the breaker cannot trip and
+        # ``block`` applies on submit, so this is the table a plain
+        # ``server.ingest`` loop prints, wall-clock column dropped.
+        title, *rows = [line.split() for line in out.splitlines()]
+        assert title == ["serve", "pagerank", "on", "rmat:6:4"]
+        assert [fields[:2] for fields in rows] == [
+            ["batch", "mutations"], ["-" * 25],
+            ["0", "8"], ["1", "8"], ["2", "8"],
+        ]
 
     def test_serve_recover_roundtrip(self, tmp_path, capsys):
         state = str(tmp_path / "state")
