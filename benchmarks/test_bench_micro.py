@@ -189,7 +189,7 @@ def test_micro_refine_switch_costs(benchmark, monkeypatch, factory,
         tracer = Tracer()
         with trace.activated(tracer):
             refine(engine.algorithm, mutation, engine.history,
-                   EngineMetrics(), engine.pruning)
+                   EngineMetrics())
         walls = [event["duration"] * 1e9 for event in tracer.events()
                  if event["name"] == "iteration"]
         return list(zip(affected, walls))

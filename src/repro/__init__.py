@@ -37,7 +37,6 @@ from repro.core import (
     DependencyHistory,
     GraphBoltEngine,
     IncrementalAlgorithm,
-    PruningPolicy,
 )
 from repro.core.aggregation import (
     Aggregation,
@@ -91,7 +90,6 @@ __all__ = [
     "PageRank",
     "PersonalizedPageRank",
     "ProductAggregation",
-    "PruningPolicy",
     "SSSP",
     "SSWP",
     "SlidingWindowStream",

@@ -21,7 +21,7 @@ log magnitudes bounded.
 
 ``phi`` (vertex priors) are deterministic per-vertex-id values near
 uniform; ``psi`` is a symmetric mixing matrix with mild diagonal
-preference.  Beliefs are read out with :meth:`beliefs`.
+preference.
 """
 
 from __future__ import annotations
@@ -88,10 +88,3 @@ class BeliefPropagation(IncrementalAlgorithm):
         shifted = aggregate_values - aggregate_values.max(axis=1, keepdims=True)
         products = np.exp(shifted)
         return products / products.sum(axis=1, keepdims=True)
-
-    # ------------------------------------------------------------------
-    def beliefs(self, values: np.ndarray) -> np.ndarray:
-        """Final belief readout: normalise(phi(v) * product(v))."""
-        ids = np.arange(values.shape[0], dtype=np.int64)
-        raw = self.priors(ids) * values
-        return raw / raw.sum(axis=1, keepdims=True)

@@ -43,7 +43,6 @@ from repro.bench.harness import (
 from repro.bench.reporting import format_table
 from repro.bench.workloads import uniform_batch
 from repro.core.engine import GraphBoltEngine
-from repro.core.pruning import PruningPolicy
 from repro.dataflow.graph_programs import DifferentialPageRank, DifferentialSSSP
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import paper_graph, rmat
@@ -702,8 +701,7 @@ def experiment_table9(
             # The paper's measure: first tracked iteration (worst case;
             # vertical pruning shrinks later ones) against total engine
             # memory including the graph structure.
-            report = engine.memory_report(include_graph=True,
-                                          first_iteration_only=True)
+            report = engine.memory_report(first_iteration_only=True)
             row.append(f"{report.overhead_percent:.1f}%")
             detail[f"{algo}|{graph_name}"] = {
                 "baseline_bytes": report.baseline_bytes,
@@ -791,10 +789,7 @@ def experiment_ablation_pruning(
     rows = []
     detail = {}
     for horizon in horizons:
-        runner = GraphBoltRunner(
-            factory, BENCH_ITERATIONS,
-            pruning=PruningPolicy(horizon=horizon),
-        )
+        runner = GraphBoltRunner(factory, BENCH_ITERATIONS, horizon=horizon)
         batch = uniform_batch(graph, batch_size, seed=seed)
         result = run_stream(runner, graph, [batch])
         report = runner.engine.memory_report()

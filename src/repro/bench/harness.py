@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.core.engine import GraphBoltEngine
 from repro.core.model import IncrementalAlgorithm
-from repro.core.pruning import PruningPolicy
 from repro.dataflow.graph_programs import DifferentialSSSP
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
@@ -168,12 +167,12 @@ class GraphBoltRunner(_IncrementalRunner):
     def __init__(self, algorithm_factory: AlgorithmFactory,
                  num_iterations: Optional[int] = None,
                  until_convergence: bool = False,
-                 pruning: Optional[PruningPolicy] = None,
+                 horizon: Optional[int] = None,
                  mode: str = "delta",
                  num_shards: int = 1) -> None:
         super().__init__(algorithm_factory, num_iterations,
                          until_convergence, num_shards)
-        self.pruning = pruning
+        self.horizon = horizon
         self.mode = mode
         if mode == "retract_propagate":
             self.name = "GraphBolt-RP"
@@ -183,7 +182,7 @@ class GraphBoltRunner(_IncrementalRunner):
             self.algorithm_factory(),
             num_iterations=self.num_iterations,
             until_convergence=self.until_convergence,
-            pruning=self.pruning,
+            horizon=self.horizon,
             mode=self.mode,
             strategy=self.strategy,
             metrics=self.metrics,
@@ -283,12 +282,6 @@ class StreamResult:
     @property
     def total_apply_seconds(self) -> float:
         return sum(batch.seconds for batch in self.batches)
-
-    @property
-    def mean_apply_seconds(self) -> float:
-        if not self.batches:
-            return 0.0
-        return self.total_apply_seconds / len(self.batches)
 
     @property
     def total_edge_computations(self) -> int:

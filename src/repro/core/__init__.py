@@ -11,8 +11,9 @@ The modules here implement the paper's primary contribution:
   computation into per-edge contributions, an aggregation, and an apply
   step, from which the engine derives incremental versions automatically.
 - :mod:`~repro.core.history` -- O(V)-per-iteration dependency tracking as
-  aggregation values residing on vertices, with vertical pruning.
-- :mod:`~repro.core.pruning` -- horizontal/vertical pruning policies.
+  aggregation values residing on vertices; vertical pruning is its
+  storage format (changed rows only), horizontal pruning the engine's
+  ``horizon``.
 - :mod:`~repro.core.refinement` -- iteration-by-iteration dependency-driven
   value refinement.
 - :mod:`~repro.core.hybrid` -- computation-aware hybrid execution beyond
@@ -32,7 +33,6 @@ from repro.core.aggregation import (
 from repro.core.engine import GraphBoltEngine
 from repro.core.history import DependencyHistory
 from repro.core.model import IncrementalAlgorithm
-from repro.core.pruning import PruningPolicy
 from repro.core.tagreset import TagResetEngine
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "MaxAggregation",
     "MinAggregation",
     "ProductAggregation",
-    "PruningPolicy",
     "SumAggregation",
     "TagResetEngine",
 ]

@@ -6,8 +6,9 @@ drives the full lifecycle:
 1. ``run(graph)`` -- the initial execution, performed with selective
    scheduling (the GB-Reset stepping core) while *tracking* each
    iteration's aggregation and vertex values into a
-   :class:`~repro.core.history.DependencyHistory`, under the configured
-   pruning policy.
+   :class:`~repro.core.history.DependencyHistory`, up to the tracking
+   ``horizon`` (horizontal pruning, paper section 3.2; vertical pruning
+   is how the history stores records: changed rows only).
 2. ``apply_mutations(batch)`` -- adjust the graph structure, run
    dependency-driven refinement over the tracked window, then hybrid
    forward execution to the end of the run, and commit the refined
@@ -32,7 +33,6 @@ import numpy as np
 from repro.core.history import DependencyHistory
 from repro.core.hybrid import hybrid_forward
 from repro.core.model import IncrementalAlgorithm
-from repro.core.pruning import PruningPolicy
 from repro.core.refinement import refine
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
@@ -57,13 +57,15 @@ class GraphBoltEngine:
         num_iterations: Optional[int] = None,
         until_convergence: bool = False,
         max_iterations: int = 1000,
-        pruning: Optional[PruningPolicy] = None,
+        horizon: Optional[int] = None,
         mode: str = "delta",
         strategy: str = "refine",
         metrics: Optional[EngineMetrics] = None,
     ) -> None:
         if strategy not in ("refine", "naive"):
             raise ValueError("strategy must be 'refine' or 'naive'")
+        if horizon is not None and horizon < 0:
+            raise ValueError("horizon must be non-negative")
         self.algorithm = algorithm
         self.num_iterations = (
             algorithm.default_iterations if num_iterations is None
@@ -71,9 +73,9 @@ class GraphBoltEngine:
         )
         self.until_convergence = until_convergence
         self.max_iterations = max_iterations
-        self.pruning = pruning if pruning is not None else (
-            PruningPolicy.track_everything()
-        )
+        #: Track at most this many iterations of the initial run
+        #: (``None``: all).  Refinement then covers whatever was tracked.
+        self.horizon = horizon
         self.strategy = strategy
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self._delta = DeltaEngine(algorithm, self.metrics, mode=mode)
@@ -142,43 +144,27 @@ class GraphBoltEngine:
             self.max_iterations if self.until_convergence
             else self.num_iterations
         )
+        # Horizontal pruning is a cut-off: once tracking stops it never
+        # resumes (a hole would be a window refinement cannot roll across).
         tracking_stopped = self.strategy == "naive"
         with Timer(self.metrics, "initial_run"):
             for iteration in range(1, limit + 1):
                 if state.iteration > 0 and state.frontier.size == 0:
                     break
-                if iteration == 1:
-                    # Adaptive pruning keys off the previous iteration's
-                    # change count, which doesn't exist yet: the first
-                    # iteration always tracks (unless the horizon is 0).
-                    track = not tracking_stopped and (
-                        self.pruning.horizon is None
-                        or self.pruning.horizon >= 1
-                    )
-                else:
-                    track = self.pruning.should_track(
-                        iteration, state.frontier.size, graph.num_vertices,
-                        tracking_stopped,
-                    )
+                track = not tracking_stopped and (
+                    self.horizon is None or iteration <= self.horizon
+                )
                 with trace.span("iteration", index=iteration,
                                 tracked=track):
                     if track:
                         record = self._delta.step(graph, state,
                                                   record_changes=True)
-                        self._record(history, record, state,
-                                     graph.num_vertices)
+                        history.record(record.g_idx, record.g_values,
+                                       record.c_idx, record.c_values)
                     else:
                         tracking_stopped = True
                         self._delta.step(graph, state)
         return state, history
-
-    def _record(self, history, record, state, num_vertices):
-        if self.pruning.vertical:
-            history.record(record.g_idx, record.g_values,
-                           record.c_idx, record.c_values)
-        else:
-            dense = np.arange(num_vertices, dtype=np.int64)
-            history.record(dense, state.aggregate, dense, state.values)
 
     # ------------------------------------------------------------------
     # Mutation processing
@@ -219,7 +205,7 @@ class GraphBoltEngine:
 
         state, new_history = refine(
             self.algorithm, mutation, self._history, self.metrics,
-            self.pruning, mode=self._delta.mode,
+            mode=self._delta.mode,
         )
         state = hybrid_forward(
             self._delta, graph, state,
@@ -277,16 +263,16 @@ class GraphBoltEngine:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def memory_report(self, include_graph: bool = True,
-                      first_iteration_only: bool = False) -> MemoryReport:
+    def memory_report(
+            self, first_iteration_only: bool = False) -> MemoryReport:
         """Bytes of dependency information versus baseline engine memory.
 
-        ``include_graph`` counts the CSR/CSC structure in the baseline,
-        matching the paper's Table 9 (GB-Reset holds the graph too, and
-        it dominates total memory).  ``first_iteration_only`` reports the
-        first tracked iteration's record as the dependency cost -- the
-        paper's "worst-case estimate", since vertical pruning shrinks
-        every later iteration.
+        The baseline counts the CSR/CSC structure, matching the paper's
+        Table 9 (GB-Reset holds the graph too, and it dominates total
+        memory).  ``first_iteration_only`` reports the first tracked
+        iteration's record as the dependency cost -- the paper's
+        "worst-case estimate", since vertical pruning shrinks every later
+        iteration.
         """
         self._require_run()
         state = self._state
@@ -294,9 +280,8 @@ class GraphBoltEngine:
             state.values.nbytes
             + state.prev_values.nbytes
             + state.aggregate.nbytes
+            + self._streaming.graph.nbytes
         )
-        if include_graph:
-            baseline += self._streaming.graph.nbytes
         if first_iteration_only and self._history.records:
             dependency = self._history.records[0].nbytes
         else:

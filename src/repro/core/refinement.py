@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.core.history import DependencyHistory, IterationRecord
 from repro.core.model import IncrementalAlgorithm
-from repro.core.pruning import PruningPolicy
 from repro.graph.mutable import MutationResult
 from repro.ligra.delta import DeltaState, exact_changed_rows
 from repro.ligra.frontier import union_ids
@@ -75,7 +74,6 @@ def refine(
     mutation: MutationResult,
     history: DependencyHistory,
     metrics: EngineMetrics,
-    pruning: PruningPolicy,
     mode: str = "delta",
 ) -> Tuple[DeltaState, DependencyHistory]:
     """Refine tracked values for one mutation; see module docstring.
@@ -88,17 +86,15 @@ def refine(
                     additions=int(mutation.add_src.size),
                     deletions=int(mutation.del_src.size)), \
             Timer(metrics, "refine"):
-        return _Refiner(algorithm, mutation, history, metrics,
-                        pruning, mode).run()
+        return _Refiner(algorithm, mutation, history, metrics, mode).run()
 
 
 class _Refiner:
-    def __init__(self, algorithm, mutation, history, metrics, pruning, mode):
+    def __init__(self, algorithm, mutation, history, metrics, mode):
         self.algorithm = algorithm
         self.mutation = mutation
         self.history = history
         self.metrics = metrics
-        self.pruning = pruning
         self.mode = mode
         self.new_graph = mutation.new_graph
         self.old_graph = mutation.old_graph
@@ -222,8 +218,7 @@ class _Refiner:
                         diverged = np.empty(0, dtype=np.int64)
                 span.tag(touched=num_touched, diverged=int(diverged.size))
 
-                self._record(new_history, g_before, g_cur, c_before, c_new,
-                             num_vertices)
+                self._record(new_history, g_before, g_cur, c_before, c_new)
                 c_prev = c_before
                 c_cur = c_new
 
@@ -355,14 +350,10 @@ class _Refiner:
         return g_new, touched
 
     # ------------------------------------------------------------------
-    def _record(self, new_history, g_prev, g_cur, c_prev, c_cur,
-                num_vertices):
-        if self.pruning.vertical:
-            g_idx = np.flatnonzero(exact_changed_rows(g_prev, g_cur))
-            c_idx = np.flatnonzero(exact_changed_rows(c_prev, c_cur))
-        else:
-            g_idx = np.arange(num_vertices, dtype=np.int64)
-            c_idx = g_idx
+    def _record(self, new_history, g_prev, g_cur, c_prev, c_cur):
+        # Vertical pruning: only the rows this iteration changed.
+        g_idx = np.flatnonzero(exact_changed_rows(g_prev, g_cur))
+        c_idx = np.flatnonzero(exact_changed_rows(c_prev, c_cur))
         # The gathers are already private copies.
         new_history.append(
             IterationRecord(g_idx, np.take(g_cur, g_idx, axis=0),

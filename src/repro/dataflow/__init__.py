@@ -18,8 +18,7 @@ observable behaviour the paper compares against (diff-driven work
 proportional to affected keys, high per-update variance).
 """
 
-from repro.dataflow.collection import Collection
 from repro.dataflow.operators import Dataflow
 from repro.dataflow.timestamps import Timestamp
 
-__all__ = ["Collection", "Dataflow", "Timestamp"]
+__all__ = ["Dataflow", "Timestamp"]

@@ -2,8 +2,8 @@
 
 A :class:`Dataflow` is a DAG of operator nodes exchanging *batches* of
 ``(record, multiplicity)`` diffs stamped with a
-:class:`~repro.dataflow.timestamps.Timestamp`.  Stateful operators
-(join, reduce, distinct, count) maintain hash-indexed traces of their
+:class:`~repro.dataflow.timestamps.Timestamp`.  The stateful operators
+(join and the keyed reductions) maintain hash-indexed traces of their
 accumulated inputs and emit only corrections -- the differential
 property: work is proportional to affected keys, not collection size.
 
@@ -104,12 +104,6 @@ class Stream:
     def filter(self, predicate: Callable[[Record], bool]) -> "Stream":
         return _FilterNode(self.dataflow, [self], predicate).output
 
-    def flat_map(self, fn: Callable[[Record], Iterable[Record]]) -> "Stream":
-        return _FlatMapNode(self.dataflow, [self], fn).output
-
-    def negate(self) -> "Stream":
-        return _NegateNode(self.dataflow, [self]).output
-
     def concat(self, other: "Stream") -> "Stream":
         return _ConcatNode(self.dataflow, [self, other]).output
 
@@ -122,53 +116,11 @@ class Stream:
         """Keyed group-reduce; ``fn(key, values) -> output values``."""
         return _ReduceNode(self.dataflow, [self], fn).output
 
-    def distinct(self) -> "Stream":
-        """Set semantics: every record's multiplicity becomes one."""
-        return (
-            self.map(lambda record: (record, ()))
-            .reduce(lambda key, values: [()])
-            .map(lambda record: record[0])
-        )
-
-    def count(self) -> "Stream":
-        return self.reduce(lambda key, values: [len(values)])
-
     def sum_by_key(self) -> "Stream":
         return self.reduce(lambda key, values: [sum(values)])
 
     def min_by_key(self) -> "Stream":
         return self.reduce(lambda key, values: [min(values)])
-
-    def semijoin(self, keys: "Stream") -> "Stream":
-        """Keep ``(k, v)`` records whose key appears in ``keys``.
-
-        ``keys`` carries bare-key records ``(k,)``; implemented as a
-        join against the distinct key set, so retractions on either
-        side propagate differentially.
-        """
-        key_set = keys.map(lambda rec: (rec[0], ())).distinct().map(
-            lambda rec: rec  # (k, ())
-        )
-        return self.join(key_set).map(
-            lambda rec: (rec[0], rec[1][0])
-        )
-
-    def antijoin(self, keys: "Stream") -> "Stream":
-        """Keep ``(k, v)`` records whose key does NOT appear in ``keys``.
-
-        ``self - semijoin(self, keys)`` as collections; both terms are
-        maintained differentially.
-        """
-        return self.concat(self.semijoin(keys).negate())
-
-    def join_map(self, other: "Stream", fn) -> "Stream":
-        """``join`` then map each ``(k, (a, b))`` with ``fn(k, a, b)``."""
-        return self.join(other).map(
-            lambda rec: fn(rec[0], rec[1][0], rec[1][1])
-        )
-
-    def inspect(self, callback: Callable[[Timestamp, Batch], None]) -> "Stream":
-        return _InspectNode(self.dataflow, [self], callback).output
 
     def probe(self) -> "Probe":
         node = _ProbeNode(self.dataflow, [self])
@@ -282,36 +234,8 @@ class _FilterNode(_Node):
         )
 
 
-class _FlatMapNode(_Node):
-    def __init__(self, dataflow, upstreams, fn):
-        super().__init__(dataflow, upstreams)
-        self._fn = fn
-
-    def process(self, port, time, diffs):
-        out: Batch = []
-        for record, mult in diffs:
-            for produced in self._fn(record):
-                out.append((produced, mult))
-        self.emit(time, out)
-
-
-class _NegateNode(_Node):
-    def process(self, port, time, diffs):
-        self.emit(time, [(record, -mult) for record, mult in diffs])
-
-
 class _ConcatNode(_Node):
     def process(self, port, time, diffs):
-        self.emit(time, diffs)
-
-
-class _InspectNode(_Node):
-    def __init__(self, dataflow, upstreams, callback):
-        super().__init__(dataflow, upstreams)
-        self._callback = callback
-
-    def process(self, port, time, diffs):
-        self._callback(time, diffs)
         self.emit(time, diffs)
 
 

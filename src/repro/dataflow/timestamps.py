@@ -5,9 +5,8 @@ input rounds (graph mutation batches), ``step`` is the inner-iteration
 coordinate of Naiad's product lattice (the programs here unroll their
 loops into stages, so they only ever advance the epoch).  We order
 timestamps lexicographically -- a *total* order, which is the documented
-simplification relative to Naiad's partially-ordered product lattice.
-The lattice operations (`join`, `meet`) are still provided and
-well-defined; with a total order they coincide with max and min.
+simplification relative to Naiad's partially-ordered product lattice,
+under which the lattice ``join`` (least upper bound) is simply max.
 """
 
 from __future__ import annotations
@@ -30,10 +29,6 @@ class Timestamp:
     def join(self, other: "Timestamp") -> "Timestamp":
         """Least upper bound (== max under the total order)."""
         return max(self, other)
-
-    def meet(self, other: "Timestamp") -> "Timestamp":
-        """Greatest lower bound (== min under the total order)."""
-        return min(self, other)
 
     def next_epoch(self) -> "Timestamp":
         return Timestamp(self.epoch + 1, 0)

@@ -7,8 +7,8 @@ and pull-style (re-evaluation over in-edges) traversals are O(1)-indexable
 (paper section 4.1).
 
 Within each row and column the neighbour arrays are sorted by the opposite
-endpoint, which makes membership tests and targeted deletions a binary
-search instead of a scan.
+endpoint, which makes targeted deletions a binary search instead of a
+scan.
 """
 
 from __future__ import annotations
@@ -174,12 +174,6 @@ class CSRGraph:
             self._in_degrees = np.diff(self._in_offsets)
         return self._in_degrees
 
-    def out_degree(self, v: int) -> int:
-        return int(self._out_offsets[v + 1] - self._out_offsets[v])
-
-    def in_degree(self, v: int) -> int:
-        return int(self._in_offsets[v + 1] - self._in_offsets[v])
-
     def in_weight_sums(self) -> np.ndarray:
         """Sum of incoming edge weights per vertex (CoEM's normaliser,
         cached)."""
@@ -215,27 +209,9 @@ class CSRGraph:
         """Targets of ``v``'s out-edges, sorted ascending."""
         return self._out_targets[self._out_offsets[v] : self._out_offsets[v + 1]]
 
-    def out_neighbor_weights(self, v: int) -> np.ndarray:
-        return self._out_weights[self._out_offsets[v] : self._out_offsets[v + 1]]
-
     def in_neighbors(self, v: int) -> np.ndarray:
         """Sources of ``v``'s in-edges, sorted ascending."""
         return self._in_sources[self._in_offsets[v] : self._in_offsets[v + 1]]
-
-    def in_neighbor_weights(self, v: int) -> np.ndarray:
-        return self._in_weights[self._in_offsets[v] : self._in_offsets[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.out_neighbors(u)
-        idx = np.searchsorted(row, v)
-        return bool(idx < row.size and row[idx] == v)
-
-    def edge_weight(self, u: int, v: int) -> float:
-        row = self.out_neighbors(u)
-        idx = np.searchsorted(row, v)
-        if idx >= row.size or row[idx] != v:
-            raise KeyError(f"edge ({u}, {v}) not in graph")
-        return float(self.out_neighbor_weights(u)[idx])
 
     # ------------------------------------------------------------------
     # Vectorised gathers (used by the kernels of repro.runtime.exec)
@@ -293,45 +269,6 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Conversions
     # ------------------------------------------------------------------
-    def edge_set(self) -> set:
-        """Edges as a Python set of ``(src, dst)`` pairs (testing helper)."""
-        src, dst, _ = self.all_edges()
-        return set(zip(src.tolist(), dst.tolist()))
-
-    def with_num_vertices(self, num_vertices: int) -> "CSRGraph":
-        """Return a copy grown (never shrunk) to ``num_vertices`` vertices."""
-        if num_vertices < self._num_vertices:
-            raise ValueError("cannot shrink a graph")
-        if num_vertices == self._num_vertices:
-            return self
-        if self.store is not None:
-            # Out of core: an empty batch through the store's splice.
-            empty = np.empty(0, dtype=np.int64)
-            return self.store.adjust(
-                self, num_vertices, empty, empty,
-                np.empty(0, dtype=np.float64), empty, empty,
-            )[0]
-        # Empty rows only pad the offsets; snapshots are immutable, so
-        # the grown one shares the four edge arrays.
-        pad = np.full(num_vertices - self._num_vertices, self.num_edges,
-                      dtype=np.int64)
-        grown = CSRGraph.from_canonical(
-            num_vertices,
-            np.concatenate([self._out_offsets, pad]), self._out_targets,
-            self._out_weights,
-            np.concatenate([self._in_offsets, pad]), self._in_sources,
-            self._in_weights,
-        )
-        cache = getattr(self, "_shard_cache", None)
-        if cache:
-            # Growth extends the last shard of every cached partition
-            # (deterministic ownership; see PartitionedCSR.extended_to).
-            grown._shard_cache = {
-                shards: partition.extended_to(num_vertices)
-                for shards, partition in cache.items()
-            }
-        return grown
-
     @classmethod
     def from_canonical(
         cls,

@@ -53,10 +53,6 @@ class MutationResult:
     _in_changed: Optional[np.ndarray] = field(default=None, repr=False)
     _added_mask: Optional[np.ndarray] = field(default=None, repr=False)
 
-    @property
-    def num_applied(self) -> int:
-        return int(self.add_src.size + self.del_src.size)
-
     def out_changed_vertices(self) -> np.ndarray:
         """Vertices whose out-edge set changed (sorted, unique).
 

@@ -83,22 +83,3 @@ class DependencyTree:
             tagged[children] = True
             frontier = children
         return np.flatnonzero(tagged)
-
-    def depths(self) -> np.ndarray:
-        """Depth of each vertex in the dependency forest (testing aid);
-        unreachable vertices get -1.  Raises on parent cycles."""
-        depths = np.full(self.num_vertices, -1, dtype=np.int64)
-        for vertex in range(self.num_vertices):
-            if depths[vertex] >= 0 or np.isinf(self.values[vertex]):
-                continue
-            chain = []
-            cursor = vertex
-            while cursor != NO_PARENT and depths[cursor] < 0:
-                chain.append(cursor)
-                cursor = int(self.parents[cursor])
-                if len(chain) > self.num_vertices:
-                    raise RuntimeError("dependency parents form a cycle")
-            base = 0 if cursor == NO_PARENT else depths[cursor] + 1
-            for offset, node in enumerate(reversed(chain)):
-                depths[node] = base + offset
-        return depths

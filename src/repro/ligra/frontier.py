@@ -132,11 +132,6 @@ class VertexSubset:
         subset._mask = None
         return subset
 
-    @classmethod
-    def from_mask(cls, mask) -> "VertexSubset":
-        mask = np.asarray(mask, dtype=bool)
-        return cls(mask.size, mask=mask)
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
@@ -164,35 +159,6 @@ class VertexSubset:
 
     def __contains__(self, vertex: int) -> bool:
         return bool(self.mask[vertex])
-
-    # ------------------------------------------------------------------
-    # Set algebra
-    # ------------------------------------------------------------------
-    def union(self, other: "VertexSubset") -> "VertexSubset":
-        if self.num_vertices != other.num_vertices:
-            raise ValueError("universe mismatch")
-        return VertexSubset.from_sorted_ids(
-            self.num_vertices,
-            union_ids(self.num_vertices, self.ids, other.ids),
-        )
-
-    def intersect(self, other: "VertexSubset") -> "VertexSubset":
-        if self.num_vertices != other.num_vertices:
-            raise ValueError("universe mismatch")
-        ids = self.ids
-        return VertexSubset.from_sorted_ids(
-            self.num_vertices,
-            ids[member_mask(self.num_vertices, ids, other.ids)],
-        )
-
-    def difference(self, other: "VertexSubset") -> "VertexSubset":
-        if self.num_vertices != other.num_vertices:
-            raise ValueError("universe mismatch")
-        ids = self.ids
-        return VertexSubset.from_sorted_ids(
-            self.num_vertices,
-            ids[~member_mask(self.num_vertices, ids, other.ids)],
-        )
 
     # ------------------------------------------------------------------
     # Representation choice

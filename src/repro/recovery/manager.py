@@ -65,6 +65,11 @@ __all__ = [
     "list_checkpoints",
 ]
 
+#: A transient ``OSError`` is retried this many times in all, sleeping
+#: ``RETRY_BACKOFF_S * 2 ** (attempt - 1)`` seconds between tries.
+RETRY_ATTEMPTS = 3
+RETRY_BACKOFF_S = 0.005
+
 #: The one place that knows how a checkpoint generation is named.
 _CKPT_NAME = "ckpt-{:020d}.ckpt"
 _CKPT_RE = re.compile(r"^ckpt-(\d{20})\.ckpt$")
@@ -121,8 +126,6 @@ class RecoveryManager:
         checkpoint_every: int = 16,
         retain: int = 3,
         segment_records: int = 256,
-        retry_attempts: int = 3,
-        retry_backoff: float = 0.005,
         poison_check: Callable[[np.ndarray], Optional[str]]
             = default_poison_check,
     ) -> None:
@@ -133,8 +136,6 @@ class RecoveryManager:
         self.directory = directory
         self.checkpoint_every = checkpoint_every
         self.retain = retain
-        self.retry_attempts = retry_attempts
-        self.retry_backoff = retry_backoff
         self.poison_check = poison_check
         self._checkpoint_dir = os.path.join(directory, "checkpoints")
         os.makedirs(self._checkpoint_dir, exist_ok=True)
@@ -257,9 +258,9 @@ class RecoveryManager:
             except OSError as exc:
                 attempt += 1
                 get_registry().counter("recovery.retries").inc()
-                if attempt >= self.retry_attempts:
+                if attempt >= RETRY_ATTEMPTS:
                     raise
-                time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
+                time.sleep(RETRY_BACKOFF_S * (2 ** (attempt - 1)))
                 trace_note = f"{what} attempt {attempt} failed: {exc}"
                 with trace.span("recovery.retry", detail=trace_note):
                     pass

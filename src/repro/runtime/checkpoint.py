@@ -81,7 +81,6 @@ import numpy as np
 from repro.core.engine import GraphBoltEngine
 from repro.core.history import DependencyHistory, IterationRecord
 from repro.core.model import IncrementalAlgorithm
-from repro.core.pruning import PruningPolicy
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
 from repro.graph.storage import (
@@ -388,7 +387,6 @@ def _verify_structure(index: dict, data: Dict[str, np.ndarray]) -> None:
 def load_engine(
     source,
     algorithm: IncrementalAlgorithm,
-    pruning: Optional[PruningPolicy] = None,
     store_root: Optional[str] = None,
     store_label: Optional[str] = None,
     **engine_kwargs,
@@ -399,6 +397,8 @@ def load_engine(
     ``algorithm`` must be configured identically to the one that was
     checkpointed (same class, shapes and aggregation); a fingerprint
     mismatch raises ``ValueError`` rather than corrupting results.
+    No tracking horizon is needed: it only steers an initial run, and
+    refinement's window is the stored history's length.
     ``store_root`` overrides the snapshot-store root a manifest-mode
     checkpoint recorded (replicas restore from their own spool, not the
     writer's); ``store_label`` names that spool if this creates it.
@@ -418,8 +418,7 @@ def load_engine(
             index["num_vertices"], *(data[name] for name in ARRAY_NAMES))
     engine = GraphBoltEngine(
         algorithm, num_iterations=index["num_iterations"],
-        until_convergence=bool(index["until_convergence"]),
-        pruning=pruning, **engine_kwargs)
+        until_convergence=bool(index["until_convergence"]), **engine_kwargs)
     engine._streaming = StreamingGraph(graph)
     engine._state = DeltaState(
         iteration=index["iteration"],

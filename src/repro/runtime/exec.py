@@ -107,16 +107,15 @@ class PartitionedCSR:
         """The cached partition of ``graph`` (computed on first use).
 
         The cache lives on the graph object so each snapshot carries its
-        partition; :meth:`CSRGraph.with_num_vertices` propagates cached
-        partitions to the grown snapshot by extending the last shard,
-        keeping boundaries deterministic across vertex growth.
+        partition.  Snapshots are immutable: a batch, vertex growth
+        included, yields a new snapshot, whose partition is computed
+        afresh from its own degrees.
         """
         cache = getattr(graph, "_shard_cache", None)
         if cache is None:
             cache = graph._shard_cache = {}
         partition = cache.get(num_shards)
-        if (partition is None
-                or partition.num_vertices != graph.num_vertices):
+        if partition is None:
             partition = cls.compute(graph, num_shards)
             cache[num_shards] = partition
         return partition
@@ -129,27 +128,10 @@ class PartitionedCSR:
     def num_vertices(self) -> int:
         return int(self.boundaries[-1])
 
-    def shard_sizes(self) -> np.ndarray:
-        return np.diff(self.boundaries)
-
     def shard_of(self, ids: np.ndarray) -> np.ndarray:
         """Owner shard of each vertex id (vectorised binary search)."""
         ids = np.asarray(ids, dtype=np.int64)
         return np.searchsorted(self.boundaries, ids, side="right") - 1
-
-    def extended_to(self, num_vertices: int) -> "PartitionedCSR":
-        """The partition of a grown vertex space: the last shard absorbs
-        every new vertex; all other boundaries are unchanged.
-
-        Growing the graph must not reshuffle ownership of existing
-        vertices mid-stream -- a rebalance would silently invalidate any
-        per-shard state a deployment keeps across batches.
-        """
-        if num_vertices < self.num_vertices:
-            raise ValueError("cannot shrink a partition")
-        boundaries = self.boundaries.copy()
-        boundaries[-1] = num_vertices
-        return PartitionedCSR(boundaries)
 
     def __repr__(self) -> str:
         return f"PartitionedCSR(P={self.num_shards}, V={self.num_vertices})"

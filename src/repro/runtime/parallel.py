@@ -104,10 +104,8 @@ class MakespanModel:
     cost is calibrated so one core reproduces the measurement.
     """
 
-    def __init__(self, per_iteration_span: float = 2048.0) -> None:
-        if per_iteration_span <= 0:
-            raise ValueError("span per iteration must be positive")
-        self.per_iteration_span = per_iteration_span
+    #: Span units charged per BSP iteration (the barrier).
+    PER_ITERATION_SPAN = 2048.0
 
     def breakdown(
         self, metrics: EngineMetrics, measured_seconds: float
@@ -129,7 +127,7 @@ class MakespanModel:
         iterations = max(
             metrics.iterations + metrics.refinement_iterations, 1
         )
-        span = iterations * self.per_iteration_span
+        span = iterations * self.PER_ITERATION_SPAN
         return MakespanBreakdown(loads, span, measured_seconds)
 
     def project(
@@ -145,17 +143,6 @@ class MakespanModel:
             return measured_seconds
         makespan = lpt_makespan(cost.shard_loads, cores)
         return (makespan + cost.span_units) * cost.unit_cost
-
-    def speedup(
-        self,
-        metrics: EngineMetrics,
-        measured_seconds: float,
-        cores: int,
-    ) -> float:
-        projected = self.project(metrics, measured_seconds, cores)
-        if projected <= 0:
-            return float("inf")
-        return measured_seconds / projected
 
     def imbalance(self, metrics: EngineMetrics) -> float:
         """Load-imbalance factor of the recorded shard vector."""

@@ -81,13 +81,6 @@ class ChaosConfig:
         return cls(seed=seed, drop=rate, duplicate=rate, corrupt=rate,
                    reorder=rate, delay=rate, delay_polls=delay_polls)
 
-    def any_enabled(self) -> bool:
-        return any(rate > 0 for rate in (
-            self.drop, self.duplicate, self.corrupt, self.reorder,
-            self.delay,
-        ))
-
-
 class ChaosTransport(ReplicationTransport):
     """Wraps ``inner`` with a deterministic lossy-network fault plan.
 

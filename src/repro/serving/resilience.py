@@ -50,7 +50,7 @@ import json
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.graph.mutation import MutationBatch, coalesce_batches
 from repro.obs import trace
@@ -148,11 +148,7 @@ class CircuitBreaker:
     sequence is a pure function of the event sequence.
     """
 
-    def __init__(
-        self,
-        config: Optional[BreakerConfig] = None,
-        on_transition: Optional[Callable[[str, str, str], None]] = None,
-    ) -> None:
+    def __init__(self, config: Optional[BreakerConfig] = None) -> None:
         self.config = config if config is not None else BreakerConfig()
         self._state = CLOSED
         self._consecutive_quarantines = 0
@@ -160,7 +156,6 @@ class CircuitBreaker:
         self._deferred_since_open = 0
         self.transitions: List[BreakerTransition] = []
         self.probes_sent = 0
-        self._on_transition = on_transition
         self._publish_state()
 
     # ------------------------------------------------------------------
@@ -179,19 +174,6 @@ class CircuitBreaker:
     def wants_probe(self) -> bool:
         return self.config.enabled and self._state == HALF_OPEN
 
-    def watch_transitions(
-        self, callback: Optional[Callable[[str, str, str], None]],
-    ) -> Optional[Callable[[str, str, str], None]]:
-        """Register the transition listener; returns the previous one.
-
-        The callback fires after the state has changed, so reading
-        :attr:`state` (or journaling a health snapshot) from inside it
-        sees the post-transition world.  One listener at a time: this
-        is a wiring point for the health journal, not an event bus.
-        """
-        previous, self._on_transition = self._on_transition, callback
-        return previous
-
     # ------------------------------------------------------------------
     def _transition(self, to_state: str, reason: str) -> None:
         from_state = self._state
@@ -206,8 +188,6 @@ class CircuitBreaker:
             pass
         get_registry().counter("serving.breaker_transitions").inc()
         self._publish_state()
-        if self._on_transition is not None:
-            self._on_transition(from_state, to_state, reason)
 
     def _publish_state(self) -> None:
         get_registry().gauge("serving.breaker_state").set(

@@ -99,9 +99,6 @@ class QueryRouter:
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------
-    def unhealthy(self) -> Dict[str, str]:
-        return dict(self._unhealthy)
-
     def mark_unhealthy(self, name: str, reason: str) -> None:
         self._unhealthy[name] = reason
         get_registry().counter("router.marked_unhealthy").inc()

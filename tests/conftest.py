@@ -13,6 +13,7 @@ from repro.core.refinement import _Refiner
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import bipartite_graph, rmat
 from repro.graph.mutation import MutationBatch
+from repro.kickstarter.trees import NO_PARENT
 
 
 @pytest.fixture
@@ -62,6 +63,37 @@ def make_random_batch(graph: CSRGraph, rng: np.random.Generator,
     )
     return MutationBatch.from_edges(additions=adds, deletions=dels,
                                     add_weights=weights)
+
+
+def edge_weights(graph: CSRGraph) -> dict:
+    """``{(src, dst): weight}`` over every edge of ``graph``."""
+    src, dst, weight = graph.all_edges()
+    return dict(zip(zip(src.tolist(), dst.tolist()), weight.tolist()))
+
+
+def edge_set(graph: CSRGraph) -> set:
+    """The ``(src, dst)`` pairs of ``graph``."""
+    return set(edge_weights(graph))
+
+
+def tree_depths(tree) -> np.ndarray:
+    """Depth of each vertex in a KickStarter dependency forest; -1 for
+    unreachable vertices.  Raises on parent cycles."""
+    depths = np.full(tree.num_vertices, -1, dtype=np.int64)
+    for vertex in range(tree.num_vertices):
+        if depths[vertex] >= 0 or np.isinf(tree.values[vertex]):
+            continue
+        chain = []
+        cursor = vertex
+        while cursor != NO_PARENT and depths[cursor] < 0:
+            chain.append(cursor)
+            cursor = int(tree.parents[cursor])
+            if len(chain) > tree.num_vertices:
+                raise RuntimeError("dependency parents form a cycle")
+        base = 0 if cursor == NO_PARENT else depths[cursor] + 1
+        for offset, node in enumerate(reversed(chain)):
+            depths[node] = base + offset
+    return depths
 
 
 def pin_refine_modes(monkeypatch, *modes: bool) -> None:

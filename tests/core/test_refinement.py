@@ -21,7 +21,6 @@ from repro.algorithms import (
     SSSP,
 )
 from repro.core.engine import GraphBoltEngine
-from repro.core.pruning import PruningPolicy
 from repro.core.refinement import _Refiner
 from repro.graph.generators import bipartite_graph, rmat
 from repro.graph.mutable import StreamingGraph
@@ -33,7 +32,7 @@ from repro.obs.trace import Tracer
 from repro.runtime.metrics import EngineMetrics
 from repro.runtime.validation import assert_same_results
 from repro.testing.workloads import FUZZ_ALGORITHMS
-from tests.conftest import make_random_batch, pin_refine_modes
+from tests.conftest import edge_weights, make_random_batch, pin_refine_modes
 
 CASES = [
     pytest.param(lambda: PageRank(), "rmat", 10, id="pagerank"),
@@ -127,14 +126,14 @@ class TestRefinementEqualsScratch:
             additions=[edge], deletions=[edge], add_weights=[2.25]
         )
         engine.apply_mutations(batch)
-        assert engine.graph.edge_weight(*edge) == 2.25
+        assert edge_weights(engine.graph)[edge] == 2.25
         check(engine, factory, iterations)
 
     def test_pruned_horizon_hybrid(self, factory, kind, iterations, rng):
         graph = build_graph(kind)
         engine = self.make_engine(
             factory, iterations, graph,
-            pruning=PruningPolicy(horizon=max(iterations // 3, 1)),
+            horizon=max(iterations // 3, 1),
         )
         for _ in range(3):
             batch = make_random_batch(engine.graph, rng, num_adds=10,
@@ -332,7 +331,7 @@ class TestSwitchPricing:
         mutation = StreamingGraph(graph).apply_batch(
             MutationBatch.from_edges(additions=[(0, 1)]))
         refiner = _Refiner(engine.algorithm, mutation, engine.history,
-                           EngineMetrics(), engine.pruning, "delta")
+                           EngineMetrics(), "delta")
         # Sources in id order until their out-edges cover the fraction.
         reach = np.cumsum(mutation.new_graph.out_degrees())
         count = int(np.searchsorted(reach, fraction * reach[-1])) + 1

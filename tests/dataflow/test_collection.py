@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataflow.collection import Collection
+from tests.dataflow.collection import Collection
 
 
 class TestMultisetBasics:

@@ -103,7 +103,7 @@ class TestDiamondFanOut:
         assert workload.algorithm == "sssp"
         report = check_workload(workload)
         assert "dataflow" in report.engines
-        assert report.ok, report.first_divergence()
+        assert report.ok, report.divergences
 
     def test_fuzz_workload_33_work_is_bounded(self):
         from repro.testing.oracle import build_runner

@@ -20,20 +20,20 @@ class TestOrdering:
 
 
 class TestLattice:
-    def test_join_meet(self):
+    def test_join(self):
         a, b = Timestamp(1, 3), Timestamp(2, 0)
         assert a.join(b) == b
-        assert a.meet(b) == a
         assert a.join(a) == a
 
     def test_lattice_laws(self):
+        # Join-semilattice: commutative, associative, idempotent.
         times = [Timestamp(e, s) for e in range(3) for s in range(3)]
         for a in times:
+            assert a.join(a) == a
             for b in times:
-                assert a.join(b) == b.join(a)
-                assert a.meet(b) == b.meet(a)
-                assert a.join(a.meet(b)) == a
-                assert a.meet(a.join(b)) == a
+                assert a.join(b) == b.join(a) == max(a, b)
+                for c in times:
+                    assert a.join(b).join(c) == a.join(b.join(c))
 
 
 class TestAdvancement:

@@ -467,7 +467,8 @@ class TestVolatileUntilPinned:
             # registry); the seal's second CRC is out_targets'.
             failpoints.arm("storage.segment_write", kind="corrupt", hit=2)
             store.seal(graph.snapshot_id)
-            assert failpoints.fired_sites() == ["storage.segment_write"]
+            assert [record.site for record in failpoints.fired] == [
+                "storage.segment_write"]
         reopened = MmapStore(str(tmp_path))
         reopened.open_snapshot(graph.snapshot_id)  # headers agree
         with pytest.raises(StoreError, match="out_targets.*CRC mismatch"):

@@ -9,6 +9,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
 from repro.graph.window import SlidingWindowStream
 from repro.ligra.engine import LigraEngine
+from tests.conftest import edge_set
 
 
 class TestWindowSemantics:
@@ -89,7 +90,7 @@ class TestAgainstSetModel:
                 edge for edge, when in last_seen.items()
                 if when > step - window
             }
-            assert graph.graph.edge_set() == expected
+            assert edge_set(graph.graph) == expected
             assert stream.live_edges == len(expected)
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.algorithms import LabelPropagation, PageRank, SSSP
 from repro.core.engine import GraphBoltEngine
-from repro.core.pruning import PruningPolicy
 from repro.graph.csr import CSRGraph
 from repro.graph.mutation import MutationBatch
 from repro.ligra.engine import LigraEngine
@@ -62,12 +61,8 @@ def run_and_check(algorithm_factory, data, iterations, tolerance=1e-6):
     num_vertices, edges, weights, batches, horizon = data
     graph = CSRGraph.from_edges(edges, num_vertices=num_vertices,
                                 weights=weights)
-    pruning = (
-        PruningPolicy(horizon=horizon) if horizon is not None
-        else PruningPolicy.track_everything()
-    )
     engine = GraphBoltEngine(algorithm_factory(), num_iterations=iterations,
-                             pruning=pruning)
+                             horizon=horizon)
     engine.run(graph)
     for batch in batches:
         values = engine.apply_mutations(batch)

@@ -11,7 +11,6 @@ import pytest
 
 from repro.algorithms import LabelPropagation
 from repro.core.engine import GraphBoltEngine
-from repro.core.pruning import PruningPolicy
 from repro.graph.generators import rmat
 from repro.ligra.engine import LigraEngine
 from repro.runtime.checkpoint import load_engine, save_engine
@@ -26,9 +25,8 @@ def factory():
 
 @pytest.mark.parametrize("label,kwargs", [
     ("plain", {}),
-    ("pruned", {"pruning": PruningPolicy(horizon=3)}),
+    ("pruned", {"horizon": 3}),
     ("rp", {"mode": "retract_propagate"}),
-    ("adaptive", {"pruning": PruningPolicy(adaptive_fraction=0.3)}),
 ])
 def test_twenty_batch_soak(label, kwargs, rng):
     graph = rmat(scale=7, edge_factor=5, seed=110, weighted=True)

@@ -17,12 +17,12 @@ from repro.bench.harness import (
     run_stream,
 )
 from repro.bench.workloads import mixed_stream
-from repro.core.pruning import PruningPolicy
 from repro.dataflow.graph_programs import DifferentialSSSP
 from repro.graph.generators import rmat
 from repro.graph.mutation import coalesce_batches
 from repro.kickstarter.engine import KickStarterEngine
 from repro.ligra.engine import LigraEngine
+from tests.conftest import edge_set
 
 
 class TestPaperMethodologyStream:
@@ -34,8 +34,7 @@ class TestPaperMethodologyStream:
             LigraRunner(lambda: PageRank(), 10),
             DeltaRunner(lambda: PageRank(), 10),
             GraphBoltRunner(lambda: PageRank(), 10),
-            GraphBoltRunner(lambda: PageRank(), 10,
-                            pruning=PruningPolicy(horizon=4)),
+            GraphBoltRunner(lambda: PageRank(), 10, horizon=4),
         ]
         for runner in runners:
             runner.setup(initial)
@@ -53,7 +52,7 @@ class TestPaperMethodologyStream:
         runner.setup(initial)
         for batch in batches:
             runner.apply(batch)
-        assert runner.graph.edge_set() == full.edge_set()
+        assert edge_set(runner.graph) == edge_set(full)
 
 
 class TestSSSPAcrossAllEngines:
@@ -96,6 +95,6 @@ class TestBufferedStreamConsumption:
         # coalesce policy) lands on the same graph and values.
         coalesced.apply(coalesce_batches(batches))
 
-        assert coalesced.graph.edge_set() == one_by_one.graph.edge_set()
+        assert edge_set(coalesced.graph) == edge_set(one_by_one.graph)
         assert np.allclose(coalesced.engine.values,
                            one_by_one.engine.values, atol=1e-7)

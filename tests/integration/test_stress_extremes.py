@@ -20,6 +20,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.graph.mutation import MutationBatch
 from repro.ligra.engine import LigraEngine
+from tests.conftest import edge_set
 
 
 def check_exact(engine, factory, iterations, tolerance=1e-6):
@@ -63,7 +64,7 @@ class TestTotalDestruction:
             additions=list(zip(src.tolist(), dst.tolist())),
             add_weights=weight.tolist(),
         ))
-        assert engine.graph.edge_set() == graph.edge_set()
+        assert edge_set(engine.graph) == edge_set(graph)
         check_exact(engine, lambda: LabelPropagation(num_labels=3), 8)
 
     def test_start_from_empty_graph(self):

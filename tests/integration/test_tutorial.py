@@ -12,7 +12,6 @@ from repro import (
     IncrementalAlgorithm,
     LigraEngine,
     MutationBatch,
-    PruningPolicy,
     SlidingWindowStream,
     SumAggregation,
     rmat,
@@ -103,8 +102,7 @@ class TestTutorialSteps:
         assert np.allclose(scores, truth, atol=1e-8)
 
     def test_step5_pruned_engine_still_exact(self):
-        engine = GraphBoltEngine(factory(), num_iterations=10,
-                                 pruning=PruningPolicy(horizon=5))
+        engine = GraphBoltEngine(factory(), num_iterations=10, horizon=5)
         engine.run(self.graph)
         engine.apply_mutations(
             MutationBatch.from_edges(additions=[(9, 3), (2, 17)])

@@ -12,7 +12,7 @@ from repro.graph.mutation import MutationBatch
 from repro.kickstarter.engine import KickStarterEngine
 from repro.kickstarter.trees import NO_PARENT
 from repro.ligra.engine import LigraEngine
-from tests.conftest import make_random_batch
+from tests.conftest import edge_weights, make_random_batch, tree_depths
 
 
 def ground_truth(graph, source, unit_weights=False):
@@ -49,15 +49,16 @@ class TestInitialRun:
         graph = rmat(scale=7, edge_factor=5, seed=21, weighted=True)
         engine = KickStarterEngine(graph, source=0)
         values, parents = engine.tree.values, engine.tree.parents
+        weights = edge_weights(graph)
         for vertex in range(graph.num_vertices):
             parent = parents[vertex]
             if parent == NO_PARENT:
                 assert vertex == 0 or np.isinf(values[vertex])
             else:
-                weight = graph.edge_weight(int(parent), vertex)
+                weight = weights[(int(parent), vertex)]
                 assert np.isclose(values[vertex], values[parent] + weight)
         # No cycles in the parent forest.
-        engine.tree.depths()
+        tree_depths(engine.tree)
 
     def test_unit_weights_mode(self):
         graph = rmat(scale=7, edge_factor=5, seed=22, weighted=True)
@@ -136,7 +137,7 @@ class TestMutations:
             engine.apply_mutations(
                 make_random_batch(engine.graph, rng, 15, 15)
             )
-        engine.tree.depths()  # raises on parent cycles
+        tree_depths(engine.tree)  # raises on parent cycles
 
 
 @st.composite

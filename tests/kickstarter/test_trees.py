@@ -9,6 +9,7 @@ from repro.kickstarter.trees import (
     DependencyTree,
     segmented_argmin,
 )
+from tests.conftest import tree_depths
 
 
 class TestSegmentedArgmin:
@@ -70,14 +71,14 @@ class TestDependencyTree:
 
     def test_depths(self):
         _, tree = self.make_tree()
-        assert tree.depths().tolist() == [0, 1, 2, 1]
+        assert tree_depths(tree).tolist() == [0, 1, 2, 1]
 
     def test_depths_detect_cycle(self):
         tree = DependencyTree(2)
         tree.values[:] = [1.0, 1.0]
         tree.parents[:] = [1, 0]
         with pytest.raises(RuntimeError, match="cycle"):
-            tree.depths()
+            tree_depths(tree)
 
     def test_grow_to(self):
         _, tree = self.make_tree()

@@ -13,7 +13,7 @@ from repro.recovery import RecoveryError, RecoveryManager, default_poison_check
 from repro.recovery import manager as manager_module
 from repro.runtime import checkpoint
 from repro.testing.faults import scoped_failpoints
-from tests.conftest import make_random_batch
+from tests.conftest import edge_set, make_random_batch
 
 ITERATIONS = 4
 
@@ -77,7 +77,7 @@ class TestCheckpointing:
         )
         assert seq == 5
         assert np.array_equal(restored.values, live.values)
-        assert restored.graph.edge_set() == live.graph.edge_set()
+        assert edge_set(restored.graph) == edge_set(live.graph)
 
     def test_rotation_retains_and_gcs(self, tmp_path, graph, rng):
         live = fresh_engine(graph)
@@ -201,21 +201,25 @@ class TestQuarantine:
 
 
 class TestRetries:
+    @pytest.fixture(autouse=True)
+    def no_backoff(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "RETRY_BACKOFF_S", 0.0)
+
     def test_transient_fault_is_retried(self, tmp_path, graph, rng):
         live = fresh_engine(graph)
         with scoped_registry() as registry, scoped_failpoints() as points:
-            manager = RecoveryManager(str(tmp_path), retry_backoff=0.0)
+            manager = RecoveryManager(str(tmp_path))
             manager.ensure_initial_checkpoint(live)
             points.arm("wal.append", kind="fault", hit=1)
             seq = manager.log_batch(make_random_batch(live.graph, rng))
             assert seq == 0
             assert registry.counter("recovery.retries").value == 1
-            assert points.fired_sites() == ["wal.append"]
+            assert [record.site for record in points.fired] == [
+                "wal.append"]
             manager.close()
 
     def test_persistent_fault_exhausts_retries(self, tmp_path):
-        manager = RecoveryManager(str(tmp_path), retry_attempts=3,
-                                  retry_backoff=0.0)
+        manager = RecoveryManager(str(tmp_path))
 
         def always_fails():
             raise OSError("disk on fire")
@@ -223,7 +227,8 @@ class TestRetries:
         with scoped_registry() as registry:
             with pytest.raises(OSError, match="disk on fire"):
                 manager._with_retries("test", always_fails)
-            assert registry.counter("recovery.retries").value == 3
+            assert registry.counter("recovery.retries").value == (
+                manager_module.RETRY_ATTEMPTS)
         manager.close()
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from repro.algorithms import LabelPropagation, PageRank, SSSP
 from repro.core.engine import GraphBoltEngine
-from repro.core.pruning import PruningPolicy
 from repro.graph.generators import rmat
 from repro.graph.storage import MmapStore, _HEADER_SIZE, _pack_header
 from repro.ligra.engine import LigraEngine
@@ -23,7 +22,7 @@ from repro.runtime.checkpoint import (
     verify_checkpoint_blob,
 )
 from repro.testing.faults import flip_byte
-from tests.conftest import make_random_batch
+from tests.conftest import edge_set, make_random_batch
 
 
 @pytest.fixture
@@ -49,7 +48,7 @@ class TestRoundtrip:
             tmp_path, lambda: PageRank(), graph, rng
         )
         assert np.array_equal(engine.values, restored.values)
-        assert restored.graph.edge_set() == engine.graph.edge_set()
+        assert edge_set(restored.graph) == edge_set(engine.graph)
         assert restored.history.horizon == engine.history.horizon
 
     def test_restored_engine_continues_incrementally(self, tmp_path,
@@ -88,8 +87,7 @@ class TestRoundtrip:
         lambda: PageRank(), lambda: LabelPropagation(num_labels=3)])
     def test_empty_history_roundtrip(self, tmp_path, graph, rng, factory):
         engine, restored = checkpoint_roundtrip(
-            tmp_path, factory, graph, rng,
-            pruning=PruningPolicy(horizon=0))
+            tmp_path, factory, graph, rng, horizon=0)
         assert engine.history.horizon == restored.history.horizon == 0
         batch = make_random_batch(engine.graph, rng, 6, 6)
         assert np.array_equal(engine.apply_mutations(batch),
@@ -435,13 +433,15 @@ class TestValidationOnLoad:
 
 class TestConfigurationRoundtrip:
     def test_non_default_pruning_policy(self, tmp_path, graph, rng):
-        policy = PruningPolicy(horizon=2, vertical=True)
-        engine = GraphBoltEngine(PageRank(), num_iterations=6,
-                                 pruning=policy)
+        # The horizon steers only the initial run; the restored engine
+        # is handed none and refines over the stored window.
+        engine = GraphBoltEngine(PageRank(), num_iterations=6, horizon=2)
         engine.run(graph)
         engine.apply_mutations(make_random_batch(engine.graph, rng, 8, 8))
         path = save_engine(engine, str(tmp_path / "pruned.ckpt"))
-        restored = load_engine(path, PageRank(), pruning=policy)
+        restored = load_engine(path, PageRank())
+        assert restored.horizon is None
+        assert restored.history.horizon == engine.history.horizon == 2
         assert np.array_equal(restored.values, engine.values)
         # Oracle-style: the next refinement must agree bit-for-bit.
         batch = make_random_batch(engine.graph, rng, 8, 8)

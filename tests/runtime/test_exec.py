@@ -21,6 +21,8 @@ from repro.algorithms import (
 from repro.core.aggregation import MaxAggregation
 from repro.core.engine import GraphBoltEngine
 from repro.graph.csr import CSRGraph
+from repro.graph.mutable import StreamingGraph
+from repro.graph.mutation import MutationBatch
 from repro.graph.storage import MmapStore
 from repro.runtime import exec as kernels
 from repro.runtime.exec import PartitionedCSR, load_imbalance
@@ -50,7 +52,6 @@ class TestPartitionedCSR:
             assert partition.boundaries[0] == 0
             assert partition.boundaries[-1] == graph.num_vertices
             assert np.all(np.diff(partition.boundaries) >= 0)
-            assert int(partition.shard_sizes().sum()) == graph.num_vertices
 
     def test_degree_balanced_cuts(self):
         # One hub holding nearly all edges: the hub's shard should not
@@ -77,34 +78,22 @@ class TestPartitionedCSR:
         assert PartitionedCSR.for_graph(graph, 3) is first
         assert PartitionedCSR.for_graph(graph, 5) is not first
 
-    def test_extended_to_grows_last_shard_only(self):
+    @pytest.mark.parametrize("shards", [2, 7])
+    def test_vertex_growth_recomputes_partition(self, shards):
+        """A vertex-growing batch yields a new snapshot whose cached
+        partition is its own degree-balanced split, not the old one's."""
         graph = _chain_graph()
-        partition = PartitionedCSR.compute(graph, 4)
-        grown = partition.extended_to(graph.num_vertices + 7)
-        assert np.array_equal(grown.boundaries[:-1],
-                              partition.boundaries[:-1])
-        assert grown.num_vertices == graph.num_vertices + 7
-        with pytest.raises(ValueError):
-            partition.extended_to(graph.num_vertices - 1)
-
-    def test_with_num_vertices_preserves_shard_boundaries(self):
-        """Satellite: growing a snapshot propagates every cached
-        partition deterministically by extending the last shard."""
-        graph = _chain_graph()
-        partition = PartitionedCSR.for_graph(graph, 4)
-        other = PartitionedCSR.for_graph(graph, 2)
-        grown = graph.with_num_vertices(graph.num_vertices + 5)
-        grown_partition = PartitionedCSR.for_graph(grown, 4)
-        assert np.array_equal(grown_partition.boundaries[:-1],
-                              partition.boundaries[:-1])
-        assert grown_partition.num_vertices == grown.num_vertices
-        # Every cached shard count was propagated, not just one.
+        streaming = StreamingGraph(graph)
+        PartitionedCSR.for_graph(graph, shards)
+        top = graph.num_vertices
+        grown = streaming.apply_batch(MutationBatch.from_edges(
+            additions=[(0, top + 2), (top + 4, 1)],
+            grow_to=top + 5)).new_graph
+        assert grown.num_vertices == top + 5
         assert np.array_equal(
-            PartitionedCSR.for_graph(grown, 2).boundaries[:-1],
-            other.boundaries[:-1],
+            PartitionedCSR.for_graph(grown, shards).boundaries,
+            PartitionedCSR.compute(grown, shards).boundaries,
         )
-        # Growing by zero returns the same object and cache.
-        assert graph.with_num_vertices(graph.num_vertices) is graph
 
     def test_empty_graph(self):
         graph = CSRGraph.from_edges([], num_vertices=0)
@@ -331,7 +320,8 @@ def _snapshot(graph_key, storage, tmp_path):
     if storage == "mmap":
         return MmapStore(str(tmp_path)).publish(graph)
     if storage == "grown":
-        return graph.with_num_vertices(graph.num_vertices + 3)
+        return StreamingGraph(graph).apply_batch(
+            MutationBatch(grow_to=graph.num_vertices + 3)).new_graph
     return graph
 
 
@@ -467,9 +457,11 @@ class TestMakespan:
     def test_makespan_monotone_and_calibrated(self):
         metrics = EngineMetrics()
         for shard, load in enumerate([400, 350, 300, 150]):
-            metrics.count_shard_load(str(shard), load)
+            metrics.count_shard_load(str(shard), 1000 * load)
         metrics.iterations = 3
-        model = MakespanModel(per_iteration_span=10.0)
+        model = MakespanModel()
+        assert model.breakdown(metrics, 1.0).span_units == (
+            3 * MakespanModel.PER_ITERATION_SPAN)
         measured = 2.5
         projections = [
             model.project(metrics, measured, cores)
@@ -499,9 +491,10 @@ class TestMakespan:
         metrics.count_edges(900)
         metrics.count_vertices(100)
         metrics.iterations = 2
-        model = MakespanModel(per_iteration_span=50.0)
+        model = MakespanModel()
         cost = model.breakdown(metrics, 1.0)
         assert cost.shard_loads.tolist() == [1000.0]
+        assert cost.span_units == 2 * MakespanModel.PER_ITERATION_SPAN
         # One undecomposed shard cannot be split: projection is flat.
         assert model.project(metrics, 1.0, 8) == pytest.approx(
             model.project(metrics, 1.0, 2)

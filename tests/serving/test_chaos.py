@@ -58,12 +58,13 @@ def ship(index, lines=("payload",)):
 class TestChaosConfig:
     def test_all_faults_enables_every_kind(self):
         config = ChaosConfig.all_faults(seed=7, rate=0.25)
-        assert config.any_enabled()
         assert (config.drop, config.duplicate, config.corrupt,
                 config.reorder, config.delay) == (0.25,) * 5
 
     def test_defaults_are_quiet(self):
-        assert not ChaosConfig(seed=7).any_enabled()
+        config = ChaosConfig(seed=7)
+        assert (config.drop, config.duplicate, config.corrupt,
+                config.reorder, config.delay) == (0.0,) * 5
 
 
 class TestChaosTransport:

@@ -196,9 +196,10 @@ class TestHealthSeq:
 class TestBreakerTimelinePin:
     def test_journal_timeline_matches_transition_history(
             self, graph, rng, tmp_path):
-        """Satellite pin: replay the journaled breaker states of a
-        poison/restore run and recover the breaker's own transition
-        history exactly -- same states, same order, chained."""
+        """Replay the breaker states a poison/restore run journals the
+        way ``repro serve --health-journal`` does (one snapshot per
+        submit): they trace the breaker's own transition history in
+        order, and the history chains."""
         manager = RecoveryManager(str(tmp_path), checkpoint_every=100,
                                   poison_check=growth_poison_check)
         resilient = ResilientAnalyticsServer(
@@ -207,20 +208,15 @@ class TestBreakerTimelinePin:
                                   cooldown_submits=2),
         )
         path = str(tmp_path / "health.jsonl")
+        # The storm: two poison batches trip the breaker OPEN; cooldown
+        # elapses over deferred good batches, a probe succeeds, and the
+        # breaker CLOSES again.
+        storm = [poison_batch() for _ in range(2)] + [
+            make_random_batch(graph, rng, 4, 4) for _ in range(4)]
         with JsonlJournal.open(path) as journal:
-            resilient.record_health(journal)  # pre-storm baseline
-            # Journal a snapshot the instant the breaker moves, so the
-            # timeline catches transitions that come and go within one
-            # submit (open -> half_open -> closed on a probe pump).
-            resilient.breaker.watch_transitions(
-                lambda *_: resilient.record_health(journal))
-            # The storm: two poison batches trip the breaker OPEN ...
-            for _ in range(2):
-                resilient.submit(poison_batch())
-            # ... cooldown elapses over deferred good batches, a probe
-            # succeeds, and the breaker CLOSES again.
-            for _ in range(4):
-                resilient.submit(make_random_batch(graph, rng, 4, 4))
+            for batch in storm:
+                resilient.submit(batch)
+                resilient.record_health(journal)
         assert resilient.breaker.state == "closed"
         transitions = resilient.breaker.transitions
         assert transitions, "the storm must actually engage the breaker"
@@ -231,9 +227,13 @@ class TestBreakerTimelinePin:
             state = record["breaker_state"]
             if not journaled or journaled[-1] != state:
                 journaled.append(state)
-        # The deduplicated journal timeline IS the transition history.
-        assert journaled == ["closed"] + [t.to_state
-                                         for t in transitions]
+        # A state that comes and goes within one submit (half_open on a
+        # probe pump) is not journaled: the deduplicated timeline is a
+        # subsequence of the transition history, ending where it ends.
+        history = iter(["closed"] + [t.to_state for t in transitions])
+        assert all(state in history for state in journaled), journaled
+        assert "open" in journaled
+        assert journaled[-1] == "closed"
         # And the history itself chains: each hop leaves from where
         # the previous one landed.
         previous = "closed"

@@ -82,7 +82,8 @@ class TestRouting:
         assert routed.attempts == 2
         assert routed.failovers == 1
         assert router.failovers == 1
-        assert "r0" in router.unhealthy()
+        # r0 is alive and bootstrapped: only the health mark hides it.
+        assert router.candidates() == ["r1"]
         # The original deadline object was consumed by the surviving
         # attempt -- no retry restarted the clock...
         assert deadline.checks > 0
@@ -102,7 +103,7 @@ class TestRouting:
         # The replica is alive and bootstrapped: the health probe
         # re-admits it, and it is the freshest candidate again.
         assert router.probe() == ["r0"]
-        assert router.unhealthy() == {}
+        assert "r0" in router.candidates()
         assert router.query(deadline=StepDeadline(1000)).served_by == "r0"
 
     def test_probe_keeps_a_dead_replica_quarantined(self, cluster):
@@ -114,9 +115,10 @@ class TestRouting:
         assert routed.served_by == "r1" and routed.attempts == 1
         router.mark_unhealthy("r0", "probe found it dead")
         assert router.probe() == []
-        assert "r0" in router.unhealthy()
         cluster.restart_replica("r0")
         cluster.sync()
+        # Still marked until a probe re-admits it.
+        assert "r0" not in router.candidates()
         assert router.probe() == ["r0"]
 
     def test_writer_fallback_when_every_replica_is_down(self, cluster):

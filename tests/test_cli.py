@@ -11,6 +11,7 @@ from repro.bench.matrix import expand, load_table, matrices_dir
 from repro.cli import main, parse_graph
 from repro.obs import read_journal
 from repro.obs.render import build_tree
+from tests.conftest import edge_set
 
 
 class TestParseGraph:
@@ -44,7 +45,7 @@ class TestParseGraph:
         path = str(tmp_path / "g.npz")
         io.save_npz(graph, path)
         loaded = parse_graph(f"file:{path}")
-        assert loaded.edge_set() == graph.edge_set()
+        assert edge_set(loaded) == edge_set(graph)
 
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
