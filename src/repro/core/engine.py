@@ -13,6 +13,9 @@ drives the full lifecycle:
    dependency-driven refinement over the tracked window, then hybrid
    forward execution to the end of the run, and commit the refined
    history for the next batch.
+3. ``adopt(batches, state)`` -- a read replica's path: adjust the
+   structure, take a state the writer's engine refined, and refine no
+   more until restored from a checkpoint.
 
 Two degraded strategies exist for the paper's motivation experiments:
 
@@ -100,12 +103,20 @@ class GraphBoltEngine:
 
     @property
     def history(self) -> DependencyHistory:
-        self._require_run()
+        self._require_history()
         return self._history
 
     def _require_run(self) -> None:
         if self._streaming is None:
             raise RuntimeError("call run() before using the engine")
+
+    def _require_history(self) -> None:
+        self._require_run()
+        if self._history is None:
+            raise RuntimeError(
+                "this engine adopted a state it did not refine and holds "
+                "no dependency history; restore it from a checkpoint to "
+                "refine again")
 
     # ------------------------------------------------------------------
     # Initial execution with dependency tracking
@@ -171,7 +182,7 @@ class GraphBoltEngine:
     # ------------------------------------------------------------------
     def apply_mutations(self, batch: MutationBatch) -> np.ndarray:
         """Mutate the graph and produce results for the new snapshot."""
-        self._require_run()
+        self._require_history()
         with trace.span("batch", engine=self.name,
                         algorithm=self.algorithm.name,
                         index=self.batches_applied,
@@ -188,7 +199,7 @@ class GraphBoltEngine:
         adjusts it and hands over the
         :class:`~repro.graph.mutable.MutationResult`.
         """
-        self._require_run()
+        self._require_history()
         with trace.span("batch", engine=self.name,
                         algorithm=self.algorithm.name,
                         index=self.batches_applied,
@@ -217,6 +228,39 @@ class GraphBoltEngine:
         self._history = new_history
         self._publish_gauges()
         return state.values
+
+    def adopt(self, batches, state: Optional[DeltaState]) -> None:
+        """Apply ``batches``' structure changes and take ``state`` as the
+        results for the new snapshot -- a state another engine refined
+        over the same stream, so nothing here refines.
+
+        ``state`` must be sized for the adjusted graph (checked after the
+        adjustment).  It is assigned, not copied into: a new state object
+        is what tells a query memo the results changed.  ``None``, or a
+        mismatch (``ValueError``), leaves the structure ahead of the
+        results until a later call brings their state.  The dependency
+        history no longer describes either, so it is dropped and a later
+        :meth:`apply_mutations` raises instead of refining from it.
+        """
+        self._require_run()
+        self._history = None
+        with trace.span("adopt", batches=len(batches)), \
+                Timer(self.metrics, "adjust_structure"):
+            for batch in batches:
+                self._streaming.apply_batch(batch)
+        self.batches_applied += len(batches)
+        if state is None:
+            return
+        num_vertices = self.graph.num_vertices
+        rows = {state.values.shape[0], state.prev_values.shape[0],
+                state.aggregate.shape[0]}
+        if rows != {num_vertices} or (
+                state.frontier.size
+                and int(state.frontier.max()) >= num_vertices):
+            raise ValueError(
+                f"a state of {sorted(rows)} rows cannot stand for a graph "
+                f"of {num_vertices} vertices")
+        self._state = state
 
     def _publish_gauges(self) -> None:
         """Live operational gauges (the paper's Table 9, continuously):
@@ -274,7 +318,7 @@ class GraphBoltEngine:
         "worst-case estimate", since vertical pruning shrinks every later
         iteration.
         """
-        self._require_run()
+        self._require_history()
         state = self._state
         baseline = (
             state.values.nbytes

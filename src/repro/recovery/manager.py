@@ -405,9 +405,10 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     def restore_engine(
         self, algorithm_factory: Callable[[], IncrementalAlgorithm],
-        **load_kwargs,
+        end_seq: Optional[int] = None, **load_kwargs,
     ) -> Tuple[GraphBoltEngine, int]:
-        """Newest loadable checkpoint + WAL-tail replay.
+        """Newest loadable checkpoint + WAL-tail replay up to
+        ``end_seq`` (default: the WAL head).
 
         Returns ``(engine, seq)`` where ``seq`` counts every WAL record
         consumed (quarantined ones included -- sequence numbers are
@@ -417,12 +418,13 @@ class RecoveryManager:
         set, so the loop terminates.
         """
         registry = get_registry()
+        end = self.wal.next_seq if end_seq is None else end_seq
         with trace.span("recovery.recover"):
             engine, base_seq = self._load_newest_checkpoint(
                 algorithm_factory, **load_kwargs
             )
             while True:
-                verdict = self._replay_tail(engine, base_seq)
+                verdict = self._replay_tail(engine, base_seq, end)
                 if verdict is None:
                     break
                 poison_seq, reason = verdict
@@ -431,7 +433,7 @@ class RecoveryManager:
                 engine, base_seq = self._load_newest_checkpoint(
                     algorithm_factory, **load_kwargs
                 )
-        seq = self.wal.next_seq if self.wal.next_seq > base_seq else base_seq
+        seq = max(end, base_seq)
         registry.gauge("recovery.recovered_seq").set(seq)
         return engine, seq
 
@@ -465,14 +467,16 @@ class RecoveryManager:
             f"({len(generations)} candidate(s) rejected)"
         )
 
-    def _replay_tail(self, engine: GraphBoltEngine,
-                     base_seq: int) -> Optional[Tuple[int, str]]:
-        """Apply WAL records >= ``base_seq``; returns a poison verdict
-        ``(seq, reason)`` on the first bad batch, else ``None``."""
+    def _replay_tail(self, engine: GraphBoltEngine, base_seq: int,
+                     end_seq: int) -> Optional[Tuple[int, str]]:
+        """Apply WAL records in ``[base_seq, end_seq)``; returns a poison
+        verdict ``(seq, reason)`` on the first bad batch, else ``None``."""
         registry = get_registry()
         replayed = 0
         with trace.span("recovery.replay", from_seq=base_seq):
             for seq, batch in self.wal.replay(base_seq):
+                if seq >= end_seq:
+                    break
                 if seq in self._quarantined:
                     continue
                 faults.hit("recover.replay")

@@ -64,6 +64,12 @@ file lands); restore reopens the segment files as ``np.memmap`` views
 under ``store_root`` (replicas pass their own spool) and pins them there
 the same way.
 
+:func:`pack_state` frames a rolling state alone the same way (its own
+index format, the same members and CRCs, no graph, no history) and
+:func:`unpack_state` reads it back through the same member reader:
+replication ships it so a replica installs the writer's state instead
+of refining again.
+
 The algorithm itself is *not* serialised; the caller supplies an
 equally configured instance at load time, and a fingerprint check
 rejects obvious mismatches.
@@ -100,17 +106,21 @@ __all__ = [
     "Checkpoint",
     "load_engine",
     "open_checkpoint",
+    "pack_state",
     "read_checkpoint_extra",
     "read_store_manifest",
     "save_engine",
+    "unpack_state",
     "verify_checkpoint_blob",
 ]
 
 _FORMAT = "repro-checkpoint"
 _FORMAT_VERSION = 4
-_STATE_ARRAYS = ("values", "prev_values", "aggregate", "frontier",
-                 "hist_initial", "hist_identity", "hist_offsets",
-                 "hist_g_idx", "hist_g_values", "hist_c_idx", "hist_c_values")
+#: A rolling state's arrays: all the engine mutates in place.
+_DELTA_FIELDS = ("values", "prev_values", "aggregate", "frontier")
+_STATE_ARRAYS = _DELTA_FIELDS + (
+    "hist_initial", "hist_identity", "hist_offsets",
+    "hist_g_idx", "hist_g_values", "hist_c_idx", "hist_c_values")
 
 
 class Checkpoint(NamedTuple):
@@ -135,7 +145,7 @@ def save_engine(engine: GraphBoltEngine, path: str,
     sequence number) are stored in the index, covered by its checksum,
     ignored by :func:`load_engine`, and read back with
     :func:`read_checkpoint_extra`."""
-    engine._require_run()
+    engine._require_history()
     graph = engine.graph
     state = engine._state
     history = engine._history
@@ -239,6 +249,49 @@ def _member(view, start: int, nbytes: int, context: str):
     return header, view[start + _HEADER_SIZE:end], end
 
 
+def _open_index(view, form: str, what: str, context: str):
+    """``(index, data start)`` of a :func:`_pack`-framed blob whose
+    CRC-checked index segment is a JSON object of format ``form``."""
+    _require(len(view) >= _HEADER_SIZE,
+             f"{context} is truncated before its index header ends")
+    (dtype, _, _), raw, start = _member(
+        view, 0, _HEADER.unpack_from(view)[2], f"{context} index")
+    try:
+        index = json.loads(bytes(raw)) if dtype == "|u1" else None
+    except ValueError:
+        index = None
+    _require(isinstance(index, dict) and index.get("format") == form,
+             f"{context} does not start with a {what} index")
+    return index, start
+
+
+def _read_members(view, index: dict, start: int,
+                  context: str) -> Dict[str, np.ndarray]:
+    """Every array the index lists, as read-only views of ``view``:
+    each member's header checked against the index and its payload
+    against its CRC32, at offsets that must tile the blob exactly."""
+    arrays, position = {}, start
+    for meta in index.get("arrays", ()):
+        try:
+            name, dtype, shape = meta["name"], meta["dtype"], meta["shape"]
+            count = math.prod(shape)
+            sound = (dtype in ("<i8", "<f8") and isinstance(count, int)
+                     and min(shape, default=0) >= 0
+                     and start + meta["offset"] == position)
+        except (KeyError, TypeError):
+            sound = False
+        _require(sound, f"index entry {meta!r} is malformed, overlaps its "
+                        f"neighbour or leaves the file")
+        header, raw, position = _member(
+            view, position, 8 * count, f"{context} array {name!r}")
+        _require(header == (dtype, count, meta.get("crc32")),
+                 f"array {name!r} header disagrees with the index")
+        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    _require(position == len(view),
+             f"{len(view) - position} bytes follow the last array")
+    return arrays
+
+
 def _read_index(source, context: Optional[str] = None):
     """``(view, index, data start, path, context)`` with the index
     segment's CRC and every index-only structural rule checked."""
@@ -253,16 +306,7 @@ def _read_index(source, context: Optional[str] = None):
         raise ValueError(
             f"unsupported checkpoint format: {context} is a pre-v4 .npz "
             f"archive (no reader is kept; re-checkpoint from a live engine)")
-    _require(len(view) >= _HEADER_SIZE,
-             f"{context} is truncated before its index header ends")
-    (dtype, _, _), raw, start = _member(
-        view, 0, _HEADER.unpack_from(view)[2], f"{context} index")
-    try:
-        index = json.loads(bytes(raw)) if dtype == "|u1" else None
-    except ValueError:
-        index = None
-    _require(isinstance(index, dict) and index.get("format") == _FORMAT,
-             f"{context} does not start with a checkpoint index")
+    index, start = _open_index(view, _FORMAT, "checkpoint", context)
     if index.get("version") != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported checkpoint version {index.get('version')!r}")
@@ -296,25 +340,7 @@ def open_checkpoint(source, context: Optional[str] = None) -> Checkpoint:
     Raises :class:`ValueError` naming the damaged region: the index, a
     member's header or payload, its offset, trailing bytes, a shape."""
     view, index, data_start, path, context = _read_index(source, context)
-    arrays, position = {}, data_start
-    for meta in index["arrays"]:
-        try:
-            name, dtype, shape = meta["name"], meta["dtype"], meta["shape"]
-            count = math.prod(shape)
-            sound = (dtype in ("<i8", "<f8") and isinstance(count, int)
-                     and min(shape, default=0) >= 0
-                     and data_start + meta["offset"] == position)
-        except (KeyError, TypeError):
-            sound = False
-        _require(sound, f"index entry {meta!r} is malformed, overlaps its "
-                        f"neighbour or leaves the file")
-        header, raw, position = _member(
-            view, position, 8 * count, f"{context} array {name!r}")
-        _require(header == (dtype, count, meta.get("crc32")),
-                 f"array {name!r} header disagrees with the index")
-        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    _require(position == len(view),
-             f"{len(view) - position} bytes follow the last array")
+    arrays = _read_members(view, index, data_start, context)
     _verify_structure(index, arrays)
     return Checkpoint(index, arrays, path)
 
@@ -422,8 +448,7 @@ def load_engine(
     engine._streaming = StreamingGraph(graph)
     engine._state = DeltaState(
         iteration=index["iteration"],
-        **{name: data[name].copy()  # all the engine mutates in place
-           for name in ("values", "prev_values", "aggregate", "frontier")})
+        **{name: data[name].copy() for name in _DELTA_FIELDS})
     # Copied: later histories share these bases; a view would pin the file.
     history = DependencyHistory(data["hist_initial"].copy(),
                                 data["hist_identity"].copy())
@@ -457,3 +482,33 @@ def verify_checkpoint_blob(blob: bytes,
     would silently fall back past it.  Returns the store manifest
     reference (``None`` for an inline graph)."""
     return open_checkpoint(blob, context).index["store_manifest"]
+
+
+# ----------------------------------------------------------------------
+# A rolling state on its own (what a replication writer ships)
+# ----------------------------------------------------------------------
+_STATE_FORMAT = "repro-state"
+
+
+def pack_state(state: DeltaState) -> bytes:
+    """``state`` in the checkpoint framing -- an index (format,
+    iteration) and one CRC-guarded member per array -- with no graph and
+    no history: the engine state a replication writer ships beside the
+    WAL records that produced it."""
+    fields = {"format": _STATE_FORMAT, "iteration": int(state.iteration)}
+    return b"".join(_pack(fields, {name: getattr(state, name)
+                                   for name in _DELTA_FIELDS}))
+
+
+def unpack_state(blob: bytes, context: str = "<state>") -> DeltaState:
+    """The :class:`DeltaState` a :func:`pack_state` blob holds, every
+    CRC checked before anything is read; its arrays are read-only views
+    of ``blob``.  Raises :class:`ValueError` naming the damaged region."""
+    view = memoryview(blob)
+    index, start = _open_index(view, _STATE_FORMAT, "state", context)
+    _require(isinstance(index.get("iteration"), int),
+             f"{context} index has no iteration")
+    arrays = _read_members(view, index, start, context)
+    _require(sorted(arrays) == sorted(_DELTA_FIELDS),
+             f"{context} holds {sorted(arrays)}, not {list(_DELTA_FIELDS)}")
+    return DeltaState(iteration=index["iteration"], **arrays)

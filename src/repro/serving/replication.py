@@ -1,45 +1,49 @@
 """WAL-shipped read replicas with epoch fencing.
 
 One **writer** owns ingestion: it applies batches durably through the
-PR-3 recovery stack (segmented WAL + atomic checkpoints) and ships
-three kinds of immutable artifacts to N **read replicas** over a
-transport abstraction (:mod:`repro.serving.transport`):
+recovery stack (segmented WAL + atomic checkpoints) and ships three
+kinds of immutable artifacts to N **read replicas** over a transport
+(:mod:`repro.serving.transport`):
 
-- **the WAL tail, every round** -- the records ``[shipped, stable)`` of
-  every segment, the open one included, as raw CRC-guarded lines the
-  replica re-verifies end-to-end with the WAL's own decoder.  A record
-  is shippable once its append returned (it is fsynced by then), so
-  freshness follows the batch, not the checkpoint interval;
-- **checkpoints, on the writer's cadence** -- its atomic
-  ``ckpt-<seq>.ckpt`` files, adopted byte-for-byte.  Records below a
-  checkpoint ship before it, so a caught-up replica adopts it in place
-  (no reload); it is also how a fresh replica bootstraps and how a
-  lagging one heals past garbage-collected history;
-- **store segments, to links that lack them** -- when the writer's
-  graph lives in an mmap :class:`~repro.graph.storage.MmapStore`, its
-  checkpoints record a *manifest reference* instead of inlining the
-  edge arrays.  A bootstrapping, lagging or NACKed link gets the
-  CRC-guarded segment files that reference names ahead of the
-  checkpoint, copied into the replica's own store spool -- bootstrap is
-  a file copy plus a WAL *tail* replay, never a replay of the full
-  history.  A caught-up replica is sent none: it derived the same
-  snapshot by replaying, and binds the reference to its own generation
-  after checking every array's dtype, count and CRC32
+- **the WAL tail, every round** -- the records ``[shipped, stable)`` as
+  raw CRC-guarded lines, shippable once their append returned, so
+  freshness follows the batch, not the checkpoint interval.  The
+  shipment that ends at the stable boundary also carries the writer's
+  engine state (:func:`~repro.runtime.checkpoint.pack_state`);
+- **checkpoints, on the writer's cadence** -- ``ckpt-<seq>.ckpt`` files
+  adopted byte-for-byte.  Records below a checkpoint ship before it, so
+  a caught-up replica adopts it in place; it is also how a fresh
+  replica bootstraps and how a lagging one heals past GC'd history;
+- **store segments, to links that lack them** -- an mmap writer's
+  checkpoints reference its :class:`~repro.graph.storage.MmapStore`
+  files instead of inlining edge arrays.  A bootstrapping, lagging or
+  NACKed link gets those CRC-guarded files ahead of the checkpoint, so
+  bootstrap is a file copy plus a WAL *tail* replay.  A caught-up
+  replica derived the same snapshot and binds the reference to its own
+  generation after checking every array's dtype, count and CRC32
   (:meth:`~repro.graph.storage.MmapStore.alias_snapshot`).
 
-Each replica replays into its own state directory (a WAL *mirror* plus
-adopted checkpoints) that is structurally identical to a writer's --
-which is exactly what makes promotion possible: failover recovers a new
-writer from a replica directory with the ordinary
-:meth:`~repro.recovery.manager.RecoveryManager.recover` path.
+**Replica replay applies structure and installs state.**  A replica
+checks every record CRC and the state CRC of a segment shipment first,
+then mirrors each fresh record in its own WAL, applies its structure
+change and installs the writer's state: nothing on the live path
+refines, so its values equal the writer's by construction.  It refines
+-- through the ordinary checkpoint + mirror replay -- only when it
+bootstraps, restarts or is promoted, and when a delivery would
+otherwise end with its structure ahead of its state (the state-bearing
+shipment was dropped, NACKed or reordered:
+``replication.state_reloads``).  Its directory (WAL mirror plus
+adopted checkpoints) is structurally a writer's, which makes promotion
+an ordinary
+:meth:`~repro.recovery.manager.RecoveryManager.recover`.
 
-Replica replay is sequence-driven and idempotent: records below the
-replica's position are deduplicated, a record *above* it raises
-:class:`ReplicationGapError` (never silently skipped -- see
-:meth:`~repro.recovery.manager.RecoveryManager.segment_views`), and
-the cluster heals a gap by asking the writer to **resync** from the
-replica's position (re-shipping segments, or the newest checkpoint when
-the history was GC'd).
+Replay is sequence-driven and idempotent: records below the replica's
+position are deduplicated; a record *above* it raises
+:class:`ReplicationGapError` (never silently skipped), and the cluster
+heals the gap by asking the writer to **resync** from the replica's
+position.  The writer's durable skip-marks (poison, sheds, coalesce
+supersedes) ship with every segment, so a replica skips exactly the
+records the writer skipped.
 
 **Fencing**: every shipment carries the writer's *epoch*.  Promotion
 advances the cluster epoch (:class:`EpochAuthority`) and fences every
@@ -47,12 +51,6 @@ surviving replica; a deposed writer's late shipments arrive with a
 stale epoch and are rejected into a durable ``fence_ledger.jsonl`` --
 the ledger the replicated crash fuzzer checks to prove a fenced
 writer's segments were provably rejected, not silently dropped.
-
-The writer's durable skip-marks (poison quarantine, admission sheds,
-coalesce supersedes) ship alongside segments, so replica replay skips
-exactly the records the writer skipped and converges bit-for-bit --
-``json`` round-trips IEEE-754 doubles exactly, so shipped records
-reconstruct the writer's batches to the bit.
 
 Failpoints (:mod:`repro.testing.faults`): ``replication.ship`` (crash =
 writer dies mid-ship; fault = shipment lost in transit; corrupt = one
@@ -63,8 +61,8 @@ mid-apply; fault = delivery deferred one round -- planted lag),
 failover).
 
 **Hostile transports**: every shipment's payload is CRC-guarded end to
-end (WAL record CRCs, store-segment headers), so a replica detects a
-corrupt delivery at apply time and raises
+end (WAL records, state members, store-segment headers), so a replica
+detects a corrupt delivery at apply time and raises
 :class:`ShipmentIntegrityError` -- a NACK.  The cluster answers a NACK
 the same way it answers a gap: discard the bad shipment, rewind the
 link, re-ship.  Retries are bounded by a :class:`RetryPolicy`
@@ -82,6 +80,7 @@ import json
 import os
 import shutil
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -105,7 +104,9 @@ from repro.recovery.manager import (
 from repro.recovery.wal import SegmentView, payload_to_batch
 from repro.recovery.wal import _decode_record  # CRC-checked end-to-end
 from repro.runtime.checkpoint import (
+    pack_state,
     read_store_manifest,
+    unpack_state,
     verify_checkpoint_blob,
 )
 from repro.runtime.deadline import Deadline
@@ -137,9 +138,6 @@ __all__ = [
     "replication_status",
 ]
 
-#: Replicas never self-checkpoint -- they adopt the writer's -- so
-#: their manager cadence is effectively "never".
-_REPLICA_CHECKPOINT_EVERY = 10 ** 9
 _INBOX = "inbox"  # a directory link's spool, inside the replica's directory
 
 
@@ -172,14 +170,13 @@ class _Link:
     next_to_ship: int = 0
     checkpoint_shipped: int = -1
     sent: int = 0
-    lost: int = 0
     #: Snapshot ids whose store segment files were already shipped on
     #: this link (manifest-mode checkpoints only).
     store_shipped: set = field(default_factory=set)
 
 
 class ReplicationWriter:
-    """Ships a durable writer's WAL tail + checkpoints to links.
+    """Ships a durable writer's WAL tail, state and checkpoints.
 
     Wraps a :class:`ResilientAnalyticsServer` whose server holds a
     :class:`RecoveryManager` -- the writer role *is* the PR-5 resilient
@@ -197,6 +194,9 @@ class ReplicationWriter:
         self.epoch = epoch
         self._links: Dict[str, _Link] = {}
         self.resyncs = 0
+        #: ``(state, blob)``: the last state shipped, packed once for
+        #: every link (the state held weakly, like the query memo's).
+        self._packed: Optional[tuple] = None
 
     @property
     def manager(self) -> RecoveryManager:
@@ -310,12 +310,31 @@ class ReplicationWriter:
                 kind="segment", epoch=self.epoch, index=link.sent,
                 first_seq=first, end_seq=end,
                 lines=tuple(segment.lines(first, end)),
+                blob=self._state_at(end),
                 skip=self.manager.quarantine_reasons(),
             )
             sent += self._send(link, shipment,
                                "replication.segments_shipped")
             link.next_to_ship = end
         return sent
+
+    def _state_at(self, seq: int) -> bytes:
+        """The engine state, packed, for the shipment ending at ``seq``
+        if that is the stable boundary (else nothing).  Every record
+        below the boundary is resolved, so the engine must stand exactly
+        there: checked, not assumed."""
+        if seq != self.resilient.stable_seq():
+            return b""
+        server = self.resilient.server
+        if server.state_seq > seq or not self.manager.quarantined.issuperset(
+                range(server.state_seq, seq)):
+            raise ReplicationError(
+                f"the writer's state stands at seq {server.state_seq}, "
+                f"not at the stable boundary {seq}")
+        state = server.engine._state
+        if self._packed is None or self._packed[0]() is not state:
+            self._packed = (weakref.ref(state), pack_state(state))
+        return self._packed[1]
 
     def _ship_checkpoint(self, link: _Link, seq: int, path: str,
                          store_files: bool = True) -> int:
@@ -386,7 +405,6 @@ class ReplicationWriter:
             except InjectedFault:
                 # Lost in transit: the writer believes it sent, the
                 # replica never sees it -- the planted segment drop.
-                link.lost += 1
                 get_registry().counter(
                     "replication.shipments_lost").inc()
                 return 0
@@ -442,10 +460,10 @@ class ReadReplica:
             until_convergence=until_convergence,
             max_iterations=max_iterations,
         )
-        self.manager = RecoveryManager(
-            directory, checkpoint_every=_REPLICA_CHECKPOINT_EVERY,
-            retain=2, segment_records=segment_records,
-        )
+        # Never ingesting, a replica never self-checkpoints: it adopts
+        # the writer's checkpoints.
+        self.manager = RecoveryManager(directory, retain=2,
+                                       segment_records=segment_records)
         #: Where shipped snapshot-store segment files land; manifest-
         #: mode checkpoints are restored against this root, so the
         #: replica never touches the writer's store directory.
@@ -519,23 +537,30 @@ class ReadReplica:
     # ------------------------------------------------------------------
     # Applying shipments
     # ------------------------------------------------------------------
-    def poll(self) -> int:
-        """Drain the inbox; returns shipments consumed.
+    def poll(self) -> None:
+        """Drain the inbox.
 
         Raises :class:`ReplicationGapError` when a shipment starts past
         this replica's position (the offending shipment stays peeked so
         the cluster can discard it and request a resync), and lets
         injected crashes/faults propagate -- the cluster layer decides
         whether that means a dead replica or a deferred delivery.
+        It may stop with the structure ahead of the state; the cluster
+        calls :meth:`settle` once delivery ends.
         """
-        consumed = 0
-        while True:
-            shipment = self.inbox.peek()
-            if shipment is None:
-                return consumed
+        while (shipment := self.inbox.peek()) is not None:
             self._apply_shipment(shipment)
             self.inbox.ack()
-            consumed += 1
+
+    def settle(self) -> None:
+        """Reload through the recovery path (checkpoint + mirror replay)
+        when the mirror stands past the installed state: the shipment
+        that carried the state was dropped, NACKed or reordered."""
+        server = self.server
+        if server is not None and server.state_seq != self.next_seq:
+            get_registry().counter("replication.state_reloads").inc()
+            with trace.span("replication.reload", replica=self.name):
+                self._load_from_disk()
 
     def discard_pending(self) -> None:
         """Drop the unusable head shipment (out-of-order delivery)."""
@@ -668,29 +693,34 @@ class ReadReplica:
         get_registry().counter("replication.snapshots_aliased").inc()
 
     def _apply_segment(self, shipment: Shipment) -> None:
+        what = f"segment [{shipment.first_seq}, {shipment.end_seq})"
         if self.server is None:
             # No checkpoint adopted yet: segments cannot bootstrap a
             # replica (the WAL holds mutations, not the initial graph).
             raise ReplicationGapError(
-                f"replica {self.name!r} received segment "
-                f"[{shipment.first_seq}, {shipment.end_seq}) before "
-                f"any checkpoint"
-            )
-        position = self.next_seq
-        records = []
+                f"replica {self.name!r} received {what} before any "
+                f"checkpoint")
+        position, records = self.next_seq, []
+        # Transit bit-rot in a record (CRC mismatch, or no longer
+        # parses) or in the state: NACK before anything is applied.
         for line in shipment.lines:
             try:
                 seq, payload = _decode_record(line)  # CRC re-verified
             except ValueError as exc:
-                # Transit bit-rot: the record no longer matches its
-                # CRC (or no longer parses at all).  NACK the whole
-                # shipment -- nothing from it has been applied yet.
+                get_registry().counter(
+                    "replication.record_rejections").inc()
                 raise ShipmentIntegrityError(
-                    f"replica {self.name!r} rejected segment "
-                    f"[{shipment.first_seq}, {shipment.end_seq}): {exc}"
+                    f"replica {self.name!r} rejected {what}: {exc}"
                 ) from exc
             if seq >= position:
                 records.append((seq, payload))
+        try:
+            state = (unpack_state(shipment.blob, f"state of {what}")
+                     if shipment.blob else None)
+        except ValueError as exc:
+            get_registry().counter("replication.state_rejections").inc()
+            raise ShipmentIntegrityError(
+                f"replica {self.name!r} rejected {what}: {exc}") from exc
         if not records:
             return  # fully deduplicated redelivery
         if records[0][0] > position:
@@ -700,6 +730,7 @@ class ReadReplica:
                 f"records [{position}, {records[0][0]}) were lost or "
                 f"reordered in transit"
             )
+        batches = []
         for seq, payload in records:
             batch = payload_to_batch(payload)
             mirrored = self.manager.log_batch(batch)
@@ -708,9 +739,11 @@ class ReadReplica:
                     f"mirror desync on {self.name!r}: appended at "
                     f"{mirrored}, record says {seq}"
                 )
-            if seq in self.manager.quarantined:
-                continue  # the writer durably skipped it; so do we
-            self.server.ingest(batch, logged_seq=seq)
+            if seq not in self.manager.quarantined:  # the writer's skips
+                batches.append(batch)
+        # Structure now; the state if it came (else a later shipment of
+        # this delivery brings it, or settle() reloads).
+        self.server.install(batches, state, shipment.end_seq)
 
     def _load_from_disk(self) -> None:
         engine, seq = self.manager.restore_engine(
@@ -719,7 +752,7 @@ class ReadReplica:
         )
         self.server = StreamingAnalyticsServer.from_engine(
             engine, self.algorithm_factory,
-            batches_ingested=seq, recovery=self.manager,
+            batches_ingested=seq,  # no recovery: it never ingests
             **self._query_kwargs,
         )
 
@@ -822,13 +855,12 @@ class ReplicationCluster:
         self.replicas: Dict[str, ReadReplica] = {}
         self.deposed: List[ReplicationWriter] = []
         self.gap_resyncs = 0
-        self.deferred_deliveries = 0
         self._delivering: Optional[str] = None
         names = replica_names if replica_names is not None else [
             f"r{index}" for index in range(replicas)
         ]
         for name in names:
-            self._add_replica(name)
+            self._handshake(self._spawn(name, self._make_inbox(name)))
 
     # ------------------------------------------------------------------
     def _replica_dir(self, name: str) -> str:
@@ -852,11 +884,6 @@ class ReplicationCluster:
         )
         replica.fence(self.authority.epoch)
         self.replicas[name] = replica
-        return replica
-
-    def _add_replica(self, name: str) -> ReadReplica:
-        replica = self._spawn(name, self._make_inbox(name))
-        self._handshake(replica)
         return replica
 
     def _handshake(self, replica: ReadReplica) -> None:
@@ -961,18 +988,20 @@ class ReplicationCluster:
         return self._delivering
 
     def _deliver(self, replica: ReadReplica) -> None:
+        """Drain ``replica``, resyncing past NACKs and gaps.  However
+        delivery ends, short of a crash (a restart reloads anyway), the
+        replica settles: it never serves structure ahead of state."""
         attempts = 0
         while True:
             try:
                 replica.poll()
-                return
+                break
             except InjectedFault:
                 # Deferred delivery: the shipment stays queued and the
                 # replica simply lags this round -- planted lag.
-                self.deferred_deliveries += 1
                 get_registry().counter(
                     "replication.deliveries_deferred").inc()
-                return
+                break
             except ShipmentIntegrityError as exc:
                 # NACK: the shipment failed its CRC re-check.  Drop it
                 # and re-request the range from the writer; a link that
@@ -989,16 +1018,19 @@ class ReplicationCluster:
                         reason=f"integrity budget exhausted: {exc}",
                         attempts=attempts - 1,
                     )
+                    replica.settle()
                     raise
                 replica.discard_pending()
                 self.writer_node.resync(replica.name, replica.next_seq)
             except (ReplicationGapError, SegmentGapError):
                 attempts += 1
                 if attempts > self.retry_policy.max_attempts:
+                    replica.settle()
                     raise
                 replica.discard_pending()
                 self.gap_resyncs += 1
                 self.writer_node.resync(replica.name, replica.next_seq)
+        replica.settle()
 
     # ------------------------------------------------------------------
     # Failure / failover choreography

@@ -107,6 +107,9 @@ class StreamingAnalyticsServer:
                                       num_iterations=approx_iterations)
         self.engine.run(graph)
         self.batches_ingested = 0
+        #: The WAL position the engine's state stands at: every record
+        #: below it is applied or skip-marked, none above it is.
+        self.state_seq = 0
         self.queries_served = 0
         self.queries_degraded = 0
         self.batches_quarantined = 0
@@ -161,6 +164,7 @@ class StreamingAnalyticsServer:
         )
         server.engine = engine
         server.batches_ingested = batches_ingested
+        server.state_seq = batches_ingested
         server.queries_served = 0
         server.queries_degraded = 0
         server.batches_quarantined = 0
@@ -237,6 +241,7 @@ class StreamingAnalyticsServer:
         if poison is None:
             poison = self.recovery.poison_check(values)
         if poison is None:
+            self.state_seq = seq + 1
             return values
         return self._quarantine(seq, poison)
 
@@ -246,12 +251,13 @@ class StreamingAnalyticsServer:
         ``apply_mutations`` may have mutated the graph structure before
         failing, so the in-memory engine is untrusted; the durable state
         (which never applied the batch's *effects*, only logged it) is
-        the rollback source.
+        the rollback source.  The replay stops at ``seq``: records above
+        it may still wait in an admission queue, which applies them.
         """
         self.recovery.quarantine(seq, reason)
         with trace.span("quarantine", seq=seq, reason=reason):
-            engine, _ = self.recovery.restore_engine(
-                self.algorithm_factory
+            engine, self.state_seq = self.recovery.restore_engine(
+                self.algorithm_factory, end_seq=seq + 1
             )
         self.engine = engine
         self.batches_quarantined += 1
@@ -260,6 +266,17 @@ class StreamingAnalyticsServer:
         registry.counter("serving.batches_quarantined").inc()
         registry.counter("serving.restores").inc()
         return self.engine.values
+
+    def install(self, batches, state, seq: int) -> None:
+        """Apply ``batches``' structure and take ``state`` -- refined by
+        another server over the same stream, standing at WAL position
+        ``seq`` -- as the main loop's results, without refining (see
+        :meth:`GraphBoltEngine.adopt`; ``state=None`` adjusts only, and
+        :attr:`state_seq` stays behind).  A read replica's live path."""
+        self.engine.adopt(batches, state)
+        self.batches_ingested += len(batches)
+        if state is not None:
+            self.state_seq = seq
 
     # ------------------------------------------------------------------
     # Branch loop

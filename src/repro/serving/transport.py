@@ -69,7 +69,9 @@ class Shipment:
     """One immutable unit shipped writer -> replica.
 
     ``kind`` is ``"segment"`` (raw encoded WAL lines for records
-    ``[first_seq, end_seq)`` plus the writer's skip-mark ledger),
+    ``[first_seq, end_seq)`` plus the writer's skip-mark ledger, and in
+    ``blob`` its packed engine state when ``end_seq`` is its stable
+    boundary),
     ``"checkpoint"`` (the atomic archive covering ``[0, first_seq)``,
     byte-for-byte in ``blob``), or ``"store"`` (one snapshot-store
     segment file a manifest-mode checkpoint references, byte-for-byte
@@ -117,11 +119,14 @@ def corrupt_shipment(shipment: Shipment) -> Shipment:
     The flip lands *inside* the CRC-guarded payload (the middle WAL
     line, or the blob), never in the JSON envelope: a corrupt shipment
     still parses and routes, and only the replica's end-to-end CRC
-    re-verification can catch it.  WAL lines are ASCII, and XOR 0x01
-    keeps ASCII ASCII, so the flipped line survives JSON transport
-    intact.  A shipment with no payload is returned unchanged.
+    re-verification can catch it.  A segment shipment carrying both
+    (the writer's state rides with its records) has its blob hit when
+    its send index is odd, so each gate sees damage.  WAL lines are
+    ASCII, and XOR 0x01 keeps ASCII ASCII, so the flipped line survives
+    JSON transport intact.  A shipment with no payload is returned
+    unchanged.
     """
-    if shipment.lines:
+    if shipment.lines and not (shipment.blob and shipment.index % 2):
         lines = list(shipment.lines)
         middle = len(lines) // 2
         raw = lines[middle].encode("utf-8")
@@ -220,7 +225,10 @@ class DirectoryTransport(ReplicationTransport):
         self._held: Optional[Shipment] = None
         self._cursor_path = os.path.join(directory, "cursor.json")
         self._cursor = read_json_int(self._cursor_path, "acked")
-        self._send_count = len(self._spool())
+        # Past the cursor and every file still spooled: acked files are
+        # gone, so the spool's length would number new ones below them.
+        self._send_count = max([self._cursor] + [
+            int(name[5:-5]) + 1 for name in self._spool()])
         self._torn_name: Optional[str] = None
         self._torn_streak = 0
 

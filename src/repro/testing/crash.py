@@ -83,6 +83,15 @@ _SEGMENT_RECORDS = {"durable": 4, "resilient": 256, "cluster": 2}
 FAULT_KINDS = ("drop", "duplicate", "corrupt", "reorder", "delay")
 CHAOS_RATE = 0.1
 
+#: What a chaos round tallies from the replication counters: NACKs at
+#: the two CRC gates a corrupt segment shipment can fail (records, the
+#: writer's state -- the sweep requires both to fire) and the reloads a
+#: lost state forces.
+_CHAOS_COUNTERS = {"record_nacks": "replication.record_rejections",
+                   "state_nacks": "replication.state_rejections",
+                   "state_reloads": "replication.state_reloads"}
+NACK_GATES = ("record_nacks", "state_nacks")
+
 #: Keep fuzz rounds fast: the production attempt budget and backoff
 #: shape, toy delays (real time never enters a retry decision).
 _FAST_RETRY = RetryPolicy(max_attempts=8, backoff_base=0.0001,
@@ -136,9 +145,11 @@ class CrashRound:
     #: Torn temps / unpublished segments a storage kill left on disk.
     debris_files: int = 0
     #: Chaos rows: injected faults per kind, the applied fault
-    #: schedule, the dead-letter ledger size.
+    #: schedule, the replicas' answers to it (``_CHAOS_COUNTERS``), the
+    #: dead-letter ledger size.
     faults: Dict[str, int] = field(default_factory=dict)
     schedule: List[dict] = field(default_factory=list)
+    answers: Dict[str, int] = field(default_factory=dict)
     dead_letters: int = 0
 
     def summary(self) -> str:
@@ -149,7 +160,8 @@ class CrashRound:
         if self.debris_files:
             facts["debris"] = self.debris_files
         if self.faults:
-            facts.update(self.faults, dead_letters=self.dead_letters)
+            facts.update(self.faults, **self.answers,
+                         dead_letters=self.dead_letters)
         body = " ".join(f"{key}={value}" for key, value in facts.items())
         return f"seed={self.seed} {self.scenario}{armed} [{body}] {status}"
 
@@ -613,15 +625,19 @@ def _stores_verify(run: _ClusterRun) -> str:
 
 def _drive_over(run: _ClusterRun,
                 wrappers: Sequence[ChaosTransport]) -> None:
-    """Drive the schedule over chaos-wrapped links; tally their faults."""
-    while run.survive(run.step):
-        pass
-    # A reorder decision can hold the final shipment forever on a
-    # quiescing link; a real network eventually delivers or re-sends.
-    for wrapper in wrappers:
-        wrapper.flush()
-    run.survive(run.finish)
+    """Drive the schedule over chaos-wrapped links; tally their faults
+    and what the replicas did about them."""
+    with scoped_registry() as metrics:
+        while run.survive(run.step):
+            pass
+        # A reorder decision can hold the final shipment forever on a
+        # quiescing link; a real network eventually delivers or re-sends.
+        for wrapper in wrappers:
+            wrapper.flush()
+        run.survive(run.finish)
     round_ = run.round
+    round_.answers = {key: metrics.counter(counter).value
+                      for key, counter in _CHAOS_COUNTERS.items()}
     for wrapper in wrappers:
         for kind in FAULT_KINDS:
             round_.faults[kind] = (round_.faults.get(kind, 0)
@@ -899,21 +915,25 @@ SWEEPS: Dict[str, Tuple[Scenario, ...]] = {
 
 def _fault_kind_coverage(seed: int,
                          rounds: Sequence[CrashRound]) -> CrashRound:
-    """Sweep-level invariant of ``chaos``: every fault kind fired in
-    some lossy-link row.  Its own entry, so no row's verdict hides it."""
+    """Sweep-level invariant of ``chaos``: every fault kind fired, and
+    each CRC gate NACKed, in some lossy-link row.  Its own entry, so no
+    row's verdict hides it."""
     lossy = [round_ for round_ in rounds
              if round_.scenario.startswith("lossy-links")]
     coverage = {kind: sum(round_.faults.get(kind, 0) for round_ in lossy)
                 for kind in FAULT_KINDS}
-    missing = [kind for kind, count in coverage.items() if count == 0]
+    nacks = {gate: sum(round_.answers.get(gate, 0) for round_ in lossy)
+             for gate in NACK_GATES}
+    missing = [kind for kind, count in {**coverage, **nacks}.items()
+               if count == 0]
     detail = "" if not missing else (
-        f"fault kind(s) never fired across the sweep: "
+        f"fault kind(s) or NACK gate(s) never fired across the sweep: "
         f"{', '.join(missing)} -- raise the rate or add seeds"
     )
     return CrashRound(seed=seed, scenario="fault-kind-coverage",
                       workload=f"{len(lossy)} lossy-link round(s)",
                       fired=not missing, ok=not missing,
-                      detail=detail, faults=coverage)
+                      detail=detail, faults=coverage, answers=nacks)
 
 
 def run_row(scenario: Scenario, seed: int, state_dir: str) -> CrashRound:

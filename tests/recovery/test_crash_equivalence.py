@@ -18,6 +18,7 @@ from repro.serving import replication_status
 from repro.testing import crash
 from repro.testing.crash import (
     FAULT_KINDS,
+    NACK_GATES,
     SWEEPS,
     Scenario,
     run_crash_fuzz,
@@ -163,6 +164,8 @@ class TestSweep:
         assert coverage.scenario == "fault-kind-coverage"
         assert all(round_.ok for round_ in results)
         assert all(coverage.faults[kind] > 0 for kind in FAULT_KINDS)
+        # Corruption reached both CRC gates of a segment shipment.
+        assert all(coverage.answers[gate] > 0 for gate in NACK_GATES)
         # ok rounds leave nothing behind under the caller's root
         assert os.listdir(tmp_path) == []
 

@@ -16,9 +16,11 @@ from repro.runtime.checkpoint import (
     _pack,
     load_engine,
     open_checkpoint,
+    pack_state,
     read_checkpoint_extra,
     read_store_manifest,
     save_engine,
+    unpack_state,
     verify_checkpoint_blob,
 )
 from repro.testing.faults import flip_byte
@@ -460,3 +462,40 @@ class TestConfigurationRoundtrip:
         batch = make_random_batch(engine.graph, rng, 6, 6)
         assert np.array_equal(engine.apply_mutations(batch),
                               restored.apply_mutations(batch))
+
+
+class TestStateBlob:
+    """The state a replication writer ships: the checkpoint framing over
+    the four state arrays, read back through the same member reader."""
+
+    def refined_state(self, graph, rng, factory=PageRank):
+        engine = GraphBoltEngine(factory(), num_iterations=6)
+        engine.run(graph)
+        engine.apply_mutations(make_random_batch(engine.graph, rng, 8, 8))
+        return engine._state
+
+    @pytest.mark.parametrize("factory", [
+        PageRank, lambda: LabelPropagation(num_labels=3)],
+        ids=["scalar", "vector"])
+    def test_roundtrip_is_exact_and_read_only(self, graph, rng, factory):
+        state = self.refined_state(graph, rng, factory)
+        unpacked = unpack_state(pack_state(state))
+        assert unpacked.iteration == state.iteration
+        for name in ("values", "prev_values", "aggregate", "frontier"):
+            array = getattr(unpacked, name)
+            assert np.array_equal(array, getattr(state, name)), name
+            assert not array.flags.writeable, name
+
+    def test_every_single_byte_flip_is_rejected(self, graph, rng):
+        blob = pack_state(self.refined_state(graph, rng))
+        for offset in rng.choice(len(blob), size=64, replace=False):
+            with pytest.raises(ValueError):
+                unpack_state(flip_byte(blob, int(offset)))
+
+    def test_a_checkpoint_is_not_a_state(self, tmp_path, graph):
+        engine = GraphBoltEngine(PageRank(), num_iterations=3)
+        engine.run(graph)
+        path = save_engine(engine, str(tmp_path / "e.ckpt"))
+        with open(path, "rb") as stream:
+            with pytest.raises(ValueError, match="not start with a state"):
+                unpack_state(stream.read())

@@ -36,6 +36,7 @@ from repro.serving import (
     QueryRouter,
     RetryPolicy,
     Shipment,
+    corrupt_shipment,
     wrap_cluster,
 )
 from tests.conftest import make_random_batch
@@ -119,6 +120,19 @@ class TestChaosTransport:
         assert delivered is not None
         assert delivered != original
         assert link.counts["corrupt"] == 1
+
+    def test_corrupt_reaches_both_gates_of_a_segment(self):
+        """A segment carrying the writer's state is hit in its lines or
+        its blob by send index, so both CRC gates can NACK."""
+        for index, hit in ((0, "lines"), (1, "blob")):
+            shipment = Shipment(kind="segment", epoch=1, index=index,
+                                first_seq=0, end_seq=1, lines=("abcd",),
+                                blob=b"state")
+            corrupted = corrupt_shipment(shipment)
+            changed = [name for name in ("lines", "blob")
+                       if getattr(corrupted, name)
+                       != getattr(shipment, name)]
+            assert changed == [hit]
 
     def test_reorder_swaps_adjacent_shipments(self):
         link = ChaosTransport(InProcessTransport(),

@@ -7,6 +7,9 @@ The property stack, bottom up:
 - a cluster of replicas replaying shipped segments + checkpoints
   converges **bit-for-bit** with the writer and with a serial
   uninterrupted reference;
+- a replica installs the writer's state and never refines on the live
+  path: its graph still equals the writer's, a restart replays to the
+  installed state, and a lost or corrupt state reloads or NACKs;
 - a killed replica restarts from its own checkpoint + mirror tail and
   catches up; the delivery-lag signal (:meth:`staleness`) is zero in
   steady state and grows only when a replica stops applying;
@@ -20,6 +23,7 @@ The property stack, bottom up:
   checkpoints without the store files it can derive.
 """
 
+import collections
 import json
 import os
 import shutil
@@ -127,6 +131,26 @@ class TestTransports:
         reopened.ack()
         with pytest.raises(ReplicationError, match="no pending"):
             reopened.ack()
+
+    def test_a_reopened_spool_numbers_new_files_past_every_old_one(
+            self, tmp_path):
+        """Acked files are deleted, so counting the spool numbered new
+        files below the cursor (skipped by ``peek``) or onto a pending
+        one (overwritten): only the last of 2, 3, 4 was delivered."""
+        spool = str(tmp_path / "inbox")
+        link = DirectoryTransport(spool)
+        for index in range(3):
+            link.send(self.ship(index))
+        link.ack()
+        link.ack()
+        reopened = DirectoryTransport(spool)
+        for index in (3, 4):
+            reopened.send(self.ship(index))
+        delivered = []
+        while reopened.peek() is not None:
+            delivered.append(reopened.peek().index)
+            reopened.ack()
+        assert delivered == [2, 3, 4]
 
 
     def test_a_16mb_blob_crosses_a_directory_link_without_being_copied(
@@ -335,6 +359,220 @@ class TestTailShipping:
         assert order == [("segment", 0, 2), ("checkpoint", 2, 2),
                          ("segment", 2, 3)]
         assert cluster.max_lag() == 0
+        cluster.close()
+
+
+# ----------------------------------------------------------------------
+# State install: replicas take the writer's refined state
+# ----------------------------------------------------------------------
+class TestStateInstall:
+    """A replica applies each record's structure and installs the state
+    the writer shipped with the last one; it refines only through the
+    recovery path (bootstrap, restart, promotion, a lost state)."""
+
+    def drive(self, graph, rng, tmp_path, count=6, **kwargs):
+        cluster = build_cluster(graph, tmp_path, **kwargs)
+        cluster.replicate()  # bootstrap
+        batches = [make_random_batch(graph, rng, 8, 8)
+                   for _ in range(count)]
+        return cluster, batches
+
+    def test_no_replica_refines_on_the_live_path(self, graph, rng,
+                                                 tmp_path):
+        from repro.obs.trace import Tracer, activated
+
+        cluster, batches = self.drive(graph, rng, tmp_path)
+        with activated(Tracer()) as tracer:
+            for batch in batches:
+                cluster.submit(batch)
+                cluster.replicate()
+        spans = {event["id"]: event for event in tracer.events()}
+
+        def under_apply(event):
+            while event["parent"] in spans:
+                event = spans[event["parent"]]
+                if event["name"] == "replication.apply":
+                    return True
+            return False
+
+        named = collections.defaultdict(list)
+        for event in spans.values():
+            named[event["name"], under_apply(event)].append(event)
+        assert named["refine", False], "the writer refines every batch"
+        assert not named["refine", True]
+        assert len(named["adopt", True]) == 2 * len(batches)
+        cluster.close()
+
+    def test_replica_structure_equals_the_writers(self, graph, rng,
+                                                  tmp_path):
+        """The independent oracle: values are equal by construction, the
+        graph each replica adjusted for itself is not."""
+        from repro.graph.storage import ARRAY_NAMES
+
+        cluster, batches = self.drive(graph, rng, tmp_path)
+        for batch in batches:
+            cluster.submit(batch)
+            cluster.replicate()
+        assert cluster.sync()
+        writer_graph = cluster.writer.server.graph
+        for name, replica in cluster.replicas.items():
+            for array in ARRAY_NAMES:
+                assert np.array_equal(
+                    getattr(replica.server.graph, array),
+                    getattr(writer_graph, array)), (name, array)
+            assert np.array_equal(replica.approximate_values,
+                                  shadow_values(graph, batches))
+        cluster.close()
+
+    def test_a_restarted_replica_replays_to_the_installed_state(
+            self, graph, rng, tmp_path):
+        cluster, batches = self.drive(graph, rng, tmp_path,
+                                      checkpoint_every=4)
+        for batch in batches:
+            cluster.submit(batch)
+            cluster.replicate()
+        installed = cluster.replicas["r0"].server.engine._state
+        cluster.kill_replica("r0")
+        # Checkpoint 4 plus two refined mirror records.
+        replayed = cluster.restart_replica("r0").server.engine._state
+        for name in ("values", "prev_values", "aggregate", "frontier"):
+            assert np.array_equal(getattr(replayed, name),
+                                  getattr(installed, name)), name
+        assert replayed.iteration == installed.iteration
+        cluster.close()
+
+    def _split_round(self, graph, rng, tmp_path, tamper):
+        """Three records over two WAL segments: one round ships them as
+        a stateless shipment and the state-bearing one, whose delivery
+        to r0 ``tamper`` decides (``None``: dropped)."""
+        cluster, batches = self.drive(graph, rng, tmp_path, count=3,
+                                      checkpoint_every=64)
+        inbox = cluster.replicas["r0"].inbox
+        send, tampered = inbox.send, []
+
+        def tampering_send(shipment):
+            if shipment.blob and not tampered:
+                tampered.append(shipment)
+                shipment = tamper(shipment)
+            if shipment is not None:
+                send(shipment)
+
+        inbox.send = tampering_send
+        for batch in batches:
+            cluster.submit(batch)
+        return cluster, batches, tampered
+
+    def test_a_lost_state_reloads_once_and_converges(self, graph, rng,
+                                                     tmp_path):
+        from repro.obs.registry import scoped_registry
+
+        with scoped_registry() as registry:
+            cluster, batches, dropped = self._split_round(
+                graph, rng, tmp_path, tamper=lambda shipment: None)
+            cluster.replicate()
+            assert [(s.first_seq, s.end_seq) for s in dropped] == [(2, 3)]
+            replica = cluster.replicas["r0"]
+            # Structure [0, 2) arrived alone: the poll reloaded rather
+            # than return ahead of its state.
+            assert replica.next_seq == replica.server.state_seq == 2
+            assert cluster.sync()
+            reloads = registry.counter("replication.state_reloads").value
+        assert reloads == 1
+        expected = shadow_values(graph, batches)
+        for replica in cluster.replicas.values():
+            assert np.array_equal(replica.approximate_values, expected)
+        cluster.close()
+
+    def test_a_corrupt_state_nacks_the_whole_shipment(self, graph, rng,
+                                                      tmp_path):
+        from dataclasses import replace
+
+        from repro.obs.registry import scoped_registry
+        from repro.testing.faults import flip_byte
+
+        with scoped_registry() as registry:
+            cluster, batches, _ = self._split_round(
+                graph, rng, tmp_path,
+                tamper=lambda s: replace(s, blob=flip_byte(s.blob)))
+            cluster.replicate()
+            assert cluster.sync()
+            rejected = registry.counter(
+                "replication.state_rejections").value
+            reloads = registry.counter("replication.state_reloads").value
+        assert rejected == 1 and cluster.integrity_rejections == 1
+        # The resync re-ships the state within the same delivery, so
+        # the replica settles without a reload.
+        assert reloads == 0
+        expected = shadow_values(graph, batches)
+        for replica in cluster.replicas.values():
+            assert np.array_equal(replica.approximate_values, expected)
+        cluster.close()
+
+    def test_an_engine_that_adopted_a_state_refuses_to_refine(
+            self, graph, rng, tmp_path):
+        cluster, batches = self.drive(graph, rng, tmp_path, count=2)
+        cluster.submit(batches[0])
+        cluster.replicate()
+        engine = cluster.replicas["r0"].server.engine
+        snapshot = engine.graph
+        with pytest.raises(RuntimeError, match="adopted a state"):
+            engine.apply_mutations(batches[1])
+        with pytest.raises(RuntimeError, match="adopted a state"):
+            engine.history
+        assert engine.graph is snapshot  # refused before adjusting
+        cluster.close()
+
+    def test_the_writer_ships_no_state_it_does_not_stand_at(
+            self, graph, rng, tmp_path):
+        cluster, batches = self.drive(graph, rng, tmp_path, count=1)
+        cluster.submit(batches[0])
+        cluster.writer.server.state_seq = 0  # as if record 0 were lost
+        with pytest.raises(ReplicationError, match="stands at seq 0"):
+            cluster.writer_node.ship()
+        cluster.close()
+
+    def test_a_poison_probe_over_a_backlog_stops_at_the_boundary(
+            self, graph, rng, tmp_path):
+        """Two poison batches trip the breaker, a backlog queues behind
+        a third, and the HALF_OPEN probe quarantines it.  The rollback
+        replays only up to the poison record: the queued ones stay for
+        the pump, so the writer stands at its stable boundary, ships
+        that state, and applies every backlog batch once."""
+        from repro.graph.mutation import MutationBatch
+        from repro.serving import BreakerConfig
+
+        def grown(values):
+            if values.shape[0] > graph.num_vertices:
+                return "grew"
+            return None
+
+        manager = RecoveryManager(str(tmp_path), checkpoint_every=64,
+                                  segment_records=2, poison_check=grown)
+        resilient = ResilientAnalyticsServer(
+            plain_server(graph, recovery=manager),
+            breaker=BreakerConfig(quarantine_threshold=2,
+                                  cooldown_submits=2))
+        cluster = ReplicationCluster(resilient, lambda: PageRank(),
+                                     str(tmp_path), replicas=2)
+        cluster.replicate()
+        poison = MutationBatch.from_edges(additions=[(0, 1)],
+                                          grow_to=2 * graph.num_vertices)
+        good = [make_random_batch(graph, rng, 8, 8) for _ in range(2)]
+        for batch in (poison, poison, poison, good[0]):
+            cluster.submit(batch)
+        assert resilient.breaker.probes_sent == 1
+        assert resilient.breaker.state == "open"
+        assert resilient.server.state_seq == resilient.stable_seq() == 3
+        cluster.submit(good[1])
+        cluster.replicate()
+        for replica in cluster.replicas.values():
+            assert replica.server.state_seq == 3
+        resilient.drain()
+        assert cluster.sync()
+        expected = shadow_values(graph, good)
+        assert np.array_equal(resilient.approximate_values, expected)
+        for replica in cluster.replicas.values():
+            assert np.array_equal(replica.approximate_values, expected)
         cluster.close()
 
 
