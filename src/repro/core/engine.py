@@ -13,9 +13,11 @@ drives the full lifecycle:
    dependency-driven refinement over the tracked window, then hybrid
    forward execution to the end of the run, and commit the refined
    history for the next batch.
-3. ``adopt(batches, state)`` -- a read replica's path: adjust the
-   structure, take a state the writer's engine refined, and refine no
-   more until restored from a checkpoint.
+3. ``adopt(batches, state)`` -- a read replica's path: queue the
+   structure change, take a state the writer's engine refined, and
+   refine no more until restored from a checkpoint.  The queue is
+   applied when something reads :attr:`graph`, as one splice per run of
+   pair-disjoint batches.
 
 Two degraded strategies exist for the paper's motivation experiments:
 
@@ -39,7 +41,11 @@ from repro.core.model import IncrementalAlgorithm
 from repro.core.refinement import refine
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
-from repro.graph.mutation import MutationBatch
+from repro.graph.mutation import (
+    MutationBatch,
+    coalesce_batches,
+    pair_disjoint_runs,
+)
 from repro.ligra.delta import DeltaEngine, DeltaState
 from repro.obs import trace
 from repro.obs.registry import get_registry
@@ -85,6 +91,8 @@ class GraphBoltEngine:
         self._streaming: Optional[StreamingGraph] = None
         self._history: Optional[DependencyHistory] = None
         self._state: Optional[DeltaState] = None
+        #: Batches :meth:`adopt` took whose structure is not applied yet.
+        self._pending: list = []
         self.batches_applied = 0
 
     # ------------------------------------------------------------------
@@ -92,8 +100,16 @@ class GraphBoltEngine:
     # ------------------------------------------------------------------
     @property
     def graph(self) -> CSRGraph:
+        """The latest snapshot; adopted batches are applied first."""
         self._require_run()
+        if self._pending:
+            self._apply_pending()
         return self._streaming.graph
+
+    @property
+    def structure_pending(self) -> int:
+        """Batches adopted but not yet applied to the structure."""
+        return len(self._pending)
 
     @property
     def values(self) -> np.ndarray:
@@ -230,28 +246,29 @@ class GraphBoltEngine:
         return state.values
 
     def adopt(self, batches, state: Optional[DeltaState]) -> None:
-        """Apply ``batches``' structure changes and take ``state`` as the
+        """Queue ``batches``' structure changes and take ``state`` as the
         results for the new snapshot -- a state another engine refined
         over the same stream, so nothing here refines.
 
-        ``state`` must be sized for the adjusted graph (checked after the
-        adjustment).  It is assigned, not copied into: a new state object
-        is what tells a query memo the results changed.  ``None``, or a
-        mismatch (``ValueError``), leaves the structure ahead of the
-        results until a later call brings their state.  The dependency
-        history no longer describes either, so it is dropped and a later
+        The structure catches up when something reads :attr:`graph`
+        (:meth:`_apply_pending`).  ``state`` must be sized for the graph
+        the queue implies (checked without applying it).  It is
+        assigned, not copied into: a new state object is what tells a
+        query memo the results changed.  ``None``, or a mismatch
+        (``ValueError``), leaves the structure ahead of the results
+        until a later call brings their state.  The dependency history
+        no longer describes either, so it is dropped and a later
         :meth:`apply_mutations` raises instead of refining from it.
         """
         self._require_run()
         self._history = None
-        with trace.span("adopt", batches=len(batches)), \
-                Timer(self.metrics, "adjust_structure"):
-            for batch in batches:
-                self._streaming.apply_batch(batch)
+        self._pending.extend(batches)
         self.batches_applied += len(batches)
         if state is None:
             return
-        num_vertices = self.graph.num_vertices
+        num_vertices = self._streaming.graph.num_vertices
+        for batch in self._pending:
+            num_vertices = batch.num_vertices_after(num_vertices)
         rows = {state.values.shape[0], state.prev_values.shape[0],
                 state.aggregate.shape[0]}
         if rows != {num_vertices} or (
@@ -261,6 +278,17 @@ class GraphBoltEngine:
                 f"a state of {sorted(rows)} rows cannot stand for a graph "
                 f"of {num_vertices} vertices")
         self._state = state
+
+    def _apply_pending(self) -> None:
+        """Apply the adopted queue, one splice per maximal run of
+        batches whose touched ``(src, dst)`` pairs are disjoint: such a
+        run coalesces by concatenation, so the snapshot equals the one
+        applying the batches one by one would give, byte for byte."""
+        with trace.span("adopt", batches=len(self._pending)), \
+                Timer(self.metrics, "adjust_structure"):
+            for run in pair_disjoint_runs(self._pending):
+                self._streaming.apply_batch(coalesce_batches(run))
+                del self._pending[:len(run)]
 
     def _publish_gauges(self) -> None:
         """Live operational gauges (the paper's Table 9, continuously):

@@ -4,6 +4,10 @@ reads.
 - plain edge-list text (``src dst [weight]`` per line, ``#`` comments),
   interoperable with SNAP/KONECT-style dumps the paper's datasets ship in;
 - NumPy ``.npz`` binary, the fast path for benchmark fixtures.
+
+Both keep the first of each repeated ``(src, dst)`` pair, the rule
+:class:`~repro.graph.mutation.MutationBatch` applies to a batch: a
+loaded graph is simple, as coalescing batches assumes.
 """
 
 from __future__ import annotations
@@ -50,7 +54,22 @@ def load_edge_list(path: str, num_vertices: Optional[int] = None) -> CSRGraph:
         num_vertices = (
             int(max(src_arr.max(initial=-1), dst_arr.max(initial=-1))) + 1
         )
-    return CSRGraph(num_vertices, src_arr, dst_arr, weight_arr)
+    return _simple_graph(num_vertices, src_arr, dst_arr, weight_arr)
+
+
+def _simple_graph(num_vertices: int, src: np.ndarray, dst: np.ndarray,
+                  weight: Optional[np.ndarray]) -> CSRGraph:
+    """A graph of the edges in file order, keeping the first of each
+    repeated ``(src, dst)`` pair."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    stride = max(num_vertices, int(dst.max(initial=-1)) + 1)
+    _, first = np.unique(src * stride + dst, return_index=True)
+    if first.size < src.size:
+        first.sort()
+        src, dst = src[first], dst[first]
+        weight = None if weight is None else np.asarray(weight)[first]
+    return CSRGraph(num_vertices, src, dst, weight)
 
 
 def save_edge_list(graph: CSRGraph, path: str,
@@ -80,7 +99,7 @@ def save_npz(graph: CSRGraph, path: str) -> None:
 
 def load_npz(path: str) -> CSRGraph:
     with np.load(path) as data:
-        return CSRGraph(
+        return _simple_graph(
             int(data["num_vertices"]), data["src"], data["dst"], data["weight"]
         )
 

@@ -15,18 +15,21 @@ simply added if it did not.
 
 Consecutive batches compose: :meth:`MutationBatch.merge` folds a
 follow-up batch into this one, producing a single batch whose
-application to *any* base graph matches applying the two in sequence
-(the admission controller's ``coalesce`` policy relies on this, and
-:func:`coalesce_batches` is the n-ary fold).
+application to any base graph without a repeated ``(src, dst)`` pair
+matches applying the two in sequence (the admission controller's
+``coalesce`` policy relies on this, and :func:`coalesce_batches` is the
+n-ary fold).  On a base with repeated pairs the fold is exact only over
+batches whose touched pairs are disjoint (:func:`pair_disjoint_runs`),
+where it is concatenation.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["MutationBatch", "coalesce_batches"]
+__all__ = ["MutationBatch", "coalesce_batches", "pair_disjoint_runs"]
 
 
 class MutationBatch:
@@ -198,17 +201,24 @@ class MutationBatch:
     def merge(self, later: "MutationBatch") -> "MutationBatch":
         """Fold ``later`` into this batch (self applies first).
 
-        The merged batch applies to any base graph exactly as the
-        sequence ``self; later`` would, under the stream semantics that
-        re-adding a present edge is skipped and deleting an absent edge
-        is skipped.  Per edge (deletions before additions within each
-        batch):
+        The merged batch applies to any base graph *without a repeated
+        ``(src, dst)`` pair* exactly as the sequence ``self; later``
+        would, under the stream semantics that re-adding a present edge
+        is skipped and deleting an absent edge is skipped.  Per edge
+        (deletions before additions within each batch):
 
         - anything then delete      -> delete;
         - delete then add           -> delete + add (replacement);
         - add then add              -> the first add wins (the second
           would have been skipped as a re-addition);
         - ``grow_to``               -> the maximum of the two.
+
+        On a multigraph base "delete then add" is not a replacement: the
+        sequence deletes one copy of a repeated pair and skips the
+        re-add (another copy is still present); the merge deletes one
+        and adds one.  When the two batches touch disjoint pairs no edge
+        has a history to fold, and the merge is exact on any base
+        (:func:`pair_disjoint_runs`).
 
         The fold is associative, so a queue of batches coalesces left to
         right (:func:`coalesce_batches`).
@@ -281,13 +291,37 @@ def coalesce_batches(batches: Iterable[MutationBatch]) -> MutationBatch:
     """Merge consecutive batches into a single equivalent batch.
 
     The n-ary fold of :meth:`MutationBatch.merge` (which holds the
-    edge-level state machine and its semantics): the result applies to
-    *any* base graph exactly as the sequence would.
+    edge-level state machine, its semantics and its precondition): the
+    result applies to any base graph without a repeated ``(src, dst)``
+    pair exactly as the sequence would, and to any base at all when the
+    batches touch disjoint pairs.
     """
     merged: Optional[MutationBatch] = None
     for batch in batches:
         merged = batch if merged is None else merged.merge(batch)
     return merged if merged is not None else MutationBatch.empty()
+
+
+def pair_disjoint_runs(
+        batches: Sequence[MutationBatch]) -> List[List[MutationBatch]]:
+    """Split ``batches`` into maximal consecutive runs in which no
+    ``(src, dst)`` pair is touched (added or deleted) by two batches.
+
+    Coalescing such a run is concatenation, so one splice of
+    :func:`coalesce_batches` over it equals applying its batches one by
+    one, byte for byte, on any base graph -- repeated pairs included.
+    """
+    runs: List[List[MutationBatch]] = []
+    seen: set = set()
+    for batch in batches:
+        pairs = set(zip(batch.add_src.tolist(), batch.add_dst.tolist()))
+        pairs.update(batch.deletions())
+        if not runs or not seen.isdisjoint(pairs):
+            runs.append([])
+            seen = set()
+        runs[-1].append(batch)
+        seen |= pairs
+    return runs
 
 
 def _as_index_array(values: Optional[Sequence[int]]) -> np.ndarray:

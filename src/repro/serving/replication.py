@@ -23,18 +23,22 @@ kinds of immutable artifacts to N **read replicas** over a transport
   generation after checking every array's dtype, count and CRC32
   (:meth:`~repro.graph.storage.MmapStore.alias_snapshot`).
 
-**Replica replay applies structure and installs state.**  A replica
+**Replica replay queues structure and installs state.**  A replica
 checks every record CRC and the state CRC of a segment shipment first,
-then mirrors each fresh record in its own WAL, applies its structure
+then mirrors each fresh record in its own WAL, queues its structure
 change and installs the writer's state: nothing on the live path
-refines, so its values equal the writer's by construction.  It refines
--- through the ordinary checkpoint + mirror replay -- only when it
-bootstraps, restarts or is promoted, and when a delivery would
-otherwise end with its structure ahead of its state (the state-bearing
-shipment was dropped, NACKed or reordered:
-``replication.state_reloads``).  Its directory (WAL mirror plus
-adopted checkpoints) is structurally a writer's, which makes promotion
-an ordinary
+refines, so its values equal the writer's by construction.  Its graph
+catches up only when read -- by a branch-loop query, or by a checkpoint
+adopted in place, whose alias compares it with the writer's generation
+-- as one splice per run of pair-disjoint batches
+(:meth:`~repro.core.engine.GraphBoltEngine.adopt`; the checkpoint
+cadence bounds the ``structure_pending`` queue).  It refines -- through the ordinary
+checkpoint + mirror replay -- only when it bootstraps, restarts or is
+promoted, and when a delivery would otherwise end with its mirror ahead
+of its state (the state-bearing shipment was dropped, NACKed or
+reordered: ``replication.state_reloads``).  Its directory (WAL mirror
+plus adopted checkpoints) is structurally a writer's, which makes
+promotion an ordinary
 :meth:`~repro.recovery.manager.RecoveryManager.recover`.
 
 Replay is sequence-driven and idempotent: records below the replica's
@@ -636,6 +640,11 @@ class ReadReplica:
                 for meta in reference["arrays"].values()):
             self._bind_own_generation(seq, reference)
         reload_needed = self.server is None or seq > self.next_seq
+        if not reload_needed:
+            # Adopted in place: the structure catches up with its queue
+            # here (a no-op after an alias), so the writer's checkpoint
+            # cadence bounds the queue on any store.
+            self.server.graph
         self.manager.adopt_checkpoint(seq, shipment.blob)
         if reload_needed:
             # Bootstrapping, or healing past GC'd history: the mirror
@@ -741,8 +750,8 @@ class ReadReplica:
                 )
             if seq not in self.manager.quarantined:  # the writer's skips
                 batches.append(batch)
-        # Structure now; the state if it came (else a later shipment of
-        # this delivery brings it, or settle() reloads).
+        # Structure queued; the state if it came (else a later shipment
+        # of this delivery brings it, or settle() reloads).
         self.server.install(batches, state, shipment.end_seq)
 
     def _load_from_disk(self) -> None:
@@ -781,6 +790,12 @@ class ReadReplica:
         return None if self.server is None else (
             self.server.approximate_values
         )
+
+    @property
+    def structure_pending(self) -> int:
+        """Batches adopted but not yet in this replica's structure."""
+        return (0 if self.server is None
+                else self.server.engine.structure_pending)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -1293,6 +1308,7 @@ class ReplicationCluster:
                     "fence_epoch": replica.fence_epoch,
                     "fence_rejections": replica.fence_rejections,
                     "inbox_pending": replica.inbox.pending(),
+                    "structure_pending": replica.structure_pending,
                     "quarantined": name in self.integrity_quarantine,
                 }
                 for name, replica in sorted(self.replicas.items())
@@ -1308,6 +1324,9 @@ class ReplicationCluster:
             )
             registry.gauge(f"replication.{name}.lag_batches").set(
                 replica.lag_behind(writer_next)
+            )
+            registry.gauge(f"replication.{name}.structure_pending").set(
+                replica.structure_pending
             )
         registry.gauge("replication.max_lag_batches").set(
             self.max_lag()

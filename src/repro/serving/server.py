@@ -268,10 +268,11 @@ class StreamingAnalyticsServer:
         return self.engine.values
 
     def install(self, batches, state, seq: int) -> None:
-        """Apply ``batches``' structure and take ``state`` -- refined by
+        """Queue ``batches``' structure and take ``state`` -- refined by
         another server over the same stream, standing at WAL position
         ``seq`` -- as the main loop's results, without refining (see
-        :meth:`GraphBoltEngine.adopt`; ``state=None`` adjusts only, and
+        :meth:`GraphBoltEngine.adopt`: the structure catches up when
+        :attr:`graph` is read; ``state=None`` queues only, and
         :attr:`state_seq` stays behind).  A read replica's live path."""
         self.engine.adopt(batches, state)
         self.batches_ingested += len(batches)

@@ -1,12 +1,20 @@
 """Unit tests for GraphBoltEngine lifecycle, strategies and accounting."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import LabelPropagation, PageRank
 from repro.core.engine import GraphBoltEngine
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
+from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
+from repro.graph.storage import ARRAY_NAMES, MmapStore
 from repro.ligra.engine import LigraEngine
 from repro.obs import trace
 from repro.obs.trace import Tracer
@@ -55,6 +63,86 @@ class TestLifecycle:
         assert "ran=False" in repr(engine)
         engine.run(graph)
         assert "ran=True" in repr(engine)
+
+
+@st.composite
+def adoption_streams(draw):
+    """A small base graph -- repeated pairs make it a multigraph -- and
+    batches over a vertex range past it: pairs overlap across batches,
+    re-adds and deletions of absent edges are common, and endpoints or
+    ``grow_to`` grow the graph."""
+    num_vertices = draw(st.integers(2, 6))
+    vertex = st.integers(0, num_vertices - 1)
+    base = draw(st.lists(st.tuples(vertex, vertex), max_size=14))
+    reach = st.tuples(st.integers(0, num_vertices + 2),
+                      st.integers(0, num_vertices + 2))
+    batches = []
+    for _ in range(draw(st.integers(1, 6))):
+        adds = draw(st.lists(reach, max_size=5))
+        weights = draw(st.lists(st.sampled_from([0.5, 2.0, 3.0]),
+                                min_size=len(adds), max_size=len(adds)))
+        batches.append(MutationBatch.from_edges(
+            additions=adds, add_weights=weights,
+            deletions=draw(st.lists(reach, max_size=5)),
+            grow_to=draw(st.none() | st.integers(0, num_vertices + 4))))
+    src, dst = (np.array([edge[side] for edge in base], dtype=np.int64)
+                for side in (0, 1))
+    weight = np.arange(1, len(base) + 1, dtype=np.float64)
+    return (lambda: CSRGraph(num_vertices, src, dst, weight)), batches
+
+
+class TestDeferredAdoption:
+    """``adopt`` queues structure; reading :attr:`graph` applies the
+    queue as one splice per pair-disjoint run."""
+
+    @pytest.mark.parametrize("store", ["heap", "mmap"])
+    @settings(max_examples=60, deadline=None)
+    @given(stream=adoption_streams())
+    def test_coalesced_backlog_equals_sequential_apply(self, store,
+                                                       stream):
+        build, batches = stream
+        with tempfile.TemporaryDirectory() as root:
+            def base(name):
+                graph = build()
+                return (graph if store == "heap" else
+                        MmapStore(os.path.join(root, name)).publish(graph))
+
+            sequential = StreamingGraph(base("sequential"))
+            for batch in batches:
+                sequential.apply_batch(batch)
+            expected = sequential.graph
+            # The state a writer refined over the same stream.
+            reference = GraphBoltEngine(PageRank(), num_iterations=1)
+            reference.run(expected)
+
+            engine = GraphBoltEngine(PageRank(), num_iterations=1)
+            engine.run(base("deferred"))
+            def generations(store=engine.graph.store):
+                return [] if store is None else store.snapshot_ids()
+
+            before = generations()
+            engine.adopt(batches, reference._state)
+            assert engine.structure_pending == len(batches)
+            assert generations() == before  # nothing written yet
+            graph = engine.graph
+            assert engine.structure_pending == 0
+            assert graph.num_vertices == expected.num_vertices
+            for name in ARRAY_NAMES:
+                assert np.array_equal(getattr(graph, name),
+                                      getattr(expected, name)), name
+                assert (getattr(graph, name).dtype
+                        == getattr(expected, name).dtype), name
+
+    def test_a_state_the_queue_does_not_imply_is_refused(self, graph):
+        engine = GraphBoltEngine(PageRank(), num_iterations=2)
+        engine.run(graph)
+        grown = graph.num_vertices + 3
+        batch = MutationBatch.from_edges(additions=[(0, grown - 1)])
+        state = engine._state
+        with pytest.raises(ValueError, match="cannot stand for a graph"):
+            engine.adopt([batch], state)
+        assert engine.structure_pending == 1  # structure ahead of state
+        assert engine.graph.num_vertices == grown
 
 
 class TestTracking:

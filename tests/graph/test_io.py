@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.graph import io
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
+from repro.graph.mutable import StreamingGraph
+from repro.graph.mutation import MutationBatch, coalesce_batches
+from repro.graph.storage import ARRAY_NAMES
 from tests.conftest import edge_set, edge_weights
 
 
@@ -56,4 +60,38 @@ class TestNpz:
         loaded = io.load_npz(path)
         assert loaded.num_vertices == graph.num_vertices
         assert edge_set(loaded) == edge_set(graph)
+
+
+class TestRepeatedPairs:
+    """A file with a repeated ``(src, dst)`` pair loads as a simple
+    graph, keeping the first: coalescing batches is exact only there."""
+
+    @pytest.fixture(params=["text", "npz"])
+    def loaded(self, request, tmp_path):
+        if request.param == "text":
+            path = tmp_path / "graph.txt"
+            path.write_text("0 1 1.0\n0 1 2.0\n1 2\n")
+            return io.load_edge_list(str(path))
+        path = str(tmp_path / "graph.npz")
+        io.save_npz(CSRGraph(3, [0, 0, 1], [1, 1, 2], [1.0, 2.0, 1.0]),
+                    path)
+        return io.load_npz(path)
+
+    def test_the_first_of_each_pair_is_kept(self, loaded):
+        assert loaded.num_edges == 2
+        assert edge_weights(loaded) == {(0, 1): 1.0, (1, 2): 1.0}
+
+    def test_coalescing_equals_the_sequence(self, loaded):
+        batches = [MutationBatch.from_edges(deletions=[(0, 1)]),
+                   MutationBatch.from_edges(additions=[(0, 1)],
+                                            add_weights=[5.0])]
+        sequential, coalesced = StreamingGraph(loaded), StreamingGraph(loaded)
+        for batch in batches:
+            sequential.apply_batch(batch)
+        coalesced.apply_batch(coalesce_batches(batches))
+        for name in ARRAY_NAMES:
+            assert np.array_equal(getattr(coalesced.graph, name),
+                                  getattr(sequential.graph, name)), name
+        assert edge_weights(sequential.graph) == {(0, 1): 5.0,
+                                                  (1, 2): 1.0}
 

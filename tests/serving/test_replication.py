@@ -10,6 +10,10 @@ The property stack, bottom up:
 - a replica installs the writer's state and never refines on the live
   path: its graph still equals the writer's, a restart replays to the
   installed state, and a lost or corrupt state reloads or NACKs;
+- a replica's structure catches up only when read or when a checkpoint
+  is adopted in place, as one splice per pair-disjoint run: an unread
+  replica writes no generation, and a backlog survives restart and
+  promotion;
 - a killed replica restarts from its own checkpoint + mirror tail and
   catches up; the delivery-lag signal (:meth:`staleness`) is zero in
   steady state and grows only when a replica stops applying;
@@ -72,6 +76,18 @@ def build_cluster(graph, root, *, transport="inproc", replicas=2,
     )
     return ReplicationCluster(resilient, lambda: PageRank(), str(root),
                               replicas=replicas, transport=transport)
+
+
+def mmap_cluster(tmp_path, transport="directory", **kwargs):
+    """A cluster whose writer's graph lives in an :class:`MmapStore`."""
+    from repro.graph.storage import MmapStore
+
+    store = MmapStore(str(tmp_path / "writer-store"))
+    graph = store.publish(
+        rmat(scale=6, edge_factor=5, seed=17, weighted=True))
+    cluster = build_cluster(graph, tmp_path / "cluster",
+                            transport=transport, **kwargs)
+    return graph, cluster
 
 
 def shadow_values(graph, batches):
@@ -389,18 +405,25 @@ class TestStateInstall:
         spans = {event["id"]: event for event in tracer.events()}
 
         def under_apply(event):
+            """The kind of the ``replication.apply`` above ``event``."""
             while event["parent"] in spans:
                 event = spans[event["parent"]]
                 if event["name"] == "replication.apply":
-                    return True
-            return False
+                    return event["tags"]["kind"]
+            return None
 
         named = collections.defaultdict(list)
         for event in spans.values():
             named[event["name"], under_apply(event)].append(event)
-        assert named["refine", False], "the writer refines every batch"
-        assert not named["refine", True]
-        assert len(named["adopt", True]) == 2 * len(batches)
+        assert named["refine", None], "the writer refines every batch"
+        assert [kind for name, kind in named
+                if name == "refine" and kind is not None] == []
+        # Structure is queued on a segment and applied when a checkpoint
+        # is adopted in place (every 2 batches here), once per replica.
+        assert not named["adopt", "segment"]
+        adopted = named["adopt", "checkpoint"]
+        assert len(adopted) == 2 * len(batches) // 2
+        assert all(span["tags"]["batches"] == 2 for span in adopted)
         cluster.close()
 
     def test_replica_structure_equals_the_writers(self, graph, rng,
@@ -576,6 +599,120 @@ class TestStateInstall:
         cluster.close()
 
 
+def touched_pairs(batch):
+    return (set(zip(batch.add_src.tolist(), batch.add_dst.tolist()))
+            | set(batch.deletions()))
+
+
+class TestDeferredStructure:
+    """A replica queues the structure of what it adopts; a read or an
+    in-place checkpoint applies the queue as one splice per run of
+    pair-disjoint batches."""
+
+    def test_an_unread_replica_writes_no_generation(self, rng, tmp_path):
+        from repro.ligra.engine import LigraEngine
+        from repro.obs.registry import scoped_registry
+        from repro.obs.trace import Tracer, activated
+
+        with scoped_registry() as registry:
+            graph, cluster = mmap_cluster(tmp_path, checkpoint_every=64)
+            cluster.replicate()  # bootstrap from checkpoint 0
+            replica = cluster.replicas["r0"]
+            store = replica.server.graph.store
+            generations = store.snapshot_ids()
+            for _ in range(6):  # six state-bearing segments
+                cluster.submit(make_random_batch(graph, rng, 8, 8))
+                cluster.replicate()
+            assert replica.server.state_seq == 6
+            assert store.snapshot_ids() == generations
+            status = cluster.status()["replicas"]["r0"]
+            assert status["structure_pending"] == 6
+            assert registry.gauge(
+                "replication.r0.structure_pending").value == 6
+            with activated(Tracer()) as tracer:
+                answer = replica.query()
+            events = tracer.events()
+        (query,) = [event for event in events if event["name"] == "query"]
+        adopted = [event for event in events if event["name"] == "adopt"]
+        assert [event["tags"]["batches"] for event in adopted] == [6]
+        assert adopted[0]["parent"] == query["id"]
+        assert replica.structure_pending == 0
+        assert store.snapshot_ids() != generations
+        writer = cluster.writer.server
+        assert np.array_equal(answer.values, writer.query().values)
+        scratch = LigraEngine(PageRank()).run(writer.graph,
+                                              writer.exact_iterations)
+        assert np.allclose(answer.values, scratch, atol=1e-8)
+        cluster.close()
+
+    def test_a_checkpoint_aliases_the_coalesced_generation(self, rng,
+                                                           tmp_path):
+        from repro.graph.mutation import pair_disjoint_runs
+        from repro.obs.registry import scoped_registry
+        from repro.obs.trace import Tracer, activated
+
+        with scoped_registry() as registry:
+            graph, cluster = mmap_cluster(tmp_path, checkpoint_every=4)
+            cluster.replicate()
+            batches, touched = [], set()
+            while len(batches) < 4:
+                batch = make_random_batch(graph, rng, 8, 8)
+                if touched.isdisjoint(touched_pairs(batch)):
+                    batches.append(batch)
+                    touched |= touched_pairs(batch)
+            assert len(pair_disjoint_runs(batches)) == 1
+            with activated(Tracer()) as tracer:
+                for batch in batches:
+                    cluster.submit(batch)
+                    cluster.replicate()
+            aliased = registry.counter(
+                "replication.snapshots_aliased").value
+            resyncs = registry.counter("replication.resyncs").value
+        assert aliased == 2 and resyncs == 0
+        assert cluster.gap_resyncs == cluster.integrity_rejections == 0
+        adopted = [event for event in tracer.events()
+                   if event["name"] == "adopt"]
+        assert [event["tags"]["batches"] for event in adopted] == [4, 4]
+        for replica in cluster.replicas.values():
+            assert replica.checkpoint_seq == 4
+            assert replica.structure_pending == 0
+        cluster.close()
+
+    def test_a_backlog_survives_restart_and_promotion(self, rng,
+                                                      tmp_path):
+        from repro.graph.storage import ARRAY_NAMES
+
+        graph, cluster = mmap_cluster(tmp_path, checkpoint_every=64)
+        cluster.replicate()
+        batches = [make_random_batch(graph, rng, 8, 8) for _ in range(8)]
+        for batch in batches[:3]:
+            cluster.submit(batch)
+            cluster.replicate()
+        assert [replica.structure_pending
+                for replica in cluster.replicas.values()] == [3, 3]
+        cluster.kill_replica("r0")
+        cluster.submit(batches[3])
+        cluster.replicate()
+        assert cluster.replicas["r1"].structure_pending == 4
+        cluster.restart_replica("r0")
+        assert cluster.sync()
+        cluster.promote("r1")  # promoted with its backlog unapplied
+        for batch in batches[4:]:
+            cluster.submit(batch)
+            cluster.replicate()
+        assert cluster.sync()
+        expected = shadow_values(
+            rmat(scale=6, edge_factor=5, seed=17, weighted=True), batches)
+        writer = cluster.writer.server
+        assert np.array_equal(writer.approximate_values, expected)
+        replica = cluster.replicas["r0"]
+        assert np.array_equal(replica.approximate_values, expected)
+        for name in ARRAY_NAMES:
+            assert np.array_equal(getattr(replica.server.graph, name),
+                                  getattr(writer.graph, name)), name
+        cluster.close()
+
+
 # ----------------------------------------------------------------------
 # Fencing
 # ----------------------------------------------------------------------
@@ -732,14 +869,7 @@ class TestStoreSegmentShipping:
     memmaps -- a file copy, not a full-WAL replay."""
 
     def _mmap_cluster(self, tmp_path, transport="directory"):
-        from repro.graph.storage import MmapStore
-
-        store = MmapStore(str(tmp_path / "writer-store"))
-        graph = store.publish(
-            rmat(scale=6, edge_factor=5, seed=17, weighted=True))
-        cluster = build_cluster(graph, tmp_path / "cluster",
-                                transport=transport)
-        return graph, cluster
+        return mmap_cluster(tmp_path, transport=transport)
 
     def test_segments_ship_through_directory_transport(
             self, rng, tmp_path):
