@@ -90,8 +90,8 @@ def render_table(payload: Dict) -> str:
 # ----------------------------------------------------------------------
 # Table 1 -- incorrect results from naive reuse
 # ----------------------------------------------------------------------
-def experiment_table1(graph_name: str = "WK", num_batches: int = 10,
-                      batch_size: int = 100, seed: int = 11) -> Dict:
+def experiment_table1(num_batches: int = 10,
+                      batch_size: int = 100) -> Dict:
     """Count vertices with relative error >= 10% / >= 1% when converged
     values are naively reused across mutations (paper Table 1).
 
@@ -101,6 +101,7 @@ def experiment_table1(graph_name: str = "WK", num_batches: int = 10,
     batches.  (A heavily-seeded LP that contracts to a unique fixpoint
     within the window would mask the effect.)
     """
+    graph_name, seed = "WK", 11
     graph = paper_graph(graph_name, weighted=True)
     algorithm_factory = lambda: LabelPropagation(num_labels=5,
                                                  seed_every=10)
@@ -140,10 +141,10 @@ def experiment_table1(graph_name: str = "WK", num_batches: int = 10,
 # ----------------------------------------------------------------------
 # Figure 4 -- change in vertex values across iterations
 # ----------------------------------------------------------------------
-def experiment_figure4(graph_name: str = "WK",
-                       num_iterations: int = 10) -> Dict:
-    """Per-iteration changed-vertex counts for LP (paper Figure 4)."""
-    graph = paper_graph(graph_name, weighted=True)
+def experiment_figure4(num_iterations: int = 10) -> Dict:
+    """Per-iteration changed-vertex counts for LP on WK (paper
+    Figure 4)."""
+    graph = paper_graph("WK", weighted=True)
     engine = DeltaEngine(REGISTRY["LP"].factory())
     state = engine.initial_state(graph)
     changed = []
@@ -155,7 +156,7 @@ def experiment_figure4(graph_name: str = "WK",
     return {
         "experiment": "figure4",
         "title": (
-            f"Figure 4: changed vertices per iteration, LP on {graph_name} "
+            f"Figure 4: changed vertices per iteration, LP on WK "
             f"({graph.num_vertices} vertices)"
         ),
         "headers": ["Iteration"] + [str(i + 1) for i in range(num_iterations)],
@@ -169,11 +170,11 @@ def experiment_figure4(graph_name: str = "WK",
     }
 
 
-def _density_bar(value: float, height: int = 5) -> str:
-    """A tiny vertical bar rendering of a [0, 1] density (the ASCII
+def _density_bar(value: float) -> str:
+    """A five-cell bar rendering of a [0, 1] density (the ASCII
     counterpart of Figure 4's pixel columns)."""
-    filled = round(value * height)
-    return "#" * filled + "." * (height - filled)
+    filled = round(value * 5)
+    return "#" * filled + "." * (5 - filled)
 
 
 # ----------------------------------------------------------------------
@@ -400,22 +401,16 @@ REDUCERS: Dict[str, Callable[[Dict], Dict]] = {
 # ----------------------------------------------------------------------
 # Table 6 -- core scaling on YH
 # ----------------------------------------------------------------------
-def experiment_table6(
-    algorithms: Optional[Sequence[str]] = None,
-    batch_size: int = 100,
-    cores: Sequence[int] = (32, 96),
-    seed: int = 66,
-    num_shards: Optional[int] = None,
-) -> Dict:
+def experiment_table6(algorithms: Optional[Sequence[str]] = None) -> Dict:
     """Projected core scaling on YH (paper Table 6).
 
-    Every runner accounts its work over ``num_shards`` owner blocks --
+    Every runner accounts its work over ``max(cores)`` owner blocks --
     the *measured* per-shard load vector of each engine; wall-clock on p
     cores is then the calibrated LPT makespan of scheduling those real
     shard loads onto p cores (:class:`MakespanModel` -- the DESIGN.md
     substitution for real threads, which Python's GIL precludes).
-    The shard count defaults to ``max(cores)`` so the projection is
-    never floored by having fewer shards than cores.  The paper's
+    That shard count keeps the projection from being floored by having
+    fewer shards than cores.  The paper's
     observation under test: GraphBolt's speedup over GB-Reset *shrinks*
     at higher core counts because GB-Reset has more parallelisable
     work; the load-imbalance factor of each measured vector is reported
@@ -423,8 +418,8 @@ def experiment_table6(
     """
     if algorithms is None:
         algorithms = list(PAPER_ALGORITHMS)
-    if num_shards is None:
-        num_shards = max(cores)
+    batch_size, cores, seed = 100, (32, 96), 66
+    num_shards = max(cores)
     graph = paper_graph("YH", weighted=True)
     model = MakespanModel()
     rows = []
@@ -492,20 +487,15 @@ def experiment_table6(
 # ----------------------------------------------------------------------
 # Figure 8 -- comparison with Differential Dataflow (PageRank)
 # ----------------------------------------------------------------------
-def experiment_figure8(
-    scale: int = 9,
-    edge_factor: int = 4,
-    batch_sizes: Sequence[int] = (1, 10, 100),
-    num_single_updates: int = 20,
-    seed: int = 9,
-) -> Dict:
+def experiment_figure8() -> Dict:
     """PageRank: GraphBolt vs GraphBolt-RP vs mini-DD (paper Figure 8).
 
     Runs on a smaller graph than Table 5 because the mini-DD's per-key
     hash-trace processing is orders of magnitude more expensive than
     array kernels -- which is the comparison's point.
     """
-    graph = rmat(scale, edge_factor, seed=seed, weighted=True)
+    batch_sizes, num_single_updates, seed = (1, 10, 100), 20, 9
+    graph = rmat(9, 4, seed=seed, weighted=True)
     factory = REGISTRY["PR"].factory
     iterations = BENCH_ITERATIONS
 
@@ -584,18 +574,12 @@ def experiment_figure8(
 # ----------------------------------------------------------------------
 # Figure 9 -- SSSP: KickStarter vs GraphBolt vs DD
 # ----------------------------------------------------------------------
-def experiment_figure9(
-    scale: int = 9,
-    edge_factor: int = 4,
-    batch_sizes: Sequence[int] = (1, 10, 100),
-    source: int = 0,
-    seed: int = 19,
-    include_dataflow: bool = True,
-) -> Dict:
+def experiment_figure9() -> Dict:
     """SSSP across KickStarter, GraphBolt (min aggregation, convergence
     mode) and mini-DD, with mixed and addition-only streams (paper
     Figure 9a/9b)."""
-    graph = rmat(scale, edge_factor, seed=seed, weighted=True)
+    batch_sizes, source, seed = (1, 10, 100), 0, 19
+    graph = rmat(9, 4, seed=seed, weighted=True)
     rows = []
     series: Dict[str, Dict[str, List[float]]] = {}
     edge_series: Dict[str, Dict[str, List[int]]] = {}
@@ -606,8 +590,7 @@ def experiment_figure9(
         panel_edges: Dict[str, List[int]] = {
             "KickStarter": [], "GraphBolt": [],
         }
-        if include_dataflow:
-            panel_series["DifferentialDataflow"] = []
+        panel_series["DifferentialDataflow"] = []
         for batch_size in batch_sizes:
             batch = uniform_batch(graph, batch_size,
                                   delete_fraction=delete_fraction,
@@ -646,22 +629,20 @@ def experiment_figure9(
                     f"KickStarter and GraphBolt disagree by {worst}"
                 )
 
-            if include_dataflow:
-                dd = DifferentialSSSP(graph, source=source)
-                start = time.perf_counter()
-                dd.apply_mutations(batch)
-                panel_series["DifferentialDataflow"].append(
-                    time.perf_counter() - start
-                )
+            dd = DifferentialSSSP(graph, source=source)
+            start = time.perf_counter()
+            dd.apply_mutations(batch)
+            panel_series["DifferentialDataflow"].append(
+                time.perf_counter() - start
+            )
             row = [panel, batch_size] + [
                 round(panel_series[name][-1], 5) for name in panel_series
             ]
             rows.append(row)
         series[panel] = panel_series
         edge_series[panel] = panel_edges
-    headers = ["Panel", "Batch", "KickStarter", "GraphBolt"]
-    if include_dataflow:
-        headers.append("DifferentialDataflow")
+    headers = ["Panel", "Batch", "KickStarter", "GraphBolt",
+               "DifferentialDataflow"]
     return {
         "experiment": "figure9",
         "title": (
@@ -736,8 +717,6 @@ def experiment_table9(
 def experiment_motivation_tagging(
     graphs: Sequence[str] = BENCH_GRAPHS,
     batch_sizes: Sequence[int] = (1, 10, 100),
-    num_iterations: int = BENCH_ITERATIONS,
-    seed: int = 37,
 ) -> Dict:
     """How much a tag-based corrector would reset (paper sections 1/2.2).
 
@@ -757,9 +736,9 @@ def experiment_motivation_tagging(
         for batch_size in batch_sizes:
             stream = StreamingGraph(graph)
             mutation = stream.apply_batch(
-                uniform_batch(graph, batch_size, seed=seed)
+                uniform_batch(graph, batch_size, seed=37)
             )
-            fraction = tagged_fraction(mutation, num_iterations)
+            fraction = tagged_fraction(mutation, BENCH_ITERATIONS)
             row.append(f"{100 * fraction:.1f}%")
             detail[f"{graph_name}|{batch_size}"] = fraction
         rows.append(row)
@@ -767,7 +746,7 @@ def experiment_motivation_tagging(
         "experiment": "motivation_tagging",
         "title": (
             "Motivation: fraction of vertices a tag-based corrector "
-            f"resets ({num_iterations}-iteration window)"
+            f"resets ({BENCH_ITERATIONS}-iteration window)"
         ),
         "headers": ["Graph"] + [str(b) for b in batch_sizes],
         "rows": rows,
@@ -775,15 +754,11 @@ def experiment_motivation_tagging(
     }
 
 
-def experiment_ablation_pruning(
-    graph_name: str = "TW",
-    horizons: Sequence[int] = (0, 2, 4, 6, 8, 10),
-    batch_size: int = 100,
-    algo: str = "LP",
-    seed: int = 23,
-) -> Dict:
+def experiment_ablation_pruning() -> Dict:
     """Horizontal-pruning horizon sweep: refinement window versus memory
     and apply time (design trade-off of paper section 3.2)."""
+    graph_name, algo, batch_size, seed = "TW", "LP", 100, 23
+    horizons = (0, 2, 4, 6, 8, 10)
     graph = paper_graph(graph_name, weighted=True)
     factory = REGISTRY[algo].factory
     rows = []
@@ -822,12 +797,7 @@ def experiment_ablation_pruning(
     }
 
 
-def experiment_ablation_tagreset(
-    graph_name: str = "TW",
-    batch_sizes: Sequence[int] = (1, 10, 100),
-    algo: str = "LP",
-    seed: int = 43,
-) -> Dict:
+def experiment_ablation_tagreset() -> Dict:
     """Correctors head to head: tag-and-recompute (GraphIn-style)
     versus dependency-driven refinement (sections 1/2.2).
 
@@ -836,11 +806,12 @@ def experiment_ablation_tagreset(
     """
     from repro.core.tagreset import TagResetEngine
 
+    graph_name, algo, seed = "TW", "LP", 43
     graph = paper_graph(graph_name, weighted=True)
     factory = REGISTRY[algo].factory
     rows = []
     detail = {}
-    for batch_size in batch_sizes:
+    for batch_size in (1, 10, 100):
         batch = uniform_batch(graph, batch_size, seed=seed)
 
         tag_engine = TagResetEngine(factory(),

@@ -62,22 +62,20 @@ def mixed_stream(
     graph: CSRGraph,
     num_batches: int,
     batch_size: int,
-    load_fraction: float = 0.5,
-    delete_fraction: float = 0.3,
     seed: int = 0,
 ) -> Tuple[CSRGraph, List[MutationBatch]]:
-    """The paper's update stream: additions from the unloaded remainder
-    mixed with deletions of currently-loaded edges.
+    """The paper's update stream: additions from the unloaded half of
+    the edges mixed with deletions of currently-loaded edges.
 
     Returns ``(initial_graph, batches)``.  Deletions are sampled from the
     loaded edge set as it evolves (an edge added by an earlier batch can
-    be deleted by a later one); each batch holds ``batch_size`` mutations
-    with ``delete_fraction`` of them deletions (subject to availability
-    of pending additions).
+    be deleted by a later one); each batch holds ``batch_size`` mutations,
+    30% of them deletions (subject to availability of pending
+    additions).
     """
     rng = np.random.default_rng(seed)
     initial, pend_src, pend_dst, pend_weight = split_initial_graph(
-        graph, load_fraction, seed
+        graph, 0.5, seed
     )
     live = {
         (int(u), int(v)): float(w)
@@ -86,7 +84,7 @@ def mixed_stream(
     batches: List[MutationBatch] = []
     cursor = 0
     for _ in range(num_batches):
-        num_deletes = int(batch_size * delete_fraction)
+        num_deletes = int(batch_size * 0.3)
         num_adds = batch_size - num_deletes
         adds = []
         add_weights = []
@@ -179,20 +177,17 @@ def targeted_batch(graph: CSRGraph, batch_size: int, workload: str,
                                     add_weights=weights)
 
 
-def hotspot_community(num_vertices: int, fraction: float = 0.0625,
-                      seed: int = 0) -> Tuple[int, int]:
+def hotspot_community(num_vertices: int, seed: int = 0) -> Tuple[int, int]:
     """Pick one RMAT community as a half-open vertex-id range.
 
     RMAT's recursive quadrant construction makes communities contiguous
     id blocks whose boundaries are power-of-two prefixes, so a community
-    of relative size ``fraction`` is an aligned block of
-    ``~fraction * num_vertices`` ids.  Returns ``(lo, hi)``.
+    of relative size 1/16 is an aligned block of ``~num_vertices / 16``
+    ids.  Returns ``(lo, hi)``.
     """
     if num_vertices < 1:
         raise ValueError("num_vertices must be >= 1")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    block = max(1, int(num_vertices * fraction))
+    block = max(1, int(num_vertices * 0.0625))
     num_blocks = max(1, num_vertices // block)
     rng = np.random.default_rng(seed)
     index = int(rng.integers(0, num_blocks))
@@ -204,11 +199,11 @@ def hotspot_storm(
     graph: CSRGraph,
     num_batches: int,
     batch_size: int,
-    fraction: float = 0.0625,
     delete_fraction: float = 0.3,
     seed: int = 0,
 ) -> List[MutationBatch]:
-    """A hot-spot storm: every mutation lands in one RMAT community.
+    """A hot-spot storm: every mutation lands in one RMAT community
+    (a :func:`hotspot_community` block).
 
     The adversarial regime for dependency-driven refinement (ROADMAP
     item 5): instead of spreading mutations uniformly, all additions
@@ -218,7 +213,7 @@ def hotspot_storm(
     sampled from the evolving edge set (an edge added by an earlier
     batch can be deleted by a later one).  Deterministic given ``seed``.
     """
-    lo, hi = hotspot_community(graph.num_vertices, fraction, seed)
+    lo, hi = hotspot_community(graph.num_vertices, seed=seed)
     rng = np.random.default_rng(seed + 1)
     src, dst, _ = graph.all_edges()
     inside = (src >= lo) & (src < hi) & (dst >= lo) & (dst < hi)

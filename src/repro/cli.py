@@ -102,11 +102,12 @@ from repro.graph.properties import graph_stats
 from repro.graph.storage import store_from_spec
 from repro.ligra.engine import LigraEngine
 from repro.obs import JsonlJournal, Tracer, format_trace, trace
+from repro.testing.oracle import compare_snapshots
 
 __all__ = ["main"]
 
 
-def parse_graph(spec: str, weighted: bool = True) -> CSRGraph:
+def parse_graph(spec: str) -> CSRGraph:
     """Build a graph from a command-line spec (see module docstring)."""
     kind, _, rest = spec.partition(":")
     parts = rest.split(":") if rest else []
@@ -114,21 +115,21 @@ def parse_graph(spec: str, weighted: bool = True) -> CSRGraph:
         scale = int(parts[0]) if parts else 10
         edge_factor = int(parts[1]) if len(parts) > 1 else 8
         return generators.rmat(scale, edge_factor, seed=1,
-                               weighted=weighted)
+                               weighted=True)
     if kind == "ws":
         vertices = int(parts[0]) if parts else 1000
         neighbors = int(parts[1]) if len(parts) > 1 else 4
         return generators.watts_strogatz(vertices, neighbors, seed=1,
-                                         weighted=weighted)
+                                         weighted=True)
     if kind == "er":
         if len(parts) < 2:
             raise ValueError("er spec needs er:<vertices>:<edges>")
         return generators.erdos_renyi(int(parts[0]), int(parts[1]),
-                                      seed=1, weighted=weighted)
+                                      seed=1, weighted=True)
     if kind == "paper":
         if not parts:
             raise ValueError("paper spec needs paper:<name>")
-        return generators.paper_graph(parts[0], weighted=weighted)
+        return generators.paper_graph(parts[0], weighted=True)
     if kind == "file":
         if not parts:
             raise ValueError("file spec needs file:<path>")
@@ -216,11 +217,11 @@ def _cmd_run(args) -> int:
             if args.validate:
                 truth = LigraEngine(factory()).run(runner.graph,
                                                    args.iterations)
-                filled_actual = np.where(np.isinf(values), -1.0, values)
-                filled_truth = np.where(np.isinf(truth), -1.0, truth)
-                record["max_error"] = float(
-                    np.abs(filled_actual - filled_truth).max()
-                )
+                # The fuzz oracle's comparison: the maximum relative
+                # error, inf when the non-finite entries differ.
+                verdict = compare_snapshots(values, truth, 0.0)
+                record["max_error"] = (0.0 if verdict is None
+                                       else verdict[2])
             if journal is not None:
                 journal.write(record)
             if stdout_journal is not None:
@@ -399,7 +400,6 @@ def _cmd_serve(args) -> int:
         breaker=BreakerConfig(
             quarantine_threshold=args.breaker_quarantine_threshold,
             cooldown_submits=args.breaker_cooldown,
-            enabled=not args.no_breaker,
         ),
     )
     cluster = None
@@ -511,7 +511,7 @@ def _cmd_serve(args) -> int:
         print(f"SOAK FAIL: {queries_attempted - queries_answered} "
               f"of {queries_attempted} queries went unserved")
         status = 1
-    if poisons_planted and not args.no_breaker:
+    if poisons_planted:
         budget = resilient.breaker.restore_budget(resilient.submitted)
         if server.restores > budget:
             print(f"SOAK FAIL: {server.restores} restores exceed "
@@ -920,8 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="submit in bursts of N batches, applying "
                             "only at burst boundaries (builds queue "
                             "pressure; 0 = apply every batch)")
-    serve.add_argument("--no-breaker", action="store_true",
-                       help="disable the degradation circuit breaker")
     serve.add_argument("--breaker-quarantine-threshold", type=int,
                        default=3,
                        help="consecutive quarantines that trip the "

@@ -111,10 +111,6 @@ class Aggregation(ABC):
               old_contributions: np.ndarray) -> np.ndarray:
         """The per-edge change in contribution for a fused ⋃△ pass."""
 
-    def reduce(self, contributions: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Direct reduction (used by pull-based re-evaluation)."""
-        raise NotImplementedError
-
     @property
     def name(self) -> str:
         return type(self).__name__.replace("Aggregation", "").lower()
@@ -136,9 +132,6 @@ class SumAggregation(Aggregation):
 
     def delta(self, new_contributions, old_contributions) -> np.ndarray:
         return new_contributions - old_contributions
-
-    def reduce(self, contributions, axis: int = 0) -> np.ndarray:
-        return contributions.sum(axis=axis)
 
 
 class ProductAggregation(Aggregation):
@@ -165,9 +158,6 @@ class ProductAggregation(Aggregation):
 
     def delta(self, new_contributions, old_contributions) -> np.ndarray:
         return new_contributions / old_contributions
-
-    def reduce(self, contributions, axis: int = 0) -> np.ndarray:
-        return contributions.prod(axis=axis)
 
 
 class LogProductAggregation(SumAggregation):
@@ -209,9 +199,6 @@ class MinAggregation(_SelectionAggregation):
     def scatter(self, aggregate, dst, contributions) -> None:
         _at(np.minimum, aggregate, dst, contributions)
 
-    def reduce(self, contributions, axis: int = 0) -> np.ndarray:
-        return contributions.min(axis=axis)
-
 
 class MaxAggregation(_SelectionAggregation):
     """Maximum (e.g. widest-path style algorithms).  Non-decomposable."""
@@ -221,6 +208,3 @@ class MaxAggregation(_SelectionAggregation):
 
     def scatter(self, aggregate, dst, contributions) -> None:
         _at(np.maximum, aggregate, dst, contributions)
-
-    def reduce(self, contributions, axis: int = 0) -> np.ndarray:
-        return contributions.max(axis=axis)

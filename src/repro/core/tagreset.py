@@ -52,14 +52,13 @@ class TagResetEngine:
     name = "TagReset"
 
     def __init__(self, algorithm: IncrementalAlgorithm,
-                 num_iterations: Optional[int] = None,
-                 metrics: Optional[EngineMetrics] = None) -> None:
+                 num_iterations: Optional[int] = None) -> None:
         self.algorithm = algorithm
         self.num_iterations = (
             algorithm.default_iterations if num_iterations is None
             else num_iterations
         )
-        self.metrics = metrics if metrics is not None else EngineMetrics()
+        self.metrics = EngineMetrics()
         self._delta = DeltaEngine(algorithm, self.metrics)
         self._streaming: Optional[StreamingGraph] = None
         self._history: Optional[DependencyHistory] = None

@@ -103,13 +103,11 @@ class DifferentialPageRank(_DifferentialGraphProgram):
     """PageRank as an unrolled differential join+reduce pipeline."""
 
     name = "DifferentialDataflow-PR"
+    damping = 0.85
 
-    def __init__(self, graph: CSRGraph, num_iterations: int = 10,
-                 damping: float = 0.85,
-                 metrics: Optional[EngineMetrics] = None) -> None:
+    def __init__(self, graph: CSRGraph, num_iterations: int = 10) -> None:
         self.num_iterations = num_iterations
-        self.damping = damping
-        super().__init__(graph, metrics)
+        super().__init__(graph)
 
     def _build(self, edges, vertices):
         damping = self.damping

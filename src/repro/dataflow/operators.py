@@ -135,17 +135,15 @@ class InputSession:
         self._node = node
         self.stream = node.output
 
-    def send(self, diffs: Iterable[Diff],
-             time: Optional[Timestamp] = None) -> None:
+    def send(self, diffs: Iterable[Diff]) -> None:
+        """Feed ``diffs`` in at the dataflow's current time."""
         batch = _consolidate(diffs)
         if not batch:
             return
-        stamp = self.dataflow.current_time if time is None else time
-        self._node.accept(0, stamp, batch)
+        self._node.accept(0, self.dataflow.current_time, batch)
 
-    def send_records(self, records: Iterable[Record],
-                     time: Optional[Timestamp] = None) -> None:
-        self.send(((record, 1) for record in records), time)
+    def send_records(self, records: Iterable[Record]) -> None:
+        self.send((record, 1) for record in records)
 
 
 class Probe:

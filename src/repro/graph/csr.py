@@ -31,11 +31,6 @@ class CSRGraph:
         Integer arrays of equal length giving the edge endpoints.
     weight:
         Optional float array of edge weights; defaults to all ones.
-    presorted:
-        Input already in canonical CSR order (sorted by ``(src, dst)``).
-        Validated by a cheap monotonicity check over the scalar edge
-        keys, then the O(E log E) CSR-side lexsort is skipped and the
-        CSC side needs only a single-key stable argsort.
 
     The constructor copies and re-sorts the input, so callers may mutate
     their arrays afterwards.  :meth:`from_canonical` skips sorting and
@@ -49,7 +44,6 @@ class CSRGraph:
         src: np.ndarray,
         dst: np.ndarray,
         weight: Optional[np.ndarray] = None,
-        presorted: bool = False,
     ) -> None:
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -83,28 +77,14 @@ class CSRGraph:
         self.store = None
         self.snapshot_id = None
 
-        if presorted:
-            stride = np.int64(max(self._num_vertices, 1))
-            keys = src * stride + dst
-            if keys.size > 1 and np.any(np.diff(keys) < 0):
-                raise ValueError(
-                    "presorted=True but edges are not in (src, dst) order"
-                )
-            # CSR side is the input verbatim; CSC needs only a
-            # single-key stable argsort (src order breaks dst ties).
-            self._out_targets = dst.copy()
-            self._out_weights = weight.copy()
-            self._out_offsets = self._build_offsets(src)
-            order_in = np.argsort(dst, kind="stable")
-        else:
-            # CSR (out-edges), rows sorted by (src, dst).
-            order = np.lexsort((dst, src))
-            self._out_targets = dst[order].copy()
-            self._out_weights = weight[order].copy()
-            self._out_offsets = self._build_offsets(src[order])
+        # CSR (out-edges), rows sorted by (src, dst).
+        order = np.lexsort((dst, src))
+        self._out_targets = dst[order].copy()
+        self._out_weights = weight[order].copy()
+        self._out_offsets = self._build_offsets(src[order])
 
-            # CSC (in-edges), columns sorted by (dst, src).
-            order_in = np.lexsort((src, dst))
+        # CSC (in-edges), columns sorted by (dst, src).
+        order_in = np.lexsort((src, dst))
         self._in_sources = src[order_in].copy()
         self._in_weights = weight[order_in].copy()
         self._in_offsets = self._build_offsets(dst[order_in])

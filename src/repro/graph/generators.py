@@ -36,12 +36,20 @@ __all__ = [
 ]
 
 
+#: The Graph500 RMAT partition (a, b, c, d) = (0.57, 0.19, 0.19, 0.05),
+#: as the cumulative quadrant bounds a, a + b and a + b + c.
+_A = 0.57
+_AB = _A + 0.19
+_ABC = _AB + 0.19
+
+#: Edges per chunk of the xl tier's rng stream.  Both xl build paths
+#: draw the same chunks, so this is part of their determinism contract.
+CHUNK_EDGES = 1 << 20
+
+
 def rmat(
     scale: int,
     edge_factor: int = 16,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
     seed: int = 0,
     weighted: bool = False,
 ) -> CSRGraph:
@@ -52,20 +60,16 @@ def rmat(
     (0.57, 0.19, 0.19, 0.05).  Duplicate edges and self-loops are removed,
     so the final edge count is slightly below ``edge_factor * 2**scale``.
     """
-    if not 0 < a + b + c < 1:
-        raise ValueError("a + b + c must be in (0, 1)")
     rng = np.random.default_rng(seed)
     num_vertices = 1 << scale
     num_edges = edge_factor * num_vertices
     src = np.zeros(num_edges, dtype=np.int64)
     dst = np.zeros(num_edges, dtype=np.int64)
-    ab = a + b
-    abc = a + b + c
     for level in range(scale):
         rand = rng.random(num_edges)
-        src_bit = (rand >= ab).astype(np.int64)
+        src_bit = (rand >= _AB).astype(np.int64)
         dst_bit = (
-            ((rand >= a) & (rand < ab)) | (rand >= abc)
+            ((rand >= _A) & (rand < _AB)) | (rand >= _ABC)
         ).astype(np.int64)
         src = (src << 1) | src_bit
         dst = (dst << 1) | dst_bit
@@ -95,19 +99,18 @@ def _hash_weights(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return fraction + 0.5
 
 
-def _rmat_chunk(rng, count: int, scale: int,
-                a: float, ab: float, abc: float):
+def _rmat_chunk(rng, count: int, scale: int):
     """One chunk of the RMAT rng stream: ``count`` quadrant draws with
     self-loops dropped.  Both xl build paths (streamed and
     materialized) consume chunks through here, so they see the same
-    edges for the same ``(seed, chunk_edges)``."""
+    edges for the same ``seed``."""
     src = np.zeros(count, dtype=np.int64)
     dst = np.zeros(count, dtype=np.int64)
     for _ in range(scale):
         rand = rng.random(count)
-        src = (src << 1) | (rand >= ab)
-        dst = (dst << 1) | (((rand >= a) & (rand < ab))
-                            | (rand >= abc))
+        src = (src << 1) | (rand >= _AB)
+        dst = (dst << 1) | (((rand >= _A) & (rand < _AB))
+                            | (rand >= _ABC))
     keep = src != dst
     return src[keep], dst[keep]
 
@@ -131,13 +134,9 @@ def _dedup_sorted(key: np.ndarray, other: np.ndarray):
 def rmat_streamed(
     scale: int,
     edge_factor: int = 16,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
     seed: int = 0,
     weighted: bool = True,
     store=None,
-    chunk_edges: int = 1 << 20,
     spool_dir: Optional[str] = None,
 ) -> CSRGraph:
     """RMAT at out-of-core scale: edges stream to a disk spool in
@@ -147,7 +146,7 @@ def rmat_streamed(
 
     Three bounded passes:
 
-    1. **Generate** -- RMAT chunks of ``chunk_edges`` edges (self-loops
+    1. **Generate** -- RMAT chunks of :data:`CHUNK_EDGES` edges (self-loops
        dropped) are partitioned into spool buckets twice, by source
        range (the CSR pass's input) and by destination range (the CSC
        pass's).  Peak heap: one chunk.
@@ -162,15 +161,13 @@ def rmat_streamed(
     Weights are hash-derived from the endpoints (:func:`_hash_weights`)
     so both passes agree bit-for-bit; the result is identical whichever
     store builds it.  ``store=None`` builds in heap.  The rng stream is
-    consumed chunk-by-chunk, so ``chunk_edges`` is part of the
+    consumed chunk-by-chunk, so :data:`CHUNK_EDGES` is part of the
     determinism contract alongside ``seed`` -- equality across storage
     tiers holds because both build with the same chunk size, not in
     spite of it.
     """
     from repro.graph.storage import HeapStore
 
-    if not 0 < a + b + c < 1:
-        raise ValueError("a + b + c must be in (0, 1)")
     if store is None:
         store = HeapStore()
     num_vertices = 1 << scale
@@ -178,7 +175,7 @@ def rmat_streamed(
     # ~2 chunks of edges per bucket keeps pass-2/3 peak heap near the
     # chunk size while bounding the bucket file count.
     buckets = max(1, min(num_vertices,
-                         num_edges // max(chunk_edges * 2, 1) or 1))
+                         num_edges // (CHUNK_EDGES * 2) or 1))
     shift = max(0, scale - (buckets - 1).bit_length())
     buckets = (num_vertices + (1 << shift) - 1) >> shift
 
@@ -186,7 +183,6 @@ def rmat_streamed(
     own_spool = spool_dir is None
     os.makedirs(spool, exist_ok=True)
     rng = np.random.default_rng(seed)
-    ab, abc = a + b, a + b + c
     try:
         out_files = [open(os.path.join(spool, f"src-{i:04d}.bin"), "wb")
                      for i in range(buckets)]
@@ -195,9 +191,9 @@ def rmat_streamed(
         try:
             remaining = num_edges
             while remaining > 0:
-                count = min(chunk_edges, remaining)
+                count = min(CHUNK_EDGES, remaining)
                 remaining -= count
-                src, dst = _rmat_chunk(rng, count, scale, a, ab, abc)
+                src, dst = _rmat_chunk(rng, count, scale)
                 pair = np.empty((src.size, 2), dtype=np.int64)
                 pair[:, 0], pair[:, 1] = src, dst
                 for index in np.unique(src >> shift):
@@ -263,13 +259,9 @@ def rmat_streamed(
 def rmat_xl(
     scale: int,
     edge_factor: int = 16,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
     seed: int = 0,
     weighted: bool = True,
     store=None,
-    chunk_edges: int = 1 << 20,
 ) -> CSRGraph:
     """Build an xl-tier RMAT snapshot through a
     :class:`~repro.graph.storage.SnapshotStore`, by the path each
@@ -294,21 +286,17 @@ def rmat_xl(
     if store is None:
         store = HeapStore()
     if getattr(store, "kind", "heap") == "mmap":
-        return rmat_streamed(scale, edge_factor, a, b, c, seed=seed,
-                             weighted=weighted, store=store,
-                             chunk_edges=chunk_edges)
-    if not 0 < a + b + c < 1:
-        raise ValueError("a + b + c must be in (0, 1)")
+        return rmat_streamed(scale, edge_factor, seed=seed,
+                             weighted=weighted, store=store)
     num_vertices = 1 << scale
     num_edges = edge_factor * num_vertices
     rng = np.random.default_rng(seed)
-    ab, abc = a + b, a + b + c
     chunks = []
     remaining = num_edges
     while remaining > 0:
-        count = min(chunk_edges, remaining)
+        count = min(CHUNK_EDGES, remaining)
         remaining -= count
-        chunks.append(_rmat_chunk(rng, count, scale, a, ab, abc))
+        chunks.append(_rmat_chunk(rng, count, scale))
     src = np.concatenate([chunk[0] for chunk in chunks])
     dst = np.concatenate([chunk[1] for chunk in chunks])
     del chunks
@@ -461,17 +449,16 @@ PAPER_GRAPH_SCALES: Dict[str, Tuple[int, int]] = {
 }
 
 
-def paper_graph(name: str, seed: Optional[int] = None,
-                weighted: bool = False) -> CSRGraph:
-    """A scaled-down synthetic stand-in for one of the paper's graphs."""
+def paper_graph(name: str, weighted: bool = False) -> CSRGraph:
+    """A scaled-down synthetic stand-in for one of the paper's graphs,
+    seeded by its name."""
     if name not in PAPER_GRAPH_SCALES:
         raise KeyError(
             f"unknown paper graph {name!r}; choose from "
             f"{sorted(PAPER_GRAPH_SCALES)}"
         )
     scale, edge_factor = PAPER_GRAPH_SCALES[name]
-    if seed is None:
-        seed = sum(ord(ch) for ch in name)
+    seed = sum(ord(ch) for ch in name)
     if name == "UK":
         return watts_strogatz(
             1 << scale,

@@ -26,8 +26,9 @@ __all__ = [
 ]
 
 
-def load_edge_list(path: str, num_vertices: Optional[int] = None) -> CSRGraph:
-    """Parse a whitespace-separated edge list file into a graph."""
+def load_edge_list(path: str) -> CSRGraph:
+    """Parse a whitespace-separated edge list file into a graph whose
+    vertex count is one past the largest id it names."""
     src: List[int] = []
     dst: List[int] = []
     weight: List[float] = []
@@ -50,10 +51,9 @@ def load_edge_list(path: str, num_vertices: Optional[int] = None) -> CSRGraph:
     src_arr = np.array(src, dtype=np.int64)
     dst_arr = np.array(dst, dtype=np.int64)
     weight_arr = np.array(weight, dtype=np.float64) if any_weights else None
-    if num_vertices is None:
-        num_vertices = (
-            int(max(src_arr.max(initial=-1), dst_arr.max(initial=-1))) + 1
-        )
+    num_vertices = (
+        int(max(src_arr.max(initial=-1), dst_arr.max(initial=-1))) + 1
+    )
     return _simple_graph(num_vertices, src_arr, dst_arr, weight_arr)
 
 

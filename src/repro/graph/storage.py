@@ -700,8 +700,7 @@ class MmapStore(SnapshotStore):
         return np.memmap(path, dtype=np.dtype(dtype), mode="r",
                          offset=_HEADER_SIZE, shape=(count,))
 
-    def open_snapshot(self, snapshot_id: Optional[str] = None,
-                      verify: bool = False) -> CSRGraph:
+    def open_snapshot(self, snapshot_id: Optional[str] = None) -> CSRGraph:
         """Open a snapshot (default: current) as a store-backed graph."""
         snapshot_id = snapshot_id or self.current_snapshot
         if snapshot_id is None:
@@ -712,10 +711,8 @@ class MmapStore(SnapshotStore):
             raise StoreError(
                 f"unknown snapshot {snapshot_id!r} in store {self.root}"
             ) from None
-        if verify:
-            self.seal(snapshot_id)
         arrays = {
-            name: self._open_array(entry["arrays"][name], verify=verify)
+            name: self._open_array(entry["arrays"][name])
             for name in ARRAY_NAMES
         }
         graph = CSRGraph.from_canonical(

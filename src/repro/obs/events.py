@@ -21,9 +21,9 @@ and reordering (``repro dash --from-journal``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = ["WideEventEmitter"]
 
@@ -32,18 +32,14 @@ class WideEventEmitter:
     """Builds, journals, and ring-buffers wide events.
 
     ``journal`` is anything with ``write(record: dict)`` (usually a
-    :class:`~repro.obs.journal.JsonlJournal`); ``capacity`` bounds the
-    in-memory tail.  Every event is also counted in the registry
+    :class:`~repro.obs.journal.JsonlJournal`); the in-memory tail keeps
+    the last 512 events.  Every event is also counted in the registry
     (``obs.wide_events``) so export surfaces see emission volume.
     """
 
-    def __init__(self, journal=None, capacity: int = 512,
-                 registry: Optional[MetricsRegistry] = None) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    def __init__(self, journal=None) -> None:
         self._journal = journal
-        self._tail: Deque[Dict] = deque(maxlen=capacity)
-        self._registry = registry
+        self._tail: Deque[Dict] = deque(maxlen=512)
         self.next_seq = 0
 
     @property
@@ -67,16 +63,9 @@ class WideEventEmitter:
         self._tail.append(record)
         if self._journal is not None:
             self._journal.write(record)
-        registry = (self._registry if self._registry is not None
-                    else get_registry())
-        registry.counter("obs.wide_events").inc()
+        get_registry().counter("obs.wide_events").inc()
         return record
 
-    def events(self, kind: Optional[str] = None,
-               last: Optional[int] = None) -> List[Dict]:
-        """The in-memory tail, oldest first; optionally filtered."""
-        tail = [record for record in self._tail
-                if kind is None or record["kind"] == kind]
-        if last is not None:
-            tail = tail[-last:]
-        return tail
+    def events(self) -> List[Dict]:
+        """The in-memory tail, oldest first."""
+        return list(self._tail)

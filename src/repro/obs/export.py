@@ -1,6 +1,6 @@
 """Prometheus-text-format export of the metrics registry.
 
-:func:`render_prometheus` renders every instrument of a
+:func:`render_prometheus` renders every instrument of the process-wide
 :class:`~repro.obs.registry.MetricsRegistry` in the Prometheus text
 exposition format (version 0.0.4): counters and gauges as single
 samples, histograms as cumulative ``_bucket{le="..."}`` series plus
@@ -23,13 +23,12 @@ from __future__ import annotations
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import List, Optional
+from typing import List
 
 from repro.obs.registry import (
     Counter,
     Gauge,
     Histogram,
-    MetricsRegistry,
     get_registry,
 )
 
@@ -77,9 +76,9 @@ def _render_histogram(name: str, histogram: Histogram,
     lines.append(f"{name}_count {histogram.count}")
 
 
-def render_prometheus(registry: Optional[MetricsRegistry] = None) -> str:
+def render_prometheus() -> str:
     """The whole registry in Prometheus text exposition format."""
-    registry = registry if registry is not None else get_registry()
+    registry = get_registry()
     lines: List[str] = []
     for raw_name in registry.names():
         instrument = registry._instruments[raw_name]
@@ -96,11 +95,10 @@ def render_prometheus(registry: Optional[MetricsRegistry] = None) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_metrics(path: str,
-                  registry: Optional[MetricsRegistry] = None) -> str:
+def write_metrics(path: str) -> str:
     """Render the registry to ``path``; returns the path."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_prometheus(registry))
+        handle.write(render_prometheus())
     return path
 
 
@@ -113,8 +111,9 @@ class _MetricsHandler(BaseHTTPRequestHandler):
         if self.path.split("?")[0] not in ("/metrics", "/"):
             self.send_error(404, "try /metrics")
             return
-        registry = self.server.registry  # type: ignore[attr-defined]
-        body = render_prometheus(registry).encode("utf-8")
+        # Rendered at request time from the process-wide registry
+        # current then (scoped_registry swaps are honoured).
+        body = render_prometheus().encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type",
                          "text/plain; version=0.0.4; charset=utf-8")
@@ -128,9 +127,6 @@ class _MetricsHandler(BaseHTTPRequestHandler):
 
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
-    # Re-renders at request time; None means "the process-wide registry
-    # current at scrape time" (scoped_registry swaps are honoured).
-    registry: Optional[MetricsRegistry] = None
 
 
 class MetricsHTTPServer:
@@ -140,10 +136,8 @@ class MetricsHTTPServer:
     construction.  Use as a context manager or call :meth:`close`.
     """
 
-    def __init__(self, port: int = 0, host: str = "127.0.0.1",
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, port: int = 0, host: str = "127.0.0.1") -> None:
         self._httpd = _Server((host, port), _MetricsHandler)
-        self._httpd.registry = registry
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, name="repro-metrics",
             daemon=True,

@@ -16,7 +16,7 @@ See ``docs/observability.md`` for the field-level schema.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = ["JsonlJournal", "read_journal"]
 
@@ -63,16 +63,7 @@ class JsonlJournal:
         self.close()
 
 
-def read_journal(path: str,
-                 record_type: Optional[str] = None) -> List[Dict]:
-    """Load a journal; optionally keep only one record type."""
-    records = []
+def read_journal(path: str) -> List[Dict]:
+    """Load a journal's records, in order."""
     with open(path, encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record_type is None or record.get("type") == record_type:
-                records.append(record)
-    return records
+        return [json.loads(line) for line in stream if line.strip()]

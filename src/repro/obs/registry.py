@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 __all__ = [
     "Counter",
@@ -42,7 +42,7 @@ __all__ = [
     "set_registry",
 ]
 
-#: Default histogram bounds for per-batch latencies, in seconds:
+#: Every histogram's bounds (per-batch latencies), in seconds:
 #: 100us .. 30s in roughly-2.5x steps, plus the +inf overflow bucket.
 LATENCY_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
@@ -87,20 +87,16 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket distribution; bucket ``i`` counts values <=
-    ``bounds[i]`` (the final implicit bucket is +inf)."""
+    """Fixed-bucket distribution over :data:`LATENCY_BUCKETS`; bucket
+    ``i`` counts values <= ``bounds[i]`` (the final implicit bucket is
+    +inf)."""
 
     kind = "histogram"
     __slots__ = ("name", "bounds", "counts", "sum", "count")
 
-    def __init__(self, name: str,
-                 bounds: Sequence[float] = LATENCY_BUCKETS) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.bounds = tuple(float(bound) for bound in bounds)
-        if list(self.bounds) != sorted(set(self.bounds)):
-            raise ValueError(
-                f"histogram {name} bounds must be strictly increasing"
-            )
+        self.bounds = LATENCY_BUCKETS
         self.counts = [0] * (len(self.bounds) + 1)
         self.sum = 0.0
         self.count = 0
@@ -165,10 +161,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
 
-    def _get(self, kind: str, name: str, **kwargs):
+    def _get(self, kind: str, name: str):
         instrument = self._instruments.get(name)
         if instrument is None:
-            instrument = _KINDS[kind](name, **kwargs)
+            instrument = _KINDS[kind](name)
             self._instruments[name] = instrument
         elif instrument.kind != kind:
             raise ValueError(
@@ -183,11 +179,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get("gauge", name)
 
-    def histogram(self, name: str,
-                  bounds: Optional[Sequence[float]] = None) -> Histogram:
-        if bounds is None:
-            return self._get("histogram", name)
-        return self._get("histogram", name, bounds=bounds)
+    def histogram(self, name: str) -> Histogram:
+        return self._get("histogram", name)
 
     def names(self) -> List[str]:
         return sorted(self._instruments)
@@ -226,9 +219,9 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
 
 
 @contextmanager
-def scoped_registry(registry: Optional[MetricsRegistry] = None):
-    """Install a fresh (or given) registry for a ``with`` block."""
-    registry = registry if registry is not None else MetricsRegistry()
+def scoped_registry():
+    """Install a fresh registry for a ``with`` block."""
+    registry = MetricsRegistry()
     previous = set_registry(registry)
     try:
         yield registry
@@ -260,14 +253,11 @@ def peak_rss_bytes() -> int:
     return int(peak) * 1024
 
 
-def sample_peak_rss(
-    registry: Optional[MetricsRegistry] = None,
-) -> int:
+def sample_peak_rss() -> int:
     """Record :func:`peak_rss_bytes` into the ``proc.peak_rss_bytes``
     gauge; returns the sampled value."""
-    registry = registry if registry is not None else get_registry()
     peak = peak_rss_bytes()
-    registry.gauge("proc.peak_rss_bytes").set(peak)
+    get_registry().gauge("proc.peak_rss_bytes").set(peak)
     return peak
 
 

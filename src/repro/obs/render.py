@@ -23,6 +23,8 @@ from typing import Dict, Iterable, List, Optional
 __all__ = ["build_tree", "format_trace"]
 
 _BAR_WIDTH = 24
+#: Nesting levels rendered below each root (two: phases, iterations).
+_MAX_DEPTH = 2
 
 
 def build_tree(events: Iterable[Dict]) -> List[Dict]:
@@ -87,7 +89,7 @@ def _format_tags(tags: Dict) -> str:
 
 
 def _format_node(entry: Dict, parent_seconds: float, depth: int,
-                 lines: List[str], max_depth: int) -> None:
+                 lines: List[str]) -> None:
     fraction = (
         entry["duration"] / parent_seconds if parent_seconds > 0 else 0.0
     )
@@ -100,14 +102,13 @@ def _format_node(entry: Dict, parent_seconds: float, depth: int,
         f"{indent}{label:<{38 - 2 * depth}}"
         f"{entry['duration'] * 1000:>9.2f}ms {fraction * 100:>6.1f}%  {bar}"
     )
-    if depth < max_depth:
+    if depth < _MAX_DEPTH:
         for child in _collapse(entry["children"]):
-            _format_node(child, entry["duration"], depth + 1, lines,
-                         max_depth)
+            _format_node(child, entry["duration"], depth + 1, lines)
 
 
-def format_trace(events: Iterable[Dict], title: Optional[str] = None,
-                 max_depth: int = 2) -> str:
+def format_trace(events: Iterable[Dict],
+                 title: Optional[str] = None) -> str:
     """The flame-style text breakdown (see module docstring)."""
     lines: List[str] = []
     if title:
@@ -122,6 +123,6 @@ def format_trace(events: Iterable[Dict], title: Optional[str] = None,
         header = root["name"] + (f"  {tags}" if tags else "")
         lines.append(f"{header:<47}{root['duration'] * 1000:>9.2f}ms")
         for child in _collapse(root["children"]):
-            _format_node(child, root["duration"], 1, lines, max_depth)
+            _format_node(child, root["duration"], 1, lines)
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"

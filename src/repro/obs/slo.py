@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional, Sequence
 
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = [
     "SIGNALS",
@@ -238,15 +238,13 @@ class SLOEvaluator:
     """
 
     def __init__(self, slos: Sequence[SLO], journal=None,
-                 sink: Optional[AlertSink] = None,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+                 sink: Optional[AlertSink] = None) -> None:
         names = [slo.name for slo in slos]
         if len(set(names)) != len(names):
             raise SLOError(f"duplicate SLO names in {names}")
         self._states = [_SLOState(slo) for slo in slos]
         self._journal = journal
         self._sink = sink
-        self._registry = registry
         self.ticks = 0
         self.alerts: List[Alert] = []
 
@@ -254,16 +252,12 @@ class SLOEvaluator:
     def slos(self) -> List[SLO]:
         return [state.slo for state in self._states]
 
-    def _reg(self) -> MetricsRegistry:
-        return (self._registry if self._registry is not None
-                else get_registry())
-
     def tick(self, samples: Mapping[str, float],
              index: Optional[int] = None) -> List[Alert]:
         """Evaluate one batch worth of samples; returns transitions."""
         tick_index = self.ticks if index is None else index
         self.ticks += 1
-        registry = self._reg()
+        registry = get_registry()
         emitted: List[Alert] = []
         for state in self._states:
             slo = state.slo

@@ -494,8 +494,7 @@ class RecoveryManager:
         return None
 
     def recover(self, algorithm_factory, *, exact_iterations=None,
-                until_convergence: bool = False,
-                max_iterations: int = 1000, **load_kwargs):
+                **load_kwargs):
         """Restore a :class:`StreamingAnalyticsServer` from this
         directory (checkpoint + WAL tail), attached to this manager."""
         from repro.serving.server import StreamingAnalyticsServer
@@ -505,8 +504,6 @@ class RecoveryManager:
         return StreamingAnalyticsServer.from_engine(
             engine, algorithm_factory,
             exact_iterations=exact_iterations,
-            until_convergence=until_convergence,
-            max_iterations=max_iterations,
             batches_ingested=seq,
             recovery=self,
         )

@@ -186,15 +186,15 @@ def _charge_sweep(graph, metrics: EngineMetrics, offsets=None) -> None:
 
 # ----------------------------------------------------------------------
 # Gathers.  Each adds the gathered edge count to
-# ``metrics.edge_computations`` (pass ``count=False`` for structural
-# gathers that are not algorithm work) and charges the owners.
+# ``metrics.edge_computations`` (``gather_in`` / ``gather_all`` take
+# ``count=False`` for structural gathers that are not algorithm work)
+# and charges the owners.
 # ----------------------------------------------------------------------
 def gather_out(graph, vertices: np.ndarray,
-               metrics: Optional[EngineMetrics] = None,
-               count: bool = True) -> Edges:
+               metrics: Optional[EngineMetrics] = None) -> Edges:
     """Out-edges of ``vertices`` (push), owned by their sources."""
     src, dst, weight = graph.out_edges_of(vertices)
-    if metrics is not None and count:
+    if metrics is not None:
         metrics.count_edges(src.size)
     _charge(graph, metrics, src)
     return src, dst, weight

@@ -47,12 +47,7 @@ from repro.serving.resilience import (
     HealthSnapshot,
     ResilientAnalyticsServer,
 )
-from repro.serving.router import (
-    NoReplicaAvailableError,
-    QueryRouter,
-    RoutedResult,
-    StalenessError,
-)
+from repro.serving.router import QueryRouter, RoutedResult
 from repro.serving.server import QueryResult, StreamingAnalyticsServer
 from repro.serving.transport import (
     DeadLetterLedger,
@@ -76,7 +71,6 @@ __all__ = [
     "EpochAuthority",
     "HealthSnapshot",
     "InProcessTransport",
-    "NoReplicaAvailableError",
     "PlantedLatency",
     "QueryResult",
     "QueryRouter",
@@ -92,7 +86,6 @@ __all__ = [
     "ServingObserver",
     "Shipment",
     "ShipmentIntegrityError",
-    "StalenessError",
     "StreamingAnalyticsServer",
     "corrupt_shipment",
     "wrap_cluster",

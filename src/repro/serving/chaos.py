@@ -74,12 +74,11 @@ class ChaosConfig:
     delay_polls: int = 2
 
     @classmethod
-    def all_faults(cls, seed: int = 0, rate: float = 0.1,
-                   delay_polls: int = 2) -> "ChaosConfig":
+    def all_faults(cls, seed: int = 0, rate: float = 0.1) -> "ChaosConfig":
         """All five fault kinds enabled at the same rate -- the
         acceptance configuration of the chaos fuzzer."""
         return cls(seed=seed, drop=rate, duplicate=rate, corrupt=rate,
-                   reorder=rate, delay=rate, delay_polls=delay_polls)
+                   reorder=rate, delay=rate)
 
 class ChaosTransport(ReplicationTransport):
     """Wraps ``inner`` with a deterministic lossy-network fault plan.

@@ -450,24 +450,16 @@ class ReadReplica:
         inbox: ReplicationTransport,
         *,
         exact_iterations: Optional[int] = None,
-        until_convergence: bool = False,
-        max_iterations: int = 1000,
-        segment_records: int = 256,
     ) -> None:
         self.name = name
         self.directory = directory
         self.algorithm_factory = algorithm_factory
         self.inbox = inbox
         self.alive = True
-        self._query_kwargs = dict(
-            exact_iterations=exact_iterations,
-            until_convergence=until_convergence,
-            max_iterations=max_iterations,
-        )
+        self.exact_iterations = exact_iterations
         # Never ingesting, a replica never self-checkpoints: it adopts
         # the writer's checkpoints.
-        self.manager = RecoveryManager(directory, retain=2,
-                                       segment_records=segment_records)
+        self.manager = RecoveryManager(directory, retain=2)
         #: Where shipped snapshot-store segment files land; manifest-
         #: mode checkpoints are restored against this root, so the
         #: replica never touches the writer's store directory.
@@ -761,8 +753,8 @@ class ReadReplica:
         )
         self.server = StreamingAnalyticsServer.from_engine(
             engine, self.algorithm_factory,
+            exact_iterations=self.exact_iterations,
             batches_ingested=seq,  # no recovery: it never ingests
-            **self._query_kwargs,
         )
 
     # ------------------------------------------------------------------
@@ -770,7 +762,7 @@ class ReadReplica:
     # ------------------------------------------------------------------
     def query(
         self,
-        until_convergence: Optional[bool] = None,
+        until_convergence: bool = False,
         deadline_s: Optional[float] = None,
         deadline: Optional[Deadline] = None,
     ) -> QueryResult:
@@ -831,11 +823,7 @@ class ReplicationCluster:
         root: str,
         replicas: int = 2,
         transport: str = "inproc",
-        authority: Optional[EpochAuthority] = None,
-        replica_names: Optional[List[str]] = None,
         exact_iterations: Optional[int] = None,
-        until_convergence: bool = False,
-        max_iterations: int = 1000,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         if transport not in ("inproc", "directory"):
@@ -855,26 +843,17 @@ class ReplicationCluster:
         #: state quarantined; the query router skips these replicas.
         self.integrity_quarantine: Dict[str, str] = {}
         self.integrity_rejections = 0
-        self._replica_kwargs = dict(
-            exact_iterations=exact_iterations,
-            until_convergence=until_convergence,
-            max_iterations=max_iterations,
-        )
+        self.exact_iterations = exact_iterations
         # Validate the writer BEFORE touching disk: a non-durable
         # server must not leave an epoch.json behind.
         self.writer_node = ReplicationWriter(resilient)
-        self.authority = authority if authority is not None else (
-            EpochAuthority(os.path.join(root, "epoch.json"))
-        )
+        self.authority = EpochAuthority(os.path.join(root, "epoch.json"))
         self.writer_node.epoch = self.authority.epoch
         self.replicas: Dict[str, ReadReplica] = {}
         self.deposed: List[ReplicationWriter] = []
         self.gap_resyncs = 0
         self._delivering: Optional[str] = None
-        names = replica_names if replica_names is not None else [
-            f"r{index}" for index in range(replicas)
-        ]
-        for name in names:
+        for name in (f"r{index}" for index in range(replicas)):
             self._handshake(self._spawn(name, self._make_inbox(name)))
 
     # ------------------------------------------------------------------
@@ -895,7 +874,7 @@ class ReplicationCluster:
         fence, whichever is higher."""
         replica = ReadReplica(
             name, self._replica_dir(name), self.algorithm_factory,
-            inbox, **self._replica_kwargs,
+            inbox, exact_iterations=self.exact_iterations,
         )
         replica.fence(self.authority.epoch)
         self.replicas[name] = replica
@@ -1086,8 +1065,8 @@ class ReplicationCluster:
             directory, checkpoint_every=old.checkpoint_every,
             retain=old.retain, segment_records=old.wal.segment_records,
         )
-        for key, value in self._replica_kwargs.items():
-            resilient_kwargs.setdefault(key, value)
+        resilient_kwargs.setdefault("exact_iterations",
+                                    self.exact_iterations)
         resilient = ResilientAnalyticsServer.recover(
             manager, self.algorithm_factory, **resilient_kwargs
         )

@@ -24,12 +24,11 @@ first-class mechanism here:
   :meth:`repro.serving.server.StreamingAnalyticsServer.query`).
 
 - **Fault pressure** -- a :class:`CircuitBreaker` over the recovery
-  path.  Consecutive quarantines (a flapping poison source) or ingest
-  latency SLO violations trip the breaker OPEN: applies are deferred
-  (queries keep serving from the last good state, reported as
-  staleness), admission switches to the configured degraded policy,
-  and after a cooldown the breaker goes HALF_OPEN and sends a single
-  *probe* batch through the full path -- success restores full
+  path.  Consecutive quarantines (a flapping poison source) trip the
+  breaker OPEN: applies are deferred (queries keep serving from the
+  last good state, reported as staleness), admission coalesces the
+  queue, and after a cooldown the breaker goes HALF_OPEN and sends a
+  single *probe* batch through the full path -- success restores full
   service, failure re-opens.  Restores are thereby bounded by the trip
   threshold plus one per probe, where the unprotected loop restores
   once per poison batch, without bound.
@@ -39,7 +38,7 @@ Every transition is traced and gauged through :mod:`repro.obs`, and
 one snapshot for ``repro serve --status`` and the JSONL journal.
 
 The state machine is deliberately *count*-based, never clock-based:
-the same fault/latency sequence produces the same transition sequence,
+the same fault sequence produces the same transition sequence,
 which is what lets the breaker tests be property-style instead of
 sleep-and-hope.
 """
@@ -85,46 +84,29 @@ class BreakerConfig:
 
     ``quarantine_threshold``
         consecutive quarantines that trip CLOSED -> OPEN.
-    ``latency_slo_s`` / ``slo_threshold``
-        optional ingest-latency SLO; that many *consecutive* violations
-        also trip the breaker (``None`` disables the latency signal).
     ``cooldown_submits``
         deferred submissions the breaker sits OPEN before going
         HALF_OPEN (count-based, so transitions are deterministic).
-    ``degraded_admission``
-        admission policy substituted while the breaker is not CLOSED
-        (the configured policy may be ``block``, which cannot apply
-        backpressure when applies are suspended).
     ``degraded_approx_iterations``
         main-loop window used for probe applies while degraded;
         ``None`` keeps the full window.  Note that dependency-driven
         refinement still replays the tracked history, so this shrinks
         only the forward-extension work (see ``docs/operations.md``).
-    ``enabled``
-        ``False`` turns the breaker into a pass-through that never
-        trips -- the regression-pinned "unbounded restores" posture.
+
+    While the breaker is not CLOSED, admission coalesces the queue
+    whatever the configured policy: ``block`` cannot backpressure while
+    applies are suspended.
     """
 
     quarantine_threshold: int = 3
-    latency_slo_s: Optional[float] = None
-    slo_threshold: int = 3
     cooldown_submits: int = 4
-    degraded_admission: str = "coalesce"
     degraded_approx_iterations: Optional[int] = 1
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.quarantine_threshold < 1:
             raise ValueError("quarantine_threshold must be >= 1")
-        if self.slo_threshold < 1:
-            raise ValueError("slo_threshold must be >= 1")
         if self.cooldown_submits < 1:
             raise ValueError("cooldown_submits must be >= 1")
-        if self.degraded_admission not in ("shed-oldest", "coalesce"):
-            raise ValueError(
-                "degraded_admission must be 'shed-oldest' or 'coalesce' "
-                "(block cannot backpressure while applies are suspended)"
-            )
         if (self.degraded_approx_iterations is not None
                 and self.degraded_approx_iterations < 1):
             raise ValueError("degraded window needs at least one iteration")
@@ -143,16 +125,15 @@ class CircuitBreaker:
     """Deterministic count-based closed/open/half-open state machine.
 
     Inputs are discrete events (:meth:`record_success`,
-    :meth:`record_quarantine`, :meth:`record_latency`,
-    :meth:`note_deferred`, probe outcomes); the resulting transition
-    sequence is a pure function of the event sequence.
+    :meth:`record_quarantine`, :meth:`note_deferred`, probe outcomes);
+    the resulting transition sequence is a pure function of the event
+    sequence.
     """
 
     def __init__(self, config: Optional[BreakerConfig] = None) -> None:
         self.config = config if config is not None else BreakerConfig()
         self._state = CLOSED
         self._consecutive_quarantines = 0
-        self._consecutive_slo_violations = 0
         self._deferred_since_open = 0
         self.transitions: List[BreakerTransition] = []
         self.probes_sent = 0
@@ -169,10 +150,10 @@ class CircuitBreaker:
 
     def allows_apply(self) -> bool:
         """May a non-probe batch flow through to the engine?"""
-        return not self.config.enabled or self._state == CLOSED
+        return self._state == CLOSED
 
     def wants_probe(self) -> bool:
-        return self.config.enabled and self._state == HALF_OPEN
+        return self._state == HALF_OPEN
 
     # ------------------------------------------------------------------
     def _transition(self, to_state: str, reason: str) -> None:
@@ -198,38 +179,16 @@ class CircuitBreaker:
     # Event inputs
     # ------------------------------------------------------------------
     def record_success(self) -> None:
-        """A batch applied cleanly within SLO."""
+        """A batch applied cleanly."""
         self._consecutive_quarantines = 0
-        self._consecutive_slo_violations = 0
 
     def record_quarantine(self) -> None:
         """A batch was quarantined (one restore happened)."""
-        if not self.config.enabled:
-            return
-        self._consecutive_slo_violations = 0
         self._consecutive_quarantines += 1
         if (self._state == CLOSED and self._consecutive_quarantines
                 >= self.config.quarantine_threshold):
             self.trip(
                 f"{self._consecutive_quarantines} consecutive quarantines"
-            )
-
-    def record_latency(self, seconds: float) -> None:
-        """An ingest latency observation (SLO signal, if configured)."""
-        slo = self.config.latency_slo_s
-        if not self.config.enabled or slo is None:
-            return
-        if seconds <= slo:
-            self._consecutive_slo_violations = 0
-            return
-        self._consecutive_quarantines = 0
-        self._consecutive_slo_violations += 1
-        get_registry().counter("serving.slo_violations").inc()
-        if (self._state == CLOSED and self._consecutive_slo_violations
-                >= self.config.slo_threshold):
-            self.trip(
-                f"{self._consecutive_slo_violations} consecutive "
-                f"ingest SLO violations (> {slo}s)"
             )
 
     def note_deferred(self) -> None:
@@ -245,7 +204,6 @@ class CircuitBreaker:
         self.probes_sent += 1
         if ok:
             self._consecutive_quarantines = 0
-            self._consecutive_slo_violations = 0
             self._transition(CLOSED, "probe succeeded")
         else:
             self._deferred_since_open = 0
@@ -253,8 +211,6 @@ class CircuitBreaker:
 
     def trip(self, reason: str = "manual trip") -> None:
         """Force OPEN (threshold crossing, or operator action)."""
-        if not self.config.enabled:
-            return
         self._deferred_since_open = 0
         self._transition(OPEN, reason)
 
@@ -267,8 +223,6 @@ class CircuitBreaker:
         it.
         """
         cfg = self.config
-        if not cfg.enabled:
-            return total_submits
         remaining = max(0, total_submits - cfg.quarantine_threshold)
         # Each OPEN period absorbs cooldown_submits submissions, then
         # exactly one probe may restore.
@@ -430,9 +384,7 @@ class ResilientAnalyticsServer:
             self.pump()
 
     def _effective_policy(self) -> str:
-        if self.breaker.config.enabled and not self.breaker.closed:
-            return self.breaker.config.degraded_admission
-        return self.admission
+        return self.admission if self.breaker.closed else "coalesce"
 
     def _relieve_pressure(self) -> None:
         if len(self._queue) <= self.queue_capacity:
@@ -446,23 +398,13 @@ class ResilientAnalyticsServer:
                        and self.breaker.allows_apply()):
                     self._apply_head()
             elif policy == "shed-oldest":
-                # The queue head is the designated HALF_OPEN probe
-                # batch: shedding it spends the cooldown cycle the
-                # breaker just paid for on nothing, and the restore
-                # budget (one probe -- at most one restore -- per OPEN
-                # period) stops matching reality when a fresher,
-                # unvetted batch gets probed in its place.  Preserve
-                # the head and shed the oldest non-probe entry instead
-                # (over capacity implies at least two entries).
-                preserve = 1 if self.breaker.wants_probe() else 0
                 while len(self._queue) > self.queue_capacity:
-                    self._shed_entry(preserve)
+                    self._shed_oldest()
             else:  # coalesce
                 self._coalesce_queue()
 
-    def _shed_entry(self, position: int = 0) -> None:
-        seq, _, constituents = self._queue[position]
-        del self._queue[position]
+    def _shed_oldest(self) -> None:
+        seq, _, constituents = self._queue.popleft()
         if seq is not None:
             self.server.recovery.shed(
                 seq, f"queue over capacity {self.queue_capacity}"
@@ -570,7 +512,6 @@ class ResilientAnalyticsServer:
         self._resolved_constituents += constituents
         ok = server.batches_quarantined == quarantines_before
         if ok:
-            self.breaker.record_latency(elapsed)
             if self.breaker.closed:
                 self.breaker.record_success()
         elif not probe:
@@ -589,7 +530,7 @@ class ResilientAnalyticsServer:
     # ------------------------------------------------------------------
     def query(
         self,
-        until_convergence: Optional[bool] = None,
+        until_convergence: bool = False,
         deadline_s: Optional[float] = None,
         deadline: Optional[Deadline] = None,
     ) -> QueryResult:

@@ -19,6 +19,9 @@ Consistency knobs:
   the router only considers replicas that have applied at least that
   much, nudging the cluster to replicate once before giving up.
 
+A read no replica can answer is served by the writer, so a routed
+query never fails for want of a replica.
+
 A replica that raises any ``OSError`` flavour mid-query (a dead
 replica's :class:`~repro.serving.replication.ReplicaUnavailableError`,
 an injected ``replica.query`` fault, a real connection error) is
@@ -35,22 +38,8 @@ from repro.obs.registry import get_registry
 from repro.runtime.deadline import Deadline, WallClockDeadline
 from repro.serving.replication import ReplicationCluster
 from repro.serving.server import QueryResult
-from repro.serving.transport import ReplicationError
 
-__all__ = [
-    "NoReplicaAvailableError",
-    "QueryRouter",
-    "RoutedResult",
-    "StalenessError",
-]
-
-
-class StalenessError(ReplicationError):
-    """No replica satisfies the read-your-writes / staleness bound."""
-
-
-class NoReplicaAvailableError(ReplicationError):
-    """Every candidate replica failed and writer fallback is off."""
+__all__ = ["QueryRouter", "RoutedResult"]
 
 
 @dataclass
@@ -77,20 +66,17 @@ class QueryRouter:
 
     Candidates are the alive, bootstrapped, healthy replicas ordered by
     (lag, name) -- freshest first, name as the deterministic
-    tie-breaker.  ``writer_fallback=True`` (the default) serves from
-    the writer when no replica can answer: reads degrade to the primary
-    rather than failing outright.
+    tie-breaker.  The writer serves when no replica can answer: reads
+    degrade to the primary rather than failing outright.
     """
 
     def __init__(
         self,
         cluster: ReplicationCluster,
         max_staleness_batches: Optional[int] = None,
-        writer_fallback: bool = True,
     ) -> None:
         self.cluster = cluster
         self.max_staleness_batches = max_staleness_batches
-        self.writer_fallback = writer_fallback
         self._unhealthy: Dict[str, str] = {}
         self.queries_routed = 0
         self.failovers = 0
@@ -159,7 +145,7 @@ class QueryRouter:
     # ------------------------------------------------------------------
     def query(
         self,
-        until_convergence: Optional[bool] = None,
+        until_convergence: bool = False,
         deadline_s: Optional[float] = None,
         deadline: Optional[Deadline] = None,
         min_applied_batch: Optional[int] = None,
@@ -178,12 +164,6 @@ class QueryRouter:
             # writer may simply not have shipped yet -- and re-select.
             self.cluster.replicate()
             names = self.candidates(min_applied_batch)
-            if not names and not self.writer_fallback:
-                raise StalenessError(
-                    f"no replica has applied batch {min_applied_batch} "
-                    f"(writer is at "
-                    f"{self.cluster.writer_node.next_seq})"
-                )
 
         writer_next = self.cluster.writer_node.next_seq
         attempts = 0
@@ -212,11 +192,6 @@ class QueryRouter:
                 return RoutedResult(
                     result=result, served_by=name, attempts=attempts,
                     failovers=failovers, staleness_batches=lag,
-                )
-            if not self.writer_fallback:
-                raise NoReplicaAvailableError(
-                    f"all {attempts} candidate replica(s) failed and "
-                    f"writer fallback is disabled"
                 )
             attempts += 1
             self.writer_fallbacks += 1

@@ -56,6 +56,9 @@ from repro.testing.faults import InjectedCrash
 
 __all__ = ["QueryResult", "StreamingAnalyticsServer"]
 
+#: The iteration cap of a convergence query's branch loop.
+_MAX_ITERATIONS = 1000
+
 
 @dataclass
 class QueryResult:
@@ -91,8 +94,6 @@ class StreamingAnalyticsServer:
         graph: CSRGraph,
         approx_iterations: int = 3,
         exact_iterations: Optional[int] = None,
-        until_convergence: bool = False,
-        max_iterations: int = 1000,
         recovery=None,
     ) -> None:
         algorithm = algorithm_factory()
@@ -100,8 +101,6 @@ class StreamingAnalyticsServer:
             algorithm_factory, algorithm,
             approx_iterations=approx_iterations,
             exact_iterations=exact_iterations,
-            until_convergence=until_convergence,
-            max_iterations=max_iterations,
         )
         self.engine = GraphBoltEngine(algorithm,
                                       num_iterations=approx_iterations)
@@ -123,21 +122,18 @@ class StreamingAnalyticsServer:
             recovery.ensure_initial_checkpoint(self.engine)
 
     def _configure(self, algorithm_factory, algorithm, *,
-                   approx_iterations, exact_iterations,
-                   until_convergence, max_iterations) -> None:
+                   approx_iterations, exact_iterations) -> None:
         if approx_iterations < 1:
             raise ValueError("the main loop needs at least one iteration")
         if exact_iterations is None:
             exact_iterations = algorithm.default_iterations
-        if not until_convergence and exact_iterations < approx_iterations:
+        if exact_iterations < approx_iterations:
             raise ValueError(
                 "exact window must extend the approximate window"
             )
         self.algorithm_factory = algorithm_factory
         self.approx_iterations = approx_iterations
         self.exact_iterations = exact_iterations
-        self.until_convergence = until_convergence
-        self.max_iterations = max_iterations
 
     @classmethod
     def from_engine(
@@ -146,8 +142,6 @@ class StreamingAnalyticsServer:
         algorithm_factory: Callable[[], IncrementalAlgorithm],
         *,
         exact_iterations: Optional[int] = None,
-        until_convergence: bool = False,
-        max_iterations: int = 1000,
         batches_ingested: int = 0,
         recovery=None,
     ) -> "StreamingAnalyticsServer":
@@ -159,8 +153,6 @@ class StreamingAnalyticsServer:
             algorithm_factory, engine.algorithm,
             approx_iterations=engine.num_iterations,
             exact_iterations=exact_iterations,
-            until_convergence=until_convergence,
-            max_iterations=max_iterations,
         )
         server.engine = engine
         server.batches_ingested = batches_ingested
@@ -284,7 +276,7 @@ class StreamingAnalyticsServer:
     # ------------------------------------------------------------------
     def query(
         self,
-        until_convergence: Optional[bool] = None,
+        until_convergence: bool = False,
         deadline_s: Optional[float] = None,
         deadline: Optional[Deadline] = None,
     ) -> QueryResult:
@@ -308,16 +300,13 @@ class StreamingAnalyticsServer:
         A degraded answer is never remembered, and a hit ignores the
         deadline: its answer is already the complete window.
         """
-        if until_convergence is None:
-            until_convergence = self.until_convergence
         if deadline is None and deadline_s is not None:
             deadline = WallClockDeadline(deadline_s)
         if deadline is not None:
             faults.hit("query.deadline")
         start = time.perf_counter()
         engine, live = self.engine, self.engine._state
-        window = (until_convergence, self.exact_iterations,
-                  self.max_iterations)
+        window = (until_convergence, self.exact_iterations)
         memo = self._answer
         cached = (memo is not None and memo[0]() is engine
                   and memo[1]() is live and memo[2] == window)
@@ -360,7 +349,7 @@ class StreamingAnalyticsServer:
             branch_engine, graph, state,
             total_iterations=self.exact_iterations,
             until_convergence=until_convergence,
-            max_iterations=self.max_iterations,
+            max_iterations=_MAX_ITERATIONS,
             deadline=deadline,
         )
         # The window is incomplete iff iterations remain *and* the
@@ -368,7 +357,7 @@ class StreamingAnalyticsServer:
         # iterations are identity, so the state already equals the
         # full-window answer and is not degraded.
         if until_convergence:
-            target = self.max_iterations
+            target = _MAX_ITERATIONS
         else:
             target = self.exact_iterations
         degraded = bool(

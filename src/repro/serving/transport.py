@@ -353,22 +353,21 @@ class RetryPolicy:
     attempt -- the deterministic stand-in for an ack timeout (real time
     never enters the decision, so fuzz runs replay bit-for-bit).  The
     backoff between attempts is real wall-clock sleep, exponential with
-    deterministic jitter: ``jitter_seed`` fully determines the
-    schedule, so two runs of the same seed back off identically.
+    deterministic jitter: the attempt number fully determines the
+    schedule, so two runs back off identically.
     """
 
     max_attempts: int = 8
     backoff_base: float = 0.001
     backoff_factor: float = 2.0
     backoff_cap: float = 0.05
-    jitter_seed: int = 0
 
     def backoff(self, attempt: int) -> float:
         """Sleep budget (seconds) before retry ``attempt`` (1-based)."""
         if attempt <= 1:
             return 0.0
         raw = self.backoff_base * self.backoff_factor ** (attempt - 2)
-        rng = np.random.default_rng((self.jitter_seed, attempt))
+        rng = np.random.default_rng((0, attempt))
         return min(raw, self.backoff_cap) * (0.5 + 0.5 * rng.random())
 
 

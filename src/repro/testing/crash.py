@@ -221,10 +221,8 @@ class _Run:
         # applies must use the same window as the ground-truth loop.
         return dict(
             queue_capacity=len(self.schedule) + 2, admission="block",
-            breaker=BreakerConfig(
-                cooldown_submits=2, degraded_approx_iterations=None,
-                degraded_admission="coalesce",
-            ),
+            breaker=BreakerConfig(cooldown_submits=2,
+                                  degraded_approx_iterations=None),
         )
 
     def attach(self):
@@ -1004,7 +1002,6 @@ def run_crash_fuzz(
     max_batches: int = 6,
     checkpoint_every: int = 2,
     artifacts_dir: Optional[str] = None,
-    emit: Callable[[str], None] = print,
 ) -> List[CrashRound]:
     """A seeded campaign: each round draws a workload from the PR-1
     fuzzer and a ``(site, hit)`` from the durable rows -- a plain
@@ -1033,8 +1030,8 @@ def run_crash_fuzz(
             )
 
     start = time.perf_counter()
-    results = _run_all(jobs(), artifacts_dir, "crash-fuzz-", emit)
-    emit(
+    results = _run_all(jobs(), artifacts_dir, "crash-fuzz-", print)
+    print(
         f"crash fuzz: {len(results)} round(s), "
         f"{sum(r.crashes for r in results)} crash(es) injected, "
         f"{sum(1 for r in results if not r.ok)} mismatch(es), "
@@ -1043,8 +1040,7 @@ def run_crash_fuzz(
     return results
 
 
-def run_plant_fault(seed: int = 0,
-                    emit: Callable[[str], None] = print) -> bool:
+def run_plant_fault(seed: int = 0) -> bool:
     """Self-test: prove the failpoint registry actually fires.
 
     Arms a *transient* fault at ``wal.append`` and succeeds only if
@@ -1063,10 +1059,10 @@ def run_plant_fault(seed: int = 0,
     finally:
         shutil.rmtree(state_dir, ignore_errors=True)
     if round_.ok and retried:
-        emit("plant-a-fault: wal.append fired, retry absorbed it, "
+        print("plant-a-fault: wal.append fired, retry absorbed it, "
              "stream completed -- failpoints are live")
         return True
-    emit(f"plant-a-fault: FAILED (fired={round_.fired}, "
+    print(f"plant-a-fault: FAILED (fired={round_.fired}, "
          f"retried={retried}, completed={round_.ok}) -- the failpoint "
          f"registry is not wired into the serving stack")
     return False

@@ -141,15 +141,13 @@ CORRUPT_SITES = (
 _KINDS = ("crash", "fault", "corrupt")
 
 
-def flip_byte(data: bytes, index: Optional[int] = None) -> bytes:
-    """``data`` with one bit of one byte flipped (the middle byte by
-    default) -- the canonical planted bit-rot mutation.  Empty input
-    is returned unchanged (there is nothing to corrupt)."""
+def flip_byte(data: bytes) -> bytes:
+    """``data`` with one bit of its middle byte flipped -- the
+    canonical planted bit-rot mutation.  Empty input is returned
+    unchanged (there is nothing to corrupt)."""
     if not data:
         return data
-    if index is None:
-        index = len(data) // 2
-    index %= len(data)
+    index = len(data) // 2
     return data[:index] + bytes([data[index] ^ 0x01]) + data[index + 1:]
 
 
@@ -184,7 +182,6 @@ class FiredFailpoint:
 class _Plan:
     kind: str
     hit: int
-    once: bool = True
 
 
 @dataclass
@@ -195,14 +192,13 @@ class FailpointRegistry:
     hits: Dict[str, int] = field(default_factory=dict)
     fired: List[FiredFailpoint] = field(default_factory=list)
 
-    def arm(self, site: str, kind: str = "crash", hit: int = 1,
-            once: bool = True) -> None:
+    def arm(self, site: str, kind: str = "crash", hit: int = 1) -> None:
         """Arm ``site`` to raise on its ``hit``-th future-or-past hit.
 
         ``hit`` counts from the site's current total (sites hit before
-        arming still count), so arm before driving the workload.
-        ``once`` disarms after the first firing -- the recovered process
-        does not crash again, which is what the crash fuzzer wants.
+        arming still count), so arm before driving the workload.  The
+        first firing disarms the site -- the recovered process does not
+        crash again, which is what the crash fuzzer wants.
         """
         if site not in KNOWN_SITES:
             raise ValueError(
@@ -218,7 +214,7 @@ class FailpointRegistry:
             )
         if hit < 1:
             raise ValueError("hit is 1-based and must be >= 1")
-        self._plans[site] = _Plan(kind=kind, hit=hit, once=once)
+        self._plans[site] = _Plan(kind=kind, hit=hit)
 
     def armed(self, site: str) -> bool:
         return site in self._plans
@@ -248,10 +244,7 @@ class FailpointRegistry:
             return None
         if plan.kind == "corrupt" and not corruptible:
             return None
-        if plan.once:
-            del self._plans[site]
-        elif count > plan.hit:
-            return None
+        del self._plans[site]
         self.fired.append(FiredFailpoint(site=site, kind=plan.kind,
                                          hit_number=count))
         if plan.kind == "crash":
@@ -295,9 +288,9 @@ def set_failpoints(registry: FailpointRegistry) -> FailpointRegistry:
 
 
 @contextmanager
-def scoped_failpoints(registry: Optional[FailpointRegistry] = None):
-    """Install a fresh (or given) registry for a ``with`` block."""
-    registry = registry if registry is not None else FailpointRegistry()
+def scoped_failpoints():
+    """Install a fresh registry for a ``with`` block."""
+    registry = FailpointRegistry()
     previous = set_failpoints(registry)
     try:
         yield registry

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.obs import JsonlJournal, Tracer, trace
 from repro.testing.oracle import WorkloadReport, check_workload
@@ -81,10 +81,8 @@ def run_fuzz(
     max_vertices: int = 64,
     max_batches: int = 6,
     do_shrink: bool = True,
-    shrink_checks: int = 300,
     plant_bug: bool = False,
     trace_path: Optional[str] = None,
-    emit: Callable[[str], None] = print,
 ) -> FuzzOutcome:
     """Run a fuzzing campaign; see module docstring.
 
@@ -103,7 +101,7 @@ def run_fuzz(
         if budget_seconds is not None:
             if time.perf_counter() - start >= budget_seconds:
                 outcome.budget_exhausted = True
-                emit(f"budget exhausted after {outcome.workloads_run} "
+                print(f"budget exhausted after {outcome.workloads_run} "
                      f"workload(s)")
                 break
         workload = generate_workload(
@@ -118,19 +116,19 @@ def run_fuzz(
         seconds = time.perf_counter() - tick
         outcome.workloads_run += 1
         status = "OK" if report.ok else "DIVERGED"
-        emit(f"[{index + 1}/{workloads}] {report.summary()} "
+        print(f"[{index + 1}/{workloads}] {report.summary()} "
              f"({seconds:.2f}s) {status}")
         if report.ok:
             continue
 
         outcome.failures.append(report)
         for divergence in report.divergences:
-            emit(f"    {divergence}")
+            print(f"    {divergence}")
         if not do_shrink:
             if journal is not None:
                 _journal_failure(journal, workload, seed + index,
                                  report, engines, plant_bug)
-                emit(f"    trace dump -> {trace_path}")
+                print(f"    trace dump -> {trace_path}")
             continue
 
         def is_failing(candidate: Workload) -> bool:
@@ -139,13 +137,13 @@ def run_fuzz(
                 stop_at_first=True,
             ).ok
 
-        result = shrink(workload, is_failing, max_checks=shrink_checks)
+        result = shrink(workload, is_failing, max_checks=300)
         outcome.shrunk.append(result.workload)
         if journal is not None:
             _journal_failure(journal, result.workload, seed + index,
                              report, engines, plant_bug)
-            emit(f"    trace dump -> {trace_path}")
-        emit(
+            print(f"    trace dump -> {trace_path}")
+        print(
             f"    shrunk to V={result.workload.num_vertices}, "
             f"E={len(result.workload.edges)}, "
             f"batches={len(result.workload.schedule)}, "
@@ -157,10 +155,10 @@ def run_fuzz(
                           include_naive=plant_bug,
                           expect_divergence=plant_bug)
         outcome.repros.append(repro)
-        emit("    --- pytest repro " + "-" * 44)
+        print("    --- pytest repro " + "-" * 44)
         for line in repro.splitlines():
-            emit("    " + line)
-        emit("    " + "-" * 61)
+            print("    " + line)
+        print("    " + "-" * 61)
 
     if journal is not None:
         journal.close()
@@ -172,15 +170,15 @@ def run_fuzz(
             for divergence in report.divergences
         )
         if caught:
-            emit(
+            print(
                 f"plant-a-bug: oracle caught the naive strategy in "
                 f"{outcome.elapsed_seconds:.1f}s -- harness is live"
             )
         else:
-            emit("plant-a-bug: naive strategy was NOT detected -- the "
+            print("plant-a-bug: naive strategy was NOT detected -- the "
                  "oracle is passing vacuously")
     else:
-        emit(
+        print(
             f"fuzz: {outcome.workloads_run} workload(s), "
             f"{len(outcome.failures)} failure(s), "
             f"{outcome.elapsed_seconds:.1f}s"

@@ -68,10 +68,9 @@ def available_engines(profile: AlgorithmSpec,
     return engines
 
 
-def build_runner(engine: str, profile: AlgorithmSpec,
-                 num_shards: int = 1) -> StreamingRunner:
+def build_runner(engine: str, profile: AlgorithmSpec) -> StreamingRunner:
     """Instantiate one registered engine for one workload's algorithm
-    profile, its loads accounted over ``num_shards`` owner blocks."""
+    profile."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     extra = {}
@@ -85,7 +84,7 @@ def build_runner(engine: str, profile: AlgorithmSpec,
         raise ValueError(f"{profile.name} has no dataflow program")
     return ENGINES[engine](
         profile.factory, profile.num_iterations,
-        profile.until_convergence, num_shards=num_shards, **extra,
+        profile.until_convergence, **extra,
     )
 
 
@@ -179,7 +178,6 @@ def check_workload(
     workload: Workload,
     engines: Optional[Sequence[str]] = None,
     include_naive: bool = False,
-    check_work: bool = True,
     stop_at_first: bool = False,
 ) -> WorkloadReport:
     """Run one workload through all engines and collect divergences.
@@ -241,7 +239,7 @@ def check_workload(
                     engine=engine, batch_index=batch_index, kind=kind,
                     detail=detail, max_error=max_error,
                 ))
-        if check_work and stabilised and "graphbolt" not in dead:
+        if stabilised and "graphbolt" not in dead:
             refined = report.edge_work["graphbolt"][-1]
             restart = report.edge_work[REFERENCE_ENGINE][-1]
             if refined > restart:

@@ -54,9 +54,9 @@ class TestMixedStream:
 
     def test_delete_fraction(self, graph):
         _, batches = mixed_stream(graph, num_batches=2, batch_size=100,
-                                  delete_fraction=0.25, seed=4)
+                                  seed=4)
         for batch in batches:
-            assert batch.num_deletions == 25
+            assert batch.num_deletions == 30
 
 
 class TestUniformBatch:

@@ -14,6 +14,8 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import bipartite_graph, rmat
 from repro.graph.mutation import MutationBatch
 from repro.kickstarter.trees import NO_PARENT
+from repro.obs.journal import read_journal
+from repro.testing.oracle import build_runner
 
 
 @pytest.fixture
@@ -124,6 +126,31 @@ def on_disk_snapshots(store_root) -> list:
     now -- the sealed generations, as a restarted process would see."""
     with open(os.path.join(str(store_root), "manifest.json")) as stream:
         return sorted(json.load(stream)["snapshots"])
+
+
+def journal_records(path, record_type: str) -> list:
+    """The records of one ``type`` in a JSONL journal, in order."""
+    return [record for record in read_journal(str(path))
+            if record.get("type") == record_type]
+
+
+def wide_events(emitter, kind: str) -> list:
+    """A wide-event emitter's in-memory tail, one ``kind`` only."""
+    return [event for event in emitter.events() if event["kind"] == kind]
+
+
+def flip_byte_at(data: bytes, index: int) -> bytes:
+    """``data`` with one bit of byte ``index`` flipped (the positioned
+    counterpart of ``repro.testing.faults.flip_byte``)."""
+    return data[:index] + bytes([data[index] ^ 0x01]) + data[index + 1:]
+
+
+def sharded_runner(engine: str, profile, num_shards: int):
+    """``build_runner``'s runner with its loads accounted over
+    ``num_shards`` owner blocks."""
+    runner = build_runner(engine, profile)
+    runner.metrics.num_shards = num_shards
+    return runner
 
 
 @pytest.fixture

@@ -56,9 +56,6 @@ class TestSum:
         self.agg.scatter(b, dst, new)
         assert np.allclose(a, b)
 
-    def test_reduce(self):
-        assert self.agg.reduce(np.array([1.0, 2.0, 3.0])) == 6.0
-
     def test_vector_scatter(self):
         aggregate = self.agg.identity(2, (3,))
         self.agg.scatter(aggregate, np.array([1, 1]),
@@ -89,9 +86,6 @@ class TestProduct:
 
     def test_delta_is_ratio(self):
         assert self.agg.delta(np.array([6.0]), np.array([2.0])) == 3.0
-
-    def test_reduce(self):
-        assert self.agg.reduce(np.array([2.0, 5.0])) == 10.0
 
 
 class TestLogProduct:
@@ -153,10 +147,6 @@ class TestMinMax:
     def test_delta_raises(self):
         with pytest.raises(NotImplementedError):
             MaxAggregation().delta(np.array([1.0]), np.array([2.0]))
-
-    def test_reduce(self):
-        assert MinAggregation().reduce(np.array([4.0, 2.0])) == 2.0
-        assert MaxAggregation().reduce(np.array([4.0, 2.0])) == 4.0
 
 
 class TestAlgebraicLaws:

@@ -42,10 +42,6 @@ class TestRmat:
         weights = graph.out_weights
         assert np.all((weights >= 0.5) & (weights < 1.5))
 
-    def test_invalid_partition(self):
-        with pytest.raises(ValueError):
-            gen.rmat(scale=5, a=0.5, b=0.5, c=0.5)
-
 
 class TestErdosRenyi:
     def test_exact_edge_count(self):

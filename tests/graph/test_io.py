@@ -46,10 +46,10 @@ class TestEdgeListText:
         with pytest.raises(ValueError, match="malformed"):
             io.load_edge_list(str(path))
 
-    def test_explicit_vertex_count(self, tmp_path):
+    def test_vertex_count_spans_the_largest_id(self, tmp_path):
         path = tmp_path / "graph.txt"
-        path.write_text("0 1\n")
-        loaded = io.load_edge_list(str(path), num_vertices=10)
+        path.write_text("0 1\n9 2\n")
+        loaded = io.load_edge_list(str(path))
         assert loaded.num_vertices == 10
 
 

@@ -19,7 +19,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat, rmat_streamed, rmat_xl
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
-from repro.graph import splice, storage
+from repro.graph import generators, splice, storage
 from repro.graph.storage import (
     ARRAY_NAMES,
     HeapStore,
@@ -667,9 +667,10 @@ class TestXLTier:
         assert_graphs_equal(heap, mmapped)
         assert isinstance(mmapped.out_targets, np.memmap)
 
-    def test_rmat_streamed_spools_through_store(self, tmp_path):
+    def test_rmat_streamed_spools_through_store(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(generators, "CHUNK_EDGES", 1 << 10)
         store = MmapStore(str(tmp_path))
-        graph = rmat_streamed(9, 6, seed=5, store=store,
-                              chunk_edges=1 << 10)
+        graph = rmat_streamed(9, 6, seed=5, store=store)
         assert graph.store is store
         store.verify()

@@ -16,10 +16,10 @@ from repro.bench.harness import (
     LigraRunner,
     run_stream,
 )
-from repro.bench.workloads import mixed_stream
+from repro.bench.workloads import mixed_stream, split_initial_graph
 from repro.dataflow.graph_programs import DifferentialSSSP
 from repro.graph.generators import rmat
-from repro.graph.mutation import coalesce_batches
+from repro.graph.mutation import MutationBatch, coalesce_batches
 from repro.kickstarter.engine import KickStarterEngine
 from repro.ligra.engine import LigraEngine
 from tests.conftest import edge_set
@@ -45,9 +45,15 @@ class TestPaperMethodologyStream:
 
     def test_final_graph_is_the_full_graph_when_no_deletions(self):
         full = rmat(scale=7, edge_factor=4, seed=51, weighted=True)
-        initial, batches = mixed_stream(full, num_batches=100,
-                                        batch_size=100,
-                                        delete_fraction=0.0, seed=51)
+        initial, src, dst, weight = split_initial_graph(full, 0.5, seed=51)
+        batches = [
+            MutationBatch.from_edges(
+                additions=list(zip(src[i:i + 100].tolist(),
+                                   dst[i:i + 100].tolist())),
+                add_weights=weight[i:i + 100].tolist(),
+            )
+            for i in range(0, src.size, 100)
+        ]
         runner = GraphBoltRunner(lambda: PageRank(), 5)
         runner.setup(initial)
         for batch in batches:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.obs.events import WideEventEmitter
-from repro.obs.journal import JsonlJournal, read_journal
+from repro.obs.journal import JsonlJournal
 from repro.obs.registry import scoped_registry
+from tests.conftest import journal_records
 
 
 class TestWideEventEmitter:
@@ -35,37 +36,22 @@ class TestWideEventEmitter:
 
     def test_tail_ring_bounds_memory_but_seq_keeps_counting(self):
         with scoped_registry():
-            emitter = WideEventEmitter(capacity=4)
-            for index in range(10):
+            emitter = WideEventEmitter()
+            for index in range(520):
                 emitter.emit("batch", index=index)
             tail = emitter.events()
-            assert [e["seq"] for e in tail] == [6, 7, 8, 9]
-            assert emitter.emitted == 10
-
-    def test_events_filter_by_kind_and_last(self):
-        with scoped_registry():
-            emitter = WideEventEmitter()
-            for index in range(3):
-                emitter.emit("batch", index=index)
-                emitter.emit("query", index=index)
-            queries = emitter.events(kind="query")
-            assert [e["index"] for e in queries] == [0, 1, 2]
-            assert [e["index"] for e in emitter.events(kind="batch",
-                                                       last=2)] == [1, 2]
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            WideEventEmitter(capacity=0)
+            assert [e["seq"] for e in tail] == list(range(8, 520))
+            assert emitter.emitted == 520
 
     def test_journal_sees_every_event_past_capacity(self, tmp_path):
         path = str(tmp_path / "wide.jsonl")
         with scoped_registry():
             with JsonlJournal.open(path) as journal:
-                emitter = WideEventEmitter(journal=journal, capacity=2)
-                for index in range(5):
+                emitter = WideEventEmitter(journal=journal)
+                for index in range(520):
                     emitter.emit("batch", index=index)
-        records = read_journal(path, record_type="wide")
-        assert [r["seq"] for r in records] == [0, 1, 2, 3, 4]
+        records = journal_records(path, "wide")
+        assert [r["seq"] for r in records] == list(range(520))
 
     def test_emission_volume_counted_in_registry(self):
         with scoped_registry() as registry:

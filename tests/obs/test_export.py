@@ -2,6 +2,7 @@
 
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
@@ -11,19 +12,20 @@ from repro.obs.export import (
     render_prometheus,
     write_metrics,
 )
-from repro.obs.registry import MetricsRegistry, scoped_registry
+from repro.obs.registry import LATENCY_BUCKETS, scoped_registry
 
 
+@contextmanager
 def tiny_registry():
-    registry = MetricsRegistry()
-    registry.counter("serving.batches_applied").inc(3)
-    registry.gauge("slo.soak-ingest-latency.fast_burn").set(2.5)
-    histogram = registry.histogram("serving.ingest_seconds",
-                                   bounds=(0.1, 1.0))
-    histogram.observe(0.05)
-    histogram.observe(0.5)
-    histogram.observe(5.0)
-    return registry
+    """A process-wide registry holding one instrument of each kind."""
+    with scoped_registry() as registry:
+        registry.counter("serving.batches_applied").inc(3)
+        registry.gauge("slo.soak-ingest-latency.fast_burn").set(2.5)
+        histogram = registry.histogram("serving.ingest_seconds")
+        histogram.observe(0.05)
+        histogram.observe(0.5)
+        histogram.observe(5.0)
+        yield registry
 
 
 class TestNameSanitisation:
@@ -39,7 +41,8 @@ class TestNameSanitisation:
 
 class TestRenderPrometheus:
     def test_counter_and_gauge_lines(self):
-        text = render_prometheus(tiny_registry())
+        with tiny_registry():
+            text = render_prometheus()
         assert "# TYPE repro_serving_batches_applied counter" in text
         assert "repro_serving_batches_applied 3" in text
         assert ("# TYPE repro_slo_soak_ingest_latency_fast_burn gauge"
@@ -47,26 +50,33 @@ class TestRenderPrometheus:
         assert "repro_slo_soak_ingest_latency_fast_burn 2.5" in text
 
     def test_histogram_buckets_are_cumulative(self):
-        lines = render_prometheus(tiny_registry()).splitlines()
+        with tiny_registry():
+            lines = render_prometheus().splitlines()
         wanted = [line for line in lines
                   if line.startswith("repro_serving_ingest_seconds")]
-        assert wanted == [
-            'repro_serving_ingest_seconds_bucket{le="0.1"} 1',
-            'repro_serving_ingest_seconds_bucket{le="1"} 2',
-            'repro_serving_ingest_seconds_bucket{le="+Inf"} 3',
-            "repro_serving_ingest_seconds_sum 5.55",
-            "repro_serving_ingest_seconds_count 3",
-        ]
+        buckets = wanted[:-2]
+        assert len(buckets) == len(LATENCY_BUCKETS) + 1
+        for line in ('repro_serving_ingest_seconds_bucket{le="0.025"} 0',
+                     'repro_serving_ingest_seconds_bucket{le="0.05"} 1',
+                     'repro_serving_ingest_seconds_bucket{le="0.5"} 2',
+                     'repro_serving_ingest_seconds_bucket{le="2.5"} 2',
+                     'repro_serving_ingest_seconds_bucket{le="5"} 3'):
+            assert line in buckets
+        assert buckets[-1] == (
+            'repro_serving_ingest_seconds_bucket{le="+Inf"} 3')
+        assert wanted[-2:] == ["repro_serving_ingest_seconds_sum 5.55",
+                               "repro_serving_ingest_seconds_count 3"]
 
     def test_every_metric_gets_help_and_type(self):
-        registry = tiny_registry()
-        text = render_prometheus(registry)
+        with tiny_registry() as registry:
+            text = render_prometheus()
         for raw in registry.names():
             assert f"# HELP {prometheus_name(raw)} " in text
             assert f"# TYPE {prometheus_name(raw)} " in text
 
     def test_empty_registry_renders_empty(self):
-        assert render_prometheus(MetricsRegistry()) == ""
+        with scoped_registry():
+            assert render_prometheus() == ""
 
     def test_defaults_to_process_registry(self):
         with scoped_registry() as registry:
@@ -77,7 +87,8 @@ class TestRenderPrometheus:
 class TestWriteMetrics:
     def test_textfile_collector_pattern(self, tmp_path):
         path = str(tmp_path / "metrics.prom")
-        assert write_metrics(path, tiny_registry()) == path
+        with tiny_registry():
+            assert write_metrics(path) == path
         with open(path) as handle:
             text = handle.read()
         assert text.endswith("\n")
@@ -86,8 +97,7 @@ class TestWriteMetrics:
 
 class TestMetricsHTTPServer:
     def test_serves_live_registry_on_ephemeral_port(self):
-        registry = tiny_registry()
-        with MetricsHTTPServer(port=0, registry=registry) as server:
+        with tiny_registry() as registry, MetricsHTTPServer(port=0) as server:
             assert server.port > 0
             with urllib.request.urlopen(server.url, timeout=5) as reply:
                 assert reply.status == 200
@@ -101,8 +111,7 @@ class TestMetricsHTTPServer:
                     reply.read().decode())
 
     def test_unknown_path_is_404(self):
-        with MetricsHTTPServer(port=0,
-                               registry=MetricsRegistry()) as server:
+        with MetricsHTTPServer(port=0) as server:
             url = server.url.replace("/metrics", "/nope")
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(url, timeout=5)

@@ -67,5 +67,9 @@ class TestFormatTrace:
         assert "(no spans recorded)" in format_trace([])
 
     def test_max_depth_limits_recursion(self):
-        shallow = format_trace(batch_events(), max_depth=1)
-        assert "iteration" not in shallow
+        # Two levels render below a root (phases, iterations); a span
+        # nested under an iteration does not.
+        deep = [span(9, 3, "gather", 0.1, 0.1)] + batch_events()
+        text = format_trace(deep)
+        assert "iteration" in text
+        assert "gather" not in text

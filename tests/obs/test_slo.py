@@ -14,7 +14,7 @@ windows fast=4/slow=8, burn fast=5.0/slow=2.5:
 
 import pytest
 
-from repro.obs.journal import JsonlJournal, read_journal
+from repro.obs.journal import JsonlJournal
 from repro.obs.registry import scoped_registry
 from repro.obs.slo import (
     SIGNALS,
@@ -28,6 +28,7 @@ from repro.obs.slo import (
     resolve_slo_path,
     slos_dir,
 )
+from tests.conftest import journal_records
 
 
 def soak_slo(**overrides):
@@ -158,7 +159,7 @@ class TestBurnRateAlerting:
         with scoped_registry():
             with JsonlJournal.open(path) as journal:
                 run_plant(soak_slo(), plant_from=10, journal=journal)
-        (record,) = read_journal(path, record_type="alert")
+        (record,) = journal_records(path, "alert")
         assert record["slo"] == "soak-ingest-latency"
         assert record["state"] == "firing"
         assert record["index"] == 11

@@ -7,6 +7,7 @@ import pytest
 from repro.obs import JsonlJournal, read_journal
 from repro.obs import trace
 from repro.obs.trace import NULL_TRACER, Tracer
+from tests.conftest import journal_records
 
 
 class FakeClock:
@@ -198,7 +199,7 @@ class TestJournal:
             journal.write({"type": "batch", "index": 1})
         assert journal.records_written == 3
         assert len(read_journal(str(path))) == 3
-        batches = read_journal(str(path), record_type="batch")
+        batches = journal_records(str(path), "batch")
         assert [record["index"] for record in batches] == [0, 1]
 
     def test_append_mode(self, tmp_path):

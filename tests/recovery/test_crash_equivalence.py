@@ -249,8 +249,7 @@ class TestCampaign:
     def test_small_campaign_is_clean(self, tmp_path):
         artifacts = tmp_path / "artifacts"
         rounds = run_crash_fuzz(seed=0, rounds=4,
-                                artifacts_dir=str(artifacts),
-                                emit=lambda _: None)
+                                artifacts_dir=str(artifacts))
         assert len(rounds) == 4
         assert all(r.ok for r in rounds), [r.summary() for r in rounds]
         assert os.listdir(artifacts) == []
@@ -258,4 +257,4 @@ class TestCampaign:
 
 class TestPlantFault:
     def test_plant_a_fault_detects_live_failpoints(self):
-        assert run_plant_fault(emit=lambda _: None)
+        assert run_plant_fault()

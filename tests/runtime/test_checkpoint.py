@@ -23,8 +23,7 @@ from repro.runtime.checkpoint import (
     unpack_state,
     verify_checkpoint_blob,
 )
-from repro.testing.faults import flip_byte
-from tests.conftest import edge_set, make_random_batch
+from tests.conftest import edge_set, flip_byte_at, make_random_batch
 
 
 @pytest.fixture
@@ -281,18 +280,18 @@ class TestValidationOnLoad:
         regions = _regions(blob)
         payloads = [region for region in regions[2:]
                     if region[2] - region[1] > _HEADER_SIZE]
-        _rejected(tmp_path, flip_byte(blob, 24), "index payload CRC")
-        _rejected(tmp_path, flip_byte(blob, _HEADER_SIZE + 40),
+        _rejected(tmp_path, flip_byte_at(blob, 24), "index payload CRC")
+        _rejected(tmp_path, flip_byte_at(blob, _HEADER_SIZE + 40),
                   "index payload CRC")
         name, start, _ = regions[4]  # the second array's header
-        _rejected(tmp_path, flip_byte(blob, start + 16),
+        _rejected(tmp_path, flip_byte_at(blob, start + 16),
                   f"array '{name}'")
-        _rejected(tmp_path, flip_byte(blob, start + 40),
+        _rejected(tmp_path, flip_byte_at(blob, start + 40),
                   f"array '{name}' has a non-canonical header")
         for name, start, end in (payloads[0],
                                  payloads[len(payloads) // 2],
                                  payloads[-1]):
-            _rejected(tmp_path, flip_byte(blob, (start + end) // 2),
+            _rejected(tmp_path, flip_byte_at(blob, (start + end) // 2),
                       f"array '{name}' payload CRC mismatch")
 
     def test_every_single_byte_flip_is_rejected(self, tmp_path, rng):
@@ -304,7 +303,7 @@ class TestValidationOnLoad:
         verify_checkpoint_blob(blob)
         for position in range(len(blob)):
             with pytest.raises(ValueError, match="corrupt checkpoint"):
-                verify_checkpoint_blob(flip_byte(blob, position))
+                verify_checkpoint_blob(flip_byte_at(blob, position))
 
     def test_truncated_file_rejected(self, tmp_path, blob):
         """A cut at every region boundary, and one inside a payload."""
@@ -490,7 +489,7 @@ class TestStateBlob:
         blob = pack_state(self.refined_state(graph, rng))
         for offset in rng.choice(len(blob), size=64, replace=False):
             with pytest.raises(ValueError):
-                unpack_state(flip_byte(blob, int(offset)))
+                unpack_state(flip_byte_at(blob, int(offset)))
 
     def test_a_checkpoint_is_not_a_state(self, tmp_path, graph):
         engine = GraphBoltEngine(PageRank(), num_iterations=3)

@@ -174,20 +174,13 @@ class TestRetryPolicy:
 
     def test_backoff_is_deterministic_and_capped(self):
         policy = RetryPolicy(max_attempts=8, backoff_base=0.001,
-                             backoff_factor=2.0, backoff_cap=0.05,
-                             jitter_seed=42)
+                             backoff_factor=2.0, backoff_cap=0.05)
         twin = RetryPolicy(max_attempts=8, backoff_base=0.001,
-                           backoff_factor=2.0, backoff_cap=0.05,
-                           jitter_seed=42)
+                           backoff_factor=2.0, backoff_cap=0.05)
         for attempt in range(1, 16):
             delay = policy.backoff(attempt)
             assert delay == twin.backoff(attempt)
             assert 0.0 <= delay <= 0.05
-
-    def test_jitter_seed_changes_the_schedule(self):
-        a = RetryPolicy(jitter_seed=1)
-        b = RetryPolicy(jitter_seed=2)
-        assert any(a.backoff(n) != b.backoff(n) for n in range(2, 8))
 
 
 # ----------------------------------------------------------------------

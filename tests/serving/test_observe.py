@@ -13,7 +13,7 @@ from repro.algorithms import PageRank
 from repro.graph.generators import rmat
 from repro.graph.mutation import MutationBatch
 from repro.obs import trace
-from repro.obs.journal import JsonlJournal, read_journal
+from repro.obs.journal import JsonlJournal
 from repro.obs.registry import scoped_registry
 from repro.obs.slo import SLO, RecordingSink, SLOEvaluator
 from repro.obs.trace import Tracer
@@ -26,7 +26,7 @@ from repro.serving import (
     StreamingAnalyticsServer,
 )
 from repro.serving.observe import WideEventEmitter
-from tests.conftest import make_random_batch
+from tests.conftest import journal_records, make_random_batch, wide_events
 
 
 @pytest.fixture
@@ -111,7 +111,7 @@ class TestObserverOnServingLoop:
         with scoped_registry():
             emitter = WideEventEmitter()
             self.observed(graph, rng, batches=3, emitter=emitter)
-            events = emitter.events(kind="batch")
+            events = wide_events(emitter, "batch")
             assert [e["index"] for e in events] == [0, 1, 2]
             for event in events:
                 assert event["engine"] == "graphbolt"
@@ -132,7 +132,7 @@ class TestObserverOnServingLoop:
                 graph, rng, batches=1, emitter=emitter,
                 evaluator=evaluator)
             resilient.query()
-            (query,) = emitter.events(kind="query")
+            (query,) = wide_events(emitter, "query")
             assert query["degraded"] is False
             assert query["seconds"] >= 0.0
             assert query["deadline_budget"] is None
@@ -154,7 +154,7 @@ class TestObserverOnServingLoop:
             with trace.activated(tracer):
                 self.observed(graph, rng, batches=3, emitter=emitter)
             span_ids = {event["id"] for event in tracer.events()}
-            events = emitter.events(kind="batch")
+            events = wide_events(emitter, "batch")
             assert len(events) == 3
             previous_mark = -1
             for event in events:
@@ -189,7 +189,7 @@ class TestHealthSeq:
             for _ in range(3):
                 resilient.submit(make_random_batch(graph, rng, 4, 4))
                 resilient.record_health(journal)
-        records = read_journal(path, record_type="health")
+        records = journal_records(path, "health")
         assert [r["seq"] for r in records] == [0, 1, 2]
 
 
@@ -221,7 +221,7 @@ class TestBreakerTimelinePin:
         transitions = resilient.breaker.transitions
         assert transitions, "the storm must actually engage the breaker"
 
-        records = read_journal(path, record_type="health")
+        records = journal_records(path, "health")
         journaled = []
         for record in records:
             state = record["breaker_state"]

@@ -15,11 +15,9 @@ from repro.graph.generators import rmat
 from repro.recovery import RecoveryManager
 from repro.runtime.deadline import StepDeadline
 from repro.serving import (
-    NoReplicaAvailableError,
     QueryRouter,
     ReplicationCluster,
     ResilientAnalyticsServer,
-    StalenessError,
     StreamingAnalyticsServer,
 )
 from repro.testing.faults import scoped_failpoints
@@ -132,13 +130,6 @@ class TestRouting:
         direct = cluster.writer.query(deadline=StepDeadline(1000))
         assert np.array_equal(routed.values, direct.values)
 
-    def test_no_replica_available_without_fallback(self, cluster):
-        router = QueryRouter(cluster, writer_fallback=False)
-        cluster.kill_replica("r0")
-        cluster.kill_replica("r1")
-        with pytest.raises(NoReplicaAvailableError):
-            router.query(deadline=StepDeadline(1000))
-
 
 class TestConsistencyKnobs:
     def test_bounded_staleness_excludes_laggards(self, graph, rng,
@@ -192,15 +183,15 @@ class TestConsistencyKnobs:
         assert len(cluster.writer_node.manager.wal.segments()) == 1
         cluster.close()
 
-    def test_staleness_error_when_the_token_is_unreachable(self, graph,
-                                                           rng,
-                                                           tmp_path):
+    def test_unreachable_token_falls_back_to_the_writer(self, graph, rng,
+                                                        tmp_path):
         cluster = build_cluster(graph, tmp_path)
-        router = QueryRouter(cluster, writer_fallback=False)
+        router = QueryRouter(cluster)
         cluster.kill_replica("r0")
         cluster.kill_replica("r1")
         token = cluster.submit(make_random_batch(graph, rng, 4, 4))
-        with pytest.raises(StalenessError, match="no replica"):
-            router.query(deadline=StepDeadline(1000),
-                         min_applied_batch=token)
+        routed = router.query(deadline=StepDeadline(1000),
+                              min_applied_batch=token)
+        assert routed.served_by == "writer"
+        assert router.writer_fallbacks == 1
         cluster.close()

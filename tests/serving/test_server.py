@@ -82,10 +82,10 @@ class TestBranchLoop:
     def test_query_until_convergence(self, graph, rng):
         server = StreamingAnalyticsServer(
             lambda: SSSP(source=0), graph,
-            approx_iterations=2, until_convergence=True,
+            approx_iterations=2,
         )
         server.ingest(make_random_batch(server.graph, rng, 10, 10))
-        result = server.query()
+        result = server.query(until_convergence=True)
         truth = LigraEngine(SSSP(source=0)).run(server.graph,
                                                 until_convergence=True)
         both_inf = np.isinf(result.values) & np.isinf(truth)

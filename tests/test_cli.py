@@ -11,7 +11,7 @@ from repro.bench.matrix import expand, load_table, matrices_dir
 from repro.cli import main, parse_graph
 from repro.obs import read_journal
 from repro.obs.render import build_tree
-from tests.conftest import edge_set
+from tests.conftest import edge_set, journal_records
 
 
 class TestParseGraph:
@@ -229,10 +229,10 @@ class TestObservabilityCommands:
         records = read_journal(path)
         kinds = {record["type"] for record in records}
         assert {"run", "batch", "span"} <= kinds
-        batch_records = read_journal(path, record_type="batch")
+        batch_records = journal_records(path, "batch")
         assert [r["index"] for r in batch_records] == list(range(batches))
         # The span tree covers every batch with refine+forward phases.
-        roots = build_tree(read_journal(path, record_type="span"))
+        roots = build_tree(journal_records(path, "span"))
         batch_roots = [r for r in roots if r["name"] == "batch"]
         assert len(batch_roots) == batches
         for root in batch_roots:
@@ -283,7 +283,7 @@ class TestObservabilityCommands:
             "--iterations", "3", "--trace-out", path,
         ])
         assert code == 0
-        assert read_journal(path, record_type="span")
+        assert journal_records(path, "span")
 
     def test_fuzz_trace_out_attaches_repro_dump(self, tmp_path, capsys):
         path = str(tmp_path / "fuzz.jsonl")
@@ -293,9 +293,9 @@ class TestObservabilityCommands:
             "--trace-out", path,
         ])
         assert code == 0  # planted bug was caught
-        repros = read_journal(path, record_type="repro")
+        repros = journal_records(path, "repro")
         assert repros and "divergences" in repros[0]
-        assert read_journal(path, record_type="span")
+        assert journal_records(path, "span")
 
 
 class TestRecoveryCommands:
@@ -491,10 +491,10 @@ class TestSLOAndDashCommands:
         assert ("batch 11: soak-ingest-latency "
                 "fast=5.0x slow=2.5x") in out
         assert "[runbook: overload-and-degradation]" in out
-        alerts = read_journal(journal, record_type="alert")
+        alerts = journal_records(journal, "alert")
         assert [(a["slo"], a["state"], a["index"]) for a in alerts] == [
             ("soak-ingest-latency", "firing", 11)]
-        assert len(read_journal(journal, record_type="wide")) == 14
+        assert len(journal_records(journal, "wide")) == 14
         # Replay: the dashboard sees the violation and the seq check
         # is clean.
         assert main(["dash", "--once", "--from-journal", journal,

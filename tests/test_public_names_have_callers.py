@@ -13,10 +13,18 @@ with its reason.
 Methods are matched by name alone, not by class: an unused method that
 shares its name with a used one (``Stream.count`` beside ``list.count``)
 is hidden.  That is the scan's known blind spot.
+
+The same holds one level down, for settings: every defaulted parameter
+of a function or method under ``src/repro`` (``repro/algorithms`` aside:
+its constructors are set through the registry) is set by some call
+under ``src/``, ``benchmarks/`` or ``examples/``.  A default only tests,
+or nothing, override is not a setting but a constant with a knob on it:
+inline it.  ``SETTINGS_ALLOWED`` holds the few kept, each for one of
+the five reasons in ``REASONS``.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -137,4 +145,223 @@ def test_planted_orphan_is_reported(tmp_path):
         "Unused": "src/repro/mod.py:13",
         "Used.stranded": "src/repro/mod.py:31",
         "Used.recursive": "src/repro/mod.py:34",
+    }
+
+
+# ----------------------------------------------------------------------
+# Settings: defaulted parameters some call outside tests sets
+# ----------------------------------------------------------------------
+DEPLOYMENT = "a deployment setting"
+FAKE = "a fake a test substitutes"
+SHRUNK = "a size tier-1 shrinks"
+SUPPORT = "a parameter of an allowlisted test-support name"
+REGISTRY = "set through a registry lookup"
+REASONS = (DEPLOYMENT, FAKE, SHRUNK, SUPPORT, REGISTRY)
+
+_RUNNERS = "harness.ENGINES[key](...) builds every runner"
+_SCENARIOS = "workloads.SCENARIOS[name](...) builds every stream"
+
+SETTINGS_ALLOWED = {
+    "MetricsHTTPServer.__init__.host": (
+        DEPLOYMENT, "the interface the /metrics endpoint binds"),
+    "rmat_streamed.spool_dir": (
+        DEPLOYMENT, "the disk the xl build spools its edge chunks to"),
+    "Tracer.__init__.clock": (
+        FAKE, "tests pin span timings with a fake clock"),
+    "RecoveryManager.__init__.poison_check": (
+        FAKE, "the growth check exercises quarantine at replay time, "
+              "which a failpoint cannot"),
+    "experiment_table1.num_batches": (SHRUNK, "the Table 1 stream"),
+    "experiment_table1.batch_size": (SHRUNK, "the Table 1 stream"),
+    "experiment_figure4.num_iterations": (SHRUNK, "the Figure 4 window"),
+    "experiment_table9.algorithms": (SHRUNK, "the Table 9 grid"),
+    "experiment_motivation_tagging.graphs": (SHRUNK, "the tagging grid"),
+    "experiment_motivation_tagging.batch_sizes": (
+        SHRUNK, "the tagging grid"),
+    "assert_same_results.tolerance": (SUPPORT, "assert_same_results"),
+    "assert_same_results.context": (SUPPORT, "assert_same_results"),
+    "save_edge_list.write_weights": (SUPPORT, "save_edge_list"),
+    "StreamingRunner.__init__.num_iterations": (REGISTRY, _RUNNERS),
+    "StreamingRunner.__init__.until_convergence": (REGISTRY, _RUNNERS),
+    "StreamingRunner.__init__.num_shards": (REGISTRY, _RUNNERS),
+    "GraphBoltRunner.__init__.num_shards": (REGISTRY, _RUNNERS),
+    "KickStarterRunner.__init__.num_iterations": (REGISTRY, _RUNNERS),
+    "KickStarterRunner.__init__.until_convergence": (REGISTRY, _RUNNERS),
+    "KickStarterRunner.__init__.unit_weights": (REGISTRY, _RUNNERS),
+    "KickStarterRunner.__init__.num_shards": (REGISTRY, _RUNNERS),
+    "targeted_batch.delete_fraction": (REGISTRY, _SCENARIOS),
+    "targeted_batch.seed": (REGISTRY, _SCENARIOS),
+    "hotspot_storm.delete_fraction": (REGISTRY, _SCENARIOS),
+    "hotspot_storm.seed": (REGISTRY, _SCENARIOS),
+    "_per_batch.stream.delete_fraction": (REGISTRY, _SCENARIOS),
+    "_per_batch.stream.seed": (REGISTRY, _SCENARIOS),
+}
+
+
+def _callee(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _definitions(tree):
+    """``(qualname, enclosing class or None, def)`` of every def."""
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, f"{prefix}{child.name}.", child)
+            elif isinstance(child, _DEFINITIONS):
+                yield f"{prefix}{child.name}", cls, child
+                yield from visit(child, f"{prefix}{child.name}.", None)
+            else:
+                yield from visit(child, prefix, cls)
+    yield from visit(tree, "", None)
+
+
+def _parameters(node, method):
+    """The positional parameter names a call fills (``self`` / ``cls``
+    dropped for methods) and the names that carry a default."""
+    args = node.args
+    positional = [arg.arg for arg in args.posonlyargs + args.args]
+    static = any(_callee(d) == "staticmethod" for d in node.decorator_list)
+    if method and not static:
+        positional = positional[1:]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [arg.arg for arg, default
+                  in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None]
+    return positional, defaulted
+
+
+def _calls(tree):
+    """``(callee names, args, keywords, enclosing defs)`` of every call.
+    A function passed first is called with the rest of the arguments
+    (``partial(f, ...)``, a fixture's ``run_experiment(f, ...)``);
+    ``cls(...)`` calls the enclosing class and ``super().__init__(...)``
+    its bases."""
+    def visit(node, cls, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child, enclosing)
+                continue
+            if isinstance(child, _DEFINITIONS):
+                yield from visit(child, cls, enclosing + (child,))
+                continue
+            if isinstance(child, ast.Call):
+                name = _callee(child.func)
+                names = [name]
+                if name == "cls" and cls is not None:
+                    names = [cls.name]
+                elif (name == "__init__" and cls is not None
+                      and isinstance(child.func.value, ast.Call)
+                      and _callee(child.func.value.func) == "super"):
+                    names = [_callee(base) for base in cls.bases]
+                yield names, child.args, child.keywords, enclosing
+                if child.args:
+                    yield ([_callee(child.args[0])], child.args[1:],
+                           child.keywords, enclosing)
+            yield from visit(child, cls, enclosing)
+    yield from visit(tree, None, ())
+
+
+def unset_settings(root):
+    """``{"Qualname.param": "path:line"}`` of every defaulted parameter
+    under ``root/src/repro`` (``repro/algorithms`` aside) that no call
+    under ``src/``, ``benchmarks/`` or ``examples/`` sets -- by keyword,
+    by position, through ``partial``, or by forwarding ``*args`` /
+    ``**kwargs`` to a callee of that name.  A def's own body does not
+    set its parameters (a recursive call passes them along)."""
+    # One parse per file: a def's own body is recognised by identity.
+    trees = [(path, tree) for top in ("src", "benchmarks", "examples")
+             if (root / top).is_dir() for path, tree in _modules(root, top)]
+    callees = defaultdict(list)
+    found = {}
+    for path, tree in trees:
+        where = path.relative_to(root)
+        if where.parts[:2] != ("src", "repro") or (
+                where.parts[2] == "algorithms"):
+            continue
+        for qualname, cls, node in _definitions(tree):
+            positional, defaulted = _parameters(node, cls is not None)
+            if not defaulted:
+                continue
+            name = (cls.name if cls is not None and node.name == "__init__"
+                    else node.name)
+            callees[name].append((qualname, positional, defaulted, node))
+            for param in defaulted:
+                found[f"{qualname}.{param}"] = f"{where}:{node.lineno}"
+    for _, tree in trees:
+        for names, args, keywords, enclosing in _calls(tree):
+            for qualname, positional, defaulted, node in (
+                    entry for name in names for entry in callees[name]):
+                if node in enclosing:
+                    continue
+                set_ = set()
+                for index, arg in enumerate(args):
+                    if isinstance(arg, ast.Starred):
+                        set_.update(positional[index:])
+                        break
+                    set_.update(positional[index:index + 1])
+                for keyword in keywords:
+                    set_.update(defaulted if keyword.arg is None
+                                else [keyword.arg])
+                for param in set_:
+                    found.pop(f"{qualname}.{param}", None)
+    return found
+
+
+def test_every_setting_has_a_caller_outside_tests():
+    unexpected = {name: where
+                  for name, where in unset_settings(ROOT).items()
+                  if name not in SETTINGS_ALLOWED}
+    assert not unexpected, (
+        "defaults only tests, or nothing, override (inline the default, "
+        f"or allowlist one with its reason): {unexpected}")
+
+
+def test_settings_allowlist_is_live_and_reasoned():
+    stale = sorted(set(SETTINGS_ALLOWED) - set(unset_settings(ROOT)))
+    assert not stale, (
+        f"allowlisted settings that are gone or now have a caller: {stale}")
+    for name, (reason, detail) in SETTINGS_ALLOWED.items():
+        assert reason in REASONS and detail, name
+        if reason == SUPPORT:
+            assert detail in ALLOWED, name
+
+
+def test_planted_settings_are_reported(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "from functools import partial\n\n\n"
+        "def by_keyword(a, flag=False):\n    return flag\n\n\n"
+        "def by_position(a, flag=False):\n    return flag\n\n\n"
+        "def by_partial(a, *, flag=False):\n    return flag\n\n\n"
+        "def forwarded(a, flag=False):\n    return flag\n\n\n"
+        "def forwarder(**kwargs):\n    return forwarded(1, **kwargs)\n\n\n"
+        "class Built:\n"
+        "    def __init__(self, flag=False):\n        self.flag = flag\n\n"
+        "    @classmethod\n"
+        "    def make(cls):\n        return cls(flag=True)\n\n\n"
+        "class Child(Built):\n"
+        "    def __init__(self):\n        super().__init__(True)\n\n\n"
+        "def recursive(n, depth=0):\n"
+        "    return n and recursive(n - 1, depth=depth + 1)\n\n\n"
+        "def test_only(a, flag=False):\n    return flag\n\n\n"
+        "def unset(a, flag=False):\n    return flag\n")
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from repro.mod import *\n\n"
+        "by_keyword(1, flag=True)\nby_position(1, True)\n"
+        "partial(by_partial, flag=True)(1)\nforwarder(flag=True)\n"
+        "Built.make()\nChild()\nrecursive(3)\ntest_only(1)\nunset(1)\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from repro.mod import test_only\n\ntest_only(1, flag=True)\n")
+    assert unset_settings(tmp_path) == {
+        "recursive.depth": "src/repro/mod.py:38",
+        "test_only.flag": "src/repro/mod.py:42",
+        "unset.flag": "src/repro/mod.py:46",
     }

@@ -30,8 +30,9 @@ from repro.algorithms import PageRank
 from repro.core.tagreset import TagResetEngine
 from repro.graph.mutation import MutationBatch
 from repro.runtime.metrics import EngineMetrics
-from repro.testing.oracle import available_engines, build_runner
+from repro.testing.oracle import available_engines
 from repro.testing.workloads import Workload, generate_workload
+from tests.conftest import sharded_runner
 
 SHARD_COUNTS = (1, 2, 7)
 
@@ -68,8 +69,7 @@ def _run_engines(workload: Workload, num_shards: int) -> dict:
     """Every applicable engine's account of one workload."""
     report = {}
     for engine in available_engines(workload.profile, workload.num_vertices):
-        runner = build_runner(engine, workload.profile,
-                              num_shards=num_shards)
+        runner = sharded_runner(engine, workload.profile, num_shards)
         crc = _crc(runner.setup(workload.build_graph()))
         for batch in workload.schedule:
             crc = _crc(runner.apply(batch), crc)
@@ -117,8 +117,8 @@ def test_vertex_growth_bit_identical(num_shards):
 def test_tagreset_bit_identical(num_shards):
     """The tag-and-recompute corrector also rides the kernel layer."""
     workload = generate_workload(5, algorithms=["pagerank"])
-    engine = TagResetEngine(PageRank(tolerance=1e-9), num_iterations=6,
-                            metrics=EngineMetrics(num_shards=num_shards))
+    engine = TagResetEngine(PageRank(tolerance=1e-9), num_iterations=6)
+    engine.metrics.num_shards = num_shards
     crc = _crc(engine.run(workload.build_graph()))
     for batch in list(workload.schedule) or [MutationBatch.empty()]:
         crc = _crc(engine.apply_mutations(batch), crc)
@@ -130,7 +130,7 @@ def test_sharded_records_shard_loads():
     """Multi-shard runs populate a load vector spanning more than one
     shard."""
     workload = generate_workload(3, algorithms=["pagerank"])
-    runner = build_runner("graphbolt", workload.profile, num_shards=4)
+    runner = sharded_runner("graphbolt", workload.profile, 4)
     runner.setup(workload.build_graph())
     for batch in workload.schedule:
         runner.apply(batch)

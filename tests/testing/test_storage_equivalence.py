@@ -21,8 +21,9 @@ import pytest
 from repro.graph.mutation import MutationBatch
 from repro.graph.storage import MmapStore
 from repro.runtime.exec import PartitionedCSR
-from repro.testing.oracle import available_engines, build_runner
+from repro.testing.oracle import available_engines
 from repro.testing.workloads import Workload, generate_workload
+from tests.conftest import sharded_runner
 
 #: Seeds chosen to cover sparse and dense frontiers, deletions, and
 #: empty batches across the fuzz algorithm roster (mirrors the
@@ -33,7 +34,7 @@ SWEEP_SEEDS = (3, 11, 29, 47)
 def _snapshots(workload: Workload, engine: str, store, num_shards) -> list:
     """All value snapshots (initial + per batch) for one engine run
     over one snapshot store, then the run's shard load vector."""
-    runner = build_runner(engine, workload.profile, num_shards=num_shards)
+    runner = sharded_runner(engine, workload.profile, num_shards)
     graph = workload.build_graph()
     if store is not None:
         graph = store.publish(graph)
