@@ -12,8 +12,8 @@ The modules here implement the paper's primary contribution:
   step, from which the engine derives incremental versions automatically.
 - :mod:`~repro.core.history` -- O(V)-per-iteration dependency tracking as
   aggregation values residing on vertices; vertical pruning is its
-  storage format (changed rows only), horizontal pruning the engine's
-  ``horizon``.
+  storage format (changed rows, or the whole array when that is
+  smaller), horizontal pruning the engine's ``horizon``.
 - :mod:`~repro.core.refinement` -- iteration-by-iteration dependency-driven
   value refinement.
 - :mod:`~repro.core.hybrid` -- computation-aware hybrid execution beyond

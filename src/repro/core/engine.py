@@ -8,7 +8,8 @@ drives the full lifecycle:
    iteration's aggregation and vertex values into a
    :class:`~repro.core.history.DependencyHistory`, up to the tracking
    ``horizon`` (horizontal pruning, paper section 3.2; vertical pruning
-   is how the history stores records: changed rows only).
+   is how the history stores records: changed rows only, or the whole
+   array when that is smaller).
 2. ``apply_mutations(batch)`` -- adjust the graph structure, run
    dependency-driven refinement over the tracked window, then hybrid
    forward execution to the end of the run, and commit the refined
@@ -182,12 +183,12 @@ class GraphBoltEngine:
                     self.horizon is None or iteration <= self.horizon
                 )
                 with trace.span("iteration", index=iteration,
-                                tracked=track):
+                                tracked=track) as span:
                     if track:
                         record = self._delta.step(graph, state,
                                                   record_changes=True)
-                        history.record(record.g_idx, record.g_values,
-                                       record.c_idx, record.c_values)
+                        history.append(record)
+                        span.tag(**record.forms)
                     else:
                         tracking_stopped = True
                         self._delta.step(graph, state)

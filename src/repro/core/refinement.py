@@ -35,7 +35,11 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.history import DependencyHistory, IterationRecord
+from repro.core.history import (
+    DependencyHistory,
+    IterationRecord,
+    record_half,
+)
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.mutable import MutationResult
 from repro.ligra.delta import DeltaState, exact_changed_rows
@@ -144,7 +148,8 @@ class _Refiner:
         c_prev = c_cur = self.initial
         g_cur = self.identity
         # Vertices where the refined run's value differs from the old
-        # run's at the latest completed iteration (transitive impact).
+        # run's at the latest completed iteration (transitive impact):
+        # ids after a sparse iteration, a mask after a dense one.
         diverged = np.empty(0, dtype=np.int64)
 
         # A dense apply's id argument (never used to gather).
@@ -157,9 +162,11 @@ class _Refiner:
 
                 g_before = g_cur               # g^T_{i-1}
                 c_before = c_cur               # c^T_{i-1}
-                sources = union_ids(num_vertices, diverged,
-                                    self.contrib_params)
-                if self._dense_preferred(sources):
+                sources = self._sources(diverged)
+                dense = self._dense_preferred(sources)
+                if not dense and sources.dtype == bool:
+                    sources = np.flatnonzero(sources)  # ids to go sparse
+                if dense:
                     span.tag(mode="dense")
                     g_cur, touched_candidates = self._refine_dense(c_before)
                 elif algorithm.aggregation.decomposable:
@@ -186,13 +193,15 @@ class _Refiner:
                             or np.may_share_memory(c_new, c_before)):
                         # An apply that hands back one of its inputs.
                         c_new = c_new.copy()
-                    diverged = np.flatnonzero(
-                        algorithm.values_changed(self.old_roll.c, c_new)
-                    )
+                    diverged = np.asarray(algorithm.values_changed(
+                        self.old_roll.c, c_new), dtype=bool)
+                    num_diverged = int(np.count_nonzero(diverged))
                 else:
                     # Self-dependent applies (e.g. SSSP's self-min) must
                     # also re-run wherever the vertex's own value
                     # diverged.
+                    if diverged.dtype == bool:
+                        diverged = np.flatnonzero(diverged)
                     touched = union_ids(
                         num_vertices, touched_candidates, self.apply_params,
                         *([diverged] if algorithm.uses_previous_value
@@ -216,9 +225,12 @@ class _Refiner:
                         diverged = touched[moved]
                     else:
                         diverged = np.empty(0, dtype=np.int64)
-                span.tag(touched=num_touched, diverged=int(diverged.size))
+                    num_diverged = int(diverged.size)
 
-                self._record(new_history, g_before, g_cur, c_before, c_new)
+                record = self._record(new_history, g_before, g_cur,
+                                      c_before, c_new)
+                span.tag(touched=num_touched, diverged=num_diverged,
+                         **record.forms)
                 c_prev = c_before
                 c_cur = c_new
 
@@ -232,19 +244,39 @@ class _Refiner:
         return state, new_history
 
     # ------------------------------------------------------------------
+    def _sources(self, diverged):
+        """The next iteration's changed sources -- ``diverged`` plus the
+        vertices whose contribution function changed -- in the form
+        ``diverged`` has: sorted ids after a sparse iteration, a mask
+        after a dense one, so dense runs never build id arrays."""
+        if diverged.dtype != bool:
+            return union_ids(self.new_graph.num_vertices, diverged,
+                             self.contrib_params)
+        if not self.contrib_params.size:
+            return diverged
+        mask = diverged.copy()
+        mask[self.contrib_params] = True
+        return mask
+
     def _dense_preferred(self, sources) -> bool:
         """Ligra's push/pull switch on the frontier's out-degree sum,
         priced by measured costs (SPARSE_NS_PER_EDGE)."""
         num_edges = self.new_graph.num_edges
-        if num_edges == 0 or not sources.size:
+        empty = (not sources.any() if sources.dtype == bool
+                 else not sources.size)
+        if num_edges == 0 or empty:
             return False
         return (self._affected_edges(sources) * self.sparse_ns
                 > num_edges * self.dense_ns)
 
     def _affected_edges(self, sources) -> int:
-        """The batch's edges plus every out-edge of ``sources``."""
-        return (int(self.new_graph.out_degrees()[sources].sum())
-                + self.mutation.add_src.size + self.mutation.del_src.size)
+        """The batch's edges plus every out-edge of ``sources`` (ids, or
+        a mask: one product, no ids)."""
+        degrees = self.new_graph.out_degrees()
+        edges = (degrees @ sources if sources.dtype == bool
+                 else degrees[sources].sum())
+        return (int(edges) + self.mutation.add_src.size
+                + self.mutation.del_src.size)
 
     def _refine_dense(self, c_prev):
         """Dense-mode refinement: rebuild g^T_i outright from c^T_{i-1}.
@@ -351,11 +383,10 @@ class _Refiner:
 
     # ------------------------------------------------------------------
     def _record(self, new_history, g_prev, g_cur, c_prev, c_cur):
-        # Vertical pruning: only the rows this iteration changed.
-        g_idx = np.flatnonzero(exact_changed_rows(g_prev, g_cur))
-        c_idx = np.flatnonzero(exact_changed_rows(c_prev, c_cur))
-        # The gathers are already private copies.
-        new_history.append(
-            IterationRecord(g_idx, np.take(g_cur, g_idx, axis=0),
-                            c_idx, np.take(c_cur, c_idx, axis=0))
-        )
+        # Vertical pruning: the rows this iteration changed, or the whole
+        # array when that is no more bytes (held, never gathered).
+        record = IterationRecord(
+            *record_half(g_cur, exact_changed_rows(g_prev, g_cur), None),
+            *record_half(c_cur, exact_changed_rows(c_prev, c_cur), None))
+        new_history.append(record)
+        return record

@@ -84,9 +84,8 @@ class TagResetEngine:
                                     state.aggregate.copy())
         with Timer(self.metrics, "initial_run"):
             for _ in range(self.num_iterations):
-                record = self._delta.step(graph, state, record_changes=True)
-                history.record(record.g_idx, record.g_values,
-                               record.c_idx, record.c_values)
+                history.append(self._delta.step(graph, state,
+                                                record_changes=True))
         self._history = history
         self._values = state.values
         return state.values

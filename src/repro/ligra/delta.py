@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.history import IterationRecord, record_half
 from repro.core.model import IncrementalAlgorithm, any_per_row
 from repro.graph.csr import CSRGraph
 from repro.ligra.frontier import VertexSubset, member_mask, union_ids
@@ -33,12 +34,17 @@ from repro.obs import trace
 from repro.runtime import exec as kernels
 from repro.runtime.metrics import EngineMetrics, Timer
 
-__all__ = ["DeltaEngine", "DeltaState", "StepRecord", "exact_changed_rows"]
+__all__ = ["DeltaEngine", "DeltaState", "exact_changed_rows"]
 
 
 @dataclass
 class DeltaState:
-    """Rolling state of a delta execution after ``iteration`` iterations."""
+    """Rolling state of a delta execution after ``iteration`` iterations.
+
+    A step replaces ``values`` and ``prev_values`` and writes only
+    ``aggregate`` in place, after copying it if it is read-only -- a
+    dense half of a dependency history holds it, or a blob backs it.
+    """
 
     values: np.ndarray        # c_i, dense
     prev_values: np.ndarray   # c_{i-1}, dense
@@ -81,16 +87,6 @@ class DeltaState:
         return float(diff[np.isfinite(diff)].sum())
 
 
-@dataclass
-class StepRecord:
-    """Exact change sets of one step (consumed by dependency tracking)."""
-
-    g_idx: np.ndarray
-    g_values: np.ndarray
-    c_idx: np.ndarray
-    c_values: np.ndarray
-
-
 class DeltaEngine:
     """Selective-scheduling synchronous execution (GB-Reset)."""
 
@@ -125,14 +121,15 @@ class DeltaEngine:
     # One synchronous iteration
     # ------------------------------------------------------------------
     def step(self, graph: CSRGraph, state: DeltaState,
-             record_changes: bool = False) -> Optional[StepRecord]:
+             record_changes: bool = False) -> Optional[IterationRecord]:
         """Advance ``state`` by one iteration in place.
 
         Iteration 0 -> 1 aggregates over all edges; later iterations
         propagate only from the frontier (or fall back to a dense sweep
         when the frontier is large, Ligra's density heuristic).  When
-        ``record_changes`` is set, returns the exact per-iteration change
-        sets for dependency tracking.
+        ``record_changes`` is set, returns the iteration's dependency
+        record: each half the exact changed rows, or the state's new
+        array when that is no more bytes (:func:`record_half`).
         """
         algorithm = self.algorithm
         if state.iteration == 0:
@@ -169,7 +166,8 @@ class DeltaEngine:
         src, dst, weight = kernels.gather_out(graph, frontier.ids,
                                               self.metrics)
         touched = union_ids(graph.num_vertices, dst)
-        g_old_at_touched = state.aggregate[touched].copy()
+        g_old_at_touched = state.aggregate[touched]
+        _own_aggregate(state)
         if src.size:
             old_contribs = algorithm.contributions(
                 graph, state.prev_values[src], src, dst, weight
@@ -204,7 +202,8 @@ class DeltaEngine:
             _, dst, _ = kernels.gather_out(graph, frontier.ids,
                                            self.metrics)
             targets = union_ids(graph.num_vertices, dst)
-        g_old_at_targets = state.aggregate[targets].copy()
+        g_old_at_targets = state.aggregate[targets]
+        _own_aggregate(state)
         self._reevaluate(graph, state.values, state.aggregate, targets)
         return targets, g_old_at_targets
 
@@ -249,20 +248,15 @@ class DeltaEngine:
         old_values_at_touched = state.values[touched]
         changed_mask = algorithm.values_changed(old_values_at_touched, applied)
 
-        record = None
-        if record_changes:
-            g_changed = exact_changed_rows(g_old_at_touched,
-                                           state.aggregate[touched])
-            c_changed = exact_changed_rows(old_values_at_touched, applied)
-            record = StepRecord(
-                g_idx=touched[g_changed],
-                g_values=state.aggregate[touched][g_changed],
-                c_idx=touched[c_changed],
-                c_values=applied[c_changed],
-            )
-
         new_values = state.values.copy()
         new_values[touched] = applied
+        record = None
+        if record_changes:
+            record = IterationRecord(
+                *record_half(state.aggregate, exact_changed_rows(
+                    g_old_at_touched, state.aggregate[touched]), touched),
+                *record_half(new_values, exact_changed_rows(
+                    old_values_at_touched, applied), touched))
         state.prev_values = state.values
         state.values = new_values
         state.frontier = touched[changed_mask]
@@ -299,6 +293,13 @@ class DeltaEngine:
                 if state.iteration > 1 and state.frontier.size == 0:
                     break
         return state.values
+
+
+def _own_aggregate(state: DeltaState) -> None:
+    """Copy ``state.aggregate`` before a step writes it in place, if it
+    is read-only (see :class:`DeltaState`)."""
+    if not state.aggregate.flags.writeable:
+        state.aggregate = state.aggregate.copy()
 
 
 def exact_changed_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:

@@ -23,8 +23,16 @@ store generation: one ``RSSEG001`` segment per file)::
     EOF         the last payload's end -- nothing follows
 
 Every array is ``<i8`` or ``<f8``, so members stay 8-byte aligned with
-no padding; the history's records are four concatenated arrays plus one
-``(horizon + 1, 2)`` offsets array, not four members per iteration.
+no padding; the history's records are four concatenated arrays plus two
+small ones, not four members per iteration (format version 5):
+
+    hist_offsets    (horizon + 1, 2)  cumulative value rows, g and c
+    hist_dense      (horizon, 2)      1 where a half is dense: its rows
+                                      are the whole array, with no ids
+    hist_g_idx      sparse halves' ids, back to back (likewise hist_c_idx)
+    hist_g_values   every half's rows, back to back (likewise hist_c_values)
+
+A version 4 file has no ``hist_dense`` (every half sparse) and loads.
 
 No compression: at scale 15 with ten iterations (7.1 MB of arrays) the
 deflated ``.npz`` archive this replaced spent 350 of ``save_engine``'s
@@ -115,7 +123,9 @@ __all__ = [
 ]
 
 _FORMAT = "repro-checkpoint"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
+#: Versions a reader accepts: 4 had no dense history halves.
+_READABLE_VERSIONS = (4, _FORMAT_VERSION)
 #: A rolling state's arrays: all the engine mutates in place.
 _DELTA_FIELDS = ("values", "prev_values", "aggregate", "frontier")
 _STATE_ARRAYS = _DELTA_FIELDS + (
@@ -159,13 +169,17 @@ def save_engine(engine: GraphBoltEngine, path: str,
         # pins it for ``path`` in one manifest write; the pin expires by
         # itself if the file below never lands.
         reference = store.manifest_entry(graph.snapshot_id, owner=path)
-    lengths = [(record.g_idx.size, record.c_idx.size) for record in records]
+    lengths = [(record.g_values.shape[0], record.c_values.shape[0])
+               for record in records]
+    dense = [(record.g_idx is None, record.c_idx is None)
+             for record in records]
 
     def joined(field: str, like: np.ndarray) -> np.ndarray:
-        # History rows back to back; ``like`` gives an empty history its
-        # row shape.
+        # History rows back to back (a dense half has no ids); ``like``
+        # gives an empty history its row shape.
+        parts = (getattr(record, field) for record in records)
         return np.concatenate(
-            [like[:0]] + [getattr(record, field) for record in records])
+            [like[:0]] + [part for part in parts if part is not None])
 
     arrays = {
         "values": state.values,
@@ -175,6 +189,7 @@ def save_engine(engine: GraphBoltEngine, path: str,
         "hist_initial": history.initial_values,
         "hist_identity": history.identity_aggregate,
         "hist_offsets": np.cumsum([(0, 0)] + lengths, axis=0),
+        "hist_dense": np.array(dense, dtype=np.int64).reshape(-1, 2),
         "hist_g_idx": joined("g_idx", state.frontier),
         "hist_g_values": joined("g_values", history.identity_aggregate),
         "hist_c_idx": joined("c_idx", state.frontier),
@@ -307,7 +322,7 @@ def _read_index(source, context: Optional[str] = None):
             f"unsupported checkpoint format: {context} is a pre-v4 .npz "
             f"archive (no reader is kept; re-checkpoint from a live engine)")
     index, start = _open_index(view, _FORMAT, "checkpoint", context)
-    if index.get("version") != _FORMAT_VERSION:
+    if index.get("version") not in _READABLE_VERSIONS:
         raise ValueError(
             f"unsupported checkpoint version {index.get('version')!r}")
     for key in ("fingerprint", "until_convergence", "graph_mode",
@@ -382,6 +397,8 @@ def _verify_structure(index: dict, data: Dict[str, np.ndarray]) -> None:
     num_vertices, inline = index["num_vertices"], not index["store_manifest"]
     for name in _STATE_ARRAYS + (ARRAY_NAMES if inline else ()):
         _require(name in data, f"payload is missing {name}")
+    _require(index["version"] == 4 or "hist_dense" in data,
+             "payload is missing hist_dense")
     if inline:
         _verify_canonical_arrays(data, num_vertices)
     values = data["values"]
@@ -403,11 +420,26 @@ def _verify_structure(index: dict, data: Dict[str, np.ndarray]) -> None:
              and offsets.shape[1] == 2 and not offsets[0].any()
              and int(np.diff(offsets, axis=0).min(initial=0)) >= 0,
              "history offsets are not two monotone columns from zero")
+    lengths, dense = _history_layout(data)
+    _require(dense.shape == lengths.shape
+             and np.isin(dense, (0, 1)).all(),
+             "history dense flags are not one 0/1 pair per record")
     for column, part in enumerate("gc"):
         idx, rows = data[f"hist_{part}_idx"], data[f"hist_{part}_values"]
         _check_index_array(f"hist_{part}_idx", idx, num_vertices)
-        _require(idx.size == int(offsets[-1, column]) == rows.shape[0],
+        whole = dense[:, column] == 1
+        _require(int(offsets[-1, column]) == rows.shape[0]
+                 and (lengths[whole, column] == num_vertices).all()
+                 and idx.size == int(lengths[~whole, column].sum()),
                  f"history {part} rows do not match their offsets")
+
+
+def _history_layout(data: Dict[str, np.ndarray]):
+    """``(rows, dense)``: each record's value rows per half, and its
+    dense flags (all zero in a version 4 file)."""
+    lengths = np.diff(data["hist_offsets"], axis=0)
+    dense = data.get("hist_dense")
+    return lengths, (np.zeros_like(lengths) if dense is None else dense)
 
 
 def load_engine(
@@ -452,11 +484,21 @@ def load_engine(
     # Copied: later histories share these bases; a view would pin the file.
     history = DependencyHistory(data["hist_initial"].copy(),
                                 data["hist_identity"].copy())
-    offsets = data["hist_offsets"]
-    for (g0, c0), (g1, c1) in zip(offsets[:-1], offsets[1:]):
-        history.append(IterationRecord(
-            data["hist_g_idx"][g0:g1], data["hist_g_values"][g0:g1],
-            data["hist_c_idx"][c0:c1], data["hist_c_values"][c0:c1]))
+    lengths, dense = _history_layout(data)
+    row_ends = data["hist_offsets"][1:]
+    id_ends = np.cumsum(np.where(dense, 0, lengths), axis=0)
+
+    def half(record: int, column: int):
+        part, count = "gc"[column], lengths[record, column]
+        rows = data[f"hist_{part}_values"][
+            row_ends[record, column] - count:row_ends[record, column]]
+        if dense[record, column]:
+            return None, rows
+        return data[f"hist_{part}_idx"][
+            id_ends[record, column] - count:id_ends[record, column]], rows
+
+    for record in range(lengths.shape[0]):
+        history.append(IterationRecord(*half(record, 0), *half(record, 1)))
     engine._history = history
     return engine
 

@@ -9,11 +9,13 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.history import DependencyHistory, IterationRecord
 from repro.core.refinement import _Refiner
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import bipartite_graph, rmat
 from repro.graph.mutation import MutationBatch
 from repro.kickstarter.trees import NO_PARENT
+from repro.ligra.delta import exact_changed_rows
 from repro.obs.journal import read_journal
 from repro.testing.oracle import build_runner
 
@@ -96,6 +98,26 @@ def tree_depths(tree) -> np.ndarray:
         for offset, node in enumerate(reversed(chain)):
             depths[node] = base + offset
     return depths
+
+
+def all_sparse(history):
+    """The same run with every half sparse: a dense half becomes the
+    rows it changed against the replay so far."""
+    sparse = DependencyHistory(history.initial_values,
+                               history.identity_aggregate)
+    g = history.identity_aggregate.copy()
+    c = history.initial_values.copy()
+    for record in history.records:
+        halves = []
+        for idx, values, current in ((record.g_idx, record.g_values, g),
+                                     (record.c_idx, record.c_values, c)):
+            if idx is None:
+                idx = np.flatnonzero(exact_changed_rows(current, values))
+                values = values[idx]
+            current[idx] = values
+            halves += [idx, values]
+        sparse.append(IterationRecord(*halves))
+    return sparse
 
 
 def pin_refine_modes(monkeypatch, *modes: bool) -> None:

@@ -1,10 +1,15 @@
 """Unit tests for dependency history storage and rolling replay."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.history import DependencyHistory, IterationRecord
+from repro.core.history import DependencyHistory, IterationRecord, record_half
 from repro.ligra.delta import exact_changed_rows
+from tests.conftest import all_sparse
 
 
 def make_history():
@@ -186,3 +191,124 @@ class TestExactChangedRows:
         # Zero-width rows have no component that could differ.
         assert exact_changed_rows(np.empty((4, 0)),
                                   np.empty((4, 0))).tolist() == [False] * 4
+
+
+# ----------------------------------------------------------------------
+# The two forms of a record half
+# ----------------------------------------------------------------------
+@st.composite
+def mixed_runs(draw):
+    """A run's g / c arrays, iteration by iteration (each changes a
+    drawn subset of rows), encoded with each half's form drawn, and
+    optionally replayed over a grown vertex set."""
+    rows = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(), (2,)]))
+    grown = draw(st.integers(0, 3))
+    iterations = draw(st.integers(1, 6))
+    cells = st.integers(-4, 4).map(float)
+    start = lambda: np.array(  # noqa: E731
+        draw(st.lists(cells, min_size=rows * max(math.prod(shape), 1),
+                      max_size=rows * max(math.prod(shape), 1))),
+        dtype=np.float64).reshape((rows, *shape))
+    history = DependencyHistory(start(), start())
+    g, c = history.identity_aggregate, history.initial_values
+    for _ in range(iterations):
+        halves = []
+        for before in (g, c):
+            after = before.copy()
+            for row in draw(st.sets(st.integers(0, rows - 1))):
+                after[row] = after[row] + draw(st.integers(1, 3))
+            if draw(st.booleans()):
+                after.flags.writeable = False
+                halves.append((None, after))
+            else:
+                idx = np.flatnonzero(exact_changed_rows(before, after))
+                halves.append((idx, after[idx]))
+            halves.append(after)
+        (g_half, g), (c_half, c) = halves[:2], halves[2:]
+        history.append(IterationRecord(*g_half, *c_half))
+    reads = draw(st.lists(st.booleans(), min_size=iterations,
+                          max_size=iterations))
+    return history, grown, reads
+
+
+class TestMixedForms:
+    """A dense half is the iteration's array by reference; a history of
+    mixed halves replays exactly like the all-sparse encoding."""
+
+    @given(mixed_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_replay_equals_the_all_sparse_encoding(self, run):
+        history, grown, reads = run
+        sparse = all_sparse(history)
+        assert all(record.g_idx is not None and record.c_idx is not None
+                   for record in sparse.records)
+        records = history.records + sparse.records
+        stored = [(r.g_values.tobytes(), r.c_values.tobytes())
+                  for r in records]
+
+        def extended(array):
+            return np.concatenate(
+                [array, np.full((grown, *array.shape[1:]), 7.0)])
+
+        rolls = [h.rolling(extended(h.initial_values),
+                           extended(h.identity_aggregate))
+                 for h in (history, sparse)]
+        for read in reads:
+            for roll in rolls:
+                roll.advance()
+            arrays = ["c"] + (["g", "c_prev"] if read else [])
+            for name in arrays:
+                mixed, plain = (getattr(roll, name) for roll in rolls)
+                assert mixed.tobytes() == plain.tobytes(), name
+        for name in ("g", "c", "c_prev"):
+            mixed, plain = (getattr(roll, name) for roll in rolls)
+            assert mixed.tobytes() == plain.tobytes(), name
+        # Replay never writes a record.
+        assert stored == [(r.g_values.tobytes(), r.c_values.tobytes())
+                          for r in records]
+
+    def test_dense_half_is_held_by_reference(self):
+        history = DependencyHistory(np.zeros(4), np.zeros(4))
+        g = np.arange(4.0)
+        c = np.arange(4.0) + 1.0
+        g.flags.writeable = c.flags.writeable = False
+        history.append(IterationRecord(None, g, None, c))
+        assert history.nbytes == g.nbytes + c.nbytes
+        assert history.records[0].forms == {"g_half": "dense",
+                                            "c_half": "dense"}
+        roll = history.rolling()
+        roll.advance()
+        assert roll.c is c and roll.g is g
+        assert roll.c_prev is history.initial_values
+
+
+class TestRecordHalf:
+    """The byte rule: ``k`` changed rows of ``w`` bytes stay sparse
+    while ``k * (8 + w) < V * w``."""
+
+    @pytest.mark.parametrize("shape,sparse_up_to", [
+        ((), 49),          # w = 8:  k * 16 < 800
+        ((5,), 83),        # w = 40: k * 48 < 4 000
+    ])
+    def test_break_even(self, shape, sparse_up_to):
+        before = np.zeros((100, *shape))
+        for count in (0, sparse_up_to, sparse_up_to + 1, 100):
+            after = before.copy()
+            after[:count] = 1.0
+            idx, values = record_half(
+                after, exact_changed_rows(before, after), None)
+            if count <= sparse_up_to:
+                assert idx.tolist() == list(range(count))
+                assert np.array_equal(values, after[:count])
+                assert after.flags.writeable
+            else:
+                assert idx is None and values is after
+                assert not after.flags.writeable
+
+    def test_rows_map_a_touched_mask_to_ids(self):
+        after = np.arange(10.0)
+        touched = np.array([2, 5, 7])
+        idx, values = record_half(after, np.array([True, False, True]),
+                                  touched)
+        assert idx.tolist() == [2, 7] and values.tolist() == [2.0, 7.0]

@@ -341,6 +341,34 @@ class TestSwitchPricing:
             fraction, abs=0.01)
         assert refiner._dense_preferred(sources) == dense
 
+    def test_a_mask_prices_as_its_ids(self, rng):
+        """After a dense iteration the switch prices a mask (one
+        product) -- the same integer, so the same decision, as the
+        sorted ids a sparse iteration hands it."""
+        graph = rmat(scale=10, edge_factor=8, seed=5, weighted=True)
+        engine = GraphBoltEngine(PageRank(), num_iterations=2)
+        engine.run(graph)
+        mutation = StreamingGraph(graph).apply_batch(
+            make_random_batch(graph, rng, 30, 30))
+        refiner = _Refiner(engine.algorithm, mutation, engine.history,
+                           EngineMetrics(), "delta")
+        assert refiner.contrib_params.size
+        for fraction in (0.0, 0.001, 0.05, 0.2, 0.4, 1.0):
+            mask = rng.random(graph.num_vertices) < fraction
+            ids = np.flatnonzero(mask)
+            sources = refiner._sources(mask)
+            assert sources.dtype == bool and mask is not sources
+            assert np.array_equal(np.flatnonzero(sources),
+                                  refiner._sources(ids))
+            assert (refiner._affected_edges(sources)
+                    == refiner._affected_edges(refiner._sources(ids)))
+            assert (refiner._dense_preferred(sources)
+                    == refiner._dense_preferred(refiner._sources(ids)))
+        empty = np.zeros(graph.num_vertices, dtype=bool)
+        refiner.contrib_params = np.empty(0, dtype=np.int64)
+        assert refiner._sources(empty) is empty
+        assert not refiner._dense_preferred(empty)
+
 
 class TestReusedInitialValues:
     """Refinement reuses the tracked run's initial values and identity

@@ -129,9 +129,16 @@ class TestEngineBehaviours:
         state = engine.initial_state(graph)
         record = engine.step(graph, state, record_changes=True)
         assert record is not None
-        # The record's values match the state at the recorded indices.
-        assert np.array_equal(state.values[record.c_idx], record.c_values)
-        assert np.array_equal(state.aggregate[record.g_idx], record.g_values)
+        # Each half matches the state at the recorded indices, or is the
+        # state's own array (dense), frozen.
+        for idx, values, live in ((record.c_idx, record.c_values,
+                                   state.values),
+                                  (record.g_idx, record.g_values,
+                                   state.aggregate)):
+            if idx is None:
+                assert values is live and not values.flags.writeable
+            else:
+                assert np.array_equal(live[idx], values)
 
 
 class TestDeltaStateMechanics:

@@ -10,6 +10,7 @@ import pytest
 from repro.algorithms import LabelPropagation, PageRank, SSSP
 from repro.core.engine import GraphBoltEngine
 from repro.graph.generators import rmat
+from repro.graph.mutation import MutationBatch
 from repro.graph.storage import MmapStore, _HEADER_SIZE, _pack_header
 from repro.ligra.engine import LigraEngine
 from repro.runtime.checkpoint import (
@@ -23,7 +24,12 @@ from repro.runtime.checkpoint import (
     unpack_state,
     verify_checkpoint_blob,
 )
-from tests.conftest import edge_set, flip_byte_at, make_random_batch
+from tests.conftest import (
+    all_sparse,
+    edge_set,
+    flip_byte_at,
+    make_random_batch,
+)
 
 
 @pytest.fixture
@@ -208,8 +214,8 @@ class TestAtomicWrite:
 # ----------------------------------------------------------------------
 # The format, by damage class
 # ----------------------------------------------------------------------
-def _saved_path(tmp_path, graph, rng):
-    engine = GraphBoltEngine(PageRank(), num_iterations=4)
+def _saved_path(tmp_path, graph, rng, factory=PageRank):
+    engine = GraphBoltEngine(factory(), num_iterations=4)
     engine.run(graph)
     engine.apply_mutations(make_random_batch(engine.graph, rng, 5, 5))
     return save_engine(engine, str(tmp_path / "victim.ckpt"))
@@ -372,8 +378,11 @@ class TestValidationOnLoad:
                   "array 'values' header disagrees with the index")
 
     def test_out_of_range_index_rejected(self, tmp_path, graph, rng):
-        for name in ("out_targets", "frontier", "hist_c_idx"):
-            path = _saved_path(tmp_path, graph, rng)
+        # PageRank's history halves are dense here (no ids); LP's sparse.
+        for name, factory in (("out_targets", PageRank),
+                              ("frontier", PageRank),
+                              ("hist_c_idx", LabelPropagation)):
+            path = _saved_path(tmp_path, graph, rng, factory)
 
             def corrupt(fields, arrays):
                 arrays[name][0] = fields["num_vertices"] + 5
@@ -461,6 +470,88 @@ class TestConfigurationRoundtrip:
         batch = make_random_batch(engine.graph, rng, 6, 6)
         assert np.array_equal(engine.apply_mutations(batch),
                               restored.apply_mutations(batch))
+
+
+class TestHistoryForms:
+    """Format version 5 stores a dense history half as its rows with no
+    ids; a version 4 file (every half sparse) still loads."""
+
+    V4 = os.path.join(os.path.dirname(__file__), "data", "checkpoint-v4.ckpt")
+
+    @staticmethod
+    def _halves(history):
+        return [[None if a is None else a.tobytes()
+                 for a in (r.g_idx, r.g_values, r.c_idx, r.c_values)]
+                for r in history.records]
+
+    def test_dense_halves_roundtrip(self, tmp_path, graph, rng):
+        engine, restored = checkpoint_roundtrip(
+            tmp_path, lambda: PageRank(), graph, rng)
+        opened = open_checkpoint(str(tmp_path / "engine.ckpt"))
+        assert opened.index["version"] == 5
+        assert opened.arrays["hist_dense"].tolist() == [
+            [r.g_idx is None, r.c_idx is None]
+            for r in engine.history.records]
+        assert opened.arrays["hist_dense"].all()
+        assert opened.arrays["hist_g_idx"].size == 0
+        assert self._halves(restored.history) == self._halves(
+            engine.history)
+        assert not restored.history.records[-1].c_values.flags.writeable
+        batch = make_random_batch(engine.graph, rng, 8, 8)
+        assert np.array_equal(engine.apply_mutations(batch),
+                              restored.apply_mutations(batch))
+
+    def test_no_larger_than_all_sparse(self, tmp_path, graph, rng):
+        engine = GraphBoltEngine(PageRank(), num_iterations=8)
+        engine.run(graph)
+        engine.apply_mutations(make_random_batch(engine.graph, rng, 10, 10))
+        dense = os.path.getsize(save_engine(engine,
+                                            str(tmp_path / "dense.ckpt")))
+        engine._history = all_sparse(engine.history)
+        sparse = os.path.getsize(save_engine(engine,
+                                             str(tmp_path / "sparse.ckpt")))
+        assert dense < sparse
+
+    def test_a_version_4_checkpoint_loads(self):
+        """A v4 file, written before dense halves existed, restores the
+        engine it holds: the same run rebuilt now, stored dense."""
+        assert open_checkpoint(self.V4).index["version"] == 4
+        restored = load_engine(self.V4, PageRank())
+        small = rmat(scale=5, edge_factor=4, seed=21, weighted=True)
+        twin = GraphBoltEngine(PageRank(), num_iterations=4)
+        twin.run(small)
+        src, dst, _ = small.all_edges()
+        twin.apply_mutations(MutationBatch.from_edges(
+            additions=[(0, 7), (3, 9)],
+            deletions=[(int(src[0]), int(dst[0]))], add_weights=[0.5, 2.0]))
+        assert restored.values.tobytes() == twin.values.tobytes()
+        assert edge_set(restored.graph) == edge_set(twin.graph)
+        assert all(r.g_idx is not None and r.c_idx is not None
+                   for r in restored.history.records)
+        assert self._halves(restored.history) == self._halves(
+            all_sparse(twin.history))
+        batch = MutationBatch.from_edges(additions=[(5, 1), (2, 30)],
+                                         add_weights=[1.5, 0.25])
+        assert (restored.apply_mutations(batch).tobytes()
+                == twin.apply_mutations(batch).tobytes())
+
+    def test_dense_flags_checked(self, tmp_path, graph, rng):
+        def not_a_flag(fields, arrays):
+            arrays["hist_dense"][0, 0] = 2
+
+        def sparse_without_ids(fields, arrays):
+            arrays["hist_dense"][0, 1] = 0
+
+        def forgotten(fields, arrays):
+            del arrays["hist_dense"]
+
+        for mutate, match in ((not_a_flag, "history dense flags"),
+                              (sparse_without_ids, "history c rows"),
+                              (forgotten, "payload is missing hist_dense")):
+            path = _saved_path(tmp_path, graph, rng)
+            _tamper(path, mutate)
+            with pytest.raises(ValueError, match=match):
+                load_engine(path, PageRank())
 
 
 class TestStateBlob:
