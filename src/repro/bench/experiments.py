@@ -61,6 +61,7 @@ __all__ = [
     "reduce_table7",
     "reduce_table8",
     "reduce_figure7",
+    "reduce_tolerance",
     "triangle_cell",
     "experiment_table1",
     "experiment_figure4",
@@ -389,12 +390,70 @@ def reduce_table8(payload: Dict) -> Dict:
     }
 
 
+def reduce_tolerance(payload: Dict) -> Dict:
+    """What a scheduling tolerance τ costs and buys, per algorithm
+    (paper section 4.2's selective scheduling): GraphBolt's edge work
+    over a restart's at each batch size, and the worst relative error
+    over the batch sizes against a τ = 0 run and against a restart at
+    the same τ.
+
+    Per algorithm and τ, the *crossover* is the smallest batch size at
+    which GraphBolt does at least the restart's edge work (Figure 7);
+    per algorithm, the summary names the largest τ whose error against
+    τ = 0 stays within the e2e oracle's bound at every batch size.
+    """
+    bound = REGISTRY["pagerank"].tolerance   # benchmarks/e2e's oracle
+    cells = {
+        (run["config"]["algorithm"]["name"],
+         run["config"]["algorithm"]["tolerance"],
+         run["config"]["batch_size"]): run["work"]
+        for run in payload["runs"]
+    }
+    names = list(dict.fromkeys(key[0] for key in cells))
+    taus = sorted({key[1] for key in cells})
+    batch_sizes = sorted({key[2] for key in cells})
+    rows = []
+    summary = {}
+    for name in names:
+        within = None
+        for tau in taus:
+            work = [cells[(name, tau, b)] for b in batch_sizes]
+            ratios = [cell["edge_work_vs_restart"] for cell in work]
+            crossover = next((b for b, ratio in zip(batch_sizes, ratios)
+                              if ratio >= 1.0), None)
+            exact = max(cell["max_rel_error_vs_exact"] for cell in work)
+            restart = max(cell["max_rel_error_vs_restart"] for cell in work)
+            if exact <= bound:
+                within = {"tolerance": tau, "crossover_batch": crossover}
+            rows.append(
+                [name, f"{tau:.0e}"] + [f"{ratio:.3f}" for ratio in ratios]
+                + [sum(cell["dense_refinement_iterations"] for cell in work),
+                   f"{exact:.1e}", f"{restart:.1e}",
+                   crossover if crossover is not None
+                   else f">{batch_sizes[-1]}"])
+        summary[name] = within
+    return {
+        "experiment": "tolerance",
+        "title": (
+            "Scheduling tolerance: GraphBolt edge work / restart per "
+            "batch size, dense refinement iterations, worst relative "
+            f"error (oracle bound {bound:.0e})"
+        ),
+        "headers": (["Algo", "tau"] + [f"work@{b}" for b in batch_sizes]
+                    + ["dense", "err vs tau=0", "err vs restart",
+                       "crossover"]),
+        "rows": rows,
+        "summary": summary,
+    }
+
+
 #: Matrix ``area`` -> reducer; areas not listed are not paper tables.
 REDUCERS: Dict[str, Callable[[Dict], Dict]] = {
     "table5": reduce_table5,
     "table7": reduce_table7,
     "table8": reduce_table8,
     "figure7": reduce_figure7,
+    "tolerance": reduce_tolerance,
 }
 
 

@@ -49,6 +49,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.mutation import MutationBatch
 from repro.obs.registry import peak_rss_bytes, scoped_registry
 from repro.runtime.exec import load_imbalance
+from repro.runtime.validation import relative_errors
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -219,12 +220,48 @@ def _validate_axes(table: RunTable) -> None:
                 )
 
 
+def _check_algorithm(table_path: str, value: object) -> None:
+    """A registry name, or ``{name: <registry name>, tolerance: τ}``."""
+    name = value.get("name") if isinstance(value, dict) else value
+    if not (isinstance(name, str) and name in REGISTRY):
+        raise MatrixError(
+            f"{table_path}: algorithm {name!r} not in {sorted(REGISTRY)}")
+    if isinstance(value, dict):
+        tolerance = value.get("tolerance")
+        if (set(value) != {"name", "tolerance"}
+                or isinstance(tolerance, bool)
+                or not isinstance(tolerance, (int, float))
+                or not 0 <= tolerance < float("inf")):
+            raise MatrixError(
+                f"{table_path}: algorithm mapping {value!r} must be "
+                f"{{name: <algorithm>, tolerance: <number >= 0>}}")
+
+
+def _algorithm_label(value: object) -> str:
+    """An ``algorithm`` config value as a run-id segment: the bare name,
+    or ``PR@1e-03`` for a name with a tolerance."""
+    if isinstance(value, dict):
+        return f"{value['name']}@{value['tolerance']:.0e}"
+    return str(value)
+
+
+def _algorithm_factory(value: object, tolerance: Optional[float] = None):
+    """The zero-argument factory a config's ``algorithm`` names; a
+    mapping's tolerance (or an explicit one) replaces the registry's."""
+    if isinstance(value, dict):
+        value, tolerance = value["name"], (
+            value["tolerance"] if tolerance is None else tolerance)
+    spec = REGISTRY[value]
+    if tolerance is None:
+        return spec.factory
+    params = dict(spec.params, tolerance=float(tolerance))
+    return lambda: spec.cls(**params)
+
+
 def _check_value(table_path: str, key: str, value: object) -> None:
     """Validate one resolved config value against the vocabulary."""
-    if key == "algorithm" and not (isinstance(value, str)
-                                   and value in REGISTRY):
-        raise MatrixError(
-            f"{table_path}: algorithm {value!r} not in {sorted(REGISTRY)}")
+    if key == "algorithm":
+        _check_algorithm(table_path, value)
     if key == "topology" and value not in TOPOLOGIES:
         raise MatrixError(
             f"{table_path}: topology {value!r} not in {TOPOLOGIES}")
@@ -332,7 +369,9 @@ def expand(table: RunTable) -> List[RunSpec]:
         for key, value in config.items():
             _check_value(table.path, key, value)
         _check_run_semantics(table.path, config)
-        run_id = "/".join(str(config[name]) for name in axis_names)
+        run_id = "/".join(
+            _algorithm_label(config[name]) if name == "algorithm"
+            else str(config[name]) for name in axis_names)
         specs.append(RunSpec(run_id=run_id, config=config))
     if not specs:
         raise MatrixError(f"{table.path}: matrix expanded to zero runs")
@@ -344,6 +383,14 @@ def expand(table: RunTable) -> List[RunSpec]:
 
 def _check_run_semantics(table_path: str, config: Dict) -> None:
     serving = _is_serving(config)
+    if isinstance(config["algorithm"], dict) and (
+            serving or config["engine"] != "graphbolt"):
+        raise MatrixError(
+            f"{table_path}: a tolerance cell measures GraphBolt in "
+            f"engine mode against restarts; engine "
+            f"{config['engine']!r}{' (serving)' if serving else ''} is "
+            f"invalid there"
+        )
     if serving and config["engine"] != "graphbolt":
         raise MatrixError(
             f"{table_path}: admission/fault/slo runs exercise the "
@@ -483,7 +530,7 @@ def _execute_engine_run(config: Dict, graph: CSRGraph,
     """One engine-mode run; returns ``(work, timing)``."""
     num_shards = _parse_shards(str(config["backend"]))
     runner = ENGINES[config["engine"]](
-        REGISTRY[config["algorithm"]].factory, config["iterations"],
+        _algorithm_factory(config["algorithm"]), config["iterations"],
         num_shards=num_shards)
     with scoped_registry() as registry:
         result = run_stream(runner, graph, batches)
@@ -505,6 +552,9 @@ def _execute_engine_run(config: Dict, graph: CSRGraph,
             "batches_applied": len(result.batches),
             "values_crc32": _values_crc32(result.final_values),
         }
+        if isinstance(config["algorithm"], dict):
+            work.update(_tolerance_work(config, graph, batches, runner,
+                                        result))
         timing = {
             "wall_seconds": _wall_summary(
                 [batch.total_seconds for batch in result.batches],
@@ -514,6 +564,37 @@ def _execute_engine_run(config: Dict, graph: CSRGraph,
             "batch_seconds_histogram_count": histogram.count,
         }
     return work, timing
+
+
+def _tolerance_work(config: Dict, graph: CSRGraph,
+                    batches: List[MutationBatch], runner,
+                    result) -> Dict[str, object]:
+    """What a GraphBolt cell's tolerance costs and buys: its stream edge
+    work over a GB-Reset restart's at the same τ, its dense refinement
+    iterations and dependency bytes, and the relative error of its final
+    values against that restart and against a τ = 0 restart."""
+    iterations = config["iterations"]
+    work: Dict[str, object] = {
+        "dense_refinement_iterations": int(
+            result.final_metrics.dense_refinement_iterations),
+        "dependency_bytes": int(runner.engine.history.nbytes),
+    }
+    for label, tolerance in (("restart", None), ("exact", 0.0)):
+        restart = run_stream(
+            ENGINES["gbreset"](
+                _algorithm_factory(config["algorithm"], tolerance),
+                iterations),
+            graph, batches)
+        if label == "restart":
+            work["restart_stream_edge_computations"] = int(
+                restart.total_edge_computations)
+            work["edge_work_vs_restart"] = round(
+                result.total_edge_computations
+                / max(restart.total_edge_computations, 1), 6)
+        errors = relative_errors(result.final_values, restart.final_values)
+        work[f"max_rel_error_vs_{label}"] = float(f"{errors.max():.4e}")
+        work[f"mean_rel_error_vs_{label}"] = float(f"{errors.mean():.4e}")
+    return work
 
 
 def _execute_serving_run(config: Dict, graph: CSRGraph,
@@ -546,7 +627,7 @@ def _execute_serving_run(config: Dict, graph: CSRGraph,
             recovery = RecoveryManager(
                 state_dir, checkpoint_every=2 if replicas else 8)
         server = StreamingAnalyticsServer(
-            REGISTRY[config["algorithm"]].factory, graph,
+            _algorithm_factory(config["algorithm"]), graph,
             approx_iterations=config["iterations"], recovery=recovery,
         )
         slo_sink = None
@@ -586,7 +667,7 @@ def _execute_serving_run(config: Dict, graph: CSRGraph,
             from repro.serving.replication import ReplicationCluster
 
             cluster = ReplicationCluster(
-                resilient, REGISTRY[config["algorithm"]].factory,
+                resilient, _algorithm_factory(config["algorithm"]),
                 state_dir, replicas=replicas,
             )
         chaos_wrappers = []

@@ -168,6 +168,7 @@ class _Refiner:
                     sources = np.flatnonzero(sources)  # ids to go sparse
                 if dense:
                     span.tag(mode="dense")
+                    self.metrics.dense_refinement_iterations += 1
                     g_cur, touched_candidates = self._refine_dense(c_before)
                 elif algorithm.aggregation.decomposable:
                     span.tag(mode="decomposable")

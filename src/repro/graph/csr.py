@@ -17,6 +17,8 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
+from repro.graph.pairs import pair_order
+
 __all__ = ["CSRGraph"]
 
 
@@ -77,17 +79,18 @@ class CSRGraph:
         self.store = None
         self.snapshot_id = None
 
-        # CSR (out-edges), rows sorted by (src, dst).
-        order = np.lexsort((dst, src))
-        self._out_targets = dst[order].copy()
-        self._out_weights = weight[order].copy()
+        # CSR (out-edges), rows sorted by (src, dst).  Fancy indexing
+        # copies, so the caller's arrays are never aliased.
+        order = pair_order(src, dst, self._num_vertices)
+        self._out_targets = dst[order]
+        self._out_weights = weight[order]
         self._out_offsets = self._build_offsets(src[order])
 
         # CSC (in-edges), columns sorted by (dst, src).
-        order_in = np.lexsort((src, dst))
-        self._in_sources = src[order_in].copy()
-        self._in_weights = weight[order_in].copy()
-        self._in_offsets = self._build_offsets(dst[order_in])
+        order = pair_order(dst, src, self._num_vertices)
+        self._in_sources = src[order]
+        self._in_weights = weight[order]
+        self._in_offsets = self._build_offsets(dst[order])
 
     def _build_offsets(self, sorted_keys: np.ndarray) -> np.ndarray:
         counts = np.bincount(sorted_keys, minlength=self._num_vertices)

@@ -21,6 +21,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.graph.pairs import first_pairs
 
 __all__ = [
     "rmat",
@@ -74,9 +75,7 @@ def rmat(
         src = (src << 1) | src_bit
         dst = (dst << 1) | dst_bit
     keep = src != dst
-    src, dst = src[keep], dst[keep]
-    pairs = np.unique(np.stack([src, dst], axis=1), axis=0)
-    src, dst = pairs[:, 0], pairs[:, 1]
+    src, dst = _dedup_sorted(src[keep], dst[keep], num_vertices)
     weight = rng.random(src.size) + 0.5 if weighted else None
     return CSRGraph(num_vertices, src, dst, weight)
 
@@ -115,20 +114,13 @@ def _rmat_chunk(rng, count: int, scale: int):
     return src[keep], dst[keep]
 
 
-def _dedup_sorted(key: np.ndarray, other: np.ndarray):
+def _dedup_sorted(key: np.ndarray, other: np.ndarray, stride: int):
     """Sort ``(key, other)`` pairs lexicographically and drop duplicate
-    pairs -- the same result as ``np.unique(pairs, axis=0)`` without
-    its void-row copies, which keeps the per-bucket heap transient of
-    the streamed build near the bucket size."""
-    order = np.lexsort((other, key))
-    key, other = key[order], other[order]
-    if key.size:
-        keep = np.empty(key.size, dtype=bool)
-        keep[0] = True
-        np.logical_or(key[1:] != key[:-1], other[1:] != other[:-1],
-                      out=keep[1:])
-        key, other = key[keep], other[keep]
-    return key, other
+    pairs -- a row-wise unique of the pair array without its void-row
+    copies, which keeps the per-bucket heap transient of the streamed
+    build near the bucket size."""
+    first = first_pairs(key, other, stride)
+    return key[first], other[first]
 
 
 def rmat_streamed(
@@ -215,8 +207,8 @@ def rmat_streamed(
                 os.remove(path)
                 if pair.size == 0:
                     continue
-                src, dst = _dedup_sorted(pair[:, 0].copy(),
-                                         pair[:, 1].copy())
+                src, dst = _dedup_sorted(pair[:, 0], pair[:, 1],
+                                         num_vertices)
                 del pair
                 out_degrees += np.bincount(src, minlength=num_vertices)
                 writer.append("out_targets", dst)
@@ -234,8 +226,8 @@ def rmat_streamed(
                 os.remove(path)
                 if pair.size == 0:
                     continue
-                dst, src = _dedup_sorted(pair[:, 1].copy(),
-                                         pair[:, 0].copy())
+                dst, src = _dedup_sorted(pair[:, 1], pair[:, 0],
+                                         num_vertices)
                 del pair
                 in_degrees += np.bincount(dst, minlength=num_vertices)
                 writer.append("in_sources", src)
@@ -300,9 +292,7 @@ def rmat_xl(
     src = np.concatenate([chunk[0] for chunk in chunks])
     dst = np.concatenate([chunk[1] for chunk in chunks])
     del chunks
-    pairs = np.unique(np.stack([src, dst], axis=1), axis=0)
-    src, dst = pairs[:, 0].copy(), pairs[:, 1].copy()
-    del pairs
+    src, dst = _dedup_sorted(src, dst, num_vertices)
     weight = _hash_weights(src, dst) if weighted else None
     return store.publish(CSRGraph(num_vertices, src, dst, weight))
 
@@ -371,9 +361,7 @@ def watts_strogatz(
     dst = dst.copy()
     dst[rewired] = rng.integers(0, num_vertices, size=int(rewired.sum()))
     keep = src != dst
-    src, dst = src[keep], dst[keep]
-    pairs = np.unique(np.stack([src, dst], axis=1), axis=0)
-    src, dst = pairs[:, 0], pairs[:, 1]
+    src, dst = _dedup_sorted(src[keep], dst[keep], num_vertices)
     weight = rng.random(src.size) + 0.5 if weighted else None
     return CSRGraph(num_vertices, src, dst, weight)
 

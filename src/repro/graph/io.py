@@ -17,6 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.graph.pairs import first_pairs
 
 __all__ = [
     "load_edge_list",
@@ -64,7 +65,7 @@ def _simple_graph(num_vertices: int, src: np.ndarray, dst: np.ndarray,
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     stride = max(num_vertices, int(dst.max(initial=-1)) + 1)
-    _, first = np.unique(src * stride + dst, return_index=True)
+    first = first_pairs(src, dst, stride)
     if first.size < src.size:
         first.sort()
         src, dst = src[first], dst[first]

@@ -29,6 +29,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.graph.pairs import first_pairs
+
 __all__ = ["MutationBatch", "coalesce_batches", "pair_disjoint_runs"]
 
 
@@ -114,17 +116,14 @@ class MutationBatch:
 
     # ------------------------------------------------------------------
     def _dedup(self) -> None:
+        """Keep the first of each repeated pair, in batch order."""
         if self.add_src.size:
-            keys = np.stack([self.add_src, self.add_dst], axis=1)
-            _, first = np.unique(keys, axis=0, return_index=True)
-            first.sort()
+            first = _first_in_order(self.add_src, self.add_dst)
             self.add_src = self.add_src[first]
             self.add_dst = self.add_dst[first]
             self.add_weight = self.add_weight[first]
         if self.del_src.size:
-            keys = np.stack([self.del_src, self.del_dst], axis=1)
-            _, first = np.unique(keys, axis=0, return_index=True)
-            first.sort()
+            first = _first_in_order(self.del_src, self.del_dst)
             self.del_src = self.del_src[first]
             self.del_dst = self.del_dst[first]
 
@@ -322,6 +321,14 @@ def pair_disjoint_runs(
         runs[-1].append(batch)
         seen |= pairs
     return runs
+
+
+def _first_in_order(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Index of each pair's first occurrence, in batch order."""
+    stride = max(int(src.max()), int(dst.max())) + 1
+    first = first_pairs(src, dst, stride)
+    first.sort()
+    return first
 
 
 def _as_index_array(values: Optional[Sequence[int]]) -> np.ndarray:

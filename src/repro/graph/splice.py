@@ -17,7 +17,7 @@ section 4.1: one offset pass, one edge-shift pass), in three parts:
 
 **Ordering contract.**  The spliced arrays equal, byte for byte, what
 the :class:`~repro.graph.csr.CSRGraph` constructor builds from
-``survivors ++ additions``: its stable lexsort keeps surviving edges
+``survivors ++ additions``: its stable pair sort keeps surviving edges
 ahead of additions with the same ``(key, other)`` pair and keeps such
 additions in batch order.  The plan reproduces that by ordering the
 additions with a stable sort and inserting each at the *right* end of
@@ -35,6 +35,8 @@ import mmap
 from typing import Tuple
 
 import numpy as np
+
+from repro.graph.pairs import pair_order
 
 __all__ = ["CHUNK_ELEMENTS", "locate", "row_search", "splice"]
 
@@ -132,7 +134,7 @@ def splice(writer, names: Tuple[str, str, str], num_vertices: int,
 
     # Plan, additions: stable (key, other) order, each inserted before
     # the slot at the right end of its equal run.
-    order = np.lexsort((add_other, add_key))
+    order = pair_order(add_key, add_other, num_vertices)
     add_other = add_other[order]
     add_weight = add_weight[order]
     ins_slots = row_search(new_offsets, others, add_key[order], add_other,
@@ -161,7 +163,7 @@ def splice(writer, names: Tuple[str, str, str], num_vertices: int,
     hi = lo.copy()
     lo[:slots.size] = np.searchsorted(ins_slots, slots, "left")
     hi[:slots.size] = np.searchsorted(ins_slots, slots, "right")
-    walk = np.lexsort((kind == 1, cut))
+    walk = pair_order(cut, kind == 1, 2)
     cut, kind = cut[walk], kind[walk]
     # Run k is old[starts[k]:stops[k]], then additions[lo[k]:hi[k]]; a
     # chunk closes with the run that ends at a boundary.

@@ -14,9 +14,10 @@ state directory *proactively*, re-verifying every CRC it can find, and
   CSR+CSC pair over the *same* edge set, sorted by ``(src, dst)`` and
   ``(dst, src)`` respectively.  Edge keys are unique, so each ordering
   is a permutation-independent total order: a damaged direction can be
-  rebuilt **bit-for-bit** from the clean one in heap (a lexsort and a
-  bincount), and the rebuild is proven by comparing its CRC32 against
-  the manifest's recorded value before the file is replaced.  Damage
+  rebuilt **bit-for-bit** from the clean one in heap (one
+  :func:`~repro.graph.pairs.pair_order` sort and a bincount), and the
+  rebuild is proven by comparing its CRC32 against the manifest's
+  recorded value before the file is replaced.  Damage
   spanning both directions cannot be rebuilt standalone -- the
   generation is quarantined (files sidelined to ``quarantine/``, the
   manifest entry dropped) so nothing ever silently serves rotten data;
@@ -47,6 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.graph.pairs import pair_order
 from repro.graph.storage import (
     ARRAY_DTYPES,
     ARRAY_NAMES,
@@ -157,14 +159,14 @@ def _rebuild_direction(num_vertices: int, rebuild_out: bool,
     if rebuild_out:
         # clean = in direction: anchor is dst, other is src.
         src, dst = other, anchor
-        order = np.lexsort((dst, src))  # (src, dst) order
+        order = pair_order(src, dst, num_vertices)  # (src, dst) order
         rebuilt_offsets = _offsets_of(src[order], num_vertices)
         return {"out_offsets": rebuilt_offsets,
                 "out_targets": dst[order],
                 "out_weights": weights[order]}
     # clean = out direction: anchor is src, other is dst.
     src, dst = anchor, other
-    order = np.lexsort((src, dst))  # (dst, src) order
+    order = pair_order(dst, src, num_vertices)  # (dst, src) order
     rebuilt_offsets = _offsets_of(dst[order], num_vertices)
     return {"in_offsets": rebuilt_offsets,
             "in_sources": src[order],

@@ -32,6 +32,8 @@ class EngineMetrics:
     vertex_computations: int = 0
     iterations: int = 0
     refinement_iterations: int = 0
+    #: Refinement iterations that swept every edge (dense mode).
+    dense_refinement_iterations: int = 0
     hybrid_iterations: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Measured work per owner block (keyed by shard index as a string),

@@ -68,7 +68,7 @@ class TestDrivers:
 class TestReducers:
     def test_registry_covers_the_paper_grids(self):
         assert set(exp.REDUCERS) == {"table5", "table7", "table8",
-                                     "figure7"}
+                                     "figure7", "tolerance"}
 
     def test_table5_cells_and_figure6_ratio(self):
         def run(engine, batch, edges, seconds):

@@ -229,6 +229,105 @@ class TestDeterminismPin:
             tiny_payload)
 
 
+TOLERANCE_TABLE = """
+schema: 1
+area: tinytau
+axes:
+  algorithm:
+    - {name: BP, tolerance: 1.0e-12}
+    - {name: BP, tolerance: 1.0e-2}
+  batch_size: [5, 40]
+fixed:
+  topology: rmat
+  scale: 6
+  edge_factor: 8
+  engine: graphbolt
+  num_batches: 2
+  iterations: 5
+  seed: 3
+"""
+
+
+class TestToleranceAxis:
+    """``algorithm:`` also takes ``{name, tolerance}``; a bare name is
+    the same config, hash and run id as before."""
+
+    def test_bare_names_keep_every_committed_hash(self):
+        from repro.bench.gate import load_baseline
+
+        for area in ("smoke", "core", "figure7"):
+            baseline = load_baseline(area)
+            expanded = {spec.run_id: spec.hash
+                        for spec in expand(load_table(area))}
+            assert expanded == {run["id"]: run["config_hash"]
+                                for run in baseline["runs"]}, area
+
+    def test_mapping_is_its_own_config(self, tmp_path):
+        specs = expand(load_table(write_table(tmp_path, TOLERANCE_TABLE)))
+        assert [spec.run_id for spec in specs] == [
+            "BP@1e-12/5", "BP@1e-12/40", "BP@1e-02/5", "BP@1e-02/40"]
+        assert specs[0].config["algorithm"] == {"name": "BP",
+                                                "tolerance": 1e-12}
+        assert len({spec.hash for spec in specs}) == 4
+
+    @pytest.mark.parametrize("value, match", [
+        ("{name: PR, tolerance: 1e-3}", "must be"),   # YAML 1.1 string
+        ("{name: PR, tolerance: -1.0}", "must be"),
+        ("{name: PR, tolerance: 0.1, k: 2}", "must be"),
+        ("{name: PageRnak, tolerance: 0.1}", "not in"),
+    ])
+    def test_bad_mappings_rejected(self, tmp_path, value, match):
+        path = write_table(tmp_path, f"""
+schema: 1
+area: bad
+axes:
+  algorithm: [{value}]
+""")
+        with pytest.raises(MatrixError, match=match):
+            load_table(path)
+
+    def test_mapping_needs_graphbolt_in_engine_mode(self, tmp_path):
+        path = write_table(tmp_path, """
+schema: 1
+area: bad
+axes:
+  engine: [ligra]
+fixed:
+  algorithm: {name: PR, tolerance: 0.001}
+""")
+        with pytest.raises(MatrixError, match="tolerance cell"):
+            load_table(path)
+
+    def test_cells_record_work_and_error_columns(self, tmp_path):
+        from repro.bench.experiments import reduce_tolerance
+
+        payload = run_matrix(load_table(
+            write_table(tmp_path, TOLERANCE_TABLE)))
+        validate_payload(payload)
+        work = {run["id"]: run["work"] for run in payload["runs"]}
+        tight = work["BP@1e-12/5"]
+        # At 1e-12 refinement is exact to rounding: it matches both
+        # restarts, and does less edge work than they do.
+        assert tight["max_rel_error_vs_exact"] < 1e-9
+        assert tight["max_rel_error_vs_restart"] < 1e-9
+        assert 0 < tight["edge_work_vs_restart"] < 1
+        assert tight["edge_work_vs_restart"] == round(
+            tight["stream_edge_computations"]
+            / tight["restart_stream_edge_computations"], 6)
+        assert tight["dependency_bytes"] > 0
+        assert 0 <= tight["dense_refinement_iterations"] <= (
+            tight["refinement_iterations"])
+        # A loose tau trades error for work.
+        loose = work["BP@1e-02/5"]
+        assert loose["max_rel_error_vs_exact"] > 1e-9
+        assert (loose["stream_edge_computations"]
+                < tight["stream_edge_computations"])
+        reduced = reduce_tolerance(payload)
+        assert [row[:2] for row in reduced["rows"]] == [
+            ["BP", "1e-12"], ["BP", "1e-02"]]
+        assert reduced["summary"]["BP"]["tolerance"] == 1e-12
+
+
 class TestBackendAxis:
     """``backend: sharded:P`` accounts the cell's loads over P owner
     blocks: the shard count must reach the runner the cell builds, or

@@ -144,12 +144,18 @@ class TestExperimentCommand:
         def execute_run(spec):
             wall = dict.fromkeys(
                 ("p50", "p90", "p99", "mean", "max", "total"), 0.001)
+            work = {"edge_computations": 7, "stream_edge_computations": 3,
+                    "vertex_computations": 5}
+            if isinstance(spec.config["algorithm"], dict):
+                # A tolerance cell's columns (matrix._tolerance_work).
+                work.update(dict.fromkeys((
+                    "edge_work_vs_restart", "dense_refinement_iterations",
+                    "max_rel_error_vs_exact", "max_rel_error_vs_restart"),
+                    0))
             return {
                 "id": spec.run_id, "mode": "engine",
                 "config": dict(spec.config), "config_hash": spec.hash,
-                "work": {"edge_computations": 7,
-                         "stream_edge_computations": 3,
-                         "vertex_computations": 5},
+                "work": work,
                 "timing": {"wall_seconds": wall, "peak_rss_bytes": 0,
                            "compute_seconds": 0.001},
             }
@@ -296,6 +302,23 @@ class TestObservabilityCommands:
         repros = journal_records(path, "repro")
         assert repros and "divergences" in repros[0]
         assert journal_records(path, "span")
+
+
+class TestFuzzSmoke:
+    """The cross-engine differential fuzz campaign at a fixed count.
+
+    25 workloads is the whole ``--seed 0`` campaign a ``--budget 30s``
+    run completes (it takes about a second), so a count runs the same
+    workloads without a clock in the verdict."""
+
+    def test_seeded_campaign_finds_no_divergence(self, capsys):
+        assert main(["fuzz", "--workloads", "25", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "fuzz: 25 workload(s), 0 failure(s)" in out
+
+    def test_planted_bug_is_caught(self, capsys):
+        assert main(["fuzz", "--plant-bug", "--workloads", "8",
+                     "--seed", "0", "--no-shrink"]) == 0
 
 
 class TestRecoveryCommands:
