@@ -26,6 +26,7 @@ from repro.algorithms import (
 from repro.algorithms.registry import REGISTRY
 from repro.bench.workloads import mixed_stream, uniform_batch
 from repro.core.engine import GraphBoltEngine
+from repro.core.history import DependencyHistory
 from repro.core.refinement import _Refiner, refine
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
@@ -187,9 +188,13 @@ def test_micro_refine_switch_costs(benchmark, monkeypatch, factory,
         monkeypatch.setattr(_Refiner, "_dense_preferred", forced(dense))
         affected.clear()
         tracer = Tracer()
+        # Refining consumes a history: each round replays a copy.
+        history = engine.history
+        replayed = DependencyHistory(history.initial_values,
+                                     history.identity_aggregate)
+        replayed.records = list(history.records)
         with trace.activated(tracer):
-            refine(engine.algorithm, mutation, engine.history,
-                   EngineMetrics())
+            refine(engine.algorithm, mutation, replayed, EngineMetrics())
         walls = [event["duration"] * 1e9 for event in tracer.events()
                  if event["name"] == "iteration"]
         return list(zip(affected, walls))

@@ -11,9 +11,11 @@ drives the full lifecycle:
    is how the history stores records: changed rows only, or the whole
    array when that is smaller).
 2. ``apply_mutations(batch)`` -- adjust the graph structure, run
-   dependency-driven refinement over the tracked window, then hybrid
-   forward execution to the end of the run, and commit the refined
-   history for the next batch.
+   dependency-driven refinement over the tracked window (which consumes
+   the old history), then hybrid forward execution to the end of the
+   run, and commit the refined history for the next batch.  A batch
+   that raises there leaves the engine with no history, as ``adopt``
+   does: it refuses to refine until restored from a checkpoint.
 3. ``adopt(batches, state)`` -- a read replica's path: queue the
    structure change, take a state the writer's engine refined, and
    refine no more until restored from a checkpoint.  The queue is
@@ -131,9 +133,9 @@ class GraphBoltEngine:
         self._require_run()
         if self._history is None:
             raise RuntimeError(
-                "this engine adopted a state it did not refine and holds "
-                "no dependency history; restore it from a checkpoint to "
-                "refine again")
+                "this engine holds no dependency history (it adopted a "
+                "state it did not refine, or a refine failed); restore it "
+                "from a checkpoint to refine again")
 
     # ------------------------------------------------------------------
     # Initial execution with dependency tracking
@@ -231,8 +233,12 @@ class GraphBoltEngine:
             self._state = self._naive_continue(graph)
             return self._state.values
 
+        # Refinement consumes the history, so the engine holds none
+        # until the batch succeeds: a failure leaves it refusing to
+        # refine, never refining the next batch against a stale one.
+        history, self._history = self._history, None
         state, new_history = refine(
-            self.algorithm, mutation, self._history, self.metrics,
+            self.algorithm, mutation, history, self.metrics,
             mode=self._delta.mode,
         )
         state = hybrid_forward(

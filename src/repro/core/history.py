@@ -12,20 +12,22 @@ iteration only when it changed in that iteration.
 and the vertex values as two *halves*, each in whichever form is fewer
 bytes (:func:`record_half`): the rows that changed with their new values
 (sparse), or the iteration's whole array by reference (dense) -- Ligra's
-``vertexSubset`` rule applied to a record.  The contiguity invariant from
-section 4.1 holds by construction: a vertex's value at iteration i is
-the value stored at the *latest* iteration <= i that recorded it, so
-"holes" never need explicit representation.  :class:`RollingState`
-replays the history forward, materialising dense g_i / c_i arrays one
-iteration at a time -- exactly the access pattern of dependency-driven
-refinement.
+``vertexSubset`` rule applied to a record.  A densely refined iteration
+computed every row, so its halves are its arrays with no compare.  The
+contiguity invariant from section 4.1 holds by construction: a vertex's
+value at iteration i is the value stored at the *latest* iteration <= i
+that recorded it, so "holes" never need explicit representation.
+:class:`RollingState` replays the history forward, materialising dense
+g_i / c_i arrays one iteration at a time -- exactly the access pattern
+of dependency-driven refinement -- and releases each record once it has
+passed it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,27 +86,33 @@ def record_half(values: np.ndarray, changed: np.ndarray,
     return None, values
 
 
-def _overlay(array: np.ndarray, owned: bool, halves: Sequence[tuple]):
-    """``(array, owned)`` after replaying ``halves`` -- ``(idx, values)``
-    pairs in iteration order -- onto ``array``.  Nothing before the last
-    dense half matters, and that half *is* the array unless the graph
-    grew since (its rows then overlay a prefix: new vertices keep their
-    base values).  An overlay first copies an array the replay does not
-    own (a base, or a dense half)."""
-    dense = [i for i, (idx, _) in enumerate(halves) if idx is None]
-    if dense:
-        values = halves[dense[-1]][1]
-        halves = halves[dense[-1] + 1:]
-        if values.shape[0] == array.shape[0]:
-            array, owned = values, False
-        else:
-            halves = [(slice(0, values.shape[0]), values)] + halves
-    for idx, values in halves:
-        if values.shape[0]:
-            if not owned:
-                array, owned = array.copy(), True
-            array[idx] = values
-    return array, owned
+class _Replayed:
+    """One replayed array, overlaid on first read: ``array`` plus the
+    halves pushed since.  A dense half supersedes every earlier half, so
+    pushing one drops them, and ``array`` too unless the graph grew since
+    (its rows then overlay a prefix: new vertices keep their base
+    values).  An overlay first copies an array the replay does not own
+    (a base, or a dense half)."""
+
+    def __init__(self, base: np.ndarray) -> None:
+        self.array, self.owned, self.pending = base, False, []
+
+    def push(self, idx: Optional[np.ndarray], values: np.ndarray) -> None:
+        if idx is None:
+            if values.shape[0] == self.array.shape[0]:
+                self.array, self.owned, self.pending = values, False, []
+                return
+            idx, self.pending = slice(0, values.shape[0]), []
+        self.pending.append((idx, values))
+
+    def read(self) -> np.ndarray:
+        for rows, values in self.pending:
+            if values.shape[0]:
+                if not self.owned:
+                    self.array, self.owned = self.array.copy(), True
+                self.array[rows] = values
+        self.pending = []
+        return self.array
 
 
 class DependencyHistory:
@@ -163,7 +171,9 @@ class DependencyHistory:
 
     def rolling(self, extended_initial: Optional[np.ndarray] = None,
                 extended_identity: Optional[np.ndarray] = None) -> "RollingState":
-        """A replay cursor over this history.
+        """A replay cursor that takes this history's records, leaving it
+        empty, and releases each as it passes: a caller that replays one
+        history twice replays a copy.
 
         When the graph grew, pass value/aggregate arrays already extended
         to the new vertex count; new vertices replay as never-changing
@@ -179,70 +189,73 @@ class DependencyHistory:
 
 
 class RollingState:
-    """Forward replay of a :class:`DependencyHistory`.
+    """Forward replay of a :class:`DependencyHistory`, which it consumes.
 
     Maintains dense ``c`` (vertex value) and ``g`` (aggregation) arrays
     for the current iteration; :meth:`advance` moves to the next
     iteration's record.  The previous iteration's vertex values remain
     available as :attr:`c_prev`, which is what contribution retraction
-    evaluates against.  ``g`` and ``c_prev`` are overlaid on first read:
-    only sparse refinement iterations look at them, and a run of dense
-    ones would otherwise scatter every ``g`` record and copy ``c`` for
-    nothing.  A dense half replaces the array by reference, and a sparse
-    one is overlaid on a copy unless the replay already owns the array,
-    so all three may *be* a base array or a record's, and are read-only
-    to callers.
+    evaluates against.  All three are overlaid on first read: only
+    sparse refinement iterations look at ``g`` and ``c_prev``, and a run
+    of dense ones would otherwise scatter every ``g`` record and copy
+    ``c`` for nothing.  A dense half replaces the array by reference,
+    and a sparse one is overlaid on a copy unless the replay already
+    owns the array, so all three may *be* a base array or a record's,
+    and are read-only to callers.
+
+    The replay takes the history's records and releases each half once
+    nothing ahead can read it: a ``g`` half when a later dense ``g``
+    half supersedes it or ``g`` is read, a ``c`` half when ``c_prev``
+    has moved past it and been read, or a later dense ``c`` half
+    reached ``c_prev`` -- so a refine never holds two whole histories.
     """
 
     def __init__(self, history: DependencyHistory,
                  extended_initial: Optional[np.ndarray] = None,
                  extended_identity: Optional[np.ndarray] = None) -> None:
-        self._history = history
         base_c = (history.initial_values if extended_initial is None
                   else extended_initial)
         base_g = (history.identity_aggregate if extended_identity is None
                   else extended_identity)
         if base_c.shape[0] < history.num_vertices:
             raise ValueError("extended arrays must not shrink the run")
-        self.c, self._c_owned = base_c, False
-        self._c_prev, self._c_prev_owned = base_c, False
-        self._c_prev_iteration = 0  # records already overlaid on ``_c_prev``
-        self._g, self._g_owned = base_g, False
-        self._g_iteration = 0      # records already overlaid on ``_g``
+        self._records, history.records = history.records, []
+        self._c = _Replayed(base_c)
+        self._c_prev = _Replayed(base_c)
+        self._c_half: Optional[tuple] = None  # c_prev's next half
+        self._g = _Replayed(base_g)
         self.iteration = 0
 
     @property
     def horizon(self) -> int:
-        return self._history.horizon
+        return len(self._records)
+
+    @property
+    def c(self) -> np.ndarray:
+        """The vertex values of the current iteration."""
+        return self._c.read()
 
     @property
     def g(self) -> np.ndarray:
         """The aggregation values of the current iteration."""
-        pending = self._history.records[self._g_iteration:self.iteration]
-        self._g, self._g_owned = _overlay(
-            self._g, self._g_owned,
-            [(record.g_idx, record.g_values) for record in pending])
-        self._g_iteration = self.iteration
-        return self._g
+        return self._g.read()
 
     @property
     def c_prev(self) -> np.ndarray:
         """The vertex values of the previous iteration."""
-        previous = max(self.iteration - 1, 0)
-        pending = self._history.records[self._c_prev_iteration:previous]
-        self._c_prev, self._c_prev_owned = _overlay(
-            self._c_prev, self._c_prev_owned,
-            [(record.c_idx, record.c_values) for record in pending])
-        self._c_prev_iteration = previous
-        return self._c_prev
+        return self._c_prev.read()
 
     def advance(self) -> IterationRecord:
         """Move to the next iteration, replaying its ``c`` half; returns
-        the record."""
-        if self.iteration >= self._history.horizon:
+        the record, which the replay no longer holds."""
+        if self.iteration >= self.horizon:
             raise IndexError("advanced past the tracked horizon")
-        record = self._history.records[self.iteration]
-        self.c, self._c_owned = _overlay(
-            self.c, self._c_owned, [(record.c_idx, record.c_values)])
+        record = self._records[self.iteration]
+        self._records[self.iteration] = None
+        if self._c_half is not None:
+            self._c_prev.push(*self._c_half)
+        self._c_half = (record.c_idx, record.c_values)
+        self._c.push(*self._c_half)
+        self._g.push(record.g_idx, record.g_values)
         self.iteration += 1
         return record

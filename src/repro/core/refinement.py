@@ -22,8 +22,10 @@ synchronous run on the mutated graph would have produced:
    Non-decomposable aggregations (min/max) are instead re-evaluated by
    pulling the full updated input set from incoming neighbours.
 
-The refined run's history is re-recorded as it is produced, so the next
-mutation batch refines against it; the function returns the rolling
+The refined run's history is re-recorded as it is produced -- a dense
+iteration's record is its own two arrays -- so the next mutation batch
+refines against it, while the old history is released as its replay
+passes each record; the function returns the rolling
 :class:`~repro.ligra.delta.DeltaState` at the tracked horizon, from
 which hybrid execution continues forward.
 """
@@ -85,19 +87,25 @@ def refine(
     Returns ``(state, new_history)``: the dense rolling state of the
     refined run at the tracked horizon (ready for hybrid forward
     execution) and the refined run's own dependency history.
+    ``history`` is consumed: its records are released as the replay
+    passes them, so a caller that refines one history twice passes a
+    copy.
     """
     with trace.span("refine", horizon=history.horizon,
                     additions=int(mutation.add_src.size),
-                    deletions=int(mutation.del_src.size)), \
+                    deletions=int(mutation.del_src.size),
+                    released_bytes=history.nbytes) as span, \
             Timer(metrics, "refine"):
-        return _Refiner(algorithm, mutation, history, metrics, mode).run()
+        state, new_history = _Refiner(algorithm, mutation, history,
+                                      metrics, mode).run()
+        span.tag(history_bytes=new_history.nbytes)
+        return state, new_history
 
 
 class _Refiner:
     def __init__(self, algorithm, mutation, history, metrics, mode):
         self.algorithm = algorithm
         self.mutation = mutation
-        self.history = history
         self.metrics = metrics
         self.mode = mode
         self.new_graph = mutation.new_graph
@@ -155,7 +163,7 @@ class _Refiner:
         # A dense apply's id argument (never used to gather).
         all_vertices = np.arange(num_vertices, dtype=np.int64)
 
-        for index in range(self.history.horizon):
+        for index in range(self.old_roll.horizon):
             with trace.span("iteration", index=index + 1) as span:
                 self.old_roll.advance()
                 self.metrics.refinement_iterations += 1
@@ -197,6 +205,10 @@ class _Refiner:
                     diverged = np.asarray(algorithm.values_changed(
                         self.old_roll.c, c_new), dtype=bool)
                     num_diverged = int(np.count_nonzero(diverged))
+                    # Its record is its arrays, held read-only: no
+                    # compare, no gather, and replay swaps them in.
+                    g_cur.flags.writeable = c_new.flags.writeable = False
+                    record = IterationRecord(None, g_cur, None, c_new)
                 else:
                     # Self-dependent applies (e.g. SSSP's self-min) must
                     # also re-run wherever the vertex's own value
@@ -227,9 +239,9 @@ class _Refiner:
                     else:
                         diverged = np.empty(0, dtype=np.int64)
                     num_diverged = int(diverged.size)
+                    record = self._record(g_before, g_cur, c_before, c_new)
 
-                record = self._record(new_history, g_before, g_cur,
-                                      c_before, c_new)
+                new_history.append(record)
                 span.tag(touched=num_touched, diverged=num_diverged,
                          **record.forms)
                 c_prev = c_before
@@ -240,7 +252,7 @@ class _Refiner:
             prev_values=c_prev,
             aggregate=g_cur,
             frontier=np.flatnonzero(algorithm.values_changed(c_prev, c_cur)),
-            iteration=self.history.horizon,
+            iteration=self.old_roll.horizon,
         )
         return state, new_history
 
@@ -383,11 +395,10 @@ class _Refiner:
         return g_new, touched
 
     # ------------------------------------------------------------------
-    def _record(self, new_history, g_prev, g_cur, c_prev, c_cur):
-        # Vertical pruning: the rows this iteration changed, or the whole
-        # array when that is no more bytes (held, never gathered).
-        record = IterationRecord(
+    @staticmethod
+    def _record(g_prev, g_cur, c_prev, c_cur):
+        # Vertical pruning: the rows a sparse iteration changed, or the
+        # whole array when that is no more bytes (held, never gathered).
+        return IterationRecord(
             *record_half(g_cur, exact_changed_rows(g_prev, g_cur), None),
             *record_half(c_cur, exact_changed_rows(c_prev, c_cur), None))
-        new_history.append(record)
-        return record

@@ -120,6 +120,15 @@ def all_sparse(history):
     return sparse
 
 
+def copy_history(history):
+    """A history another replay can consume: the same bases and records
+    (a replay takes a history's records, and never writes one)."""
+    copy = DependencyHistory(history.initial_values,
+                             history.identity_aggregate)
+    copy.records = list(history.records)
+    return copy
+
+
 def pin_refine_modes(monkeypatch, *modes: bool) -> None:
     """Replace refinement's sparse/dense switch with ``modes`` (True:
     dense), cycled over the refinement iterations that follow."""

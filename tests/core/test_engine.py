@@ -65,6 +65,55 @@ class TestLifecycle:
         assert "ran=True" in repr(engine)
 
 
+class FailingPageRank(PageRank):
+    """PageRank whose ``apply`` raises on its ``fail_at``-th call."""
+
+    fail_at = None
+    calls = 0
+
+    def apply(self, graph, aggregate_values, vertices, previous_values=None):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise FloatingPointError("planted apply failure")
+        return super().apply(graph, aggregate_values, vertices,
+                             previous_values)
+
+
+class TestFailedRefine:
+    """A batch whose refine raises after the graph advanced leaves the
+    engine with no history: the next batch raises instead of refining
+    against the snapshot the history no longer describes."""
+
+    def test_next_batch_raises_until_restored(self, graph, rng, tmp_path):
+        from repro.runtime.checkpoint import load_engine, save_engine
+
+        algorithm = FailingPageRank()
+        engine = GraphBoltEngine(algorithm, num_iterations=5)
+        engine.run(graph)
+        checkpoint = save_engine(engine, str(tmp_path / "engine.ckpt"))
+        dry_run = StreamingGraph(graph)
+        batches = []
+        for _ in range(2):
+            batches.append(make_random_batch(dry_run.graph, rng, 10, 10))
+            dry_run.apply_batch(batches[-1])
+        algorithm.fail_at = algorithm.calls + 3   # refine iteration 3
+
+        with pytest.raises(FloatingPointError, match="planted"):
+            engine.apply_mutations(batches[0])
+        assert engine.graph is not graph              # it advanced
+        with pytest.raises(RuntimeError, match="restore it from a checkpoint"):
+            engine.apply_mutations(batches[1])
+        with pytest.raises(RuntimeError, match="refine failed"):
+            engine.history
+
+        restored = load_engine(checkpoint, FailingPageRank())
+        clean = GraphBoltEngine(FailingPageRank(), num_iterations=5)
+        clean.run(graph)
+        for batch in batches:
+            assert (restored.apply_mutations(batch).tobytes()
+                    == clean.apply_mutations(batch).tobytes())
+
+
 @st.composite
 def adoption_streams(draw):
     """A small base graph -- repeated pairs make it a multigraph -- and

@@ -1,6 +1,7 @@
 """Unit tests for dependency history storage and rolling replay."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.history import DependencyHistory, IterationRecord, record_half
 from repro.ligra.delta import exact_changed_rows
-from tests.conftest import all_sparse
+from tests.conftest import all_sparse, copy_history
 
 
 def make_history():
@@ -80,10 +81,11 @@ class TestRollingReplay:
             c_idx = np.flatnonzero(rng.random(30) < 0.4)
             history.record(g_idx, rng.normal(size=(g_idx.size, 2)),
                            c_idx, rng.normal(size=(c_idx.size, 2)))
+        records = list(history.records)
         roll = history.rolling()
         g = history.identity_aggregate.copy()
         c = history.initial_values.copy()
-        for iteration, record in enumerate(history.records, start=1):
+        for iteration, record in enumerate(records, start=1):
             c_prev = c.copy()
             g[record.g_idx] = record.g_values
             c[record.c_idx] = record.c_values
@@ -145,7 +147,7 @@ class TestRollingReplay:
 
     def test_replay_does_not_mutate_history(self):
         history = make_history()
-        roll = history.rolling()
+        roll = copy_history(history).rolling()
         roll.advance()
         roll.c[0] = 123.0
         roll2 = history.rolling()
@@ -162,6 +164,70 @@ class TestRollingReplay:
         roll.advance()
         assert roll.g[1].tolist() == [1.0, 2.0, 3.0]
         assert roll.c[1].tolist() == [4.0, 5.0, 6.0]
+
+
+def halves_history(forms):
+    """A 4-row history whose record ``k`` has ``forms[k]``'s halves
+    (``"dense"`` / ``"sparse"``, g then c), with weakrefs to each
+    record's value arrays and nothing else holding them."""
+    history = DependencyHistory(np.zeros(4), np.zeros(4))
+    for k, pair in enumerate(forms):
+        halves = []
+        for form in pair:
+            values = np.full(4, k + 1.0)
+            halves += ([None, values] if form == "dense"
+                       else [np.array([k % 4]), values[:1].copy()])
+        history.append(IterationRecord(*halves))
+    refs = [(weakref.ref(record.g_values), weakref.ref(record.c_values))
+            for record in history.records]
+    return history, refs
+
+
+def alive(refs, half, passed):
+    """The records among the first ``passed`` whose ``half`` (0: g,
+    1: c) is still held."""
+    return [k for k, pair in enumerate(refs[:passed])
+            if pair[half]() is not None]
+
+
+class TestRelease:
+    """A replay takes its history's records and drops each half once
+    nothing ahead can read it."""
+
+    def test_replay_takes_the_records(self):
+        history = make_history()
+        roll = history.rolling()
+        assert history.records == [] and history.horizon == 0
+        assert roll.horizon == 2
+        roll.advance()
+        roll.advance()
+        assert roll.c.tolist() == [2.0, 4.0, 1.0]
+
+    def test_dense_halves_supersede_and_c_prev_passes(self):
+        history, refs = halves_history([("dense", "dense")] * 5)
+        roll = history.rolling()
+        del history
+        for k in range(5):
+            roll.advance()
+            assert alive(refs, 0, k + 1) == [k]                # g
+            assert alive(refs, 1, k + 1) == [k - 1, k][-k - 1:]  # c_prev, c
+        assert roll.c_prev.tolist() == [4.0] * 4
+
+    def test_sparse_halves_wait_for_a_read_or_a_dense_half(self):
+        forms = [("sparse", "sparse")] * 2 + [("dense", "dense")] * 2
+        history, refs = halves_history(forms)
+        roll = history.rolling()
+        del history
+        roll.advance()
+        roll.advance()
+        assert alive(refs, 0, 2) == [0, 1]
+        assert roll.g.tolist() == [1.0, 2.0, 0.0, 0.0]
+        assert alive(refs, 0, 2) == []                # read: overlaid
+        roll.advance()
+        assert alive(refs, 1, 3) == [0, 1, 2]         # c_prev unread
+        roll.advance()
+        assert alive(refs, 1, 4) == [2, 3]            # a dense c half
+        assert alive(refs, 0, 4) == [3]
 
 
 class TestExactChangedRows:

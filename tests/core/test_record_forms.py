@@ -1,39 +1,39 @@
 """A history record half is its changed rows or the whole array.
 
-Each half of an :class:`~repro.core.history.IterationRecord` is kept in
-whichever form is fewer bytes.  The form is a storage choice only:
-refinement from either encoding is byte-equal, a dense half costs no
-copy (it *is* the iteration's array), and a history is never larger
-than its all-sparse encoding.
+Each half of an :class:`~repro.core.history.IterationRecord` from the
+tracked run or a sparsely refined iteration is kept in whichever form
+is fewer bytes; a densely refined iteration's halves are its arrays.
+The form is a storage choice only: refinement from either encoding is
+byte-equal, a dense half costs no copy (it *is* the iteration's array),
+and a byte-ruled half is never larger than its sparse encoding.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.algorithms import LabelPropagation, PageRank, SSSP
+from repro.core import refinement
 from repro.core.engine import GraphBoltEngine
+from repro.core.history import RollingState
 from repro.core.hybrid import hybrid_forward
-from repro.core.refinement import refine
+from repro.core.refinement import _Refiner, refine
 from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
-from repro.ligra.delta import DeltaEngine
+from repro.ligra.delta import DeltaEngine, exact_changed_rows
 from repro.obs import trace
 from repro.obs.trace import Tracer
 from repro.runtime.metrics import EngineMetrics
-from tests.conftest import all_sparse, make_random_batch
+from tests.conftest import all_sparse, make_random_batch, pin_refine_modes
 
 FACTORIES = [
     pytest.param(lambda: PageRank(), id="pagerank"),
     pytest.param(lambda: LabelPropagation(num_labels=3), id="lp"),
     pytest.param(lambda: SSSP(source=0), id="sssp"),
 ]
-
-#: Loose enough that forward execution steps sparsely.
-
-
-#: Loose enough that forward execution steps sparsely.
-
 
 @pytest.fixture
 def graph():
@@ -68,6 +68,7 @@ class TestEitherEncoding:
                                                     rng, grow):
         engine = refined_engine(factory, graph, rng)
         history = engine.history
+        horizon = history.horizon
         sparse = all_sparse(history)
         mutation = next_mutation(engine, rng, grow)
         runs = [refine(engine.algorithm, mutation, h, EngineMetrics())
@@ -76,7 +77,7 @@ class TestEitherEncoding:
         for name in ("values", "prev_values", "aggregate", "frontier"):
             assert (getattr(state, name).tobytes()
                     == getattr(plain_state, name).tobytes()), name
-        assert refined.horizon == plain_refined.horizon == history.horizon
+        assert refined.horizon == plain_refined.horizon == horizon
         for ours, theirs in zip(refined.records, plain_refined.records):
             for mine, other in zip(halves(ours), halves(theirs)):
                 assert (mine is None) == (other is None)
@@ -96,17 +97,36 @@ class TestEitherEncoding:
 
 class TestAllocation:
     @pytest.mark.parametrize("factory", FACTORIES)
-    def test_never_larger_than_all_sparse(self, factory, graph, rng):
+    def test_never_larger_than_all_sparse(self, factory, graph, rng,
+                                          monkeypatch):
+        """The byte rule holds for the tracked run and for every
+        sparsely refined iteration; a densely refined iteration's halves
+        are its arrays, whatever they changed."""
         engine = GraphBoltEngine(factory(), num_iterations=10)
         engine.run(graph)
-        sizes = [(engine.history.nbytes,
-                  all_sparse(engine.history).nbytes)]
+        assert engine.history.nbytes <= all_sparse(engine.history).nbytes
+        pin_refine_modes(monkeypatch, True, False, False)
+        modes = []
         for _ in range(3):
-            engine.apply_mutations(
-                make_random_batch(engine.graph, rng, 10, 10))
-            sizes.append((engine.history.nbytes,
-                           all_sparse(engine.history).nbytes))
-        assert all(ours <= plain for ours, plain in sizes)
+            tracer = Tracer()
+            with trace.activated(tracer):
+                engine.apply_mutations(
+                    make_random_batch(engine.graph, rng, 10, 10))
+            history = engine.history
+            batch_modes = [event["tags"]["mode"]
+                           for event in tracer.events()
+                           if event["name"] == "iteration"
+                           and "mode" in event["tags"]]
+            assert len(batch_modes) == history.horizon
+            for mode, ours, plain in zip(batch_modes, history.records,
+                                         all_sparse(history).records):
+                if mode == "dense":
+                    assert ours.forms == {"g_half": "dense",
+                                          "c_half": "dense"}
+                else:
+                    assert ours.nbytes <= plain.nbytes
+            modes += batch_modes
+        assert "dense" in modes and set(modes) - {"dense"}
 
     def test_dense_half_is_the_iterations_array(self, graph, rng):
         """No gather: refine's last dense halves are the state it hands
@@ -187,3 +207,115 @@ class TestSpans:
         for event in spans:
             assert event["tags"]["g_half"] in ("dense", "sparse")
             assert event["tags"]["c_half"] in ("dense", "sparse")
+
+    def test_refine_span_names_the_bytes_released_and_recorded(self,
+                                                                 graph,
+                                                                 rng):
+        engine = refined_engine(lambda: LabelPropagation(num_labels=3),
+                                graph, rng)
+        previous = engine.history.nbytes
+        tracer = Tracer()
+        with trace.activated(tracer):
+            engine.apply_mutations(
+                make_random_batch(engine.graph, rng, 10, 10))
+        (event,) = [event for event in tracer.events()
+                    if event["name"] == "refine"]
+        assert event["tags"]["released_bytes"] == previous > 0
+        assert event["tags"]["history_bytes"] == engine.history.nbytes
+
+
+#: The two engines the dense-record guards run on: LP (K = 5) and
+#: PageRank, refining 8 iterations of an RMAT scale-10 graph.
+DENSE_FACTORIES = [
+    pytest.param(lambda: LabelPropagation(), id="lp"),
+    pytest.param(lambda: PageRank(), id="pagerank"),
+]
+
+
+def dense_engine(factory):
+    engine = GraphBoltEngine(factory(), num_iterations=8)
+    engine.run(rmat(scale=10, edge_factor=8, seed=3, weighted=True))
+    return engine
+
+
+class TestDenseRecord:
+    """A densely refined iteration's record is its two output arrays:
+    no compare, no gather."""
+
+    @pytest.mark.parametrize("factory", DENSE_FACTORIES)
+    def test_halves_are_the_iterations_arrays(self, factory, rng,
+                                              monkeypatch):
+        engine = dense_engine(factory)
+        outputs = []                       # (g_i, c_i) per iteration
+        sweep, apply = _Refiner._refine_dense, engine.algorithm.apply
+
+        def spied_sweep(refiner, c_prev):
+            g, touched = sweep(refiner, c_prev)
+            outputs.append([g])
+            return g, touched
+
+        def spied_apply(*args):
+            c = apply(*args)
+            outputs[-1].append(c)
+            return c
+
+        compares = []
+
+        def counted(old, new):
+            compares.append(old.shape)
+            return exact_changed_rows(old, new)
+
+        monkeypatch.setattr(_Refiner, "_refine_dense", spied_sweep)
+        monkeypatch.setattr(engine.algorithm, "apply", spied_apply)
+        monkeypatch.setattr(refinement, "exact_changed_rows", counted)
+        pin_refine_modes(monkeypatch, True)
+        engine.apply_mutations(make_random_batch(engine.graph, rng, 50, 50))
+        records = engine.history.records
+        assert len(outputs) == len(records) == 8
+        for record, (g, c) in zip(records, outputs):
+            assert record.g_idx is None and record.c_idx is None
+            assert np.shares_memory(record.g_values, g)
+            assert np.shares_memory(record.c_values, c)
+            assert not (record.g_values.flags.writeable
+                        or record.c_values.flags.writeable)
+        assert compares == []
+
+        # A sparsely refined iteration still compares both halves.
+        pin_refine_modes(monkeypatch, False, True)
+        engine.apply_mutations(make_random_batch(engine.graph, rng, 5, 5))
+        assert len(compares) == 2 * 4
+
+
+class TestRelease:
+    """Refinement consumes the previous history: a record is released
+    once the replay has passed it, so two whole histories never
+    coexist."""
+
+    @pytest.mark.parametrize("factory", DENSE_FACTORIES)
+    def test_previous_records_die_as_the_replay_passes(self, factory, rng,
+                                                        monkeypatch):
+        engine = dense_engine(factory)
+        engine.apply_mutations(make_random_batch(engine.graph, rng, 50, 50))
+        records = engine.history.records
+        assert all(record.forms == {"g_half": "dense", "c_half": "dense"}
+                   for record in records[1:])
+        refs = [[weakref.ref(array) for array in halves(record)
+                 if array is not None] for record in records]
+        del records
+        advance, alive = RollingState.advance, []
+
+        def checked(roll):
+            # About to take record k, the replay still holds records
+            # k - 2 (as c_prev) and k - 1 (as c and g); the engine's
+            # state holds no other.  Every earlier record is gone.
+            gc.collect()
+            alive.append([index for index, arrays
+                          in enumerate(refs[:max(roll.iteration - 2, 0)])
+                          if any(ref() is not None for ref in arrays)])
+            return advance(roll)
+
+        monkeypatch.setattr(RollingState, "advance", checked)
+        engine.apply_mutations(make_random_batch(engine.graph, rng, 50, 50))
+        assert alive == [[]] * 8
+        gc.collect()
+        assert not [ref for arrays in refs for ref in arrays if ref()]

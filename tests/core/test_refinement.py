@@ -382,9 +382,9 @@ class TestReusedInitialValues:
         seen = []
         init = _Refiner.__init__
 
-        def spy(self, *args):
-            init(self, *args)
-            seen.append((self.initial is self.history.initial_values,
+        def spy(self, algorithm, mutation, history, *args):
+            init(self, algorithm, mutation, history, *args)
+            seen.append((self.initial is history.initial_values,
                          self.initial, self.identity, self.new_graph))
 
         monkeypatch.setattr(_Refiner, "__init__", spy)

@@ -11,7 +11,7 @@ from repro.bench.matrix import expand, load_table, matrices_dir
 from repro.cli import main, parse_graph
 from repro.obs import read_journal
 from repro.obs.render import build_tree
-from tests.conftest import edge_set, journal_records
+from tests.conftest import edge_set, flip_byte_at, journal_records
 
 
 class TestParseGraph:
@@ -426,6 +426,35 @@ class TestRecoveryCommands:
     def test_flag_per_sweep_options_are_gone(self, flag, capsys):
         with pytest.raises(SystemExit):
             main(["fuzz", "--crash", flag])
+
+
+class TestScrubCommand:
+    def test_planted_bit_rot_is_detected_and_repaired_byte_for_byte(
+            self, tmp_path, capsys):
+        """One flipped payload byte in a published store: ``scrub``
+        exits non-zero, ``--repair`` restores the file byte for byte,
+        and a re-scan is clean."""
+        import hashlib
+
+        from repro.graph.generators import rmat
+        from repro.graph.storage import MmapStore
+
+        state = tmp_path / "state"
+        store_root = state / "store"
+        MmapStore(str(store_root)).publish(rmat(6, 4, seed=3,
+                                                weighted=True))
+        path = store_root / "snap-g000000-out_targets.seg"
+        oracle = path.read_bytes()
+        path.write_bytes(flip_byte_at(oracle, 64 + len(oracle) // 2))
+        scrub = ["scrub", str(state), "--store-root", str(store_root)]
+
+        assert main(scrub) != 0
+        assert main(scrub + ["--repair"]) == 0
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == hashlib.sha256(oracle).hexdigest())
+        capsys.readouterr()
+        assert main(scrub) == 0
+        assert "UNREPAIRED" not in capsys.readouterr().out
 
 
 class TestResilientServe:
