@@ -137,6 +137,19 @@ class _Refiner:
             num_vertices, algorithm.apply_params_changed(mutation), new_ids,
         )
 
+        # The switch's price before any changed source: the batch's
+        # edges plus the out-edges of the contribution-changed sources
+        # (as a mask, so a dense iteration's compare counts each once).
+        self.contrib_mask = None
+        self.fixed_edges = mutation.add_src.size + mutation.del_src.size
+        if self.contrib_params.size:
+            self.contrib_mask = np.zeros(num_vertices, dtype=bool)
+            self.contrib_mask[self.contrib_params] = True
+            self.fixed_edges += int(
+                self.new_graph.out_degrees() @ self.contrib_mask)
+        # What the compare after a dense iteration priced (_compare).
+        self.priced = None
+
         further = math.prod(algorithm.aggregation_shape) - 1
         first, per = SPARSE_NS_PER_EDGE[
             "splice" if algorithm.aggregation.decomposable else "reevaluate"]
@@ -157,15 +170,17 @@ class _Refiner:
         g_cur = self.identity
         # Vertices where the refined run's value differs from the old
         # run's at the latest completed iteration (transitive impact):
-        # ids after a sparse iteration, a mask after a dense one.
+        # ids after a sparse iteration, a mask after a dense one, whose
+        # first ``compared`` rows are compared (the rest read False).
         diverged = np.empty(0, dtype=np.int64)
+        compared = 0
 
         # A dense apply's id argument (never used to gather).
         all_vertices = np.arange(num_vertices, dtype=np.int64)
+        last = self.old_roll.horizon - 1
 
         for index in range(self.old_roll.horizon):
             with trace.span("iteration", index=index + 1) as span:
-                self.old_roll.advance()
                 self.metrics.refinement_iterations += 1
 
                 g_before = g_cur               # g^T_{i-1}
@@ -173,7 +188,16 @@ class _Refiner:
                 sources = self._sources(diverged)
                 dense = self._dense_preferred(sources)
                 if not dense and sources.dtype == bool:
+                    if compared < num_vertices:
+                        # Only a dense iteration reads a partial mask:
+                        # finish the compare while the replay still
+                        # holds the previous iteration's values.
+                        rest = slice(compared, None)
+                        diverged[rest] = algorithm.values_changed(
+                            self.old_roll.c[rest], c_before[rest])
+                        sources = self._sources(diverged)
                     sources = np.flatnonzero(sources)  # ids to go sparse
+                self.old_roll.advance()
                 if dense:
                     span.tag(mode="dense")
                     self.metrics.dense_refinement_iterations += 1
@@ -202,8 +226,11 @@ class _Refiner:
                             or np.may_share_memory(c_new, c_before)):
                         # An apply that hands back one of its inputs.
                         c_new = c_new.copy()
-                    diverged = np.asarray(algorithm.values_changed(
-                        self.old_roll.c, c_new), dtype=bool)
+                    # Compared only as far as the next iteration's price
+                    # needs, and not at all after the last one.
+                    diverged = np.zeros(num_vertices, dtype=bool)
+                    compared = (0 if index == last else self._compare(
+                        self.old_roll.c, c_new, diverged))
                     num_diverged = int(np.count_nonzero(diverged))
                     # Its record is its arrays, held read-only: no
                     # compare, no gather, and replay swaps them in.
@@ -220,7 +247,7 @@ class _Refiner:
                         *([diverged] if algorithm.uses_previous_value
                           else []),
                     )
-                    num_touched = int(touched.size)
+                    num_touched = compared = int(touched.size)
                     c_new = self.old_roll.c.copy()
                     if touched.size:
                         kernels.count_vertices(self.new_graph, touched,
@@ -242,8 +269,8 @@ class _Refiner:
                     record = self._record(g_before, g_cur, c_before, c_new)
 
                 new_history.append(record)
-                span.tag(touched=num_touched, diverged=num_diverged,
-                         **record.forms)
+                span.tag(touched=num_touched, compared=compared,
+                         diverged=num_diverged, **record.forms)
                 c_prev = c_before
                 c_cur = c_new
 
@@ -279,17 +306,57 @@ class _Refiner:
                  else not sources.size)
         if num_edges == 0 or empty:
             return False
-        return (self._affected_edges(sources) * self.sparse_ns
-                > num_edges * self.dense_ns)
+        return self._prices_dense(self._affected_edges(sources))
+
+    def _prices_dense(self, affected_edges: int) -> bool:
+        return (affected_edges * self.sparse_ns
+                > self.new_graph.num_edges * self.dense_ns)
 
     def _affected_edges(self, sources) -> int:
-        """The batch's edges plus every out-edge of ``sources`` (ids, or
-        a mask: one product, no ids)."""
+        """The batch's edges plus every out-edge of ``sources``: summed
+        over ids, or for a dense iteration's mask what its compare
+        priced."""
+        if sources.dtype == bool:
+            return self.priced
         degrees = self.new_graph.out_degrees()
-        edges = (degrees @ sources if sources.dtype == bool
-                 else degrees[sources].sum())
-        return (int(edges) + self.mutation.add_src.size
+        return (int(degrees[sources].sum()) + self.mutation.add_src.size
                 + self.mutation.del_src.size)
+
+    def _compare(self, old, new, diverged) -> int:
+        """Fill ``diverged`` from the old and the refined run's values
+        in id order, only until the next iteration's sources price it
+        dense (:meth:`_dense_preferred` then reads no further).  Sets
+        :attr:`priced` to the compared rows' price -- the whole mask's
+        once the compare ran to the end -- and returns how many rows it
+        compared."""
+        graph = self.new_graph
+        offsets, degrees = graph.out_offsets, graph.out_degrees()
+        num_vertices = diverged.size
+        goal = graph.num_edges * self.dense_ns / self.sparse_ns
+        priced = self.fixed_edges
+        # A source among the rows priced so far: none, no dense price.
+        found = self.contrib_mask is not None
+        start = 0
+        while start < num_vertices:
+            if found and self._prices_dense(priced):
+                break
+            # The fewest rows whose out-degrees could close the gap (an
+            # integer target: a float one converts every offset), and no
+            # fewer than are compared already, so a price that stays
+            # short takes O(log V) steps, not one per gap's worth.
+            stop = int(offsets.searchsorted(
+                offsets[start] + math.floor(goal - priced), side="right"))
+            stop = min(max(stop, 2 * start, 1), num_vertices)
+            moved = np.asarray(self.algorithm.values_changed(
+                old[start:stop], new[start:stop]), dtype=bool)
+            diverged[start:stop] = moved
+            if self.contrib_mask is not None:
+                moved = moved & ~self.contrib_mask[start:stop]  # priced
+            priced += int(degrees[start:stop] @ moved)
+            found = found or bool(moved.any())
+            start = stop
+        self.priced = priced
+        return start
 
     def _refine_dense(self, c_prev):
         """Dense-mode refinement: rebuild g^T_i outright from c^T_{i-1}.

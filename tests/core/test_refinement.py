@@ -342,9 +342,10 @@ class TestSwitchPricing:
         assert refiner._dense_preferred(sources) == dense
 
     def test_a_mask_prices_as_its_ids(self, rng):
-        """After a dense iteration the switch prices a mask (one
-        product) -- the same integer, so the same decision, as the
-        sorted ids a sparse iteration hands it."""
+        """After a dense iteration the switch prices the mask its
+        compare filled: run to the end, the same integer -- so the same
+        decision -- as the sorted ids a sparse iteration hands it;
+        stopped short, only where the ids price dense too."""
         graph = rmat(scale=10, edge_factor=8, seed=5, weighted=True)
         engine = GraphBoltEngine(PageRank(), num_iterations=2)
         engine.run(graph)
@@ -353,17 +354,28 @@ class TestSwitchPricing:
         refiner = _Refiner(engine.algorithm, mutation, engine.history,
                            EngineMetrics(), "delta")
         assert refiner.contrib_params.size
+        old = np.zeros(graph.num_vertices)
+        stopped = []
         for fraction in (0.0, 0.001, 0.05, 0.2, 0.4, 1.0):
             mask = rng.random(graph.num_vertices) < fraction
             ids = np.flatnonzero(mask)
-            sources = refiner._sources(mask)
-            assert sources.dtype == bool and mask is not sources
-            assert np.array_equal(np.flatnonzero(sources),
-                                  refiner._sources(ids))
-            assert (refiner._affected_edges(sources)
-                    == refiner._affected_edges(refiner._sources(ids)))
-            assert (refiner._dense_preferred(sources)
-                    == refiner._dense_preferred(refiner._sources(ids)))
+            diverged = np.zeros(graph.num_vertices, dtype=bool)
+            compared = refiner._compare(old, mask.astype(float), diverged)
+            assert np.array_equal(diverged[:compared], mask[:compared])
+            assert not diverged[compared:].any()
+            sources = refiner._sources(diverged)
+            assert sources.dtype == bool and diverged is not sources
+            dense = refiner._dense_preferred(refiner._sources(ids))
+            assert refiner._dense_preferred(sources) == dense
+            stopped.append(compared < graph.num_vertices)
+            if stopped[-1]:
+                assert dense
+            else:
+                assert np.array_equal(np.flatnonzero(sources),
+                                      refiner._sources(ids))
+                assert (refiner._affected_edges(sources)
+                        == refiner._affected_edges(refiner._sources(ids)))
+        assert any(stopped) and not all(stopped)
         empty = np.zeros(graph.num_vertices, dtype=bool)
         refiner.contrib_params = np.empty(0, dtype=np.int64)
         assert refiner._sources(empty) is empty

@@ -321,6 +321,21 @@ class TestFuzzSmoke:
                      "--seed", "0", "--no-shrink"]) == 0
 
 
+class TestWorkGates:
+    """The smoke matrix and the paper's Table 8 (Hi/Lo) and Figure 7
+    (batch-size sweep) grids, gated against their committed baselines
+    in ``benchmarks/baselines/``: the gate compares the deterministic
+    work counters only, so any change that adds work or moves an
+    iteration mode fails here.  table5/table7 (225/30 runs) are too long
+    for tier-1; run them by hand with ``--gate enforce``."""
+
+    @pytest.mark.parametrize("name", ["smoke", "table8", "figure7"])
+    def test_matrix_passes_enforce(self, name, tmp_path, capsys):
+        assert main(["experiment", "--matrix", name, "--gate", "enforce",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+
+
 class TestRecoveryCommands:
     SERVE = ["serve", "rmat:6:4", "--batches", "3", "--batch-size", "8",
              "--iterations", "3"]
