@@ -206,9 +206,10 @@ class GraphBoltEngine:
                         algorithm=self.algorithm.name,
                         index=self.batches_applied,
                         mutations=len(batch)):
-            with trace.span("adjust_structure"), \
+            with trace.span("adjust_structure") as span, \
                     Timer(self.metrics, "adjust_structure"):
                 mutation = self._streaming.apply_batch(batch)
+                span.tag(deferred=mutation.new_graph.in_deferred)
             return self._apply_mutation_result(mutation)
 
     def apply_mutation_result(self, mutation) -> np.ndarray:

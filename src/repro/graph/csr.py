@@ -9,15 +9,21 @@ and pull-style (re-evaluation over in-edges) traversals are O(1)-indexable
 Within each row and column the neighbour arrays are sorted by the opposite
 endpoint, which makes targeted deletions a binary search instead of a
 scan.
+
+A snapshot made by structure adjustment may hold its in-edge neighbour
+and weight arrays *deferred* (:class:`~repro.graph.splice.InEdges`):
+every accessor that reads them splices them first, so callers never see
+the difference.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.pairs import pair_order
+from repro.graph.splice import InEdges
 
 __all__ = ["CSRGraph"]
 
@@ -88,9 +94,8 @@ class CSRGraph:
 
         # CSC (in-edges), columns sorted by (dst, src).
         order = pair_order(dst, src, self._num_vertices)
-        self._in_sources = src[order]
-        self._in_weights = weight[order]
         self._in_offsets = self._build_offsets(dst[order])
+        self._in = InEdges(self._in_offsets, src[order], weight[order])
 
     def _build_offsets(self, sorted_keys: np.ndarray) -> np.ndarray:
         counts = np.bincount(sorted_keys, minlength=self._num_vertices)
@@ -111,11 +116,14 @@ class CSRGraph:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the CSR + CSC structure (memory accounting)."""
+        """Bytes of the CSR + CSC structure (memory accounting).
+
+        The CSC edge arrays hold the CSR ones' elements in another
+        order, so a deferred in-direction is counted without splicing
+        it."""
         return int(
-            self._out_offsets.nbytes + self._out_targets.nbytes
-            + self._out_weights.nbytes + self._in_offsets.nbytes
-            + self._in_sources.nbytes + self._in_weights.nbytes
+            self._out_offsets.nbytes + self._in_offsets.nbytes
+            + 2 * (self._out_targets.nbytes + self._out_weights.nbytes)
         )
 
     @property
@@ -136,11 +144,35 @@ class CSRGraph:
 
     @property
     def in_sources(self) -> np.ndarray:
-        return self._in_sources
+        return self._read_in()[0]
 
     @property
     def in_weights(self) -> np.ndarray:
-        return self._in_weights
+        return self._read_in()[1]
+
+    @property
+    def in_deferred(self) -> bool:
+        """True while the in-edge arrays wait for their first read."""
+        return self._in.pending()
+
+    def canonical_arrays(self) -> Dict[str, np.ndarray]:
+        """The six canonical arrays by name, as a store or a checkpoint
+        persists them.  A deferred in-direction is spliced first, but
+        persisting it is not a read: the next adjustment still
+        defers."""
+        sources, weights = self._in.arrays()
+        return {"out_offsets": self._out_offsets,
+                "out_targets": self._out_targets,
+                "out_weights": self._out_weights,
+                "in_offsets": self._in_offsets,
+                "in_sources": sources, "in_weights": weights}
+
+    def _read_in(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(in_sources, in_weights)``, the one way in to them: marks
+        them read (the next adjustment then splices its own at once)
+        and splices a deferred backlog first."""
+        self._in.read = True
+        return self._in.arrays()
 
     # ------------------------------------------------------------------
     # Degrees
@@ -163,7 +195,7 @@ class CSRGraph:
         if not hasattr(self, "_in_weight_sums"):
             sums = np.zeros(self._num_vertices, dtype=np.float64)
             dst = self._edge_dst_from_in()
-            np.add.at(sums, dst, self._in_weights)
+            np.add.at(sums, dst, self.in_weights)
             self._in_weight_sums = sums
         return self._in_weight_sums
 
@@ -194,7 +226,7 @@ class CSRGraph:
 
     def in_neighbors(self, v: int) -> np.ndarray:
         """Sources of ``v``'s in-edges, sorted ascending."""
-        return self._in_sources[self._in_offsets[v] : self._in_offsets[v + 1]]
+        return self.in_sources[self._in_offsets[v] : self._in_offsets[v + 1]]
 
     # ------------------------------------------------------------------
     # Vectorised gathers (used by the kernels of repro.runtime.exec)
@@ -247,7 +279,8 @@ class CSRGraph:
         stops = self._in_offsets[vertices + 1]
         idx = _ranges(starts, stops)
         dst = np.repeat(vertices, stops - starts)
-        return self._in_sources[idx], dst, self._in_weights[idx]
+        sources, weights = self._read_in()
+        return sources[idx], dst, weights[idx]
 
     # ------------------------------------------------------------------
     # Conversions
@@ -260,10 +293,11 @@ class CSRGraph:
         out_targets: np.ndarray,
         out_weights: np.ndarray,
         in_offsets: np.ndarray,
-        in_sources: np.ndarray,
-        in_weights: np.ndarray,
+        in_sources: Optional[np.ndarray] = None,
+        in_weights: Optional[np.ndarray] = None,
         store=None,
         snapshot_id: Optional[str] = None,
+        in_edges: Optional[InEdges] = None,
     ) -> "CSRGraph":
         """Adopt already-canonical CSR+CSC arrays with zero sorts/copies.
 
@@ -271,7 +305,9 @@ class CSRGraph:
         restores hand over the six arrays exactly as a constructor run
         would have produced them (``np.memmap`` views work unchanged),
         so only O(V) structural checks run here -- no O(E log E)
-        re-sort, no per-array copy.
+        re-sort, no per-array copy.  A store's adjustment hands over a
+        deferred ``in_edges`` instead of the in-edge neighbour and
+        weight arrays.
         """
         num_vertices = int(num_vertices)
         num_edges = int(out_targets.size)
@@ -287,8 +323,11 @@ class CSRGraph:
                 raise ValueError(f"{name} endpoints disagree with edges")
             if np.any(np.diff(offsets) < 0):
                 raise ValueError(f"{name} is not monotone")
-        if (out_weights.size != num_edges or in_sources.size != num_edges
-                or in_weights.size != num_edges):
+        edge_arrays = [out_weights]
+        if in_edges is None:
+            edge_arrays += [in_sources, in_weights]
+            in_edges = InEdges(in_offsets, in_sources, in_weights)
+        if any(array.size != num_edges for array in edge_arrays):
             raise ValueError("canonical edge arrays disagree in length")
         graph = cls.__new__(cls)
         graph._num_vertices = num_vertices
@@ -298,8 +337,7 @@ class CSRGraph:
         graph._out_targets = out_targets
         graph._out_weights = out_weights
         graph._in_offsets = in_offsets
-        graph._in_sources = in_sources
-        graph._in_weights = in_weights
+        graph._in = in_edges
         return graph
 
     @classmethod

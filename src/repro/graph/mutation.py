@@ -301,20 +301,24 @@ def coalesce_batches(batches: Iterable[MutationBatch]) -> MutationBatch:
     return merged if merged is not None else MutationBatch.empty()
 
 
-def pair_disjoint_runs(
-        batches: Sequence[MutationBatch]) -> List[List[MutationBatch]]:
+def pair_disjoint_runs(batches: Sequence) -> List[list]:
     """Split ``batches`` into maximal consecutive runs in which no
     ``(src, dst)`` pair is touched (added or deleted) by two batches.
 
     Coalescing such a run is concatenation, so one splice of
     :func:`coalesce_batches` over it equals applying its batches one by
     one, byte for byte, on any base graph -- repeated pairs included.
+    A batch is anything with ``add_src`` / ``add_dst`` / ``del_src`` /
+    ``del_dst`` arrays: a :class:`MutationBatch`, or the applied part
+    of one (:class:`~repro.graph.splice.AppliedBatch`).
     """
-    runs: List[List[MutationBatch]] = []
+    if len(batches) < 2:
+        return [list(batches)] if batches else []
+    runs: List[list] = []
     seen: set = set()
     for batch in batches:
         pairs = set(zip(batch.add_src.tolist(), batch.add_dst.tolist()))
-        pairs.update(batch.deletions())
+        pairs.update(zip(batch.del_src.tolist(), batch.del_dst.tolist()))
         if not runs or not seen.isdisjoint(pairs):
             runs.append([])
             seen = set()

@@ -15,6 +15,11 @@ section 4.1: one offset pass, one edge-shift pass), in three parts:
   of a window of :data:`CHUNK_ELEMENTS` old slots with the sorted
   additions between them, joined by one ``np.concatenate``.
 
+A snapshot's in-edge (CSC) neighbour and weight arrays may be
+*deferred* (:class:`InEdges`): kept as the last ones built plus the
+batches applied since, and spliced when something first reads them.
+Its offsets never are: :func:`spliced_offsets` is O(V).
+
 **Ordering contract.**  The spliced arrays equal, byte for byte, what
 the :class:`~repro.graph.csr.CSRGraph` constructor builds from
 ``survivors ++ additions``: its stable pair sort keeps surviving edges
@@ -32,13 +37,23 @@ O(k + E / CHUNK_ELEMENTS) Python steps and writer calls.
 from __future__ import annotations
 
 import mmap
-from typing import Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.graph.mutation import pair_disjoint_runs
 from repro.graph.pairs import pair_order
+from repro.obs import trace
 
-__all__ = ["CHUNK_ELEMENTS", "locate", "row_search", "splice"]
+__all__ = [
+    "CHUNK_ELEMENTS",
+    "AppliedBatch",
+    "InEdges",
+    "locate",
+    "row_search",
+    "splice",
+    "spliced_offsets",
+]
 
 #: Old slots per emitted chunk (8 MB of int64): beyond the O(V) offsets,
 #: an adjustment holds one chunk per edge array in heap.
@@ -99,6 +114,25 @@ def _drop_resident(array: np.ndarray, start: int, stop: int) -> None:
             pass
 
 
+def spliced_offsets(offsets: np.ndarray, num_vertices: int,
+                    add_key: np.ndarray, del_key: np.ndarray) -> np.ndarray:
+    """One direction's offsets after a batch: the old ones padded for
+    growth (new rows start out empty at the end) plus the running sum
+    of each vertex's degree change."""
+    new_offsets = _padded(offsets, num_vertices)
+    new_offsets[1:] += np.cumsum(
+        np.bincount(add_key, minlength=num_vertices)
+        - np.bincount(del_key, minlength=num_vertices)
+    )
+    return new_offsets
+
+
+def _padded(offsets: np.ndarray, num_vertices: int) -> np.ndarray:
+    padded = np.full(num_vertices + 1, offsets[-1], dtype=np.int64)
+    padded[:offsets.size] = offsets
+    return padded
+
+
 def splice(writer, names: Tuple[str, str, str], num_vertices: int,
            offsets: np.ndarray, others: np.ndarray, weights: np.ndarray,
            add_key: np.ndarray, add_other: np.ndarray,
@@ -114,10 +148,8 @@ def splice(writer, names: Tuple[str, str, str], num_vertices: int,
     """
     offsets_name, others_name, weights_name = names
     num_edges = int(others.size)
-
-    # Old offsets padded for growth: new rows start out empty at the end.
-    new_offsets = np.full(num_vertices + 1, num_edges, dtype=np.int64)
-    new_offsets[:offsets.size] = offsets
+    writer.append(offsets_name,
+                  spliced_offsets(offsets, num_vertices, add_key, del_key))
 
     # Plan, deletions: the sorted slots that vanish.
     del_slots = locate(offsets, others, del_key, del_other)
@@ -137,19 +169,11 @@ def splice(writer, names: Tuple[str, str, str], num_vertices: int,
     order = pair_order(add_key, add_other, num_vertices)
     add_other = add_other[order]
     add_weight = add_weight[order]
-    ins_slots = row_search(new_offsets, others, add_key[order], add_other,
-                           "right")
+    ins_slots = row_search(_padded(offsets, num_vertices), others,
+                           add_key[order], add_other, "right")
     added_slots = np.empty(order.size, dtype=np.int64)
     added_slots[order] = (ins_slots + np.arange(order.size)
                           - np.searchsorted(del_slots, ins_slots))
-
-    # Offsets: the padded old ones plus the running sum of each vertex's
-    # degree change.
-    new_offsets[1:] += np.cumsum(
-        np.bincount(add_key, minlength=num_vertices)
-        - np.bincount(del_key, minlength=num_vertices)
-    )
-    writer.append(offsets_name, new_offsets)
 
     # Cuts through the old arrays, in walk order: one before each
     # distinct insertion slot (its additions follow the run ending
@@ -186,3 +210,114 @@ def splice(writer, names: Tuple[str, str, str], num_vertices: int,
                            min((chunk + 1) * CHUNK_ELEMENTS, num_edges))
             begin = end
     return added_slots
+
+
+class AppliedBatch(NamedTuple):
+    """The edges one batch actually added and deleted (after its
+    skipped mutations were dropped), and the vertex count after it."""
+
+    num_vertices: int
+    add_src: np.ndarray
+    add_dst: np.ndarray
+    add_weight: np.ndarray
+    del_src: np.ndarray
+    del_dst: np.ndarray
+
+
+def _joined(run: List[AppliedBatch]) -> AppliedBatch:
+    """A pair-disjoint run as one batch: its arrays concatenated."""
+    return AppliedBatch(run[-1].num_vertices, *(
+        np.concatenate(parts) for parts in zip(*(batch[1:] for batch in run))
+    ))
+
+
+class InEdges:
+    """A snapshot's in-edge neighbour and weight arrays, built or
+    deferred.
+
+    A deferred one is the batches applied since its *base*, the nearest
+    predecessor whose arrays were built, one batch per link of a
+    ``previous`` chain, so each adjustment adds O(1).  The first
+    :meth:`arrays` splices the backlog, one :func:`splice` per maximal
+    run of pair-disjoint batches (:func:`pair_disjoint_runs`, so the
+    bytes are those one splice per batch writes), through writers of
+    the snapshot's store
+    (:meth:`~repro.graph.storage.SnapshotStore.in_writer`): the last
+    run's into the snapshot's own arrays, earlier ones into
+    intermediate arrays nothing names.
+
+    ``read`` records that the graph's in-edge accessors were used;
+    :meth:`~repro.graph.storage.SnapshotStore.adjust` then splices the
+    next snapshot's arrays at once.
+    """
+
+    __slots__ = ("offsets", "read", "mutations", "base_edges", "store",
+                 "snapshot_id", "_arrays", "_previous", "_batch")
+
+    def __init__(self, offsets: np.ndarray, sources: np.ndarray,
+                 weights: np.ndarray) -> None:
+        self.offsets: Optional[np.ndarray] = offsets
+        self.read = False
+        #: Mutations deferred since the base (0 once built), and the
+        #: base's edge count.
+        self.mutations = 0
+        self.base_edges = int(sources.size)
+        #: Where a deferred splice writes (set by the adjusting store).
+        self.store = None
+        self.snapshot_id: Optional[str] = None
+        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = (
+            sources, weights)
+        self._previous: Optional[InEdges] = None
+        self._batch: Optional[AppliedBatch] = None
+
+    def then(self, batch: AppliedBatch, store) -> "InEdges":
+        """The deferred in-direction of the snapshot ``batch`` makes
+        of this one, written through ``store`` once spliced."""
+        after = InEdges.__new__(InEdges)
+        after.offsets, after.read = None, False
+        after.store, after.snapshot_id = store, None
+        after._arrays, after._previous, after._batch = None, self, batch
+        after.mutations = (self.mutations + batch.add_src.size
+                           + batch.del_src.size)
+        after.base_edges = self.base_edges
+        return after
+
+    def due(self) -> bool:
+        """True once the backlog holds as many mutations as its base
+        has edges: the deferred batches may not outweigh the arrays
+        they stand in for."""
+        return self.mutations >= self.base_edges
+
+    def pending(self) -> bool:
+        return self._arrays is None
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(in_sources, in_weights)``, spliced first if deferred."""
+        if self._arrays is None:
+            backlog, node = [], self
+            while node._arrays is None:
+                backlog.append(node._batch)
+                node = node._previous
+            backlog.reverse()
+            offsets, (sources, weights) = node.offsets, node._arrays
+            runs = pair_disjoint_runs(backlog)
+            with trace.span("adjust_structure",
+                            deferred_batches=len(backlog)):
+                for index, run in enumerate(runs, 1):
+                    batch = _joined(run)
+                    writer = self.store.in_writer(
+                        self.snapshot_id if index == len(runs) else None)
+                    try:
+                        splice(writer, ("in_offsets", "in_sources",
+                                        "in_weights"),
+                               batch.num_vertices, offsets, sources, weights,
+                               batch.add_dst, batch.add_src, batch.add_weight,
+                               batch.del_dst, batch.del_src)
+                    except Exception:
+                        writer.abort()
+                        raise
+                    offsets, sources, weights = writer.in_edges()
+            self.offsets, self._arrays = offsets, (sources, weights)
+            self._previous = self._batch = None
+            self.mutations, self.base_edges = 0, int(sources.size)
+        return self._arrays

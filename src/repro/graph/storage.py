@@ -29,7 +29,9 @@ them into place.
 
 A generation starts **volatile**: its files are in place and mapped and
 the in-memory table lists it (``open_snapshot``, ``segment_files``,
-live counts and compaction see no difference), but nothing was
+live counts and compaction see no difference) -- four of them while its
+in-edge arrays are deferred (:meth:`SnapshotStore.adjust`), the other
+two written at their first read or at the seal -- but nothing was
 fsynced, its entry has *no* ``crc32`` key (code that forgets to seal
 fails loudly) and ``manifest.json`` does not name it.
 :meth:`MmapStore.seal` makes it **sealed** -- payload read back for its
@@ -79,7 +81,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.splice import splice
+from repro.graph.splice import AppliedBatch, InEdges, splice, spliced_offsets
 from repro.obs import trace
 from repro.obs.registry import get_registry
 
@@ -187,6 +189,14 @@ class SnapshotStore:
         full edge list never exists in heap at once."""
         raise NotImplementedError
 
+    def in_writer(self, snapshot_id: Optional[str]) -> "_SnapshotWriter":
+        """A writer for one run of a deferred in-direction splice
+        (:class:`~repro.graph.splice.InEdges`): append its three
+        arrays, then ``in_edges()`` returns them.  ``snapshot_id``
+        names the generation whose own arrays the last run writes;
+        ``None`` makes intermediate arrays nothing names."""
+        raise NotImplementedError
+
     def publish(self, graph: CSRGraph) -> CSRGraph:
         """Persist ``graph``'s arrays into the store and return the
         store-backed equivalent (identity for :class:`HeapStore`)."""
@@ -209,12 +219,24 @@ class SnapshotStore:
         slot of every added edge in it.
 
         One :func:`~repro.graph.splice.splice` per direction through
-        this store's :meth:`writer`: each edge array arrives as a few
-        bounded chunks of ``old``'s untouched runs and the additions, so
-        no full edge list, mask or key array is ever built and the
-        arrays come out exactly as the :class:`CSRGraph` constructor
-        would order ``survivors ++ additions``.
+        this store's writers: each edge array arrives as a few bounded
+        chunks of ``old``'s untouched runs and the additions, so no
+        full edge list, mask or key array is ever built and the arrays
+        come out exactly as the :class:`CSRGraph` constructor would
+        order ``survivors ++ additions``.
+
+        The in-direction's offsets are written at once
+        (:func:`~repro.graph.splice.spliced_offsets`); its neighbour
+        and weight arrays are deferred
+        (:class:`~repro.graph.splice.InEdges`) and spliced here only
+        when ``old``'s were read -- an algorithm that pulls over
+        in-edges reads every snapshot's -- or once the backlog holds as
+        many mutations as its base has edges.  Otherwise the first
+        read, or a seal, splices them.
         """
+        in_edges = old._in.then(
+            AppliedBatch(num_vertices, add_src, add_dst, add_weight,
+                         del_src, del_dst), self)
         writer = self.writer()
         try:
             added_slots = splice(
@@ -223,16 +245,15 @@ class SnapshotStore:
                 old.out_offsets, old.out_targets, old.out_weights,
                 add_src, add_dst, add_weight, del_src, del_dst,
             )
-            splice(
-                writer, ("in_offsets", "in_sources", "in_weights"),
-                num_vertices,
-                old.in_offsets, old.in_sources, old.in_weights,
-                add_dst, add_src, add_weight, del_dst, del_src,
-            )
+            writer.append("in_offsets", spliced_offsets(
+                old.in_offsets, num_vertices, add_dst, del_dst))
         except Exception:
             writer.abort()
             raise
-        return writer.commit(num_vertices), added_slots
+        graph = writer.commit(num_vertices, in_edges)
+        if old._in.read or in_edges.due():
+            in_edges.arrays()
+        return graph, added_slots
 
     def describe(self) -> str:
         return self.kind
@@ -246,6 +267,9 @@ class HeapStore(SnapshotStore):
     def writer(self) -> "_HeapWriter":
         return _HeapWriter()
 
+    def in_writer(self, snapshot_id: Optional[str]) -> "_HeapWriter":
+        return _HeapWriter()
+
     def publish(self, graph: CSRGraph) -> CSRGraph:
         return graph
 
@@ -254,7 +278,15 @@ class _SnapshotWriter:
     def append(self, name: str, chunk: np.ndarray) -> None:
         raise NotImplementedError
 
-    def commit(self, num_vertices: int) -> CSRGraph:
+    def commit(self, num_vertices: int, in_edges=None) -> CSRGraph:
+        """The graph of the appended arrays: all six, or the
+        out-direction and ``in_offsets`` under a deferred
+        ``in_edges``."""
+        raise NotImplementedError
+
+    def in_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(in_offsets, in_sources, in_weights)`` of an in-direction
+        splice run."""
         raise NotImplementedError
 
     def abort(self) -> None:
@@ -295,23 +327,27 @@ class _HeapWriter(_SnapshotWriter):
                 if not self._chunks[edges]:
                     self._sizes[edges] = int(chunk[-1])
 
-    def commit(self, num_vertices: int) -> CSRGraph:
-        arrays = {}
-        for name in ARRAY_NAMES:
-            chunks = self._chunks[name]
-            if name in self._filled:  # a short fill fails from_canonical
-                array, count = self._filled[name]
-                arrays[name] = array[:count]
-            elif len(chunks) == 1:
-                arrays[name] = chunks[0]
-            else:
-                arrays[name] = (
-                    np.concatenate(chunks) if chunks
-                    else np.empty(0, dtype=np.dtype(ARRAY_DTYPES[name]))
-                )
+    def _array(self, name: str) -> np.ndarray:
+        chunks = self._chunks[name]
+        if name in self._filled:  # a short fill fails from_canonical
+            array, count = self._filled[name]
+            return array[:count]
+        if len(chunks) == 1:
+            return chunks[0]
+        return (np.concatenate(chunks) if chunks
+                else np.empty(0, dtype=np.dtype(ARRAY_DTYPES[name])))
+
+    def commit(self, num_vertices: int, in_edges=None) -> CSRGraph:
+        # Deferred: the out-direction and in_offsets only.
+        names = ARRAY_NAMES if in_edges is None else ARRAY_NAMES[:4]
+        arrays = {name: self._array(name) for name in names}
         self._chunks = {name: [] for name in ARRAY_NAMES}
         self._sizes, self._filled = {}, {}
-        return CSRGraph.from_canonical(num_vertices, **arrays)
+        return CSRGraph.from_canonical(num_vertices, in_edges=in_edges,
+                                       **arrays)
+
+    def in_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(self._array(name) for name in ARRAY_NAMES[3:])
 
 
 # ----------------------------------------------------------------------
@@ -438,6 +474,16 @@ class _SegmentFile:
         self._stream.close()
         os.replace(self.tmp_path, final_path)
 
+    def unlinked(self) -> np.ndarray:
+        """The payload as a read-only map of the temp file, which is
+        unlinked at once: an array nothing names, kept on disk only for
+        as long as its mapping lives."""
+        self._stream.close()
+        try:
+            return _map_payload(self.tmp_path, self.dtype, self.count)
+        finally:
+            os.unlink(self.tmp_path)
+
     def discard(self) -> None:
         try:
             self._stream.close()
@@ -449,32 +495,45 @@ class _SegmentFile:
             pass
 
 
+def _map_payload(path: str, dtype: np.dtype, count: int) -> np.ndarray:
+    if count == 0:
+        return np.empty(0, dtype=dtype)
+    return np.memmap(path, dtype=dtype, mode="r", offset=_HEADER_SIZE,
+                     shape=(count,))
+
+
 class _MmapWriter(_SnapshotWriter):
     """Write one snapshot generation's segment files, then publish."""
 
     def __init__(self, store: "MmapStore") -> None:
         self._store = store
-        self._segments = {
-            name: _SegmentFile(store.root, name) for name in ARRAY_NAMES
-        }
+        self._segments: Dict[str, _SegmentFile] = {}
         self._done = False
 
-    def append(self, name: str, chunk: np.ndarray) -> None:
-        self._segments[name].append(chunk)
+    def _segment(self, name: str) -> _SegmentFile:
+        if name not in self._segments:
+            self._segments[name] = _SegmentFile(self._store.root, name)
+        return self._segments[name]
 
-    def commit(self, num_vertices: int) -> CSRGraph:
+    def append(self, name: str, chunk: np.ndarray) -> None:
+        self._segment(name).append(chunk)
+
+    def commit(self, num_vertices: int, in_edges=None) -> CSRGraph:
         if self._done:
             raise RuntimeError("writer already committed")
-        edge_count = self._segments["out_targets"].count
+        # Deferred: four files, the out-direction and in_offsets.
+        names = ARRAY_NAMES if in_edges is None else ARRAY_NAMES[:4]
+        segments = {name: self._segment(name) for name in names}
+        edge_count = segments["out_targets"].count
         for name in ("out_weights", "in_sources", "in_weights"):
-            if self._segments[name].count != edge_count:
+            if name in segments and segments[name].count != edge_count:
                 raise StoreError(
-                    f"array {name} has {self._segments[name].count} "
+                    f"array {name} has {segments[name].count} "
                     f"elements, expected {edge_count}"
                 )
         try:
             graph = self._store._publish_generation(
-                num_vertices, self._segments
+                num_vertices, segments, in_edges
             )
         except Exception:
             # Ordinary failures tidy the temp files; an InjectedCrash
@@ -492,6 +551,37 @@ class _MmapWriter(_SnapshotWriter):
         for segment in self._segments.values():
             segment.discard()
         self._done = True
+
+
+class _MmapInWriter(_SnapshotWriter):
+    """One run of a deferred in-direction splice as segment files: the
+    generation ``snapshot_id``'s own, named in its table entry, or (an
+    intermediate run, or a generation compaction already dropped)
+    unlinked files kept only by their mappings.  The run's offsets are
+    O(V) and stay in heap: the generation wrote its own when it was
+    adjusted."""
+
+    def __init__(self, store: "MmapStore",
+                 snapshot_id: Optional[str]) -> None:
+        self._store = store
+        self._snapshot_id = snapshot_id
+        self._offsets: Optional[np.ndarray] = None
+        self._segments = {name: _SegmentFile(store.root, name)
+                          for name in ARRAY_NAMES[4:]}
+
+    def append(self, name: str, chunk: np.ndarray) -> None:
+        if name == "in_offsets":
+            self._offsets = chunk
+        else:
+            self._segments[name].append(chunk)
+
+    def in_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (self._offsets, *self._store._publish_in_edges(
+            self._snapshot_id, self._segments))
+
+    def abort(self) -> None:
+        for segment in self._segments.values():
+            segment.discard()
 
 
 # ----------------------------------------------------------------------
@@ -522,6 +612,8 @@ class MmapStore(SnapshotStore):
         if not label or any(ch in label for ch in "/\\ \t\n"):
             raise ValueError(f"invalid store label {label!r}")
         self._live: Dict[str, int] = {}
+        #: Volatile generations whose in-edge arrays are not written yet.
+        self._deferred_in: Dict[str, InEdges] = {}
         #: Sealed entries or pins the on-disk manifest does not hold yet.
         self._unwritten = False
         self._manifest = self._read_manifest()
@@ -590,35 +682,61 @@ class MmapStore(SnapshotStore):
     def writer(self) -> _MmapWriter:
         return _MmapWriter(self)
 
+    def in_writer(self, snapshot_id: Optional[str]) -> _MmapInWriter:
+        return _MmapInWriter(self, snapshot_id)
+
     def publish(self, graph: CSRGraph) -> CSRGraph:
         """Persist ``graph`` (unless this store already holds it) and
         seal it: durable, and what a fresh store reopens as current."""
         if getattr(graph, "store", None) is not self:
             writer = self.writer()
-            for name in ARRAY_NAMES:
-                writer.append(name, getattr(graph, name))
+            for name, array in graph.canonical_arrays().items():
+                writer.append(name, array)
             graph = writer.commit(graph.num_vertices)
         self.seal(graph.snapshot_id)
         return graph
 
     def _publish_generation(self, num_vertices: int,
-                            segments: Dict[str, _SegmentFile]) -> CSRGraph:
+                            segments: Dict[str, _SegmentFile],
+                            in_edges) -> CSRGraph:
         """Register a *volatile* generation: files renamed into place,
-        entry in the in-memory table only, nothing synced."""
+        entry in the in-memory table only, nothing synced.  Under a
+        deferred ``in_edges`` the in-edge arrays follow when it is
+        spliced (:meth:`_publish_in_edges`)."""
         snapshot_id = self._mint_snapshot_id()
         entry: dict = {"num_vertices": int(num_vertices), "arrays": {}}
-        for name in ARRAY_NAMES:
-            segment = segments[name]
-            file_name = f"{snapshot_id}-{name}.seg"
-            segment.finalize(os.path.join(self.root, file_name))
-            entry["arrays"][name] = {
-                "file": file_name,
-                "dtype": str(segment.dtype.str),
-                "count": segment.count,
-            }
+        for name, segment in segments.items():
+            entry["arrays"][name] = self._finalize(snapshot_id, name,
+                                                   segment)
         self._manifest["snapshots"][snapshot_id] = entry
         self._manifest["current"] = snapshot_id
+        if in_edges is not None:
+            in_edges.snapshot_id = snapshot_id
+            self._deferred_in[snapshot_id] = in_edges
         return self.open_snapshot(snapshot_id)
+
+    def _finalize(self, snapshot_id: str, name: str,
+                  segment: _SegmentFile) -> dict:
+        file_name = f"{snapshot_id}-{name}.seg"
+        segment.finalize(os.path.join(self.root, file_name))
+        return {"file": file_name, "dtype": str(segment.dtype.str),
+                "count": segment.count}
+
+    def _publish_in_edges(self, snapshot_id: Optional[str],
+                          segments: Dict[str, _SegmentFile]
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+        """Name a deferred generation's spliced in-edge segments in its
+        entry and map them; segments no entry can name are mapped and
+        unlinked."""
+        entry = self._manifest["snapshots"].get(snapshot_id)
+        if entry is None:
+            return tuple(segment.unlinked() for segment in segments.values())
+        arrays = entry["arrays"]
+        for name, segment in segments.items():
+            arrays[name] = self._finalize(snapshot_id, name, segment)
+        entry["arrays"] = {name: arrays[name] for name in ARRAY_NAMES}
+        self._deferred_in.pop(snapshot_id, None)
+        return tuple(self._open_array(arrays[name]) for name in segments)
 
     def seal(self, snapshot_id: str, owner: Optional[str] = None) -> None:
         """Make a volatile generation durable and CRC-guarded (no-op on
@@ -649,6 +767,8 @@ class MmapStore(SnapshotStore):
         entry = self._manifest["snapshots"][snapshot_id]
         if _is_sealed(entry):
             return
+        if snapshot_id in self._deferred_in:  # write them before the CRCs
+            self._deferred_in[snapshot_id].arrays()
         from repro.testing import faults  # see _SegmentFile.finalize
 
         crcs, bytes_read = {}, 0
@@ -695,10 +815,7 @@ class MmapStore(SnapshotStore):
         # A volatile entry has no CRC to compare (and a zero header).
         if "crc32" in meta and crc != int(meta["crc32"]):
             raise StoreError(f"segment {path} CRC header/manifest mismatch")
-        if count == 0:
-            return np.empty(0, dtype=np.dtype(dtype))
-        return np.memmap(path, dtype=np.dtype(dtype), mode="r",
-                         offset=_HEADER_SIZE, shape=(count,))
+        return _map_payload(path, np.dtype(dtype), count)
 
     def open_snapshot(self, snapshot_id: Optional[str] = None) -> CSRGraph:
         """Open a snapshot (default: current) as a store-backed graph."""
@@ -711,13 +828,12 @@ class MmapStore(SnapshotStore):
             raise StoreError(
                 f"unknown snapshot {snapshot_id!r} in store {self.root}"
             ) from None
-        arrays = {
-            name: self._open_array(entry["arrays"][name])
-            for name in ARRAY_NAMES
-        }
+        arrays = {name: self._open_array(meta)
+                  for name, meta in entry["arrays"].items()}
         graph = CSRGraph.from_canonical(
             int(entry["num_vertices"]), store=self,
-            snapshot_id=snapshot_id, **arrays,
+            snapshot_id=snapshot_id,
+            in_edges=self._deferred_in.get(snapshot_id), **arrays,
         )
         self._live[snapshot_id] = self._live.get(snapshot_id, 0) + 1
         return graph
@@ -772,6 +888,7 @@ class MmapStore(SnapshotStore):
         for snapshot_id in doomed:
             entry = self._manifest["snapshots"].pop(snapshot_id)
             self._manifest["pins"].pop(snapshot_id, None)
+            self._deferred_in.pop(snapshot_id, None)
             doomed_files.update(meta["file"]
                                 for meta in entry["arrays"].values())
             sealed += _is_sealed(entry)
@@ -893,9 +1010,11 @@ class MmapStore(SnapshotStore):
         self.seal(reference["snapshot"], owner)  # the one manifest replace
 
     def segment_files(self, snapshot_id: str) -> List[str]:
-        """File names (relative to root) backing one snapshot."""
-        entry = self._manifest["snapshots"][snapshot_id]
-        return [entry["arrays"][name]["file"] for name in ARRAY_NAMES]
+        """File names (relative to root) backing one snapshot: four
+        while its in-edge arrays are deferred, else six."""
+        arrays = self._manifest["snapshots"][snapshot_id]["arrays"]
+        return [arrays[name]["file"] for name in ARRAY_NAMES
+                if name in arrays]
 
     def describe(self) -> str:
         return f"mmap:{self.root}"

@@ -111,9 +111,10 @@ class KickStarterEngine:
                         index=self.batches_applied,
                         mutations=len(batch)):
             self.batches_applied += 1
-            with trace.span("adjust_structure"), \
+            with trace.span("adjust_structure") as span, \
                     Timer(self.metrics, "adjust_structure"):
                 mutation = self._streaming.apply_batch(batch)
+                span.tag(deferred=mutation.new_graph.in_deferred)
             graph = mutation.new_graph
             self.tree.grow_to(graph.num_vertices)
             with trace.span("trim") as span, Timer(self.metrics, "trim"):

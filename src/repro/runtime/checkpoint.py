@@ -196,7 +196,7 @@ def save_engine(engine: GraphBoltEngine, path: str,
         "hist_c_values": joined("c_values", history.initial_values),
     }
     if reference is None:  # heap snapshot: the six arrays travel inline
-        arrays.update((name, getattr(graph, name)) for name in ARRAY_NAMES)
+        arrays.update(graph.canonical_arrays())
 
     fields = {
         "format": _FORMAT, "version": _FORMAT_VERSION,

@@ -447,7 +447,9 @@ class TestVolatileUntilPinned:
         volatile = [name for sid in store.snapshot_ids()
                     if sid != published.snapshot_id
                     for name in store.segment_files(sid)]
-        assert len(volatile) == 2 * len(ARRAY_NAMES)
+        # Two volatile generations of four files: nothing read their
+        # in-edge arrays, so none were written.
+        assert len(volatile) == 2 * 4
         assert all(os.path.exists(root / name) for name in volatile)
         sealed = store.segment_files(published.snapshot_id)
         del store, streaming  # the "crash": the object dies mid-stream
@@ -463,9 +465,10 @@ class TestVolatileUntilPinned:
         store, streaming = self._adjusted(tmp_path)
         graph = streaming.graph
         with scoped_failpoints() as failpoints:
-            # The six passes of the adjust are behind us (outside this
-            # registry); the seal's second CRC is out_targets'.
-            failpoints.arm("storage.segment_write", kind="corrupt", hit=2)
+            # The four passes of the adjust are behind us (outside this
+            # registry); the seal first writes the two deferred in-edge
+            # segments, and its second CRC is out_targets'.
+            failpoints.arm("storage.segment_write", kind="corrupt", hit=4)
             store.seal(graph.snapshot_id)
             assert [record.site for record in failpoints.fired] == [
                 "storage.segment_write"]
@@ -512,17 +515,20 @@ class TestRunCopies:
         base = small_graph()
         streaming = StreamingGraph(store.publish(base))
         appended = []
-        real_append = storage._MmapWriter.append
-        monkeypatch.setattr(
-            storage._MmapWriter, "append",
-            lambda self, name, chunk: (appended.append(name),
-                                       real_append(self, name, chunk))[1])
+        for writer in (storage._MmapWriter, storage._MmapInWriter):
+            monkeypatch.setattr(
+                writer, "append",
+                lambda self, name, chunk, real=writer.append: (
+                    appended.append(name), real(self, name, chunk))[1])
         batch = self._batch(base)
         streaming.apply_batch(batch)
+        streaming.graph.in_sources  # the deferred in-edge splice
         chunks = -(-base.num_edges // 64)
         assert chunks > 1
+        # The deferred splice's offsets stay in heap: the adjustment
+        # wrote the generation's own.
         assert sorted(appended) == sorted(
-            ["out_offsets", "in_offsets"]
+            ["out_offsets", "in_offsets", "in_offsets"]
             + chunks * ["out_targets", "out_weights",
                         "in_sources", "in_weights"])
         heap = StreamingGraph(base)
@@ -537,6 +543,7 @@ class TestRunCopies:
         monkeypatch.setattr(os, "pwrite", lambda fd, data, position: (
             writes.append(position), real(fd, data, position))[1])
         streaming.apply_batch(self._batch(base))
+        streaming.graph.in_sources  # the deferred in-edge splice
         # ≈ 25 runs per edge array, one payload write per array (at the
         # first payload byte) and one header write per file.
         assert sorted(writes) == [0] * 6 + [storage._HEADER_SIZE] * 6

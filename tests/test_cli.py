@@ -336,6 +336,33 @@ class TestWorkGates:
         assert "verdict: PASS" in capsys.readouterr().out
 
 
+class TestCrashSweeps:
+    """The kill-and-recover table as CI ran it in its own job: each
+    sweep through the CLI at ``--seed 0`` (every row recovers bit for
+    bit and its planted failure fired; ``storage`` is
+    ``TestRecoveryCommands.test_storage_sweep_smoke``), and the 12-round
+    seeded campaign.  The plant-a-fault self-test is
+    ``TestRecoveryCommands.test_plant_fault_self_test``; the rows one by
+    one at the seeds of the five hand-rolled sweeps are
+    ``tests/recovery/test_crash_equivalence.py``."""
+
+    @pytest.mark.parametrize(
+        "sweep", ["durable", "resilient", "replicated", "chaos"])
+    def test_sweep_recovers_every_row(self, sweep, tmp_path, capsys):
+        assert main(["fuzz", "--crash", "--sweep", sweep, "--seed", "0",
+                     "--artifacts-dir", str(tmp_path)]) == 0
+        assert "MISMATCH" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seeded_campaign_recovers_every_round(self, tmp_path, capsys):
+        assert main(["fuzz", "--crash", "--rounds", "12", "--seed", "0",
+                     "--checkpoint-every", "2",
+                     "--artifacts-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "crash fuzz: 12 round(s)" in out and "0 mismatch(es)" in out
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRecoveryCommands:
     SERVE = ["serve", "rmat:6:4", "--batches", "3", "--batch-size", "8",
              "--iterations", "3"]
