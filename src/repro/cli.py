@@ -41,7 +41,7 @@ Commands
            ``--status`` prints the health
            snapshot and ``--health-journal`` appends one per batch;
            ``--poison-every`` + ``--query-every`` form the
-           overload-soak used in CI (exit 1 on unserved queries or a
+           overload soak (exit 1 on unserved queries or a
            blown restore budget).  ``--slo FILE`` evaluates burn-rate
            alerts per applied batch, ``--wide-events PATH`` journals
            one wide event per batch/query, ``--plant-latency K:S``

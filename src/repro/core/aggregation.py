@@ -34,7 +34,7 @@ up to a NaN's sign.  A dense sweep rebuilds the aggregate from the
 identity with the same :meth:`Aggregation.scatter`.
 A plain sum of ``edge_weighted`` contributions (LP, Adsorption, CoEM)
 never gets here: :func:`repro.runtime.exec.aggregate_all` runs it as
-one sparse product over the in-edge arrays, in CSC order.
+one sparse product over the out-edge arrays, read as the transpose.
 """
 
 from __future__ import annotations

@@ -191,11 +191,12 @@ class CSRGraph:
 
     def in_weight_sums(self) -> np.ndarray:
         """Sum of incoming edge weights per vertex (CoEM's normaliser,
-        cached)."""
+        cached).  Summed over the out-edges in CSR order, which adds a
+        target's weights in the CSC's ascending-source order without
+        reading the in-edge arrays."""
         if not hasattr(self, "_in_weight_sums"):
             sums = np.zeros(self._num_vertices, dtype=np.float64)
-            dst = self._edge_dst_from_in()
-            np.add.at(sums, dst, self.in_weights)
+            np.add.at(sums, self._out_targets, self._out_weights)
             self._in_weight_sums = sums
         return self._in_weight_sums
 
@@ -211,11 +212,6 @@ class CSRGraph:
             np.add.at(sums, src, self._out_weights)
             self._out_weight_sums = sums
         return self._out_weight_sums
-
-    def _edge_dst_from_in(self) -> np.ndarray:
-        return np.repeat(
-            np.arange(self._num_vertices, dtype=np.int64), self.in_degrees()
-        )
 
     # ------------------------------------------------------------------
     # Neighbourhood access

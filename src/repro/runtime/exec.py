@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array
 
 from repro.core.aggregation import SumAggregation
 from repro.runtime.metrics import EngineMetrics
@@ -238,11 +238,12 @@ def aggregate_all(graph, algorithm, values: np.ndarray,
     target's (reduce).
 
     An ``edge_weighted`` algorithm over a plain sum is the product of
-    the snapshot's CSC arrays with ``values``: a target's in-edges are
-    summed onto 0.0 in ascending source order, the order the CSR-order
-    reduction adds them, so the bits are the same and no per-edge array
-    is built.  Every other algorithm visits the edges in CSR order and,
-    starting from the identity, reduces with
+    the snapshot's out-edge arrays, read as the transpose's CSC, with
+    ``values``: each target's terms are added onto 0.0 in ascending
+    source order, the order the CSR-order reduction adds them, so the
+    bits are the same, no per-edge array is built and the in-edge
+    arrays are not read.  Every other algorithm visits the edges in CSR
+    order and, starting from the identity, reduces with
     :meth:`Aggregation.scatter`.
     """
     num_vertices = graph.num_vertices
@@ -251,11 +252,11 @@ def aggregate_all(graph, algorithm, values: np.ndarray,
         _charge_sweep(graph, metrics, graph.out_offsets)
         _charge_sweep(graph, metrics, graph.in_offsets)
     if sweeps_as_product(algorithm):
-        in_edges = csr_array(
-            (graph.in_weights, graph.in_sources, graph.in_offsets),
+        transpose = csc_array(
+            (graph.out_weights, graph.out_targets, graph.out_offsets),
             shape=(num_vertices, num_vertices), copy=False,
         )
-        return in_edges @ values
+        return transpose @ values
     aggregate = algorithm.identity_aggregate(num_vertices)
     if graph.num_edges:
         src, dst, weight = graph.all_edges()

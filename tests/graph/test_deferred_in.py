@@ -13,8 +13,12 @@ with the CRCs an eager store would have sealed.
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import REGISTRY
+from repro.bench.workloads import uniform_batch
+from repro.core.engine import GraphBoltEngine
 from repro.graph import splice
 from repro.graph.csr import CSRGraph
+from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch, pair_disjoint_runs
 from repro.graph.storage import ARRAY_NAMES, MmapStore
@@ -262,3 +266,38 @@ class TestMmapGenerations:
         reopened = MmapStore(str(tmp_path / "replica"))
         assert_bytes_equal(reopened.open_snapshot(reference["snapshot"]),
                            constructed(written.graph))
+
+
+#: Registry names whose aggregation cannot retract (min / max): they
+#: re-evaluate by pulling in-edges, so every adjustment stays eager.
+PULLING = sorted(name for name, spec in REGISTRY.items()
+                 if not spec.factory().aggregation.decomposable)
+
+
+class TestSumsDoNotReadTheCSC:
+    """A decomposable algorithm's batch path reads only the
+    out-direction -- the edge-weighted product and CoEM's normaliser
+    included -- so a stream below the splice bound never splices its
+    in-edge arrays; a re-evaluating one still splices every batch."""
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_a_stream_below_the_bound_stays_deferred(self, name, placed):
+        graph = placed(rmat(scale=7, edge_factor=8, seed=2, weighted=True))
+        engine = GraphBoltEngine(REGISTRY[name].factory())
+        engine.run(graph)
+        pulls = name in PULLING
+        backlog = 0
+        for index in range(20):
+            batch = uniform_batch(engine.graph, 10, seed=index)
+            backlog += len(batch)
+            tracer = Tracer()
+            with trace.activated(tracer):
+                engine.apply_mutations(batch)
+            spans = [event["tags"] for event in tracer.events()
+                     if event["name"] == "adjust_structure"]
+            assert engine.graph.in_deferred is not pulls, index
+            # The batch's own adjustment span; a splice is a span of its
+            # own, nested in it when eager.
+            splices = [{"deferred_batches": 1}] if pulls else []
+            assert spans == splices + [{"deferred": not pulls}], index
+        assert backlog < graph.num_edges

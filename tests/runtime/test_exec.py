@@ -6,10 +6,13 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
+import tempfile
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
     Adsorption,
@@ -398,6 +401,101 @@ class TestEdgeWeightedDeclaration:
         assert got[0] == -np.inf and got[7] == -np.inf    # no in-edge
         assert not np.array_equal(
             got, kernels.aggregate_all(graph, CoEM(), values, None))
+
+
+def _csc_order_product(graph, values):
+    """The product as the CSC arrays spell it: each target's in-edges,
+    in ascending source order, added one by one onto 0.0."""
+    targets = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),
+                        graph.in_degrees())
+    weights = graph.in_weights if values.ndim == 1 \
+        else graph.in_weights[:, None]
+    product = np.zeros(values.shape, dtype=np.float64)
+    np.add.at(product, targets, weights * values[graph.in_sources])
+    return product
+
+
+def _in_direction_weight_sums(graph):
+    """``in_weight_sums`` as it was summed over the CSC arrays."""
+    sums = np.zeros(graph.num_vertices, dtype=np.float64)
+    targets = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),
+                        graph.in_degrees())
+    np.add.at(sums, targets, graph.in_weights)
+    return sums
+
+
+_FINITE = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False,
+                    allow_infinity=False)
+
+
+@st.composite
+def _weighted_streams(draw):
+    """A weighted graph (parallel edges, self-loops, empty rows and
+    isolated vertices all drawable) plus up to three growth and deletion
+    batches to stream through it."""
+    num_vertices = draw(st.integers(1, 24))
+    ids = st.integers(0, num_vertices - 1)
+    edges = draw(st.lists(st.tuples(ids, ids, _FINITE), max_size=70))
+    src, dst, weight = (np.array([edge[k] for edge in edges], dtype=dtype)
+                        for k, dtype in ((0, np.int64), (1, np.int64),
+                                         (2, np.float64)))
+    graph = CSRGraph(num_vertices, src, dst, weight)
+    return graph, draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+def _streamed(graph, num_batches, seed, store_root):
+    """``graph`` placed on heap or an mmap store (``store_root``), after
+    ``num_batches`` batches of deletions, additions and vertex growth."""
+    if store_root is not None:
+        graph = MmapStore(store_root).publish(graph)
+    streaming = StreamingGraph(graph)
+    rng = np.random.default_rng(seed)
+    for _ in range(num_batches):
+        current = streaming.graph
+        grow_to = current.num_vertices + int(rng.integers(0, 3))
+        src, dst, _ = current.all_edges()
+        picked = rng.choice(src.size, size=min(3, src.size), replace=False)
+        additions = rng.integers(0, grow_to, size=(3, 2)).tolist()
+        streaming.apply_batch(MutationBatch.from_edges(
+            additions=[tuple(pair) for pair in additions],
+            deletions=[(int(src[i]), int(dst[i])) for i in picked],
+            add_weights=rng.uniform(-4.0, 4.0, size=3).tolist(),
+            grow_to=grow_to))
+    return streaming.graph
+
+
+class TestTransposedProduct:
+    """The edge-weighted sweep reads the out-edge arrays as the CSC of
+    the transpose; its bits are those of the CSC-order sums, and it
+    leaves a deferred in-direction deferred."""
+
+    @given(stream=_weighted_streams(), width=st.sampled_from([1, 4]),
+           storage=st.sampled_from(["heap", "mmap"]),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_csc_order(self, stream, width, storage, data):
+        graph, num_batches, seed = stream
+        with tempfile.TemporaryDirectory() as root:
+            graph = _streamed(graph, num_batches, seed,
+                              root if storage == "mmap" else None)
+            shape = (graph.num_vertices,) if width == 1 \
+                else (graph.num_vertices, width)
+            values = np.array(data.draw(st.lists(
+                _FINITE, min_size=int(np.prod(shape)),
+                max_size=int(np.prod(shape)))),
+                dtype=np.float64).reshape(shape)
+            algorithm = CoEM() if width == 1 \
+                else LabelPropagation(num_labels=width)
+            deferred = graph.in_deferred
+            got = kernels.aggregate_all(graph, algorithm, values, None)
+            sums = graph.in_weight_sums()
+            # Neither read the in-edge arrays.
+            assert graph.in_deferred == deferred
+            assert got.shape == shape and got.dtype == np.float64
+            assert got.tobytes() == _csc_order_product(graph,
+                                                       values).tobytes()
+            assert sums.tobytes() == _in_direction_weight_sums(
+                graph).tobytes()
 
 
 class TestDenseSweepEndToEnd:

@@ -686,6 +686,65 @@ class TestSLOAndDashCommands:
         assert "WARNING" not in capsys.readouterr().out
 
 
+class TestServeSoaks:
+    """The SLO / dashboard smoke and the overload soak at full scale
+    (``rmat:8``, batches of 25, the default iteration count, where
+    ``TestSLOAndDashCommands`` runs ``rmat:6:4``): every command exits
+    0, and the planted violation pages at exactly batch 11.  Linting
+    the bundled plans is
+    ``TestSLOAndDashCommands.test_slo_lint_bundled_files_pass``."""
+
+    SLO_SERVE = ["serve", "rmat:8", "--batches", "20", "--batch-size",
+                 "25", "--seed", "0", "--slo", "soak"]
+
+    def test_planted_violation_pages_at_batch_11(self, tmp_path, capsys):
+        """``--plant-latency`` replaces the ingest latency sample from
+        batch 10 on; with soak.yaml's windows (fast 4 / slow 8, burn
+        5.0x / 2.5x over a 0.1 budget) the page fires at batch 11, and
+        the dashboard replay of the journal sees it."""
+        journal = str(tmp_path / "slo-violation.jsonl")
+        metrics = tmp_path / "slo-metrics.prom"
+        assert main(self.SLO_SERVE + [
+            "--plant-latency", "10:9.9", "--wide-events", journal,
+            "--metrics-out", str(metrics), "--status"]) == 0
+        assert ("[page] batch 11: soak-ingest-latency"
+                in capsys.readouterr().out)
+        alerts = journal_records(journal, "alert")
+        assert [(a["slo"], a["state"], a["index"]) for a in alerts] == [
+            ("soak-ingest-latency", "firing", 11)]
+        assert "repro_slo_alerts_fired" in metrics.read_text()
+        assert main(["dash", "--once", "--from-journal", journal,
+                     "--slo", "soak", "--expect-alert",
+                     "soak-ingest-latency"]) == 0
+
+    def test_clean_soak_fires_nothing(self, tmp_path, capsys):
+        journal = str(tmp_path / "slo-clean.jsonl")
+        assert main(self.SLO_SERVE + ["--wide-events", journal]) == 0
+        assert main(["dash", "--once", "--from-journal", journal,
+                     "--slo", "soak", "--expect-clean"]) == 0
+
+    @pytest.mark.parametrize("admission",
+                             ["block", "shed-oldest", "coalesce"])
+    def test_overload_soak(self, admission, tmp_path, capsys):
+        """Bursty replay with planted poison batches: the serve exits
+        non-zero if a query goes unserved, restores blow the breaker
+        budget, or quarantines exceed the planted poisons."""
+        from repro.testing.faults import scoped_failpoints
+
+        with scoped_failpoints():
+            assert main([
+                "serve", "rmat:8", "--batches", "24", "--batch-size", "25",
+                "--seed", "0", "--wal", str(tmp_path / "soak-state"),
+                "--checkpoint-every", "4", "--admission", admission,
+                "--queue-capacity", "4", "--burst", "3",
+                "--poison-every", "5", "--query-every", "2",
+                "--deadline", "0.5", "--breaker-quarantine-threshold", "2",
+                "--breaker-cooldown", "2", "--health-journal",
+                str(tmp_path / f"health-{admission}.jsonl"), "--status",
+            ]) == 0
+        assert "SOAK FAIL" not in capsys.readouterr().out
+
+
 class TestReplicatedServe:
     SERVE = ["serve", "rmat:6:4", "--batches", "6", "--batch-size", "8",
              "--iterations", "3"]
