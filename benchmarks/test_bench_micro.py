@@ -32,7 +32,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
 from repro.ligra.delta import DeltaEngine
-from repro.ligra.frontier import VertexSubset
 from repro.obs import trace
 from repro.obs.trace import Tracer
 from repro.runtime.exec import aggregate_all, gather_out
@@ -60,12 +59,10 @@ def test_micro_structure_adjustment(benchmark, graph):
 
 def test_micro_edge_map_gather(benchmark, graph):
     rng = np.random.default_rng(3)
-    frontier = VertexSubset.from_ids(
-        graph.num_vertices,
-        rng.choice(graph.num_vertices, size=graph.num_vertices // 20,
-                   replace=False),
-    )
-    benchmark(gather_out, graph, frontier.ids)
+    frontier = np.sort(rng.choice(graph.num_vertices,
+                                  size=graph.num_vertices // 20,
+                                  replace=False))
+    benchmark(gather_out, graph, frontier)
 
 
 def test_micro_delta_iteration(benchmark, graph):
@@ -154,15 +151,15 @@ def test_micro_sparse_scatter(benchmark):
 def test_micro_refine_switch_costs(benchmark, monkeypatch, factory,
                                    iterations):
     """What a whole refinement iteration costs per edge in each mode --
-    the numbers ``repro.core.refinement``'s ``SPARSE_NS_PER_EDGE`` /
-    ``DENSE_NS_PER_EDGE`` are taken from.  One batch is refined with
-    every iteration forced sparse, then forced dense, and both are
-    timed at the one iteration that affects the most edges short of
-    half the graph (where the switch decides): the sparse one charged
-    per affected edge, the dense one per graph edge.  A dense iteration
-    does not cost the same everywhere in the window (the first of a
-    refine is dearer), so it is priced where it replaces the sparse
-    one."""
+    the numbers ``repro.ligra.delta``'s ``SPARSE_NS_PER_EDGE`` /
+    ``DENSE_NS_PER_EDGE`` are taken from (every engine's switch prices
+    with them).  One batch is refined with every iteration forced
+    sparse, then forced dense, and both are timed at the one iteration
+    that affects the most edges short of half the graph (where the
+    switch decides): the sparse one charged per affected edge, the
+    dense one per graph edge.  A dense iteration does not cost the same
+    everywhere in the window (the first of a refine is dearer), so it
+    is priced where it replaces the sparse one."""
     # The paper's stream (section 5.1: half the edges loaded, the rest
     # added, 30% deletions) at the e2e workloads' scale: at scale 13 an
     # iteration's fixed cost, spread over a quarter of the edges, adds
@@ -177,9 +174,13 @@ def test_micro_refine_switch_costs(benchmark, monkeypatch, factory,
     mutation = StreamingGraph(graph).apply_batch(batch)
     affected = []
 
+    degrees = mutation.new_graph.out_degrees()
+
     def forced(dense):
         def preferred(refiner, sources):
-            affected.append(refiner._affected_edges(sources))
+            affected.append(
+                refiner.priced if sources.dtype == bool
+                else refiner.batch_edges + int(degrees[sources].sum()))
             return dense
         return preferred
 

@@ -20,7 +20,10 @@ synchronous run on the mutated graph would have produced:
    Newly-added edges are excluded from the ⋃△ pass -- they have no old
    contribution -- via the mutation's added-edge slot mask.
    Non-decomposable aggregations (min/max) are instead re-evaluated by
-   pulling the full updated input set from incoming neighbours.
+   pulling the full updated input set from incoming neighbours.  Either
+   is one call of :func:`repro.ligra.delta.propagate` with the batch --
+   the step a restart takes without one -- or, where the one switch
+   prices it so, a dense rebuild.
 
 The refined run's history is re-recorded as it is produced -- a dense
 iteration's record is its own two arrays -- so the next mutation batch
@@ -37,42 +40,23 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.history import (
-    DependencyHistory,
-    IterationRecord,
-    record_half,
-)
+from repro.core.history import DependencyHistory, IterationRecord
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.mutable import MutationResult
-from repro.ligra.delta import DeltaState, exact_changed_rows
+from repro.ligra.delta import (
+    DeltaState,
+    dense_preferred,
+    edge_prices,
+    prices_dense,
+    propagate,
+    record_iteration,
+)
 from repro.ligra.frontier import union_ids
 from repro.obs import trace
 from repro.runtime import exec as kernels
 from repro.runtime.metrics import EngineMetrics, Timer
 
 __all__ = ["refine"]
-
-
-#: ns per edge of one whole refinement iteration, ``(at width 1, per
-#: further component)`` of an aggregation value: sparse per *affected*
-#: edge (the batch's plus every changed source's out-edges) by how the
-#: aggregate is spliced, dense per graph edge by the sweep
-#: (:func:`repro.runtime.exec.sweeps_as_product`), both timed at the
-#: iteration the switch decides; lines through the rows below (splice:
-#: PageRank, LP; product: CoEM, LP; generic: PageRank, CF) of
-#: ``benchmarks/test_bench_micro.py::test_micro_refine_switch_costs``
-#: (RMAT scale 15, pinned to one core, median of three runs):
-#:
-#:   PageRank  splice/generic   width  1  at 0.33 E  sparse  35.8  dense  11.3
-#:   LP K=5    splice/product   width  5  at 0.29 E  sparse 162.4  dense  22.0
-#:   CoEM      splice/product   width  1  at 0.29 E  sparse  38.7  dense   8.4
-#:   SSSP      reevaluate/gen.  width  1  at 0.01 E  sparse 868.1  dense   7.3
-#:   CF K=3    splice/generic   width 12  at 0.32 E  sparse 401.5  dense 225.8
-#:
-#: Sparse loses past LP 0.14 E, CoEM 0.23, PageRank 0.32, CF 0.59, SSSP
-#: 0.01.  No min/max algorithm is vector-valued: no width term there.
-SPARSE_NS_PER_EDGE = {"splice": (35.8, 31.7), "reevaluate": (868.1, 0.0)}
-DENSE_NS_PER_EDGE = {"product": (8.4, 3.4), "generic": (11.3, 19.5)}
 
 
 def refine(
@@ -107,9 +91,8 @@ class _Refiner:
         self.algorithm = algorithm
         self.mutation = mutation
         self.metrics = metrics
-        self.mode = mode
+        self.retract = mode == "retract_propagate"
         self.new_graph = mutation.new_graph
-        self.old_graph = mutation.old_graph
         num_vertices = self.new_graph.num_vertices
 
         # Initial values are a function of the vertex id alone: the old
@@ -140,8 +123,9 @@ class _Refiner:
         # The switch's price before any changed source: the batch's
         # edges plus the out-edges of the contribution-changed sources
         # (as a mask, so a dense iteration's compare counts each once).
+        self.batch_edges = mutation.add_src.size + mutation.del_src.size
         self.contrib_mask = None
-        self.fixed_edges = mutation.add_src.size + mutation.del_src.size
+        self.fixed_edges = self.batch_edges
         if self.contrib_params.size:
             self.contrib_mask = np.zeros(num_vertices, dtype=bool)
             self.contrib_mask[self.contrib_params] = True
@@ -149,14 +133,6 @@ class _Refiner:
                 self.new_graph.out_degrees() @ self.contrib_mask)
         # What the compare after a dense iteration priced (_compare).
         self.priced = None
-
-        further = math.prod(algorithm.aggregation_shape) - 1
-        first, per = SPARSE_NS_PER_EDGE[
-            "splice" if algorithm.aggregation.decomposable else "reevaluate"]
-        self.sparse_ns = first + per * further
-        first, per = DENSE_NS_PER_EDGE[
-            "product" if kernels.sweeps_as_product(algorithm) else "generic"]
-        self.dense_ns = first + per * further
 
     # ------------------------------------------------------------------
     def run(self) -> Tuple[DeltaState, DependencyHistory]:
@@ -201,19 +177,19 @@ class _Refiner:
                 if dense:
                     span.tag(mode="dense")
                     self.metrics.dense_refinement_iterations += 1
-                    g_cur, touched_candidates = self._refine_dense(c_before)
-                elif algorithm.aggregation.decomposable:
-                    span.tag(mode="decomposable")
-                    g_cur, touched_candidates = self._refine_decomposable(
-                        sources, c_before
-                    )
                 else:
-                    span.tag(mode="reevaluate")
-                    g_cur, touched_candidates = self._refine_by_reevaluation(
-                        sources, c_before
-                    )
+                    span.tag(mode="decomposable"
+                             if algorithm.aggregation.decomposable
+                             else "reevaluate")
+                # The old run's g^T_i is the base, its c^T_{i-1} what
+                # that absorbed: a refine iteration is one step.
+                g_cur, touched = propagate(
+                    algorithm, self.new_graph, c_before, sources,
+                    self.old_roll, self.metrics, dense=dense,
+                    batch=self.mutation, retract=self.retract,
+                )
 
-                if touched_candidates is None:
+                if touched is None:
                     # Every vertex re-applies: whole arrays, no gathers.
                     num_touched = num_vertices
                     kernels.count_all_vertices(self.new_graph,
@@ -243,7 +219,7 @@ class _Refiner:
                     if diverged.dtype == bool:
                         diverged = np.flatnonzero(diverged)
                     touched = union_ids(
-                        num_vertices, touched_candidates, self.apply_params,
+                        num_vertices, touched, self.apply_params,
                         *([diverged] if algorithm.uses_previous_value
                           else []),
                     )
@@ -266,7 +242,11 @@ class _Refiner:
                     else:
                         diverged = np.empty(0, dtype=np.int64)
                     num_diverged = int(diverged.size)
-                    record = self._record(g_before, g_cur, c_before, c_new)
+                    # Vertical pruning: the rows a sparse iteration
+                    # changed, or the whole array when that is no more
+                    # bytes (held, never gathered).
+                    record = record_iteration(g_before, g_cur, c_before,
+                                              c_new)
 
                 new_history.append(record)
                 span.tag(touched=num_touched, compared=compared,
@@ -299,28 +279,11 @@ class _Refiner:
         return mask
 
     def _dense_preferred(self, sources) -> bool:
-        """Ligra's push/pull switch on the frontier's out-degree sum,
-        priced by measured costs (SPARSE_NS_PER_EDGE)."""
-        num_edges = self.new_graph.num_edges
-        empty = (not sources.any() if sources.dtype == bool
-                 else not sources.size)
-        if num_edges == 0 or empty:
-            return False
-        return self._prices_dense(self._affected_edges(sources))
-
-    def _prices_dense(self, affected_edges: int) -> bool:
-        return (affected_edges * self.sparse_ns
-                > self.new_graph.num_edges * self.dense_ns)
-
-    def _affected_edges(self, sources) -> int:
-        """The batch's edges plus every out-edge of ``sources``: summed
-        over ids, or for a dense iteration's mask what its compare
-        priced."""
-        if sources.dtype == bool:
-            return self.priced
-        degrees = self.new_graph.out_degrees()
-        return (int(degrees[sources].sum()) + self.mutation.add_src.size
-                + self.mutation.del_src.size)
+        """The engines' one switch, over the batch's edges plus the
+        sources' out-edges: a mask's are what its compare priced."""
+        return dense_preferred(
+            self.algorithm, self.new_graph, sources,
+            self.priced if sources.dtype == bool else self.batch_edges)
 
     def _compare(self, old, new, diverged) -> int:
         """Fill ``diverged`` from the old and the refined run's values
@@ -332,13 +295,14 @@ class _Refiner:
         graph = self.new_graph
         offsets, degrees = graph.out_offsets, graph.out_degrees()
         num_vertices = diverged.size
-        goal = graph.num_edges * self.dense_ns / self.sparse_ns
+        sparse_ns, dense_ns = edge_prices(self.algorithm)
+        goal = graph.num_edges * dense_ns / sparse_ns
         priced = self.fixed_edges
         # A source among the rows priced so far: none, no dense price.
         found = self.contrib_mask is not None
         start = 0
         while start < num_vertices:
-            if found and self._prices_dense(priced):
+            if found and prices_dense(self.algorithm, graph, priced):
                 break
             # The fewest rows whose out-degrees could close the gap (an
             # integer target: a float one converts every offset), and no
@@ -357,115 +321,3 @@ class _Refiner:
             start = stop
         self.priced = priced
         return start
-
-    def _refine_dense(self, c_prev):
-        """Dense-mode refinement: rebuild g^T_i outright from c^T_{i-1}.
-
-        Mathematically identical to splicing every incremental operator,
-        but a single vectorised sweep; returns ``None`` candidates to
-        signal that every vertex must be re-applied.
-        """
-        return kernels.aggregate_all(self.new_graph, self.algorithm,
-                                     c_prev, self.metrics), None
-
-    def _refine_decomposable(self, sources, c_prev):
-        """Start from the old aggregate and splice ⊎ / ⋃– / ⋃△ updates."""
-        algorithm = self.algorithm
-        agg = algorithm.aggregation
-        mutation = self.mutation
-        g_new = self.old_roll.g.copy()
-
-        # ⊎ : contributions arriving over added edges, from refined values.
-        if mutation.add_src.size:
-            self.metrics.count_edges(mutation.add_src.size)
-            contribs = algorithm.contributions(
-                self.new_graph,
-                c_prev[mutation.add_src],
-                mutation.add_src, mutation.add_dst, mutation.add_weight,
-            )
-            kernels.scatter(self.new_graph, agg, g_new,
-                            mutation.add_dst, contribs, self.metrics)
-
-        # ⋃– : old contributions leaving over deleted edges, reproduced
-        # on the fly from the old run's values and the old snapshot.
-        # Destinations live in the new snapshot's vertex space, so the
-        # retract is sharded against the new graph's partition.
-        if mutation.del_src.size:
-            self.metrics.count_edges(mutation.del_src.size)
-            contribs = algorithm.contributions(
-                self.old_graph,
-                self.old_roll.c_prev[mutation.del_src],
-                mutation.del_src, mutation.del_dst, mutation.del_weight,
-            )
-            kernels.scatter_retract(self.new_graph, agg, g_new,
-                                    mutation.del_dst, contribs,
-                                    self.metrics)
-
-        # ⋃△ : retained out-edges of changed sources swap old for new.
-        dsts = np.empty(0, dtype=np.int64)
-        if sources.size:
-            src_rep, slots = self.new_graph.out_edge_slots(sources)
-            retained = ~mutation.added_edge_mask()[slots]
-            src_rep, slots = src_rep[retained], slots[retained]
-            if src_rep.size:
-                dsts = self.new_graph.out_targets[slots]
-                weights = self.new_graph.out_weights[slots]
-                self.metrics.count_edges(src_rep.size)
-                old_contribs = algorithm.contributions(
-                    self.old_graph, self.old_roll.c_prev[src_rep],
-                    src_rep, dsts, weights,
-                )
-                new_contribs = algorithm.contributions(
-                    self.new_graph, c_prev[src_rep], src_rep, dsts, weights,
-                )
-                if self.mode == "delta":
-                    kernels.scatter_delta(
-                        self.new_graph, agg, g_new, dsts,
-                        new_contribs, old_contribs, self.metrics,
-                    )
-                else:
-                    kernels.scatter_retract(
-                        self.new_graph, agg, g_new, dsts, old_contribs,
-                        self.metrics,
-                    )
-                    self.metrics.count_edges(src_rep.size)
-                    kernels.scatter(self.new_graph, agg, g_new, dsts,
-                                    new_contribs, self.metrics)
-
-        touched = union_ids(self.new_graph.num_vertices,
-                            mutation.add_dst, mutation.del_dst, dsts)
-        return g_new, touched
-
-    def _refine_by_reevaluation(self, sources, c_prev):
-        """Non-decomposable path: pull full input sets for affected
-        targets from the mutated graph (section 3.3 re-evaluation)."""
-        algorithm = self.algorithm
-        mutation = self.mutation
-        g_new = self.old_roll.g.copy()
-
-        dsts = np.empty(0, dtype=np.int64)
-        if sources.size:
-            _, dsts, _ = self.new_graph.out_edges_of(sources)
-        touched = union_ids(self.new_graph.num_vertices,
-                            mutation.add_dst, mutation.del_dst, dsts)
-        if touched.size:
-            g_new[touched] = algorithm.aggregation.identity_value()
-            in_src, in_dst, in_weight = kernels.gather_in(
-                self.new_graph, touched, self.metrics
-            )
-            if in_src.size:
-                contribs = algorithm.contributions(
-                    self.new_graph, c_prev[in_src], in_src, in_dst, in_weight
-                )
-                kernels.scatter(self.new_graph, algorithm.aggregation,
-                                g_new, in_dst, contribs, self.metrics)
-        return g_new, touched
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _record(g_prev, g_cur, c_prev, c_cur):
-        # Vertical pruning: the rows a sparse iteration changed, or the
-        # whole array when that is no more bytes (held, never gathered).
-        return IterationRecord(
-            *record_half(g_cur, exact_changed_rows(g_prev, g_cur), None),
-            *record_half(c_cur, exact_changed_rows(c_prev, c_cur), None))

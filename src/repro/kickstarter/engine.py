@@ -28,7 +28,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.mutable import MutationResult, StreamingGraph
 from repro.graph.mutation import MutationBatch
 from repro.kickstarter.trees import NO_PARENT, DependencyTree, segmented_argmin
-from repro.ligra.frontier import union_ids
+from repro.ligra.frontier import member_mask, union_ids
 from repro.obs import trace
 from repro.obs.registry import get_registry
 from repro.runtime.exec import gather_in, gather_out
@@ -143,8 +143,6 @@ class KickStarterEngine:
         if not endangered.size:
             return np.empty(0, dtype=np.int64)
         tagged = self.tree.subtree_of(graph, endangered)
-        tagged_mask = np.zeros(graph.num_vertices, dtype=bool)
-        tagged_mask[tagged] = True
 
         # Trimmed approximation: best offer from untagged in-neighbours
         # over the *mutated* structure.  Untagged values sit on intact
@@ -152,7 +150,7 @@ class KickStarterEngine:
         values[tagged] = np.inf
         parents[tagged] = NO_PARENT
         in_src, in_dst, in_weight = gather_in(graph, tagged, self.metrics)
-        safe = ~tagged_mask[in_src]
+        safe = ~member_mask(graph.num_vertices, in_src, tagged)
         in_src, in_dst = in_src[safe], in_dst[safe]
         candidates = values[in_src] + self._edge_lengths(in_weight[safe])
         finite = np.isfinite(candidates)

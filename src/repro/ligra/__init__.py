@@ -1,9 +1,11 @@
 """Ligra-style synchronous graph processing substrate.
 
 GraphBolt is built over Ligra's processing architecture (paper section 4):
-a frontier abstraction (:class:`VertexSubset`) with sparse/dense duality,
-the gather/scatter kernels of :mod:`repro.runtime.exec` (its ``edgeMap``
-counterparts), and two baseline engines:
+frontiers as sorted ids or masks (:mod:`repro.ligra.frontier`), the
+gather/scatter kernels of :mod:`repro.runtime.exec`, one propagation
+step -- Ligra's direction-optimising ``edgeMap`` -- that every engine
+iterates with (:func:`repro.ligra.delta.propagate`, sparse or dense by one
+measured cost model), and two baseline engines:
 
 - :class:`LigraEngine` -- full synchronous recomputation each iteration,
   restarted from scratch on every mutation (the paper's "Ligra" baseline);
@@ -15,6 +17,5 @@ counterparts), and two baseline engines:
 
 from repro.ligra.delta import DeltaEngine
 from repro.ligra.engine import LigraEngine
-from repro.ligra.frontier import VertexSubset
 
-__all__ = ["DeltaEngine", "LigraEngine", "VertexSubset"]
+__all__ = ["DeltaEngine", "LigraEngine"]

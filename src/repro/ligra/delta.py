@@ -1,4 +1,4 @@
-"""The GB-Reset engine: selective scheduling via delta propagation.
+"""The GB-Reset engine, and the propagation step every engine takes.
 
 This is the paper's "GB-Reset" baseline (section 5.1): during processing
 it propagates only *changes* in vertex values across aggregations
@@ -11,39 +11,69 @@ from scratch.  The same stepping core serves three masters:
 - GraphBolt's computation-aware hybrid phase, which continues delta
   execution past the pruning horizon from refined state.
 
-Decomposable aggregations advance the rolling aggregate with fused
-change-in-contribution updates (the paper's ``propagateDelta``) or, in
-``retract_propagate`` mode, with an explicit retract pass followed by a
-propagate pass (the paper's GraphBolt-RP variant used for complex
-aggregations, Figure 8).  Non-decomposable aggregations (min/max) use the
-pull-based re-evaluation strategy over incoming edges.
+Its step, :func:`propagate`, is also every iteration of
+dependency-driven refinement (:mod:`repro.core.refinement`): Ligra's
+direction-optimising ``edgeMap``, switched by one measured cost model
+(:func:`dense_preferred`).  Sparse, a decomposable aggregation advances
+with fused change-in-contribution updates (the paper's
+``propagateDelta``) or, with ``retract``, an explicit retract pass
+followed by a propagate pass (the paper's GraphBolt-RP variant used for
+complex aggregations, Figure 8); a non-decomposable one (min/max)
+re-evaluates its targets by pulling their in-edges.  Dense, it is one
+sweep (:func:`repro.runtime.exec.aggregate_all`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.history import IterationRecord, record_half
 from repro.core.model import IncrementalAlgorithm, any_per_row
 from repro.graph.csr import CSRGraph
-from repro.ligra.frontier import VertexSubset, member_mask, union_ids
+from repro.graph.mutable import MutationResult
+from repro.ligra.frontier import union_ids
 from repro.obs import trace
 from repro.runtime import exec as kernels
 from repro.runtime.metrics import EngineMetrics, Timer
 
-__all__ = ["DeltaEngine", "DeltaState", "exact_changed_rows"]
+__all__ = ["DeltaEngine", "DeltaState", "dense_preferred", "edge_prices",
+           "exact_changed_rows", "prices_dense", "propagate",
+           "record_iteration"]
+
+
+#: ns per edge of one whole step, ``(at width 1, per further component)``
+#: of an aggregation value: sparse per *affected* edge (a refinement's
+#: batch plus every changed source's out-edges) by how the aggregate is
+#: spliced, dense per graph edge by the sweep
+#: (:func:`repro.runtime.exec.sweeps_as_product`), both timed at the
+#: refinement iteration the switch decides; lines through the rows below
+#: (splice: PageRank, LP; product: CoEM, LP; generic: PageRank, CF) of
+#: ``benchmarks/test_bench_micro.py::test_micro_refine_switch_costs``
+#: (RMAT scale 15, pinned to one core, median of three runs):
+#:
+#:   PageRank  splice/generic   width  1  at 0.33 E  sparse  35.8  dense  11.3
+#:   LP K=5    splice/product   width  5  at 0.29 E  sparse 162.4  dense  22.0
+#:   CoEM      splice/product   width  1  at 0.29 E  sparse  38.7  dense   8.4
+#:   SSSP      reevaluate/gen.  width  1  at 0.01 E  sparse 868.1  dense   7.3
+#:   CF K=3    splice/generic   width 12  at 0.32 E  sparse 401.5  dense 225.8
+#:
+#: Sparse loses past LP 0.14 E, CoEM 0.23, PageRank 0.32, CF 0.59, SSSP
+#: 0.01.  No min/max algorithm is vector-valued: no width term there.
+SPARSE_NS_PER_EDGE = {"splice": (35.8, 31.7), "reevaluate": (868.1, 0.0)}
+DENSE_NS_PER_EDGE = {"product": (8.4, 3.4), "generic": (11.3, 19.5)}
 
 
 @dataclass
 class DeltaState:
     """Rolling state of a delta execution after ``iteration`` iterations.
 
-    A step replaces ``values`` and ``prev_values`` and writes only
-    ``aggregate`` in place, after copying it if it is read-only -- a
-    dense half of a dependency history holds it, or a blob backs it.
+    A step replaces ``values``, ``prev_values`` and ``aggregate`` and
+    writes none of them: a dense half of a dependency history may hold
+    one, or a blob back it.
     """
 
     values: np.ndarray        # c_i, dense
@@ -51,6 +81,11 @@ class DeltaState:
     aggregate: np.ndarray     # g_i, dense
     frontier: np.ndarray      # ids with |c_i - c_{i-1}| > tolerance
     iteration: int
+
+    # The run the next step advances, as :func:`propagate` reads it: the
+    # aggregate and the values it absorbed.
+    g = property(lambda self: self.aggregate)
+    c_prev = property(lambda self: self.prev_values)
 
     def copy(self) -> "DeltaState":
         return DeltaState(
@@ -122,144 +157,50 @@ class DeltaEngine:
     # ------------------------------------------------------------------
     def step(self, graph: CSRGraph, state: DeltaState,
              record_changes: bool = False) -> Optional[IterationRecord]:
-        """Advance ``state`` by one iteration in place.
+        """Advance ``state`` by one iteration.
 
         Iteration 0 -> 1 aggregates over all edges; later iterations
-        propagate only from the frontier (or fall back to a dense sweep
-        when the frontier is large, Ligra's density heuristic).  When
-        ``record_changes`` is set, returns the iteration's dependency
-        record: each half the exact changed rows, or the state's new
-        array when that is no more bytes (:func:`record_half`).
+        propagate from the frontier, sparse or dense as
+        :func:`dense_preferred` prices it.  When ``record_changes`` is
+        set, returns the iteration's dependency record
+        (:func:`record_iteration`).
         """
         algorithm = self.algorithm
-        if state.iteration == 0:
-            touched, g_old_at_touched = self._dense_aggregate(graph, state)
-        elif algorithm.aggregation.decomposable:
-            touched, g_old_at_touched = self._delta_aggregate(graph, state)
+        aggregate, touched = propagate(
+            algorithm, graph, state.values,
+            None if state.iteration == 0 else state.frontier, state,
+            self.metrics, retract=self.mode == "retract_propagate",
+        )
+        if touched is None:
+            # Applied through ids over every vertex: a whole-array apply
+            # would speed up the restart that ``speedup_vs_restart``
+            # divides by, so it belongs with the benchmark change that
+            # reports the old and the new ratio side by side.
+            rows = np.arange(graph.num_vertices, dtype=np.int64)
+        elif algorithm.uses_previous_value and state.frontier.size:
+            # Self-dependent applies re-run wherever the value moved.
+            rows = union_ids(graph.num_vertices, touched, state.frontier)
         else:
-            touched, g_old_at_touched = self._pull_aggregate(graph, state)
+            rows = touched
 
-        record = self._apply_and_advance(
-            graph, state, touched, g_old_at_touched, record_changes
-        )
-        state.iteration += 1
-        self.metrics.iterations += 1
-        return record
-
-    def _dense_aggregate(self, graph, state):
-        """Full aggregation: the first iteration and every dense one."""
-        old_aggregate = state.aggregate
-        state.aggregate = kernels.aggregate_all(
-            graph, self.algorithm, state.values, self.metrics
-        )
-        touched = np.arange(graph.num_vertices, dtype=np.int64)
-        return touched, old_aggregate[touched]
-
-    def _delta_aggregate(self, graph, state):
-        """Sparse or dense advance for decomposable aggregations."""
-        algorithm = self.algorithm
-        frontier = VertexSubset.from_sorted_ids(graph.num_vertices,
-                                                state.frontier)
-        if frontier.is_dense_preferred(graph):
-            return self._dense_aggregate(graph, state)
-
-        src, dst, weight = kernels.gather_out(graph, frontier.ids,
-                                              self.metrics)
-        touched = union_ids(graph.num_vertices, dst)
-        g_old_at_touched = state.aggregate[touched]
-        _own_aggregate(state)
-        if src.size:
-            old_contribs = algorithm.contributions(
-                graph, state.prev_values[src], src, dst, weight
-            )
-            new_contribs = algorithm.contributions(
-                graph, state.values[src], src, dst, weight
-            )
-            if self.mode == "delta":
-                kernels.scatter_delta(
-                    graph, algorithm.aggregation, state.aggregate, dst,
-                    new_contribs, old_contribs, self.metrics,
-                )
-            else:
-                kernels.scatter_retract(
-                    graph, algorithm.aggregation, state.aggregate, dst,
-                    old_contribs, self.metrics,
-                )
-                self.metrics.count_edges(src.size)
-                kernels.scatter(graph, algorithm.aggregation,
-                                state.aggregate, dst, new_contribs,
-                                self.metrics)
-        return touched, g_old_at_touched
-
-    def _pull_aggregate(self, graph, state):
-        """Re-evaluation for non-decomposable aggregations (min/max)."""
-        algorithm = self.algorithm
-        frontier = VertexSubset.from_sorted_ids(graph.num_vertices,
-                                                state.frontier)
-        if frontier.is_dense_preferred(graph):
-            targets = np.arange(graph.num_vertices, dtype=np.int64)
-        else:
-            _, dst, _ = kernels.gather_out(graph, frontier.ids,
-                                           self.metrics)
-            targets = union_ids(graph.num_vertices, dst)
-        g_old_at_targets = state.aggregate[targets]
-        _own_aggregate(state)
-        self._reevaluate(graph, state.values, state.aggregate, targets)
-        return targets, g_old_at_targets
-
-    def _reevaluate(self, graph, source_values, aggregate, targets) -> None:
-        """Recompute ``aggregate[targets]`` by pulling all in-edges."""
-        algorithm = self.algorithm
-        aggregate[targets] = algorithm.aggregation.identity_value()
-        in_src, in_dst, in_weight = kernels.gather_in(graph, targets,
-                                                      self.metrics)
-        if in_src.size:
-            contributions = algorithm.contributions(
-                graph, source_values[in_src], in_src, in_dst, in_weight
-            )
-            kernels.scatter(graph, algorithm.aggregation, aggregate,
-                            in_dst, contributions, self.metrics)
-
-    def _apply_and_advance(self, graph, state, touched, g_old_at_touched,
-                           record_changes):
-        algorithm = self.algorithm
-        if algorithm.uses_previous_value and state.frontier.size:
-            extended = union_ids(graph.num_vertices, touched,
-                                 state.frontier)
-            if extended.size != touched.size:
-                # Recompute the old-g slice for the extended touched set.
-                mask = member_mask(graph.num_vertices, extended, touched)
-                g_old = np.empty(
-                    (extended.size, *g_old_at_touched.shape[1:]),
-                    dtype=np.float64,
-                )
-                g_old[mask] = g_old_at_touched
-                g_old[~mask] = state.aggregate[extended[~mask]]
-                touched, g_old_at_touched = extended, g_old
-
-        kernels.count_vertices(graph, touched, self.metrics)
-        previous = (
-            state.values[touched] if algorithm.uses_previous_value else None
-        )
+        kernels.count_vertices(graph, rows, self.metrics)
+        old_values = state.values[rows]
         applied = algorithm.apply(
-            graph, state.aggregate[touched], touched, previous
+            graph, aggregate[rows], rows,
+            old_values if algorithm.uses_previous_value else None,
         )
-
-        old_values_at_touched = state.values[touched]
-        changed_mask = algorithm.values_changed(old_values_at_touched, applied)
-
-        new_values = state.values.copy()
-        new_values[touched] = applied
+        values = state.values.copy()
+        values[rows] = applied
         record = None
         if record_changes:
-            record = IterationRecord(
-                *record_half(state.aggregate, exact_changed_rows(
-                    g_old_at_touched, state.aggregate[touched]), touched),
-                *record_half(new_values, exact_changed_rows(
-                    old_values_at_touched, applied), touched))
-        state.prev_values = state.values
-        state.values = new_values
-        state.frontier = touched[changed_mask]
+            record = record_iteration(state.aggregate, aggregate,
+                                      state.values, values,
+                                      None if touched is None else rows)
+        state.prev_values, state.values = state.values, values
+        state.aggregate = aggregate
+        state.frontier = rows[algorithm.values_changed(old_values, applied)]
+        state.iteration += 1
+        self.metrics.iterations += 1
         return record
 
     # ------------------------------------------------------------------
@@ -295,11 +236,172 @@ class DeltaEngine:
         return state.values
 
 
-def _own_aggregate(state: DeltaState) -> None:
-    """Copy ``state.aggregate`` before a step writes it in place, if it
-    is read-only (see :class:`DeltaState`)."""
-    if not state.aggregate.flags.writeable:
-        state.aggregate = state.aggregate.copy()
+def edge_prices(algorithm: IncrementalAlgorithm) -> Tuple[float, float]:
+    """``(sparse, dense)`` ns per edge of one of ``algorithm``'s steps:
+    the measured prices above at its aggregation value's width."""
+    further = math.prod(algorithm.aggregation_shape) - 1
+    first, per = SPARSE_NS_PER_EDGE[
+        "splice" if algorithm.aggregation.decomposable else "reevaluate"]
+    sparse_ns = first + per * further
+    first, per = DENSE_NS_PER_EDGE[
+        "product" if kernels.sweeps_as_product(algorithm) else "generic"]
+    return sparse_ns, first + per * further
+
+
+def prices_dense(algorithm: IncrementalAlgorithm, graph: CSRGraph,
+                 edges: int) -> bool:
+    """Whether a sparse step over ``edges`` affected edges costs more
+    than one dense sweep of ``graph``."""
+    sparse_ns, dense_ns = edge_prices(algorithm)
+    return (graph.num_edges > 0
+            and edges * sparse_ns > graph.num_edges * dense_ns)
+
+
+def dense_preferred(algorithm: IncrementalAlgorithm, graph: CSRGraph,
+                    sources: np.ndarray, edges: int = 0) -> bool:
+    """The sparse/dense switch of every engine: Ligra's push/pull choice
+    on the frontier's out-edges, priced by :func:`prices_dense`.
+
+    ``sources`` are sorted ids, whose out-edges add to ``edges`` (a
+    refinement's batch), or a mask whose whole price ``edges`` already
+    is (the compare that filled it counted it).  With no source the
+    step is sparse, however many edges a batch alone brings.
+    """
+    if sources.dtype == bool:
+        if not sources.any():
+            return False
+    elif sources.size:
+        edges += int(graph.out_degrees()[sources].sum())
+    else:
+        return False
+    return prices_dense(algorithm, graph, edges)
+
+
+def propagate(algorithm: IncrementalAlgorithm, graph: CSRGraph,
+              values: np.ndarray, sources: Optional[np.ndarray], old,
+              metrics: EngineMetrics, dense: Optional[bool] = None,
+              batch: Optional[MutationResult] = None,
+              retract: bool = False
+              ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """One synchronous step of ``algorithm`` on ``graph``: the aggregate
+    of ``values``, advanced from the run ``old``.
+
+    ``old.g`` is the aggregate the step advances and ``old.c_prev`` the
+    values it absorbed; ``sources`` are the sorted ids whose
+    contribution may differ between those and ``values`` (``None``:
+    every vertex, nothing absorbed yet).  Only a
+    sparse step reads ``old``, so a refinement's replay builds neither
+    array for a dense one.  ``dense`` is the decision when the caller
+    priced the sources itself with :func:`dense_preferred`; otherwise
+    the step prices them.
+
+    ``batch`` is the mutation ``old`` ran before, when refining (paper
+    section 3.3): ⊎ adds the contributions of its added edges from
+    ``values``, ⋃– retracts those of its deleted edges, reproduced on
+    the fly from ``old.c_prev`` on the old snapshot, and ⋃△ swaps old
+    for new contributions along the sources' other out-edges -- an
+    added edge has no old contribution.  ``retract`` runs ⋃△ as a
+    retract pass then a propagate pass (GraphBolt-RP, Figure 8).
+
+    Returns ``(aggregate, touched)``: a new array (``old``'s are never
+    written) and the sorted ids whose aggregate was recomputed, or
+    ``None`` when the step went dense -- every vertex.
+    """
+    if dense is None:
+        dense = sources is None or dense_preferred(algorithm, graph,
+                                                   sources)
+    if dense:
+        return kernels.aggregate_all(graph, algorithm, values, metrics), None
+    aggregation = algorithm.aggregation
+    aggregate = old.g.copy()
+    targets = [] if batch is None else [batch.add_dst, batch.del_dst]
+    dst = np.empty(0, dtype=np.int64)
+
+    if not aggregation.decomposable:
+        # Re-evaluation: every target pulls its full input set anew.
+        if sources.size:
+            dst = graph.out_edges_of(sources)[1]
+        touched = union_ids(graph.num_vertices, *targets, dst)
+        if touched.size:
+            aggregate[touched] = aggregation.identity_value()
+            src, dst, weight = kernels.gather_in(graph, touched, metrics)
+            if src.size:
+                kernels.scatter(graph, aggregation, aggregate, dst,
+                                algorithm.contributions(
+                                    graph, values[src], src, dst, weight),
+                                metrics)
+        return aggregate, touched
+
+    old_graph = graph
+    if batch is not None:
+        old_graph = batch.old_graph
+        if batch.add_src.size:
+            metrics.count_edges(batch.add_src.size)
+            kernels.scatter(graph, aggregation, aggregate, batch.add_dst,
+                            algorithm.contributions(
+                                graph, values[batch.add_src],
+                                batch.add_src, batch.add_dst,
+                                batch.add_weight),
+                            metrics)
+        if batch.del_src.size:
+            # Destinations live in the new snapshot's vertex space, so
+            # the retract is charged against the new graph's owners.
+            metrics.count_edges(batch.del_src.size)
+            kernels.scatter_retract(graph, aggregation, aggregate,
+                                    batch.del_dst,
+                                    algorithm.contributions(
+                                        old_graph, old.c_prev[batch.del_src],
+                                        batch.del_src, batch.del_dst,
+                                        batch.del_weight),
+                                    metrics)
+    if sources.size:
+        src, dst, weight = _out_edges(graph, sources, batch, metrics)
+        if src.size:
+            old_contribs = algorithm.contributions(
+                old_graph, old.c_prev[src], src, dst, weight)
+            new_contribs = algorithm.contributions(
+                graph, values[src], src, dst, weight)
+            if retract:
+                kernels.scatter_retract(graph, aggregation, aggregate, dst,
+                                        old_contribs, metrics)
+                metrics.count_edges(src.size)
+                kernels.scatter(graph, aggregation, aggregate, dst,
+                                new_contribs, metrics)
+            else:
+                kernels.scatter_delta(graph, aggregation, aggregate, dst,
+                                      new_contribs, old_contribs, metrics)
+    return aggregate, union_ids(graph.num_vertices, *targets, dst)
+
+
+def _out_edges(graph, sources, batch, metrics):
+    """The out-edges of ``sources`` a sparse step pushes along, counted:
+    all of them, charged at their sources (an ``edgeMap`` gather), or
+    with a batch those it did not add, charged only where they are
+    scattered (the owner accounting as it was pinned)."""
+    if batch is None:
+        return kernels.gather_out(graph, sources, metrics)
+    src, slots = graph.out_edge_slots(sources)
+    retained = ~batch.added_edge_mask()[slots]
+    src, slots = src[retained], slots[retained]
+    metrics.count_edges(src.size)
+    return src, graph.out_targets[slots], graph.out_weights[slots]
+
+
+def record_iteration(g_old: np.ndarray, g_new: np.ndarray,
+                     c_old: np.ndarray, c_new: np.ndarray,
+                     rows: Optional[np.ndarray] = None) -> IterationRecord:
+    """The dependency record of one iteration, from its whole aggregate
+    and value arrays before and after: each half the rows that changed,
+    exactly, or the new array itself when that is no more bytes
+    (:func:`record_half`).  ``rows`` are the sorted ids the iteration
+    recomputed, the only ones compared (``None``: every row)."""
+    if rows is not None:
+        g_old, c_old = g_old[rows], c_old[rows]
+    return IterationRecord(
+        *record_half(g_new, exact_changed_rows(
+            g_old, g_new if rows is None else g_new[rows]), rows),
+        *record_half(c_new, exact_changed_rows(
+            c_old, c_new if rows is None else c_new[rows]), rows))
 
 
 def exact_changed_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:

@@ -19,10 +19,11 @@ from repro.core import refinement
 from repro.core.engine import GraphBoltEngine
 from repro.core.history import RollingState
 from repro.core.hybrid import hybrid_forward
-from repro.core.refinement import _Refiner, refine
+from repro.core.refinement import refine
 from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
+from repro.ligra import delta
 from repro.ligra.delta import DeltaEngine, exact_changed_rows
 from repro.obs import trace
 from repro.obs.trace import Tracer
@@ -247,10 +248,10 @@ class TestDenseRecord:
                                               monkeypatch):
         engine = dense_engine(factory)
         outputs = []                       # (g_i, c_i) per iteration
-        sweep, apply = _Refiner._refine_dense, engine.algorithm.apply
+        step, apply = refinement.propagate, engine.algorithm.apply
 
-        def spied_sweep(refiner, c_prev):
-            g, touched = sweep(refiner, c_prev)
+        def spied_step(*args, **kwargs):
+            g, touched = step(*args, **kwargs)
             outputs.append([g])
             return g, touched
 
@@ -265,9 +266,9 @@ class TestDenseRecord:
             compares.append(old.shape)
             return exact_changed_rows(old, new)
 
-        monkeypatch.setattr(_Refiner, "_refine_dense", spied_sweep)
+        monkeypatch.setattr(refinement, "propagate", spied_step)
         monkeypatch.setattr(engine.algorithm, "apply", spied_apply)
-        monkeypatch.setattr(refinement, "exact_changed_rows", counted)
+        monkeypatch.setattr(delta, "exact_changed_rows", counted)
         pin_refine_modes(monkeypatch, True)
         engine.apply_mutations(make_random_batch(engine.graph, rng, 50, 50))
         records = engine.history.records

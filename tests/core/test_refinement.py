@@ -336,7 +336,7 @@ class TestSwitchPricing:
         reach = np.cumsum(mutation.new_graph.out_degrees())
         count = int(np.searchsorted(reach, fraction * reach[-1])) + 1
         sources = np.arange(count, dtype=np.int64)
-        affected = refiner._affected_edges(sources)
+        affected = refiner.batch_edges + int(reach[count - 1])
         assert affected / mutation.new_graph.num_edges == pytest.approx(
             fraction, abs=0.01)
         assert refiner._dense_preferred(sources) == dense
@@ -373,8 +373,9 @@ class TestSwitchPricing:
             else:
                 assert np.array_equal(np.flatnonzero(sources),
                                       refiner._sources(ids))
-                assert (refiner._affected_edges(sources)
-                        == refiner._affected_edges(refiner._sources(ids)))
+                degrees = mutation.new_graph.out_degrees()
+                assert refiner.priced == refiner.batch_edges + int(
+                    degrees[refiner._sources(ids)].sum())
         assert any(stopped) and not all(stopped)
         empty = np.zeros(graph.num_vertices, dtype=bool)
         refiner.contrib_params = np.empty(0, dtype=np.int64)

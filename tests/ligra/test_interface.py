@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.graph.csr import CSRGraph
-from repro.ligra.frontier import VertexSubset
 from repro.runtime.exec import gather_in, gather_out
 from repro.runtime.metrics import EngineMetrics
 
@@ -19,15 +18,14 @@ def graph():
 
 class TestEdgeMap:
     def test_gathers_frontier_out_edges(self, graph):
-        frontier = VertexSubset.from_ids(4, [0, 2])
-        src, dst, _ = gather_out(graph, frontier.ids)
+        src, dst, _ = gather_out(graph, np.array([0, 2]))
         assert sorted(zip(src.tolist(), dst.tolist())) == [
             (0, 1), (0, 2), (2, 3),
         ]
 
     def test_counts_edges(self, graph):
         metrics = EngineMetrics()
-        gather_out(graph, VertexSubset.from_ids(4, [0]).ids, metrics)
+        gather_out(graph, np.array([0]), metrics)
         assert metrics.edge_computations == 2
 
 
