@@ -15,6 +15,7 @@ Run:  python examples/label_propagation_moderation.py
 import numpy as np
 
 from repro import GraphBoltEngine, LabelPropagation, LigraEngine, rmat
+from repro.bench.harness import ENGINES
 from repro.bench.workloads import uniform_batch
 from repro.runtime.validation import count_exceeding
 
@@ -38,16 +39,15 @@ def main():
 
     refined = GraphBoltEngine(fresh_algorithm(), num_iterations=ITERATIONS)
     refined.run(follow_graph)
-    naive = GraphBoltEngine(fresh_algorithm(), num_iterations=ITERATIONS,
-                            strategy="naive")
-    naive.run(follow_graph)
+    naive = ENGINES["naive"](fresh_algorithm, ITERATIONS)
+    naive.setup(follow_graph)
 
     print(f"{'batch':>6} {'naive >1% wrong':>16} "
           f"{'graphbolt >1% wrong':>20}")
     for index in range(5):
         batch = uniform_batch(refined.graph, 200, seed=100 + index)
         refined_scores = refined.apply_mutations(batch)
-        naive_scores = naive.apply_mutations(batch)
+        naive_scores = naive.apply(batch)
         truth = LigraEngine(fresh_algorithm()).run(refined.graph,
                                                    ITERATIONS)
         naive_wrong = count_exceeding(naive_scores, truth, 0.01)

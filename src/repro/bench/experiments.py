@@ -106,18 +106,15 @@ def experiment_table1(num_batches: int = 10,
     graph = paper_graph(graph_name, weighted=True)
     algorithm_factory = lambda: LabelPropagation(num_labels=5,
                                                  seed_every=10)
-    naive = GraphBoltEngine(
-        algorithm_factory(), num_iterations=BENCH_ITERATIONS,
-        strategy="naive",
-    )
-    naive.run(graph)
+    naive = ENGINES["naive"](algorithm_factory, BENCH_ITERATIONS)
+    naive.setup(graph)
     truth_runner = LigraRunner(algorithm_factory, BENCH_ITERATIONS)
     truth_runner.setup(graph)
 
     over_10, over_1 = [], []
     for index in range(num_batches):
         batch = uniform_batch(naive.graph, batch_size, seed=seed + index)
-        values = naive.apply_mutations(batch)
+        values = naive.apply(batch)
         truth = truth_runner.apply(batch)
         over_10.append(count_exceeding(values, truth, 0.10))
         over_1.append(count_exceeding(values, truth, 0.01))

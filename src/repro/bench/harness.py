@@ -14,9 +14,9 @@ map in the package:
 ``graphbolt``   :class:`GraphBoltRunner` -- dependency-driven
                 refinement (the "GraphBolt" column), optionally in
                 retract/propagate mode ("GraphBolt-RP" of Figure 8)
-``naive``       :class:`NaiveRunner` -- GraphBolt with
-                ``strategy="naive"`` (deliberately incorrect; used by
-                the plant-a-bug self-test only)
+``naive``       :class:`NaiveRunner` -- the delta loop from the last
+                snapshot's values (deliberately incorrect: Table 1 and
+                the plant-a-bug self-test)
 ``kickstarter`` :class:`KickStarterRunner` -- trim-and-propagate trees
                 (monotonic path algorithms)
 ``dataflow``    :class:`DataflowRunner` -- mini differential dataflow
@@ -43,8 +43,9 @@ from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
 from repro.kickstarter.engine import KickStarterEngine
-from repro.ligra.delta import DeltaEngine
+from repro.ligra.delta import DeltaEngine, DeltaState
 from repro.ligra.engine import LigraEngine
+from repro.obs import trace
 from repro.obs.registry import get_registry, ingest_engine_metrics
 from repro.runtime.exec import load_imbalance
 from repro.runtime.metrics import EngineMetrics, Timer
@@ -144,6 +145,40 @@ class DeltaRunner(_RestartRunner):
         )
 
 
+class NaiveRunner(_RestartRunner):
+    """The known-wrong baseline of the paper's Figure 2 / Table 1: each
+    snapshot after the first runs the delta loop from the last one's
+    values, extended to the new graph (``S*(G_T, R_G)``) -- no
+    refinement, no BSP guarantee."""
+
+    name = "GraphBolt-naive"
+
+    def setup(self, graph: CSRGraph) -> np.ndarray:
+        self._streaming = StreamingGraph(graph)
+        self._engine = DeltaEngine(self.algorithm_factory(), self.metrics)
+        self._values = self._engine.run(graph, self.num_iterations,
+                                        self.until_convergence)
+        return self._values
+
+    def _run_snapshot(self) -> np.ndarray:
+        graph = self._streaming.graph
+        algorithm = self._engine.algorithm
+        values = algorithm.extend_values(self._values, graph)
+        state = DeltaState(
+            values=values,
+            prev_values=values.copy(),
+            aggregate=algorithm.identity_aggregate(graph.num_vertices),
+            frontier=np.empty(0, dtype=np.int64),
+            iteration=0,
+        )
+        with trace.span("naive_continue"), \
+                Timer(self.metrics, "naive_continue"):
+            self._engine.advance(graph, state, self.num_iterations,
+                                 self.until_convergence)
+        self._values = state.values
+        return state.values
+
+
 class _IncrementalRunner(StreamingRunner):
     """Shared logic for engines that carry state across batches:
     ``setup`` builds ``self.engine``, which owns the graph."""
@@ -162,7 +197,6 @@ class GraphBoltRunner(_IncrementalRunner):
     """Dependency-driven incremental processing."""
 
     name = "GraphBolt"
-    strategy = "refine"
 
     def __init__(self, algorithm_factory: AlgorithmFactory,
                  num_iterations: Optional[int] = None,
@@ -184,18 +218,9 @@ class GraphBoltRunner(_IncrementalRunner):
             until_convergence=self.until_convergence,
             horizon=self.horizon,
             mode=self.mode,
-            strategy=self.strategy,
             metrics=self.metrics,
         )
         return self.engine.run(graph)
-
-
-class NaiveRunner(GraphBoltRunner):
-    """GraphBolt with refinement disabled -- the known-wrong baseline of
-    the paper's Figure 2 / Table 1, kept for harness self-tests."""
-
-    name = "GraphBolt-naive"
-    strategy = "naive"
 
 
 class KickStarterRunner(_IncrementalRunner):

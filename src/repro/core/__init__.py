@@ -16,10 +16,10 @@ The modules here implement the paper's primary contribution:
   smaller), horizontal pruning the engine's ``horizon``.
 - :mod:`~repro.core.refinement` -- iteration-by-iteration dependency-driven
   value refinement.
-- :mod:`~repro.core.hybrid` -- computation-aware hybrid execution beyond
-  the pruning horizon.
 - :mod:`~repro.core.engine` -- :class:`GraphBoltEngine`, the streaming
-  engine tying the above together.
+  engine tying the above together; past the pruning horizon it continues
+  with computation-aware hybrid execution, the GB-Reset loop
+  (:meth:`repro.ligra.delta.DeltaEngine.forward`).
 """
 
 from repro.core.aggregation import (

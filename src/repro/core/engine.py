@@ -13,23 +13,20 @@ drives the full lifecycle:
 2. ``apply_mutations(batch)`` -- adjust the graph structure, run
    dependency-driven refinement over the tracked window (which consumes
    the old history), then hybrid forward execution to the end of the
-   run, and commit the refined history for the next batch.  A batch
-   that raises there leaves the engine with no history, as ``adopt``
-   does: it refuses to refine until restored from a checkpoint.
+   run (:meth:`~repro.ligra.delta.DeltaEngine.forward`), and commit the
+   refined history for the next batch.  A batch that raises there
+   leaves the engine with no history, as ``adopt`` does: it refuses to
+   refine until restored from a checkpoint.
 3. ``adopt(batches, state)`` -- a read replica's path: queue the
    structure change, take a state the writer's engine refined, and
    refine no more until restored from a checkpoint.  The queue is
    applied when something reads :attr:`graph`, as one splice per run of
    pair-disjoint batches.
 
-Two degraded strategies exist for the paper's motivation experiments:
-
-- ``strategy="naive"`` reuses converged values directly as the starting
-  point on the mutated graph (the incorrect ``S*(G_T, R_G)`` of Figure 2
-  / Table 1) -- no refinement, no BSP guarantee;
-- the GB-Reset and Ligra baselines live in
-  :mod:`repro.bench.harness` as restart runners sharing the same
-  streaming interface.
+The baselines -- the Ligra and GB-Reset restarts, and the incorrect
+naive reuse of converged values (``S*(G_T, R_G)`` of Figure 2 / Table 1)
+-- live in :mod:`repro.bench.harness` as runners sharing the same
+streaming interface.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.history import DependencyHistory
-from repro.core.hybrid import hybrid_forward
 from repro.core.model import IncrementalAlgorithm
 from repro.core.refinement import refine
 from repro.graph.csr import CSRGraph
@@ -68,14 +64,10 @@ class GraphBoltEngine:
         algorithm: IncrementalAlgorithm,
         num_iterations: Optional[int] = None,
         until_convergence: bool = False,
-        max_iterations: int = 1000,
         horizon: Optional[int] = None,
         mode: str = "delta",
-        strategy: str = "refine",
         metrics: Optional[EngineMetrics] = None,
     ) -> None:
-        if strategy not in ("refine", "naive"):
-            raise ValueError("strategy must be 'refine' or 'naive'")
         if horizon is not None and horizon < 0:
             raise ValueError("horizon must be non-negative")
         self.algorithm = algorithm
@@ -84,11 +76,9 @@ class GraphBoltEngine:
             else num_iterations
         )
         self.until_convergence = until_convergence
-        self.max_iterations = max_iterations
         #: Track at most this many iterations of the initial run
         #: (``None``: all).  Refinement then covers whatever was tracked.
         self.horizon = horizon
-        self.strategy = strategy
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self._delta = DeltaEngine(algorithm, self.metrics, mode=mode)
         self._streaming: Optional[StreamingGraph] = None
@@ -161,40 +151,17 @@ class GraphBoltEngine:
                         algorithm=self.algorithm.name,
                         vertices=graph.num_vertices,
                         edges=graph.num_edges):
-            self._state, self._history = self._tracked_run(graph)
+            state = self._delta.initial_state(graph)
+            # Copies: the history's bases are read-only, the state is not.
+            history = DependencyHistory(state.values.copy(),
+                                        state.aggregate.copy())
+            with Timer(self.metrics, "initial_run"):
+                self._delta.advance(graph, state, self.num_iterations,
+                                    self.until_convergence, history=history,
+                                    horizon=self.horizon)
+        self._state, self._history = state, history
         self._publish_gauges()
-        return self._state.values
-
-    def _tracked_run(self, graph: CSRGraph):
-        state = self._delta.initial_state(graph)
-        # Copies: the history's bases are read-only, the state is not.
-        history = DependencyHistory(state.values.copy(),
-                                    state.aggregate.copy())
-        limit = (
-            self.max_iterations if self.until_convergence
-            else self.num_iterations
-        )
-        # Horizontal pruning is a cut-off: once tracking stops it never
-        # resumes (a hole would be a window refinement cannot roll across).
-        tracking_stopped = self.strategy == "naive"
-        with Timer(self.metrics, "initial_run"):
-            for iteration in range(1, limit + 1):
-                if state.iteration > 0 and state.frontier.size == 0:
-                    break
-                track = not tracking_stopped and (
-                    self.horizon is None or iteration <= self.horizon
-                )
-                with trace.span("iteration", index=iteration,
-                                tracked=track) as span:
-                    if track:
-                        record = self._delta.step(graph, state,
-                                                  record_changes=True)
-                        history.append(record)
-                        span.tag(**record.forms)
-                    else:
-                        tracking_stopped = True
-                        self._delta.step(graph, state)
-        return state, history
+        return state.values
 
     # ------------------------------------------------------------------
     # Mutation processing
@@ -229,11 +196,6 @@ class GraphBoltEngine:
     def _apply_mutation_result(self, mutation) -> np.ndarray:
         graph = mutation.new_graph
         self.batches_applied += 1
-
-        if self.strategy == "naive":
-            self._state = self._naive_continue(graph)
-            return self._state.values
-
         # Refinement consumes the history, so the engine holds none
         # until the batch succeeds: a failure leaves it refusing to
         # refine, never refining the next batch against a stale one.
@@ -242,12 +204,8 @@ class GraphBoltEngine:
             self.algorithm, mutation, history, self.metrics,
             mode=self._delta.mode,
         )
-        state = hybrid_forward(
-            self._delta, graph, state,
-            total_iterations=self.num_iterations,
-            until_convergence=self.until_convergence,
-            max_iterations=self.max_iterations,
-        )
+        self._delta.forward(graph, state, self.num_iterations,
+                            self.until_convergence)
         self._state = state
         self._history = new_history
         self._publish_gauges()
@@ -316,30 +274,6 @@ class GraphBoltEngine:
             load_imbalance(self.metrics.shard_loads)
         )
 
-    def _naive_continue(self, graph: CSRGraph) -> DeltaState:
-        """The incorrect baseline: keep converged values as the starting
-        point on the mutated graph (``S*(G_T, R_G)``)."""
-        algorithm = self.algorithm
-        values = algorithm.extend_values(self._state.values, graph)
-        state = DeltaState(
-            values=values,
-            prev_values=values.copy(),
-            aggregate=algorithm.identity_aggregate(graph.num_vertices),
-            frontier=np.empty(0, dtype=np.int64),
-            iteration=0,
-        )
-        limit = (
-            self.max_iterations if self.until_convergence
-            else self.num_iterations
-        )
-        with trace.span("naive_continue"), \
-                Timer(self.metrics, "naive_continue"):
-            for _ in range(limit):
-                if state.iteration > 0 and state.frontier.size == 0:
-                    break
-                self._delta.step(graph, state)
-        return state
-
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
@@ -375,5 +309,5 @@ class GraphBoltEngine:
         ran = self._streaming is not None
         return (
             f"GraphBoltEngine(algorithm={self.algorithm.name}, "
-            f"strategy={self.strategy}, ran={ran})"
+            f"ran={ran})"
         )

@@ -158,19 +158,12 @@ class TagResetEngine:
                                changed, c_cur[changed])
             c_prev = c_cur
 
-        # Tag-reset keeps only vertex values across batches; rebuild the
-        # value history (g history is not maintained by this corrector,
-        # so subsequent batches must re-tag from scratch, as GraphIn's
-        # fixed-size-batch model does).
-        self._history = self._rebuild_value_history(graph, c_prev,
-                                                    new_history)
+        # Tag-reset keeps only vertex values across batches: the next
+        # batch's recomputation pulls, never reads g, so the value
+        # records are the whole history it needs (re-tagging from
+        # scratch, as GraphIn's fixed-size-batch model does).
+        self._history = new_history
         return c_prev
-
-    def _rebuild_value_history(self, graph, final_values, new_history):
-        """Re-run tracking cheaply: replay the recomputed run's value
-        records; aggregation slots are reconstructed on demand by the
-        next batch's recomputation (which pulls, never reads g)."""
-        return new_history
 
     def __repr__(self) -> str:
         return (

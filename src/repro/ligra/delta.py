@@ -3,13 +3,16 @@
 This is the paper's "GB-Reset" baseline (section 5.1): during processing
 it propagates only *changes* in vertex values across aggregations
 (PageRankDelta-style), but upon graph mutation it restarts computation
-from scratch.  The same stepping core serves three masters:
+from scratch.  One loop, :meth:`DeltaEngine.advance`, steps every run
+of it, with one stop rule:
 
 - the GB-Reset baseline itself (``run`` + restart on mutation);
-- GraphBolt's initial tracked run (the engine records each step's changed
+- GraphBolt's initial tracked run (the loop records each step's changed
   sets into a :class:`~repro.core.history.DependencyHistory`);
-- GraphBolt's computation-aware hybrid phase, which continues delta
-  execution past the pruning horizon from refined state.
+- GraphBolt's computation-aware hybrid phase (:meth:`DeltaEngine.forward`),
+  which continues delta execution past the pruning horizon from refined
+  state, for the engine and for a server's branch loop;
+- the naive-reuse baseline (:class:`repro.bench.harness.NaiveRunner`).
 
 Its step, :func:`propagate`, is also every iteration of
 dependency-driven refinement (:mod:`repro.core.refinement`): Ligra's
@@ -31,18 +34,24 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.history import IterationRecord, record_half
+from repro.core.history import (DependencyHistory, IterationRecord,
+                                record_half)
 from repro.core.model import IncrementalAlgorithm, any_per_row
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import MutationResult
 from repro.ligra.frontier import union_ids
 from repro.obs import trace
 from repro.runtime import exec as kernels
+from repro.runtime.deadline import Deadline
 from repro.runtime.metrics import EngineMetrics, Timer
 
-__all__ = ["DeltaEngine", "DeltaState", "dense_preferred", "edge_prices",
-           "exact_changed_rows", "prices_dense", "propagate",
+__all__ = ["ITERATION_CAP", "DeltaEngine", "DeltaState", "dense_preferred",
+           "edge_prices", "exact_changed_rows", "prices_dense", "propagate",
            "record_iteration"]
+
+#: The iteration count of a run to convergence, whatever the engine: it
+#: stops at its fixpoint, and this bounds one that never reaches it.
+ITERATION_CAP = 1000
 
 
 #: ns per edge of one whole step, ``(at width 1, per further component)``
@@ -206,34 +215,87 @@ class DeltaEngine:
     # ------------------------------------------------------------------
     # Whole runs
     # ------------------------------------------------------------------
+    def advance(self, graph: CSRGraph, state: DeltaState,
+                num_iterations: Optional[int], until_convergence: bool,
+                deadline: Optional[Deadline] = None,
+                history: Optional[DependencyHistory] = None,
+                horizon: Optional[int] = None) -> bool:
+        """Step ``state`` to iteration ``num_iterations`` (``None``: the
+        algorithm's default; :data:`ITERATION_CAP` with
+        ``until_convergence``), the one loop of every delta run.
+
+        Before each step it stops early at a fixpoint -- an empty
+        frontier at iteration 1 or later, where further synchronous
+        iterations are provably identity (the redundant computation
+        selective scheduling exists to skip) -- or once ``deadline`` has
+        expired: a started iteration always completes, so the state is
+        exactly the BSP state after ``state.iteration`` iterations.
+        With a ``history``, the iterations before ``horizon`` (``None``:
+        all) are recorded into it; once recording stops it never
+        resumes (a hole would be a window refinement cannot roll
+        across).  Returns whether the deadline stopped the loop.
+        """
+        if until_convergence:
+            num_iterations = ITERATION_CAP
+        elif num_iterations is None:
+            num_iterations = self.algorithm.default_iterations
+        while state.iteration < num_iterations:
+            if state.iteration > 0 and state.frontier.size == 0:
+                break
+            if deadline is not None and deadline.expired():
+                return True
+            track = history is not None and (horizon is None
+                                             or state.iteration < horizon)
+            with trace.span("iteration", index=state.iteration + 1,
+                            frontier=int(state.frontier.size)) as span:
+                record = self.step(graph, state, record_changes=track)
+                if history is not None:
+                    span.tag(tracked=track)
+                if track:
+                    history.append(record)
+                    span.tag(**record.forms)
+        return False
+
     def run(
         self,
         graph: CSRGraph,
         num_iterations: Optional[int] = None,
         until_convergence: bool = False,
-        max_iterations: int = 1000,
     ) -> np.ndarray:
-        """Run from scratch; returns final vertex values.
-
-        In fixed-iteration mode the loop still exits early at a fixpoint
-        (an empty frontier), because further synchronous iterations are
-        provably identity -- this is exactly the redundant computation
-        selective scheduling exists to skip.
-        """
-        if num_iterations is None:
-            num_iterations = self.algorithm.default_iterations
-        limit = max_iterations if until_convergence else num_iterations
+        """Run from scratch (the GB-Reset restart); returns final vertex
+        values."""
         state = self.initial_state(graph)
         with trace.span("compute", engine=self.name,
                         algorithm=self.algorithm.name), \
                 Timer(self.metrics, "compute"):
-            for _ in range(limit):
-                with trace.span("iteration", index=state.iteration + 1,
-                                frontier=int(state.frontier.size)):
-                    self.step(graph, state)
-                if state.iteration > 1 and state.frontier.size == 0:
-                    break
+            self.advance(graph, state, num_iterations, until_convergence)
         return state.values
+
+    def forward(self, graph: CSRGraph, state: DeltaState,
+                num_iterations: Optional[int], until_convergence: bool,
+                deadline: Optional[Deadline] = None) -> bool:
+        """Computation-aware hybrid execution (paper section 4.2):
+        continue ``state`` to the run's end, as :meth:`advance` does.
+
+        Past the tracked horizon, the refined rolling state -- values,
+        previous values, aggregate, and the frontier of vertices whose
+        value moved between the last two iterations -- is exactly a
+        :class:`DeltaState`.  The paper's bit-vector of values changed at
+        that iteration in the original run is subsumed: the refined
+        dense ``prev_values``/``values`` carry both the original run's
+        changes and the refinement's.  A server's branch loop continues
+        its copy of the live state the same way, under ``deadline``.
+        Returns whether the deadline cut the window short.
+        """
+        start = state.iteration
+        with trace.span("forward", start_iteration=start) as span, \
+                Timer(self.metrics, "hybrid"):
+            expired = self.advance(graph, state, num_iterations,
+                                   until_convergence, deadline)
+            steps = state.iteration - start
+            self.metrics.hybrid_iterations += steps
+            span.tag(iterations=steps, deadline_expired=expired)
+        return expired
 
 
 def edge_prices(algorithm: IncrementalAlgorithm) -> Tuple[float, float]:

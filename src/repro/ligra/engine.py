@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.csr import CSRGraph
+from repro.ligra.delta import ITERATION_CAP
 from repro.obs import trace
 from repro.runtime.exec import aggregate_all, count_all_vertices
 from repro.runtime.metrics import EngineMetrics, Timer
@@ -36,18 +37,17 @@ class LigraEngine:
         graph: CSRGraph,
         num_iterations: Optional[int] = None,
         until_convergence: bool = False,
-        max_iterations: int = 1000,
     ) -> np.ndarray:
         """Run the algorithm from scratch and return final vertex values.
 
         ``until_convergence`` stops once no value moves beyond the
-        algorithm's scheduling tolerance (capped at ``max_iterations``);
+        algorithm's scheduling tolerance (capped at :data:`ITERATION_CAP`);
         otherwise exactly ``num_iterations`` synchronous iterations run.
         """
         algorithm = self.algorithm
         if num_iterations is None:
             num_iterations = algorithm.default_iterations
-        limit = max_iterations if until_convergence else num_iterations
+        limit = ITERATION_CAP if until_convergence else num_iterations
         all_vertices = np.arange(graph.num_vertices, dtype=np.int64)
 
         values = algorithm.initial_values(graph)

@@ -1,7 +1,7 @@
 """Deadline budgets for bounded-latency queries.
 
 A deadline is an object with one question -- :meth:`Deadline.expired` --
-consulted by :func:`repro.core.hybrid.hybrid_forward` before each
+consulted by :meth:`repro.ligra.delta.DeltaEngine.advance` before each
 synchronous iteration (iteration granularity: a started iteration always
 completes, so the state handed back is a *valid* BSP state, merely a
 shallower one).  Two implementations:

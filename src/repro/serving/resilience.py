@@ -19,7 +19,7 @@ first-class mechanism here:
 
 - **Slow queries** -- deadline budgets.  ``query(deadline_s=...)``
   threads a :class:`repro.runtime.deadline.Deadline` through
-  ``hybrid_forward`` at iteration granularity; an expired budget
+  the branch loop's forward at iteration granularity; an expired budget
   returns the best-so-far BSP state tagged ``degraded=True`` (see
   :meth:`repro.serving.server.StreamingAnalyticsServer.query`).
 

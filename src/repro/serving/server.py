@@ -42,7 +42,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.engine import GraphBoltEngine
-from repro.core.hybrid import hybrid_forward
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.csr import CSRGraph
 from repro.graph.mutation import MutationBatch
@@ -55,9 +54,6 @@ from repro.testing import faults
 from repro.testing.faults import InjectedCrash
 
 __all__ = ["QueryResult", "StreamingAnalyticsServer"]
-
-#: The iteration cap of a convergence query's branch loop.
-_MAX_ITERATIONS = 1000
 
 
 @dataclass
@@ -345,24 +341,11 @@ class StreamingAnalyticsServer:
         metrics = EngineMetrics()
         branch_engine = DeltaEngine(self.algorithm_factory(), metrics)
         state = live.copy()
-        hybrid_forward(
-            branch_engine, graph, state,
-            total_iterations=self.exact_iterations,
-            until_convergence=until_convergence,
-            max_iterations=_MAX_ITERATIONS,
-            deadline=deadline,
-        )
-        # The window is incomplete iff iterations remain *and* the
-        # frontier is non-empty -- an early fixpoint means further
-        # iterations are identity, so the state already equals the
-        # full-window answer and is not degraded.
-        if until_convergence:
-            target = _MAX_ITERATIONS
-        else:
-            target = self.exact_iterations
-        degraded = bool(
-            state.iteration < target and state.frontier.size > 0
-        )
+        # Only the deadline leaves the window incomplete: an early
+        # fixpoint means further iterations are identity, so the state
+        # already equals the full-window answer and is not degraded.
+        degraded = branch_engine.forward(graph, state, self.exact_iterations,
+                                         until_convergence, deadline)
         return QueryResult(
             values=state.values,
             iterations=state.iteration,

@@ -6,7 +6,8 @@ repro.  Two stopping conditions compose: a workload count and a
 wall-clock budget (whichever hits first).
 
 ``plant_bug=True`` flips the harness into self-test mode: the known-bad
-``strategy="naive"`` engine joins the roster and the campaign *passes*
+``naive`` engine (:class:`~repro.bench.harness.NaiveRunner`, values
+reused across mutations) joins the roster and the campaign *passes*
 only if the oracle catches it diverging and the shrinker reduces the
 failure -- proof that the pipeline detects Table 1-style divergence
 rather than passing vacuously.

@@ -114,7 +114,7 @@ class TestConnectedComponents:
             np.concatenate([dst, src]),
         )
         ours = LigraEngine(ConnectedComponents()).run(
-            sym, until_convergence=True, max_iterations=2000
+            sym, until_convergence=True
         )
         for component in nx.weakly_connected_components(to_networkx(graph)):
             members = sorted(component)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import LabelPropagation, PageRank
+from repro.bench.harness import NaiveRunner
 from repro.core.engine import GraphBoltEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
@@ -42,10 +43,6 @@ class TestLifecycle:
         values = engine.run(graph)
         assert values.shape == (graph.num_vertices,)
         assert values is engine.values
-
-    def test_invalid_strategy(self):
-        with pytest.raises(ValueError):
-            GraphBoltEngine(PageRank(), strategy="bogus")
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
@@ -232,12 +229,6 @@ class TestTracking:
         engine.run(graph)
         assert engine.history.horizon == 3
 
-    def test_naive_strategy_tracks_nothing(self, graph):
-        engine = GraphBoltEngine(PageRank(), num_iterations=5,
-                                 strategy="naive")
-        engine.run(graph)
-        assert engine.history.horizon == 0
-
 
 class TestHorizon:
     """Horizontal pruning: the initial run tracks iterations
@@ -272,27 +263,27 @@ class TestHorizon:
 
 
 class TestNaiveStrategy:
+    """The naive-reuse baseline (``NaiveRunner``) the paper's Figure 2 /
+    Table 1 measure GraphBolt against."""
+
     def test_naive_reuse_produces_incorrect_results(self, graph, rng):
-        engine = GraphBoltEngine(
-            LabelPropagation(num_labels=5, seed_every=10),
-            num_iterations=10, strategy="naive",
-        )
-        engine.run(graph)
+        runner = NaiveRunner(
+            lambda: LabelPropagation(num_labels=5, seed_every=10), 10)
+        runner.setup(graph)
         for _ in range(3):
-            values = engine.apply_mutations(
-                make_random_batch(engine.graph, rng, 30, 30)
+            values = runner.apply(
+                make_random_batch(runner.graph, rng, 30, 30)
             )
         truth = LigraEngine(
             LabelPropagation(num_labels=5, seed_every=10)
-        ).run(engine.graph, 10)
+        ).run(runner.graph, 10)
         assert count_exceeding(values, truth, 0.01) > 0
 
     def test_naive_handles_growth(self, graph, rng):
-        engine = GraphBoltEngine(PageRank(), num_iterations=5,
-                                 strategy="naive")
-        engine.run(graph)
+        runner = NaiveRunner(PageRank, 5)
+        runner.setup(graph)
         grown = graph.num_vertices + 3
-        values = engine.apply_mutations(
+        values = runner.apply(
             MutationBatch.from_edges(additions=[(0, grown - 1)],
                                      grow_to=grown)
         )
@@ -349,22 +340,23 @@ class TestMetricsPhases:
 
 class TestConvergenceNaiveCombo:
     def test_naive_strategy_with_convergence_mode(self, graph, rng):
-        engine = GraphBoltEngine(
-            LabelPropagation(num_labels=3, seed_every=3, tolerance=1e-4),
-            until_convergence=True, max_iterations=200, strategy="naive",
+        runner = NaiveRunner(
+            lambda: LabelPropagation(num_labels=3, seed_every=3,
+                                     tolerance=1e-4),
+            until_convergence=True,
         )
-        engine.run(graph)
-        values = engine.apply_mutations(
-            make_random_batch(engine.graph, rng, 10, 10)
+        runner.setup(graph)
+        values = runner.apply(
+            make_random_batch(runner.graph, rng, 10, 10)
         )
-        assert values.shape[0] == engine.graph.num_vertices
+        assert values.shape[0] == runner.graph.num_vertices
         assert np.isfinite(values).all()
 
     def test_refine_strategy_with_convergence_reaches_fixpoint(self, graph,
                                                                rng):
         engine = GraphBoltEngine(
             LabelPropagation(num_labels=3, seed_every=3, tolerance=1e-4),
-            until_convergence=True, max_iterations=200,
+            until_convergence=True,
         )
         engine.run(graph)
         engine.apply_mutations(make_random_batch(engine.graph, rng, 10, 10))

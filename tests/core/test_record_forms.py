@@ -18,7 +18,6 @@ from repro.algorithms import LabelPropagation, PageRank, SSSP
 from repro.core import refinement
 from repro.core.engine import GraphBoltEngine
 from repro.core.history import RollingState
-from repro.core.hybrid import hybrid_forward
 from repro.core.refinement import refine
 from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
@@ -188,8 +187,8 @@ class TestInPlaceWrites:
         stored = [[None if a is None else a.tobytes() for a in halves(r)]
                   for r in history.records]
         state.frontier = state.frontier[:2]
-        hybrid_forward(DeltaEngine(engine.algorithm), mutation.new_graph,
-                       state, total_iterations=8, until_convergence=False)
+        DeltaEngine(engine.algorithm).forward(mutation.new_graph, state, 8,
+                                              False)
         assert state.iteration == 8
         assert state.aggregate is not last.g_values
         assert stored == [[None if a is None else a.tobytes()

@@ -172,14 +172,13 @@ class TestRefinementEqualsScratch:
 
     def test_convergence_mode(self, factory, kind, iterations, rng):
         graph = build_graph(kind)
-        engine = GraphBoltEngine(factory(), until_convergence=True,
-                                 max_iterations=120)
+        engine = GraphBoltEngine(factory(), until_convergence=True)
         engine.run(graph)
         batch = make_random_batch(engine.graph, rng, num_adds=15,
                                   num_dels=15)
         engine.apply_mutations(batch)
         truth = LigraEngine(factory()).run(
-            engine.graph, until_convergence=True, max_iterations=120
+            engine.graph, until_convergence=True
         )
         filled_truth = np.where(np.isinf(truth), -1.0, truth)
         filled_actual = np.where(np.isinf(engine.values), -1.0,

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import LabelPropagation
+from repro.bench.harness import NaiveRunner
 from repro.core.engine import GraphBoltEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.mutation import MutationBatch
@@ -51,13 +52,9 @@ class TestFigure2:
         assert not np.allclose(before, after)
 
     def test_naive_reuse_is_incorrect(self, algorithm_factory):
-        engine = GraphBoltEngine(algorithm_factory(),
-                                 num_iterations=ITERATIONS,
-                                 strategy="naive")
-        engine.run(graph_before())
-        naive = engine.apply_mutations(
-            MutationBatch.from_edges(additions=[NEW_EDGE])
-        )
+        runner = NaiveRunner(algorithm_factory, ITERATIONS)
+        runner.setup(graph_before())
+        naive = runner.apply(MutationBatch.from_edges(additions=[NEW_EDGE]))
         truth = LigraEngine(algorithm_factory()).run(graph_after(),
                                                      ITERATIONS)
         assert not np.allclose(naive, truth, atol=1e-6)

@@ -21,8 +21,7 @@ def ground_truth(graph, source, unit_weights=False):
         from repro.algorithms import BFS
 
         algo = BFS(source=source)
-    return LigraEngine(algo).run(graph, until_convergence=True,
-                                 max_iterations=2000)
+    return LigraEngine(algo).run(graph, until_convergence=True)
 
 
 def assert_distances_equal(actual, expected):

@@ -62,10 +62,10 @@ class TestDeltaEqualsFull:
     def test_until_convergence(self, factory, kind, iterations):
         graph = build_graph(kind)
         full = LigraEngine(factory()).run(
-            graph, until_convergence=True, max_iterations=80
+            graph, until_convergence=True
         )
         delta = DeltaEngine(factory()).run(
-            graph, until_convergence=True, max_iterations=80
+            graph, until_convergence=True
         )
         assert_same_results(
             finite_filled(delta), finite_filled(full), tolerance=1e-6

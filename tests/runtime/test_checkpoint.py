@@ -459,12 +459,11 @@ class TestConfigurationRoundtrip:
                               restored.apply_mutations(batch))
 
     def test_until_convergence_engine(self, tmp_path, graph, rng):
-        engine = GraphBoltEngine(SSSP(source=0), until_convergence=True,
-                                 max_iterations=200)
+        engine = GraphBoltEngine(SSSP(source=0), until_convergence=True)
         engine.run(graph)
         engine.apply_mutations(make_random_batch(engine.graph, rng, 6, 6))
         path = save_engine(engine, str(tmp_path / "conv.ckpt"))
-        restored = load_engine(path, SSSP(source=0), max_iterations=200)
+        restored = load_engine(path, SSSP(source=0))
         assert restored.until_convergence
         assert np.array_equal(restored.values, engine.values)
         batch = make_random_batch(engine.graph, rng, 6, 6)

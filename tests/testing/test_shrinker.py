@@ -1,8 +1,8 @@
 """Shrinker tests, including the plant-a-bug harness self-test.
 
 The self-test is the proof the whole subsystem is live: a deliberately
-broken engine (GraphBolt with ``strategy="naive"``, the incorrect reuse
-of Figure 2 / Table 1) must be *detected* by the oracle and the failure
+broken engine (``NaiveRunner``, the incorrect reuse of Figure 2 /
+Table 1) must be *detected* by the oracle and the failure
 must *shrink* to a tiny repro -- demonstrating the harness catches real
 divergence rather than passing vacuously.
 """
