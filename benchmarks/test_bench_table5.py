@@ -66,7 +66,7 @@ def test_table5_triangle_counting(run_experiment):
     def tc_column():
         cells = {}
         for graph_name in TABLE.axes["scale"]:
-            graph = paper_graph(graph_name, weighted=True)
+            graph = paper_graph(graph_name)
             for batch_size in TABLE.axes["batch_size"]:
                 batches = SCENARIOS[fixed["scenario"]](
                     graph, fixed["num_batches"], batch_size,

@@ -23,6 +23,7 @@ from repro.algorithms import IncrementalTriangleCounting
 from repro.core.engine import GraphBoltEngine
 from repro.graph.generators import watts_strogatz
 from repro.kickstarter.engine import KickStarterEngine
+from repro.ligra.delta import ITERATION_CAP
 
 OPS_CENTRE = 0
 
@@ -36,8 +37,7 @@ def main():
           f"{topology.num_edges} links")
 
     kick = KickStarterEngine(topology, source=OPS_CENTRE)
-    bolt = GraphBoltEngine(SSSP(source=OPS_CENTRE),
-                           until_convergence=True)
+    bolt = GraphBoltEngine(SSSP(source=OPS_CENTRE), ITERATION_CAP)
     bolt.run(topology)
     triangles = IncrementalTriangleCounting(topology)
 

@@ -23,6 +23,7 @@ from repro.algorithms.label_propagation import LabelPropagation
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import BFS, ConnectedComponents, SSSP, SSWP
 from repro.core.model import IncrementalAlgorithm
+from repro.ligra.delta import ITERATION_CAP
 
 __all__ = ["AlgorithmSpec", "PAPER_ALGORITHMS", "REGISTRY"]
 
@@ -32,10 +33,10 @@ class AlgorithmSpec:
     """One named algorithm configuration and how the oracle runs it.
 
     ``params`` are the constructor arguments; :meth:`factory` is a
-    zero-argument callable returning a fresh instance.  ``monotonic``
-    marks path-style fixpoint algorithms (run until convergence, eligible
-    for KickStarter / differential-dataflow cross-checks); ``vector``
-    marks multi-component vertex values.  ``kickstarter`` selects the
+    zero-argument callable returning a fresh instance.  Path-style
+    fixpoint algorithms run to convergence (``num_iterations`` is
+    :data:`~repro.ligra.delta.ITERATION_CAP`); ``vector`` marks
+    multi-component vertex values.  ``kickstarter`` selects the
     KickStarter mode (``"weighted"`` or ``"unit"``) and ``dataflow`` the
     mini differential-dataflow program (``"sssp"`` or ``"cc"``); ``None``
     disables the comparator.  ``tolerance`` is the oracle's comparison
@@ -45,7 +46,6 @@ class AlgorithmSpec:
     name: str
     cls: Type[IncrementalAlgorithm]
     params: Dict[str, object] = field(default_factory=dict)
-    monotonic: bool = False
     vector: bool = False
     kickstarter: Optional[str] = None
     dataflow: Optional[str] = None
@@ -54,10 +54,6 @@ class AlgorithmSpec:
 
     def factory(self) -> IncrementalAlgorithm:
         return self.cls(**self.params)
-
-    @property
-    def until_convergence(self) -> bool:
-        return self.monotonic
 
 
 #: The paper's Table 4 abbreviations, in the paper's order.
@@ -96,15 +92,15 @@ REGISTRY: Dict[str, AlgorithmSpec] = {
                       dict(tolerance=1e-9)),
         AlgorithmSpec("collaborative-filtering", CollaborativeFiltering,
                       dict(tolerance=1e-9)),
-        AlgorithmSpec("sssp", SSSP, dict(source=0), monotonic=True,
+        AlgorithmSpec("sssp", SSSP, dict(source=0),
                       kickstarter="weighted", dataflow="sssp",
-                      tolerance=1e-9),
+                      num_iterations=ITERATION_CAP, tolerance=1e-9),
         AlgorithmSpec("sswp", SSWP, dict(source=0)),
-        AlgorithmSpec("bfs", BFS, dict(source=0), monotonic=True,
-                      kickstarter="unit", tolerance=1e-9),
+        AlgorithmSpec("bfs", BFS, dict(source=0), kickstarter="unit",
+                      num_iterations=ITERATION_CAP, tolerance=1e-9),
         # Directed min-label propagation; the symmetrising dataflow WCC
         # computes a different fixpoint, so no dataflow check.
         AlgorithmSpec("connected-components", ConnectedComponents,
-                      monotonic=True, tolerance=1e-9),
+                      num_iterations=ITERATION_CAP, tolerance=1e-9),
     ]
 }

@@ -46,9 +46,8 @@ from repro.core.engine import GraphBoltEngine
 from repro.dataflow.graph_programs import DifferentialPageRank, DifferentialSSSP
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import paper_graph, rmat
-from repro.graph.mutation import MutationBatch
 from repro.kickstarter.engine import KickStarterEngine
-from repro.ligra.delta import DeltaEngine
+from repro.ligra.delta import ITERATION_CAP, DeltaEngine
 from repro.ligra.engine import LigraEngine
 from repro.runtime.metrics import EngineMetrics
 from repro.runtime.parallel import MakespanModel
@@ -103,7 +102,7 @@ def experiment_table1(num_batches: int = 10,
     within the window would mask the effect.)
     """
     graph_name, seed = "WK", 11
-    graph = paper_graph(graph_name, weighted=True)
+    graph = paper_graph(graph_name)
     algorithm_factory = lambda: LabelPropagation(num_labels=5,
                                                  seed_every=10)
     naive = ENGINES["naive"](algorithm_factory, BENCH_ITERATIONS)
@@ -142,7 +141,7 @@ def experiment_table1(num_batches: int = 10,
 def experiment_figure4(num_iterations: int = 10) -> Dict:
     """Per-iteration changed-vertex counts for LP on WK (paper
     Figure 4)."""
-    graph = paper_graph("WK", weighted=True)
+    graph = paper_graph("WK")
     engine = DeltaEngine(REGISTRY["LP"].factory())
     state = engine.initial_state(graph)
     changed = []
@@ -476,7 +475,7 @@ def experiment_table6(algorithms: Optional[Sequence[str]] = None) -> Dict:
         algorithms = list(PAPER_ALGORITHMS)
     batch_size, cores, seed = 100, (32, 96), 66
     num_shards = max(cores)
-    graph = paper_graph("YH", weighted=True)
+    graph = paper_graph("YH")
     model = MakespanModel()
     rows = []
     detail = {}
@@ -562,7 +561,7 @@ def experiment_figure8() -> Dict:
         bolt = run_stream(GraphBoltRunner(factory, iterations), graph,
                           [batch])
         bolt_rp = run_stream(
-            GraphBoltRunner(factory, iterations, mode="retract_propagate"),
+            GraphBoltRunner(factory, iterations, retract=True),
             graph, [batch],
         )
         dd = DifferentialPageRank(graph, num_iterations=iterations)
@@ -660,9 +659,8 @@ def experiment_figure9() -> Dict:
                 kick.metrics.delta_since(kick_before).edge_computations
             )
 
-            bolt = GraphBoltRunner(
-                lambda: SSSP(source=source), until_convergence=True,
-            )
+            bolt = GraphBoltRunner(lambda: SSSP(source=source),
+                                   ITERATION_CAP)
             bolt.setup(graph)
             bolt_before = bolt.metrics.snapshot()
             start = time.perf_counter()
@@ -731,7 +729,7 @@ def experiment_table9(
         factory = REGISTRY[algo].factory
         row = [algo]
         for graph_name in graphs:
-            graph = paper_graph(graph_name, weighted=True)
+            graph = paper_graph(graph_name)
             iterations = 5 if graph_name == "YH" else BENCH_ITERATIONS
             engine = GraphBoltEngine(factory(), num_iterations=iterations)
             engine.run(graph)
@@ -750,7 +748,7 @@ def experiment_table9(
     # Triangle counting: retained old structure + counts vs fresh counts.
     tc_row = ["TC"]
     for graph_name in graphs:
-        graph = paper_graph(graph_name, weighted=True)
+        graph = paper_graph(graph_name)
         counter = IncrementalTriangleCounting(graph)
         counter.apply_mutations(uniform_batch(graph, 10, seed=3))
         baseline = graph.nbytes + counter.per_vertex.nbytes
@@ -787,7 +785,7 @@ def experiment_motivation_tagging(
     rows = []
     detail = {}
     for graph_name in graphs:
-        graph = paper_graph(graph_name, weighted=True)
+        graph = paper_graph(graph_name)
         row = [graph_name]
         for batch_size in batch_sizes:
             stream = StreamingGraph(graph)
@@ -815,7 +813,7 @@ def experiment_ablation_pruning() -> Dict:
     and apply time (design trade-off of paper section 3.2)."""
     graph_name, algo, batch_size, seed = "TW", "LP", 100, 23
     horizons = (0, 2, 4, 6, 8, 10)
-    graph = paper_graph(graph_name, weighted=True)
+    graph = paper_graph(graph_name)
     factory = REGISTRY[algo].factory
     rows = []
     detail = {}
@@ -863,7 +861,7 @@ def experiment_ablation_tagreset() -> Dict:
     from repro.core.tagreset import TagResetEngine
 
     graph_name, algo, seed = "TW", "LP", 43
-    graph = paper_graph(graph_name, weighted=True)
+    graph = paper_graph(graph_name)
     factory = REGISTRY[algo].factory
     rows = []
     detail = {}

@@ -226,14 +226,14 @@ def compare_payloads(baseline: Dict, current: Dict,
 
 
 def run_gate(current: Dict, mode: str = "report",
-             thresholds: Optional[GateThresholds] = None,
              baseline_directory: Optional[str] = None
              ) -> Optional[GateReport]:
     """Gate a fresh payload against its committed baseline.
 
-    Returns ``None`` (with no verdict) when the area has no baseline
-    yet -- the first landing of a new area starts its trajectory rather
-    than failing it.
+    The thresholds are the payload's own ``gate`` table.  Returns
+    ``None`` (with no verdict) when the area has no baseline yet -- the
+    first landing of a new area starts its trajectory rather than
+    failing it.
     """
     if mode == "off":
         return None
@@ -241,9 +241,9 @@ def run_gate(current: Dict, mode: str = "report",
     baseline = load_baseline(current["area"], baseline_directory)
     if baseline is None:
         return None
-    if thresholds is None:
-        thresholds = GateThresholds.from_table(current.get("gate", {}))
-    report = compare_payloads(baseline, current, thresholds, mode)
+    report = compare_payloads(
+        baseline, current, GateThresholds.from_table(current.get("gate", {})),
+        mode)
     directory = (baseline_directory if baseline_directory is not None
                  else baselines_dir())
     report.baseline_path = os.path.join(

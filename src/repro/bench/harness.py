@@ -79,11 +79,9 @@ class StreamingRunner:
 
     def __init__(self, algorithm_factory: AlgorithmFactory,
                  num_iterations: Optional[int] = None,
-                 until_convergence: bool = False,
                  num_shards: int = 1) -> None:
         self.algorithm_factory = algorithm_factory
         self.num_iterations = num_iterations
-        self.until_convergence = until_convergence
         self.metrics = EngineMetrics(num_shards=num_shards)
 
     def setup(self, graph: CSRGraph) -> np.ndarray:
@@ -124,11 +122,7 @@ class LigraRunner(_RestartRunner):
 
     def _run_snapshot(self) -> np.ndarray:
         engine = LigraEngine(self.algorithm_factory(), self.metrics)
-        return engine.run(
-            self._streaming.graph,
-            num_iterations=self.num_iterations,
-            until_convergence=self.until_convergence,
-        )
+        return engine.run(self._streaming.graph, self.num_iterations)
 
 
 class DeltaRunner(_RestartRunner):
@@ -138,11 +132,7 @@ class DeltaRunner(_RestartRunner):
 
     def _run_snapshot(self) -> np.ndarray:
         engine = DeltaEngine(self.algorithm_factory(), self.metrics)
-        return engine.run(
-            self._streaming.graph,
-            num_iterations=self.num_iterations,
-            until_convergence=self.until_convergence,
-        )
+        return engine.run(self._streaming.graph, self.num_iterations)
 
 
 class NaiveRunner(_RestartRunner):
@@ -156,8 +146,7 @@ class NaiveRunner(_RestartRunner):
     def setup(self, graph: CSRGraph) -> np.ndarray:
         self._streaming = StreamingGraph(graph)
         self._engine = DeltaEngine(self.algorithm_factory(), self.metrics)
-        self._values = self._engine.run(graph, self.num_iterations,
-                                        self.until_convergence)
+        self._values = self._engine.run(graph, self.num_iterations)
         return self._values
 
     def _run_snapshot(self) -> np.ndarray:
@@ -173,8 +162,7 @@ class NaiveRunner(_RestartRunner):
         )
         with trace.span("naive_continue"), \
                 Timer(self.metrics, "naive_continue"):
-            self._engine.advance(graph, state, self.num_iterations,
-                                 self.until_convergence)
+            self._engine.advance(graph, state, self.num_iterations)
         self._values = state.values
         return state.values
 
@@ -200,24 +188,21 @@ class GraphBoltRunner(_IncrementalRunner):
 
     def __init__(self, algorithm_factory: AlgorithmFactory,
                  num_iterations: Optional[int] = None,
-                 until_convergence: bool = False,
                  horizon: Optional[int] = None,
-                 mode: str = "delta",
+                 retract: bool = False,
                  num_shards: int = 1) -> None:
-        super().__init__(algorithm_factory, num_iterations,
-                         until_convergence, num_shards)
+        super().__init__(algorithm_factory, num_iterations, num_shards)
         self.horizon = horizon
-        self.mode = mode
-        if mode == "retract_propagate":
+        self.retract = retract
+        if retract:
             self.name = "GraphBolt-RP"
 
     def setup(self, graph: CSRGraph) -> np.ndarray:
         self.engine = GraphBoltEngine(
             self.algorithm_factory(),
             num_iterations=self.num_iterations,
-            until_convergence=self.until_convergence,
             horizon=self.horizon,
-            mode=self.mode,
+            retract=self.retract,
             metrics=self.metrics,
         )
         return self.engine.run(graph)
@@ -230,11 +215,9 @@ class KickStarterRunner(_IncrementalRunner):
 
     def __init__(self, algorithm_factory: AlgorithmFactory,
                  num_iterations: Optional[int] = None,
-                 until_convergence: bool = False,
                  unit_weights: bool = False,
                  num_shards: int = 1) -> None:
-        super().__init__(algorithm_factory, num_iterations,
-                         until_convergence, num_shards)
+        super().__init__(algorithm_factory, num_iterations, num_shards)
         self.unit_weights = unit_weights
 
     def setup(self, graph: CSRGraph) -> np.ndarray:

@@ -471,9 +471,9 @@ def _build_graph(config: Dict, store) -> CSRGraph:
         # edge chunks to a disk spool, the heap path materializes the
         # full edge list -- the comparison the storage axis exists for.
         return generators.rmat_xl(int(scale), config["edge_factor"],
-                                  seed=seed, weighted=True, store=store)
+                                  seed=seed, store=store)
     if topology == "paper":
-        graph = generators.paper_graph(str(scale), weighted=True)
+        graph = generators.paper_graph(str(scale))
     elif topology == "rmat":
         graph = generators.rmat(int(scale), config["edge_factor"],
                                 seed=seed, weighted=True)
@@ -484,9 +484,7 @@ def _build_graph(config: Dict, store) -> CSRGraph:
     elif topology == "er":
         vertices = int(scale)
         graph = generators.erdos_renyi(
-            vertices, config["edge_factor"] * vertices,
-            seed=seed, weighted=True,
-        )
+            vertices, config["edge_factor"] * vertices, seed=seed)
     else:
         raise MatrixError(f"unknown topology {topology!r}")
     return store.publish(graph)

@@ -36,20 +36,19 @@ __all__ = [
 
 
 def split_initial_graph(
-    graph: CSRGraph, load_fraction: float = 0.5, seed: int = 0
+    graph: CSRGraph, seed: int = 0
 ) -> Tuple[CSRGraph, np.ndarray, np.ndarray, np.ndarray]:
-    """Split a full graph into a loaded prefix and pending additions.
+    """Split a full graph into a loaded half and pending additions (the
+    paper's stream, section 5.1).
 
     Returns ``(initial_graph, pending_src, pending_dst, pending_weight)``
-    where the initial graph holds ``load_fraction`` of the edges and the
-    rest are returned as the future addition stream, shuffled.
+    where the initial graph holds half the edges and the rest are
+    returned as the future addition stream, shuffled.
     """
-    if not 0.0 < load_fraction <= 1.0:
-        raise ValueError("load_fraction must be in (0, 1]")
     rng = np.random.default_rng(seed)
     src, dst, weight = graph.all_edges()
     order = rng.permutation(src.size)
-    cut = int(src.size * load_fraction)
+    cut = src.size // 2
     loaded = order[:cut]
     pending = order[cut:]
     initial = CSRGraph(
@@ -62,7 +61,7 @@ def mixed_stream(
     graph: CSRGraph,
     num_batches: int,
     batch_size: int,
-    seed: int = 0,
+    seed: int,
 ) -> Tuple[CSRGraph, List[MutationBatch]]:
     """The paper's update stream: additions from the unloaded half of
     the edges mixed with deletions of currently-loaded edges.
@@ -75,8 +74,7 @@ def mixed_stream(
     """
     rng = np.random.default_rng(seed)
     initial, pend_src, pend_dst, pend_weight = split_initial_graph(
-        graph, 0.5, seed
-    )
+        graph, seed)
     live = {
         (int(u), int(v)): float(w)
         for u, v, w in zip(*initial.all_edges())
@@ -154,7 +152,7 @@ def targeted_batch(graph: CSRGraph, batch_size: int, workload: str,
         raise ValueError("workload must be 'hi' or 'lo'")
     band = (0.99, 1.0) if workload == "hi" else (0.0, 0.3)
     rng = np.random.default_rng(seed)
-    targets = degree_percentile_vertices(graph, *band, use_out=True)
+    targets = degree_percentile_vertices(graph, *band)
     if targets.size == 0:
         raise ValueError("graph has no vertices with out-edges")
     num_deletes = int(batch_size * delete_fraction)

@@ -49,8 +49,8 @@ Commands
            ``--metrics-out`` / ``--serve-metrics PORT`` export the
            registry in Prometheus text format.  ``--replicas N`` ships
            the WAL tail + checkpoints to N read replicas
-           (``--replica-transport``, ``--kill-replica I:AT[:RESTART]``
-           for the replication-soak; exit 1 if a live replica never
+           (``--kill-replica I:AT[:RESTART]`` for the
+           replication-soak; exit 1 if a live replica never
            converges).
 ``dash``   render the operational dashboard from a serve journal:
            SLO status and burn rates, breaker/queue state, alert
@@ -125,11 +125,11 @@ def parse_graph(spec: str) -> CSRGraph:
         if len(parts) < 2:
             raise ValueError("er spec needs er:<vertices>:<edges>")
         return generators.erdos_renyi(int(parts[0]), int(parts[1]),
-                                      seed=1, weighted=True)
+                                      seed=1)
     if kind == "paper":
         if not parts:
             raise ValueError("paper spec needs paper:<name>")
-        return generators.paper_graph(parts[0], weighted=True)
+        return generators.paper_graph(parts[0])
     if kind == "file":
         if not parts:
             raise ValueError("file spec needs file:<path>")
@@ -315,11 +315,7 @@ def _cmd_experiment(args) -> int:
             payload, args.baseline_dir)
         print(f"[baseline refreshed -> {baseline_path}]")
         return 0
-    thresholds = None
-    if args.threshold is not None:
-        thresholds = gate_mod.GateThresholds(work=args.threshold)
     report = gate_mod.run_gate(payload, mode=args.gate,
-                               thresholds=thresholds,
                                baseline_directory=args.baseline_dir)
     if report is None:
         if args.gate != "off":
@@ -338,6 +334,7 @@ def _cmd_serve(args) -> int:
     from repro.obs.export import MetricsHTTPServer, write_metrics
     from repro.obs.slo import RecordingSink, SLOEvaluator, load_slo_file
     from repro.recovery import RecoveryManager
+    from repro.runtime.deadline import WallClockDeadline
     from repro.serving.observe import PlantedLatency, ServingObserver
     from repro.serving.resilience import (
         BreakerConfig,
@@ -408,7 +405,7 @@ def _cmd_serve(args) -> int:
 
         cluster = ReplicationCluster(
             resilient, REGISTRY[args.algorithm].factory, args.wal,
-            replicas=args.replicas, transport=args.replica_transport,
+            replicas=args.replicas,
         )
     journal = (JsonlJournal.open(args.health_journal)
                if args.health_journal else None)
@@ -473,7 +470,8 @@ def _cmd_serve(args) -> int:
                          or (index + 1) % args.burst == 0)
         if args.query_every and (index + 1) % args.query_every == 0:
             queries_attempted += 1
-            resilient.query(deadline_s=args.deadline)
+            resilient.query(deadline=None if args.deadline is None
+                            else WallClockDeadline(args.deadline))
             queries_answered += 1
         if cluster is not None:
             cluster.replicate()
@@ -873,9 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(default) prints verdicts but always "
                                  "exits 0; enforce exits 1 on any "
                                  "regression beyond threshold")
-    experiment.add_argument("--threshold", type=float, default=None,
-                            help="override the matrix's work-counter "
-                                 "threshold (relative growth bound)")
     experiment.add_argument("--update-baseline", action="store_true",
                             help="write this payload as the new "
                                  "committed baseline instead of gating")
@@ -900,11 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the writer (needs --wal; see "
                             "docs/operations.md 'Replication and "
                             "failover')")
-    serve.add_argument("--replica-transport", default="inproc",
-                       choices=["inproc", "directory"],
-                       help="segment/checkpoint shipping transport: "
-                            "in-process queues or durable spool "
-                            "directories")
     serve.add_argument("--kill-replica", default=None,
                        metavar="I:AT[:RESTART]",
                        help="kill replica I before batch AT (and "

@@ -63,9 +63,8 @@ class GraphBoltEngine:
         self,
         algorithm: IncrementalAlgorithm,
         num_iterations: Optional[int] = None,
-        until_convergence: bool = False,
         horizon: Optional[int] = None,
-        mode: str = "delta",
+        retract: bool = False,
         metrics: Optional[EngineMetrics] = None,
     ) -> None:
         if horizon is not None and horizon < 0:
@@ -75,12 +74,11 @@ class GraphBoltEngine:
             algorithm.default_iterations if num_iterations is None
             else num_iterations
         )
-        self.until_convergence = until_convergence
         #: Track at most this many iterations of the initial run
         #: (``None``: all).  Refinement then covers whatever was tracked.
         self.horizon = horizon
         self.metrics = metrics if metrics is not None else EngineMetrics()
-        self._delta = DeltaEngine(algorithm, self.metrics, mode=mode)
+        self._delta = DeltaEngine(algorithm, self.metrics, retract=retract)
         self._streaming: Optional[StreamingGraph] = None
         self._history: Optional[DependencyHistory] = None
         self._state: Optional[DeltaState] = None
@@ -157,8 +155,7 @@ class GraphBoltEngine:
                                         state.aggregate.copy())
             with Timer(self.metrics, "initial_run"):
                 self._delta.advance(graph, state, self.num_iterations,
-                                    self.until_convergence, history=history,
-                                    horizon=self.horizon)
+                                    history=history, horizon=self.horizon)
         self._state, self._history = state, history
         self._publish_gauges()
         return state.values
@@ -202,10 +199,9 @@ class GraphBoltEngine:
         history, self._history = self._history, None
         state, new_history = refine(
             self.algorithm, mutation, history, self.metrics,
-            mode=self._delta.mode,
+            retract=self._delta.retract,
         )
-        self._delta.forward(graph, state, self.num_iterations,
-                            self.until_convergence)
+        self._delta.forward(graph, state, self.num_iterations)
         self._state = state
         self._history = new_history
         self._publish_gauges()

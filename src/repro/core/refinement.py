@@ -64,7 +64,7 @@ def refine(
     mutation: MutationResult,
     history: DependencyHistory,
     metrics: EngineMetrics,
-    mode: str = "delta",
+    retract: bool = False,
 ) -> Tuple[DeltaState, DependencyHistory]:
     """Refine tracked values for one mutation; see module docstring.
 
@@ -81,17 +81,17 @@ def refine(
                     released_bytes=history.nbytes) as span, \
             Timer(metrics, "refine"):
         state, new_history = _Refiner(algorithm, mutation, history,
-                                      metrics, mode).run()
+                                      metrics, retract).run()
         span.tag(history_bytes=new_history.nbytes)
         return state, new_history
 
 
 class _Refiner:
-    def __init__(self, algorithm, mutation, history, metrics, mode):
+    def __init__(self, algorithm, mutation, history, metrics, retract):
         self.algorithm = algorithm
         self.mutation = mutation
         self.metrics = metrics
-        self.retract = mode == "retract_propagate"
+        self.retract = retract
         self.new_graph = mutation.new_graph
         num_vertices = self.new_graph.num_vertices
 

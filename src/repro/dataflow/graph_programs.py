@@ -53,7 +53,7 @@ class _DifferentialGraphProgram:
         with Timer(self.metrics, "initial_run"):
             # Structural feed: never charged as edge computations, but
             # its per-shard feed loads are.
-            src, dst, weight = gather_all(graph, self.metrics, count=False)
+            src, dst, weight = gather_all(graph, self.metrics)
             self._edges_in.send_records(
                 (int(u), (int(v), float(w)))
                 for u, v, w in zip(src, dst, weight)

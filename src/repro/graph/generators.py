@@ -127,7 +127,6 @@ def rmat_streamed(
     scale: int,
     edge_factor: int = 16,
     seed: int = 0,
-    weighted: bool = True,
     store=None,
     spool_dir: Optional[str] = None,
 ) -> CSRGraph:
@@ -212,9 +211,7 @@ def rmat_streamed(
                 del pair
                 out_degrees += np.bincount(src, minlength=num_vertices)
                 writer.append("out_targets", dst)
-                writer.append("out_weights",
-                              _hash_weights(src, dst) if weighted
-                              else np.ones(src.size))
+                writer.append("out_weights", _hash_weights(src, dst))
             offsets = np.zeros(num_vertices + 1, dtype=np.int64)
             np.cumsum(out_degrees, out=offsets[1:])
             writer.append("out_offsets", offsets)
@@ -231,9 +228,7 @@ def rmat_streamed(
                 del pair
                 in_degrees += np.bincount(dst, minlength=num_vertices)
                 writer.append("in_sources", src)
-                writer.append("in_weights",
-                              _hash_weights(src, dst) if weighted
-                              else np.ones(src.size))
+                writer.append("in_weights", _hash_weights(src, dst))
             offsets = np.zeros(num_vertices + 1, dtype=np.int64)
             np.cumsum(in_degrees, out=offsets[1:])
             writer.append("in_offsets", offsets)
@@ -252,7 +247,6 @@ def rmat_xl(
     scale: int,
     edge_factor: int = 16,
     seed: int = 0,
-    weighted: bool = True,
     store=None,
 ) -> CSRGraph:
     """Build an xl-tier RMAT snapshot through a
@@ -278,8 +272,7 @@ def rmat_xl(
     if store is None:
         store = HeapStore()
     if getattr(store, "kind", "heap") == "mmap":
-        return rmat_streamed(scale, edge_factor, seed=seed,
-                             weighted=weighted, store=store)
+        return rmat_streamed(scale, edge_factor, seed=seed, store=store)
     num_vertices = 1 << scale
     num_edges = edge_factor * num_vertices
     rng = np.random.default_rng(seed)
@@ -293,17 +286,17 @@ def rmat_xl(
     dst = np.concatenate([chunk[1] for chunk in chunks])
     del chunks
     src, dst = _dedup_sorted(src, dst, num_vertices)
-    weight = _hash_weights(src, dst) if weighted else None
-    return store.publish(CSRGraph(num_vertices, src, dst, weight))
+    return store.publish(CSRGraph(num_vertices, src, dst,
+                                  _hash_weights(src, dst)))
 
 
 def erdos_renyi(
     num_vertices: int,
     num_edges: int,
     seed: int = 0,
-    weighted: bool = False,
 ) -> CSRGraph:
-    """Uniform random directed graph without duplicates or self-loops."""
+    """Uniform random weighted directed graph without duplicates or
+    self-loops."""
     rng = np.random.default_rng(seed)
     collected_src = []
     collected_dst = []
@@ -326,8 +319,8 @@ def erdos_renyi(
                 break
     src_arr = np.array(collected_src, dtype=np.int64)
     dst_arr = np.array(collected_dst, dtype=np.int64)
-    weight = rng.random(src_arr.size) + 0.5 if weighted else None
-    return CSRGraph(num_vertices, src_arr, dst_arr, weight)
+    return CSRGraph(num_vertices, src_arr, dst_arr,
+                    rng.random(src_arr.size) + 0.5)
 
 
 def watts_strogatz(
@@ -395,8 +388,8 @@ def complete_graph(num_vertices: int) -> CSRGraph:
 def bipartite_graph(
     num_users: int,
     num_items: int,
-    edges_per_user: int = 4,
-    seed: int = 0,
+    edges_per_user: int,
+    seed: int,
 ) -> CSRGraph:
     """Random user->item bipartite graph (Collaborative Filtering input).
 
@@ -437,9 +430,9 @@ PAPER_GRAPH_SCALES: Dict[str, Tuple[int, int]] = {
 }
 
 
-def paper_graph(name: str, weighted: bool = False) -> CSRGraph:
-    """A scaled-down synthetic stand-in for one of the paper's graphs,
-    seeded by its name."""
+def paper_graph(name: str) -> CSRGraph:
+    """A scaled-down weighted synthetic stand-in for one of the paper's
+    graphs, seeded by its name."""
     if name not in PAPER_GRAPH_SCALES:
         raise KeyError(
             f"unknown paper graph {name!r}; choose from "
@@ -453,6 +446,6 @@ def paper_graph(name: str, weighted: bool = False) -> CSRGraph:
             neighbors_each_side=edge_factor,
             rewire_probability=0.02,
             seed=seed,
-            weighted=weighted,
+            weighted=True,
         )
-    return rmat(scale, edge_factor, seed=seed, weighted=weighted)
+    return rmat(scale, edge_factor, seed=seed, weighted=True)

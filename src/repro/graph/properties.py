@@ -65,9 +65,10 @@ def graph_stats(graph: CSRGraph) -> GraphStats:
 
 
 def degree_percentile_vertices(
-    graph: CSRGraph, low: float, high: float, use_out: bool = True
+    graph: CSRGraph, low: float, high: float
 ) -> np.ndarray:
-    """Vertices whose degree falls within the [low, high] percentile band.
+    """Vertices whose out-degree falls within the [low, high] percentile
+    band.
 
     ``low``/``high`` are fractions in [0, 1] of the degree-sorted order.
     Vertices with zero degree are excluded (a mutation targeting them is
@@ -75,7 +76,7 @@ def degree_percentile_vertices(
     """
     if not 0.0 <= low <= high <= 1.0:
         raise ValueError("percentile band must satisfy 0 <= low <= high <= 1")
-    degrees = graph.out_degrees() if use_out else graph.in_degrees()
+    degrees = graph.out_degrees()
     candidates = np.flatnonzero(degrees > 0)
     if candidates.size == 0:
         return candidates

@@ -140,13 +140,12 @@ class DeltaEngine:
         self,
         algorithm: IncrementalAlgorithm,
         metrics: Optional[EngineMetrics] = None,
-        mode: str = "delta",
+        retract: bool = False,
     ) -> None:
-        if mode not in ("delta", "retract_propagate"):
-            raise ValueError("mode must be 'delta' or 'retract_propagate'")
         self.algorithm = algorithm
         self.metrics = metrics if metrics is not None else EngineMetrics()
-        self.mode = mode
+        #: GraphBolt-RP: every sparse push retracts, then propagates.
+        self.retract = retract
 
     # ------------------------------------------------------------------
     # State construction
@@ -178,7 +177,7 @@ class DeltaEngine:
         aggregate, touched = propagate(
             algorithm, graph, state.values,
             None if state.iteration == 0 else state.frontier, state,
-            self.metrics, retract=self.mode == "retract_propagate",
+            self.metrics, retract=self.retract,
         )
         if touched is None:
             # Applied through ids over every vertex: a whole-array apply
@@ -216,13 +215,13 @@ class DeltaEngine:
     # Whole runs
     # ------------------------------------------------------------------
     def advance(self, graph: CSRGraph, state: DeltaState,
-                num_iterations: Optional[int], until_convergence: bool,
+                num_iterations: Optional[int],
                 deadline: Optional[Deadline] = None,
                 history: Optional[DependencyHistory] = None,
                 horizon: Optional[int] = None) -> bool:
         """Step ``state`` to iteration ``num_iterations`` (``None``: the
-        algorithm's default; :data:`ITERATION_CAP` with
-        ``until_convergence``), the one loop of every delta run.
+        algorithm's default; :data:`ITERATION_CAP` runs to convergence),
+        the one loop of every delta run.
 
         Before each step it stops early at a fixpoint -- an empty
         frontier at iteration 1 or later, where further synchronous
@@ -235,9 +234,7 @@ class DeltaEngine:
         resumes (a hole would be a window refinement cannot roll
         across).  Returns whether the deadline stopped the loop.
         """
-        if until_convergence:
-            num_iterations = ITERATION_CAP
-        elif num_iterations is None:
+        if num_iterations is None:
             num_iterations = self.algorithm.default_iterations
         while state.iteration < num_iterations:
             if state.iteration > 0 and state.frontier.size == 0:
@@ -256,23 +253,19 @@ class DeltaEngine:
                     span.tag(**record.forms)
         return False
 
-    def run(
-        self,
-        graph: CSRGraph,
-        num_iterations: Optional[int] = None,
-        until_convergence: bool = False,
-    ) -> np.ndarray:
+    def run(self, graph: CSRGraph,
+            num_iterations: Optional[int] = None) -> np.ndarray:
         """Run from scratch (the GB-Reset restart); returns final vertex
         values."""
         state = self.initial_state(graph)
         with trace.span("compute", engine=self.name,
                         algorithm=self.algorithm.name), \
                 Timer(self.metrics, "compute"):
-            self.advance(graph, state, num_iterations, until_convergence)
+            self.advance(graph, state, num_iterations)
         return state.values
 
     def forward(self, graph: CSRGraph, state: DeltaState,
-                num_iterations: Optional[int], until_convergence: bool,
+                num_iterations: Optional[int],
                 deadline: Optional[Deadline] = None) -> bool:
         """Computation-aware hybrid execution (paper section 4.2):
         continue ``state`` to the run's end, as :meth:`advance` does.
@@ -290,8 +283,7 @@ class DeltaEngine:
         start = state.iteration
         with trace.span("forward", start_iteration=start) as span, \
                 Timer(self.metrics, "hybrid"):
-            expired = self.advance(graph, state, num_iterations,
-                                   until_convergence, deadline)
+            expired = self.advance(graph, state, num_iterations, deadline)
             steps = state.iteration - start
             self.metrics.hybrid_iterations += steps
             span.tag(iterations=steps, deadline_expired=expired)

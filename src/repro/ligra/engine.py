@@ -32,35 +32,31 @@ class LigraEngine:
         self.algorithm = algorithm
         self.metrics = metrics if metrics is not None else EngineMetrics()
 
-    def run(
-        self,
-        graph: CSRGraph,
-        num_iterations: Optional[int] = None,
-        until_convergence: bool = False,
-    ) -> np.ndarray:
+    def run(self, graph: CSRGraph,
+            num_iterations: Optional[int] = None) -> np.ndarray:
         """Run the algorithm from scratch and return final vertex values.
 
-        ``until_convergence`` stops once no value moves beyond the
-        algorithm's scheduling tolerance (capped at :data:`ITERATION_CAP`);
-        otherwise exactly ``num_iterations`` synchronous iterations run.
+        Exactly ``num_iterations`` synchronous iterations run (``None``:
+        the algorithm's default), as in the paper's Algorithm 1; a run
+        to :data:`ITERATION_CAP` stops after the first iteration that
+        moves no value beyond the algorithm's scheduling tolerance.
         """
         algorithm = self.algorithm
         if num_iterations is None:
             num_iterations = algorithm.default_iterations
-        limit = ITERATION_CAP if until_convergence else num_iterations
         all_vertices = np.arange(graph.num_vertices, dtype=np.int64)
 
         values = algorithm.initial_values(graph)
         with trace.span("compute", engine=self.name,
                         algorithm=algorithm.name), \
                 Timer(self.metrics, "compute"):
-            for index in range(limit):
+            for index in range(num_iterations):
                 with trace.span("iteration", index=index + 1):
                     new_values = self._iterate(graph, values, all_vertices)
                 self.metrics.iterations += 1
-                converged = not algorithm.values_changed(values, new_values).any()
-                values = new_values
-                if until_convergence and converged:
+                values, old = new_values, values
+                if (num_iterations == ITERATION_CAP and not
+                        algorithm.values_changed(old, values).any()):
                     break
         return values
 

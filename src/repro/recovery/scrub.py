@@ -14,8 +14,8 @@ state directory *proactively*, re-verifying every CRC it can find, and
   CSR+CSC pair over the *same* edge set, sorted by ``(src, dst)`` and
   ``(dst, src)`` respectively.  Edge keys are unique, so each ordering
   is a permutation-independent total order: a damaged direction can be
-  rebuilt **bit-for-bit** from the clean one in heap (one
-  :func:`~repro.graph.pairs.pair_order` sort and a bincount), and the
+  rebuilt **bit-for-bit** from the clean one in heap (a
+  :class:`~repro.graph.csr.CSRGraph` built from its edges), and the
   rebuild is proven by comparing its CRC32 against the manifest's
   recorded value before the file is replaced.  Damage
   spanning both directions cannot be rebuilt standalone -- the
@@ -48,9 +48,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.pairs import pair_order
+from repro.graph.csr import CSRGraph
 from repro.graph.storage import (
-    ARRAY_DTYPES,
     ARRAY_NAMES,
     StoreError,
     atomic_write,
@@ -139,45 +138,19 @@ class ScrubReport:
         )
 
 
-# ----------------------------------------------------------------------
-# Bit-for-bit direction rebuild (CSR <-> CSC transposition)
-# ----------------------------------------------------------------------
 def _rebuild_direction(num_vertices: int, rebuild_out: bool,
                        offsets: np.ndarray, endpoints: np.ndarray,
                        weights: np.ndarray) -> Dict[str, np.ndarray]:
-    """Rebuild one direction's three arrays from the clean other one.
-
-    ``offsets``/``endpoints``/``weights`` are the *clean* direction.
-    Because edge keys are unique and both canonical orders are strict
-    total orders, the result is bit-for-bit the arrays the original
-    constructor produced.
-    """
-    counts = np.diff(np.asarray(offsets, dtype=np.int64))
-    anchor = np.repeat(np.arange(num_vertices, dtype=np.int64), counts)
-    other = np.asarray(endpoints, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if rebuild_out:
-        # clean = in direction: anchor is dst, other is src.
-        src, dst = other, anchor
-        order = pair_order(src, dst, num_vertices)  # (src, dst) order
-        rebuilt_offsets = _offsets_of(src[order], num_vertices)
-        return {"out_offsets": rebuilt_offsets,
-                "out_targets": dst[order],
-                "out_weights": weights[order]}
-    # clean = out direction: anchor is src, other is dst.
-    src, dst = anchor, other
-    order = pair_order(dst, src, num_vertices)  # (dst, src) order
-    rebuilt_offsets = _offsets_of(dst[order], num_vertices)
-    return {"in_offsets": rebuilt_offsets,
-            "in_sources": src[order],
-            "in_weights": weights[order]}
-
-
-def _offsets_of(sorted_keys: np.ndarray, num_vertices: int) -> np.ndarray:
-    counts = np.bincount(sorted_keys, minlength=num_vertices)
-    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
+    """One direction's three arrays, rebuilt from the clean other one
+    (``offsets``/``endpoints``/``weights``) by the constructor: it
+    sorts both directions canonically and edge keys are unique, so they
+    come out bit-for-bit as first written."""
+    anchor = np.repeat(np.arange(num_vertices, dtype=np.int64),
+                       np.diff(offsets))
+    src, dst = (endpoints, anchor) if rebuild_out else (anchor, endpoints)
+    arrays = CSRGraph(num_vertices, src, dst, weights).canonical_arrays()
+    return {name: arrays[name]
+            for name in (_OUT_ARRAYS if rebuild_out else _IN_ARRAYS)}
 
 
 def _segment_bytes(array: np.ndarray, dtype: str) -> Tuple[bytes, int]:
@@ -442,18 +415,9 @@ class IntegrityScrubber:
             self._quarantine_store_group(
                 group, findings, f"clean direction unreadable ({exc}); ")
             return
-        if rebuild_out:
-            rebuilt = _rebuild_direction(
-                group.num_vertices, True,
-                clean["in_offsets"], clean["in_sources"],
-                clean["in_weights"],
-            )
-        else:
-            rebuilt = _rebuild_direction(
-                group.num_vertices, False,
-                clean["out_offsets"], clean["out_targets"],
-                clean["out_weights"],
-            )
+        rebuilt = _rebuild_direction(
+            group.num_vertices, rebuild_out,
+            *(clean[name] for name in clean_names))
         # Prove the rebuild is bit-for-bit BEFORE replacing anything:
         # every rebuilt array's CRC must equal the recorded value.
         staged = {}

@@ -107,7 +107,7 @@ from repro.graph.storage import (
     open_snapshot_reference,
     verify_segment_blob,
 )
-from repro.ligra.delta import DeltaState
+from repro.ligra.delta import ITERATION_CAP, DeltaState
 from repro.testing import faults
 
 __all__ = [
@@ -204,7 +204,7 @@ def save_engine(engine: GraphBoltEngine, path: str,
         "num_vertices": int(graph.num_vertices),
         "iteration": int(state.iteration),
         "num_iterations": int(engine.num_iterations),
-        "until_convergence": bool(engine.until_convergence),
+        "until_convergence": engine.num_iterations == ITERATION_CAP,
         "graph_mode": "inline" if reference is None else "manifest",
         "store_manifest": reference,
         "extra": {key: np.asarray(value).tolist()
@@ -474,9 +474,11 @@ def load_engine(
     else:
         graph = CSRGraph.from_canonical(
             index["num_vertices"], *(data[name] for name in ARRAY_NAMES))
+    # A true flag is a run to the cap, whatever window the index holds
+    # beside it (older files kept a convergence engine's own window).
     engine = GraphBoltEngine(
-        algorithm, num_iterations=index["num_iterations"],
-        until_convergence=bool(index["until_convergence"]), **engine_kwargs)
+        algorithm, ITERATION_CAP if index["until_convergence"]
+        else index["num_iterations"], **engine_kwargs)
     engine._streaming = StreamingGraph(graph)
     engine._state = DeltaState(
         iteration=index["iteration"],

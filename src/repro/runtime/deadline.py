@@ -22,7 +22,10 @@ __all__ = ["Deadline", "StepDeadline", "WallClockDeadline"]
 
 
 class Deadline:
-    """Interface: anything with ``expired() -> bool``."""
+    """Interface: anything with ``expired() -> bool``; ``budget_s`` is
+    its wall-clock budget, if it has one."""
+
+    budget_s = None
 
     def expired(self) -> bool:  # pragma: no cover - interface
         raise NotImplementedError

@@ -185,10 +185,9 @@ def _charge_sweep(graph, metrics: EngineMetrics, offsets=None) -> None:
 
 
 # ----------------------------------------------------------------------
-# Gathers.  Each adds the gathered edge count to
-# ``metrics.edge_computations`` (``gather_in`` / ``gather_all`` take
-# ``count=False`` for structural gathers that are not algorithm work)
-# and charges the owners.
+# Gathers.  Each charges the owners and adds the gathered edge count to
+# ``metrics.edge_computations``, except a structural gather that is not
+# algorithm work (``gather_in(count=False)``, and ``gather_all``).
 # ----------------------------------------------------------------------
 def gather_out(graph, vertices: np.ndarray,
                metrics: Optional[EngineMetrics] = None) -> Edges:
@@ -212,13 +211,11 @@ def gather_in(graph, vertices: np.ndarray,
     return src, dst, weight
 
 
-def gather_all(graph, metrics: Optional[EngineMetrics] = None,
-               count: bool = True) -> Edges:
-    """Every edge in CSR order, owned by its source."""
+def gather_all(graph, metrics: Optional[EngineMetrics] = None) -> Edges:
+    """Every edge in CSR order, owned by its source: a structural feed,
+    charged to the owners' loads but counted as no edge computation."""
     src, dst, weight = graph.all_edges()
     if metrics is not None:
-        if count:
-            metrics.count_edges(src.size)
         _charge_sweep(graph, metrics, graph.out_offsets)
     return src, dst, weight
 
@@ -232,10 +229,10 @@ def aggregate_all(graph, algorithm, values: np.ndarray,
     ``(+)`` over every edge ``(u, v)`` of ``contributions(values[u])``.
 
     The one sweep behind the Ligra baseline, GB-Reset's first and dense
-    iterations and dense-mode refinement, charged as a
-    :func:`gather_all` followed by a :func:`scatter` would charge it --
-    every edge once at its source's owner (gather), once at its
-    target's (reduce).
+    iterations and dense-mode refinement: every edge is one edge
+    computation, charged as a :func:`gather_all` followed by a
+    :func:`scatter` would charge it -- once at its source's owner
+    (gather), once at its target's (reduce).
 
     An ``edge_weighted`` algorithm over a plain sum is the product of
     the snapshot's out-edge arrays, read as the transpose's CSC, with

@@ -35,6 +35,7 @@ from repro.obs import trace
 from repro.obs.events import WideEventEmitter
 from repro.obs.registry import sample_peak_rss
 from repro.obs.slo import Alert, SLOEvaluator
+from repro.runtime.deadline import Deadline
 
 __all__ = ["PlantedLatency", "ServingObserver"]
 
@@ -185,8 +186,8 @@ class ServingObserver:
         self,
         resilient,
         result,
-        deadline_s: Optional[float] = None,
-        span_mark: Optional[int] = None,
+        deadline: Optional[Deadline],
+        span_mark: int,
     ) -> None:
         """One served query: wide event; latency folds into the next
         batch tick (queries never advance the SLO tick index)."""
@@ -203,7 +204,7 @@ class ServingObserver:
             iterations=result.iterations_completed,
             degraded=result.degraded,
             residual_l1=round(result.residual_l1, 9),
-            deadline_budget=deadline_s,
+            deadline_budget=None if deadline is None else deadline.budget_s,
             batches_ingested=result.batches_ingested,
             queue_depth=resilient.queue_depth,
             breaker_state=resilient.breaker.state,

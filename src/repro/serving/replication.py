@@ -763,7 +763,6 @@ class ReadReplica:
     def query(
         self,
         until_convergence: bool = False,
-        deadline_s: Optional[float] = None,
         deadline: Optional[Deadline] = None,
     ) -> QueryResult:
         self._require_alive()
@@ -772,10 +771,7 @@ class ReadReplica:
                 f"replica {self.name!r} has not bootstrapped yet"
             )
         faults.hit("replica.query")
-        return self.server.query(
-            until_convergence=until_convergence,
-            deadline_s=deadline_s, deadline=deadline,
-        )
+        return self.server.query(until_convergence, deadline)
 
     @property
     def approximate_values(self) -> Optional[np.ndarray]:

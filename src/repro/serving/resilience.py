@@ -17,10 +17,12 @@ first-class mechanism here:
   refinement makes served values a function of the latest snapshot, not
   of batch granularity).
 
-- **Slow queries** -- deadline budgets.  ``query(deadline_s=...)``
-  threads a :class:`repro.runtime.deadline.Deadline` through
-  the branch loop's forward at iteration granularity; an expired budget
-  returns the best-so-far BSP state tagged ``degraded=True`` (see
+- **Slow queries** -- deadline budgets.  ``query(deadline=...)``
+  threads a :class:`repro.runtime.deadline.Deadline` (a
+  :class:`~repro.runtime.deadline.WallClockDeadline` in production)
+  through the branch loop's forward at iteration granularity; an
+  expired budget returns the best-so-far BSP state tagged
+  ``degraded=True`` (see
   :meth:`repro.serving.server.StreamingAnalyticsServer.query`).
 
 - **Fault pressure** -- a :class:`CircuitBreaker` over the recovery
@@ -531,7 +533,6 @@ class ResilientAnalyticsServer:
     def query(
         self,
         until_convergence: bool = False,
-        deadline_s: Optional[float] = None,
         deadline: Optional[Deadline] = None,
     ) -> QueryResult:
         """Branch-loop query with an optional deadline budget.
@@ -541,14 +542,9 @@ class ResilientAnalyticsServer:
         :meth:`health`).
         """
         mark = trace.get_tracer().mark()
-        result = self.server.query(
-            until_convergence=until_convergence,
-            deadline_s=deadline_s, deadline=deadline,
-        )
+        result = self.server.query(until_convergence, deadline)
         if self.observer is not None:
-            self.observer.query_served(
-                self, result, deadline_s=deadline_s, span_mark=mark,
-            )
+            self.observer.query_served(self, result, deadline, mark)
         return result
 
     # ------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 The router answers deadline-budgeted queries from read replicas and
 hides individual replica failures behind **deadline-preserving
-failover**: the budget is materialized as ONE
-:class:`~repro.runtime.deadline.Deadline` object before the first
-attempt and the *same* object rides along every retry, so a query that
+failover**: the budget is ONE :class:`~repro.runtime.deadline.Deadline`
+object and the *same* object rides along every retry, so a query that
 fails over still answers within its original budget -- and comes back
 ``degraded`` only when that budget is truly exhausted, never because a
 retry silently restarted the clock.
@@ -35,7 +34,7 @@ from typing import Dict, List, Optional
 
 from repro.obs import trace
 from repro.obs.registry import get_registry
-from repro.runtime.deadline import Deadline, WallClockDeadline
+from repro.runtime.deadline import Deadline
 from repro.serving.replication import ReplicationCluster
 from repro.serving.server import QueryResult
 
@@ -146,15 +145,11 @@ class QueryRouter:
     def query(
         self,
         until_convergence: bool = False,
-        deadline_s: Optional[float] = None,
         deadline: Optional[Deadline] = None,
         min_applied_batch: Optional[int] = None,
     ) -> RoutedResult:
-        # The budget is materialized exactly once, before the first
-        # attempt: every failover retry shares this object, so the
-        # original deadline spans the whole routed query.
-        if deadline is None and deadline_s is not None:
-            deadline = WallClockDeadline(deadline_s)
+        # Every failover attempt shares the one ``deadline`` object, so
+        # the original budget spans the whole routed query.
         self.queries_routed += 1
         get_registry().counter("router.queries").inc()
 

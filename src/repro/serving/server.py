@@ -45,10 +45,10 @@ from repro.core.engine import GraphBoltEngine
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.csr import CSRGraph
 from repro.graph.mutation import MutationBatch
-from repro.ligra.delta import DeltaEngine
+from repro.ligra.delta import ITERATION_CAP, DeltaEngine
 from repro.obs import trace
 from repro.obs.registry import get_registry
-from repro.runtime.deadline import Deadline, WallClockDeadline
+from repro.runtime.deadline import Deadline
 from repro.runtime.metrics import EngineMetrics
 from repro.testing import faults
 from repro.testing.faults import InjectedCrash
@@ -273,7 +273,6 @@ class StreamingAnalyticsServer:
     def query(
         self,
         until_convergence: bool = False,
-        deadline_s: Optional[float] = None,
         deadline: Optional[Deadline] = None,
     ) -> QueryResult:
         """Branch the current state forward to an exact answer.
@@ -287,22 +286,21 @@ class StreamingAnalyticsServer:
         remembered answer.  A hit returns a copy of its values and
         reports ``edge_computations=0``.
 
-        ``deadline_s`` bounds the branch to a wall-clock budget (or pass
-        any :class:`~repro.runtime.deadline.Deadline` as ``deadline``
-        for deterministic budgets in tests).  On expiry the best-so-far
+        ``deadline`` bounds the branch: a
+        :class:`~repro.runtime.deadline.WallClockDeadline` budget, or
+        any :class:`~repro.runtime.deadline.Deadline` (a deterministic
+        one in tests).  On expiry the best-so-far
         state is returned with ``degraded=True`` -- never an exception:
         a deadline query always produces a usable BSP state, identical
         to a from-scratch run truncated at ``iterations_completed``.
         A degraded answer is never remembered, and a hit ignores the
         deadline: its answer is already the complete window.
         """
-        if deadline is None and deadline_s is not None:
-            deadline = WallClockDeadline(deadline_s)
         if deadline is not None:
             faults.hit("query.deadline")
         start = time.perf_counter()
         engine, live = self.engine, self.engine._state
-        window = (until_convergence, self.exact_iterations)
+        window = ITERATION_CAP if until_convergence else self.exact_iterations
         memo = self._answer
         cached = (memo is not None and memo[0]() is engine
                   and memo[1]() is live and memo[2] == window)
@@ -311,8 +309,7 @@ class StreamingAnalyticsServer:
             if cached:
                 answer = memo[3]
             else:
-                answer = self._branch(engine.graph, live,
-                                      until_convergence, deadline)
+                answer = self._branch(engine.graph, live, window, deadline)
                 if not answer.degraded:
                     self._answer = (weakref.ref(engine), weakref.ref(live),
                                     window, answer)
@@ -335,17 +332,16 @@ class StreamingAnalyticsServer:
             edge_computations=0 if cached else answer.edge_computations,
         )
 
-    def _branch(self, graph, live, until_convergence,
-                deadline) -> QueryResult:
-        """Run one branch loop from a copy of ``live``."""
+    def _branch(self, graph, live, window, deadline) -> QueryResult:
+        """Run one branch loop from a copy of ``live`` to iteration
+        ``window``."""
         metrics = EngineMetrics()
         branch_engine = DeltaEngine(self.algorithm_factory(), metrics)
         state = live.copy()
         # Only the deadline leaves the window incomplete: an early
         # fixpoint means further iterations are identity, so the state
         # already equals the full-window answer and is not degraded.
-        degraded = branch_engine.forward(graph, state, self.exact_iterations,
-                                         until_convergence, deadline)
+        degraded = branch_engine.forward(graph, state, window, deadline)
         return QueryResult(
             values=state.values,
             iterations=state.iteration,

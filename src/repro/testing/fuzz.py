@@ -138,7 +138,7 @@ def run_fuzz(
                 stop_at_first=True,
             ).ok
 
-        result = shrink(workload, is_failing, max_checks=300)
+        result = shrink(workload, is_failing)
         outcome.shrunk.append(result.workload)
         if journal is not None:
             _journal_failure(journal, result.workload, seed + index,

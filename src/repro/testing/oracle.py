@@ -82,10 +82,7 @@ def build_runner(engine: str, profile: AlgorithmSpec) -> StreamingRunner:
         extra["unit_weights"] = profile.kickstarter == "unit"
     if engine == "dataflow" and profile.dataflow != "sssp":
         raise ValueError(f"{profile.name} has no dataflow program")
-    return ENGINES[engine](
-        profile.factory, profile.num_iterations,
-        profile.until_convergence, **extra,
-    )
+    return ENGINES[engine](profile.factory, profile.num_iterations, **extra)
 
 
 @dataclass

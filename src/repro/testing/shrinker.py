@@ -30,6 +30,9 @@ __all__ = ["ShrinkResult", "shrink", "to_pytest"]
 Edge = Tuple[int, int, float]
 Pair = Tuple[int, int]
 
+#: Failure-predicate checks one :func:`shrink` may spend.
+MAX_CHECKS = 300
+
 
 class _BudgetExhausted(Exception):
     pass
@@ -153,7 +156,6 @@ def _tight_vertex_count(workload: Workload) -> Optional[Workload]:
 def shrink(
     workload: Workload,
     is_failing: Callable[[Workload], bool],
-    max_checks: int = 500,
 ) -> ShrinkResult:
     """Minimise a failing workload; ``is_failing`` must be ``True`` for
     the input and stays ``True`` for the returned workload."""
@@ -163,7 +165,7 @@ def shrink(
 
     def failing(candidate: Workload) -> bool:
         nonlocal checks
-        if checks >= max_checks:
+        if checks >= MAX_CHECKS:
             raise _BudgetExhausted
         checks += 1
         return is_failing(candidate)

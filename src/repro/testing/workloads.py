@@ -257,8 +257,7 @@ def _initial_graph(rng: np.random.Generator,
     elif family == "erdos_renyi":
         vertices = int(rng.integers(8, max_vertices + 1))
         edges = int(rng.integers(vertices, 3 * vertices + 1))
-        graph = generators.erdos_renyi(vertices, edges, seed=graph_seed,
-                                       weighted=True)
+        graph = generators.erdos_renyi(vertices, edges, seed=graph_seed)
     elif family == "star":
         # star_graph(n) has n + 1 vertices (hub + leaves).
         leaves = int(rng.integers(4, max(min(17, max_vertices), 5)))

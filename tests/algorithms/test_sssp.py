@@ -7,6 +7,7 @@ import pytest
 from repro.algorithms import BFS, ConnectedComponents, SSSP
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import cycle_graph, rmat
+from repro.ligra.delta import ITERATION_CAP
 from repro.ligra.engine import LigraEngine
 
 
@@ -26,8 +27,7 @@ class TestSSSP:
 
     def test_matches_networkx_dijkstra(self):
         graph = rmat(scale=8, edge_factor=5, seed=12, weighted=True)
-        ours = LigraEngine(SSSP(source=0)).run(graph,
-                                               until_convergence=True)
+        ours = LigraEngine(SSSP(source=0)).run(graph, ITERATION_CAP)
         theirs = nx.single_source_dijkstra_path_length(
             to_networkx(graph), 0
         )
@@ -39,8 +39,7 @@ class TestSSSP:
 
     def test_source_is_zero(self):
         graph = cycle_graph(5)
-        distances = LigraEngine(SSSP(source=2)).run(graph,
-                                                    until_convergence=True)
+        distances = LigraEngine(SSSP(source=2)).run(graph, ITERATION_CAP)
         assert distances[2] == 0.0
         assert distances[3] == 1.0
         assert distances[1] == 4.0
@@ -76,13 +75,12 @@ class TestBFS:
             [(0, 1), (1, 2), (2, 3), (0, 3)], num_vertices=4,
             weights=[9.0, 9.0, 9.0, 9.0],  # weights ignored by BFS
         )
-        hops = LigraEngine(BFS(source=0)).run(graph,
-                                              until_convergence=True)
+        hops = LigraEngine(BFS(source=0)).run(graph, ITERATION_CAP)
         assert hops.tolist() == [0.0, 1.0, 2.0, 1.0]
 
     def test_matches_networkx_bfs(self):
         graph = rmat(scale=7, edge_factor=4, seed=13)
-        ours = LigraEngine(BFS(source=0)).run(graph, until_convergence=True)
+        ours = LigraEngine(BFS(source=0)).run(graph, ITERATION_CAP)
         theirs = nx.single_source_shortest_path_length(
             to_networkx(graph), 0
         )
@@ -97,9 +95,7 @@ class TestConnectedComponents:
     def test_symmetric_graph_components(self):
         edges = [(0, 1), (1, 0), (1, 2), (2, 1), (3, 4), (4, 3)]
         graph = CSRGraph.from_edges(edges, num_vertices=6)
-        labels = LigraEngine(ConnectedComponents()).run(
-            graph, until_convergence=True
-        )
+        labels = LigraEngine(ConnectedComponents()).run(graph, ITERATION_CAP)
         assert labels[:3].tolist() == [0.0, 0.0, 0.0]
         assert labels[3:5].tolist() == [3.0, 3.0]
         assert labels[5] == 5.0
@@ -113,9 +109,7 @@ class TestConnectedComponents:
             np.concatenate([src, dst]),
             np.concatenate([dst, src]),
         )
-        ours = LigraEngine(ConnectedComponents()).run(
-            sym, until_convergence=True
-        )
+        ours = LigraEngine(ConnectedComponents()).run(sym, ITERATION_CAP)
         for component in nx.weakly_connected_components(to_networkx(graph)):
             members = sorted(component)
             assert np.all(ours[members] == min(members))

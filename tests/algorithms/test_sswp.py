@@ -9,7 +9,7 @@ from repro.core.engine import GraphBoltEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.graph.mutation import MutationBatch
-from repro.ligra.delta import DeltaEngine
+from repro.ligra.delta import DeltaEngine, ITERATION_CAP
 from repro.ligra.engine import LigraEngine
 from tests.conftest import make_random_batch
 
@@ -47,8 +47,7 @@ class TestSemantics:
             [(0, 1), (1, 2), (0, 2)], num_vertices=3,
             weights=[5.0, 2.0, 1.0],
         )
-        widths = LigraEngine(SSWP(source=0)).run(graph,
-                                                 until_convergence=True)
+        widths = LigraEngine(SSWP(source=0)).run(graph, ITERATION_CAP)
         assert widths[0] == np.inf
         assert widths[1] == 5.0
         assert widths[2] == 2.0  # via 0->1->2 beats direct 0->2
@@ -60,8 +59,7 @@ class TestSemantics:
 
     def test_matches_dijkstra_reference(self):
         graph = rmat(scale=7, edge_factor=5, seed=80, weighted=True)
-        ours = LigraEngine(SSWP(source=0)).run(graph,
-                                               until_convergence=True)
+        ours = LigraEngine(SSWP(source=0)).run(graph, ITERATION_CAP)
         reference = widest_paths_reference(graph, 0)
         both_inf = np.isinf(ours) & np.isinf(reference)
         assert np.allclose(ours[~both_inf], reference[~both_inf])
@@ -69,10 +67,8 @@ class TestSemantics:
 
     def test_delta_engine_agrees(self):
         graph = rmat(scale=7, edge_factor=5, seed=81, weighted=True)
-        full = LigraEngine(SSWP(source=0)).run(graph,
-                                               until_convergence=True)
-        delta = DeltaEngine(SSWP(source=0)).run(graph,
-                                                until_convergence=True)
+        full = LigraEngine(SSWP(source=0)).run(graph, ITERATION_CAP)
+        delta = DeltaEngine(SSWP(source=0)).run(graph, ITERATION_CAP)
         both_inf = np.isinf(full) & np.isinf(delta)
         assert np.allclose(full[~both_inf], delta[~both_inf])
 
@@ -80,14 +76,14 @@ class TestSemantics:
 class TestRefinement:
     def test_mixed_stream_stays_exact(self, rng):
         graph = rmat(scale=7, edge_factor=5, seed=82, weighted=True)
-        engine = GraphBoltEngine(SSWP(source=0), until_convergence=True)
+        engine = GraphBoltEngine(SSWP(source=0), ITERATION_CAP)
         engine.run(graph)
         for _ in range(5):
             engine.apply_mutations(
                 make_random_batch(engine.graph, rng, 12, 12)
             )
             truth = LigraEngine(SSWP(source=0)).run(
-                engine.graph, until_convergence=True
+                engine.graph, ITERATION_CAP
             )
             both_inf = np.isinf(engine.values) & np.isinf(truth)
             assert np.allclose(engine.values[~both_inf], truth[~both_inf])
@@ -97,7 +93,7 @@ class TestRefinement:
             [(0, 1), (1, 2), (0, 2)], num_vertices=3,
             weights=[5.0, 2.0, 1.0],
         )
-        engine = GraphBoltEngine(SSWP(source=0), until_convergence=True)
+        engine = GraphBoltEngine(SSWP(source=0), ITERATION_CAP)
         engine.run(graph)
         assert engine.values[2] == 2.0
         engine.apply_mutations(MutationBatch.from_edges(deletions=[(1, 2)]))

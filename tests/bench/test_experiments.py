@@ -41,7 +41,7 @@ class TestDrivers:
         assert len(payload["density_per_iteration"]) == 5
 
     def test_table5_triangle_cell(self):
-        graph = paper_graph("WK", weighted=True)
+        graph = paper_graph("WK")
         cell = exp.triangle_cell(graph, [uniform_batch(graph, 10, seed=5)])
         assert set(cell) == {"Ligra", "GB-Reset", "GraphBolt"}
         assert cell["Ligra"]["edges"] == cell["GB-Reset"]["edges"]

@@ -38,8 +38,7 @@ class TestRunnersAgree:
             assert np.allclose(result.final_values, ligra, atol=1e-7), name
 
     def test_rp_mode_renames_runner(self):
-        runner = GraphBoltRunner(lambda: PageRank(),
-                                 mode="retract_propagate")
+        runner = GraphBoltRunner(lambda: PageRank(), retract=True)
         assert runner.name == "GraphBolt-RP"
 
 

@@ -21,20 +21,16 @@ def graph():
 
 class TestSplit:
     def test_fraction(self, graph):
-        initial, src, dst, weight = split_initial_graph(graph, 0.5, seed=1)
+        initial, src, dst, weight = split_initial_graph(graph, seed=1)
         assert initial.num_edges == graph.num_edges // 2
         assert src.size == graph.num_edges - initial.num_edges
         assert initial.num_vertices == graph.num_vertices
 
     def test_partition_is_exact(self, graph):
-        initial, src, dst, _ = split_initial_graph(graph, 0.3, seed=2)
+        initial, src, dst, _ = split_initial_graph(graph, seed=2)
         pending = set(zip(src.tolist(), dst.tolist()))
         assert edge_set(initial) | pending == edge_set(graph)
         assert not (edge_set(initial) & pending)
-
-    def test_invalid_fraction(self, graph):
-        with pytest.raises(ValueError):
-            split_initial_graph(graph, 0.0)
 
 
 class TestMixedStream:

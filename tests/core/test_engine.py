@@ -16,6 +16,7 @@ from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
 from repro.graph.storage import ARRAY_NAMES, MmapStore
+from repro.ligra.delta import ITERATION_CAP
 from repro.ligra.engine import LigraEngine
 from repro.obs import trace
 from repro.obs.trace import Tracer
@@ -343,7 +344,7 @@ class TestConvergenceNaiveCombo:
         runner = NaiveRunner(
             lambda: LabelPropagation(num_labels=3, seed_every=3,
                                      tolerance=1e-4),
-            until_convergence=True,
+            ITERATION_CAP,
         )
         runner.setup(graph)
         values = runner.apply(
@@ -356,7 +357,7 @@ class TestConvergenceNaiveCombo:
                                                                rng):
         engine = GraphBoltEngine(
             LabelPropagation(num_labels=3, seed_every=3, tolerance=1e-4),
-            until_convergence=True,
+            ITERATION_CAP,
         )
         engine.run(graph)
         engine.apply_mutations(make_random_batch(engine.graph, rng, 10, 10))

@@ -187,8 +187,7 @@ class TestInPlaceWrites:
         stored = [[None if a is None else a.tobytes() for a in halves(r)]
                   for r in history.records]
         state.frontier = state.frontier[:2]
-        DeltaEngine(engine.algorithm).forward(mutation.new_graph, state, 8,
-                                              False)
+        DeltaEngine(engine.algorithm).forward(mutation.new_graph, state, 8)
         assert state.iteration == 8
         assert state.aggregate is not last.g_values
         assert stored == [[None if a is None else a.tobytes()

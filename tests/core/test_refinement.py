@@ -25,7 +25,7 @@ from repro.core.refinement import _Refiner
 from repro.graph.generators import bipartite_graph, rmat
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
-from repro.ligra.delta import DeltaEngine
+from repro.ligra.delta import DeltaEngine, ITERATION_CAP
 from repro.ligra.engine import LigraEngine
 from repro.obs import trace
 from repro.obs.trace import Tracer
@@ -163,7 +163,7 @@ class TestRefinementEqualsScratch:
             pytest.skip("RP mode applies to decomposable aggregations")
         graph = build_graph(kind)
         engine = GraphBoltEngine(algorithm, num_iterations=iterations,
-                                 mode="retract_propagate")
+                                 retract=True)
         engine.run(graph)
         batch = make_random_batch(engine.graph, rng, num_adds=15,
                                   num_dels=15)
@@ -172,14 +172,12 @@ class TestRefinementEqualsScratch:
 
     def test_convergence_mode(self, factory, kind, iterations, rng):
         graph = build_graph(kind)
-        engine = GraphBoltEngine(factory(), until_convergence=True)
+        engine = GraphBoltEngine(factory(), ITERATION_CAP)
         engine.run(graph)
         batch = make_random_batch(engine.graph, rng, num_adds=15,
                                   num_dels=15)
         engine.apply_mutations(batch)
-        truth = LigraEngine(factory()).run(
-            engine.graph, until_convergence=True
-        )
+        truth = LigraEngine(factory()).run(engine.graph, ITERATION_CAP)
         filled_truth = np.where(np.isinf(truth), -1.0, truth)
         filled_actual = np.where(np.isinf(engine.values), -1.0,
                                  engine.values)

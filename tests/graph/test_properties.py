@@ -64,11 +64,11 @@ class TestDegreeBands:
         with pytest.raises(ValueError):
             degree_percentile_vertices(graph, -0.1, 0.5)
 
-    def test_in_degree_bands(self):
+    def test_bands_rank_by_out_degree(self):
         graph = star_graph(10, outward=True)
-        band = degree_percentile_vertices(graph, 0.0, 1.0, use_out=False)
-        # Only leaves have in-degree.
-        assert 0 not in band.tolist()
+        band = degree_percentile_vertices(graph, 0.0, 1.0)
+        # Only the hub has out-edges; the leaves' in-edges do not count.
+        assert band.tolist() == [0]
 
     def test_empty_graph_band(self):
         graph = CSRGraph.from_edges([], num_vertices=3)

@@ -26,7 +26,7 @@ def factory():
 @pytest.mark.parametrize("label,kwargs", [
     ("plain", {}),
     ("pruned", {"horizon": 3}),
-    ("rp", {"mode": "retract_propagate"}),
+    ("rp", {"retract": True}),
 ])
 def test_twenty_batch_soak(label, kwargs, rng):
     graph = rmat(scale=7, edge_factor=5, seed=110, weighted=True)

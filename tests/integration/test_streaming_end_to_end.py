@@ -21,6 +21,7 @@ from repro.dataflow.graph_programs import DifferentialSSSP
 from repro.graph.generators import rmat
 from repro.graph.mutation import MutationBatch, coalesce_batches
 from repro.kickstarter.engine import KickStarterEngine
+from repro.ligra.delta import ITERATION_CAP
 from repro.ligra.engine import LigraEngine
 from tests.conftest import edge_set
 
@@ -45,7 +46,7 @@ class TestPaperMethodologyStream:
 
     def test_final_graph_is_the_full_graph_when_no_deletions(self):
         full = rmat(scale=7, edge_factor=4, seed=51, weighted=True)
-        initial, src, dst, weight = split_initial_graph(full, 0.5, seed=51)
+        initial, src, dst, weight = split_initial_graph(full, seed=51)
         batches = [
             MutationBatch.from_edges(
                 additions=list(zip(src[i:i + 100].tolist(),
@@ -67,17 +68,14 @@ class TestSSSPAcrossAllEngines:
         initial, batches = mixed_stream(graph, num_batches=4,
                                         batch_size=20, seed=52)
         kick = KickStarterEngine(initial, source=0)
-        bolt = GraphBoltRunner(lambda: SSSP(source=0),
-                               until_convergence=True)
+        bolt = GraphBoltRunner(lambda: SSSP(source=0), ITERATION_CAP)
         bolt.setup(initial)
         dd = DifferentialSSSP(initial, source=0, num_stages=30)
         for batch in batches:
             kick_values = kick.apply_mutations(batch)
             bolt_values = bolt.apply(batch)
             dd_values = dd.apply_mutations(batch)
-            truth = LigraEngine(SSSP(source=0)).run(
-                kick.graph, until_convergence=True
-            )
+            truth = LigraEngine(SSSP(source=0)).run(kick.graph, ITERATION_CAP)
             for values in (kick_values, bolt_values, dd_values):
                 both_inf = np.isinf(values) & np.isinf(truth)
                 assert np.allclose(values[~both_inf], truth[~both_inf])

@@ -19,6 +19,7 @@ from repro.core.engine import GraphBoltEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.graph.mutation import MutationBatch
+from repro.ligra.delta import ITERATION_CAP
 from repro.ligra.engine import LigraEngine
 from tests.conftest import edge_set
 
@@ -137,7 +138,7 @@ class TestDisconnection:
         graph = CSRGraph.from_edges(
             [(0, 1), (1, 2), (2, 3)], num_vertices=4
         )
-        engine = GraphBoltEngine(SSSP(source=0), until_convergence=True)
+        engine = GraphBoltEngine(SSSP(source=0), ITERATION_CAP)
         engine.run(graph)
         assert engine.values.tolist() == [0.0, 1.0, 2.0, 3.0]
         engine.apply_mutations(MutationBatch.from_edges(

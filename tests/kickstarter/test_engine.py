@@ -11,6 +11,7 @@ from repro.graph.generators import cycle_graph, rmat
 from repro.graph.mutation import MutationBatch
 from repro.kickstarter.engine import KickStarterEngine
 from repro.kickstarter.trees import NO_PARENT
+from repro.ligra.delta import ITERATION_CAP
 from repro.ligra.engine import LigraEngine
 from tests.conftest import edge_weights, make_random_batch, tree_depths
 
@@ -21,7 +22,7 @@ def ground_truth(graph, source, unit_weights=False):
         from repro.algorithms import BFS
 
         algo = BFS(source=source)
-    return LigraEngine(algo).run(graph, until_convergence=True)
+    return LigraEngine(algo).run(graph, ITERATION_CAP)
 
 
 def assert_distances_equal(actual, expected):

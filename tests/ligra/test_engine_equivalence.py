@@ -6,6 +6,8 @@ simple sums, vector sums, products, apply parameters, pair aggregations
 and the non-decomposable min with self-dependent apply.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,9 @@ from repro.algorithms import (
     PageRank,
     SSSP,
 )
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import bipartite_graph, rmat
-from repro.ligra.delta import DeltaEngine
+from repro.ligra.delta import DeltaEngine, ITERATION_CAP
 from repro.ligra.engine import LigraEngine
 from repro.runtime.validation import assert_same_results
 
@@ -61,12 +64,8 @@ class TestDeltaEqualsFull:
 
     def test_until_convergence(self, factory, kind, iterations):
         graph = build_graph(kind)
-        full = LigraEngine(factory()).run(
-            graph, until_convergence=True
-        )
-        delta = DeltaEngine(factory()).run(
-            graph, until_convergence=True
-        )
+        full = LigraEngine(factory()).run(graph, ITERATION_CAP)
+        delta = DeltaEngine(factory()).run(graph, ITERATION_CAP)
         assert_same_results(
             finite_filled(delta), finite_filled(full), tolerance=1e-6
         )
@@ -77,9 +76,7 @@ class TestDeltaEqualsFull:
         algorithm = factory()
         if not algorithm.aggregation.decomposable:
             pytest.skip("RP mode applies to decomposable aggregations")
-        delta = DeltaEngine(algorithm, mode="retract_propagate").run(
-            graph, iterations
-        )
+        delta = DeltaEngine(algorithm, retract=True).run(graph, iterations)
         assert_same_results(
             finite_filled(delta), finite_filled(full), tolerance=1e-7
         )
@@ -106,15 +103,33 @@ class TestEngineBehaviours:
         # Far fewer iterations than the cap: the frontier emptied.
         assert engine.metrics.iterations < 100
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            DeltaEngine(PageRank(), mode="bogus")
-
     def test_ligra_runs_exactly_requested_iterations(self):
         graph = rmat(scale=6, edge_factor=4, seed=1)
         engine = LigraEngine(PageRank())
         engine.run(graph, num_iterations=7)
         assert engine.metrics.iterations == 7
+
+    @pytest.mark.parametrize("factory,graph,stop,crc,edges", [
+        pytest.param(lambda: SSSP(source=0), lambda: CSRGraph(
+            40, np.array(list(range(23)) + [0, 5]),
+            np.array(list(range(1, 24)) + [12, 20]),
+            np.array([1.0 + (i % 3) * 0.5 for i in range(23)]
+                     + [30.0, 40.0])), 24, 0xA6D54709, 600, id="sssp"),
+        pytest.param(PageRank, lambda: rmat(scale=8, edge_factor=8, seed=7,
+                                            weighted=True),
+                     145, 0xFF5A3010, 217790, id="pagerank"),
+    ])
+    def test_a_run_to_the_cap_stops_after_a_still_iteration(
+            self, factory, graph, stop, crc, edges):
+        """A run to ``ITERATION_CAP`` stops after the first iteration
+        that moves no value past the tolerance, at the iteration, values
+        and edge work pinned from a run of the former convergence
+        flag."""
+        engine = LigraEngine(factory())
+        values = engine.run(graph(), ITERATION_CAP)
+        assert engine.metrics.iterations == stop
+        assert zlib.crc32(values.tobytes()) == crc
+        assert engine.metrics.edge_computations == edges
 
     def test_empty_graph(self):
         from repro.graph.csr import CSRGraph

@@ -12,6 +12,7 @@ from repro.core.engine import GraphBoltEngine
 from repro.graph.generators import rmat
 from repro.graph.mutation import MutationBatch
 from repro.graph.storage import MmapStore, _HEADER_SIZE, _pack_header
+from repro.ligra.delta import ITERATION_CAP
 from repro.ligra.engine import LigraEngine
 from repro.runtime.checkpoint import (
     _pack,
@@ -459,16 +460,39 @@ class TestConfigurationRoundtrip:
                               restored.apply_mutations(batch))
 
     def test_until_convergence_engine(self, tmp_path, graph, rng):
-        engine = GraphBoltEngine(SSSP(source=0), until_convergence=True)
+        engine = GraphBoltEngine(SSSP(source=0), ITERATION_CAP)
         engine.run(graph)
         engine.apply_mutations(make_random_batch(engine.graph, rng, 6, 6))
         path = save_engine(engine, str(tmp_path / "conv.ckpt"))
         restored = load_engine(path, SSSP(source=0))
-        assert restored.until_convergence
+        assert open_checkpoint(path).index["until_convergence"] is True
+        assert restored.num_iterations == ITERATION_CAP
         assert np.array_equal(restored.values, engine.values)
         batch = make_random_batch(engine.graph, rng, 6, 6)
         assert np.array_equal(engine.apply_mutations(batch),
                               restored.apply_mutations(batch))
+
+    def test_a_stored_convergence_engine_loads_to_the_cap(self):
+        """A file written when a convergence engine kept its own window
+        (10) beside the flag runs to the cap once restored: the next
+        batch lengthens the chain past the tracked 24 iterations, and
+        the refined values are the ones that writer computed."""
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "checkpoint-v5-convergence.ckpt")
+        index = open_checkpoint(path).index
+        assert (index["version"], index["until_convergence"],
+                index["num_iterations"], index["iteration"]) == (
+                    5, True, 10, 24)
+        restored = load_engine(path, SSSP(source=0))
+        assert restored.num_iterations == ITERATION_CAP
+        values = restored.apply_mutations(MutationBatch.from_edges(
+            additions=[(23, 24), (24, 25), (25, 26), (26, 27), (27, 28),
+                       (28, 29)], add_weights=[0.5] * 6))
+        assert restored.values is values and restored._state.iteration == 26
+        assert zlib.crc32(values.tobytes()) == 0x318A3B73
+        assert values[29] == 32.5 and np.isinf(values[30:]).all()
+        truth = LigraEngine(SSSP(source=0)).run(restored.graph, ITERATION_CAP)
+        assert values.tobytes() == truth.tobytes()
 
 
 class TestHistoryForms:

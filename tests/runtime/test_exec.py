@@ -186,9 +186,9 @@ class TestBackendEquivalence:
         assert serial_m.edge_computations == sharded_m.edge_computations
         assert serial_m.shard_loads == {
             "0": sum(sharded_m.shard_loads.values())}
-        # count=False charges nothing but still measures loads.
+        # A whole-graph gather counts nothing but still measures loads.
         quiet = EngineMetrics(num_shards=3)
-        kernels.gather_all(graph, quiet, count=False)
+        kernels.gather_all(graph, quiet)
         assert quiet.edge_computations == 0
         assert sum(quiet.shard_loads.values()) == graph.num_edges
 
@@ -227,6 +227,8 @@ def _reference_sweep(graph, algorithm, values, metrics):
                     graph.out_degrees())
     dst, weight = graph.out_targets, graph.out_weights
     kernels.gather_all(graph, metrics)    # for what it charges
+    if metrics is not None:
+        metrics.count_edges(src.size)
     if src.size:
         contributions = algorithm.contributions(graph, values[src], src,
                                                 dst, weight)

@@ -20,7 +20,7 @@ from repro.graph.generators import rmat
 from repro.graph.mutation import MutationBatch
 from repro.obs.journal import JsonlJournal
 from repro.recovery import RecoveryManager
-from repro.runtime.deadline import StepDeadline
+from repro.runtime.deadline import StepDeadline, WallClockDeadline
 from repro.serving import (
     ADMISSION_POLICIES,
     BreakerConfig,
@@ -380,7 +380,7 @@ class TestDeadlineQueries:
 
     def test_zero_wall_clock_budget_still_answers(self, graph, rng):
         server, _ = self.ingested(graph, rng)
-        result = server.query(deadline_s=0.0)
+        result = server.query(deadline=WallClockDeadline(0.0))
         assert result.degraded
         assert result.values.shape == (server.graph.num_vertices,)
         # The branch never ran past the copied main-loop state.

@@ -19,11 +19,14 @@ of a function or method under ``src/repro`` (``repro/algorithms`` aside:
 its constructors are set through the registry) is set by some call
 under ``src/``, ``benchmarks/`` or ``examples/``.  A default only tests,
 or nothing, override is not a setting but a constant with a knob on it:
-inline it.  ``SETTINGS_ALLOWED`` holds the few kept, each for one of
-the five reasons in ``REASONS``.
+inline it.  So is one that every such call sets, always to the same
+literal: the constant is merely written at the calls.
+``SETTINGS_ALLOWED`` holds the few kept, each for one of the five
+reasons in ``REASONS``.
 """
 
 import ast
+import functools
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -168,13 +171,21 @@ SETTINGS_ALLOWED = {
         DEPLOYMENT, "the disk the xl build spools its edge chunks to"),
     "Tracer.__init__.clock": (
         FAKE, "tests pin span timings with a fake clock"),
+    "rmat.weighted": (
+        FAKE, "tests build unit-weight graphs where every caller "
+              "outside them builds weighted ones"),
+    "watts_strogatz.weighted": (
+        FAKE, "tests build unit-weight graphs where every caller "
+              "outside them builds weighted ones"),
     "RecoveryManager.__init__.poison_check": (
         FAKE, "the growth check exercises quarantine at replay time, "
               "which a failpoint cannot"),
     "experiment_table1.num_batches": (SHRUNK, "the Table 1 stream"),
     "experiment_table1.batch_size": (SHRUNK, "the Table 1 stream"),
     "experiment_figure4.num_iterations": (SHRUNK, "the Figure 4 window"),
+    "experiment_table6.algorithms": (SHRUNK, "the Table 6 grid"),
     "experiment_table9.algorithms": (SHRUNK, "the Table 9 grid"),
+    "experiment_table9.graphs": (SHRUNK, "the Table 9 grid"),
     "experiment_motivation_tagging.graphs": (SHRUNK, "the tagging grid"),
     "experiment_motivation_tagging.batch_sizes": (
         SHRUNK, "the tagging grid"),
@@ -182,11 +193,9 @@ SETTINGS_ALLOWED = {
     "assert_same_results.context": (SUPPORT, "assert_same_results"),
     "save_edge_list.write_weights": (SUPPORT, "save_edge_list"),
     "StreamingRunner.__init__.num_iterations": (REGISTRY, _RUNNERS),
-    "StreamingRunner.__init__.until_convergence": (REGISTRY, _RUNNERS),
     "StreamingRunner.__init__.num_shards": (REGISTRY, _RUNNERS),
     "GraphBoltRunner.__init__.num_shards": (REGISTRY, _RUNNERS),
     "KickStarterRunner.__init__.num_iterations": (REGISTRY, _RUNNERS),
-    "KickStarterRunner.__init__.until_convergence": (REGISTRY, _RUNNERS),
     "KickStarterRunner.__init__.unit_weights": (REGISTRY, _RUNNERS),
     "KickStarterRunner.__init__.num_shards": (REGISTRY, _RUNNERS),
     "targeted_batch.delete_fraction": (REGISTRY, _SCENARIOS),
@@ -266,13 +275,31 @@ def _calls(tree):
     yield from visit(tree, None, ())
 
 
-def unset_settings(root):
-    """``{"Qualname.param": "path:line"}`` of every defaulted parameter
-    under ``root/src/repro`` (``repro/algorithms`` aside) that no call
-    under ``src/``, ``benchmarks/`` or ``examples/`` sets -- by keyword,
-    by position, through ``partial``, or by forwarding ``*args`` /
-    ``**kwargs`` to a callee of that name.  A def's own body does not
-    set its parameters (a recursive call passes them along)."""
+#: The value of an argument that is not one literal (an expression, or
+#: ``*args`` / ``**kwargs`` forwarding).
+_EXPRESSION = "<expression>"
+
+
+def _literal(node):
+    """``node``'s source form if it is a literal, else ``_EXPRESSION``."""
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return _EXPRESSION
+    return ast.unparse(node)
+
+
+@functools.lru_cache(maxsize=None)
+def _setting_calls(root):
+    """``({"Qualname.param": "path:line"}, {"Qualname.param": [value,
+    ...]})``: every defaulted parameter under ``root/src/repro``
+    (``repro/algorithms`` aside), and what each call to its def under
+    ``src/``, ``benchmarks/`` or ``examples/`` passes it -- a literal's
+    source, ``_EXPRESSION``, or ``None`` when the call leaves the
+    default.  It is set by keyword, by position, through ``partial``,
+    or by forwarding ``*args`` / ``**kwargs`` to a callee of that name.
+    A def's own body does not call it (a recursive call passes its
+    parameters along)."""
     # One parse per file: a def's own body is recognised by identity.
     trees = [(path, tree) for top in ("src", "benchmarks", "examples")
              if (root / top).is_dir() for path, tree in _modules(root, top)]
@@ -292,24 +319,47 @@ def unset_settings(root):
             callees[name].append((qualname, positional, defaulted, node))
             for param in defaulted:
                 found[f"{qualname}.{param}"] = f"{where}:{node.lineno}"
+    passed = defaultdict(list)
     for _, tree in trees:
         for names, args, keywords, enclosing in _calls(tree):
             for qualname, positional, defaulted, node in (
                     entry for name in names for entry in callees[name]):
                 if node in enclosing:
                     continue
-                set_ = set()
+                values = {}
                 for index, arg in enumerate(args):
                     if isinstance(arg, ast.Starred):
-                        set_.update(positional[index:])
+                        values.update(dict.fromkeys(positional[index:],
+                                                    _EXPRESSION))
                         break
-                    set_.update(positional[index:index + 1])
+                    if index < len(positional):
+                        values[positional[index]] = _literal(arg)
                 for keyword in keywords:
-                    set_.update(defaulted if keyword.arg is None
-                                else [keyword.arg])
-                for param in set_:
-                    found.pop(f"{qualname}.{param}", None)
-    return found
+                    if keyword.arg is None:
+                        values.update(dict.fromkeys(defaulted, _EXPRESSION))
+                    else:
+                        values[keyword.arg] = _literal(keyword.value)
+                for param in defaulted:
+                    passed[f"{qualname}.{param}"].append(values.get(param))
+    return found, passed
+
+
+def unset_settings(root):
+    """``{"Qualname.param": "path:line"}`` of every defaulted parameter
+    (see :func:`_setting_calls`) that no call outside tests sets."""
+    found, passed = _setting_calls(root)
+    return {name: where for name, where in found.items()
+            if all(value is None for value in passed[name])}
+
+
+def constant_settings(root):
+    """``{"Qualname.param": "path:line"}`` of every defaulted parameter
+    (see :func:`_setting_calls`) that every call outside tests sets,
+    always to one literal: a constant written as a default."""
+    found, passed = _setting_calls(root)
+    return {name: where for name, where in found.items()
+            if len(set(passed[name])) == 1
+            and passed[name][0] not in (None, _EXPRESSION)}
 
 
 def test_every_setting_has_a_caller_outside_tests():
@@ -321,8 +371,18 @@ def test_every_setting_has_a_caller_outside_tests():
         f"or allowlist one with its reason): {unexpected}")
 
 
+def test_every_setting_takes_more_than_one_value():
+    unexpected = {name: where
+                  for name, where in constant_settings(ROOT).items()
+                  if name not in SETTINGS_ALLOWED}
+    assert not unexpected, (
+        "defaults every call outside tests sets to one literal (inline "
+        f"the literal, or allowlist one with its reason): {unexpected}")
+
+
 def test_settings_allowlist_is_live_and_reasoned():
-    stale = sorted(set(SETTINGS_ALLOWED) - set(unset_settings(ROOT)))
+    stale = sorted(set(SETTINGS_ALLOWED) - set(unset_settings(ROOT))
+                   - set(constant_settings(ROOT)))
     assert not stale, (
         f"allowlisted settings that are gone or now have a caller: {stale}")
     for name, (reason, detail) in SETTINGS_ALLOWED.items():
@@ -364,4 +424,37 @@ def test_planted_settings_are_reported(tmp_path):
         "recursive.depth": "src/repro/mod.py:38",
         "test_only.flag": "src/repro/mod.py:42",
         "unset.flag": "src/repro/mod.py:46",
+    }
+
+
+def test_planted_constants_are_reported(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "def always(a, flag=False):\n    return flag\n\n\n"
+        "def twice(a, flag=False):\n    return flag\n\n\n"
+        "def sometimes(a, flag=False):\n    return flag\n\n\n"
+        "def varies(a, flag=False):\n    return flag\n\n\n"
+        "def computed(a, flag=False):\n    return flag\n\n\n"
+        "def forwarded(a, flag=False):\n    return flag\n\n\n"
+        "def forwarder(**kwargs):\n    return forwarded(1, **kwargs)\n\n\n"
+        "class Built:\n"
+        "    def __init__(self, size=1, name=''):\n        self.size = size\n")
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from repro.mod import *\n\n"
+        "always(1, flag=True)\n"
+        "twice(1, True)\ntwice(2, flag=True)\n"
+        "sometimes(1, flag=True)\nsometimes(2)\n"
+        "varies(1, flag=True)\nvaries(2, flag=False)\n"
+        "computed(1, flag=len('ab') > 1)\n"
+        "forwarder(flag=True)\n"
+        "Built(size=(1, 2), name='x')\nBuilt(size=(1, 2), name='y')\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from repro.mod import always\n\nalways(1, flag=False)\n")
+    assert constant_settings(tmp_path) == {
+        "always.flag": "src/repro/mod.py:1",
+        "twice.flag": "src/repro/mod.py:5",
+        "Built.__init__.size": "src/repro/mod.py:30",
     }

@@ -20,6 +20,7 @@ from repro.core.engine import GraphBoltEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.mutation import MutationBatch
+from repro.ligra.delta import ITERATION_CAP
 from repro.ligra.engine import LigraEngine
 
 ITERATIONS = 8
@@ -27,7 +28,7 @@ SEED = 2024
 
 
 def pinned_graph(num_vertices=32, num_edges=90):
-    return erdos_renyi(num_vertices, num_edges, seed=SEED, weighted=True)
+    return erdos_renyi(num_vertices, num_edges, seed=SEED)
 
 
 def fresh_pairs(graph, rng, count):
@@ -111,8 +112,8 @@ class TestRoundTrip:
 
         algorithm = algorithm_factory()
         engine = GraphBoltEngine(
-            algorithm, num_iterations=ITERATIONS,
-            until_convergence=algorithm.uses_previous_value,
+            algorithm, ITERATION_CAP if algorithm.uses_previous_value
+            else ITERATIONS,
         )
         baseline = engine.run(graph).copy()
         engine.apply_mutations(MutationBatch.from_edges(
@@ -194,12 +195,10 @@ class TestPermutationInvariance:
             [0], 1 + rng.permutation(graph.num_vertices - 1)
         ]).astype(np.int64)
 
-        original = GraphBoltEngine(SSSP(source=0),
-                                   until_convergence=True)
+        original = GraphBoltEngine(SSSP(source=0), ITERATION_CAP)
         base_values = original.run(graph)
 
-        relabeled = GraphBoltEngine(SSSP(source=0),
-                                    until_convergence=True)
+        relabeled = GraphBoltEngine(SSSP(source=0), ITERATION_CAP)
         perm_values = relabeled.run(self._permuted(graph, perm))
 
         base_finite = np.isfinite(base_values)

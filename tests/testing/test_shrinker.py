@@ -10,6 +10,7 @@ divergence rather than passing vacuously.
 import pytest
 
 from repro.graph.mutation import MutationBatch
+from repro.testing import shrinker
 from repro.testing.oracle import check_workload
 from repro.testing.shrinker import _ddmin, shrink, to_pytest
 from repro.testing.workloads import Workload, generate_workload
@@ -43,9 +44,10 @@ class TestShrink:
         with pytest.raises(ValueError, match="failing workload"):
             shrink(healthy, lambda w: False)
 
-    def test_budget_exhaustion_returns_failing_workload(self):
+    def test_budget_exhaustion_returns_failing_workload(self, monkeypatch):
+        monkeypatch.setattr(shrinker, "MAX_CHECKS", 3)
         workload = _planted_workload()
-        result = shrink(workload, naive_fails, max_checks=3)
+        result = shrink(workload, naive_fails)
         assert result.exhausted
         assert naive_fails(result.workload)
 
@@ -76,7 +78,7 @@ class TestPlantABug:
         # detection is the bug, not harness noise.
         assert check_workload(workload).ok
 
-        result = shrink(workload, naive_fails, max_checks=400)
+        result = shrink(workload, naive_fails)
         shrunk = result.workload
         assert naive_fails(shrunk)
         assert shrunk.num_vertices <= 20
@@ -85,7 +87,7 @@ class TestPlantABug:
 
     def test_emitted_repro_is_executable(self):
         workload = _planted_workload()
-        result = shrink(workload, naive_fails, max_checks=400)
+        result = shrink(workload, naive_fails)
         source = to_pytest(result.workload, include_naive=True,
                            expect_divergence=True)
         assert "def test_fuzz_seed_999_pagerank" in source

@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms.registry import REGISTRY
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.mutation import MutationBatch
+from repro.ligra.delta import ITERATION_CAP
 from repro.testing.workloads import (
     BATCH_KINDS,
     FUZZ_ALGORITHMS,
@@ -74,7 +75,7 @@ class TestGeneration:
 
     def test_monotonic_and_vector_profiles_present(self):
         profiles = FUZZ_ALGORITHMS.values()
-        assert any(p.monotonic for p in profiles)
+        assert any(p.num_iterations == ITERATION_CAP for p in profiles)
         assert any(p.vector for p in profiles)
         assert len(FUZZ_ALGORITHMS) >= 3
 
