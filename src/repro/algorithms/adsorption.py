@@ -31,7 +31,8 @@ __all__ = ["Adsorption"]
 
 
 class Adsorption(IncrementalAlgorithm):
-    """Adsorption with hash-selected injected labels."""
+    """Adsorption with hash-selected injected labels; τ is absolute (a
+    linear sum, and every label keeps its share of abandonment)."""
 
     name = "adsorption"
     tolerance = 1e-12

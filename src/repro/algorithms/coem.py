@@ -33,7 +33,8 @@ __all__ = ["CoEM"]
 
 
 class CoEM(IncrementalAlgorithm):
-    """CoEM label scores with in-weight normalisation."""
+    """CoEM label scores with in-weight normalisation; τ is absolute
+    (scores in [0, 1], summed linearly)."""
 
     name = "coem"
     value_shape = ()

@@ -34,7 +34,8 @@ __all__ = ["CollaborativeFiltering"]
 
 
 class CollaborativeFiltering(IncrementalAlgorithm):
-    """ALS with K latent factors and ridge regularisation."""
+    """ALS with K latent factors and ridge regularisation; τ is absolute
+    (factors cross zero, where a relative τ has no scale)."""
 
     name = "collaborative_filtering"
     tolerance = 1e-12

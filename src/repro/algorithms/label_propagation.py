@@ -27,7 +27,8 @@ __all__ = ["LabelPropagation"]
 
 
 class LabelPropagation(IncrementalAlgorithm):
-    """Semi-supervised label propagation over weighted edges."""
+    """Semi-supervised label propagation over weighted edges; τ is
+    absolute (distributions summing to 1, summed linearly)."""
 
     name = "label_propagation"
     tolerance = 1e-12

@@ -27,7 +27,8 @@ __all__ = ["PageRank"]
 
 
 class PageRank(IncrementalAlgorithm):
-    """Damped PageRank with out-degree-normalised contributions."""
+    """Damped PageRank with out-degree-normalised contributions; τ is
+    absolute (no rank falls below ``1 - damping``)."""
 
     name = "pagerank"
     value_shape = ()

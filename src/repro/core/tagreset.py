@@ -84,8 +84,7 @@ class TagResetEngine:
                                     state.aggregate.copy())
         with Timer(self.metrics, "initial_run"):
             for _ in range(self.num_iterations):
-                history.append(self._delta.step(graph, state,
-                                                record_changes=True))
+                self._delta.step(graph, state, history)
         self._history = history
         self._values = state.values
         return state.values

@@ -162,14 +162,15 @@ class TestEarlyStopIsExact:
 
     def test_a_compare_that_runs_to_the_end_prices_sparse(self,
                                                           monkeypatch):
-        """BP's values settle mid-window: the compare after its last
-        dense iteration finds too few sources to price dense, so it
-        runs to the last row and the next iteration goes sparse."""
+        """BP's values settle late in a 10-iteration window (its τ is
+        relative): the compare after its last dense iteration finds too
+        few sources to price dense, so it runs to the last row and the
+        next iteration goes sparse."""
         graph = lambda: rmat(scale=9, edge_factor=6, seed=3, weighted=True)
         states, full_states, tags = both_ways(
             monkeypatch, lambda: BeliefPropagation(num_states=2,
                                                    tolerance=1e-4),
-            graph(), 8, 2, 5)
+            graph(), 10, 2, 5)
         assert states == full_states
         num_vertices = graph().num_vertices
         ran_out = [(tag, following)

@@ -17,7 +17,7 @@ import pytest
 from repro.algorithms import LabelPropagation, PageRank, SSSP
 from repro.core import refinement
 from repro.core.engine import GraphBoltEngine
-from repro.core.history import RollingState
+from repro.core.history import DependencyHistory, RollingState
 from repro.core.refinement import refine
 from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
@@ -144,7 +144,8 @@ class TestAllocation:
 
         delta = DeltaEngine(PageRank())
         state = delta.initial_state(graph)
-        record = delta.step(graph, state, record_changes=True)
+        record = delta.step(graph, state, DependencyHistory(state.values,
+                                                             state.aggregate))
         assert record.g_idx is None and record.c_idx is None
         assert np.shares_memory(record.g_values, state.aggregate)
         assert np.shares_memory(record.c_values, state.values)

@@ -21,6 +21,7 @@ from repro.algorithms import (
     PageRank,
     SSSP,
 )
+from repro.core.history import DependencyHistory
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import bipartite_graph, rmat
 from repro.ligra.delta import DeltaEngine, ITERATION_CAP
@@ -142,7 +143,8 @@ class TestEngineBehaviours:
         graph = rmat(scale=6, edge_factor=4, seed=2, weighted=True)
         engine = DeltaEngine(PageRank())
         state = engine.initial_state(graph)
-        record = engine.step(graph, state, record_changes=True)
+        history = DependencyHistory(state.values, state.aggregate)
+        record = engine.step(graph, state, history)
         assert record is not None
         # Each half matches the state at the recorded indices, or is the
         # state's own array (dense), frozen.

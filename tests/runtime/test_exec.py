@@ -511,11 +511,14 @@ class TestDenseSweepEndToEnd:
     that is smaller than the changed rows with their ids.  Both
     histories then grew (LP 4 186 704 -> 6 258 720, CF 10 113 248 ->
     14 667 152) when a densely refined iteration's record became its
-    two arrays whatever rows changed; values and edge counts held."""
+    two arrays whatever rows changed; values and edge counts held.
+    LP's values moved again (its history 6 258 720 -> 6 258 288, edges
+    held) when a row that moved by τ or less began keeping, in the
+    record, the value its out-neighbours absorbed."""
 
     PINS = {
-        "label-propagation": (LabelPropagation, 0x0DF538FB, 4_572_534,
-                              6_258_720),
+        "label-propagation": (LabelPropagation, 0xEE1A48C0, 4_572_534,
+                              6_258_288),
         "collaborative-filtering": (CollaborativeFiltering, 0x88A5BA48,
                                     4_224_398, 14_667_152),
     }
