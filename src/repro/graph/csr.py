@@ -167,6 +167,16 @@ class CSRGraph:
                 "in_offsets": self._in_offsets,
                 "in_sources": sources, "in_weights": weights}
 
+    def _serve_from(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Read the six arrays from ``arrays`` from now on: byte-equal
+        copies of them (a store's sealed segment maps), so the ones held
+        so far can be freed.  The in-direction must be built."""
+        self._out_offsets = arrays["out_offsets"]
+        self._out_targets = arrays["out_targets"]
+        self._out_weights = arrays["out_weights"]
+        self._in_offsets = self._in.offsets = arrays["in_offsets"]
+        self._in._arrays = (arrays["in_sources"], arrays["in_weights"])
+
     def _read_in(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(in_sources, in_weights)``, the one way in to them: marks
         them read (the next adjustment then splices its own at once)

@@ -232,8 +232,8 @@ def rmat_streamed(
             offsets = np.zeros(num_vertices + 1, dtype=np.int64)
             np.cumsum(in_degrees, out=offsets[1:])
             writer.append("in_offsets", offsets)
-            # publish: a bootstrap graph is durable (sealed), not a
-            # volatile generation (identity on a heap store).
+            # publish: the files are sealed as written; this names them
+            # in the manifest (identity on a heap store).
             return store.publish(writer.commit(num_vertices))
         except BaseException:
             writer.abort()

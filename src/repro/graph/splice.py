@@ -9,11 +9,12 @@ section 4.1: one offset pass, one edge-shift pass), in three parts:
   primitive that turns ``(vertex, neighbour)`` pairs into edge slots;
 - a per-direction *plan* -- the sorted slots the batch deletes and, for
   the additions, the slot each is inserted before;
-- an *emit* step that hands the snapshot writer
-  (:meth:`~repro.graph.storage.SnapshotStore.writer`) each edge array
-  as a few chunks, one ``append`` each: the untouched runs ``old[a:b]``
-  of a window of :data:`CHUNK_ELEMENTS` old slots with the sorted
-  additions between them, joined by one ``np.concatenate``.
+- an *emit* step that hands a heap writer
+  (:meth:`~repro.graph.storage.HeapStore.writer`, whatever store the
+  snapshot belongs to) each edge array as a few chunks, one ``append``
+  each: the untouched runs ``old[a:b]`` of a window of
+  :data:`CHUNK_ELEMENTS` old slots with the sorted additions between
+  them, joined by one ``np.concatenate``.
 
 A snapshot's in-edge (CSC) neighbour and weight arrays may be
 *deferred* (:class:`InEdges`): kept as the last ones built plus the
@@ -238,21 +239,18 @@ class InEdges:
     A deferred one is the batches applied since its *base*, the nearest
     predecessor whose arrays were built, one batch per link of a
     ``previous`` chain, so each adjustment adds O(1).  The first
-    :meth:`arrays` splices the backlog, one :func:`splice` per maximal
-    run of pair-disjoint batches (:func:`pair_disjoint_runs`, so the
-    bytes are those one splice per batch writes), through writers of
-    the snapshot's store
-    (:meth:`~repro.graph.storage.SnapshotStore.in_writer`): the last
-    run's into the snapshot's own arrays, earlier ones into
-    intermediate arrays nothing names.
+    :meth:`arrays` splices the backlog into heap arrays, one
+    :func:`splice` per maximal run of pair-disjoint batches
+    (:func:`pair_disjoint_runs`, so the bytes are those one splice per
+    batch writes); a seal writes the last run's like any other array.
 
     ``read`` records that the graph's in-edge accessors were used;
     :meth:`~repro.graph.storage.SnapshotStore.adjust` then splices the
     next snapshot's arrays at once.
     """
 
-    __slots__ = ("offsets", "read", "mutations", "base_edges", "store",
-                 "snapshot_id", "_arrays", "_previous", "_batch")
+    __slots__ = ("offsets", "read", "mutations", "base_edges",
+                 "_arrays", "_previous", "_batch")
 
     def __init__(self, offsets: np.ndarray, sources: np.ndarray,
                  weights: np.ndarray) -> None:
@@ -262,20 +260,16 @@ class InEdges:
         #: base's edge count.
         self.mutations = 0
         self.base_edges = int(sources.size)
-        #: Where a deferred splice writes (set by the adjusting store).
-        self.store = None
-        self.snapshot_id: Optional[str] = None
         self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = (
             sources, weights)
         self._previous: Optional[InEdges] = None
         self._batch: Optional[AppliedBatch] = None
 
-    def then(self, batch: AppliedBatch, store) -> "InEdges":
+    def then(self, batch: AppliedBatch) -> "InEdges":
         """The deferred in-direction of the snapshot ``batch`` makes
-        of this one, written through ``store`` once spliced."""
+        of this one."""
         after = InEdges.__new__(InEdges)
         after.offsets, after.read = None, False
-        after.store, after.snapshot_id = store, None
         after._arrays, after._previous, after._batch = None, self, batch
         after.mutations = (self.mutations + batch.add_src.size
                            + batch.del_src.size)
@@ -294,6 +288,9 @@ class InEdges:
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(in_sources, in_weights)``, spliced first if deferred."""
         if self._arrays is None:
+            # Imported here: repro.graph.storage imports this module.
+            from repro.graph.storage import HeapStore
+
             backlog, node = [], self
             while node._arrays is None:
                 backlog.append(node._batch)
@@ -303,19 +300,12 @@ class InEdges:
             runs = pair_disjoint_runs(backlog)
             with trace.span("adjust_structure",
                             deferred_batches=len(backlog)):
-                for index, run in enumerate(runs, 1):
-                    batch = _joined(run)
-                    writer = self.store.in_writer(
-                        self.snapshot_id if index == len(runs) else None)
-                    try:
-                        splice(writer, ("in_offsets", "in_sources",
-                                        "in_weights"),
-                               batch.num_vertices, offsets, sources, weights,
-                               batch.add_dst, batch.add_src, batch.add_weight,
-                               batch.del_dst, batch.del_src)
-                    except Exception:
-                        writer.abort()
-                        raise
+                for batch in map(_joined, runs):
+                    writer = HeapStore().writer()
+                    splice(writer, ("in_offsets", "in_sources", "in_weights"),
+                           batch.num_vertices, offsets, sources, weights,
+                           batch.add_dst, batch.add_src, batch.add_weight,
+                           batch.del_dst, batch.del_src)
                     offsets, sources, weights = writer.in_edges()
             self.offsets, self._arrays = offsets, (sources, weights)
             self._previous = self._batch = None

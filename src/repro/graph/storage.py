@@ -5,64 +5,65 @@ A :class:`SnapshotStore` decides where the six canonical arrays of a
 
 - :class:`HeapStore` -- plain heap ``ndarray``s, today's behaviour and
   the default.  ``publish`` is the identity; nothing touches disk.
-- :class:`MmapStore` -- arrays persisted to a spool directory in a
-  versioned, CRC-guarded binary layout and reopened as read-only
-  ``np.memmap`` views.  The engines, ``PartitionedCSR`` and the
-  dataflow layer run unmodified over the views because the
-  :class:`CSRGraph` slice API is unchanged; only the pages an engine
-  actually touches are resident.
+- :class:`MmapStore` -- sealed generations persisted to a spool
+  directory in a versioned, CRC-guarded binary layout and reopened as
+  read-only ``np.memmap`` views; an adjusted generation stays in heap
+  until a seal writes it.  The engines, ``PartitionedCSR`` and the
+  dataflow layer run unmodified over either because the
+  :class:`CSRGraph` slice API is unchanged; of a mapped generation only
+  the pages an engine actually touches are resident.
 
 On-disk layout of an :class:`MmapStore` root::
 
     manifest.json                      atomically-replaced JSON index
     <label>-g000000-out_offsets.seg    one segment file per array per
-    <label>-g000000-out_targets.seg    snapshot generation
+    <label>-g000000-out_targets.seg    sealed snapshot generation
     ...
 
 Each ``.seg`` file is a 64-byte header (magic+version, dtype code,
 element count, CRC32 of the payload) followed by the raw little-endian
-array payload.  Segment files are immutable once written: a new
-snapshot generation writes fresh files (each edge array as a few
-bounded chunks: the runs a batch leaves untouched, sliced from the old
-mapping, with the batch's additions spliced in between) and renames
-them into place.
+array payload.  Segment files are written once, by a seal, and never
+change after their rename.
 
-A generation starts **volatile**: its files are in place and mapped and
-the in-memory table lists it (``open_snapshot``, ``segment_files``,
-live counts and compaction see no difference) -- four of them while its
-in-edge arrays are deferred (:meth:`SnapshotStore.adjust`), the other
-two written at their first read or at the seal -- but nothing was
-fsynced, its entry has *no* ``crc32`` key (code that forgets to seal
-fails loudly) and ``manifest.json`` does not name it.
-:meth:`MmapStore.seal` makes it **sealed** -- payload read back for its
-CRC, header patched, files then directory fsynced, manifest replaced
-once with the entry (and the namer's pin) in it, directory fsynced again
--- exactly when something durable or remote is about to name it:
-``publish`` (bootstrap graphs), ``manifest_entry`` (*before* the
-checkpoint that embeds it is written), ``alias_snapshot`` (the
-replica's CRC then witnesses the bytes its own replay produced) and
-``verify``.  Durability of an acknowledged batch is the WAL's fsync; a
-restart opens the generation its newest checkpoint pins and replays the
-tail, so a crash can only ever lose volatile generations, whose unnamed
-files the next ``compact()`` reaps: *pinned => sealed => survives power
-loss*.  A kill inside a generation write (``storage.segment_write``), a
-seal (``storage.seal``) or between a seal and its checkpoint leaves an
-on-disk manifest that names sealed files only -- the storage crash
-sweep's rows.
+An adjusted generation starts **unsealed**: :meth:`SnapshotStore.adjust`
+splices it in heap exactly as :class:`HeapStore` does, and the store
+only mints its snapshot id and holds its graph.  No file exists for it
+(``segment_files`` is ``[]``) and ``manifest.json`` does not name it.
+:meth:`MmapStore.seal` writes its six segment files -- each payload's
+CRC computed from memory as it is written, header, file fsync, rename
+-- then fsyncs the directory and replaces the manifest once with the
+entry (and the namer's pin) in it, exactly when something durable or
+remote is about to name it: ``publish`` (bootstrap graphs),
+``manifest_entry`` (*before* the checkpoint that embeds it is written),
+``alias_snapshot`` (the replica's CRC then witnesses the bytes its own
+replay produced) and ``verify``.  Sealed, the graph reads its arrays
+from those files, like any sealed generation, and its heap copies go
+once nothing else holds them.  So the on-disk state is the last
+sealed generation plus the WAL tail: durability of an acknowledged
+batch is the WAL's fsync, and a restart opens the generation its newest
+checkpoint pins and replays the tail -- *pinned => sealed => survives
+power loss*.  A kill inside a seal (``storage.segment_write`` before a
+file's header, ``storage.seal`` before its fsync and before the
+manifest replace) or between a seal and its checkpoint leaves an
+on-disk manifest that names sealed files only, plus temps or unnamed
+files the next ``compact()`` reaps -- the storage crash sweep's rows.
+The out-of-core build (:meth:`SnapshotStore.writer`: the xl generator)
+streams its chunks straight into segment files and ``publish``
+registers them sealed.
 
 Generations no longer referenced by a live graph, the ``current``
-pointer (the newest generation; null on disk while that is volatile)
+pointer (the newest generation; null on disk while that is unsealed)
 or a checkpoint pin are *tombstoned*; :meth:`MmapStore.compact` (run
-opportunistically after each release) deletes their files -- those no
-surviving entry still names: an *alias* entry
-(:meth:`MmapStore.alias_snapshot`, a checkpoint's snapshot id bound to
-a generation the spool already holds) shares its generation's files --
-and rewrites the manifest only when a sealed entry went.  POSIX keeps
-open ``np.memmap`` views valid even after the backing file is unlinked,
-so compaction never races a reader -- not even the next adjustment,
-which reads the old generation through its mapping after a second
-:class:`MmapStore` on the root (every checkpoint restore makes one) may
-have unlinked its files.
+opportunistically after each release) drops an unsealed one from
+memory and deletes a sealed one's files -- those no surviving entry
+still names: an *alias* entry (:meth:`MmapStore.alias_snapshot`, a
+checkpoint's snapshot id bound to a generation the spool already holds)
+shares its generation's files -- rewriting the manifest only when a
+sealed entry went.  POSIX keeps open ``np.memmap`` views valid even
+after the backing file is unlinked, so compaction never races a reader
+-- not even the next adjustment, which reads a published generation
+through its mapping after a second :class:`MmapStore` on the root
+(every checkpoint restore makes one) may have unlinked its files.
 
 A store is chosen by a ``heap`` / ``mmap[:dir]`` spec
 (:func:`store_from_spec`): ``--snapshot-store`` on ``repro run`` /
@@ -75,13 +76,14 @@ import json
 import os
 import struct
 import tempfile
+import weakref
 import zlib
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.splice import AppliedBatch, InEdges, splice, spliced_offsets
+from repro.graph.splice import AppliedBatch, splice, spliced_offsets
 from repro.obs import trace
 from repro.obs.registry import get_registry
 
@@ -129,11 +131,6 @@ _MANIFEST_NAME = "manifest.json"
 
 class StoreError(ValueError):
     """A snapshot store's on-disk state failed validation."""
-
-
-def _is_sealed(entry: dict) -> bool:
-    """A table entry carries CRCs iff its generation was sealed."""
-    return all("crc32" in meta for meta in entry["arrays"].values())
 
 
 def _fsync_directory(path: str) -> None:
@@ -189,14 +186,6 @@ class SnapshotStore:
         full edge list never exists in heap at once."""
         raise NotImplementedError
 
-    def in_writer(self, snapshot_id: Optional[str]) -> "_SnapshotWriter":
-        """A writer for one run of a deferred in-direction splice
-        (:class:`~repro.graph.splice.InEdges`): append its three
-        arrays, then ``in_edges()`` returns them.  ``snapshot_id``
-        names the generation whose own arrays the last run writes;
-        ``None`` makes intermediate arrays nothing names."""
-        raise NotImplementedError
-
     def publish(self, graph: CSRGraph) -> CSRGraph:
         """Persist ``graph``'s arrays into the store and return the
         store-backed equivalent (identity for :class:`HeapStore`)."""
@@ -218,12 +207,13 @@ class SnapshotStore:
         """Build the post-batch snapshot and return it with the CSR
         slot of every added edge in it.
 
-        One :func:`~repro.graph.splice.splice` per direction through
-        this store's writers: each edge array arrives as a few bounded
-        chunks of ``old``'s untouched runs and the additions, so no
-        full edge list, mask or key array is ever built and the arrays
-        come out exactly as the :class:`CSRGraph` constructor would
-        order ``survivors ++ additions``.
+        One :func:`~repro.graph.splice.splice` per direction into heap
+        arrays, whatever the store: each edge array arrives as a few
+        bounded chunks of ``old``'s untouched runs and the additions, so
+        no full edge list, mask or key array is ever built and the
+        arrays come out exactly as the :class:`CSRGraph` constructor
+        would order ``survivors ++ additions``.  The store then takes
+        the graph as its next generation (:meth:`_hold`).
 
         The in-direction's offsets are written at once
         (:func:`~repro.graph.splice.spliced_offsets`); its neighbour
@@ -234,26 +224,25 @@ class SnapshotStore:
         many mutations as its base has edges.  Otherwise the first
         read, or a seal, splices them.
         """
-        in_edges = old._in.then(
-            AppliedBatch(num_vertices, add_src, add_dst, add_weight,
-                         del_src, del_dst), self)
-        writer = self.writer()
-        try:
-            added_slots = splice(
-                writer, ("out_offsets", "out_targets", "out_weights"),
-                num_vertices,
-                old.out_offsets, old.out_targets, old.out_weights,
-                add_src, add_dst, add_weight, del_src, del_dst,
-            )
-            writer.append("in_offsets", spliced_offsets(
-                old.in_offsets, num_vertices, add_dst, del_dst))
-        except Exception:
-            writer.abort()
-            raise
-        graph = writer.commit(num_vertices, in_edges)
+        in_edges = old._in.then(AppliedBatch(
+            num_vertices, add_src, add_dst, add_weight, del_src, del_dst))
+        writer = _HeapWriter()
+        added_slots = splice(
+            writer, ("out_offsets", "out_targets", "out_weights"),
+            num_vertices,
+            old.out_offsets, old.out_targets, old.out_weights,
+            add_src, add_dst, add_weight, del_src, del_dst,
+        )
+        writer.append("in_offsets", spliced_offsets(
+            old.in_offsets, num_vertices, add_dst, del_dst))
+        graph = self._hold(writer.commit(num_vertices, in_edges))
         if old._in.read or in_edges.due():
             in_edges.arrays()
         return graph, added_slots
+
+    def _hold(self, graph: CSRGraph) -> CSRGraph:
+        """Take an adjusted heap graph as this store's next snapshot."""
+        return graph
 
     def describe(self) -> str:
         return self.kind
@@ -267,9 +256,6 @@ class HeapStore(SnapshotStore):
     def writer(self) -> "_HeapWriter":
         return _HeapWriter()
 
-    def in_writer(self, snapshot_id: Optional[str]) -> "_HeapWriter":
-        return _HeapWriter()
-
     def publish(self, graph: CSRGraph) -> CSRGraph:
         return graph
 
@@ -278,15 +264,8 @@ class _SnapshotWriter:
     def append(self, name: str, chunk: np.ndarray) -> None:
         raise NotImplementedError
 
-    def commit(self, num_vertices: int, in_edges=None) -> CSRGraph:
-        """The graph of the appended arrays: all six, or the
-        out-direction and ``in_offsets`` under a deferred
-        ``in_edges``."""
-        raise NotImplementedError
-
-    def in_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(in_offsets, in_sources, in_weights)`` of an in-direction
-        splice run."""
+    def commit(self, num_vertices: int) -> CSRGraph:
+        """The graph of the six appended arrays."""
         raise NotImplementedError
 
     def abort(self) -> None:
@@ -338,7 +317,9 @@ class _HeapWriter(_SnapshotWriter):
                 else np.empty(0, dtype=np.dtype(ARRAY_DTYPES[name])))
 
     def commit(self, num_vertices: int, in_edges=None) -> CSRGraph:
-        # Deferred: the out-direction and in_offsets only.
+        """The graph of the appended arrays: all six, or the
+        out-direction and ``in_offsets`` under a deferred
+        ``in_edges``."""
         names = ARRAY_NAMES if in_edges is None else ARRAY_NAMES[:4]
         arrays = {name: self._array(name) for name in names}
         self._chunks = {name: [] for name in ARRAY_NAMES}
@@ -347,6 +328,8 @@ class _HeapWriter(_SnapshotWriter):
                                        **arrays)
 
     def in_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(in_offsets, in_sources, in_weights)`` of an in-direction
+        splice run."""
         return tuple(self._array(name) for name in ARRAY_NAMES[3:])
 
 
@@ -428,10 +411,11 @@ def verify_segment_blob(blob, context: str = "<blob>"
 
 
 class _SegmentFile:
-    """One array's segment file under incremental construction.
+    """One array's segment file under construction.
 
     Unbuffered and written at explicit offsets (the payload position
-    is ``count``): one ``pwrite`` per appended chunk, then the header.
+    is ``count``): one ``pwrite`` per appended chunk, whose CRC is
+    folded in as it goes, then the header, an fsync and the rename.
     """
 
     def __init__(self, root: str, name: str) -> None:
@@ -442,6 +426,7 @@ class _SegmentFile:
         )
         self._stream = os.fdopen(fd, "wb", buffering=0)
         self.count = 0
+        self.crc = 0
 
     def _position(self) -> int:
         return _HEADER_SIZE + self.count * self.dtype.itemsize
@@ -455,7 +440,9 @@ class _SegmentFile:
     def append(self, chunk: np.ndarray) -> None:
         chunk = np.ascontiguousarray(chunk, dtype=self.dtype)
         if chunk.size:
-            self._write(chunk.reshape(-1).view(np.uint8), self._position())
+            data = chunk.reshape(-1).view(np.uint8)
+            self.crc = zlib.crc32(data, self.crc)
+            self._write(data, self._position())
             self.count += int(chunk.size)
 
     def finalize(self, final_path: str) -> None:
@@ -464,25 +451,23 @@ class _SegmentFile:
         # every engine, which pulls this package back in).
         from repro.testing import faults
 
-        # The failpoint sits after the payload but before the header
-        # + rename: an injected crash here leaves a torn temp file
-        # (payload without a valid header, never renamed), which is
-        # exactly the artifact a real mid-write kill leaves.  No CRC,
-        # no fsync: the generation is volatile until sealed.
-        faults.hit("storage.segment_write")
-        self._write(_pack_header(str(self.dtype.str), self.count, 0), 0)
+        fd = self._stream.fileno()
+        # The failpoints sit after the payload: a crash at the first
+        # leaves a torn temp file (payload without a header, never
+        # renamed), at the second a whole one never synced or renamed
+        # -- the artifacts a real mid-seal kill leaves.  A corrupt plan
+        # flips one payload byte *after* the CRC was computed: planted
+        # bit-rot the header cannot see, which only a payload re-read
+        # (scrub/verify) can detect.
+        if faults.hit_corruptible("storage.segment_write") and self.count:
+            offset = _HEADER_SIZE + self.count * self.dtype.itemsize // 2
+            os.pwrite(fd, bytes([os.pread(fd, 1, offset)[0] ^ 0x01]),
+                      offset)
+        self._write(_pack_header(self.dtype.str, self.count, self.crc), 0)
+        faults.hit("storage.seal")
+        os.fsync(fd)
         self._stream.close()
         os.replace(self.tmp_path, final_path)
-
-    def unlinked(self) -> np.ndarray:
-        """The payload as a read-only map of the temp file, which is
-        unlinked at once: an array nothing names, kept on disk only for
-        as long as its mapping lives."""
-        self._stream.close()
-        try:
-            return _map_payload(self.tmp_path, self.dtype, self.count)
-        finally:
-            os.unlink(self.tmp_path)
 
     def discard(self) -> None:
         try:
@@ -503,7 +488,9 @@ def _map_payload(path: str, dtype: np.dtype, count: int) -> np.ndarray:
 
 
 class _MmapWriter(_SnapshotWriter):
-    """Write one snapshot generation's segment files, then publish."""
+    """Stream one generation's arrays into segment files, then register
+    it sealed (the out-of-core build; :meth:`MmapStore.publish` then
+    writes the manifest)."""
 
     def __init__(self, store: "MmapStore") -> None:
         self._store = store
@@ -518,23 +505,21 @@ class _MmapWriter(_SnapshotWriter):
     def append(self, name: str, chunk: np.ndarray) -> None:
         self._segment(name).append(chunk)
 
-    def commit(self, num_vertices: int, in_edges=None) -> CSRGraph:
+    def commit(self, num_vertices: int) -> CSRGraph:
         if self._done:
             raise RuntimeError("writer already committed")
-        # Deferred: four files, the out-direction and in_offsets.
-        names = ARRAY_NAMES if in_edges is None else ARRAY_NAMES[:4]
-        segments = {name: self._segment(name) for name in names}
+        segments = {name: self._segment(name) for name in ARRAY_NAMES}
         edge_count = segments["out_targets"].count
         for name in ("out_weights", "in_sources", "in_weights"):
-            if name in segments and segments[name].count != edge_count:
+            if segments[name].count != edge_count:
                 raise StoreError(
                     f"array {name} has {segments[name].count} "
                     f"elements, expected {edge_count}"
                 )
+        snapshot_id = self._store._mint_snapshot_id()
         try:
-            graph = self._store._publish_generation(
-                num_vertices, segments, in_edges
-            )
+            self._store._seal_segments(snapshot_id, num_vertices,
+                                       segments.values())
         except Exception:
             # Ordinary failures tidy the temp files; an InjectedCrash
             # (BaseException) deliberately does not -- a killed process
@@ -543,7 +528,8 @@ class _MmapWriter(_SnapshotWriter):
             self.abort()
             raise
         self._done = True
-        return graph
+        self._store._manifest["current"] = snapshot_id
+        return self._store.open_snapshot(snapshot_id)
 
     def abort(self) -> None:
         if self._done:
@@ -551,37 +537,6 @@ class _MmapWriter(_SnapshotWriter):
         for segment in self._segments.values():
             segment.discard()
         self._done = True
-
-
-class _MmapInWriter(_SnapshotWriter):
-    """One run of a deferred in-direction splice as segment files: the
-    generation ``snapshot_id``'s own, named in its table entry, or (an
-    intermediate run, or a generation compaction already dropped)
-    unlinked files kept only by their mappings.  The run's offsets are
-    O(V) and stay in heap: the generation wrote its own when it was
-    adjusted."""
-
-    def __init__(self, store: "MmapStore",
-                 snapshot_id: Optional[str]) -> None:
-        self._store = store
-        self._snapshot_id = snapshot_id
-        self._offsets: Optional[np.ndarray] = None
-        self._segments = {name: _SegmentFile(store.root, name)
-                          for name in ARRAY_NAMES[4:]}
-
-    def append(self, name: str, chunk: np.ndarray) -> None:
-        if name == "in_offsets":
-            self._offsets = chunk
-        else:
-            self._segments[name].append(chunk)
-
-    def in_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self._offsets, *self._store._publish_in_edges(
-            self._snapshot_id, self._segments))
-
-    def abort(self) -> None:
-        for segment in self._segments.values():
-            segment.discard()
 
 
 # ----------------------------------------------------------------------
@@ -612,8 +567,8 @@ class MmapStore(SnapshotStore):
         if not label or any(ch in label for ch in "/\\ \t\n"):
             raise ValueError(f"invalid store label {label!r}")
         self._live: Dict[str, int] = {}
-        #: Volatile generations whose in-edge arrays are not written yet.
-        self._deferred_in: Dict[str, InEdges] = {}
+        #: Adjusted generations no seal has written yet: their graphs.
+        self._unsealed: Dict[str, "weakref.ref[CSRGraph]"] = {}
         #: Sealed entries or pins the on-disk manifest does not hold yet.
         self._unwritten = False
         self._manifest = self._read_manifest()
@@ -648,17 +603,15 @@ class MmapStore(SnapshotStore):
         return manifest
 
     def _write_manifest(self) -> None:
-        """Persist the sealed part of the table: the on-disk manifest
-        never names a file that was not fsynced first."""
-        sealed = {snapshot_id: entry for snapshot_id, entry
-                  in self._manifest["snapshots"].items()
-                  if _is_sealed(entry)}
+        """Persist the table: it names sealed generations only, whose
+        files were fsynced first, and no ``current`` while that is
+        unsealed."""
         current = self.current_snapshot
         atomic_write(
             self._manifest_path,
-            json.dumps({**self._manifest, "snapshots": sealed,
-                        "current": current if current in sealed else None},
-                       indent=1, sort_keys=True),
+            json.dumps({**self._manifest, "current": (
+                current if current in self._manifest["snapshots"]
+                else None)}, indent=1, sort_keys=True),
             fsync=True,
         )
         self._unwritten = False
@@ -670,9 +623,9 @@ class MmapStore(SnapshotStore):
         return f"{self.label}-g{generation:06d}"
 
     def snapshot_ids(self) -> List[str]:
-        """Every generation in the in-memory table, volatile ones
-        included (``manifest.json`` lists the sealed subset)."""
-        return sorted(self._manifest["snapshots"])
+        """Every generation this store holds, unsealed ones included
+        (``manifest.json`` lists the sealed subset)."""
+        return sorted([*self._manifest["snapshots"], *self._unsealed])
 
     @property
     def current_snapshot(self) -> Optional[str]:
@@ -681,9 +634,6 @@ class MmapStore(SnapshotStore):
     # -- publish / open ------------------------------------------------
     def writer(self) -> _MmapWriter:
         return _MmapWriter(self)
-
-    def in_writer(self, snapshot_id: Optional[str]) -> _MmapInWriter:
-        return _MmapInWriter(self, snapshot_id)
 
     def publish(self, graph: CSRGraph) -> CSRGraph:
         """Persist ``graph`` (unless this store already holds it) and
@@ -696,51 +646,23 @@ class MmapStore(SnapshotStore):
         self.seal(graph.snapshot_id)
         return graph
 
-    def _publish_generation(self, num_vertices: int,
-                            segments: Dict[str, _SegmentFile],
-                            in_edges) -> CSRGraph:
-        """Register a *volatile* generation: files renamed into place,
-        entry in the in-memory table only, nothing synced.  Under a
-        deferred ``in_edges`` the in-edge arrays follow when it is
-        spliced (:meth:`_publish_in_edges`)."""
+    def _hold(self, graph: CSRGraph) -> CSRGraph:
+        """Mint an id for an adjusted heap graph and hold it unsealed,
+        as the current generation: nothing is written."""
         snapshot_id = self._mint_snapshot_id()
-        entry: dict = {"num_vertices": int(num_vertices), "arrays": {}}
-        for name, segment in segments.items():
-            entry["arrays"][name] = self._finalize(snapshot_id, name,
-                                                   segment)
-        self._manifest["snapshots"][snapshot_id] = entry
+        # Weakly: a strong reference would close a cycle (graph.store ->
+        # store -> graph) that keeps a dropped store's generations in
+        # heap until the cycle collector runs -- after every writer kill.
+        self._unsealed[snapshot_id] = weakref.ref(graph)
+        graph.store, graph.snapshot_id = self, snapshot_id
         self._manifest["current"] = snapshot_id
-        if in_edges is not None:
-            in_edges.snapshot_id = snapshot_id
-            self._deferred_in[snapshot_id] = in_edges
-        return self.open_snapshot(snapshot_id)
-
-    def _finalize(self, snapshot_id: str, name: str,
-                  segment: _SegmentFile) -> dict:
-        file_name = f"{snapshot_id}-{name}.seg"
-        segment.finalize(os.path.join(self.root, file_name))
-        return {"file": file_name, "dtype": str(segment.dtype.str),
-                "count": segment.count}
-
-    def _publish_in_edges(self, snapshot_id: Optional[str],
-                          segments: Dict[str, _SegmentFile]
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """Name a deferred generation's spliced in-edge segments in its
-        entry and map them; segments no entry can name are mapped and
-        unlinked."""
-        entry = self._manifest["snapshots"].get(snapshot_id)
-        if entry is None:
-            return tuple(segment.unlinked() for segment in segments.values())
-        arrays = entry["arrays"]
-        for name, segment in segments.items():
-            arrays[name] = self._finalize(snapshot_id, name, segment)
-        entry["arrays"] = {name: arrays[name] for name in ARRAY_NAMES}
-        self._deferred_in.pop(snapshot_id, None)
-        return tuple(self._open_array(arrays[name]) for name in segments)
+        self._live[snapshot_id] = self._live.get(snapshot_id, 0) + 1
+        return graph
 
     def seal(self, snapshot_id: str, owner: Optional[str] = None) -> None:
-        """Make a volatile generation durable and CRC-guarded (no-op on
-        a sealed one), before anything durable or remote names it.
+        """Write an unsealed generation's segment files, durable and
+        CRC-guarded (no-op on a sealed one), before anything durable or
+        remote names it.
 
         ``owner`` -- the checkpoint path about to name the generation --
         is recorded as a *pin* by the same manifest replace: the files
@@ -761,46 +683,56 @@ class MmapStore(SnapshotStore):
             self._write_manifest()
 
     def _seal_files(self, snapshot_id: str) -> None:
-        """The file half of a seal: CRCs into the headers and the table
-        entry, files then directory fsynced; the manifest is the
-        caller's to replace."""
-        entry = self._manifest["snapshots"][snapshot_id]
-        if _is_sealed(entry):
+        """The file half of a seal: the six arrays written from memory
+        (a deferred in-direction spliced first), then served from the
+        files like any sealed generation's, so the heap copies go once
+        nothing else holds them; the manifest is the caller's to
+        replace."""
+        if snapshot_id in self._manifest["snapshots"]:
             return
-        if snapshot_id in self._deferred_in:  # write them before the CRCs
-            self._deferred_in[snapshot_id].arrays()
+        graph = self._unsealed[snapshot_id]()
+        if graph is None:
+            raise StoreError(f"generation {snapshot_id!r} was dropped "
+                             "before a seal wrote it")
+        arrays = graph.canonical_arrays()
+
+        def written(name: str) -> _SegmentFile:
+            segment = _SegmentFile(self.root, name)
+            segment.append(arrays[name])
+            return segment
+
+        self._seal_segments(snapshot_id, graph.num_vertices,
+                            map(written, ARRAY_NAMES))
+        del self._unsealed[snapshot_id]
+        graph._serve_from({
+            name: self._open_array(meta) for name, meta
+            in self._manifest["snapshots"][snapshot_id]["arrays"].items()})
+
+    def _seal_segments(self, snapshot_id: str, num_vertices: int,
+                       segments) -> None:
+        """Finalize ``segments`` (one per array, in manifest order) as
+        the sealed generation ``snapshot_id``: each file renamed after
+        its CRC header and fsync, then the directory fsynced; the entry
+        joins the in-memory table."""
         from repro.testing import faults  # see _SegmentFile.finalize
 
-        crcs, bytes_read = {}, 0
+        arrays, written = {}, 0
         with trace.span("store.seal", snapshot=snapshot_id) as span:
-            for name in ARRAY_NAMES:
-                meta = entry["arrays"][name]
-                size = meta["count"] * np.dtype(meta["dtype"]).itemsize
-                faults.hit("storage.seal")
-                with open(os.path.join(self.root, meta["file"]),
-                          "r+b") as stream:
-                    fd = stream.fileno()
-                    crcs[name] = _payload_crc32(stream)
-                    # A corrupt plan flips one payload byte *after*
-                    # the CRC was computed -- planted bit-rot the
-                    # header cannot see, which only a payload re-read
-                    # (scrub/verify) can detect.
-                    if (faults.hit_corruptible("storage.segment_write")
-                            and size):
-                        offset = _HEADER_SIZE + size // 2
-                        byte = os.pread(fd, 1, offset)
-                        os.pwrite(fd, bytes([byte[0] ^ 0x01]), offset)
-                    os.pwrite(fd, _pack_header(
-                        meta["dtype"], meta["count"], crcs[name]), 0)
-                    os.fsync(fd)
-                bytes_read += size
+            for segment in segments:
+                file_name = f"{snapshot_id}-{segment.name}.seg"
+                segment.finalize(os.path.join(self.root, file_name))
+                arrays[segment.name] = {
+                    "file": file_name, "dtype": segment.dtype.str,
+                    "count": segment.count, "crc32": segment.crc,
+                }
+                written += segment.count * segment.dtype.itemsize
             _fsync_directory(self.root)
             # A kill here leaves six sealed files no manifest names.
             faults.hit("storage.seal")
-            for name, crc in crcs.items():
-                entry["arrays"][name]["crc32"] = crc
-            self._unwritten = True
-            span.tag(bytes_read=bytes_read, fsyncs=len(ARRAY_NAMES) + 3)
+            span.tag(bytes_written=written, fsyncs=len(ARRAY_NAMES) + 3)
+        self._manifest["snapshots"][snapshot_id] = {
+            "num_vertices": int(num_vertices), "arrays": arrays}
+        self._unwritten = True
         get_registry().counter("store.generations_sealed").inc()
 
     def _open_array(self, meta: dict, verify: bool = False) -> np.ndarray:
@@ -812,8 +744,7 @@ class MmapStore(SnapshotStore):
                 f"segment {path} header disagrees with manifest "
                 f"({dtype},{count}) != ({meta['dtype']},{meta['count']})"
             )
-        # A volatile entry has no CRC to compare (and a zero header).
-        if "crc32" in meta and crc != int(meta["crc32"]):
+        if crc != int(meta["crc32"]):
             raise StoreError(f"segment {path} CRC header/manifest mismatch")
         return _map_payload(path, np.dtype(dtype), count)
 
@@ -832,15 +763,14 @@ class MmapStore(SnapshotStore):
                   for name, meta in entry["arrays"].items()}
         graph = CSRGraph.from_canonical(
             int(entry["num_vertices"]), store=self,
-            snapshot_id=snapshot_id,
-            in_edges=self._deferred_in.get(snapshot_id), **arrays,
+            snapshot_id=snapshot_id, **arrays,
         )
         self._live[snapshot_id] = self._live.get(snapshot_id, 0) + 1
         return graph
 
     def verify(self, snapshot_id: Optional[str] = None) -> None:
         """Full payload-CRC verification of one snapshot (default:
-        current), sealing it first if it was volatile.  Raises
+        current), sealing it first if it was unsealed.  Raises
         :class:`StoreError` on any mismatch."""
         snapshot_id = snapshot_id or self.current_snapshot
         if snapshot_id is None:
@@ -876,29 +806,29 @@ class MmapStore(SnapshotStore):
 
         A generation is tombstoned when no live graph references it,
         it is not the manifest's ``current``, and no pin with a
-        still-existing owner file protects it.  Dropping a volatile
-        generation only unlinks its files; the manifest is rewritten
+        still-existing owner file protects it.  Dropping an unsealed
+        generation only lets go of its graph; the manifest is rewritten
         when a sealed one goes.  Returns the deleted snapshot ids.
         """
         keep = self._retained()
-        doomed = [sid for sid in self._manifest["snapshots"]
-                  if sid not in keep]
+        doomed = [sid for sid in self.snapshot_ids() if sid not in keep]
         doomed_files = set()
         sealed = 0
         for snapshot_id in doomed:
+            if self._unsealed.pop(snapshot_id, None) is not None:
+                continue
             entry = self._manifest["snapshots"].pop(snapshot_id)
             self._manifest["pins"].pop(snapshot_id, None)
-            self._deferred_in.pop(snapshot_id, None)
             doomed_files.update(meta["file"]
                                 for meta in entry["arrays"].values())
-            sealed += _is_sealed(entry)
+            sealed += 1
         if sealed:
             stale_pins = [sid for sid in self._manifest["pins"]
                           if sid not in self._manifest["snapshots"]]
             for snapshot_id in stale_pins:
                 del self._manifest["pins"][snapshot_id]
             self._write_manifest()
-        get_registry().counter("store.generations_volatile_released").inc(
+        get_registry().counter("store.generations_released_unsealed").inc(
             len(doomed) - sealed)
         # Files are reference-counted across entries: an alias keeps
         # the files of the generation it was bound to alive after that
@@ -1010,11 +940,12 @@ class MmapStore(SnapshotStore):
         self.seal(reference["snapshot"], owner)  # the one manifest replace
 
     def segment_files(self, snapshot_id: str) -> List[str]:
-        """File names (relative to root) backing one snapshot: four
-        while its in-edge arrays are deferred, else six."""
+        """File names (relative to root) backing one snapshot: its six
+        segments once sealed, none while it is unsealed."""
+        if snapshot_id in self._unsealed:
+            return []
         arrays = self._manifest["snapshots"][snapshot_id]["arrays"]
-        return [arrays[name]["file"] for name in ARRAY_NAMES
-                if name in arrays]
+        return [arrays[name]["file"] for name in ARRAY_NAMES]
 
     def describe(self) -> str:
         return f"mmap:{self.root}"

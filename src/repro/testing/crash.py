@@ -543,10 +543,12 @@ def _power_loss(run: _ClusterRun) -> None:
     """Cut the power to every node at once, three batches past a
     mid-stream checkpoint.  What that may do to data never fsynced is
     planted by hand: every file under a store root that the *on-disk*
-    manifest does not name (volatile generations, temps) is truncated
+    manifest does not name (a seal's temps or unnamed files) is truncated
     to zero length, every WAL segment and checkpoint cut to the size
     its last fsync covered, and a checkpoint no fsync of
-    ``checkpoints/`` named is gone.  Recovery may rely on nothing else."""
+    ``checkpoints/`` named is gone.  The writer's generations since the
+    checkpoint were never written at all.  Recovery may rely on nothing
+    else."""
     cluster = run.node
     # inode -> what its last fsync covered: a file's size, a
     # directory's names.
@@ -581,7 +583,11 @@ def _power_loss(run: _ClusterRun) -> None:
         for batch in run.schedule[1:4]:
             cluster.submit(batch)
             cluster.replicate()
-    nodes = [(manager, cluster.writer.server.graph.store.root)]
+    graph = cluster.writer.server.graph
+    # There is unsynced state to lose: the writer stands on a generation
+    # only its memory holds.
+    run.round.fired = not graph.store.segment_files(graph.snapshot_id)
+    nodes = [(manager, graph.store.root)]
     nodes += [(replica.manager, replica.store_root)
               for replica in cluster.replicas.values()]
     for name in cluster.replicas:
@@ -595,7 +601,6 @@ def _power_loss(run: _ClusterRun) -> None:
             for meta in entry["arrays"].values()}
         for name in set(os.listdir(store_root)) - durable:
             os.truncate(os.path.join(store_root, name), 0)
-            run.round.fired = True  # there was unsynced state to lose
         cut(node_manager.wal.directory, named=False)
         cut(os.path.join(node_manager.directory, "checkpoints"),
             named=True)
@@ -713,18 +718,19 @@ def _checkpoint_graph(graph, path: str) -> None:
 
 def storage_crash_round(scenario: Scenario, root: str,
                         seed: int = 7) -> CrashRound:
-    """Kill the armed segment finalize of a generation write -- or the
-    seal a checkpoint of that generation starts (``storage.seal`` rows),
-    or that checkpoint once its seal has recorded the pin
-    (``checkpoint.replace``) -- and prove the on-disk manifest names
-    sealed generations only.
+    """Kill the seal a checkpoint of an adjusted generation starts --
+    inside a segment write before its header (``storage.segment_write``
+    rows), before a file's fsync or the manifest replace
+    (``storage.seal`` rows) -- or that checkpoint once its seal has
+    recorded the pin (``checkpoint.replace``), and prove the on-disk
+    manifest names sealed generations only.
 
     The sequence mirrors a real process death: publish generation 0,
-    apply a mutation batch whose :meth:`MmapStore.adjust` (or whose
-    checkpoint) is killed mid-persist, leaving finalized orphans and a
-    torn temp file (or sealed files no manifest names, or a pin whose
-    owner never landed) on disk, then "restart" by opening a *fresh*
-    store over the same root.  The round checks that
+    apply a mutation batch (held in memory, no file written) whose
+    checkpoint is killed mid-seal, leaving renamed orphans and a torn
+    or unsynced temp file (or sealed files no manifest names, or a pin
+    whose owner never landed) on disk, then "restart" by opening a
+    *fresh* store over the same root.  The round checks that
 
     1. the reopened store lists exactly what was sealed before the kill
        and points at the newest of it, verifies its payload CRCs, and
@@ -755,18 +761,14 @@ def storage_crash_round(scenario: Scenario, root: str,
                  for name in ARRAY_NAMES}
 
     streaming = StreamingGraph(base)
+    streaming.apply_batch(batch)  # held in memory: writes no file
+    sealed_before = [base.snapshot_id]
+    if sealed:
+        sealed_before.append(streaming.graph.snapshot_id)
     with scoped_failpoints() as registry:
-        if site != "storage.segment_write":
-            streaming.apply_batch(batch)
-        sealed_before = [base.snapshot_id]
-        if sealed:
-            sealed_before.append(streaming.graph.snapshot_id)
         registry.arm(site, kind=kind, hit=hit)
         try:
-            if site != "storage.segment_write":
-                _checkpoint_graph(streaming.graph, checkpoint)
-            else:
-                streaming.apply_batch(batch)
+            _checkpoint_graph(streaming.graph, checkpoint)
         except InjectedCrash:
             round_.crashes += 1
         round_.fired = bool(registry.fired)
@@ -895,9 +897,10 @@ SWEEPS: Dict[str, Tuple[Scenario, ...]] = {
         Scenario("black-hole", "cluster", choreography=_black_hole,
                  invariant=_dead_lettered, seed_offset=1009),
     ),
-    # One kill per segment of a generation write, then one per file of
-    # the seal a checkpoint starts, one before its manifest replace, and
-    # one after it (pin recorded) before the checkpoint's own replace.
+    # Inside the seal a checkpoint starts: one kill per segment before
+    # its header, one per segment before its fsync, one before the
+    # manifest replace, and one after it (pin recorded) before the
+    # checkpoint's own replace.
     "storage": tuple(
         Scenario(f"segment-{hit}", "storage",
                  ("storage.segment_write", "crash", hit))

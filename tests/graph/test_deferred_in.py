@@ -6,8 +6,8 @@ in-direction the :class:`CSRGraph` constructor builds -- one splice per
 maximal run of pair-disjoint batches, on heap and out of core alike;
 an adjustment splices at once only after a read of its predecessor or
 once the backlog holds as many mutations as its base has edges; and an
-mmap generation writes its in-edge segments at first read or at seal,
-with the CRCs an eager store would have sealed.
+mmap generation writes no segment before its seal, whose six files hold
+the bytes a heap store's arrays hold, read or not.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch, pair_disjoint_runs
-from repro.graph.storage import ARRAY_NAMES, MmapStore
+from repro.graph.storage import ARRAY_NAMES, HeapStore, MmapStore
 from repro.obs import trace
 from repro.obs.trace import Tracer
 
@@ -188,7 +188,7 @@ class TestSplicedWhenRead:
 
 
 class TestMmapGenerations:
-    def test_four_files_until_sealed_then_the_eager_crcs(self, tmp_path):
+    def test_no_files_until_sealed_then_the_eager_crcs(self, tmp_path):
         graph = simple_graph()
         batches = mixed_stream(graph, num_batches=6)
         crcs, files = {}, {}
@@ -206,20 +206,51 @@ class TestMmapGenerations:
             crcs[kind] = {name: entry["arrays"][name]["crc32"]
                           for name in ARRAY_NAMES}
             store.verify(snapshot_id)
-        assert files == {"deferred": 4, "eager": 6}
+        assert files == {"deferred": 0, "eager": 0}
         assert crcs["deferred"] == crcs["eager"]
 
-    def test_a_first_read_writes_the_in_segments(self, tmp_path):
+    @pytest.mark.parametrize("reads_in", [False, True])
+    def test_each_seal_writes_the_heap_stores_bytes(self, reads_in,
+                                                    tmp_path):
+        """Sealed every third batch, a stream that reads the
+        in-direction and one that never does: each seal's six payloads
+        are the heap store's arrays for the same stream, byte for
+        byte."""
+        graph = simple_graph()
+        store = MmapStore(str(tmp_path))
+        mmapped = StreamingGraph(store.publish(graph))
+        heap = StreamingGraph(HeapStore().publish(graph))
+        for index, batch in enumerate(mixed_stream(graph, num_batches=12)):
+            if reads_in:
+                mmapped.graph.in_sources
+            mmapped.apply_batch(batch)
+            heap.apply_batch(batch)
+            if index % 3 != 2:
+                continue
+            snapshot_id = mmapped.graph.snapshot_id
+            assert mmapped.graph.in_deferred is not reads_in
+            assert store.segment_files(snapshot_id) == []
+            store.seal(snapshot_id)
+            names = store.segment_files(snapshot_id)
+            assert len(names) == len(ARRAY_NAMES)
+            for name, file_name in zip(ARRAY_NAMES, names):
+                with open(tmp_path / file_name, "rb") as stream:
+                    payload = stream.read()[64:]
+                assert payload == getattr(heap.graph, name).tobytes(), name
+
+    def test_a_first_read_writes_no_file(self, tmp_path):
         store = MmapStore(str(tmp_path))
         streaming = StreamingGraph(store.publish(simple_graph()))
         for batch in mixed_stream(simple_graph(), num_batches=3):
             streaming.apply_batch(batch)
         graph = streaming.graph
-        assert len(store.segment_files(graph.snapshot_id)) == 4
+        before = sorted(p.name for p in tmp_path.iterdir())
         sources = graph.in_sources
-        assert isinstance(sources, np.memmap)
-        assert len(store.segment_files(graph.snapshot_id)) == 6
-        # A second view of the generation reads the same files.
+        assert not isinstance(sources, np.memmap)
+        assert store.segment_files(graph.snapshot_id) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        # Sealed, the generation reopens from its six files.
+        store.seal(graph.snapshot_id)
         again = store.open_snapshot(graph.snapshot_id)
         assert not again.in_deferred
         assert_bytes_equal(again, constructed(graph))
@@ -256,7 +287,7 @@ class TestMmapGenerations:
         for batch in batches:
             replayed.apply_batch(batch)
         held = replayed.graph.snapshot_id
-        assert len(replica.segment_files(held)) == 4
+        assert replica.segment_files(held) == []
         owner = tmp_path / "ckpt.ckpt"
         owner.write_text("")
         replica.alias_snapshot(reference, held, str(owner))

@@ -146,7 +146,7 @@ class TestSpliceEqualsRebuild:
         oracle = rebuilt(old, num_vertices, *delta)
         assert_bit_equal(spliced, oracle)
         self._check_added_slots(spliced, added, *delta[:3])
-        # adjust leaves the generation volatile; sealed, the byte
+        # adjust leaves the generation unsealed; sealed, the byte
         # comparison below covers its headers and CRCs too
         store.verify(spliced.snapshot_id)
         reference = MmapStore(str(tmp_path / "reference"))

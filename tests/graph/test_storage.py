@@ -5,8 +5,9 @@ unchanged :class:`CSRGraph` slice API -- every array it serves is
 bit-for-bit equal to the heap build it was published from, torn or
 corrupted segments are detected by CRC/header checks, generation
 lifecycle (live refs, pins, compaction) never deletes a reachable
-snapshot, and a generation is volatile (no fsync, no CRC, not in
-``manifest.json``) until something durable names it.
+snapshot, and an adjusted generation is held in memory (no file, not
+in ``manifest.json``) until a seal writes it for something durable that
+names it.
 """
 
 import os
@@ -169,7 +170,7 @@ class TestLifecycle:
         # StreamingGraph holds current + previous; everything older is
         # released and must be gone from the in-memory table and from
         # disk.  The on-disk manifest lost the published generation
-        # with it and never listed the adjusted (volatile) ones.
+        # with it and never listed the adjusted (unsealed) ones.
         assert len(store.snapshot_ids()) <= 2
         assert on_disk_snapshots(tmp_path) == []
         on_disk = [f for f in os.listdir(str(tmp_path))
@@ -190,7 +191,7 @@ class TestLifecycle:
         streaming = StreamingGraph(published)
         for step in range(4):
             mutate(streaming, step)
-        # In memory next to the two live volatile generations; alone
+        # In memory next to the two live unsealed generations; alone
         # in the on-disk manifest.
         assert pinned_id in store.snapshot_ids()
         assert on_disk_snapshots(root) == [pinned_id]
@@ -294,9 +295,10 @@ class TestAlias:
 
 
 class TestVolatileUntilPinned:
-    """An adjusted generation costs no fsync and no manifest write; it
-    is sealed -- CRC fixed, files + directory synced, named by
-    ``manifest.json`` -- exactly when something durable names it."""
+    """An adjusted generation writes no file and costs no fsync and no
+    manifest write; it is sealed -- six files written with their CRCs,
+    files + directory synced, named by ``manifest.json`` -- exactly when
+    something durable names it."""
 
     def _adjusted(self, tmp_path, steps=1):
         store = MmapStore(str(tmp_path))
@@ -324,6 +326,23 @@ class TestVolatileUntilPinned:
         assert len(store.snapshot_ids()) == 2
         assert (fsyncs.files, fsyncs.directories, manifests) == (0, 0, [])
 
+    def test_a_stream_of_batches_adds_no_file(self, tmp_path):
+        store, streaming = self._adjusted(tmp_path, steps=0)
+        before = sorted(os.listdir(tmp_path))
+        for step in range(6):
+            mutate(streaming, step)
+            streaming.graph.in_sources  # a read splices, in heap
+            # The current generation is unsealed: no file backs it.
+            assert store.segment_files(streaming.graph.snapshot_id) == []
+        # The published generation was released and compacted; nothing
+        # took its place.
+        after = sorted(os.listdir(tmp_path))
+        assert set(after) <= set(before)
+        assert not [name for name in after
+                    if name.endswith(".tmp") or (name.endswith(".seg")
+                                                 and name not in before)]
+        assert after == ["manifest.json"]
+
     def test_a_seal_is_seven_file_fsyncs_and_two_directory_fsyncs(
             self, tmp_path, monkeypatch):
         store, streaming = self._adjusted(tmp_path)
@@ -335,7 +354,33 @@ class TestVolatileUntilPinned:
         store.seal(streaming.graph.snapshot_id)  # idempotent
         assert (fsyncs.files, fsyncs.directories) == (6 + 1, 2)
 
+    def test_a_sealed_generation_reads_its_files(self, tmp_path):
+        store, streaming = self._adjusted(tmp_path, steps=2)
+        graph = streaming.graph
+        assert not isinstance(graph.out_targets, np.memmap)
+        store.seal(graph.snapshot_id)
+        # The heap copies are dropped for the maps of the files the seal
+        # wrote; the next adjustment reads those.
+        assert all(isinstance(getattr(graph, name), np.memmap)
+                   for name in ARRAY_NAMES)
+        heap = StreamingGraph(small_graph())
+        for step in range(3):
+            mutate(heap, step)
+        mutate(streaming, 2)
+        assert_graphs_equal(streaming.graph, heap.graph)
+        # A generation whose graph is gone cannot be sealed any more.
+        dropped, _ = store.adjust(streaming.graph,
+                                  streaming.graph.num_vertices,
+                                  *(np.empty(0, np.int64),) * 2,
+                                  np.empty(0), *(np.empty(0, np.int64),) * 2)
+        snapshot_id = dropped.snapshot_id
+        del dropped
+        with pytest.raises(StoreError, match="dropped before a seal"):
+            store.seal(snapshot_id)
+
     def test_seals_and_volatile_releases_are_recorded(self, tmp_path):
+        """Counters and the seal span; an unsealed generation's release
+        is counted as such."""
         from repro.obs.registry import scoped_registry
         from repro.obs.trace import Tracer, activated
 
@@ -344,17 +389,17 @@ class TestVolatileUntilPinned:
             graph = streaming.graph
             store.seal(graph.snapshot_id)
             # the publish and the explicit seal; generations 1 and 2
-            # were released without ever being synced
+            # were released without ever being written
             assert registry.counter(
                 "store.generations_sealed").value == 2
             assert registry.counter(
-                "store.generations_volatile_released").value == 2
+                "store.generations_released_unsealed").value == 2
             spans = [event for event in tracer.events()
                      if event["name"] == "store.seal"]
         assert [span["tags"]["snapshot"] for span in spans] == [
             "snap-g000000", graph.snapshot_id]
         assert spans[-1]["tags"]["fsyncs"] == 6 + 1 + 2
-        assert spans[-1]["tags"]["bytes_read"] == sum(
+        assert spans[-1]["tags"]["bytes_written"] == sum(
             getattr(graph, name).nbytes for name in ARRAY_NAMES)
 
     def test_volatile_is_absent_from_the_manifest_until_pinned(
@@ -444,14 +489,15 @@ class TestVolatileUntilPinned:
         for step in range(3):
             mutate(streaming, step)
         assert on_disk_snapshots(root) == [published.snapshot_id]
-        volatile = [name for sid in store.snapshot_ids()
-                    if sid != published.snapshot_id
+        # Two unsealed generations in memory, not one file between them.
+        unsealed = [sid for sid in store.snapshot_ids()
+                    if sid != published.snapshot_id]
+        assert len(unsealed) == 2
+        assert not [name for sid in unsealed
                     for name in store.segment_files(sid)]
-        # Two volatile generations of four files: nothing read their
-        # in-edge arrays, so none were written.
-        assert len(volatile) == 2 * 4
-        assert all(os.path.exists(root / name) for name in volatile)
         sealed = store.segment_files(published.snapshot_id)
+        assert sorted(name for name in os.listdir(root)
+                      if name.endswith(".seg")) == sorted(sealed)
         del store, streaming  # the "crash": the object dies mid-stream
         reopened = MmapStore(str(root))
         assert reopened.snapshot_ids() == [published.snapshot_id]
@@ -465,10 +511,9 @@ class TestVolatileUntilPinned:
         store, streaming = self._adjusted(tmp_path)
         graph = streaming.graph
         with scoped_failpoints() as failpoints:
-            # The four passes of the adjust are behind us (outside this
-            # registry); the seal first writes the two deferred in-edge
-            # segments, and its second CRC is out_targets'.
-            failpoints.arm("storage.segment_write", kind="corrupt", hit=4)
+            # The seal writes the six arrays in manifest order: its
+            # second segment is out_targets'.
+            failpoints.arm("storage.segment_write", kind="corrupt", hit=2)
             store.seal(graph.snapshot_id)
             assert [record.site for record in failpoints.fired] == [
                 "storage.segment_write"]
@@ -482,13 +527,13 @@ class TestVolatileUntilPinned:
         store, streaming = self._adjusted(tmp_path, steps=0)
         with scoped_failpoints() as failpoints:
             failpoints.arm("storage.segment_write", kind="corrupt", hit=1)
-            mutate(streaming, 0)  # six crash-only passes: nothing to rot
+            mutate(streaming, 0)  # writes no segment: nothing to rot
             assert failpoints.fired == []
             heap = StreamingGraph(small_graph())
             mutate(heap, 0)
             assert_graphs_equal(streaming.graph, heap.graph)
             store.seal(streaming.graph.snapshot_id)
-            assert [fired.hit_number for fired in failpoints.fired] == [7]
+            assert [fired.hit_number for fired in failpoints.fired] == [1]
         with pytest.raises(StoreError, match="out_offsets.*CRC mismatch"):
             store.verify(streaming.graph.snapshot_id)
 
@@ -515,18 +560,18 @@ class TestRunCopies:
         base = small_graph()
         streaming = StreamingGraph(store.publish(base))
         appended = []
-        for writer in (storage._MmapWriter, storage._MmapInWriter):
-            monkeypatch.setattr(
-                writer, "append",
-                lambda self, name, chunk, real=writer.append: (
-                    appended.append(name), real(self, name, chunk))[1])
+        real = storage._HeapWriter.append
+        monkeypatch.setattr(
+            storage._HeapWriter, "append",
+            lambda self, name, chunk: (
+                appended.append(name), real(self, name, chunk))[1])
         batch = self._batch(base)
         streaming.apply_batch(batch)
         streaming.graph.in_sources  # the deferred in-edge splice
         chunks = -(-base.num_edges // 64)
         assert chunks > 1
-        # The deferred splice's offsets stay in heap: the adjustment
-        # wrote the generation's own.
+        # Both splices write heap arrays, the deferred one its own
+        # offsets too.
         assert sorted(appended) == sorted(
             ["out_offsets", "in_offsets", "in_offsets"]
             + chunks * ["out_targets", "out_weights",
@@ -544,6 +589,8 @@ class TestRunCopies:
             writes.append(position), real(fd, data, position))[1])
         streaming.apply_batch(self._batch(base))
         streaming.graph.in_sources  # the deferred in-edge splice
+        assert writes == []  # both splices run in heap
+        store.seal(streaming.graph.snapshot_id)
         # ≈ 25 runs per edge array, one payload write per array (at the
         # first payload byte) and one header write per file.
         assert sorted(writes) == [0] * 6 + [storage._HEADER_SIZE] * 6
@@ -565,14 +612,16 @@ class TestRunCopies:
             self, tmp_path):
         store = MmapStore(str(tmp_path))
         streaming = StreamingGraph(store.publish(small_graph()))
-        mutate(streaming, 0)
         source = store.segment_files(streaming.graph.snapshot_id)
+        mutate(streaming, 0)
+        store.seal(streaming.graph.snapshot_id)  # now the current one
         # A checkpoint restore opens its own store object on the root;
         # its compaction reaps what *it* does not hold live -- here the
-        # volatile generation the first store is standing on, which the
-        # next adjustment reads through its mapping alone.
+        # published generation the first stream still holds as its
+        # previous snapshot, now read through its mappings alone.
         MmapStore(str(tmp_path)).compact()
         assert not any(os.path.exists(tmp_path / name) for name in source)
+        assert_graphs_equal(streaming.previous, small_graph())
         mutate(streaming, 1)
         heap = StreamingGraph(small_graph())
         mutate(heap, 0)
@@ -592,8 +641,9 @@ class TestRunCopies:
         maps = {id(array._mmap) for graph in graphs for name in ARRAY_NAMES
                 for array in [getattr(graph, name)]
                 if isinstance(array, np.memmap)}
-        # Released generations included: the only descriptors open on
-        # the spool are the mappings' own, one per map.
+        # Only the published generation is mapped (the adjusted ones
+        # live in heap): the only descriptors open on the spool are the
+        # mappings' own, one per map.
         spool = []
         for fd in os.listdir("/proc/self/fd"):
             try:
@@ -601,7 +651,7 @@ class TestRunCopies:
             except OSError:  # the listing's own descriptor, closed
                 continue
             spool += [target] if target.startswith(f"{tmp_path}/") else []
-        assert len(spool) == len(maps) == 4 * len(ARRAY_NAMES)
+        assert len(spool) == len(maps) == len(ARRAY_NAMES)
         assert_graphs_equal(graphs[0], small_graph())
 
 
@@ -657,13 +707,19 @@ class TestAdjust:
 
     def test_mmap_adjust_matches_heap_rebuild(self, tmp_path):
         base = small_graph(seed=11)
+        store = MmapStore(str(tmp_path))
         heap = StreamingGraph(base)
-        mmapped = StreamingGraph(MmapStore(str(tmp_path)).publish(base))
+        mmapped = StreamingGraph(store.publish(base))
         for batch in self._batches(base):
             heap.apply_batch(batch)
             mmapped.apply_batch(batch)
             assert_graphs_equal(heap.graph, mmapped.graph)
-        assert isinstance(mmapped.graph.out_targets, np.memmap)
+        # The store's generation, spliced in heap like the heap store's.
+        assert mmapped.graph.store is store
+        assert not isinstance(mmapped.graph.out_targets, np.memmap)
+        store.verify(mmapped.graph.snapshot_id)
+        assert_graphs_equal(store.open_snapshot(mmapped.graph.snapshot_id),
+                            heap.graph)
 
 
 class TestXLTier:

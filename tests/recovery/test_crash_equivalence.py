@@ -96,7 +96,7 @@ class TestScenarioTable:
             # torn append under the cluster, a blob-only adoption
             "writer-kill-past-checkpoint", "torn-append",
             "blob-only-restart",
-            # volatile store generations: only what was fsynced survives
+            # unsealed store generations: only what was fsynced survives
             "power-loss",
         ]
 

@@ -966,23 +966,19 @@ class TestStoreSegmentShipping:
             cluster.submit(batches[1])   # checkpoint 2 falls due
             cluster.writer_node.ship()
             # r0 will apply record 1, then meet the checkpoint.  At that
-            # moment -- its generation derived and still volatile, the
-            # alias about to seal and compare it -- one payload byte of
-            # its out_targets file rots.
+            # moment -- its generation derived and still unsealed, the
+            # alias about to seal and compare it -- one byte of its
+            # out_targets rots in memory.
             replica = cluster.replicas["r0"]
             store = replica.server.graph.store
             alias = store.alias_snapshot
 
             def rot_then_alias(reference, held, owner):
                 assert held not in on_disk_snapshots(store.root)
-                path = os.path.join(store.root,
-                                    store.segment_files(held)[1])
-                assert path.endswith("-out_targets.seg")
-                with open(path, "r+b") as stream:
-                    stream.seek(-8, os.SEEK_END)
-                    byte = stream.read(1)
-                    stream.seek(-8, os.SEEK_END)
-                    stream.write(bytes([byte[0] ^ 0x01]))
+                assert store.segment_files(held) == []
+                held_graph = replica.server.graph
+                assert held_graph.snapshot_id == held
+                held_graph.out_targets.view(np.uint8)[-8] ^= 0x01
                 return alias(reference, held, owner)
 
             store.alias_snapshot = rot_then_alias
@@ -1062,6 +1058,59 @@ class TestStoreSegmentShipping:
             cluster.submit(batch)
             cluster.replicate()
         cluster.restart_writer()  # a kill: recovered from checkpoint 2
+        for batch in batches[3:]:
+            cluster.submit(batch)
+            cluster.replicate()
+        assert cluster.sync()
+        expected = shadow_values(graph, batches)
+        assert np.array_equal(cluster.writer.approximate_values, expected)
+        for name, replica in cluster.replicas.items():
+            assert np.array_equal(replica.approximate_values,
+                                  expected), name
+        cluster.close()
+
+    def test_a_writer_killed_between_checkpoints_recovers_from_the_seal(
+            self, rng, tmp_path):
+        """A batch writes no store file, so a writer killed one batch
+        past its newest checkpoint recovers bit for bit from the sealed
+        generation plus the WAL tail, and the next compaction leaves no
+        segment of its own label unnamed."""
+        from repro.graph.csr import CSRGraph
+        from repro.graph.mutable import StreamingGraph
+        from repro.graph.storage import ARRAY_NAMES
+
+        graph, cluster = self._mmap_cluster(tmp_path)
+        heap = StreamingGraph(CSRGraph(graph.num_vertices,
+                                       *graph.all_edges()))
+        batches = [make_random_batch(graph, rng, 8, 8) for _ in range(5)]
+        root = tmp_path / "writer-store"
+        for batch in batches[:2]:  # checkpoints 0 and 2
+            cluster.submit(batch)
+            cluster.replicate()
+        sealed = sorted(os.listdir(root))
+        cluster.submit(batches[2])
+        cluster.replicate()
+        killed = cluster.writer.server.graph
+        assert killed.store.segment_files(killed.snapshot_id) == []
+        assert sorted(os.listdir(root)) == sealed
+        cluster.restart_writer()  # a kill: checkpoint 2 + one record
+        for batch in batches[:3]:
+            heap.apply_batch(batch)
+        recovered = cluster.writer.server.graph
+        for name in ARRAY_NAMES:
+            assert (np.asarray(getattr(recovered, name)).tobytes()
+                    == getattr(heap.graph, name).tobytes()), name
+        assert np.array_equal(cluster.writer.approximate_values,
+                              shadow_values(graph, batches[:3]))
+        store = recovered.store
+        store.compact()
+        named = {name for sid in store.snapshot_ids()
+                 for name in store.segment_files(sid)}
+        own = [name for name in os.listdir(root)
+               if name.startswith(f"{store.label}-g")]
+        assert own and set(own) <= named
+        assert not [name for name in os.listdir(root)
+                    if name.endswith(".tmp")]
         for batch in batches[3:]:
             cluster.submit(batch)
             cluster.replicate()
