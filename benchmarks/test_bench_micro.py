@@ -27,15 +27,15 @@ from repro.algorithms.registry import REGISTRY
 from repro.bench.workloads import mixed_stream, uniform_batch
 from repro.core.engine import GraphBoltEngine
 from repro.core.history import DependencyHistory
-from repro.core.refinement import _Refiner, refine
+from repro.core.refinement import refine
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
+from repro.ligra import delta
 from repro.ligra.delta import DeltaEngine
 from repro.obs import trace
 from repro.obs.trace import Tracer
 from repro.runtime.exec import aggregate_all, gather_out
-from repro.runtime.metrics import EngineMetrics
 
 
 @pytest.fixture(scope="module")
@@ -177,16 +177,18 @@ def test_micro_refine_switch_costs(benchmark, monkeypatch, factory,
     degrees = mutation.new_graph.out_degrees()
 
     def forced(dense):
-        def preferred(refiner, sources):
+        # Every step here is a replayed one: ``edges`` is the batch's,
+        # or for a mask all its compare priced.
+        def preferred(algorithm, graph, sources, edges):
             affected.append(
-                refiner.priced if sources.dtype == bool
-                else refiner.batch_edges + int(degrees[sources].sum()))
+                edges if sources.dtype == bool
+                else edges + int(degrees[sources].sum()))
             return dense
         return preferred
 
     def refine_ns(dense):
         """Per iteration: (affected edges, wall ns)."""
-        monkeypatch.setattr(_Refiner, "_dense_preferred", forced(dense))
+        monkeypatch.setattr(delta, "dense_preferred", forced(dense))
         affected.clear()
         tracer = Tracer()
         # Refining consumes a history: each round replays a copy.
@@ -195,7 +197,7 @@ def test_micro_refine_switch_costs(benchmark, monkeypatch, factory,
                                      history.identity_aggregate)
         replayed.records = list(history.records)
         with trace.activated(tracer):
-            refine(engine.algorithm, mutation, replayed, EngineMetrics())
+            refine(DeltaEngine(engine.algorithm), mutation, replayed)
         walls = [event["duration"] * 1e9 for event in tracer.events()
                  if event["name"] == "iteration"]
         return list(zip(affected, walls))

@@ -119,6 +119,8 @@ class IncrementalTriangleCounting:
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self._streaming = StreamingGraph(graph)
         self.counts = triangle_counts(graph, self.metrics)
+        #: The snapshot before the last batch (its destroyed triangles).
+        self._previous: Optional[CSRGraph] = None
 
     @property
     def graph(self) -> CSRGraph:
@@ -141,6 +143,7 @@ class IncrementalTriangleCounting:
 
     def _adjust(self, mutation: MutationResult) -> None:
         new_graph, old_graph = mutation.new_graph, mutation.old_graph
+        self._previous = old_graph
         if new_graph.num_vertices > self.counts.per_vertex.size:
             grown = np.zeros(new_graph.num_vertices, dtype=np.int64)
             grown[: self.counts.per_vertex.size] = self.counts.per_vertex
@@ -165,7 +168,7 @@ class IncrementalTriangleCounting:
         """Extra state retained beyond the baseline (Table 9 accounting):
         the pre-mutation structure kept for destroyed-triangle
         enumeration plus the maintained counts."""
-        previous = self._streaming.previous
+        previous = self._previous
         retained = 0
         if previous is not None:
             retained += (

@@ -197,13 +197,9 @@ class GraphBoltEngine:
         # until the batch succeeds: a failure leaves it refusing to
         # refine, never refining the next batch against a stale one.
         history, self._history = self._history, None
-        state, new_history = refine(
-            self.algorithm, mutation, history, self.metrics,
-            retract=self._delta.retract,
-        )
+        state, new_history = refine(self._delta, mutation, history)
         self._delta.forward(graph, state, self.num_iterations)
-        self._state = state
-        self._history = new_history
+        self._state, self._history = state, new_history
         self._publish_gauges()
         return state.values
 

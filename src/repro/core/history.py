@@ -169,18 +169,6 @@ class DependencyHistory:
         already private, such as :func:`record_half`'s."""
         self.records.append(record)
 
-    def rolling(self, extended_initial: Optional[np.ndarray] = None,
-                extended_identity: Optional[np.ndarray] = None) -> "RollingState":
-        """A replay cursor that takes this history's records, leaving it
-        empty, and releases each as it passes: a caller that replays one
-        history twice replays a copy.
-
-        When the graph grew, pass value/aggregate arrays already extended
-        to the new vertex count; new vertices replay as never-changing
-        (they did not exist in the recorded run).
-        """
-        return RollingState(self, extended_initial, extended_identity)
-
     def __repr__(self) -> str:
         return (
             f"DependencyHistory(V={self.num_vertices}, "
@@ -189,7 +177,11 @@ class DependencyHistory:
 
 
 class RollingState:
-    """Forward replay of a :class:`DependencyHistory`, which it consumes.
+    """Forward replay of a :class:`DependencyHistory`, which it consumes
+    (it takes the records, leaving the history empty: a caller that
+    replays one history twice replays a copy).  When the graph grew,
+    pass value and aggregate bases already extended to the new vertex
+    count: new vertices replay as never-changing.
 
     Maintains dense ``c`` (vertex value) and ``g`` (aggregation) arrays
     for the current iteration; :meth:`advance` moves to the next

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.history import DependencyHistory
+from repro.core.history import DependencyHistory, RollingState
 from repro.core.model import IncrementalAlgorithm
 from repro.core.tagging import downstream_tagged
 from repro.graph.csr import CSRGraph
@@ -122,8 +122,7 @@ class TagResetEngine:
         algorithm = self.algorithm
         initial = algorithm.initial_values(graph)
         identity = algorithm.identity_aggregate(graph.num_vertices)
-        old_roll = self._history.rolling(extended_initial=initial,
-                                         extended_identity=identity)
+        old_roll = RollingState(self._history, initial, identity)
         new_history = DependencyHistory(initial, identity)
 
         c_prev = initial.copy()

@@ -7,9 +7,9 @@ This subpackage provides the graph structures GraphBolt computes over:
 - :class:`~repro.graph.mutable.StreamingGraph` -- a dynamic graph that
   applies :class:`~repro.graph.mutation.MutationBatch` objects with one
   range splice per direction (:mod:`~repro.graph.splice`, standing in for
-  the paper's two-pass structure adjustment), retaining the previous
-  snapshot so old contribution functions can still be evaluated during
-  refinement.
+  the paper's two-pass structure adjustment); each batch's result
+  carries the previous snapshot so old contribution functions can
+  still be evaluated during refinement.
 - :mod:`~repro.graph.generators` -- synthetic graph generators (RMAT,
   Erdos-Renyi, ...) standing in for the paper's web/social datasets.
 """

@@ -6,10 +6,11 @@ standing in for the paper's structure-adjustment scheme (section 4.1)
 with one range splice per direction (:mod:`repro.graph.splice`): the
 batch's deletions and additions are located by per-row binary search and
 the next snapshot is emitted in one pass that copies the untouched runs
-between them.  After each batch both the previous and the new snapshot
-are available, because dependency-driven refinement must
-evaluate *old* contribution functions (old values, old degrees) against
-the old structure and new contributions against the new one.
+between them.  Each batch's :class:`MutationResult` carries both the
+previous and the new snapshot, because dependency-driven refinement
+must evaluate *old* contribution functions (old values, old degrees)
+against the old structure and new contributions against the new one;
+the stream itself keeps only the new one.
 """
 
 from __future__ import annotations
@@ -104,18 +105,12 @@ class StreamingGraph:
 
     def __init__(self, initial: CSRGraph) -> None:
         self._graph = initial
-        self._previous: Optional[CSRGraph] = None
         self.batches_applied = 0
 
     @property
     def graph(self) -> CSRGraph:
         """The latest snapshot."""
         return self._graph
-
-    @property
-    def previous(self) -> Optional[CSRGraph]:
-        """The snapshot before the most recent batch (None initially)."""
-        return self._previous
 
     @property
     def num_vertices(self) -> int:
@@ -152,15 +147,13 @@ class StreamingGraph:
             old, num_vertices, add_src, add_dst, add_weight, del_src, del_dst
         )
 
-        retired = self._previous
-        self._previous = old
         self._graph = new_graph
         self.batches_applied += 1
-        if retired is not None and retired.store is not None:
-            # The snapshot two batches back has no consumer left;
-            # dropping its live reference lets the store tombstone and
+        if old.store is not None:
+            # Only the result reads the old snapshot now: dropping the
+            # stream's live reference lets the store tombstone and
             # compact its generation (open memmap views stay valid).
-            retired.store.release(retired)
+            old.store.release(old)
         return MutationResult(
             old_graph=old,
             new_graph=new_graph,

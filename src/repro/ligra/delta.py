@@ -12,12 +12,16 @@ of it, with one stop rule:
 - GraphBolt's computation-aware hybrid phase (:meth:`DeltaEngine.forward`),
   which continues delta execution past the pruning horizon from refined
   state, for the engine and for a server's branch loop;
-- the naive-reuse baseline (:class:`repro.bench.harness.NaiveRunner`).
+- the naive-reuse baseline (:class:`repro.bench.harness.NaiveRunner`);
+- GraphBolt's refinement (:func:`repro.core.refinement.refine`), over a
+  *replayed base*: the old run's history plus the batch.
 
-Its step, :func:`propagate` then :func:`vertex_map` (Ligra's
-direction-optimising ``edgeMap``, switched by one measured cost model,
-:func:`dense_preferred`, then its ``vertexMap``, the record rule's one
-home), is also every refinement iteration (:mod:`repro.core.refinement`).
+Its step, :meth:`DeltaEngine.step`, advances a base -- the run whose
+aggregate it advances and whose values it compares against: the state
+itself, or a refinement's replay -- by :func:`propagate` then
+:func:`vertex_map` (Ligra's direction-optimising ``edgeMap``, switched
+by one measured cost model, :func:`dense_preferred`, then its
+``vertexMap``, the record rule's one home).
 Sparse, a decomposable aggregation advances with fused
 change-in-contribution updates (the paper's ``propagateDelta``) or, with
 ``retract``, an explicit retract pass followed by a propagate pass (the
@@ -29,7 +33,7 @@ in-edges.  Dense, it is one sweep (:func:`repro.runtime.exec.aggregate_all`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -45,9 +49,10 @@ from repro.runtime import exec as kernels
 from repro.runtime.deadline import Deadline
 from repro.runtime.metrics import EngineMetrics, Timer
 
-__all__ = ["ITERATION_CAP", "DeltaEngine", "DeltaState", "dense_preferred",
-           "edge_prices", "exact_changed_rows", "prices_dense", "propagate",
-           "hold_back", "record_iteration", "vertex_map"]
+__all__ = ["ITERATION_CAP", "DeltaEngine", "DeltaState",
+           "compare_until_priced", "dense_preferred", "edge_prices",
+           "exact_changed_rows", "prices_dense", "propagate", "hold_back",
+           "record_iteration", "vertex_map"]
 
 #: The iteration count of a run to convergence, whatever the engine: it
 #: stops at its fixpoint, and this bounds one that never reaches it.
@@ -88,23 +93,21 @@ class DeltaState:
     values: np.ndarray        # c_i, dense
     prev_values: np.ndarray   # c_{i-1}, dense
     aggregate: np.ndarray     # g_i, dense
-    frontier: np.ndarray      # ids with |c_i - c_{i-1}| > tolerance
+    frontier: np.ndarray      # ids moved past τ against the base (or a mask)
     iteration: int
     held: bool = False        # c_i equals c_{i-1} off the frontier
 
-    # The run the next step advances, as :func:`propagate` reads it: the
-    # aggregate and the values it absorbed.
+    # The run the next step advances, as :meth:`DeltaEngine.step` reads
+    # it: the aggregate, the values it absorbed and the values after.
     g = property(lambda self: self.aggregate)
     c_prev = property(lambda self: self.prev_values)
+    c = property(lambda self: self.values)
 
     def copy(self) -> "DeltaState":
-        return DeltaState(
-            values=self.values.copy(),
-            prev_values=self.prev_values.copy(),
-            aggregate=self.aggregate.copy(),
-            frontier=self.frontier.copy(),
-            iteration=self.iteration,
-        )
+        return replace(self, values=self.values.copy(),
+                       prev_values=self.prev_values.copy(),
+                       aggregate=self.aggregate.copy(),
+                       frontier=self.frontier.copy())
 
     def residual_l1(self) -> float:
         """L1 distance moved by the last iteration.
@@ -165,41 +168,104 @@ class DeltaEngine:
     # One synchronous iteration
     # ------------------------------------------------------------------
     def step(self, graph: CSRGraph, state: DeltaState,
-             history: Optional[DependencyHistory] = None
-             ) -> Optional[IterationRecord]:
-        """Advance ``state`` by one iteration.
-
-        Iteration 0 -> 1 aggregates over all edges; later iterations
-        propagate from the frontier, sparse (after a dense step, from values
-        held back to it) or dense as :func:`dense_preferred` prices it.
-        With a ``history``, appends the iteration's dependency record
-        (:func:`record_iteration`) to it, and returns it.
+             history: Optional[DependencyHistory] = None,
+             replay=None, span=None) -> Optional[IterationRecord]:
+        """Advance ``state`` by one iteration from its *base*: the run
+        whose aggregate the step advances and whose values it compares
+        against, read as ``(g, c_prev, c)`` -- ``state`` itself, or a
+        refinement's ``replay`` (:class:`~repro.core.refinement.Replay`,
+        advanced one record here).  A run's first step is dense; every
+        other one propagates from the sources, sparse (after a dense
+        step, from values held back to the frontier) or dense as
+        :func:`dense_preferred` prices it.  With a ``history``, appends
+        the step's dependency record and returns it; a replayed step
+        tags ``span`` with its mode and counts.
         """
         algorithm, values = self.algorithm, state.values
-        dense = state.iteration == 0 or dense_preferred(algorithm, graph,
-                                                        state.frontier)
+        frontier, num_vertices = state.frontier, graph.num_vertices
+        base, batch, edges = state, None, 0
+        if replay is not None:
+            replay.advance()
+            base, batch = replay, replay.batch
+            edges = (replay.priced if frontier.dtype == bool
+                     else replay.batch_edges)
+        # Sources: the frontier, plus a batch's contribution-changed ids.
+        sources = frontier
+        if replay is not None and replay.contrib_params.size:
+            sources = (frontier | replay.contrib_mask if frontier.dtype == bool
+                       else union_ids(num_vertices, frontier,
+                                      replay.contrib_params))
+        dense = (replay is None and state.iteration == 0) or dense_preferred(
+            algorithm, graph, sources, edges)
         if not dense and not state.held:
+            if frontier.dtype == bool:
+                if replay.compared < num_vertices:
+                    # Only a dense step reads a partial mask: finish it.
+                    rest = slice(replay.compared, None)
+                    frontier[rest] = algorithm.values_changed(
+                        base.c_prev[rest], values[rest])
+                    sources[rest] |= frontier[rest]
+                frontier = np.flatnonzero(frontier)
+                sources = np.flatnonzero(sources)
             last = None if history is None else history.records[-1]
-            values = hold_back(values, state.prev_values, state.frontier, last)
-        aggregate, rows = propagate(algorithm, graph, values, state.frontier,
-                                    state, self.metrics, dense,
+            # A restart's base is the state: its c is the held values.
+            values = state.values = hold_back(values, base.c_prev, frontier,
+                                              last)
+        aggregate, rows = propagate(algorithm, graph, values, sources, base,
+                                    self.metrics, dense, batch=batch,
                                     retract=self.retract)
-        if (rows is not None and algorithm.uses_previous_value
-                and state.frontier.size):
-            # Self-dependent applies re-run wherever the value moved.
-            rows = union_ids(graph.num_vertices, rows, state.frontier)
-        new_values, frontier = vertex_map(algorithm, graph, aggregate, rows,
-                                          values, values, self.metrics)
-        record = None
+        # A changed apply re-runs, and a self-dependent one wherever the
+        # value moved.
+        also = ([] if replay is None else [replay.apply_params]) + (
+            [frontier] if algorithm.uses_previous_value else [])
+        if rows is not None and also:
+            rows = union_ids(num_vertices, rows, *also)
+        if rows is None and replay is not None:
+            # A replayed dense step keeps its whole-array apply, a compare
+            # that stops once priced and its arrays as its record; a
+            # restart's goes by ids (vertex_map).  One form is ROADMAP
+            # item 3's: a whole-array restart fails the e2e bound.
+            kernels.count_all_vertices(graph, self.metrics)
+            new_values = np.asarray(algorithm.apply(
+                graph, aggregate, replay.all_vertices,
+                values if algorithm.uses_previous_value else None),
+                dtype=np.float64)
+            if (np.may_share_memory(new_values, aggregate)
+                    or np.may_share_memory(new_values, values)):
+                new_values = new_values.copy()  # an apply handed one back
+            moved, replay.compared = np.zeros(num_vertices, dtype=bool), 0
+            if replay.iteration < replay.horizon:   # none after the last
+                replay.compared, replay.priced = compare_until_priced(
+                    algorithm, graph, replay.c, new_values, moved,
+                    replay.fixed_edges, replay.contrib_mask)
+            aggregate.flags.writeable = new_values.flags.writeable = False
+            record = IterationRecord(None, aggregate, None, new_values)
+        else:
+            new_values, moved = vertex_map(algorithm, graph, aggregate, rows,
+                                           values, base.c, self.metrics)
+            # Against its own base only ``rows`` can differ; a replay's
+            # base is the old run, so its record compares every row.
+            record = None if history is None else record_iteration(
+                state.aggregate, aggregate, values, new_values,
+                rows if replay is None else None)
         if history is not None:
-            record = record_iteration(state.aggregate, aggregate, values,
-                                      new_values, rows)
             history.append(record)
         state.prev_values, state.values = values, new_values
-        state.aggregate, state.frontier = aggregate, frontier
+        state.aggregate, state.frontier = aggregate, moved
         state.held = not dense
         state.iteration += 1
-        self.metrics.iterations += 1
+        if replay is None:
+            self.metrics.iterations += 1
+        else:
+            self.metrics.refinement_iterations += 1
+            self.metrics.dense_refinement_iterations += dense
+            touched = num_vertices if dense else int(rows.size)
+            span.tag(mode="dense" if dense else "decomposable"
+                     if algorithm.aggregation.decomposable else "reevaluate",
+                     touched=touched,
+                     compared=replay.compared if dense else touched,
+                     diverged=int(np.count_nonzero(moved)) if dense
+                     else int(moved.size))
         return record
 
     # ------------------------------------------------------------------
@@ -209,7 +275,7 @@ class DeltaEngine:
                 num_iterations: Optional[int],
                 deadline: Optional[Deadline] = None,
                 history: Optional[DependencyHistory] = None,
-                horizon: Optional[int] = None) -> bool:
+                horizon: Optional[int] = None, replay=None) -> bool:
         """Step ``state`` to iteration ``num_iterations`` (``None``: the
         algorithm's default; :data:`ITERATION_CAP` runs to convergence),
         the one loop of every delta run.
@@ -223,21 +289,29 @@ class DeltaEngine:
         With a ``history``, the iterations before ``horizon`` (``None``:
         all) are recorded into it; once recording stops it never
         resumes (a hole would be a window refinement cannot roll
-        across).  Returns whether the deadline stopped the loop.
+        across).  With a ``replay`` each step advances it instead of
+        the state's own run (:meth:`step`): that is refinement.
+        Returns whether the deadline stopped the loop.
         """
         if num_iterations is None:
             num_iterations = self.algorithm.default_iterations
         while state.iteration < num_iterations:
-            if state.iteration > 0 and state.frontier.size == 0:
+            # Every replayed step brings the batch again: no fixpoint.
+            if (replay is None and state.iteration > 0
+                    and state.frontier.size == 0):
                 break
             if deadline is not None and deadline.expired():
                 return True
             track = history is not None and (horizon is None
                                              or state.iteration < horizon)
+            # A replayed step tags its own mode and counts instead.
+            tags = {} if replay is not None else dict(
+                frontier=int(state.frontier.size))
             with trace.span("iteration", index=state.iteration + 1,
-                            frontier=int(state.frontier.size)) as span:
-                record = self.step(graph, state, history if track else None)
-                if history is not None:
+                            **tags) as span:
+                record = self.step(graph, state, history if track else None,
+                                   replay, span)
+                if history is not None and replay is None:
                     span.tag(tracked=track)
                 if track:
                     span.tag(**record.forms)
@@ -319,6 +393,44 @@ def dense_preferred(algorithm: IncrementalAlgorithm, graph: CSRGraph,
     else:
         return False
     return prices_dense(algorithm, graph, edges)
+
+
+def compare_until_priced(algorithm, graph, old, new, diverged, fixed_edges,
+                         contrib_mask):
+    """Fill ``diverged`` from a base's values ``old`` and a dense step's
+    ``new`` in id order, only until the next step's sources price it
+    dense (:func:`dense_preferred` then reads no further).  The price
+    starts at ``fixed_edges``: a batch's edges and the out-edges of its
+    contribution-changed sources, ``contrib_mask`` (``None``: none).
+    Returns how many rows it compared and their price -- the whole
+    mask's once the compare ran to the end."""
+    offsets, degrees = graph.out_offsets, graph.out_degrees()
+    num_vertices = diverged.size
+    sparse_ns, dense_ns = edge_prices(algorithm)
+    goal = graph.num_edges * dense_ns / sparse_ns
+    priced = fixed_edges
+    # A source among the rows priced so far: none, no dense price.
+    found = contrib_mask is not None
+    start = 0
+    while start < num_vertices:
+        if found and prices_dense(algorithm, graph, priced):
+            break
+        # The fewest rows whose out-degrees could close the gap (an
+        # integer target: a float one converts every offset), and no
+        # fewer than are compared already, so a price that stays short
+        # takes O(log V) steps, not one per gap's worth.
+        stop = int(offsets.searchsorted(
+            offsets[start] + math.floor(goal - priced), side="right"))
+        stop = min(max(stop, 2 * start, 1), num_vertices)
+        moved = np.asarray(algorithm.values_changed(
+            old[start:stop], new[start:stop]), dtype=bool)
+        diverged[start:stop] = moved
+        if contrib_mask is not None:
+            moved = moved & ~contrib_mask[start:stop]   # priced already
+        priced += int(degrees[start:stop] @ moved)
+        found = found or bool(moved.any())
+        start = stop
+    return start, priced
 
 
 def propagate(algorithm: IncrementalAlgorithm, graph: CSRGraph,
@@ -436,7 +548,7 @@ def vertex_map(algorithm, graph, aggregate, rows, values, base, metrics):
 def hold_back(values, base, moved, record):
     """``values`` with every row but ``moved`` back at ``base``'s, as a
     sparse step after a dense one reads them, and so does ``record``,
-    the dense step's if any (``moved``: ids unless its c half is dense)."""
+    the dense step's if any (``moved``: sorted ids)."""
     held = base.copy()
     held[moved] = values[moved]
     if record is not None:

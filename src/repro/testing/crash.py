@@ -725,12 +725,14 @@ def storage_crash_round(scenario: Scenario, root: str,
     recorded the pin (``checkpoint.replace``), and prove the on-disk
     manifest names sealed generations only.
 
-    The sequence mirrors a real process death: publish generation 0,
-    apply a mutation batch (held in memory, no file written) whose
-    checkpoint is killed mid-seal, leaving renamed orphans and a torn
-    or unsynced temp file (or sealed files no manifest names, or a pin
-    whose owner never landed) on disk, then "restart" by opening a
-    *fresh* store over the same root.  The round checks that
+    The sequence mirrors a real process death: publish generation 0
+    and pin it to a first checkpoint (the stream releases it with the
+    batch, so only a pin keeps it on disk), apply a mutation batch
+    (held in memory, no file written) whose checkpoint is killed
+    mid-seal, leaving renamed orphans and a torn or unsynced temp file
+    (or sealed files no manifest names, or a pin whose owner never
+    landed) on disk, then "restart" by opening a *fresh* store over the
+    same root.  The round checks that
 
     1. the reopened store lists exactly what was sealed before the kill
        and points at the newest of it, verifies its payload CRCs, and
@@ -751,6 +753,9 @@ def storage_crash_round(scenario: Scenario, root: str,
     heap_graph = rmat(6, 4, seed=seed, weighted=True)
     store = MmapStore(store_root)
     base = store.publish(heap_graph)
+    first_checkpoint = os.path.join(root, "first-checkpoint")
+    open(first_checkpoint, "w").close()
+    store.seal(base.snapshot_id, first_checkpoint)
     batch = _storage_round_batch(base.num_vertices, base)
     oracle = StreamingGraph(heap_graph)
     oracle.apply_batch(batch)

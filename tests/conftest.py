@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from repro.core.history import DependencyHistory, IterationRecord
-from repro.core.refinement import _Refiner
+from repro.core.refinement import Replay
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import bipartite_graph, rmat
 from repro.graph.mutation import MutationBatch
 from repro.kickstarter.trees import NO_PARENT
-from repro.ligra.delta import exact_changed_rows
+from repro.ligra import delta
+from repro.ligra.delta import DeltaEngine, DeltaState, exact_changed_rows
 from repro.obs.journal import read_journal
+from repro.runtime.metrics import EngineMetrics
 from repro.testing.oracle import build_runner
 
 
@@ -129,12 +131,40 @@ def copy_history(history):
     return copy
 
 
+_STEP = DeltaEngine.step
+
+
 def pin_refine_modes(monkeypatch, *modes: bool) -> None:
-    """Replace refinement's sparse/dense switch with ``modes`` (True:
-    dense), cycled over the refinement iterations that follow."""
+    """Replace the sparse/dense switch of every replayed step (a
+    refinement's) with ``modes`` (True: dense), cycled over the steps
+    that follow; restart and forward steps keep the measured switch."""
     pattern = itertools.cycle(modes)
-    monkeypatch.setattr(_Refiner, "_dense_preferred",
-                        lambda self, sources: next(pattern))
+
+    def pinned(self, graph, state, history=None, replay=None, span=None):
+        if replay is None:
+            return _STEP(self, graph, state, history)
+        with monkeypatch.context() as patch:
+            patch.setattr(delta, "dense_preferred",
+                          lambda *args: next(pattern))
+            return _STEP(self, graph, state, history, replay, span)
+
+    monkeypatch.setattr(DeltaEngine, "step", pinned)
+
+
+def replayed_step_dense(algorithm, mutation, history, frontier) -> bool:
+    """Whether a refinement's first step over ``mutation``, from
+    ``frontier`` (sorted ids that moved against the replayed run), goes
+    dense: one replayed step of a copy of ``history``."""
+    replay = Replay(algorithm, mutation, copy_history(history))
+    metrics = EngineMetrics()
+    state = DeltaState(values=replay.initial, prev_values=replay.initial,
+                       aggregate=replay.identity, frontier=frontier,
+                       iteration=0, held=True)
+    DeltaEngine(algorithm, metrics).advance(
+        mutation.new_graph, state, 1,
+        history=DependencyHistory(replay.initial, replay.identity),
+        replay=replay)
+    return metrics.dense_refinement_iterations == 1
 
 
 def label_mass(rows, num_labels, seed):

@@ -3,7 +3,7 @@
 After a dense iteration the diverged mask is read only to price the
 next iteration and, if that one goes sparse, to seed it.  So the compare
 fills the mask in id order and stops once the compared rows alone price
-the next iteration dense (``_Refiner._compare``); the last iteration
+the next iteration dense (``compare_until_priced``); the last iteration
 compares nothing.  Against a forced full compare, every value, history
 record, mode and work counter is equal -- including a sparse iteration
 pinned right after a stopped compare, which completes it first.
@@ -22,22 +22,26 @@ from repro.algorithms import (
     SSSP,
 )
 from repro.core.engine import GraphBoltEngine
-from repro.core.refinement import _Refiner
 from repro.graph.generators import bipartite_graph, rmat
 from repro.graph.mutation import MutationBatch
+from repro.ligra import delta
 from repro.obs import trace
 from repro.obs.trace import Tracer
 from tests.conftest import make_random_batch, pin_refine_modes
 
 
-def full_compare(refiner, old, new, diverged):
-    """The compare as it was: every row, priced by one product."""
-    diverged[:] = refiner.algorithm.values_changed(old, new)
-    sources = refiner._sources(diverged)
-    refiner.priced = (int(refiner.new_graph.out_degrees() @ sources)
-                      + refiner.mutation.add_src.size
-                      + refiner.mutation.del_src.size)
-    return diverged.size
+def full_compare(algorithm, graph, old, new, diverged, fixed_edges,
+                 contrib_mask):
+    """The compare as it was: every row, priced by one product (the
+    fixed price less the contribution-changed sources' is the batch's
+    edges)."""
+    diverged[:] = algorithm.values_changed(old, new)
+    degrees = graph.out_degrees()
+    sources, batch_edges = diverged, fixed_edges
+    if contrib_mask is not None:
+        sources = diverged | contrib_mask
+        batch_edges -= int(degrees @ contrib_mask)
+    return diverged.size, int(degrees @ sources) + batch_edges
 
 
 def run_stream(factory, graph, iterations, batches, adds, grow=False):
@@ -80,7 +84,7 @@ def both_ways(monkeypatch, *args, **kwargs):
     """The stream with the early stop, then with a full compare."""
     states, tags = run_stream(*args, **kwargs)
     with monkeypatch.context() as patch:
-        patch.setattr(_Refiner, "_compare", full_compare)
+        patch.setattr(delta, "compare_until_priced", full_compare)
         full_states, _ = run_stream(*args, **kwargs)
     return states, full_states, tags
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.history import DependencyHistory, IterationRecord, record_half
+from repro.core.history import (DependencyHistory, IterationRecord,
+                                RollingState, record_half)
 from repro.ligra.delta import exact_changed_rows
 from tests.conftest import all_sparse, copy_history
 
@@ -51,7 +52,7 @@ class TestStorage:
 
 class TestRollingReplay:
     def test_replay_values(self):
-        roll = make_history().rolling()
+        roll = RollingState(make_history())
         assert roll.iteration == 0
         assert roll.c.tolist() == [1.0, 1.0, 1.0]
         assert roll.c_prev.tolist() == [1.0, 1.0, 1.0]
@@ -82,7 +83,7 @@ class TestRollingReplay:
             history.record(g_idx, rng.normal(size=(g_idx.size, 2)),
                            c_idx, rng.normal(size=(c_idx.size, 2)))
         records = list(history.records)
-        roll = history.rolling()
+        roll = RollingState(history)
         g = history.identity_aggregate.copy()
         c = history.initial_values.copy()
         for iteration, record in enumerate(records, start=1):
@@ -104,8 +105,8 @@ class TestRollingReplay:
         on them; the first overlay copies, so the bases never change."""
         initial = np.array([1.0, 1.0, 1.0, 9.0])
         identity = np.zeros(4)
-        roll = make_history().rolling(extended_initial=initial,
-                                      extended_identity=identity)
+        roll = RollingState(make_history(), extended_initial=initial,
+                            extended_identity=identity)
         assert roll.g is identity and roll.c_prev is initial
         roll.advance()
         assert roll.c_prev is initial
@@ -123,7 +124,7 @@ class TestRollingReplay:
         assert history.records[0].g_values is values
 
     def test_advance_past_horizon_raises(self):
-        roll = make_history().rolling()
+        roll = RollingState(make_history())
         roll.advance()
         roll.advance()
         with pytest.raises(IndexError):
@@ -131,7 +132,8 @@ class TestRollingReplay:
 
     def test_extended_replay(self):
         history = make_history()
-        roll = history.rolling(
+        roll = RollingState(
+            history,
             extended_initial=np.array([1.0, 1.0, 1.0, 9.0]),
             extended_identity=np.zeros(4),
         )
@@ -142,15 +144,15 @@ class TestRollingReplay:
 
     def test_extension_cannot_shrink(self):
         with pytest.raises(ValueError):
-            make_history().rolling(extended_initial=np.ones(2),
-                                   extended_identity=np.zeros(2))
+            RollingState(make_history(), extended_initial=np.ones(2),
+                         extended_identity=np.zeros(2))
 
     def test_replay_does_not_mutate_history(self):
         history = make_history()
-        roll = copy_history(history).rolling()
+        roll = RollingState(copy_history(history))
         roll.advance()
         roll.c[0] = 123.0
-        roll2 = history.rolling()
+        roll2 = RollingState(history)
         roll2.advance()
         assert roll2.c[0] == 2.0
 
@@ -160,7 +162,7 @@ class TestRollingReplay:
         history = DependencyHistory(initial, identity)
         history.record(np.array([1]), np.array([[1.0, 2.0, 3.0]]),
                        np.array([1]), np.array([[4.0, 5.0, 6.0]]))
-        roll = history.rolling()
+        roll = RollingState(history)
         roll.advance()
         assert roll.g[1].tolist() == [1.0, 2.0, 3.0]
         assert roll.c[1].tolist() == [4.0, 5.0, 6.0]
@@ -196,7 +198,7 @@ class TestRelease:
 
     def test_replay_takes_the_records(self):
         history = make_history()
-        roll = history.rolling()
+        roll = RollingState(history)
         assert history.records == [] and history.horizon == 0
         assert roll.horizon == 2
         roll.advance()
@@ -205,7 +207,7 @@ class TestRelease:
 
     def test_dense_halves_supersede_and_c_prev_passes(self):
         history, refs = halves_history([("dense", "dense")] * 5)
-        roll = history.rolling()
+        roll = RollingState(history)
         del history
         for k in range(5):
             roll.advance()
@@ -216,7 +218,7 @@ class TestRelease:
     def test_sparse_halves_wait_for_a_read_or_a_dense_half(self):
         forms = [("sparse", "sparse")] * 2 + [("dense", "dense")] * 2
         history, refs = halves_history(forms)
-        roll = history.rolling()
+        roll = RollingState(history)
         del history
         roll.advance()
         roll.advance()
@@ -317,8 +319,8 @@ class TestMixedForms:
             return np.concatenate(
                 [array, np.full((grown, *array.shape[1:]), 7.0)])
 
-        rolls = [h.rolling(extended(h.initial_values),
-                           extended(h.identity_aggregate))
+        rolls = [RollingState(h, extended(h.initial_values),
+                              extended(h.identity_aggregate))
                  for h in (history, sparse)]
         for read in reads:
             for roll in rolls:
@@ -343,7 +345,7 @@ class TestMixedForms:
         assert history.nbytes == g.nbytes + c.nbytes
         assert history.records[0].forms == {"g_half": "dense",
                                             "c_half": "dense"}
-        roll = history.rolling()
+        roll = RollingState(history)
         roll.advance()
         assert roll.c is c and roll.g is g
         assert roll.c_prev is history.initial_values

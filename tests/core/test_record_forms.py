@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import LabelPropagation, PageRank, SSSP
-from repro.core import refinement
 from repro.core.engine import GraphBoltEngine
 from repro.core.history import DependencyHistory, RollingState
 from repro.core.refinement import refine
@@ -26,7 +25,6 @@ from repro.ligra import delta
 from repro.ligra.delta import DeltaEngine, exact_changed_rows
 from repro.obs import trace
 from repro.obs.trace import Tracer
-from repro.runtime.metrics import EngineMetrics
 from tests.conftest import all_sparse, make_random_batch, pin_refine_modes
 
 FACTORIES = [
@@ -71,7 +69,7 @@ class TestEitherEncoding:
         horizon = history.horizon
         sparse = all_sparse(history)
         mutation = next_mutation(engine, rng, grow)
-        runs = [refine(engine.algorithm, mutation, h, EngineMetrics())
+        runs = [refine(DeltaEngine(engine.algorithm), mutation, h)
                 for h in (history, sparse)]
         (state, refined), (plain_state, plain_refined) = runs
         for name in ("values", "prev_values", "aggregate", "frontier"):
@@ -133,8 +131,8 @@ class TestAllocation:
         to forward execution, and the tracked run's are the step's."""
         engine = refined_engine(lambda: PageRank(), graph, rng)
         mutation = next_mutation(engine, rng, grow=False)
-        state, history = refine(engine.algorithm, mutation, engine.history,
-                                EngineMetrics())
+        state, history = refine(DeltaEngine(engine.algorithm), mutation,
+                                engine.history)
         last = history.records[-1]
         assert last.g_idx is None and last.c_idx is None
         assert np.shares_memory(last.g_values, state.aggregate)
@@ -181,8 +179,8 @@ class TestInPlaceWrites:
         engine = GraphBoltEngine(PageRank(), num_iterations=8, horizon=4)
         engine.run(graph)
         mutation = next_mutation(engine, rng, grow=False)
-        state, history = refine(engine.algorithm, mutation, engine.history,
-                                EngineMetrics())
+        state, history = refine(DeltaEngine(engine.algorithm), mutation,
+                                engine.history)
         last = history.records[-1]
         assert last.g_idx is None and state.aggregate is last.g_values
         stored = [[None if a is None else a.tobytes() for a in halves(r)]
@@ -247,7 +245,7 @@ class TestDenseRecord:
                                               monkeypatch):
         engine = dense_engine(factory)
         outputs = []                       # (g_i, c_i) per iteration
-        step, apply = refinement.propagate, engine.algorithm.apply
+        step, apply = delta.propagate, engine.algorithm.apply
 
         def spied_step(*args, **kwargs):
             g, touched = step(*args, **kwargs)
@@ -265,7 +263,7 @@ class TestDenseRecord:
             compares.append(old.shape)
             return exact_changed_rows(old, new)
 
-        monkeypatch.setattr(refinement, "propagate", spied_step)
+        monkeypatch.setattr(delta, "propagate", spied_step)
         monkeypatch.setattr(engine.algorithm, "apply", spied_apply)
         monkeypatch.setattr(delta, "exact_changed_rows", counted)
         pin_refine_modes(monkeypatch, True)

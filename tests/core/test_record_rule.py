@@ -24,6 +24,7 @@ from repro.algorithms import (
 )
 from repro.bench.workloads import uniform_batch
 from repro.core.engine import GraphBoltEngine
+from repro.core.history import RollingState
 from repro.graph.generators import rmat
 from repro.ligra import delta
 from repro.ligra.delta import dense_preferred
@@ -39,7 +40,7 @@ def assert_history_absorbs_its_values(engine) -> None:
     """Replay ``engine``'s history: each ``g_i`` equals the aggregation
     of the replayed ``c_{i-1}`` over the engine's graph, to rounding."""
     graph, algorithm = engine.graph, engine.algorithm
-    replay = copy_history(engine.history).rolling()
+    replay = RollingState(copy_history(engine.history))
     for index in range(replay.horizon):
         replay.advance()
         expected = kernels.aggregate_all(graph, algorithm, replay.c_prev,

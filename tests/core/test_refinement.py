@@ -22,18 +22,20 @@ from repro.algorithms import (
 )
 from repro.algorithms.registry import REGISTRY
 from repro.core.engine import GraphBoltEngine
-from repro.core.refinement import _Refiner
+from repro.core.refinement import Replay
 from repro.graph.generators import bipartite_graph, rmat
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
-from repro.ligra.delta import DeltaEngine, ITERATION_CAP
+from repro.ligra.delta import (DeltaEngine, ITERATION_CAP,
+                              compare_until_priced, dense_preferred)
+from repro.ligra.frontier import union_ids
 from repro.ligra.engine import LigraEngine
 from repro.obs import trace
 from repro.obs.trace import Tracer
-from repro.runtime.metrics import EngineMetrics
 from repro.runtime.validation import assert_same_results
 from repro.testing.workloads import FUZZ_ALGORITHMS
-from tests.conftest import edge_weights, make_random_batch, pin_refine_modes
+from tests.conftest import (copy_history, edge_weights, make_random_batch,
+                            pin_refine_modes, replayed_step_dense)
 
 CASES = [
     pytest.param(lambda: PageRank(), "rmat", 10, id="pagerank"),
@@ -328,16 +330,17 @@ class TestSwitchPricing:
         engine.run(graph)
         mutation = StreamingGraph(graph).apply_batch(
             MutationBatch.from_edges(additions=[(0, 1)]))
-        refiner = _Refiner(engine.algorithm, mutation, engine.history,
-                           EngineMetrics(), "delta")
+        replay = Replay(engine.algorithm, mutation,
+                        copy_history(engine.history))
         # Sources in id order until their out-edges cover the fraction.
         reach = np.cumsum(mutation.new_graph.out_degrees())
         count = int(np.searchsorted(reach, fraction * reach[-1])) + 1
         sources = np.arange(count, dtype=np.int64)
-        affected = refiner.batch_edges + int(reach[count - 1])
+        affected = replay.batch_edges + int(reach[count - 1])
         assert affected / mutation.new_graph.num_edges == pytest.approx(
             fraction, abs=0.01)
-        assert refiner._dense_preferred(sources) == dense
+        assert replayed_step_dense(engine.algorithm, mutation,
+                                   engine.history, sources) == dense
 
     def test_a_mask_prices_as_its_ids(self, rng):
         """After a dense iteration the switch prices the mask its
@@ -349,36 +352,39 @@ class TestSwitchPricing:
         engine.run(graph)
         mutation = StreamingGraph(graph).apply_batch(
             make_random_batch(graph, rng, 30, 30))
-        refiner = _Refiner(engine.algorithm, mutation, engine.history,
-                           EngineMetrics(), "delta")
-        assert refiner.contrib_params.size
-        old = np.zeros(graph.num_vertices)
+        replay = Replay(engine.algorithm, mutation, engine.history)
+        algorithm, new_graph = engine.algorithm, mutation.new_graph
+        num_vertices = new_graph.num_vertices
+        assert replay.contrib_params.size
+        old = np.zeros(num_vertices)
         stopped = []
         for fraction in (0.0, 0.001, 0.05, 0.2, 0.4, 1.0):
-            mask = rng.random(graph.num_vertices) < fraction
-            ids = np.flatnonzero(mask)
-            diverged = np.zeros(graph.num_vertices, dtype=bool)
-            compared = refiner._compare(old, mask.astype(float), diverged)
+            mask = rng.random(num_vertices) < fraction
+            diverged = np.zeros(num_vertices, dtype=bool)
+            compared, priced = compare_until_priced(
+                algorithm, new_graph, old, mask.astype(float), diverged,
+                replay.fixed_edges, replay.contrib_mask)
             assert np.array_equal(diverged[:compared], mask[:compared])
             assert not diverged[compared:].any()
-            sources = refiner._sources(diverged)
-            assert sources.dtype == bool and diverged is not sources
-            dense = refiner._dense_preferred(refiner._sources(ids))
-            assert refiner._dense_preferred(sources) == dense
-            stopped.append(compared < graph.num_vertices)
+            # The sources a replayed step prices, as a mask and as ids.
+            sources = diverged | replay.contrib_mask
+            ids = union_ids(num_vertices, np.flatnonzero(mask),
+                            replay.contrib_params)
+            dense = dense_preferred(algorithm, new_graph, ids,
+                                    replay.batch_edges)
+            assert dense_preferred(algorithm, new_graph, sources,
+                                   priced) == dense
+            stopped.append(compared < num_vertices)
             if stopped[-1]:
                 assert dense
             else:
-                assert np.array_equal(np.flatnonzero(sources),
-                                      refiner._sources(ids))
-                degrees = mutation.new_graph.out_degrees()
-                assert refiner.priced == refiner.batch_edges + int(
-                    degrees[refiner._sources(ids)].sum())
+                assert np.array_equal(np.flatnonzero(sources), ids)
+                degrees = new_graph.out_degrees()
+                assert priced == replay.batch_edges + int(
+                    degrees[ids].sum())
         assert any(stopped) and not all(stopped)
-        empty = np.zeros(graph.num_vertices, dtype=bool)
-        refiner.contrib_params = np.empty(0, dtype=np.int64)
-        assert refiner._sources(empty) is empty
-        assert not refiner._dense_preferred(empty)
+        empty = np.zeros(num_vertices, dtype=bool)
+        assert not dense_preferred(algorithm, new_graph, empty, priced)
 
 
 class TestReusedInitialValues:
@@ -391,14 +397,15 @@ class TestReusedInitialValues:
                                                monkeypatch):
         profile = FUZZ_ALGORITHMS[key]
         seen = []
-        init = _Refiner.__init__
+        init = Replay.__init__
 
-        def spy(self, algorithm, mutation, history, *args):
-            init(self, algorithm, mutation, history, *args)
-            seen.append((self.initial is history.initial_values,
-                         self.initial, self.identity, self.new_graph))
+        def spy(self, algorithm, mutation, history):
+            reused = history.initial_values
+            init(self, algorithm, mutation, history)
+            seen.append((self.initial is reused, self.initial,
+                         self.identity, mutation.new_graph))
 
-        monkeypatch.setattr(_Refiner, "__init__", spy)
+        monkeypatch.setattr(Replay, "__init__", spy)
         engine = GraphBoltEngine(profile.factory(),
                                  num_iterations=profile.num_iterations)
         engine.run(rmat(scale=7, edge_factor=4, seed=2, weighted=True))

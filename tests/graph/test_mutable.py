@@ -1,14 +1,19 @@
 """Unit and property tests for the streaming graph's batch application."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import PageRank
+from repro.core.engine import GraphBoltEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
+from repro.graph.storage import MmapStore
 from tests.conftest import edge_set, edge_weights
 
 
@@ -141,10 +146,11 @@ class TestApplyBatch:
 
     def test_previous_snapshot_retained(self):
         stream = StreamingGraph(base_graph())
-        assert stream.previous is None
         old = stream.graph
-        stream.apply_batch(MutationBatch.from_edges(additions=[(3, 1)]))
-        assert stream.previous is old
+        result = stream.apply_batch(
+            MutationBatch.from_edges(additions=[(3, 1)]))
+        assert result.old_graph is old
+        assert result.new_graph is stream.graph
         assert old.num_edges == 4
 
     def test_vertex_growth_implicit(self):
@@ -181,6 +187,35 @@ class TestApplyBatch:
         stream.apply_batch(MutationBatch.empty())
         stream.apply_batch(MutationBatch.empty())
         assert stream.batches_applied == 2
+
+
+class TestNoSnapshotPastItsBatch:
+    """A stream keeps only its latest snapshot: the pre-batch graph
+    lives as long as the batch's result, and no longer."""
+
+    def test_heap_stream(self):
+        stream = StreamingGraph(rmat(6, 4, seed=3, weighted=True))
+        before = weakref.ref(stream.graph)
+        result = stream.apply_batch(
+            MutationBatch.from_edges(additions=[(3, 1)]))
+        assert result.old_graph is before()
+        del result
+        assert before() is None
+
+    def test_mmap_replica(self, tmp_path):
+        """A replica adopts batches and never refines: it drops each
+        result as it applies it, so no old generation stays in memory."""
+        store = MmapStore(str(tmp_path))
+        stream = StreamingGraph(store.publish(
+            rmat(6, 4, seed=3, weighted=True)))
+        replica = GraphBoltEngine(PageRank(), num_iterations=3)
+        replica.run(streaming=stream)
+        for step in range(3):
+            before = weakref.ref(replica.graph)
+            replica.adopt([MutationBatch.from_edges(
+                additions=[(step, step + 5)])], None)
+            assert replica.graph is not before()
+            assert before() is None
 
 
 class TestMutationResult:

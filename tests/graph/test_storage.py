@@ -38,7 +38,7 @@ def small_graph(seed=3):
 
 
 def mutate(streaming, step):
-    streaming.apply_batch(MutationBatch.from_edges(
+    return streaming.apply_batch(MutationBatch.from_edges(
         additions=[(step % 5, (step + 7) % 11)], deletions=[]))
 
 
@@ -167,11 +167,11 @@ class TestLifecycle:
         streaming = StreamingGraph(store.publish(small_graph()))
         for step in range(4):
             mutate(streaming, step)
-        # StreamingGraph holds current + previous; everything older is
-        # released and must be gone from the in-memory table and from
-        # disk.  The on-disk manifest lost the published generation
+        # StreamingGraph holds only the current generation; every older
+        # one is released and must be gone from the in-memory table and
+        # from disk.  The on-disk manifest lost the published generation
         # with it and never listed the adjusted (unsealed) ones.
-        assert len(store.snapshot_ids()) <= 2
+        assert store.snapshot_ids() == [streaming.graph.snapshot_id]
         assert on_disk_snapshots(tmp_path) == []
         on_disk = [f for f in os.listdir(str(tmp_path))
                    if f.endswith(".seg")]
@@ -191,8 +191,8 @@ class TestLifecycle:
         streaming = StreamingGraph(published)
         for step in range(4):
             mutate(streaming, step)
-        # In memory next to the two live unsealed generations; alone
-        # in the on-disk manifest.
+        # In memory next to the live unsealed generation; alone in the
+        # on-disk manifest.
         assert pinned_id in store.snapshot_ids()
         assert on_disk_snapshots(root) == [pinned_id]
         owner.unlink()
@@ -309,7 +309,7 @@ class TestVolatileUntilPinned:
 
     def test_an_adjusted_generation_costs_no_fsync_and_no_manifest_write(
             self, tmp_path, monkeypatch):
-        # Two batches in, the published (sealed) generation has been
+        # A batch in, the published (sealed) generation has been
         # released and has left the on-disk table -- the one manifest
         # write a stream of adjustments ever causes.
         store, streaming = self._adjusted(tmp_path, steps=2)
@@ -323,7 +323,7 @@ class TestVolatileUntilPinned:
         for step in range(2, 5):  # each writes one, releases one
             mutate(streaming, step)
         assert not before & set(store.snapshot_ids())
-        assert len(store.snapshot_ids()) == 2
+        assert len(store.snapshot_ids()) == 1
         assert (fsyncs.files, fsyncs.directories, manifests) == (0, 0, [])
 
     def test_a_stream_of_batches_adds_no_file(self, tmp_path):
@@ -388,12 +388,12 @@ class TestVolatileUntilPinned:
             store, streaming = self._adjusted(tmp_path, steps=4)
             graph = streaming.graph
             store.seal(graph.snapshot_id)
-            # the publish and the explicit seal; generations 1 and 2
+            # the publish and the explicit seal; generations 1 to 3
             # were released without ever being written
             assert registry.counter(
                 "store.generations_sealed").value == 2
             assert registry.counter(
-                "store.generations_released_unsealed").value == 2
+                "store.generations_released_unsealed").value == 3
             spans = [event for event in tracer.events()
                      if event["name"] == "store.seal"]
         assert [span["tags"]["snapshot"] for span in spans] == [
@@ -405,13 +405,14 @@ class TestVolatileUntilPinned:
     def test_volatile_is_absent_from_the_manifest_until_pinned(
             self, tmp_path):
         store, streaming = self._adjusted(tmp_path / "store")
-        published, adjusted = sorted(store.snapshot_ids())
+        # The published generation went with the batch's release.
+        (adjusted,) = store.snapshot_ids()
         assert adjusted == streaming.graph.snapshot_id
-        assert on_disk_snapshots(store.root) == [published]
+        assert on_disk_snapshots(store.root) == []
         owner = tmp_path / "checkpoint.ckpt"
         owner.write_text("")
         store.seal(adjusted, str(owner))
-        assert on_disk_snapshots(store.root) == [published, adjusted]
+        assert on_disk_snapshots(store.root) == [adjusted]
         # Sealed means verifiable from disk alone, CRCs in the header.
         reopened = MmapStore(store.root)
         assert reopened.current_snapshot == adjusted
@@ -489,10 +490,10 @@ class TestVolatileUntilPinned:
         for step in range(3):
             mutate(streaming, step)
         assert on_disk_snapshots(root) == [published.snapshot_id]
-        # Two unsealed generations in memory, not one file between them.
+        # One unsealed generation in memory, and no file of it.
         unsealed = [sid for sid in store.snapshot_ids()
                     if sid != published.snapshot_id]
-        assert len(unsealed) == 2
+        assert len(unsealed) == 1
         assert not [name for sid in unsealed
                     for name in store.segment_files(sid)]
         sealed = store.segment_files(published.snapshot_id)
@@ -613,20 +614,20 @@ class TestRunCopies:
         store = MmapStore(str(tmp_path))
         streaming = StreamingGraph(store.publish(small_graph()))
         source = store.segment_files(streaming.graph.snapshot_id)
-        mutate(streaming, 0)
+        result = mutate(streaming, 0)
         store.seal(streaming.graph.snapshot_id)  # now the current one
         # A checkpoint restore opens its own store object on the root;
         # its compaction reaps what *it* does not hold live -- here the
-        # published generation the first stream still holds as its
-        # previous snapshot, now read through its mappings alone.
+        # published generation the first batch's result still holds as
+        # its old snapshot, now read through its mappings alone.
         MmapStore(str(tmp_path)).compact()
         assert not any(os.path.exists(tmp_path / name) for name in source)
-        assert_graphs_equal(streaming.previous, small_graph())
-        mutate(streaming, 1)
+        assert_graphs_equal(result.old_graph, small_graph())
+        result = mutate(streaming, 1)
         heap = StreamingGraph(small_graph())
         mutate(heap, 0)
-        mutate(heap, 1)
-        assert_graphs_equal(streaming.previous, heap.previous)
+        heap_result = mutate(heap, 1)
+        assert_graphs_equal(result.old_graph, heap_result.old_graph)
         assert_graphs_equal(streaming.graph, heap.graph)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),

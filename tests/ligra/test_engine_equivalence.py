@@ -7,6 +7,7 @@ and the non-decomposable min with self-dependent apply.
 """
 
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.algorithms import (
 from repro.core.history import DependencyHistory
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import bipartite_graph, rmat
-from repro.ligra.delta import DeltaEngine, ITERATION_CAP
+from repro.ligra.delta import DeltaEngine, DeltaState, ITERATION_CAP
 from repro.ligra.engine import LigraEngine
 from repro.runtime.validation import assert_same_results
 
@@ -168,6 +169,24 @@ class TestDeltaStateMechanics:
         engine.step(graph, state)
         assert clone.iteration == state.iteration - 1
         assert not np.array_equal(clone.values, state.values)
+
+    def test_copy_round_trips_every_field(self):
+        """A copy (a server's branch loop takes one of the live state)
+        keeps every field, ``held`` too: the copy's first sparse step
+        owes no hold-back the live state would not."""
+        graph = rmat(scale=6, edge_factor=4, seed=7)
+        engine = DeltaEngine(PageRank(tolerance=1e-3))
+        state = engine.initial_state(graph)
+        while not state.held:       # until a sparse step
+            engine.step(graph, state)
+        clone = state.copy()
+        for spec in fields(DeltaState):
+            mine, theirs = getattr(state, spec.name), getattr(clone, spec.name)
+            if isinstance(mine, np.ndarray):
+                assert np.array_equal(mine, theirs)
+                assert not np.shares_memory(mine, theirs), spec.name
+            else:
+                assert mine == theirs, spec.name
 
     def test_empty_frontier_step_is_stable(self):
         graph = rmat(scale=6, edge_factor=4, seed=8, weighted=True)

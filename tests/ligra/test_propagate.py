@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.registry import REGISTRY
 from repro.core.engine import GraphBoltEngine
-from repro.core.refinement import _Refiner
+from repro.core.refinement import Replay
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.graph.mutable import StreamingGraph
@@ -26,7 +26,8 @@ from repro.ligra.delta import DeltaEngine, DeltaState, propagate
 from repro.ligra.frontier import union_ids
 from repro.runtime.exec import aggregate_all
 from repro.runtime.metrics import EngineMetrics
-from tests.conftest import make_random_batch
+from tests.conftest import (copy_history, make_random_batch,
+                            replayed_step_dense)
 
 #: PageRank, vector-valued LP, BP's log-space product and SSSP's min.
 ALGORITHMS = ["pagerank", "label-propagation", "belief-propagation", "sssp"]
@@ -118,9 +119,9 @@ class TestOneSwitch:
         engine = GraphBoltEngine(spec.factory(), num_iterations=2)
         engine.run(graph)
         mutation = StreamingGraph(graph).apply_batch(MutationBatch.empty())
-        refiner = _Refiner(engine.algorithm, mutation, engine.history,
-                           EngineMetrics(), "delta")
-        assert refiner.batch_edges == 0 and not refiner.contrib_params.size
+        replay = Replay(engine.algorithm, mutation,
+                        copy_history(engine.history))
+        assert replay.batch_edges == 0 and not replay.contrib_params.size
         # The fewest-edged sources until their out-edges cover the
         # fraction: around every algorithm's break-even.
         order = np.argsort(graph.out_degrees(), kind="stable")
@@ -140,6 +141,7 @@ class TestOneSwitch:
             # A dense step sweeps every edge; a sparse one gathers the
             # sources' out-edges (a pull then re-reads its targets').
             restart_dense = metrics.edge_computations == graph.num_edges
-            assert restart_dense == refiner._dense_preferred(sources)
+            assert restart_dense == replayed_step_dense(
+                engine.algorithm, mutation, engine.history, sources)
             decisions.append(restart_dense)
         assert any(decisions) and not all(decisions)
