@@ -61,21 +61,10 @@ def rmat(
     (0.57, 0.19, 0.19, 0.05).  Duplicate edges and self-loops are removed,
     so the final edge count is slightly below ``edge_factor * 2**scale``.
     """
-    rng = np.random.default_rng(seed)
     num_vertices = 1 << scale
-    num_edges = edge_factor * num_vertices
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
-    for level in range(scale):
-        rand = rng.random(num_edges)
-        src_bit = (rand >= _AB).astype(np.int64)
-        dst_bit = (
-            ((rand >= _A) & (rand < _AB)) | (rand >= _ABC)
-        ).astype(np.int64)
-        src = (src << 1) | src_bit
-        dst = (dst << 1) | dst_bit
-    keep = src != dst
-    src, dst = _dedup_sorted(src[keep], dst[keep], num_vertices)
+    rng = np.random.default_rng(seed)
+    src, dst = _rmat_chunk(rng, edge_factor * num_vertices, scale)
+    src, dst = _dedup_sorted(src, dst, num_vertices)
     weight = rng.random(src.size) + 0.5 if weighted else None
     return CSRGraph(num_vertices, src, dst, weight)
 
@@ -100,9 +89,10 @@ def _hash_weights(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 def _rmat_chunk(rng, count: int, scale: int):
     """One chunk of the RMAT rng stream: ``count`` quadrant draws with
-    self-loops dropped.  Both xl build paths (streamed and
-    materialized) consume chunks through here, so they see the same
-    edges for the same ``seed``."""
+    self-loops dropped.  :func:`rmat` draws its whole edge list as one
+    chunk; both xl build paths (streamed and materialized) consume
+    chunks through here, so they see the same edges for the same
+    ``seed``."""
     src = np.zeros(count, dtype=np.int64)
     dst = np.zeros(count, dtype=np.int64)
     for _ in range(scale):

@@ -33,15 +33,10 @@ from unittest import mock
 
 import numpy as np
 
-from repro.algorithms import PageRank
-from repro.core.engine import GraphBoltEngine
-from repro.graph.generators import rmat
-from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
 from repro.graph.storage import ARRAY_NAMES, MmapStore, StoreError
 from repro.obs.registry import scoped_registry
 from repro.recovery.manager import RecoveryManager
-from repro.runtime.checkpoint import load_engine, save_engine
 from repro.runtime.deadline import StepDeadline
 from repro.serving.chaos import ChaosConfig, ChaosTransport, wrap_cluster
 from repro.serving.replication import ReplicationCluster
@@ -61,7 +56,6 @@ __all__ = [
     "run_plant_fault",
     "run_row",
     "run_scenario",
-    "storage_crash_round",
     "sweep",
 ]
 
@@ -103,8 +97,8 @@ class Scenario:
     """One row of the kill-and-recover table."""
 
     name: str
-    #: ``durable`` server | ``resilient`` admission layer on it |
-    #: ``cluster`` of replicas on that | server-less ``storage`` tier.
+    #: ``durable`` server (storage kills: over an ``mmap`` store) |
+    #: ``resilient`` admission layer on it | ``cluster`` of replicas.
     topology: str
     #: The ``(site, kind, hit)`` failpoint planted before the schedule
     #: runs; ``None`` when the failure is pure choreography.
@@ -142,7 +136,9 @@ class CrashRound:
     detail: str = ""
     quarantined: int = 0
     torn_truncated: int = 0
-    #: Torn temps / unpublished segments a storage kill left on disk.
+    #: mmap rows: files under the store root no checkpoint on disk can
+    #: reach (:func:`_debris`), counted at each restart -- what a kill
+    #: inside a seal leaves for a later ``compact()``.
     debris_files: int = 0
     #: Chaos rows: injected faults per kind, the applied fault
     #: schedule, the replicas' answers to it (``_CHAOS_COUNTERS``), the
@@ -168,6 +164,20 @@ class CrashRound:
 
 def _values(node) -> np.ndarray:
     return np.asarray(node.approximate_values, dtype=np.float64).copy()
+
+
+def _debris(store_root: str) -> List[str]:
+    """What a kill inside a seal leaves under a store root that no
+    checkpoint on disk can reach: temp files, and segments of no
+    generation a surviving checkpoint pins (the on-disk manifest names
+    none of them, or only under a pin whose owner never landed)."""
+    store = MmapStore(store_root)  # reads the on-disk manifest
+    kept = {name for snapshot, owners in store._manifest["pins"].items()
+            if any(map(os.path.exists, owners))
+            for name in store.segment_files(snapshot)}
+    return sorted(name for name in os.listdir(store_root)
+                  if name.endswith(".tmp")
+                  or (name.endswith(".seg") and name not in kept))
 
 
 def _uninterrupted_values(workload: Workload) -> np.ndarray:
@@ -241,8 +251,7 @@ class _Run:
         else:
             graph = self.workload.build_graph()
             if self.scenario.store == "mmap":
-                graph = MmapStore(
-                    os.path.join(self.state_dir, "store")).publish(graph)
+                graph = MmapStore(self.store_root).publish(graph)
             server = StreamingAnalyticsServer(
                 factory, graph,
                 approx_iterations=APPROX_ITERATIONS, recovery=manager,
@@ -284,6 +293,10 @@ class _Run:
     def manager(self) -> RecoveryManager:
         return self.node.recovery
 
+    @property
+    def store_root(self) -> str:
+        return os.path.join(self.state_dir, "store")
+
     def step(self) -> bool:
         done = self.node.batches_ingested
         if done < len(self.schedule):
@@ -294,6 +307,8 @@ class _Run:
         if self.node is not None:
             self.manager.close()
         self.node = None
+        if self.scenario.store == "mmap":
+            self.round.debris_files += len(_debris(self.store_root))
 
     def harvest(self) -> Tuple[Dict[str, np.ndarray], int]:
         """Shut down; return every node's values and the residual lag
@@ -626,6 +641,21 @@ def _stores_verify(run: _ClusterRun) -> str:
     return f"scrub found damage on {dirty}" if dirty else ""
 
 
+def _store_clean(run: _Run) -> str:
+    """A fresh store over the writer's root -- what a restart would
+    open -- verifies every generation its manifest lists, and its
+    ``compact()`` sweeps whatever debris a kill inside a seal left."""
+    store = MmapStore(run.store_root)
+    try:
+        for snapshot in store.snapshot_ids():
+            store.verify(snapshot)
+    except StoreError as exc:
+        return f"reopened store failed verify: {exc}"
+    store.compact()
+    leftovers = _debris(run.store_root)
+    return f"debris survived compact: {leftovers}" if leftovers else ""
+
+
 def _drive_over(run: _ClusterRun,
                 wrappers: Sequence[ChaosTransport]) -> None:
     """Drive the schedule over chaos-wrapped links; tally their faults
@@ -690,158 +720,16 @@ def _dead_lettered(run: _ClusterRun) -> str:
 
 
 # ----------------------------------------------------------------------
-# Storage rows: kill inside snapshot-segment persistence
-# ----------------------------------------------------------------------
-def _storage_round_batch(num_vertices: int, base_graph) -> MutationBatch:
-    """A fixed mutation batch for the storage rows: additions
-    (including one that grows the vertex set), plus deletions of real
-    edges -- enough to dirty both CSR directions."""
-    src, dst, _ = base_graph.all_edges()
-    deletions = [(int(src[0]), int(dst[0])),
-                 (int(src[src.size // 2]), int(dst[src.size // 2]))]
-    additions = [(0, num_vertices - 1), (3, 5),
-                 (num_vertices + 1, 2)]  # grows the vertex set
-    return MutationBatch.from_edges(
-        additions=additions, deletions=deletions,
-        add_weights=[1.25, 0.75, 1.5],
-        grow_to=num_vertices + 2,
-    )
-
-
-def _checkpoint_graph(graph, path: str) -> None:
-    """A real checkpoint of an engine run over ``graph``: for an mmap
-    graph, ``manifest_entry`` (the seal) -> the file -> the pin."""
-    engine = GraphBoltEngine(PageRank(), num_iterations=APPROX_ITERATIONS)
-    engine.run(graph)
-    save_engine(engine, path)
-
-
-def storage_crash_round(scenario: Scenario, root: str,
-                        seed: int = 7) -> CrashRound:
-    """Kill the seal a checkpoint of an adjusted generation starts --
-    inside a segment write before its header (``storage.segment_write``
-    rows), before a file's fsync or the manifest replace
-    (``storage.seal`` rows) -- or that checkpoint once its seal has
-    recorded the pin (``checkpoint.replace``), and prove the on-disk
-    manifest names sealed generations only.
-
-    The sequence mirrors a real process death: publish generation 0
-    and pin it to a first checkpoint (the stream releases it with the
-    batch, so only a pin keeps it on disk), apply a mutation batch
-    (held in memory, no file written) whose checkpoint is killed
-    mid-seal, leaving renamed orphans and a torn or unsynced temp file
-    (or sealed files no manifest names, or a pin whose owner never
-    landed) on disk, then "restart" by opening a *fresh* store over the
-    same root.  The round checks that
-
-    1. the reopened store lists exactly what was sealed before the kill
-       and points at the newest of it, verifies its payload CRCs, and
-       reads it bit-for-bit; no checkpoint names the lost generation;
-    2. :meth:`MmapStore.compact` sweeps every torn temp and orphaned
-       segment the crash left behind;
-    3. retrying the same batch converges to exactly the state a heap
-       :class:`StreamingGraph` reaches -- the equivalence oracle -- and
-       the retried checkpoint restores exactly that.
-    """
-    site, kind, hit = scenario.arm
-    round_ = CrashRound(seed=seed, scenario=scenario.name,
-                        workload=f"rmat(6, 4, seed={seed}) + one batch",
-                        arm=scenario.arm)
-    store_root = os.path.join(root, "store")
-    checkpoint = os.path.join(root, "checkpoint")
-    os.makedirs(store_root, exist_ok=True)
-    heap_graph = rmat(6, 4, seed=seed, weighted=True)
-    store = MmapStore(store_root)
-    base = store.publish(heap_graph)
-    first_checkpoint = os.path.join(root, "first-checkpoint")
-    open(first_checkpoint, "w").close()
-    store.seal(base.snapshot_id, first_checkpoint)
-    batch = _storage_round_batch(base.num_vertices, base)
-    oracle = StreamingGraph(heap_graph)
-    oracle.apply_batch(batch)
-    # A kill past the seal loses the checkpoint, not the generation.
-    sealed = site == "checkpoint.replace"
-    survivor = oracle.graph if sealed else base
-    pre_crash = {name: np.asarray(getattr(survivor, name)).copy()
-                 for name in ARRAY_NAMES}
-
-    streaming = StreamingGraph(base)
-    streaming.apply_batch(batch)  # held in memory: writes no file
-    sealed_before = [base.snapshot_id]
-    if sealed:
-        sealed_before.append(streaming.graph.snapshot_id)
-    with scoped_failpoints() as registry:
-        registry.arm(site, kind=kind, hit=hit)
-        try:
-            _checkpoint_graph(streaming.graph, checkpoint)
-        except InjectedCrash:
-            round_.crashes += 1
-        round_.fired = bool(registry.fired)
-    if not round_.crashes:
-        round_.detail = "planted failure never fired"
-        return round_
-    del streaming, base, store  # the "process" died; drop its maps
-
-    # A torn temp and/or finalized-but-unnamed segments must be on
-    # disk -- otherwise the kill site proved nothing.
-    round_.debris_files = sum(
-        name.endswith(".tmp")
-        or (name.endswith(".seg") and "-g000001-" in name)
-        for name in os.listdir(store_root)
-    )
-
-    def restart() -> str:
-        """The detail of the first failed rung, ``""`` when all hold."""
-        reopened_store = MmapStore(store_root)
-        try:
-            if reopened_store.snapshot_ids() != sealed_before:
-                return "reopened store lists an unsealed generation"
-            if reopened_store.current_snapshot != sealed_before[-1]:
-                return "manifest moved off the sealed generation"
-            reopened_store.verify()
-            reopened = reopened_store.open_snapshot()
-        except StoreError as exc:
-            return f"reopen failed: {exc}"
-        if os.path.exists(checkpoint):
-            return "a checkpoint names the generation the kill lost"
-        for name in ARRAY_NAMES:
-            if not np.array_equal(pre_crash[name],
-                                  np.asarray(getattr(reopened, name))):
-                return f"{name} diverged after reopen"
-
-        reopened_store.compact()
-        referenced = set()
-        for snapshot_id in reopened_store.snapshot_ids():
-            referenced.update(reopened_store.segment_files(snapshot_id))
-        leftovers = [name for name in os.listdir(store_root)
-                     if name.endswith(".tmp")
-                     or (name.endswith(".seg") and name not in referenced)]
-        if leftovers:
-            return f"debris survived compact: {leftovers}"
-
-        retry = StreamingGraph(reopened)
-        if not sealed:
-            retry.apply_batch(batch)
-        _checkpoint_graph(retry.graph, checkpoint)
-        restored = load_engine(checkpoint, PageRank()).graph
-        if not all(np.array_equal(np.asarray(getattr(graph, name)),
-                                  np.asarray(getattr(oracle.graph, name)))
-                   for name in ARRAY_NAMES
-                   for graph in (retry.graph, restored)):
-            return "retry diverged from heap oracle"
-        return ""
-
-    round_.detail = restart()
-    round_.ok = not round_.detail
-    return round_
-
-
-# ----------------------------------------------------------------------
 # The table
 # ----------------------------------------------------------------------
 def _kills(topology: str, *arms: Tuple[str, int]) -> Tuple[Scenario, ...]:
     return tuple(Scenario(site, topology, (site, "crash", hit))
                  for site, hit in arms)
+
+
+def _seal_kill(name: str, site: str, hit: int) -> Scenario:
+    return Scenario(name, "durable", (site, "crash", hit),
+                    invariant=_store_clean, store="mmap")
 
 
 #: Sweep name -> rows.  A new failpoint needs a row here (see
@@ -902,19 +790,20 @@ SWEEPS: Dict[str, Tuple[Scenario, ...]] = {
         Scenario("black-hole", "cluster", choreography=_black_hole,
                  invariant=_dead_lettered, seed_offset=1009),
     ),
-    # Inside the seal a checkpoint starts: one kill per segment before
-    # its header, one per segment before its fsync, one before the
-    # manifest replace, and one after it (pin recorded) before the
-    # checkpoint's own replace.
+    # Inside the batch-2 checkpoint's seal of an adjusted generation,
+    # past the bootstrap publish's 6 segment writes and 7 seal passes:
+    # a kill per segment before its header, per segment before its
+    # fsync, before the manifest replace, and after it (pin recorded)
+    # before the checkpoint's own replace (hit 1: the bootstrap's).
     "storage": tuple(
-        Scenario(f"segment-{hit}", "storage",
-                 ("storage.segment_write", "crash", hit))
+        _seal_kill(f"segment-{hit}", "storage.segment_write",
+                   len(ARRAY_NAMES) + hit)
         for hit in range(1, len(ARRAY_NAMES) + 1)
     ) + tuple(
-        Scenario(f"seal-{hit}", "storage", ("storage.seal", "crash", hit))
+        _seal_kill(f"seal-{hit}", "storage.seal", len(ARRAY_NAMES) + 1 + hit)
         for hit in range(1, len(ARRAY_NAMES) + 2)
     ) + (
-        Scenario("seal-pinned", "storage", ("checkpoint.replace", "crash", 1)),
+        _seal_kill("seal-pinned", "checkpoint.replace", 2),
     ),
 }
 
@@ -945,8 +834,6 @@ def _fault_kind_coverage(seed: int,
 def run_row(scenario: Scenario, seed: int, state_dir: str) -> CrashRound:
     """One table row on the workload seeded by ``seed`` + its offset."""
     seed += scenario.seed_offset
-    if scenario.topology == "storage":
-        return storage_crash_round(scenario, state_dir, seed)
     workload = _workload_with_batches(seed, minimum=4)
     return run_scenario(scenario, workload, state_dir, seed=seed,
                         checkpoint_every=scenario.checkpoint_every)

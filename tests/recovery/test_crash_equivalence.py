@@ -11,9 +11,11 @@ import json
 import os
 import shutil
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 
+from repro.graph.storage import MmapStore
 from repro.serving import replication_status
 from repro.testing import crash
 from repro.testing.crash import (
@@ -44,7 +46,23 @@ class TestScenarioTable:
         "sweep_name,row", ROWS,
         ids=[f"{name}:{row.name}" for name, row in ROWS],
     )
-    def test_row_recovers_bit_for_bit(self, sweep_name, row, tmp_path):
+    def test_row_recovers_bit_for_bit(self, sweep_name, row, tmp_path,
+                                      monkeypatch):
+        # The generation the newest seal was writing at each restart:
+        # a storage kill lands in (or, pinned, just past) that seal.
+        sealing, killed = [], []
+        seal_segments, debris = MmapStore._seal_segments, crash._debris
+
+        def spy(store, snapshot_id, *args):
+            sealing.append(snapshot_id)
+            return seal_segments(store, snapshot_id, *args)
+
+        def counted(store_root):
+            killed.append(sealing[-1])
+            return debris(store_root)
+
+        monkeypatch.setattr(MmapStore, "_seal_segments", spy)
+        monkeypatch.setattr(crash, "_debris", counted)
         round_ = run_row(row, sweep_seed(sweep_name), str(tmp_path))
         assert round_.ok, round_.summary()
         assert round_.fired, (
@@ -60,11 +78,15 @@ class TestScenarioTable:
         if site == "recover.replay":
             # the refine kill that starts a recovery, then the replay kill
             assert round_.crashes >= 2
-        if row.topology == "storage":
+        if sweep_name == "storage":
             assert round_.debris_files >= 1, (
                 f"{row.name}: no torn files on disk -- the kill site is "
                 f"after the damage window"
             )
+            # Past the bootstrap publish: the batch-2 checkpoint's seal
+            # of an adjusted generation, not generation 0's.
+            assert sealing[0].endswith("-g000000")
+            assert not killed[0].endswith("-g000000"), killed
         if sweep_name == "chaos":
             # The applied fault schedule is recorded on the round.
             assert round_.schedule
@@ -133,8 +155,8 @@ class TestScenarioTable:
             "breaker.probe": "resilient",
             "replication.ship": "cluster",
             "replication.receive": "cluster",
-            "storage.segment_write": "storage",
-            "storage.seal": "storage",
+            "storage.segment_write": "durable",
+            "storage.seal": "durable",
         }
 
     @pytest.mark.parametrize("sweep_name,node", [
@@ -153,6 +175,30 @@ class TestScenarioTable:
         assert not round_.ok
         assert round_.fired
         assert f"MISMATCH ({node} diverged" in round_.summary()
+
+    def test_store_invariant_reports_debris_compact_left(
+            self, tmp_path, monkeypatch):
+        """Self-test of the storage rows' invariant: a stray temp and an
+        unnamed own-label segment in a finished round's store are swept
+        by ``compact()`` -- and named when a compact leaves them."""
+        row = SWEEPS["storage"][0]
+        assert run_row(row, 7, str(tmp_path)).ok
+        store = tmp_path / "store"
+        run = SimpleNamespace(store_root=str(store))
+        planted = [".out_offsets-stray.tmp", "snap-g999999-out_offsets.seg"]
+
+        def plant():
+            for name in planted:
+                (store / name).write_bytes(b"debris")
+
+        plant()
+        assert row.invariant(run) == ""
+        assert not any((store / name).exists() for name in planted)
+        plant()
+        monkeypatch.setattr(MmapStore, "compact", lambda self: [])
+        detail = row.invariant(run)
+        assert detail.startswith("debris survived compact")
+        assert all(name in detail for name in planted)
 
 
 class TestSweep:

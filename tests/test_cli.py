@@ -744,6 +744,38 @@ class TestServeSoaks:
             ]) == 0
         assert "SOAK FAIL" not in capsys.readouterr().out
 
+    def test_replication_soak(self, tmp_path):
+        """The 2-replica soak with a planted replica crash, on the heap
+        and on the mmap store: r0 dies before batch 6 and restarts
+        before batch 14, so its backlog crosses the replication SLO's
+        objective; the dashboard replay requires the replica-staleness
+        page to fire and then resolve.  The serve exits non-zero if a
+        live replica still lags after the final sync; the offline
+        status and a scrub of each mmap replica with its own store
+        spool re-check what is on disk."""
+        soak = ["serve", "rmat:8", "--batches", "24", "--batch-size", "50",
+                "--seed", "0", "--checkpoint-every", "2", "--admission",
+                "block", "--replicas", "2", "--kill-replica", "0:6:14",
+                "--status"]
+        state = str(tmp_path / "repl-state")
+        journal = str(tmp_path / "replication-soak.jsonl")
+        assert main(soak + ["--wal", state, "--slo", "replication",
+                            "--wide-events", journal]) == 0
+        assert main(["dash", "--once", "--from-journal", journal,
+                     "--slo", "replication",
+                     "--expect-alert", "replica-staleness",
+                     "--expect-resolved", "replica-staleness"]) == 0
+        assert main(["replication-status", state]) == 0
+        mmap_state = tmp_path / "repl-mmap-state"
+        assert main(soak + [
+            "--wal", str(mmap_state), "--snapshot-store",
+            f"mmap:{tmp_path / 'repl-mmap-store'}"]) == 0
+        assert main(["replication-status", str(mmap_state)]) == 0
+        for replica in ("r0", "r1"):
+            directory = mmap_state / "replicas" / replica
+            assert main(["scrub", str(directory), "--store-root",
+                         str(directory / "store")]) == 0
+
 
 class TestReplicatedServe:
     SERVE = ["serve", "rmat:6:4", "--batches", "6", "--batch-size", "8",
