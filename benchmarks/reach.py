@@ -80,16 +80,18 @@ COMMANDS = (
     "--plant-latency 10:9.9",
     "repro serve rmat:8 --batches 20 --slo soak --wide-events clean.jsonl",
     "repro serve rmat:8 --batches 8 --query-every 2 --wide-events "
-    "events.jsonl",
+    "events.jsonl --trace-out spans.jsonl",
     "repro serve rmat:8 --batches 4 --metrics-out metrics.prom",
     "repro slo-lint",
     "repro dash --once --from-journal run.jsonl --slo soak",
     "repro dash --once --from-journal run.jsonl --slo soak "
     "--expect-alert soak-ingest-latency",
     "repro dash --once --from-journal clean.jsonl --slo soak --expect-clean",
-    "repro serve rmat:8 --wal state --admission shed-oldest "
-    "--queue-capacity 4 --burst 2 --poison-every 3 --query-every 2 "
-    "--deadline 0.5 --health-journal health.jsonl --status",
+    "repro serve rmat:8 --batches 24 --batch-size 25 --seed 0 "
+    "--wal state --checkpoint-every 4 --admission shed-oldest "
+    "--iterations 5 --queue-capacity 4 --burst 6 --poison-every 5 "
+    "--query-every 2 --deadline 0.5 --breaker-quarantine-threshold 2 "
+    "--breaker-cooldown 2 --health-journal health.jsonl --status",
     "repro recover state",
     "repro recover state --verify",
     "repro scrub state",

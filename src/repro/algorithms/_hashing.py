@@ -7,25 +7,28 @@ parameters bit-for-bit, otherwise a vertex addition would perturb the
 whole computation and break refinement-versus-from-scratch equivalence.
 
 We use a Knuth/Wang-style integer mix vectorised over id arrays.
+Constants a step reads for every vertex it applies (LP's and CoEM's
+seed clamp) are derived once per id by :class:`SeedTable`, not once
+per step.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Optional, Tuple
+
 import numpy as np
 
-__all__ = ["hash_ids", "uniform_from_ids"]
-
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+__all__ = ["SeedTable", "hash_ids", "uniform_from_ids"]
 
 
 def hash_ids(ids: np.ndarray, salt: int = 0) -> np.ndarray:
-    """64-bit mix of vertex ids; uniform-ish, deterministic, vectorised."""
+    """64-bit mix of vertex ids; uniform-ish, deterministic, vectorised
+    (uint64 arithmetic wraps modulo 2**64)."""
     salt_mix = np.uint64((salt * 0x9E3779B97F4A7C15 + 1) & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
         x = np.asarray(ids, dtype=np.uint64) + salt_mix
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9) & _MASK64
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB) & _MASK64
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         x = x ^ (x >> np.uint64(31))
     return x
 
@@ -33,3 +36,32 @@ def hash_ids(ids: np.ndarray, salt: int = 0) -> np.ndarray:
 def uniform_from_ids(ids: np.ndarray, salt: int = 0) -> np.ndarray:
     """Deterministic floats in [0, 1) per vertex id."""
     return hash_ids(ids, salt).astype(np.float64) / 2.0**64
+
+
+class SeedTable:
+    """The seed flag and seed value of every vertex id in ``[0, n)``,
+    each derived once.  ``derive(ids)`` returns ``(mask, values)`` for a
+    run of ids; a larger ``n`` derives only the ids past the prefix,
+    which never changes (seeds are functions of the id alone)."""
+
+    def __init__(self, derive: Callable[[np.ndarray],
+                                        Tuple[np.ndarray, np.ndarray]]):
+        self._derive = derive
+        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def covering(self, graph, vertices: Optional[np.ndarray] = None
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(mask, values)`` over at least every id of ``graph`` (may
+        be ``None``) and of ``vertices``; index them by id."""
+        bound = 0 if graph is None else graph.num_vertices
+        if vertices is not None and vertices.size:
+            bound = max(bound, int(vertices.max()) + 1)
+        # One read and one write of the pair: a concurrent extension
+        # derives the same ids and stores equal arrays.
+        arrays = self._arrays
+        size = 0 if arrays is None else arrays[0].size
+        if arrays is None or bound > size:
+            more = self._derive(np.arange(size, bound, dtype=np.int64))
+            arrays = self._arrays = more if arrays is None else tuple(
+                np.concatenate(pair) for pair in zip(arrays, more))
+        return arrays

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.algorithms._hashing import hash_ids
+from repro.algorithms._hashing import SeedTable, hash_ids
 from repro.core.aggregation import SumAggregation
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.csr import CSRGraph
@@ -48,6 +48,7 @@ class CoEM(IncrementalAlgorithm):
         self.seed_every = seed_every
         self.salt = salt
         self.default_score = default_score
+        self._seeds = SeedTable(self._derive_seeds)
 
     # ------------------------------------------------------------------
     def seed_mask(self, ids: np.ndarray) -> np.ndarray:
@@ -57,13 +58,16 @@ class CoEM(IncrementalAlgorithm):
         """1.0 for positive seeds, 0.0 for negative seeds."""
         return (hash_ids(ids, self.salt + 1) % np.uint64(2)).astype(np.float64)
 
+    def _derive_seeds(self, ids: np.ndarray):
+        return self.seed_mask(ids), self.seed_scores(ids)
+
     # ------------------------------------------------------------------
     def initial_values(self, graph: CSRGraph) -> np.ndarray:
-        ids = np.arange(graph.num_vertices, dtype=np.int64)
         values = np.full(graph.num_vertices, self.default_score,
                          dtype=np.float64)
-        seeds = self.seed_mask(ids)
-        values[seeds] = self.seed_scores(ids[seeds])
+        mask, scores = self._seeds.covering(graph)
+        seeds = np.flatnonzero(mask[:graph.num_vertices])
+        values[seeds] = scores[seeds]
         return values
 
     def apply(self, graph, aggregate_values, vertices,
@@ -75,10 +79,9 @@ class CoEM(IncrementalAlgorithm):
             aggregate_values / np.where(safe, normalisers, 1.0),
             self.default_score,
         )
-        seeds = self.seed_mask(vertices)
-        if seeds.any():
-            scores = scores.copy()
-            scores[seeds] = self.seed_scores(vertices[seeds])
+        mask, seed_scores = self._seeds.covering(graph, vertices)
+        rows = np.flatnonzero(mask[vertices])
+        scores[rows] = seed_scores[vertices[rows]]
         return scores
 
     def apply_params_changed(self, mutation: MutationResult) -> np.ndarray:

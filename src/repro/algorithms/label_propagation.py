@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.algorithms._hashing import hash_ids
+from repro.algorithms._hashing import SeedTable, hash_ids
 from repro.core.aggregation import SumAggregation
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.csr import CSRGraph
@@ -45,6 +45,7 @@ class LabelPropagation(IncrementalAlgorithm):
         self.seed_every = seed_every
         self.salt = salt
         self.value_shape = (num_labels,)
+        self._seeds = SeedTable(self._derive_seeds)
 
     # ------------------------------------------------------------------
     def seed_mask(self, ids: np.ndarray) -> np.ndarray:
@@ -56,30 +57,36 @@ class LabelPropagation(IncrementalAlgorithm):
         return (hash_ids(ids, self.salt + 1)
                 % np.uint64(self.num_labels)).astype(np.int64)
 
-    def _seed_distributions(self, ids: np.ndarray) -> np.ndarray:
-        one_hot = np.zeros((ids.size, self.num_labels), dtype=np.float64)
-        one_hot[np.arange(ids.size), self.seed_labels(ids)] = 1.0
-        return one_hot
+    def _derive_seeds(self, ids: np.ndarray):
+        return self.seed_mask(ids), self.seed_labels(ids)
 
     # ------------------------------------------------------------------
     def initial_values(self, graph: CSRGraph) -> np.ndarray:
-        ids = np.arange(graph.num_vertices, dtype=np.int64)
         values = np.full(
             (graph.num_vertices, self.num_labels),
             1.0 / self.num_labels,
             dtype=np.float64,
         )
-        seeds = self.seed_mask(ids)
-        values[seeds] = self._seed_distributions(ids[seeds])
+        mask, labels = self._seeds.covering(graph)
+        seeds = np.flatnonzero(mask[:graph.num_vertices])
+        one_hot_rows(values, seeds, labels[seeds])
         return values
 
     def apply(self, graph, aggregate_values, vertices,
               previous_values: Optional[np.ndarray] = None) -> np.ndarray:
         normalised = normalised_rows(aggregate_values)
-        seeds = self.seed_mask(vertices)
-        if seeds.any():
-            normalised[seeds] = self._seed_distributions(vertices[seeds])
+        mask, labels = self._seeds.covering(graph, vertices)
+        rows = np.flatnonzero(mask[vertices])
+        one_hot_rows(normalised, rows, labels[vertices[rows]])
         return normalised
+
+
+def one_hot_rows(values: np.ndarray, rows: np.ndarray,
+                 labels: np.ndarray) -> None:
+    """Set each row ``rows[i]`` of ``values`` to the one-hot
+    distribution of ``labels[i]``, in place."""
+    values[rows] = 0.0
+    values[rows, labels] = 1.0
 
 
 def row_totals(values: np.ndarray) -> np.ndarray:
@@ -102,7 +109,7 @@ def normalised_rows(mass: np.ndarray) -> np.ndarray:
     (e.g. a vertex whose in-edges were all deleted), so a row totalling
     at most 1e-9 (or NaN) falls back to the uniform prior ``1 / K``."""
     totals = row_totals(mass)
-    vanishing = ~(totals > 1e-9)
+    vanishing = np.flatnonzero(~(totals > 1e-9))
     totals[vanishing] = 1.0
     normalised = mass / totals[:, None]
     normalised[vanishing] = 1.0 / mass.shape[1]

@@ -328,6 +328,14 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    with contextlib.ExitStack() as stack:
+        if args.trace_out:
+            journal = stack.enter_context(JsonlJournal.open(args.trace_out))
+            stack.enter_context(trace.activated(Tracer(sink=journal)))
+        return _serve(args)
+
+
+def _serve(args) -> int:
     import os
 
     from repro.obs.events import WideEventEmitter
@@ -497,7 +505,8 @@ def _cmd_serve(args) -> int:
     ))
     if recovery is not None:
         generations = recovery.checkpoints()
-        print(f"state: {server.batches_ingested} batch(es) WAL-logged, "
+        print(f"state: {recovery.wal.next_seq} batch(es) WAL-logged, "
+              f"{server.batches_ingested} ingested, "
               f"{len(generations)} checkpoint generation(s), newest at "
               f"seq {generations[-1][0] if generations else '-'}, "
               f"{len(recovery.quarantined)} quarantined")

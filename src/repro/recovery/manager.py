@@ -374,11 +374,13 @@ class RecoveryManager:
         return path
 
     def maybe_checkpoint(self, engine: GraphBoltEngine, seq: int) -> bool:
-        """Checkpoint when ``seq`` crosses the configured cadence."""
-        if seq % self.checkpoint_every != 0:
-            return False
+        """Checkpoint when ``seq``, the WAL position ``engine``'s state
+        stands at, crosses a multiple of the cadence past the newest
+        generation (skipped records can step it over the multiple)."""
         generations = self.checkpoints()
-        if generations and generations[-1][0] >= seq:
+        newest = generations[-1][0] if generations else 0
+        every = self.checkpoint_every
+        if seq // every <= newest // every:
             return False
         self.checkpoint(engine, seq)
         return True

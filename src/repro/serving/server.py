@@ -199,8 +199,9 @@ class StreamingAnalyticsServer:
                 values = self._ingest_durable(batch, logged_seq)
         self.batches_ingested += 1
         if self.recovery is not None:
-            self.recovery.maybe_checkpoint(self.engine,
-                                           self.batches_ingested)
+            # Labelled by WAL position: shed and superseded records
+            # are never ingested, so the count of batches lags it.
+            self.recovery.maybe_checkpoint(self.engine, self.state_seq)
         self.last_ingest_seconds = time.perf_counter() - start
         registry.histogram("serving.ingest_seconds").observe(
             self.last_ingest_seconds

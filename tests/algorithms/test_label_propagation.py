@@ -109,6 +109,7 @@ def test_apply_equals_the_where_formula(num_labels):
                           1.0 / num_labels)
         got = algo.apply(None, mass, vertices)
     seeds = algo.seed_mask(vertices)
-    expect[seeds] = algo._seed_distributions(vertices[seeds])
+    expect[seeds] = 0.0
+    expect[np.flatnonzero(seeds), algo.seed_labels(vertices[seeds])] = 1.0
     assert got.tobytes() == expect.tobytes()
     assert mass.tobytes() == before

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +246,23 @@ class TestObservabilityCommands:
         for root in batch_roots:
             phases = {child["name"] for child in root["children"]}
             assert {"refine", "forward"} <= phases
+
+    def test_serve_trace_out_journals_spans_and_exemplars(self, tmp_path,
+                                                          capsys):
+        spans = str(tmp_path / "spans.jsonl")
+        events = str(tmp_path / "events.jsonl")
+        batches = 6
+        assert main([
+            "serve", "rmat:7:4", "--batches", str(batches),
+            "--batch-size", "10", "--iterations", "4", "--query-every",
+            "2", "--wide-events", events, "--trace-out", spans]) == 0
+        span_records = journal_records(spans, "span")
+        assert sum(r["name"] == "batch" for r in span_records) == batches
+        ids = {r["id"] for r in span_records}
+        served = [r for r in journal_records(events, "wide")
+                  if r["kind"] == "batch"]
+        assert len(served) == batches
+        assert all(r["exemplar_span"] in ids for r in served)
 
     def test_run_json_emits_parseable_lines(self, capsys):
         code = main([
@@ -762,26 +781,55 @@ class TestServeSoaks:
         assert main(["dash", "--once", "--from-journal", journal,
                      "--slo", "soak", "--expect-clean"]) == 0
 
+    @staticmethod
+    def documented_overload_soak() -> list:
+        """docs/operations.md's overload soak command, as arguments."""
+        text = (Path(__file__).parents[1] / "docs"
+                / "operations.md").read_text()
+        block = text.split("### The overload soak", 1)[1].split("```")[1]
+        return shlex.split(block.replace("\\\n", " "))[1:]  # no "repro"
+
     @pytest.mark.parametrize("admission",
                              ["block", "shed-oldest", "coalesce"])
-    def test_overload_soak(self, admission, tmp_path, capsys):
-        """Bursty replay with planted poison batches: the serve exits
-        non-zero if a query goes unserved, restores blow the breaker
-        budget, or quarantines exceed the planted poisons."""
+    def test_overload_soak(self, admission, tmp_path, capsys,
+                           monkeypatch):
+        """The documented soak under each admission policy: bursty
+        replay with planted poison batches.  The serve exits non-zero
+        if a query goes unserved, restores blow the breaker budget, or
+        quarantines exceed the planted poisons; its bursts overflow the
+        queue (``shed-oldest`` sheds, ``coalesce`` folds), its
+        queries read their deadline, and ``recover --verify`` holds."""
+        from repro.runtime.deadline import WallClockDeadline
         from repro.testing.faults import scoped_failpoints
 
+        soak = self.documented_overload_soak()
+        assert soak[soak.index("--admission") + 1] == "shed-oldest"
+        state = str(tmp_path / "soak-state")
+        health = tmp_path / f"health-{admission}.jsonl"
+        swap = {"state/": state, "health.jsonl": str(health),
+                "shed-oldest": admission}
+        checks = []
+        expired = WallClockDeadline.expired
+
+        def spy(deadline):
+            checks.append(deadline)
+            return expired(deadline)
+
+        monkeypatch.setattr(WallClockDeadline, "expired", spy)
         with scoped_failpoints():
-            assert main([
-                "serve", "rmat:8", "--batches", "24", "--batch-size", "25",
-                "--seed", "0", "--wal", str(tmp_path / "soak-state"),
-                "--checkpoint-every", "4", "--admission", admission,
-                "--queue-capacity", "4", "--burst", "3",
-                "--poison-every", "5", "--query-every", "2",
-                "--deadline", "0.5", "--breaker-quarantine-threshold", "2",
-                "--breaker-cooldown", "2", "--health-journal",
-                str(tmp_path / f"health-{admission}.jsonl"), "--status",
-            ]) == 0
+            assert main([swap.get(arg, arg) for arg in soak]) == 0
         assert "SOAK FAIL" not in capsys.readouterr().out
+        assert checks
+        final = journal_records(health, "health")[-1]
+        assert final["submitted"] == 24
+        if admission == "shed-oldest":
+            assert final["shed"] >= 1
+        if admission == "coalesce":
+            assert final["coalesced"] >= 1
+        # Checkpoints name WAL positions, so recovery applies no record
+        # twice: the recovered state is the WAL's own replay.
+        assert main(["recover", state, "--verify"]) == 0
+        assert "bit-for-bit equal" in capsys.readouterr().out
 
     def test_replication_soak(self, tmp_path):
         """The 2-replica soak with a planted replica crash, on the heap
