@@ -43,7 +43,7 @@ __all__ = [
 
 GATE_MODES = ("off", "report", "enforce")
 
-#: Work metrics gated per run (deterministic; present in engine mode).
+#: Work metrics gated per run (deterministic).
 #: ``stream_edge_computations`` excludes the initial run, so a
 #: refinement regression is not diluted by it; baselines that predate
 #: the column skip it.

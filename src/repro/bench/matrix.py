@@ -8,8 +8,8 @@ muBench's 180-run experiment definition and stack_route_sim's
 
 - :func:`load_table` parses and validates a YAML run table whose
   ``axes`` (topology, scale, algorithm, engine, backend, storage,
-  scenario, admission, faults, replication, slo, ...) are expanded as
-  a cartesian product, minus declared ``exclude`` combinations;
+  scenario, batch_size, ...) are expanded as a cartesian product,
+  minus declared ``exclude`` combinations;
 - :func:`run_matrix` executes every expanded run deterministically,
   scraping each through a scoped PR-2 metrics registry, and assembles a
   schema-versioned ``BENCH_<area>.json`` payload (config hash, seed,
@@ -34,7 +34,6 @@ import itertools
 import json
 import os
 import tempfile
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -74,8 +73,7 @@ SCHEMA_VERSION = 1
 #: Canonical config-key order; also the run-id segment order.
 AXIS_ORDER = (
     "topology", "scale", "algorithm", "engine", "backend", "storage",
-    "scenario", "admission", "faults", "replication", "slo",
-    "batch_size", "num_batches", "iterations", "delete_fraction",
+    "scenario", "batch_size", "num_batches", "iterations", "delete_fraction",
     "edge_factor", "seed",
 )
 
@@ -88,10 +86,6 @@ DEFAULTS: Dict[str, object] = {
     "backend": "serial",
     "storage": "heap",
     "scenario": "uniform",
-    "admission": "none",
-    "faults": "none",
-    "replication": "off",
-    "slo": "none",
     "batch_size": 20,
     "num_batches": 2,
     "iterations": 10,
@@ -100,10 +94,8 @@ DEFAULTS: Dict[str, object] = {
     "seed": 0,
 }
 
-TOPOLOGIES = ("rmat", "rmat_xl", "ws", "er", "paper")
+TOPOLOGIES = ("rmat", "rmat_xl", "paper")
 STORAGES = ("heap", "mmap")
-ADMISSIONS = ("none", "block", "shed-oldest", "coalesce")
-REPLICATIONS = ("off", "2-replica", "2-replica+lag-fault")
 
 #: Timing percentiles reported per run (plus mean/total/max).
 WALL_PERCENTILES = (50, 90, 99)
@@ -188,8 +180,8 @@ def load_table(name_or_path: str) -> RunTable:
         gate=dict(raw.get("gate") or {}),
     )
     _validate_axes(table)
-    # Expansion performs the per-run semantic checks (engine/serving
-    # compatibility), so a bad table fails at load time, not run time.
+    # Expansion performs the per-run semantic checks (tolerance cells,
+    # paper scales), so a bad table fails at load time, not run time.
     expand(table)
     return table
 
@@ -273,25 +265,8 @@ def _check_value(table_path: str, key: str, value: object) -> None:
         raise MatrixError(
             f"{table_path}: scenario {value!r} not in "
             f"{tuple(SCENARIOS)}")
-    if key == "admission" and value not in ADMISSIONS:
-        raise MatrixError(
-            f"{table_path}: admission {value!r} not in {ADMISSIONS}")
-    if key == "replication" and value not in REPLICATIONS:
-        raise MatrixError(
-            f"{table_path}: replication {value!r} not in {REPLICATIONS}")
     if key == "backend":
         _parse_shards(str(value))
-    if key == "faults":
-        _parse_faults(str(value))
-    if key == "slo" and value != "none":
-        from repro.obs.slo import resolve_slo_path
-
-        if not os.path.exists(resolve_slo_path(str(value))):
-            raise MatrixError(
-                f"{table_path}: slo {value!r} does not resolve to a "
-                f"file (a name under benchmarks/slos/ or a path), "
-                f"or 'none'"
-            )
     if key in ("batch_size", "num_batches", "iterations", "edge_factor",
                "seed") and not isinstance(value, int):
         raise MatrixError(f"{table_path}: {key} must be an integer, "
@@ -308,44 +283,6 @@ def _parse_shards(spec: str) -> int:
         return int(suffix) if suffix else 4
     raise MatrixError(f"unknown backend {spec!r}; "
                       f"use 'serial' or 'sharded[:P]'")
-
-
-def _parse_faults(spec: str) -> int:
-    """``none``/``chaos`` -> 0, ``poison:<N>`` -> N (cadence in batches).
-
-    ``chaos`` carries no cadence: it wraps every replication link in a
-    seeded lossy transport (drop/duplicate/corrupt/reorder/delay at
-    10%), so it needs a replication axis and is handled in the serving
-    executor."""
-    if spec in ("none", "chaos"):
-        return 0
-    name, _, suffix = spec.partition(":")
-    if name == "poison" and suffix.isdigit() and int(suffix) > 0:
-        return int(suffix)
-    raise MatrixError(f"unknown fault plan {spec!r}; "
-                      f"use 'none', 'chaos', or 'poison:<N>'")
-
-
-def _parse_replication(spec: str) -> Tuple[int, bool]:
-    """``off`` -> (0, False); ``2-replica[+lag-fault]`` -> (2, fault?)."""
-    if spec == "off":
-        return 0, False
-    base, _, fault = spec.partition("+")
-    if base.endswith("-replica") and base[:-len("-replica")].isdigit():
-        replicas = int(base[:-len("-replica")])
-        if replicas > 0 and fault in ("", "lag-fault"):
-            return replicas, fault == "lag-fault"
-    raise MatrixError(f"unknown replication plan {spec!r}; "
-                      f"use 'off' or '<N>-replica[+lag-fault]'")
-
-
-def _is_serving(config: Dict) -> bool:
-    """An slo/replication plan implies the serving loop, like
-    admission/faults do: both attach to the resilient server."""
-    return (config["admission"] != "none"
-            or config["faults"] != "none"
-            or config["replication"] != "off"
-            or config["slo"] != "none")
 
 
 def expand(table: RunTable) -> List[RunSpec]:
@@ -380,21 +317,11 @@ def expand(table: RunTable) -> List[RunSpec]:
 
 
 def _check_run_semantics(table_path: str, config: Dict) -> None:
-    serving = _is_serving(config)
-    if isinstance(config["algorithm"], dict) and (
-            serving or config["engine"] != "graphbolt"):
+    if (isinstance(config["algorithm"], dict)
+            and config["engine"] != "graphbolt"):
         raise MatrixError(
-            f"{table_path}: a tolerance cell measures GraphBolt in "
-            f"engine mode against restarts; engine "
-            f"{config['engine']!r}{' (serving)' if serving else ''} is "
-            f"invalid there"
-        )
-    if serving and config["engine"] != "graphbolt":
-        raise MatrixError(
-            f"{table_path}: admission/fault/slo runs exercise the "
-            f"serving loop, which is GraphBolt-based; engine "
-            f"{config['engine']!r} is invalid there (add an exclude "
-            f"rule)"
+            f"{table_path}: a tolerance cell measures GraphBolt against "
+            f"restarts; engine {config['engine']!r} is invalid there"
         )
     if config["topology"] == "paper":
         if config["scale"] not in generators.PAPER_GRAPH_SCALES:
@@ -472,19 +399,9 @@ def _build_graph(config: Dict, store) -> CSRGraph:
                                   seed=seed, store=store)
     if topology == "paper":
         graph = generators.paper_graph(str(scale))
-    elif topology == "rmat":
+    else:
         graph = generators.rmat(int(scale), config["edge_factor"],
                                 seed=seed, weighted=True)
-    elif topology == "ws":
-        graph = generators.watts_strogatz(int(scale),
-                                          config["edge_factor"],
-                                          seed=seed, weighted=True)
-    elif topology == "er":
-        vertices = int(scale)
-        graph = generators.erdos_renyi(
-            vertices, config["edge_factor"] * vertices, seed=seed)
-    else:
-        raise MatrixError(f"unknown topology {topology!r}")
     return store.publish(graph)
 
 
@@ -523,7 +440,7 @@ def _wall_summary(per_batch: Sequence[float],
 
 def _execute_engine_run(config: Dict, graph: CSRGraph,
                         batches: List[MutationBatch]) -> Tuple[Dict, Dict]:
-    """One engine-mode run; returns ``(work, timing)``."""
+    """One run; returns ``(work, timing)``."""
     num_shards = _parse_shards(str(config["backend"]))
     runner = ENGINES[config["engine"]](
         _algorithm_factory(config["algorithm"]), config["iterations"],
@@ -593,172 +510,6 @@ def _tolerance_work(config: Dict, graph: CSRGraph,
     return work
 
 
-def _execute_serving_run(config: Dict, graph: CSRGraph,
-                         batches: List[MutationBatch]
-                         ) -> Tuple[Dict, Dict]:
-    """One serving-mode run (admission control and/or fault plan)."""
-    from repro.recovery import RecoveryManager
-    from repro.serving.resilience import (
-        BreakerConfig,
-        ResilientAnalyticsServer,
-    )
-    from repro.serving.server import StreamingAnalyticsServer
-    from repro.testing import faults as fault_mod
-
-    poison_every = _parse_faults(str(config["faults"]))
-    replicas, lag_fault = _parse_replication(str(config["replication"]))
-    policy = (config["admission"] if config["admission"] != "none"
-              else "block")
-    with tempfile.TemporaryDirectory() as state_dir, \
-            scoped_registry(), \
-            fault_mod.scoped_failpoints() as failpoints:
-        recovery = None
-        if poison_every or replicas:
-            # Poison plans quarantine through the recovery path;
-            # replicas replay the writer's shipped WAL -- both need a
-            # durable writer.  Replicated runs checkpoint every other
-            # batch so shipping happens *during* the loop (otherwise
-            # the short matrix runs would only converge at the final
-            # sync and the planted lag fault would never be reached).
-            recovery = RecoveryManager(
-                state_dir, checkpoint_every=2 if replicas else 8)
-        server = StreamingAnalyticsServer(
-            _algorithm_factory(config["algorithm"]), graph,
-            approx_iterations=config["iterations"], recovery=recovery,
-        )
-        slo_sink = None
-        observer = None
-        if config["slo"] != "none":
-            from repro.obs.slo import (
-                RecordingSink,
-                SLOEvaluator,
-                load_slo_file,
-            )
-            from repro.serving.observe import ServingObserver
-
-            slo_sink = RecordingSink()
-            observer = ServingObserver(
-                evaluator=SLOEvaluator(
-                    load_slo_file(str(config["slo"])), sink=slo_sink,
-                ),
-                # Deterministic observer mode: wall-clock signals are
-                # dropped from the samples, so SLO alert counts -- like
-                # the breaker below -- are a pure function of the run
-                # config (the canonical-payload determinism pin).
-                deterministic=True,
-            )
-        resilient = ResilientAnalyticsServer(
-            server,
-            queue_capacity=8,
-            admission=policy,
-            # Count-based signals only: the latency SLO is timing-driven
-            # and would make the work section nondeterministic.
-            breaker=BreakerConfig(quarantine_threshold=2,
-                                  cooldown_submits=2),
-            observer=observer,
-        )
-        cluster = None
-        lag_max = 0
-        if replicas:
-            from repro.serving.replication import ReplicationCluster
-
-            cluster = ReplicationCluster(
-                resilient, _algorithm_factory(config["algorithm"]),
-                state_dir, replicas=replicas,
-            )
-        chaos_wrappers = []
-        if str(config["faults"]) == "chaos":
-            if cluster is None:
-                raise MatrixError(
-                    "fault plan 'chaos' requires a replication axis "
-                    "(it wraps the replica shipping links)"
-                )
-            from repro.serving.chaos import ChaosConfig, wrap_cluster
-
-            chaos_wrappers = wrap_cluster(
-                cluster,
-                ChaosConfig.all_faults(seed=int(config["seed"]),
-                                       rate=0.1),
-            )
-        per_batch: List[float] = []
-        start_all = time.perf_counter()
-        for index, batch in enumerate(batches):
-            if poison_every and (index + 1) % poison_every == 0:
-                failpoints.arm(
-                    "engine.refine", kind="fault",
-                    hit=failpoints.hit_count("engine.refine") + 1,
-                )
-            if lag_fault and index == len(batches) // 2:
-                # Planted replica lag: one delivery round is deferred
-                # (the shipment stays pending), so staleness rises and
-                # the next round drains it -- deterministic, count-based.
-                failpoints.arm(
-                    "replication.receive", kind="fault",
-                    hit=failpoints.hit_count("replication.receive") + 1,
-                )
-            start = time.perf_counter()
-            resilient.submit(batch)
-            if cluster is not None:
-                cluster.replicate()
-                lag_max = max(lag_max, cluster.staleness())
-            per_batch.append(time.perf_counter() - start)
-        resilient.drain()
-        for wrapper in chaos_wrappers:
-            wrapper.flush()
-        if cluster is not None:
-            cluster.sync()
-        setup_seconds = time.perf_counter() - start_all
-        health = resilient.health()
-        work = {
-            "submitted": health.submitted,
-            "applied": health.applied,
-            "shed": health.shed,
-            "coalesced": health.coalesced,
-            "deferred": health.deferred,
-            "quarantine_count": health.quarantine_count,
-            "restores": health.restores,
-            "breaker_state": health.breaker_state,
-            "queue_depth": health.queue_depth,
-            "staleness_batches": health.staleness_batches,
-            "admission_policy": health.admission_policy,
-            "values_crc32": _values_crc32(
-                resilient.server.engine.values),
-        }
-        if slo_sink is not None:
-            fired = [alert for alert in slo_sink.alerts
-                     if alert.state == "firing"]
-            work["slo_alerts"] = len(fired)
-            work["slo_firing"] = (
-                ",".join(sorted({alert.slo for alert in fired}))
-                or "-"
-            )
-        if cluster is not None:
-            work["replication_lag_max"] = lag_max
-            work["replicas_converged"] = int(cluster.max_lag() == 0)
-            work["fence_rejections"] = sum(
-                replica.fence_rejections
-                for replica in cluster.replicas.values()
-            )
-        if chaos_wrappers:
-            work["chaos_faults_injected"] = sum(
-                count
-                for wrapper in chaos_wrappers
-                for kind, count in wrapper.counts.items()
-                if kind != "sent"
-            )
-            work["dead_letters"] = len(cluster.dead_letters)
-        timing = {
-            "wall_seconds": _wall_summary(per_batch, 0.0),
-            "drain_seconds": round(
-                setup_seconds - float(np.sum(per_batch)), 6),
-        }
-        if cluster is not None:
-            cluster.close()
-        if recovery is not None:
-            recovery.close()
-    return work, timing
-
-
 def execute_run(spec: RunSpec) -> Dict:
     """Execute one cell and return its payload entry.
 
@@ -775,18 +526,13 @@ def execute_run(spec: RunSpec) -> Dict:
         store = _make_store(str(config["storage"]), stack)
         graph = _build_graph(config, store)
         batches = _build_batches(config, graph)
-        serving = _is_serving(config)
-        if serving:
-            work, timing = _execute_serving_run(config, graph, batches)
-        else:
-            work, timing = _execute_engine_run(config, graph, batches)
+        work, timing = _execute_engine_run(config, graph, batches)
         work["graph_vertices"] = graph.num_vertices
         work["graph_edges"] = graph.num_edges
         work["mutations"] = sum(len(batch) for batch in batches)
         timing["peak_rss_bytes"] = peak_rss_bytes()
     return {
         "id": spec.run_id,
-        "mode": "serving" if serving else "engine",
         "config": dict(config),
         "config_hash": spec.hash,
         "work": work,
@@ -803,16 +549,12 @@ def run_matrix(table: RunTable,
         if progress is not None:
             progress(spec.run_id)
         runs.append(execute_run(spec))
-    headers = ["Run", "Mode", "EdgeComp", "Alerts", "p50 s", "p99 s",
-               "Total s", "RSS MiB"]
+    headers = ["Run", "EdgeComp", "p50 s", "p99 s", "Total s", "RSS MiB"]
     rows = []
     for run in runs:
         wall = run["timing"]["wall_seconds"]
         rows.append([
-            run["id"], run["mode"],
-            run["work"].get("edge_computations",
-                            run["work"].get("applied", 0)),
-            run["work"].get("slo_alerts", "-"),
+            run["id"], run["work"]["edge_computations"],
             wall["p50"], wall["p99"], wall["total"],
             round(run["timing"]["peak_rss_bytes"] / 2 ** 20, 1),
         ])
@@ -845,7 +587,7 @@ def payload_filename(area: str) -> str:
 # ----------------------------------------------------------------------
 # Schema validation for emitted payloads
 # ----------------------------------------------------------------------
-_RUN_REQUIRED = ("id", "mode", "config", "config_hash", "work", "timing")
+_RUN_REQUIRED = ("id", "config", "config_hash", "work", "timing")
 _TOP_REQUIRED = ("schema_version", "area", "matrix", "title",
                  "config_hash", "seed", "num_runs", "runs", "headers",
                  "rows")
@@ -878,9 +620,6 @@ def validate_payload(payload: Dict) -> None:
         if run["id"] in seen:
             raise MatrixError(f"duplicate run id {run['id']!r}")
         seen.add(run["id"])
-        if run["mode"] not in ("engine", "serving"):
-            raise MatrixError(
-                f"runs[{index}] mode {run['mode']!r} invalid")
         if run["config_hash"] != config_hash(run["config"]):
             raise MatrixError(
                 f"runs[{index}] config_hash does not match its config")

@@ -11,8 +11,8 @@ Commands
 ``trace``  replay a workload under the tracer and render a per-batch
            phase-time breakdown.
 ``experiment``  declarative experiment matrix: expand a YAML run table
-           (topology x scale x engine x backend x scenario x admission
-           x fault plan) into deterministic runs, emit the
+           (topology x scale x engine x backend x storage x scenario)
+           into deterministic engine runs, emit the
            schema-versioned ``BENCH_<area>.json`` payload plus a
            paper-style table (the paper's own rows for the
            table5/table7/table8/figure7 grids), and gate it against

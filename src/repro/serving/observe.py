@@ -60,32 +60,22 @@ class PlantedLatency:
 
 
 class ServingObserver:
-    """Emit wide events and tick SLOs for one resilient server.
-
-    ``deterministic=True`` drops wall-clock signals
-    (``ingest_latency`` / ``query_latency``) from the SLO samples --
-    the experiment matrix uses it so the ``BENCH_*`` payload's SLO
-    column is a pure function of the run config, matching the
-    count-based-breaker convention of serving-mode runs.
-    """
+    """Emit wide events and tick SLOs for one resilient server."""
 
     def __init__(
         self,
         evaluator: Optional[SLOEvaluator] = None,
         emitter: Optional[WideEventEmitter] = None,
         planted_latency: Optional[PlantedLatency] = None,
-        deterministic: bool = False,
         staleness_probe: Optional[Callable[[], float]] = None,
     ) -> None:
         self.evaluator = evaluator
         self.emitter = emitter
         self.planted_latency = planted_latency
-        self.deterministic = deterministic
         # When serving replicated, a callable returning the worst
         # replica backlog of shipped-but-unapplied WAL records
         # (ReplicationCluster.staleness); feeds the
-        # ``replica_staleness`` SLO signal.  Count-based, so it stays
-        # in deterministic-mode samples.
+        # ``replica_staleness`` SLO signal.
         self.staleness_probe = staleness_probe
         self.batches_observed = 0
         self.queries_observed = 0
@@ -110,10 +100,9 @@ class ServingObserver:
             health_like["replica_staleness"] = float(
                 self.staleness_probe()
             )
-        if not self.deterministic:
-            health_like["ingest_latency"] = ingest_seconds
-            if self._last_query_seconds is not None:
-                health_like["query_latency"] = self._last_query_seconds
+        health_like["ingest_latency"] = ingest_seconds
+        if self._last_query_seconds is not None:
+            health_like["query_latency"] = self._last_query_seconds
         return health_like
 
     def _exemplar(self, span_mark: Optional[int]) -> Optional[int]:
@@ -147,9 +136,7 @@ class ServingObserver:
         if planted is not None and index >= planted.from_index:
             ingest_seconds = planted.seconds
         samples = self._samples(resilient, ingest_seconds)
-        # Memory is a wide-event dimension, not an SLO sample: the RSS
-        # high-water mark is environment-dependent, and deterministic
-        # mode promises samples that are a pure function of the config.
+        # Memory is a wide-event dimension, not an SLO sample.
         peak_rss = sample_peak_rss()
         alerts: List[Alert] = []
         if self.evaluator is not None:

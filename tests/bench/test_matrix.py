@@ -7,6 +7,9 @@ and the hotspot_storm mutation regime.
 """
 
 import copy
+import glob
+import json
+import os
 
 import pytest
 
@@ -62,24 +65,6 @@ gate:
   work_threshold: 0.05
 """
 
-SERVING_TABLE = """
-schema: 1
-area: tinyserve
-axes:
-  admission: [coalesce]
-  faults: [none, "poison:2"]
-fixed:
-  topology: rmat
-  scale: 5
-  algorithm: PR
-  engine: graphbolt
-  batch_size: 5
-  num_batches: 3
-  iterations: 4
-  seed: 9
-"""
-
-
 @pytest.fixture(scope="module")
 def tiny_payload(tmp_path_factory):
     path = write_table(tmp_path_factory.mktemp("matrix"), TINY_TABLE)
@@ -94,14 +79,17 @@ class TestLoader:
             assert expand(table)
 
     def test_unknown_axis_key(self, tmp_path):
-        path = write_table(tmp_path, """
+        # The matrix runs engines only: the serving loop's knobs are not
+        # axes (benchmarks/e2e and the crash sweeps measure serving).
+        for key in ("flavour", "admission", "faults", "replication", "slo"):
+            path = write_table(tmp_path, f"""
 schema: 1
 area: bad
 axes:
-  flavour: [vanilla]
+  {key}: [none]
 """)
-        with pytest.raises(MatrixError, match="unknown axes key"):
-            load_table(path)
+            with pytest.raises(MatrixError, match="unknown axes key"):
+                load_table(path)
 
     @pytest.mark.parametrize("key, values, match", [
         ("engine", "[turbopascal]", "engine"),
@@ -123,18 +111,6 @@ axes:
     def test_unsupported_schema(self, tmp_path):
         path = write_table(tmp_path, "schema: 99\narea: bad\n")
         with pytest.raises(MatrixError, match="schema"):
-            load_table(path)
-
-    def test_serving_requires_graphbolt(self, tmp_path):
-        path = write_table(tmp_path, """
-schema: 1
-area: bad
-axes:
-  engine: [ligra]
-fixed:
-  admission: coalesce
-""")
-        with pytest.raises(MatrixError, match="GraphBolt-based"):
             load_table(path)
 
     def test_axis_and_fixed_conflict(self, tmp_path):
@@ -171,12 +147,12 @@ class TestExpansion:
             assert spec.config["scale"] == 5
 
     def test_run_ids_use_axis_order(self):
-        # 2 engines x 2 scenarios x 2 admissions x 2 faults x 2 slos
-        # = 32, minus the ligra cells excluded from serving-implying
-        # axes (coalesce, poison, soak) leaves 2 ligra + 16 graphbolt.
+        # 2 engines x 2 scenarios, engine before scenario.
         specs = expand(load_table("smoke"))
-        assert len(specs) == 18
-        assert len({spec.run_id for spec in specs}) == 18
+        assert [spec.run_id for spec in specs] == [
+            f"rmat/6/PR/{engine}/{scenario}"
+            for engine in ("ligra", "graphbolt")
+            for scenario in ("uniform", "hotspot_storm")]
 
 
 class TestPayloadSchema:
@@ -194,7 +170,6 @@ class TestPayloadSchema:
          "config_hash"),
         (lambda p: p["runs"][0]["timing"]["wall_seconds"].pop("p99"),
          "p99"),
-        (lambda p: p["runs"][0].update(mode="psychic"), "mode"),
     ])
     def test_broken_payloads_rejected(self, tiny_payload, breaker, match):
         broken = copy.deepcopy(tiny_payload)
@@ -209,14 +184,6 @@ class TestDeterminismPin:
         table = load_table(path)
         first = run_matrix(table)
         second = run_matrix(table)
-        assert canonical_payload(first) == canonical_payload(second)
-
-    def test_serving_matrix_byte_identical_modulo_timings(self, tmp_path):
-        path = write_table(tmp_path, SERVING_TABLE)
-        table = load_table(path)
-        first = run_matrix(table)
-        second = run_matrix(table)
-        assert first["runs"][0]["mode"] == "serving"
         assert canonical_payload(first) == canonical_payload(second)
 
     def test_canonical_payload_strips_only_timings(self, tiny_payload):
@@ -253,10 +220,17 @@ class TestToleranceAxis:
     the same config, hash and run id as before."""
 
     def test_bare_names_keep_every_committed_hash(self):
-        from repro.bench.gate import load_baseline
+        # Every committed baseline: the gate skips a cell whose hash
+        # moved, so a stale hash would silently gate nothing.
+        from repro.bench.gate import baselines_dir
 
-        for area in ("smoke", "core", "figure7"):
-            baseline = load_baseline(area)
+        paths = sorted(glob.glob(
+            os.path.join(baselines_dir(), "BENCH_*.json")))
+        assert paths
+        for path in paths:
+            with open(path) as handle:
+                baseline = json.load(handle)
+            area = baseline["area"]
             expanded = {spec.run_id: spec.hash
                         for spec in expand(load_table(area))}
             assert expanded == {run["id"]: run["config_hash"]
@@ -452,119 +426,3 @@ class TestScenarioLookup:
 
         assert list(map(fingerprint, _build_batches(config, graph))) == (
             list(map(fingerprint, self.EXPECTED[scenario](graph))))
-
-
-class TestSLOAxis:
-    def table(self, slo_value):
-        return f"""
-schema: 1
-area: tinyslo
-axes:
-  slo: [{slo_value}]
-fixed:
-  topology: rmat
-  scale: 5
-  algorithm: PR
-  engine: graphbolt
-  batch_size: 5
-  num_batches: 3
-  iterations: 4
-  seed: 9
-"""
-
-    def test_unresolvable_slo_plan_rejected(self, tmp_path):
-        path = write_table(tmp_path, self.table("no_such_plan"))
-        with pytest.raises(MatrixError, match="does not resolve"):
-            load_table(path)
-
-    def test_slo_axis_implies_serving_mode(self, tmp_path):
-        path = write_table(tmp_path, self.table("soak"))
-        payload = run_matrix(load_table(path))
-        (run,) = payload["runs"]
-        assert run["mode"] == "serving"
-        validate_payload(payload)
-
-    def test_slo_run_reports_alert_work(self, tmp_path):
-        """Deterministic observer mode: wall-clock signals are
-        dropped, so a healthy run's SLO column is exactly zero --
-        and part of the gated canonical payload."""
-        path = write_table(tmp_path, self.table("soak"))
-        table = load_table(path)
-        first = run_matrix(table)
-        (run,) = first["runs"]
-        assert run["work"]["slo_alerts"] == 0
-        assert run["work"]["slo_firing"] == "-"
-        assert canonical_payload(first) == canonical_payload(
-            run_matrix(table))
-
-    def test_slo_requires_graphbolt(self, tmp_path):
-        path = write_table(tmp_path, self.table("soak").replace(
-            "engine: graphbolt", "engine: ligra"))
-        with pytest.raises(MatrixError, match="GraphBolt-based"):
-            load_table(path)
-
-
-REPLICATION_TABLE = """
-schema: 1
-area: tinyrepl
-axes:
-  replication: ["off", 2-replica, 2-replica+lag-fault]
-fixed:
-  topology: rmat
-  scale: 5
-  algorithm: PR
-  engine: graphbolt
-  batch_size: 5
-  num_batches: 4
-  iterations: 3
-  seed: 3
-"""
-
-
-class TestReplicationAxis:
-    def test_parse_replication_vocabulary(self):
-        from repro.bench.matrix import _parse_replication
-
-        assert _parse_replication("off") == (0, False)
-        assert _parse_replication("2-replica") == (2, False)
-        assert _parse_replication("3-replica+lag-fault") == (3, True)
-        for bad in ("on", "0-replica", "replica", "2-replica+chaos",
-                    "x-replica"):
-            with pytest.raises(MatrixError, match="replication plan"):
-                _parse_replication(bad)
-
-    def test_bundled_replication_table_expands(self):
-        table = load_table("replication")
-        assert table.area == "replication"
-        specs = expand(table)
-        # 3 replication plans x 2 admission policies x 2 fault plans,
-        # minus the excluded off/chaos cells (chaos wraps replica
-        # links; nothing to wrap when replication is off).
-        assert len(specs) == 10
-        assert len({spec.run_id for spec in specs}) == 10
-        assert not any(spec.config["replication"] == "off"
-                       and spec.config["faults"] == "chaos"
-                       for spec in specs)
-
-    def test_replication_implies_serving_and_reports_work(self,
-                                                          tmp_path):
-        path = write_table(tmp_path, REPLICATION_TABLE)
-        table = load_table(path)
-        payload = run_matrix(table)
-        runs = {run["config"]["replication"]: run
-                for run in payload["runs"]}
-        assert runs["off"]["mode"] == "engine"
-        assert "replication_lag_max" not in runs["off"]["work"]
-        for plan in ("2-replica", "2-replica+lag-fault"):
-            work = runs[plan]["work"]
-            assert runs[plan]["mode"] == "serving"
-            assert work["replicas_converged"] == 1
-            assert work["fence_rejections"] == 0
-        # The planted delivery-lag fault is visible in the work
-        # column -- and only there.
-        assert runs["2-replica"]["work"]["replication_lag_max"] == 0
-        assert runs["2-replica+lag-fault"]["work"][
-            "replication_lag_max"] > 0
-        # Count-based columns: the whole payload is gate-stable.
-        assert canonical_payload(payload) == canonical_payload(
-            run_matrix(table))

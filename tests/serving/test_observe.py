@@ -91,21 +91,6 @@ class TestObserverOnServingLoop:
                 ("plant-latency", 2)]
             assert firing[0].value == pytest.approx(9.9)
 
-    def test_deterministic_mode_drops_wall_clock_signals(self, graph,
-                                                         rng):
-        with scoped_registry():
-            sink = RecordingSink()
-            _, observer = self.observed(
-                graph, rng, batches=4,
-                evaluator=SLOEvaluator([fast_slo()], sink=sink),
-                planted_latency=PlantedLatency(from_index=0,
-                                               seconds=9.9),
-                deterministic=True,
-            )
-            # The latency SLO is inert: its signal never arrives.
-            assert sink.alerts == []
-            assert observer.batches_observed == 4
-
     def test_batch_wide_events_carry_the_dimensions(self, graph, rng):
         with scoped_registry():
             emitter, events = wide_events("batch")

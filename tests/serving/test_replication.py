@@ -16,7 +16,8 @@ The property stack, bottom up:
   promotion;
 - a killed replica restarts from its own checkpoint + mirror tail and
   catches up; the delivery-lag signal (:meth:`staleness`) is zero in
-  steady state and grows only when a replica stops applying;
+  steady state and grows only when a replica stops applying or a
+  delivery is deferred;
 - promotion fences the deposed writer: its late shipments land on the
   survivors' durable fence ledgers, never in their state;
 - the writer's durable skip-marks (shed/coalesce/poison) ship with
@@ -301,6 +302,44 @@ class TestStalenessSignal:
         # checkpoint, no final sync needed.
         assert cluster.max_lag() == 0
         assert cluster.staleness() == 0
+        cluster.close()
+
+    def test_a_deferred_delivery_lags_one_round_then_converges(
+            self, graph, rng, tmp_path):
+        """A fault at ``replication.receive`` defers a delivery: the
+        shipment stays queued, the replica lags for that round, and
+        the next rounds drain it."""
+        from repro.obs.registry import scoped_registry
+        from repro.testing.faults import scoped_failpoints
+
+        batches = [make_random_batch(graph, rng, 8, 8)
+                   for _ in range(6)]
+        with scoped_registry() as registry, \
+                scoped_failpoints() as failpoints:
+            cluster = build_cluster(graph, tmp_path)
+            for batch in batches[:3]:
+                cluster.submit(batch)
+                cluster.replicate()
+            assert cluster.staleness() == 0
+            failpoints.arm(
+                "replication.receive", kind="fault",
+                hit=failpoints.hit_count("replication.receive") + 1)
+            cluster.submit(batches[3])
+            cluster.replicate()
+            deferred = registry.counter("replication.deliveries_deferred")
+            assert deferred.value == 1
+            assert cluster.staleness() > 0
+            for batch in batches[4:]:
+                cluster.submit(batch)
+                cluster.replicate()
+            assert cluster.sync()
+            assert deferred.value == 1
+        assert cluster.staleness() == 0 and cluster.max_lag() == 0
+        writer_values = cluster.writer.approximate_values
+        assert np.array_equal(writer_values, shadow_values(graph, batches))
+        for name, replica in cluster.replicas.items():
+            assert np.array_equal(replica.approximate_values,
+                                  writer_values), name
         cluster.close()
 
     def test_shipped_through_tracks_links(self, graph, rng, tmp_path):

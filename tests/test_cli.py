@@ -155,7 +155,7 @@ class TestExperimentCommand:
                     "max_rel_error_vs_exact", "max_rel_error_vs_restart"),
                     0))
             return {
-                "id": spec.run_id, "mode": "engine",
+                "id": spec.run_id,
                 "config": dict(spec.config), "config_hash": spec.hash,
                 "work": work,
                 "timing": {"wall_seconds": wall, "peak_rss_bytes": 0,
