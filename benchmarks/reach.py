@@ -75,7 +75,7 @@ COMMANDS = (
     "repro experiment --matrix smoke --gate enforce --out-dir results",
     "repro experiment --matrix smoke --update-baseline --out-dir results "
     "--baseline-dir baselines",
-    "repro.bench table6 figure9",
+    "repro.bench figure9",
     "repro serve rmat:8 --batches 20 --slo soak --wide-events run.jsonl "
     "--plant-latency 10:9.9",
     "repro serve rmat:8 --batches 20 --slo soak --wide-events clean.jsonl",

@@ -3,7 +3,8 @@
 Paper claim: increasing cores from 32 to 96 reduces everyone's time,
 but GraphBolt's *speedup over GB-Reset shrinks*, because GB-Reset has
 far more parallelisable work while GraphBolt's small refinement is
-span-bound.  Each engine's work is accounted over 96 owner blocks; the
+span-bound.  Each cell of `benchmarks/matrices/table6.yaml` charges its
+work over 96 owner blocks (`backend: "sharded:96"`); the reducer's
 projection schedules that *measured* per-shard load vector onto p cores
 (LPT makespan, documented in DESIGN.md) and reports the vector's
 load-imbalance factor.
@@ -12,7 +13,8 @@ load-imbalance factor.
 import json
 import zlib
 
-from repro.bench.experiments import experiment_table6
+from repro.bench.experiments import reduce_table6
+from repro.bench.matrix import load_table, run_matrix
 from repro.bench.reporting import save_results
 
 
@@ -31,9 +33,7 @@ SHARD_LOAD_PINS = {"PR": 0x0E7BEC67, "LP": 0xE1514A84, "BP": 0x84EE6A95}
 
 
 def test_table6_core_scaling(run_experiment):
-    payload = run_experiment(
-        experiment_table6, algorithms=["PR", "LP", "BP"]
-    )
+    payload = reduce_table6(run_experiment(run_matrix, load_table("table6")))
     save_results("table6", payload)
 
     assert payload["num_shards"] == 96

@@ -7,9 +7,9 @@ parameters bit-for-bit, otherwise a vertex addition would perturb the
 whole computation and break refinement-versus-from-scratch equivalence.
 
 We use a Knuth/Wang-style integer mix vectorised over id arrays.
-Constants a step reads for every vertex it applies (LP's and CoEM's
-seed clamp) are derived once per id by :class:`SeedTable`, not once
-per step.
+Constants a step reads for every vertex it applies or edge it sweeps
+(LP's and CoEM's seed clamp, BP's priors) are derived once per id by
+:class:`SeedTable`, not once per step.
 """
 
 from __future__ import annotations
@@ -39,27 +39,28 @@ def uniform_from_ids(ids: np.ndarray, salt: int = 0) -> np.ndarray:
 
 
 class SeedTable:
-    """The seed flag and seed value of every vertex id in ``[0, n)``,
-    each derived once.  ``derive(ids)`` returns ``(mask, values)`` for a
+    """Per-id constants (a seed flag and seed value, or a row of
+    priors) of every vertex id in ``[0, n)``, each derived once.
+    ``derive(ids)`` returns a tuple of arrays, one row per id, for a
     run of ids; a larger ``n`` derives only the ids past the prefix,
-    which never changes (seeds are functions of the id alone)."""
+    which never changes (they are functions of the id alone)."""
 
     def __init__(self, derive: Callable[[np.ndarray],
-                                        Tuple[np.ndarray, np.ndarray]]):
+                                        Tuple[np.ndarray, ...]]):
         self._derive = derive
-        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._arrays: Optional[Tuple[np.ndarray, ...]] = None
 
     def covering(self, graph, vertices: Optional[np.ndarray] = None
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(mask, values)`` over at least every id of ``graph`` (may
-        be ``None``) and of ``vertices``; index them by id."""
+                 ) -> Tuple[np.ndarray, ...]:
+        """The arrays over at least every id of ``graph`` (may be
+        ``None``) and of ``vertices``; index their rows by id."""
         bound = 0 if graph is None else graph.num_vertices
         if vertices is not None and vertices.size:
             bound = max(bound, int(vertices.max()) + 1)
-        # One read and one write of the pair: a concurrent extension
+        # One read and one write of the tuple: a concurrent extension
         # derives the same ids and stores equal arrays.
         arrays = self._arrays
-        size = 0 if arrays is None else arrays[0].size
+        size = 0 if arrays is None else arrays[0].shape[0]
         if arrays is None or bound > size:
             more = self._derive(np.arange(size, bound, dtype=np.int64))
             arrays = self._arrays = more if arrays is None else tuple(

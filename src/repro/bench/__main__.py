@@ -3,8 +3,8 @@
 Runs each ``experiment_*`` driver, prints its paper-style table, and
 stores the JSON payload under ``benchmarks/results/`` (consumed when
 updating EXPERIMENTS.md).  With no arguments all of them run; otherwise
-pass experiment names (e.g. ``table6 figure8``).  The engine grids --
-Table 5 + Figure 6, Tables 7/8, Figure 7 -- are run tables instead:
+pass experiment names (e.g. ``table9 figure8``).  The engine grids --
+Table 5 + Figure 6, Tables 6/7/8, Figure 7 -- are run tables instead:
 ``python -m repro experiment --matrix table5``.
 """
 
@@ -20,7 +20,6 @@ from repro.obs.registry import get_registry
 EXPERIMENTS = {
     "table1": exp.experiment_table1,
     "figure4": exp.experiment_figure4,
-    "table6": exp.experiment_table6,
     "figure8": exp.experiment_figure8,
     "figure9": exp.experiment_figure9,
     "table9": exp.experiment_table9,

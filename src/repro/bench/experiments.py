@@ -1,12 +1,12 @@
 """Paper tables and figures: matrix reducers and bespoke drivers.
 
 The engine x algorithm x graph x batch grids -- Table 5 + Figure 6,
-Table 7, Table 8, Figure 7 -- are YAML run tables under
+Tables 6, 7 and 8, Figure 7 -- are YAML run tables under
 ``benchmarks/matrices/`` executed by :mod:`repro.bench.matrix`; each
 has a pure ``reduce_*`` function here (looked up by payload ``area`` in
 :data:`REDUCERS`) that turns the ``BENCH_<area>.json`` payload into the
-paper's rows.  The measurements that are not engine runs (error counts,
-memory, makespan projection, other systems, TC) keep an
+paper's rows.  The measurements that are not engine grids (error counts,
+memory, other systems, TC) keep an
 ``experiment_*`` driver that runs a scaled version of the paper's
 measurement (scaling documented in DESIGN.md section 1).  Both return a
 JSON-serialisable payload that renders as a paper-style text table; the
@@ -49,14 +49,16 @@ from repro.graph.generators import paper_graph, rmat
 from repro.kickstarter.engine import KickStarterEngine
 from repro.ligra.delta import ITERATION_CAP, DeltaEngine
 from repro.ligra.engine import LigraEngine
+from repro.runtime.exec import load_imbalance
 from repro.runtime.metrics import EngineMetrics
-from repro.runtime.parallel import MakespanModel
+from repro.runtime.parallel import project
 from repro.runtime.validation import count_exceeding
 
 __all__ = [
     "BENCH_GRAPHS",
     "REDUCERS",
     "reduce_table5",
+    "reduce_table6",
     "reduce_table7",
     "reduce_table8",
     "reduce_figure7",
@@ -64,7 +66,6 @@ __all__ = [
     "triangle_cell",
     "experiment_table1",
     "experiment_figure4",
-    "experiment_table6",
     "experiment_figure8",
     "experiment_figure9",
     "experiment_table9",
@@ -350,6 +351,89 @@ def reduce_figure7(payload: Dict) -> Dict:
     }
 
 
+#: Core counts Table 6 projects every cell onto.
+TABLE6_CORES = (32, 96)
+
+
+def reduce_table6(payload: Dict) -> Dict:
+    """Projected core scaling on YH (paper Table 6).
+
+    Every cell charges its work over the ``sharded:P`` backend's owner
+    blocks -- the *measured* per-shard load vector of each engine; wall
+    clock on p cores is then the calibrated LPT makespan of scheduling
+    those shard loads onto p cores
+    (:func:`~repro.runtime.parallel.project` -- the DESIGN.md
+    substitution for real threads, which Python's GIL precludes).  The
+    run table's ``P = 96 = max(TABLE6_CORES)`` keeps the projection
+    from being floored by having fewer shards than cores.  The paper's
+    observation under test: GraphBolt's speedup over GB-Reset *shrinks*
+    at higher core counts because GB-Reset has more parallelisable
+    work; the load-imbalance factor of each measured vector is reported
+    alongside.
+    """
+    measured = {}
+    for run in payload["runs"]:
+        config, work = run["config"], run["work"]
+        measured[(config["algorithm"], ENGINES[config["engine"]].name)] = (
+            work["shard_loads"],
+            work["iterations"] + work["refinement_iterations"],
+            run["timing"]["compute_seconds"],
+        )
+    (num_shards,) = {run["work"]["num_shards"] for run in payload["runs"]}
+    names = [ENGINES[engine].name for engine in _axis(payload, "engine")]
+    rows = []
+    detail = {}
+    for algo in _axis(payload, "algorithm"):
+        cells = {name: measured[(algo, name)] for name in names}
+        imbalance = {name: load_imbalance(loads)
+                     for name, (loads, _, _) in cells.items()}
+        # As EngineMetrics.shard_loads holds it: a block nothing was
+        # charged to has no entry.
+        shard_loads = {
+            name: {str(shard): float(load)
+                   for shard, load in enumerate(loads) if load}
+            for name, (loads, _, _) in cells.items()
+        }
+        for cores in TABLE6_CORES:
+            projected = {
+                name: project(loads, iterations, seconds, cores)
+                for name, (loads, iterations, seconds) in cells.items()
+            }
+            speedup_reset = projected["GB-Reset"] / max(
+                projected["GraphBolt"], 1e-12)
+            speedup_ligra = projected["Ligra"] / max(
+                projected["GraphBolt"], 1e-12)
+            rows.append([
+                algo, cores,
+                round(projected["Ligra"], 4),
+                round(projected["GB-Reset"], 4),
+                round(projected["GraphBolt"], 4),
+                round(speedup_ligra, 2),
+                round(speedup_reset, 2),
+                round(imbalance["GraphBolt"], 3),
+            ])
+            detail[f"{algo}|{cores}"] = {
+                "projected": projected,
+                "x_gbreset": speedup_reset,
+                "x_ligra": speedup_ligra,
+                "imbalance": imbalance,
+                "shard_loads": shard_loads,
+            }
+    return {
+        "experiment": "table6",
+        "title": (
+            "Table 6: projected execution seconds on YH at 32/96 cores "
+            f"(measured per-shard makespan model, {num_shards} shards; "
+            "see DESIGN.md substitutions)"
+        ),
+        "headers": ["Algo", "Cores", "Ligra", "GB-Reset", "GraphBolt",
+                    "xLigra", "xGB-Reset", "Imbalance"],
+        "rows": rows,
+        "detail": detail,
+        "num_shards": num_shards,
+    }
+
+
 def reduce_table8(payload: Dict) -> Dict:
     """GraphBolt under high/low-degree-targeted mutations (paper
     Table 8)."""
@@ -458,98 +542,13 @@ def reduce_tolerance(payload: Dict) -> Dict:
 #: Matrix ``area`` -> reducer; areas not listed are not paper tables.
 REDUCERS: Dict[str, Callable[[Dict], Dict]] = {
     "table5": reduce_table5,
+    "table6": reduce_table6,
     "table7": reduce_table7,
     "table8": reduce_table8,
     "figure7": reduce_figure7,
     "tolerance": reduce_tolerance,
     "drift": reduce_tolerance,
 }
-
-
-# ----------------------------------------------------------------------
-# Table 6 -- core scaling on YH
-# ----------------------------------------------------------------------
-def experiment_table6(algorithms: Optional[Sequence[str]] = None) -> Dict:
-    """Projected core scaling on YH (paper Table 6).
-
-    Every runner accounts its work over ``max(cores)`` owner blocks --
-    the *measured* per-shard load vector of each engine; wall-clock on p
-    cores is then the calibrated LPT makespan of scheduling those real
-    shard loads onto p cores (:class:`MakespanModel` -- the DESIGN.md
-    substitution for real threads, which Python's GIL precludes).
-    That shard count keeps the projection from being floored by having
-    fewer shards than cores.  The paper's
-    observation under test: GraphBolt's speedup over GB-Reset *shrinks*
-    at higher core counts because GB-Reset has more parallelisable
-    work; the load-imbalance factor of each measured vector is reported
-    alongside.
-    """
-    if algorithms is None:
-        algorithms = list(PAPER_ALGORITHMS)
-    batch_size, cores, seed = 100, (32, 96), 66
-    num_shards = max(cores)
-    graph = paper_graph("YH")
-    model = MakespanModel()
-    rows = []
-    detail = {}
-    for algo in algorithms:
-        factory = REGISTRY[algo].factory
-        batches = [uniform_batch(graph, batch_size, seed=seed)]
-        measured = {}
-        for engine in TABLE5_ENGINES:
-            runner = ENGINES[engine](factory, 5, num_shards=num_shards)
-            result = run_stream(runner, graph, batches)
-            measured[runner.name] = (
-                result.total_apply_seconds,
-                result.final_metrics,
-            )
-        imbalance = {
-            name: model.imbalance(metrics)
-            for name, (_, metrics) in measured.items()
-        }
-        for core_count in cores:
-            projected = {
-                name: model.project(metrics, seconds, core_count)
-                for name, (seconds, metrics) in measured.items()
-            }
-            speedup_reset = projected["GB-Reset"] / max(
-                projected["GraphBolt"], 1e-12
-            )
-            speedup_ligra = projected["Ligra"] / max(
-                projected["GraphBolt"], 1e-12
-            )
-            rows.append([
-                algo, core_count,
-                round(projected["Ligra"], 4),
-                round(projected["GB-Reset"], 4),
-                round(projected["GraphBolt"], 4),
-                round(speedup_ligra, 2),
-                round(speedup_reset, 2),
-                round(imbalance["GraphBolt"], 3),
-            ])
-            detail[f"{algo}|{core_count}"] = {
-                "projected": projected,
-                "x_gbreset": speedup_reset,
-                "x_ligra": speedup_ligra,
-                "imbalance": imbalance,
-                "shard_loads": {
-                    name: dict(metrics.shard_loads)
-                    for name, (_, metrics) in measured.items()
-                },
-            }
-    return {
-        "experiment": "table6",
-        "title": (
-            "Table 6: projected execution seconds on YH at 32/96 cores "
-            f"(measured per-shard makespan model, {num_shards} shards; "
-            "see DESIGN.md substitutions)"
-        ),
-        "headers": ["Algo", "Cores", "Ligra", "GB-Reset", "GraphBolt",
-                    "xLigra", "xGB-Reset", "Imbalance"],
-        "rows": rows,
-        "detail": detail,
-        "num_shards": num_shards,
-    }
 
 
 # ----------------------------------------------------------------------

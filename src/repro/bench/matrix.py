@@ -465,6 +465,11 @@ def _execute_engine_run(config: Dict, graph: CSRGraph,
             "batches_applied": len(result.batches),
             "values_crc32": _values_crc32(result.final_values),
         }
+        if num_shards > 1:
+            # The load vector the Table 6 reducer schedules onto cores.
+            work["shard_loads"] = [
+                int(metrics.shard_loads.get(str(shard), 0))
+                for shard in range(num_shards)]
         if isinstance(config["algorithm"], dict):
             work.update(_tolerance_work(config, graph, batches, runner,
                                         result))
@@ -635,10 +640,12 @@ def validate_payload(payload: Dict) -> None:
                     f"number"
                 )
         for key, value in run["work"].items():
-            if not isinstance(value, (int, float, str)):
+            if not (isinstance(value, (int, float, str)) or (
+                    isinstance(value, list) and all(
+                        isinstance(item, (int, float)) for item in value))):
                 raise MatrixError(
-                    f"runs[{index}] work.{key} must be scalar, "
-                    f"got {type(value).__name__}"
+                    f"runs[{index}] work.{key} must be scalar or a list "
+                    f"of numbers, got {type(value).__name__}"
                 )
     # The canonical form must round-trip: json-serialisable throughout.
     canonical_payload(payload)

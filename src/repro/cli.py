@@ -340,7 +340,7 @@ def _serve(args) -> int:
 
     from repro.obs.events import WideEventEmitter
     from repro.obs.export import MetricsHTTPServer, write_metrics
-    from repro.obs.slo import RecordingSink, SLOEvaluator, load_slo_file
+    from repro.obs.slo import SLOEvaluator, load_slo_file
     from repro.recovery import RecoveryManager
     from repro.runtime.deadline import WallClockDeadline
     from repro.serving.observe import PlantedLatency, ServingObserver
@@ -427,15 +427,12 @@ def _serve(args) -> int:
         else:
             wide_journal = JsonlJournal.open(args.wide_events)
     evaluator = None
-    sink = None
     if args.slo or args.wide_events or args.plant_latency:
         if args.slo:
-            sink = RecordingSink()
             evaluator = SLOEvaluator(
                 load_slo_file(args.slo),
                 journal=wide_journal if wide_journal is not None
                 else journal,
-                sink=sink,
             )
         resilient.observer = ServingObserver(
             evaluator=evaluator,
@@ -552,7 +549,7 @@ def _serve(args) -> int:
             status = 1
         cluster.close()
     if evaluator is not None:
-        fired = [alert for alert in sink.alerts
+        fired = [alert for alert in evaluator.alerts
                  if alert.state == "firing"]
         still = evaluator.firing
         print(f"slo: {len(fired)} alert(s) fired"
@@ -576,7 +573,7 @@ def _serve(args) -> int:
 
 def _cmd_dash(args) -> int:
     from repro.obs.dash import dashboard_from_journal, replay_slos
-    from repro.obs.slo import RecordingSink, load_slo_file
+    from repro.obs.slo import load_slo_file
 
     slos = load_slo_file(args.slo) if args.slo else None
     refreshes = 1 if args.once else args.refreshes
@@ -602,11 +599,10 @@ def _cmd_dash(args) -> int:
     resolved = {record.get("slo") for record in streams["alerts"]
                 if record.get("state") == "resolved"}
     if slos:
-        sink = RecordingSink()
-        replay_slos(slos, streams["batches"], sink=sink)
-        fired |= {alert.slo for alert in sink.alerts
+        replayed = replay_slos(slos, streams["batches"]).alerts
+        fired |= {alert.slo for alert in replayed
                   if alert.state == "firing"}
-        resolved |= {alert.slo for alert in sink.alerts
+        resolved |= {alert.slo for alert in replayed
                      if alert.state == "resolved"}
     status = 0
     if args.expect_alert is not None:

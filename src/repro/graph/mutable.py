@@ -214,6 +214,7 @@ class StreamingGraph:
 
     def __repr__(self) -> str:
         return (
-            f"StreamingGraph(V={self.num_vertices}, E={self.num_edges}, "
+            f"StreamingGraph(V={self._graph.num_vertices}, "
+            f"E={self._graph.num_edges}, "
             f"batches={self.batches_applied})"
         )

@@ -17,7 +17,7 @@ Cooperating pieces (see ``docs/observability.md``):
   per-batch flame-style text breakdown (the ``repro trace`` command).
 - :mod:`repro.obs.slo` -- declarative objectives over the serving
   surface with deterministic multi-window burn-rate alerts, journaled
-  as first-class records and forwarded to pluggable sinks.
+  as first-class records and kept on the evaluator.
 - :mod:`repro.obs.events` -- wide events: one structured record per
   applied batch / served query, every dimension plus a trace exemplar.
 - :mod:`repro.obs.export` -- Prometheus-text-format rendering of the
@@ -43,8 +43,6 @@ from repro.obs.render import format_trace
 from repro.obs.slo import (
     SLO,
     Alert,
-    AlertSink,
-    RecordingSink,
     SLOError,
     SLOEvaluator,
     lint_slo_dir,
@@ -54,12 +52,10 @@ from repro.obs.trace import NULL_TRACER, Tracer, activated, get_tracer
 
 __all__ = [
     "Alert",
-    "AlertSink",
     "JsonlJournal",
     "MetricsHTTPServer",
     "MetricsRegistry",
     "NULL_TRACER",
-    "RecordingSink",
     "SLO",
     "SLOError",
     "SLOEvaluator",

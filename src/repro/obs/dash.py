@@ -120,17 +120,17 @@ def seq_warnings(streams: Dict[str, List[Dict]]) -> List[str]:
     return warnings
 
 
-def replay_slos(slos: Sequence[SLO], batches: Sequence[Dict],
-                sink=None) -> SLOEvaluator:
+def replay_slos(slos: Sequence[SLO],
+                batches: Sequence[Dict]) -> SLOEvaluator:
     """Re-evaluate SLOs from journaled wide events.
 
     Wide batch events embed the ``samples`` mapping the live evaluator
     consumed, so the replayed burn rates and alert indices match the
-    live run exactly (the determinism pin of the alerting tests).
-    Pass an :class:`~repro.obs.slo.AlertSink` to collect the replayed
-    alerts (``repro dash --expect-alert`` does).
+    live run exactly (the determinism pin of the alerting tests).  The
+    returned evaluator's ``alerts`` are the replayed transitions
+    (``repro dash --expect-alert`` reads them).
     """
-    evaluator = SLOEvaluator(slos, sink=sink)
+    evaluator = SLOEvaluator(slos)
     for event in batches:
         samples = event.get("samples")
         if isinstance(samples, dict):

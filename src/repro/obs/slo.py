@@ -25,7 +25,7 @@ under its threshold.
 Alerts are first-class records: journaled (``{"type": "alert", ...}``),
 surfaced as registry gauges (``slo.<name>.fast_burn`` / ``slow_burn`` /
 ``firing``) and counters (``slo.alerts_fired`` / ``alerts_resolved``),
-and forwarded to a pluggable :class:`AlertSink`.
+and kept in order on the evaluator's ``alerts`` list.
 
 SLO files live under ``benchmarks/slos/`` (YAML; see
 ``docs/observability.md`` for the schema) and are linted in CI via
@@ -48,8 +48,6 @@ __all__ = [
     "SLO",
     "SLOError",
     "Alert",
-    "AlertSink",
-    "RecordingSink",
     "SLOEvaluator",
     "slos_dir",
     "resolve_slo_path",
@@ -191,23 +189,6 @@ class Alert:
         }
 
 
-class AlertSink:
-    """Receives alert transitions; the base class observes silently."""
-
-    def notify(self, alert: Alert) -> None:  # pragma: no cover - no-op
-        pass
-
-
-class RecordingSink(AlertSink):
-    """Collects alerts in memory (tests, the experiment matrix)."""
-
-    def __init__(self) -> None:
-        self.alerts: List[Alert] = []
-
-    def notify(self, alert: Alert) -> None:
-        self.alerts.append(alert)
-
-
 @dataclass
 class _SLOState:
     """Mutable evaluation state for one SLO."""
@@ -234,17 +215,16 @@ class SLOEvaluator:
     Call :meth:`tick` once per applied batch with a sample mapping
     (signal name -> value).  A tick that lacks an SLO's signal leaves
     that SLO's windows untouched -- "no data" is neither good nor bad.
-    Returns the alerts that transitioned on this tick.
+    Returns the alerts that transitioned on this tick; :attr:`alerts`
+    holds every transition so far, in order.
     """
 
-    def __init__(self, slos: Sequence[SLO], journal=None,
-                 sink: Optional[AlertSink] = None) -> None:
+    def __init__(self, slos: Sequence[SLO], journal=None) -> None:
         names = [slo.name for slo in slos]
         if len(set(names)) != len(names):
             raise SLOError(f"duplicate SLO names in {names}")
         self._states = [_SLOState(slo) for slo in slos]
         self._journal = journal
-        self._sink = sink
         self.ticks = 0
         self.alerts: List[Alert] = []
 
@@ -292,8 +272,6 @@ class SLOEvaluator:
                 self.alerts.append(alert)
                 if self._journal is not None:
                     self._journal.write(alert.to_record())
-                if self._sink is not None:
-                    self._sink.notify(alert)
         return emitted
 
     def _alert(self, state: _SLOState, kind: str, index: int,

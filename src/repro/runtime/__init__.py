@@ -2,17 +2,14 @@
 
 from repro.runtime.exec import PartitionedCSR, load_imbalance
 from repro.runtime.metrics import EngineMetrics, MemoryReport, Timer
-from repro.runtime.parallel import (
-    MakespanModel,
-    lpt_makespan,
-)
+from repro.runtime.parallel import lpt_makespan, project
 
 __all__ = [
     "EngineMetrics",
-    "MakespanModel",
     "MemoryReport",
     "PartitionedCSR",
     "Timer",
     "load_imbalance",
     "lpt_makespan",
+    "project",
 ]

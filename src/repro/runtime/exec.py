@@ -18,7 +18,7 @@ Since nothing but the charge depends on ``P``, values and work counters
 are the same for every shard count by construction.  The load vector is
 what a multiprocess deployment following the owner-computes rule would
 execute per worker, and what the calibrated makespan model
-(:class:`~repro.runtime.parallel.MakespanModel`) schedules onto cores.
+(:func:`~repro.runtime.parallel.project`) schedules onto cores.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ class PartitionedCSR:
         return np.searchsorted(self.boundaries, ids, side="right") - 1
 
     def __repr__(self) -> str:
-        return f"PartitionedCSR(P={self.num_shards}, V={self.num_vertices})"
+        return (f"PartitionedCSR(P={self.boundaries.size - 1}, "
+                f"V={int(self.boundaries[-1])})")
 
 
 def load_imbalance(shard_loads) -> float:

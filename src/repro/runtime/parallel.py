@@ -16,26 +16,24 @@ barrier span on top::
     T_p = (LPT-makespan(shard loads, p) + S) * unit_cost
 
 with the per-unit cost calibrated from the measured single-threaded
-wall clock.  This is a *simulation substitute*, clearly labelled as such
-in DESIGN.md; it is used only by the Table 6 scaling benchmark.
+wall clock.  Where Brent's ``(W - S)/p + S`` assumes work splits
+perfectly, skew that concentrates work in a few shards shows here as a
+scaling floor -- the partition effect GBBS identifies.  This is a
+*simulation substitute*, clearly labelled as such in DESIGN.md; it is
+used only by the Table 6 reducer.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
-from repro.runtime.exec import load_imbalance
-from repro.runtime.metrics import EngineMetrics
+__all__ = ["lpt_makespan", "project"]
 
-__all__ = [
-    "MakespanBreakdown",
-    "MakespanModel",
-    "lpt_makespan",
-]
+#: Span units charged per BSP iteration (the barrier).
+PER_ITERATION_SPAN = 2048.0
 
 
 def lpt_makespan(loads: Sequence[float], cores: int) -> float:
@@ -63,91 +61,16 @@ def lpt_makespan(loads: Sequence[float], cores: int) -> float:
     return max(bins)
 
 
-@dataclass
-class MakespanBreakdown:
-    """Per-shard decomposition of one measured engine run."""
-
-    shard_loads: np.ndarray
-    span_units: float
-    measured_seconds: float
-
-    @property
-    def total_work(self) -> float:
-        return float(self.shard_loads.sum())
-
-    @property
-    def unit_cost(self) -> float:
-        """Seconds per work unit implied by the serial measurement
-        (which executed the whole load vector plus the span)."""
-        units = self.total_work + self.span_units
-        if units <= 0:
-            return 0.0
-        return self.measured_seconds / units
-
-    @property
-    def imbalance(self) -> float:
-        """Max-over-mean shard load (1.0 = perfectly balanced)."""
-        return load_imbalance(self.shard_loads)
-
-
-class MakespanModel:
-    """Projects measured per-shard load vectors onto a core count.
-
-    Where Brent's ``(W - S)/p + S`` divides one aggregate work number
-    by ``p`` (assuming work splits perfectly), this model schedules the
-    *measured* shard loads charged by the kernels of
-    :mod:`repro.runtime.exec` onto ``p`` cores and
-    takes the resulting makespan -- so skew that concentrates work in a
-    few shards is visible as a scaling floor, exactly the partition
-    effect GBBS and the distributed-systems literature identify.  The
-    per-iteration span (BSP barriers) is charged on top, and the unit
-    cost is calibrated so one core reproduces the measurement.
-    """
-
-    #: Span units charged per BSP iteration (the barrier).
-    PER_ITERATION_SPAN = 2048.0
-
-    def breakdown(
-        self, metrics: EngineMetrics, measured_seconds: float
-    ) -> MakespanBreakdown:
-        if metrics.shard_loads:
-            keys = sorted(metrics.shard_loads, key=_shard_order)
-            loads = np.array(
-                [metrics.shard_loads[key] for key in keys],
-                dtype=np.float64,
-            )
-        else:
-            # No load vector recorded (metrics built by hand): the
-            # aggregate work is one undecomposed shard.
-            loads = np.array(
-                [float(metrics.edge_computations
-                       + metrics.vertex_computations)],
-                dtype=np.float64,
-            )
-        iterations = max(
-            metrics.iterations + metrics.refinement_iterations, 1
-        )
-        span = iterations * self.PER_ITERATION_SPAN
-        return MakespanBreakdown(loads, span, measured_seconds)
-
-    def project(
-        self,
-        metrics: EngineMetrics,
-        measured_seconds: float,
-        cores: int,
-    ) -> float:
-        """Projected wall-clock on ``cores`` cores: calibrated
-        ``LPT-makespan(shard loads, p) + span``."""
-        cost = self.breakdown(metrics, measured_seconds)
-        if cost.total_work <= 0:
-            return measured_seconds
-        makespan = lpt_makespan(cost.shard_loads, cores)
-        return (makespan + cost.span_units) * cost.unit_cost
-
-    def imbalance(self, metrics: EngineMetrics) -> float:
-        """Load-imbalance factor of the recorded shard vector."""
-        return self.breakdown(metrics, 0.0).imbalance
-
-
-def _shard_order(key: str):
-    return (0, int(key)) if key.isdigit() else (1, key)
+def project(loads: Sequence[float], iterations: int, seconds: float,
+            cores: int) -> float:
+    """Projected wall clock on ``cores`` cores of a run that charged
+    ``loads`` (one entry per owner block) over ``iterations`` BSP
+    iterations in a measured ``seconds``: the LPT makespan of the loads
+    plus one barrier span per iteration, at the unit cost that makes one
+    core reproduce the measurement."""
+    loads = np.asarray(loads, dtype=np.float64)
+    total = float(loads.sum())
+    if total <= 0:
+        return seconds
+    span = max(iterations, 1) * PER_ITERATION_SPAN
+    return (lpt_makespan(loads, cores) + span) * (seconds / (total + span))

@@ -23,7 +23,7 @@ and the CI smoke job: from a given batch index onward the
 a fixed value.  Planting at the sample level (rather than actually
 sleeping) keeps the run fast and the firing batch index an exact
 number, while exercising the entire alert path -- evaluation, journal,
-registry gauges, sinks, dashboard replay.
+registry gauges, dashboard replay.
 """
 
 from __future__ import annotations

@@ -760,18 +760,14 @@ class ReadReplica:
     # ------------------------------------------------------------------
     # Queries (snapshot-isolated: the branch loop copies state)
     # ------------------------------------------------------------------
-    def query(
-        self,
-        until_convergence: bool = False,
-        deadline: Optional[Deadline] = None,
-    ) -> QueryResult:
+    def query(self, deadline: Optional[Deadline] = None) -> QueryResult:
         self._require_alive()
         if self.server is None:
             raise ReplicaUnavailableError(
                 f"replica {self.name!r} has not bootstrapped yet"
             )
         faults.hit("replica.query")
-        return self.server.query(until_convergence, deadline)
+        return self.server.query(deadline)
 
     @property
     def approximate_values(self) -> Optional[np.ndarray]:

@@ -530,11 +530,7 @@ class ResilientAnalyticsServer:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def query(
-        self,
-        until_convergence: bool = False,
-        deadline: Optional[Deadline] = None,
-    ) -> QueryResult:
+    def query(self, deadline: Optional[Deadline] = None) -> QueryResult:
         """Branch-loop query with an optional deadline budget.
 
         Always answers -- even with the breaker OPEN, queries serve
@@ -542,7 +538,7 @@ class ResilientAnalyticsServer:
         :meth:`health`).
         """
         mark = trace.get_tracer().mark()
-        result = self.server.query(until_convergence, deadline)
+        result = self.server.query(deadline)
         if self.observer is not None:
             self.observer.query_served(self, result, deadline, mark)
         return result

@@ -144,7 +144,6 @@ class QueryRouter:
     # ------------------------------------------------------------------
     def query(
         self,
-        until_convergence: bool = False,
         deadline: Optional[Deadline] = None,
         min_applied_batch: Optional[int] = None,
     ) -> RoutedResult:
@@ -170,10 +169,7 @@ class QueryRouter:
                 lag = replica.lag_behind(writer_next)
                 attempts += 1
                 try:
-                    result = replica.query(
-                        until_convergence=until_convergence,
-                        deadline=deadline,
-                    )
+                    result = replica.query(deadline=deadline)
                 except OSError as exc:
                     # Dead replica, injected replica.query fault, or a
                     # real transport error: fail over within the SAME
@@ -191,10 +187,7 @@ class QueryRouter:
             attempts += 1
             self.writer_fallbacks += 1
             get_registry().counter("router.writer_fallbacks").inc()
-            result = self.cluster.writer.query(
-                until_convergence=until_convergence,
-                deadline=deadline,
-            )
+            result = self.cluster.writer.query(deadline=deadline)
             span.tag(served_by="writer", failovers=failovers)
         return RoutedResult(
             result=result, served_by="writer", attempts=attempts,

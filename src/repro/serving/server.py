@@ -45,7 +45,7 @@ from repro.core.engine import GraphBoltEngine
 from repro.core.model import IncrementalAlgorithm
 from repro.graph.csr import CSRGraph
 from repro.graph.mutation import MutationBatch
-from repro.ligra.delta import ITERATION_CAP, DeltaEngine
+from repro.ligra.delta import DeltaEngine
 from repro.obs import trace
 from repro.obs.registry import get_registry
 from repro.runtime.deadline import Deadline
@@ -271,20 +271,18 @@ class StreamingAnalyticsServer:
     # ------------------------------------------------------------------
     # Branch loop
     # ------------------------------------------------------------------
-    def query(
-        self,
-        until_convergence: bool = False,
-        deadline: Optional[Deadline] = None,
-    ) -> QueryResult:
-        """Branch the current state forward to an exact answer.
+    def query(self, deadline: Optional[Deadline] = None) -> QueryResult:
+        """Branch the current state forward to an exact answer: to
+        ``exact_iterations`` (``delta.ITERATION_CAP`` answers at
+        convergence).
 
         Does not perturb the main loop: the rolling state is copied and
         iterated by a detached delta engine.  A completed answer is
         reused until the state changes: every path that changes it
         (ingest, quarantine rollback, checkpoint load, a new server)
         assigns a new engine or state object and nothing mutates a
-        state in place, so their identity plus the window keys the one
-        remembered answer.  A hit returns a copy of its values and
+        state in place, so their identity keys the one remembered
+        answer.  A hit returns a copy of its values and
         reports ``edge_computations=0``.
 
         ``deadline`` bounds the branch: a
@@ -301,19 +299,19 @@ class StreamingAnalyticsServer:
             faults.hit("query.deadline")
         start = time.perf_counter()
         engine, live = self.engine, self.engine._state
-        window = ITERATION_CAP if until_convergence else self.exact_iterations
         memo = self._answer
         cached = (memo is not None and memo[0]() is engine
-                  and memo[1]() is live and memo[2] == window)
+                  and memo[1]() is live)
         with trace.span("query", loop="branch", index=self.queries_served,
                         cached=cached) as span:
             if cached:
-                answer = memo[3]
+                answer = memo[2]
             else:
-                answer = self._branch(engine.graph, live, window, deadline)
+                answer = self._branch(engine.graph, live,
+                                      self.exact_iterations, deadline)
                 if not answer.degraded:
                     self._answer = (weakref.ref(engine), weakref.ref(live),
-                                    window, answer)
+                                    answer)
             span.tag(iterations=answer.iterations, degraded=answer.degraded)
         self.queries_served += 1
         # One measurement: the recorded histogram and the reported

@@ -1,5 +1,6 @@
-"""LP's and CoEM's seed clamp: derived once per vertex id, applied by
-gathering from the table, byte-equal to the hash formula."""
+"""LP's and CoEM's seed clamp and BP's priors: derived once per vertex
+id, applied by gathering from the table, byte-equal to the hash
+formula."""
 
 from __future__ import annotations
 
@@ -8,10 +9,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.algorithms import CoEM, LabelPropagation
+from repro.algorithms import BeliefPropagation, CoEM, LabelPropagation
+from repro.algorithms import belief_propagation as bp_module
 from repro.algorithms import coem as coem_module
 from repro.algorithms import label_propagation as lp_module
-from repro.algorithms._hashing import SeedTable, hash_ids
+from repro.algorithms._hashing import SeedTable, hash_ids, uniform_from_ids
 from repro.core.engine import GraphBoltEngine
 from repro.graph.generators import rmat
 from repro.graph.mutation import MutationBatch
@@ -166,6 +168,51 @@ def test_hashing_follows_vertex_count_changes_not_steps(name, monkeypatch):
     steps = engine.metrics.iterations + engine.metrics.refinement_iterations
     assert len(counts) == 4 and steps >= 30
     assert len(calls) == 2 * len(counts)
+
+
+class TestBeliefPropagationPriors:
+    """BP's priors (one 2-D row per id) come from a table too: every
+    sweep gathers them by source id instead of hashing each edge."""
+
+    def test_contributions_are_the_formula(self):
+        algorithm = BeliefPropagation()
+        rng = np.random.default_rng(9)
+        # The large graph's ids extend the small one's table; the small
+        # one then reads the extended table's prefix.
+        for scale in (6, 9, 6):
+            graph = rmat(scale=scale, edge_factor=4, seed=3, weighted=True)
+            src = rng.integers(0, graph.num_vertices, 500)
+            values = rng.random((src.size, algorithm.num_states)) + 0.1
+            got = algorithm.contributions(graph, values, src, src, None)
+            logs = np.log((algorithm.priors(src) * values) @ algorithm.psi)
+            expect = logs - logs.mean(axis=1, keepdims=True)
+            assert got.tobytes() == expect.tobytes()
+
+    def test_priors_follow_vertex_count_changes_not_sweeps(
+            self, monkeypatch):
+        calls = []
+
+        def spy(ids, salt=0):
+            calls.append(salt)
+            return uniform_from_ids(ids, salt)
+
+        monkeypatch.setattr(bp_module, "uniform_from_ids", spy)
+        algorithm = BeliefPropagation()
+        engine = GraphBoltEngine(algorithm, num_iterations=10)
+        engine.run(rmat(scale=8, edge_factor=8, seed=11, weighted=True))
+        rng = np.random.default_rng(7)
+        counts = {engine.graph.num_vertices}
+        for _ in range(2):
+            fresh = engine.graph.num_vertices
+            batch = make_random_batch(engine.graph, rng, 40, 20).merge(
+                MutationBatch.from_edges(additions=[(1, fresh)],
+                                         grow_to=fresh + 2))
+            engine.apply_mutations(batch)
+            counts.add(engine.graph.num_vertices)
+        steps = (engine.metrics.iterations
+                 + engine.metrics.refinement_iterations)
+        assert len(counts) == 3 and steps >= 20
+        assert len(calls) == algorithm.num_states * len(counts)
 
 
 #: SHA-256 of ``hash_ids(arange(2**16 + 1), salt)``, per salt in use:

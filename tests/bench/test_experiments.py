@@ -16,6 +16,7 @@ from repro.bench.__main__ import EXPERIMENTS
 from repro.bench.__main__ import main as bench_main
 from repro.bench.workloads import uniform_batch
 from repro.graph.generators import paper_graph
+from repro.runtime.parallel import project
 
 
 def bench_payload(*runs):
@@ -67,8 +68,38 @@ class TestDrivers:
 
 class TestReducers:
     def test_registry_covers_the_paper_grids(self):
-        assert set(exp.REDUCERS) == {"table5", "table7", "table8",
-                                     "figure7", "tolerance", "drift"}
+        assert set(exp.REDUCERS) == {"table5", "table6", "table7",
+                                     "table8", "figure7", "tolerance",
+                                     "drift"}
+
+    def test_table6_projects_each_cells_shard_loads(self):
+        def run(engine, loads, seconds):
+            return {"config": {"algorithm": "PR", "engine": engine},
+                    "work": {"shard_loads": loads, "iterations": 2,
+                             "refinement_iterations": 1,
+                             "num_shards": len(loads)},
+                    "timing": {"compute_seconds": seconds}}
+
+        reduced = exp.reduce_table6({"runs": [
+            run("ligra", [40, 0, 40, 40], 1.2),
+            run("gbreset", [40, 10, 30, 40], 1.2),
+            run("graphbolt", [8, 0, 2, 2], 0.3),
+        ]})
+        assert reduced["num_shards"] == 4
+        assert [row[:2] for row in reduced["rows"]] == [["PR", 32],
+                                                        ["PR", 96]]
+        cell = reduced["detail"]["PR|32"]
+        assert cell["projected"]["Ligra"] == project([40, 0, 40, 40], 3,
+                                                     1.2, 32)
+        assert cell["x_gbreset"] == (cell["projected"]["GB-Reset"]
+                                     / cell["projected"]["GraphBolt"])
+        assert cell["imbalance"]["GraphBolt"] == pytest.approx(8 / 3)
+        # As EngineMetrics.shard_loads holds them: an uncharged block
+        # has no entry.
+        assert cell["shard_loads"]["Ligra"] == {"0": 40.0, "2": 40.0,
+                                                "3": 40.0}
+        assert reduced["detail"]["PR|96"]["shard_loads"] == (
+            cell["shard_loads"])
 
     def test_table5_cells_and_figure6_ratio(self):
         def run(engine, batch, edges, seconds):

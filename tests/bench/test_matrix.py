@@ -170,6 +170,9 @@ class TestPayloadSchema:
          "config_hash"),
         (lambda p: p["runs"][0]["timing"]["wall_seconds"].pop("p99"),
          "p99"),
+        # A load vector is a list of numbers, not the metrics' dict.
+        (lambda p: p["runs"][0]["work"].update(shard_loads={"0": 1.0}),
+         "shard_loads"),
     ])
     def test_broken_payloads_rejected(self, tiny_payload, breaker, match):
         broken = copy.deepcopy(tiny_payload)
@@ -344,6 +347,11 @@ fixed:
         # The split is the only thing the axis moves.
         for key in set(serial) - {"num_shards", "shard_imbalance"}:
             assert serial[key] == sharded[key], key
+        # A sharded cell records its vector, in shard order (Table 6's
+        # reducer schedules it); a serial cell's one entry is its total.
+        assert set(sharded) - set(serial) == {"shard_loads"}
+        assert sharded["shard_loads"] == [
+            loads[3].get(str(shard), 0) for shard in range(3)]
 
 
 class TestHotspotStorm:

@@ -164,8 +164,8 @@ class TestOneStopRule:
 
         server = StreamingAnalyticsServer(factory, graph,
                                           approx_iterations=1,
-                                          exact_iterations=10)
-        answer = server.query(until_convergence=window == ITERATION_CAP)
+                                          exact_iterations=window)
+        answer = server.query()
         results["branch"], stops["branch"] = answer.values, answer.iterations
 
         naive = ENGINES["naive"](factory, window)

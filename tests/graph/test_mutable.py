@@ -89,6 +89,12 @@ class TestEdgePositions:
 
 
 class TestApplyBatch:
+    def test_repr(self):
+        stream = StreamingGraph(base_graph())
+        assert repr(stream) == "StreamingGraph(V=4, E=4, batches=0)"
+        stream.apply_batch(MutationBatch.from_edges(additions=[(3, 0)]))
+        assert repr(stream) == "StreamingGraph(V=4, E=5, batches=1)"
+
     def test_addition(self):
         stream = StreamingGraph(base_graph())
         result = stream.apply_batch(

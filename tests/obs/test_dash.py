@@ -12,7 +12,7 @@ from repro.obs.dash import (
 )
 from repro.obs.journal import JsonlJournal
 from repro.obs.registry import scoped_registry
-from repro.obs.slo import SLO, RecordingSink, SLOEvaluator
+from repro.obs.slo import SLO, SLOEvaluator
 
 
 def soak_slo():
@@ -126,14 +126,13 @@ class TestReplayPin:
     def plant_run(self, total=16, plant_from=10):
         """A live evaluator run plus the wide events it would journal."""
         with scoped_registry():
-            sink = RecordingSink()
-            evaluator = SLOEvaluator([soak_slo()], sink=sink)
+            evaluator = SLOEvaluator([soak_slo()])
             events = []
             for index in range(total):
                 value = 9.9 if index >= plant_from else 0.01
                 evaluator.tick({"ingest_latency": value}, index=index)
                 events.append(batch_event(index, index, value))
-            return sink.alerts, events
+            return evaluator.alerts, events
 
     def test_replay_reproduces_live_alerts_exactly(self):
         """The replay determinism pin: wide events embed the samples
@@ -141,13 +140,12 @@ class TestReplayPin:
         reproduces burn rates and alert indices bit-for-bit."""
         live_alerts, events = self.plant_run()
         with scoped_registry():
-            sink = RecordingSink()
-            replay_slos([soak_slo()], events, sink=sink)
+            replayed = replay_slos([soak_slo()], events).alerts
         assert [(a.slo, a.state, a.index, a.fast_burn, a.slow_burn)
-                for a in sink.alerts] == [
+                for a in replayed] == [
             (a.slo, a.state, a.index, a.fast_burn, a.slow_burn)
             for a in live_alerts]
-        assert sink.alerts[0].index == 11  # the pinned firing index
+        assert replayed[0].index == 11  # the pinned firing index
 
     def test_replay_skips_sampleless_events(self):
         event = batch_event(0, 0, 9.9)

@@ -1,4 +1,4 @@
-"""Tests for the SLO engine: validation, burn-rate alerting, sinks.
+"""Tests for the SLO engine: validation, burn-rate alerting, files.
 
 The centerpiece is the determinism pin of the whole PR: a planted
 latency fault starting at batch index 10 fires the fast-burn alert at
@@ -19,7 +19,6 @@ from repro.obs.registry import scoped_registry
 from repro.obs.slo import (
     SIGNALS,
     SLO,
-    RecordingSink,
     SLOError,
     SLOEvaluator,
     lint_slo_dir,
@@ -43,10 +42,9 @@ def soak_slo(**overrides):
     return SLO(**kwargs)
 
 
-def run_plant(slo, plant_from=10, total=16, planted=9.9, sink=None,
-              journal=None):
+def run_plant(slo, plant_from=10, total=16, planted=9.9, journal=None):
     """Feed good samples, then planted violations from ``plant_from``."""
-    evaluator = SLOEvaluator([slo], sink=sink, journal=journal)
+    evaluator = SLOEvaluator([slo], journal=journal)
     for index in range(total):
         value = planted if index >= plant_from else 0.01
         evaluator.tick({"ingest_latency": value}, index=index)
@@ -88,9 +86,8 @@ class TestBurnRateAlerting:
     def test_planted_fault_fires_at_pinned_index(self):
         """THE determinism pin: plant at 10 -> page fires at 11."""
         with scoped_registry():
-            sink = RecordingSink()
-            run_plant(soak_slo(), plant_from=10, sink=sink)
-            firing = [a for a in sink.alerts if a.state == "firing"]
+            evaluator = run_plant(soak_slo(), plant_from=10)
+            firing = [a for a in evaluator.alerts if a.state == "firing"]
             assert len(firing) == 1
             alert = firing[0]
             assert alert.index == 11
@@ -103,35 +100,30 @@ class TestBurnRateAlerting:
 
     def test_clean_run_fires_nothing(self):
         with scoped_registry():
-            sink = RecordingSink()
-            evaluator = run_plant(soak_slo(), plant_from=99, total=32,
-                                  sink=sink)
-            assert sink.alerts == []
+            evaluator = run_plant(soak_slo(), plant_from=99, total=32)
+            assert evaluator.alerts == []
             assert evaluator.firing == []
 
     def test_one_batch_blip_never_pages(self):
         """The slow window exists to filter single-batch spikes."""
         with scoped_registry():
-            sink = RecordingSink()
-            evaluator = SLOEvaluator([soak_slo()], sink=sink)
+            evaluator = SLOEvaluator([soak_slo()])
             # Blips only after warmup: with partial windows, a burn at
             # tick 0 is 1/1 of the budget and legitimately pages.
             for index in range(24):
                 value = 9.9 if index in (8, 16) else 0.01
                 evaluator.tick({"ingest_latency": value}, index=index)
-            assert sink.alerts == []
+            assert evaluator.alerts == []
 
     def test_alert_resolves_when_fast_burn_recovers(self):
         with scoped_registry():
-            sink = RecordingSink()
-            evaluator = run_plant(soak_slo(), plant_from=10, total=14,
-                                  sink=sink)
+            evaluator = run_plant(soak_slo(), plant_from=10, total=14)
             assert evaluator.firing == ["soak-ingest-latency"]
             # Recovery: good samples push violations out of the fast
             # window; after 3 good ticks fast = (1/4)/0.1 = 2.5 < 5.0.
             for index in range(14, 17):
                 evaluator.tick({"ingest_latency": 0.01}, index=index)
-            states = [(a.state, a.index) for a in sink.alerts]
+            states = [(a.state, a.index) for a in evaluator.alerts]
             assert states == [("firing", 11), ("resolved", 16)]
             assert evaluator.firing == []
 

@@ -29,7 +29,7 @@ from repro.graph.storage import MmapStore
 from repro.runtime import exec as kernels
 from repro.runtime.exec import PartitionedCSR, load_imbalance
 from repro.runtime.metrics import EngineMetrics
-from repro.runtime.parallel import MakespanModel, lpt_makespan
+from repro.runtime.parallel import PER_ITERATION_SPAN, lpt_makespan, project
 from repro.testing.workloads import FUZZ_ALGORITHMS
 
 
@@ -109,6 +109,11 @@ class TestPartitionedCSR:
             PartitionedCSR(np.array([0, 3, 2], dtype=np.int64))
         with pytest.raises(ValueError):
             PartitionedCSR.compute(_chain_graph(), 0)
+
+    def test_repr(self):
+        graph = _chain_graph()
+        assert repr(PartitionedCSR.compute(graph, 2)) == (
+            f"PartitionedCSR(P=2, V={graph.num_vertices})")
 
 
 # ----------------------------------------------------------------------
@@ -560,47 +565,27 @@ class TestMakespan:
             lpt_makespan([1.0], 0)
 
     def test_makespan_monotone_and_calibrated(self):
-        metrics = EngineMetrics()
-        for shard, load in enumerate([400, 350, 300, 150]):
-            metrics.count_shard_load(str(shard), 1000 * load)
-        metrics.iterations = 3
-        model = MakespanModel()
-        assert model.breakdown(metrics, 1.0).span_units == (
-            3 * MakespanModel.PER_ITERATION_SPAN)
+        loads = [1000 * load for load in (400, 350, 300, 150)]
         measured = 2.5
         projections = [
-            model.project(metrics, measured, cores)
-            for cores in (1, 2, 4, 16)
+            project(loads, 3, measured, cores) for cores in (1, 2, 4, 16)
         ]
         assert projections[0] == pytest.approx(measured)
         for slower, faster in zip(projections, projections[1:]):
             assert faster <= slower + 1e-12
         # The floor is the largest shard plus the span: more cores than
         # shards cannot help further.
-        assert model.project(metrics, measured, 16) == pytest.approx(
-            model.project(metrics, measured, 64)
-        )
+        span = 3 * PER_ITERATION_SPAN
+        assert projections[-1] == pytest.approx(
+            (max(loads) + span) * measured / (sum(loads) + span))
+        assert project(loads, 3, measured, 64) == pytest.approx(
+            projections[-1])
 
     def test_imbalance(self):
         metrics = EngineMetrics()
         metrics.count_shard_load("0", 30)
         metrics.count_shard_load("1", 10)
-        model = MakespanModel()
-        assert model.imbalance(metrics) == pytest.approx(1.5)
+        assert load_imbalance(metrics.shard_loads) == pytest.approx(1.5)
         assert load_imbalance({"0": 30.0, "1": 10.0}) == pytest.approx(1.5)
         assert load_imbalance({}) == 1.0
         assert load_imbalance([4.0, 4.0, 4.0]) == 1.0
-
-    def test_serial_fallback_uses_aggregate_work(self):
-        metrics = EngineMetrics()
-        metrics.count_edges(900)
-        metrics.count_vertices(100)
-        metrics.iterations = 2
-        model = MakespanModel()
-        cost = model.breakdown(metrics, 1.0)
-        assert cost.shard_loads.tolist() == [1000.0]
-        assert cost.span_units == 2 * MakespanModel.PER_ITERATION_SPAN
-        # One undecomposed shard cannot be split: projection is flat.
-        assert model.project(metrics, 1.0, 8) == pytest.approx(
-            model.project(metrics, 1.0, 2)
-        )

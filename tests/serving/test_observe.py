@@ -15,7 +15,7 @@ from repro.graph.mutation import MutationBatch
 from repro.obs import trace
 from repro.obs.journal import JsonlJournal
 from repro.obs.registry import scoped_registry
-from repro.obs.slo import SLO, RecordingSink, SLOEvaluator
+from repro.obs.slo import SLO, SLOEvaluator
 from repro.obs.trace import Tracer
 from repro.recovery import RecoveryManager
 from repro.serving import (
@@ -79,14 +79,15 @@ class TestObserverOnServingLoop:
     def test_planted_fault_fires_through_the_real_loop(self, graph,
                                                        rng):
         with scoped_registry():
-            sink = RecordingSink()
+            evaluator = SLOEvaluator([fast_slo()])
             self.observed(
                 graph, rng, batches=4,
-                evaluator=SLOEvaluator([fast_slo()], sink=sink),
+                evaluator=evaluator,
                 planted_latency=PlantedLatency(from_index=2,
                                                seconds=9.9),
             )
-            firing = [a for a in sink.alerts if a.state == "firing"]
+            firing = [a for a in evaluator.alerts
+                      if a.state == "firing"]
             assert [(a.slo, a.index) for a in firing] == [
                 ("plant-latency", 2)]
             assert firing[0].value == pytest.approx(9.9)

@@ -1,8 +1,8 @@
 """The branch loop's one remembered answer.
 
 A server keeps the last complete branch-loop answer, keyed by the
-identity of its engine and the rolling state it branched from plus the
-window.  These tests pin the contract: a hit is the uncached answer bit
+identity of its engine and the rolling state it branched from (its
+window, ``exact_iterations``, is fixed when it is built).  These tests pin the contract: a hit is the uncached answer bit
 for bit, anything that changes the state is a miss, a degraded answer is
 never kept, and a caller can never reach the kept values.
 """
@@ -16,6 +16,7 @@ import pytest
 from repro.algorithms import PageRank
 from repro.graph.generators import rmat
 from repro.graph.mutation import MutationBatch
+from repro.ligra.delta import ITERATION_CAP
 from repro.obs import trace
 from repro.obs.registry import scoped_registry
 from repro.obs.trace import Tracer
@@ -88,9 +89,11 @@ class TestHit:
         assert np.array_equal(server.query().values, expected)
 
     def test_another_window_is_a_miss(self, server):
+        converging = StreamingAnalyticsServer.from_engine(
+            server.engine, factory, exact_iterations=ITERATION_CAP)
         with scoped_registry() as registry:
             server.query()
-            server.query(until_convergence=True)
+            converging.query()
             assert hits(registry) == 0
 
     def test_query_span_is_tagged(self, server):

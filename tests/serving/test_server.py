@@ -83,10 +83,10 @@ class TestBranchLoop:
     def test_query_until_convergence(self, graph, rng):
         server = StreamingAnalyticsServer(
             lambda: SSSP(source=0), graph,
-            approx_iterations=2,
+            approx_iterations=2, exact_iterations=ITERATION_CAP,
         )
         server.ingest(make_random_batch(server.graph, rng, 10, 10))
-        result = server.query(until_convergence=True)
+        result = server.query()
         truth = LigraEngine(SSSP(source=0)).run(server.graph, ITERATION_CAP)
         both_inf = np.isinf(result.values) & np.isinf(truth)
         assert np.allclose(result.values[~both_inf], truth[~both_inf])

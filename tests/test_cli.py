@@ -148,6 +148,10 @@ class TestExperimentCommand:
                 ("p50", "p90", "p99", "mean", "max", "total"), 0.001)
             work = {"edge_computations": 7, "stream_edge_computations": 3,
                     "vertex_computations": 5}
+            if spec.config["backend"] != "serial":
+                # A sharded cell's columns (what reduce_table6 reads).
+                work.update(shard_loads=[2, 1], iterations=1,
+                            refinement_iterations=0, num_shards=2)
             if isinstance(spec.config["algorithm"], dict):
                 # A tolerance cell's columns (matrix._tolerance_work).
                 work.update(dict.fromkeys((

@@ -181,7 +181,6 @@ SETTINGS_ALLOWED = {
     "experiment_table1.num_batches": (SHRUNK, "the Table 1 stream"),
     "experiment_table1.batch_size": (SHRUNK, "the Table 1 stream"),
     "experiment_figure4.num_iterations": (SHRUNK, "the Figure 4 window"),
-    "experiment_table6.algorithms": (SHRUNK, "the Table 6 grid"),
     "experiment_table9.algorithms": (SHRUNK, "the Table 9 grid"),
     "experiment_table9.graphs": (SHRUNK, "the Table 9 grid"),
     "experiment_motivation_tagging.graphs": (SHRUNK, "the tagging grid"),
