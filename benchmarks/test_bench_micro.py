@@ -5,8 +5,7 @@ of the hot paths every experiment sits on: CSR construction, batch
 structure adjustment (the paper's two-pass scheme, section 4.1),
 frontier edge gathering, one delta iteration, one refinement pass, and
 the dense sweep every engine shares (``repro.runtime.exec.aggregate_all``:
-the sparse product of the edge-weighted algorithms and the generic
-edge-order path; report-only), and the per-edge costs refinement's
+the messages, then at most two sparse products; report-only), and the per-edge costs refinement's
 sparse/dense switch is priced with (report-only).
 """
 
@@ -34,7 +33,7 @@ from repro.ligra import delta
 from repro.ligra.delta import DeltaEngine
 from repro.obs import trace
 from repro.obs.trace import Tracer
-from repro.runtime.exec import aggregate_all, gather_out
+from repro.runtime.exec import aggregate_all, edge_contributions, gather_out
 
 
 @pytest.fixture(scope="module")
@@ -89,11 +88,14 @@ def test_micro_refinement_pass(benchmark, graph):
 
 
 @pytest.mark.parametrize("factory", [
-    # edge_weighted: one sparse product, vector- and scalar-valued.
+    # "*w" on every component: one weighted product, vector and scalar.
     pytest.param(LabelPropagation, id="lp-k5"),
     pytest.param(CoEM, id="coem"),
-    # The generic take -> contributions -> scatter path.
+    # No operator: the messages, then one unit-weight product.
     pytest.param(PageRank, id="pagerank"),
+    pytest.param(lambda: REGISTRY["BP"].factory(), id="bp"),
+    # Both: a unit-weight product (K*K columns), a weighted one (K).
+    pytest.param(lambda: REGISTRY["CF"].factory(), id="cf-k3"),
 ])
 def test_micro_dense_sweep(benchmark, factory):
     graph = rmat(scale=13, edge_factor=16, seed=1, weighted=True)
@@ -126,23 +128,26 @@ def test_micro_sparse_scatter(benchmark):
     graph = rmat(scale=13, edge_factor=16, seed=1, weighted=True)
     algorithm = LabelPropagation()
     rng = np.random.default_rng(3)
-    src, dst, weight = gather_out(
-        graph, np.flatnonzero(rng.random(graph.num_vertices) < 0.3))
+    sources = np.flatnonzero(rng.random(graph.num_vertices) < 0.3)
+    src, dst, weight = gather_out(graph, sources)
+    at = sources.searchsorted(src)
     old = algorithm.initial_values(graph)
     new = old + rng.normal(scale=1e-3, size=old.shape)
-    old_contribs = algorithm.contributions(graph, old[src], src, dst, weight)
-    new_contribs = algorithm.contributions(graph, new[src], src, dst, weight)
+    old_contribs = edge_contributions(graph, algorithm, old, sources, at,
+                                      weight)
+    new_contribs = edge_contributions(graph, algorithm, new, sources, at,
+                                      weight)
     aggregate = aggregate_all(graph, algorithm, old, None)
     benchmark(algorithm.aggregation.scatter_delta, aggregate, dst,
               new_contribs, old_contribs)
 
 
 @pytest.mark.parametrize("factory,iterations", [
-    pytest.param(PageRank, 10, id="pagerank"),           # generic sweep
+    pytest.param(PageRank, 10, id="pagerank"),           # priced generic
     pytest.param(LabelPropagation, 10, id="lp-k5"),      # product, K = 5
     pytest.param(CoEM, 10, id="coem"),                   # product, scalar
     pytest.param(lambda: SSSP(source=0), 40, id="sssp"),  # min re-evaluation
-    # Generic and 12 wide: the generic sweep's cost per component.
+    # Priced generic and 12 wide: the generic row's cost per component.
     pytest.param(lambda: CollaborativeFiltering(num_factors=3), 10,
                  id="cf-k3"),
 ])

@@ -26,6 +26,7 @@ class Exposure(IncrementalAlgorithm):
 
     name = "exposure"
     value_shape = ()
+    edge_operator = "*w"    # contribution = score(u) * w(u, v)
 
     def __init__(self, reviewed, tolerance=1e-9):
         super().__init__(SumAggregation(), tolerance)
@@ -41,9 +42,6 @@ class Exposure(IncrementalAlgorithm):
     def initial_values(self, graph):
         ids = np.arange(graph.num_vertices)
         return self._clamp(ids, np.full(graph.num_vertices, 0.5))
-
-    def contributions(self, graph, src_values, src, dst, weight):
-        return src_values * weight
 
     def apply(self, graph, aggregate_values, vertices,
               previous_values=None):

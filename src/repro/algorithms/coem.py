@@ -39,7 +39,7 @@ class CoEM(IncrementalAlgorithm):
     name = "coem"
     value_shape = ()
     tolerance = 1e-12
-    edge_weighted = True
+    edge_operator = "*w"
 
     def __init__(self, seed_every: int = 10, salt: int = 11,
                  default_score: float = 0.2,

@@ -10,7 +10,8 @@ sub-aggregations  < sum c c^T , sum c w > , both plain sums; step 2
 reproduces old contributions on the fly (c(u) c(u)^T from the old value)
 so that differences can be aggregated.  We realise the pair as one
 flattened sum-aggregated vector of length ``K*K + K`` per vertex -- the
-static decomposition is literally a choice of value layout -- and the
+static decomposition is literally a choice of value layout, whose message
+``[c cᵀ | c]`` the edge weight multiplies from column K*K on -- and the
 matrix inverse plus the lambda*I shift live in the apply step, exactly as
 the paper leaves them outside the decomposition.
 
@@ -39,6 +40,7 @@ class CollaborativeFiltering(IncrementalAlgorithm):
 
     name = "collaborative_filtering"
     tolerance = 1e-12
+    edge_operator = "*w"
 
     def __init__(self, num_factors: int = 4, regulariser: float = 0.5,
                  salt: int = 31, tolerance: Optional[float] = None) -> None:
@@ -54,6 +56,8 @@ class CollaborativeFiltering(IncrementalAlgorithm):
         self.regulariser = regulariser
         self.salt = salt
         self.value_shape = (num_factors,)
+        # The edge weight multiplies the right-hand side only.
+        self.operated_from = num_factors ** 2
 
     @property
     def aggregation_shape(self) -> Tuple[int, ...]:
@@ -69,12 +73,9 @@ class CollaborativeFiltering(IncrementalAlgorithm):
         ]
         return np.stack(columns, axis=1)
 
-    def contributions(self, graph, src_values, src, dst, weight) -> np.ndarray:
-        outer = src_values[:, :, None] * src_values[:, None, :]
-        rhs = src_values * weight[:, None]
-        return np.concatenate(
-            [outer.reshape(src_values.shape[0], -1), rhs], axis=1
-        )
+    def message(self, graph, ids, values) -> np.ndarray:
+        outer = values[:, :, None] * values[:, None, :]
+        return np.concatenate([outer.reshape(ids.size, -1), values], axis=1)
 
     def apply(self, graph, aggregate_values, vertices,
               previous_values: Optional[np.ndarray] = None) -> np.ndarray:

@@ -32,7 +32,7 @@ class LabelPropagation(IncrementalAlgorithm):
 
     name = "label_propagation"
     tolerance = 1e-12
-    edge_weighted = True
+    edge_operator = "*w"
 
     def __init__(self, num_labels: int = 5, seed_every: int = 10,
                  salt: int = 7, tolerance: Optional[float] = None) -> None:

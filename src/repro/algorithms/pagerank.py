@@ -5,11 +5,11 @@ Matches Algorithm 1 of the paper::
     g_i(v) = sum_{(u,v) in E} c_{i-1}(u) / out_degree(u)
     c_i(v) = 0.15 + 0.85 * g_i(v)
 
-The contribution depends on the source's out-degree, a *contribution
-parameter*: a mutation that changes u's out-degree changes u's
-contribution along every retained out-edge even when u's rank is
-unchanged -- exactly why the paper's ``propagateDelta`` (Algorithm 3)
-distinguishes ``oldpr/old_degree`` from ``newpr/new_degree``.
+The message ``c(u) / out_degree(u)`` depends on the source's
+out-degree, a *contribution parameter*: a mutation that changes u's
+out-degree changes u's message along every retained out-edge even when
+u's rank is unchanged -- exactly why the paper's ``propagateDelta``
+(Algorithm 3) distinguishes ``oldpr/old_degree`` from ``newpr/new_degree``.
 """
 
 from __future__ import annotations
@@ -44,10 +44,11 @@ class PageRank(IncrementalAlgorithm):
     def initial_values(self, graph: CSRGraph) -> np.ndarray:
         return np.ones(graph.num_vertices, dtype=np.float64)
 
-    def contributions(self, graph, src_values, src, dst, weight) -> np.ndarray:
-        # Every edge source has out-degree >= 1 in the snapshot the edge
-        # belongs to, so the division is always defined.
-        return src_values / graph.out_degrees()[src]
+    def message(self, graph, ids, values) -> np.ndarray:
+        # A vertex with no out-edge sends nothing: 0, not a 0 / 0.
+        degrees = graph.out_degrees()[ids]
+        return np.divide(values, degrees, out=np.zeros(values.shape),
+                         where=degrees > 0)
 
     def apply(self, graph, aggregate_values, vertices,
               previous_values: Optional[np.ndarray] = None) -> np.ndarray:

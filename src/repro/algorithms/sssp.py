@@ -56,6 +56,7 @@ class SSSP(_MinimisingAlgorithm):
     """Single-source shortest paths (synchronous Bellman-Ford)."""
 
     name = "sssp"
+    edge_operator = "+w"
 
     def __init__(self, source: int = 0,
                  tolerance: Optional[float] = None) -> None:
@@ -69,9 +70,6 @@ class SSSP(_MinimisingAlgorithm):
         if self.source < graph.num_vertices:
             values[self.source] = 0.0
         return values
-
-    def contributions(self, graph, src_values, src, dst, weight) -> np.ndarray:
-        return src_values + weight
 
     def apply(self, graph, aggregate_values, vertices,
               previous_values: Optional[np.ndarray] = None) -> np.ndarray:
@@ -87,6 +85,7 @@ class BFS(_MinimisingAlgorithm):
     """Breadth-first hop distance: SSSP with unit edge lengths."""
 
     name = "bfs"
+    edge_operator = "+1"
 
     def __init__(self, source: int = 0,
                  tolerance: Optional[float] = None) -> None:
@@ -98,9 +97,6 @@ class BFS(_MinimisingAlgorithm):
         if self.source < graph.num_vertices:
             values[self.source] = 0.0
         return values
-
-    def contributions(self, graph, src_values, src, dst, weight) -> np.ndarray:
-        return src_values + 1.0
 
     def apply(self, graph, aggregate_values, vertices,
               previous_values: Optional[np.ndarray] = None) -> np.ndarray:
@@ -123,6 +119,3 @@ class ConnectedComponents(_MinimisingAlgorithm):
 
     def initial_values(self, graph: CSRGraph) -> np.ndarray:
         return np.arange(graph.num_vertices, dtype=np.float64)
-
-    def contributions(self, graph, src_values, src, dst, weight) -> np.ndarray:
-        return src_values.copy()

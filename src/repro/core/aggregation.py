@@ -25,16 +25,15 @@ neighbours (section 3.3, "Aggregation Properties & Extensions").
 
 All operators are vectorised: ``dst`` is an int64 index array and
 ``contributions`` a parallel array (possibly 2-D for vector-valued
-algorithms).  The incremental operators update a *live* aggregate, so
-they scatter with NumPy's unbuffered ``ufunc.at``, the sequential
-stand-in for the paper's atomic read-modify-write updates, one 1-D
-call per component column: numpy's fast ``ufunc.at`` path is 1-D only
-(one 2-D call costs ~3x five column calls), and the bits are the same
-up to a NaN's sign.  A dense sweep rebuilds the aggregate from the
-identity with the same :meth:`Aggregation.scatter`.
-A plain sum of ``edge_weighted`` contributions (LP, CoEM)
-never gets here: :func:`repro.runtime.exec.aggregate_all` runs it as
-one sparse product over the out-edge arrays, read as the transpose.
+algorithms), each row a source's message through the edge operator
+(:mod:`repro.core.model`).  The incremental operators update a *live*
+aggregate, so they scatter with NumPy's unbuffered ``ufunc.at``, the
+sequential stand-in for the paper's atomic read-modify-write updates,
+one 1-D call per component column: numpy's fast ``ufunc.at`` path is
+1-D only (one 2-D call costs ~3x five column calls), and the bits are
+the same up to a NaN's sign.  A dense sum sweep never gets here:
+:func:`repro.runtime.exec.aggregate_all` runs it as at most two sparse
+products of the messages; a dense min sweep scatters onto the identity.
 """
 
 from __future__ import annotations

@@ -3,29 +3,25 @@
 An :class:`IncrementalAlgorithm` expresses a synchronous vertex program
 in the decomposed form GraphBolt needs (paper sections 3.2-3.3)::
 
-    g_i(v) = (+)_{(u,v) in E}  contribution( c_{i-1}(u), u, v, weight )
+    g_i(v) = (+)_{(u,v) in E}  message(c_{i-1}(u), u)  <edge operator>  w
     c_i(v) = apply( g_i(v) )                      # optionally also c_{i-1}(v)
 
-From these two hooks plus the aggregation operator the engines derive:
+Every paper algorithm's ``contribution(c(u), u, v, w)`` is a per-source
+*message* (a function of the source's value, id and snapshot) through an
+*edge operator* that reads at most the edge's weight.  From the message,
+the operator and the aggregation the engines derive the full
+synchronous run (Ligra), selective scheduling (GB-Reset, the paper's
+``propagateDelta``) and the refinement operators of Algorithms 2-3;
+none is written per algorithm, and each computes a source's message
+once, not once per edge (:mod:`repro.runtime.exec`).  This is the
+paper's point that complex aggregations "statically decompose into
+simple sub-aggregations" whose old contributions are reproduced on the
+fly from tracked values (section 3.3, steps 1-2): CF's pair of sums and
+BP's per-state product are *vector* messages, the decomposition a
+choice of value layout.
 
-- the full synchronous execution (Ligra baseline),
-- delta/selective-scheduling execution (GB-Reset; the paper's
-  ``propagateDelta``),
-- the dependency-driven refinement operators (``repropagate``,
-  ``retract``, ``propagate`` of the paper's Algorithms 2-3) -- these are
-  *not* written per algorithm; the engine composes them from
-  ``contributions`` and the aggregation's incremental operators.  This is
-  the paper's point that complex aggregations "statically decompose into
-  simple sub-aggregations" whose old contributions can be reproduced
-  on the fly from tracked values (section 3.3, steps 1-2).
-
-Complex aggregations (CF's pair of sums, BP's per-state product) are
-expressed by returning *vector* contributions -- the static decomposition
-into sub-aggregations is a choice of value layout, after which each
-component is a simple aggregation.
-
-All hooks are vectorised over edges/vertices: ``src``/``dst``/``weight``
-are parallel arrays and values are ``(n, *value_shape)`` arrays.
+All hooks are vectorised over vertices: ids are int64 arrays and values
+``(n, *value_shape)`` arrays, one row per id.
 """
 
 from __future__ import annotations
@@ -79,12 +75,15 @@ class IncrementalAlgorithm(ABC):
     #: own value changed in the previous iteration.
     uses_previous_value: bool = False
 
-    #: Declares that the contribution along an edge is the source's
-    #: value (a scalar or a vector, shaped like the aggregate) times the
-    #: edge's weight.  :meth:`contributions` and the dense sweep -- one
-    #: sparse product in :func:`repro.runtime.exec.aggregate_all` -- are
-    #: both derived from it, so a declaring algorithm overrides neither.
-    edge_weighted: bool = False
+    #: What an edge does to its source's :meth:`message`: ``None``
+    #: passes it on unchanged, ``"*w"`` multiplies it by the edge's
+    #: weight, ``"+w"`` adds the weight and ``"+1"`` adds one.
+    edge_operator: Optional[str] = None
+
+    #: The first aggregation component (row-major) the operator acts
+    #: on; the ones before it pass unchanged (CF's normal matrix before
+    #: its weighted right-hand side).
+    operated_from: int = 0
 
     def __init__(self, aggregation: Aggregation,
                  tolerance: Optional[float] = None) -> None:
@@ -112,31 +111,17 @@ class IncrementalAlgorithm(ABC):
         perturbs the initial state.
         """
 
-    def contributions(
-        self,
-        graph: CSRGraph,
-        src_values: np.ndarray,
-        src: np.ndarray,
-        dst: np.ndarray,
-        weight: np.ndarray,
-    ) -> np.ndarray:
-        """Per-edge contributions, shape ``(E_sel, *aggregation_shape)``.
+    def message(self, graph: CSRGraph, ids: np.ndarray,
+                values: np.ndarray) -> np.ndarray:
+        """What each source in ``ids`` sends along its out-edges, shape
+        ``(ids.size, *aggregation_shape)``, from ``values``, their rows.
 
-        ``graph`` identifies which snapshot's contribution parameters to
-        use (e.g. out-degrees): during refinement the engine evaluates old
-        contributions against the pre-mutation snapshot and new ones
-        against the post-mutation snapshot.
-
-        Every algorithm overrides this except an :attr:`edge_weighted`
-        one, for which it is ``src_values * weight`` per component.
+        ``graph`` identifies which snapshot's parameters to use (e.g.
+        out-degrees): during refinement the engine computes old
+        messages against the pre-mutation snapshot and new ones against
+        the post-mutation snapshot.  The default sends the value itself.
         """
-        if not self.edge_weighted:
-            raise NotImplementedError(
-                f"{type(self).__name__} must override contributions() "
-                "or declare edge_weighted = True"
-            )
-        return src_values * weight.reshape(
-            weight.shape + (1,) * (src_values.ndim - 1))
+        return values
 
     @abstractmethod
     def apply(

@@ -40,7 +40,9 @@ from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
 from repro.ligra.delta import DeltaEngine, exact_changed_rows
-from repro.runtime.exec import count_vertices, gather_in, scatter
+from repro.ligra.frontier import union_ids
+from repro.runtime.exec import (count_vertices, edge_contributions,
+                                gather_in, scatter)
 from repro.runtime.metrics import EngineMetrics, Timer
 
 __all__ = ["TagResetEngine"]
@@ -119,6 +121,8 @@ class TagResetEngine:
         # iteration edge work is charged inside the loop below.
         in_src, in_dst, in_weight = gather_in(graph, tagged, self.metrics,
                                               count=False)
+        in_ids = union_ids(graph.num_vertices, in_src)
+        in_at = in_ids.searchsorted(in_src)
         for _ in range(self.num_iterations):
             old_roll.advance()
             self.metrics.refinement_iterations += 1
@@ -130,11 +134,10 @@ class TagResetEngine:
                 count_vertices(graph, tagged, self.metrics)
                 aggregate = identity.copy()
                 if in_src.size:
-                    contribs = algorithm.contributions(
-                        graph, c_prev[in_src], in_src, in_dst, in_weight
-                    )
-                    scatter(graph, algorithm.aggregation, aggregate,
-                            in_dst, contribs, self.metrics)
+                    scatter(graph, algorithm.aggregation.scatter, aggregate,
+                            in_dst, edge_contributions(
+                                graph, algorithm, c_prev, in_ids, in_at,
+                                in_weight), metrics=self.metrics)
                 previous = c_prev[tagged] if uses_prev else None
                 c_cur[tagged] = algorithm.apply(
                     graph, aggregate[tagged], tagged, previous

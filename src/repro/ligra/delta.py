@@ -62,8 +62,8 @@ ITERATION_CAP = 1000
 #: ns per edge of one whole step, ``(at width 1, per further component)``
 #: of an aggregation value: sparse per *affected* edge (a refinement's
 #: batch plus every changed source's out-edges) by how the aggregate is
-#: spliced, dense per graph edge by the sweep
-#: (:func:`repro.runtime.exec.sweeps_as_product`), both timed at the
+#: spliced, dense per graph edge by the sweep (``"product"`` when the
+#: edge operator multiplies every component by the weight), timed at the
 #: refinement iteration the switch decides; lines through the rows below
 #: (splice: PageRank, LP; product: CoEM, LP; generic: PageRank, CF) of
 #: ``benchmarks/test_bench_micro.py::test_micro_refine_switch_costs``
@@ -362,7 +362,8 @@ def edge_prices(algorithm: IncrementalAlgorithm) -> Tuple[float, float]:
         "splice" if algorithm.aggregation.decomposable else "reevaluate"]
     sparse_ns = first + per * further
     first, per = DENSE_NS_PER_EDGE[
-        "product" if kernels.sweeps_as_product(algorithm) else "generic"]
+        "product" if algorithm.edge_operator == "*w"
+        and not algorithm.operated_from else "generic"]
     return sparse_ns, first + per * further
 
 
@@ -477,50 +478,44 @@ def propagate(algorithm: IncrementalAlgorithm, graph: CSRGraph,
             aggregate[touched] = aggregation.identity_value()
             src, dst, weight = kernels.gather_in(graph, touched, metrics)
             if src.size:
-                kernels.scatter(graph, aggregation, aggregate, dst,
-                                algorithm.contributions(
-                                    graph, values[src], src, dst, weight),
-                                metrics)
+                kernels.scatter(graph, aggregation.scatter, aggregate, dst,
+                                _contributions(graph, algorithm, values, src,
+                                               weight), metrics=metrics)
         return aggregate, touched
 
-    old_graph = graph
+    old_graph, passes = graph, ()
     if batch is not None:
+        # ⊎ from the new values, ⋃– from the old ones on the old snapshot;
+        # a deleted edge's destination is charged to the new graph's owner.
         old_graph = batch.old_graph
-        if batch.add_src.size:
-            metrics.count_edges(batch.add_src.size)
-            kernels.scatter(graph, aggregation, aggregate, batch.add_dst,
-                            algorithm.contributions(
-                                graph, values[batch.add_src],
-                                batch.add_src, batch.add_dst,
-                                batch.add_weight),
-                            metrics)
-        if batch.del_src.size:
-            # Destinations live in the new snapshot's vertex space, so
-            # the retract is charged against the new graph's owners.
-            metrics.count_edges(batch.del_src.size)
-            kernels.scatter_retract(graph, aggregation, aggregate,
-                                    batch.del_dst,
-                                    algorithm.contributions(
-                                        old_graph, old.c_prev[batch.del_src],
-                                        batch.del_src, batch.del_dst,
-                                        batch.del_weight),
-                                    metrics)
-    if sources.size:
-        src, dst, weight = _out_edges(graph, sources, batch, metrics)
+        passes = ((aggregation.scatter, graph, values, batch.add_src,
+                   batch.add_dst, batch.add_weight),
+                  (aggregation.scatter_retract, old_graph, old.c_prev,
+                   batch.del_src, batch.del_dst, batch.del_weight))
+    for operator, snapshot, base, src, ends, weight in passes:
         if src.size:
-            old_contribs = algorithm.contributions(
-                old_graph, old.c_prev[src], src, dst, weight)
-            new_contribs = algorithm.contributions(
-                graph, values[src], src, dst, weight)
+            metrics.count_edges(src.size)
+            kernels.scatter(graph, operator, aggregate, ends, _contributions(
+                snapshot, algorithm, base, src, weight), metrics=metrics)
+    if sources.size:
+        at, dst, weight = _out_edges(graph, sources, batch, metrics)
+        if at.size:
+            # An edge the batch kept has a source the old snapshot holds.
+            held = sources[:sources.searchsorted(old_graph.num_vertices)]
+            old_contribs = kernels.edge_contributions(
+                old_graph, algorithm, old.c_prev, held, at, weight)
+            new_contribs = kernels.edge_contributions(
+                graph, algorithm, values, sources, at, weight)
             if retract:
-                kernels.scatter_retract(graph, aggregation, aggregate, dst,
-                                        old_contribs, metrics)
-                metrics.count_edges(src.size)
-                kernels.scatter(graph, aggregation, aggregate, dst,
-                                new_contribs, metrics)
+                kernels.scatter(graph, aggregation.scatter_retract,
+                                aggregate, dst, old_contribs, metrics=metrics)
+                metrics.count_edges(at.size)
+                kernels.scatter(graph, aggregation.scatter, aggregate, dst,
+                                new_contribs, metrics=metrics)
             else:
-                kernels.scatter_delta(graph, aggregation, aggregate, dst,
-                                      new_contribs, old_contribs, metrics)
+                kernels.scatter(graph, aggregation.scatter_delta, aggregate,
+                                dst, new_contribs, old_contribs,
+                                metrics=metrics)
     return aggregate, union_ids(graph.num_vertices, *targets, dst)
 
 
@@ -560,18 +555,29 @@ def hold_back(values, base, moved, record):
     return held
 
 
+def _contributions(graph, algorithm, values, src, weight):
+    """The contributions along edges from ``src``, in any order: each
+    distinct source's message once (:func:`kernels.edge_contributions`)."""
+    ids = union_ids(graph.num_vertices, src)
+    return kernels.edge_contributions(graph, algorithm, values, ids,
+                                      ids.searchsorted(src), weight)
+
+
 def _out_edges(graph, sources, batch, metrics):
-    """The out-edges of ``sources`` a sparse step pushes along, counted:
-    all of them, charged at their sources (an ``edgeMap`` gather), or
-    with a batch those it did not add, charged only where they are
-    scattered (the owner accounting as it was pinned)."""
+    """The out-edges of ``sources`` a sparse step pushes along, counted,
+    as ``(at, dst, weight)``, ``sources[at]`` their sources: all of
+    them, charged at their sources (an ``edgeMap`` gather), or with a
+    batch those it did not add, charged only where they are scattered
+    (the owner accounting as it was pinned)."""
+    at = np.repeat(np.arange(sources.size), graph.out_degrees()[sources])
     if batch is None:
-        return kernels.gather_out(graph, sources, metrics)
-    src, slots = graph.out_edge_slots(sources)
+        _, dst, weight = kernels.gather_out(graph, sources, metrics)
+        return at, dst, weight
+    _, slots = graph.out_edge_slots(sources)
     retained = ~batch.added_edge_mask()[slots]
-    src, slots = src[retained], slots[retained]
-    metrics.count_edges(src.size)
-    return src, graph.out_targets[slots], graph.out_weights[slots]
+    at, slots = at[retained], slots[retained]
+    metrics.count_edges(at.size)
+    return at, graph.out_targets[slots], graph.out_weights[slots]
 
 
 def record_iteration(g_old: np.ndarray, g_new: np.ndarray,

@@ -1,4 +1,7 @@
-"""The kernel layer: gathers, scatters and owner-charged work accounting.
+"""The kernel layer: contributions, gathers, scatters and owner-charged
+work accounting.  Contributions are derived here from an algorithm's
+per-source messages and edge operator (:mod:`repro.core.model`), each
+message computed once; a dense sum sweep is a product over them.
 
 GraphBolt's scaling argument (Table 6) is about how work decomposes
 across cores, yet a monolithic edge gather has no decomposition to
@@ -23,6 +26,7 @@ execute per worker, and what the calibrated makespan model
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -36,14 +40,12 @@ __all__ = [
     "aggregate_all",
     "count_all_vertices",
     "count_vertices",
+    "edge_contributions",
     "gather_all",
     "gather_in",
     "gather_out",
     "load_imbalance",
     "scatter",
-    "scatter_delta",
-    "scatter_retract",
-    "sweeps_as_product",
 ]
 
 Edges = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -214,85 +216,93 @@ def gather_all(graph, metrics: Optional[EngineMetrics] = None) -> Edges:
 
 
 # ----------------------------------------------------------------------
-# The dense sweep
+# Contributions: per-source messages through the edge operator
 # ----------------------------------------------------------------------
 def aggregate_all(graph, algorithm, values: np.ndarray,
                   metrics: Optional[EngineMetrics]) -> np.ndarray:
     """One dense iteration's aggregate, rebuilt from the identity:
-    ``(+)`` over every edge ``(u, v)`` of ``contributions(values[u])``.
+    ``(+)`` over every edge of its contribution, the one sweep of the
+    Ligra baseline and every dense step.  Each edge is one edge
+    computation, charged as :func:`gather_all` then :func:`scatter`
+    would charge it: at its source's owner, then at its target's.
 
-    The one sweep behind the Ligra baseline, GB-Reset's first and dense
-    iterations and dense-mode refinement: every edge is one edge
-    computation, charged as a :func:`gather_all` followed by a
-    :func:`scatter` would charge it -- once at its source's owner
-    (gather), once at its target's (reduce).
-
-    An ``edge_weighted`` algorithm over a plain sum is the product of
-    the snapshot's out-edge arrays, read as the transpose's CSC, with
-    ``values``: each target's terms are added onto 0.0 in ascending
-    source order, the order the CSR-order reduction adds them, so the
-    bits are the same, no per-edge array is built and the in-edge
-    arrays are not read.  Every other algorithm visits the edges in CSR
-    order and, starting from the identity, reduces with
-    :meth:`Aggregation.scatter`.
+    Each vertex's message is computed once.  A sum (log-product
+    included) is then at most two products of the out-edge arrays, read
+    as the transpose's CSC, with the messages: unit weights for the
+    components the operator leaves alone, edge weights for those it
+    multiplies.  Each target adds its terms onto 0.0 in ascending source
+    order, as the CSR-order scatter does, so the bits are the same; no
+    per-edge array is built and no in-edge array read.  Any other sweep
+    scatters :func:`edge_contributions` onto the identity in CSR order.
     """
     num_vertices = graph.num_vertices
     if metrics is not None:
         metrics.count_edges(graph.num_edges)
         _charge_sweep(graph, metrics, graph.out_offsets)
         _charge_sweep(graph, metrics, graph.in_offsets)
-    if sweeps_as_product(algorithm):
-        transpose = csc_array(
-            (graph.out_weights, graph.out_targets, graph.out_offsets),
-            shape=(num_vertices, num_vertices), copy=False,
-        )
-        return transpose @ values
-    aggregate = algorithm.identity_aggregate(num_vertices)
-    if graph.num_edges:
-        src, dst, weight = graph.all_edges()
-        contributions = algorithm.contributions(
-            graph, np.take(values, src, axis=0), src, dst, weight
-        )
-        expected = (src.size, *algorithm.aggregation_shape)
-        if contributions.shape != expected:
-            # A malformed user algorithm gets a readable message
-            # instead of an error from inside the reduction.
-            raise ValueError(
-                f"{algorithm.name}.contributions returned shape "
-                f"{contributions.shape}, expected {expected} "
-                f"(edges selected x aggregation_shape)"
-            )
-        algorithm.aggregation.scatter(aggregate, dst, contributions)
-    return aggregate
+    ids = np.arange(num_vertices, dtype=np.int64)
+    if (not isinstance(algorithm.aggregation, SumAggregation)
+            or algorithm.edge_operator not in (None, "*w")):
+        aggregate = algorithm.identity_aggregate(num_vertices)
+        if graph.num_edges:
+            src, dst, weight = graph.all_edges()
+            algorithm.aggregation.scatter(aggregate, dst, edge_contributions(
+                graph, algorithm, values, ids, src, weight))
+        return aggregate
+    messages = _messages(graph, algorithm, ids, values)
+    rows = messages.reshape(num_vertices,
+                            math.prod(algorithm.aggregation_shape))
+    cut = algorithm.operated_from if algorithm.edge_operator else rows.shape[1]
+    parts = [csc_array((np.ones(graph.num_edges) if weights is None
+                        else weights, graph.out_targets, graph.out_offsets),
+                       shape=(num_vertices, num_vertices), copy=False) @ block
+             for weights, block in ((None, rows[:, :cut]),
+                                    (graph.out_weights, rows[:, cut:]))
+             if block.shape[1]]
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            ).reshape(messages.shape)
 
 
-def sweeps_as_product(algorithm) -> bool:
-    """An ``edge_weighted`` algorithm over a plain sum: one product."""
-    return (algorithm.edge_weighted
-            and type(algorithm.aggregation) is SumAggregation)
+def edge_contributions(graph, algorithm, values: np.ndarray,
+                       ids: np.ndarray, at: np.ndarray,
+                       weight: np.ndarray) -> np.ndarray:
+    """The contributions along edges from sources ``ids[at]``: each
+    message computed once on ``graph`` from its row of ``values``, then
+    gathered per edge through the operator with the edge's ``weight``."""
+    gathered = np.take(_messages(graph, algorithm, ids, values[ids]), at,
+                       axis=0)
+    operator, start = algorithm.edge_operator, algorithm.operated_from
+    if operator is not None:
+        operated = gathered.reshape(at.size, math.prod(
+            algorithm.aggregation_shape))[:, start:] if start else gathered
+        operand = 1.0 if operator == "+1" else weight.reshape(
+            weight.shape + (1,) * (operated.ndim - 1))
+        ufunc = np.multiply if operator == "*w" else np.add
+        ufunc(operated, operand, out=operated)
+    return gathered
+
+
+def _messages(graph, algorithm, ids, values):
+    """``algorithm.message``, its shape checked: a malformed algorithm
+    is named here, not by an error from inside the reduction."""
+    messages = algorithm.message(graph, ids, values)
+    expected = (ids.size, *algorithm.aggregation_shape)
+    if messages.shape != expected:
+        raise ValueError(
+            f"{algorithm.name}.message returned shape {messages.shape}, "
+            f"expected {expected} (sources x aggregation_shape)")
+    return messages
 
 
 # ----------------------------------------------------------------------
-# Scatters: ``Aggregation.scatter*`` onto a live aggregate, each
-# contribution owned by its destination.
+# Scatters onto a live aggregate, each contribution owned by its
+# destination.
 # ----------------------------------------------------------------------
-def scatter(graph, aggregation, aggregate, dst, contributions,
+def scatter(graph, operator, aggregate, dst, *contributions,
             metrics: Optional[EngineMetrics]) -> None:
-    aggregation.scatter(aggregate, dst, contributions)
-    _charge(graph, metrics, dst)
-
-
-def scatter_retract(graph, aggregation, aggregate, dst, contributions,
-                    metrics: Optional[EngineMetrics]) -> None:
-    aggregation.scatter_retract(aggregate, dst, contributions)
-    _charge(graph, metrics, dst)
-
-
-def scatter_delta(graph, aggregation, aggregate, dst, new_contributions,
-                  old_contributions,
-                  metrics: Optional[EngineMetrics]) -> None:
-    aggregation.scatter_delta(aggregate, dst, new_contributions,
-                              old_contributions)
+    """``operator(aggregate, dst, *contributions)``: an aggregation's ⊎
+    (``scatter``), ⋃– (``scatter_retract``) or ⋃△ (``scatter_delta``)."""
+    operator(aggregate, dst, *contributions)
     _charge(graph, metrics, dst)
 
 

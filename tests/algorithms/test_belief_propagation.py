@@ -43,10 +43,9 @@ class TestSemantics:
     def test_contributions_unit_geometric_mean(self):
         algo = BeliefPropagation(num_states=3)
         graph = CSRGraph.from_edges([(0, 1)], num_vertices=2)
-        logs = algo.contributions(
-            graph, np.array([[0.2, 0.3, 0.5]]), np.array([0]),
-            np.array([1]), np.array([1.0]),
-        )
+        logs = algo.message(graph, np.array([0]),
+                            np.array([[0.2, 0.3, 0.5]]))
+        assert algo.edge_operator is None   # the message is the contribution
         assert np.allclose(logs.mean(axis=1), 0.0)
 
     def test_hub_products_stay_finite(self):
@@ -75,6 +74,5 @@ class TestSemantics:
         algo = BeliefPropagation(num_states=2, coupling=0.8)
         graph = CSRGraph.from_edges([(0, 1)], num_vertices=2)
         biased = np.array([[0.9, 0.1]])
-        logs = algo.contributions(graph, biased, np.array([0]),
-                                  np.array([1]), np.array([1.0]))
+        logs = algo.message(graph, np.array([0]), biased)
         assert logs[0, 0] > logs[0, 1]

@@ -6,6 +6,7 @@ from repro.algorithms import CoEM
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.ligra.engine import LigraEngine
+from repro.runtime.exec import edge_contributions
 
 
 class TestSeeds:
@@ -40,8 +41,8 @@ class TestSemantics:
                                     weights=[2.0, 1.0])
         algo = CoEM(seed_every=10**9)
         values = np.array([0.9, 0.3, 0.0])
-        contribs = algo.contributions(
-            graph, values[[0, 1]], np.array([0, 1]), np.array([2, 2]),
+        contribs = edge_contributions(
+            graph, algo, values, np.array([0, 1]), np.array([0, 1]),
             np.array([2.0, 1.0]),
         )
         aggregate = np.zeros(3)

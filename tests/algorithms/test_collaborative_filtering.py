@@ -7,6 +7,7 @@ from repro.algorithms import CollaborativeFiltering
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import bipartite_graph
 from repro.ligra.engine import LigraEngine
+from repro.runtime.exec import edge_contributions
 
 
 class TestConfiguration:
@@ -34,8 +35,8 @@ class TestDecomposition:
         algo = CollaborativeFiltering(num_factors=2)
         graph = CSRGraph.from_edges([(0, 1)], num_vertices=2)
         vec = np.array([[1.0, 2.0]])
-        contrib = algo.contributions(graph, vec, np.array([0]),
-                                     np.array([1]), np.array([3.0]))
+        contrib = edge_contributions(graph, algo, vec, np.array([0]),
+                                     np.array([0]), np.array([3.0]))
         # <flattened outer product | weighted vector>
         assert contrib[0].tolist() == [1.0, 2.0, 2.0, 4.0, 3.0, 6.0]
 

@@ -8,6 +8,7 @@ from repro.algorithms.label_propagation import row_totals
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.ligra.engine import LigraEngine
+from repro.runtime.exec import edge_contributions
 from tests.conftest import label_mass
 
 
@@ -65,9 +66,9 @@ class TestSemantics:
         algo = LabelPropagation(num_labels=3, seed_every=10**9)
         # No seeds; a two-vertex chain: vertex 1 inherits vertex 0's mix.
         graph = CSRGraph.from_edges([(0, 1)], num_vertices=2)
-        aggregate = algo.contributions(
-            graph, np.array([[0.2, 0.3, 0.5]]), np.array([0]),
-            np.array([1]), np.array([2.0]),
+        aggregate = edge_contributions(
+            graph, algo, np.array([[0.2, 0.3, 0.5]]), np.array([0]),
+            np.array([0]), np.array([2.0]),
         )
         assert np.allclose(aggregate, [[0.4, 0.6, 1.0]])
 

@@ -7,6 +7,7 @@ import pytest
 from repro.algorithms import PageRank
 from repro.graph.generators import cycle_graph, rmat, star_graph
 from repro.ligra.engine import LigraEngine
+from repro.runtime.exec import edge_contributions
 
 
 class TestBasics:
@@ -36,8 +37,8 @@ class TestBasics:
     def test_contribution_splits_by_degree(self):
         graph = star_graph(4, outward=True)
         algo = PageRank()
-        contribs = algo.contributions(
-            graph, np.array([2.0]), np.array([0]), np.array([1]),
+        contribs = edge_contributions(
+            graph, algo, np.array([2.0]), np.array([0]), np.array([0]),
             np.array([1.0]),
         )
         assert contribs[0] == 0.5  # 2.0 / out_degree 4

@@ -172,7 +172,7 @@ def test_hashing_follows_vertex_count_changes_not_steps(name, monkeypatch):
 
 class TestBeliefPropagationPriors:
     """BP's priors (one 2-D row per id) come from a table too: every
-    sweep gathers them by source id instead of hashing each edge."""
+    message gathers them by source id instead of hashing each source."""
 
     def test_contributions_are_the_formula(self):
         algorithm = BeliefPropagation()
@@ -183,7 +183,7 @@ class TestBeliefPropagationPriors:
             graph = rmat(scale=scale, edge_factor=4, seed=3, weighted=True)
             src = rng.integers(0, graph.num_vertices, 500)
             values = rng.random((src.size, algorithm.num_states)) + 0.1
-            got = algorithm.contributions(graph, values, src, src, None)
+            got = algorithm.message(graph, src, values)
             logs = np.log((algorithm.priors(src) * values) @ algorithm.psi)
             expect = logs - logs.mean(axis=1, keepdims=True)
             assert got.tobytes() == expect.tobytes()

@@ -207,7 +207,8 @@ class TestColumnScatter:
 
 
 class _Passthrough(IncrementalAlgorithm):
-    """A source's value is its contribution, under any aggregation."""
+    """A source's value is its message and its contribution (the
+    default message, no edge operator), under any aggregation."""
 
     def __init__(self, aggregation, shape):
         super().__init__(aggregation)
@@ -216,9 +217,6 @@ class _Passthrough(IncrementalAlgorithm):
     def initial_values(self, graph):
         raise NotImplementedError
 
-    def contributions(self, graph, src_values, src, dst, weight):
-        return src_values
-
     def apply(self, graph, aggregate_values, vertices,
               previous_values=None):
         raise NotImplementedError
@@ -226,8 +224,9 @@ class _Passthrough(IncrementalAlgorithm):
 
 class TestAggregateFresh:
     """A dense sweep's reduction onto the identity
-    (:func:`~repro.runtime.exec.aggregate_all`'s generic arm): same bits
-    as the scatter, whatever the operator and the component layout."""
+    (:func:`~repro.runtime.exec.aggregate_all`: a unit-weight product for
+    a sum, a gather and scatter for a min): same bits as the scatter,
+    whatever the operator and the component layout."""
 
     @pytest.mark.parametrize("agg", [
         SumAggregation(), LogProductAggregation(), MinAggregation(),

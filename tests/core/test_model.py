@@ -18,15 +18,13 @@ class Doubler(IncrementalAlgorithm):
 
     name = "doubler"
     value_shape = ()
+    edge_operator = "*w"
 
     def __init__(self, tolerance=None):
         super().__init__(SumAggregation(), tolerance)
 
     def initial_values(self, graph):
         return np.ones(graph.num_vertices)
-
-    def contributions(self, graph, src_values, src, dst, weight):
-        return src_values * weight
 
     def apply(self, graph, aggregate_values, vertices,
               previous_values=None):
@@ -167,15 +165,15 @@ class TestMalformedAlgorithms:
     class Broken(Doubler):
         name = "broken"
 
-        def contributions(self, graph, src_values, src, dst, weight):
-            return np.ones((src.size, 3))  # scalar algorithm!
+        def message(self, graph, ids, values):
+            return np.ones((ids.size, 3))  # scalar algorithm!
 
     def test_wrong_contribution_shape_reported_clearly(self):
         from repro.graph.generators import cycle_graph
         from repro.ligra.delta import DeltaEngine
 
         engine = DeltaEngine(self.Broken())
-        with pytest.raises(ValueError, match="broken.contributions"):
+        with pytest.raises(ValueError, match="broken.message"):
             engine.run(cycle_graph(4), 2)
 
     def test_wrong_shape_in_ligra_baseline_reported_clearly(self):
@@ -183,7 +181,7 @@ class TestMalformedAlgorithms:
         from repro.ligra.engine import LigraEngine
 
         engine = LigraEngine(self.Broken())
-        with pytest.raises(ValueError, match="broken.contributions"):
+        with pytest.raises(ValueError, match="broken.message"):
             engine.run(cycle_graph(4), 2)
 
     def test_wrong_shape_in_dense_refinement_reported_clearly(self):
@@ -194,9 +192,8 @@ class TestMalformedAlgorithms:
             name = "flaky"
             broken = False
 
-            def contributions(self, graph, src_values, src, dst, weight):
-                out = super().contributions(graph, src_values, src, dst,
-                                            weight)
+            def message(self, graph, ids, values):
+                out = super().message(graph, ids, values)
                 return np.stack([out, out], axis=1) if self.broken else out
 
         engine = GraphBoltEngine(Flaky(), num_iterations=4)
@@ -205,5 +202,5 @@ class TestMalformedAlgorithms:
         # Every vertex's out-degree changes: refinement goes dense.
         batch = MutationBatch.from_edges(
             additions=[(v, (v + 2) % 6) for v in range(6)])
-        with pytest.raises(ValueError, match="flaky.contributions"):
+        with pytest.raises(ValueError, match="flaky.message"):
             engine.apply_mutations(batch)

@@ -25,6 +25,7 @@ class Exposure(IncrementalAlgorithm):
 
     name = "exposure"
     value_shape = ()
+    edge_operator = "*w"
 
     def __init__(self, reviewed, tolerance=1e-9):
         super().__init__(SumAggregation(), tolerance)
@@ -40,9 +41,6 @@ class Exposure(IncrementalAlgorithm):
     def initial_values(self, graph):
         ids = np.arange(graph.num_vertices)
         return self._clamp(ids, np.full(graph.num_vertices, 0.5))
-
-    def contributions(self, graph, src_values, src, dst, weight):
-        return src_values * weight
 
     def apply(self, graph, aggregate_values, vertices,
               previous_values=None):

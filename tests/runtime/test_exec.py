@@ -31,6 +31,7 @@ from repro.runtime.exec import PartitionedCSR, load_imbalance
 from repro.runtime.metrics import EngineMetrics
 from repro.runtime.parallel import PER_ITERATION_SPAN, lpt_makespan, project
 from repro.testing.workloads import FUZZ_ALGORITHMS
+from tests.core.test_one_contribution_form import per_edge
 
 
 def _chain_graph(num_vertices=12, fan=3):
@@ -175,7 +176,8 @@ class TestBackendEquivalence:
         agg.scatter(expect, dst, contribs)
         got = np.zeros(graph.num_vertices)
         metrics = EngineMetrics(num_shards=4)
-        kernels.scatter(graph, agg, got, dst, contribs, metrics)
+        kernels.scatter(graph, agg.scatter, got, dst, contribs,
+                        metrics=metrics)
         assert expect.tobytes() == got.tobytes()
         # Each contribution is charged where its destination lives.
         assert metrics.shard_loads == _owner_loads(graph, 4, dst)
@@ -222,9 +224,9 @@ class TestBackendEquivalence:
 # ----------------------------------------------------------------------
 def _reference_sweep(graph, algorithm, values, metrics):
     """The sweep as the engines wrote it out before ``aggregate_all``:
-    identity, ``np.repeat`` sources, a fancy row gather and
-    ``Aggregation.scatter`` onto the live aggregate, charged as
-    ``gather_all`` + ``scatter``."""
+    identity, ``np.repeat`` sources, a fancy row gather, the per-edge
+    contribution formula and ``Aggregation.scatter`` onto the live
+    aggregate, charged as ``gather_all`` + ``scatter``."""
     aggregate = algorithm.identity_aggregate(graph.num_vertices)
     src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),
                     graph.out_degrees())
@@ -233,10 +235,9 @@ def _reference_sweep(graph, algorithm, values, metrics):
     if metrics is not None:
         metrics.count_edges(src.size)
     if src.size:
-        contributions = algorithm.contributions(graph, values[src], src,
-                                                dst, weight)
-        kernels.scatter(graph, algorithm.aggregation, aggregate, dst,
-                        contributions, metrics)
+        contributions = per_edge(algorithm, graph, values[src], src, weight)
+        kernels.scatter(graph, algorithm.aggregation.scatter, aggregate,
+                        dst, contributions, metrics=metrics)
     return aggregate
 
 
@@ -301,11 +302,10 @@ class TestAggregateAll:
 
     def test_malformed_contributions_are_named(self):
         class Transposed(CollaborativeFiltering):
-            def contributions(self, graph, src_values, src, dst, weight):
-                return super().contributions(
-                    graph, src_values, src, dst, weight).T
+            def message(self, graph, ids, values):
+                return super().message(graph, ids, values).T
 
-        with pytest.raises(ValueError, match="contributions returned shape"):
+        with pytest.raises(ValueError, match="message returned shape"):
             kernels.aggregate_all(
                 _SWEEP_GRAPHS["irregular"], Transposed(),
                 Transposed().initial_values(_SWEEP_GRAPHS["irregular"]),
@@ -313,7 +313,8 @@ class TestAggregateAll:
             )
 
 
-#: Every algorithm that declares ``edge_weighted``.
+#: Every algorithm whose edge operator multiplies each component by the
+#: edge's weight.
 _DECLARING = {
     "label-propagation": LabelPropagation,
     "coem": CoEM,
@@ -332,12 +333,14 @@ def _snapshot(graph_key, storage, tmp_path):
 
 
 class TestEdgeWeightedDeclaration:
-    """``edge_weighted`` derives both ``contributions`` and the dense
-    sweep; each is the hand-written form bit for bit."""
+    """A ``"*w"`` edge operator on every component derives both the
+    per-edge contributions and the dense sweep (one product); each is
+    the hand-written form bit for bit."""
 
     def test_declared_by(self):
         declaring = {key for key, factory in _SWEEP_ALGORITHMS.items()
-                     if factory().edge_weighted}
+                     if factory().edge_operator == "*w"
+                     and not factory().operated_from}
         assert declaring == set(_DECLARING)
 
     @pytest.mark.parametrize("storage", ["heap", "mmap", "grown"])
@@ -346,12 +349,15 @@ class TestEdgeWeightedDeclaration:
     def test_derived_contributions(self, key, graph_key, storage, tmp_path):
         graph = _snapshot(graph_key, storage, tmp_path)
         algorithm = _DECLARING[key]()
-        src, dst, weight = graph.all_edges()
-        src_values = algorithm.initial_values(graph)[src]
-        src_values[::3] = -0.0
+        src, _, weight = graph.all_edges()
+        values = algorithm.initial_values(graph)
+        values[::3] = -0.0
+        src_values = values[src]
         expect = src_values * (weight if src_values.ndim == 1
                                else weight[:, None])
-        got = algorithm.contributions(graph, src_values, src, dst, weight)
+        got = kernels.edge_contributions(
+            graph, algorithm, values,
+            np.arange(graph.num_vertices, dtype=np.int64), src, weight)
         assert got.shape == (src.size, *algorithm.aggregation_shape)
         assert got.tobytes() == expect.tobytes()
 
